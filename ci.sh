@@ -4,164 +4,54 @@ set -euo pipefail
 cd "$(dirname "$0")"
 
 cargo build --release
-cargo test -q
+# --workspace: at the root a bare `cargo test` runs only the umbrella package
+cargo test -q --workspace
 cargo clippy --workspace -- -D warnings
 cargo bench --workspace --no-run
 cargo fmt --check
 
-# Chaos determinism gate: the soak's recorded fault schedule must be
-# byte-identical between two separate processes for each fixed seed.
-for seed in 0xA11CE 0xB0B5EED 0xC4A05C4; do
-  run_soak() {
-    RTDI_CHAOS_SEED="$seed" cargo test -q --test chaos_soak \
-      soak_env_seed_prints_schedule -- --nocapture --test-threads=1 |
-      grep '^CHAOS_SUMMARY'
-  }
-  a="$(run_soak)"
-  b="$(run_soak)"
-  if [ "$a" != "$b" ]; then
-    echo "chaos soak diverged between two runs of seed $seed" >&2
-    diff <(printf '%s\n' "$a") <(printf '%s\n' "$b") >&2 || true
-    exit 1
-  fi
-  echo "chaos soak deterministic for seed $seed ($(printf '%s\n' "$a" | wc -l) schedule lines)"
-done
-
-# Fused-dataflow determinism gate: for each seed, the micro-batched +
-# operator-chained protocol must digest identically to the per-record
-# reference, and the whole line must be byte-identical across processes.
-for seed in 0xF05E 0xC0FFEE42; do
-  run_fuse() {
-    RTDI_FUSE_SEED="$seed" cargo test -q --test fused_determinism \
-      fuse_env_seed_prints_digests -- --nocapture --test-threads=1 |
-      grep '^FUSED_SUMMARY'
-  }
-  a="$(run_fuse)"
-  b="$(run_fuse)"
-  if [ "$a" != "$b" ]; then
-    echo "fused dataflow diverged between two runs of seed $seed" >&2
-    diff <(printf '%s\n' "$a") <(printf '%s\n' "$b") >&2 || true
-    exit 1
-  fi
-  echo "fused dataflow deterministic for seed $seed ($a)"
-done
-
-# Node-kill determinism gate: failover and rebalance event logs must be
-# byte-identical between two separate processes for each fixed seed.
-for seed in 0xFA110 0xDEAD5EED; do
-  run_nodekill() {
-    RTDI_NODEKILL_SEED="$seed" cargo test -q --test node_failover \
-      node_kill_env_seed_prints_failover_log -- --nocapture --test-threads=1 |
-      grep '^NODEKILL_SUMMARY'
-  }
-  a="$(run_nodekill)"
-  b="$(run_nodekill)"
-  if [ "$a" != "$b" ]; then
-    echo "node-kill soak diverged between two runs of seed $seed" >&2
-    diff <(printf '%s\n' "$a") <(printf '%s\n' "$b") >&2 || true
-    exit 1
-  fi
-  echo "node-kill soak deterministic for seed $seed ($(printf '%s\n' "$a" | wc -l) log lines)"
-done
-
-# Decoder-robustness gate: a seeded corpus of truncated and bit-flipped
-# segment/colfile bytes is pushed through every decode entry point; any
-# panic fails the test, and the outcome summary must be byte-identical
-# between two separate processes for each fixed seed.
-for seed in 0xDEC0DE 0xBADF11E5; do
-  run_fuzz() {
-    RTDI_FUZZ_SEED="$seed" cargo test -q --test decoder_robustness \
-      fuzz_env_seed_prints_summary -- --nocapture --test-threads=1 |
-      grep '^DECODER_SUMMARY'
-  }
-  a="$(run_fuzz)"
-  b="$(run_fuzz)"
-  if [ "$a" != "$b" ]; then
-    echo "decoder fuzz diverged between two runs of seed $seed" >&2
-    diff <(printf '%s\n' "$a") <(printf '%s\n' "$b") >&2 || true
-    exit 1
-  fi
-  echo "decoder fuzz deterministic for seed $seed ($a)"
-done
-
-# Federation cache-correctness gate: each FED_SUMMARY line digests an
-# uncached and a cached execution of the same federated query stream
-# (the in-test assertion requires them byte-equal), plus a post-seal
-# digest after a cache-invalidating segment push. The lines must be
-# byte-identical between two separate processes for each fixed seed.
-for seed in 0xFED2021 0xCAC4E5EED; do
-  run_fed() {
-    RTDI_FED_SEED="$seed" cargo test -q --test federation \
-      fed_env_seed_prints_summary -- --nocapture --test-threads=1 |
-      grep '^FED_SUMMARY'
-  }
-  a="$(run_fed)"
-  b="$(run_fed)"
-  if [ "$a" != "$b" ]; then
-    echo "federation cache digests diverged between two runs of seed $seed" >&2
-    diff <(printf '%s\n' "$a") <(printf '%s\n' "$b") >&2 || true
-    exit 1
-  fi
-  echo "federation cache deterministic for seed $seed ($(printf '%s\n' "$a" | wc -l) case lines)"
-done
-
-# Overload determinism gate: the burst soak's accounting summary —
-# per-phase offered/accepted/shed at the producer edge and the proxy,
-# the admission controller's ledger, and the deadline-bounded query's
-# shed counts — must be byte-identical between two separate processes
-# for each fixed seed.
-for seed in 0x0FFE12ED 0x5A70FFE; do
-  run_overload() {
-    RTDI_OVERLOAD_SEED="$seed" cargo test -q --test overload_soak \
-      soak_env_seed_prints_summary -- --nocapture --test-threads=1 |
-      grep '^OVERLOAD_SUMMARY'
-  }
-  a="$(run_overload)"
-  b="$(run_overload)"
-  if [ "$a" != "$b" ]; then
-    echo "overload soak diverged between two runs of seed $seed" >&2
-    diff <(printf '%s\n' "$a") <(printf '%s\n' "$b") >&2 || true
-    exit 1
-  fi
-  echo "overload soak deterministic for seed $seed ($(printf '%s\n' "$a" | wc -l) summary lines)"
-done
-
-# Region-DR determinism gate: the disaster drill's DR_SUMMARY ledger —
-# per-cycle detection latency, per-layer RTO, replay duplicates, lag at
-# heal and catch-up time, plus the RPO/convergence totals — must be
-# byte-identical between two separate processes for each fixed seed.
-for seed in 0xD12A57E2 0x5EED0DDA; do
-  run_dr() {
-    RTDI_DR_SEED="$seed" cargo test -q --test region_failover \
-      region_dr_env_seed_prints_summary -- --nocapture --test-threads=1 |
-      grep '^DR_SUMMARY'
-  }
-  a="$(run_dr)"
-  b="$(run_dr)"
-  if [ "$a" != "$b" ]; then
-    echo "region DR drill diverged between two runs of seed $seed" >&2
-    diff <(printf '%s\n' "$a") <(printf '%s\n' "$b") >&2 || true
-    exit 1
-  fi
-  echo "region DR drill deterministic for seed $seed ($(printf '%s\n' "$a" | wc -l) ledger lines)"
-done
-
-# Parallel-compute determinism gate: the sharded, salted and serial
-# plans must produce byte-identical output (digests asserted in-test),
-# and the PARALLEL_SUMMARY line — record count plus the four digests —
-# must be byte-identical between two separate processes for each seed.
-for seed in 0xA11E1 0x5A17ED; do
-  run_parallel() {
-    RTDI_PARALLEL_SEED="$seed" cargo test -q --test parallel_compute \
-      parallel_env_seed_prints_summary -- --nocapture --test-threads=1 |
-      grep '^PARALLEL_SUMMARY'
-  }
-  a="$(run_parallel)"
-  b="$(run_parallel)"
-  if [ "$a" != "$b" ]; then
-    echo "parallel compute diverged between two runs of seed $seed" >&2
-    diff <(printf '%s\n' "$a") <(printf '%s\n' "$b") >&2 || true
-    exit 1
-  fi
-  echo "parallel compute deterministic for seed $seed ($(printf '%s\n' "$a" | wc -l) summary lines)"
-done
+# Determinism gates: each row names a seeded test that prints summary lines
+# under a tag; for every seed the lines must be byte-identical between two
+# separate processes. Columns: env var, test file, test name, tag, seeds...
+while read -r var file test tag seeds; do
+  case "$var" in '' | '#'*) continue ;; esac
+  for seed in $seeds; do
+    run_gate() {
+      # stdin is the gate table below: keep the test process off it
+      env "$var=$seed" cargo test -q --test "$file" "$test" -- --nocapture --test-threads=1 \
+        </dev/null | grep "^$tag"
+    }
+    a="$(run_gate)"
+    b="$(run_gate)"
+    if [ "$a" != "$b" ]; then
+      echo "$tag diverged between two runs of seed $seed" >&2
+      diff <(printf '%s\n' "$a") <(printf '%s\n' "$b") >&2 || true
+      exit 1
+    fi
+    echo "$tag deterministic for seed $seed ($(printf '%s\n' "$a" | wc -l) lines)"
+  done
+done <<'GATES'
+# chaos: the soak's recorded fault schedule
+RTDI_CHAOS_SEED chaos_soak soak_env_seed_prints_schedule CHAOS_SUMMARY 0xA11CE 0xB0B5EED 0xC4A05C4
+# fused dataflow: the micro-batched + operator-chained runtime must digest
+# identically to the per-record oracle (asserted in-test)
+RTDI_FUSE_SEED fused_determinism fuse_env_seed_prints_digests FUSED_SUMMARY 0xF05E 0xC0FFEE42
+# node kill: failover and rebalance event logs
+RTDI_NODEKILL_SEED node_failover node_kill_env_seed_prints_failover_log NODEKILL_SUMMARY 0xFA110 0xDEAD5EED
+# decoder robustness: a seeded corpus of truncated and bit-flipped
+# segment/colfile bytes through every decode entry point; any panic fails
+RTDI_FUZZ_SEED decoder_robustness fuzz_env_seed_prints_summary DECODER_SUMMARY 0xDEC0DE 0xBADF11E5
+# federation cache: digests of an uncached and a cached execution of the same
+# federated query stream (byte-equal in-test) plus a post-seal digest after a
+# cache-invalidating segment push
+RTDI_FED_SEED federation fed_env_seed_prints_summary FED_SUMMARY 0xFED2021 0xCAC4E5EED
+# overload: per-phase offered/accepted/shed at the producer edge and the
+# proxy, the admission ledger, and the deadline-bounded query's shed counts
+RTDI_OVERLOAD_SEED overload_soak soak_env_seed_prints_summary OVERLOAD_SUMMARY 0x0FFE12ED 0x5A70FFE
+# region DR: per-cycle detection latency, per-layer RTO, replay duplicates,
+# lag at heal and catch-up time, plus the RPO/convergence totals
+RTDI_DR_SEED region_failover region_dr_env_seed_prints_summary DR_SUMMARY 0xD12A57E2 0x5EED0DDA
+# parallel compute: record count plus the serial, sharded and salted plan
+# digests (equal in-test)
+RTDI_PARALLEL_SEED parallel_compute parallel_env_seed_prints_summary PARALLEL_SUMMARY 0xA11E1 0x5A17ED
+GATES

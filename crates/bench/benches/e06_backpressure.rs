@@ -122,11 +122,17 @@ fn bench(c: &mut Criterion) {
     assert!((15.0..30.0).contains(&(flink.recovery_ms as f64 / 60_000.0)));
     assert!(storm.recovery_ms as f64 / flink.recovery_ms as f64 >= 5.0);
 
-    // The real staged runtime draining a backlog under its three channel
-    // protocols: per-record reference, micro-batched, and micro-batched
-    // with the stateless operators chained into one stage.
+    // The real staged runtime draining a backlog at three settings:
+    // batches of one, micro-batched, and micro-batched with the stateless
+    // operators chained into one stage.
     let n = 80_000;
-    let (per_record, out_a) = drain_backlog(n, &StagedConfig::reference(64));
+    let (per_record, out_a) = drain_backlog(
+        n,
+        &StagedConfig {
+            fuse_operators: false,
+            ..StagedConfig::batched(64, 1)
+        },
+    );
     let (batched, out_b) = drain_backlog(
         n,
         &StagedConfig {
@@ -137,7 +143,7 @@ fn bench(c: &mut Criterion) {
     let (fused, out_c) = drain_backlog(n, &StagedConfig::batched(64, 64));
     assert_eq!(out_a, out_b);
     assert_eq!(out_a, out_c);
-    report("staged drain per-record", format!("{per_record:.0} rec/s"));
+    report("staged drain batch=1", format!("{per_record:.0} rec/s"));
     report("staged drain batch=64", format!("{batched:.0} rec/s"));
     report(
         "staged drain batch=64 + chained",

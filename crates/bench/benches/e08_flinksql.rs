@@ -8,7 +8,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use rtdi_bench::{quick_criterion, report, report_header, time_it};
 use rtdi_common::{AggFn, Record, Row};
 use rtdi_compute::operator::{Operator, WindowAggregateOp};
-use rtdi_compute::runtime::{run_staged_with, Executor, ExecutorConfig, Job, StagedConfig};
+use rtdi_compute::runtime::{run_staged_with, Job, StagedConfig};
 use rtdi_compute::sink::CollectSink;
 use rtdi_compute::source::TopicSource;
 use rtdi_compute::window::WindowAssigner;
@@ -97,7 +97,7 @@ fn bench(c: &mut Criterion) {
     report("SQL->job compile time", format!("{:?}", compile_cost));
 
     let sql_sink = CollectSink::new();
-    let mut sql_job = compile_streaming(
+    let sql_job = compile_streaming(
         "sql",
         SQL,
         topic(n),
@@ -105,19 +105,11 @@ fn bench(c: &mut Criterion) {
         &CompileOptions::default(),
     )
     .unwrap();
-    let (_, sql_time) = time_it(|| {
-        Executor::new(ExecutorConfig::default())
-            .run(&mut sql_job)
-            .unwrap()
-    });
+    let (_, sql_time) = time_it(|| run_staged_with(sql_job, &StagedConfig::default()).unwrap());
 
     let hand_sink = CollectSink::new();
-    let mut hand_job = hand_built(topic(n), hand_sink.clone());
-    let (_, hand_time) = time_it(|| {
-        Executor::new(ExecutorConfig::default())
-            .run(&mut hand_job)
-            .unwrap()
-    });
+    let hand_job = hand_built(topic(n), hand_sink.clone());
+    let (_, hand_time) = time_it(|| run_staged_with(hand_job, &StagedConfig::default()).unwrap());
 
     let total = |rows: Vec<Row>| -> i64 { rows.iter().map(|r| r.get_int("trips").unwrap()).sum() };
     let (a, b) = (total(sql_sink.rows()), total(hand_sink.rows()));
@@ -136,11 +128,18 @@ fn bench(c: &mut Criterion) {
         format!("{:.2}x", sql_time.as_secs_f64() / hand_time.as_secs_f64()),
     );
 
-    // Channel-protocol sweep over the compiled WHERE+projection pipeline:
-    // per-record reference vs micro-batched vs micro-batched + chained
+    // Batch-size sweep over the compiled WHERE+projection pipeline:
+    // batches of one vs micro-batched vs micro-batched + chained
     // (the compiler's chain_operators pass fuses where->project into one
     // stage, removing the channel hop entirely).
-    let (per_record, rows_ref) = staged_sql_run(n, false, &StagedConfig::reference(64));
+    let (per_record, rows_ref) = staged_sql_run(
+        n,
+        false,
+        &StagedConfig {
+            fuse_operators: false,
+            ..StagedConfig::batched(64, 1)
+        },
+    );
     let (batched, rows_batched) = staged_sql_run(
         n,
         false,
@@ -153,7 +152,7 @@ fn bench(c: &mut Criterion) {
     assert_eq!(rows_ref, rows_batched);
     assert_eq!(rows_ref, rows_chained);
     report(
-        "staged per-record (2 stages)",
+        "staged batch=1 (2 stages)",
         format!("{per_record:.0} rec/s"),
     );
     report("staged batch=64 (2 stages)", format!("{batched:.0} rec/s"));

@@ -9,7 +9,7 @@ use rtdi_bench::{quick_criterion, report, report_header, time_it};
 use rtdi_common::{Record, Result, Row};
 use rtdi_compute::jobmanager::{JobHealth, JobManager, JobSpec, JobType};
 use rtdi_compute::operator::{MapOp, Operator};
-use rtdi_compute::runtime::{CheckpointStore, ExecutorConfig, Job};
+use rtdi_compute::runtime::{CheckpointStore, Job, StagedConfig};
 use rtdi_compute::sink::CollectSink;
 use rtdi_compute::source::VecSource;
 use rtdi_storage::object::InMemoryStore;
@@ -77,11 +77,10 @@ fn bench(c: &mut Criterion) {
     );
     let n = 100_000usize;
     let jm = JobManager::new(
-        ExecutorConfig {
-            batch_size: 512,
+        StagedConfig {
             checkpoint_interval: 10_000,
             checkpoint_store: Some(CheckpointStore::new(Arc::new(InMemoryStore::new()))),
-            trace: None,
+            ..StagedConfig::default()
         },
         3,
     );
@@ -162,7 +161,7 @@ fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("e09");
     g.bench_function("supervised_clean_run_10k", |b| {
         b.iter(|| {
-            let jm = JobManager::new(ExecutorConfig::default(), 1);
+            let jm = JobManager::new(StagedConfig::default(), 1);
             let sink = CollectSink::new();
             jm.supervise(&spec(10_000, u64::MAX, Arc::new(Mutex::new(0)), sink))
                 .unwrap()

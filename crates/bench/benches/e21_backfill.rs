@@ -8,7 +8,7 @@ use rtdi_bench::{quick_criterion, report, report_header, time_it};
 use rtdi_common::{AggFn, Record, Row, Schema};
 use rtdi_compute::backfill::{kafka_retains, kappa_plus_job, BackfillConfig};
 use rtdi_compute::operator::{Operator, WindowAggregateOp};
-use rtdi_compute::runtime::{Executor, ExecutorConfig, Job};
+use rtdi_compute::runtime::{run_staged_with, Job, StagedConfig};
 use rtdi_compute::sink::CollectSink;
 use rtdi_compute::source::VecSource;
 use rtdi_compute::window::WindowAssigner;
@@ -108,19 +108,17 @@ fn bench(c: &mut Criterion) {
             Record::new(row, ts)
         })
         .collect();
-    let mut stream_job = Job::new(
+    let stream_job = Job::new(
         "live",
         Box::new(VecSource::new(records)),
         agg_chain(),
         Box::new(stream_sink.clone()),
     );
-    Executor::new(ExecutorConfig::default())
-        .run(&mut stream_job)
-        .unwrap();
+    run_staged_with(stream_job, &StagedConfig::default()).unwrap();
 
     // Kappa+ over the archive
     let bf_sink = CollectSink::new();
-    let mut bf_job = kappa_plus_job(
+    let bf_job = kappa_plus_job(
         "backfill",
         &table,
         agg_chain(),
@@ -128,11 +126,7 @@ fn bench(c: &mut Criterion) {
         &BackfillConfig::default(),
     )
     .unwrap();
-    let (stats, t) = time_it(|| {
-        Executor::new(ExecutorConfig::default())
-            .run(&mut bf_job)
-            .unwrap()
-    });
+    let (stats, t) = time_it(|| run_staged_with(bf_job, &StagedConfig::default()).unwrap());
     report(
         "Kappa+ replay throughput",
         format!(
@@ -166,7 +160,7 @@ fn bench(c: &mut Criterion) {
     g.bench_function("kappa_plus_50k", |b| {
         b.iter(|| {
             let sink = CollectSink::new();
-            let mut job = kappa_plus_job(
+            let job = kappa_plus_job(
                 "bf",
                 &table,
                 agg_chain(),
@@ -178,9 +172,7 @@ fn bench(c: &mut Criterion) {
                 },
             )
             .unwrap();
-            Executor::new(ExecutorConfig::default())
-                .run(&mut job)
-                .unwrap()
+            run_staged_with(job, &StagedConfig::default()).unwrap()
         })
     });
     g.finish();

@@ -16,7 +16,7 @@ use rtdi_common::chaos::{self, FaultKind, FaultPlan, FaultPoint, Trigger};
 use rtdi_common::{AggFn, FieldType, Record, Row, Schema};
 use rtdi_compute::jobmanager::{JobManager, JobSpec, JobType};
 use rtdi_compute::operator::MapOp;
-use rtdi_compute::runtime::{CheckpointStore, ExecutorConfig, Job};
+use rtdi_compute::runtime::{CheckpointStore, Job, StagedConfig};
 use rtdi_compute::sink::CollectSink;
 use rtdi_compute::source::VecSource;
 use rtdi_multiregion::topology::MultiRegionTopology;
@@ -68,11 +68,10 @@ fn compute_job_spec(name: &str, n: usize, sink: CollectSink) -> JobSpec {
 fn compute_restart_mttr() {
     const N: usize = 50_000;
     chaos::registry().reset(0xE23);
-    let config = |store: Arc<InMemoryStore>| ExecutorConfig {
-        batch_size: 512,
+    let config = |store: Arc<InMemoryStore>| StagedConfig {
         checkpoint_interval: 5_000,
         checkpoint_store: Some(CheckpointStore::new(store)),
-        trace: None,
+        ..StagedConfig::default()
     };
     // warm-up run so allocation effects don't skew the clean baseline
     let jm = JobManager::new(config(Arc::new(InMemoryStore::new())), 3);

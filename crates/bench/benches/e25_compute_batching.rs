@@ -174,7 +174,7 @@ fn bench(c: &mut Criterion) {
     g.bench_function("staged_batch64_fused", |b| {
         b.iter(|| run_point(&small, 64, true).rec_per_s)
     });
-    g.bench_function("staged_per_record_reference", |b| {
+    g.bench_function("staged_batch1_unfused", |b| {
         b.iter(|| run_point(&small, 1, false).rec_per_s)
     });
     g.finish();

@@ -131,7 +131,12 @@ mod tests {
 
     #[test]
     fn allocation_budget_holds_for_arithmetic() {
-        let (sum, stats) = count_allocations(|| (0u64..1000).sum::<u64>());
+        // counts are process-wide and sibling tests allocate concurrently;
+        // that noise only ever adds, so the quietest attempt is the reading
+        let (sum, stats) = (0..16)
+            .map(|_| count_allocations(|| (0u64..1000).sum::<u64>()))
+            .min_by_key(|(_, stats)| stats.allocs)
+            .unwrap();
         assert_eq!(sum, 499_500);
         assert_allocs_at_most("pure arithmetic", stats, 0);
     }

@@ -152,7 +152,7 @@ pub fn detect_bounds(
 mod tests {
     use super::*;
     use crate::operator::WindowAggregateOp;
-    use crate::runtime::{Executor, ExecutorConfig};
+    use crate::runtime::{run_staged_with, StagedConfig};
     use crate::sink::CollectSink;
     use crate::source::VecSource;
     use crate::window::WindowAssigner;
@@ -199,10 +199,11 @@ mod tests {
 
     #[test]
     fn kappa_plus_matches_streaming_results() {
+        let _g = rtdi_common::chaos::test_guard();
         let (_, table) = archived_table();
         // streaming reference: same operators over the live (ordered) stream
         let stream_sink = CollectSink::new();
-        let mut stream_job = Job::new(
+        let stream_job = Job::new(
             "stream",
             Box::new(VecSource::from_rows(
                 (0..100).map(|i| (i * 100, trip_row(i))).collect(),
@@ -210,13 +211,11 @@ mod tests {
             agg_chain(),
             Box::new(stream_sink.clone()),
         );
-        Executor::new(ExecutorConfig::default())
-            .run(&mut stream_job)
-            .unwrap();
+        run_staged_with(stream_job, &StagedConfig::default()).unwrap();
 
         // Kappa+ over the archive
         let bf_sink = CollectSink::new();
-        let mut bf_job = kappa_plus_job(
+        let bf_job = kappa_plus_job(
             "backfill",
             &table,
             agg_chain(),
@@ -224,9 +223,7 @@ mod tests {
             &BackfillConfig::default(),
         )
         .unwrap();
-        Executor::new(ExecutorConfig::default())
-            .run(&mut bf_job)
-            .unwrap();
+        run_staged_with(bf_job, &StagedConfig::default()).unwrap();
 
         let canon = |mut rows: Vec<Row>| {
             rows.sort_by_key(|r| {
@@ -250,9 +247,10 @@ mod tests {
 
     #[test]
     fn kappa_plus_respects_time_bounds() {
+        let _g = rtdi_common::chaos::test_guard();
         let (_, table) = archived_table();
         let sink = CollectSink::new();
-        let mut job = kappa_plus_job(
+        let job = kappa_plus_job(
             "bounded",
             &table,
             agg_chain(),
@@ -264,9 +262,7 @@ mod tests {
             },
         )
         .unwrap();
-        Executor::new(ExecutorConfig::default())
-            .run(&mut job)
-            .unwrap();
+        run_staged_with(job, &StagedConfig::default()).unwrap();
         let total: i64 = sink
             .rows()
             .iter()

@@ -9,12 +9,9 @@
 //! always be memory bound") and the rule-based engine that restarts or
 //! rescales jobs when metrics drift from the desired state.
 
-use crate::runtime::{
-    run_staged_with, Executor, ExecutorConfig, Job, JobRunStats, RescaleHandle, StagedConfig,
-    StagedRunStats,
-};
+use crate::runtime::{run_staged_with, Job, JobRunStats, RescaleHandle, StagedConfig};
 use crate::source::SourceThrottle;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 use rtdi_common::{
     Clock, Error, MembershipEvent, MembershipListener, NodeState, PipelineTracer, Result,
 };
@@ -110,9 +107,9 @@ pub struct ElasticRunStats {
     /// Failure-recovery restarts (rescale restarts are not failures).
     pub attempts: u32,
     pub rescales: Vec<RescaleEvent>,
-    pub records_in: u64,
-    pub records_out: u64,
-    pub checkpoints_taken: u64,
+    /// The final segment's stats, with `records_out` and
+    /// `checkpoints_taken` summed over every rescale segment.
+    pub run: JobRunStats,
 }
 
 /// Estimated resources for a job (§4.2.1 "Resource estimation").
@@ -193,7 +190,8 @@ struct SaturationWatch {
 
 /// The job manager: deploy, supervise, recover, rescale.
 pub struct JobManager {
-    executor_config: ExecutorConfig,
+    /// What every supervised job runs under.
+    config: StagedConfig,
     max_restarts: u32,
     jobs: RwLock<BTreeMap<String, ManagedJobInfo>>,
     rules: Vec<HealthRule>,
@@ -201,9 +199,9 @@ pub struct JobManager {
 }
 
 impl JobManager {
-    pub fn new(executor_config: ExecutorConfig, max_restarts: u32) -> Self {
+    pub fn new(config: StagedConfig, max_restarts: u32) -> Self {
         JobManager {
-            executor_config,
+            config,
             max_restarts,
             jobs: RwLock::new(BTreeMap::new()),
             rules: Self::default_rules(),
@@ -359,18 +357,22 @@ impl JobManager {
                 "job must have at least one operator".into(),
             ));
         }
+        self.register(&spec.name, spec.tier);
+        Ok(())
+    }
+
+    fn register(&self, name: &str, tier: u8) {
         self.jobs.write().insert(
-            spec.name.clone(),
+            name.to_string(),
             ManagedJobInfo {
                 status: JobStatus::Validated,
                 restarts: 0,
                 last_stats: None,
-                tier: spec.tier,
+                tier,
                 node: None,
                 pending_restart: false,
             },
         );
-        Ok(())
     }
 
     /// Record which task-manager node a job was placed on, so node-level
@@ -460,84 +462,14 @@ impl JobManager {
     }
 
     /// Run a job under supervision: on failure, re-instantiate from the
-    /// factory (which recovers from the last checkpoint via the executor)
-    /// and retry, up to `max_restarts` times.
+    /// factory (the run recovers from the last checkpoint) and retry, up
+    /// to `max_restarts` times.
     pub fn supervise(&self, spec: &JobSpec) -> Result<JobRunStats> {
         if !self.jobs.read().contains_key(&spec.name) {
             self.validate(spec)?;
         }
-        self.set_status(&spec.name, JobStatus::Running);
-        let executor = Executor::new(self.executor_config.clone());
-        let mut attempt = 0;
-        loop {
-            let mut job = (spec.factory)();
-            match executor.run(&mut job) {
-                Ok(stats) => {
-                    let mut jobs = self.jobs.write();
-                    let info = jobs.get_mut(&spec.name).expect("registered");
-                    info.status = JobStatus::Finished;
-                    info.last_stats = Some(stats.clone());
-                    return Ok(stats);
-                }
-                Err(e) if attempt < self.max_restarts => {
-                    attempt += 1;
-                    let mut jobs = self.jobs.write();
-                    let info = jobs.get_mut(&spec.name).expect("registered");
-                    info.restarts = attempt;
-                    drop(jobs);
-                    let _ = e; // transient: retry from checkpoint
-                }
-                Err(e) => {
-                    self.set_status(&spec.name, JobStatus::Failed(e.to_string()));
-                    return Err(e);
-                }
-            }
-        }
-    }
-
-    /// [`JobManager::supervise`] over the staged multi-threaded runtime:
-    /// same restart-from-checkpoint loop, but each attempt runs the
-    /// micro-batched, operator-chained dataflow of [`run_staged_with`].
-    pub fn supervise_staged(
-        &self,
-        spec: &JobSpec,
-        config: &StagedConfig,
-    ) -> Result<StagedRunStats> {
-        if !self.jobs.read().contains_key(&spec.name) {
-            self.validate(spec)?;
-        }
-        self.set_status(&spec.name, JobStatus::Running);
-        let mut attempt = 0;
-        loop {
-            let job = (spec.factory)();
-            match run_staged_with(job, config) {
-                Ok(stats) => {
-                    let mut jobs = self.jobs.write();
-                    let info = jobs.get_mut(&spec.name).expect("registered");
-                    info.status = JobStatus::Finished;
-                    info.last_stats = Some(JobRunStats {
-                        records_in: stats.records_in,
-                        records_out: stats.records_out,
-                        checkpoints_taken: stats.checkpoints_taken,
-                        restored_from_checkpoint: stats.restored_from_checkpoint,
-                        peak_state_bytes: 0,
-                    });
-                    return Ok(stats);
-                }
-                Err(e) if attempt < self.max_restarts => {
-                    attempt += 1;
-                    let mut jobs = self.jobs.write();
-                    let info = jobs.get_mut(&spec.name).expect("registered");
-                    info.restarts = attempt;
-                    drop(jobs);
-                    let _ = e; // transient: retry from checkpoint
-                }
-                Err(e) => {
-                    self.set_status(&spec.name, JobStatus::Failed(e.to_string()));
-                    return Err(e);
-                }
-            }
-        }
+        self.run_supervised(&spec.name, &|_| (spec.factory)(), 1, None)
+            .map(|stats| stats.run)
     }
 
     /// Worst staleness across every watched pipeline right now (`None`
@@ -561,79 +493,94 @@ impl JobManager {
     /// checkpoint barrier; the job is then re-instantiated at the new
     /// parallelism and resumes from that checkpoint — key-group framed
     /// state redistributes across the new shard count without rehashing.
-    /// Requires checkpointing in `config`; without it the rescale flag is
-    /// never acted on and the job simply runs to completion. Failures
-    /// still retry from the last checkpoint, up to `max_restarts`.
+    /// Requires checkpointing in the manager's config; without it the
+    /// rescale flag is never acted on and the job simply runs to
+    /// completion. Failures still retry from the last checkpoint, up to
+    /// `max_restarts`.
     pub fn supervise_elastic(
         &self,
         spec: &ElasticJobSpec,
-        config: &StagedConfig,
         policy: &RescalePolicy,
         initial_parallelism: usize,
     ) -> Result<ElasticRunStats> {
         let min = spec.min_parallelism.max(1);
         let max = spec.max_parallelism.max(min);
-        let mut p = initial_parallelism.clamp(min, max);
         if !self.jobs.read().contains_key(&spec.name) {
-            self.jobs.write().insert(
-                spec.name.clone(),
-                ManagedJobInfo {
-                    status: JobStatus::Running,
-                    restarts: 0,
-                    last_stats: None,
-                    tier: spec.tier,
-                    node: None,
-                    pending_restart: false,
-                },
-            );
-        } else {
-            self.set_status(&spec.name, JobStatus::Running);
+            self.register(&spec.name, spec.tier);
         }
+        self.run_supervised(
+            &spec.name,
+            &|p| (spec.factory)(p),
+            initial_parallelism.clamp(min, max),
+            Some((policy, min, max)),
+        )
+    }
 
+    /// The one restart loop behind every front door: instantiate, run,
+    /// then finish, restart rescaled, retry from the last checkpoint, or
+    /// fail. `elastic` carries the rescale policy with its parallelism
+    /// bounds; the monitor thread exists only when it is given.
+    fn run_supervised(
+        &self,
+        name: &str,
+        factory: &dyn Fn(usize) -> Job,
+        mut p: usize,
+        elastic: Option<(&RescalePolicy, usize, usize)>,
+    ) -> Result<ElasticRunStats> {
+        self.set_status(name, JobStatus::Running);
         let mut out = ElasticRunStats {
             final_parallelism: p,
             ..ElasticRunStats::default()
         };
-        let mut attempt = 0u32;
         loop {
-            let handle = RescaleHandle::new();
-            let mut cfg = config.clone();
-            cfg.rescale = Some(handle.clone());
-            let job = (spec.factory)(p);
-            // the monitor stores the parallelism it decided on when it
-            // raised the flag, so the restart uses exactly that decision
-            let target: Mutex<Option<usize>> = Mutex::new(None);
-            let stop = AtomicBool::new(false);
-            let result = std::thread::scope(|scope| {
-                let monitor_handle = handle.clone();
-                let monitor = scope.spawn(|| {
-                    let handle = monitor_handle;
-                    while !stop.load(Ordering::SeqCst) {
-                        if !handle.is_requested() {
-                            if let Some(stale) = self.max_watched_staleness() {
-                                let want = policy.desired(p, min, max, stale);
-                                if want != p {
-                                    *target.lock() = Some(want);
-                                    handle.request();
+            let job = factory(p);
+            // the parallelism the monitor decided on when it raised the
+            // rescale flag, so the restart uses exactly that decision
+            let mut target = None;
+            let result = match elastic {
+                None => run_staged_with(job, &self.config),
+                Some((policy, min, max)) => {
+                    let handle = RescaleHandle::new();
+                    let mut cfg = self.config.clone();
+                    cfg.rescale = Some(handle.clone());
+                    let stop = AtomicBool::new(false);
+                    std::thread::scope(|scope| {
+                        let monitor = scope.spawn(|| {
+                            // watch until the run ends or a decision is made
+                            let mut want = None;
+                            while want.is_none() && !stop.load(Ordering::SeqCst) {
+                                if let Some(stale) = self.max_watched_staleness() {
+                                    let to = policy.desired(p, min, max, stale);
+                                    if to != p {
+                                        want = Some(to);
+                                        handle.request();
+                                    }
                                 }
+                                std::thread::sleep(std::time::Duration::from_millis(1));
                             }
-                        }
-                        std::thread::sleep(std::time::Duration::from_millis(1));
-                    }
-                });
-                let res = run_staged_with(job, &cfg);
-                stop.store(true, Ordering::SeqCst);
-                let _ = monitor.join();
-                res
-            });
+                            want
+                        });
+                        let res = run_staged_with(job, &cfg);
+                        stop.store(true, Ordering::SeqCst);
+                        // a panicked monitor made no decision
+                        target = monitor.join().unwrap_or(None);
+                        res
+                    })
+                }
+            };
+            // the one place the loop touches the registry: a job forgotten
+            // while it ran is an error for the caller, never a panic
+            let mut jobs = self.jobs.write();
+            let info = jobs.get_mut(name).ok_or_else(|| {
+                Error::NotFound(format!("job '{name}' was forgotten while supervised"))
+            })?;
             match result {
-                Ok(stats) => {
-                    out.records_in = stats.records_in;
-                    out.records_out += stats.records_out;
-                    out.checkpoints_taken += stats.checkpoints_taken;
-                    if let Some(ckpt) = stats.stopped_at_checkpoint {
-                        let to = target.lock().take().unwrap_or(p);
-                        if to != p {
+                Ok(mut stats) => {
+                    stats.records_out += out.run.records_out;
+                    stats.checkpoints_taken += out.run.checkpoints_taken;
+                    out.run = stats;
+                    if let Some(ckpt) = out.run.stopped_at_checkpoint {
+                        if let Some(to) = target {
                             out.rescales.push(RescaleEvent {
                                 from: p,
                                 to,
@@ -644,29 +591,17 @@ impl JobManager {
                         }
                         continue; // restart from the checkpoint, rescaled
                     }
-                    out.attempts = attempt;
-                    let mut jobs = self.jobs.write();
-                    let info = jobs.get_mut(&spec.name).expect("registered");
                     info.status = JobStatus::Finished;
-                    info.last_stats = Some(JobRunStats {
-                        records_in: stats.records_in,
-                        records_out: stats.records_out,
-                        checkpoints_taken: out.checkpoints_taken,
-                        restored_from_checkpoint: stats.restored_from_checkpoint,
-                        peak_state_bytes: 0,
-                    });
+                    info.last_stats = Some(out.run.clone());
                     return Ok(out);
                 }
-                Err(e) if attempt < self.max_restarts => {
-                    attempt += 1;
-                    let mut jobs = self.jobs.write();
-                    let info = jobs.get_mut(&spec.name).expect("registered");
-                    info.restarts = attempt;
-                    drop(jobs);
-                    let _ = e; // transient: retry from checkpoint
+                // transient: retry from checkpoint
+                Err(_) if out.attempts < self.max_restarts => {
+                    out.attempts += 1;
+                    info.restarts = out.attempts;
                 }
                 Err(e) => {
-                    self.set_status(&spec.name, JobStatus::Failed(e.to_string()));
+                    info.status = JobStatus::Failed(e.to_string());
                     return Err(e);
                 }
             }
@@ -729,6 +664,7 @@ mod tests {
     use crate::sink::CollectSink;
     use crate::source::VecSource;
     use parking_lot::Mutex;
+    use rtdi_common::chaos::test_guard;
     use rtdi_common::{Record, Row};
     use rtdi_storage::object::InMemoryStore;
     use std::sync::Arc;
@@ -754,7 +690,7 @@ mod tests {
 
     #[test]
     fn validate_rejects_bad_specs() {
-        let jm = JobManager::new(ExecutorConfig::default(), 3);
+        let jm = JobManager::new(StagedConfig::default(), 3);
         let sink = CollectSink::new();
         let spec = simple_spec("good", sink.clone());
         jm.validate(&spec).unwrap();
@@ -781,7 +717,8 @@ mod tests {
 
     #[test]
     fn supervise_runs_to_completion() {
-        let jm = JobManager::new(ExecutorConfig::default(), 3);
+        let _g = test_guard();
+        let jm = JobManager::new(StagedConfig::default(), 3);
         let sink = CollectSink::new();
         let spec = simple_spec("run", sink.clone());
         let stats = jm.supervise(&spec).unwrap();
@@ -817,13 +754,10 @@ mod tests {
         budget: Arc<Mutex<u32>>,
         sink: CollectSink,
         store: Arc<InMemoryStore>,
-    ) -> (JobSpec, ExecutorConfig) {
-        let config = ExecutorConfig {
-            batch_size: 4,
-            checkpoint_interval: 4,
-            checkpoint_store: Some(CheckpointStore::new(store)),
-            trace: None,
-        };
+    ) -> (JobSpec, StagedConfig) {
+        let mut config = StagedConfig::batched(4, 8);
+        config.checkpoint_interval = 5;
+        config.checkpoint_store = Some(CheckpointStore::new(store));
         let job_name = name.to_string();
         let spec = JobSpec {
             name: name.to_string(),
@@ -836,9 +770,12 @@ mod tests {
                     Box::new(VecSource::from_rows(
                         (0..20).map(|i| (i, Row::new().with("i", i))).collect(),
                     )),
-                    vec![Box::new(TransientFail {
-                        budget: budget.clone(),
-                    })],
+                    vec![
+                        Box::new(MapOp::new("id", |r: &Row| r.clone())),
+                        Box::new(TransientFail {
+                            budget: budget.clone(),
+                        }),
+                    ],
                     Box::new(sink.clone()),
                 )
             }),
@@ -848,6 +785,7 @@ mod tests {
 
     #[test]
     fn transient_failures_recover_automatically() {
+        let _g = test_guard();
         let budget = Arc::new(Mutex::new(2u32)); // fails twice then healthy
         let sink = CollectSink::new();
         let store = Arc::new(InMemoryStore::new());
@@ -857,6 +795,7 @@ mod tests {
         let info = jm.status("flaky").unwrap();
         assert_eq!(info.status, JobStatus::Finished);
         assert_eq!(info.restarts, 2);
+        assert_eq!(stats.checkpoints_taken, 4, "barrier every 5 of 20 records");
         // all records eventually delivered (at-least-once: duplicates from
         // replay are possible but every input must appear)
         let mut ids: Vec<i64> = sink
@@ -871,60 +810,8 @@ mod tests {
     }
 
     #[test]
-    fn supervise_staged_recovers_with_batched_runtime() {
-        let budget = Arc::new(Mutex::new(2u32)); // fails twice then healthy
-        let sink = CollectSink::new();
-        let store = Arc::new(InMemoryStore::new());
-        let jm = JobManager::new(ExecutorConfig::default(), 5);
-        let job_name = "staged-flaky".to_string();
-        let b = budget.clone();
-        let s = sink.clone();
-        let spec = JobSpec {
-            name: job_name.clone(),
-            job_type: JobType::Stateless,
-            tier: 0,
-            expected_records_per_sec: 100,
-            factory: Box::new(move || {
-                Job::new(
-                    job_name.clone(),
-                    Box::new(VecSource::from_rows(
-                        (0..20).map(|i| (i, Row::new().with("i", i))).collect(),
-                    )),
-                    vec![
-                        Box::new(MapOp::new("id", |r: &Row| r.clone())),
-                        Box::new(TransientFail { budget: b.clone() }),
-                    ],
-                    Box::new(s.clone()),
-                )
-            }),
-        };
-        let cfg = StagedConfig {
-            channel_capacity: 4,
-            batch_size: 8,
-            fuse_operators: true,
-            checkpoint_interval: 5,
-            checkpoint_store: Some(CheckpointStore::new(store)),
-            trace: None,
-            rescale: None,
-        };
-        let stats = jm.supervise_staged(&spec, &cfg).unwrap();
-        let info = jm.status("staged-flaky").unwrap();
-        assert_eq!(info.status, JobStatus::Finished);
-        assert_eq!(info.restarts, 2);
-        assert_eq!(stats.checkpoints_taken, 4, "barrier every 5 of 20 records");
-        let mut ids: Vec<i64> = sink
-            .rows()
-            .iter()
-            .map(|r| r.get_int("i").unwrap())
-            .collect();
-        ids.sort_unstable();
-        ids.dedup();
-        assert_eq!(ids.len(), 20, "every input delivered at least once");
-        assert!(stats.records_in >= 20);
-    }
-
-    #[test]
     fn permanent_failure_exhausts_restarts() {
+        let _g = test_guard();
         let budget = Arc::new(Mutex::new(u32::MAX)); // never heals
         let sink = CollectSink::new();
         let store = Arc::new(InMemoryStore::new());
@@ -933,6 +820,22 @@ mod tests {
         assert!(jm.supervise(&spec).is_err());
         let info = jm.status("doomed").unwrap();
         assert!(matches!(info.status, JobStatus::Failed(_)));
+    }
+
+    #[test]
+    fn job_forgotten_while_supervised_is_an_error_not_a_panic() {
+        let _g = test_guard();
+        let jm = Arc::new(JobManager::new(StagedConfig::default(), 3));
+        let mut spec = simple_spec("gone", CollectSink::new());
+        let inner = spec.factory;
+        let forgetful = jm.clone();
+        spec.factory = Box::new(move || {
+            // not registered yet when `validate` instantiates: ignore
+            let _ = forgetful.forget("gone");
+            inner()
+        });
+        assert!(matches!(jm.supervise(&spec), Err(Error::NotFound(_))));
+        assert!(jm.status("gone").is_none());
     }
 
     #[test]
@@ -960,7 +863,7 @@ mod tests {
 
     #[test]
     fn rule_engine_matches_in_order() {
-        let jm = JobManager::new(ExecutorConfig::default(), 0);
+        let jm = JobManager::new(StagedConfig::default(), 0);
         let stuck = JobHealth {
             missed_heartbeats: 5,
             ..Default::default()
@@ -988,7 +891,7 @@ mod tests {
 
     #[test]
     fn stale_pipeline_triggers_restart() {
-        let jm = JobManager::new(ExecutorConfig::default(), 0);
+        let jm = JobManager::new(StagedConfig::default(), 0);
         let stale = JobHealth {
             freshness_p99_ms: 45_000,
             records_per_sec: 50_000,
@@ -1010,8 +913,9 @@ mod tests {
 
     #[test]
     fn node_death_marks_placed_jobs_for_restart() {
+        let _g = test_guard();
         use rtdi_common::{Membership, MembershipConfig, SimClock};
-        let jm = Arc::new(JobManager::new(ExecutorConfig::default(), 3));
+        let jm = Arc::new(JobManager::new(StagedConfig::default(), 3));
         let sink = CollectSink::new();
         jm.validate(&simple_spec("surge", sink.clone())).unwrap();
         jm.validate(&simple_spec("eats-etl", sink.clone())).unwrap();
@@ -1047,7 +951,7 @@ mod tests {
         use crate::source::{Source, ThrottledSource};
         use rtdi_common::SimClock;
 
-        let jm = JobManager::new(ExecutorConfig::default(), 3);
+        let jm = JobManager::new(StagedConfig::default(), 3);
         let tracer = PipelineTracer::new();
         let clock = Arc::new(SimClock::new(0));
         let throttle = jm.watch_saturation(tracer.clone(), clock.clone(), 10_000, 2);
@@ -1093,7 +997,8 @@ mod tests {
 
     #[test]
     fn finished_jobs_ignore_node_death() {
-        let jm = JobManager::new(ExecutorConfig::default(), 3);
+        let _g = test_guard();
+        let jm = JobManager::new(StagedConfig::default(), 3);
         let sink = CollectSink::new();
         let spec = simple_spec("done", sink);
         jm.supervise(&spec).unwrap();
@@ -1104,7 +1009,7 @@ mod tests {
 
     #[test]
     fn region_death_marks_jobs_on_regional_nodes() {
-        let jm = JobManager::new(ExecutorConfig::default(), 3);
+        let jm = JobManager::new(StagedConfig::default(), 3);
         let sink = CollectSink::new();
         jm.validate(&simple_spec("surge", sink.clone())).unwrap();
         jm.validate(&simple_spec("eats-etl", sink.clone())).unwrap();
@@ -1138,6 +1043,7 @@ mod tests {
 
     #[test]
     fn supervise_elastic_scales_up_on_stale_pipeline_and_stays_exact() {
+        let _g = test_guard();
         use crate::operator::WindowAggregateOp;
         use crate::runtime::run_staged_with;
         use crate::window::WindowAssigner;
@@ -1184,7 +1090,10 @@ mod tests {
 
         // a pipeline that is permanently 60s stale: the tracer saw one
         // record at t=0 and the (simulated) clock is pinned at 60s
-        let jm = JobManager::new(ExecutorConfig::default(), 2);
+        let mut cfg = StagedConfig::batched(16, 64);
+        cfg.checkpoint_interval = 2_000;
+        cfg.checkpoint_store = Some(CheckpointStore::new(Arc::new(InMemoryStore::new())));
+        let jm = JobManager::new(cfg, 2);
         let tracer = PipelineTracer::new();
         let mut rec = Record::new(Row::new().with("i", 1i64), 0);
         PipelineTracer::stamp(&mut rec, 0);
@@ -1205,11 +1114,8 @@ mod tests {
             max_parallelism: 4,
             factory: Box::new(move |p| make_job("elastic", job_rows.clone(), job_sink.clone(), p)),
         };
-        let mut cfg = StagedConfig::batched(16, 64);
-        cfg.checkpoint_interval = 2_000;
-        cfg.checkpoint_store = Some(CheckpointStore::new(Arc::new(InMemoryStore::new())));
         let stats = jm
-            .supervise_elastic(&spec, &cfg, &RescalePolicy::default(), 1)
+            .supervise_elastic(&spec, &RescalePolicy::default(), 1)
             .unwrap();
 
         // the permanently stale signal must have forced at least one
@@ -1219,7 +1125,7 @@ mod tests {
         for ev in &stats.rescales {
             assert_eq!(ev.to, (ev.from * 2).min(4), "doubling steps: {ev:?}");
         }
-        assert_eq!(stats.records_in, 20_000);
+        assert_eq!(stats.run.records_in, 20_000);
         assert_eq!(jm.status("elastic").unwrap().status, JobStatus::Finished);
 
         // exactly-once across every rescale restart: sorted, NOT deduped
@@ -1237,7 +1143,7 @@ mod tests {
 
     #[test]
     fn list_orders_by_tier() {
-        let jm = JobManager::new(ExecutorConfig::default(), 0);
+        let jm = JobManager::new(StagedConfig::default(), 0);
         let mk = |name: &str, tier| JobSpec {
             name: name.to_string(),
             job_type: JobType::Stateless,

@@ -12,13 +12,14 @@
 //!   operators into one stage;
 //! - [`source`], [`sink`]: bounded & unbounded sources over topics,
 //!   in-memory vectors and archived Hive tables (the Kappa+ read path),
-//!   all batch-aware (`poll_batch_shared` / `write_batch`);
-//! - [`runtime`]: the single-job executor with barrier-equivalent
-//!   checkpoints persisted to the object store and exact state recovery;
-//!   plus a staged multi-threaded runtime with bounded channels whose
-//!   natural backpressure reproduces Flink's backlog behaviour, moving
-//!   micro-batches (`Vec<Arc<Record>>`) per hop with aligned checkpoint
-//!   barriers;
+//!   all batch-aware (`poll_batch` / `write_batch`);
+//! - [`runtime`]: the one engine every job runs on — a staged
+//!   multi-threaded runtime with bounded channels whose natural
+//!   backpressure reproduces Flink's backlog behaviour, moving
+//!   micro-batches (`Vec<Arc<Record>>`) per hop, with aligned checkpoint
+//!   barriers persisted to the object store and exact state recovery;
+//! - [`reference`]: the single-threaded per-record oracle the tests
+//!   compare the runtime against (never called by production code);
 //! - [`jobmanager`] (§4.2.2, Figure 5): job lifecycle management,
 //!   rule-based health monitoring, automatic failure recovery and
 //!   CPU-vs-memory-bound auto-scaling;
@@ -31,6 +32,7 @@ pub mod backfill;
 pub mod baselines;
 pub mod jobmanager;
 pub mod operator;
+pub mod reference;
 pub mod runtime;
 pub mod sink;
 pub mod source;
@@ -46,8 +48,8 @@ pub use operator::{
 };
 pub use rtdi_common::agg::{AggAcc, AggFn};
 pub use runtime::{
-    run_staged, run_staged_with, CheckpointStore, Executor, ExecutorConfig, Job, JobRunStats,
-    RescaleHandle, ShardStats, StageStats, StagedConfig, StagedRunStats,
+    run_staged_with, CheckpointStore, Job, JobRunStats, RescaleHandle, ShardStats, StageStats,
+    StagedConfig,
 };
 pub use sink::{CollectSink, FnSink, Sink, TopicSink};
 pub use source::{HiveSource, Source, TopicSource, UnionSource, VecSource};

@@ -69,8 +69,8 @@ pub trait Operator: Send {
     /// Process a whole batch, draining `batch`. Must be equivalent to
     /// calling [`Operator::process`] on each record in order — the
     /// batched runtime relies on that for byte-identical results vs the
-    /// per-record reference protocol. Override to amortize per-record
-    /// costs.
+    /// per-record oracle ([`crate::reference`]). Override to amortize
+    /// per-record costs.
     fn process_batch(&mut self, batch: &mut Vec<Record>, out: &mut OperatorOutput) -> Result<()> {
         for record in batch.drain(..) {
             self.process(record, out)?;

@@ -1,24 +1,23 @@
-//! Job execution with checkpoint-based failure recovery.
+//! The staged dataflow runtime: the one engine every job runs on.
 //!
-//! The executor drives a linear operator chain over a source, generating
-//! watermarks and periodically persisting a consistent snapshot — source
-//! positions plus every stateful operator's state — to the object store
-//! (the paper's "robust checkpoints" on HDFS, §4.4/§10). Recovery seeks
-//! the source back to the snapshot and restores operator state, giving
+//! [`run_staged_with`] drives a linear operator chain over a source with
+//! one thread per stage connected by *bounded* channels, whose blocking
+//! sends are the credit-based backpressure that lets the engine absorb
+//! massive input backlogs gracefully (§4.2) — measured against the
+//! Storm-like baseline in experiment E6. Its hot path is micro-batched
+//! ([`StagedMsg::Batch`] moves one `Vec<Arc<Record>>` per hop instead of
+//! one message per record — Flink's network-buffer batching) and
+//! operator-chained (adjacent stateless stages fuse into one thread via
+//! [`crate::operator::fuse_stateless`]).
+//!
+//! The source pump generates watermarks and periodically injects aligned
+//! checkpoint barriers that flow through the chain collecting stage
+//! snapshots, so a barrier arriving mid-batch captures exactly the records
+//! before it; the sink stage persists the consistent cut — source
+//! positions plus every stateful stage's state — to the object store (the
+//! paper's "robust checkpoints" on HDFS, §4.4/§10). Recovery seeks the
+//! source back to the snapshot and restores stage state, giving
 //! at-least-once end-to-end and exactly-once state semantics.
-//!
-//! [`run_staged_with`] is the multi-threaded runtime: one thread per
-//! operator connected by *bounded* channels, whose blocking sends are the
-//! credit-based backpressure that lets the engine absorb massive input
-//! backlogs gracefully (§4.2) — measured against the Storm-like baseline
-//! in experiment E6. Its hot path is micro-batched ([`StagedMsg::Batch`]
-//! moves one `Vec<Arc<Record>>` per hop instead of one message per
-//! record — Flink's network-buffer batching) and operator-chained
-//! (adjacent stateless stages fuse into one thread via
-//! [`crate::operator::fuse_stateless`]). Checkpoints use aligned barriers
-//! that flow through the chain collecting stage snapshots, so a barrier
-//! arriving mid-batch captures exactly the records before it.
-//! [`run_staged`] is the per-record, unfused reference configuration.
 //!
 //! Stages whose operator declares a [`ShardSpec`] run *data-parallel*:
 //! the runtime expands them into a router thread (FNV key-hash over 128
@@ -30,6 +29,9 @@
 //! every shard and their key-group framed snapshots merge into one
 //! parallelism-independent stage snapshot, which is what lets
 //! [`RescaleHandle`]-driven restarts redistribute state by key group.
+//!
+//! The single-threaded per-record oracle the tests compare this engine
+//! against lives in [`crate::reference`].
 
 use crate::operator::{key_string, Operator, ShardSpec};
 use crate::sink::Sink;
@@ -79,15 +81,22 @@ impl Job {
     }
 }
 
-/// Outcome of a job run.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// Outcome of a job run, with per-stage throughput numbers.
+#[derive(Debug, Clone, Default)]
 pub struct JobRunStats {
     pub records_in: u64,
     pub records_out: u64,
     pub checkpoints_taken: u64,
     pub restored_from_checkpoint: Option<u64>,
-    /// Peak total operator state (drives memory-bound classification).
+    /// Peak operator state, summed over stages (drives memory-bound
+    /// classification).
     pub peak_state_bytes: usize,
+    /// `Some(id)` when the run stopped deliberately at checkpoint `id`
+    /// because a [`RescaleHandle`] requested it; the job can be restarted
+    /// from that checkpoint at a different parallelism.
+    pub stopped_at_checkpoint: Option<u64>,
+    pub stages: Vec<StageStats>,
+    pub elapsed: std::time::Duration,
 }
 
 /// One persisted checkpoint.
@@ -236,9 +245,9 @@ impl CheckpointStore {
     }
 }
 
-/// Freshness tracing for a job run: each record read from the source is
-/// measured against its last traced hop (the broker append) and restamped,
-/// so the `"compute"` stage captures stream->compute read lag.
+/// Where a run reports skew to the freshness tracer: parallel routers
+/// record the per-watermark spread between their fullest and emptiest
+/// shard queue.
 #[derive(Clone)]
 pub struct TraceHook {
     pub tracer: PipelineTracer,
@@ -246,167 +255,6 @@ pub struct TraceHook {
     /// topic).
     pub pipeline: String,
     pub clock: Arc<dyn Clock>,
-}
-
-/// Executor knobs.
-#[derive(Clone)]
-pub struct ExecutorConfig {
-    pub batch_size: usize,
-    /// Checkpoint every N input records (0 = no checkpoints).
-    pub checkpoint_interval: u64,
-    pub checkpoint_store: Option<CheckpointStore>,
-    /// Optional freshness tracing of every record entering the chain.
-    pub trace: Option<TraceHook>,
-}
-
-impl Default for ExecutorConfig {
-    fn default() -> Self {
-        ExecutorConfig {
-            batch_size: 512,
-            checkpoint_interval: 0,
-            checkpoint_store: None,
-            trace: None,
-        }
-    }
-}
-
-/// Single-threaded job executor with checkpointing.
-pub struct Executor {
-    config: ExecutorConfig,
-}
-
-impl Executor {
-    pub fn new(config: ExecutorConfig) -> Self {
-        Executor { config }
-    }
-
-    /// Run a bounded job to completion (or an unbounded one until `stop`
-    /// is raised and the source momentarily idles).
-    pub fn run(&self, job: &mut Job) -> Result<JobRunStats> {
-        self.run_with_stop(job, &AtomicBool::new(false))
-    }
-
-    pub fn run_with_stop(&self, job: &mut Job, stop: &AtomicBool) -> Result<JobRunStats> {
-        let mut stats = JobRunStats::default();
-        let mut wm_gen = WatermarkGenerator::new(job.max_out_of_orderness);
-        let mut next_checkpoint_id = 1;
-
-        // recovery
-        if let Some(cs) = &self.config.checkpoint_store {
-            if let Some(ckpt) = cs.latest(&job.name)? {
-                job.source.seek(&ckpt.source_position)?;
-                for (op, state) in job.operators.iter_mut().zip(&ckpt.operator_state) {
-                    if !state.is_empty() {
-                        op.restore(state.clone())?;
-                    }
-                }
-                stats.records_in = ckpt.records_in;
-                stats.restored_from_checkpoint = Some(ckpt.checkpoint_id);
-                next_checkpoint_id = ckpt.checkpoint_id + 1;
-            }
-        }
-
-        let mut since_checkpoint = 0u64;
-        loop {
-            let batch = job.source.poll_batch(self.config.batch_size)?;
-            if batch.is_empty() {
-                if job.source.is_exhausted() || stop.load(Ordering::SeqCst) {
-                    break;
-                }
-                std::thread::yield_now();
-                continue;
-            }
-            for mut record in batch {
-                wm_gen.observe(record.timestamp);
-                stats.records_in += 1;
-                since_checkpoint += 1;
-                if let Some(hook) = &self.config.trace {
-                    // event-time lag of the operator chain's input, per
-                    // record: dwell since the broker appended it
-                    hook.tracer.observe_hop(
-                        &hook.pipeline,
-                        "compute",
-                        &mut record,
-                        hook.clock.now(),
-                    );
-                }
-                stats.records_out += push_chain(&mut job.operators, record, job.sink.as_mut())?;
-            }
-            let out = cascade_watermark(&mut job.operators, wm_gen.current(), job.sink.as_mut())?;
-            stats.records_out += out;
-            let state: usize = job.operators.iter().map(|o| o.memory_bytes()).sum();
-            stats.peak_state_bytes = stats.peak_state_bytes.max(state);
-
-            if self.config.checkpoint_interval > 0
-                && since_checkpoint >= self.config.checkpoint_interval
-            {
-                if let Some(cs) = &self.config.checkpoint_store {
-                    let data = CheckpointData {
-                        checkpoint_id: next_checkpoint_id,
-                        source_position: job.source.position(),
-                        operator_state: job.operators.iter().map(|o| o.snapshot()).collect(),
-                        records_in: stats.records_in,
-                    };
-                    cs.persist(&job.name, &data)?;
-                    next_checkpoint_id += 1;
-                    stats.checkpoints_taken += 1;
-                }
-                since_checkpoint = 0;
-            }
-        }
-
-        // end of input: flush every window
-        stats.records_out +=
-            cascade_watermark(&mut job.operators, Timestamp::MAX, job.sink.as_mut())?;
-        job.sink.flush()?;
-        Ok(stats)
-    }
-}
-
-/// Push one record through the chain; returns records written to the sink.
-fn push_chain(
-    operators: &mut [Box<dyn Operator>],
-    record: Record,
-    sink: &mut dyn Sink,
-) -> Result<u64> {
-    // the chaos crash site for operator-chain processing: replaces the
-    // old hard-coded "injected crash" test operator
-    fault_point!(FaultPoint::ComputeProcess);
-    let mut current = vec![record];
-    for op in operators.iter_mut() {
-        let mut next = Vec::new();
-        for r in current {
-            op.process(r, &mut next)?;
-        }
-        current = next;
-        if current.is_empty() {
-            return Ok(0);
-        }
-    }
-    let n = current.len() as u64;
-    for r in current {
-        sink.write(r)?;
-    }
-    Ok(n)
-}
-
-/// Advance the watermark through the chain; emissions from operator i flow
-/// through operators i+1.. and into the sink.
-fn cascade_watermark(
-    operators: &mut [Box<dyn Operator>],
-    wm: Timestamp,
-    sink: &mut dyn Sink,
-) -> Result<u64> {
-    let mut written = 0u64;
-    for i in 0..operators.len() {
-        let mut emitted = Vec::new();
-        operators[i].on_watermark(wm, &mut emitted);
-        for rec in emitted {
-            let (_, rest) = operators.split_at_mut(i + 1);
-            written += push_chain(rest, rec, sink)?;
-        }
-    }
-    Ok(written)
 }
 
 /// Per-stage counters from a staged run. A fused stage lists every
@@ -418,9 +266,12 @@ pub struct StageStats {
     pub operators: Vec<String>,
     pub records_in: u64,
     pub records_out: u64,
-    /// Channel messages carrying records (batches + singles).
+    /// Channel messages carrying records.
     pub batches_in: u64,
     pub late_dropped: u64,
+    /// Largest `memory_bytes()` the stage reported, sampled after each
+    /// watermark; the shards of a parallel stage add up.
+    pub peak_state_bytes: usize,
     /// Per-instance counters when the stage ran data-parallel (empty for
     /// serial stages). Skew shows up here: a hot key inflates one shard's
     /// `records_in` and `max_queue_depth` relative to its siblings.
@@ -438,21 +289,7 @@ pub struct ShardStats {
     /// The shard's own watermark (stage watermark is the min over shards).
     pub watermark: Timestamp,
     pub late_dropped: u64,
-}
-
-/// Per-stage throughput numbers from a staged run.
-#[derive(Debug, Clone, Default)]
-pub struct StagedRunStats {
-    pub records_in: u64,
-    pub records_out: u64,
-    pub checkpoints_taken: u64,
-    pub restored_from_checkpoint: Option<u64>,
-    /// `Some(id)` when the run stopped deliberately at checkpoint `id`
-    /// because a [`RescaleHandle`] requested it; the job can be restarted
-    /// from that checkpoint at a different parallelism.
-    pub stopped_at_checkpoint: Option<u64>,
-    pub stages: Vec<StageStats>,
-    pub elapsed: std::time::Duration,
+    pub peak_state_bytes: usize,
 }
 
 /// Cooperative rescale request: the job manager raises the flag, the
@@ -496,23 +333,21 @@ struct BarrierState {
 }
 
 enum StagedMsg {
-    /// Per-record protocol (batch_size = 1): one send per record.
-    Record(Arc<Record>),
-    /// Micro-batched protocol: one send per batch.
+    /// One send per micro-batch of up to `batch_size` records.
     Batch(Vec<Arc<Record>>),
     Watermark(Timestamp),
     Barrier(Box<BarrierState>),
 }
 
 /// Knobs for the staged runtime.
-#[derive(Clone, Default)]
+#[derive(Clone)]
 pub struct StagedConfig {
     /// Per-hop channel buffer (in messages).
     pub channel_capacity: usize,
-    /// Records per channel hop. 1 selects the per-record reference
-    /// protocol; larger values amortize one send + one wakeup across the
-    /// whole batch. Watermarks/barriers flush any partial batch first, so
-    /// ordering semantics are identical at every size.
+    /// Records per channel hop: larger values amortize one send + one
+    /// wakeup across the whole batch (1 is a batch of one). Watermarks and
+    /// barriers flush any partial batch first, so ordering semantics are
+    /// identical at every size.
     pub batch_size: usize,
     /// Run the operator-chaining pass ([`crate::operator::fuse_stateless`])
     /// before spawning stages.
@@ -542,27 +377,13 @@ impl StagedConfig {
             rescale: None,
         }
     }
-
-    /// The per-record, unfused reference protocol.
-    pub fn reference(channel_capacity: usize) -> Self {
-        StagedConfig {
-            channel_capacity,
-            batch_size: 1,
-            fuse_operators: false,
-            checkpoint_interval: 0,
-            checkpoint_store: None,
-            trace: None,
-            rescale: None,
-        }
-    }
 }
 
-/// Multi-threaded execution with the per-record reference protocol: one
-/// thread per operator, bounded channels in between. A full channel blocks
-/// the upstream sender — credit-based flow control, Flink-style.
-/// `channel_capacity` is the per-hop buffer.
-pub fn run_staged(job: Job, channel_capacity: usize) -> Result<StagedRunStats> {
-    run_staged_with(job, &StagedConfig::reference(channel_capacity))
+impl Default for StagedConfig {
+    /// `batched(64, 256)`: what the platform's front doors run under.
+    fn default() -> Self {
+        StagedConfig::batched(64, 256)
+    }
 }
 
 fn unwrap_or_clone(r: Arc<Record>) -> Record {
@@ -661,6 +482,19 @@ struct RouterOutcome {
     records_in: u64,
     batches_in: u64,
     max_depth: Vec<usize>,
+    err: Option<Error>,
+}
+
+/// The chaos crash site for operator processing: one check per source
+/// record, made only on the thread of the first plan entry (`first`), so
+/// hit counts and seeded `Probability` draws are deterministic per run.
+fn process_fault(first: bool, records: usize) -> Result<()> {
+    if first {
+        for _ in 0..records {
+            fault_point!(FaultPoint::ComputeProcess);
+        }
+    }
+    Ok(())
 }
 
 fn flush_buckets(
@@ -696,6 +530,7 @@ fn run_parallel_router(
     spec: ShardSpec,
     stage: String,
     trace: Option<TraceHook>,
+    first: bool,
 ) -> RouterOutcome {
     let n = shard_txs.len();
     let mut out = RouterOutcome {
@@ -718,17 +553,13 @@ fn run_parallel_router(
     };
     'recv: while let Ok(msg) = rx.recv() {
         match msg {
-            StagedMsg::Record(r) => {
-                out.records_in += 1;
-                out.batches_in += 1;
-                route(r, &mut seq, &mut buckets);
-                if !flush_buckets(&mut buckets, &shard_txs, &mut out.max_depth) {
-                    break 'recv;
-                }
-            }
             StagedMsg::Batch(batch) => {
                 out.records_in += batch.len() as u64;
                 out.batches_in += 1;
+                if let Err(e) = process_fault(first, batch.len()) {
+                    out.err = Some(e);
+                    break 'recv;
+                }
                 for r in batch {
                     route(r, &mut seq, &mut buckets);
                 }
@@ -833,6 +664,7 @@ fn run_parallel_shard(
             }
             ShardMsg::Watermark(wm) => {
                 op.on_watermark(wm, &mut buf);
+                st.peak_state_bytes = st.peak_state_bytes.max(op.memory_bytes());
                 st.watermark = st.watermark.max(wm);
                 st.records_out += buf.len() as u64;
                 let flushed = std::mem::take(&mut buf);
@@ -868,24 +700,14 @@ fn flush_sort_key(r: &Record, key_cols: &[String]) -> (String, i64, i64) {
 fn send_merge_out(
     tx: &crossbeam::channel::Sender<StagedMsg>,
     recs: Vec<Record>,
-    batch_size: usize,
     records_out: &mut u64,
 ) -> bool {
     if recs.is_empty() {
         return true;
     }
     *records_out += recs.len() as u64;
-    if batch_size > 1 {
-        tx.send(StagedMsg::Batch(recs.into_iter().map(Arc::new).collect()))
-            .is_ok()
-    } else {
-        for r in recs {
-            if tx.send(StagedMsg::Record(Arc::new(r))).is_err() {
-                return false;
-            }
-        }
-        true
-    }
+    tx.send(StagedMsg::Batch(recs.into_iter().map(Arc::new).collect()))
+        .is_ok()
 }
 
 /// The merge thread of a parallel stage: buffers each shard's output per
@@ -899,7 +721,6 @@ fn run_parallel_merge(
     barrier_rx: crossbeam::channel::Receiver<Box<BarrierState>>,
     tx: crossbeam::channel::Sender<StagedMsg>,
     key_cols: Vec<String>,
-    batch_size: usize,
 ) -> (u64, Option<Error>) {
     let mut records_out = 0u64;
     let mut err = None;
@@ -926,11 +747,11 @@ fn run_parallel_merge(
                     }
                     epoch_data.sort_by_key(|(seq, sub, _)| (*seq, *sub));
                     let inline: Vec<Record> = epoch_data.into_iter().map(|(_, _, r)| r).collect();
-                    if !send_merge_out(&tx, inline, batch_size, &mut records_out) {
+                    if !send_merge_out(&tx, inline, &mut records_out) {
                         break 'recv;
                     }
                     epoch_flush.sort_by_cached_key(|r| flush_sort_key(r, &key_cols));
-                    if !send_merge_out(&tx, epoch_flush, batch_size, &mut records_out) {
+                    if !send_merge_out(&tx, epoch_flush, &mut records_out) {
                         break 'recv;
                     }
                     if tx.send(StagedMsg::Watermark(wm_min)).is_err() {
@@ -979,7 +800,7 @@ fn run_serial_stage(
     mut op: Box<dyn Operator>,
     rx: crossbeam::channel::Receiver<StagedMsg>,
     tx: crossbeam::channel::Sender<StagedMsg>,
-    batch_size: usize,
+    first: bool,
 ) -> (StageStats, Option<Error>) {
     let mut st = StageStats {
         stage: op.name().to_string(),
@@ -989,58 +810,37 @@ fn run_serial_stage(
     let mut err = None;
     let mut owned: Vec<Record> = Vec::new();
     let mut buf: Vec<Record> = Vec::new();
-    'recv: while let Ok(msg) = rx.recv() {
+    // emissions travel as one batch; `false` = downstream is gone
+    let emit = |buf: &mut Vec<Record>, st: &mut StageStats| {
+        if buf.is_empty() {
+            return true;
+        }
+        st.records_out += buf.len() as u64;
+        tx.send(StagedMsg::Batch(buf.drain(..).map(Arc::new).collect()))
+            .is_ok()
+    };
+    while let Ok(msg) = rx.recv() {
         match msg {
-            StagedMsg::Record(r) => {
-                st.records_in += 1;
-                st.batches_in += 1;
-                if let Err(e) = op.process(unwrap_or_clone(r), &mut buf) {
-                    err = Some(e);
-                    break;
-                }
-                for out in buf.drain(..) {
-                    st.records_out += 1;
-                    if tx.send(StagedMsg::Record(Arc::new(out))).is_err() {
-                        break 'recv;
-                    }
-                }
-            }
             StagedMsg::Batch(batch) => {
                 st.records_in += batch.len() as u64;
                 st.batches_in += 1;
-                owned.extend(batch.into_iter().map(unwrap_or_clone));
-                if let Err(e) = op.process_batch(&mut owned, &mut buf) {
+                let res = process_fault(first, batch.len()).and_then(|_| {
+                    owned.extend(batch.into_iter().map(unwrap_or_clone));
+                    op.process_batch(&mut owned, &mut buf)
+                });
+                if let Err(e) = res {
                     err = Some(e);
                     break;
                 }
                 owned.clear();
-                if !buf.is_empty() {
-                    st.records_out += buf.len() as u64;
-                    let out = buf.drain(..).map(Arc::new).collect();
-                    if tx.send(StagedMsg::Batch(out)).is_err() {
-                        break;
-                    }
+                if !emit(&mut buf, &mut st) {
+                    break;
                 }
             }
             StagedMsg::Watermark(wm) => {
                 op.on_watermark(wm, &mut buf);
-                if batch_size > 1 {
-                    if !buf.is_empty() {
-                        st.records_out += buf.len() as u64;
-                        let out = buf.drain(..).map(Arc::new).collect();
-                        if tx.send(StagedMsg::Batch(out)).is_err() {
-                            break;
-                        }
-                    }
-                } else {
-                    for out in buf.drain(..) {
-                        st.records_out += 1;
-                        if tx.send(StagedMsg::Record(Arc::new(out))).is_err() {
-                            break 'recv;
-                        }
-                    }
-                }
-                if tx.send(StagedMsg::Watermark(wm)).is_err() {
+                st.peak_state_bytes = st.peak_state_bytes.max(op.memory_bytes());
+                if !emit(&mut buf, &mut st) || tx.send(StagedMsg::Watermark(wm)).is_err() {
                     break;
                 }
             }
@@ -1056,11 +856,12 @@ fn run_serial_stage(
     (st, err)
 }
 
-/// Multi-threaded execution with micro-batching, operator chaining and
-/// aligned checkpoint barriers, per `config`.
-pub fn run_staged_with(mut job: Job, config: &StagedConfig) -> Result<StagedRunStats> {
+/// Run a job until its source is exhausted (or a [`RescaleHandle`] stops
+/// it at a barrier): multi-threaded execution with micro-batching,
+/// operator chaining and aligned checkpoint barriers, per `config`.
+pub fn run_staged_with(mut job: Job, config: &StagedConfig) -> Result<JobRunStats> {
     let start = std::time::Instant::now();
-    let mut stats = StagedRunStats::default();
+    let mut stats = JobRunStats::default();
     if config.fuse_operators {
         job.operators = crate::operator::fuse_stateless(std::mem::take(&mut job.operators));
     }
@@ -1132,10 +933,11 @@ pub fn run_staged_with(mut job: Job, config: &StagedConfig) -> Result<StagedRunS
         let mut handles = Vec::with_capacity(n_stages);
         for (i, (entry, rx)) in stage_inputs.into_iter().enumerate() {
             let tx = senders[i + 1].clone();
+            let first = i == 0;
             match entry {
                 StagePlan::Serial(op) => {
                     handles.push(Spawned::Serial(
-                        scope.spawn(move || run_serial_stage(op, rx, tx, batch_size)),
+                        scope.spawn(move || run_serial_stage(op, rx, tx, first)),
                     ));
                 }
                 StagePlan::Parallel {
@@ -1160,7 +962,15 @@ pub fn run_staged_with(mut job: Job, config: &StagedConfig) -> Result<StagedRunS
                     let trace = config.trace.clone();
                     let stage_label = name.clone();
                     let router = scope.spawn(move || {
-                        run_parallel_router(rx, shard_txs, barrier_tx, spec, stage_label, trace)
+                        run_parallel_router(
+                            rx,
+                            shard_txs,
+                            barrier_tx,
+                            spec,
+                            stage_label,
+                            trace,
+                            first,
+                        )
                     });
                     let shard_handles: Vec<_> = shards
                         .into_iter()
@@ -1172,9 +982,8 @@ pub fn run_staged_with(mut job: Job, config: &StagedConfig) -> Result<StagedRunS
                         })
                         .collect();
                     drop(merge_tx); // merge ends when every shard exits
-                    let merge = scope.spawn(move || {
-                        run_parallel_merge(n, merge_rx, barrier_rx, tx, key_cols, batch_size)
-                    });
+                    let merge = scope
+                        .spawn(move || run_parallel_merge(n, merge_rx, barrier_rx, tx, key_cols));
                     handles.push(Spawned::Parallel {
                         name,
                         operators,
@@ -1196,13 +1005,6 @@ pub fn run_staged_with(mut job: Job, config: &StagedConfig) -> Result<StagedRunS
             let mut err = None;
             while let Ok(msg) = sink_rx.recv() {
                 match msg {
-                    StagedMsg::Record(r) => {
-                        if let Err(e) = sink.write(unwrap_or_clone(r)) {
-                            err = Some(e);
-                            break;
-                        }
-                        out_counter.fetch_add(1, Ordering::Relaxed);
-                    }
                     StagedMsg::Batch(batch) => {
                         let n = batch.len() as u64;
                         let owned = batch.into_iter().map(unwrap_or_clone).collect();
@@ -1266,7 +1068,7 @@ pub fn run_staged_with(mut job: Job, config: &StagedConfig) -> Result<StagedRunS
                     if checkpointing {
                         want = want.min((interval - since_checkpoint).max(1) as usize);
                     }
-                    let batch = source.poll_batch_shared(want)?;
+                    let batch = source.poll_batch(want)?;
                     if batch.is_empty() {
                         if source.is_exhausted() {
                             break;
@@ -1280,15 +1082,11 @@ pub fn run_staged_with(mut job: Job, config: &StagedConfig) -> Result<StagedRunS
                         since_checkpoint += 1;
                         // a channel-hop fault surfaces exactly like a dead stage
                         fault_point!(FaultPoint::ComputeChannel);
-                        if batch_size > 1 {
-                            pending.push(rec);
-                            if pending.len() >= batch_size {
-                                let full =
-                                    std::mem::replace(&mut pending, Vec::with_capacity(batch_size));
-                                tx0.send(StagedMsg::Batch(full)).map_err(send_err)?;
-                            }
-                        } else {
-                            tx0.send(StagedMsg::Record(rec)).map_err(send_err)?;
+                        pending.push(rec);
+                        if pending.len() >= batch_size {
+                            let full =
+                                std::mem::replace(&mut pending, Vec::with_capacity(batch_size));
+                            tx0.send(StagedMsg::Batch(full)).map_err(send_err)?;
                         }
                     }
                     // linger flush: watermarks/barriers never pass records
@@ -1353,14 +1151,11 @@ pub fn run_staged_with(mut job: Job, config: &StagedConfig) -> Result<StagedRunS
                         operators,
                         ..StageStats::default()
                     };
-                    let mut err: Option<Error> = None;
-                    let router_out = match router.join() {
-                        Ok(out) => out,
-                        Err(_) => {
-                            err = Some(Error::Internal("router panicked".into()));
-                            RouterOutcome::default()
-                        }
-                    };
+                    let mut router_out = router.join().unwrap_or_else(|_| RouterOutcome {
+                        err: Some(Error::Internal("router panicked".into())),
+                        ..RouterOutcome::default()
+                    });
+                    let mut err = router_out.err.take();
                     st.records_in = router_out.records_in;
                     st.batches_in = router_out.batches_in;
                     for (idx, sh) in shards.into_iter().enumerate() {
@@ -1372,6 +1167,7 @@ pub fn run_staged_with(mut job: Job, config: &StagedConfig) -> Result<StagedRunS
                         });
                         sst.max_queue_depth = router_out.max_depth.get(idx).copied().unwrap_or(0);
                         st.late_dropped += sst.late_dropped;
+                        st.peak_state_bytes += sst.peak_state_bytes;
                         if err.is_none() {
                             err = serr;
                         }
@@ -1412,6 +1208,7 @@ pub fn run_staged_with(mut job: Job, config: &StagedConfig) -> Result<StagedRunS
     }
     pump_res?;
 
+    stats.peak_state_bytes = stage_stats.iter().map(|s| s.peak_state_bytes).sum();
     stats.stages = stage_stats;
     stats.records_out = records_out.load(Ordering::Relaxed);
     stats.checkpoints_taken = checkpoints_taken.load(Ordering::Relaxed);
@@ -1423,9 +1220,11 @@ pub fn run_staged_with(mut job: Job, config: &StagedConfig) -> Result<StagedRunS
 mod tests {
     use super::*;
     use crate::operator::{FilterOp, MapOp, WindowAggregateOp};
+    use crate::reference::run_reference;
     use crate::sink::CollectSink;
     use crate::source::VecSource;
     use crate::window::WindowAssigner;
+    use rtdi_common::chaos::{self, FaultKind, FaultPlan, Trigger};
     use rtdi_common::AggFn;
     use rtdi_common::Row;
     use rtdi_storage::object::InMemoryStore;
@@ -1468,11 +1267,10 @@ mod tests {
 
     #[test]
     fn bounded_run_emits_all_windows() {
+        let _g = chaos::test_guard();
         let sink = CollectSink::new();
-        let mut job = window_count_job("j", trip_rows(100), sink.clone());
-        let stats = Executor::new(ExecutorConfig::default())
-            .run(&mut job)
-            .unwrap();
+        let job = window_count_job("j", trip_rows(100), sink.clone());
+        let stats = run_staged_with(job, &StagedConfig::default()).unwrap();
         assert_eq!(stats.records_in, 100);
         let total: i64 = sink
             .rows()
@@ -1487,8 +1285,9 @@ mod tests {
 
     #[test]
     fn chained_map_runs() {
+        let _g = chaos::test_guard();
         let sink = CollectSink::new();
-        let mut job = Job::new(
+        let job = Job::new(
             "m",
             Box::new(VecSource::from_rows(trip_rows(10))),
             vec![Box::new(MapOp::new("tag", |r: &Row| {
@@ -1498,75 +1297,52 @@ mod tests {
             }))],
             Box::new(sink.clone()),
         );
-        let stats = Executor::new(ExecutorConfig::default())
-            .run(&mut job)
-            .unwrap();
+        let stats = run_staged_with(job, &StagedConfig::default()).unwrap();
         assert_eq!(stats.records_out, 10);
         assert!(sink.rows().iter().all(|r| r.get("tagged").is_some()));
+        assert_eq!(stats.peak_state_bytes, 0, "a stateless job holds no state");
     }
 
     #[test]
     fn checkpoint_and_recover_produces_identical_results() {
-        use rtdi_common::chaos::{self, FaultKind, FaultPlan, Trigger};
         let _g = chaos::test_guard();
         chaos::registry().reset(0xC0FFEE);
-        let store = Arc::new(InMemoryStore::new());
-        let cs = CheckpointStore::new(store);
-        let config = ExecutorConfig {
-            batch_size: 10,
+        let cs = CheckpointStore::new(Arc::new(InMemoryStore::new()));
+        let config = StagedConfig {
             checkpoint_interval: 30,
-            checkpoint_store: Some(cs.clone()),
-            trace: None,
+            checkpoint_store: Some(cs),
+            ..StagedConfig::batched(8, 10)
         };
-
-        let agg_op = || {
-            Box::new(WindowAggregateOp::new(
-                "agg",
-                vec!["city".into()],
-                WindowAssigner::tumbling(1000),
-                vec![
-                    ("trips".into(), AggFn::Count),
-                    ("total".into(), AggFn::Sum("fare".into())),
-                ],
-                0,
-            ))
+        // the sharded aggregate is the only operator, so the router is the
+        // first plan entry: the thread that owns the compute.process site
+        let job = |name: &str, sink: &CollectSink| {
+            let mut job = parallel_window_job(name, trip_rows(100), sink.clone(), 2);
+            job.operators.remove(0);
+            job
         };
 
         // baseline: uninterrupted run
         let baseline_sink = CollectSink::new();
-        let mut baseline = window_count_job("base", trip_rows(100), baseline_sink.clone());
-        Executor::new(ExecutorConfig::default())
-            .run(&mut baseline)
-            .unwrap();
+        run_staged_with(job("base", &baseline_sink), &StagedConfig::default()).unwrap();
 
-        // crash run: the compute.process fault point hard-fails the chain
-        // mid-run (after the checkpoint at 30 records)
+        // crash run: the compute.process fault point hard-fails the 59th
+        // source record (after the checkpoint at 30 records)
         chaos::registry().arm(
             FaultPoint::ComputeProcess,
             FaultPlan::fail(FaultKind::ProcessingFailed, Trigger::Always).with_burst(58, None),
         );
         let crash_sink = CollectSink::new();
-        let mut crashing = Job::new(
-            "ckpt-job",
-            Box::new(VecSource::from_rows(trip_rows(100))),
-            vec![agg_op()],
-            Box::new(crash_sink.clone()),
-        );
-        let err = Executor::new(config.clone()).run(&mut crashing);
+        let err = run_staged_with(job("ckpt-job", &crash_sink), &config);
         assert!(matches!(err, Err(Error::ProcessingFailed(_))));
+        // one check per source record, from one thread: 59 hits, 1 fire
+        assert_eq!(chaos::registry().stats(FaultPoint::ComputeProcess), (59, 1));
         chaos::registry().disarm_all();
 
         // recovery run: fresh job instance restores from the checkpoint and
         // keeps writing into the SAME sink (at-least-once to the sink,
         // exactly-once for state)
-        let mut recovered = Job::new(
-            "ckpt-job",
-            Box::new(VecSource::from_rows(trip_rows(100))),
-            vec![agg_op()],
-            Box::new(crash_sink.clone()),
-        );
-        let stats = Executor::new(config).run(&mut recovered).unwrap();
-        assert!(stats.restored_from_checkpoint.is_some());
+        let stats = run_staged_with(job("ckpt-job", &crash_sink), &config).unwrap();
+        assert_eq!(stats.restored_from_checkpoint, Some(1));
 
         // after deduplication (window contents are deterministic, so
         // replayed emissions are byte-identical), results match the
@@ -1670,21 +1446,18 @@ mod tests {
 
     #[test]
     fn staged_run_matches_single_threaded() {
+        let _g = chaos::test_guard();
         let sink = CollectSink::new();
         let job = window_count_job("staged", trip_rows(1000), sink.clone());
-        let stats = run_staged(job, 64).unwrap();
+        let stats = run_staged_with(job, &StagedConfig::default()).unwrap();
         assert_eq!(stats.records_in, 1000);
-        let total: i64 = sink
-            .rows()
-            .iter()
-            .map(|r| r.get_int("trips").unwrap())
-            .sum();
-        assert_eq!(total, 1000);
+        let oracle = CollectSink::new();
+        run_reference(window_count_job("oracle", trip_rows(1000), oracle.clone())).unwrap();
+        assert_eq!(sink.records(), oracle.records());
     }
 
     #[test]
     fn staged_run_surfaces_channel_faults_and_recovers_when_disarmed() {
-        use rtdi_common::chaos::{self, FaultKind, FaultPlan, FaultPoint, Trigger};
         let _g = chaos::test_guard();
         chaos::registry().reset(0xC4A7);
         chaos::registry().arm(
@@ -1694,12 +1467,16 @@ mod tests {
         let sink = CollectSink::new();
         let job = window_count_job("chan-fault", trip_rows(1000), sink.clone());
         // the injected channel-hop fault kills the run like a dead stage
-        assert!(matches!(run_staged(job, 64), Err(Error::Unavailable(_))));
+        let cfg = StagedConfig::default();
+        assert!(matches!(
+            run_staged_with(job, &cfg),
+            Err(Error::Unavailable(_))
+        ));
         chaos::registry().disarm_all();
         // a fresh run with the fault cleared completes normally
         let sink = CollectSink::new();
         let job = window_count_job("chan-ok", trip_rows(1000), sink.clone());
-        assert_eq!(run_staged(job, 64).unwrap().records_in, 1000);
+        assert_eq!(run_staged_with(job, &cfg).unwrap().records_in, 1000);
         let total: i64 = sink
             .rows()
             .iter()
@@ -1747,11 +1524,12 @@ mod tests {
 
     #[test]
     fn staged_batched_fused_matches_reference_protocol() {
+        let _g = chaos::test_guard();
         let ref_sink = CollectSink::new();
         let ref_stats =
-            run_staged(four_stage_job("ref", trip_rows(1000), ref_sink.clone()), 64).unwrap();
+            run_reference(four_stage_job("ref", trip_rows(1000), ref_sink.clone())).unwrap();
         assert_eq!(ref_stats.stages.len(), 4, "reference runs unchained");
-        for batch in [2usize, 64, 256] {
+        for batch in [1usize, 2, 64, 256] {
             let sink = CollectSink::new();
             let stats = run_staged_with(
                 four_stage_job("fused", trip_rows(1000), sink.clone()),
@@ -1784,7 +1562,6 @@ mod tests {
 
     #[test]
     fn barrier_mid_batch_checkpoints_exactly_the_records_before_it() {
-        use rtdi_common::chaos::{self, FaultKind, FaultPlan, Trigger};
         let _g = chaos::test_guard();
         chaos::registry().reset(0xBA881E);
         let store = Arc::new(InMemoryStore::new());
@@ -1792,13 +1569,9 @@ mod tests {
         // interval 130 is deliberately not a multiple of batch_size 64, so
         // every barrier lands mid-micro-batch (after a partial flush of 2)
         let cfg = StagedConfig {
-            channel_capacity: 8,
-            batch_size: 64,
-            fuse_operators: true,
             checkpoint_interval: 130,
             checkpoint_store: Some(cs.clone()),
-            trace: None,
-            rescale: None,
+            ..StagedConfig::batched(8, 64)
         };
 
         // baseline: uninterrupted run, no checkpoints
@@ -1882,6 +1655,7 @@ mod tests {
 
     #[test]
     fn parallel_stage_output_matches_serial_exactly() {
+        let _g = chaos::test_guard();
         let serial_sink = CollectSink::new();
         run_staged_with(
             window_count_job("ser", trip_rows(1000), serial_sink.clone()),
@@ -1910,6 +1684,7 @@ mod tests {
 
     #[test]
     fn rescale_stop_at_barrier_then_resume_is_exactly_once() {
+        let _g = chaos::test_guard();
         let store = Arc::new(InMemoryStore::new());
         let cs = CheckpointStore::new(store);
         let handle = RescaleHandle::new();
@@ -1962,10 +1737,16 @@ mod tests {
 
     #[test]
     fn staged_run_with_tiny_buffers_still_completes() {
-        // capacity-1 channels exercise full backpressure blocking
+        let _g = chaos::test_guard();
+        // capacity-1 channels carrying batches of one exercise full
+        // backpressure blocking
         let sink = CollectSink::new();
         let job = window_count_job("tiny", trip_rows(200), sink.clone());
-        let stats = run_staged(job, 1).unwrap();
+        let cfg = StagedConfig {
+            fuse_operators: false,
+            ..StagedConfig::batched(1, 1)
+        };
+        let stats = run_staged_with(job, &cfg).unwrap();
         assert_eq!(stats.records_in, 200);
         let total: i64 = sink
             .rows()

@@ -21,18 +21,12 @@ use std::sync::Arc;
 
 /// A record source with checkpointable progress.
 pub trait Source: Send {
-    /// Pull up to `max` records. An empty result from a bounded source
-    /// means exhaustion; from an unbounded source it means "nothing right
-    /// now".
-    fn poll_batch(&mut self, max: usize) -> Result<Vec<Record>>;
-
-    /// Batched zero-copy variant for the staged runtime: pull up to `max`
-    /// records as shared handles. Sources backed by `Arc`-retaining
-    /// storage (the stream log, in-memory vectors) override this to hand
-    /// out reference bumps instead of deep clones.
-    fn poll_batch_shared(&mut self, max: usize) -> Result<Vec<Arc<Record>>> {
-        Ok(self.poll_batch(max)?.into_iter().map(Arc::new).collect())
-    }
+    /// Pull up to `max` records as shared handles: sources backed by
+    /// `Arc`-retaining storage (the stream log, in-memory vectors) hand out
+    /// reference bumps instead of deep clones. An empty result from a
+    /// bounded source means exhaustion; from an unbounded source it means
+    /// "nothing right now".
+    fn poll_batch(&mut self, max: usize) -> Result<Vec<Arc<Record>>>;
 
     /// Bounded sources report completion.
     fn is_exhausted(&self) -> bool;
@@ -71,17 +65,7 @@ impl VecSource {
 }
 
 impl Source for VecSource {
-    fn poll_batch(&mut self, max: usize) -> Result<Vec<Record>> {
-        let end = (self.cursor + max).min(self.records.len());
-        let batch = self.records[self.cursor..end]
-            .iter()
-            .map(|r| (**r).clone())
-            .collect();
-        self.cursor = end;
-        Ok(batch)
-    }
-
-    fn poll_batch_shared(&mut self, max: usize) -> Result<Vec<Arc<Record>>> {
+    fn poll_batch(&mut self, max: usize) -> Result<Vec<Arc<Record>>> {
         let end = (self.cursor + max).min(self.records.len());
         let batch = self.records[self.cursor..end].to_vec();
         self.cursor = end;
@@ -156,18 +140,11 @@ impl Source for TopicSource {
     /// manufacture cross-partition out-of-orderness and make watermarks
     /// drop perfectly-good records as late — Flink's Kafka source solves
     /// the same problem with per-partition watermark alignment.
-    fn poll_batch(&mut self, max: usize) -> Result<Vec<Record>> {
-        Ok(self
-            .poll_batch_shared(max)?
-            .into_iter()
-            .map(|r| Arc::try_unwrap(r).unwrap_or_else(|a| (*a).clone()))
-            .collect())
-    }
-
+    ///
     /// Zero-copy fetch: the log already stores `Arc<Record>` entries
     /// (PR 2's `append_batch`/`into_record` path), so the combined batch
     /// shares them instead of deep-cloning each record out of the log.
-    fn poll_batch_shared(&mut self, max: usize) -> Result<Vec<Arc<Record>>> {
+    fn poll_batch(&mut self, max: usize) -> Result<Vec<Arc<Record>>> {
         let n = self.topic.num_partitions();
         let per_partition = (max / n).max(1);
         let mut out: Vec<Arc<Record>> = Vec::new();
@@ -238,7 +215,7 @@ impl UnionSource {
 }
 
 impl Source for UnionSource {
-    fn poll_batch(&mut self, max: usize) -> Result<Vec<Record>> {
+    fn poll_batch(&mut self, max: usize) -> Result<Vec<Arc<Record>>> {
         let n = self.sources.len();
         let mut out = Vec::new();
         for _ in 0..n {
@@ -247,7 +224,9 @@ impl Source for UnionSource {
             let (tag, src) = &mut self.sources[i];
             let batch = src.poll_batch(max.saturating_sub(out.len()).max(1))?;
             for mut rec in batch {
-                rec.value.set(STREAM_TAG, tag.as_str());
+                // tagging writes the record: copy-on-write out of the
+                // inner source's shared handle
+                Arc::make_mut(&mut rec).value.set(STREAM_TAG, tag.as_str());
                 out.push(rec);
             }
             if out.len() >= max {
@@ -330,18 +309,7 @@ impl HiveSource {
 }
 
 impl Source for HiveSource {
-    fn poll_batch(&mut self, max: usize) -> Result<Vec<Record>> {
-        let take = max.min(self.throttle_per_poll);
-        let end = (self.cursor + take).min(self.rows.len());
-        let batch = self.rows[self.cursor..end]
-            .iter()
-            .map(|r| (**r).clone())
-            .collect();
-        self.cursor = end;
-        Ok(batch)
-    }
-
-    fn poll_batch_shared(&mut self, max: usize) -> Result<Vec<Arc<Record>>> {
+    fn poll_batch(&mut self, max: usize) -> Result<Vec<Arc<Record>>> {
         let take = max.min(self.throttle_per_poll);
         let end = (self.cursor + take).min(self.rows.len());
         let batch = self.rows[self.cursor..end].to_vec();
@@ -413,12 +381,8 @@ impl ThrottledSource {
 }
 
 impl Source for ThrottledSource {
-    fn poll_batch(&mut self, max: usize) -> Result<Vec<Record>> {
+    fn poll_batch(&mut self, max: usize) -> Result<Vec<Arc<Record>>> {
         self.inner.poll_batch(self.throttle.limit(max))
-    }
-
-    fn poll_batch_shared(&mut self, max: usize) -> Result<Vec<Arc<Record>>> {
-        self.inner.poll_batch_shared(self.throttle.limit(max))
     }
 
     fn is_exhausted(&self) -> bool {
@@ -464,26 +428,18 @@ mod tests {
     }
 
     #[test]
-    fn shared_poll_is_reference_bump_and_matches_owned_poll() {
+    fn poll_is_a_reference_bump_not_a_deep_copy() {
         let mut s = VecSource::from_rows((0..6).map(|i| (i, Row::new().with("i", i))).collect());
-        let shared = s.poll_batch_shared(4).unwrap();
+        let shared = s.poll_batch(4).unwrap();
         assert_eq!(shared.len(), 4);
         // the source still holds its own Arc: sharing, not deep copies
         assert!(Arc::strong_count(&shared[0]) >= 2);
         assert_eq!(s.position(), vec![4]);
-        // topic source: shared poll matches the owned poll record-for-record
-        let t = topic(2, 10);
-        let mut a = TopicSource::bounded(t.clone()).unwrap();
-        let mut b = TopicSource::bounded(t).unwrap();
-        let owned = a.poll_batch(10).unwrap();
-        let shared: Vec<Record> = b
-            .poll_batch_shared(10)
-            .unwrap()
-            .iter()
-            .map(|r| (**r).clone())
-            .collect();
-        assert_eq!(owned, shared);
-        assert_eq!(a.position(), b.position());
+        // the topic source shares the log's own entries the same way
+        let mut t = TopicSource::bounded(topic(2, 10)).unwrap();
+        let polled = t.poll_batch(10).unwrap();
+        assert_eq!(polled.len(), 10);
+        assert!(Arc::strong_count(&polled[0]) >= 2);
     }
 
     #[test]

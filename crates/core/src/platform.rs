@@ -14,7 +14,7 @@ use rtdi_common::{
     Clock, PipelineTracer, Record, Result, Schema, Timestamp, TraceReport, WallClock,
 };
 use rtdi_compute::jobmanager::{JobHealth, JobManager, JobSpec, JobType};
-use rtdi_compute::runtime::{CheckpointStore, ExecutorConfig, JobRunStats};
+use rtdi_compute::runtime::{run_staged_with, CheckpointStore, JobRunStats, StagedConfig};
 use rtdi_compute::sink::Sink;
 use rtdi_flinksql::compiler::{compile_batch, compile_streaming, CompileOptions};
 use rtdi_flinksql::sinks::PinotSink;
@@ -103,11 +103,10 @@ impl RealtimePlatform {
         engine.register_connector("pinot", pinot.clone());
         engine.register_connector("hive", Arc::new(HiveConnector::new(catalog.clone())));
         let job_manager = JobManager::new(
-            ExecutorConfig {
-                batch_size: 512,
+            StagedConfig {
                 checkpoint_interval: 10_000,
                 checkpoint_store: Some(CheckpointStore::new(store.clone())),
-                trace: None,
+                ..StagedConfig::default()
             },
             3,
         );
@@ -430,7 +429,7 @@ impl RealtimePlatform {
         self.usage.note(Component::Compute);
         self.usage.note(Component::Storage);
         let table = self.catalog.table(dataset)?;
-        let mut job = compile_batch(
+        let job = compile_batch(
             name,
             sql,
             &table,
@@ -439,7 +438,7 @@ impl RealtimePlatform {
             sink,
             &CompileOptions::default(),
         )?;
-        rtdi_compute::runtime::Executor::new(ExecutorConfig::default()).run(&mut job)
+        run_staged_with(job, &StagedConfig::default())
     }
 }
 
@@ -527,8 +526,11 @@ mod tests {
             .contains(&"pinot.trips".to_string()));
     }
 
-    #[test]
-    fn sql_pipeline_deploys_and_fills_pinot() {
+    const TRIP_WINDOWS_SQL: &str = "SELECT city, TUMBLE(ts, 1000) AS w, COUNT(*) AS trips \
+                                    FROM trips GROUP BY city, TUMBLE(ts, 1000)";
+
+    /// A platform with 100 trips in the topic and an empty `trip_stats`.
+    fn platform_with_trip_stats() -> (RealtimePlatform, Arc<OlapTable>) {
         let p = platform();
         p.create_topic(
             "trips",
@@ -553,11 +555,16 @@ mod tests {
                     .with_partitions(2),
             )
             .unwrap();
+        (p, sink_table)
+    }
+
+    #[test]
+    fn sql_pipeline_deploys_and_fills_pinot() {
+        let (p, sink_table) = platform_with_trip_stats();
         let stats = p
             .deploy_sql_pipeline(
                 "trip-windows",
-                "SELECT city, TUMBLE(ts, 1000) AS w, COUNT(*) AS trips \
-                 FROM trips GROUP BY city, TUMBLE(ts, 1000)",
+                TRIP_WINDOWS_SQL,
                 "trips",
                 sink_table.clone(),
                 &CompileOptions::default(),
@@ -580,6 +587,40 @@ mod tests {
                 &CompileOptions::default(),
             )
             .is_err());
+    }
+
+    #[test]
+    fn parallelism_hint_runs_sharded_on_the_platform_path() {
+        let run = |hint: &str| {
+            let (p, sink_table) = platform_with_trip_stats();
+            let sql = format!("{hint}{TRIP_WINDOWS_SQL}");
+            let stats = p
+                .deploy_sql_pipeline(
+                    "trip-windows",
+                    &sql,
+                    "trips",
+                    sink_table.clone(),
+                    &CompileOptions::default(),
+                )
+                .unwrap();
+            let mut rows = sink_table
+                .query(&Query::select_all("trip_stats"))
+                .unwrap()
+                .rows;
+            rows.sort_by_key(|r| format!("{r:?}"));
+            (stats, rows)
+        };
+        let (plain, plain_rows) = run("");
+        let (hinted, hinted_rows) = run("/*+ PARALLELISM(4) */ ");
+        assert!(plain.stages.iter().all(|s| s.shards.is_empty()));
+        let sharded = hinted
+            .stages
+            .iter()
+            .find(|s| s.stage.ends_with("[x4]"))
+            .expect("the hint must reach the engine the platform runs");
+        assert_eq!(sharded.shards.len(), 4);
+        assert_eq!(plain_rows.len(), 20, "10 windows x 2 cities");
+        assert_eq!(hinted_rows, plain_rows);
     }
 
     #[test]

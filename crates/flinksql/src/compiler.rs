@@ -289,7 +289,7 @@ fn agg_to_fn(item: &AggItem) -> Result<(String, AggFn)> {
 mod tests {
     use super::*;
     use rtdi_common::Record;
-    use rtdi_compute::runtime::{Executor, ExecutorConfig};
+    use rtdi_compute::runtime::{run_staged_with, StagedConfig};
     use rtdi_compute::sink::CollectSink;
     use rtdi_storage::hive::HiveCatalog;
     use rtdi_storage::object::InMemoryStore;
@@ -314,15 +314,15 @@ mod tests {
         t
     }
 
-    fn run(job: &mut Job) {
-        Executor::new(ExecutorConfig::default()).run(job).unwrap();
+    fn run(job: Job) {
+        run_staged_with(job, &StagedConfig::default()).unwrap();
     }
 
     #[test]
     fn windowed_aggregation_sql_compiles_and_runs() {
         let topic = trips_topic(100);
         let sink = CollectSink::new();
-        let mut job = compile_streaming(
+        let job = compile_streaming(
             "surge-sql",
             "SELECT city, TUMBLE(ts, 1000) AS w, COUNT(*) AS trips, AVG(fare) AS avg_fare \
              FROM trips GROUP BY city, TUMBLE(ts, 1000)",
@@ -331,7 +331,7 @@ mod tests {
             &CompileOptions::default(),
         )
         .unwrap();
-        run(&mut job);
+        run(job);
         let rows = sink.rows();
         // 100 records at 100ms = 10s -> 10 windows x 2 cities
         assert_eq!(rows.len(), 20);
@@ -348,7 +348,7 @@ mod tests {
     fn where_filter_applies_before_windowing() {
         let topic = trips_topic(100);
         let sink = CollectSink::new();
-        let mut job = compile_streaming(
+        let job = compile_streaming(
             "filtered",
             "SELECT TUMBLE(ts, 10000) AS w, COUNT(*) AS n FROM trips \
              WHERE city = 'sf' GROUP BY TUMBLE(ts, 10000)",
@@ -357,7 +357,7 @@ mod tests {
             &CompileOptions::default(),
         )
         .unwrap();
-        run(&mut job);
+        run(job);
         let total: i64 = sink.rows().iter().map(|r| r.get_int("n").unwrap()).sum();
         assert_eq!(total, 50);
     }
@@ -366,7 +366,7 @@ mod tests {
     fn stateless_projection_sql() {
         let topic = trips_topic(10);
         let sink = CollectSink::new();
-        let mut job = compile_streaming(
+        let job = compile_streaming(
             "proj",
             "SELECT city, fare * 2 AS double_fare FROM trips WHERE fare >= 12",
             topic,
@@ -374,7 +374,7 @@ mod tests {
             &CompileOptions::default(),
         )
         .unwrap();
-        run(&mut job);
+        run(job);
         let rows = sink.rows();
         assert!(!rows.is_empty());
         assert!(rows
@@ -386,7 +386,7 @@ mod tests {
     fn having_becomes_post_window_filter() {
         let topic = trips_topic(100);
         let sink = CollectSink::new();
-        let mut job = compile_streaming(
+        let job = compile_streaming(
             "having",
             "SELECT city, TUMBLE(ts, 1000) AS w, COUNT(*) AS n FROM trips \
              GROUP BY city, TUMBLE(ts, 1000) HAVING COUNT(*) > 4",
@@ -395,7 +395,7 @@ mod tests {
             &CompileOptions::default(),
         )
         .unwrap();
-        run(&mut job);
+        run(job);
         // each (city, window) holds 5 records -> all pass > 4; sanity only
         assert!(sink.rows().iter().all(|r| r.get_int("n").unwrap() > 4));
         assert_eq!(sink.rows().len(), 20);
@@ -492,7 +492,7 @@ mod tests {
         // streaming run
         let topic = trips_topic(100);
         let stream_sink = CollectSink::new();
-        let mut sjob = compile_streaming(
+        let sjob = compile_streaming(
             "s",
             sql,
             topic,
@@ -500,7 +500,7 @@ mod tests {
             &CompileOptions::default(),
         )
         .unwrap();
-        run(&mut sjob);
+        run(sjob);
 
         // archive the same data, then batch run
         let store = Arc::new(InMemoryStore::new());
@@ -526,7 +526,7 @@ mod tests {
             .collect();
         catalog.write_rows("trips", "d000000", &rows).unwrap();
         let batch_sink = CollectSink::new();
-        let mut bjob = compile_batch(
+        let bjob = compile_batch(
             "b",
             sql,
             &table,
@@ -536,7 +536,7 @@ mod tests {
             &CompileOptions::default(),
         )
         .unwrap();
-        run(&mut bjob);
+        run(bjob);
 
         let canon = |mut rows: Vec<Row>| {
             rows.sort_by_key(|r| {

@@ -54,7 +54,7 @@ mod tests {
     use super::*;
     use crate::compiler::{compile_streaming, CompileOptions};
     use rtdi_common::{AggFn, FieldType, Row, Schema};
-    use rtdi_compute::runtime::{Executor, ExecutorConfig};
+    use rtdi_compute::runtime::{run_staged_with, StagedConfig};
     use rtdi_olap::query::Query;
     use rtdi_olap::table::TableConfig;
     use rtdi_stream::topic::{Topic, TopicConfig};
@@ -96,7 +96,7 @@ mod tests {
                 .with_segment_rows(16),
         )
         .unwrap();
-        let mut job = compile_streaming(
+        let job = compile_streaming(
             "orders-to-pinot",
             "SELECT restaurant, TUMBLE(ts, 1000) AS w, COUNT(*) AS orders, SUM(total) AS revenue \
              FROM orders GROUP BY restaurant, TUMBLE(ts, 1000)",
@@ -105,9 +105,7 @@ mod tests {
             &CompileOptions::default(),
         )
         .unwrap();
-        Executor::new(ExecutorConfig::default())
-            .run(&mut job)
-            .unwrap();
+        run_staged_with(job, &StagedConfig::default()).unwrap();
 
         // 200 records at 50ms = 10s -> 10 windows x 4 restaurants = 40 rows
         let q = Query::select_all("order_stats").aggregate("n", AggFn::Count);

@@ -182,6 +182,7 @@ mod tests {
 
     #[test]
     fn failover_loses_nothing_and_bounds_replay() {
+        let _g = rtdi_common::chaos::test_guard();
         let topo = MultiRegionTopology::new(
             &["west", "east"],
             "payments",
@@ -304,6 +305,7 @@ mod tests {
 
     #[test]
     fn failover_without_sync_data_restarts_from_earliest() {
+        let _g = rtdi_common::chaos::test_guard();
         let topo =
             MultiRegionTopology::new(&["a", "b"], "t", TopicConfig::default().with_partitions(1))
                 .unwrap();

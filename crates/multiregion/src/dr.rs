@@ -32,15 +32,14 @@ use rtdi_compute::jobmanager::JobType;
 use rtdi_compute::operator::{MapOp, Operator, OperatorOutput};
 use rtdi_compute::runtime::CheckpointData;
 use rtdi_compute::{
-    CheckpointStore, CollectSink, Executor, ExecutorConfig, FnSink, Job, JobManager, JobSpec,
-    Source, TopicSource, VecSource,
+    run_staged_with, CheckpointStore, CollectSink, FnSink, Job, JobManager, JobSpec, StagedConfig,
+    TopicSource, VecSource,
 };
 use rtdi_olap::{IngestionConfig, OlapTable, RealtimeIngester, TableConfig};
 use rtdi_sql::{EngineConfig, PinotConnector, SqlEngine};
 use rtdi_storage::{FaultyStore, InMemoryStore, MirroredStore, ObjectStore};
 use rtdi_stream::topic::{Topic, TopicConfig};
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 
 /// Name of the checkpointed compute job the drill keeps alive.
@@ -402,7 +401,7 @@ impl DrDrill {
             });
         }
 
-        let jm = Arc::new(JobManager::new(ExecutorConfig::default(), 8));
+        let jm = Arc::new(JobManager::new(StagedConfig::default(), 8));
         membership.subscribe(jm.node_listener());
         jm.validate(&JobSpec {
             name: JOB.into(),
@@ -469,10 +468,11 @@ impl DrDrill {
 
     /// Run the compute job once in `region`: recover from the latest
     /// checkpoint in that region's store view, drain what is currently
-    /// available from its aggregate topic, and checkpoint as it goes.
+    /// available from its aggregate topic (the bounded source snapshots
+    /// the high watermarks), and checkpoint as it goes.
     fn run_compute(&self, region: &str) -> Result<()> {
         let rt = &self.rts[self.rt_index(region)];
-        let source = TopicSource::unbounded(rt.agg_topic.clone());
+        let source = TopicSource::bounded(rt.agg_topic.clone())?;
         let emitted = self.compute_emitted.clone();
         let sink = FnSink::new(move |rec: Record| {
             if let Some(id) = rec.value.get_str("id") {
@@ -480,21 +480,18 @@ impl DrDrill {
             }
             Ok(())
         });
-        let mut job = Job::new(
+        let job = Job::new(
             JOB,
-            Box::new(source) as Box<dyn Source>,
+            Box::new(source),
             vec![Box::new(DedupOp::new())],
             Box::new(sink),
         );
-        let exec = Executor::new(ExecutorConfig {
-            batch_size: 256,
+        let cfg = StagedConfig {
             checkpoint_interval: self.cfg.checkpoint_interval,
             checkpoint_store: Some(rt.ckpts.clone()),
-            trace: None,
-        });
-        // stop is pre-raised: drain everything available, then return
-        let stop = AtomicBool::new(true);
-        exec.run_with_stop(&mut job, &stop)?;
+            ..StagedConfig::default()
+        };
+        run_staged_with(job, &cfg)?;
         Ok(())
     }
 

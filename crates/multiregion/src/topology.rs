@@ -321,6 +321,7 @@ mod tests {
 
     #[test]
     fn aggregate_clusters_converge_to_global_view() {
+        let _g = rtdi_common::chaos::test_guard();
         let topo = MultiRegionTopology::new(
             &["us-west", "us-east"],
             "trips",
@@ -341,6 +342,7 @@ mod tests {
 
     #[test]
     fn downed_region_does_not_block_others() {
+        let _g = rtdi_common::chaos::test_guard();
         let topo = MultiRegionTopology::new(
             &["a", "b"],
             "trips",
@@ -362,6 +364,7 @@ mod tests {
 
     #[test]
     fn partial_degradation_reports_which_half_is_lost() {
+        let _g = rtdi_common::chaos::test_guard();
         let topo = MultiRegionTopology::new(
             &["a", "b"],
             "trips",

@@ -9,7 +9,7 @@
 
 use rtdi_common::{AggFn, FieldType, Record, Result, Row, Schema};
 use rtdi_compute::operator::{MapOp, Operator, WindowAggregateOp, WindowJoinOp};
-use rtdi_compute::runtime::{Executor, ExecutorConfig, Job, JobRunStats};
+use rtdi_compute::runtime::{run_staged_with, Job, JobRunStats, StagedConfig};
 use rtdi_compute::source::{Source, UnionSource, VecSource};
 use rtdi_compute::window::WindowAssigner;
 use rtdi_flinksql::sinks::PinotSink;
@@ -105,14 +105,14 @@ impl PredictionMonitoring {
                 Box::new(VecSource::new(outcomes)) as Box<dyn Source>,
             ),
         ]);
-        let mut job = Job::new(
+        let job = Job::new(
             "prediction-monitoring",
             Box::new(source),
             self.operators(),
             Box::new(PinotSink::new(self.cube.clone())),
         )
         .with_out_of_orderness(self.join_window_ms);
-        Executor::new(ExecutorConfig::default()).run(&mut job)
+        run_staged_with(job, &StagedConfig::default())
     }
 
     /// Alerting read: models whose latest mean absolute error exceeds a

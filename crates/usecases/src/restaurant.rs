@@ -11,7 +11,7 @@
 
 use rtdi_common::{AggFn, Error, FieldType, Record, Result, Row, Schema};
 use rtdi_compute::operator::{FilterOp, Operator, WindowAggregateOp};
-use rtdi_compute::runtime::{Executor, ExecutorConfig, Job};
+use rtdi_compute::runtime::{run_staged_with, Job, StagedConfig};
 use rtdi_compute::source::VecSource;
 use rtdi_compute::window::WindowAssigner;
 use rtdi_flinksql::sinks::PinotSink;
@@ -115,13 +115,13 @@ impl RestaurantManager {
     /// Run the preprocessing pipeline over a batch of raw order events
     /// into the stats table.
     pub fn ingest_orders(&self, orders: Vec<Record>) -> Result<u64> {
-        let mut job = Job::new(
+        let job = Job::new(
             "restaurant-rollup",
             Box::new(VecSource::new(orders)),
             self.preprocessor(),
             Box::new(PinotSink::new(self.stats_table.clone())),
         );
-        let stats = Executor::new(ExecutorConfig::default()).run(&mut job)?;
+        let stats = run_staged_with(job, &StagedConfig::default())?;
         Ok(stats.records_out)
     }
 

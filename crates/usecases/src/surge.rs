@@ -11,7 +11,7 @@
 
 use rtdi_common::{AggFn, Record, Result, Row, TraceReport};
 use rtdi_compute::operator::{FilterOp, MapOp, Operator, WindowAggregateOp};
-use rtdi_compute::runtime::{Executor, ExecutorConfig, Job, JobRunStats};
+use rtdi_compute::runtime::{run_staged_with, Job, JobRunStats, StagedConfig};
 use rtdi_compute::sink::FnSink;
 use rtdi_compute::source::{Source, TopicSource, VecSource};
 use rtdi_compute::window::WindowAssigner;
@@ -151,8 +151,8 @@ impl SurgePipeline {
     }
 
     /// Run the pipeline to completion over a bounded source.
-    pub fn run(&self, mut job: Job) -> Result<JobRunStats> {
-        Executor::new(ExecutorConfig::default()).run(&mut job)
+    pub fn run(&self, job: Job) -> Result<JobRunStats> {
+        run_staged_with(job, &StagedConfig::default())
     }
 
     /// End-to-end freshness: how long after a window closes its multiplier
@@ -178,6 +178,7 @@ mod tests {
     use super::*;
     use crate::workloads::TripEventGenerator;
     use rtdi_common::{Timestamp, Value};
+    use rtdi_compute::source::{SourceThrottle, ThrottledSource};
 
     fn run_over(records: Vec<Record>) -> ReplicatedKv {
         let kv = ReplicatedKv::new();
@@ -241,17 +242,15 @@ mod tests {
             records.push(event(5_000 + i, "hexB", "demand"));
         }
         records.push(event(150, "hexA", "demand")); // late by ~5s, bound 500ms
-                                                    // small batches so the watermark advances between the hexB traffic
-                                                    // and the late arrival (watermarks are generated per batch)
         let kv = ReplicatedKv::new();
         let p = SurgePipeline::new(1_000, Arc::new(LinearSurgeModel::default()));
-        let mut job = p.job_from_records("surge", records, kv.clone(), "t");
-        Executor::new(ExecutorConfig {
-            batch_size: 5,
-            ..Default::default()
-        })
-        .run(&mut job)
-        .unwrap();
+        // polls of 5 so the watermark advances between the hexB traffic
+        // and the late arrival (watermarks are generated per poll)
+        let throttle = SourceThrottle::new();
+        throttle.set_cap(5);
+        let source = ThrottledSource::new(Box::new(VecSource::new(records)), throttle);
+        let job = p.job_from_source("surge", Box::new(source), kv.clone(), "t");
+        p.run(job).unwrap();
         // hexA's only window was computed from the 5 on-time events; the
         // late 6th never contributed
         let row = kv.get("hexA").unwrap();

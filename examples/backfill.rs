@@ -8,7 +8,7 @@ use rtdi::compute::backfill::{
     detect_bounds, kafka_replay_job, kafka_retains, kappa_plus_job, BackfillConfig,
 };
 use rtdi::compute::operator::{Operator, WindowAggregateOp};
-use rtdi::compute::runtime::{Executor, ExecutorConfig};
+use rtdi::compute::runtime::{run_staged_with, StagedConfig};
 use rtdi::compute::sink::CollectSink;
 use rtdi::compute::window::WindowAssigner;
 use rtdi::storage::archival::{ArchivalWriter, Compactor};
@@ -111,7 +111,7 @@ fn main() {
     let (lo, hi) = detect_bounds(&table, from, to).unwrap();
     println!("\nKappa+ detected archive bounds for the request: [{lo}, {hi})");
     let sink = CollectSink::new();
-    let mut job = kappa_plus_job(
+    let job = kappa_plus_job(
         "kappa-plus",
         &table,
         agg_chain(),
@@ -124,9 +124,7 @@ fn main() {
         },
     )
     .unwrap();
-    let stats = Executor::new(ExecutorConfig::default())
-        .run(&mut job)
-        .unwrap();
+    let stats = run_staged_with(job, &StagedConfig::default()).unwrap();
     println!(
         "Kappa+ replayed {} archived events into {} hourly windows with the SAME streaming code",
         stats.records_in,

@@ -262,7 +262,7 @@ fn semistructured_json_flattened_then_ingested() {
     use rtdi::common::json;
     use rtdi::common::Value;
     use rtdi::compute::operator::FlatMapOp;
-    use rtdi::compute::runtime::{Executor, ExecutorConfig, Job};
+    use rtdi::compute::runtime::{run_staged_with, Job, StagedConfig};
     use rtdi::compute::sink::CollectSink;
     use rtdi::compute::source::VecSource;
 
@@ -296,15 +296,13 @@ fn semistructured_json_flattened_then_ingested() {
         vec![Record::new(row, rec.timestamp)]
     });
     let sink = CollectSink::new();
-    let mut job = Job::new(
+    let job = Job::new(
         "json-flatten",
         Box::new(VecSource::new(records)),
         vec![Box::new(flatten)],
         Box::new(sink.clone()),
     );
-    Executor::new(ExecutorConfig::default())
-        .run(&mut job)
-        .unwrap();
+    run_staged_with(job, &StagedConfig::default()).unwrap();
 
     // flattened rows land in an OLAP table inferred from the sample —
     // "Pinot integrates with Uber's schema service to automatically infer

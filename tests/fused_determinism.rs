@@ -1,19 +1,21 @@
 //! Fused-vs-reference determinism gate (ci.sh).
 //!
 //! For a seed taken from `RTDI_FUSE_SEED`, build a random operator chain
-//! and input stream, run it through (a) the per-record unchained reference
-//! protocol and (b) the micro-batched + operator-chained protocol, digest
-//! both output streams, and print one `FUSED_SUMMARY` line. ci.sh runs
-//! this twice per seed in separate processes and diffs the lines: the
-//! digests must match between protocols (chaining is observationally
-//! invisible) and between processes (the whole pipeline is deterministic).
+//! and input stream, run it through (a) the single-threaded per-record
+//! oracle (`run_reference`) and (b) the micro-batched + operator-chained
+//! staged runtime, digest both output streams, and print one
+//! `FUSED_SUMMARY` line. ci.sh runs this twice per seed in separate
+//! processes and diffs the lines: the digests must match between the two
+//! (chaining is observationally invisible) and between processes (the
+//! whole pipeline is deterministic).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rtdi::common::{AggFn, Row, Timestamp, Value};
+use rtdi::compute::reference::run_reference;
 use rtdi::compute::{
-    run_staged, run_staged_with, CollectSink, FilterOp, Job, MapOp, Operator, StagedConfig,
-    VecSource, WindowAggregateOp, WindowAssigner,
+    run_staged_with, CollectSink, FilterOp, Job, MapOp, Operator, StagedConfig, VecSource,
+    WindowAggregateOp, WindowAssigner,
 };
 
 fn arb_rows(rng: &mut StdRng, n: usize) -> Vec<(Timestamp, Row)> {
@@ -103,7 +105,7 @@ fn env_seed() -> u64 {
 fn fuse_env_seed_prints_digests() {
     let seed = env_seed();
     let ref_sink = CollectSink::new();
-    let ref_stats = run_staged(build_job("ref", seed, ref_sink.clone()), 32).unwrap();
+    let ref_stats = run_reference(build_job("ref", seed, ref_sink.clone())).unwrap();
     assert_eq!(ref_stats.stages.len(), 4);
     let fused_sink = CollectSink::new();
     let fused_stats = run_staged_with(

@@ -2,8 +2,8 @@
 //! stateful operators (ISSUE 10).
 //!
 //! - the sharded plan (`parallelism: N`) must be observationally
-//!   invisible: byte-identical output vs the serial plan for any N,
-//!   any batch size, stateless-fused or reference protocol;
+//!   invisible: byte-identical output vs the single-threaded oracle
+//!   (`run_reference`) and the serial plan for any N and any batch size;
 //! - salted hot-key pre-aggregation (two-phase partial/combine) must
 //!   also be byte-identical — workloads use dyadic-rational fares so
 //!   f64 sums are order-independent and strict equality is meaningful;
@@ -15,6 +15,7 @@
 
 use rtdi::common::chaos::{self, FaultKind, FaultPlan, FaultPoint, Trigger};
 use rtdi::common::{AggFn, Error, Record, Row, Value};
+use rtdi::compute::reference::run_reference;
 use rtdi::compute::{
     run_staged_with, CheckpointStore, CollectSink, DedupOp, Job, Operator, RescaleHandle,
     StagedConfig, VecSource, WindowAggregateOp, WindowAssigner,
@@ -77,23 +78,28 @@ fn salted_job(
 
 #[test]
 fn parallel_output_is_byte_identical_to_serial_for_all_parallelisms() {
+    let _g = chaos::test_guard();
     let rows = trips(0xA110, 4_000, 1.1);
     let serial = CollectSink::new();
-    run_staged_with(
-        agg_job("serial", rows.clone(), serial.clone(), 1),
-        &StagedConfig::batched(16, 32),
-    )
-    .unwrap();
+    run_reference(agg_job("serial", rows.clone(), serial.clone(), 1)).unwrap();
     assert!(serial.len() > 0);
 
-    for p in [2usize, 4, 8] {
+    // every parallelism, plus batches of one at p=4
+    for (p, batch) in [(1usize, 32usize), (2, 32), (4, 32), (8, 32), (4, 1)] {
         let sink = CollectSink::new();
         let stats = run_staged_with(
             agg_job("par", rows.clone(), sink.clone(), p),
-            &StagedConfig::batched(16, 32),
+            &StagedConfig::batched(16, batch),
         )
         .unwrap();
-        assert_eq!(sink.records(), serial.records(), "parallelism {p}");
+        assert_eq!(
+            sink.records(),
+            serial.records(),
+            "parallelism {p} batch {batch}"
+        );
+        if p == 1 {
+            continue; // the serial plan has no sharded stage to inspect
+        }
         let stage = stats
             .stages
             .iter()
@@ -105,19 +111,11 @@ fn parallel_output_is_byte_identical_to_serial_for_all_parallelisms() {
         // every shard advanced to the terminal watermark
         assert!(stage.shards.iter().all(|s| s.watermark > 0));
     }
-
-    // the per-record unfused reference protocol agrees too
-    let sink = CollectSink::new();
-    run_staged_with(
-        agg_job("ref", rows.clone(), sink.clone(), 4),
-        &StagedConfig::reference(8),
-    )
-    .unwrap();
-    assert_eq!(sink.records(), serial.records(), "reference protocol");
 }
 
 #[test]
 fn parallel_dedup_matches_serial_exactly() {
+    let _g = chaos::test_guard();
     // duplicate-heavy stream: replay each trip 1-3 times
     let base = trips(0xD0D0, 1_500, 1.0);
     let mut rows = Vec::new();
@@ -137,13 +135,9 @@ fn parallel_dedup_matches_serial_exactly() {
         )
     };
     let serial = CollectSink::new();
-    run_staged_with(
-        job("ser", serial.clone(), 1),
-        &StagedConfig::batched(16, 32),
-    )
-    .unwrap();
+    run_reference(job("ser", serial.clone(), 1)).unwrap();
     assert!(serial.len() > 0 && serial.len() < rows.len());
-    for p in [2usize, 4] {
+    for p in [1usize, 2, 4] {
         let sink = CollectSink::new();
         run_staged_with(job("par", sink.clone(), p), &StagedConfig::batched(16, 32)).unwrap();
         assert_eq!(sink.records(), serial.records(), "dedup parallelism {p}");
@@ -152,15 +146,12 @@ fn parallel_dedup_matches_serial_exactly() {
 
 #[test]
 fn salted_hot_key_aggregation_is_byte_identical() {
+    let _g = chaos::test_guard();
     // s=1.5 Zipf: one scorching city plus a long tail — the hot-key
     // storm that motivates two-phase salted pre-aggregation
     let rows = trips(0x5A17, 6_000, 1.5);
     let serial = CollectSink::new();
-    run_staged_with(
-        agg_job("serial", rows.clone(), serial.clone(), 1),
-        &StagedConfig::batched(16, 32),
-    )
-    .unwrap();
+    run_reference(agg_job("serial", rows.clone(), serial.clone(), 1)).unwrap();
 
     let sink = CollectSink::new();
     let stats = run_staged_with(
@@ -192,6 +183,7 @@ fn salted_hot_key_aggregation_is_byte_identical() {
 
 #[test]
 fn rescale_chain_two_to_four_to_one_is_exactly_once() {
+    let _g = chaos::test_guard();
     let rows = trips(0x2E5C, 3_000, 1.2);
     let baseline = CollectSink::new();
     run_staged_with(
@@ -299,6 +291,7 @@ fn crash_during_rescaled_segment_recovers_exactly_once() {
 /// byte-identical output under the sharded plan and the serial plan.
 #[test]
 fn random_keyed_jobs_parallel_equals_serial() {
+    let _g = chaos::test_guard();
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     for case in 0..8u64 {
@@ -335,11 +328,7 @@ fn random_keyed_jobs_parallel_equals_serial() {
             )
         };
         let serial = CollectSink::new();
-        run_staged_with(
-            make("ser", serial.clone(), 1, None),
-            &StagedConfig::batched(16, 32),
-        )
-        .unwrap();
+        run_reference(make("ser", serial.clone(), 1, None)).unwrap();
         let sink = CollectSink::new();
         run_staged_with(
             make("par", sink.clone(), p, salt),
@@ -391,6 +380,7 @@ fn env_seed() -> u64 {
 /// match the serial plan and reproduce across processes.
 #[test]
 fn parallel_env_seed_prints_summary() {
+    let _g = chaos::test_guard();
     let seed = env_seed();
     let rows = trips(seed, 3_000, 1.0 + (seed % 7) as f64 / 10.0);
 
