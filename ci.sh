@@ -6,6 +6,10 @@ cd "$(dirname "$0")"
 cargo build --release
 # --workspace: at the root a bare `cargo test` runs only the umbrella package
 cargo test -q --workspace
+# the repo benchmark (BENCHMARK.json) is a workspace of its own: its smoke
+# runs all four workloads for one round at 1/20 size with every oracle
+# check, so a break in the API or the answers it sees fails here
+cargo run --release --offline --manifest-path benchmark/Cargo.toml -- --smoke
 cargo clippy --workspace -- -D warnings
 cargo bench --workspace --no-run
 cargo fmt --check

@@ -105,8 +105,15 @@ impl Schema {
     /// every present field type-correct. Extra columns are tolerated (the
     /// paper's pipelines decorate events with audit metadata en route).
     pub fn validate(&self, row: &Row) -> Result<()> {
+        self.validate_cells(|field| row.get(&field.name))
+    }
+
+    /// [`Schema::validate`] over one cell per field as `cell` yields them,
+    /// for callers that fill some fields from outside the row (an ingester
+    /// defaulting the time column to the record's event time).
+    pub fn validate_cells<'a>(&self, cell: impl Fn(&Field) -> Option<&'a Value>) -> Result<()> {
         for field in &self.fields {
-            match row.get(&field.name) {
+            match cell(field) {
                 None | Some(Value::Null) if !field.nullable => {
                     return Err(Error::Schema(format!(
                         "required field '{}' missing in row for schema '{}'",

@@ -149,6 +149,13 @@ impl PipelineTracer {
     /// Measure and record the dwell since the previous hop, then restamp
     /// the record so the next hop measures only its own dwell. Returns the
     /// dwell.
+    ///
+    /// A hop does three things, and the three observers are its prefixes —
+    /// add a step here rather than a fourth observer:
+    /// 1. record the dwell — all a side channel does ([`Self::observe_read`]);
+    /// 2. advance the pipeline's newest origin, which `staleness_ms` reads —
+    ///    where a borrowed record stops ([`Self::observe_last_hop`]);
+    /// 3. restamp the record (this method, which needs `&mut Record`).
     pub fn observe_hop(
         &self,
         pipeline: &str,
@@ -156,20 +163,34 @@ impl PipelineTracer {
         record: &mut Record,
         now: Timestamp,
     ) -> i64 {
-        let dwell = now - Self::origin_of(record);
-        self.record_dwell(pipeline, stage, dwell);
+        let dwell = self.observe_last_hop(pipeline, stage, record, now);
         record.headers.set_i64(headers::TRACE_TIMESTAMP, now);
+        dwell
+    }
+
+    /// Steps 1 and 2 of [`Self::observe_hop`]: no restamp, for the stage
+    /// after which no hop reads the stamp again (OLAP ingestion works from
+    /// the log's shared records and would have to copy one to restamp it).
+    pub fn observe_last_hop(
+        &self,
+        pipeline: &str,
+        stage: &str,
+        record: &Record,
+        now: Timestamp,
+    ) -> i64 {
+        let dwell = self.observe_read(pipeline, stage, record, now);
         let origin = Self::app_ts_of(record);
         let mut inner = self.inner.write();
         if let Some(data) = inner.get_mut(pipeline) {
             data.last_origin_ts = Some(data.last_origin_ts.map_or(origin, |t| t.max(origin)));
         }
-        dwell.max(0)
+        dwell
     }
 
-    /// Read-only variant for observers that cannot restamp (e.g. the
-    /// consumer proxy dispatching borrowed records). The next hop will
-    /// re-measure from the same stamp, so use this only for side channels.
+    /// Step 1 of [`Self::observe_hop`] alone, for observers off the main
+    /// path (e.g. the consumer proxy dispatching borrowed records). The
+    /// next hop will re-measure from the same stamp and the pipeline's
+    /// staleness does not move, so use this only for side channels.
     pub fn observe_read(
         &self,
         pipeline: &str,

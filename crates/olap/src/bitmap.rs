@@ -163,6 +163,42 @@ impl Bitmap {
         self.clear_tail();
     }
 
+    /// Append one bit (consuming segments grow their bitmaps per row).
+    pub fn push(&mut self, bit: bool) {
+        if self.len.is_multiple_of(64) {
+            self.blocks.push(0);
+        }
+        self.len += 1;
+        if bit {
+            self.set(self.len - 1);
+        }
+    }
+
+    /// Set the bit of every doc in `[from, to)` that `test` accepts and
+    /// `except` does not hold. Bits are gathered into whole words, so a
+    /// scan kernel pays one store per 64 docs instead of one per match.
+    /// `test` runs on excepted docs too (the mask is applied per word), so
+    /// it must be defined for every doc in the range.
+    pub fn set_where(
+        &mut self,
+        from: usize,
+        to: usize,
+        except: &Bitmap,
+        test: impl Fn(usize) -> bool,
+    ) {
+        debug_assert!(to <= self.len && self.len == except.len);
+        let mut doc = from;
+        while doc < to {
+            let end = (doc / 64 * 64 + 64).min(to);
+            let mut word = 0u64;
+            for d in doc..end {
+                word |= (test(d) as u64) << (d % 64);
+            }
+            self.blocks[doc / 64] |= word & !except.blocks[doc / 64];
+            doc = end;
+        }
+    }
+
     /// Iterate over set bit positions.
     pub fn iter(&self) -> BitmapIter<'_> {
         BitmapIter {
@@ -352,6 +388,44 @@ mod tests {
         // short input reads as zeros
         let bm = Bitmap::from_bytes(&[0x01], 100);
         assert_eq!(bm.count(), 1);
+    }
+
+    #[test]
+    fn push_grows_bit_by_bit() {
+        let mut bm = Bitmap::new(0);
+        for i in 0..200 {
+            bm.push(i % 3 == 0);
+        }
+        assert_eq!(bm.len(), 200);
+        let expected: Bitmap = (0..200).filter(|i| i % 3 == 0).collect();
+        assert_eq!(
+            bm.iter().collect::<Vec<_>>(),
+            expected.iter().collect::<Vec<_>>()
+        );
+        // pushed bitmaps combine with sized ones of the same length
+        bm.and_with(&Bitmap::full(200));
+        assert_eq!(bm.count(), 67);
+    }
+
+    #[test]
+    fn set_where_fills_words_and_skips_excepted_docs() {
+        let mut except = Bitmap::new(300);
+        except.set(64);
+        except.set(130);
+        // ranges inside one word, across words, word-aligned and to the end
+        for (from, to) in [(3, 9), (60, 70), (64, 128), (0, 300), (129, 300), (5, 5)] {
+            let mut bm = Bitmap::new(300);
+            bm.set(1); // bits outside the range survive
+            bm.set_where(from, to, &except, |d| d % 2 == 0);
+            let got: Vec<usize> = bm.iter().collect();
+            let mut want: Vec<usize> = (from..to)
+                .filter(|d| d % 2 == 0 && !except.get(*d))
+                .collect();
+            want.push(1);
+            want.sort_unstable();
+            want.dedup();
+            assert_eq!(got, want, "range {from}..{to}");
+        }
     }
 
     #[test]

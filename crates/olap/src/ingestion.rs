@@ -9,7 +9,7 @@
 
 use crate::segstore::SegmentStore;
 use crate::table::OlapTable;
-use rtdi_common::{Clock, Error, PipelineTracer, Result, Row};
+use rtdi_common::{Clock, Error, PipelineTracer, Result};
 use rtdi_stream::chaperone::Chaperone;
 use rtdi_stream::topic::Topic;
 use std::sync::Arc;
@@ -111,34 +111,29 @@ impl RealtimeIngester {
                 if fetch.records.is_empty() {
                     break;
                 }
-                for rec in fetch.records {
-                    let offset = rec.offset;
-                    let mut record = rec.into_record();
-                    self.positions[p] = offset + 1;
+                // the log shares its records: observe and append from the
+                // borrow, copying nothing
+                for rec in &fetch.records {
+                    let record = rec.record.as_ref();
+                    self.positions[p] = rec.offset + 1;
                     let now = self
                         .clock
                         .as_ref()
                         .map(|c| c.now())
                         .unwrap_or(record.timestamp);
                     if let Some(ch) = &self.chaperone {
-                        ch.observe_at(&self.config.audit_stage, &record, now);
+                        ch.observe_at(&self.config.audit_stage, record, now);
                     }
                     if let Some(tr) = &self.tracer {
                         let pipeline = self.topic.name();
-                        tr.observe_hop(pipeline, "olap-ingest", &mut record, now);
+                        tr.observe_last_hop(pipeline, "olap-ingest", record, now);
                         // the record is queryable from here on: close out
                         // the end-to-end freshness measurement
-                        tr.record_total(pipeline, &record, now);
+                        tr.record_total(pipeline, record, now);
                     }
-                    let ts = record.timestamp;
-                    let mut row: Row = record.value;
-                    // make event time queryable under the table's time column
-                    if let Some(tc) = &self.table.config().time_column {
-                        if row.get(tc).is_none() {
-                            row.push(tc.clone(), ts);
-                        }
-                    }
-                    self.table.ingest(p, row)?;
+                    // event time is queryable under the table's time column
+                    self.table
+                        .ingest_at(p, &record.value, Some(record.timestamp))?;
                     total += 1;
                 }
             }
@@ -173,7 +168,7 @@ mod tests {
     use crate::segstore::SegmentStoreMode;
     use crate::table::TableConfig;
     use rtdi_common::record::headers;
-    use rtdi_common::{AggFn, FieldType, Record, Schema, Value};
+    use rtdi_common::{AggFn, FieldType, Record, Row, Schema, Value};
     use rtdi_storage::object::InMemoryStore;
     use rtdi_stream::topic::TopicConfig;
 

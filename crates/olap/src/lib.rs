@@ -13,7 +13,11 @@
 //!   group-by/order-by, limits) executed per segment with automatic index
 //!   selection;
 //! - [`realtime`], [`ingestion`]: consuming (mutable) segments fed from
-//!   stream topics, sealed into immutable segments at size thresholds;
+//!   stream topics — columnar from the first row, queried by the sealed
+//!   segments' kernels — sealed into immutable segments at size
+//!   thresholds by sorting their dictionaries;
+//! - [`reference`]: the row-at-a-time executor kept as the test oracle of
+//!   those kernels (no production caller, not re-exported);
 //! - [`upsert`] (§4.3.1): partitioned primary-key tracking with
 //!   shared-nothing, per-partition ownership and valid-doc filtering;
 //! - [`table`], [`broker`]: hybrid realtime+offline tables behind a
@@ -34,6 +38,7 @@ pub mod ingestion;
 pub mod query;
 pub mod realtime;
 pub mod rebalance;
+pub mod reference;
 pub mod scatter;
 pub mod segment;
 pub mod segstore;

@@ -41,8 +41,10 @@ impl Predicate {
         Self::new(column, PredicateOp::Eq, value)
     }
 
-    /// Evaluate against a materialized row (the fallback path; segments
-    /// normally evaluate via indices or columnar scans).
+    /// Evaluate against a materialized row. Segments, sealed and consuming,
+    /// evaluate via indices or columnar scans; this is the row semantics
+    /// they are tested against ([`crate::reference`]) and what the row-store
+    /// baseline runs.
     pub fn matches(&self, row: &Row) -> bool {
         let Some(v) = row.get(&self.column) else {
             return false;

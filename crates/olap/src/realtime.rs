@@ -4,27 +4,56 @@
 //! queries immediately — the seconds-level data freshness of §4.3 — and is
 //! sealed into an immutable, fully-indexed [`crate::segment::Segment`]
 //! once it reaches its row threshold.
+//!
+//! The segment is columnar from its first row, as Pinot's is: one
+//! append-only [`ColumnData`] per schema field, strings interned into a
+//! dictionary kept in insertion order. A query runs the kernels a sealed
+//! segment runs, over these columns and no index; sealing sorts each
+//! dictionary, remaps its ids and moves the columns into the `Segment`.
+//! No row is stored and none is pivoted twice.
 
 use crate::bitmap::Bitmap;
-use crate::query::{sort_and_limit, PartialAgg, Query, QueryResult};
-use crate::segment::{IndexSpec, Segment};
-use rtdi_common::{AggAcc, Result, Row, Schema};
+use crate::query::{PartialAgg, Query, QueryResult};
+use crate::segment::{self, intern_field_names, ColumnData, ColumnSet, IndexSpec, Segment};
+use rtdi_common::{Field, Result, Row, Schema, Timestamp, Value};
+use std::sync::Arc;
 
 /// An append-only, immediately-queryable segment.
 pub struct MutableSegment {
     name: String,
     schema: Schema,
-    rows: Vec<Row>,
-    bytes: usize,
+    field_names: Vec<Arc<str>>,
+    /// `columns[i]` holds `schema.fields[i]`.
+    columns: Vec<ColumnData>,
+    doc_count: usize,
+}
+
+impl ColumnSet for MutableSegment {
+    fn doc_count(&self) -> usize {
+        self.doc_count
+    }
+
+    fn field_names(&self) -> &[Arc<str>] {
+        &self.field_names
+    }
+
+    fn column(&self, name: &str) -> Option<&ColumnData> {
+        self.schema.field_index(name).map(|i| &self.columns[i])
+    }
 }
 
 impl MutableSegment {
     pub fn new(name: impl Into<String>, schema: Schema) -> Self {
         MutableSegment {
             name: name.into(),
+            field_names: intern_field_names(&schema),
+            columns: schema
+                .fields
+                .iter()
+                .map(|f| ColumnData::new(f.field_type))
+                .collect(),
             schema,
-            rows: Vec::new(),
-            bytes: 0,
+            doc_count: 0,
         }
     }
 
@@ -32,24 +61,66 @@ impl MutableSegment {
         &self.name
     }
 
-    /// Append a row; returns its doc id within this segment.
-    pub fn append(&mut self, row: Row) -> Result<usize> {
-        self.schema.validate(&row)?;
-        self.bytes += row.approx_bytes();
-        self.rows.push(row);
-        Ok(self.rows.len() - 1)
+    /// Validate a row against the schema and append it; returns its doc id
+    /// within this segment. Each schema field takes its cell coerced to the
+    /// field's type; row columns outside the schema are dropped. A row
+    /// without the column `default` names gets the timestamp given there
+    /// (the ingester's event-time fallback for the table's time column).
+    pub fn append(&mut self, row: &Row, default: Option<(&str, Timestamp)>) -> Result<usize> {
+        let default = default.map(|(column, ts)| (column, Value::Int(ts)));
+        let cell = |field: &Field| {
+            row.get(&field.name).or_else(|| match &default {
+                Some((column, ts)) if *column == field.name => Some(ts),
+                _ => None,
+            })
+        };
+        self.schema.validate_cells(cell)?;
+        self.push_cells(cell);
+        Ok(self.doc_count - 1)
+    }
+
+    /// Append a row as it is: a cell its field cannot hold becomes NULL
+    /// ([`Segment::build`] takes rows without validating them).
+    pub(crate) fn push(&mut self, row: &Row) {
+        self.push_cells(|field| row.get(&field.name));
+    }
+
+    fn push_cells<'a>(&mut self, cell: impl Fn(&Field) -> Option<&'a Value>) {
+        for (field, column) in self.schema.fields.iter().zip(&mut self.columns) {
+            column.push(cell(field));
+        }
+        self.doc_count += 1;
     }
 
     pub fn doc_count(&self) -> usize {
-        self.rows.len()
+        self.doc_count
     }
 
     pub fn memory_bytes(&self) -> usize {
-        self.bytes
+        self.columns.iter().map(ColumnData::memory_bytes).sum()
     }
 
-    pub fn row_at(&self, doc: usize) -> Option<&Row> {
-        self.rows.get(doc)
+    /// Value of a column at a document (NULL for a column outside the
+    /// schema, as in a sealed segment).
+    pub fn value_at(&self, column: &str, doc: usize) -> Value {
+        self.column(column).map_or(Value::Null, |c| c.value_at(doc))
+    }
+
+    /// Materialize one document.
+    pub fn row_at(&self, doc: usize) -> Option<Row> {
+        (doc < self.doc_count).then(|| {
+            let cells = self.field_names.iter().zip(&self.columns);
+            cells
+                .map(|(name, col)| (Arc::clone(name), col.value_at(doc)))
+                .collect()
+        })
+    }
+
+    /// Running min/max of an integer column's non-null values: a time
+    /// window that cannot overlap them skips this segment the way it skips
+    /// a sealed one.
+    pub fn int_range(&self, column: &str) -> Option<(Timestamp, Timestamp)> {
+        self.column(column)?.int_range()
     }
 
     /// Seal into an immutable, indexed segment. The mutable segment's doc
@@ -57,93 +128,30 @@ impl MutableSegment {
     /// (`spec.sorted == None`) — upsert tables rely on that, so
     /// [`crate::table::OlapTable`] strips `sorted` from specs of upsert
     /// tables.
-    pub fn seal(&self, spec: &IndexSpec) -> Result<Segment> {
-        Segment::build(self.name.clone(), &self.schema, self.rows.clone(), spec)
+    pub fn seal(self, spec: &IndexSpec) -> Result<Segment> {
+        Segment::seal(
+            self.name,
+            self.schema,
+            self.field_names,
+            self.columns,
+            self.doc_count,
+            spec,
+        )
     }
 
-    /// Query execution by row scan (mutable segments have no indices).
+    /// Execute a query with the sealed segments' kernels (no index, so
+    /// every predicate is a columnar scan).
     pub fn execute(&self, query: &Query, valid_docs: Option<&Bitmap>) -> Result<QueryResult> {
-        if query.is_aggregation() {
-            let partial = self.execute_partial(query, valid_docs)?;
-            let docs_scanned = partial.docs_scanned;
-            return Ok(QueryResult {
-                rows: partial.finalize(query),
-                docs_scanned,
-                segments_queried: 1,
-                used_startree: false,
-                ..Default::default()
-            });
-        }
-        let mut result = QueryResult {
-            segments_queried: 1,
-            ..Default::default()
-        };
-        // intern the projection names once; every emitted row shares them.
-        // Empty select projects onto the schema (missing fields become
-        // NULL) so consuming-segment rows are shaped exactly like sealed
-        // segment rows.
-        let names: Vec<std::sync::Arc<str>> = if query.select.is_empty() {
-            self.schema
-                .field_names()
-                .map(std::sync::Arc::from)
-                .collect()
-        } else {
-            query
-                .select
-                .iter()
-                .map(|s| std::sync::Arc::from(s.as_str()))
-                .collect()
-        };
-        for (doc, row) in self.rows.iter().enumerate() {
-            result.docs_scanned += 1;
-            if let Some(valid) = valid_docs {
-                if !valid.get(doc) {
-                    continue;
-                }
-            }
-            if !query.predicates.iter().all(|p| p.matches(row)) {
-                continue;
-            }
-            result.rows.push(row.project_shared(&names));
-        }
-        sort_and_limit(&mut result.rows, &query.order_by, query.limit);
-        Ok(result)
+        segment::execute(self, query, valid_docs)
     }
 
-    /// Mergeable aggregation over the mutable rows.
+    /// Mergeable aggregation over the consuming columns.
     pub fn execute_partial(
         &self,
         query: &Query,
         valid_docs: Option<&Bitmap>,
     ) -> Result<PartialAgg> {
-        let mut partial = PartialAgg::default();
-        for (doc, row) in self.rows.iter().enumerate() {
-            partial.docs_scanned += 1;
-            if let Some(valid) = valid_docs {
-                if !valid.get(doc) {
-                    continue;
-                }
-            }
-            if !query.predicates.iter().all(|p| p.matches(row)) {
-                continue;
-            }
-            let key: crate::query::GroupKey = query
-                .group_by
-                .iter()
-                .map(|c| row.get(c).filter(|v| !v.is_null()).map(|v| v.to_string()))
-                .collect();
-            let accs: &mut Vec<AggAcc> = partial.groups.entry(key).or_insert_with(|| {
-                query
-                    .aggregations
-                    .iter()
-                    .map(|(_, f)| f.new_acc())
-                    .collect()
-            });
-            for (acc, (_, f)) in accs.iter_mut().zip(query.aggregations.iter()) {
-                acc.add(f, row);
-            }
-        }
-        Ok(partial)
+        segment::execute_partial(self, query, valid_docs)
     }
 }
 
@@ -167,13 +175,11 @@ mod tests {
     fn filled(n: usize) -> MutableSegment {
         let mut seg = MutableSegment::new("rt-0-0", schema());
         for i in 0..n {
-            seg.append(
-                Row::new()
-                    .with("city", ["sf", "la"][i % 2])
-                    .with("total", i as f64)
-                    .with("ts", i as i64),
-            )
-            .unwrap();
+            let row = Row::new()
+                .with("city", ["sf", "la"][i % 2])
+                .with("total", i as f64)
+                .with("ts", i as i64);
+            seg.append(&row, None).unwrap();
         }
         seg
     }
@@ -192,8 +198,68 @@ mod tests {
     #[test]
     fn schema_violations_rejected() {
         let mut seg = MutableSegment::new("rt", schema());
-        assert!(seg.append(Row::new().with("city", 42i64)).is_err());
+        assert!(seg.append(&Row::new().with("city", 42i64), None).is_err());
         assert_eq!(seg.doc_count(), 0);
+    }
+
+    #[test]
+    fn append_keeps_schema_cells_and_defaults_a_missing_time_column() {
+        let mut seg = MutableSegment::new("rt", schema());
+        // an Int in the Double field widens, a column outside the schema is
+        // dropped, and a row without `ts` takes the default
+        let row = Row::new()
+            .with("city", "sf")
+            .with("total", 3i64)
+            .with("tip", 1.0);
+        assert_eq!(seg.append(&row, Some(("ts", 77))).unwrap(), 0);
+        let with_ts = Row::new().with("city", "la").with("ts", 5i64);
+        assert_eq!(seg.append(&with_ts, Some(("ts", 78))).unwrap(), 1);
+        let stored = Row::new()
+            .with("city", "sf")
+            .with("total", 3.0)
+            .with("ts", 77i64);
+        assert_eq!(seg.row_at(0), Some(stored));
+        assert_eq!(seg.value_at("ts", 1), Value::Int(5));
+        assert_eq!(seg.value_at("total", 1), Value::Null);
+        assert_eq!(seg.value_at("tip", 0), Value::Null);
+        assert_eq!(seg.row_at(2), None);
+        assert_eq!(seg.int_range("ts"), Some((5, 77)));
+        // the default is validated like a cell of the row
+        assert!(seg.append(&Row::new(), Some(("city", 1))).is_err());
+        assert_eq!(seg.doc_count(), 2);
+    }
+
+    #[test]
+    fn string_predicates_on_a_column_with_only_nulls_match_nothing() {
+        use crate::query::PredicateOp::{Eq, Ge, Gt, Le, Lt, Ne};
+        // a sparse field before its first value: the dictionary is empty
+        // while every NULL cell stores id 0
+        let nulls_only = || {
+            let mut seg = MutableSegment::new("rt", schema());
+            for ts in 0..70i64 {
+                seg.append(&Row::new().with("ts", ts), None).unwrap();
+            }
+            seg
+        };
+        let count = |seg: &dyn Fn(&Query) -> QueryResult, op| {
+            let q = Query::select_all("orders")
+                .filter(Predicate::new("city", op, "a"))
+                .aggregate("n", AggFn::Count);
+            seg(&q).rows[0].get_int("n")
+        };
+        let mut seg = nulls_only();
+        let sealed = nulls_only().seal(&IndexSpec::none()).unwrap();
+        for op in [Eq, Ne, Lt, Le, Gt, Ge] {
+            assert_eq!(count(&|q| seg.execute(q, None).unwrap(), op), Some(0));
+            assert_eq!(count(&|q| sealed.execute(q, None).unwrap(), op), Some(0));
+        }
+        // the first value ends the window; the NULL docs still match nothing
+        seg.append(&Row::new().with("city", "b"), None).unwrap();
+        assert_eq!(count(&|q| seg.execute(q, None).unwrap(), Gt), Some(1));
+        assert_eq!(count(&|q| seg.execute(q, None).unwrap(), Lt), Some(0));
+        let sealed = seg.seal(&IndexSpec::none()).unwrap();
+        assert_eq!(count(&|q| sealed.execute(q, None).unwrap(), Gt), Some(1));
+        assert_eq!(count(&|q| sealed.execute(q, None).unwrap(), Ne), Some(1));
     }
 
     #[test]
@@ -222,7 +288,7 @@ mod tests {
     #[test]
     fn seal_preserves_docs_and_results() {
         let seg = filled(100);
-        let sealed = seg
+        let sealed = filled(100)
             .seal(&IndexSpec::none().with_inverted(&["city"]))
             .unwrap();
         assert_eq!(sealed.doc_count(), 100);

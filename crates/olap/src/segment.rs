@@ -13,6 +13,7 @@
 
 use crate::bitmap::Bitmap;
 use crate::query::{sort_and_limit, PartialAgg, Predicate, PredicateOp, Query, QueryResult};
+use crate::realtime::MutableSegment;
 use crate::startree::{StarTree, StarTreeSpec};
 use bytes::Bytes;
 use rtdi_common::{AggAcc, Error, FieldType, Result, Row, Schema, Timestamp, Value};
@@ -61,12 +62,16 @@ impl IndexSpec {
     }
 }
 
-/// Typed columnar storage.
+/// Typed columnar storage, shared by sealed and consuming segments.
 #[derive(Debug, Clone)]
 pub(crate) enum ColumnData {
     Int {
         values: Vec<i64>,
         nulls: Bitmap,
+        /// Min and max of the non-null values, kept at append and carried
+        /// through sealing and the segment file's zone map: time pruning
+        /// reads it on every query.
+        range: Option<(i64, i64)>,
     },
     Double {
         values: Vec<f64>,
@@ -76,46 +81,183 @@ pub(crate) enum ColumnData {
         values: Bitmap,
         nulls: Bitmap,
     },
-    /// Dictionary-encoded strings; the dictionary is sorted so dict-id
-    /// order equals lexicographic order.
+    /// Dictionary-encoded strings. A sealed segment's dictionary is sorted,
+    /// so dict-id order equals lexicographic order, and `intern` is `None`.
+    /// A consuming segment's dictionary is in insertion order and `intern`
+    /// maps every entry to its id.
     Str {
         dict: Vec<String>,
         ids: Vec<u32>,
         nulls: Bitmap,
+        intern: Option<HashMap<String, u32>>,
     },
 }
 
 impl ColumnData {
-    fn value_at(&self, doc: usize) -> Value {
+    /// An empty column of a consuming segment.
+    pub(crate) fn new(field_type: FieldType) -> ColumnData {
+        let nulls = Bitmap::new(0);
+        match field_type {
+            FieldType::Int | FieldType::Timestamp => ColumnData::Int {
+                values: Vec::new(),
+                nulls,
+                range: None,
+            },
+            FieldType::Double => ColumnData::Double {
+                values: Vec::new(),
+                nulls,
+            },
+            FieldType::Bool => ColumnData::Bool {
+                values: Bitmap::new(0),
+                nulls,
+            },
+            // JSON and bytes are stored in their string form
+            FieldType::Str | FieldType::Json | FieldType::Bytes => ColumnData::Str {
+                dict: Vec::new(),
+                ids: Vec::new(),
+                nulls,
+                intern: Some(HashMap::new()),
+            },
+        }
+    }
+
+    /// Append one cell coerced to the column's type. An absent, NULL or
+    /// uncoercible value is stored as NULL.
+    pub(crate) fn push(&mut self, v: Option<&Value>) {
         match self {
-            ColumnData::Int { values, nulls } => {
-                if nulls.get(doc) {
-                    Value::Null
-                } else {
-                    Value::Int(values[doc])
+            ColumnData::Int {
+                values,
+                nulls,
+                range,
+            } => {
+                let v = v.and_then(Value::as_int);
+                if let Some(v) = v {
+                    *range = Some(range.map_or((v, v), |(lo, hi)| (lo.min(v), hi.max(v))));
                 }
+                nulls.push(v.is_none());
+                values.push(v.unwrap_or(0));
             }
             ColumnData::Double { values, nulls } => {
-                if nulls.get(doc) {
-                    Value::Null
-                } else {
-                    Value::Double(values[doc])
-                }
+                let v = v.and_then(Value::as_double);
+                nulls.push(v.is_none());
+                values.push(v.unwrap_or(0.0));
             }
             ColumnData::Bool { values, nulls } => {
-                if nulls.get(doc) {
-                    Value::Null
-                } else {
-                    Value::Bool(values.get(doc))
-                }
+                let v = v.and_then(Value::as_bool);
+                nulls.push(v.is_none());
+                values.push(v == Some(true));
             }
-            ColumnData::Str { dict, ids, nulls } => {
-                if nulls.get(doc) {
-                    Value::Null
-                } else {
-                    Value::Str(dict[ids[doc] as usize].clone())
-                }
+            ColumnData::Str {
+                dict,
+                ids,
+                nulls,
+                intern,
+            } => {
+                let intern = intern.as_mut().expect("a consuming column interns");
+                let mut id_of = |s: &str| match intern.get(s) {
+                    Some(&id) => id,
+                    None => {
+                        let id = dict.len() as u32;
+                        dict.push(s.to_string());
+                        intern.insert(s.to_string(), id);
+                        id
+                    }
+                };
+                let id = match v {
+                    None | Some(Value::Null) => None,
+                    Some(Value::Str(s)) => Some(id_of(s)),
+                    Some(other) => Some(id_of(&other.to_string())),
+                };
+                nulls.push(id.is_none());
+                ids.push(id.unwrap_or(0));
             }
+        }
+    }
+
+    /// Turn a consuming column into its sealed form: the dictionary is
+    /// sorted and the ids rewritten through the permutation (a sort of
+    /// the distinct values, not of the cells).
+    fn seal(&mut self) {
+        let ColumnData::Str {
+            dict,
+            ids,
+            nulls,
+            intern,
+        } = self
+        else {
+            return;
+        };
+        if intern.take().is_none() {
+            return;
+        }
+        let mut order: Vec<u32> = (0..dict.len() as u32).collect();
+        order.sort_unstable_by(|&a, &b| dict[a as usize].cmp(&dict[b as usize]));
+        let mut new_id = vec![0u32; dict.len()];
+        let mut sorted = Vec::with_capacity(dict.len());
+        for (new, &old) in order.iter().enumerate() {
+            new_id[old as usize] = new as u32;
+            sorted.push(std::mem::take(&mut dict[old as usize]));
+        }
+        *dict = sorted;
+        // NULL cells hold id 0 whatever the dictionary
+        for (doc, id) in ids.iter_mut().enumerate() {
+            if !nulls.get(doc) {
+                *id = new_id[*id as usize];
+            }
+        }
+    }
+
+    /// Reorder the rows: row `i` becomes the former row `order[i]`.
+    fn permute(&mut self, order: &[u32]) {
+        fn take<T: Copy>(values: &[T], order: &[u32]) -> Vec<T> {
+            order.iter().map(|&d| values[d as usize]).collect()
+        }
+        let bits = |bm: &Bitmap| {
+            let mut out = Bitmap::new(0);
+            order.iter().for_each(|&d| out.push(bm.get(d as usize)));
+            out
+        };
+        match self {
+            ColumnData::Int { values, nulls, .. } => {
+                *values = take(values, order);
+                *nulls = bits(nulls);
+            }
+            ColumnData::Double { values, nulls } => {
+                *values = take(values, order);
+                *nulls = bits(nulls);
+            }
+            ColumnData::Bool { values, nulls } => {
+                *values = bits(values);
+                *nulls = bits(nulls);
+            }
+            ColumnData::Str { ids, nulls, .. } => {
+                *ids = take(ids, order);
+                *nulls = bits(nulls);
+            }
+        }
+    }
+
+    /// The cell as an integer that orders like `Value::total_cmp`; `None`,
+    /// which sorts first, for NULL. A string's key is its id, so the
+    /// column must be sealed.
+    fn sort_key(&self, doc: usize) -> Option<i64> {
+        (!self.nulls().get(doc)).then(|| match self {
+            ColumnData::Int { values, .. } => values[doc],
+            ColumnData::Double { values, .. } => f64_key(values[doc]),
+            ColumnData::Bool { values, .. } => values.get(doc) as i64,
+            ColumnData::Str { ids, .. } => ids[doc] as i64,
+        })
+    }
+
+    pub(crate) fn value_at(&self, doc: usize) -> Value {
+        if self.nulls().get(doc) {
+            return Value::Null;
+        }
+        match self {
+            ColumnData::Int { values, .. } => Value::Int(values[doc]),
+            ColumnData::Double { values, .. } => Value::Double(values[doc]),
+            ColumnData::Bool { values, .. } => Value::Bool(values.get(doc)),
+            ColumnData::Str { dict, ids, .. } => Value::Str(dict[ids[doc] as usize].clone()),
         }
     }
 
@@ -124,20 +266,9 @@ impl ColumnData {
     #[inline]
     fn double_at(&self, doc: usize) -> Option<f64> {
         match self {
-            ColumnData::Int { values, nulls } => {
-                if nulls.get(doc) {
-                    None
-                } else {
-                    Some(values[doc] as f64)
-                }
-            }
-            ColumnData::Double { values, nulls } => {
-                if nulls.get(doc) {
-                    None
-                } else {
-                    Some(values[doc])
-                }
-            }
+            _ if self.nulls().get(doc) => None,
+            ColumnData::Int { values, .. } => Some(values[doc] as f64),
+            ColumnData::Double { values, .. } => Some(values[doc]),
             _ => None,
         }
     }
@@ -147,35 +278,19 @@ impl ColumnData {
     /// sets merge correctly with other segments.
     #[inline]
     fn hash_at(&self, doc: usize) -> Option<u64> {
+        (!self.nulls().get(doc)).then(|| match self {
+            ColumnData::Int { values, .. } => Value::hash_of_int(values[doc]),
+            ColumnData::Double { values, .. } => Value::hash_of_double(values[doc]),
+            ColumnData::Bool { values, .. } => Value::Bool(values.get(doc)).partition_hash(),
+            ColumnData::Str { dict, ids, .. } => Value::hash_of_str(&dict[ids[doc] as usize]),
+        })
+    }
+
+    /// Min and max of an integer column's non-null values.
+    pub(crate) fn int_range(&self) -> Option<(i64, i64)> {
         match self {
-            ColumnData::Int { values, nulls } => {
-                if nulls.get(doc) {
-                    None
-                } else {
-                    Some(Value::hash_of_int(values[doc]))
-                }
-            }
-            ColumnData::Double { values, nulls } => {
-                if nulls.get(doc) {
-                    None
-                } else {
-                    Some(Value::hash_of_double(values[doc]))
-                }
-            }
-            ColumnData::Bool { values, nulls } => {
-                if nulls.get(doc) {
-                    None
-                } else {
-                    Some(Value::Bool(values.get(doc)).partition_hash())
-                }
-            }
-            ColumnData::Str { dict, ids, nulls } => {
-                if nulls.get(doc) {
-                    None
-                } else {
-                    Some(Value::hash_of_str(&dict[ids[doc] as usize]))
-                }
-            }
+            ColumnData::Int { range, .. } => *range,
+            _ => None,
         }
     }
 
@@ -189,13 +304,20 @@ impl ColumnData {
         }
     }
 
-    fn memory_bytes(&self) -> usize {
+    pub(crate) fn memory_bytes(&self) -> usize {
         match self {
-            ColumnData::Int { values, nulls } => values.len() * 8 + nulls.memory_bytes(),
+            ColumnData::Int { values, nulls, .. } => values.len() * 8 + nulls.memory_bytes(),
             ColumnData::Double { values, nulls } => values.len() * 8 + nulls.memory_bytes(),
             ColumnData::Bool { values, nulls } => values.memory_bytes() + nulls.memory_bytes(),
-            ColumnData::Str { dict, ids, nulls } => {
-                dict.iter().map(|s| s.len() + 24).sum::<usize>()
+            ColumnData::Str {
+                dict,
+                ids,
+                nulls,
+                intern,
+            } => {
+                // a consuming column's intern map holds every entry again
+                let copies = if intern.is_some() { 2 } else { 1 };
+                dict.iter().map(|s| s.len() + 24).sum::<usize>() * copies
                     + ids.len() * 4
                     + nulls.memory_bytes()
             }
@@ -203,52 +325,80 @@ impl ColumnData {
     }
 }
 
+/// `lo <= key <= hi`, inverted when `negate`: every comparison operator
+/// over a totally ordered integer key is one such test, so a scan kernel
+/// carries no per-document operator dispatch.
+#[derive(Clone, Copy)]
+struct KeyRange {
+    lo: i64,
+    hi: i64,
+    negate: bool,
+}
+
+impl KeyRange {
+    const EMPTY: (i64, i64) = (1, 0);
+
+    /// The keys `op needle` accepts when the keys equal to the needle are
+    /// `eq_lo..=eq_hi`: one key for a number, a span of dictionary ids
+    /// (empty when the needle is absent) for a string.
+    fn around(op: PredicateOp, eq_lo: i64, eq_hi: i64) -> KeyRange {
+        let (lo, hi) = match op {
+            PredicateOp::Eq | PredicateOp::Ne => (eq_lo, eq_hi),
+            PredicateOp::Lt => eq_lo
+                .checked_sub(1)
+                .map_or(Self::EMPTY, |hi| (i64::MIN, hi)),
+            PredicateOp::Le => (i64::MIN, eq_hi),
+            PredicateOp::Gt => eq_hi
+                .checked_add(1)
+                .map_or(Self::EMPTY, |lo| (lo, i64::MAX)),
+            PredicateOp::Ge => (eq_lo, i64::MAX),
+        };
+        KeyRange {
+            lo,
+            hi,
+            negate: op == PredicateOp::Ne,
+        }
+    }
+
+    #[inline]
+    fn holds(self, key: i64) -> bool {
+        ((self.lo <= key) & (key <= self.hi)) != self.negate
+    }
+}
+
+/// `f64::total_cmp` as an integer order: `a.total_cmp(&b)` equals
+/// `f64_key(a).cmp(&f64_key(b))`.
+#[inline]
+fn f64_key(x: f64) -> i64 {
+    let bits = x.to_bits() as i64;
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
+}
+
 /// A predicate lowered onto a column's physical representation: the batch
 /// kernels compare raw `i64`/`f64`/dictionary-id values and never build a
-/// [`Value`] per document. String predicates become integer comparisons
-/// against the needle's position in the sorted dictionary; cross-type
-/// predicates collapse to a constant (mirroring `Value::total_cmp`'s
-/// type-rank fallback).
-enum CompiledPred<'a> {
-    /// No non-null document can match.
-    ConstFalse,
-    /// Every non-null document matches.
-    AllNonNull { nulls: &'a Bitmap },
-    Int {
-        values: &'a [i64],
-        nulls: &'a Bitmap,
-        op: PredicateOp,
-        rhs: i64,
-    },
+/// [`Value`] per document.
+struct CompiledPred<'a> {
+    /// NULL matches nothing.
+    nulls: &'a Bitmap,
+    test: DocTest<'a>,
+}
+
+/// What a non-NULL document must pass: its raw value, as an integer key,
+/// lies in a range.
+enum DocTest<'a> {
+    /// A cross-type comparison: the same outcome for every document.
+    Const(bool),
+    Int(&'a [i64], KeyRange),
     /// Int column compared against a Double literal — each value widens,
     /// matching `Value::total_cmp`'s `(a as f64).total_cmp(b)` exactly.
-    IntAsDouble {
-        values: &'a [i64],
-        nulls: &'a Bitmap,
-        op: PredicateOp,
-        rhs: f64,
-    },
-    Double {
-        values: &'a [f64],
-        nulls: &'a Bitmap,
-        op: PredicateOp,
-        rhs: f64,
-    },
-    Bool {
-        values: &'a Bitmap,
-        nulls: &'a Bitmap,
-        op: PredicateOp,
-        rhs: bool,
-    },
-    /// Dictionary-id comparison: `lo` is the first dict id >= the needle,
-    /// `hi` the first id > it (so `lo..hi` is the needle's id if present).
-    StrId {
-        ids: &'a [u32],
-        nulls: &'a Bitmap,
-        op: PredicateOp,
-        lo: u32,
-        hi: u32,
-    },
+    IntAsDouble(&'a [i64], KeyRange),
+    Double(&'a [f64], KeyRange),
+    Bool(&'a Bitmap, KeyRange),
+    /// String predicates become integer comparisons of dictionary ids.
+    StrId(&'a [u32], KeyRange),
+    /// An ordered operator over a consuming segment's insertion-ordered
+    /// dictionary: evaluated once per dictionary entry, looked up per id.
+    StrIn(&'a [u32], Vec<bool>),
 }
 
 /// Does `op` accept this `lhs.cmp(rhs)` outcome?
@@ -266,53 +416,53 @@ fn op_accepts(op: PredicateOp, ord: Ordering) -> bool {
 
 impl<'a> CompiledPred<'a> {
     fn compile(col: &'a ColumnData, pred: &Predicate) -> CompiledPred<'a> {
-        match (col, &pred.value) {
-            (ColumnData::Int { values, nulls }, Value::Int(rhs)) => CompiledPred::Int {
-                values,
-                nulls,
-                op: pred.op,
-                rhs: *rhs,
-            },
-            (ColumnData::Int { values, nulls }, Value::Double(rhs)) => CompiledPred::IntAsDouble {
-                values,
-                nulls,
-                op: pred.op,
-                rhs: *rhs,
-            },
-            (ColumnData::Double { values, nulls }, Value::Int(rhs)) => CompiledPred::Double {
-                values,
-                nulls,
-                op: pred.op,
-                rhs: *rhs as f64,
-            },
-            (ColumnData::Double { values, nulls }, Value::Double(rhs)) => CompiledPred::Double {
-                values,
-                nulls,
-                op: pred.op,
-                rhs: *rhs,
-            },
-            (ColumnData::Bool { values, nulls }, Value::Bool(rhs)) => CompiledPred::Bool {
-                values,
-                nulls,
-                op: pred.op,
-                rhs: *rhs,
-            },
-            (ColumnData::Str { dict, ids, nulls }, Value::Str(s)) => {
-                let lo = dict.partition_point(|d| d.as_str() < s.as_str()) as u32;
-                let hi = dict.partition_point(|d| d.as_str() <= s.as_str()) as u32;
-                CompiledPred::StrId {
-                    ids,
-                    nulls,
-                    op: pred.op,
-                    lo,
-                    hi,
-                }
+        let keys = |rhs: i64| KeyRange::around(pred.op, rhs, rhs);
+        let test = match (col, &pred.value) {
+            (ColumnData::Int { values, .. }, Value::Int(rhs)) => DocTest::Int(values, keys(*rhs)),
+            (ColumnData::Int { values, .. }, Value::Double(rhs)) => {
+                DocTest::IntAsDouble(values, keys(f64_key(*rhs)))
             }
+            (ColumnData::Double { values, .. }, Value::Int(rhs)) => {
+                DocTest::Double(values, keys(f64_key(*rhs as f64)))
+            }
+            (ColumnData::Double { values, .. }, Value::Double(rhs)) => {
+                DocTest::Double(values, keys(f64_key(*rhs)))
+            }
+            (ColumnData::Bool { values, .. }, Value::Bool(rhs)) => {
+                DocTest::Bool(values, keys(*rhs as i64))
+            }
+            (
+                ColumnData::Str {
+                    dict, ids, intern, ..
+                },
+                Value::Str(s),
+            ) => match intern {
+                // sorted dictionary: the ids below the needle end at `lo`,
+                // the ids above it start at `hi`
+                None => {
+                    let lo = dict.partition_point(|d| d.as_str() < s.as_str()) as i64;
+                    let hi = dict.partition_point(|d| d.as_str() <= s.as_str()) as i64;
+                    DocTest::StrId(ids, KeyRange::around(pred.op, lo, hi - 1))
+                }
+                // insertion-ordered dictionary: ids are identities only
+                Some(intern) if matches!(pred.op, PredicateOp::Eq | PredicateOp::Ne) => {
+                    let (lo, hi) = intern
+                        .get(s)
+                        .map_or(KeyRange::EMPTY, |&id| (id as i64, id as i64));
+                    DocTest::StrId(ids, KeyRange::around(pred.op, lo, hi))
+                }
+                // nothing but NULLs so far: their id 0 names no entry, and
+                // the scan tests a doc before it masks the NULLs out
+                Some(_) if dict.is_empty() => DocTest::Const(false),
+                Some(_) => {
+                    let accepts = |d: &String| op_accepts(pred.op, d.as_str().cmp(s));
+                    DocTest::StrIn(ids, dict.iter().map(accepts).collect())
+                }
+            },
             _ => {
-                // cross-type comparison: `Value::total_cmp` falls back to
-                // type ranks, so the ordering is the same for every
-                // non-null document (stored types never share a rank with
-                // an uncovered literal type)
+                // `Value::total_cmp` falls back to type ranks, so the
+                // ordering is the same for every non-null document (stored
+                // types never share a rank with an uncovered literal type)
                 let col_rank: u8 = match col {
                     ColumnData::Bool { .. } => 1,
                     ColumnData::Int { .. } | ColumnData::Double { .. } => 2,
@@ -326,78 +476,37 @@ impl<'a> CompiledPred<'a> {
                     Value::Bytes(_) => 4,
                     Value::Json(_) => 5,
                 };
-                if op_accepts(pred.op, col_rank.cmp(&rhs_rank)) {
-                    CompiledPred::AllNonNull { nulls: col.nulls() }
-                } else {
-                    CompiledPred::ConstFalse
-                }
+                DocTest::Const(op_accepts(pred.op, col_rank.cmp(&rhs_rank)))
             }
+        };
+        CompiledPred {
+            nulls: col.nulls(),
+            test,
         }
     }
 
-    /// Exact per-document check (used to verify range-index candidates).
-    #[inline]
-    fn holds(&self, doc: usize) -> bool {
-        match self {
-            CompiledPred::ConstFalse => false,
-            CompiledPred::AllNonNull { nulls } => !nulls.get(doc),
-            CompiledPred::Int {
-                values,
-                nulls,
-                op,
-                rhs,
-            } => !nulls.get(doc) && op_accepts(*op, values[doc].cmp(rhs)),
-            CompiledPred::IntAsDouble {
-                values,
-                nulls,
-                op,
-                rhs,
-            } => !nulls.get(doc) && op_accepts(*op, (values[doc] as f64).total_cmp(rhs)),
-            CompiledPred::Double {
-                values,
-                nulls,
-                op,
-                rhs,
-            } => !nulls.get(doc) && op_accepts(*op, values[doc].total_cmp(rhs)),
-            CompiledPred::Bool {
-                values,
-                nulls,
-                op,
-                rhs,
-            } => !nulls.get(doc) && op_accepts(*op, values.get(doc).cmp(rhs)),
-            CompiledPred::StrId {
-                ids,
-                nulls,
-                op,
-                lo,
-                hi,
-            } => {
-                if nulls.get(doc) {
-                    return false;
-                }
-                let id = ids[doc];
-                match op {
-                    PredicateOp::Eq => *lo <= id && id < *hi,
-                    PredicateOp::Ne => id < *lo || id >= *hi,
-                    PredicateOp::Lt => id < *lo,
-                    PredicateOp::Le => id < *hi,
-                    PredicateOp::Gt => id >= *hi,
-                    PredicateOp::Ge => id >= *lo,
-                }
-            }
-        }
-    }
-
-    /// Set the bit for every matching doc in `[from, to)`. The per-variant
-    /// dispatch is loop-invariant, so each run evaluates as a tight typed
-    /// loop over raw column values.
+    /// Set the bit for every matching doc in `[from, to)`. The variant is
+    /// matched once per run, so each arm is a tight loop over the raw
+    /// column slice that fills whole bitmap words.
     fn eval_range(&self, from: usize, to: usize, out: &mut Bitmap) {
-        if matches!(self, CompiledPred::ConstFalse) {
-            return;
-        }
-        for doc in from..to {
-            if self.holds(doc) {
-                out.set(doc);
+        let nulls = self.nulls;
+        match &self.test {
+            DocTest::Const(all) => out.set_where(from, to, nulls, |_| *all),
+            DocTest::Int(v, keys) => out.set_where(from, to, nulls, |d| keys.holds(v[d])),
+            DocTest::IntAsDouble(v, keys) => {
+                out.set_where(from, to, nulls, |d| keys.holds(f64_key(v[d] as f64)))
+            }
+            DocTest::Double(v, keys) => {
+                out.set_where(from, to, nulls, |d| keys.holds(f64_key(v[d])))
+            }
+            DocTest::Bool(v, keys) => {
+                out.set_where(from, to, nulls, |d| keys.holds(v.get(d) as i64))
+            }
+            DocTest::StrId(ids, keys) => {
+                out.set_where(from, to, nulls, |d| keys.holds(ids[d] as i64))
+            }
+            DocTest::StrIn(ids, accepts) => {
+                out.set_where(from, to, nulls, |d| accepts[ids[d] as usize])
             }
         }
     }
@@ -467,6 +576,414 @@ impl RangeIndex {
     }
 }
 
+/// The index structures of a sealed segment.
+#[derive(Default)]
+pub(crate) struct Indexes {
+    inverted: HashMap<String, InvertedIndex>,
+    range_idx: HashMap<String, RangeIndex>,
+    sorted_col: Option<String>,
+    startree: Option<StarTree>,
+}
+
+impl Indexes {
+    /// The inverted and range indexes `spec` asks for, over sealed columns
+    /// of `n` docs already in `spec.sorted` order.
+    fn build(
+        columns: &BTreeMap<String, Arc<ColumnData>>,
+        n: usize,
+        spec: &IndexSpec,
+    ) -> Result<Indexes> {
+        let column = |kind: &str, col: &String| {
+            columns
+                .get(col)
+                .ok_or_else(|| Error::Schema(format!("{kind} index on unknown column '{col}'")))
+        };
+        let mut indexes = Indexes {
+            sorted_col: spec.sorted.clone(),
+            ..Default::default()
+        };
+        for col in &spec.inverted {
+            let idx = build_inverted(column("inverted", col)?, n)?;
+            indexes.inverted.insert(col.clone(), idx);
+        }
+        for col in &spec.range {
+            let idx = build_range(column("range", col)?, n)?;
+            indexes.range_idx.insert(col.clone(), idx);
+        }
+        Ok(indexes)
+    }
+
+    fn memory_bytes(&self) -> usize {
+        let inv: usize = self
+            .inverted
+            .values()
+            .map(InvertedIndex::memory_bytes)
+            .sum();
+        let rng: usize = self.range_idx.values().map(RangeIndex::memory_bytes).sum();
+        let st = self.startree.as_ref().map_or(0, StarTree::memory_bytes);
+        inv + rng + st
+    }
+}
+
+/// What query execution runs over: named columns of one length and
+/// whichever indexes exist. A sealed [`Segment`] and a consuming
+/// [`crate::realtime::MutableSegment`] answer through the same kernels
+/// ([`filter_docs`], [`execute`], [`execute_partial`]); the one difference
+/// in representation, a consuming column's insertion-ordered dictionary,
+/// is handled where predicates compile ([`CompiledPred::compile`]).
+pub(crate) trait ColumnSet {
+    fn doc_count(&self) -> usize;
+    /// Schema field names, interned once: every materialized row shares
+    /// them instead of cloning a `String` per cell.
+    fn field_names(&self) -> &[Arc<str>];
+    fn column(&self, name: &str) -> Option<&ColumnData>;
+    /// A consuming segment has none.
+    fn indexes(&self) -> Option<&Indexes> {
+        None
+    }
+}
+
+/// Evaluate the conjunction of predicates, returning the matching doc
+/// bitmap and how many docs had to be individually inspected.
+pub(crate) fn filter_docs(seg: &dyn ColumnSet, predicates: &[Predicate]) -> Result<(Bitmap, u64)> {
+    let mut selected = Bitmap::full(seg.doc_count());
+    let mut scanned = 0u64;
+    for pred in predicates {
+        let (bm, cost) = eval_predicate(seg, pred, &selected)?;
+        selected.and_with(&bm);
+        scanned += cost;
+        if selected.count() == 0 {
+            break;
+        }
+    }
+    Ok((selected, scanned))
+}
+
+fn eval_predicate(
+    seg: &dyn ColumnSet,
+    pred: &Predicate,
+    current: &Bitmap,
+) -> Result<(Bitmap, u64)> {
+    let n = seg.doc_count();
+    let col = seg
+        .column(&pred.column)
+        .ok_or_else(|| Error::Schema(format!("unknown column '{}'", pred.column)))?;
+    let mut candidates = None;
+    if let Some(indexes) = seg.indexes() {
+        // 1. sorted column: binary search to a contiguous doc range
+        if indexes.sorted_col.as_deref() == Some(pred.column.as_str()) {
+            return Ok((eval_sorted(col, pred, n), 0));
+        }
+        // 2. inverted index for equality
+        if matches!(pred.op, PredicateOp::Eq | PredicateOp::Ne) {
+            if let Some(idx) = indexes.inverted.get(&pred.column) {
+                if let Some(mut bm) = eval_inverted(idx, col, pred, n) {
+                    if pred.op == PredicateOp::Ne {
+                        bm.not_inplace();
+                        // Ne must still exclude nulls
+                        bm.and_not(col.nulls());
+                    }
+                    return Ok((bm, 0));
+                }
+            }
+        }
+        // 3. range index for numeric comparisons: a superset of the
+        // matching docs, verified by the scan below
+        if let Some(idx) = indexes.range_idx.get(&pred.column) {
+            if let Some(v) = pred.value.as_double() {
+                let mut bm = idx.candidates(pred.op, v, n);
+                bm.and_with(current);
+                candidates = Some(bm);
+            }
+        }
+    }
+    // 4. batch columnar scan over runs of candidate docs
+    let compiled = CompiledPred::compile(col, pred);
+    let mut bm = Bitmap::new(n);
+    let mut cost = 0u64;
+    candidates
+        .as_ref()
+        .unwrap_or(current)
+        .for_each_run(|from, to| {
+            cost += (to - from) as u64;
+            compiled.eval_range(from, to, &mut bm);
+        });
+    Ok((bm, cost))
+}
+
+fn eval_sorted(col: &ColumnData, pred: &Predicate, n: usize) -> Bitmap {
+    // binary search over the sorted column for the boundary positions
+    let cmp_at = |doc: usize| -> std::cmp::Ordering { col.value_at(doc).total_cmp(&pred.value) };
+    let lower = partition_point(n, |d| cmp_at(d) == std::cmp::Ordering::Less);
+    let upper = partition_point(n, |d| cmp_at(d) != std::cmp::Ordering::Greater);
+    let mut bm = Bitmap::new(n);
+    match pred.op {
+        PredicateOp::Eq => bm.set_range(lower, upper),
+        PredicateOp::Ne => {
+            bm.set_range(0, lower);
+            bm.set_range(upper, n);
+        }
+        PredicateOp::Lt => bm.set_range(0, lower),
+        PredicateOp::Le => bm.set_range(0, upper),
+        PredicateOp::Gt => bm.set_range(upper, n),
+        PredicateOp::Ge => bm.set_range(lower, n),
+    }
+    // nulls sort first (Null type-rank lowest): exclude them from
+    // range results
+    bm.and_not(col.nulls());
+    bm
+}
+
+/// Execute a query over one segment's columns. `valid_docs` restricts to
+/// currently-valid documents (upsert tables).
+pub(crate) fn execute(
+    seg: &dyn ColumnSet,
+    query: &Query,
+    valid_docs: Option<&Bitmap>,
+) -> Result<QueryResult> {
+    if query.is_aggregation() {
+        let partial = execute_partial(seg, query, valid_docs)?;
+        let docs_scanned = partial.docs_scanned;
+        let used_startree = partial.used_startree;
+        return Ok(QueryResult {
+            rows: partial.finalize(query),
+            docs_scanned,
+            segments_queried: 1,
+            used_startree,
+            ..Default::default()
+        });
+    }
+
+    let (mut selected, scanned) = filter_docs(seg, &query.predicates)?;
+    if let Some(valid) = valid_docs {
+        selected.and_with(valid);
+    }
+    let mut docs: Vec<u32> = Vec::new();
+    selected.collect_into(&mut docs);
+    // late materialization: resolve projected columns and interned
+    // names once, then emit rows only for the selected docs. An empty
+    // select projects onto the schema.
+    let select_names: Vec<Arc<str>>;
+    let names: &[Arc<str>] = if query.select.is_empty() {
+        seg.field_names()
+    } else {
+        select_names = query.select.iter().map(|s| Arc::from(s.as_str())).collect();
+        &select_names
+    };
+    let cols: Vec<Option<&ColumnData>> = names.iter().map(|n| seg.column(n)).collect();
+    let mut result = QueryResult {
+        rows: Vec::with_capacity(docs.len()),
+        docs_scanned: scanned + docs.len() as u64,
+        segments_queried: 1,
+        used_startree: false,
+        ..Default::default()
+    };
+    for &d in &docs {
+        let doc = d as usize;
+        let mut row = Row::with_capacity(names.len());
+        for (name, col) in names.iter().zip(&cols) {
+            row.push(
+                Arc::clone(name),
+                col.map_or(Value::Null, |c| c.value_at(doc)),
+            );
+        }
+        result.rows.push(row);
+    }
+    sort_and_limit(&mut result.rows, &query.order_by, query.limit);
+    Ok(result)
+}
+
+/// Aggregation execution that returns mergeable per-group accumulators
+/// — the scatter-phase unit of the broker's scatter-gather-merge.
+pub(crate) fn execute_partial(
+    seg: &dyn ColumnSet,
+    query: &Query,
+    valid_docs: Option<&Bitmap>,
+) -> Result<PartialAgg> {
+    // star-tree fast path: aggregations with eq-only predicates over
+    // tree dimensions (not usable under upsert filtering)
+    if valid_docs.is_none() {
+        if let Some(st) = seg.indexes().and_then(|i| i.startree.as_ref()) {
+            if let Some(groups) = st.try_execute_partial(query)? {
+                return Ok(PartialAgg {
+                    groups,
+                    docs_scanned: 0,
+                    used_startree: true,
+                });
+            }
+        }
+    }
+    let (mut selected, scanned) = filter_docs(seg, &query.predicates)?;
+    if let Some(valid) = valid_docs {
+        selected.and_with(valid);
+    }
+    let mut docs: Vec<u32> = Vec::new();
+    selected.collect_into(&mut docs);
+    let mut partial = PartialAgg {
+        docs_scanned: scanned + docs.len() as u64,
+        ..Default::default()
+    };
+    // resolve each aggregation to a direct columnar fold — Pinot-style
+    // tight loops instead of per-document row materialization
+    let resolved: Vec<ResolvedAgg<'_>> = query
+        .aggregations
+        .iter()
+        .map(|(_, f)| resolve_agg(seg, f))
+        .collect();
+    let num_slots = resolved.len();
+
+    if query.group_by.is_empty() {
+        if !docs.is_empty() {
+            let mut accs: Vec<AggAcc> = query
+                .aggregations
+                .iter()
+                .map(|(_, f)| f.new_acc())
+                .collect();
+            for (r, acc) in resolved.iter().zip(&mut accs) {
+                fold_column(r, &docs, acc);
+            }
+            partial.groups.insert(Vec::new(), accs);
+        }
+        return Ok(partial);
+    }
+
+    // fast group path: every group column is dictionary-encoded, so
+    // group ids are interned from packed dict ids (u32::MAX = NULL) and
+    // key strings are only materialized once per group at the end; the
+    // accumulators live in one flat `[group * num_slots + slot]` vector
+    // so the per-slot folds stream through a contiguous buffer. Dict ids
+    // serve as identities only, so the dictionary's order does not matter.
+    let group_cols: Vec<Option<&ColumnData>> =
+        query.group_by.iter().map(|c| seg.column(c)).collect();
+    let dict_cols: Option<Vec<&ColumnData>> = group_cols
+        .iter()
+        .map(|c| c.filter(|c| matches!(c, ColumnData::Str { .. })))
+        .collect();
+    if let (Some(cols), true) = (&dict_cols, query.group_by.len() <= 4) {
+        let new_group = |group_keys: &mut Vec<u128>, accs: &mut Vec<AggAcc>, key: u128| {
+            let gid = group_keys.len() as u32;
+            group_keys.push(key);
+            accs.extend(query.aggregations.iter().map(|(_, f)| f.new_acc()));
+            gid
+        };
+        let mut group_keys: Vec<u128> = Vec::new();
+        let mut accs: Vec<AggAcc> = Vec::new();
+        // per-doc dense group id, parallel to `docs`
+        let mut gids: Vec<u32> = Vec::with_capacity(docs.len());
+        if let [ColumnData::Str {
+            dict, ids, nulls, ..
+        }] = cols.as_slice()
+        {
+            // single column: a direct dict-id -> group-id table replaces
+            // hashing entirely (slot dict.len() holds NULL)
+            let mut gid_of: Vec<u32> = vec![u32::MAX; dict.len() + 1];
+            for &d in &docs {
+                let doc = d as usize;
+                let id = if nulls.get(doc) {
+                    dict.len()
+                } else {
+                    ids[doc] as usize
+                };
+                let gid = if gid_of[id] == u32::MAX {
+                    let key = if id == dict.len() {
+                        u32::MAX
+                    } else {
+                        id as u32
+                    };
+                    let gid = new_group(&mut group_keys, &mut accs, key as u128);
+                    gid_of[id] = gid;
+                    gid
+                } else {
+                    gid_of[id]
+                };
+                gids.push(gid);
+            }
+        } else {
+            // multi-column: intern the packed key through an FNV map
+            // (integer keys; SipHash would dominate the loop)
+            let mut intern: HashMap<u128, u32, FnvBuildHasher> = HashMap::default();
+            for &d in &docs {
+                let doc = d as usize;
+                let mut key: u128 = 0;
+                for col in cols {
+                    let id = match col {
+                        ColumnData::Str { ids, nulls, .. } => {
+                            if nulls.get(doc) {
+                                u32::MAX
+                            } else {
+                                ids[doc]
+                            }
+                        }
+                        _ => unreachable!("checked above"),
+                    };
+                    key = (key << 32) | id as u128;
+                }
+                let gid = *intern
+                    .entry(key)
+                    .or_insert_with(|| new_group(&mut group_keys, &mut accs, key));
+                gids.push(gid);
+            }
+        }
+        for (slot, r) in resolved.iter().enumerate() {
+            fold_column_grouped(r, &docs, &gids, num_slots, slot, &mut accs);
+        }
+        let mut acc_iter = accs.into_iter();
+        for key in group_keys {
+            let mut parts = Vec::with_capacity(cols.len());
+            for (i, col) in cols.iter().enumerate() {
+                let shift = 32 * (cols.len() - 1 - i);
+                let id = ((key >> shift) & 0xFFFF_FFFF) as u32;
+                let part = if id == u32::MAX {
+                    None
+                } else if let ColumnData::Str { dict, .. } = col {
+                    Some(dict[id as usize].clone())
+                } else {
+                    unreachable!("checked above")
+                };
+                parts.push(part);
+            }
+            partial
+                .groups
+                .insert(parts, acc_iter.by_ref().take(num_slots).collect());
+        }
+        return Ok(partial);
+    }
+
+    // general path: stringified group keys (None for NULL values)
+    for &d in &docs {
+        let doc = d as usize;
+        let key: crate::query::GroupKey = group_cols
+            .iter()
+            .map(|c| match c.map_or(Value::Null, |c| c.value_at(doc)) {
+                Value::Null => None,
+                v => Some(v.to_string()),
+            })
+            .collect();
+        let accs = partial.groups.entry(key).or_insert_with(|| {
+            query
+                .aggregations
+                .iter()
+                .map(|(_, f)| f.new_acc())
+                .collect()
+        });
+        fold_resolved(&resolved, doc, accs);
+    }
+    Ok(partial)
+}
+
+fn resolve_agg<'a>(seg: &'a dyn ColumnSet, f: &rtdi_common::AggFn) -> ResolvedAgg<'a> {
+    use rtdi_common::AggFn;
+    match f {
+        AggFn::Count => ResolvedAgg::CountAll,
+        AggFn::Sum(c) | AggFn::Avg(c) | AggFn::Min(c) | AggFn::Max(c) => {
+            seg.column(c).map_or(ResolvedAgg::Missing, ResolvedAgg::Num)
+        }
+        AggFn::DistinctCount(c) => seg
+            .column(c)
+            .map_or(ResolvedAgg::Missing, ResolvedAgg::Distinct),
+    }
+}
+
 /// An immutable, index-equipped columnar segment.
 pub struct Segment {
     name: String,
@@ -474,73 +991,102 @@ pub struct Segment {
     /// Columns are shared (`Arc`) so a [`LazySegment`] view and a fully
     /// materialized segment can reference the same decoded data.
     columns: BTreeMap<String, Arc<ColumnData>>,
-    /// Schema field names interned once at build; every materialized row
-    /// shares these instead of cloning a `String` per cell.
     field_names: Vec<Arc<str>>,
     doc_count: usize,
-    inverted: HashMap<String, InvertedIndex>,
-    range_idx: HashMap<String, RangeIndex>,
-    sorted_col: Option<String>,
-    startree: Option<StarTree>,
+    indexes: Indexes,
+}
+
+impl ColumnSet for Segment {
+    fn doc_count(&self) -> usize {
+        self.doc_count
+    }
+
+    fn field_names(&self) -> &[Arc<str>] {
+        &self.field_names
+    }
+
+    fn column(&self, name: &str) -> Option<&ColumnData> {
+        self.columns.get(name).map(|c| c.as_ref())
+    }
+
+    fn indexes(&self) -> Option<&Indexes> {
+        Some(&self.indexes)
+    }
+}
+
+/// Schema field names as the shared names of materialized rows.
+pub(crate) fn intern_field_names(schema: &Schema) -> Vec<Arc<str>> {
+    schema.field_names().map(Arc::from).collect()
 }
 
 impl Segment {
-    /// Build a segment from rows, constructing the requested indices.
+    /// Build a segment from rows, constructing the requested indices:
+    /// every row appended to a consuming segment, then sealed — the one
+    /// row-to-column pivot there is. Row columns absent from the schema
+    /// are dropped: the schema is the contract.
     pub fn build(
         name: impl Into<String>,
         schema: &Schema,
-        mut rows: Vec<Row>,
+        rows: Vec<Row>,
         spec: &IndexSpec,
     ) -> Result<Segment> {
-        if let Some(col) = &spec.sorted {
-            rows.sort_by(|a, b| {
-                let va = a.get(col).unwrap_or(&Value::Null);
-                let vb = b.get(col).unwrap_or(&Value::Null);
-                va.total_cmp(vb)
-            });
+        let mut consuming = MutableSegment::new(name, schema.clone());
+        for row in &rows {
+            consuming.push(row);
         }
-        let n = rows.len();
-        let mut columns = BTreeMap::new();
-        for field in &schema.fields {
-            columns.insert(field.name.clone(), Arc::new(build_column(field, &rows)?));
-        }
-        // columns present in rows but absent from the schema are dropped —
-        // the schema is the contract
+        consuming.seal(spec)
+    }
 
-        let mut inverted = HashMap::new();
-        for col in &spec.inverted {
-            let data = columns.get(col).ok_or_else(|| {
-                Error::Schema(format!("inverted index on unknown column '{col}'"))
-            })?;
-            inverted.insert(col.clone(), build_inverted(data, n)?);
+    /// Seal a consuming segment's columns (`columns[i]` holds
+    /// `schema.fields[i]`): dictionaries are sorted, docs are reordered by
+    /// `spec.sorted` through one permutation, and the indexes are built.
+    ///
+    /// Contract: an error depends on `schema` and `spec` alone, never on
+    /// the cells (an index on a column the schema lacks or of a type it
+    /// cannot take, a star-tree without dimensions). `OlapTable::new`
+    /// checks a spec by sealing an empty segment and from then on hands
+    /// full segments over by value; a data-dependent error added here would
+    /// lose such a segment. `seal_errors_do_not_depend_on_the_rows` pins it.
+    pub(crate) fn seal(
+        name: String,
+        schema: Schema,
+        field_names: Vec<Arc<str>>,
+        mut columns: Vec<ColumnData>,
+        doc_count: usize,
+        spec: &IndexSpec,
+    ) -> Result<Segment> {
+        columns.iter_mut().for_each(ColumnData::seal);
+        if let Some(sorted) = &spec.sorted {
+            let by = schema
+                .field_index(sorted)
+                .map(|i| &columns[i])
+                .ok_or_else(|| {
+                    Error::Schema(format!("sorted index on unknown column '{sorted}'"))
+                })?;
+            let mut order: Vec<u32> = (0..doc_count as u32).collect();
+            order.sort_by_key(|&d| by.sort_key(d as usize));
+            columns.iter_mut().for_each(|c| c.permute(&order));
         }
-        let mut range_idx = HashMap::new();
-        for col in &spec.range {
-            let data = columns
-                .get(col)
-                .ok_or_else(|| Error::Schema(format!("range index on unknown column '{col}'")))?;
-            range_idx.insert(col.clone(), build_range(data, n)?);
-        }
-        let startree = match &spec.startree {
-            Some(st_spec) => Some(StarTree::build(&rows, st_spec)?),
-            None => None,
-        };
-        let field_names = schema
+        let columns: BTreeMap<String, Arc<ColumnData>> = schema
             .fields
             .iter()
-            .map(|f| Arc::from(f.name.as_str()))
+            .zip(columns)
+            .map(|(f, c)| (f.name.clone(), Arc::new(c)))
             .collect();
-        Ok(Segment {
-            name: name.into(),
-            schema: schema.clone(),
+        let indexes = Indexes::build(&columns, doc_count, spec)?;
+        let mut segment = Segment {
+            name,
+            schema,
             columns,
             field_names,
-            doc_count: n,
-            inverted,
-            range_idx,
-            sorted_col: spec.sorted.clone(),
-            startree,
-        })
+            doc_count,
+            indexes,
+        };
+        if let Some(st_spec) = &spec.startree {
+            // the star-tree builder takes rows
+            segment.indexes.startree = Some(StarTree::build(&segment.to_rows(), st_spec)?);
+        }
+        Ok(segment)
     }
 
     pub fn name(&self) -> &str {
@@ -556,24 +1102,13 @@ impl Segment {
     }
 
     pub fn has_startree(&self) -> bool {
-        self.startree.is_some()
+        self.indexes.startree.is_some()
     }
 
     /// In-memory footprint, indices included.
     pub fn memory_bytes(&self) -> usize {
         let cols: usize = self.columns.values().map(|c| c.memory_bytes()).sum();
-        let inv: usize = self
-            .inverted
-            .values()
-            .map(InvertedIndex::memory_bytes)
-            .sum();
-        let rng: usize = self.range_idx.values().map(RangeIndex::memory_bytes).sum();
-        let st = self
-            .startree
-            .as_ref()
-            .map(StarTree::memory_bytes)
-            .unwrap_or(0);
-        cols + inv + rng + st
+        cols + self.indexes.memory_bytes()
     }
 
     /// Value of a column at a document.
@@ -598,166 +1133,22 @@ impl Segment {
         (0..self.doc_count).map(|i| self.row_at(i)).collect()
     }
 
-    /// Min/max of an integer column (time pruning).
+    /// Min/max of an integer column's non-null values (time pruning), as
+    /// recorded when the column was built: no scan.
     pub fn int_range(&self, column: &str) -> Option<(Timestamp, Timestamp)> {
-        match self.columns.get(column)?.as_ref() {
-            ColumnData::Int { values, .. } => {
-                let min = *values.iter().min()?;
-                let max = *values.iter().max()?;
-                Some((min, max))
-            }
-            _ => None,
-        }
+        self.columns.get(column)?.int_range()
     }
 
     /// Evaluate the conjunction of predicates, returning the matching doc
     /// bitmap and how many docs had to be individually inspected.
     pub fn filter_docs(&self, predicates: &[Predicate]) -> Result<(Bitmap, u64)> {
-        let mut selected = Bitmap::full(self.doc_count);
-        let mut scanned = 0u64;
-        for pred in predicates {
-            let (bm, cost) = self.eval_predicate(pred, &selected)?;
-            selected.and_with(&bm);
-            scanned += cost;
-            if selected.count() == 0 {
-                break;
-            }
-        }
-        Ok((selected, scanned))
-    }
-
-    fn eval_predicate(&self, pred: &Predicate, current: &Bitmap) -> Result<(Bitmap, u64)> {
-        let col: &ColumnData = self
-            .columns
-            .get(&pred.column)
-            .ok_or_else(|| Error::Schema(format!("unknown column '{}'", pred.column)))?;
-
-        // 1. sorted column: binary search to a contiguous doc range
-        if self.sorted_col.as_deref() == Some(pred.column.as_str()) {
-            if let Some(bm) = self.eval_sorted(col, pred) {
-                return Ok((bm, 0));
-            }
-        }
-        // 2. inverted index for equality
-        if matches!(pred.op, PredicateOp::Eq | PredicateOp::Ne) {
-            if let Some(idx) = self.inverted.get(&pred.column) {
-                if let Some(mut bm) = eval_inverted(idx, col, pred, self.doc_count) {
-                    if pred.op == PredicateOp::Ne {
-                        bm.not_inplace();
-                        // Ne must still exclude nulls
-                        exclude_nulls(col, &mut bm);
-                    }
-                    return Ok((bm, 0));
-                }
-            }
-        }
-        let compiled = CompiledPred::compile(col, pred);
-        // 3. range index for numeric comparisons: candidates + verify
-        if let Some(idx) = self.range_idx.get(&pred.column) {
-            if let Some(v) = pred.value.as_double() {
-                let mut candidates = idx.candidates(pred.op, v, self.doc_count);
-                candidates.and_with(current);
-                let cost = candidates.count() as u64;
-                let mut exact = Bitmap::new(self.doc_count);
-                for doc in candidates.iter() {
-                    if compiled.holds(doc) {
-                        exact.set(doc);
-                    }
-                }
-                return Ok((exact, cost));
-            }
-        }
-        // 4. batch columnar scan over runs of currently-selected docs
-        let mut bm = Bitmap::new(self.doc_count);
-        let mut cost = 0u64;
-        current.for_each_run(|from, to| {
-            cost += (to - from) as u64;
-            compiled.eval_range(from, to, &mut bm);
-        });
-        Ok((bm, cost))
-    }
-
-    fn eval_sorted(&self, col: &ColumnData, pred: &Predicate) -> Option<Bitmap> {
-        let n = self.doc_count;
-        // binary search over the sorted column for the boundary positions
-        let cmp_at =
-            |doc: usize| -> std::cmp::Ordering { col.value_at(doc).total_cmp(&pred.value) };
-        let lower = partition_point(n, |d| cmp_at(d) == std::cmp::Ordering::Less);
-        let upper = partition_point(n, |d| cmp_at(d) != std::cmp::Ordering::Greater);
-        let mut bm = Bitmap::new(n);
-        match pred.op {
-            PredicateOp::Eq => bm.set_range(lower, upper),
-            PredicateOp::Ne => {
-                bm.set_range(0, lower);
-                bm.set_range(upper, n);
-                exclude_nulls(col, &mut bm);
-            }
-            PredicateOp::Lt => bm.set_range(0, lower),
-            PredicateOp::Le => bm.set_range(0, upper),
-            PredicateOp::Gt => bm.set_range(upper, n),
-            PredicateOp::Ge => bm.set_range(lower, n),
-        }
-        // nulls sort first (Null type-rank lowest): exclude them from
-        // range results
-        exclude_nulls(col, &mut bm);
-        Some(bm)
+        filter_docs(self, predicates)
     }
 
     /// Execute a query against this segment. `valid_docs` restricts to
     /// currently-valid documents (upsert tables).
     pub fn execute(&self, query: &Query, valid_docs: Option<&Bitmap>) -> Result<QueryResult> {
-        if query.is_aggregation() {
-            let partial = self.execute_partial(query, valid_docs)?;
-            let docs_scanned = partial.docs_scanned;
-            let used_startree = partial.used_startree;
-            return Ok(QueryResult {
-                rows: partial.finalize(query),
-                docs_scanned,
-                segments_queried: 1,
-                used_startree,
-                ..Default::default()
-            });
-        }
-
-        let (mut selected, scanned) = self.filter_docs(&query.predicates)?;
-        if let Some(valid) = valid_docs {
-            selected.and_with(valid);
-        }
-        let mut docs: Vec<u32> = Vec::new();
-        selected.collect_into(&mut docs);
-        // late materialization: resolve projected columns and interned
-        // names once, then emit rows only for the selected docs
-        let select_names: Vec<Arc<str>>;
-        let names: &[Arc<str>] = if query.select.is_empty() {
-            &self.field_names
-        } else {
-            select_names = query.select.iter().map(|s| Arc::from(s.as_str())).collect();
-            &select_names
-        };
-        let cols: Vec<Option<&ColumnData>> = names
-            .iter()
-            .map(|n| self.columns.get(n.as_ref()).map(|c| c.as_ref()))
-            .collect();
-        let mut result = QueryResult {
-            rows: Vec::with_capacity(docs.len()),
-            docs_scanned: scanned + docs.len() as u64,
-            segments_queried: 1,
-            used_startree: false,
-            ..Default::default()
-        };
-        for &d in &docs {
-            let doc = d as usize;
-            let mut row = Row::with_capacity(names.len());
-            for (name, col) in names.iter().zip(&cols) {
-                row.push(
-                    Arc::clone(name),
-                    col.map_or(Value::Null, |c| c.value_at(doc)),
-                );
-            }
-            result.rows.push(row);
-        }
-        sort_and_limit(&mut result.rows, &query.order_by, query.limit);
-        Ok(result)
+        execute(self, query, valid_docs)
     }
 
     /// Aggregation execution that returns mergeable per-group accumulators
@@ -766,199 +1157,8 @@ impl Segment {
         &self,
         query: &Query,
         valid_docs: Option<&Bitmap>,
-    ) -> Result<crate::query::PartialAgg> {
-        // star-tree fast path: aggregations with eq-only predicates over
-        // tree dimensions (not usable under upsert filtering)
-        if valid_docs.is_none() {
-            if let Some(st) = &self.startree {
-                if let Some(groups) = st.try_execute_partial(query)? {
-                    return Ok(crate::query::PartialAgg {
-                        groups,
-                        docs_scanned: 0,
-                        used_startree: true,
-                    });
-                }
-            }
-        }
-        let (mut selected, scanned) = self.filter_docs(&query.predicates)?;
-        if let Some(valid) = valid_docs {
-            selected.and_with(valid);
-        }
-        let mut docs: Vec<u32> = Vec::new();
-        selected.collect_into(&mut docs);
-        let mut partial = crate::query::PartialAgg {
-            docs_scanned: scanned + docs.len() as u64,
-            ..Default::default()
-        };
-        // resolve each aggregation to a direct columnar fold — Pinot-style
-        // tight loops instead of per-document row materialization
-        let resolved: Vec<ResolvedAgg<'_>> = query
-            .aggregations
-            .iter()
-            .map(|(_, f)| self.resolve_agg(f))
-            .collect();
-        let num_slots = resolved.len();
-
-        if query.group_by.is_empty() {
-            if !docs.is_empty() {
-                let mut accs: Vec<AggAcc> = query
-                    .aggregations
-                    .iter()
-                    .map(|(_, f)| f.new_acc())
-                    .collect();
-                for (r, acc) in resolved.iter().zip(&mut accs) {
-                    fold_column(r, &docs, acc);
-                }
-                partial.groups.insert(Vec::new(), accs);
-            }
-            return Ok(partial);
-        }
-
-        // fast group path: every group column is dictionary-encoded, so
-        // group ids are interned from packed dict ids (u32::MAX = NULL) and
-        // key strings are only materialized once per group at the end; the
-        // accumulators live in one flat `[group * num_slots + slot]` vector
-        // so the per-slot folds stream through a contiguous buffer
-        let dict_cols: Option<Vec<&ColumnData>> = query
-            .group_by
-            .iter()
-            .map(|c| match self.columns.get(c).map(|a| a.as_ref()) {
-                Some(col @ ColumnData::Str { .. }) => Some(col),
-                _ => None,
-            })
-            .collect();
-        if let (Some(cols), true) = (&dict_cols, query.group_by.len() <= 4) {
-            let new_group = |group_keys: &mut Vec<u128>, accs: &mut Vec<AggAcc>, key: u128| {
-                let gid = group_keys.len() as u32;
-                group_keys.push(key);
-                accs.extend(query.aggregations.iter().map(|(_, f)| f.new_acc()));
-                gid
-            };
-            let mut group_keys: Vec<u128> = Vec::new();
-            let mut accs: Vec<AggAcc> = Vec::new();
-            // per-doc dense group id, parallel to `docs`
-            let mut gids: Vec<u32> = Vec::with_capacity(docs.len());
-            if let [ColumnData::Str {
-                dict, ids, nulls, ..
-            }] = cols.as_slice()
-            {
-                // single column: a direct dict-id -> group-id table replaces
-                // hashing entirely (slot dict.len() holds NULL)
-                let mut gid_of: Vec<u32> = vec![u32::MAX; dict.len() + 1];
-                for &d in &docs {
-                    let doc = d as usize;
-                    let id = if nulls.get(doc) {
-                        dict.len()
-                    } else {
-                        ids[doc] as usize
-                    };
-                    let gid = if gid_of[id] == u32::MAX {
-                        let key = if id == dict.len() {
-                            u32::MAX
-                        } else {
-                            id as u32
-                        };
-                        let gid = new_group(&mut group_keys, &mut accs, key as u128);
-                        gid_of[id] = gid;
-                        gid
-                    } else {
-                        gid_of[id]
-                    };
-                    gids.push(gid);
-                }
-            } else {
-                // multi-column: intern the packed key through an FNV map
-                // (integer keys; SipHash would dominate the loop)
-                let mut intern: HashMap<u128, u32, FnvBuildHasher> = HashMap::default();
-                for &d in &docs {
-                    let doc = d as usize;
-                    let mut key: u128 = 0;
-                    for col in cols {
-                        let id = match col {
-                            ColumnData::Str { ids, nulls, .. } => {
-                                if nulls.get(doc) {
-                                    u32::MAX
-                                } else {
-                                    ids[doc]
-                                }
-                            }
-                            _ => unreachable!("checked above"),
-                        };
-                        key = (key << 32) | id as u128;
-                    }
-                    let gid = *intern
-                        .entry(key)
-                        .or_insert_with(|| new_group(&mut group_keys, &mut accs, key));
-                    gids.push(gid);
-                }
-            }
-            for (slot, r) in resolved.iter().enumerate() {
-                fold_column_grouped(r, &docs, &gids, num_slots, slot, &mut accs);
-            }
-            let mut acc_iter = accs.into_iter();
-            for key in group_keys {
-                let mut parts = Vec::with_capacity(cols.len());
-                for (i, col) in cols.iter().enumerate() {
-                    let shift = 32 * (cols.len() - 1 - i);
-                    let id = ((key >> shift) & 0xFFFF_FFFF) as u32;
-                    let part = if id == u32::MAX {
-                        None
-                    } else if let ColumnData::Str { dict, .. } = col {
-                        Some(dict[id as usize].clone())
-                    } else {
-                        unreachable!("checked above")
-                    };
-                    parts.push(part);
-                }
-                partial
-                    .groups
-                    .insert(parts, acc_iter.by_ref().take(num_slots).collect());
-            }
-            return Ok(partial);
-        }
-
-        // general path: stringified group keys (None for NULL values)
-        for &d in &docs {
-            let doc = d as usize;
-            let key: crate::query::GroupKey = query
-                .group_by
-                .iter()
-                .map(|c| {
-                    let v = self.value_at(c, doc);
-                    if v.is_null() {
-                        None
-                    } else {
-                        Some(v.to_string())
-                    }
-                })
-                .collect();
-            let accs = partial.groups.entry(key).or_insert_with(|| {
-                query
-                    .aggregations
-                    .iter()
-                    .map(|(_, f)| f.new_acc())
-                    .collect()
-            });
-            fold_resolved(&resolved, doc, accs);
-        }
-        Ok(partial)
-    }
-
-    fn resolve_agg<'a>(&'a self, f: &rtdi_common::AggFn) -> ResolvedAgg<'a> {
-        use rtdi_common::AggFn;
-        match f {
-            AggFn::Count => ResolvedAgg::CountAll,
-            AggFn::Sum(c) | AggFn::Avg(c) | AggFn::Min(c) | AggFn::Max(c) => {
-                match self.columns.get(c) {
-                    Some(col) => ResolvedAgg::Num(col.as_ref()),
-                    None => ResolvedAgg::Missing,
-                }
-            }
-            AggFn::DistinctCount(c) => match self.columns.get(c) {
-                Some(col) => ResolvedAgg::Distinct(col.as_ref()),
-                None => ResolvedAgg::Missing,
-            },
-        }
+    ) -> Result<PartialAgg> {
+        execute_partial(self, query, valid_docs)
     }
 
     /// Serialize into the on-disk segment format of
@@ -970,7 +1170,7 @@ impl Segment {
         let meta = segfile::SegmentMeta {
             name: self.name.clone(),
             table: self.schema.name.clone(),
-            sorted_col: self.sorted_col.clone(),
+            sorted_col: self.indexes.sorted_col.clone(),
             nrows: self.doc_count as u64,
         };
         let mut cols = Vec::with_capacity(self.schema.fields.len());
@@ -990,11 +1190,7 @@ impl Segment {
     pub fn load_lazy(data: Bytes) -> Result<LazySegment> {
         let file = segfile::SegmentFile::open(data)?;
         let schema = file.schema();
-        let field_names = schema
-            .fields
-            .iter()
-            .map(|f| Arc::from(f.name.as_str()))
-            .collect();
+        let field_names = intern_field_names(&schema);
         let cols = (0..file.entries().len()).map(|_| OnceLock::new()).collect();
         Ok(LazySegment {
             file,
@@ -1069,7 +1265,8 @@ impl LazySegment {
             return Ok(Arc::clone(c));
         }
         let col = self.file.column_at(idx)?;
-        let data = Arc::new(from_segfile_column(col, self.file.nrows()));
+        let zone = &self.file.entries()[idx].zone;
+        let data = Arc::new(from_segfile_column(col, self.file.nrows(), zone));
         Ok(Arc::clone(self.cols[idx].get_or_init(|| data)))
     }
 
@@ -1175,10 +1372,10 @@ impl LazySegment {
             columns,
             field_names: self.field_names.clone(),
             doc_count: self.file.nrows(),
-            inverted: HashMap::new(),
-            range_idx: HashMap::new(),
-            sorted_col: self.file.meta().sorted_col.clone(),
-            startree: None,
+            indexes: Indexes {
+                sorted_col: self.file.meta().sorted_col.clone(),
+                ..Default::default()
+            },
         })
     }
 
@@ -1197,30 +1394,13 @@ impl LazySegment {
         for (idx, e) in self.file.entries().iter().enumerate() {
             columns.insert(e.name.clone(), self.column(idx)?);
         }
-        let mut inverted = HashMap::new();
-        for col in &spec.inverted {
-            let data = columns.get(col).ok_or_else(|| {
-                Error::Schema(format!("inverted index on unknown column '{col}'"))
-            })?;
-            inverted.insert(col.clone(), build_inverted(data, n)?);
-        }
-        let mut range_idx = HashMap::new();
-        for col in &spec.range {
-            let data = columns
-                .get(col)
-                .ok_or_else(|| Error::Schema(format!("range index on unknown column '{col}'")))?;
-            range_idx.insert(col.clone(), build_range(data, n)?);
-        }
         Ok(Segment {
             name: self.name().to_string(),
             schema: self.schema.clone(),
+            indexes: Indexes::build(&columns, n, spec)?,
             columns,
             field_names: self.field_names.clone(),
             doc_count: n,
-            inverted,
-            range_idx,
-            sorted_col: spec.sorted.clone(),
-            startree: None,
         })
     }
 }
@@ -1235,7 +1415,7 @@ fn to_segfile_column(ftype: FieldType, data: &ColumnData, nrows: usize) -> segfi
             .expect("Bitmap::to_bytes emits ceil(n/8) bytes")
     };
     match data {
-        ColumnData::Int { values, nulls } => segfile::Column {
+        ColumnData::Int { values, nulls, .. } => segfile::Column {
             values: segfile::ColumnValues::Int(values.clone()),
             nulls: mask_of(nulls),
         },
@@ -1247,7 +1427,9 @@ fn to_segfile_column(ftype: FieldType, data: &ColumnData, nrows: usize) -> segfi
             values: segfile::ColumnValues::Bool((0..nrows).map(|i| values.get(i)).collect()),
             nulls: mask_of(nulls),
         },
-        ColumnData::Str { dict, ids, nulls } => {
+        ColumnData::Str {
+            dict, ids, nulls, ..
+        } => {
             let values = if ftype == FieldType::Bytes {
                 segfile::ColumnValues::Bytes(
                     (0..nrows)
@@ -1284,10 +1466,14 @@ fn to_segfile_column(ftype: FieldType, data: &ColumnData, nrows: usize) -> segfi
 /// Inverse of [`to_segfile_column`]: a decoded on-disk column back into
 /// the in-memory representation. Lengths were already validated by the
 /// segment decoder.
-fn from_segfile_column(col: segfile::Column, nrows: usize) -> ColumnData {
+fn from_segfile_column(col: segfile::Column, nrows: usize, zone: &segfile::ZoneMap) -> ColumnData {
     let nulls = Bitmap::from_bytes(col.nulls.bits(), nrows);
     match col.values {
-        segfile::ColumnValues::Int(values) => ColumnData::Int { values, nulls },
+        segfile::ColumnValues::Int(values) => ColumnData::Int {
+            values,
+            nulls,
+            range: zone.int_bounds(),
+        },
         segfile::ColumnValues::Double(values) => ColumnData::Double { values, nulls },
         segfile::ColumnValues::Bool(vals) => {
             let mut values = Bitmap::new(nrows);
@@ -1298,10 +1484,15 @@ fn from_segfile_column(col: segfile::Column, nrows: usize) -> ColumnData {
             }
             ColumnData::Bool { values, nulls }
         }
-        segfile::ColumnValues::Str { dict, ids } => ColumnData::Str { dict, ids, nulls },
+        segfile::ColumnValues::Str { dict, ids } => ColumnData::Str {
+            dict,
+            ids,
+            nulls,
+            intern: None,
+        },
         segfile::ColumnValues::Bytes(rows) => {
             // bytes columns live in string form in memory (see
-            // `build_column`): rebuild the sorted dictionary
+            // `ColumnData::new`): rebuild the sorted dictionary
             let strs: Vec<Option<String>> = rows
                 .into_iter()
                 .enumerate()
@@ -1323,7 +1514,12 @@ fn from_segfile_column(col: segfile::Column, nrows: usize) -> ColumnData {
                     None => 0,
                 })
                 .collect();
-            ColumnData::Str { dict, ids, nulls }
+            ColumnData::Str {
+                dict,
+                ids,
+                nulls,
+                intern: None,
+            }
         }
     }
 }
@@ -1423,7 +1619,7 @@ fn fold_column(r: &ResolvedAgg<'_>, docs: &[u32], acc: &mut AggAcc) {
             }
         }
         ResolvedAgg::Num(col) => match col {
-            ColumnData::Int { values, nulls } => {
+            ColumnData::Int { values, nulls, .. } => {
                 for &d in docs {
                     let doc = d as usize;
                     if !nulls.get(doc) {
@@ -1448,7 +1644,9 @@ fn fold_column(r: &ResolvedAgg<'_>, docs: &[u32], acc: &mut AggAcc) {
             }
         },
         ResolvedAgg::Distinct(col) => match col {
-            ColumnData::Str { dict, ids, nulls } => {
+            ColumnData::Str {
+                dict, ids, nulls, ..
+            } => {
                 // hash each dictionary entry once, not once per document
                 let hashes: Vec<u64> = dict.iter().map(|s| Value::hash_of_str(s)).collect();
                 for &d in docs {
@@ -1488,7 +1686,7 @@ fn fold_column_grouped(
             }
         }
         ResolvedAgg::Num(col) => match col {
-            ColumnData::Int { values, nulls } => {
+            ColumnData::Int { values, nulls, .. } => {
                 for (&d, &g) in docs.iter().zip(gids) {
                     let doc = d as usize;
                     if !nulls.get(doc) {
@@ -1513,7 +1711,9 @@ fn fold_column_grouped(
             }
         },
         ResolvedAgg::Distinct(col) => match col {
-            ColumnData::Str { dict, ids, nulls } => {
+            ColumnData::Str {
+                dict, ids, nulls, ..
+            } => {
                 let hashes: Vec<u64> = dict.iter().map(|s| Value::hash_of_str(s)).collect();
                 for (&d, &g) in docs.iter().zip(gids) {
                     let doc = d as usize;
@@ -1573,96 +1773,11 @@ fn partition_point(n: usize, mut pred: impl FnMut(usize) -> bool) -> usize {
     lo
 }
 
-fn exclude_nulls(col: &ColumnData, bm: &mut Bitmap) {
-    let nulls = match col {
-        ColumnData::Int { nulls, .. }
-        | ColumnData::Double { nulls, .. }
-        | ColumnData::Bool { nulls, .. }
-        | ColumnData::Str { nulls, .. } => nulls,
-    };
-    let mut inv = nulls.clone();
-    inv.not_inplace();
-    bm.and_with(&inv);
-}
-
-fn build_column(field: &rtdi_common::Field, rows: &[Row]) -> Result<ColumnData> {
-    use rtdi_common::FieldType;
-    let n = rows.len();
-    let mut nulls = Bitmap::new(n);
-    match field.field_type {
-        FieldType::Int | FieldType::Timestamp => {
-            let mut values = Vec::with_capacity(n);
-            for (i, row) in rows.iter().enumerate() {
-                match row.get(&field.name).and_then(Value::as_int) {
-                    Some(v) => values.push(v),
-                    None => {
-                        nulls.set(i);
-                        values.push(0);
-                    }
-                }
-            }
-            Ok(ColumnData::Int { values, nulls })
-        }
-        FieldType::Double => {
-            let mut values = Vec::with_capacity(n);
-            for (i, row) in rows.iter().enumerate() {
-                match row.get(&field.name).and_then(Value::as_double) {
-                    Some(v) => values.push(v),
-                    None => {
-                        nulls.set(i);
-                        values.push(0.0);
-                    }
-                }
-            }
-            Ok(ColumnData::Double { values, nulls })
-        }
-        FieldType::Bool => {
-            let mut values = Bitmap::new(n);
-            for (i, row) in rows.iter().enumerate() {
-                match row.get(&field.name).and_then(Value::as_bool) {
-                    Some(true) => values.set(i),
-                    Some(false) => {}
-                    None => nulls.set(i),
-                }
-            }
-            Ok(ColumnData::Bool { values, nulls })
-        }
-        FieldType::Str | FieldType::Json | FieldType::Bytes => {
-            // strings (JSON/bytes stored as their string form)
-            let mut raw: Vec<Option<String>> = Vec::with_capacity(n);
-            for row in rows {
-                let s = match row.get(&field.name) {
-                    None | Some(Value::Null) => None,
-                    Some(v) => Some(v.to_string()),
-                };
-                raw.push(s);
-            }
-            let mut dict: Vec<String> = raw.iter().flatten().cloned().collect();
-            dict.sort_unstable();
-            dict.dedup();
-            let index: HashMap<&str, u32> = dict
-                .iter()
-                .enumerate()
-                .map(|(i, s)| (s.as_str(), i as u32))
-                .collect();
-            let mut ids = Vec::with_capacity(n);
-            for (i, s) in raw.iter().enumerate() {
-                match s {
-                    Some(s) => ids.push(index[s.as_str()]),
-                    None => {
-                        nulls.set(i);
-                        ids.push(0);
-                    }
-                }
-            }
-            Ok(ColumnData::Str { dict, ids, nulls })
-        }
-    }
-}
-
 fn build_inverted(col: &ColumnData, n: usize) -> Result<InvertedIndex> {
     match col {
-        ColumnData::Str { dict, ids, nulls } => {
+        ColumnData::Str {
+            dict, ids, nulls, ..
+        } => {
             let mut postings = vec![Bitmap::new(n); dict.len()];
             for (doc, id) in ids.iter().enumerate() {
                 if !nulls.get(doc) {
@@ -1671,7 +1786,7 @@ fn build_inverted(col: &ColumnData, n: usize) -> Result<InvertedIndex> {
             }
             Ok(InvertedIndex::Str(postings))
         }
-        ColumnData::Int { values, nulls } => {
+        ColumnData::Int { values, nulls, .. } => {
             let mut map: HashMap<i64, Bitmap> = HashMap::new();
             for (doc, v) in values.iter().enumerate() {
                 if !nulls.get(doc) {
@@ -1710,7 +1825,7 @@ fn eval_inverted(
 
 fn build_range(col: &ColumnData, n: usize) -> Result<RangeIndex> {
     let values: Vec<Option<f64>> = match col {
-        ColumnData::Int { values, nulls } => values
+        ColumnData::Int { values, nulls, .. } => values
             .iter()
             .enumerate()
             .map(|(i, v)| if nulls.get(i) { None } else { Some(*v as f64) })
@@ -1961,6 +2076,65 @@ mod tests {
         }
     }
 
+    /// The scan kernels test an integer key against a range; at the ends
+    /// of the key space, for signed zeros, infinities and NaN, and across
+    /// Int/Double they must agree with `Value::total_cmp` row semantics,
+    /// over a sealed and over a consuming segment.
+    #[test]
+    fn scan_predicates_match_row_semantics_at_the_extremes() {
+        let schema = Schema::of("t", &[("n", FieldType::Int), ("x", FieldType::Double)]);
+        let ints = [i64::MIN, -1, 0, 1, i64::MAX];
+        let doubles = [
+            f64::NEG_INFINITY,
+            -1.5,
+            -0.0,
+            0.0,
+            1.0,
+            f64::INFINITY,
+            f64::NAN,
+        ];
+        let mut rows = vec![Row::new()];
+        for n in ints {
+            for x in doubles {
+                rows.push(Row::new().with("n", n).with("x", x));
+            }
+        }
+        let mut consuming = MutableSegment::new("c", schema.clone());
+        rows.iter().for_each(|r| consuming.push(r));
+        let sealed = Segment::build("s", &schema, rows.clone(), &IndexSpec::none()).unwrap();
+        let ops = [
+            PredicateOp::Eq,
+            PredicateOp::Ne,
+            PredicateOp::Lt,
+            PredicateOp::Le,
+            PredicateOp::Gt,
+            PredicateOp::Ge,
+        ];
+        let literals = ints
+            .iter()
+            .map(|&n| Value::Int(n))
+            .chain(doubles.iter().map(|&x| Value::Double(x)));
+        for literal in literals {
+            for op in ops {
+                for col in ["n", "x"] {
+                    let pred = Predicate::new(col, op, literal.clone());
+                    let expected = rows.iter().filter(|r| pred.matches(r)).count() as i64;
+                    let q = Query::select_all("t")
+                        .filter(pred.clone())
+                        .aggregate("n", AggFn::Count);
+                    let count = |res: QueryResult| res.rows[0].get_int("n").unwrap();
+                    assert_eq!(
+                        count(sealed.execute(&q, None).unwrap()),
+                        expected,
+                        "{pred:?}"
+                    );
+                    let tail = consuming.execute(&q, None).unwrap();
+                    assert_eq!(count(tail), expected, "consuming {pred:?}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn unknown_column_predicate_errors() {
         let seg = Segment::build("s", &orders_schema(), orders(10), &IndexSpec::none()).unwrap();
@@ -2185,5 +2359,16 @@ mod tests {
         assert_eq!(lo, 1_000_000);
         assert_eq!(hi, 1_000_990);
         assert!(seg.int_range("city").is_none());
+        // the bounds ride the segment file's zone map, NULLs aside, and an
+        // all-NULL column has none
+        let mut rows = orders(100);
+        rows.push(Row::new().with("city", "sf"));
+        let seg = Segment::build("s", &orders_schema(), rows, &full_spec()).unwrap();
+        assert_eq!(seg.int_range("ts"), Some((lo, hi)));
+        let lazy = Segment::load_lazy(seg.persist().unwrap()).unwrap();
+        let back = lazy.into_segment(&full_spec()).unwrap();
+        assert_eq!(back.int_range("ts"), Some((lo, hi)));
+        let empty = Segment::build("s", &orders_schema(), vec![Row::new()], &IndexSpec::none());
+        assert_eq!(empty.unwrap().int_range("ts"), None);
     }
 }

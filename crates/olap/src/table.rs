@@ -124,6 +124,8 @@ impl OlapTable {
             config.index_spec.sorted = None;
             config.index_spec.startree = None;
         }
+        // an index the schema cannot carry fails here, not at the first seal
+        MutableSegment::new("", config.schema.clone()).seal(&config.index_spec)?;
         let partitions = (0..config.partitions)
             .map(|p| {
                 RwLock::new(PartitionState {
@@ -157,20 +159,35 @@ impl OlapTable {
     /// caller must route rows by primary-key hash so that a key always
     /// lands in the same partition (the ingester does this).
     pub fn ingest(&self, partition: usize, row: Row) -> Result<()> {
+        self.ingest_at(partition, &row, None)
+    }
+
+    /// [`OlapTable::ingest`] from a borrowed row. A row without the
+    /// table's time column is stored with `event_time` there (the ingester
+    /// passes the record's timestamp, which makes event time queryable).
+    pub fn ingest_at(
+        &self,
+        partition: usize,
+        row: &Row,
+        event_time: Option<Timestamp>,
+    ) -> Result<()> {
         let state = self
             .partitions
             .get(partition)
             .ok_or_else(|| Error::InvalidArgument(format!("partition {partition} out of range")))?;
+        let key = match &self.config.primary_key {
+            Some(pk_col) if self.config.upsert => Some(
+                row.get(pk_col)
+                    .ok_or_else(|| Error::Schema(format!("upsert row missing key '{pk_col}'")))?,
+            ),
+            _ => None,
+        };
+        let default = self.config.time_column.as_deref().zip(event_time);
         let mut st = state.write();
-        let doc = st.consuming.append(row.clone())?;
-        if self.config.upsert {
-            let pk_col = self.config.primary_key.as_deref().expect("validated");
-            let key = row
-                .get(pk_col)
-                .cloned()
-                .ok_or_else(|| Error::Schema(format!("upsert row missing key '{pk_col}'")))?;
+        let doc = st.consuming.append(row, default)?;
+        if let Some(key) = key {
             let seg_name = st.consuming.name().to_string();
-            st.pk_index.upsert(&key, &seg_name, doc);
+            st.pk_index.upsert(key, &seg_name, doc);
         }
         if st.consuming.doc_count() >= self.config.segment_rows {
             self.seal_partition(&mut st)?;
@@ -182,17 +199,23 @@ impl OlapTable {
         if st.consuming.doc_count() == 0 {
             return Ok(());
         }
-        let sealed = Arc::new(st.consuming.seal(&self.config.index_spec)?);
-        st.unbacked.push(sealed.name().to_string());
-        st.sealed.push(sealed);
-        st.seg_seq += 1;
         let name = format!(
             "{}__rt_{}_{}",
             self.config.name,
             partition_of(st),
-            st.seg_seq
+            st.seg_seq + 1
         );
-        st.consuming = MutableSegment::new(name, self.config.schema.clone());
+        let next = MutableSegment::new(name, self.config.schema.clone());
+        // `new` sealed an empty segment with this spec, and a seal error
+        // depends on schema and spec alone (`Segment::seal`'s contract), so
+        // the full segment handed over here is never lost to one
+        let full = std::mem::replace(&mut st.consuming, next);
+        let sealed = full.seal(&self.config.index_spec);
+        debug_assert!(sealed.is_ok(), "seal failed on the rows");
+        let sealed = Arc::new(sealed?);
+        st.seg_seq += 1;
+        st.unbacked.push(sealed.name().to_string());
+        st.sealed.push(sealed);
         Ok(())
     }
 
@@ -304,14 +327,18 @@ impl OlapTable {
         true
     }
 
-    fn prunable(&self, query: &Query, segment: &Segment) -> bool {
+    /// Do the time statistics `int_range` reads prove that no document of
+    /// a segment can match? (`int_range` looks up a segment's min/max of a
+    /// column; both kinds of segment keep them, so this costs no scan.)
+    fn prunable(
+        &self,
+        query: &Query,
+        int_range: impl Fn(&str) -> Option<(Timestamp, Timestamp)>,
+    ) -> bool {
         let Some(tc) = &self.config.time_column else {
             return false;
         };
-        match segment.int_range(tc) {
-            Some((lo, hi)) => !Self::time_overlaps(query, tc, lo, hi),
-            None => false,
-        }
+        int_range(tc).is_some_and(|(lo, hi)| !Self::time_overlaps(query, tc, lo, hi))
     }
 
     /// Sealed + offline segments a query must visit, with their upsert
@@ -329,7 +356,7 @@ impl OlapTable {
                 continue;
             }
             for seg in &st.sealed {
-                if self.prunable(query, seg) {
+                if self.prunable(query, |c| seg.int_range(c)) {
                     pruned += 1;
                     continue;
                 }
@@ -342,7 +369,7 @@ impl OlapTable {
             }
         }
         for seg in self.offline.read().iter() {
-            if self.prunable(query, seg) {
+            if self.prunable(query, |c| seg.int_range(c)) {
                 pruned += 1;
                 continue;
             }
@@ -385,6 +412,10 @@ impl OlapTable {
                 }
             }
             let st = state.read();
+            if self.prunable(query, |c| st.consuming.int_range(c)) {
+                out.segments_pruned += 1;
+                continue;
+            }
             let valid: Option<Bitmap> = if self.config.upsert {
                 st.pk_index.valid_docs(st.consuming.name()).cloned()
             } else {
@@ -396,7 +427,7 @@ impl OlapTable {
             merged.merge(part, query);
         }
         let (tasks, segments_pruned) = self.scan_tasks(query);
-        out.segments_pruned = segments_pruned;
+        out.segments_pruned += segments_pruned;
         let parts = crate::scatter::scatter(tasks.len(), self.scatter_threads(&tasks), |i| {
             let (seg, valid) = &tasks[i];
             if let Some(d) = &query.deadline {
@@ -440,6 +471,7 @@ impl OlapTable {
         let mut segments_queried = 0u64;
         let mut docs_scanned = 0u64;
         let mut segments_shed = 0u64;
+        let mut segments_pruned = 0u64;
         let mut deadline_exceeded = false;
         let used_startree = false;
 
@@ -457,6 +489,10 @@ impl OlapTable {
                 }
             }
             let st = state.read();
+            if self.prunable(query, |c| st.consuming.int_range(c)) {
+                segments_pruned += 1;
+                continue;
+            }
             let valid = if self.config.upsert {
                 st.pk_index.valid_docs(st.consuming.name()).cloned()
             } else {
@@ -467,7 +503,8 @@ impl OlapTable {
             docs_scanned += r.docs_scanned;
             rows.extend(r.rows);
         }
-        let (tasks, segments_pruned) = self.scan_tasks(query);
+        let (tasks, sealed_pruned) = self.scan_tasks(query);
+        segments_pruned += sealed_pruned;
         let results = crate::scatter::scatter(tasks.len(), self.scatter_threads(&tasks), |i| {
             let (seg, valid) = &tasks[i];
             if let Some(d) = &query.deadline {
@@ -516,7 +553,7 @@ impl OlapTable {
         let st = self.partitions[partition].read();
         let loc = st.pk_index.location(key)?;
         if loc.segment == st.consuming.name() {
-            return st.consuming.row_at(loc.doc_id)?.get(column).cloned();
+            return Some(st.consuming.value_at(column, loc.doc_id));
         }
         let seg = st.sealed.iter().find(|s| s.name() == loc.segment)?;
         Some(seg.value_at(column, loc.doc_id))
@@ -616,6 +653,124 @@ mod tests {
             "pruning failed: queried {}",
             res.segments_queried
         );
+        // the consuming tail keeps its running time range and is skipped
+        // the same way: 5 fresh rows at ts 100_000.. cannot meet the window
+        for i in 100..105 {
+            table.ingest(0, trip(i)).unwrap();
+        }
+        let with_tail = table.query(&q).unwrap();
+        assert_eq!(with_tail.rows, res.rows);
+        assert_eq!(with_tail.segments_queried, res.segments_queried - 1);
+        assert_eq!(with_tail.segments_pruned, res.segments_pruned + 1);
+        // and is visited by a window that reaches it, selections included
+        let fresh = Query::select_all("trips")
+            .filter(Predicate::new("ts", PredicateOp::Ge, 102_000i64))
+            .columns(&["trip_id"]);
+        let res = table.query(&fresh).unwrap();
+        assert_eq!(res.rows.len(), 3);
+        // partition 0's tail and partition 1's empty one; all ten sealed
+        // segments skipped
+        assert_eq!(res.segments_queried, 2);
+        assert_eq!(res.segments_pruned, 10);
+    }
+
+    /// The same SQL must not flip its answer at the `segment_rows`-th row:
+    /// a consuming segment keeps exactly what a sealed one keeps (schema
+    /// columns, coerced to the field types) and refuses what it refuses.
+    #[test]
+    fn answers_do_not_change_when_the_tail_seals() {
+        use crate::query::SortOrder::Asc;
+        let table = plain_table(1000);
+        for i in 0..40 {
+            // `surge` is not in the schema; every third fare is an Int in
+            // the Double field
+            let mut row = trip(i).with("surge", 1.5);
+            if i % 3 == 0 {
+                row.set("fare", 7i64);
+            }
+            table.ingest(i % 2, row).unwrap();
+        }
+        let all = || Query::select_all("trips");
+        let n = |q: Query| q.aggregate("n", AggFn::Count);
+        let queries = [
+            n(all().filter(Predicate::eq("city", "sf")))
+                .aggregate("f", AggFn::Sum("fare".into()))
+                .group(&["city"]),
+            all().order("ts", Asc),
+            all()
+                .filter(Predicate::eq("fare", 7.0))
+                .columns(&["trip_id", "fare"])
+                .order("trip_id", Asc),
+            n(all().filter(Predicate::new("fare", PredicateOp::Gt, 7i64))),
+            all().columns(&["trip_id", "surge"]).order("trip_id", Asc),
+            n(all().filter(Predicate::eq("surge", 1.5))),
+            n(all()).group(&["surge"]),
+            all().aggregate("s", AggFn::Sum("surge".into())),
+            n(all().filter(Predicate::eq("ghost", 1i64))),
+            all().columns(&["ghost", "ts"]).order("ts", Asc),
+            n(all()).group(&["ghost"]),
+        ];
+        let answers = || -> Vec<std::result::Result<Vec<Row>, String>> {
+            let answer = |q| table.query(q).map(|r| r.rows).map_err(|e| e.to_string());
+            queries.iter().map(answer).collect()
+        };
+        let consuming = answers();
+        table.seal_all().unwrap();
+        assert_eq!(table.sealed_segments(0).len(), 1);
+        for ((q, before), after) in queries.iter().zip(&consuming).zip(answers()) {
+            assert_eq!(before, &after, "answer changed at the seal: {q:?}");
+        }
+        // what both sides answer: the Int fare reads back as a Double, the
+        // extra column is dropped, a predicate on it is an error
+        let fares = consuming[2].as_ref().unwrap();
+        assert_eq!(fares.len(), 14);
+        assert_eq!(fares[0].get("fare"), Some(&Value::Double(7.0)));
+        let surge = consuming[4].as_ref().unwrap();
+        assert_eq!(surge[0].get("surge"), Some(&Value::Null));
+        assert!(consuming[5]
+            .as_ref()
+            .unwrap_err()
+            .contains("unknown column"));
+        assert!(consuming[8]
+            .as_ref()
+            .unwrap_err()
+            .contains("unknown column"));
+    }
+
+    /// `seal_partition` hands the full segment over by value, so a seal
+    /// must not fail once the table exists: every error `Segment::seal` can
+    /// raise is raised for an empty segment too, which is what `new` seals.
+    #[test]
+    fn seal_errors_do_not_depend_on_the_rows() {
+        use crate::startree::StarTreeSpec;
+        let seal = |rows: usize, spec: &IndexSpec| {
+            let mut seg = MutableSegment::new("s", schema());
+            for i in 0..rows {
+                seg.append(&trip(i), None).unwrap();
+            }
+            seg.seal(spec).map(|_| ()).map_err(|e| e.to_string())
+        };
+        for spec in [
+            IndexSpec::none().with_inverted(&["ghost"]),
+            IndexSpec::none().with_inverted(&["fare"]),
+            IndexSpec::none().with_range(&["ghost"]),
+            IndexSpec::none().with_range(&["city"]),
+            IndexSpec::none().with_sorted("ghost"),
+            IndexSpec::none().with_startree(StarTreeSpec::new(&[], vec![AggFn::Count])),
+        ] {
+            let empty = seal(0, &spec);
+            assert!(empty.is_err(), "{spec:?}");
+            assert_eq!(seal(30, &spec), empty, "{spec:?}");
+            let config = TableConfig::new("trips", schema()).with_index_spec(spec.clone());
+            assert!(OlapTable::new(config).is_err(), "{spec:?}");
+        }
+        let carried = IndexSpec::none()
+            .with_inverted(&["city", "ts"])
+            .with_range(&["fare", "ts"])
+            .with_sorted("city")
+            .with_startree(StarTreeSpec::new(&["city"], vec![AggFn::Count]));
+        assert_eq!(seal(0, &carried), Ok(()));
+        assert_eq!(seal(30, &carried), Ok(()));
     }
 
     #[test]
@@ -682,11 +837,19 @@ mod tests {
         let q = Query::select_all("fares").aggregate("n", AggFn::Count);
         // count sees exactly 50 live records (no duplicates)
         assert_eq!(table.query(&q).unwrap().rows[0].get_int("n"), Some(50));
-        // corrected fare visible via point lookup
-        assert_eq!(
-            table.lookup(&Value::Str("t3".into()), "fare"),
-            Some(Value::Double(999.0))
-        );
+        // corrected fare visible via point lookup, from sealed segments and
+        // from the consuming tail (4 partitions x 10-row segments: the last
+        // corrections are still in their partitions' tails)
+        let mut in_tail = 0;
+        for i in 0..10 {
+            let key = Value::Str(format!("t{i}"));
+            assert_eq!(table.lookup(&key, "fare"), Some(Value::Double(999.0)));
+            let p = (key.partition_hash() % 4) as usize;
+            let st = table.partitions[p].read();
+            let loc = st.pk_index.location(&key).unwrap();
+            in_tail += usize::from(loc.segment == st.consuming.name());
+        }
+        assert!(in_tail > 0, "no latest version sits in a consuming segment");
         // uncorrected trip unchanged
         assert_eq!(
             table.lookup(&Value::Str("t20".into()), "fare"),

@@ -11,6 +11,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rtdi::common::{AggFn, FieldType, Record, Row, Schema, Value};
+use rtdi::olap::bitmap::Bitmap;
 use rtdi::olap::query::{Predicate, PredicateOp, Query};
 use rtdi::olap::segment::{IndexSpec, Segment};
 use rtdi::olap::startree::StarTreeSpec;
@@ -351,19 +352,67 @@ fn startree_equals_exact() {
     }
 }
 
-/// The vectorized sealed-segment execution path (compiled predicates,
-/// batched columnar folds, dict-id group interning) returns exactly the
-/// rows of the retained row-at-a-time reference implementation
-/// (`MutableSegment`) for arbitrary queries: selections and aggregations,
-/// predicates of every operator, NULL-producing absent columns, group-by
-/// and projections over columns the schema does not even have, and upsert
-/// valid-doc masks. Specs are restricted to non-reordering indices so both
-/// engines fold docs in identical order and float sums compare exactly.
+/// The first `len` bits of an upsert valid-doc mask (a mask is as long as
+/// its segment, and the consuming segment below grows row by row).
+fn mask_prefix(mask: &Bitmap, len: usize) -> Bitmap {
+    let mut out = Bitmap::new(len);
+    mask.iter()
+        .take_while(|&i| i < len)
+        .for_each(|i| out.set(i));
+    out
+}
+
+/// One question, three engines: the sealed `Segment` (compiled predicates
+/// over a sorted dictionary, indexes, batched columnar folds, dict-id
+/// group interning), the consuming `MutableSegment` (the same kernels over
+/// insertion-ordered dictionaries and no index) and the row-at-a-time
+/// oracle of `rtdi::olap::reference`, which shares no code with either.
+/// The consuming segment also answers after every `every`-th append, when
+/// its dictionaries have grown since the last query, against the oracle
+/// over the rows so far. Answers must be identical, values and order.
+fn assert_three_way(
+    rows: &[Row],
+    spec: &IndexSpec,
+    q: &Query,
+    valid: Option<&Bitmap>,
+    every: usize,
+    ctx: &str,
+) {
+    use rtdi::olap::realtime::MutableSegment;
+    use rtdi::olap::reference;
+
+    let mut consuming = MutableSegment::new("v", schema());
+    for (i, r) in rows.iter().enumerate() {
+        consuming.append(r, None).unwrap();
+        if (i + 1) % every == 0 && i + 1 < rows.len() {
+            let valid = valid.map(|v| mask_prefix(v, i + 1));
+            let tail = consuming.execute(q, valid.as_ref()).unwrap();
+            let slow = reference::execute(&schema(), &rows[..=i], q, valid.as_ref());
+            assert_eq!(tail.rows, slow, "{ctx} after {} rows {q:?}", i + 1);
+        }
+    }
+    let slow = reference::execute(&schema(), rows, q, valid);
+    let sealed = Segment::build("v", &schema(), rows.to_vec(), spec).unwrap();
+    // docs_scanned intentionally differs (index pruning vs full scan)
+    let fast = sealed.execute(q, valid).unwrap();
+    assert_eq!(fast.rows, slow, "{ctx} sealed {q:?}");
+    let tail = consuming.execute(q, valid).unwrap();
+    assert_eq!(tail.rows, slow, "{ctx} consuming {q:?}");
+    // and the consuming segment seals into that sealed segment
+    let resealed = consuming.seal(spec).unwrap();
+    let again = resealed.execute(q, valid).unwrap();
+    assert_eq!(again.rows, slow, "{ctx} resealed {q:?}");
+}
+
+/// The column kernels return exactly the rows of the row-at-a-time oracle
+/// for arbitrary queries, from a sealed and from a consuming segment (see
+/// [`assert_three_way`]): selections and aggregations, predicates of every
+/// operator, NULL-producing absent columns, group-by and projections over
+/// columns the schema does not even have, and upsert valid-doc masks.
+/// Specs are restricted to non-reordering indices so all engines fold docs
+/// in identical order and float sums compare exactly.
 #[test]
 fn vectorized_execution_equals_row_reference() {
-    use rtdi::olap::bitmap::Bitmap;
-    use rtdi::olap::realtime::MutableSegment;
-
     for case in 0..96u64 {
         let mut rng = StdRng::seed_from_u64(SEED_VECTOR + case);
         let rows = arb_rows(&mut rng, 0, 300);
@@ -372,11 +421,6 @@ fn vectorized_execution_equals_row_reference() {
             1 => IndexSpec::none().with_inverted(&["city", "n"]),
             _ => IndexSpec::none().with_range(&["x", "n"]),
         };
-        let sealed = Segment::build("v", &schema(), rows.clone(), &spec).unwrap();
-        let mut reference = MutableSegment::new("v", schema());
-        for r in &rows {
-            reference.append(r.clone()).unwrap();
-        }
 
         let mut q = Query::select_all("t");
         for _ in 0..rng.gen_range(0..3usize) {
@@ -429,12 +473,117 @@ fn vectorized_execution_equals_row_reference() {
         } else {
             None
         };
+        let every = rng.gen_range(1..48usize);
+        let ctx = format!("case {case}");
+        assert_three_way(&rows, &spec, &q, valid.as_ref(), every, &ctx);
+        // the masked cases also run unmasked
+        if valid.is_some() {
+            assert_three_way(&rows, &spec, &q, None, every, &ctx);
+        }
+    }
+}
 
-        let fast = sealed.execute(&q, valid.as_ref()).unwrap();
-        let slow = reference.execute(&q, valid.as_ref()).unwrap();
-        // docs_scanned intentionally differs (index pruning vs full scan);
-        // the answer rows must be identical, values and order included
-        assert_eq!(fast.rows, slow.rows, "case {case} query {q:?}");
+/// Ordered string predicates over a consuming segment's insertion-ordered
+/// dictionary — evaluated per dictionary entry, where a sealed segment
+/// compares ids of its sorted dictionary — for needles in the dictionary,
+/// between two entries, below all and above all of them. The second pass
+/// opens with rows that have no city and queries after every append: the
+/// dictionary is still empty while the NULL cells already hold id 0, as
+/// for any sparse field at the start of each consuming segment.
+#[test]
+fn string_predicates_agree_on_sorted_and_unsorted_dictionaries() {
+    let ops = [
+        PredicateOp::Eq,
+        PredicateOp::Ne,
+        PredicateOp::Lt,
+        PredicateOp::Le,
+        PredicateOp::Gt,
+        PredicateOp::Ge,
+    ];
+    for case in 0..8u64 {
+        let mut rng = StdRng::seed_from_u64(SEED_VECTOR + 0x1000 + case);
+        let rows = arb_rows(&mut rng, 1, 120);
+        let mut null_prefixed = rows.clone();
+        for r in null_prefixed.iter_mut().take(1 + case as usize) {
+            *r = r.project(&["n", "x", "flag"]);
+        }
+        for op in ops {
+            for needle in ["c2", "c25", "b", "d", ""] {
+                let q = Query::select_all("t")
+                    .filter(Predicate::new("city", op, needle))
+                    .aggregate("cnt", AggFn::Count)
+                    .aggregate("sx", AggFn::Sum("x".into()))
+                    .group(&["city"]);
+                let ctx = format!("case {case} city {op:?} {needle:?}");
+                assert_three_way(&rows, &IndexSpec::none(), &q, None, 7, &ctx);
+                assert_three_way(&null_prefixed, &IndexSpec::none(), &q, None, 1, &ctx);
+            }
+        }
+    }
+}
+
+/// Sealing a consuming segment that took its rows one by one persists the
+/// very bytes of a batch build over the same rows, for random schemas over
+/// every field type, unsorted and sorted. Both end in the same seal, so two
+/// independent pivots pin it from outside: the storage layer's row encoder
+/// (unsorted, where it stores a field type the way OLAP does) and a stable
+/// row sort by `Value::total_cmp` (sorted).
+#[test]
+fn consuming_seal_is_byte_equal_to_batch_build() {
+    use rtdi::olap::realtime::MutableSegment;
+    use rtdi::storage::segfile;
+
+    for case in 0..64u64 {
+        let mut rng = StdRng::seed_from_u64(SEED_SEGFILE + 0x1000 + case);
+        let schema = arb_schema(&mut rng);
+        let rows = arb_typed_rows(&mut rng, &schema, 0, 200);
+        // JSON and bytes cells have no order of their own to sort by
+        let sortable: Vec<&str> = schema
+            .fields
+            .iter()
+            .filter(|f| !matches!(f.field_type, FieldType::Json | FieldType::Bytes))
+            .map(|f| f.name.as_str())
+            .collect();
+        let sorted = (!sortable.is_empty() && rng.gen_bool(0.5))
+            .then(|| sortable[rng.gen_range(0..sortable.len())]);
+        let spec = sorted.map_or(IndexSpec::none(), |c| IndexSpec::none().with_sorted(c));
+
+        let mut consuming = MutableSegment::new("p", schema.clone());
+        for r in &rows {
+            consuming.append(r, None).unwrap();
+        }
+        let sealed = consuming.seal(&spec).unwrap();
+        let built = Segment::build("p", &schema, rows.clone(), &spec).unwrap();
+        let bytes = built.persist().unwrap();
+        assert_eq!(
+            sealed.persist().unwrap(),
+            bytes,
+            "case {case} spec {spec:?}"
+        );
+
+        match sorted {
+            None => {
+                // OLAP keeps a bytes cell in its printed form
+                let has_bytes = schema
+                    .fields
+                    .iter()
+                    .any(|f| f.field_type == FieldType::Bytes);
+                if !has_bytes {
+                    let stored = segfile::encode_rows_segment(&schema, "p", &rows).unwrap();
+                    assert_eq!(bytes, stored, "case {case}: storage pivot differs");
+                }
+            }
+            Some(col) => {
+                let mut by_value = rows.clone();
+                by_value.sort_by(|a, b| {
+                    let va = a.get(col).unwrap_or(&Value::Null);
+                    let vb = b.get(col).unwrap_or(&Value::Null);
+                    va.total_cmp(vb)
+                });
+                let plain = Segment::build("p", &schema, by_value, &IndexSpec::none()).unwrap();
+                assert_eq!(sealed.to_rows(), plain.to_rows(), "case {case} by {col}");
+            }
+        }
     }
 }
 
