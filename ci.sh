@@ -42,8 +42,10 @@ RTDI_CHAOS_SEED chaos_soak soak_env_seed_prints_schedule CHAOS_SUMMARY 0xA11CE 0
 RTDI_FUSE_SEED fused_determinism fuse_env_seed_prints_digests FUSED_SUMMARY 0xF05E 0xC0FFEE42
 # node kill: failover and rebalance event logs
 RTDI_NODEKILL_SEED node_failover node_kill_env_seed_prints_failover_log NODEKILL_SUMMARY 0xFA110 0xDEAD5EED
-# decoder robustness: a seeded corpus of truncated and bit-flipped
-# segment/colfile bytes through every decode entry point; any panic fails
+# decoder robustness: a seeded corpus of truncated and bit-flipped segment
+# files and checkpoint frames (raw logs, operator snapshots, the key-group
+# envelope, a persisted checkpoint object) through every decode entry
+# point; any panic fails
 RTDI_FUZZ_SEED decoder_robustness fuzz_env_seed_prints_summary DECODER_SUMMARY 0xDEC0DE 0xBADF11E5
 # federation cache: digests of an uncached and a cached execution of the same
 # federated query stream (byte-equal in-test) plus a post-seal digest after a

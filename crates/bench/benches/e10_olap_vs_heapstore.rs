@@ -10,7 +10,7 @@ use rtdi_common::AggFn;
 use rtdi_olap::baselines::{comparison_rows, comparison_schema, HeapStore};
 use rtdi_olap::query::{Predicate, PredicateOp, Query, SortOrder};
 use rtdi_olap::segment::{IndexSpec, Segment};
-use rtdi_storage::colfile;
+use rtdi_storage::segfile;
 
 /// The paper's query mix: filters, aggregation, group by / order by.
 fn query_suite() -> Vec<Query> {
@@ -55,7 +55,9 @@ fn bench(c: &mut Criterion) {
     let seg = Segment::build("orders", &schema, rows.clone(), &spec).unwrap();
 
     // footprints
-    let col_disk = colfile::encode_columnar(&schema, &rows).unwrap().len();
+    let col_disk = segfile::encode_rows_segment(&schema, "orders", &rows)
+        .unwrap()
+        .len();
     report(
         "memory",
         format!(

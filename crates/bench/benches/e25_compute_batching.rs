@@ -86,7 +86,6 @@ fn run_point(rows: &[(Timestamp, Row)], batch: usize, fused: bool) -> Point {
         fuse_operators: fused,
         checkpoint_interval: 0,
         checkpoint_store: None,
-        trace: None,
         rescale: None,
     };
     let mut best = f64::MIN;

@@ -7,7 +7,8 @@
 
 use crate::error::{Error, Result};
 use crate::value::{Row, Value};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use crate::wire::{get_count_checked, get_f64_checked, get_u64_checked, get_u8_checked};
+use bytes::{BufMut, Bytes, BytesMut};
 use std::collections::BTreeSet;
 
 /// An aggregate function over a (possibly absent) input column.
@@ -261,27 +262,25 @@ impl AggAcc {
         }
     }
 
+    /// Inverse of [`AggAcc::encode`]; hostile bytes are `Corruption`.
     pub fn decode(buf: &mut Bytes) -> Result<AggAcc> {
-        if buf.remaining() < 1 {
-            return Err(Error::Corruption("truncated accumulator".into()));
-        }
-        Ok(match buf.get_u8() {
-            0 => AggAcc::Count(buf.get_u64()),
+        Ok(match get_u8_checked(buf, "accumulator tag")? {
+            0 => AggAcc::Count(get_u64_checked(buf, "count")?),
             1 => AggAcc::Sum {
-                sum: buf.get_f64(),
-                count: buf.get_u64(),
+                sum: get_f64_checked(buf, "sum")?,
+                count: get_u64_checked(buf, "sum count")?,
             },
             2 => AggAcc::Avg {
-                sum: buf.get_f64(),
-                count: buf.get_u64(),
+                sum: get_f64_checked(buf, "avg sum")?,
+                count: get_u64_checked(buf, "avg count")?,
             },
-            3 => AggAcc::Min(decode_opt(buf)),
-            4 => AggAcc::Max(decode_opt(buf)),
+            3 => AggAcc::Min(decode_opt(buf)?),
+            4 => AggAcc::Max(decode_opt(buf)?),
             5 => {
-                let n = buf.get_u32() as usize;
+                let n = get_count_checked(buf, 8, "distinct count")?;
                 let mut set = BTreeSet::new();
                 for _ in 0..n {
-                    set.insert(buf.get_u64());
+                    set.insert(get_u64_checked(buf, "distinct hash")?);
                 }
                 AggAcc::Distinct(set)
             }
@@ -300,12 +299,12 @@ fn encode_opt(buf: &mut BytesMut, v: Option<f64>) {
     }
 }
 
-fn decode_opt(buf: &mut Bytes) -> Option<f64> {
-    if buf.get_u8() == 1 {
-        Some(buf.get_f64())
+fn decode_opt(buf: &mut Bytes) -> Result<Option<f64>> {
+    Ok(if get_u8_checked(buf, "min/max flag")? == 1 {
+        Some(get_f64_checked(buf, "min/max value")?)
     } else {
         None
-    }
+    })
 }
 
 #[cfg(test)]
@@ -418,6 +417,41 @@ mod tests {
         for a in &accs {
             assert_eq!(&AggAcc::decode(&mut bytes).unwrap(), a);
         }
+    }
+
+    #[test]
+    fn decode_rejects_every_truncation_and_oversized_distinct_count() {
+        let accs = [
+            AggAcc::Count(7),
+            AggAcc::Sum { sum: 1.5, count: 3 },
+            AggAcc::Avg { sum: 9.0, count: 4 },
+            AggAcc::Min(Some(-2.5)),
+            AggAcc::Max(None),
+            AggAcc::Distinct([1u64, 5, 9].into_iter().collect()),
+        ];
+        for a in &accs {
+            let mut buf = BytesMut::new();
+            a.encode(&mut buf);
+            let full = buf.freeze();
+            for cut in 0..full.len() {
+                let got = AggAcc::decode(&mut full.slice(0..cut));
+                assert!(
+                    matches!(got, Err(Error::Corruption(_))),
+                    "{a:?} cut {cut}: {got:?}"
+                );
+            }
+        }
+        // a Distinct count the remaining bytes cannot hold
+        let mut bad = Bytes::from_static(&[5, 0xff, 0xff, 0xff, 0xff]);
+        assert!(matches!(
+            AggAcc::decode(&mut bad),
+            Err(Error::Corruption(_))
+        ));
+        let mut bad = Bytes::from_static(&[5, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 1]);
+        assert!(matches!(
+            AggAcc::decode(&mut bad),
+            Err(Error::Corruption(_))
+        ));
     }
 
     #[test]

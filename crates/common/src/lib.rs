@@ -22,6 +22,7 @@ pub mod sketch;
 pub mod time;
 pub mod trace;
 pub mod value;
+pub mod wire;
 
 pub use agg::{AggAcc, AggFn};
 pub use chaos::{

@@ -28,8 +28,12 @@
 //! into final rows via [`AggAcc::merge`].
 
 use crate::window::{Window, WindowAssigner, WINDOW_END_COL, WINDOW_START_COL};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 use rtdi_common::agg::{AggAcc, AggFn};
+use rtdi_common::wire::{
+    get_block_checked, get_count_checked, get_i64_checked, get_str_checked, get_u32_checked,
+    get_u64_checked,
+};
 use rtdi_common::{Error, Record, Result, Row, Timestamp, Value};
 use rtdi_storage::archival::{decode_rows, encode_rows};
 use rtdi_storage::keyed::{key_group_of, shard_of_group, KeyedSnapshot};
@@ -304,31 +308,14 @@ fn encode_window_entry(
 }
 
 fn decode_window_entry(buf: &mut Bytes) -> Result<(WindowKey, WindowState)> {
-    if buf.remaining() < 4 {
-        return Err(Error::Corruption("truncated window state entry".into()));
-    }
-    let klen = buf.get_u32() as usize;
-    if buf.remaining() < klen + 16 {
-        return Err(Error::Corruption("truncated window state entry".into()));
-    }
-    let key = String::from_utf8(buf.split_to(klen).to_vec())
-        .map_err(|_| Error::Corruption("bad key".into()))?;
-    let start = buf.get_i64();
-    let end = buf.get_i64();
-    if buf.remaining() < 4 {
-        return Err(Error::Corruption("truncated window state entry".into()));
-    }
-    let rlen = buf.get_u32() as usize;
-    if buf.remaining() < rlen {
-        return Err(Error::Corruption("truncated window state entry".into()));
-    }
-    let rows = decode_rows(&buf.split_to(rlen))?;
+    let key = get_str_checked(buf, "window state key")?;
+    let start = get_i64_checked(buf, "window start")?;
+    let end = get_i64_checked(buf, "window end")?;
+    let rows = decode_rows(&get_block_checked(buf, "window key row")?)?;
     let key_row = rows.into_iter().next().unwrap_or_default();
-    if buf.remaining() < 4 {
-        return Err(Error::Corruption("truncated window state entry".into()));
-    }
-    let na = buf.get_u32() as usize;
-    let mut accs = Vec::with_capacity(na.min(64));
+    // the smallest accumulator (an empty MIN/MAX) is a tag and a flag
+    let na = get_count_checked(buf, 2, "window accumulator count")?;
+    let mut accs = Vec::with_capacity(na);
     for _ in 0..na {
         accs.push(AggAcc::decode(buf)?);
     }
@@ -384,10 +371,9 @@ fn windowed_restore(
             }
         }
         let mut buf = frame;
-        if buf.remaining() < 4 {
-            return Err(Error::Corruption("truncated key-group frame".into()));
-        }
-        let count = buf.get_u32();
+        // an entry's fixed-width fields alone (two length prefixes, the
+        // window bounds, the accumulator count) take 28 bytes
+        let count = get_count_checked(&mut buf, 28, "key-group frame entry count")?;
         for _ in 0..count {
             let (k, st) = decode_window_entry(&mut buf)?;
             match state.entry(k) {
@@ -395,7 +381,20 @@ fn windowed_restore(
                     v.insert(st);
                 }
                 Entry::Occupied(mut o) => {
-                    for (a, b) in o.get_mut().accs.iter_mut().zip(&st.accs) {
+                    // `AggAcc::merge` asserts equal shapes: check them
+                    // here, where the bytes are still untrusted
+                    let held = &mut o.get_mut().accs;
+                    let same_shape = held.len() == st.accs.len()
+                        && held
+                            .iter()
+                            .zip(&st.accs)
+                            .all(|(a, b)| std::mem::discriminant(a) == std::mem::discriminant(b));
+                    if !same_shape {
+                        return Err(Error::Corruption(
+                            "duplicate window entry with different accumulators".into(),
+                        ));
+                    }
+                    for (a, b) in held.iter_mut().zip(&st.accs) {
                         a.merge(b);
                     }
                 }
@@ -826,7 +825,7 @@ impl Operator for DedupOp {
 
     fn restore(&mut self, data: Bytes) -> Result<()> {
         let snap = KeyedSnapshot::decode(data)?;
-        self.seen.clear();
+        let mut seen = BTreeSet::new();
         for (group, frame) in snap.frames {
             if let Some((index, of)) = self.shard {
                 if shard_of_group(group, of) != index {
@@ -834,23 +833,13 @@ impl Operator for DedupOp {
                 }
             }
             let mut buf = frame;
-            if buf.remaining() < 4 {
-                return Err(Error::Corruption("truncated dedup frame".into()));
-            }
-            let count = buf.get_u32();
+            // every key has at least its length prefix
+            let count = get_count_checked(&mut buf, 4, "dedup frame key count")?;
             for _ in 0..count {
-                if buf.remaining() < 4 {
-                    return Err(Error::Corruption("truncated dedup key".into()));
-                }
-                let klen = buf.get_u32() as usize;
-                if buf.remaining() < klen {
-                    return Err(Error::Corruption("truncated dedup key".into()));
-                }
-                let key = String::from_utf8(buf.split_to(klen).to_vec())
-                    .map_err(|_| Error::Corruption("bad dedup key".into()))?;
-                self.seen.insert(key);
+                seen.insert(get_str_checked(&mut buf, "dedup key")?);
             }
         }
+        self.seen = seen;
         Ok(())
     }
 
@@ -931,10 +920,7 @@ impl Operator for PartialCombineOp {
             ));
         };
         let mut buf = Bytes::copy_from_slice(payload);
-        if buf.remaining() < 4 {
-            return Err(Error::Corruption("truncated partial accumulators".into()));
-        }
-        let n = buf.get_u32() as usize;
+        let n = get_u32_checked(&mut buf, "partial accumulator count")? as usize;
         if n != self.aggs.len() {
             return Err(Error::Corruption(format!(
                 "partial row has {n} accumulators, stage has {}",
@@ -1138,10 +1124,7 @@ impl Operator for FusedOp {
 
     fn restore(&mut self, data: Bytes) -> Result<()> {
         let mut buf = data;
-        if buf.remaining() < 4 {
-            return Err(Error::Corruption("truncated fused snapshot".into()));
-        }
-        let n = buf.get_u32() as usize;
+        let n = get_u32_checked(&mut buf, "fused snapshot member count")? as usize;
         if n != self.ops.len() {
             return Err(Error::Corruption(format!(
                 "fused snapshot has {n} members, chain has {}",
@@ -1149,14 +1132,7 @@ impl Operator for FusedOp {
             )));
         }
         for op in &mut self.ops {
-            if buf.remaining() < 4 {
-                return Err(Error::Corruption("truncated fused snapshot".into()));
-            }
-            let len = buf.get_u32() as usize;
-            if buf.remaining() < len {
-                return Err(Error::Corruption("truncated fused snapshot".into()));
-            }
-            op.restore(buf.split_to(len))?;
+            op.restore(get_block_checked(&mut buf, "fused member snapshot")?)?;
         }
         Ok(())
     }
@@ -1347,24 +1323,22 @@ impl Operator for WindowJoinOp {
 
     fn restore(&mut self, data: Bytes) -> Result<()> {
         let mut buf = data;
-        if buf.remaining() < 20 {
-            return Err(Error::Corruption("truncated join snapshot".into()));
-        }
-        self.watermark = buf.get_i64();
-        self.dropped = buf.get_u64();
-        let n = buf.get_u32() as usize;
-        self.state.clear();
+        let watermark = get_i64_checked(&mut buf, "join watermark")?;
+        let dropped = get_u64_checked(&mut buf, "join drop counter")?;
+        // an entry's fixed-width fields (three length prefixes and the
+        // window start) take 20 bytes
+        let n = get_count_checked(&mut buf, 20, "join state entry count")?;
+        let mut state = BTreeMap::new();
         for _ in 0..n {
-            let klen = buf.get_u32() as usize;
-            let key = String::from_utf8(buf.split_to(klen).to_vec())
-                .map_err(|_| Error::Corruption("bad key".into()))?;
-            let start = buf.get_i64();
-            let llen = buf.get_u32() as usize;
-            let left = decode_rows(&buf.split_to(llen))?;
-            let rlen = buf.get_u32() as usize;
-            let right = decode_rows(&buf.split_to(rlen))?;
-            self.state.insert((key, start), (left, right));
+            let key = get_str_checked(&mut buf, "join key")?;
+            let start = get_i64_checked(&mut buf, "join window start")?;
+            let left = decode_rows(&get_block_checked(&mut buf, "join left rows")?)?;
+            let right = decode_rows(&get_block_checked(&mut buf, "join right rows")?)?;
+            state.insert((key, start), (left, right));
         }
+        self.watermark = watermark;
+        self.dropped = dropped;
+        self.state = state;
         Ok(())
     }
 
@@ -1880,6 +1854,69 @@ mod tests {
         restored.process(right, &mut out_b).unwrap();
         assert_eq!(out_a.len(), out_b.len());
         assert!(!out_b.is_empty());
+    }
+
+    #[test]
+    fn join_restore_rejects_truncated_and_length_flipped_snapshots() {
+        let mut op = WindowJoinOp::new("join", "k", "l", "r", 1000);
+        let mut out = Vec::new();
+        for (i, tag) in ["l", "r", "l", "r"].into_iter().enumerate() {
+            let row = Row::new()
+                .with(STREAM_TAG, tag)
+                .with("k", format!("k{}", i % 2))
+                .with("x", i as i64);
+            op.process(rec(i as i64 * 10, row), &mut out).unwrap();
+        }
+        let snap = op.snapshot().to_vec();
+        let restore = |bytes: &[u8]| {
+            WindowJoinOp::new("join", "k", "l", "r", 1000).restore(Bytes::copy_from_slice(bytes))
+        };
+        restore(&snap).unwrap();
+        for cut in 0..snap.len() {
+            let got = restore(&snap[..cut]);
+            assert!(
+                matches!(got, Err(Error::Corruption(_))),
+                "cut {cut}: {got:?}"
+            );
+        }
+        // the first entry's three length prefixes: klen, llen, rlen
+        let be32 = |at: usize| u32::from_be_bytes(snap[at..at + 4].try_into().unwrap()) as usize;
+        let klen_at = 20;
+        let llen_at = klen_at + 4 + be32(klen_at) + 8;
+        let rlen_at = llen_at + 4 + be32(llen_at);
+        for at in [klen_at, llen_at, rlen_at] {
+            let mut bad = snap.clone();
+            bad[at] ^= 0x7f;
+            let got = restore(&bad);
+            assert!(
+                matches!(got, Err(Error::Corruption(_))),
+                "flip at {at}: {got:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn windowed_restore_rejects_duplicate_entries_of_different_shape() {
+        // two stages that disagree on the aggregate list, same key and
+        // window: folding their frames must not reach `AggAcc::merge`
+        let mk = |agg: AggFn| {
+            let mut op = WindowAggregateOp::new(
+                "agg",
+                vec!["city".into()],
+                WindowAssigner::tumbling(1000),
+                vec![("a".into(), agg)],
+                0,
+            );
+            let row = Row::new().with("city", "sf").with("fare", 2.0);
+            op.process(rec(10, row), &mut Vec::new()).unwrap();
+            KeyedSnapshot::decode(op.snapshot()).unwrap()
+        };
+        let mixed = KeyedSnapshot::merge([mk(AggFn::Count), mk(AggFn::Sum("fare".into()))]);
+        let got = windowed_restore(mixed.encode(), None);
+        assert!(matches!(got, Err(Error::Corruption(_))), "{:?}", got.err());
+        let same = KeyedSnapshot::merge([mk(AggFn::Count), mk(AggFn::Count)]);
+        let (_, _, state) = windowed_restore(same.encode(), None).unwrap();
+        assert_eq!(state.values().next().unwrap().accs, vec![AggAcc::Count(2)]);
     }
 
     #[test]

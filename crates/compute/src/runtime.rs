@@ -38,11 +38,10 @@ use crate::sink::Sink;
 use crate::source::Source;
 use crate::watermark::WatermarkGenerator;
 use crate::window::{WINDOW_END_COL, WINDOW_START_COL};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 use rtdi_common::fault_point;
-use rtdi_common::{
-    Clock, CountMinSketch, Error, FaultPoint, PipelineTracer, Record, Result, Timestamp, Value,
-};
+use rtdi_common::wire::{get_block_checked, get_count_checked, get_u64_checked};
+use rtdi_common::{CountMinSketch, Error, FaultPoint, Record, Result, Timestamp, Value};
 use rtdi_storage::keyed::{key_group_of, shard_of_group, KeyedSnapshot};
 use rtdi_storage::object::ObjectStore;
 use std::collections::{BTreeMap, VecDeque};
@@ -127,33 +126,18 @@ impl CheckpointData {
 
     fn decode(data: &Bytes) -> Result<Self> {
         let mut buf = data.clone();
-        if buf.remaining() < 20 {
-            return Err(Error::Corruption("truncated checkpoint".into()));
-        }
-        let checkpoint_id = buf.get_u64();
-        let records_in = buf.get_u64();
-        let np = buf.get_u32() as usize;
-        if buf.remaining() < np.saturating_mul(8) {
-            return Err(Error::Corruption("truncated checkpoint positions".into()));
-        }
+        let checkpoint_id = get_u64_checked(&mut buf, "checkpoint id")?;
+        let records_in = get_u64_checked(&mut buf, "checkpoint record count")?;
+        let np = get_count_checked(&mut buf, 8, "checkpoint position count")?;
         let mut source_position = Vec::with_capacity(np);
         for _ in 0..np {
-            source_position.push(buf.get_u64());
+            source_position.push(get_u64_checked(&mut buf, "checkpoint position")?);
         }
-        if buf.remaining() < 4 {
-            return Err(Error::Corruption("truncated checkpoint state count".into()));
-        }
-        let ns = buf.get_u32() as usize;
-        let mut operator_state = Vec::with_capacity(ns.min(1024));
+        // every state slot has at least its length prefix
+        let ns = get_count_checked(&mut buf, 4, "checkpoint state count")?;
+        let mut operator_state = Vec::with_capacity(ns);
         for _ in 0..ns {
-            if buf.remaining() < 4 {
-                return Err(Error::Corruption("truncated checkpoint state len".into()));
-            }
-            let len = buf.get_u32() as usize;
-            if buf.remaining() < len {
-                return Err(Error::Corruption("truncated checkpoint state".into()));
-            }
-            operator_state.push(buf.split_to(len));
+            operator_state.push(get_block_checked(&mut buf, "checkpoint state")?);
         }
         Ok(CheckpointData {
             checkpoint_id,
@@ -243,18 +227,6 @@ impl CheckpointStore {
         }
         Ok(())
     }
-}
-
-/// Where a run reports skew to the freshness tracer: parallel routers
-/// record the per-watermark spread between their fullest and emptiest
-/// shard queue.
-#[derive(Clone)]
-pub struct TraceHook {
-    pub tracer: PipelineTracer,
-    /// Pipeline name the dwells are recorded under (usually the source
-    /// topic).
-    pub pipeline: String,
-    pub clock: Arc<dyn Clock>,
 }
 
 /// Per-stage counters from a staged run. A fused stage lists every
@@ -355,10 +327,6 @@ pub struct StagedConfig {
     /// Checkpoint every N input records via barrier alignment (0 = off).
     pub checkpoint_interval: u64,
     pub checkpoint_store: Option<CheckpointStore>,
-    /// Optional tracer; parallel routers record per-watermark max-shard
-    /// queue lag under `"<stage>/max-shard-lag"` so key skew is visible
-    /// in `health()`.
-    pub trace: Option<TraceHook>,
     /// Optional cooperative stop-at-checkpoint flag for elastic rescale.
     /// Only effective when checkpointing is configured.
     pub rescale: Option<RescaleHandle>,
@@ -373,7 +341,6 @@ impl StagedConfig {
             fuse_operators: true,
             checkpoint_interval: 0,
             checkpoint_store: None,
-            trace: None,
             rescale: None,
         }
     }
@@ -528,8 +495,6 @@ fn run_parallel_router(
     shard_txs: Vec<crossbeam::channel::Sender<ShardMsg>>,
     barrier_tx: crossbeam::channel::Sender<Box<BarrierState>>,
     spec: ShardSpec,
-    stage: String,
-    trace: Option<TraceHook>,
     first: bool,
 ) -> RouterOutcome {
     let n = shard_txs.len();
@@ -568,17 +533,6 @@ fn run_parallel_router(
                 }
             }
             StagedMsg::Watermark(wm) => {
-                if let Some(hook) = &trace {
-                    // skew signal: spread between the fullest and emptiest
-                    // shard queue at this watermark
-                    let max = shard_txs.iter().map(|t| t.len()).max().unwrap_or(0);
-                    let min = shard_txs.iter().map(|t| t.len()).min().unwrap_or(0);
-                    hook.tracer.record_dwell(
-                        &hook.pipeline,
-                        &format!("{stage}/max-shard-lag"),
-                        (max - min) as i64,
-                    );
-                }
                 for t in &shard_txs {
                     if t.send(ShardMsg::Watermark(wm)).is_err() {
                         break 'recv;
@@ -959,19 +913,8 @@ pub fn run_staged_with(mut job: Job, config: &StagedConfig) -> Result<JobRunStat
                     let (barrier_tx, barrier_rx) =
                         crossbeam::channel::bounded::<Box<BarrierState>>(cap);
                     let key_cols = spec.key_cols.clone();
-                    let trace = config.trace.clone();
-                    let stage_label = name.clone();
-                    let router = scope.spawn(move || {
-                        run_parallel_router(
-                            rx,
-                            shard_txs,
-                            barrier_tx,
-                            spec,
-                            stage_label,
-                            trace,
-                            first,
-                        )
-                    });
+                    let router = scope
+                        .spawn(move || run_parallel_router(rx, shard_txs, barrier_tx, spec, first));
                     let shard_handles: Vec<_> = shards
                         .into_iter()
                         .zip(shard_rxs)

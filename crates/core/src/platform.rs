@@ -11,7 +11,7 @@
 
 use crate::usage::{Component, UsageTracker};
 use rtdi_common::{
-    Clock, PipelineTracer, Record, Result, Schema, Timestamp, TraceReport, WallClock,
+    Clock, Error, PipelineTracer, Record, Result, Schema, Timestamp, TraceReport, WallClock,
 };
 use rtdi_compute::jobmanager::{JobHealth, JobManager, JobSpec, JobType};
 use rtdi_compute::runtime::{run_staged_with, CheckpointStore, JobRunStats, StagedConfig};
@@ -384,7 +384,9 @@ impl RealtimePlatform {
         let writer = ArchivalWriter::new(self.store.clone(), topic);
         let mut batch = Vec::new();
         for p in 0..t.num_partitions() {
-            let log = t.partition(p).expect("partition exists");
+            let log = t
+                .partition(p)
+                .ok_or_else(|| Error::NotFound(format!("partition {p} of topic '{topic}'")))?;
             let fetch = log.fetch(log.log_start_offset(), usize::MAX / 2)?;
             batch.extend(fetch.records.into_iter().map(|r| r.into_record()));
         }

@@ -212,7 +212,7 @@ mod tests {
     use crate::query::Predicate;
     use crate::segment::{IndexSpec, Segment};
     use rtdi_common::AggFn;
-    use rtdi_storage::colfile;
+    use rtdi_storage::segfile;
 
     fn filled(n: usize) -> HeapStore {
         let mut hs = HeapStore::new();
@@ -278,7 +278,8 @@ mod tests {
     fn disk_gap_matches_paper_band() {
         let n = 20_000;
         let hs = filled(n);
-        let data = colfile::encode_columnar(&comparison_schema(), &comparison_rows(n)).unwrap();
+        let data =
+            segfile::encode_rows_segment(&comparison_schema(), "s", &comparison_rows(n)).unwrap();
         let ratio = hs.disk_bytes() as f64 / data.len() as f64;
         assert!(
             ratio >= 6.0,

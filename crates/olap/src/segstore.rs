@@ -19,7 +19,6 @@ use crate::segment::{IndexSpec, Segment};
 use parking_lot::Mutex;
 use rtdi_common::{Error, Result, RetryPolicy};
 use rtdi_storage::object::ObjectStore;
-use rtdi_storage::{colfile, segfile};
 use std::sync::Arc;
 
 /// Backup strategy.
@@ -140,18 +139,8 @@ impl SegmentStore {
             .map_err(|_| Error::NotFound(format!("segment '{segment}' unrecoverable")))?;
         // damaged objects surface as Error::Corruption (CRC/bounds checks
         // in the decoder) — never a panic, and never masked as NotFound
-        if segfile::is_segment_file(&data) {
-            let lazy = Segment::load_lazy(data)?;
-            return Ok(Arc::new(lazy.into_segment(&self.index_spec)?));
-        }
-        // legacy colfile objects written before the format switch
-        let (schema, rows) = colfile::decode_columnar(&data)?;
-        Ok(Arc::new(Segment::build(
-            segment,
-            &schema,
-            rows,
-            &self.index_spec,
-        )?))
+        let lazy = Segment::load_lazy(data)?;
+        Ok(Arc::new(lazy.into_segment(&self.index_spec)?))
     }
 }
 
@@ -262,7 +251,7 @@ mod tests {
         ss.backup("t", seg("s1", 100)).unwrap();
         let data = object_store.get("segments/t/s1").unwrap();
         assert!(
-            segfile::is_segment_file(&data),
+            rtdi_storage::SegmentFile::open(data).is_ok(),
             "deep-store object is not in the on-disk segment format"
         );
     }
@@ -303,21 +292,6 @@ mod tests {
         // the intact object still recovers
         object_store.put("segments/t/s1", pristine.into()).unwrap();
         assert_eq!(ss.recover("t", "s1", &[]).unwrap().doc_count(), 100);
-    }
-
-    #[test]
-    fn legacy_colfile_objects_remain_recoverable() {
-        let object_store = Arc::new(InMemoryStore::new());
-        let ss = SegmentStore::new(
-            object_store.clone(),
-            SegmentStoreMode::Centralized,
-            IndexSpec::none(),
-        );
-        let original = seg("s1", 50);
-        let data = colfile::encode_columnar(original.schema(), &original.to_rows()).unwrap();
-        object_store.put("segments/t/s1", data).unwrap();
-        let recovered = ss.recover("t", "s1", &[]).unwrap();
-        assert_eq!(recovered.doc_count(), 50);
     }
 
     #[test]

@@ -10,13 +10,14 @@
 //! `warehouse/<dataset>/<date>/part-<n>` and registers it with the Hive
 //! catalog.
 
-use crate::colfile::{
-    get_f64_checked, get_i64_checked, get_u32_checked, get_u8_checked, split_checked,
-};
 use crate::hive::HiveCatalog;
 use crate::object::ObjectStore;
 use crate::segfile;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
+use rtdi_common::wire::{
+    get_block_checked, get_count_checked, get_f64_checked, get_i64_checked, get_str_checked,
+    get_u8_checked,
+};
 use rtdi_common::{Error, Record, Result, RetryPolicy, Row, Schema, Timestamp, Value};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -108,23 +109,10 @@ fn decode_value(buf: &mut Bytes) -> Result<Value> {
         1 => Value::Bool(get_u8_checked(buf, "bool value")? == 1),
         2 => Value::Int(get_i64_checked(buf, "int value")?),
         3 => Value::Double(get_f64_checked(buf, "double value")?),
-        4 => {
-            let len = get_u32_checked(buf, "string length")? as usize;
-            let s = split_checked(buf, len, "string value")?;
-            Value::Str(
-                String::from_utf8(s.to_vec())
-                    .map_err(|_| Error::Corruption("invalid utf8 in raw log".into()))?,
-            )
-        }
-        5 => {
-            let len = get_u32_checked(buf, "bytes length")? as usize;
-            Value::Bytes(split_checked(buf, len, "bytes value")?.to_vec())
-        }
+        4 => Value::Str(get_str_checked(buf, "string value")?),
+        5 => Value::Bytes(get_block_checked(buf, "bytes value")?.to_vec()),
         6 => {
-            let len = get_u32_checked(buf, "json length")? as usize;
-            let s = split_checked(buf, len, "json value")?;
-            let text = String::from_utf8(s.to_vec())
-                .map_err(|_| Error::Corruption("invalid utf8 in raw log".into()))?;
+            let text = get_str_checked(buf, "json value")?;
             let j = rtdi_common::json::parse(&text)
                 .map_err(|_| Error::Corruption("invalid json in raw log".into()))?;
             Value::Json(Box::new(j))
@@ -153,90 +141,51 @@ pub fn encode_rows(rows: &[Row]) -> Bytes {
 /// preallocations.
 pub fn decode_rows(data: &Bytes) -> Result<Vec<Row>> {
     let mut buf = data.clone();
-    let n = get_u32_checked(&mut buf, "row count")? as usize;
     // every row needs at least its 4-byte column count
-    if n > buf.remaining() / 4 {
-        return Err(Error::Corruption(format!(
-            "row count {n} exceeds remaining bytes"
-        )));
-    }
+    let n = get_count_checked(&mut buf, 4, "row count")?;
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
-        let ncols = get_u32_checked(&mut buf, "column count")? as usize;
-        if ncols > buf.remaining() / 5 {
-            return Err(Error::Corruption(format!(
-                "column count {ncols} exceeds remaining bytes"
-            )));
-        }
-        let mut row = Row::with_capacity(ncols);
-        for _ in 0..ncols {
-            let nlen = get_u32_checked(&mut buf, "column name length")? as usize;
-            let name = String::from_utf8(split_checked(&mut buf, nlen, "column name")?.to_vec())
-                .map_err(|_| Error::Corruption("invalid column name".into()))?;
-            row.push(name, decode_value(&mut buf)?);
-        }
-        out.push(row);
+        out.push(decode_row(&mut buf)?);
     }
     Ok(out)
+}
+
+/// One row: a column count, then `(name, value)` pairs.
+fn decode_row(buf: &mut Bytes) -> Result<Row> {
+    // every column needs at least its name length(4) + value tag(1)
+    let ncols = get_count_checked(buf, 5, "column count")?;
+    let mut row = Row::with_capacity(ncols);
+    for _ in 0..ncols {
+        let name = get_str_checked(buf, "column name")?;
+        row.push(name, decode_value(buf)?);
+    }
+    Ok(row)
 }
 
 /// Decode a raw-log object back into records. Bounds-checked throughout:
 /// corrupt input returns `Err(Corruption)`, never panics.
 pub fn decode_raw(data: &Bytes) -> Result<Vec<Record>> {
     let mut buf = data.clone();
-    let n = get_u32_checked(&mut buf, "record count")? as usize;
     // every record needs at least ts(8) + key tag(1) + two counts(8)
-    if n > buf.remaining() / 17 {
-        return Err(Error::Corruption(format!(
-            "record count {n} exceeds remaining bytes"
-        )));
-    }
+    let n = get_count_checked(&mut buf, 17, "record count")?;
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
         let ts = get_i64_checked(&mut buf, "record timestamp")?;
         let key = match get_u8_checked(&mut buf, "key tag")? {
-            1 => {
-                let len = get_u32_checked(&mut buf, "key length")? as usize;
-                let s = split_checked(&mut buf, len, "key")?;
-                Some(Value::Str(
-                    String::from_utf8(s.to_vec())
-                        .map_err(|_| Error::Corruption("invalid utf8 key".into()))?,
-                ))
-            }
+            1 => Some(Value::Str(get_str_checked(&mut buf, "key")?)),
             2 => Some(Value::Int(get_i64_checked(&mut buf, "int key")?)),
             _ => None,
         };
-        let nh = get_u32_checked(&mut buf, "header count")? as usize;
-        if nh > buf.remaining() / 8 {
-            return Err(Error::Corruption(format!(
-                "header count {nh} exceeds remaining bytes"
-            )));
-        }
+        // every header needs at least its two length prefixes
+        let nh = get_count_checked(&mut buf, 8, "header count")?;
         let mut rec = Record::new(Row::new(), ts);
         rec.key = key;
         for _ in 0..nh {
-            let klen = get_u32_checked(&mut buf, "header key length")? as usize;
-            let k = String::from_utf8(split_checked(&mut buf, klen, "header key")?.to_vec())
-                .map_err(|_| Error::Corruption("invalid header".into()))?;
-            let vlen = get_u32_checked(&mut buf, "header value length")? as usize;
-            let v = String::from_utf8(split_checked(&mut buf, vlen, "header value")?.to_vec())
-                .map_err(|_| Error::Corruption("invalid header".into()))?;
+            let k = get_str_checked(&mut buf, "header key")?;
+            let v = get_str_checked(&mut buf, "header value")?;
             rec.headers.set(k, v);
         }
-        let ncols = get_u32_checked(&mut buf, "column count")? as usize;
-        if ncols > buf.remaining() / 5 {
-            return Err(Error::Corruption(format!(
-                "column count {ncols} exceeds remaining bytes"
-            )));
-        }
-        let mut row = Row::with_capacity(ncols);
-        for _ in 0..ncols {
-            let nlen = get_u32_checked(&mut buf, "column name length")? as usize;
-            let name = String::from_utf8(split_checked(&mut buf, nlen, "column name")?.to_vec())
-                .map_err(|_| Error::Corruption("invalid column name".into()))?;
-            row.push(name, decode_value(&mut buf)?);
-        }
-        rec.value = row;
+        rec.value = decode_row(&mut buf)?;
         out.push(rec);
     }
     Ok(out)

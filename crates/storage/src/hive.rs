@@ -6,10 +6,8 @@
 //! reads these tables through [`HiveTable::scan_range`], and the SQL
 //! layer's Hive connector scans them for federated queries.
 
-use crate::colfile;
 use crate::object::ObjectStore;
-use crate::segfile;
-use bytes::Bytes;
+use crate::segfile::{self, SegmentFile};
 use parking_lot::RwLock;
 use rtdi_common::{Error, Result, Row, Schema, Timestamp};
 use std::collections::BTreeMap;
@@ -70,8 +68,7 @@ impl HiveTable {
         };
         let mut rows = Vec::new();
         for f in files {
-            let data = self.store.get(&f)?;
-            let (_, mut batch) = decode_part_file(&data)?;
+            let (_, mut batch) = SegmentFile::open(self.store.get(&f)?)?.read_rows()?;
             rows.append(&mut batch);
         }
         Ok(rows)
@@ -198,17 +195,6 @@ impl HiveCatalog {
         let data = segfile::encode_rows_segment(&t.inner.schema, &seg_name, rows)?;
         self.store.put(&key, data)?;
         self.register_partition(table, date, &key, rows.len())
-    }
-}
-
-/// Decode one warehouse part file, dispatching on its magic: new part
-/// files are on-disk segments, while pre-existing colfile objects remain
-/// readable for compatibility.
-fn decode_part_file(data: &Bytes) -> Result<(Schema, Vec<Row>)> {
-    if segfile::is_segment_file(data) {
-        segfile::decode_rows_segment(data)
-    } else {
-        colfile::decode_columnar(data)
     }
 }
 

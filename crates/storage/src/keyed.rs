@@ -21,7 +21,10 @@
 //! salted hot key leaves partial state for the same group in several
 //! shards — and are resolved by the operator's restore-side fold.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
+use rtdi_common::wire::{
+    get_block_checked, get_count_checked, get_i64_checked, get_u32_checked, get_u64_checked,
+};
 use rtdi_common::{Error, Result, Timestamp};
 
 /// Fixed key-group space. Must never change once checkpoints exist: a
@@ -75,35 +78,25 @@ impl KeyedSnapshot {
 
     /// Decode an envelope, rejecting truncated or foreign bytes.
     pub fn decode(mut data: Bytes) -> Result<Self> {
-        if data.remaining() < 24 {
-            return Err(Error::Corruption("keyed snapshot too short".into()));
-        }
-        if data.get_u32() != MAGIC {
+        if get_u32_checked(&mut data, "keyed snapshot magic")? != MAGIC {
             return Err(Error::Corruption("keyed snapshot bad magic".into()));
         }
-        let watermark = data.get_i64();
-        let dropped = data.get_u64();
-        let n = data.get_u32() as usize;
-        let mut frames = Vec::with_capacity(n.min(1024));
+        let watermark = get_i64_checked(&mut data, "keyed snapshot watermark")?;
+        let dropped = get_u64_checked(&mut data, "keyed snapshot drop counter")?;
+        // every frame has at least its group id and length prefix
+        let n = get_count_checked(&mut data, 8, "keyed snapshot frame count")?;
+        let mut frames = Vec::with_capacity(n);
         for _ in 0..n {
-            if data.remaining() < 8 {
-                return Err(Error::Corruption(
-                    "keyed snapshot truncated frame header".into(),
-                ));
-            }
-            let group = data.get_u32();
+            let group = get_u32_checked(&mut data, "keyed snapshot frame header")?;
             if group >= KEY_GROUPS {
                 return Err(Error::Corruption(format!(
                     "keyed snapshot group {group} out of range"
                 )));
             }
-            let len = data.get_u32() as usize;
-            if data.remaining() < len {
-                return Err(Error::Corruption(
-                    "keyed snapshot truncated frame body".into(),
-                ));
-            }
-            frames.push((group, data.split_to(len)));
+            frames.push((
+                group,
+                get_block_checked(&mut data, "keyed snapshot frame body")?,
+            ));
         }
         Ok(KeyedSnapshot {
             watermark,
@@ -207,10 +200,14 @@ mod tests {
             frames: vec![(5, Bytes::from_static(b"state"))],
         }
         .encode();
-        for cut in 1..good.len() {
-            // Any prefix must error, never panic.
-            let _ = KeyedSnapshot::decode(good.slice(0..cut));
+        for cut in 0..good.len() {
+            let got = KeyedSnapshot::decode(good.slice(0..cut));
+            assert!(matches!(got, Err(Error::Corruption(_))), "cut {cut}");
         }
+        // a frame count the remaining bytes cannot hold sizes no Vec
+        let mut bad = good.to_vec();
+        bad[20..24].copy_from_slice(&u32::MAX.to_be_bytes());
+        assert!(KeyedSnapshot::decode(bad.into()).is_err());
     }
 
     #[test]

@@ -7,29 +7,26 @@
 //!   consistency (the paper's minimum storage requirement), with in-memory
 //!   and local-filesystem backends plus a fault-injecting wrapper used by
 //!   the failure experiments;
-//! - [`colfile`]: a compact columnar file format (the "Parquet" stand-in)
-//!   with dictionary encoding and bit-packing;
 //! - [`archival`]: raw-log persistence of stream records (the "Avro raw
 //!   logs" of §4.4) and the compaction process that merges them into
-//!   columnar files;
-//! - [`hive`]: date-partitioned long-term tables over columnar files — the
+//!   segment files;
+//! - [`hive`]: date-partitioned long-term tables over segment files — the
 //!   source of truth used for backfills (§7) and Pinot offline segments;
-//! - [`segfile`]: the real on-disk OLAP segment format (little-endian,
-//!   dictionary + bit-packed/var-byte forward indexes, RLE runs, zone
-//!   maps, CRC32-checked footer) with lazy per-column decoding.
+//! - [`keyed`]: the key-group framed checkpoint envelope of keyed compute
+//!   state;
+//! - [`segfile`]: the one columnar file format — warehouse part files
+//!   (the "Parquet" stand-in) and OLAP segment backups alike
+//!   (little-endian, dictionary + bit-packed/var-byte forward indexes,
+//!   RLE runs, zone maps, CRC32-checked footer, lazy per-column decoding).
 
 pub mod archival;
-pub mod colfile;
 pub mod hive;
 pub mod keyed;
 pub mod object;
 pub mod segfile;
 
 pub use archival::{ArchivalWriter, Compactor};
-pub use colfile::{decode_columnar, encode_columnar};
 pub use hive::{HiveCatalog, HiveTable};
 pub use keyed::{key_group_of, shard_of_group, KeyedSnapshot, KEY_GROUPS};
 pub use object::{FaultyStore, InMemoryStore, LocalFsStore, MirroredStore, ObjectStore};
-pub use segfile::{
-    decode_rows_segment, encode_rows_segment, is_segment_file, SegmentFile, SegmentMeta,
-};
+pub use segfile::{decode_rows_segment, encode_rows_segment, SegmentFile, SegmentMeta};

@@ -30,7 +30,6 @@
 //! truncated or bit-flipped files surface as [`Error::Corruption`].
 //! See DESIGN.md ("On-disk segment format") for the full byte diagram.
 
-use crate::colfile::{bitpack, bits_for, bitunpack};
 use bytes::Bytes;
 use rtdi_common::{Error, FieldType, Result, Row, Schema, Value};
 use std::sync::OnceLock;
@@ -80,6 +79,52 @@ pub fn crc32(data: &[u8]) -> u32 {
         c = table[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
+}
+
+// ---------------------------------------------------------------------
+// Fixed-bit packing (LSB-first within each byte).
+// ---------------------------------------------------------------------
+
+/// Minimum number of bits needed to represent values in `0..=max`.
+fn bits_for(max: u64) -> u32 {
+    if max == 0 {
+        1
+    } else {
+        64 - max.leading_zeros()
+    }
+}
+
+/// Bit-pack a slice of u64 values each fitting in `bits` bits.
+fn bitpack(values: &[u64], bits: u32) -> Vec<u8> {
+    let total_bits = values.len() * bits as usize;
+    let mut out = vec![0u8; total_bits.div_ceil(8)];
+    let mut bitpos = 0usize;
+    for &v in values {
+        for b in 0..bits {
+            if (v >> b) & 1 == 1 {
+                out[bitpos / 8] |= 1 << (bitpos % 8);
+            }
+            bitpos += 1;
+        }
+    }
+    out
+}
+
+/// Inverse of [`bitpack`].
+fn bitunpack(data: &[u8], bits: u32, count: usize) -> Vec<u64> {
+    let mut out = Vec::with_capacity(count);
+    let mut bitpos = 0usize;
+    for _ in 0..count {
+        let mut v = 0u64;
+        for b in 0..bits {
+            if bitpos / 8 < data.len() && (data[bitpos / 8] >> (bitpos % 8)) & 1 == 1 {
+                v |= 1 << b;
+            }
+            bitpos += 1;
+        }
+        out.push(v);
+    }
+    out
 }
 
 // ---------------------------------------------------------------------
@@ -355,7 +400,7 @@ pub struct SegmentMeta {
 }
 
 // ---------------------------------------------------------------------
-// Type tags (shared with colfile's numbering for familiarity).
+// Type tags.
 // ---------------------------------------------------------------------
 
 fn type_tag(t: FieldType) -> u8 {
@@ -705,12 +750,6 @@ pub fn encode_segment(
 // Decoding.
 // ---------------------------------------------------------------------
 
-/// True when `data` starts with the segment magic (used to dispatch
-/// between this format and legacy colfile bytes).
-pub fn is_segment_file(data: &[u8]) -> bool {
-    data.len() >= 4 && data[..4] == MAGIC.to_le_bytes()
-}
-
 /// An opened segment file: header + index map parsed and CRC verified,
 /// column bytes untouched until [`SegmentFile::column`] is called.
 pub struct SegmentFile {
@@ -733,7 +772,7 @@ impl SegmentFile {
                 raw.len()
             )));
         }
-        if !is_segment_file(raw) {
+        if raw[..4] != MAGIC.to_le_bytes() {
             return Err(Error::Corruption("bad segment magic".into()));
         }
         let foot = &raw[raw.len() - FOOTER_LEN..];
@@ -1205,8 +1244,8 @@ pub fn column_from_rows(field: &rtdi_common::Field, rows: &[Row]) -> Column {
     Column { values, nulls }
 }
 
-/// Encode a row batch under a schema as a segment file — the drop-in
-/// replacement for `colfile::encode_columnar` in warehouse writers.
+/// Encode a row batch under a schema as a segment file — what the
+/// warehouse writers (Hive part files, compaction) emit.
 pub fn encode_rows_segment(schema: &Schema, name: &str, rows: &[Row]) -> Result<Bytes> {
     let columns: Vec<Column> = schema
         .fields
@@ -1416,14 +1455,48 @@ mod tests {
     }
 
     #[test]
-    fn magic_sniffing_distinguishes_formats() {
+    fn open_rejects_foreign_and_short_magic_with_corruption() {
         let schema = Schema::of("t", &[("n", FieldType::Int)]);
         let rows = vec![Row::new().with("n", 1i64)];
         let seg = encode_rows_segment(&schema, "s", &rows).unwrap();
-        let col = crate::colfile::encode_columnar(&schema, &rows).unwrap();
-        assert!(is_segment_file(&seg));
-        assert!(!is_segment_file(&col));
-        assert!(!is_segment_file(b"RT"));
+        assert!(SegmentFile::open(seg.clone()).is_ok());
+        // same length, foreign head magic: refused before the CRC is read
+        let mut foreign = seg.to_vec();
+        foreign[..4].copy_from_slice(b"RTC1");
+        match SegmentFile::open(foreign.into()) {
+            Err(Error::Corruption(msg)) => assert!(msg.contains("magic"), "{msg}"),
+            other => panic!("foreign magic not rejected: {:?}", other.map(|_| ())),
+        }
+        for short in [&b""[..], b"RT", b"RTSG"] {
+            assert!(matches!(
+                SegmentFile::open(Bytes::copy_from_slice(short)),
+                Err(Error::Corruption(_))
+            ));
+        }
+    }
+
+    #[test]
+    fn bitpack_roundtrip_various_widths() {
+        for bits in [1u32, 3, 7, 13, 31, 64] {
+            let max = if bits == 64 {
+                u64::MAX
+            } else {
+                (1u64 << bits) - 1
+            };
+            let vals: Vec<u64> = (0..100).map(|i| (i * 2654435761u64) % max.max(1)).collect();
+            let packed = bitpack(&vals, bits);
+            let un = bitunpack(&packed, bits, vals.len());
+            assert_eq!(vals, un, "width {bits}");
+        }
+    }
+
+    #[test]
+    fn bits_for_boundaries() {
+        assert_eq!(bits_for(0), 1);
+        assert_eq!(bits_for(1), 1);
+        assert_eq!(bits_for(2), 2);
+        assert_eq!(bits_for(255), 8);
+        assert_eq!(bits_for(256), 9);
     }
 
     #[test]

@@ -269,6 +269,7 @@ mod tests {
 
     #[test]
     fn merge_republishes_to_source_topic() {
+        let _g = rtdi_common::chaos::test_guard();
         let cluster = Cluster::new("c", ClusterConfig::default());
         cluster
             .create_topic("trips", TopicConfig::default().with_partitions(1))

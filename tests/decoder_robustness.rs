@@ -1,25 +1,36 @@
-//! Decoder robustness soak: a seeded corpus of damaged on-disk files —
-//! truncated and bit-flipped segment files and legacy colfiles — driven
-//! through every decode entry point (`segfile::decode_rows_segment`, the
-//! lazy `Segment::load_lazy` path and `colfile::decode_columnar`).
+//! Decoder robustness soak: a seeded corpus of damaged persisted bytes
+//! through every decode entry point — segment files (eager
+//! `decode_rows_segment` and lazy `Segment::load_lazy`), raw logs
+//! (`decode_raw`) and compute state: the stateful operators' `restore`
+//! (serial and as shards), `KeyedSnapshot::decode` and
+//! `CheckpointStore::latest`.
 //!
-//! The invariant under test is the bugfix contract of the segment format:
-//! a decoder fed hostile bytes may succeed (benign damage the format
-//! cannot see — colfile has no checksum) or return
-//! `Err(Error::Corruption)`, but it must NEVER panic and never surface
-//! any other error kind. Any panic aborts the test and fails `ci.sh`.
+//! The invariant is the bugfix contract of every decoder: fed hostile
+//! bytes it may succeed (benign damage — only segment files carry a
+//! checksum) or return `Err(Error::Corruption)`, but it must NEVER panic
+//! and never surface another error kind. A panic fails `ci.sh`.
 //!
-//! The corpus derives entirely from a seed (`RTDI_FUZZ_SEED` in ci), and
-//! the printed `DECODER_SUMMARY` line is a pure function of that seed, so
-//! `ci.sh` diffs the line between two separate processes to prove the
-//! soak is replayable.
+//! The corpus derives entirely from a seed (`RTDI_FUZZ_SEED` in ci), so
+//! the printed `DECODER_SUMMARY` lines — one per decoder, with the size
+//! and CRC32 of its undamaged inputs, so a changed encoder shows too —
+//! are a pure function of it: `ci.sh` diffs them between two processes.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rtdi::common::{Error, Field, FieldType, Row, Schema, Value};
+use rtdi::common::value::JsonValue;
+use rtdi::common::{AggFn, Error, Field, FieldType, Record, Result, Row, Schema, Value};
+use rtdi::compute::runtime::CheckpointData;
+use rtdi::compute::{
+    CheckpointStore, DedupOp, FusedOp, Operator, WindowAggregateOp, WindowAssigner, WindowJoinOp,
+};
 use rtdi::olap::query::Query;
 use rtdi::olap::segment::{IndexSpec, Segment};
-use rtdi::storage::{colfile, segfile};
+use rtdi::storage::archival::{decode_raw, encode_raw};
+use rtdi::storage::keyed::KeyedSnapshot;
+use rtdi::storage::object::{InMemoryStore, ObjectStore};
+use rtdi::storage::segfile;
+use std::collections::BTreeMap;
+use std::sync::Arc;
 
 const DEFAULT_SEED: u64 = 0xDEC0DE;
 
@@ -61,18 +72,10 @@ fn arb_rows(rng: &mut StdRng, schema: &Schema, lo: usize, hi: usize) -> Vec<Row>
                         let n = rng.gen_range(0..10usize);
                         Value::Bytes((0..n).map(|_| rng.gen_range(0..=255u8)).collect())
                     }
-                    FieldType::Json => Value::Str(format!("j{}", rng.gen_range(0..12u8))),
-                };
-                // Json columns accept Str text; keep the corpus simple
-                let v = if f.field_type == FieldType::Json {
-                    match v {
-                        Value::Str(s) => {
-                            Value::Json(Box::new(rtdi::common::value::JsonValue::String(s)))
-                        }
-                        other => other,
+                    FieldType::Json => {
+                        let text = format!("j{}", rng.gen_range(0..12u8));
+                        Value::Json(Box::new(JsonValue::String(text)))
                     }
-                } else {
-                    v
                 };
                 row.push(f.name.as_str(), v);
             }
@@ -81,134 +84,189 @@ fn arb_rows(rng: &mut StdRng, schema: &Schema, lo: usize, hi: usize) -> Vec<Row>
         .collect()
 }
 
-/// Tally of decode outcomes across the corpus; all counts derive from the
-/// seed alone, so the summary line is byte-stable across processes.
+/// Trip-like records: a few cities and riders so windows, distinct sets
+/// and dedup keys all hold more than one entry.
+fn arb_records(rng: &mut StdRng) -> Vec<Record> {
+    (0..rng.gen_range(4..40usize))
+        .map(|i| {
+            let row = Row::new()
+                .with("city", format!("c{}", rng.gen_range(0..5u8)))
+                .with("rider", format!("r{}", rng.gen_range(0..9u8)))
+                .with("fare", rng.gen_range(0.0..90.0f64))
+                .with("__stream", if i % 2 == 0 { "l" } else { "r" });
+            Record::new(row, rng.gen_range(0..4000i64)).with_key(format!("k{i}"))
+        })
+        .collect()
+}
+
+/// Decode outcomes of one decoder across the corpus: a pure function of
+/// the seed, so its summary line is byte-stable across processes.
 #[derive(Default)]
 struct Tally {
-    cases: u64,
-    truncations: u64,
-    flips: u64,
+    /// Every undamaged input, concatenated (printed as size + CRC32).
+    clean: Vec<u8>,
     detected: u64,
     benign: u64,
 }
 
-/// Decode `bytes` through one entry point; count the outcome and panic
-/// only on a non-Corruption error (a real panic inside the decoder also
-/// propagates and fails the test — that is the gate).
-fn probe_segfile(bytes: Vec<u8>, tally: &mut Tally, ctx: &str) {
-    match segfile::decode_rows_segment(&bytes.clone().into()) {
-        Ok(_) => tally.benign += 1,
-        Err(Error::Corruption(_)) => tally.detected += 1,
-        Err(e) => panic!("{ctx}: segfile decode surfaced wrong error kind: {e}"),
+impl Tally {
+    /// Feed `probe` the prefix of `clean` at each of `cuts`, then `flips`
+    /// copies with one seeded byte damaged. Only a non-Corruption error
+    /// panics here; a panic inside the decoder propagates — that is the gate.
+    fn damage(
+        &mut self,
+        clean: &[u8],
+        cuts: impl Iterator<Item = usize>,
+        flips: usize,
+        rng: &mut StdRng,
+        ctx: &str,
+        probe: &dyn Fn(Vec<u8>) -> Result<()>,
+    ) {
+        self.clean.extend_from_slice(clean);
+        let mut count = |outcome, what: String| match outcome {
+            Ok(()) => self.benign += 1,
+            Err(Error::Corruption(_)) => self.detected += 1,
+            Err(e) => panic!("{ctx} {what}: decode surfaced wrong error kind: {e}"),
+        };
+        for cut in cuts {
+            count(probe(clean[..cut].to_vec()), format!("cut {cut}"));
+        }
+        for _ in 0..flips {
+            let mut bad = clean.to_vec();
+            let at = rng.gen_range(0..bad.len());
+            bad[at] ^= rng.gen_range(1..=255u8);
+            count(probe(bad), format!("flip {at}"));
+        }
     }
-    // the lazy path must hold the same bound: open + full materialize
-    match Segment::load_lazy(bytes.into()).and_then(|l| l.into_segment(&IndexSpec::none())) {
+}
+
+/// Decode a damaged segment file through both entry points.
+fn probe_segfile(bytes: Vec<u8>) -> Result<()> {
+    // the lazy path must hold the same bound: open, query (a damaged
+    // column may only fail on access), full materialize
+    let lazy = Segment::load_lazy(bytes.clone().into()).and_then(|l| {
+        l.execute(&Query::select_all("t"))?;
+        l.into_segment(&IndexSpec::none())
+    });
+    match lazy {
         Ok(_) | Err(Error::Corruption(_)) => {}
-        Err(e) => panic!("{ctx}: lazy decode surfaced wrong error kind: {e}"),
+        Err(e) => panic!("lazy decode surfaced wrong error kind: {e}"),
+    }
+    segfile::decode_rows_segment(&bytes.into()).map(drop)
+}
+
+/// Every accumulator variant, so each `AggAcc` layout is in the corpus.
+fn window_agg() -> WindowAggregateOp {
+    let aggs = vec![
+        ("n".into(), AggFn::Count),
+        ("sum".into(), AggFn::Sum("fare".into())),
+        ("avg".into(), AggFn::Avg("fare".into())),
+        ("lo".into(), AggFn::Min("fare".into())),
+        ("hi".into(), AggFn::Max("absent".into())),
+        ("riders".into(), AggFn::DistinctCount("rider".into())),
+    ];
+    let window = WindowAssigner::tumbling(1000);
+    WindowAggregateOp::new("agg", vec!["city".into()], window, aggs, 0)
+}
+
+/// The stateful stages whose snapshots the corpus damages, by summary name.
+fn stage(name: &str) -> Box<dyn Operator> {
+    match name {
+        "window-agg" => Box::new(window_agg()),
+        "window-agg-p4" => Box::new(window_agg().with_parallelism(4)),
+        "dedup" => Box::new(DedupOp::new("dedup", vec!["city".into(), "rider".into()])),
+        "window-join" => Box::new(WindowJoinOp::new("join", "city", "l", "r", 1000)),
+        _ => Box::new(FusedOp::new(vec![stage("dedup"), stage("window-agg")])),
     }
 }
 
-fn probe_colfile(bytes: &[u8], tally: &mut Tally, ctx: &str) {
-    match colfile::decode_columnar(&bytes.to_vec().into()) {
-        Ok(_) => tally.benign += 1,
-        Err(Error::Corruption(_)) => tally.detected += 1,
-        Err(e) => panic!("{ctx}: colfile decode surfaced wrong error kind: {e}"),
-    }
-}
-
-/// Run the whole corpus for one seed and return the summary line body.
-fn soak(seed: u64) -> String {
-    let mut tally = Tally::default();
+/// Run the whole corpus for one seed: one summary line per decoder.
+fn soak(seed: u64) -> Vec<String> {
+    let mut tallies: BTreeMap<&str, Tally> = BTreeMap::new();
+    // --- segment files (checksummed format): seeded cuts plus the empty file
     for case in 0..40u64 {
         let mut rng = StdRng::seed_from_u64(seed.wrapping_add(case));
-        tally.cases += 1;
-
-        // --- segment files (checksummed format)
         let schema = arb_schema(&mut rng);
         let rows = arb_rows(&mut rng, &schema, 1, 60);
         let clean = segfile::encode_rows_segment(&schema, "fz", &rows)
             .unwrap()
             .to_vec();
-        for t in 0..5 {
-            let cut = if t == 0 {
-                0
-            } else {
-                rng.gen_range(0..clean.len())
-            };
-            tally.truncations += 1;
-            probe_segfile(
-                clean[..cut].to_vec(),
-                &mut tally,
-                &format!("case {case} segfile cut {cut}"),
-            );
-        }
-        for _ in 0..5 {
-            let mut bad = clean.clone();
-            let at = rng.gen_range(0..bad.len());
-            bad[at] ^= rng.gen_range(1..=255u8);
-            tally.flips += 1;
-            probe_segfile(bad, &mut tally, &format!("case {case} segfile flip {at}"));
-        }
-
-        // --- a lazily-opened segment with a flipped column region must
-        // fail on access, not on open: exercise the query path too
-        let mut bad = clean.clone();
-        let at = clean.len() / 2;
-        bad[at] ^= 0xFF;
-        if let Ok(lazy) = Segment::load_lazy(bad.into()) {
-            match lazy.execute(&Query::select_all("t")) {
-                Ok(_) | Err(Error::Corruption(_)) => {}
-                Err(e) => panic!("case {case}: lazy execute wrong error kind: {e}"),
-            }
-        }
-
-        // --- legacy colfiles (no checksum: benign decodes allowed)
-        let colschema = Schema::of(
-            "t",
-            &[
-                ("city", FieldType::Str),
-                ("n", FieldType::Int),
-                ("x", FieldType::Double),
-                ("flag", FieldType::Bool),
-            ],
-        );
-        let colrows: Vec<Row> = (0..rng.gen_range(1..60usize))
-            .map(|i| {
-                Row::new()
-                    .with("city", format!("c{}", i % 5))
-                    .with("n", i as i64)
-                    .with("x", i as f64)
-                    .with("flag", i % 2 == 0)
-            })
-            .collect();
-        let clean = colfile::encode_columnar(&colschema, &colrows)
-            .unwrap()
-            .to_vec();
-        for t in 0..5 {
-            let cut = if t == 0 {
-                0
-            } else {
-                rng.gen_range(0..clean.len())
-            };
-            tally.truncations += 1;
-            probe_colfile(
-                &clean[..cut],
-                &mut tally,
-                &format!("case {case} colfile cut {cut}"),
-            );
-        }
-        for _ in 0..5 {
-            let mut bad = clean.clone();
-            let at = rng.gen_range(0..bad.len());
-            bad[at] ^= rng.gen_range(1..=255u8);
-            tally.flips += 1;
-            probe_colfile(&bad, &mut tally, &format!("case {case} colfile flip {at}"));
-        }
+        let mut cuts = vec![0];
+        cuts.extend((0..4).map(|_| rng.gen_range(0..clean.len())));
+        let ctx = format!("case {case} segfile");
+        let tally = tallies.entry("segfile").or_default();
+        tally.damage(&clean, cuts.into_iter(), 5, &mut rng, &ctx, &probe_segfile);
     }
-    format!(
-        "seed={seed:#x} cases={} truncations={} flips={} corrupt_detected={} benign={}",
-        tally.cases, tally.truncations, tally.flips, tally.detected, tally.benign
-    )
+
+    // --- raw logs and checkpoint frames (no checksum: benign decodes
+    // allowed), each truncated at every cut
+    for case in 0..3u64 {
+        let mut rng = StdRng::seed_from_u64(seed.wrapping_add(0xC4EC_0000 + case));
+        let records = arb_records(&mut rng);
+        let mut run = |name: &'static str, clean: &[u8], probe: &dyn Fn(Vec<u8>) -> Result<()>| {
+            let ctx = format!("case {case} {name}");
+            let tally = tallies.entry(name).or_default();
+            tally.damage(clean, 0..clean.len(), 48, &mut rng, &ctx, probe);
+        };
+        run("raw-log", &encode_raw(&records).unwrap(), &|b| {
+            decode_raw(&b.into()).map(drop)
+        });
+        // mid-stream snapshots (open windows), restored into the stage and,
+        // where it is parallel, into each shard (it keeps the groups it owns)
+        let mut snapshots = Vec::new();
+        for name in [
+            "window-agg",
+            "dedup",
+            "window-join",
+            "fused",
+            "window-agg-p4",
+        ] {
+            let mut op = stage(name);
+            let mut out = Vec::new();
+            for r in &records {
+                op.process(r.clone(), &mut out).unwrap();
+            }
+            op.on_watermark(1000, &mut out);
+            let shards = op.shard_spec().map_or(0, |spec| spec.parallelism);
+            run(name, &op.snapshot(), &|b| {
+                (0..shards).try_for_each(|i| {
+                    let mut shard = op.make_shard(i, shards).expect("keyed stage shards");
+                    shard.restore(b.clone().into())
+                })?;
+                stage(name).restore(b.into())
+            });
+            snapshots.push(op.snapshot());
+        }
+        // the dedup snapshot is a key-group envelope: the framing alone
+        run("keyed-snapshot", &snapshots[1], &|b| {
+            KeyedSnapshot::decode(b.into()).map(drop)
+        });
+        // a persisted checkpoint object, read back the way recovery does
+        let store: Arc<dyn ObjectStore> = Arc::new(InMemoryStore::new());
+        let checkpoints = CheckpointStore::new(store.clone());
+        let data = CheckpointData {
+            checkpoint_id: 7,
+            source_position: vec![0, records.len() as u64],
+            operator_state: snapshots,
+            records_in: records.len() as u64,
+        };
+        checkpoints.persist("fz", &data).unwrap();
+        let key = store.list("checkpoints/fz/").unwrap().remove(0);
+        run("checkpoint-object", &store.get(&key).unwrap(), &|b| {
+            store.put(&key, b.into()).unwrap();
+            checkpoints.latest("fz").map(drop)
+        });
+    }
+    let line = |(name, t): (&&str, &Tally)| {
+        format!(
+            "seed={seed:#x} decoder={name} bytes={} crc={:#010x} corrupt_detected={} benign={}",
+            t.clean.len(),
+            segfile::crc32(&t.clean),
+            t.detected,
+            t.benign
+        )
+    };
+    tallies.iter().map(line).collect()
 }
 
 #[test]
@@ -232,5 +290,7 @@ fn fuzz_env_seed_prints_summary() {
         .unwrap_or(DEFAULT_SEED);
     let summary = soak(seed);
     assert_eq!(summary, soak(seed), "replay must be byte-identical");
-    println!("DECODER_SUMMARY {summary}");
+    for line in summary {
+        println!("DECODER_SUMMARY {line}");
+    }
 }

@@ -15,11 +15,10 @@ use rtdi::olap::bitmap::Bitmap;
 use rtdi::olap::query::{Predicate, PredicateOp, Query};
 use rtdi::olap::segment::{IndexSpec, Segment};
 use rtdi::olap::startree::StarTreeSpec;
-use rtdi::storage::colfile;
+use rtdi::storage::segfile::{self, SegmentFile};
 use rtdi::stream::log::PartitionLog;
 
 /// Distinct per-test seed bases so tests never share generated streams.
-const SEED_COLFILE: u64 = 0x0C01_F11E;
 const SEED_INDEXES: u64 = 0x001D_E7E5;
 const SEED_SORTED: u64 = 0x0050_27ED;
 const SEED_STARTREE: u64 = 0x57A2_72EE;
@@ -31,7 +30,6 @@ const SEED_PUSHDOWN: u64 = 0x0090_54D0;
 const SEED_FUSION: u64 = 0x0F05_ED00;
 const SEED_SEGFILE: u64 = 0x5E6F_11E0;
 const SEED_SEGFUZZ: u64 = 0x5E6F_F422;
-const SEED_COLFUZZ: u64 = 0x0C01_F422;
 
 fn schema() -> Schema {
     Schema::of(
@@ -85,40 +83,17 @@ fn arb_predicate(rng: &mut StdRng) -> Predicate {
     }
 }
 
-/// Columnar file encode/decode round-trips arbitrary rows (including
-/// missing fields -> nulls).
-#[test]
-fn colfile_roundtrip() {
-    for case in 0..64u64 {
-        let mut rng = StdRng::seed_from_u64(SEED_COLFILE + case);
-        let rows = arb_rows(&mut rng, 0, 200);
-        let data = colfile::encode_columnar(&schema(), &rows).unwrap();
-        let (s2, decoded) = colfile::decode_columnar(&data).unwrap();
-        assert_eq!(s2.fields.len(), schema().fields.len(), "case {case}");
-        assert_eq!(decoded.len(), rows.len(), "case {case}");
-        for (a, b) in rows.iter().zip(&decoded) {
-            for col in ["city", "n", "x", "flag"] {
-                let va = a.get(col).cloned().unwrap_or(Value::Null);
-                let vb = b.get(col).cloned().unwrap_or(Value::Null);
-                assert_eq!(va, vb, "case {case} column {col}");
-            }
-        }
-    }
-}
-
 /// On-disk segment files round-trip arbitrary rows over arbitrary
 /// schemas drawn from every field type the format supports (bit-packed
 /// ints, RLE, dictionaries, var-byte blobs, JSON text, null bitmaps).
 #[test]
 fn segfile_roundtrip_random_schemas() {
-    use rtdi::storage::segfile;
-
     for case in 0..64u64 {
         let mut rng = StdRng::seed_from_u64(SEED_SEGFILE + case);
         let schema = arb_schema(&mut rng);
         let rows = arb_typed_rows(&mut rng, &schema, 0, 200);
         let data = segfile::encode_rows_segment(&schema, "p", &rows).unwrap();
-        assert!(segfile::is_segment_file(&data), "case {case}");
+        assert!(SegmentFile::open(data.clone()).is_ok(), "case {case}");
         let (s2, decoded) = segfile::decode_rows_segment(&data).unwrap();
         assert_eq!(s2.fields.len(), schema.fields.len(), "case {case}");
         assert_eq!(decoded.len(), rows.len(), "case {case}");
@@ -139,7 +114,6 @@ fn segfile_roundtrip_random_schemas() {
 #[test]
 fn segfile_decode_never_panics_on_corrupt_bytes() {
     use rtdi::common::Error;
-    use rtdi::storage::segfile;
 
     for case in 0..48u64 {
         let mut rng = StdRng::seed_from_u64(SEED_SEGFUZZ + case);
@@ -172,40 +146,6 @@ fn segfile_decode_never_panics_on_corrupt_bytes() {
                 Err(e) => panic!("case {case} flip at {at}: wrong error kind: {e}"),
                 Ok(_) => panic!("case {case} flip at {at}: checksum missed a flip"),
             }
-        }
-    }
-}
-
-/// The legacy columnar part-file decoder holds the same no-panic bound:
-/// damaged bytes yield `Ok` (colfile has no checksum, so a value-byte
-/// flip can decode to different rows) or `Err(Error::Corruption)` —
-/// never a panic, never another error kind.
-#[test]
-fn colfile_decode_never_panics_on_corrupt_bytes() {
-    use rtdi::common::Error;
-
-    for case in 0..48u64 {
-        let mut rng = StdRng::seed_from_u64(SEED_COLFUZZ + case);
-        let rows = arb_rows(&mut rng, 1, 80);
-        let clean = colfile::encode_columnar(&schema(), &rows).unwrap().to_vec();
-        let check = |bytes: &[u8], ctx: &str| match colfile::decode_columnar(&bytes.to_vec().into())
-        {
-            Ok(_) | Err(Error::Corruption(_)) => {}
-            Err(e) => panic!("case {case} {ctx}: wrong error kind: {e}"),
-        };
-        for t in 0..6 {
-            let cut = if t == 0 {
-                0
-            } else {
-                rng.gen_range(0..clean.len())
-            };
-            check(&clean[..cut], &format!("cut {cut}"));
-        }
-        for _ in 0..6 {
-            let mut bad = clean.clone();
-            let at = rng.gen_range(0..bad.len());
-            bad[at] ^= rng.gen_range(1..=255u8);
-            check(&bad, &format!("flip at {at}"));
         }
     }
 }
@@ -1066,14 +1006,14 @@ mod pinned_regressions {
     use pushdown_equivalence::{assert_pushdown_equivalent, engines};
 
     /// `rows = [Row { columns: [] }]`: a fully-empty row must survive the
-    /// colfile round-trip, match raw scans, and aggregate through the
-    /// star-tree (one all-NULL group).
+    /// segment-file round-trip, match raw scans, and aggregate through
+    /// the star-tree (one all-NULL group).
     #[test]
     fn empty_row_roundtrips_and_aggregates() {
         let rows = vec![Row::new()];
 
-        let data = colfile::encode_columnar(&schema(), &rows).unwrap();
-        let (_, decoded) = colfile::decode_columnar(&data).unwrap();
+        let data = segfile::encode_rows_segment(&schema(), "p", &rows).unwrap();
+        let (_, decoded) = segfile::decode_rows_segment(&data).unwrap();
         assert_eq!(decoded.len(), 1);
         for col in ["city", "n", "x", "flag"] {
             assert_eq!(
