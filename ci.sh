@@ -10,6 +10,9 @@ cargo test -q --workspace
 # runs all four workloads for one round at 1/20 size with every oracle
 # check, so a break in the API or the answers it sees fails here
 cargo run --release --offline --manifest-path benchmark/Cargo.toml -- --smoke
+# and its own unit tests (generator determinism, percentiles, the oracle's
+# tie rule, span self-time): `--workspace` above does not reach them
+cargo test --release --offline --manifest-path benchmark/Cargo.toml
 cargo clippy --workspace -- -D warnings
 cargo bench --workspace --no-run
 cargo fmt --check

@@ -24,7 +24,7 @@ use crate::sink::Sink;
 use crate::source::{HiveSource, TopicSource};
 use crate::Operator;
 use rtdi_common::{Error, Result, Timestamp};
-use rtdi_storage::hive::HiveTable;
+use rtdi_storage::hive::{event_times, ts_cover, HiveTable, TsCover};
 use rtdi_stream::topic::Topic;
 use std::sync::Arc;
 
@@ -131,16 +131,35 @@ pub fn detect_bounds(
     from: Timestamp,
     to: Timestamp,
 ) -> Result<(Timestamp, Timestamp)> {
-    let rows = table.scan_range(from, to)?;
-    let mut lo = Timestamp::MAX;
-    let mut hi = Timestamp::MIN;
-    for r in &rows {
-        if let Some(ts) = r.get_int("__ts") {
-            lo = lo.min(ts);
-            hi = hi.max(ts);
+    // zone maps answer for a part file wholly inside the range; one that
+    // straddles a bound decodes its `__ts` column and nothing else
+    let (mut lo, mut hi, mut rows) = (Timestamp::MAX, Timestamp::MIN, 0usize);
+    for file in table.open_range(from, to)? {
+        match ts_cover(&file, from, to) {
+            TsCover::Disjoint => {}
+            TsCover::Inside => {
+                rows += file.nrows();
+                if let Some((first, last)) = file.entry("__ts").and_then(|e| e.zone.int_bounds()) {
+                    lo = lo.min(first);
+                    hi = hi.max(last);
+                }
+            }
+            TsCover::Straddles => {
+                for ts in event_times(&file)? {
+                    match ts {
+                        Some(ts) if from <= ts && ts < to => {
+                            lo = lo.min(ts);
+                            hi = hi.max(ts);
+                            rows += 1;
+                        }
+                        Some(_) => {}
+                        None => rows += 1,
+                    }
+                }
+            }
         }
     }
-    if rows.is_empty() {
+    if rows == 0 {
         return Err(Error::NotFound(format!(
             "no archived data in [{from}, {to})"
         )));

@@ -289,16 +289,13 @@ impl HiveSource {
         to: Timestamp,
         throttle_per_poll: usize,
     ) -> Result<Self> {
-        let mut rows = table.scan_range(from, to)?;
+        let mut rows = table.scan_range_timed(from, to)?;
         // archived data "could be out of order": restore event-time order
         // here so the pipeline's lateness buffer needs stay bounded
-        rows.sort_by_key(|r| r.get_int("__ts").unwrap_or(0));
+        rows.sort_by_key(|(ts, _)| *ts);
         let records = rows
             .into_iter()
-            .map(|row| {
-                let ts = row.get_int("__ts").unwrap_or(0);
-                Arc::new(Record::new(row, ts))
-            })
+            .map(|(ts, row)| Arc::new(Record::new(row, ts)))
             .collect();
         Ok(HiveSource {
             rows: records,

@@ -146,6 +146,12 @@ impl RealtimePlatform {
         &self.catalog
     }
 
+    /// The object store under the warehouse, the checkpoints and the
+    /// deep-store segments.
+    pub fn store(&self) -> &Arc<dyn ObjectStore> {
+        &self.store
+    }
+
     pub fn usage(&self) -> &UsageTracker {
         &self.usage
     }
@@ -382,18 +388,18 @@ impl RealtimePlatform {
         let sub = self.federation.subscribe(topic)?;
         let t = sub.topic();
         let writer = ArchivalWriter::new(self.store.clone(), topic);
-        let mut batch = Vec::new();
+        let mut fetched = Vec::new();
         for p in 0..t.num_partitions() {
             let log = t
                 .partition(p)
                 .ok_or_else(|| Error::NotFound(format!("partition {p} of topic '{topic}'")))?;
-            let fetch = log.fetch(log.log_start_offset(), usize::MAX / 2)?;
-            batch.extend(fetch.records.into_iter().map(|r| r.into_record()));
+            fetched.extend(log.fetch(log.log_start_offset(), usize::MAX / 2)?.records);
         }
-        if batch.is_empty() {
+        if fetched.is_empty() {
             return Ok(0);
         }
-        let keys = writer.write_batch(&batch)?;
+        // encoded from the log's own handles: no record is copied
+        let keys = writer.write_records(fetched.iter().map(|r| &*r.record))?;
         if self.catalog.table(topic).is_err() {
             self.catalog.create_table(topic, schema.clone())?;
         }
@@ -656,6 +662,28 @@ mod tests {
         assert_eq!(stats.records_in, 50);
         let total: i64 = sink.rows().iter().map(|r| r.get_int("n").unwrap()).sum();
         assert_eq!(total, 50);
+    }
+
+    #[test]
+    fn archiving_a_topic_again_never_shrinks_its_table() {
+        // archive_topic re-reads the topic from its start: the second call
+        // adds a part file per date beside the first, it must not replace it
+        let p = platform();
+        p.create_topic(
+            "trips",
+            TopicConfig::default().with_partitions(2),
+            trips_schema(),
+        )
+        .unwrap();
+        produce_trips(&p, 30);
+        assert_eq!(p.archive_topic("trips", &trips_schema()).unwrap(), 30);
+        produce_trips(&p, 20);
+        assert_eq!(p.archive_topic("trips", &trips_schema()).unwrap(), 50);
+        let table = p.catalog().table("trips").unwrap();
+        assert_eq!(table.row_count(), 80);
+        assert_eq!(table.scan_all().unwrap().len(), 80);
+        let out = p.sql("SELECT COUNT(*) AS n FROM hive.trips").unwrap();
+        assert_eq!(out.rows[0].get_int("n"), Some(80));
     }
 
     #[test]

@@ -1188,16 +1188,7 @@ impl Segment {
     /// decode on first touch (and zone maps can answer some queries
     /// without any column load at all).
     pub fn load_lazy(data: Bytes) -> Result<LazySegment> {
-        let file = segfile::SegmentFile::open(data)?;
-        let schema = file.schema();
-        let field_names = intern_field_names(&schema);
-        let cols = (0..file.entries().len()).map(|_| OnceLock::new()).collect();
-        Ok(LazySegment {
-            file,
-            schema,
-            field_names,
-            cols,
-        })
+        Ok(LazySegment::from_file(segfile::SegmentFile::open(data)?))
     }
 }
 
@@ -1214,6 +1205,26 @@ pub struct LazySegment {
 }
 
 impl LazySegment {
+    /// Wrap an opened file: a reader that already holds one (the warehouse
+    /// hands its part files out opened) pays for no second open.
+    pub fn from_file(file: segfile::SegmentFile) -> LazySegment {
+        let schema = file.schema();
+        let field_names = intern_field_names(&schema);
+        let cols = (0..file.entries().len()).map(|_| OnceLock::new()).collect();
+        LazySegment {
+            file,
+            schema,
+            field_names,
+            cols,
+        }
+    }
+
+    /// The file underneath: its typed row reader serves whoever needs rows
+    /// of the types the columns were written with.
+    pub fn file(&self) -> &segfile::SegmentFile {
+        &self.file
+    }
+
     pub fn name(&self) -> &str {
         &self.file.meta().name
     }
@@ -1353,17 +1364,28 @@ impl LazySegment {
     /// the offline-side scatter unit of hybrid-table federation. The
     /// caller is expected to have consulted [`Self::zones_may_match`]
     /// first; an unprunable query decodes only the touched columns.
-    pub fn execute_partial(&self, query: &Query) -> Result<PartialAgg> {
-        self.as_view(query)?.execute_partial(query, None)
+    /// `valid_docs` restricts the fold to documents a caller has already
+    /// selected.
+    pub fn execute_partial(
+        &self,
+        query: &Query,
+        valid_docs: Option<&Bitmap>,
+    ) -> Result<PartialAgg> {
+        self.as_view(query)?.execute_partial(query, valid_docs)
     }
 
-    /// Materialize an index-free [`Segment`] view holding only the columns
-    /// `query` touches (shared `Arc`s; each column decodes at most once).
     fn as_view(&self, query: &Query) -> Result<Segment> {
+        self.view(&self.touched_columns(query))
+    }
+
+    /// Materialize an index-free [`Segment`] view holding only the named
+    /// columns (shared `Arc`s; each column decodes at most once). A name
+    /// the file lacks is left out.
+    pub fn view(&self, names: &[String]) -> Result<Segment> {
         let mut columns = BTreeMap::new();
-        for name in self.touched_columns(query) {
-            if let Some(idx) = self.file.entries().iter().position(|e| e.name == name) {
-                columns.insert(name, self.column(idx)?);
+        for name in names {
+            if let Some(idx) = self.file.entries().iter().position(|e| e.name == *name) {
+                columns.insert(name.clone(), self.column(idx)?);
             }
         }
         Ok(Segment {

@@ -368,6 +368,7 @@ impl HybridTable {
             deadline_exceeded: result.deadline_exceeded,
             segments_shed: result.segments_shed,
             rows: result.rows,
+            views: Vec::new(),
         })
     }
 
@@ -416,7 +417,7 @@ impl HybridTable {
                 if let Some(d) = &query.deadline {
                     d.check(tasks[i].segment.name())?;
                 }
-                tasks[i].segment.execute_partial(query)
+                tasks[i].segment.execute_partial(query, None)
             });
             let mut merged = PartialResult {
                 segments_pruned: pruned,

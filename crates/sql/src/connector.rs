@@ -8,10 +8,13 @@
 
 use crate::catalog::HybridTable;
 use rtdi_common::{AggFn, Deadline, Error, FieldType, Priority, Result, Row, Schema, Value};
+use rtdi_olap::bitmap::Bitmap;
 use rtdi_olap::broker::Broker;
-use rtdi_olap::query::{Predicate, Query as OlapQuery, SortOrder};
+use rtdi_olap::query::{PartialAgg, Predicate, Query as OlapQuery, SortOrder};
+use rtdi_olap::segment::LazySegment;
 use rtdi_olap::table::OlapTable;
 use rtdi_storage::hive::HiveCatalog;
+use rtdi_storage::segfile::ColumnEntry;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -67,10 +70,61 @@ pub struct Capabilities {
     pub limit: bool,
 }
 
+/// One part file's share of a columnar scan: the file, opened, with the
+/// pushed predicates already evaluated. Columns decode when the engine
+/// folds them or asks for rows, and live no longer than the query.
+#[derive(Clone)]
+pub struct ColumnView {
+    segment: Arc<LazySegment>,
+    /// The documents that passed the pushed predicates.
+    docs: Bitmap,
+    /// The pushed projection: the columns a row is built from.
+    projection: Option<Arc<Vec<String>>>,
+}
+
+impl std::fmt::Debug for ColumnView {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (kept, of) = (self.docs.count(), self.segment.doc_count());
+        write!(
+            f,
+            "ColumnView({}: {kept} of {of} docs)",
+            self.segment.name()
+        )
+    }
+}
+
+impl ColumnView {
+    /// Rows of the surviving documents, of the projected columns only,
+    /// through the file's typed row reader; and the column bytes that
+    /// decoded.
+    fn rows(&self) -> Result<(Vec<Row>, u64)> {
+        let file = self.segment.file();
+        let select = self.projection.as_ref().map(|p| p.as_slice());
+        let mut docs = Vec::new();
+        self.docs.collect_into(&mut docs);
+        let rows = file.read_rows_where(select, Some(&docs))?;
+        let projected = |e: &&ColumnEntry| select.is_none_or(|names| names.contains(&e.name));
+        let decoded = file.entries().iter().filter(projected).map(|e| e.len).sum();
+        Ok((rows, decoded))
+    }
+}
+
+/// The column kernels hold a JSON or bytes column in string form: they
+/// would compare, group and count its cells as text.
+fn held_as_text(schema: &Schema, column: &str) -> bool {
+    schema
+        .field(column)
+        .is_some_and(|f| matches!(f.field_type, FieldType::Json | FieldType::Bytes))
+}
+
 /// Scan result plus execution statistics (for the pushdown experiments).
 #[derive(Debug, Clone, Default)]
 pub struct ScanOutput {
+    /// What a row-shipping connector returns. Read a scan's rows through
+    /// [`ScanOutput::take_rows`]: a columnar scan leaves this empty.
     pub rows: Vec<Row>,
+    /// What a columnar scan (the warehouse) ships in place of rows.
+    pub views: Vec<ColumnView>,
     /// Documents the backing store had to touch.
     pub docs_scanned: u64,
     /// Rows shipped from the connector to the engine.
@@ -94,6 +148,50 @@ pub struct ScanOutput {
     pub deadline_exceeded: bool,
     /// Segments abandoned because the deadline expired.
     pub segments_shed: u64,
+}
+
+impl ScanOutput {
+    /// The scan's rows, for an operator that takes rows: built from the
+    /// projected columns of the shipped views when the scan was columnar.
+    pub fn take_rows(&mut self) -> Result<Vec<Row>> {
+        let mut rows = std::mem::take(&mut self.rows);
+        for view in std::mem::take(&mut self.views) {
+            let (mut part, decoded) = view.rows()?;
+            rows.append(&mut part);
+            self.bytes_read += decoded;
+        }
+        Ok(rows)
+    }
+
+    /// Fold a grouped aggregate over the shipped views with the segment
+    /// kernels (`execute_partial` per file, merged, finalized). `None`,
+    /// with nothing consumed, when the scan shipped rows, or when a column
+    /// the aggregate touches is one the kernels hold as text.
+    pub fn fold(&mut self, agg: &PushedAgg) -> Result<Option<Vec<Row>>> {
+        let inputs = agg.aggs.iter().filter_map(|(_, f)| f.input_column());
+        let mut touched = agg.group_by.iter().map(String::as_str).chain(inputs);
+        let as_text = |c| {
+            let mut schemas = self.views.iter().map(|v| v.segment.schema());
+            schemas.any(|s| held_as_text(s, c))
+        };
+        if self.views.is_empty() || touched.any(as_text) {
+            return Ok(None);
+        }
+        let views = std::mem::take(&mut self.views);
+        let schema = views[0].segment.schema();
+        let mut q = OlapQuery::select_all(schema.name.as_str());
+        q.aggregations = Arc::clone(&agg.aggs);
+        q.group_by = Arc::clone(&agg.group_by);
+        let mut merged = PartialAgg::default();
+        for view in &views {
+            let before = view.segment.bytes_loaded();
+            merged.merge(view.segment.execute_partial(&q, Some(&view.docs))?, &q);
+            self.bytes_read += (view.segment.bytes_loaded() - before) as u64;
+        }
+        let mut rows = merged.finalize(&q);
+        restore_group_key_types(&mut rows, &agg.group_by, schema);
+        Ok(Some(rows))
+    }
 }
 
 /// A data source exposed to the SQL engine.
@@ -233,6 +331,7 @@ impl Connector for PinotConnector {
             deadline_exceeded: result.deadline_exceeded,
             segments_shed: result.segments_shed,
             rows: result.rows,
+            views: Vec::new(),
         })
     }
 }
@@ -301,9 +400,13 @@ pub(crate) fn restore_group_key_types(rows: &mut [Row], group_by: &[String], sch
     }
 }
 
-/// Connector over the warehouse: full scans only (the paper's point —
-/// "sub-second query latencies ... is not possible to do on standard
-/// backends such as HDFS/Hive").
+/// Connector over the warehouse. It takes filters and a projection into
+/// the scan — part files are skipped on their zone maps, only the touched
+/// columns decode, the predicates run on the column kernels — and ships
+/// the surviving documents as column views. Aggregation and limit stay
+/// with the engine: the warehouse ships rows where Pinot ships answers
+/// (the paper's point — "sub-second query latencies ... is not possible to
+/// do on standard backends such as HDFS/Hive").
 pub struct HiveConnector {
     catalog: HiveCatalog,
 }
@@ -314,9 +417,29 @@ impl HiveConnector {
     }
 }
 
+/// The pushed predicates as the column kernels must see them. By row
+/// semantics a JSON or bytes cell outranks every literal the optimizer
+/// pushes, whatever its content; the kernels, holding the column as text,
+/// would compare a string literal with it. An integer literal gives them
+/// the row outcome: a string column outranks it the same way.
+fn kernel_predicates(predicates: &[Predicate], schema: &Schema) -> Vec<Predicate> {
+    let mut out = predicates.to_vec();
+    for p in &mut out {
+        if held_as_text(schema, &p.column) && matches!(p.value, Value::Str(_)) {
+            p.value = Value::Int(0);
+        }
+    }
+    out
+}
+
 impl Connector for HiveConnector {
     fn capabilities(&self) -> Capabilities {
-        Capabilities::default() // nothing pushable
+        Capabilities {
+            filters: true,
+            projection: true,
+            aggregation: false,
+            limit: false,
+        }
     }
 
     fn table_schema(&self, table: &str) -> Result<Schema> {
@@ -328,19 +451,44 @@ impl Connector for HiveConnector {
     }
 
     fn scan(&self, table: &str, pushdown: &Pushdown) -> Result<ScanOutput> {
-        if !pushdown.is_empty() {
+        if pushdown.aggregation.is_some() || pushdown.limit.is_some() {
             return Err(Error::Internal(
-                "planner pushed operators into a connector without capabilities".into(),
+                "planner pushed an aggregation or a limit into the warehouse".into(),
             ));
         }
-        let t = self.catalog.table(table)?;
-        let rows = t.scan_all()?;
-        Ok(ScanOutput {
-            docs_scanned: rows.len() as u64,
-            rows_shipped: rows.len() as u64,
-            rows,
-            ..Default::default()
-        })
+        let mut out = ScanOutput::default();
+        for file in self.catalog.table(table)?.open_parts(|_| true)? {
+            let segment = LazySegment::from_file(file);
+            let n = segment.doc_count();
+            let (docs, scanned) = if pushdown.predicates.is_empty() {
+                (Bitmap::full(n), 0)
+            } else {
+                let mut q = OlapQuery::select_all(table);
+                q.predicates = Arc::new(kernel_predicates(&pushdown.predicates, segment.schema()));
+                // a column the file lacks reads NULL, which matches nothing
+                let known = |p: &Predicate| segment.schema().field(&p.column).is_some();
+                if !q.predicates.iter().all(known) || !segment.zones_may_match(&q) {
+                    out.segments_pruned += 1;
+                    continue;
+                }
+                let columns: Vec<String> = q.predicates.iter().map(|p| p.column.clone()).collect();
+                segment.view(&columns)?.filter_docs(&q.predicates)?
+            };
+            let shipped = docs.count() as u64;
+            out.segments_queried += 1;
+            out.docs_scanned += scanned + shipped;
+            // every surviving row counts as shipped, folded later or not
+            out.rows_shipped += shipped;
+            out.bytes_read += (segment.bytes_loaded() - segment.header_bytes()) as u64;
+            if shipped > 0 {
+                out.views.push(ColumnView {
+                    segment: Arc::new(segment),
+                    docs,
+                    projection: pushdown.projection.clone(),
+                });
+            }
+        }
+        Ok(out)
     }
 }
 
@@ -395,6 +543,7 @@ impl Connector for MemoryConnector {
 mod tests {
     use super::*;
     use rtdi_common::FieldType;
+    use rtdi_olap::query::PredicateOp;
     use rtdi_olap::segment::IndexSpec;
     use rtdi_olap::table::TableConfig;
 
@@ -477,23 +626,68 @@ mod tests {
     }
 
     #[test]
-    fn hive_rejects_pushdown_and_scans_fully() {
+    fn hive_takes_filters_and_projection_and_refuses_aggregation_and_limit() {
         use rtdi_storage::object::InMemoryStore;
         let catalog = HiveCatalog::new(Arc::new(InMemoryStore::new()));
-        let schema = Schema::of("t", &[("x", FieldType::Int)]);
+        let schema = Schema::of("t", &[("x", FieldType::Int), ("city", FieldType::Str)]);
         catalog.create_table("t", schema).unwrap();
-        catalog
-            .write_rows("t", "d000000", &[Row::new().with("x", 1i64)])
-            .unwrap();
+        let rows: Vec<Row> = (0..10i64)
+            .map(|x| {
+                Row::new()
+                    .with("x", x)
+                    .with("city", ["sf", "la"][x as usize % 2])
+            })
+            .collect();
+        catalog.write_rows("t", "d000000", &rows).unwrap();
         let c = HiveConnector::new(catalog);
-        assert!(!c.capabilities().filters);
-        let out = c.scan("t", &Pushdown::default()).unwrap();
-        assert_eq!(out.rows.len(), 1);
+        assert_eq!(
+            c.capabilities(),
+            Capabilities {
+                filters: true,
+                projection: true,
+                aggregation: false,
+                limit: false,
+            }
+        );
+        // no pushdown: every row, every column
+        let mut out = c.scan("t", &Pushdown::default()).unwrap();
+        assert_eq!(out.rows_shipped, 10);
+        assert_eq!(out.take_rows().unwrap(), rows);
+        // filter + projection: surviving rows of the projected column only
         let pd = Pushdown {
-            predicates: Arc::new(vec![Predicate::eq("x", 1i64)]),
+            predicates: Arc::new(vec![Predicate::new("x", PredicateOp::Ge, 6i64)]),
+            projection: Some(Arc::new(vec!["city".into()])),
             ..Default::default()
         };
-        assert!(c.scan("t", &pd).is_err());
+        let mut out = c.scan("t", &pd).unwrap();
+        assert_eq!(out.rows_shipped, 4);
+        let shipped = out.take_rows().unwrap();
+        let expect: Vec<Row> = (6..10)
+            .map(|x| Row::new().with("city", ["sf", "la"][x % 2]))
+            .collect();
+        assert_eq!(shipped, expect);
+        // a predicate the zone map rules out skips the file undecoded
+        let pd = Pushdown {
+            predicates: Arc::new(vec![Predicate::new("x", PredicateOp::Gt, 100i64)]),
+            ..Default::default()
+        };
+        let out = c.scan("t", &pd).unwrap();
+        assert_eq!((out.segments_pruned, out.bytes_read), (1, 0));
+        assert!(out.views.is_empty());
+        // aggregation and limit are the engine's: pushing one is a planner bug
+        let agg = Pushdown {
+            aggregation: Some(PushedAgg {
+                group_by: Arc::new(vec![]),
+                aggs: Arc::new(vec![("n".into(), AggFn::Count)]),
+            }),
+            ..Default::default()
+        };
+        assert!(matches!(c.scan("t", &agg), Err(Error::Internal(_))));
+        let limit = Pushdown {
+            limit: Some(3),
+            ..Default::default()
+        };
+        assert!(matches!(c.scan("t", &limit), Err(Error::Internal(_))));
     }
 
     #[test]

@@ -215,6 +215,32 @@ fn pushable_agg(item: &AggItem) -> Option<AggFn> {
     }
 }
 
+/// The aggregation the column kernels can run, if this one has that
+/// shape: a connector takes it into the scan, and the engine folds it over
+/// the column views of a scan that did not.
+pub(crate) fn pushable_aggregation(
+    group_by: &[(String, Expr)],
+    aggs: &[AggItem],
+) -> Option<PushedAgg> {
+    // group keys must be bare columns whose output name equals the column
+    // name (the OLAP store names them that way)
+    let groups: Option<Vec<String>> = group_by
+        .iter()
+        .map(|(name, e)| match e {
+            Expr::Column { name: col, .. } if col == name => Some(col.clone()),
+            _ => None,
+        })
+        .collect();
+    let fns: Option<Vec<(String, AggFn)>> = aggs
+        .iter()
+        .map(|a| pushable_agg(a).map(|f| (a.name.clone(), f)))
+        .collect();
+    Some(PushedAgg {
+        group_by: Arc::new(groups?),
+        aggs: Arc::new(fns?),
+    })
+}
+
 fn push_aggregation(plan: Plan, caps: CapsResolver) -> Plan {
     match plan {
         Plan::Aggregate {
@@ -231,24 +257,8 @@ fn push_aggregation(plan: Plan, caps: CapsResolver) -> Plan {
             } = input
             {
                 let supported = caps(&catalog).aggregation && pushdown.aggregation.is_none();
-                // group keys must be bare columns whose output name equals
-                // the column name (the OLAP store names them that way)
-                let simple_groups: Option<Vec<String>> = group_by
-                    .iter()
-                    .map(|(name, e)| match e {
-                        Expr::Column { name: col, .. } if col == name => Some(col.clone()),
-                        _ => None,
-                    })
-                    .collect();
-                let pushed: Option<Vec<(String, AggFn)>> = aggs
-                    .iter()
-                    .map(|a| pushable_agg(a).map(|f| (a.name.clone(), f)))
-                    .collect();
-                if let (true, Some(groups), Some(fns)) = (supported, simple_groups, pushed) {
-                    pushdown.aggregation = Some(PushedAgg {
-                        group_by: Arc::new(groups),
-                        aggs: Arc::new(fns),
-                    });
+                if let (true, Some(shape)) = (supported, pushable_aggregation(&group_by, &aggs)) {
+                    pushdown.aggregation = Some(shape);
                     return Plan::Scan {
                         catalog,
                         table,
@@ -417,6 +427,24 @@ fn push_projection(plan: Plan, caps: CapsResolver) -> Plan {
                 input: Box::new(walk(*input, needed, caps)),
                 n,
             },
+            // an aggregate reads its group keys and its arguments, whatever
+            // is asked of it above: `COUNT(*)` alone reads no column at all
+            Plan::Aggregate {
+                input,
+                group_by,
+                aggs,
+            } => {
+                let mut cols = Vec::new();
+                let args = aggs.iter().filter_map(|a| a.arg.as_ref());
+                for e in group_by.iter().map(|(_, e)| e).chain(args) {
+                    e.referenced_columns(&mut cols);
+                }
+                Plan::Aggregate {
+                    input: Box::new(walk(*input, Some(cols), caps)),
+                    group_by,
+                    aggs,
+                }
+            }
             Plan::Scan {
                 catalog,
                 table,
@@ -427,7 +455,6 @@ fn push_projection(plan: Plan, caps: CapsResolver) -> Plan {
                     if caps(&catalog).projection
                         && pushdown.aggregation.is_none()
                         && pushdown.projection.is_none()
-                        && !cols.is_empty()
                     {
                         // also ship columns needed by pushed order_by
                         let mut cols = cols;
@@ -446,8 +473,8 @@ fn push_projection(plan: Plan, caps: CapsResolver) -> Plan {
                     pushdown,
                 }
             }
-            // joins/aggregates: recurse without projection info (their
-            // column needs are conservative)
+            // joins: recurse without projection info (their column needs
+            // are conservative)
             other => map_children(other, &mut |p| walk(p, None, caps)),
         }
     }

@@ -12,13 +12,14 @@
 
 use crate::hive::HiveCatalog;
 use crate::object::ObjectStore;
-use crate::segfile;
+use crate::segfile::{self, ColumnBuilder, SegmentMeta};
 use bytes::{BufMut, Bytes, BytesMut};
 use rtdi_common::wire::{
     get_block_checked, get_count_checked, get_f64_checked, get_i64_checked, get_str_checked,
     get_u8_checked,
 };
 use rtdi_common::{Error, Record, Result, RetryPolicy, Row, Schema, Timestamp, Value};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -27,7 +28,14 @@ use std::sync::Arc;
 /// calendar rendering is irrelevant to the experiments, only stable
 /// bucketing matters.
 pub fn date_partition(ts: Timestamp) -> String {
-    let day = ts.div_euclid(86_400_000);
+    day_name(epoch_day(ts))
+}
+
+fn epoch_day(ts: Timestamp) -> i64 {
+    ts.div_euclid(86_400_000)
+}
+
+fn day_name(day: i64) -> String {
     format!("d{day:06}")
 }
 
@@ -35,18 +43,22 @@ pub fn date_partition(ts: Timestamp) -> String {
 /// timestamp and headers (public: the tiered-storage extension reuses it
 /// for cold chunks).
 pub fn encode_raw(records: &[Record]) -> Result<Bytes> {
+    Ok(encode_raw_refs(&records.iter().collect::<Vec<_>>()))
+}
+
+fn encode_raw_refs(records: &[&Record]) -> Bytes {
     let mut buf = BytesMut::new();
     buf.put_u32(records.len() as u32);
     for r in records {
         buf.put_i64(r.timestamp);
         match &r.key {
             Some(Value::Str(s)) => {
-                buf.put_u8(1);
+                buf.put_u8(KEY_STR);
                 buf.put_u32(s.len() as u32);
                 buf.put_slice(s.as_bytes());
             }
             Some(Value::Int(i)) => {
-                buf.put_u8(2);
+                buf.put_u8(KEY_INT);
                 buf.put_i64(*i);
             }
             _ => buf.put_u8(0),
@@ -65,8 +77,14 @@ pub fn encode_raw(records: &[Record]) -> Result<Bytes> {
             encode_value(&mut buf, value);
         }
     }
-    Ok(buf.freeze())
+    buf.freeze()
 }
+
+/// Key tags of a raw-log record (anything else: no key).
+const KEY_STR: u8 = 1;
+const KEY_INT: u8 = 2;
+/// Value tag of a string.
+const TAG_STR: u8 = 4;
 
 fn encode_value(buf: &mut BytesMut, v: &Value) {
     match v {
@@ -84,7 +102,7 @@ fn encode_value(buf: &mut BytesMut, v: &Value) {
             buf.put_f64(*d);
         }
         Value::Str(s) => {
-            buf.put_u8(4);
+            buf.put_u8(TAG_STR);
             buf.put_u32(s.len() as u32);
             buf.put_slice(s.as_bytes());
         }
@@ -109,7 +127,7 @@ fn decode_value(buf: &mut Bytes) -> Result<Value> {
         1 => Value::Bool(get_u8_checked(buf, "bool value")? == 1),
         2 => Value::Int(get_i64_checked(buf, "int value")?),
         3 => Value::Double(get_f64_checked(buf, "double value")?),
-        4 => Value::Str(get_str_checked(buf, "string value")?),
+        TAG_STR => Value::Str(get_str_checked(buf, "string value")?),
         5 => Value::Bytes(get_block_checked(buf, "bytes value")?.to_vec()),
         6 => {
             let text = get_str_checked(buf, "json value")?;
@@ -172,8 +190,8 @@ pub fn decode_raw(data: &Bytes) -> Result<Vec<Record>> {
     for _ in 0..n {
         let ts = get_i64_checked(&mut buf, "record timestamp")?;
         let key = match get_u8_checked(&mut buf, "key tag")? {
-            1 => Some(Value::Str(get_str_checked(&mut buf, "key")?)),
-            2 => Some(Value::Int(get_i64_checked(&mut buf, "int key")?)),
+            KEY_STR => Some(Value::Str(get_str_checked(&mut buf, "key")?)),
+            KEY_INT => Some(Value::Int(get_i64_checked(&mut buf, "int key")?)),
             _ => None,
         };
         // every header needs at least its two length prefixes
@@ -211,19 +229,31 @@ impl ArchivalWriter {
     /// Write one micro-batch; records may span dates — they are split into
     /// per-date objects so compaction stays date-aligned.
     pub fn write_batch(&self, records: &[Record]) -> Result<Vec<String>> {
-        let mut by_date: std::collections::BTreeMap<String, Vec<Record>> = Default::default();
+        self.write_records(records)
+    }
+
+    /// [`Self::write_batch`] over borrowed records, wherever they live:
+    /// the archiver encodes a topic's records from the log's own handles.
+    pub fn write_records<'a>(
+        &self,
+        records: impl IntoIterator<Item = &'a Record>,
+    ) -> Result<Vec<String>> {
+        let mut by_day: BTreeMap<i64, Vec<&Record>> = BTreeMap::new();
         for r in records {
-            by_date
-                .entry(date_partition(r.timestamp))
-                .or_default()
-                .push(r.clone());
+            by_day.entry(epoch_day(r.timestamp)).or_default().push(r);
         }
+        // objects are written in the order of the date names
+        let mut by_date: Vec<(String, Vec<&Record>)> = by_day
+            .into_iter()
+            .map(|(day, recs)| (day_name(day), recs))
+            .collect();
+        by_date.sort_by(|a, b| a.0.cmp(&b.0));
         let mut keys = Vec::new();
         let policy = RetryPolicy::new(4).with_backoff_us(50, 2_000);
         for (date, recs) in by_date {
             let seq = self.seq.fetch_add(1, Ordering::SeqCst);
             let key = format!("raw/{}/{}/log-{seq:08}", self.dataset, date);
-            let data = encode_raw(&recs)?;
+            let data = encode_raw_refs(&recs);
             // a flaky archive is absorbed here: re-putting the same key is
             // an idempotent overwrite, so retries cannot duplicate data
             policy.run(|_| self.store.put(&key, data.clone()))?;
@@ -269,17 +299,6 @@ impl Compactor {
         if keys.is_empty() {
             return Ok(0);
         }
-        let mut rows = Vec::new();
-        for key in &keys {
-            for rec in decode_raw(&self.store.get(key)?)? {
-                let mut row = rec.value;
-                // preserve event time for time-bounded backfills
-                if row.get("__ts").is_none() {
-                    row.push("__ts", rec.timestamp);
-                }
-                rows.push(row);
-            }
-        }
         let mut full_schema = schema.clone();
         if full_schema.field("__ts").is_none() {
             full_schema.fields.push(rtdi_common::Field::new(
@@ -287,19 +306,98 @@ impl Compactor {
                 rtdi_common::FieldType::Timestamp,
             ));
         }
-        let part = format!("warehouse/{dataset}/{date}/part-00000");
+        let mut columns: Vec<ColumnBuilder> = full_schema
+            .fields
+            .iter()
+            .map(|f| ColumnBuilder::new(f.field_type))
+            .collect();
+        for key in &keys {
+            compact_raw(&self.store.get(key)?, &full_schema, &mut columns)?;
+        }
+        let nrows = columns.first().map_or(0, ColumnBuilder::len);
+        // a date compacted before keeps its files: this one takes the
+        // next part number, as `HiveCatalog::write_rows` does
+        let n = self.catalog.table(dataset)?.part_count(date);
+        let part = format!("warehouse/{dataset}/{date}/part-{n:05}");
         // real on-disk segment format: dictionary + bit-packed forward
         // indexes, zone maps and a CRC-checked footer (§4.3)
-        let seg_name = format!("{dataset}-{date}-00000");
-        let data = segfile::encode_rows_segment(&full_schema, &seg_name, &rows)?;
+        let meta = SegmentMeta {
+            name: format!("{dataset}-{date}-{n:05}"),
+            table: full_schema.name.clone(),
+            sorted_col: None,
+            nrows: nrows as u64,
+        };
+        let columns: Vec<_> = columns.into_iter().map(ColumnBuilder::finish).collect();
+        let data = segfile::encode_segment(&meta, &full_schema.fields, &columns)?;
         self.store.put(&part, data)?;
         self.catalog
-            .register_partition(dataset, date, &part, rows.len())?;
+            .register_partition(dataset, date, &part, nrows)?;
         for key in keys {
             self.store.delete(&key)?;
         }
-        Ok(rows.len())
+        Ok(nrows)
     }
+}
+
+fn utf8<'a>(bytes: &'a [u8], what: &str) -> Result<&'a str> {
+    std::str::from_utf8(bytes).map_err(|_| Error::Corruption(format!("invalid utf8 in {what}")))
+}
+
+/// Append one raw log's rows to the column builders (`columns[i]` builds
+/// `schema.fields[i]`, `__ts` among them). It walks the layout
+/// [`decode_raw`] walks, with every check that makes, but builds neither
+/// the keys and headers a part file does not store nor a `Record` and a
+/// `Row` around the cells. As in a `Row`, the first of two equal column
+/// names wins; an event time the row lacks is the record's timestamp.
+fn compact_raw(data: &Bytes, schema: &Schema, columns: &mut [ColumnBuilder]) -> Result<()> {
+    let ts_col = schema.field_index("__ts");
+    let mut buf = data.clone();
+    let n = get_count_checked(&mut buf, 17, "record count")?;
+    for _ in 0..n {
+        let row = columns.first().map_or(0, ColumnBuilder::len);
+        let ts = get_i64_checked(&mut buf, "record timestamp")?;
+        match get_u8_checked(&mut buf, "key tag")? {
+            KEY_STR => drop(utf8(&get_block_checked(&mut buf, "key")?, "key")?),
+            KEY_INT => drop(get_i64_checked(&mut buf, "int key")?),
+            _ => {}
+        }
+        let nh = get_count_checked(&mut buf, 8, "header count")?;
+        for _ in 0..nh {
+            utf8(&get_block_checked(&mut buf, "header key")?, "header key")?;
+            utf8(
+                &get_block_checked(&mut buf, "header value")?,
+                "header value",
+            )?;
+        }
+        let ncols = get_count_checked(&mut buf, 5, "column count")?;
+        for _ in 0..ncols {
+            let name = get_block_checked(&mut buf, "column name")?;
+            utf8(&name, "column name")?;
+            let col = schema
+                .fields
+                .iter()
+                .position(|f| f.name.as_bytes() == name.as_slice())
+                .map(|i| &mut columns[i])
+                .filter(|col| col.len() == row);
+            match col {
+                Some(col) if buf.first() == Some(&TAG_STR) => {
+                    get_u8_checked(&mut buf, "value tag")?;
+                    let text = get_block_checked(&mut buf, "string value")?;
+                    col.push_str(utf8(&text, "string value")?);
+                }
+                Some(col) => col.push(Some(&decode_value(&mut buf)?)),
+                None => drop(decode_value(&mut buf)?),
+            }
+        }
+        for (i, col) in columns.iter_mut().enumerate() {
+            if col.len() == row {
+                // preserve event time for time-bounded backfills
+                let event_time = (Some(i) == ts_col).then_some(Value::Int(ts));
+                col.push(event_time.as_ref());
+            }
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -374,6 +472,119 @@ mod tests {
         assert_eq!(rows.len(), 50);
         // event time preserved
         assert!(rows[0].get_int("__ts").is_some());
+    }
+
+    #[test]
+    fn compacting_a_date_twice_keeps_both_part_files() {
+        // the second compaction of a date used to write `part-00000` again:
+        // the first batch was overwritten and the second scanned twice
+        let store = Arc::new(InMemoryStore::new());
+        let catalog = HiveCatalog::new(store.clone() as Arc<dyn ObjectStore>);
+        let schema = Schema::of("trips", &[("id", FieldType::Int), ("city", FieldType::Str)]);
+        let table = catalog.create_table("trips", schema.clone()).unwrap();
+        let w = ArchivalWriter::new(store.clone(), "trips");
+        let compactor = Compactor::new(store.clone(), catalog.clone());
+        for cycle in 0..2 {
+            let batch: Vec<Record> = (0..10).map(|i| rec(cycle * 10 + i, 100 + i)).collect();
+            w.write_batch(&batch).unwrap();
+            assert_eq!(compactor.compact("trips", "d000000", &schema).unwrap(), 10);
+        }
+        assert_eq!(table.part_count("d000000"), 2);
+        assert_eq!(table.row_count(), 20);
+        let mut ids: Vec<i64> = table
+            .scan_all()
+            .unwrap()
+            .iter()
+            .map(|r| r.get_int("id").unwrap())
+            .collect();
+        ids.sort_unstable();
+        assert_eq!(ids, (0..20).collect::<Vec<i64>>());
+    }
+
+    #[test]
+    fn compaction_writes_the_file_the_row_detour_wrote() {
+        // decode_raw -> Row -> encode_rows_segment is what compaction used
+        // to do: the column builders must produce the same bytes from rows
+        // that are missing columns, repeat one, carry extra ones, hold NULLs
+        // and values of the wrong type, and bring their own event time
+        let schema = Schema::of(
+            "t",
+            &[
+                ("id", FieldType::Int),
+                ("city", FieldType::Str),
+                ("fare", FieldType::Double),
+                ("ok", FieldType::Bool),
+                ("doc", FieldType::Json),
+                ("blob", FieldType::Bytes),
+            ],
+        );
+        let json = rtdi_common::json::parse(r#"{"a":[1,2]}"#).unwrap();
+        let records = vec![
+            rec(1, 10),
+            Record::new(Row::new().with("city", "sf").with("city", "la"), 11),
+            Record::new(Row::new().with("extra", "x").with("id", "not an int"), 12),
+            Record::new(Row::new().with("__ts", 999i64).with("fare", 2.5), 13),
+            Record::new(Row::new().with("__ts", Value::Null).with("ok", true), 14),
+            Record::new(
+                Row::new()
+                    .with("doc", Value::Json(Box::new(json)))
+                    .with("blob", Value::Bytes(vec![0xff, 0, 1]))
+                    .with("city", Value::Null),
+                15,
+            )
+            .with_key(7i64),
+            Record::new(Row::new(), 16),
+        ];
+        let store = Arc::new(InMemoryStore::new());
+        let catalog = HiveCatalog::new(store.clone() as Arc<dyn ObjectStore>);
+        catalog.create_table("t", schema.clone()).unwrap();
+        ArchivalWriter::new(store.clone(), "t")
+            .write_batch(&records)
+            .unwrap();
+        let compactor = Compactor::new(store.clone(), catalog);
+        assert_eq!(compactor.compact("t", "d000000", &schema).unwrap(), 7);
+
+        let mut full_schema = schema.clone();
+        full_schema
+            .fields
+            .push(rtdi_common::Field::new("__ts", FieldType::Timestamp));
+        let rows: Vec<Row> = decode_raw(&encode_raw(&records).unwrap())
+            .unwrap()
+            .into_iter()
+            .map(|r| {
+                let mut row = r.value;
+                if row.get("__ts").is_none() {
+                    row.push("__ts", r.timestamp);
+                }
+                row
+            })
+            .collect();
+        let expect = segfile::encode_rows_segment(&full_schema, "t-d000000-00000", &rows).unwrap();
+        let written = store.get("warehouse/t/d000000/part-00000").unwrap();
+        assert_eq!(written, expect);
+    }
+
+    #[test]
+    fn compaction_reports_a_damaged_raw_log_as_corruption() {
+        let store = Arc::new(InMemoryStore::new());
+        let catalog = HiveCatalog::new(store.clone() as Arc<dyn ObjectStore>);
+        let schema = Schema::of("t", &[("id", FieldType::Int), ("city", FieldType::Str)]);
+        catalog.create_table("t", schema.clone()).unwrap();
+        let records: Vec<Record> = (0..4).map(|i| rec(i, 10 + i)).collect();
+        let clean = encode_raw(&records).unwrap();
+        let compactor = Compactor::new(store.clone(), catalog);
+        for cut in 0..clean.len() {
+            store
+                .put("raw/t/d000000/log-00000000", clean.slice(0..cut))
+                .unwrap();
+            assert!(
+                matches!(
+                    compactor.compact("t", "d000000", &schema),
+                    Err(Error::Corruption(_))
+                ),
+                "truncation at {cut} accepted"
+            );
+        }
     }
 
     #[test]

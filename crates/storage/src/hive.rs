@@ -7,7 +7,7 @@
 //! layer's Hive connector scans them for federated queries.
 
 use crate::object::ObjectStore;
-use crate::segfile::{self, SegmentFile};
+use crate::segfile::{self, ColumnValues, SegmentFile};
 use parking_lot::RwLock;
 use rtdi_common::{Error, Result, Row, Schema, Timestamp};
 use std::collections::BTreeMap;
@@ -47,6 +47,13 @@ impl HiveTable {
         self.inner.partitions.read().keys().cloned().collect()
     }
 
+    /// Part files registered under one partition: the number the next one
+    /// takes.
+    pub fn part_count(&self, date: &str) -> usize {
+        let parts = self.inner.partitions.read();
+        parts.get(date).map_or(0, |p| p.files.len())
+    }
+
     pub fn row_count(&self) -> usize {
         self.inner
             .partitions
@@ -56,31 +63,49 @@ impl HiveTable {
             .sum()
     }
 
-    /// Read every row of one partition.
-    pub fn scan_partition(&self, date: &str) -> Result<Vec<Row>> {
-        let files = {
+    /// The warehouse's one read primitive: the part files of every
+    /// partition `keep` accepts, in partition then file order, each opened
+    /// (header and zone maps parsed, CRC verified) with no column decoded.
+    /// Every reader starts here: the row scans below, the SQL connector's
+    /// columnar scan and the Kappa+ source.
+    pub fn open_parts(&self, keep: impl Fn(&str) -> bool) -> Result<Vec<SegmentFile>> {
+        let keys: Vec<String> = {
             let parts = self.inner.partitions.read();
             parts
-                .get(date)
-                .ok_or_else(|| Error::NotFound(format!("partition '{date}' of '{}'", self.name)))?
-                .files
-                .clone()
+                .iter()
+                .filter(|(date, _)| keep(date))
+                .flat_map(|(_, p)| p.files.iter().cloned())
+                .collect()
         };
-        let mut rows = Vec::new();
-        for f in files {
-            let (_, mut batch) = SegmentFile::open(self.store.get(&f)?)?.read_rows()?;
-            rows.append(&mut batch);
+        keys.iter()
+            .map(|key| SegmentFile::open(self.store.get(key)?))
+            .collect()
+    }
+
+    /// The part files of the date partitions `[from, to)` touches.
+    pub fn open_range(&self, from: Timestamp, to: Timestamp) -> Result<Vec<SegmentFile>> {
+        if to <= from {
+            return Ok(Vec::new());
         }
-        Ok(rows)
+        let from_day = crate::archival::date_partition(from);
+        let to_day = crate::archival::date_partition(to);
+        self.open_parts(|date| from_day.as_str() <= date && date <= to_day.as_str())
+    }
+
+    /// Read every row of one partition.
+    pub fn scan_partition(&self, date: &str) -> Result<Vec<Row>> {
+        if !self.inner.partitions.read().contains_key(date) {
+            return Err(Error::NotFound(format!(
+                "partition '{date}' of '{}'",
+                self.name
+            )));
+        }
+        all_rows(self.open_parts(|d| d == date)?)
     }
 
     /// Full scan across all partitions, in partition order.
     pub fn scan_all(&self) -> Result<Vec<Row>> {
-        let mut rows = Vec::new();
-        for date in self.partitions() {
-            rows.extend(self.scan_partition(&date)?);
-        }
-        Ok(rows)
+        all_rows(self.open_parts(|_| true)?)
     }
 
     /// Scan rows whose `__ts` column falls in `[from, to)`. Partitions are
@@ -88,26 +113,94 @@ impl HiveTable {
     /// bounded-input read path the Kappa+ backfill uses to identify the
     /// "start/end boundary of the bounded input" (§7).
     pub fn scan_range(&self, from: Timestamp, to: Timestamp) -> Result<Vec<Row>> {
-        if to <= from {
-            return Ok(Vec::new());
-        }
-        let from_day = crate::archival::date_partition(from);
-        let to_day = crate::archival::date_partition(to);
-        let mut rows = Vec::new();
-        for date in self.partitions() {
-            if date < from_day || date > to_day {
-                continue; // partition pruning
-            }
-            for row in self.scan_partition(&date)? {
-                match row.get_int("__ts") {
-                    Some(ts) if ts >= from && ts < to => rows.push(row),
-                    None => rows.push(row), // tables without event time: no pruning
-                    _ => {}
-                }
-            }
-        }
-        Ok(rows)
+        let timed = self.scan_range_timed(from, to)?;
+        Ok(timed.into_iter().map(|(_, row)| row).collect())
     }
+
+    /// [`Self::scan_range`] with every row's event time beside it (0 for a
+    /// row without one), read off the decoded `__ts` column.
+    pub fn scan_range_timed(
+        &self,
+        from: Timestamp,
+        to: Timestamp,
+    ) -> Result<Vec<(Timestamp, Row)>> {
+        let mut out = Vec::new();
+        for file in self.open_range(from, to)? {
+            let cover = ts_cover(&file, from, to);
+            if cover == TsCover::Disjoint {
+                continue;
+            }
+            let times = event_times(&file)?;
+            // only a file that straddles a bound tests its rows
+            let inside = cover == TsCover::Inside;
+            let in_range = |ts: Timestamp| from <= ts && ts < to;
+            let docs: Vec<u32> = (0..file.nrows() as u32)
+                .filter(|&d| inside || times[d as usize].is_none_or(in_range))
+                .collect();
+            let rows = file.read_rows_where(None, Some(&docs))?;
+            let timed = docs.iter().map(|&d| times[d as usize].unwrap_or(0));
+            out.extend(timed.zip(rows));
+        }
+        Ok(out)
+    }
+}
+
+fn all_rows(files: Vec<SegmentFile>) -> Result<Vec<Row>> {
+    let mut rows = Vec::with_capacity(files.iter().map(SegmentFile::nrows).sum());
+    for file in files {
+        rows.append(&mut file.read_rows_where(None, None)?);
+    }
+    Ok(rows)
+}
+
+/// How a part file's `__ts` zone map sits against `[from, to)`. A row
+/// without an event time (NULL, or a table that has no `__ts`) belongs to
+/// every range.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TsCover {
+    /// No row can be in range: the file is skipped undecoded.
+    Disjoint,
+    /// Every row is in range: no row is tested.
+    Inside,
+    Straddles,
+}
+
+pub fn ts_cover(file: &SegmentFile, from: Timestamp, to: Timestamp) -> TsCover {
+    if file.nrows() == 0 {
+        return TsCover::Disjoint;
+    }
+    // no `__ts` column, or every cell of it NULL: no row has an event time
+    let Some((zone, (lo, hi))) = file
+        .entry("__ts")
+        .and_then(|e| Some((&e.zone, e.zone.int_bounds()?)))
+    else {
+        return TsCover::Inside;
+    };
+    if from <= lo && hi < to {
+        TsCover::Inside
+    } else if zone.null_count == 0 && (hi < from || to <= lo) {
+        TsCover::Disjoint
+    } else {
+        TsCover::Straddles
+    }
+}
+
+/// The `__ts` column of a part file, one entry per row: `None` for a NULL
+/// cell, and for every row of a file without the column.
+pub fn event_times(file: &SegmentFile) -> Result<Vec<Option<Timestamp>>> {
+    if file.entry("__ts").is_none() {
+        return Ok(vec![None; file.nrows()]);
+    }
+    let col = file.column("__ts")?;
+    Ok(match &col.values {
+        ColumnValues::Int(vals) => vals
+            .iter()
+            .enumerate()
+            .map(|(i, &ts)| (!col.nulls.is_null(i)).then_some(ts))
+            .collect(),
+        // a `__ts` that is not integral carries no event time
+        _ => vec![None; file.nrows()],
+    })
 }
 
 #[derive(Default)]
@@ -186,10 +279,7 @@ impl HiveCatalog {
     /// the paper mentions in §4.3.3).
     pub fn write_rows(&self, table: &str, date: &str, rows: &[Row]) -> Result<()> {
         let t = self.table(table)?;
-        let n = {
-            let parts = t.inner.partitions.read();
-            parts.get(date).map(|p| p.files.len()).unwrap_or(0)
-        };
+        let n = t.part_count(date);
         let key = format!("warehouse/{table}/{date}/part-{n:05}");
         let seg_name = format!("{table}-{date}-{n:05}");
         let data = segfile::encode_rows_segment(&t.inner.schema, &seg_name, rows)?;
@@ -286,5 +376,44 @@ mod tests {
         // empty and inverted ranges
         assert!(table.scan_range(100, 100).unwrap().is_empty());
         assert!(table.scan_range(500, 100).unwrap().is_empty());
+    }
+
+    #[test]
+    fn range_reads_test_rows_only_where_a_file_straddles_a_bound() {
+        let (catalog, table) = setup();
+        let day = 86_400_000;
+        // one date, three part files: ts 0..10k, 10k..20k, and one whose
+        // rows carry no event time
+        catalog
+            .write_rows("trips", "d000000", &rows_for_day(0, 10))
+            .unwrap();
+        let later: Vec<Row> = (10..20)
+            .map(|i| Row::new().with("id", i).with("__ts", i * 1000))
+            .collect();
+        catalog.write_rows("trips", "d000000", &later).unwrap();
+        let untimed = vec![Row::new().with("id", 99i64), Row::new().with("id", 98i64)];
+        catalog.write_rows("trips", "d000000", &untimed).unwrap();
+        let files = table.open_range(0, day).unwrap();
+        assert_eq!(files.len(), 3);
+        let covers =
+            |from, to| -> Vec<TsCover> { files.iter().map(|f| ts_cover(f, from, to)).collect() };
+        use TsCover::*;
+        assert_eq!(covers(0, day), vec![Inside, Inside, Inside]);
+        assert_eq!(covers(0, 10_000), vec![Inside, Disjoint, Inside]);
+        assert_eq!(covers(5_000, 15_000), vec![Straddles, Straddles, Inside]);
+        // rows without an event time belong to every range, at time 0
+        let timed = table.scan_range_timed(5_000, 15_000).unwrap();
+        let got: Vec<(Timestamp, i64)> = timed
+            .iter()
+            .map(|(ts, r)| (*ts, r.get_int("id").unwrap()))
+            .collect();
+        let mut want: Vec<(Timestamp, i64)> = (5..15).map(|i| (i * 1000, i)).collect();
+        want.extend([(0, 99), (0, 98)]);
+        assert_eq!(got, want);
+        assert_eq!(
+            event_times(&files[2]).unwrap(),
+            vec![None, None],
+            "NULL event times"
+        );
     }
 }

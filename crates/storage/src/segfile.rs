@@ -32,6 +32,7 @@
 
 use bytes::Bytes;
 use rtdi_common::{Error, FieldType, Result, Row, Schema, Value};
+use std::collections::HashMap;
 use std::sync::OnceLock;
 
 /// Head magic: the file starts with the bytes `RTSG`.
@@ -52,11 +53,13 @@ const ENC_RLE: u8 = 1;
 // CRC32 (IEEE 802.3, reflected) — table built lazily, no dependencies.
 // ---------------------------------------------------------------------
 
-fn crc32_table() -> &'static [u32; 256] {
-    static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut table = [0u32; 256];
-        for (i, slot) in table.iter_mut().enumerate() {
+/// Slicing-by-8 tables: `t[0]` is the classic byte table, `t[k][b]` the CRC
+/// of byte `b` followed by `k` zero bytes.
+fn crc32_tables() -> &'static [[u32; 256]; 8] {
+    static TABLES: OnceLock<[[u32; 256]; 8]> = OnceLock::new();
+    TABLES.get_or_init(|| {
+        let mut t = [[0u32; 256]; 8];
+        for (i, slot) in t[0].iter_mut().enumerate() {
             let mut c = i as u32;
             for _ in 0..8 {
                 c = if c & 1 == 1 {
@@ -67,16 +70,36 @@ fn crc32_table() -> &'static [u32; 256] {
             }
             *slot = c;
         }
-        table
+        for k in 1..8 {
+            for i in 0..256 {
+                let prev = t[k - 1][i];
+                t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            }
+        }
+        t
     })
 }
 
-/// CRC32 (IEEE) over `data`.
+/// CRC32 (IEEE) over `data`, eight bytes per step: every segment file is
+/// checked whole on open, so this loop is on the path of every cold read.
 pub fn crc32(data: &[u8]) -> u32 {
-    let table = crc32_table();
+    let t = crc32_tables();
     let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = table[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let lo = u32::from_le_bytes([w[0], w[1], w[2], w[3]]) ^ c;
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     c ^ 0xFFFF_FFFF
 }
@@ -94,35 +117,54 @@ fn bits_for(max: u64) -> u32 {
     }
 }
 
-/// Bit-pack a slice of u64 values each fitting in `bits` bits.
+/// The low `bits` bits of a word.
+fn low_bits(bits: u32) -> u64 {
+    if bits >= 64 {
+        u64::MAX
+    } else {
+        (1u64 << bits) - 1
+    }
+}
+
+/// Bit-pack a slice of u64 values each fitting in `bits` bits: one
+/// little-endian bit stream, flushed a word at a time.
 fn bitpack(values: &[u64], bits: u32) -> Vec<u8> {
-    let total_bits = values.len() * bits as usize;
-    let mut out = vec![0u8; total_bits.div_ceil(8)];
-    let mut bitpos = 0usize;
+    let total_bytes = (values.len() * bits as usize).div_ceil(8);
+    let mut out = Vec::with_capacity(total_bytes + 8);
+    let mask = low_bits(bits);
+    let (mut acc, mut filled) = (0u128, 0u32);
     for &v in values {
-        for b in 0..bits {
-            if (v >> b) & 1 == 1 {
-                out[bitpos / 8] |= 1 << (bitpos % 8);
-            }
-            bitpos += 1;
+        acc |= ((v & mask) as u128) << filled;
+        filled += bits;
+        if filled >= 64 {
+            out.extend_from_slice(&(acc as u64).to_le_bytes());
+            acc >>= 64;
+            filled -= 64;
         }
     }
+    out.extend_from_slice(&(acc as u64).to_le_bytes());
+    out.truncate(total_bytes);
     out
 }
 
-/// Inverse of [`bitpack`].
+/// Inverse of [`bitpack`]. Bits past the end of `data` read as zero.
 fn bitunpack(data: &[u8], bits: u32, count: usize) -> Vec<u64> {
     let mut out = Vec::with_capacity(count);
-    let mut bitpos = 0usize;
+    let mask = low_bits(bits);
+    let (mut acc, mut filled) = (0u128, 0u32);
+    let mut words = data.chunks(8);
     for _ in 0..count {
-        let mut v = 0u64;
-        for b in 0..bits {
-            if bitpos / 8 < data.len() && (data[bitpos / 8] >> (bitpos % 8)) & 1 == 1 {
-                v |= 1 << b;
+        if filled < bits {
+            let mut word = [0u8; 8];
+            if let Some(w) = words.next() {
+                word[..w.len()].copy_from_slice(w);
             }
-            bitpos += 1;
+            acc |= (u64::from_le_bytes(word) as u128) << filled;
+            filled += 64;
         }
-        out.push(v);
+        out.push(acc as u64 & mask);
+        acc >>= bits;
+        filled -= bits;
     }
     out
 }
@@ -278,6 +320,17 @@ impl NullMask {
     pub fn set_null(&mut self, i: usize) {
         if i < self.len {
             self.bits[i / 8] |= 1 << (i % 8);
+        }
+    }
+
+    /// Append one row.
+    pub fn push(&mut self, null: bool) {
+        if self.len.is_multiple_of(8) {
+            self.bits.push(0);
+        }
+        self.len += 1;
+        if null {
+            self.set_null(self.len - 1);
         }
     }
 
@@ -946,30 +999,54 @@ impl SegmentFile {
         })
     }
 
-    /// Materialize every column back into rows (schema order). The full
-    /// eager read path used by compaction scans and backfill.
+    /// Materialize every column back into rows (schema order).
     pub fn read_rows(&self) -> Result<(Schema, Vec<Row>)> {
-        let schema = self.schema();
+        Ok((self.schema(), self.read_rows_where(None, None)?))
+    }
+
+    /// The one row materializer: the columns named in `select` (every
+    /// column when `None`; a name the file lacks is left out) of the rows
+    /// `docs`, in that order (every row when `None`). Only the selected
+    /// columns are decoded, and a cell becomes a [`Value`] only for a row
+    /// that is kept.
+    pub fn read_rows_where(
+        &self,
+        select: Option<&[String]>,
+        docs: Option<&[u32]>,
+    ) -> Result<Vec<Row>> {
+        let picked: Vec<usize> = match select {
+            None => (0..self.entries.len()).collect(),
+            Some(names) => names
+                .iter()
+                .filter_map(|n| self.entries.iter().position(|e| e.name == *n))
+                .collect(),
+        };
+        let mut columns = Vec::with_capacity(picked.len());
+        for &i in &picked {
+            let e = &self.entries[i];
+            columns.push((
+                std::sync::Arc::<str>::from(e.name.as_str()),
+                e.field_type,
+                self.column_at(i)?,
+            ));
+        }
         let nrows = self.nrows();
-        let mut columns = Vec::with_capacity(self.entries.len());
-        for i in 0..self.entries.len() {
-            let col = self.column_at(i)?;
-            columns.push(column_to_values(&col, self.entries[i].field_type)?);
-        }
-        let names: Vec<std::sync::Arc<str>> = self
-            .entries
-            .iter()
-            .map(|e| std::sync::Arc::from(e.name.as_str()))
-            .collect();
-        let mut rows = Vec::with_capacity(nrows.min(1 << 20));
-        for i in 0..nrows {
-            let mut row = Row::with_capacity(names.len());
-            for (name, col) in names.iter().zip(&columns) {
-                row.push(name.clone(), col[i].clone());
+        let build = |doc: usize| -> Result<Row> {
+            if doc >= nrows {
+                return Err(Error::Internal(format!(
+                    "row {doc} requested of a {nrows}-row segment"
+                )));
             }
-            rows.push(row);
+            let mut row = Row::with_capacity(columns.len());
+            for (name, ftype, col) in &columns {
+                row.push(name.clone(), cell_value(col, *ftype, doc)?);
+            }
+            Ok(row)
+        };
+        match docs {
+            None => (0..nrows).map(build).collect(),
+            Some(docs) => docs.iter().map(|&d| build(d as usize)).collect(),
         }
-        Ok((schema, rows))
     }
 }
 
@@ -1147,101 +1224,160 @@ fn decode_column_block(block: &[u8], ftype: FieldType, nrows: usize) -> Result<C
     Ok(Column { values, nulls })
 }
 
-/// Expand a decoded column into per-row [`Value`]s (NULLs applied, JSON
-/// parsed back from its dictionary text).
-pub fn column_to_values(col: &Column, ftype: FieldType) -> Result<Vec<Value>> {
-    let n = col.values.len();
-    let mut out = Vec::with_capacity(n.min(1 << 20));
-    for i in 0..n {
-        if col.nulls.is_null(i) {
-            out.push(Value::Null);
-            continue;
-        }
-        let v = match &col.values {
-            ColumnValues::Int(vals) => Value::Int(vals[i]),
-            ColumnValues::Double(vals) => Value::Double(vals[i]),
-            ColumnValues::Bool(vals) => Value::Bool(vals[i]),
-            ColumnValues::Str { dict, ids } => {
-                let s = &dict[ids[i] as usize];
-                if ftype == FieldType::Json {
-                    Value::Json(Box::new(rtdi_common::json::parse(s).map_err(|_| {
-                        Error::Corruption(format!("invalid json in dictionary: {s}"))
-                    })?))
-                } else {
-                    Value::Str(s.clone())
-                }
-            }
-            ColumnValues::Bytes(vals) => Value::Bytes(vals[i].clone()),
-        };
-        out.push(v);
+/// One cell of a decoded column as a [`Value`] (NULL applied, JSON parsed
+/// back from its dictionary text).
+fn cell_value(col: &Column, ftype: FieldType, i: usize) -> Result<Value> {
+    if col.nulls.is_null(i) {
+        return Ok(Value::Null);
     }
-    Ok(out)
+    Ok(match &col.values {
+        ColumnValues::Int(vals) => Value::Int(vals[i]),
+        ColumnValues::Double(vals) => Value::Double(vals[i]),
+        ColumnValues::Bool(vals) => Value::Bool(vals[i]),
+        ColumnValues::Str { dict, ids } => {
+            let s = &dict[ids[i] as usize];
+            if ftype == FieldType::Json {
+                Value::Json(Box::new(rtdi_common::json::parse(s).map_err(|_| {
+                    Error::Corruption(format!("invalid json in dictionary: {s}"))
+                })?))
+            } else {
+                Value::Str(s.clone())
+            }
+        }
+        ColumnValues::Bytes(vals) => Value::Bytes(vals[i].clone()),
+    })
 }
 
 // ---------------------------------------------------------------------
 // Row-batch convenience encoder (warehouse part files, compaction).
 // ---------------------------------------------------------------------
 
-/// Build the segfile [`Column`] for one schema field from a row batch.
-pub fn column_from_rows(field: &rtdi_common::Field, rows: &[Row]) -> Column {
-    let name = field.name.as_str();
-    let mut nulls = NullMask::new(rows.len());
-    for (i, row) in rows.iter().enumerate() {
-        if matches!(row.get(name), None | Some(Value::Null)) {
-            nulls.set_null(i);
+/// Builds one schema field's [`Column`] a cell at a time. A cell is
+/// coerced to the field's type; a value that cannot be (a string in an
+/// integer field) is stored as the type's zero, not as NULL. Strings are
+/// interned as they arrive and only the distinct values are sorted, once,
+/// in [`ColumnBuilder::finish`].
+pub(crate) struct ColumnBuilder {
+    values: ColumnValues,
+    nulls: NullMask,
+    /// Dictionary id of every distinct string, in arrival order.
+    intern: HashMap<String, u32>,
+}
+
+/// Dictionary id of a cell that carries no string while the column is
+/// built; it becomes id 0 of the sorted dictionary.
+const NO_TEXT: u32 = u32::MAX;
+
+impl ColumnBuilder {
+    pub(crate) fn new(field_type: FieldType) -> Self {
+        let values = match field_type {
+            FieldType::Bool => ColumnValues::Bool(Vec::new()),
+            FieldType::Int | FieldType::Timestamp => ColumnValues::Int(Vec::new()),
+            FieldType::Double => ColumnValues::Double(Vec::new()),
+            FieldType::Str | FieldType::Json => ColumnValues::Str {
+                dict: Vec::new(),
+                ids: Vec::new(),
+            },
+            FieldType::Bytes => ColumnValues::Bytes(Vec::new()),
+        };
+        ColumnBuilder {
+            values,
+            nulls: NullMask::new(0),
+            intern: HashMap::new(),
         }
     }
-    let values = match field.field_type {
-        FieldType::Bool => ColumnValues::Bool(
-            rows.iter()
-                .map(|r| matches!(r.get(name), Some(Value::Bool(true))))
-                .collect(),
-        ),
-        FieldType::Int | FieldType::Timestamp => ColumnValues::Int(
-            rows.iter()
-                .map(|r| r.get(name).and_then(Value::as_int).unwrap_or(0))
-                .collect(),
-        ),
-        FieldType::Double => ColumnValues::Double(
-            rows.iter()
-                .map(|r| r.get(name).and_then(Value::as_double).unwrap_or(0.0))
-                .collect(),
-        ),
-        FieldType::Str | FieldType::Json => {
-            let texts: Vec<Option<String>> = rows
-                .iter()
-                .map(|r| match r.get(name) {
-                    Some(Value::Str(s)) => Some(s.clone()),
-                    Some(Value::Json(j)) => Some(rtdi_common::json::to_string(j)),
-                    _ => None,
-                })
-                .collect();
-            let mut dict: Vec<String> = texts.iter().flatten().cloned().collect();
-            dict.sort_unstable();
-            dict.dedup();
-            if dict.is_empty() && !rows.is_empty() {
-                // all-NULL column: one placeholder keeps ids in range
-                dict.push(String::new());
-            }
-            let ids = texts
-                .iter()
-                .map(|t| match t {
-                    Some(s) => dict.binary_search(s).unwrap_or(0) as u32,
-                    None => 0,
-                })
-                .collect();
-            ColumnValues::Str { dict, ids }
+
+    /// Rows appended so far.
+    pub(crate) fn len(&self) -> usize {
+        self.nulls.len()
+    }
+
+    /// Append one cell; an absent value is NULL.
+    pub(crate) fn push(&mut self, v: Option<&Value>) {
+        if let Some(Value::Str(s)) = v {
+            return self.push_str(s);
         }
-        FieldType::Bytes => ColumnValues::Bytes(
-            rows.iter()
-                .map(|r| match r.get(name) {
-                    Some(Value::Bytes(b)) => b.clone(),
-                    _ => Vec::new(),
-                })
-                .collect(),
-        ),
-    };
-    Column { values, nulls }
+        self.nulls.push(matches!(v, None | Some(Value::Null)));
+        match &mut self.values {
+            ColumnValues::Bool(vals) => vals.push(matches!(v, Some(Value::Bool(true)))),
+            ColumnValues::Int(vals) => vals.push(v.and_then(Value::as_int).unwrap_or(0)),
+            ColumnValues::Double(vals) => vals.push(v.and_then(Value::as_double).unwrap_or(0.0)),
+            ColumnValues::Str { dict, ids } => ids.push(match v {
+                Some(Value::Json(j)) => {
+                    intern_id(dict, &mut self.intern, &rtdi_common::json::to_string(j))
+                }
+                _ => NO_TEXT,
+            }),
+            ColumnValues::Bytes(vals) => vals.push(match v {
+                Some(Value::Bytes(b)) => b.clone(),
+                _ => Vec::new(),
+            }),
+        }
+    }
+
+    /// Append a string cell without building a [`Value`] around it: what
+    /// compaction hands over straight from a raw log's bytes.
+    pub(crate) fn push_str(&mut self, s: &str) {
+        self.nulls.push(false);
+        match &mut self.values {
+            ColumnValues::Bool(vals) => vals.push(false),
+            ColumnValues::Int(vals) => vals.push(0),
+            ColumnValues::Double(vals) => vals.push(0.0),
+            ColumnValues::Str { dict, ids } => ids.push(intern_id(dict, &mut self.intern, s)),
+            ColumnValues::Bytes(vals) => vals.push(Vec::new()),
+        }
+    }
+
+    /// The finished column: the dictionary sorted, the ids rewritten
+    /// through the permutation.
+    pub(crate) fn finish(mut self) -> Column {
+        if let ColumnValues::Str { dict, ids } = &mut self.values {
+            let mut order: Vec<u32> = (0..dict.len() as u32).collect();
+            order.sort_unstable_by(|&a, &b| dict[a as usize].cmp(&dict[b as usize]));
+            let mut new_id = vec![0u32; dict.len()];
+            let mut sorted = Vec::with_capacity(dict.len().max(1));
+            for (new, &old) in order.iter().enumerate() {
+                new_id[old as usize] = new as u32;
+                sorted.push(std::mem::take(&mut dict[old as usize]));
+            }
+            if sorted.is_empty() && !ids.is_empty() {
+                // no string at all: one placeholder keeps ids in range
+                sorted.push(String::new());
+            }
+            *dict = sorted;
+            for id in ids.iter_mut() {
+                *id = if *id == NO_TEXT {
+                    0
+                } else {
+                    new_id[*id as usize]
+                };
+            }
+        }
+        Column {
+            values: self.values,
+            nulls: self.nulls,
+        }
+    }
+}
+
+/// The dictionary id of `s`, entered at the end of `dict` when it is new.
+fn intern_id(dict: &mut Vec<String>, intern: &mut HashMap<String, u32>, s: &str) -> u32 {
+    if let Some(&id) = intern.get(s) {
+        return id;
+    }
+    let id = dict.len() as u32;
+    dict.push(s.to_string());
+    intern.insert(s.to_string(), id);
+    id
+}
+
+/// Build the segfile [`Column`] for one schema field from a row batch.
+pub fn column_from_rows(field: &rtdi_common::Field, rows: &[Row]) -> Column {
+    let mut col = ColumnBuilder::new(field.field_type);
+    for row in rows {
+        col.push(row.get(&field.name));
+    }
+    col.finish()
 }
 
 /// Encode a row batch under a schema as a segment file — what the
@@ -1488,6 +1624,198 @@ mod tests {
             let un = bitunpack(&packed, bits, vals.len());
             assert_eq!(vals, un, "width {bits}");
         }
+    }
+
+    /// The bit-at-a-time packer the word-at-a-time one replaced: the
+    /// reference for identical bytes.
+    fn bitpack_reference(values: &[u64], bits: u32) -> Vec<u8> {
+        let mut out = vec![0u8; (values.len() * bits as usize).div_ceil(8)];
+        let mut bitpos = 0usize;
+        for &v in values {
+            for b in 0..bits {
+                if (v >> b) & 1 == 1 {
+                    out[bitpos / 8] |= 1 << (bitpos % 8);
+                }
+                bitpos += 1;
+            }
+        }
+        out
+    }
+
+    fn bitunpack_reference(data: &[u8], bits: u32, count: usize) -> Vec<u64> {
+        let mut out = Vec::with_capacity(count);
+        let mut bitpos = 0usize;
+        for _ in 0..count {
+            let mut v = 0u64;
+            for b in 0..bits {
+                if bitpos / 8 < data.len() && (data[bitpos / 8] >> (bitpos % 8)) & 1 == 1 {
+                    v |= 1 << b;
+                }
+                bitpos += 1;
+            }
+            out.push(v);
+        }
+        out
+    }
+
+    fn crc32_reference(data: &[u8]) -> u32 {
+        let mut c = 0xFFFF_FFFFu32;
+        for &b in data {
+            c ^= b as u32;
+            for _ in 0..8 {
+                c = if c & 1 == 1 {
+                    0xEDB8_8320 ^ (c >> 1)
+                } else {
+                    c >> 1
+                };
+            }
+        }
+        c ^ 0xFFFF_FFFF
+    }
+
+    /// SplitMix64, seeded: the buffers repeat run to run.
+    fn draws(seed: u64) -> impl FnMut() -> u64 {
+        let mut state = seed;
+        move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+    }
+
+    #[test]
+    fn word_kernels_match_the_bitwise_reference_at_every_width() {
+        let mut next = draws(0x5E6F11E);
+        for bits in 1..=64u32 {
+            // lengths around the word and byte boundaries, none special-cased
+            for len in [0usize, 1, 2, 3, 7, 8, 9, 13, 63, 64, 65, 100, 257] {
+                let vals: Vec<u64> = (0..len).map(|_| next() & low_bits(bits)).collect();
+                let packed = bitpack(&vals, bits);
+                assert_eq!(
+                    packed,
+                    bitpack_reference(&vals, bits),
+                    "{bits} bits x {len}"
+                );
+                assert_eq!(bitunpack(&packed, bits, len), vals, "{bits} bits x {len}");
+                // a short buffer reads zeros past its end, as before
+                let cut = &packed[..packed.len() / 2];
+                assert_eq!(
+                    bitunpack(cut, bits, len),
+                    bitunpack_reference(cut, bits, len),
+                    "{bits} bits x {len}, truncated"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn crc32_matches_the_bitwise_reference_at_every_length() {
+        let mut next = draws(0xC2C32);
+        let data: Vec<u8> = (0..1031).map(|_| next() as u8).collect();
+        for len in (0..=67).chain([127, 128, 129, 1024, 1031]) {
+            // every alignment of the eight-byte steps against the slice
+            for start in 0..3.min(data.len() - len + 1) {
+                let slice = &data[start..start + len];
+                assert_eq!(crc32(slice), crc32_reference(slice), "len {len} at {start}");
+            }
+        }
+    }
+
+    /// The dictionary build `ColumnBuilder` replaced (clone every string,
+    /// sort, dedup, binary-search per row): the reference for identical
+    /// columns.
+    fn string_column_reference(rows: &[Row], name: &str) -> Column {
+        let mut nulls = NullMask::new(rows.len());
+        for (i, row) in rows.iter().enumerate() {
+            if matches!(row.get(name), None | Some(Value::Null)) {
+                nulls.set_null(i);
+            }
+        }
+        let texts: Vec<Option<String>> = rows
+            .iter()
+            .map(|r| match r.get(name) {
+                Some(Value::Str(s)) => Some(s.clone()),
+                Some(Value::Json(j)) => Some(rtdi_common::json::to_string(j)),
+                _ => None,
+            })
+            .collect();
+        let mut dict: Vec<String> = texts.iter().flatten().cloned().collect();
+        dict.sort_unstable();
+        dict.dedup();
+        if dict.is_empty() && !rows.is_empty() {
+            dict.push(String::new());
+        }
+        let ids = texts
+            .iter()
+            .map(|t| {
+                t.as_ref()
+                    .map_or(0, |s| dict.binary_search(s).unwrap() as u32)
+            })
+            .collect();
+        Column {
+            values: ColumnValues::Str { dict, ids },
+            nulls,
+        }
+    }
+
+    #[test]
+    fn interned_dictionary_equals_the_sorted_dedup_reference() {
+        let mut next = draws(0xD1C7);
+        let field = Field::new("s", FieldType::Str);
+        for len in [0usize, 1, 5, 200] {
+            for cardinality in [1u64, 3, 50] {
+                let rows: Vec<Row> = (0..len)
+                    .map(|_| match next() % 8 {
+                        0 => Row::new(),
+                        1 => Row::new().with("s", Value::Null),
+                        // a value of another type: stored as id 0, not NULL
+                        2 => Row::new().with("s", 7i64),
+                        3 => Row::new().with(
+                            "s",
+                            Value::Json(Box::new(rtdi_common::json::parse("[1,2]").unwrap())),
+                        ),
+                        _ => Row::new().with("s", format!("v{:03}", next() % cardinality)),
+                    })
+                    .collect();
+                assert_eq!(
+                    column_from_rows(&field, &rows),
+                    string_column_reference(&rows, "s"),
+                    "{len} rows, {cardinality} values"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn read_rows_where_builds_only_what_is_asked() {
+        let schema = sample_schema();
+        let rows = sample_rows(40);
+        let file = SegmentFile::open(encode_rows_segment(&schema, "s", &rows).unwrap()).unwrap();
+        let select = ["total".to_string(), "ghost".to_string(), "id".to_string()];
+        let got = file
+            .read_rows_where(Some(&select), Some(&[39, 3, 3]))
+            .unwrap();
+        // the order asked for, the file's missing column left out
+        let want: Vec<Row> = [39usize, 3, 3]
+            .iter()
+            .map(|&i| {
+                Row::new()
+                    .with("total", i as f64 * 1.5)
+                    .with("id", i as i64)
+            })
+            .collect();
+        assert_eq!(got, want);
+        // no columns at all still yields one row per document
+        assert_eq!(
+            file.read_rows_where(Some(&[]), None).unwrap(),
+            vec![Row::new(); 40]
+        );
+        assert!(matches!(
+            file.read_rows_where(None, Some(&[40])),
+            Err(Error::Internal(_))
+        ));
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Decoder robustness soak: a seeded corpus of damaged persisted bytes
 //! through every decode entry point — segment files (eager
-//! `decode_rows_segment` and lazy `Segment::load_lazy`), raw logs
+//! `decode_rows_segment`, lazy `Segment::load_lazy`, and as a warehouse
+//! part file under `platform.sql` and the Kappa+ `HiveSource`), raw logs
 //! (`decode_raw`) and compute state: the stateful operators' `restore`
 //! (serial and as shards), `KeyedSnapshot::decode` and
 //! `CheckpointStore::latest`.
@@ -20,12 +21,15 @@ use rand::{Rng, SeedableRng};
 use rtdi::common::value::JsonValue;
 use rtdi::common::{AggFn, Error, Field, FieldType, Record, Result, Row, Schema, Value};
 use rtdi::compute::runtime::CheckpointData;
+use rtdi::compute::source::{HiveSource, Source};
 use rtdi::compute::{
     CheckpointStore, DedupOp, FusedOp, Operator, WindowAggregateOp, WindowAssigner, WindowJoinOp,
 };
+use rtdi::core::platform::RealtimePlatform;
 use rtdi::olap::query::Query;
 use rtdi::olap::segment::{IndexSpec, Segment};
 use rtdi::storage::archival::{decode_raw, encode_raw};
+use rtdi::storage::hive::HiveTable;
 use rtdi::storage::keyed::KeyedSnapshot;
 use rtdi::storage::object::{InMemoryStore, ObjectStore};
 use rtdi::storage::segfile;
@@ -140,6 +144,56 @@ impl Tally {
     }
 }
 
+/// A platform whose warehouse table `fz` has one part file, rewritten by
+/// every probe: damaged bytes reach the SQL engine's columnar scan (rows,
+/// a filter, a fold) and the Kappa+ source the way a damaged object in the
+/// archive would.
+struct Warehouse {
+    platform: RealtimePlatform,
+    table: HiveTable,
+}
+
+const PART: &str = "warehouse/fz/d000000/part-00000";
+
+impl Warehouse {
+    fn new() -> Self {
+        let platform = RealtimePlatform::new();
+        let table = platform
+            .catalog()
+            .create_table("fz", Schema::new("fz", Vec::new()))
+            .unwrap();
+        platform
+            .catalog()
+            .register_partition("fz", "d000000", PART, 0)
+            .unwrap();
+        Warehouse { platform, table }
+    }
+
+    fn probe(&self, bytes: Vec<u8>) {
+        self.platform.store().put(PART, bytes.into()).unwrap();
+        let outcomes = [
+            self.platform.sql("SELECT * FROM hive.fz").map(drop),
+            self.platform
+                .sql(
+                    "SELECT f0, COUNT(*) AS n, MAX(f1) AS m FROM hive.fz WHERE f0 >= 0 GROUP BY f0",
+                )
+                .map(drop),
+            HiveSource::new(&self.table, 0, i64::MAX, 64).and_then(|mut source| {
+                while !source.is_exhausted() {
+                    source.poll_batch(64)?;
+                }
+                Ok(())
+            }),
+        ];
+        for outcome in outcomes {
+            match outcome {
+                Ok(()) | Err(Error::Corruption(_)) => {}
+                Err(e) => panic!("warehouse read surfaced wrong error kind: {e}"),
+            }
+        }
+    }
+}
+
 /// Decode a damaged segment file through both entry points.
 fn probe_segfile(bytes: Vec<u8>) -> Result<()> {
     // the lazy path must hold the same bound: open, query (a damaged
@@ -183,6 +237,7 @@ fn stage(name: &str) -> Box<dyn Operator> {
 /// Run the whole corpus for one seed: one summary line per decoder.
 fn soak(seed: u64) -> Vec<String> {
     let mut tallies: BTreeMap<&str, Tally> = BTreeMap::new();
+    let warehouse = Warehouse::new();
     // --- segment files (checksummed format): seeded cuts plus the empty file
     for case in 0..40u64 {
         let mut rng = StdRng::seed_from_u64(seed.wrapping_add(case));
@@ -195,7 +250,14 @@ fn soak(seed: u64) -> Vec<String> {
         cuts.extend((0..4).map(|_| rng.gen_range(0..clean.len())));
         let ctx = format!("case {case} segfile");
         let tally = tallies.entry("segfile").or_default();
-        tally.damage(&clean, cuts.into_iter(), 5, &mut rng, &ctx, &probe_segfile);
+        // the undamaged file reads back whole through the warehouse
+        warehouse.probe(clean.clone());
+        let n = warehouse.platform.sql("SELECT COUNT(*) AS n FROM hive.fz");
+        assert_eq!(n.unwrap().rows[0].get_int("n"), Some(rows.len() as i64));
+        tally.damage(&clean, cuts.into_iter(), 5, &mut rng, &ctx, &|bytes| {
+            warehouse.probe(bytes.clone());
+            probe_segfile(bytes)
+        });
     }
 
     // --- raw logs and checkpoint frames (no checksum: benign decodes
