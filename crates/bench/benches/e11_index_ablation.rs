@@ -92,7 +92,10 @@ fn bench(c: &mut Criterion) {
     let st = pinot.execute(&groupby, None).unwrap();
     report(
         "startree engaged on group-by",
-        format!("{} (docs scanned: {})", st.used_startree, st.docs_scanned),
+        format!(
+            "{} (docs scanned: {})",
+            st.used_startree, st.ledger.docs_scanned
+        ),
     );
 
     let mut g = c.benchmark_group("e11");

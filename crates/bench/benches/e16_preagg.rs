@@ -47,7 +47,7 @@ fn bench(c: &mut Criterion) {
                     .load_dashboard(restaurant)
                     .unwrap()
                     .iter()
-                    .map(|r| r.docs_scanned)
+                    .map(|r| r.ledger.docs_scanned)
                     .sum();
             }
         });
@@ -60,7 +60,7 @@ fn bench(c: &mut Criterion) {
             for _ in 0..reps {
                 docs = queries
                     .iter()
-                    .map(|q| raw_table.query(q).unwrap().docs_scanned)
+                    .map(|q| raw_table.query(q).unwrap().ledger.docs_scanned)
                     .sum();
             }
         });

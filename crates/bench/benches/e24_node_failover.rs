@@ -142,7 +142,7 @@ fn segment_rehost_mttr() {
     let (report_out, mttr) = time_it(|| rebalancer.rebalance().unwrap());
     assert!(report_out.unrecovered.is_empty());
     let healed = broker.query(&q).unwrap();
-    assert!(!healed.partial);
+    assert!(!healed.ledger.partial());
     assert_eq!(
         healed.rows[0].get_int("n"),
         Some((SEGMENTS * ROWS) as i64),

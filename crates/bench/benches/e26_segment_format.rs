@@ -113,7 +113,7 @@ fn bench(c: &mut Criterion) {
         .aggregate("n", AggFn::Count);
     let cold = Segment::load_lazy(segment_bytes.clone()).unwrap();
     let (pruned_res, pruned_t) = time_it(|| cold.execute(&q_pruned).unwrap());
-    assert_eq!(pruned_res.segments_pruned, 1, "zone map must prune");
+    assert_eq!(pruned_res.ledger.segments_pruned, 1, "zone map must prune");
     assert_eq!(cold.columns_loaded(), 0, "pruning decodes no column");
     assert_eq!(
         cold.bytes_loaded(),

@@ -240,7 +240,7 @@ fn bench(c: &mut Criterion) {
         assert_eq!(scalar(&out.rows), (expected.0, expected.1));
         assert!(!out.cache_hit);
         split_bytes = out.bytes_read;
-        split_pruned = out.segments_pruned;
+        split_pruned = out.ledger.segments_pruned;
         times.push(t);
     }
     let p50_split = p50(times);
@@ -261,7 +261,7 @@ fn bench(c: &mut Criterion) {
         let (out, t) = time_it(|| hybrid.scan(&pd_pruned).unwrap());
         assert_eq!(scalar(&out.rows), (expected.0, expected.1));
         pruned_bytes = out.bytes_read;
-        pruned_queried = out.segments_queried;
+        pruned_queried = out.ledger.segments_queried;
         times.push(t);
     }
     let p50_pruned = p50(times);

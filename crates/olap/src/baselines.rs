@@ -17,7 +17,7 @@
 //! - aggregations walk materialized rows with by-name field lookups
 //!   (fielddata-style access) instead of tight columnar loops.
 
-use crate::query::{sort_and_limit, PartialAgg, PredicateOp, Query, QueryResult};
+use crate::query::{sort_and_limit, PartialAgg, PredicateOp, Query, QueryResult, ScanLedger};
 use rtdi_common::{AggAcc, Result, Row};
 use std::collections::HashMap;
 
@@ -112,12 +112,13 @@ impl HeapStore {
 
     pub fn execute(&self, query: &Query) -> Result<QueryResult> {
         let ids = self.matching_docs(query);
-        let docs_scanned = ids.len() as u64;
+        let ledger = ScanLedger {
+            docs_scanned: ids.len() as u64,
+            segments_queried: 1,
+            ..Default::default()
+        };
         if query.is_aggregation() {
-            let mut partial = PartialAgg {
-                docs_scanned,
-                ..Default::default()
-            };
+            let mut partial = PartialAgg::default();
             for id in ids {
                 let doc = &self.docs[id];
                 let key: crate::query::GroupKey = query
@@ -138,10 +139,8 @@ impl HeapStore {
             }
             return Ok(QueryResult {
                 rows: partial.finalize(query),
-                docs_scanned,
-                segments_queried: 1,
+                ledger,
                 used_startree: false,
-                ..Default::default()
             });
         }
         let mut rows: Vec<Row> = ids
@@ -158,10 +157,8 @@ impl HeapStore {
         sort_and_limit(&mut rows, &query.order_by, query.limit);
         Ok(QueryResult {
             rows,
-            docs_scanned,
-            segments_queried: 1,
+            ledger,
             used_startree: false,
-            ..Default::default()
         })
     }
 }

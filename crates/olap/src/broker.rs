@@ -7,8 +7,8 @@
 //! dispatches subqueries over the segments of the same partition to the
 //! same node to ensure the integrity of the query result."
 
-use crate::query::{sort_and_limit, PartialAgg, PartialResult, Query, QueryResult};
-use crate::scatter::scatter;
+use crate::query::{PartialAgg, PartialResult, Query, QueryResult};
+use crate::scatter::gather;
 use crate::segment::Segment;
 use parking_lot::RwLock;
 use rtdi_common::{chaos, fault_point};
@@ -90,11 +90,6 @@ impl ServerNode {
     fn execute_partial(&self, name: &str, query: &Query) -> Result<PartialAgg> {
         let seg = self.fetch_segment(name)?;
         seg.execute_partial(query, None)
-    }
-
-    fn execute_select(&self, name: &str, query: &Query) -> Result<QueryResult> {
-        let seg = self.fetch_segment(name)?;
-        seg.execute(query, None)
     }
 }
 
@@ -283,15 +278,15 @@ impl Broker {
     /// Try each candidate server for a segment in order, routing around
     /// servers that die mid scatter-gather; availability errors only
     /// surface when every replica fails.
-    fn serve_with_failover<T>(
+    fn serve_with_failover(
         &self,
         segment: &str,
         candidates: &[usize],
-        f: impl Fn(&ServerNode, &str) -> Result<T>,
-    ) -> Result<T> {
+        query: &Query,
+    ) -> Result<PartialAgg> {
         let mut last: Option<Error> = None;
         for &s in candidates {
-            match f(&self.servers[s], segment) {
+            match self.servers[s].execute_partial(segment, query) {
                 Ok(v) => return Ok(v),
                 Err(e) if matches!(e, Error::Unavailable(_) | Error::Timeout(_)) => {
                     last = Some(e);
@@ -305,150 +300,38 @@ impl Broker {
     }
 
     /// Execute a query: scatter sub-queries to the chosen servers across
-    /// the worker pool, gather in plan order, merge.
+    /// the worker pool, gather in plan order, merge, finalize.
     ///
     /// Graceful degradation (Pinot partial-response semantics): segments
     /// with no live replica, or whose serve fails with an availability
     /// error mid scatter-gather, are skipped and counted in
-    /// `segments_unavailable` with `partial: true`. Only a total outage
-    /// (no segment servable at all) is an `Err`.
+    /// `segments_unavailable`, which makes the ledger `partial()`. Only a
+    /// total outage (no segment servable at all) is an `Err`.
     pub fn query(&self, query: &Query) -> Result<QueryResult> {
-        if query.is_aggregation() {
-            return Ok(self.query_partial(query)?.finalize(query));
-        }
-        let ac = self.admission.read().clone();
-        let _permit = self.admit(query, &ac)?;
-        let (plan, segments_pruned) = self.plan(query)?;
-        let threads = self.lane_parallelism(query);
-        let total_segments = plan.len();
-        let mut segments_unavailable = plan.iter().filter(|(_, c)| c.is_empty()).count() as u64;
-        let live: Vec<(String, Vec<usize>)> =
-            plan.into_iter().filter(|(_, c)| !c.is_empty()).collect();
-        let mut segments_queried = 0;
-        let mut docs_scanned = 0;
-        // availability failures degrade the response; anything else (a
-        // malformed query, a corrupt segment) still fails the query
-        let degradable = |e: &Error| matches!(e, Error::Unavailable(_) | Error::Timeout(_));
-        let partials = scatter(live.len(), threads, |i| {
-            let (segment, candidates) = &live[i];
-            // servers check the deadline between segments: an expired
-            // budget sheds the remaining segments instead of serving them
-            if let Some(d) = &query.deadline {
-                d.check(segment)?;
-            }
-            self.serve_with_failover(segment, candidates, |srv, seg| {
-                srv.execute_select(seg, query)
-            })
-        });
-        let mut rows = Vec::new();
-        let mut segments_shed = 0u64;
-        let mut deadline_exceeded = false;
-        for r in partials {
-            match r {
-                Ok(r) => {
-                    segments_queried += 1;
-                    docs_scanned += r.docs_scanned;
-                    rows.extend(r.rows);
-                }
-                Err(Error::DeadlineExceeded(_)) => {
-                    segments_shed += 1;
-                    deadline_exceeded = true;
-                }
-                Err(e) if degradable(&e) => segments_unavailable += 1,
-                Err(e) => return Err(e),
-            }
-        }
-        if total_segments > 0 && segments_queried == 0 {
-            if deadline_exceeded {
-                return Err(Error::DeadlineExceeded(format!(
-                    "table '{}': deadline expired before any segment was served",
-                    query.table
-                )));
-            }
-            return Err(Error::Unavailable(format!(
-                "table '{}' fully unavailable: 0/{total_segments} segments served",
-                query.table
-            )));
-        }
-        sort_and_limit(&mut rows, &query.order_by, query.limit);
-        Ok(QueryResult {
-            rows,
-            docs_scanned,
-            segments_queried,
-            partial: segments_unavailable > 0 || deadline_exceeded,
-            segments_unavailable,
-            segments_pruned,
-            deadline_exceeded,
-            segments_shed,
-            ..Default::default()
-        })
+        self.query_partial(query)?.finalize(query)
     }
 
-    /// Aggregation scatter-gather that stops before the merge-finalize
-    /// step, returning mergeable per-group accumulators — the unit the
-    /// SQL federation layer unions with offline segment partials across
-    /// the realtime/offline time boundary.
+    /// Scatter-gather that stops before the finalize step, returning the
+    /// merged partial and its ledger — the unit the SQL federation layer
+    /// unions with offline segment partials across the realtime/offline
+    /// time boundary.
     pub fn query_partial(&self, query: &Query) -> Result<PartialResult> {
         let ac = self.admission.read().clone();
         let _permit = self.admit(query, &ac)?;
         let (plan, segments_pruned) = self.plan(query)?;
+        // a segment with no live replica is unavailable before the scatter
+        // starts: it costs no deadline check and can never count as shed
+        let planned = plan.len();
+        let live: ScatterPlan = plan.into_iter().filter(|(_, c)| !c.is_empty()).collect();
+        let mut out = PartialResult::default();
+        out.ledger.segments_pruned = segments_pruned;
+        out.ledger.segments_unavailable = (planned - live.len()) as u64;
         let threads = self.lane_parallelism(query);
-        let total_segments = plan.len();
-        let mut segments_unavailable = plan.iter().filter(|(_, c)| c.is_empty()).count() as u64;
-        let live: Vec<(String, Vec<usize>)> =
-            plan.into_iter().filter(|(_, c)| !c.is_empty()).collect();
-        let mut segments_queried = 0;
-        let mut docs_scanned = 0;
-        let degradable = |e: &Error| matches!(e, Error::Unavailable(_) | Error::Timeout(_));
-        let parts = scatter(live.len(), threads, |i| {
+        gather(&mut out, query, live.len(), threads, |i| {
             let (segment, candidates) = &live[i];
-            if let Some(d) = &query.deadline {
-                d.check(segment)?;
-            }
-            self.serve_with_failover(segment, candidates, |srv, seg| {
-                srv.execute_partial(seg, query)
-            })
-        });
-        let mut merged = PartialAgg::default();
-        let mut segments_shed = 0u64;
-        let mut deadline_exceeded = false;
-        for part in parts {
-            match part {
-                Ok(part) => {
-                    segments_queried += 1;
-                    docs_scanned += part.docs_scanned;
-                    merged.merge(part, query);
-                }
-                Err(Error::DeadlineExceeded(_)) => {
-                    segments_shed += 1;
-                    deadline_exceeded = true;
-                }
-                Err(e) if degradable(&e) => segments_unavailable += 1,
-                Err(e) => return Err(e),
-            }
-        }
-        if total_segments > 0 && segments_queried == 0 {
-            if deadline_exceeded {
-                return Err(Error::DeadlineExceeded(format!(
-                    "table '{}': deadline expired before any segment was served",
-                    query.table
-                )));
-            }
-            return Err(Error::Unavailable(format!(
-                "table '{}' fully unavailable: 0/{total_segments} segments served",
-                query.table
-            )));
-        }
-        Ok(PartialResult {
-            agg: merged,
-            docs_scanned,
-            segments_queried,
-            segments_pruned,
-            partial: segments_unavailable > 0 || deadline_exceeded,
-            segments_unavailable,
-            deadline_exceeded,
-            segments_shed,
-        })
+            self.serve_with_failover(segment, candidates, query)
+        })?;
+        Ok(out)
     }
 
     /// Registered table names, in order.
@@ -549,7 +432,7 @@ mod tests {
             .aggregate("avg_fare", AggFn::Avg("fare".into()))
             .group(&["city"]);
         let res = broker.query(&q).unwrap();
-        assert_eq!(res.segments_queried, 6);
+        assert_eq!(res.ledger.segments_queried, 6);
         let total: i64 = res.rows.iter().map(|r| r.get_int("n").unwrap()).sum();
         assert_eq!(total, 600);
         // avg must be the true global average, not an average of averages
@@ -595,14 +478,17 @@ mod tests {
         broker.servers()[0].set_down(true);
         let res = broker.query(&q).unwrap();
         assert_eq!(res.rows[0].get_int("n"), Some(600));
-        assert!(!res.partial, "replicas cover one lost server fully");
+        assert!(
+            !res.ledger.partial(),
+            "replicas cover one lost server fully"
+        );
         // two servers down with replication 2 -> some segments unreachable,
         // but the query degrades to a partial answer instead of failing
         broker.servers()[1].set_down(true);
         let res = broker.query(&q).unwrap();
-        assert!(res.partial);
-        assert!(res.segments_unavailable > 0);
-        assert!(res.segments_queried > 0);
+        assert!(res.ledger.partial());
+        assert!(res.ledger.segments_unavailable > 0);
+        assert!(res.ledger.segments_queried > 0);
         let n = res.rows[0].get_int("n").unwrap();
         assert!(
             n > 0 && n < 600,
@@ -710,10 +596,10 @@ mod tests {
             .aggregate("n", AggFn::Count)
             .with_deadline(rtdi_common::Deadline::at(clock, 25));
         let res = broker.query(&q).unwrap();
-        assert_eq!(res.segments_queried, 2);
-        assert_eq!(res.segments_shed, 4);
-        assert!(res.deadline_exceeded);
-        assert!(res.partial);
+        assert_eq!(res.ledger.segments_queried, 2);
+        assert_eq!(res.ledger.segments_shed, 4);
+        assert!(res.ledger.deadline_exceeded);
+        assert!(res.ledger.partial());
         assert_eq!(res.rows[0].get_int("n"), Some(200));
         // a deadline that is already spent before the first segment is a
         // hard error, not an empty partial answer

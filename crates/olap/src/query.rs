@@ -6,7 +6,7 @@
 //! subqueries deliberately do not exist here — they live in the full SQL
 //! layer (`rtdi-sql`), which pushes what it can down to this model.
 
-use rtdi_common::{AggFn, Deadline, Priority, Row, Value};
+use rtdi_common::{AggFn, Deadline, Error, Priority, Result, Row, Value};
 use std::sync::Arc;
 
 /// Comparison operators supported by predicates.
@@ -186,85 +186,120 @@ impl Query {
         q
     }
 
+    /// The query's shape: groups (a bare GROUP BY has no aggregate and
+    /// still answers one row per group) or rows.
     pub fn is_aggregation(&self) -> bool {
-        !self.aggregations.is_empty()
+        !self.aggregations.is_empty() || !self.group_by.is_empty()
     }
 }
 
-/// A query result: rows plus execution statistics for the experiments.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct QueryResult {
-    pub rows: Vec<Row>,
+/// What a scatter-gather covered and what it cost. Every layer of the read
+/// path — a segment, a table, a broker, a federation slice, a connector
+/// scan — books into one of these, and layers add up with
+/// [`ScanLedger::absorb`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ScanLedger {
     /// Documents actually visited (index efficiency measure; the star-tree
     /// path reports pre-aggregated node visits instead).
     pub docs_scanned: u64,
     /// Segments consulted after pruning.
     pub segments_queried: u64,
-    /// True when a star-tree answered the aggregation without touching
-    /// raw documents.
-    pub used_startree: bool,
-    /// True when one or more segments could not be served and the result
-    /// covers only the available ones (Pinot partial-response semantics).
-    pub partial: bool,
+    /// Segments skipped because partition, time-range or zone-map
+    /// statistics proved no document could match (lazy segments skip
+    /// column reads entirely).
+    pub segments_pruned: u64,
     /// Segments skipped because no live replica could serve them.
     pub segments_unavailable: u64,
-    /// Segments skipped because time-range or zone-map statistics proved
-    /// no document could match (lazy segments skip column reads
-    /// entirely).
-    pub segments_pruned: u64,
-    /// True when the query's deadline expired mid-scan and the result
-    /// covers only the segments finished in time.
-    pub deadline_exceeded: bool,
     /// Segments shed because the deadline expired before they were
     /// served (disjoint from `segments_unavailable`).
     pub segments_shed: u64,
-}
-
-/// A partially-executed aggregation query plus its execution statistics —
-/// what [`crate::table::OlapTable::query_partial`] and
-/// [`crate::broker::Broker::query_partial`] hand to a federation layer
-/// that must union this store's slice with another store's slice *before*
-/// finalizing (keeping AVG / DISTINCTCOUNT exact across the realtime /
-/// offline time boundary).
-#[derive(Debug, Clone, Default)]
-pub struct PartialResult {
-    pub agg: PartialAgg,
-    pub docs_scanned: u64,
-    pub segments_queried: u64,
-    pub segments_pruned: u64,
-    pub partial: bool,
-    pub segments_unavailable: u64,
+    /// True when the query's deadline expired mid-scan and the result
+    /// covers only the segments finished in time.
     pub deadline_exceeded: bool,
-    pub segments_shed: u64,
 }
 
-impl PartialResult {
-    /// Fold another store's partial result into this one.
-    pub fn merge(&mut self, other: PartialResult, query: &Query) {
+impl ScanLedger {
+    /// Add another scan's counters to this one.
+    pub fn absorb(&mut self, other: &ScanLedger) {
         self.docs_scanned += other.docs_scanned;
         self.segments_queried += other.segments_queried;
         self.segments_pruned += other.segments_pruned;
-        self.partial |= other.partial;
         self.segments_unavailable += other.segments_unavailable;
-        self.deadline_exceeded |= other.deadline_exceeded;
         self.segments_shed += other.segments_shed;
+        self.deadline_exceeded |= other.deadline_exceeded;
+    }
+
+    /// Book one segment shed on an expired deadline.
+    pub fn shed(&mut self) {
+        self.segments_shed += 1;
+        self.deadline_exceeded = true;
+    }
+
+    /// True when one or more segments could not be served and the result
+    /// covers only the rest (Pinot partial-response semantics).
+    pub fn partial(&self) -> bool {
+        self.segments_unavailable > 0 || self.deadline_exceeded
+    }
+}
+
+/// A query result: rows plus the ledger of the scan that produced them.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct QueryResult {
+    pub rows: Vec<Row>,
+    pub ledger: ScanLedger,
+    /// True when a star-tree answered the aggregation without touching
+    /// raw documents.
+    pub used_startree: bool,
+}
+
+/// A gathered but not yet finalized query plus its ledger — what
+/// [`crate::scatter::gather`] folds segments into, and what
+/// [`crate::table::OlapTable::query_partial`] and
+/// [`crate::broker::Broker::query_partial`] hand to a federation layer
+/// that must union this store's slice with another store's slice *before*
+/// finalizing (keeping AVG / DISTINCTCOUNT exact, and ORDER BY / LIMIT
+/// global, across the realtime / offline time boundary).
+#[derive(Debug, Clone, Default)]
+pub struct PartialResult {
+    pub agg: PartialAgg,
+    pub ledger: ScanLedger,
+}
+
+impl PartialResult {
+    /// Book one served segment and fold its partial in.
+    pub fn serve(&mut self, part: PartialAgg, query: &Query) {
+        self.ledger.segments_queried += 1;
+        self.ledger.docs_scanned += part.docs_scanned;
+        self.agg.merge(part, query);
+    }
+
+    /// Fold another store's partial result into this one.
+    pub fn merge(&mut self, other: PartialResult, query: &Query) {
+        self.ledger.absorb(&other.ledger);
         self.agg.merge(other.agg, query);
     }
 
-    /// Finalize into a [`QueryResult`].
-    pub fn finalize(self, query: &Query) -> QueryResult {
-        let used_startree = self.agg.used_startree;
-        QueryResult {
-            rows: self.agg.finalize(query),
-            docs_scanned: self.docs_scanned,
-            segments_queried: self.segments_queried,
-            used_startree,
-            partial: self.partial,
-            segments_unavailable: self.segments_unavailable,
-            segments_pruned: self.segments_pruned,
-            deadline_exceeded: self.deadline_exceeded,
-            segments_shed: self.segments_shed,
+    /// Finalize into a [`QueryResult`]. This is where a scan that served
+    /// nothing becomes an error: a caller that still has another slice to
+    /// merge in decides on the merged ledger, not on each slice's.
+    pub fn finalize(self, query: &Query) -> Result<QueryResult> {
+        let (ledger, table) = (self.ledger, &query.table);
+        if ledger.segments_queried == 0 && ledger.deadline_exceeded {
+            return Err(Error::DeadlineExceeded(format!(
+                "table '{table}': deadline expired before any segment was served"
+            )));
         }
+        if ledger.segments_queried == 0 && ledger.segments_unavailable > 0 {
+            return Err(Error::Unavailable(format!(
+                "table '{table}' fully unavailable: no segment could be served"
+            )));
+        }
+        let used_startree = self.agg.used_startree;
+        Ok(QueryResult {
+            rows: self.agg.finalize(query),
+            ledger,
+            used_startree,
+        })
     }
 }
 
@@ -274,22 +309,27 @@ impl PartialResult {
 /// the empty key.
 pub type GroupKey = Vec<Option<String>>;
 
-/// Partially-aggregated per-group accumulators — the unit shipped from
-/// segments/servers to the broker for the "merge" step of
-/// scatter-gather-merge. Shipping accumulators (not finalized values)
-/// keeps AVG and DISTINCTCOUNT correct across segments.
+/// One segment's share of a query — the unit shipped from segments/servers
+/// to the broker for the "merge" step of scatter-gather-merge: per-group
+/// accumulators for an aggregation (shipping accumulators, not finalized
+/// values, keeps AVG and DISTINCTCOUNT correct across segments), rows for
+/// a selection.
 #[derive(Debug, Clone, Default)]
 pub struct PartialAgg {
     pub groups: std::collections::BTreeMap<GroupKey, Vec<rtdi_common::AggAcc>>,
+    /// A selection's rows: the segment's own top `limit` when the query
+    /// has one, in segment order otherwise.
+    pub rows: Vec<Row>,
     pub docs_scanned: u64,
     pub used_startree: bool,
 }
 
 impl PartialAgg {
-    /// Merge another partial in.
+    /// Merge another partial in: groups fold, rows concatenate.
     pub fn merge(&mut self, other: PartialAgg, query: &Query) {
         self.docs_scanned += other.docs_scanned;
         self.used_startree |= other.used_startree;
+        self.rows.extend(other.rows);
         for (key, accs) in other.groups {
             match self.groups.get_mut(&key) {
                 Some(mine) => {
@@ -307,6 +347,10 @@ impl PartialAgg {
 
     /// Finalize into result rows (applying ORDER BY / LIMIT).
     pub fn finalize(mut self, query: &Query) -> Vec<Row> {
+        if !query.is_aggregation() {
+            sort_and_limit(&mut self.rows, &query.order_by, query.limit);
+            return self.rows;
+        }
         if self.groups.is_empty() && query.group_by.is_empty() {
             // empty input still yields the zero row for global aggregates
             self.groups.insert(

@@ -224,12 +224,12 @@ mod tests {
         broker.servers()[1].set_down(true);
         // with replication 2 some segments now have 0 live replicas
         let degraded = broker.query(&q).unwrap();
-        assert!(degraded.partial);
+        assert!(degraded.ledger.partial());
         let report = rb.rebalance().unwrap();
         assert!(!report.moves.is_empty());
         assert!(report.unrecovered.is_empty());
         let healed = broker.query(&q).unwrap();
-        assert!(!healed.partial, "rebalance restored every segment");
+        assert!(!healed.ledger.partial(), "rebalance restored every segment");
         assert_eq!(healed.rows[0].get_int("n"), Some(800));
         // routing no longer references the dead servers
         for pl in broker.placements("t") {
@@ -250,7 +250,7 @@ mod tests {
         assert!(report.unrecovered.is_empty());
         let q = Query::select_all("t").aggregate("n", AggFn::Count);
         let res = broker.query(&q).unwrap();
-        assert!(!res.partial);
+        assert!(!res.ledger.partial());
         assert_eq!(res.rows[0].get_int("n"), Some(300));
     }
 

@@ -12,7 +12,10 @@
 //! inverted-index bitmap, range-index buckets, or a columnar scan.
 
 use crate::bitmap::Bitmap;
-use crate::query::{sort_and_limit, PartialAgg, Predicate, PredicateOp, Query, QueryResult};
+use crate::query::{
+    sort_and_limit, PartialAgg, PartialResult, Predicate, PredicateOp, Query, QueryResult,
+    ScanLedger,
+};
 use crate::realtime::MutableSegment;
 use crate::startree::{StarTree, StarTreeSpec};
 use bytes::Bytes;
@@ -734,67 +737,25 @@ fn eval_sorted(col: &ColumnData, pred: &Predicate, n: usize) -> Bitmap {
     bm
 }
 
-/// Execute a query over one segment's columns. `valid_docs` restricts to
-/// currently-valid documents (upsert tables).
+/// Execute a query over one segment's columns, finalized. `valid_docs`
+/// restricts to currently-valid documents (upsert tables).
 pub(crate) fn execute(
     seg: &dyn ColumnSet,
     query: &Query,
     valid_docs: Option<&Bitmap>,
 ) -> Result<QueryResult> {
-    if query.is_aggregation() {
-        let partial = execute_partial(seg, query, valid_docs)?;
-        let docs_scanned = partial.docs_scanned;
-        let used_startree = partial.used_startree;
-        return Ok(QueryResult {
-            rows: partial.finalize(query),
-            docs_scanned,
-            segments_queried: 1,
-            used_startree,
-            ..Default::default()
-        });
-    }
-
-    let (mut selected, scanned) = filter_docs(seg, &query.predicates)?;
-    if let Some(valid) = valid_docs {
-        selected.and_with(valid);
-    }
-    let mut docs: Vec<u32> = Vec::new();
-    selected.collect_into(&mut docs);
-    // late materialization: resolve projected columns and interned
-    // names once, then emit rows only for the selected docs. An empty
-    // select projects onto the schema.
-    let select_names: Vec<Arc<str>>;
-    let names: &[Arc<str>] = if query.select.is_empty() {
-        seg.field_names()
-    } else {
-        select_names = query.select.iter().map(|s| Arc::from(s.as_str())).collect();
-        &select_names
-    };
-    let cols: Vec<Option<&ColumnData>> = names.iter().map(|n| seg.column(n)).collect();
-    let mut result = QueryResult {
-        rows: Vec::with_capacity(docs.len()),
-        docs_scanned: scanned + docs.len() as u64,
+    let agg = execute_partial(seg, query, valid_docs)?;
+    let ledger = ScanLedger {
+        docs_scanned: agg.docs_scanned,
         segments_queried: 1,
-        used_startree: false,
         ..Default::default()
     };
-    for &d in &docs {
-        let doc = d as usize;
-        let mut row = Row::with_capacity(names.len());
-        for (name, col) in names.iter().zip(&cols) {
-            row.push(
-                Arc::clone(name),
-                col.map_or(Value::Null, |c| c.value_at(doc)),
-            );
-        }
-        result.rows.push(row);
-    }
-    sort_and_limit(&mut result.rows, &query.order_by, query.limit);
-    Ok(result)
+    PartialResult { agg, ledger }.finalize(query)
 }
 
-/// Aggregation execution that returns mergeable per-group accumulators
-/// — the scatter-phase unit of the broker's scatter-gather-merge.
+/// One segment's share of a query — the scatter-phase unit of the
+/// broker's scatter-gather-merge: mergeable per-group accumulators for an
+/// aggregation, the segment's own sorted-and-limited rows for a selection.
 pub(crate) fn execute_partial(
     seg: &dyn ColumnSet,
     query: &Query,
@@ -802,13 +763,13 @@ pub(crate) fn execute_partial(
 ) -> Result<PartialAgg> {
     // star-tree fast path: aggregations with eq-only predicates over
     // tree dimensions (not usable under upsert filtering)
-    if valid_docs.is_none() {
+    if query.is_aggregation() && valid_docs.is_none() {
         if let Some(st) = seg.indexes().and_then(|i| i.startree.as_ref()) {
             if let Some(groups) = st.try_execute_partial(query)? {
                 return Ok(PartialAgg {
                     groups,
-                    docs_scanned: 0,
                     used_startree: true,
+                    ..Default::default()
                 });
             }
         }
@@ -823,6 +784,10 @@ pub(crate) fn execute_partial(
         docs_scanned: scanned + docs.len() as u64,
         ..Default::default()
     };
+    if !query.is_aggregation() {
+        partial.rows = select_rows(seg, query, &docs);
+        return Ok(partial);
+    }
     // resolve each aggregation to a direct columnar fold — Pinot-style
     // tight loops instead of per-document row materialization
     let resolved: Vec<ResolvedAgg<'_>> = query
@@ -969,6 +934,35 @@ pub(crate) fn execute_partial(
         fold_resolved(&resolved, doc, accs);
     }
     Ok(partial)
+}
+
+/// A selection's rows for the selected docs, sorted and limited.
+fn select_rows(seg: &dyn ColumnSet, query: &Query, docs: &[u32]) -> Vec<Row> {
+    // late materialization: resolve projected columns and interned
+    // names once, then emit rows only for the selected docs. An empty
+    // select projects onto the schema.
+    let select_names: Vec<Arc<str>>;
+    let names: &[Arc<str>] = if query.select.is_empty() {
+        seg.field_names()
+    } else {
+        select_names = query.select.iter().map(|s| Arc::from(s.as_str())).collect();
+        &select_names
+    };
+    let cols: Vec<Option<&ColumnData>> = names.iter().map(|n| seg.column(n)).collect();
+    let mut rows = Vec::with_capacity(docs.len());
+    for &d in docs {
+        let doc = d as usize;
+        let mut row = Row::with_capacity(names.len());
+        for (name, col) in names.iter().zip(&cols) {
+            row.push(
+                Arc::clone(name),
+                col.map_or(Value::Null, |c| c.value_at(doc)),
+            );
+        }
+        rows.push(row);
+    }
+    sort_and_limit(&mut rows, &query.order_by, query.limit);
+    rows
 }
 
 fn resolve_agg<'a>(seg: &'a dyn ColumnSet, f: &rtdi_common::AggFn) -> ResolvedAgg<'a> {
@@ -1151,8 +1145,8 @@ impl Segment {
         execute(self, query, valid_docs)
     }
 
-    /// Aggregation execution that returns mergeable per-group accumulators
-    /// — the scatter-phase unit of the broker's scatter-gather-merge.
+    /// This segment's share of a query, unfinalized — the scatter-phase
+    /// unit of the broker's scatter-gather-merge.
     pub fn execute_partial(
         &self,
         query: &Query,
@@ -1346,26 +1340,18 @@ impl LazySegment {
     /// result reports `segments_pruned = 1`.
     pub fn execute(&self, query: &Query) -> Result<QueryResult> {
         if !query.predicates.is_empty() && !self.zones_may_match(query) {
-            let rows = if query.is_aggregation() {
-                PartialAgg::default().finalize(query)
-            } else {
-                Vec::new()
-            };
-            return Ok(QueryResult {
-                rows,
-                segments_pruned: 1,
-                ..Default::default()
-            });
+            let mut pruned = PartialResult::default();
+            pruned.ledger.segments_pruned = 1;
+            return pruned.finalize(query);
         }
         self.as_view(query)?.execute(query, None)
     }
 
-    /// Aggregation execution returning mergeable per-group accumulators —
-    /// the offline-side scatter unit of hybrid-table federation. The
-    /// caller is expected to have consulted [`Self::zones_may_match`]
-    /// first; an unprunable query decodes only the touched columns.
-    /// `valid_docs` restricts the fold to documents a caller has already
-    /// selected.
+    /// This segment's share of a query, unfinalized — the offline-side
+    /// scatter unit of hybrid-table federation. The caller is expected to
+    /// have consulted [`Self::zones_may_match`] first; an unprunable query
+    /// decodes only the touched columns. `valid_docs` restricts the scan
+    /// to documents a caller has already selected.
     pub fn execute_partial(
         &self,
         query: &Query,
@@ -1546,52 +1532,56 @@ fn from_segfile_column(col: segfile::Column, nrows: usize, zone: &segfile::ZoneM
     }
 }
 
-/// With the column's non-null values confined to `[lo, hi]`, can
-/// `op rhs` accept anything? `lo_cmp`/`hi_cmp` are `lo.cmp(rhs)` and
-/// `hi.cmp(rhs)`.
-fn range_overlaps(op: PredicateOp, lo_cmp: Ordering, hi_cmp: Ordering) -> bool {
-    match op {
-        PredicateOp::Eq => lo_cmp != Ordering::Greater && hi_cmp != Ordering::Less,
-        PredicateOp::Ne => !(lo_cmp == Ordering::Equal && hi_cmp == Ordering::Equal),
-        PredicateOp::Lt => lo_cmp == Ordering::Less,
-        PredicateOp::Le => lo_cmp != Ordering::Greater,
-        PredicateOp::Gt => hi_cmp == Ordering::Greater,
-        PredicateOp::Ge => hi_cmp != Ordering::Less,
+/// The one range reasoner: with a column's non-null values confined to
+/// `[min, max]`, can `pred` accept any of them? Every pruning decision —
+/// a consuming or sealed segment's running time range, a federation side
+/// of the time boundary, a zone map — comes here, so pruning can never
+/// disagree with itself. Bounds compare with the literal the way the scan
+/// kernels compare a cell with it (integers exactly, an integer against a
+/// double widened); a cross-type predicate is never pruned on.
+fn range_overlaps(min: &segfile::ZoneValue, max: &segfile::ZoneValue, pred: &Predicate) -> bool {
+    use segfile::ZoneValue as Z;
+    let cmp = |bound: &Z| match (bound, &pred.value) {
+        (Z::Int(x), Value::Int(v)) => Some(x.cmp(v)),
+        (Z::Int(x), Value::Double(v)) => Some((*x as f64).total_cmp(v)),
+        (Z::Double(x), Value::Int(v)) => Some(x.total_cmp(&(*v as f64))),
+        (Z::Double(x), Value::Double(v)) => Some(x.total_cmp(v)),
+        (Z::Str(x), Value::Str(v)) => Some(x.as_str().cmp(v)),
+        (Z::Bool(x), Value::Bool(v)) => Some(x.cmp(v)),
+        _ => None,
+    };
+    let (Some(lo), Some(hi)) = (cmp(min), cmp(max)) else {
+        return true;
+    };
+    match pred.op {
+        PredicateOp::Eq => lo != Ordering::Greater && hi != Ordering::Less,
+        PredicateOp::Ne => !(lo == Ordering::Equal && hi == Ordering::Equal),
+        // the smallest value is the likeliest to be below the literal,
+        // the largest to be above it
+        PredicateOp::Lt | PredicateOp::Le => op_accepts(pred.op, lo),
+        PredicateOp::Gt | PredicateOp::Ge => op_accepts(pred.op, hi),
     }
 }
 
+/// Can an integer column whose non-null values lie in `[lo, hi]` pass
+/// every predicate put on `column`? Time pruning, for any holder of a time
+/// range: `false` only when no value in the range can match.
+pub fn int_range_may_match(predicates: &[Predicate], column: &str, lo: i64, hi: i64) -> bool {
+    use segfile::ZoneValue::Int;
+    let mut on_column = predicates.iter().filter(|p| p.column == column);
+    on_column.all(|p| range_overlaps(&Int(lo), &Int(hi), p))
+}
+
 /// Zone-map admission test: `false` only when no document in the segment
-/// can satisfy `pred` (so pruning never changes results). Numeric bounds
-/// compare in `f64` exactly like the execution kernels; cross-type
-/// predicates are never pruned on.
+/// can satisfy `pred` (so pruning never changes results).
 pub(crate) fn zone_may_match(zone: &segfile::ZoneMap, pred: &Predicate, nrows: u64) -> bool {
     if nrows == 0 || zone.null_count >= nrows {
         // empty segment or all-null column: predicates never match NULL
         return false;
     }
-    let (Some(min), Some(max)) = (&zone.min, &zone.max) else {
+    match (&zone.min, &zone.max) {
+        (Some(min), Some(max)) => range_overlaps(min, max, pred),
         // unordered statistics (raw bytes): cannot prune
-        return true;
-    };
-    use segfile::ZoneValue as Z;
-    let num = |z: &Z| match z {
-        Z::Int(v) => Some(*v as f64),
-        Z::Double(v) => Some(*v),
-        _ => None,
-    };
-    let rhs_num = match &pred.value {
-        Value::Int(v) => Some(*v as f64),
-        Value::Double(v) => Some(*v),
-        _ => None,
-    };
-    if let (Some(lo), Some(hi), Some(v)) = (num(min), num(max), rhs_num) {
-        return range_overlaps(pred.op, lo.total_cmp(&v), hi.total_cmp(&v));
-    }
-    match (min, max, &pred.value) {
-        (Z::Str(lo), Z::Str(hi), Value::Str(v)) => {
-            range_overlaps(pred.op, lo.as_str().cmp(v), hi.as_str().cmp(v))
-        }
-        (Z::Bool(lo), Z::Bool(hi), Value::Bool(v)) => range_overlaps(pred.op, lo.cmp(v), hi.cmp(v)),
         _ => true,
     }
 }
@@ -1948,7 +1938,7 @@ mod tests {
         let res = seg.execute(&q, None).unwrap();
         assert_eq!(res.rows[0].get_int("n"), Some(250));
         // only the 250 matched docs were folded; predicate cost was 0
-        assert_eq!(res.docs_scanned, 250);
+        assert_eq!(res.ledger.docs_scanned, 250);
     }
 
     #[test]
@@ -1959,7 +1949,11 @@ mod tests {
             .aggregate("n", AggFn::Count);
         let res = seg.execute(&q, None).unwrap();
         assert_eq!(res.rows[0].get_int("n"), Some(250));
-        assert!(res.docs_scanned >= 1000, "scan cost {}", res.docs_scanned);
+        assert!(
+            res.ledger.docs_scanned >= 1000,
+            "scan cost {}",
+            res.ledger.docs_scanned
+        );
     }
 
     #[test]
@@ -1972,7 +1966,7 @@ mod tests {
         let res = seg.execute(&q, None).unwrap();
         assert_eq!(res.rows[0].get_int("n"), Some(100));
         // sorted access is free
-        assert_eq!(res.docs_scanned, 100);
+        assert_eq!(res.ledger.docs_scanned, 100);
     }
 
     #[test]
@@ -1987,9 +1981,9 @@ mod tests {
         assert_eq!(res.rows[0].get_int("n"), Some(90));
         // candidate verification touched far fewer than all docs
         assert!(
-            res.docs_scanned < 500,
+            res.ledger.docs_scanned < 500,
             "range index should prune, scanned {}",
-            res.docs_scanned
+            res.ledger.docs_scanned
         );
     }
 
@@ -2249,7 +2243,7 @@ mod tests {
             .filter(Predicate::new("ts", PredicateOp::Gt, 99_999_999i64))
             .aggregate("n", AggFn::Count);
         let res = lazy.execute(&q).unwrap();
-        assert_eq!(res.segments_pruned, 1);
+        assert_eq!(res.ledger.segments_pruned, 1);
         assert_eq!(lazy.columns_loaded(), 0, "pruned query decoded a column");
         assert_eq!(lazy.bytes_loaded(), lazy.header_bytes());
         // the pruned result is identical to actually executing
@@ -2259,7 +2253,7 @@ mod tests {
         // selections prune to empty row sets
         let sel = Query::select_all("orders").filter(Predicate::new("ts", PredicateOp::Lt, 5i64));
         let res = lazy.execute(&sel).unwrap();
-        assert_eq!(res.segments_pruned, 1);
+        assert_eq!(res.ledger.segments_pruned, 1);
         assert!(res.rows.is_empty());
         assert_eq!(lazy.columns_loaded(), 0);
     }

@@ -99,8 +99,8 @@ impl StarTree {
             Some(groups) => {
                 let partial = crate::query::PartialAgg {
                     groups,
-                    docs_scanned: 0,
                     used_startree: true,
+                    ..Default::default()
                 };
                 Ok(Some(partial.finalize(query)))
             }

@@ -14,9 +14,10 @@
 //! merge through [`crate::query::PartialAgg`].
 
 use crate::bitmap::Bitmap;
-use crate::query::{sort_and_limit, PartialAgg, PartialResult, PredicateOp, Query, QueryResult};
+use crate::query::{PartialResult, Query, QueryResult};
 use crate::realtime::MutableSegment;
-use crate::segment::{IndexSpec, Segment};
+use crate::scatter::gather;
+use crate::segment::{int_range_may_match, IndexSpec, Segment};
 use crate::upsert::PrimaryKeyIndex;
 use parking_lot::RwLock;
 use rtdi_common::{Error, Result, Row, Schema, Timestamp, Value};
@@ -304,29 +305,6 @@ impl OlapTable {
         rt + off
     }
 
-    /// Can a segment with time range `[lo, hi]` possibly match the query's
-    /// time predicates?
-    fn time_overlaps(query: &Query, time_col: &str, lo: Timestamp, hi: Timestamp) -> bool {
-        for p in query.predicates.iter() {
-            if p.column != time_col {
-                continue;
-            }
-            let Some(v) = p.value.as_int() else { continue };
-            let ok = match p.op {
-                PredicateOp::Eq => lo <= v && v <= hi,
-                PredicateOp::Lt => lo < v,
-                PredicateOp::Le => lo <= v,
-                PredicateOp::Gt => hi > v,
-                PredicateOp::Ge => hi >= v,
-                PredicateOp::Ne => true,
-            };
-            if !ok {
-                return false;
-            }
-        }
-        true
-    }
-
     /// Do the time statistics `int_range` reads prove that no document of
     /// a segment can match? (`int_range` looks up a segment's min/max of a
     /// column; both kinds of segment keep them, so this costs no scan.)
@@ -338,7 +316,7 @@ impl OlapTable {
         let Some(tc) = &self.config.time_column else {
             return false;
         };
-        int_range(tc).is_some_and(|(lo, hi)| !Self::time_overlaps(query, tc, lo, hi))
+        int_range(tc).is_some_and(|(lo, hi)| !int_range_may_match(&query.predicates, tc, lo, hi))
     }
 
     /// Sealed + offline segments a query must visit, with their upsert
@@ -390,30 +368,28 @@ impl OlapTable {
         }
     }
 
-    /// Execute an aggregation query and return mergeable per-group
-    /// accumulators instead of finalized rows — the unit a federation
-    /// layer needs to union this table's slice with offline/archival
-    /// segments across the time boundary without breaking AVG or
-    /// DISTINCTCOUNT.
+    /// Execute a query across every live segment and stop before the
+    /// finalize step, returning the merged partial and its ledger — the
+    /// unit a federation layer needs to union this table's slice with
+    /// offline/archival segments across the time boundary without breaking
+    /// AVG, DISTINCTCOUNT or a global ORDER BY / LIMIT. Consuming (mutable)
+    /// segments execute serially under their partition locks; sealed and
+    /// offline segments go through [`gather`].
     pub fn query_partial(&self, query: &Query) -> Result<PartialResult> {
         let mut out = PartialResult::default();
-        let mut merged = PartialAgg::default();
         for (p, state) in self.partitions.iter().enumerate() {
             if !query.admits_partition(Some(p)) {
                 continue;
             }
             // consuming segments serve the freshest data and go first, so
             // a blown deadline sheds historical segments before fresh ones
-            if let Some(d) = &query.deadline {
-                if d.expired() {
-                    out.segments_shed += 1;
-                    out.deadline_exceeded = true;
-                    continue;
-                }
+            if query.deadline.as_ref().is_some_and(|d| d.expired()) {
+                out.ledger.shed();
+                continue;
             }
             let st = state.read();
             if self.prunable(query, |c| st.consuming.int_range(c)) {
-                out.segments_pruned += 1;
+                out.ledger.segments_pruned += 1;
                 continue;
             }
             let valid: Option<Bitmap> = if self.config.upsert {
@@ -421,129 +397,21 @@ impl OlapTable {
             } else {
                 None
             };
-            let part = st.consuming.execute_partial(query, valid.as_ref())?;
-            out.segments_queried += 1;
-            out.docs_scanned += part.docs_scanned;
-            merged.merge(part, query);
+            out.serve(st.consuming.execute_partial(query, valid.as_ref())?, query);
         }
         let (tasks, segments_pruned) = self.scan_tasks(query);
-        out.segments_pruned += segments_pruned;
-        let parts = crate::scatter::scatter(tasks.len(), self.scatter_threads(&tasks), |i| {
+        out.ledger.segments_pruned += segments_pruned;
+        let threads = self.scatter_threads(&tasks);
+        gather(&mut out, query, tasks.len(), threads, |i| {
             let (seg, valid) = &tasks[i];
-            if let Some(d) = &query.deadline {
-                d.check(seg.name())?;
-            }
             seg.execute_partial(query, valid.as_ref())
-        });
-        for part in parts {
-            match part {
-                Ok(part) => {
-                    out.segments_queried += 1;
-                    out.docs_scanned += part.docs_scanned;
-                    merged.merge(part, query);
-                }
-                Err(Error::DeadlineExceeded(_)) => {
-                    out.segments_shed += 1;
-                    out.deadline_exceeded = true;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        if out.deadline_exceeded && out.segments_queried == 0 {
-            return Err(Error::DeadlineExceeded(format!(
-                "table '{}': deadline expired before any segment was served",
-                self.name()
-            )));
-        }
-        out.partial |= out.deadline_exceeded;
-        out.agg = merged;
+        })?;
         Ok(out)
     }
 
     /// Execute a query across every live segment (scatter-gather-merge).
-    /// Consuming (mutable) segments execute serially under their partition
-    /// locks; sealed and offline segments scatter across the worker pool.
     pub fn query(&self, query: &Query) -> Result<QueryResult> {
-        if query.is_aggregation() {
-            return Ok(self.query_partial(query)?.finalize(query));
-        }
-
-        let mut segments_queried = 0u64;
-        let mut docs_scanned = 0u64;
-        let mut segments_shed = 0u64;
-        let mut segments_pruned = 0u64;
-        let mut deadline_exceeded = false;
-        let used_startree = false;
-
-        // selection: concatenate in task order, then a final sort/limit
-        let mut rows = Vec::new();
-        for (p, state) in self.partitions.iter().enumerate() {
-            if !query.admits_partition(Some(p)) {
-                continue;
-            }
-            if let Some(d) = &query.deadline {
-                if d.expired() {
-                    segments_shed += 1;
-                    deadline_exceeded = true;
-                    continue;
-                }
-            }
-            let st = state.read();
-            if self.prunable(query, |c| st.consuming.int_range(c)) {
-                segments_pruned += 1;
-                continue;
-            }
-            let valid = if self.config.upsert {
-                st.pk_index.valid_docs(st.consuming.name()).cloned()
-            } else {
-                None
-            };
-            let r = st.consuming.execute(query, valid.as_ref())?;
-            segments_queried += 1;
-            docs_scanned += r.docs_scanned;
-            rows.extend(r.rows);
-        }
-        let (tasks, sealed_pruned) = self.scan_tasks(query);
-        segments_pruned += sealed_pruned;
-        let results = crate::scatter::scatter(tasks.len(), self.scatter_threads(&tasks), |i| {
-            let (seg, valid) = &tasks[i];
-            if let Some(d) = &query.deadline {
-                d.check(seg.name())?;
-            }
-            seg.execute(query, valid.as_ref())
-        });
-        for r in results {
-            match r {
-                Ok(r) => {
-                    segments_queried += 1;
-                    docs_scanned += r.docs_scanned;
-                    rows.extend(r.rows);
-                }
-                Err(Error::DeadlineExceeded(_)) => {
-                    segments_shed += 1;
-                    deadline_exceeded = true;
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        if deadline_exceeded && segments_queried == 0 {
-            return Err(Error::DeadlineExceeded(format!(
-                "table '{}': deadline expired before any segment was served",
-                self.name()
-            )));
-        }
-        sort_and_limit(&mut rows, &query.order_by, query.limit);
-        Ok(QueryResult {
-            rows,
-            docs_scanned,
-            segments_queried,
-            used_startree,
-            segments_pruned,
-            partial: deadline_exceeded,
-            deadline_exceeded,
-            segments_shed,
-            ..Default::default()
-        })
+        self.query_partial(query)?.finalize(query)
     }
 
     /// Latest value of a column for a primary key (upsert tables): the
@@ -574,7 +442,7 @@ fn partition_of(st: &PartitionState) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::query::Predicate;
+    use crate::query::{Predicate, PredicateOp};
     use rtdi_common::{AggFn, FieldType};
 
     fn schema() -> Schema {
@@ -626,9 +494,9 @@ mod tests {
         let total: i64 = res.rows.iter().map(|r| r.get_int("n").unwrap()).sum();
         assert_eq!(total, 100);
         assert!(
-            res.segments_queried >= 4,
+            res.ledger.segments_queried >= 4,
             "queried {}",
-            res.segments_queried
+            res.ledger.segments_queried
         );
     }
 
@@ -649,9 +517,9 @@ mod tests {
         // 10 segments of 10 rows each (+1 empty consuming + partition 1
         // consuming): only ~1-2 segments overlap the range
         assert!(
-            res.segments_queried <= 5,
+            res.ledger.segments_queried <= 5,
             "pruning failed: queried {}",
-            res.segments_queried
+            res.ledger.segments_queried
         );
         // the consuming tail keeps its running time range and is skipped
         // the same way: 5 fresh rows at ts 100_000.. cannot meet the window
@@ -660,8 +528,14 @@ mod tests {
         }
         let with_tail = table.query(&q).unwrap();
         assert_eq!(with_tail.rows, res.rows);
-        assert_eq!(with_tail.segments_queried, res.segments_queried - 1);
-        assert_eq!(with_tail.segments_pruned, res.segments_pruned + 1);
+        assert_eq!(
+            with_tail.ledger.segments_queried,
+            res.ledger.segments_queried - 1
+        );
+        assert_eq!(
+            with_tail.ledger.segments_pruned,
+            res.ledger.segments_pruned + 1
+        );
         // and is visited by a window that reaches it, selections included
         let fresh = Query::select_all("trips")
             .filter(Predicate::new("ts", PredicateOp::Ge, 102_000i64))
@@ -670,8 +544,8 @@ mod tests {
         assert_eq!(res.rows.len(), 3);
         // partition 0's tail and partition 1's empty one; all ten sealed
         // segments skipped
-        assert_eq!(res.segments_queried, 2);
-        assert_eq!(res.segments_pruned, 10);
+        assert_eq!(res.ledger.segments_queried, 2);
+        assert_eq!(res.ledger.segments_pruned, 10);
     }
 
     /// The same SQL must not flip its answer at the `segment_rows`-th row:

@@ -18,9 +18,10 @@
 //! The offline slice executes against [`LazySegment`] archives — zone-map
 //! headers prune segments without reading column bytes, and surviving
 //! segments decode only the touched columns. The realtime slice executes
-//! against the live [`OlapTable`] or a scatter-gather [`Broker`].
-//! Aggregations merge as [`PartialResult`]s *before* finalizing so AVG
-//! and DISTINCTCOUNT stay exact across the boundary.
+//! against the live [`OlapTable`] or a scatter-gather [`Broker`]. Both
+//! sides hand back an unfinalized [`PartialResult`] and merge *before*
+//! finalizing, so AVG and DISTINCTCOUNT stay exact, and ORDER BY / LIMIT
+//! global, across the boundary.
 //!
 //! **Freshness-aware result cache.** The offline slice is immutable
 //! between segment events (seal/push, rebalance, compaction), so its
@@ -34,9 +35,9 @@ use crate::connector::{pushdown_query, restore_group_key_types, Pushdown, ScanOu
 use parking_lot::{Mutex, RwLock};
 use rtdi_common::{Error, Result, Schema};
 use rtdi_olap::broker::Broker;
-use rtdi_olap::query::{sort_and_limit, PartialResult, Predicate, PredicateOp, Query, QueryResult};
-use rtdi_olap::scatter::scatter;
-use rtdi_olap::segment::LazySegment;
+use rtdi_olap::query::{PartialResult, Predicate, PredicateOp, Query};
+use rtdi_olap::scatter::gather;
+use rtdi_olap::segment::{int_range_may_match, LazySegment};
 use rtdi_olap::table::OlapTable;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -64,21 +65,6 @@ pub enum RealtimeSide {
     Brokered(Arc<Broker>),
 }
 
-/// Cached offline slice: a partially-executed aggregation or a finished
-/// selection, plus the scan statistics it cost when first computed.
-#[derive(Clone)]
-enum CachedSlice {
-    Agg(PartialResult),
-    Rows(QueryResult),
-}
-
-/// What one side of the split contributed.
-enum SliceOutcome {
-    Agg(PartialResult),
-    Rows(QueryResult),
-    Skipped { segments_pruned: u64 },
-}
-
 const CACHE_CAPACITY: usize = 64;
 
 /// A federated hybrid table: realtime store + offline segment inventory +
@@ -96,7 +82,9 @@ pub struct HybridTable {
     /// Bumped on every segment event (register / remove / compaction /
     /// rebalance); part of every cache key.
     version: AtomicU64,
-    cache: Mutex<HashMap<String, CachedSlice>>,
+    /// Offline slices, unfinalized, with the ledger of the scan that first
+    /// computed them.
+    cache: Mutex<HashMap<String, PartialResult>>,
     cache_hits: AtomicU64,
     cache_misses: AtomicU64,
     /// Scatter threads for the offline side (0 = one per core).
@@ -256,24 +244,21 @@ impl HybridTable {
     pub fn scan(&self, pushdown: &Pushdown) -> Result<ScanOutput> {
         let base = pushdown_query(&self.name, pushdown);
         let boundary = self.time_boundary();
-        let window = query_time_window(&base, &self.time_column);
 
         // Split at the boundary. Each side is `None` when the query's own
-        // time window proves it empty — the planner skips it entirely.
+        // time predicates cannot meet that side of it — the planner skips
+        // it entirely.
+        let time = &self.time_column;
+        let may_match = |lo, hi| int_range_may_match(&base.predicates, time, lo, hi);
+        let side = |op, b: i64| base.clone().filter(Predicate::new(time, op, b));
         let (offline_q, realtime_q) = match boundary {
             None => (None, Some(base.clone())),
             Some(b) => {
-                let offline_active = window.0.is_none_or(|lo| lo <= b);
-                let realtime_active = window.1.is_none_or(|hi| hi > b);
-                let off = offline_active.then(|| {
-                    base.clone()
-                        .filter(Predicate::new(&self.time_column, PredicateOp::Le, b))
-                });
-                let rt = realtime_active.then(|| {
-                    base.clone()
-                        .filter(Predicate::new(&self.time_column, PredicateOp::Gt, b))
-                });
-                (off, rt)
+                let fresh = b.checked_add(1).is_some_and(|lo| may_match(lo, i64::MAX));
+                (
+                    may_match(i64::MIN, b).then(|| side(PredicateOp::Le, b)),
+                    fresh.then(|| side(PredicateOp::Gt, b)),
+                )
             }
         };
 
@@ -290,85 +275,38 @@ impl HybridTable {
             q
         });
 
+        // Both sides merge unfinalized, so a side whose deadline shed every
+        // segment degrades the federated answer instead of failing it: the
+        // merged ledger decides, in `finalize`.
+        let mut merged = PartialResult::default();
         let mut bytes_read = 0u64;
         let mut cache_hit = false;
-        let offline_out = match &offline_q {
-            None => SliceOutcome::Skipped {
-                segments_pruned: self.offline.read().len() as u64,
-            },
-            // a fully-shed slice degrades the federated answer instead of
-            // failing it — the other side may still be in budget
-            Some(q) => match self.offline_slice(q, boundary, &mut bytes_read, &mut cache_hit) {
-                Err(Error::DeadlineExceeded(_)) => shed_slice(&base),
-                other => other?,
-            },
-        };
-        let realtime_out = match &realtime_q {
-            None => SliceOutcome::Skipped { segments_pruned: 0 },
-            Some(q) => match self.realtime_slice(q) {
-                Err(Error::DeadlineExceeded(_)) => shed_slice(&base),
-                other => other?,
-            },
-        };
-
-        let mut result = if base.is_aggregation() {
-            let mut merged = PartialResult::default();
-            for out in [offline_out, realtime_out] {
-                match out {
-                    SliceOutcome::Agg(p) => merged.merge(p, &base),
-                    SliceOutcome::Skipped { segments_pruned } => {
-                        merged.segments_pruned += segments_pruned
-                    }
-                    SliceOutcome::Rows(_) => unreachable!("aggregation slice returned rows"),
-                }
+        match &offline_q {
+            None => merged.ledger.segments_pruned = self.offline.read().len() as u64,
+            Some(q) => {
+                let slice = self.offline_slice(q, boundary, &mut bytes_read, &mut cache_hit)?;
+                merged.merge(slice, &base);
             }
-            merged.finalize(&base)
-        } else {
-            let mut merged = QueryResult::default();
-            for out in [offline_out, realtime_out] {
-                match out {
-                    SliceOutcome::Rows(r) => {
-                        merged.rows.extend(r.rows);
-                        merged.docs_scanned += r.docs_scanned;
-                        merged.segments_queried += r.segments_queried;
-                        merged.segments_pruned += r.segments_pruned;
-                        merged.partial |= r.partial;
-                        merged.segments_unavailable += r.segments_unavailable;
-                        merged.deadline_exceeded |= r.deadline_exceeded;
-                        merged.segments_shed += r.segments_shed;
-                    }
-                    SliceOutcome::Skipped { segments_pruned } => {
-                        merged.segments_pruned += segments_pruned
-                    }
-                    SliceOutcome::Agg(_) => unreachable!("selection slice returned aggregates"),
-                }
-            }
-            sort_and_limit(&mut merged.rows, &base.order_by, base.limit);
-            merged
-        };
-
-        if result.deadline_exceeded && result.segments_queried == 0 {
-            return Err(Error::DeadlineExceeded(format!(
-                "table '{}': deadline expired before either side served a segment",
-                self.name
-            )));
         }
+        if let Some(q) = &realtime_q {
+            // always live, never cached
+            let slice = match &self.realtime {
+                RealtimeSide::Direct(t) => t.query_partial(q)?,
+                RealtimeSide::Brokered(b) => b.query_partial(q)?,
+            };
+            merged.merge(slice, &base);
+        }
+        let mut result = merged.finalize(&base)?;
         if let Some(agg) = &pushdown.aggregation {
             restore_group_key_types(&mut result.rows, &agg.group_by, &self.schema);
         }
         Ok(ScanOutput {
             rows_shipped: result.rows.len() as u64,
-            docs_scanned: result.docs_scanned,
-            partial: result.partial,
-            segments_unavailable: result.segments_unavailable,
-            segments_queried: result.segments_queried,
-            segments_pruned: result.segments_pruned,
-            bytes_read,
-            cache_hit,
-            deadline_exceeded: result.deadline_exceeded,
-            segments_shed: result.segments_shed,
             rows: result.rows,
             views: Vec::new(),
+            ledger: result.ledger,
+            bytes_read,
+            cache_hit,
         })
     }
 
@@ -379,113 +317,40 @@ impl HybridTable {
         boundary: Option<i64>,
         bytes_read: &mut u64,
         cache_hit: &mut bool,
-    ) -> Result<SliceOutcome> {
+    ) -> Result<PartialResult> {
         let key = cache_key(query, boundary, self.version());
         if let Some(slice) = self.cache.lock().get(&key).cloned() {
             self.cache_hits.fetch_add(1, Ordering::Relaxed);
             *cache_hit = true;
-            return Ok(match slice {
-                CachedSlice::Agg(p) => SliceOutcome::Agg(p),
-                CachedSlice::Rows(r) => SliceOutcome::Rows(r),
-            });
+            return Ok(slice);
         }
         self.cache_misses.fetch_add(1, Ordering::Relaxed);
 
-        // Prune the inventory: partition hint, per-segment time range,
-        // then the full zone-map check (other columns). Pruned segments
-        // cost header bytes only.
-        let window = query_time_window(query, &self.time_column);
+        // Prune the inventory: partition hint, then the zone maps (the
+        // time column's among them). Pruned segments cost header bytes
+        // only.
         let inventory = self.offline.read().clone();
-        let mut pruned = 0u64;
         let tasks: Vec<&OfflineSegment> = inventory
             .iter()
-            .filter(|s| {
-                let admitted = query.admits_partition(s.partition)
-                    && window.0.is_none_or(|lo| s.time_range.1 >= lo)
-                    && window.1.is_none_or(|hi| s.time_range.0 <= hi)
-                    && s.segment.zones_may_match(query);
-                if !admitted {
-                    pruned += 1;
-                }
-                admitted
-            })
+            .filter(|s| query.admits_partition(s.partition) && s.segment.zones_may_match(query))
             .collect();
+        let mut slice = PartialResult::default();
+        slice.ledger.segments_pruned = (inventory.len() - tasks.len()) as u64;
 
-        let before: u64 = tasks.iter().map(|s| s.segment.bytes_loaded() as u64).sum();
-        let outcome = if query.is_aggregation() {
-            let partials = scatter(tasks.len(), self.query_threads, |i| {
-                if let Some(d) = &query.deadline {
-                    d.check(tasks[i].segment.name())?;
-                }
-                tasks[i].segment.execute_partial(query, None)
-            });
-            let mut merged = PartialResult {
-                segments_pruned: pruned,
-                ..Default::default()
-            };
-            for p in partials {
-                match p {
-                    Ok(p) => {
-                        merged.segments_queried += 1;
-                        merged.docs_scanned += p.docs_scanned;
-                        merged.agg.merge(p, query);
-                    }
-                    Err(Error::DeadlineExceeded(_)) => {
-                        merged.segments_shed += 1;
-                        merged.deadline_exceeded = true;
-                        merged.partial = true;
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
-            SliceOutcome::Agg(merged)
-        } else {
-            let results = scatter(tasks.len(), self.query_threads, |i| {
-                if let Some(d) = &query.deadline {
-                    d.check(tasks[i].segment.name())?;
-                }
-                tasks[i].segment.execute(query)
-            });
-            let mut merged = QueryResult {
-                segments_pruned: pruned,
-                ..Default::default()
-            };
-            for r in results {
-                match r {
-                    Ok(r) => {
-                        merged.segments_queried += 1;
-                        merged.rows.extend(r.rows);
-                        merged.docs_scanned += r.docs_scanned;
-                    }
-                    Err(Error::DeadlineExceeded(_)) => {
-                        merged.segments_shed += 1;
-                        merged.deadline_exceeded = true;
-                        merged.partial = true;
-                    }
-                    Err(e) => return Err(e),
-                }
-            }
-            // Do NOT apply the limit here: the slice is cached and later
-            // merged with a live realtime slice, so truncation must wait
-            // for the union. Ordering alone keeps the cache deterministic.
-            sort_and_limit(&mut merged.rows, &query.order_by, None);
-            SliceOutcome::Rows(merged)
-        };
-        *bytes_read = tasks
-            .iter()
-            .map(|s| s.segment.bytes_loaded() as u64)
-            .sum::<u64>()
-            .saturating_sub(before);
+        let loaded = || -> u64 { tasks.iter().map(|s| s.segment.bytes_loaded() as u64).sum() };
+        let before = loaded();
+        // No limit is applied to the merged slice: it is cached and later
+        // merged with a live realtime slice, so truncation must wait for
+        // the union. Task order alone keeps the cache deterministic.
+        gather(&mut slice, query, tasks.len(), self.query_threads, |i| {
+            tasks[i].segment.execute_partial(query, None)
+        })?;
+        *bytes_read = loaded().saturating_sub(before);
 
         // Never cache a deadline-truncated slice: it covers only the
         // segments served before the budget ran out, and a later query
         // with a healthy budget must not replay the truncation.
-        let slice = match &outcome {
-            SliceOutcome::Agg(p) if !p.deadline_exceeded => Some(CachedSlice::Agg(p.clone())),
-            SliceOutcome::Rows(r) if !r.deadline_exceeded => Some(CachedSlice::Rows(r.clone())),
-            _ => None,
-        };
-        if let Some(slice) = slice {
+        if !slice.ledger.deadline_exceeded {
             let mut cache = self.cache.lock();
             if cache.len() >= CACHE_CAPACITY {
                 // segment events clear the map wholesale; between events a
@@ -493,63 +358,10 @@ impl HybridTable {
                 // it costs one recompute per shape, never correctness
                 cache.clear();
             }
-            cache.insert(key, slice);
+            cache.insert(key, slice.clone());
         }
-        Ok(outcome)
+        Ok(slice)
     }
-
-    /// Execute the realtime slice — always live, never cached.
-    fn realtime_slice(&self, query: &Query) -> Result<SliceOutcome> {
-        Ok(match (&self.realtime, query.is_aggregation()) {
-            (RealtimeSide::Direct(t), true) => SliceOutcome::Agg(t.query_partial(query)?),
-            (RealtimeSide::Direct(t), false) => SliceOutcome::Rows(t.query(query)?),
-            (RealtimeSide::Brokered(b), true) => SliceOutcome::Agg(b.query_partial(query)?),
-            (RealtimeSide::Brokered(b), false) => SliceOutcome::Rows(b.query(query)?),
-        })
-    }
-}
-
-/// A slice whose deadline expired before any segment was served: an empty
-/// degraded contribution so the other side's answer still goes out.
-fn shed_slice(base: &Query) -> SliceOutcome {
-    if base.is_aggregation() {
-        SliceOutcome::Agg(PartialResult {
-            partial: true,
-            deadline_exceeded: true,
-            ..Default::default()
-        })
-    } else {
-        SliceOutcome::Rows(QueryResult {
-            partial: true,
-            deadline_exceeded: true,
-            ..Default::default()
-        })
-    }
-}
-
-/// The inclusive `(lo, hi)` window a query's conjunctive predicates pin
-/// the time column into (`None` = unbounded on that side).
-fn query_time_window(query: &Query, time_column: &str) -> (Option<i64>, Option<i64>) {
-    let mut lo: Option<i64> = None;
-    let mut hi: Option<i64> = None;
-    for p in query.predicates.iter() {
-        if p.column != time_column {
-            continue;
-        }
-        let Some(v) = p.value.as_int() else { continue };
-        match p.op {
-            PredicateOp::Eq => {
-                lo = Some(lo.map_or(v, |x| x.max(v)));
-                hi = Some(hi.map_or(v, |x| x.min(v)));
-            }
-            PredicateOp::Ge => lo = Some(lo.map_or(v, |x| x.max(v))),
-            PredicateOp::Gt => lo = Some(lo.map_or(v + 1, |x| x.max(v + 1))),
-            PredicateOp::Le => hi = Some(hi.map_or(v, |x| x.min(v))),
-            PredicateOp::Lt => hi = Some(hi.map_or(v - 1, |x| x.min(v - 1))),
-            PredicateOp::Ne => {}
-        }
-    }
-    (lo, hi)
 }
 
 /// Cache key: normalized query shape + the boundary it was split at + the
@@ -665,7 +477,7 @@ mod tests {
         };
         let out = h.scan(&pd).unwrap();
         assert_eq!(out.rows[0].get_int("n"), Some(39)); // 211..=249
-        assert_eq!(out.segments_pruned, 2); // both archives skipped
+        assert_eq!(out.ledger.segments_pruned, 2); // both archives skipped
         assert_eq!(out.bytes_read, 0); // without touching a single byte
         let (hits, misses) = h.cache_stats();
         assert_eq!((hits, misses), (0, 0)); // skipped side never cached
@@ -681,7 +493,7 @@ mod tests {
         let out = h.scan(&pd).unwrap();
         assert_eq!(out.rows[0].get_int("n"), Some(51)); // 0..=50
                                                         // zone maps prune the 100..=199 archive without loading columns
-        assert_eq!(out.segments_pruned, 1);
+        assert_eq!(out.ledger.segments_pruned, 1);
         // the realtime store was never consulted: ingest more overlap and
         // ask again — the answer must not move
         for t in 0..=50 {
@@ -756,8 +568,8 @@ mod tests {
             ..count_pushdown()
         };
         let out = h.scan(&pd).unwrap();
-        assert_eq!(out.segments_queried, 1);
-        assert_eq!(out.segments_pruned, 3);
+        assert_eq!(out.ledger.segments_queried, 1);
+        assert_eq!(out.ledger.segments_pruned, 3);
         assert_eq!(out.rows[0].get_int("n"), Some(100));
     }
 

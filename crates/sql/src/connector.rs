@@ -10,7 +10,7 @@ use crate::catalog::HybridTable;
 use rtdi_common::{AggFn, Deadline, Error, FieldType, Priority, Result, Row, Schema, Value};
 use rtdi_olap::bitmap::Bitmap;
 use rtdi_olap::broker::Broker;
-use rtdi_olap::query::{PartialAgg, Predicate, Query as OlapQuery, SortOrder};
+use rtdi_olap::query::{PartialAgg, Predicate, Query as OlapQuery, ScanLedger, SortOrder};
 use rtdi_olap::segment::LazySegment;
 use rtdi_olap::table::OlapTable;
 use rtdi_storage::hive::HiveCatalog;
@@ -125,29 +125,18 @@ pub struct ScanOutput {
     pub rows: Vec<Row>,
     /// What a columnar scan (the warehouse) ships in place of rows.
     pub views: Vec<ColumnView>,
-    /// Documents the backing store had to touch.
-    pub docs_scanned: u64,
     /// Rows shipped from the connector to the engine.
     pub rows_shipped: u64,
-    /// Pinot partial-response semantics: the backing store could not reach
-    /// every segment and the rows cover only the available ones.
-    pub partial: bool,
-    /// Segments the backing store could not reach.
-    pub segments_unavailable: u64,
-    /// Segments actually consulted after pruning.
-    pub segments_queried: u64,
-    /// Segments skipped by time-boundary, partition, or zone-map pruning.
-    pub segments_pruned: u64,
+    /// What the backing store's scan covered and cost: documents touched,
+    /// segments consulted, pruned (time boundary, partition, zone map),
+    /// unreachable or shed on an expired deadline. `ledger.partial()` is
+    /// Pinot's partial-response flag: `rows` cover only what was served.
+    pub ledger: ScanLedger,
     /// Cold bytes decoded from archival segment files for this scan
     /// (0 when every touched column was already resident or cached).
     pub bytes_read: u64,
     /// True when the scan was answered from a federation result cache.
     pub cache_hit: bool,
-    /// The scan's deadline expired mid-scatter; `rows` cover only the
-    /// segments served before the budget ran out.
-    pub deadline_exceeded: bool,
-    /// Segments abandoned because the deadline expired.
-    pub segments_shed: u64,
 }
 
 impl ScanOutput {
@@ -321,17 +310,9 @@ impl Connector for PinotConnector {
         }
         Ok(ScanOutput {
             rows_shipped: result.rows.len() as u64,
-            docs_scanned: result.docs_scanned,
-            partial: result.partial,
-            segments_unavailable: result.segments_unavailable,
-            segments_queried: result.segments_queried,
-            segments_pruned: result.segments_pruned,
-            bytes_read: 0,
-            cache_hit: false,
-            deadline_exceeded: result.deadline_exceeded,
-            segments_shed: result.segments_shed,
             rows: result.rows,
-            views: Vec::new(),
+            ledger: result.ledger,
+            ..Default::default()
         })
     }
 }
@@ -468,15 +449,15 @@ impl Connector for HiveConnector {
                 // a column the file lacks reads NULL, which matches nothing
                 let known = |p: &Predicate| segment.schema().field(&p.column).is_some();
                 if !q.predicates.iter().all(known) || !segment.zones_may_match(&q) {
-                    out.segments_pruned += 1;
+                    out.ledger.segments_pruned += 1;
                     continue;
                 }
                 let columns: Vec<String> = q.predicates.iter().map(|p| p.column.clone()).collect();
                 segment.view(&columns)?.filter_docs(&q.predicates)?
             };
             let shipped = docs.count() as u64;
-            out.segments_queried += 1;
-            out.docs_scanned += scanned + shipped;
+            out.ledger.segments_queried += 1;
+            out.ledger.docs_scanned += scanned + shipped;
             // every surviving row counts as shipped, folded later or not
             out.rows_shipped += shipped;
             out.bytes_read += (segment.bytes_loaded() - segment.header_bytes()) as u64;
@@ -530,10 +511,14 @@ impl Connector for MemoryConnector {
             .tables
             .get(table)
             .ok_or_else(|| Error::NotFound(format!("memory table '{table}'")))?;
+        let n = rows.len() as u64;
         Ok(ScanOutput {
-            docs_scanned: rows.len() as u64,
-            rows_shipped: rows.len() as u64,
+            rows_shipped: n,
             rows: rows.clone(),
+            ledger: ScanLedger {
+                docs_scanned: n,
+                ..Default::default()
+            },
             ..Default::default()
         })
     }
@@ -672,7 +657,7 @@ mod tests {
             ..Default::default()
         };
         let out = c.scan("t", &pd).unwrap();
-        assert_eq!((out.segments_pruned, out.bytes_read), (1, 0));
+        assert_eq!((out.ledger.segments_pruned, out.bytes_read), (1, 0));
         assert!(out.views.is_empty());
         // aggregation and limit are the engine's: pushing one is a planner bug
         let agg = Pushdown {
@@ -738,19 +723,22 @@ mod tests {
             ..Default::default()
         };
         let healthy = c.scan("orders", &pd).unwrap();
-        assert!(!healthy.partial);
-        assert_eq!(healthy.segments_unavailable, 0);
+        assert!(!healthy.ledger.partial());
+        assert_eq!(healthy.ledger.segments_unavailable, 0);
         assert_eq!(healthy.rows[0].get_int("n"), Some(400));
 
         broker.servers()[1].set_down(true);
         let degraded = c.scan("orders", &pd).unwrap();
-        assert!(degraded.partial, "dead server must mark the scan partial");
-        assert_eq!(degraded.segments_unavailable, 2);
+        assert!(
+            degraded.ledger.partial(),
+            "dead server must mark the scan partial"
+        );
+        assert_eq!(degraded.ledger.segments_unavailable, 2);
         assert_eq!(degraded.rows[0].get_int("n"), Some(200));
 
         broker.servers()[1].set_down(false);
         let healed = c.scan("orders", &pd).unwrap();
-        assert!(!healed.partial);
+        assert!(!healed.ledger.partial());
         assert_eq!(healed.rows[0].get_int("n"), Some(400));
     }
 }

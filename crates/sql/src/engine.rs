@@ -76,16 +76,17 @@ pub struct QueryStats {
 impl QueryStats {
     /// Add one scan's counters, read once its output has been consumed.
     fn absorb(&mut self, out: &ScanOutput) {
-        self.docs_scanned += out.docs_scanned;
+        let ledger = &out.ledger;
+        self.docs_scanned += ledger.docs_scanned;
         self.rows_shipped += out.rows_shipped;
-        self.partial |= out.partial;
-        self.segments_unavailable += out.segments_unavailable;
-        self.segments_queried += out.segments_queried;
-        self.segments_pruned += out.segments_pruned;
+        self.partial |= ledger.partial();
+        self.segments_unavailable += ledger.segments_unavailable;
+        self.segments_queried += ledger.segments_queried;
+        self.segments_pruned += ledger.segments_pruned;
         self.bytes_read += out.bytes_read;
         self.cache_hits += u64::from(out.cache_hit);
-        self.deadline_exceeded |= out.deadline_exceeded;
-        self.segments_shed += out.segments_shed;
+        self.deadline_exceeded |= ledger.deadline_exceeded;
+        self.segments_shed += ledger.segments_shed;
     }
 }
 
@@ -806,6 +807,106 @@ mod tests {
         assert_eq!(again.stats.cache_hits, 1);
         assert_eq!(again.stats.bytes_read, 0);
         assert_eq!(hybrid.cache_stats(), (1, 1));
+    }
+
+    /// `pinot.trips`: a hybrid table (archive ts 0..=99, realtime ts
+    /// 100..=149); `mem.trips` holds the same rows for a row scan.
+    fn hybrid_beside_its_rows() -> (SqlEngine, Arc<crate::catalog::HybridTable>) {
+        use crate::catalog::{HybridTable, RealtimeSide};
+        use crate::connector::PinotConnector;
+        use rtdi_olap::segment::{IndexSpec, Segment};
+        use rtdi_olap::table::{OlapTable, TableConfig};
+
+        let schema = Schema::of(
+            "trips",
+            &[("city", FieldType::Str), ("ts", FieldType::Timestamp)],
+        );
+        let trip = |ts: i64| {
+            Row::new()
+                .with("city", ["sf", "la"][(ts % 2) as usize])
+                .with("ts", ts)
+        };
+        let (archived, live): (Vec<Row>, Vec<Row>) = (
+            (0..=99).map(trip).collect(),
+            (100..=149).map(trip).collect(),
+        );
+        let config = TableConfig::new("trips", schema.clone())
+            .with_partitions(1)
+            .with_segment_rows(20)
+            .with_time_column("ts");
+        let rt = OlapTable::new(config).unwrap();
+        for row in &live {
+            rt.ingest(0, row.clone()).unwrap();
+        }
+        let hybrid = HybridTable::new("trips", schema.clone(), "ts", RealtimeSide::Direct(rt));
+        let seg = Segment::build("off", &schema, archived.clone(), &IndexSpec::none()).unwrap();
+        let lazy = Segment::load_lazy(seg.persist().unwrap()).unwrap();
+        hybrid
+            .register_offline_segment(Arc::new(lazy), None)
+            .unwrap();
+        let hybrid = Arc::new(hybrid);
+
+        let pinot = PinotConnector::new();
+        pinot.register_hybrid(hybrid.clone());
+        let mut mem = MemoryConnector::new();
+        mem.add_table("trips", schema, [archived, live].concat());
+        let mut e = SqlEngine::new(EngineConfig::default());
+        e.register_connector("pinot", Arc::new(pinot));
+        e.register_connector("mem", Arc::new(mem));
+        (e, hybrid)
+    }
+
+    /// A time literal at either end of `i64` must neither overflow the
+    /// boundary planner nor answer differently from a row scan.
+    #[test]
+    fn time_literals_at_the_integer_extremes_match_nothing() {
+        use crate::connector::{Pushdown, PushedAgg};
+        use rtdi_olap::query::{Predicate, PredicateOp};
+        let (e, hybrid) = hybrid_beside_its_rows();
+        for select in ["COUNT(*) AS n", "ts"] {
+            let sql = |catalog: &str| {
+                format!("SELECT {select} FROM {catalog}.trips WHERE ts > 9223372036854775807")
+            };
+            let out = e.query(&sql("pinot")).unwrap();
+            assert_eq!(out.rows, e.query(&sql("mem")).unwrap().rows, "{select}");
+            // neither side of the boundary can hold such a row: both skipped
+            assert_eq!(out.stats.segments_queried, 0);
+        }
+        assert_eq!(
+            e.query("SELECT COUNT(*) AS n FROM trips WHERE ts >= 9223372036854775807")
+                .unwrap()
+                .rows[0]
+                .get_int("n"),
+            Some(0)
+        );
+        // `-9223372036854775808` is not a literal the lexer can produce
+        let below_all = Arc::new(vec![Predicate::new("ts", PredicateOp::Lt, i64::MIN)]);
+        let count = Pushdown {
+            predicates: below_all.clone(),
+            aggregation: Some(PushedAgg {
+                group_by: Arc::new(vec![]),
+                aggs: Arc::new(vec![("n".into(), AggFn::Count)]),
+            }),
+            ..Default::default()
+        };
+        assert_eq!(hybrid.scan(&count).unwrap().rows[0].get_int("n"), Some(0));
+        let select = Pushdown {
+            predicates: below_all,
+            ..Default::default()
+        };
+        assert!(hybrid.scan(&select).unwrap().rows.is_empty());
+    }
+
+    /// A GROUP BY without an aggregate is still a grouping query once it
+    /// is pushed down: one row per group, not one per document.
+    #[test]
+    fn bare_group_by_pushes_down_as_groups() {
+        let (e, _) = hybrid_beside_its_rows();
+        let sql =
+            |catalog: &str| format!("SELECT city FROM {catalog}.trips GROUP BY city ORDER BY city");
+        let out = e.query(&sql("pinot")).unwrap();
+        assert_eq!(out.rows.len(), 2);
+        assert_eq!(out.rows, e.query(&sql("mem")).unwrap().rows);
     }
 
     #[test]

@@ -266,7 +266,7 @@ mod tests {
         let q = &rm.dashboard_queries("rest-0001")[1];
         let res = rm.stats_table.query(q).unwrap();
         assert!(res.used_startree, "pre-aggregation index not used");
-        assert!(res.docs_scanned == 0);
+        assert!(res.ledger.docs_scanned == 0);
     }
 
     #[test]

@@ -37,7 +37,7 @@ fn main() {
     let t0 = std::time::Instant::now();
     let pages = rm.load_dashboard(restaurant).expect("dashboard");
     let preagg_elapsed = t0.elapsed();
-    let docs: u64 = pages.iter().map(|p| p.docs_scanned).sum();
+    let docs: u64 = pages.iter().map(|p| p.ledger.docs_scanned).sum();
     println!("\ndashboard for {restaurant} (pre-aggregated path):");
     println!(
         "  sales series rows: {}, lifetime orders: {}, avg rating: {:.2}",
@@ -58,7 +58,7 @@ fn main() {
     let raw_queries = RestaurantManager::raw_dashboard_queries(restaurant, 60_000);
     let mut raw_docs = 0;
     for q in &raw_queries {
-        raw_docs += raw_table.query(q).expect("raw query").docs_scanned;
+        raw_docs += raw_table.query(q).expect("raw query").ledger.docs_scanned;
     }
     let raw_elapsed = t0.elapsed();
     println!("\nsame dashboard from raw events (no preprocessing):");

@@ -219,15 +219,18 @@ fn soak(seed: u64, mix: FaultMix) -> String {
     let degraded = broker
         .query(&cq)
         .expect("degraded service, not an outage: partial beats Err");
-    assert!(degraded.partial, "faults must flag the answer partial");
-    assert!(degraded.segments_unavailable > 0);
+    assert!(
+        degraded.ledger.partial(),
+        "faults must flag the answer partial"
+    );
+    assert!(degraded.ledger.segments_unavailable > 0);
     let n = degraded.rows[0].get_int("n").unwrap();
     assert!(n > 0 && n < 400, "partial count, got {n}");
     // the server heals and the faults stop: full service resumes
     chaos::registry().disarm(FaultPoint::OlapSegmentServe);
     broker.servers()[1].set_down(false);
     let healed = broker.query(&cq).unwrap();
-    assert!(!healed.partial);
+    assert!(!healed.ledger.partial());
     assert_eq!(healed.rows[0].get_int("n"), Some(400));
 
     // --- archival through injected storage.object_put faults

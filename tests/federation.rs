@@ -19,11 +19,11 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rtdi::common::{AggFn, FieldType, Row, Schema};
 use rtdi::olap::broker::{Broker, ServerNode};
-use rtdi::olap::query::{Predicate, PredicateOp, Query};
+use rtdi::olap::query::{Predicate, PredicateOp, Query, ScanLedger};
 use rtdi::olap::segment::{IndexSpec, LazySegment, Segment};
 use rtdi::olap::table::{OlapTable, TableConfig};
 use rtdi::sql::catalog::{HybridTable, RealtimeSide};
-use rtdi::sql::connector::{Pushdown, PushedAgg};
+use rtdi::sql::connector::{Pushdown, PushedAgg, ScanOutput};
 use std::sync::Arc;
 
 const SEED_FED: u64 = 0xFED_2021;
@@ -427,7 +427,7 @@ fn degraded_broker_realtime_slice() {
     let (hybrid, broker) = build_hybrid(2);
     broker.servers()[0].set_down(true);
     let out = hybrid.scan(&pd).unwrap();
-    assert!(!out.partial);
+    assert!(!out.ledger.partial());
     assert_eq!(canonical(out.rows), expect);
 
     // replication 1: killing a server degrades the realtime slice to a
@@ -438,8 +438,8 @@ fn degraded_broker_realtime_slice() {
     broker.servers()[1].set_down(true);
     hybrid.invalidate(); // rebalance-style event alongside the failure
     let degraded = hybrid.scan(&pd).unwrap();
-    assert!(degraded.partial);
-    assert!(degraded.segments_unavailable > 0);
+    assert!(degraded.ledger.partial());
+    assert!(degraded.ledger.segments_unavailable > 0);
     assert!(degraded.rows[0].get_int("n").unwrap() < 200);
 }
 
@@ -454,11 +454,21 @@ fn fed_soak(seed: u64) -> Vec<String> {
         let mut cold_digests = Vec::new();
         let mut warm_digests = Vec::new();
         let mut hits = 0u64;
+        // what every scan of the case cost, summed: the digests above pin
+        // the answers, these pin the accounting
+        let mut ledger = ScanLedger::default();
+        let mut bytes_read = 0u64;
+        let mut book = |out: &ScanOutput| {
+            ledger.absorb(&out.ledger);
+            bytes_read += out.bytes_read;
+        };
         for _ in 0..4 {
             let pd = arb_pushdown(&mut rng);
             let cold = fed.hybrid.scan(&pd).unwrap();
+            book(&cold);
             cold_digests.push(format!("{:016x}", fnv(&canonical(cold.rows))));
             let warm = fed.hybrid.scan(&pd).unwrap();
+            book(&warm);
             hits += u64::from(warm.cache_hit);
             warm_digests.push(format!("{:016x}", fnv(&canonical(warm.rows))));
         }
@@ -484,10 +494,18 @@ fn fed_soak(seed: u64) -> Vec<String> {
             )
             .unwrap();
         let pd = arb_pushdown(&mut rng);
-        let post = fnv(&canonical(fed.hybrid.scan(&pd).unwrap().rows));
+        let post = fed.hybrid.scan(&pd).unwrap();
+        book(&post);
+        let post = fnv(&canonical(post.rows));
         lines.push(format!(
-            "case={case} digest={:016x} hits={hits} post_seal={post:016x}",
-            fnv(&cold_digests)
+            "case={case} digest={:016x} hits={hits} post_seal={post:016x} \
+             docs={} queried={} pruned={} shed={} unavailable={} bytes_read={bytes_read}",
+            fnv(&cold_digests),
+            ledger.docs_scanned,
+            ledger.segments_queried,
+            ledger.segments_pruned,
+            ledger.segments_shed,
+            ledger.segments_unavailable,
         ));
     }
     lines

@@ -191,7 +191,7 @@ fn olap_soak() -> String {
         membership.kill(&o.node);
         let healed = broker.query(&q).unwrap();
         assert!(
-            !healed.partial,
+            !healed.ledger.partial(),
             "rebalance must restore full coverage after killing {}",
             o.node
         );

@@ -21,6 +21,7 @@ use rtdi::common::{
 use rtdi::olap::broker::{Broker, ServerNode};
 use rtdi::olap::query::Query;
 use rtdi::olap::segment::{IndexSpec, Segment};
+use rtdi::olap::table::{OlapTable, TableConfig};
 use rtdi::stream::cluster::{Cluster, ClusterConfig};
 use rtdi::stream::consumer::{ConsumerGroup, TopicSubscription};
 use rtdi::stream::dlq::{DeadLetterQueue, ParkReason};
@@ -236,15 +237,15 @@ fn soak(seed: u64) -> String {
         .lane(Priority::Backfill); // serial lane: deterministic shed order
     let res = broker.query(&q).unwrap();
     assert!(
-        res.deadline_exceeded,
+        res.ledger.deadline_exceeded,
         "the ticking clock must blow the budget"
     );
-    assert!(res.segments_shed > 0 && res.partial);
+    assert!(res.ledger.segments_shed > 0 && res.ledger.partial());
     let n = res.rows[0].get_int("n").unwrap();
     assert!(n > 0 && n < 300, "partial count, got {n}");
     out.push_str(&format!(
         "query rows={n} segments_shed={} deadline_exceeded={}\n",
-        res.segments_shed, res.deadline_exceeded
+        res.ledger.segments_shed, res.ledger.deadline_exceeded
     ));
     out
 }
@@ -342,5 +343,181 @@ fn soak_env_seed_prints_summary() {
     let summary = soak_twice(seed);
     for line in summary.lines() {
         println!("OVERLOAD_SUMMARY {line}");
+    }
+}
+
+/// What a deadline-bounded answer covered: `(rows, segments_queried,
+/// segments_shed, deadline_exceeded)`.
+type Covered = (usize, u64, u64, bool);
+
+fn trips_schema() -> Schema {
+    Schema::of(
+        "trips",
+        &[("city", FieldType::Str), ("ts", FieldType::Timestamp)],
+    )
+}
+
+fn trips(ts: std::ops::Range<i64>) -> Vec<Row> {
+    ts.map(|t| {
+        Row::new()
+            .with("city", ["sf", "la"][(t % 2) as usize])
+            .with("ts", t)
+    })
+    .collect()
+}
+
+fn ticking(expires_at: Timestamp) -> Deadline {
+    let clock = Arc::new(TickClock {
+        now: AtomicI64::new(0),
+        step: 10,
+    });
+    Deadline::at(clock, expires_at)
+}
+
+/// Every deadline read advances the `TickClock`, so how often and in what
+/// order the table reads it per segment is what these numbers pin: one
+/// read per consuming segment (partition order, before any sealed one),
+/// one per sealed segment served (partition order, seal order within), two
+/// per sealed segment shed (the refusal reads the clock for its message).
+#[test]
+fn table_deadline_accounting_is_pinned() {
+    let table = OlapTable::new(
+        TableConfig::new("trips", trips_schema())
+            .with_partitions(2)
+            .with_segment_rows(10)
+            .with_query_threads(1),
+    )
+    .unwrap();
+    // per partition: two sealed segments of 10 rows and a consuming tail of 5
+    for (i, row) in trips(0..50).into_iter().enumerate() {
+        table.ingest(i % 2, row).unwrap();
+    }
+    let count = Query::select_all("trips").aggregate("n", AggFn::Count);
+    let select = Query::select_all("trips").columns(&["ts"]);
+    let run = |q: &Query, expires_at| -> Option<Covered> {
+        let res = table.query(&q.clone().with_deadline(ticking(expires_at)));
+        match res {
+            Ok(res) => {
+                let rows = match res.rows.first().and_then(|r| r.get_int("n")) {
+                    Some(n) => n as usize,
+                    None => res.rows.len(),
+                };
+                assert_eq!(res.ledger.partial(), res.ledger.deadline_exceeded);
+                Some((
+                    rows,
+                    res.ledger.segments_queried,
+                    res.ledger.segments_shed,
+                    res.ledger.deadline_exceeded,
+                ))
+            }
+            Err(e) => {
+                assert!(matches!(e, rtdi::common::Error::DeadlineExceeded(_)), "{e}");
+                None
+            }
+        }
+    };
+    for q in [&count, &select] {
+        // reads at 10, 20 (tails), 30..60 (sealed): nothing is shed
+        assert_eq!(run(q, 65), Some((50, 6, 0, false)));
+        // the budget ends between the second and third sealed segment
+        assert_eq!(run(q, 45), Some((30, 4, 2, true)));
+        // ... between the two tails: fresh data first, one tail answers
+        assert_eq!(run(q, 15), Some((5, 1, 5, true)));
+        // spent before the first read: an error, not an empty answer
+        assert_eq!(run(q, 5), None);
+    }
+}
+
+/// The hybrid table splits the budget: the offline slice runs first on
+/// half of what is left, the realtime slice on the caller's deadline. The
+/// split itself reads the clock twice (10, 20), the offline slice once per
+/// segment served and twice per segment shed, then the realtime table as
+/// pinned above.
+#[test]
+fn hybrid_deadline_accounting_is_pinned() {
+    use rtdi::sql::catalog::{HybridTable, RealtimeSide};
+    use rtdi::sql::connector::{Pushdown, PushedAgg};
+    // `archives` offline segments of 10 rows, then a realtime table past
+    // the boundary: three sealed segments of 10 and a consuming tail of 5
+    let hybrid = |archives: i64| {
+        let boundary = archives * 10;
+        let table = OlapTable::new(
+            TableConfig::new("trips", trips_schema())
+                .with_partitions(1)
+                .with_segment_rows(10)
+                .with_time_column("ts")
+                .with_query_threads(1),
+        )
+        .unwrap();
+        for row in trips(boundary..boundary + 35) {
+            table.ingest(0, row).unwrap();
+        }
+        let hybrid = HybridTable::new("trips", trips_schema(), "ts", RealtimeSide::Direct(table))
+            .with_query_threads(1);
+        for a in 0..archives {
+            let seg = Segment::build(
+                format!("off_{a}"),
+                &trips_schema(),
+                trips(a * 10..a * 10 + 10),
+                &IndexSpec::none(),
+            )
+            .unwrap();
+            let lazy = Segment::load_lazy(seg.persist().unwrap()).unwrap();
+            hybrid
+                .register_offline_segment(Arc::new(lazy), None)
+                .unwrap();
+        }
+        hybrid
+    };
+    let count = Pushdown {
+        aggregation: Some(PushedAgg {
+            group_by: Arc::new(vec![]),
+            aggs: Arc::new(vec![("n".into(), AggFn::Count)]),
+        }),
+        ..Default::default()
+    };
+    let select = Pushdown {
+        projection: Some(Arc::new(vec!["ts".into()])),
+        ..Default::default()
+    };
+    let run = |archives: i64, pd: &Pushdown, expires_at| -> Option<Covered> {
+        let pd = Pushdown {
+            deadline: Some(ticking(expires_at)),
+            ..pd.clone()
+        };
+        let out = hybrid(archives).scan(&pd).ok()?;
+        let rows = match out.rows.first().and_then(|r| r.get_int("n")) {
+            Some(n) => n as usize,
+            None => out.rows.len(),
+        };
+        assert_eq!(out.ledger.partial(), out.ledger.deadline_exceeded);
+        Some((
+            rows,
+            out.ledger.segments_queried,
+            out.ledger.segments_shed,
+            out.ledger.deadline_exceeded,
+        ))
+    };
+    for pd in [&count, &select] {
+        // budget 100 at the split: the offline slice gets 10 + 80/2 = 50,
+        // serves two archives (30, 40) and sheds the third (50, 60); the
+        // realtime side serves its tail (70) and two sealed segments (80,
+        // 90) and sheds the last (100)
+        assert_eq!(run(3, pd, 100), Some((45, 5, 2, true)));
+        // a roomy budget serves all seven segments
+        assert_eq!(run(3, pd, 1000), Some((65, 7, 0, false)));
+        // budget 60: the offline slice gets 30 and its one archive is shed
+        // at its first read (30, 40); the realtime side still answers from
+        // its tail (50) and sheds its sealed segments
+        assert_eq!(run(1, pd, 60), Some((5, 1, 4, true)));
+        // budget 70: the offline slice gets 35, serves one archive (30) and
+        // sheds two (40, 50; 60, 70); every realtime read is past 70, and a
+        // realtime side shed whole still lets the archive answer go out
+        // (how many segments that side counts as shed is its own business)
+        let (rows, queried, shed, exceeded) = run(3, pd, 70).unwrap();
+        assert_eq!((rows, queried, exceeded), (10, 1, true));
+        assert!(shed >= 2, "the offline slice alone shed two, got {shed}");
+        // nothing served on either side is an error
+        assert_eq!(run(3, pd, 20), None);
     }
 }
