@@ -95,7 +95,7 @@ fn bench(c: &mut Criterion) {
     fed.create_topic("hot", TopicConfig::default().with_partitions(8))
         .unwrap();
     for i in 0..100_000 {
-        fed.send("hot", record(i), 0).unwrap();
+        fed.send("hot", record(i).into(), 0).unwrap();
     }
     let (_, mig) = time_it(|| fed.migrate_topic("hot", "b").unwrap());
     report(
@@ -127,7 +127,7 @@ fn bench(c: &mut Criterion) {
     g.bench_function("produce_federated_routing", |b| {
         let mut i = 0;
         b.iter(|| {
-            fed2.send("t", record(i), 0).unwrap();
+            fed2.send("t", record(i).into(), 0).unwrap();
             i += 1;
         })
     });

@@ -5,12 +5,11 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rtdi_bench::{quick_criterion, report, report_header, time_it};
-use rtdi_common::record::headers;
 use rtdi_common::{Record, Row};
 use rtdi_stream::chaperone::{AlertKind, Chaperone};
 
 fn rec(i: usize) -> Record {
-    Record::new(Row::new(), (i as i64) * 3).with_header(headers::UNIQUE_ID, format!("m{i}"))
+    Record::new(Row::new(), (i as i64) * 3).with_unique_id(format!("m{i}"))
 }
 
 fn bench(c: &mut Criterion) {

@@ -5,7 +5,6 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rtdi_bench::{quick_criterion, report, report_header, time_it};
-use rtdi_common::record::headers;
 use rtdi_common::{Record, Row};
 use rtdi_multiregion::activepassive::{ActivePassiveConsumer, OffsetSyncService};
 use rtdi_multiregion::topology::MultiRegionTopology;
@@ -29,7 +28,7 @@ fn run_failover(n: usize) -> (usize, usize) {
             region,
             Record::new(Row::new().with("p", i as i64), i as i64)
                 .with_key(format!("p{i}"))
-                .with_header(headers::UNIQUE_ID, format!("pay-{i}")),
+                .with_unique_id(format!("pay-{i}")),
             i as i64,
         )
         .unwrap();
@@ -46,7 +45,7 @@ fn run_failover(n: usize) -> (usize, usize) {
     let after = consumer.consume_available(&topo).unwrap();
     let mut unique: BTreeSet<String> = BTreeSet::new();
     for r in before.iter().chain(&after) {
-        unique.insert(r.unique_id().unwrap().to_string());
+        unique.insert(r.audit().unique_id.as_ref().unwrap().to_string());
     }
     assert_eq!(unique.len(), n, "data lost in failover");
     (after.len(), before.len() + after.len() - unique.len())

@@ -36,9 +36,9 @@ pub use overload::{
     AdmissionConfig, AdmissionController, AdmissionStats, Deadline, Permit, Priority, Quota,
     RateLimiter, ShedReason,
 };
-pub use record::{Record, RecordHeaders};
+pub use record::{Audit, Record, RecordHeaders, UniqueId};
 pub use schema::{Field, FieldType, Schema};
 pub use sketch::CountMinSketch;
 pub use time::{Clock, SimClock, Timestamp, WallClock};
-pub use trace::{PipelineTracer, StageDwell, TraceReport};
+pub use trace::{PipelineTracer, StageDwell, TraceReport, TraceStage};
 pub use value::{Row, Value};

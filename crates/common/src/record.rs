@@ -2,24 +2,20 @@
 //!
 //! A [`Record`] is what producers publish and consumers receive: an
 //! optional partitioning key, a structured payload ([`Row`]), an event
-//! timestamp, and a small header map. Headers carry the audit metadata the
-//! paper describes in §9.4 ("each event is decorated with a unique
-//! identifier, application timestamp, service name, tier by the Kafka
-//! client") — Chaperone and the DLQ machinery rely on them.
+//! timestamp, the typed audit envelope the paper describes in §9.4 ("each
+//! event is decorated with a unique identifier, application timestamp,
+//! service name, tier by the Kafka client") and a small string header map
+//! for caller-defined keys and the cold DLQ/proxy bookkeeping.
 
 use crate::time::Timestamp;
 use crate::value::{Row, Value};
 use std::borrow::Cow;
-use std::fmt::Write as _;
+use std::fmt;
+use std::sync::Arc;
 
-/// Well-known header keys used across the stack.
+/// Well-known header keys. The audit envelope (unique id, timestamps,
+/// service, origin region) is the typed [`Audit`] of a record, not headers.
 pub mod headers {
-    /// Globally unique message id, set by the producer client.
-    pub const UNIQUE_ID: &str = "rtdi.unique_id";
-    /// Application timestamp at produce time.
-    pub const APP_TIMESTAMP: &str = "rtdi.app_ts";
-    /// Producing service name.
-    pub const SERVICE: &str = "rtdi.service";
     /// Tier of the producing service (0 = most critical).
     pub const TIER: &str = "rtdi.tier";
     /// Number of delivery attempts so far (set by the consumer proxy).
@@ -31,22 +27,38 @@ pub mod headers {
     pub const DLQ_REASON: &str = "rtdi.dlq_reason";
     /// Human-readable detail (the final error) accompanying `DLQ_REASON`.
     pub const DLQ_DETAIL: &str = "rtdi.dlq_detail";
-    /// Region where the record was originally produced.
-    pub const ORIGIN_REGION: &str = "rtdi.origin_region";
-    /// Timestamp of the last traced hop; each pipeline stage restamps it
-    /// so the next stage measures only its own dwell (see `trace`).
-    pub const TRACE_TIMESTAMP: &str = "rtdi.trace_ts";
+}
+
+/// Globally unique message id: what Chaperone counts at every hop.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub enum UniqueId {
+    /// Minted by a producer client: `origin` (interned: an id costs an
+    /// `Arc` bump) names one producer instance, `seq` counts its sends.
+    Seq { origin: Arc<str>, seq: u64 },
+    /// Supplied by the caller.
+    Text(Arc<str>),
+}
+
+impl fmt::Display for UniqueId {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            UniqueId::Seq { origin, seq } => write!(f, "{origin}-{seq}"),
+            UniqueId::Text(text) => f.write_str(text),
+        }
+    }
 }
 
 /// Small ordered string->string map for record headers.
 ///
 /// Keys are `Cow<'static, str>`: the well-known [`headers`] constants are
-/// stored by reference, so stamping audit metadata on every record costs
-/// no key allocation (only dynamic, caller-built keys are owned).
+/// stored by reference (only dynamic, caller-built keys are owned).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RecordHeaders {
-    entries: Vec<(Cow<'static, str>, String)>,
+    /// Boxed: most records carry no header and pay one pointer for it.
+    entries: Option<Box<HeaderEntries>>,
 }
+
+type HeaderEntries = Vec<(Cow<'static, str>, String)>;
 
 impl RecordHeaders {
     pub fn new() -> Self {
@@ -56,45 +68,58 @@ impl RecordHeaders {
     pub fn set(&mut self, key: impl Into<Cow<'static, str>>, value: impl Into<String>) {
         let key = key.into();
         let value = value.into();
-        if let Some(e) = self.entries.iter_mut().find(|(k, _)| *k == key) {
+        let entries = self.entries.get_or_insert_with(Default::default);
+        if let Some(e) = entries.iter_mut().find(|(k, _)| *k == key) {
             e.1 = value;
         } else {
-            self.entries.push((key, value));
-        }
-    }
-
-    /// Set a well-known key to an integer value, reusing the existing
-    /// value buffer when the key is already present. The per-hop trace
-    /// restamp (`trace::PipelineTracer::observe_hop`) calls this on every
-    /// record, so steady-state restamping allocates nothing.
-    pub fn set_i64(&mut self, key: &'static str, value: i64) {
-        if let Some(e) = self.entries.iter_mut().find(|(k, _)| k == key) {
-            e.1.clear();
-            let _ = write!(e.1, "{value}");
-        } else {
-            self.entries.push((Cow::Borrowed(key), value.to_string()));
+            entries.push((key, value));
         }
     }
 
     pub fn get(&self, key: &str) -> Option<&str> {
-        self.entries
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
+        self.iter().find(|(k, _)| *k == key).map(|(_, v)| v)
     }
 
     pub fn iter(&self) -> impl Iterator<Item = (&str, &str)> {
-        self.entries.iter().map(|(k, v)| (k.as_ref(), v.as_str()))
+        let entries = self.entries.iter().flat_map(|e| e.iter());
+        entries.map(|(k, v)| (k.as_ref(), v.as_str()))
     }
 
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.entries.as_ref().map_or(0, |e| e.len())
     }
 
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len() == 0
     }
 }
+
+/// The audit envelope of a record (§9.4), typed. Who writes each field:
+/// the producer client all but the last, the tracer the two stamps, the
+/// multi-region topology the last.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Audit {
+    /// Audit id, minted by the producer client unless the caller set one.
+    pub unique_id: Option<UniqueId>,
+    /// Application timestamp at produce time.
+    pub app_ts: Option<Timestamp>,
+    /// Timestamp of the last traced hop: each stage that owns the record
+    /// restamps it, so the next measures only its own dwell (see `trace`).
+    pub trace_ts: Option<Timestamp>,
+    /// Producing service name (the consumer proxy's tenant).
+    pub service: Option<Arc<str>>,
+    /// Region where the record was originally produced.
+    pub origin_region: Option<Arc<str>>,
+}
+
+/// What [`Record::audit`] shows of a record that carries no envelope.
+static NO_AUDIT: Audit = Audit {
+    unique_id: None,
+    app_ts: None,
+    trace_ts: None,
+    service: None,
+    origin_region: None,
+};
 
 /// One event flowing through the messaging layer.
 #[derive(Debug, Clone, PartialEq)]
@@ -105,8 +130,11 @@ pub struct Record {
     pub value: Row,
     /// Event time in epoch milliseconds.
     pub timestamp: Timestamp,
-    /// Audit/infrastructure metadata.
+    /// Caller-defined and DLQ/proxy metadata.
     pub headers: RecordHeaders,
+    /// Boxed: an undecorated record (a generator's, an operator's output)
+    /// pays one pointer for the envelope, not its 96 bytes.
+    audit: Option<Box<Audit>>,
 }
 
 impl Record {
@@ -116,6 +144,7 @@ impl Record {
             value,
             timestamp,
             headers: RecordHeaders::new(),
+            audit: None,
         }
     }
 
@@ -134,17 +163,28 @@ impl Record {
         self
     }
 
-    /// Unique audit id if the producer client stamped one.
-    pub fn unique_id(&self) -> Option<&str> {
-        self.headers.get(headers::UNIQUE_ID)
+    /// Builder-style caller-supplied audit id.
+    pub fn with_unique_id(mut self, id: impl AsRef<str>) -> Self {
+        self.audit_mut().unique_id = Some(UniqueId::Text(id.as_ref().into()));
+        self
     }
 
-    /// Deterministic partition choice for a keyed record.
+    /// The audit envelope; every field `None` when the record has none.
+    pub fn audit(&self) -> &Audit {
+        self.audit.as_deref().unwrap_or(&NO_AUDIT)
+    }
+
+    /// The audit envelope for writing, created on first use.
+    pub fn audit_mut(&mut self) -> &mut Audit {
+        self.audit.get_or_insert_with(Default::default)
+    }
+
+    /// Deterministic partition choice for a keyed record; `None` for an
+    /// unkeyed record or when there is no partition to choose.
     pub fn partition_for(&self, num_partitions: usize) -> Option<usize> {
-        assert!(num_partitions > 0, "num_partitions must be positive");
-        self.key
-            .as_ref()
-            .map(|k| (k.partition_hash() % num_partitions as u64) as usize)
+        let key = self.key.as_ref()?;
+        let partition = key.partition_hash().checked_rem(num_partitions as u64)?;
+        Some(partition as usize)
     }
 
     /// Rough wire/memory size, used for throughput accounting and quota
@@ -161,7 +201,15 @@ impl Record {
             .iter()
             .map(|(k, v)| k.len() + v.len() + 8)
             .sum();
-        key + self.value.approx_bytes() + headers + 8
+        let a = self.audit();
+        let audit = match &a.unique_id {
+            Some(UniqueId::Seq { origin, .. }) => origin.len() + 8,
+            Some(UniqueId::Text(text)) => text.len(),
+            None => 0,
+        } + 8 * (a.app_ts.is_some() as usize + a.trace_ts.is_some() as usize)
+            + a.service.as_ref().map_or(0, |s| s.len())
+            + a.origin_region.as_ref().map_or(0, |s| s.len());
+        key + self.value.approx_bytes() + headers + audit + 8
     }
 }
 
@@ -208,18 +256,23 @@ mod tests {
     }
 
     #[test]
-    fn audit_headers_roundtrip() {
-        let r = Record::new(Row::new(), 5)
-            .with_header(headers::UNIQUE_ID, "m-123")
-            .with_header(headers::SERVICE, "driver-app");
-        assert_eq!(r.unique_id(), Some("m-123"));
-        assert_eq!(r.headers.get(headers::SERVICE), Some("driver-app"));
+    fn unique_id_forms_render_their_text() {
+        let r = Record::new(Row::new(), 5).with_unique_id("m-123");
+        assert_eq!(r.audit().unique_id, Some(UniqueId::Text("m-123".into())));
+        assert_eq!(Record::new(Row::new(), 5).audit(), &Audit::default());
+        // undecorated records stay small: generators hold them by the 100k
+        assert!(std::mem::size_of::<Record>() <= 80);
+        let minted = UniqueId::Seq {
+            origin: "driver-app#0".into(),
+            seq: 7,
+        };
+        assert_eq!(minted.to_string(), "driver-app#0-7");
+        assert_eq!(r.audit().unique_id.as_ref().unwrap().to_string(), "m-123");
     }
 
     #[test]
-    #[should_panic]
-    fn zero_partitions_panics() {
+    fn zero_partitions_choose_nothing() {
         let r = Record::new(Row::new(), 0).with_key(1i64);
-        let _ = r.partition_for(0);
+        assert_eq!(r.partition_for(0), None);
     }
 }

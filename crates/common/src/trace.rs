@@ -3,7 +3,7 @@
 //! §5.1 demands "seconds-level" end-to-end freshness for pipelines like
 //! surge pricing; §9.3 demands real-time monitoring of every component.
 //! This module provides the plumbing both need: producers stamp an origin
-//! timestamp into record headers, every downstream hop (stream append,
+//! timestamp into the record's envelope, every downstream hop (stream append,
 //! consumer proxy, compute runtime, OLAP ingestion, SQL broker) measures
 //! how long the record dwelled since the previous hop, and the resulting
 //! per-stage histograms roll up into a [`TraceReport`] that the platform's
@@ -15,13 +15,14 @@
 //! `(hop1 - origin) + (hop2 - hop1) + (visible - hop2)`.
 
 use crate::metrics::Histogram;
-use crate::record::{headers, Record};
+use crate::record::Record;
 use crate::time::Timestamp;
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 
-/// Stage name under which [`PipelineTracer::record_total`] reports the
+/// Stage name under which [`TraceStage::record_total`] reports the
 /// origin-to-visible freshness of a record (kept out of the hop chain so
 /// per-stage dwells still sum to it).
 pub const END_TO_END: &str = "end-to-end";
@@ -75,10 +76,11 @@ impl TraceReport {
 }
 
 struct PipelineData {
-    /// Insertion-ordered so reports list stages in hop order.
+    /// In the order the stages were first resolved.
     stages: Vec<(String, Arc<Histogram>)>,
     /// Newest origin (producer) timestamp seen — drives staleness.
-    last_origin_ts: Option<Timestamp>,
+    /// `i64::MIN` until a hop advances it.
+    newest_origin: Arc<AtomicI64>,
 }
 
 /// Shared, cheap-to-clone tracer. All clones write into the same
@@ -89,61 +91,20 @@ pub struct PipelineTracer {
     inner: Arc<RwLock<BTreeMap<String, PipelineData>>>,
 }
 
-impl PipelineTracer {
-    pub fn new() -> Self {
-        Self::default()
-    }
+/// One stage of one pipeline, resolved once by [`PipelineTracer::stage`]:
+/// a component on the record path holds it and observes each record with
+/// no lookup, lock or name copy.
+#[derive(Clone)]
+pub struct TraceStage {
+    hist: Arc<Histogram>,
+    newest_origin: Arc<AtomicI64>,
+}
 
-    fn hist(&self, pipeline: &str, stage: &str) -> Arc<Histogram> {
-        let mut inner = self.inner.write();
-        let data = inner
-            .entry(pipeline.to_string())
-            .or_insert_with(|| PipelineData {
-                stages: Vec::new(),
-                last_origin_ts: None,
-            });
-        if let Some((_, h)) = data.stages.iter().find(|(n, _)| n == stage) {
-            return h.clone();
-        }
-        let h = Arc::new(Histogram::default());
-        data.stages.push((stage.to_string(), h.clone()));
-        h
-    }
-
-    /// The timestamp the *previous* hop stamped (origin for a fresh
-    /// record): the trace stamp, else the producer's app timestamp, else
-    /// the record's event time.
-    pub fn origin_of(record: &Record) -> Timestamp {
-        record
-            .headers
-            .get(headers::TRACE_TIMESTAMP)
-            .or_else(|| record.headers.get(headers::APP_TIMESTAMP))
-            .and_then(|s| s.parse::<i64>().ok())
-            .unwrap_or(record.timestamp)
-    }
-
-    /// The producer-side origin stamp (ignores intermediate hop stamps).
-    pub fn app_ts_of(record: &Record) -> Timestamp {
-        record
-            .headers
-            .get(headers::APP_TIMESTAMP)
-            .and_then(|s| s.parse::<i64>().ok())
-            .unwrap_or(record.timestamp)
-    }
-
-    /// Stamp a record at its origin: sets the trace stamp, and the app
-    /// timestamp too if the producer has not already done so.
-    pub fn stamp(record: &mut Record, now: Timestamp) {
-        if record.headers.get(headers::APP_TIMESTAMP).is_none() {
-            record.headers.set_i64(headers::APP_TIMESTAMP, now);
-        }
-        record.headers.set_i64(headers::TRACE_TIMESTAMP, now);
-    }
-
+impl TraceStage {
     /// Record a raw dwell (negative values clamp to zero — clock skew must
     /// not corrupt the histogram).
-    pub fn record_dwell(&self, pipeline: &str, stage: &str, dwell_ms: i64) {
-        self.hist(pipeline, stage).record(dwell_ms.max(0) as u64);
+    pub fn record_dwell(&self, dwell_ms: i64) {
+        self.hist.record(dwell_ms.max(0) as u64);
     }
 
     /// Measure and record the dwell since the previous hop, then restamp
@@ -156,34 +117,20 @@ impl PipelineTracer {
     /// 2. advance the pipeline's newest origin, which `staleness_ms` reads —
     ///    where a borrowed record stops ([`Self::observe_last_hop`]);
     /// 3. restamp the record (this method, which needs `&mut Record`).
-    pub fn observe_hop(
-        &self,
-        pipeline: &str,
-        stage: &str,
-        record: &mut Record,
-        now: Timestamp,
-    ) -> i64 {
-        let dwell = self.observe_last_hop(pipeline, stage, record, now);
-        record.headers.set_i64(headers::TRACE_TIMESTAMP, now);
+    pub fn observe_hop(&self, record: &mut Record, now: Timestamp) -> i64 {
+        let dwell = self.observe_last_hop(record, now);
+        record.audit_mut().trace_ts = Some(now);
         dwell
     }
 
-    /// Steps 1 and 2 of [`Self::observe_hop`]: no restamp, for the stage
-    /// after which no hop reads the stamp again (OLAP ingestion works from
-    /// the log's shared records and would have to copy one to restamp it).
-    pub fn observe_last_hop(
-        &self,
-        pipeline: &str,
-        stage: &str,
-        record: &Record,
-        now: Timestamp,
-    ) -> i64 {
-        let dwell = self.observe_read(pipeline, stage, record, now);
-        let origin = Self::app_ts_of(record);
-        let mut inner = self.inner.write();
-        if let Some(data) = inner.get_mut(pipeline) {
-            data.last_origin_ts = Some(data.last_origin_ts.map_or(origin, |t| t.max(origin)));
-        }
+    /// Steps 1 and 2 of [`Self::observe_hop`]: no restamp, for a stage that
+    /// works from the log's shared records and would have to copy one to
+    /// restamp it (the broker append of a record stamped at this very
+    /// `now`, OLAP ingestion after which no hop reads the stamp again).
+    pub fn observe_last_hop(&self, record: &Record, now: Timestamp) -> i64 {
+        let dwell = self.observe_read(record, now);
+        self.newest_origin
+            .fetch_max(PipelineTracer::app_ts_of(record), Ordering::Relaxed);
         dwell
     }
 
@@ -191,34 +138,79 @@ impl PipelineTracer {
     /// path (e.g. the consumer proxy dispatching borrowed records). The
     /// next hop will re-measure from the same stamp and the pipeline's
     /// staleness does not move, so use this only for side channels.
-    pub fn observe_read(
-        &self,
-        pipeline: &str,
-        stage: &str,
-        record: &Record,
-        now: Timestamp,
-    ) -> i64 {
-        let dwell = now - Self::origin_of(record);
-        self.record_dwell(pipeline, stage, dwell);
+    pub fn observe_read(&self, record: &Record, now: Timestamp) -> i64 {
+        let dwell = now - PipelineTracer::origin_of(record);
+        self.record_dwell(dwell);
         dwell.max(0)
     }
 
-    /// Record origin-to-now freshness under [`END_TO_END`] — call at the
-    /// point where the record becomes visible to consumers (OLAP segment,
-    /// KV store, sink topic).
-    pub fn record_total(&self, pipeline: &str, record: &Record, now: Timestamp) -> i64 {
-        let total = now - Self::app_ts_of(record);
-        self.record_dwell(pipeline, END_TO_END, total);
+    /// Record origin-to-now freshness — on the pipeline's [`END_TO_END`]
+    /// stage, at the point where the record becomes visible to consumers
+    /// (OLAP segment, KV store, sink topic).
+    pub fn record_total(&self, record: &Record, now: Timestamp) -> i64 {
+        let total = now - PipelineTracer::app_ts_of(record);
+        self.record_dwell(total);
         total.max(0)
+    }
+}
+
+impl PipelineTracer {
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Resolve (creating on first use) one stage of one pipeline.
+    pub fn stage(&self, pipeline: &str, stage: &str) -> TraceStage {
+        let mut inner = self.inner.write();
+        let data = inner
+            .entry(pipeline.to_string())
+            .or_insert_with(|| PipelineData {
+                stages: Vec::new(),
+                newest_origin: Arc::new(AtomicI64::new(i64::MIN)),
+            });
+        let known = data.stages.iter().find(|(n, _)| n == stage);
+        let hist = known.map(|(_, h)| h.clone()).unwrap_or_else(|| {
+            let h = Arc::new(Histogram::default());
+            data.stages.push((stage.to_string(), h.clone()));
+            h
+        });
+        TraceStage {
+            hist,
+            newest_origin: data.newest_origin.clone(),
+        }
+    }
+
+    /// The timestamp the *previous* hop stamped (origin for a fresh
+    /// record): the trace stamp, else the producer's app timestamp, else
+    /// the record's event time.
+    pub fn origin_of(record: &Record) -> Timestamp {
+        let audit = record.audit();
+        audit.trace_ts.or(audit.app_ts).unwrap_or(record.timestamp)
+    }
+
+    /// The producer-side origin stamp (ignores intermediate hop stamps).
+    pub fn app_ts_of(record: &Record) -> Timestamp {
+        record.audit().app_ts.unwrap_or(record.timestamp)
+    }
+
+    /// Stamp a record at its origin: sets the trace stamp, and the app
+    /// timestamp too if the producer has not already done so.
+    pub fn stamp(record: &mut Record, now: Timestamp) {
+        let audit = record.audit_mut();
+        audit.app_ts.get_or_insert(now);
+        audit.trace_ts = Some(now);
+    }
+
+    /// [`TraceStage::record_dwell`] for a caller without a handle.
+    pub fn record_dwell(&self, pipeline: &str, stage: &str, dwell_ms: i64) {
+        self.stage(pipeline, stage).record_dwell(dwell_ms);
     }
 
     /// How stale the pipeline's newest data is at `now`.
     pub fn staleness_ms(&self, pipeline: &str, now: Timestamp) -> Option<i64> {
-        self.inner
-            .read()
-            .get(pipeline)?
-            .last_origin_ts
-            .map(|t| (now - t).max(0))
+        let inner = self.inner.read();
+        let newest = inner.get(pipeline)?.newest_origin.load(Ordering::Relaxed);
+        (newest != i64::MIN).then(|| (now - newest).max(0))
     }
 
     /// Record query-time staleness under [`SQL_QUERY_STAGE`]; the SQL
@@ -229,15 +221,21 @@ impl PipelineTracer {
         Some(staleness)
     }
 
+    /// Pipelines with at least one stage that has recorded a dwell.
     pub fn pipelines(&self) -> Vec<String> {
-        self.inner.read().keys().cloned().collect()
+        let inner = self.inner.read();
+        let fed = |d: &PipelineData| d.stages.iter().any(|(_, h)| h.count() > 0);
+        let reported = inner.iter().filter(|(_, d)| fed(d));
+        reported.map(|(name, _)| name.clone()).collect()
     }
 
+    /// Every stage that has recorded a dwell (a stage resolved but never
+    /// fed is not reported), hop order preserved within a pipeline.
     pub fn report(&self) -> TraceReport {
         let inner = self.inner.read();
         let mut stages = Vec::new();
         for (pipeline, data) in inner.iter() {
-            for (stage, h) in &data.stages {
+            for (stage, h) in data.stages.iter().filter(|(_, h)| h.count() > 0) {
                 stages.push(StageDwell {
                     pipeline: pipeline.clone(),
                     stage: stage.clone(),
@@ -268,10 +266,11 @@ mod tests {
     fn hop_dwells_sum_to_end_to_end() {
         let tr = PipelineTracer::new();
         let mut r = stamped(1_000);
-        assert_eq!(tr.observe_hop("p", "stream", &mut r, 1_010), 10);
-        assert_eq!(tr.observe_hop("p", "compute", &mut r, 1_250), 240);
-        assert_eq!(tr.observe_hop("p", "olap", &mut r, 1_300), 50);
-        assert_eq!(tr.record_total("p", &r, 1_300), 300);
+        tr.stage("p", "never-fed");
+        assert_eq!(tr.stage("p", "stream").observe_hop(&mut r, 1_010), 10);
+        assert_eq!(tr.stage("p", "compute").observe_hop(&mut r, 1_250), 240);
+        assert_eq!(tr.stage("p", "olap").observe_hop(&mut r, 1_300), 50);
+        assert_eq!(tr.stage("p", END_TO_END).record_total(&r, 1_300), 300);
         let report = tr.report();
         assert_eq!(
             report.sum_of_hop_means_ms("p"),
@@ -292,8 +291,11 @@ mod tests {
         assert_eq!(tr.staleness_ms("p", 99), None);
         let mut a = stamped(1_000);
         let mut b = stamped(4_000);
-        tr.observe_hop("p", "stream", &mut a, 1_001);
-        tr.observe_hop("p", "stream", &mut b, 4_001);
+        let stream = tr.stage("p", "stream");
+        assert_eq!(tr.staleness_ms("p", 99), None, "resolved, nothing seen");
+        assert!(tr.pipelines().is_empty());
+        stream.observe_hop(&mut a, 1_001);
+        stream.observe_hop(&mut b, 4_001);
         assert_eq!(tr.staleness_ms("p", 5_000), Some(1_000));
         assert_eq!(tr.note_query("p", 5_000), Some(1_000));
         assert_eq!(tr.report().stage("p", SQL_QUERY_STAGE).unwrap().count, 1);
@@ -303,16 +305,16 @@ mod tests {
     fn unstamped_records_fall_back_to_event_time() {
         let tr = PipelineTracer::new();
         let mut r = Record::new(Row::new(), 500);
-        assert_eq!(tr.observe_hop("p", "s", &mut r, 600), 100);
+        assert_eq!(tr.stage("p", "s").observe_hop(&mut r, 600), 100);
         // hop restamped: the next hop measures only its own dwell
-        assert_eq!(tr.observe_hop("p", "s2", &mut r, 650), 50);
+        assert_eq!(tr.stage("p", "s2").observe_hop(&mut r, 650), 50);
     }
 
     #[test]
     fn clock_skew_clamps_to_zero() {
         let tr = PipelineTracer::new();
         let mut r = stamped(1_000);
-        assert_eq!(tr.observe_hop("p", "s", &mut r, 900), 0);
+        assert_eq!(tr.stage("p", "s").observe_hop(&mut r, 900), 0);
         assert_eq!(tr.report().stage("p", "s").unwrap().max_ms, 0);
     }
 

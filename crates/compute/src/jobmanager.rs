@@ -959,7 +959,7 @@ mod tests {
         // trace a hop so the pipeline has an origin timestamp
         let mut rec = Record::new(Row::new().with("i", 1i64), 0);
         PipelineTracer::stamp(&mut rec, 0);
-        tracer.observe_hop("surge", "ingest", &mut rec, 0);
+        tracer.stage("surge", "ingest").observe_hop(&mut rec, 0);
 
         // fresh: deployments admitted, sources unthrottled
         assert!(!jm.tick_saturation());
@@ -988,7 +988,9 @@ mod tests {
         // pipeline catches up: throttle released, deployments admitted
         let mut rec = Record::new(Row::new().with("i", 2i64), 30_000);
         PipelineTracer::stamp(&mut rec, 30_000);
-        tracer.observe_hop("surge", "ingest", &mut rec, 30_000);
+        tracer
+            .stage("surge", "ingest")
+            .observe_hop(&mut rec, 30_000);
         assert!(!jm.tick_saturation());
         assert_eq!(throttle.cap(), None);
         assert_eq!(src.poll_batch(100).unwrap().len(), 8, "uncapped again");
@@ -1097,7 +1099,7 @@ mod tests {
         let tracer = PipelineTracer::new();
         let mut rec = Record::new(Row::new().with("i", 1i64), 0);
         PipelineTracer::stamp(&mut rec, 0);
-        tracer.observe_hop("trips", "ingest", &mut rec, 0);
+        tracer.stage("trips", "ingest").observe_hop(&mut rec, 0);
         let clock = Arc::new(SimClock::new(60_000));
         jm.watch_saturation(tracer, clock, 1_000_000, usize::MAX);
         assert_eq!(jm.max_watched_staleness(), Some(60_000));

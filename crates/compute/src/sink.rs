@@ -6,7 +6,8 @@
 //! to keep this crate independent of the OLAP layer.
 
 use parking_lot::Mutex;
-use rtdi_common::{Clock, PipelineTracer, Record, Result, Row, Timestamp};
+use rtdi_common::trace::END_TO_END;
+use rtdi_common::{Clock, PipelineTracer, Record, Result, Row, Timestamp, TraceStage};
 use rtdi_stream::topic::Topic;
 use std::sync::Arc;
 
@@ -101,8 +102,9 @@ impl Sink for TopicSink {
 /// the point where a job's output becomes visible to consumers.
 pub struct TracingSink {
     inner: Box<dyn Sink>,
-    tracer: PipelineTracer,
-    pipeline: String,
+    /// The pipeline's `"sink"` hop and its end-to-end rollup, resolved once.
+    hop: TraceStage,
+    total: TraceStage,
     clock: Arc<dyn Clock>,
 }
 
@@ -110,13 +112,13 @@ impl TracingSink {
     pub fn new(
         inner: Box<dyn Sink>,
         tracer: PipelineTracer,
-        pipeline: impl Into<String>,
+        pipeline: &str,
         clock: Arc<dyn Clock>,
     ) -> Self {
         TracingSink {
             inner,
-            tracer,
-            pipeline: pipeline.into(),
+            hop: tracer.stage(pipeline, "sink"),
+            total: tracer.stage(pipeline, END_TO_END),
             clock,
         }
     }
@@ -125,9 +127,8 @@ impl TracingSink {
 impl Sink for TracingSink {
     fn write(&mut self, mut record: Record) -> Result<()> {
         let now = self.clock.now();
-        self.tracer
-            .observe_hop(&self.pipeline, "sink", &mut record, now);
-        self.tracer.record_total(&self.pipeline, &record, now);
+        self.hop.observe_hop(&mut record, now);
+        self.total.record_total(&record, now);
         self.inner.write(record)
     }
 

@@ -247,7 +247,8 @@ impl RealtimePlatform {
     /// [`Producer`]).
     pub fn produce(&self, topic: &str, record: Record) -> Result<()> {
         self.usage.note(Component::Stream);
-        self.federation.send(topic, record, self.clock.now())?;
+        self.federation
+            .send(topic, Arc::new(record), self.clock.now())?;
         Ok(())
     }
 

@@ -162,7 +162,6 @@ impl ActivePassiveConsumer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtdi_common::record::headers;
     use rtdi_common::Row;
     use rtdi_stream::topic::TopicConfig;
     use std::collections::BTreeSet;
@@ -170,13 +169,13 @@ mod tests {
     fn payment(i: i64) -> Record {
         Record::new(Row::new().with("payment", i), i)
             .with_key(format!("p{i}"))
-            .with_header(headers::UNIQUE_ID, format!("pay-{i}"))
+            .with_unique_id(format!("pay-{i}"))
     }
 
     fn ids(records: &[Record]) -> BTreeSet<String> {
         records
             .iter()
-            .map(|r| r.unique_id().unwrap().to_string())
+            .map(|r| r.audit().unique_id.as_ref().unwrap().to_string())
             .collect()
     }
 

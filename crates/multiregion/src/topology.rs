@@ -43,6 +43,9 @@ impl RegionHealth {
 /// receiving replicated data from every region.
 pub struct Region {
     pub name: String,
+    /// `name`, interned: what [`MultiRegionTopology::produce`] stamps as a
+    /// record's origin region.
+    origin: Arc<str>,
     pub regional: Arc<Cluster>,
     pub aggregate: Arc<Cluster>,
 }
@@ -51,6 +54,7 @@ impl Region {
     pub fn new(name: &str) -> Region {
         Region {
             name: name.to_string(),
+            origin: name.into(),
             regional: Cluster::new(format!("{name}-regional"), ClusterConfig::default()),
             aggregate: Cluster::new(format!("{name}-aggregate"), ClusterConfig::default()),
         }
@@ -61,6 +65,7 @@ impl Region {
     pub fn with_membership(name: &str, membership: Arc<Membership>) -> Region {
         Region {
             name: name.to_string(),
+            origin: name.into(),
             regional: Cluster::with_membership(
                 format!("{name}-regional"),
                 ClusterConfig::default(),
@@ -253,12 +258,9 @@ impl MultiRegionTopology {
     /// Produce an event into a region's regional cluster (what the app in
     /// that region does).
     pub fn produce(&self, region: &str, mut record: Record, now: Timestamp) -> Result<()> {
-        record
-            .headers
-            .set(rtdi_common::record::headers::ORIGIN_REGION, region);
-        self.region(region)?
-            .regional
-            .produce(&self.topic, record, now)?;
+        let region = self.region(region)?;
+        record.audit_mut().origin_region = Some(region.origin.clone());
+        region.regional.produce(&self.topic, record, now)?;
         Ok(())
     }
 
@@ -457,9 +459,6 @@ mod tests {
         topo.produce("a", trip(1), 1).unwrap();
         let t = topo.region("a").unwrap().regional.topic("trips").unwrap();
         let rec = &t.fetch(0, 0, 1).unwrap().records[0].record;
-        assert_eq!(
-            rec.headers.get(rtdi_common::record::headers::ORIGIN_REGION),
-            Some("a")
-        );
+        assert_eq!(rec.audit().origin_region.as_deref(), Some("a"));
     }
 }

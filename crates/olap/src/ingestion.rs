@@ -9,8 +9,9 @@
 
 use crate::segstore::SegmentStore;
 use crate::table::OlapTable;
-use rtdi_common::{Clock, Error, PipelineTracer, Result};
-use rtdi_stream::chaperone::Chaperone;
+use rtdi_common::trace::END_TO_END;
+use rtdi_common::{Clock, Error, PipelineTracer, Result, TraceStage};
+use rtdi_stream::chaperone::{Chaperone, ChaperoneStage};
 use rtdi_stream::topic::Topic;
 use std::sync::Arc;
 
@@ -37,8 +38,11 @@ pub struct RealtimeIngester {
     topic: Arc<Topic>,
     table: Arc<OlapTable>,
     segstore: Option<Arc<SegmentStore>>,
-    chaperone: Option<Chaperone>,
-    tracer: Option<PipelineTracer>,
+    /// The `config.audit_stage` stage of the auditor, resolved once.
+    chaperone: Option<ChaperoneStage>,
+    /// The topic's pipeline: its `"olap-ingest"` hop and its end-to-end
+    /// rollup, resolved once.
+    trace: Option<(TraceStage, TraceStage)>,
     clock: Option<Arc<dyn Clock>>,
     config: IngestionConfig,
     positions: Vec<u64>,
@@ -60,7 +64,7 @@ impl RealtimeIngester {
             table,
             segstore: None,
             chaperone: None,
-            tracer: None,
+            trace: None,
             clock: None,
             config,
             positions: vec![0; n],
@@ -73,7 +77,7 @@ impl RealtimeIngester {
     }
 
     pub fn with_chaperone(mut self, ch: Chaperone) -> Self {
-        self.chaperone = Some(ch);
+        self.chaperone = Some(ch.stage(&self.config.audit_stage));
         self
     }
 
@@ -81,7 +85,11 @@ impl RealtimeIngester {
     /// the `"olap-ingest"` hop plus the end-to-end rollup (record becomes
     /// queryable here).
     pub fn with_tracer(mut self, tracer: PipelineTracer) -> Self {
-        self.tracer = Some(tracer);
+        let pipeline = self.topic.name();
+        self.trace = Some((
+            tracer.stage(pipeline, "olap-ingest"),
+            tracer.stage(pipeline, END_TO_END),
+        ));
         self
     }
 
@@ -121,15 +129,14 @@ impl RealtimeIngester {
                         .as_ref()
                         .map(|c| c.now())
                         .unwrap_or(record.timestamp);
-                    if let Some(ch) = &self.chaperone {
-                        ch.observe_at(&self.config.audit_stage, record, now);
+                    if let Some(stage) = &self.chaperone {
+                        stage.observe_at(record, now);
                     }
-                    if let Some(tr) = &self.tracer {
-                        let pipeline = self.topic.name();
-                        tr.observe_last_hop(pipeline, "olap-ingest", record, now);
+                    if let Some((hop, total)) = &self.trace {
+                        hop.observe_last_hop(record, now);
                         // the record is queryable from here on: close out
                         // the end-to-end freshness measurement
-                        tr.record_total(pipeline, record, now);
+                        total.record_total(record, now);
                     }
                     // event time is queryable under the table's time column
                     self.table
@@ -167,7 +174,6 @@ mod tests {
     use crate::segment::IndexSpec;
     use crate::segstore::SegmentStoreMode;
     use crate::table::TableConfig;
-    use rtdi_common::record::headers;
     use rtdi_common::{AggFn, FieldType, Record, Row, Schema, Value};
     use rtdi_storage::object::InMemoryStore;
     use rtdi_stream::topic::TopicConfig;
@@ -207,7 +213,7 @@ mod tests {
             i as i64,
         )
         .with_key(format!("t{i}"))
-        .with_header(headers::UNIQUE_ID, format!("m{i}-{fare}"))
+        .with_unique_id(format!("m{i}-{fare}"))
     }
 
     #[test]

@@ -1057,7 +1057,7 @@ mod tests {
         clock.advance(100);
         let mut rec = Record::new(Row::new().with("i", 1i64), 100);
         PipelineTracer::stamp(&mut rec, 100);
-        tracer.observe_hop("orders", "ingest", &mut rec, 100);
+        tracer.stage("orders", "ingest").observe_hop(&mut rec, 100);
         clock.advance(5_000);
         let out = e.query("SELECT COUNT(*) AS n FROM orders").unwrap();
         assert_eq!(out.stats.staleness_ms, Some(5_000));

@@ -16,9 +16,11 @@ use crate::segfile::{self, ColumnBuilder, SegmentMeta};
 use bytes::{BufMut, Bytes, BytesMut};
 use rtdi_common::wire::{
     get_block_checked, get_count_checked, get_f64_checked, get_i64_checked, get_str_checked,
-    get_u8_checked,
+    get_u64_checked, get_u8_checked,
 };
-use rtdi_common::{Error, Record, Result, RetryPolicy, Row, Schema, Timestamp, Value};
+use rtdi_common::{
+    Audit, Error, Record, Result, RetryPolicy, Row, Schema, Timestamp, UniqueId, Value,
+};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -40,10 +42,100 @@ fn day_name(day: i64) -> String {
 }
 
 /// Raw-log encoding of a record batch: length-prefixed rows with key,
-/// timestamp and headers (public: the tiered-storage extension reuses it
-/// for cold chunks).
+/// timestamp, the typed audit block and headers (public: the
+/// tiered-storage extension reuses it for cold chunks).
 pub fn encode_raw(records: &[Record]) -> Result<Bytes> {
     Ok(encode_raw_refs(&records.iter().collect::<Vec<_>>()))
+}
+
+/// Fewest bytes a raw-log record takes: ts(8) + key tag(1) + an audit
+/// block of its length(4) and flags(1) + header and column counts(8).
+const MIN_RECORD_BYTES: usize = 22;
+
+/// Audit-block flags: bits 0-1 say which [`UniqueId`] form follows, one
+/// bit each for the four optional fields after it, in this order.
+const ID_SEQ: u8 = 1;
+const ID_TEXT: u8 = 2;
+const HAS_APP_TS: u8 = 1 << 2;
+const HAS_TRACE_TS: u8 = 1 << 3;
+const HAS_SERVICE: u8 = 1 << 4;
+const HAS_ORIGIN_REGION: u8 = 1 << 5;
+
+fn put_str(buf: &mut BytesMut, s: &str) {
+    buf.put_u32(s.len() as u32);
+    buf.put_slice(s.as_bytes());
+}
+
+/// A record's audit envelope, typed: a flags byte, then the fields it
+/// announces — fixed-width integers, length-prefixed strings.
+fn encode_audit(buf: &mut BytesMut, a: &Audit) {
+    let has = |present: bool, flag: u8| if present { flag } else { 0 };
+    let id_form = match &a.unique_id {
+        None => 0,
+        Some(UniqueId::Seq { .. }) => ID_SEQ,
+        Some(UniqueId::Text(_)) => ID_TEXT,
+    };
+    buf.put_u8(
+        id_form
+            | has(a.app_ts.is_some(), HAS_APP_TS)
+            | has(a.trace_ts.is_some(), HAS_TRACE_TS)
+            | has(a.service.is_some(), HAS_SERVICE)
+            | has(a.origin_region.is_some(), HAS_ORIGIN_REGION),
+    );
+    match &a.unique_id {
+        None => {}
+        Some(UniqueId::Seq { origin, seq }) => {
+            buf.put_u64(*seq);
+            put_str(buf, origin);
+        }
+        Some(UniqueId::Text(text)) => put_str(buf, text),
+    }
+    for ts in [a.app_ts, a.trace_ts].into_iter().flatten() {
+        buf.put_i64(ts);
+    }
+    for s in [&a.service, &a.origin_region].into_iter().flatten() {
+        put_str(buf, s);
+    }
+}
+
+/// Inverse of [`encode_audit`] over one record's block, which must hold
+/// exactly the fields its flags announce.
+fn decode_audit(mut block: Bytes) -> Result<Audit> {
+    let flags = get_u8_checked(&mut block, "audit flags")?;
+    let unique_id = match flags & 0b11 {
+        0 => None,
+        ID_SEQ => {
+            let seq = get_u64_checked(&mut block, "unique id seq")?;
+            let origin = get_str_checked(&mut block, "unique id origin")?.into();
+            Some(UniqueId::Seq { origin, seq })
+        }
+        ID_TEXT => Some(UniqueId::Text(
+            get_str_checked(&mut block, "unique id")?.into(),
+        )),
+        _ => return Err(Error::Corruption("bad unique id form".into())),
+    };
+    let mut a = Audit {
+        unique_id,
+        ..Audit::default()
+    };
+    if flags & HAS_APP_TS != 0 {
+        a.app_ts = Some(get_i64_checked(&mut block, "app timestamp")?);
+    }
+    if flags & HAS_TRACE_TS != 0 {
+        a.trace_ts = Some(get_i64_checked(&mut block, "trace timestamp")?);
+    }
+    if flags & HAS_SERVICE != 0 {
+        a.service = Some(get_str_checked(&mut block, "service")?.into());
+    }
+    if flags & HAS_ORIGIN_REGION != 0 {
+        a.origin_region = Some(get_str_checked(&mut block, "origin region")?.into());
+    }
+    if flags >> 6 != 0 || !block.is_empty() {
+        return Err(Error::Corruption(
+            "audit block does not match its flags".into(),
+        ));
+    }
+    Ok(a)
 }
 
 fn encode_raw_refs(records: &[&Record]) -> Bytes {
@@ -54,8 +146,7 @@ fn encode_raw_refs(records: &[&Record]) -> Bytes {
         match &r.key {
             Some(Value::Str(s)) => {
                 buf.put_u8(KEY_STR);
-                buf.put_u32(s.len() as u32);
-                buf.put_slice(s.as_bytes());
+                put_str(&mut buf, s);
             }
             Some(Value::Int(i)) => {
                 buf.put_u8(KEY_INT);
@@ -63,17 +154,21 @@ fn encode_raw_refs(records: &[&Record]) -> Bytes {
             }
             _ => buf.put_u8(0),
         }
+        // length-prefixed (the length patched in once the block is
+        // written), so a reader that wants none of it skips it
+        let block = buf.len() + 4;
+        buf.put_u32(0);
+        encode_audit(&mut buf, r.audit());
+        let len = (buf.len() - block) as u32;
+        buf[block - 4..block].copy_from_slice(&len.to_be_bytes());
         buf.put_u32(r.headers.len() as u32);
         for (k, v) in r.headers.iter() {
-            buf.put_u32(k.len() as u32);
-            buf.put_slice(k.as_bytes());
-            buf.put_u32(v.len() as u32);
-            buf.put_slice(v.as_bytes());
+            put_str(&mut buf, k);
+            put_str(&mut buf, v);
         }
         buf.put_u32(r.value.len() as u32);
         for (name, value) in r.value.iter() {
-            buf.put_u32(name.len() as u32);
-            buf.put_slice(name.as_bytes());
+            put_str(&mut buf, name);
             encode_value(&mut buf, value);
         }
     }
@@ -103,8 +198,7 @@ fn encode_value(buf: &mut BytesMut, v: &Value) {
         }
         Value::Str(s) => {
             buf.put_u8(TAG_STR);
-            buf.put_u32(s.len() as u32);
-            buf.put_slice(s.as_bytes());
+            put_str(buf, s);
         }
         Value::Bytes(b) => {
             buf.put_u8(5);
@@ -114,8 +208,7 @@ fn encode_value(buf: &mut BytesMut, v: &Value) {
         Value::Json(j) => {
             let s = rtdi_common::json::to_string(j);
             buf.put_u8(6);
-            buf.put_u32(s.len() as u32);
-            buf.put_slice(s.as_bytes());
+            put_str(buf, &s);
         }
     }
 }
@@ -146,8 +239,7 @@ pub fn encode_rows(rows: &[Row]) -> Bytes {
     for row in rows {
         buf.put_u32(row.len() as u32);
         for (name, value) in row.iter() {
-            buf.put_u32(name.len() as u32);
-            buf.put_slice(name.as_bytes());
+            put_str(&mut buf, name);
             encode_value(&mut buf, value);
         }
     }
@@ -184,8 +276,7 @@ fn decode_row(buf: &mut Bytes) -> Result<Row> {
 /// corrupt input returns `Err(Corruption)`, never panics.
 pub fn decode_raw(data: &Bytes) -> Result<Vec<Record>> {
     let mut buf = data.clone();
-    // every record needs at least ts(8) + key tag(1) + two counts(8)
-    let n = get_count_checked(&mut buf, 17, "record count")?;
+    let n = get_count_checked(&mut buf, MIN_RECORD_BYTES, "record count")?;
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
         let ts = get_i64_checked(&mut buf, "record timestamp")?;
@@ -194,10 +285,14 @@ pub fn decode_raw(data: &Bytes) -> Result<Vec<Record>> {
             KEY_INT => Some(Value::Int(get_i64_checked(&mut buf, "int key")?)),
             _ => None,
         };
-        // every header needs at least its two length prefixes
-        let nh = get_count_checked(&mut buf, 8, "header count")?;
         let mut rec = Record::new(Row::new(), ts);
         rec.key = key;
+        let audit = decode_audit(get_block_checked(&mut buf, "audit block")?)?;
+        if audit != Audit::default() {
+            *rec.audit_mut() = audit;
+        }
+        // every header needs at least its two length prefixes
+        let nh = get_count_checked(&mut buf, 8, "header count")?;
         for _ in 0..nh {
             let k = get_str_checked(&mut buf, "header key")?;
             let v = get_str_checked(&mut buf, "header value")?;
@@ -345,14 +440,14 @@ fn utf8<'a>(bytes: &'a [u8], what: &str) -> Result<&'a str> {
 
 /// Append one raw log's rows to the column builders (`columns[i]` builds
 /// `schema.fields[i]`, `__ts` among them). It walks the layout
-/// [`decode_raw`] walks, with every check that makes, but builds neither
-/// the keys and headers a part file does not store nor a `Record` and a
-/// `Row` around the cells. As in a `Row`, the first of two equal column
+/// [`decode_raw`] walks, with every check that makes outside the audit
+/// block (skipped by its length), but builds neither the keys and headers
+/// a part file does not store nor a `Record` and a `Row` around the cells. As in a `Row`, the first of two equal column
 /// names wins; an event time the row lacks is the record's timestamp.
 fn compact_raw(data: &Bytes, schema: &Schema, columns: &mut [ColumnBuilder]) -> Result<()> {
     let ts_col = schema.field_index("__ts");
     let mut buf = data.clone();
-    let n = get_count_checked(&mut buf, 17, "record count")?;
+    let n = get_count_checked(&mut buf, MIN_RECORD_BYTES, "record count")?;
     for _ in 0..n {
         let row = columns.first().map_or(0, ColumnBuilder::len);
         let ts = get_i64_checked(&mut buf, "record timestamp")?;
@@ -361,6 +456,7 @@ fn compact_raw(data: &Bytes, schema: &Schema, columns: &mut [ColumnBuilder]) -> 
             KEY_INT => drop(get_i64_checked(&mut buf, "int key")?),
             _ => {}
         }
+        get_block_checked(&mut buf, "audit block")?;
         let nh = get_count_checked(&mut buf, 8, "header count")?;
         for _ in 0..nh {
             utf8(&get_block_checked(&mut buf, "header key")?, "header key")?;
@@ -412,7 +508,7 @@ mod tests {
             ts,
         )
         .with_key(format!("k{i}"))
-        .with_header("rtdi.unique_id", format!("u{i}"))
+        .with_unique_id(format!("u{i}"))
     }
 
     #[test]
@@ -421,6 +517,61 @@ mod tests {
         let data = encode_raw(&records).unwrap();
         let decoded = decode_raw(&data).unwrap();
         assert_eq!(records, decoded);
+    }
+
+    #[test]
+    fn audit_block_roundtrips_every_shape_of_envelope() {
+        // what a producer sends: a minted id and all of its stamps
+        let mut minted = rec(1, 10);
+        *minted.audit_mut() = Audit {
+            unique_id: Some(UniqueId::Seq {
+                origin: "driver-app#3".into(),
+                seq: u64::MAX,
+            }),
+            app_ts: Some(-5),
+            trace_ts: Some(i64::MAX),
+            service: Some("driver-app".into()),
+            origin_region: Some("us-west".into()),
+        };
+        // a caller's id beside caller headers, one stamp of the two
+        let mut text = rec(2, 11).with_header("tenant", "eats").with_header("", "");
+        text.audit_mut().trace_ts = Some(12);
+        // nothing at all, and a region alone
+        let bare = Record::new(Row::new(), 12);
+        let mut region_only = Record::new(Row::new().with("x", 1i64), 13);
+        region_only.audit_mut().origin_region = Some("".into());
+        let records = vec![minted, text, bare, region_only];
+        let data = encode_raw(&records).unwrap();
+        assert_eq!(decode_raw(&data).unwrap(), records);
+        // the typed block is what the four string headers used to be
+        let as_headers = |r: &Record| {
+            let mut h = r.clone();
+            *h.audit_mut() = Audit::default();
+            h.with_header("rtdi.unique_id", "driver-app-18446744073709551615")
+                .with_header("rtdi.app_ts", "1700000000000")
+                .with_header("rtdi.trace_ts", "1700000000000")
+                .with_header("rtdi.service", "driver-app")
+        };
+        let typed = encode_raw(&records[..1]).unwrap().len();
+        let stringly = encode_raw(&[as_headers(&records[0])]).unwrap().len();
+        assert!(typed < stringly, "{typed} >= {stringly}");
+    }
+
+    #[test]
+    fn audit_block_rejects_flags_that_disagree_with_its_bytes() {
+        let clean = encode_raw(&[rec(1, 10)]).unwrap().to_vec();
+        // record 0: count(4) ts(8) key tag(1) len(4) "k1"(2) -> block length, flags
+        let (len_at, flags_at) = (19, 23);
+        assert_eq!(clean[flags_at], ID_TEXT);
+        for flags in [0b11, ID_TEXT | 1 << 6, ID_TEXT | HAS_APP_TS, 0] {
+            let mut bad = clean.clone();
+            bad[flags_at] = flags;
+            let r = decode_raw(&Bytes::from(bad));
+            assert!(matches!(r, Err(Error::Corruption(_))), "flags {flags:#b}");
+        }
+        let mut short = clean.clone();
+        short[len_at + 3] -= 1;
+        assert!(decode_raw(&Bytes::from(short)).is_err());
     }
 
     #[test]

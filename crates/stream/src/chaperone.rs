@@ -8,22 +8,27 @@
 //! Every stage of a pipeline (regional Kafka, aggregate Kafka, Flink sink,
 //! Pinot ingestion...) reports each message's unique id and event time to
 //! a [`Chaperone`] collector; [`Chaperone::audit`] compares any two stages
-//! window by window and emits loss/duplicate alerts.
+//! window by window and emits loss/duplicate alerts. A component on the
+//! record path resolves its stage once ([`Chaperone::stage`]) and reports
+//! through the handle.
 
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 use rtdi_common::metrics::Histogram;
 use rtdi_common::trace::PipelineTracer;
-use rtdi_common::{Record, Timestamp};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use rtdi_common::{Record, Timestamp, UniqueId};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
 /// Per-(stage, window) statistics.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WindowStats {
-    /// Total messages observed (duplicates included).
+    /// Total messages observed (duplicates and anonymous ones included).
     pub count: u64,
     /// Distinct unique-ids observed.
     pub unique: u64,
+    /// Messages without an id, each taken for a message of its own: they
+    /// weigh in the loss comparison, never in duplication.
+    pub anonymous: u64,
 }
 
 /// One detected mismatch between two stages in one window.
@@ -46,12 +51,19 @@ pub enum AlertKind {
 }
 
 #[derive(Default)]
+struct Window {
+    /// id -> occurrences
+    ids: HashMap<UniqueId, u32>,
+    anonymous: u64,
+}
+
+#[derive(Default)]
 struct StageData {
-    /// window start -> ids seen (id -> occurrences)
-    windows: BTreeMap<Timestamp, HashMap<String, u32>>,
+    /// window start -> what the window saw
+    windows: Mutex<BTreeMap<Timestamp, Window>>,
     /// Freshness at this stage: observation time minus the record's
     /// producer origin stamp, in milliseconds. Only populated by
-    /// [`Chaperone::observe_at`] (plain `observe` has no wall clock).
+    /// `observe_at` (plain `observe` has no wall clock).
     freshness: Histogram,
 }
 
@@ -68,7 +80,45 @@ pub struct StageFreshness {
 #[derive(Clone)]
 pub struct Chaperone {
     window_ms: i64,
-    stages: Arc<RwLock<BTreeMap<String, StageData>>>,
+    stages: Arc<RwLock<BTreeMap<String, Arc<StageData>>>>,
+}
+
+/// One stage of the collector, resolved once: observing a record through
+/// it takes the stage's own lock and copies no name and no id text.
+#[derive(Clone)]
+pub struct ChaperoneStage {
+    window_ms: i64,
+    data: Arc<StageData>,
+}
+
+impl ChaperoneStage {
+    /// Report one message's passage through the stage, windowed by its
+    /// event time. One without a unique id is counted, not deduplicated.
+    pub fn observe(&self, record: &Record) {
+        self.count(record.audit().unique_id.as_ref(), record.timestamp);
+    }
+
+    /// Like [`observe`](Self::observe), but with the observer's clock:
+    /// also records the record's freshness (now minus its producer origin
+    /// stamp) so audits carry per-stage freshness percentiles alongside
+    /// counts. Windowing still uses the record's event time so upstream
+    /// and downstream observations of the same message land in the same
+    /// audit window regardless of when each stage saw it.
+    pub fn observe_at(&self, record: &Record, now: Timestamp) {
+        self.observe(record);
+        let dwell = (now - PipelineTracer::app_ts_of(record)).max(0);
+        self.data.freshness.record(dwell as u64);
+    }
+
+    fn count(&self, id: Option<&UniqueId>, ts: Timestamp) {
+        let start = ts.div_euclid(self.window_ms) * self.window_ms;
+        let mut windows = self.data.windows.lock();
+        let window = windows.entry(start).or_default();
+        match id {
+            None => window.anonymous += 1,
+            Some(id) => *window.ids.entry(id.clone()).or_insert(0) += 1,
+        }
+    }
 }
 
 impl Chaperone {
@@ -79,36 +129,28 @@ impl Chaperone {
         }
     }
 
-    fn window_of(&self, ts: Timestamp) -> Timestamp {
-        ts.div_euclid(self.window_ms) * self.window_ms
+    /// Resolve (creating on first use) a stage's handle.
+    pub fn stage(&self, name: &str) -> ChaperoneStage {
+        let known = self.stages.read().get(name).cloned();
+        let data = known.unwrap_or_else(|| {
+            let mut stages = self.stages.write();
+            stages.entry(name.to_string()).or_default().clone()
+        });
+        ChaperoneStage {
+            window_ms: self.window_ms,
+            data,
+        }
     }
 
-    /// Report one message's passage through a stage. Messages without a
-    /// unique id are counted under a synthetic id (they can still be
-    /// counted, but not deduplicated).
+    /// [`ChaperoneStage::observe`] for a caller without a handle.
     pub fn observe(&self, stage: &str, record: &Record) {
-        let id = record
-            .unique_id()
-            .map(|s| s.to_string())
-            .unwrap_or_else(|| format!("<anon-{}>", record.timestamp));
-        self.observe_id(stage, &id, record.timestamp);
+        self.stage(stage).observe(record);
     }
 
-    /// Like [`observe`](Self::observe), but with the observer's clock:
-    /// also records the record's freshness (now minus its producer origin
-    /// stamp) so audits carry per-stage freshness percentiles alongside
-    /// counts. Windowing still uses the record's event time so upstream
-    /// and downstream observations of the same message land in the same
-    /// audit window regardless of when each stage saw it.
-    pub fn observe_at(&self, stage: &str, record: &Record, now: Timestamp) {
-        self.observe(stage, record);
-        let dwell = (now - PipelineTracer::app_ts_of(record)).max(0);
-        self.stages
-            .write()
-            .entry(stage.to_string())
-            .or_default()
-            .freshness
-            .record(dwell as u64);
+    /// Lower-level variant for stages that only have ids.
+    pub fn observe_id(&self, stage: &str, unique_id: &str, ts: Timestamp) {
+        let id = UniqueId::Text(unique_id.into());
+        self.stage(stage).count(Some(&id), ts);
     }
 
     /// Freshness percentiles for a stage; `None` if the stage has never
@@ -129,80 +171,57 @@ impl Chaperone {
 
     /// Every stage that has reported at least one observation.
     pub fn stage_names(&self) -> Vec<String> {
-        self.stages.read().keys().cloned().collect()
+        let stages = self.stages.read();
+        let observed = stages.iter().filter(|(_, d)| !d.windows.lock().is_empty());
+        observed.map(|(name, _)| name.clone()).collect()
     }
 
-    /// Lower-level variant for stages that only have ids.
-    pub fn observe_id(&self, stage: &str, unique_id: &str, ts: Timestamp) {
-        let window = self.window_of(ts);
-        let mut stages = self.stages.write();
-        let data = stages.entry(stage.to_string()).or_default();
-        *data
-            .windows
-            .entry(window)
-            .or_default()
-            .entry(unique_id.to_string())
-            .or_insert(0) += 1;
+    fn tallies(&self, stage: &str) -> BTreeMap<Timestamp, WindowStats> {
+        let Some(data) = self.stages.read().get(stage).cloned() else {
+            return BTreeMap::new();
+        };
+        let tally = |w: &Window| WindowStats {
+            count: w.ids.values().map(|&c| c as u64).sum::<u64>() + w.anonymous,
+            unique: w.ids.len() as u64,
+            anonymous: w.anonymous,
+        };
+        let windows = data.windows.lock();
+        windows.iter().map(|(&at, w)| (at, tally(w))).collect()
     }
 
     /// Statistics for one stage/window.
     pub fn stats(&self, stage: &str, window_start: Timestamp) -> WindowStats {
-        let stages = self.stages.read();
-        let Some(data) = stages.get(stage) else {
-            return WindowStats::default();
-        };
-        let Some(ids) = data.windows.get(&window_start) else {
-            return WindowStats::default();
-        };
-        WindowStats {
-            count: ids.values().map(|&c| c as u64).sum(),
-            unique: ids.len() as u64,
-        }
+        self.tallies(stage)
+            .remove(&window_start)
+            .unwrap_or_default()
     }
 
     /// Compare two stages across every window either has seen; emit alerts
-    /// for loss (downstream unique < upstream unique) and duplication
-    /// (downstream count > downstream unique).
+    /// for loss (downstream saw fewer distinct messages than upstream) and
+    /// duplication (downstream saw some id more than once).
     pub fn audit(&self, upstream: &str, downstream: &str) -> Vec<AuditAlert> {
-        let stages = self.stages.read();
-        let up = stages.get(upstream);
-        let down = stages.get(downstream);
-        let mut windows: HashSet<Timestamp> = HashSet::new();
-        if let Some(u) = up {
-            windows.extend(u.windows.keys());
-        }
-        if let Some(d) = down {
-            windows.extend(d.windows.keys());
-        }
+        let up = self.tallies(upstream);
+        let down = self.tallies(downstream);
+        let windows: BTreeSet<Timestamp> = up.keys().chain(down.keys()).copied().collect();
         let mut alerts = Vec::new();
-        let mut sorted: Vec<Timestamp> = windows.into_iter().collect();
-        sorted.sort_unstable();
-        for w in sorted {
-            let u_unique = up
-                .and_then(|s| s.windows.get(&w))
-                .map(|m| m.len() as u64)
-                .unwrap_or(0);
-            let (d_unique, d_count) = down
-                .and_then(|s| s.windows.get(&w))
-                .map(|m| (m.len() as u64, m.values().map(|&c| c as u64).sum()))
-                .unwrap_or((0, 0));
-            if d_unique < u_unique {
-                alerts.push(AuditAlert {
-                    window_start: w,
-                    from_stage: upstream.to_string(),
-                    to_stage: downstream.to_string(),
-                    kind: AlertKind::Loss,
-                    magnitude: u_unique - d_unique,
-                });
+        let mut alert = |window_start, kind, magnitude| {
+            alerts.push(AuditAlert {
+                window_start,
+                from_stage: upstream.to_string(),
+                to_stage: downstream.to_string(),
+                kind,
+                magnitude,
+            })
+        };
+        for w in windows {
+            let u = up.get(&w).cloned().unwrap_or_default();
+            let d = down.get(&w).cloned().unwrap_or_default();
+            let (u_distinct, d_distinct) = (u.unique + u.anonymous, d.unique + d.anonymous);
+            if d_distinct < u_distinct {
+                alert(w, AlertKind::Loss, u_distinct - d_distinct);
             }
-            if d_count > d_unique {
-                alerts.push(AuditAlert {
-                    window_start: w,
-                    from_stage: upstream.to_string(),
-                    to_stage: downstream.to_string(),
-                    kind: AlertKind::Duplication,
-                    magnitude: d_count - d_unique,
-                });
+            if d.count > d_distinct {
+                alert(w, AlertKind::Duplication, d.count - d_distinct);
             }
         }
         alerts
@@ -241,11 +260,10 @@ impl Chaperone {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtdi_common::record::headers;
     use rtdi_common::Row;
 
     fn rec(id: &str, ts: Timestamp) -> Record {
-        Record::new(Row::new(), ts).with_header(headers::UNIQUE_ID, id)
+        Record::new(Row::new(), ts).with_unique_id(id)
     }
 
     #[test]
@@ -309,10 +327,42 @@ mod tests {
     }
 
     #[test]
-    fn anonymous_records_still_counted() {
+    fn anonymous_records_count_towards_loss_never_duplication() {
         let ch = Chaperone::new(1000);
-        ch.observe("a", &Record::new(Row::new(), 5));
-        assert_eq!(ch.stats("a", 0).count, 1);
+        // two undecorated records of one event millisecond are two messages
+        let anon = Record::new(Row::new(), 5);
+        for stage in ["a", "b", "c"] {
+            ch.observe(stage, &anon);
+        }
+        ch.observe("a", &anon);
+        ch.observe("b", &anon);
+        let stats = ch.stats("a", 0);
+        assert_eq!((stats.count, stats.unique, stats.anonymous), (2, 0, 2));
+        assert!(ch.certify("a", "b"), "same-ms twins are not duplicates");
+        let alerts = ch.audit("a", "c");
+        assert_eq!(alerts.len(), 1, "the twin that never arrived is a loss");
+        assert_eq!((alerts[0].kind, alerts[0].magnitude), (AlertKind::Loss, 1));
+    }
+
+    #[test]
+    fn minted_and_text_ids_key_the_same_windows() {
+        let ch = Chaperone::new(1000);
+        let stage = ch.stage("a");
+        for seq in [0, 1, 1] {
+            let mut r = Record::new(Row::new(), 7);
+            r.audit_mut().unique_id = Some(UniqueId::Seq {
+                origin: "svc#0".into(),
+                seq,
+            });
+            stage.observe(&r);
+        }
+        stage.observe(&rec("m1", 7));
+        let stats = ch.stats("a", 0);
+        assert_eq!((stats.count, stats.unique), (4, 3));
+        assert!(ch.stage_names().contains(&"a".to_string()));
+        // a stage resolved but never fed is not reported
+        ch.stage("idle");
+        assert!(!ch.stage_names().contains(&"idle".to_string()));
     }
 
     #[test]
@@ -327,9 +377,9 @@ mod tests {
         let ch = Chaperone::new(1000);
         for i in 0..10i64 {
             let mut r = rec(&format!("m{i}"), i);
-            r.headers.set(headers::APP_TIMESTAMP, i.to_string());
+            r.audit_mut().app_ts = Some(i);
             // observed 100ms after its origin stamp
-            ch.observe_at("kafka", &r, i + 100);
+            ch.stage("kafka").observe_at(&r, i + 100);
         }
         let f = ch.freshness("kafka").unwrap();
         assert_eq!(f.count, 10);

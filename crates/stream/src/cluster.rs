@@ -176,7 +176,7 @@ impl Cluster {
         self.down.load(Ordering::SeqCst)
     }
 
-    fn check_up(&self) -> Result<()> {
+    pub(crate) fn check_up(&self) -> Result<()> {
         if self.is_down() {
             Err(Error::Unavailable(format!("cluster '{}' down", self.name)))
         } else {
@@ -350,7 +350,12 @@ impl Cluster {
     }
 
     /// Produce a record to a topic on this cluster.
-    pub fn produce(&self, topic: &str, record: Record, now: Timestamp) -> Result<(usize, u64)> {
+    pub fn produce(
+        &self,
+        topic: &str,
+        record: impl Into<Arc<Record>>,
+        now: Timestamp,
+    ) -> Result<(usize, u64)> {
         let t = self.topic(topic)?;
         t.append(record, now)
     }

@@ -6,6 +6,7 @@
 //! retried) on demand by the users. This way, the unprocessed messages
 //! remain separate and therefore are unable to impede live traffic."
 
+use crate::log::PartitionLog;
 use crate::producer::StreamEndpoint;
 use crate::topic::{Topic, TopicConfig};
 use rtdi_common::record::headers;
@@ -77,6 +78,8 @@ pub struct DeadLetterQueue {
     /// Name of the topic whose poison messages land here.
     source_topic: String,
     dlq: Arc<Topic>,
+    /// The queue's one partition: what depth, peek, purge and merge read.
+    log: Arc<PartitionLog>,
 }
 
 impl DeadLetterQueue {
@@ -93,7 +96,15 @@ impl DeadLetterQueue {
                 ..TopicConfig::lossless()
             },
         )?);
-        Ok(DeadLetterQueue { source_topic, dlq })
+        let log = dlq
+            .partition(0)
+            .cloned()
+            .ok_or_else(|| Error::Internal(format!("'{source_topic}.dlq' has no partition")))?;
+        Ok(DeadLetterQueue {
+            source_topic,
+            dlq,
+            log,
+        })
     }
 
     pub fn source_topic(&self) -> &str {
@@ -109,38 +120,40 @@ impl DeadLetterQueue {
             .set(headers::DLQ_SOURCE, self.source_topic.clone());
         record.headers.set(headers::DLQ_REASON, reason.as_str());
         record.headers.set(headers::DLQ_DETAIL, detail);
-        self.dlq
-            .append_to(0, record, now)
-            .expect("dlq partition 0 exists");
+        let record = Arc::new(record);
+        // the last resort must not lose a record: when replicate faults
+        // have shrunk the acks=all ISR, it stays on the leader's log
+        if self.dlq.append_to(0, Arc::clone(&record), now).is_err() {
+            self.log.append(record, now);
+        }
     }
 
     /// Number of currently parked messages.
     pub fn depth(&self) -> usize {
-        self.dlq.partition(0).expect("partition 0").len()
+        self.log.len()
     }
 
     /// Inspect parked messages without consuming them.
     pub fn peek(&self, max: usize) -> Vec<Record> {
-        let log = self.dlq.partition(0).expect("partition 0");
-        log.fetch(log.log_start_offset(), max)
+        self.log
+            .fetch(self.log.log_start_offset(), max)
             .map(|f| f.records.into_iter().map(|r| r.into_record()).collect())
             .unwrap_or_default()
     }
 
     /// Drop every parked message ("purged ... on demand by the users").
     pub fn purge(&self) -> usize {
-        let log = self.dlq.partition(0).expect("partition 0");
-        let n = log.len();
-        log.truncate_all();
+        let n = self.log.len();
+        self.log.truncate_all();
         n
     }
 
     /// Re-publish every parked message to the main topic for another
-    /// processing attempt ("merged (i.e. retried) on demand"). The retry
-    /// counter header is cleared so the consumer proxy's retry budget
-    /// starts fresh. Returns how many messages were merged.
+    /// processing attempt ("merged (i.e. retried) on demand"). The main
+    /// topic shares the parked record; only one whose retry-counter header
+    /// is stale is copied, to reset it. Returns how many were merged.
     pub fn merge(&self, endpoint: &dyn StreamEndpoint, now: Timestamp) -> Result<usize> {
-        let log = self.dlq.partition(0).expect("partition 0");
+        let log = &self.log;
         // a flaky endpoint is retried per record; only a persistently
         // failing send aborts the merge
         let policy = RetryPolicy::new(4).with_backoff_us(50, 2_000);
@@ -148,24 +161,26 @@ impl DeadLetterQueue {
         loop {
             // fetch the whole backlog so truncate_all below cannot drop
             // records that were never re-published
-            let fetch = log.fetch(log.log_start_offset(), log.len().max(1))?;
-            if fetch.records.is_empty() {
+            let parked = log.fetch(log.log_start_offset(), log.len().max(1))?.records;
+            if parked.is_empty() {
                 break;
             }
-            let mut records: Vec<Record> =
-                fetch.records.into_iter().map(|r| r.into_record()).collect();
-            for i in 0..records.len() {
-                let mut record = records[i].clone();
-                record.headers.set(headers::ATTEMPTS, "0");
-                if let Err(e) =
-                    policy.run(|_| endpoint.send(&self.source_topic, record.clone(), now))
-                {
+            for (i, entry) in parked.iter().enumerate() {
+                let mut record = Arc::clone(&entry.record);
+                if !matches!(record.headers.get(headers::ATTEMPTS), None | Some("0")) {
+                    Arc::make_mut(&mut record)
+                        .headers
+                        .set(headers::ATTEMPTS, "0");
+                }
+                let sent =
+                    policy.run(|_| endpoint.send(&self.source_topic, Arc::clone(&record), now));
+                if let Err(e) = sent {
                     // drop exactly the re-published prefix and keep the
                     // unsent tail parked, so a later merge can neither
                     // duplicate nor lose records
                     log.truncate_all();
-                    for rec in records.drain(i..) {
-                        log.append(rec, now);
+                    for unsent in &parked[i..] {
+                        log.append(Arc::clone(&unsent.record), now);
                     }
                     return Err(e);
                 }
@@ -295,6 +310,53 @@ mod tests {
         );
     }
 
+    #[test]
+    fn merge_shares_the_parked_record_unless_its_retry_counter_is_stale() {
+        let _g = rtdi_common::chaos::test_guard();
+        let cluster = Cluster::new("c", ClusterConfig::default());
+        cluster
+            .create_topic("trips", TopicConfig::default().with_partitions(1))
+            .unwrap();
+        let dlq = DeadLetterQueue::new("trips").unwrap();
+        dlq.park(rec(0), ParkReason::Poison, "x", 0);
+        let mut shed = rec(1);
+        shed.headers.set(headers::ATTEMPTS, "0");
+        dlq.park(shed, ParkReason::Overload, "x", 0);
+        let mut retried = rec(2);
+        retried.headers.set(headers::ATTEMPTS, "3");
+        dlq.park(retried, ParkReason::RetriesExhausted, "x", 0);
+        let parked = dlq.log.fetch(0, 10).unwrap().records;
+        assert_eq!(dlq.merge(cluster.as_ref(), 50).unwrap(), 3);
+        let merged = cluster.topic("trips").unwrap().fetch(0, 0, 10).unwrap();
+        let shared: Vec<bool> = parked
+            .iter()
+            .zip(&merged.records)
+            .map(|(a, b)| Arc::ptr_eq(&a.record, &b.record))
+            .collect();
+        assert_eq!(shared, vec![true, true, false]);
+    }
+
+    #[test]
+    fn parking_survives_a_replication_outage_of_the_queue_itself() {
+        use rtdi_common::chaos::{self, FaultKind, FaultPlan, FaultPoint, Trigger};
+        let _g = chaos::test_guard();
+        chaos::registry().reset(0xD2);
+        let dlq = DeadLetterQueue::new("trips").unwrap();
+        // followers stop acknowledging: after three strikes each the
+        // acks=all queue refuses appends, which used to panic the parker
+        chaos::registry().arm(
+            FaultPoint::StreamReplicate,
+            FaultPlan::fail(FaultKind::Timeout, Trigger::Always),
+        );
+        for i in 0..6 {
+            dlq.park(rec(i), ParkReason::Poison, "x", i);
+        }
+        chaos::registry().reset(0);
+        assert_eq!(dlq.depth(), 6);
+        let ids: Vec<_> = dlq.peek(10).iter().map(|r| r.value.get_int("i")).collect();
+        assert_eq!(ids, (0..6).map(Some).collect::<Vec<_>>());
+    }
+
     /// Endpoint whose sends fail transiently according to a script of
     /// per-call failures.
     struct FlakyEndpoint {
@@ -303,7 +365,7 @@ mod tests {
     }
 
     impl StreamEndpoint for FlakyEndpoint {
-        fn send(&self, topic: &str, record: Record, now: Timestamp) -> Result<(usize, u64)> {
+        fn send(&self, topic: &str, record: Arc<Record>, now: Timestamp) -> Result<(usize, u64)> {
             let mut left = self.failures_left.lock();
             if *left > 0 {
                 *left -= 1;

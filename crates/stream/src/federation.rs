@@ -15,7 +15,7 @@
 //! adopt the source's base offsets before the copy, so committed consumer
 //! offsets remain valid after the transparent redirect.
 
-use crate::chaperone::Chaperone;
+use crate::chaperone::{Chaperone, ChaperoneStage};
 use crate::cluster::Cluster;
 use crate::consumer::TopicSubscription;
 use crate::log::FetchResult;
@@ -23,38 +23,63 @@ use crate::producer::StreamEndpoint;
 use crate::topic::{Topic, TopicConfig};
 use parking_lot::RwLock;
 use rtdi_common::fault_point;
-use rtdi_common::{Error, FaultPoint, PipelineTracer, Record, Result, Timestamp};
+use rtdi_common::{Error, FaultPoint, PipelineTracer, Record, Result, Timestamp, TraceStage};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// The central metadata server: where does each topic physically live?
-#[derive(Default)]
-pub struct FederationMetadata {
-    /// topic -> physical cluster name
-    placement: BTreeMap<String, String>,
-}
-
-impl FederationMetadata {
-    pub fn cluster_of(&self, topic: &str) -> Option<&str> {
-        self.placement.get(topic).map(|s| s.as_str())
-    }
-
-    pub fn topics(&self) -> impl Iterator<Item = (&str, &str)> {
-        self.placement.iter().map(|(t, c)| (t.as_str(), c.as_str()))
-    }
+/// The metadata server's entry for one topic: where it lives and what
+/// every append reports to, resolved when the topic is placed (or the
+/// tracer/auditor set), so a send looks up one entry and builds no name.
+struct Route {
+    cluster: Arc<Cluster>,
+    topic: Arc<Topic>,
+    /// The topic's pipeline, `"stream"` stage: producer->broker dwell.
+    trace: Option<TraceStage>,
+    /// The `"<topic>/stream"` stage, the upstream side of loss/dup audits.
+    audit: Option<ChaperoneStage>,
 }
 
 struct Inner {
     clusters: Vec<Arc<Cluster>>,
-    metadata: FederationMetadata,
+    /// topic -> route: the central placement table.
+    routes: BTreeMap<String, Arc<Route>>,
     /// Live subscriptions per topic, redirected during migration.
     subscriptions: BTreeMap<String, Vec<TopicSubscription>>,
-    /// Optional freshness tracing: every append records producer->broker
-    /// dwell for the topic's pipeline under the "stream" stage.
+    /// Optional freshness tracing on every append.
     tracer: Option<PipelineTracer>,
-    /// Optional audit hook: every append reports to Chaperone under the
-    /// "<topic>/stream" stage, the upstream side of loss/dup audits.
+    /// Optional Chaperone observation on every append.
     chaperone: Option<Chaperone>,
+}
+
+impl Inner {
+    /// (Re)place `name` on `cluster`, resolving its audit handles.
+    fn route(&mut self, name: &str, cluster: Arc<Cluster>, topic: Arc<Topic>) {
+        let route = Route {
+            cluster,
+            topic,
+            trace: self.tracer.as_ref().map(|tr| tr.stage(name, "stream")),
+            audit: self
+                .chaperone
+                .as_ref()
+                .map(|ch| ch.stage(&format!("{name}/stream"))),
+        };
+        self.routes.insert(name.to_string(), Arc::new(route));
+    }
+
+    /// Resolve every route again, after the tracer or the auditor changed.
+    fn reroute(&mut self) {
+        for (name, old) in std::mem::take(&mut self.routes) {
+            self.route(&name, old.cluster.clone(), old.topic.clone());
+        }
+    }
+
+    fn cluster(&self, name: &str) -> Result<Arc<Cluster>> {
+        self.clusters
+            .iter()
+            .find(|c| c.name() == name)
+            .cloned()
+            .ok_or_else(|| Error::NotFound(format!("cluster '{name}'")))
+    }
 }
 
 /// The logical cluster clients talk to.
@@ -68,7 +93,7 @@ impl FederatedCluster {
         FederatedCluster {
             inner: Arc::new(RwLock::new(Inner {
                 clusters: Vec::new(),
-                metadata: FederationMetadata::default(),
+                routes: BTreeMap::new(),
                 subscriptions: BTreeMap::new(),
                 tracer: None,
                 chaperone: None,
@@ -76,16 +101,21 @@ impl FederatedCluster {
         }
     }
 
-    /// Enable freshness tracing on every append through the federation.
+    /// Enable freshness tracing on every append through the federation:
+    /// producer->broker dwell under the topic's pipeline, `"stream"` stage.
     pub fn set_tracer(&self, tracer: PipelineTracer) {
-        self.inner.write().tracer = Some(tracer);
+        let mut inner = self.inner.write();
+        inner.tracer = Some(tracer);
+        inner.reroute();
     }
 
     /// Enable Chaperone observation on every append: records are counted
     /// under the `"<topic>/stream"` stage so downstream stages (ingestion,
     /// sinks) can be audited against the broker.
     pub fn set_chaperone(&self, chaperone: Chaperone) {
-        self.inner.write().chaperone = Some(chaperone);
+        let mut inner = self.inner.write();
+        inner.chaperone = Some(chaperone);
+        inner.reroute();
     }
 
     /// Register a physical cluster with the federation.
@@ -103,13 +133,7 @@ impl FederatedCluster {
     }
 
     pub fn cluster(&self, name: &str) -> Result<Arc<Cluster>> {
-        self.inner
-            .read()
-            .clusters
-            .iter()
-            .find(|c| c.name() == name)
-            .cloned()
-            .ok_or_else(|| Error::NotFound(format!("cluster '{name}'")))
+        self.inner.read().cluster(name)
     }
 
     /// Create a topic on the first healthy, non-full cluster. This is the
@@ -118,7 +142,7 @@ impl FederatedCluster {
     /// and placement picks it up automatically.
     pub fn create_topic(&self, name: &str, config: TopicConfig) -> Result<()> {
         let mut inner = self.inner.write();
-        if inner.metadata.placement.contains_key(name) {
+        if inner.routes.contains_key(name) {
             return Err(Error::AlreadyExists(format!("federated topic '{name}'")));
         }
         let needed = config.partitions * config.replication;
@@ -140,44 +164,35 @@ impl FederatedCluster {
                     "no federated cluster has capacity for this topic; add a cluster".into(),
                 )
             })?;
-        target.create_topic(name, config)?;
-        inner
-            .metadata
-            .placement
-            .insert(name.to_string(), target.name().to_string());
+        let topic = target.create_topic(name, config)?;
+        inner.route(name, target, topic);
         Ok(())
     }
 
-    fn resolve(&self, topic: &str) -> Result<(Arc<Cluster>, Arc<Topic>)> {
-        let inner = self.inner.read();
-        let cluster_name = inner
-            .metadata
-            .cluster_of(topic)
-            .ok_or_else(|| Error::NotFound(format!("federated topic '{topic}'")))?;
-        let cluster = inner
-            .clusters
-            .iter()
-            .find(|c| c.name() == cluster_name)
+    /// The topic's route, on a cluster that is up.
+    fn resolve(&self, topic: &str) -> Result<Arc<Route>> {
+        let route = self
+            .inner
+            .read()
+            .routes
+            .get(topic)
             .cloned()
-            .ok_or_else(|| Error::Internal(format!("cluster '{cluster_name}' vanished")))?;
-        let t = cluster.topic(topic)?;
-        Ok((cluster, t))
+            .ok_or_else(|| Error::NotFound(format!("federated topic '{topic}'")))?;
+        route.cluster.check_up()?;
+        Ok(route)
     }
 
     /// Which physical cluster currently hosts the topic.
     pub fn placement(&self, topic: &str) -> Option<String> {
-        self.inner
-            .read()
-            .metadata
-            .cluster_of(topic)
-            .map(|s| s.to_string())
+        let inner = self.inner.read();
+        let route = inner.routes.get(topic)?;
+        Some(route.cluster.name().to_string())
     }
 
     /// Subscribe to a topic; the returned subscription survives topic
     /// migration without a restart.
     pub fn subscribe(&self, topic: &str) -> Result<TopicSubscription> {
-        let (_, t) = self.resolve(topic)?;
-        let sub = TopicSubscription::new(t);
+        let sub = TopicSubscription::new(self.resolve(topic)?.topic.clone());
         self.inner
             .write()
             .subscriptions
@@ -193,37 +208,32 @@ impl FederatedCluster {
     ///
     /// 1. create the topic on the target with the same config;
     /// 2. align destination partition base offsets with the source;
-    /// 3. copy all retained records;
+    /// 3. hand every retained record to the destination log (the two logs
+    ///    share the records; nothing is copied);
     /// 4. update placement (producers now route to the target);
     /// 5. redirect live subscriptions;
     /// 6. drop the source topic.
     pub fn migrate_topic(&self, topic: &str, to_cluster: &str) -> Result<()> {
         let mut inner = self.inner.write();
-        let from_name = inner
-            .metadata
-            .cluster_of(topic)
-            .ok_or_else(|| Error::NotFound(format!("federated topic '{topic}'")))?
-            .to_string();
-        if from_name == to_cluster {
+        let route = inner
+            .routes
+            .get(topic)
+            .cloned()
+            .ok_or_else(|| Error::NotFound(format!("federated topic '{topic}'")))?;
+        let from = &route.cluster;
+        if from.name() == to_cluster {
             return Ok(());
         }
-        let from = inner
-            .clusters
-            .iter()
-            .find(|c| c.name() == from_name)
-            .cloned()
-            .ok_or_else(|| Error::Internal("source cluster vanished".into()))?;
-        let to = inner
-            .clusters
-            .iter()
-            .find(|c| c.name() == to_cluster)
-            .cloned()
-            .ok_or_else(|| Error::NotFound(format!("cluster '{to_cluster}'")))?;
+        let to = inner.cluster(to_cluster)?;
         let src = from.topic(topic)?;
         let dst = to.create_topic(topic, src.config().clone())?;
+        let partition = |t: &Arc<Topic>, p| {
+            t.partition(p)
+                .cloned()
+                .ok_or_else(|| Error::Internal(format!("topic '{topic}' lost partition {p}")))
+        };
         for p in 0..src.num_partitions() {
-            let src_log = src.partition(p).expect("partition exists");
-            let dst_log = dst.partition(p).expect("partition exists");
+            let (src_log, dst_log) = (partition(&src, p)?, partition(&dst, p)?);
             dst_log.advance_base_to(src_log.log_start_offset())?;
             let mut offset = src_log.log_start_offset();
             loop {
@@ -231,23 +241,20 @@ impl FederatedCluster {
                 if fetch.records.is_empty() {
                     break;
                 }
-                offset = fetch.records.last().expect("non-empty").offset + 1;
                 for rec in fetch.records {
+                    offset = rec.offset + 1;
                     // reuse event time as append time so time-based
                     // retention behaves consistently on the destination
                     let now = rec.record.timestamp;
-                    dst_log.append(rec.into_record(), now);
+                    dst_log.append(rec.record, now);
                 }
             }
         }
-        // the copy wrote beneath the replication layer; declare the
+        // the hand-over wrote beneath the replication layer; declare the
         // destination replicas caught up so its committed watermarks
         // expose the migrated records
         dst.resync_replicas();
-        inner
-            .metadata
-            .placement
-            .insert(topic.to_string(), to_cluster.to_string());
+        inner.route(topic, to, dst.clone());
         if let Some(subs) = inner.subscriptions.get(topic) {
             for sub in subs {
                 sub.redirect(dst.clone())?;
@@ -265,31 +272,30 @@ impl Default for FederatedCluster {
 }
 
 impl StreamEndpoint for FederatedCluster {
-    fn send(&self, topic: &str, mut record: Record, now: Timestamp) -> Result<(usize, u64)> {
+    fn send(&self, topic: &str, mut record: Arc<Record>, now: Timestamp) -> Result<(usize, u64)> {
         fault_point!(FaultPoint::StreamAppend);
-        let (_, t) = self.resolve(topic)?;
-        let (tracer, chaperone) = {
-            let inner = self.inner.read();
-            (inner.tracer.clone(), inner.chaperone.clone())
-        };
-        if let Some(tr) = &tracer {
-            tr.observe_hop(topic, "stream", &mut record, now);
+        let route = self.resolve(topic)?;
+        if let Some(stage) = &route.trace {
+            stage.observe_last_hop(&record, now);
+            // the stream hop's restamp: a record sent through `Producer`
+            // carries this very stamp and stays shared with its retry loop
+            if record.audit().trace_ts != Some(now) {
+                Arc::make_mut(&mut record).audit_mut().trace_ts = Some(now);
+            }
         }
-        if let Some(ch) = &chaperone {
-            ch.observe_at(&format!("{topic}/stream"), &record, now);
+        if let Some(stage) = &route.audit {
+            stage.observe_at(&record, now);
         }
-        t.append(record, now)
+        route.topic.append(record, now)
     }
 
     fn fetch(&self, topic: &str, partition: usize, offset: u64, max: usize) -> Result<FetchResult> {
         fault_point!(FaultPoint::StreamFetch);
-        let (_, t) = self.resolve(topic)?;
-        t.fetch(partition, offset, max)
+        self.resolve(topic)?.topic.fetch(partition, offset, max)
     }
 
     fn num_partitions(&self, topic: &str) -> Result<usize> {
-        let (_, t) = self.resolve(topic)?;
-        Ok(t.num_partitions())
+        Ok(self.resolve(topic)?.topic.num_partitions())
     }
 }
 
@@ -325,7 +331,7 @@ mod tests {
         fed.add_cluster(small_cluster("c1", 16));
         fed.create_topic("t", TopicConfig::default().with_partitions(1))
             .unwrap();
-        fed.send("t", rec(1), 0).unwrap();
+        fed.send("t", rec(1).into(), 0).unwrap();
         // every 2nd fetch through the federation endpoint times out
         chaos::registry().arm(
             FaultPoint::StreamFetch,
@@ -408,11 +414,11 @@ mod tests {
         fed.create_topic("t", TopicConfig::default().with_partitions(2))
             .unwrap();
         for i in 0..10 {
-            fed.send("t", rec(i), 0).unwrap();
+            fed.send("t", rec(i).into(), 0).unwrap();
         }
         let c1 = fed.cluster("c1").unwrap();
         assert_eq!(c1.topic("t").unwrap().total_records(), 10);
-        assert!(fed.send("ghost", rec(0), 0).is_err());
+        assert!(fed.send("ghost", rec(0).into(), 0).is_err());
     }
 
     #[test]
@@ -423,7 +429,7 @@ mod tests {
         fed.create_topic("t", TopicConfig::default().with_partitions(2))
             .unwrap();
         for i in 0..100 {
-            fed.send("t", rec(i), 0).unwrap();
+            fed.send("t", rec(i).into(), 0).unwrap();
         }
         let sub = fed.subscribe("t").unwrap();
         let group = ConsumerGroup::new("g", sub);
@@ -444,7 +450,7 @@ mod tests {
 
         // producers keep working against the logical name
         for i in 100..110 {
-            fed.send("t", rec(i), 0).unwrap();
+            fed.send("t", rec(i).into(), 0).unwrap();
         }
 
         // consumer continues without restart; no loss, no duplication

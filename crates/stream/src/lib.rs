@@ -9,8 +9,9 @@
 //! - [`replica`] (§4.1): per-partition replica sets with ISR tracking,
 //!   acks-all commit semantics and leader failover, driven by the shared
 //!   heartbeat membership view (`rtdi_common::membership`);
-//! - [`producer`], [`consumer`]: at-least-once producers with batching and
-//!   acks, consumer groups with offset commits and rebalancing;
+//! - [`producer`], [`consumer`]: at-least-once producers that decorate the
+//!   audit envelope and retry the shared record, consumer groups with
+//!   offset commits and rebalancing;
 //! - [`federation`] (§4.1.1): the logical-cluster metadata server that
 //!   routes topics across physical clusters, scales out by adding
 //!   clusters, and migrates topics without consumer restarts;
@@ -23,6 +24,9 @@
 //!   checkpoints;
 //! - [`chaperone`] (§4.1.4): end-to-end audit of per-window message counts
 //!   across pipeline stages with loss/duplicate alerting.
+
+// Non-test code on the data path returns `Error`, never panics.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod chaperone;
 pub mod cluster;
@@ -40,7 +44,7 @@ pub mod topic;
 pub use cluster::{Cluster, ClusterConfig};
 pub use consumer::{ConsumerGroup, TopicSubscription};
 pub use dlq::DeadLetterQueue;
-pub use federation::{FederatedCluster, FederationMetadata};
+pub use federation::FederatedCluster;
 pub use log::{FetchResult, OffsetRecord, PartitionLog};
 pub use producer::Producer;
 pub use proxy::{ConsumerProxy, ConsumerService, DispatchMode, ProxyConfig};

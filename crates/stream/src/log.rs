@@ -43,6 +43,20 @@ struct LogInner {
     bytes: usize,
 }
 
+impl LogInner {
+    /// Drop the head record when its append time satisfies `expired`,
+    /// advancing the log start past it.
+    fn pop_front_if(&mut self, expired: impl Fn(Timestamp) -> bool) -> Option<Arc<Record>> {
+        if !expired(self.entries.front()?.0) {
+            return None;
+        }
+        let (_, record) = self.entries.pop_front()?;
+        self.bytes -= record.approx_bytes();
+        self.base_offset += 1;
+        Some(record)
+    }
+}
+
 /// One partition's log. Thread-safe; appends and fetches may interleave.
 #[derive(Debug)]
 pub struct PartitionLog {
@@ -65,48 +79,28 @@ impl PartitionLog {
         }
     }
 
-    /// Append a record, returning its offset. `now` drives time-based
-    /// retention (the record's own event time can be older).
-    pub fn append(&self, record: Record, now: Timestamp) -> u64 {
+    /// Append a record, returning its offset. The log keeps the `Arc` it
+    /// is given (a forwarded record is shared with its source log, never
+    /// copied). `now` drives time-based retention (the record's own event
+    /// time can be older).
+    pub fn append(&self, record: impl Into<Arc<Record>>, now: Timestamp) -> u64 {
+        let record = record.into();
         let mut inner = self.inner.write();
         let offset = inner.base_offset + inner.entries.len() as u64;
         inner.bytes += record.approx_bytes();
-        inner.entries.push_back((now, Arc::new(record)));
+        inner.entries.push_back((now, record));
         self.enforce_retention(&mut inner, now);
         offset
-    }
-
-    /// Append a batch; returns the offset of the first record.
-    pub fn append_batch(&self, records: Vec<Record>, now: Timestamp) -> u64 {
-        let mut inner = self.inner.write();
-        let first = inner.base_offset + inner.entries.len() as u64;
-        inner.entries.reserve(records.len());
-        for r in records {
-            inner.bytes += r.approx_bytes();
-            inner.entries.push_back((now, Arc::new(r)));
-        }
-        self.enforce_retention(&mut inner, now);
-        first
     }
 
     fn enforce_retention(&self, inner: &mut LogInner, now: Timestamp) {
         if self.retention_ms > 0 {
             let cutoff = now - self.retention_ms;
-            while let Some((t, _)) = inner.entries.front() {
-                if *t < cutoff {
-                    let (_, r) = inner.entries.pop_front().expect("front checked");
-                    inner.bytes -= r.approx_bytes();
-                    inner.base_offset += 1;
-                } else {
-                    break;
-                }
-            }
+            while inner.pop_front_if(|t| t < cutoff).is_some() {}
         }
         if self.retention_bytes > 0 {
             while inner.bytes > self.retention_bytes && inner.entries.len() > 1 {
-                let (_, r) = inner.entries.pop_front().expect("len checked");
-                inner.bytes -= r.approx_bytes();
-                inner.base_offset += 1;
+                inner.pop_front_if(|_| true);
             }
         }
     }
@@ -119,32 +113,7 @@ impl PartitionLog {
     /// service of §6. Fetching at or above the high watermark returns an
     /// empty result.
     pub fn fetch(&self, offset: u64, max: usize) -> Result<FetchResult> {
-        let inner = self.inner.read();
-        let high = inner.base_offset + inner.entries.len() as u64;
-        if offset < inner.base_offset {
-            return Err(Error::OffsetOutOfRange {
-                requested: offset,
-                low: inner.base_offset,
-                high,
-            });
-        }
-        let start = (offset - inner.base_offset) as usize;
-        let records = inner
-            .entries
-            .iter()
-            .skip(start)
-            .take(max)
-            .enumerate()
-            .map(|(i, (_, r))| OffsetRecord {
-                offset: offset + i as u64,
-                record: Arc::clone(r),
-            })
-            .collect();
-        Ok(FetchResult {
-            records,
-            high_watermark: high,
-            log_start_offset: inner.base_offset,
-        })
+        self.fetch_capped(offset, max, u64::MAX)
     }
 
     /// Fetch up to `max` records starting at `offset`, but never at or
@@ -198,13 +167,10 @@ impl PartitionLog {
             return 0;
         }
         let keep = end_offset.saturating_sub(inner.base_offset) as usize;
-        let mut dropped = 0u64;
-        while inner.entries.len() > keep {
-            let (_, r) = inner.entries.pop_back().expect("len checked");
-            inner.bytes -= r.approx_bytes();
-            dropped += 1;
-        }
-        dropped
+        let dropped = inner.entries.len() - keep;
+        let tail = inner.entries.drain(keep..);
+        inner.bytes -= tail.map(|(_, r)| r.approx_bytes()).sum::<usize>();
+        dropped as u64
     }
 
     /// How long the record at `offset` has been sitting in the log
@@ -270,15 +236,8 @@ impl PartitionLog {
     pub fn drain_head_older_than(&self, cutoff: Timestamp) -> Vec<Record> {
         let mut inner = self.inner.write();
         let mut out = Vec::new();
-        while let Some((t, _)) = inner.entries.front() {
-            if *t < cutoff {
-                let (_, r) = inner.entries.pop_front().expect("front checked");
-                inner.bytes -= r.approx_bytes();
-                inner.base_offset += 1;
-                out.push(Arc::try_unwrap(r).unwrap_or_else(|a| (*a).clone()));
-            } else {
-                break;
-            }
+        while let Some(r) = inner.pop_front_if(|t| t < cutoff) {
+            out.push(Arc::try_unwrap(r).unwrap_or_else(|a| (*a).clone()));
         }
         out
     }
@@ -417,16 +376,17 @@ mod tests {
     }
 
     #[test]
-    fn batch_append_assigns_contiguous_offsets() {
-        let log = PartitionLog::new(0, 0);
-        let first = log.append_batch((0..5).map(rec).collect(), 0);
-        assert_eq!(first, 0);
-        let second = log.append_batch((5..8).map(rec).collect(), 0);
-        assert_eq!(second, 5);
-        assert_eq!(log.high_watermark(), 8);
-        let fr = log.fetch(0, 100).unwrap();
-        let seq: Vec<u64> = fr.records.iter().map(|r| r.offset).collect();
-        assert_eq!(seq, (0..8).collect::<Vec<_>>());
+    fn a_forwarded_record_is_shared_not_copied() {
+        let src = PartitionLog::new(0, 0);
+        let dst = PartitionLog::new(0, 0);
+        src.append(rec(1), 0);
+        let entry = src.fetch(0, 1).unwrap().records.remove(0);
+        dst.append(entry.record.clone(), 0);
+        assert!(Arc::ptr_eq(
+            &entry.record,
+            &dst.fetch(0, 1).unwrap().records[0].record
+        ));
+        assert_eq!(dst.bytes(), src.bytes());
     }
 
     #[test]

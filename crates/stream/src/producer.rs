@@ -1,16 +1,16 @@
 //! Producer client.
 //!
 //! A deliberately *thin* client (§9.2: "a thin client is always preferred
-//! in order to reduce the frequency of the client upgrades"): batching,
-//! at-least-once retries and audit decoration live here; everything else
-//! (routing, federation, quotas) lives server-side.
+//! in order to reduce the frequency of the client upgrades"): at-least-once
+//! retries and audit decoration live here; everything else (routing,
+//! federation, quotas) lives server-side.
 
 use crate::log::FetchResult;
 use parking_lot::Mutex;
 use rtdi_common::fault_point;
-use rtdi_common::record::headers;
 use rtdi_common::{
-    Clock, Error, FaultPoint, Quota, RateLimiter, Record, Result, RetryPolicy, Timestamp, WallClock,
+    Clock, Error, FaultPoint, Quota, RateLimiter, Record, Result, RetryPolicy, Timestamp, UniqueId,
+    WallClock,
 };
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -18,14 +18,16 @@ use std::sync::Arc;
 
 /// Anything records can be produced to / fetched from by topic name:
 /// a single [`crate::cluster::Cluster`] or a federated logical cluster.
+/// `send` takes the record shared: the log keeps that `Arc`, and a caller
+/// that retries or forwards hands the same one over again.
 pub trait StreamEndpoint: Send + Sync {
-    fn send(&self, topic: &str, record: Record, now: Timestamp) -> Result<(usize, u64)>;
+    fn send(&self, topic: &str, record: Arc<Record>, now: Timestamp) -> Result<(usize, u64)>;
     fn fetch(&self, topic: &str, partition: usize, offset: u64, max: usize) -> Result<FetchResult>;
     fn num_partitions(&self, topic: &str) -> Result<usize>;
 }
 
 impl StreamEndpoint for crate::cluster::Cluster {
-    fn send(&self, topic: &str, record: Record, now: Timestamp) -> Result<(usize, u64)> {
+    fn send(&self, topic: &str, record: Arc<Record>, now: Timestamp) -> Result<(usize, u64)> {
         fault_point!(FaultPoint::StreamAppend);
         self.produce(topic, record, now)
     }
@@ -43,32 +45,37 @@ impl StreamEndpoint for crate::cluster::Cluster {
 /// Producer configuration.
 #[derive(Debug, Clone)]
 pub struct ProducerConfig {
-    /// Messages buffered per topic before an automatic flush.
-    pub batch_size: usize,
     /// At-least-once: how many times to retry a retryable send.
     pub max_retries: usize,
-    /// Service name stamped into audit headers.
+    /// Service name stamped into the audit envelope.
     pub service: String,
 }
 
 impl Default for ProducerConfig {
     fn default() -> Self {
         ProducerConfig {
-            batch_size: 1,
             max_retries: 3,
             service: "unknown-service".into(),
         }
     }
 }
 
-/// At-least-once producer with client-side batching and audit decoration
-/// (§9.4: unique identifier, application timestamp, service name).
+/// Producers created so far in this process: the instance number keeps
+/// two producers of one service from minting the same ids, on one platform
+/// or on two that share a process (and an aggregate cluster).
+static PRODUCER_INSTANCES: AtomicU64 = AtomicU64::new(0);
+
+/// At-least-once producer with audit decoration (§9.4: unique identifier,
+/// application timestamp, service name).
 pub struct Producer {
     endpoint: Arc<dyn StreamEndpoint>,
     config: ProducerConfig,
     clock: Arc<dyn Clock>,
+    /// `config.service`, interned: stamping it is an `Arc` bump.
+    service: Arc<str>,
+    /// `"<service>#<instance>"`: the id space of this producer's `seq`.
+    origin: Arc<str>,
     seq: AtomicU64,
-    buffers: Mutex<BTreeMap<String, Vec<Record>>>,
     sent: AtomicU64,
     /// Per-topic ingress quotas (the paper's Kafka-side client quotas,
     /// §4.1): a send that exhausts its topic bucket after the retry
@@ -87,12 +94,14 @@ impl Producer {
         config: ProducerConfig,
         clock: Arc<dyn Clock>,
     ) -> Self {
+        let instance = PRODUCER_INSTANCES.fetch_add(1, Ordering::Relaxed);
         Producer {
             endpoint,
-            config,
             clock,
+            service: config.service.as_str().into(),
+            origin: format!("{}#{instance}", config.service).into(),
+            config,
             seq: AtomicU64::new(0),
-            buffers: Mutex::new(BTreeMap::new()),
             sent: AtomicU64::new(0),
             quotas: Mutex::new(BTreeMap::new()),
             shed: AtomicU64::new(0),
@@ -107,68 +116,22 @@ impl Producer {
         );
     }
 
-    /// Decorate and send (or buffer) one record.
+    /// Decorate and send one record. Every attempt hands the endpoint the
+    /// same `Arc`: a retry re-sends the record and copies nothing.
     pub fn send(&self, topic: &str, mut record: Record) -> Result<()> {
         let now = self.clock.now();
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        if record.unique_id().is_none() {
-            record
-                .headers
-                .set(headers::UNIQUE_ID, format!("{}-{seq}", self.config.service));
-        }
-        record.headers.set(headers::APP_TIMESTAMP, now.to_string());
+        let audit = record.audit_mut();
+        audit.unique_id.get_or_insert_with(|| UniqueId::Seq {
+            origin: self.origin.clone(),
+            seq,
+        });
+        audit.app_ts = Some(now);
         // origin of the freshness trace: downstream hops measure dwell
         // from this stamp and restamp as they pass the record along
-        record
-            .headers
-            .set(headers::TRACE_TIMESTAMP, now.to_string());
-        record
-            .headers
-            .set(headers::SERVICE, self.config.service.clone());
-        if self.config.batch_size <= 1 {
-            return self.send_now(topic, record, now);
-        }
-        let full_batch = {
-            let mut buffers = self.buffers.lock();
-            let buf = buffers.entry(topic.to_string()).or_default();
-            buf.push(record);
-            if buf.len() >= self.config.batch_size {
-                Some(std::mem::take(buf))
-            } else {
-                None
-            }
-        };
-        if let Some(batch) = full_batch {
-            self.send_batch(topic, batch, now)?;
-        }
-        Ok(())
-    }
-
-    /// Flush all buffered batches.
-    pub fn flush(&self) -> Result<()> {
-        let now = self.clock.now();
-        let drained: Vec<(String, Vec<Record>)> = {
-            let mut buffers = self.buffers.lock();
-            buffers
-                .iter_mut()
-                .filter(|(_, v)| !v.is_empty())
-                .map(|(k, v)| (k.clone(), std::mem::take(v)))
-                .collect()
-        };
-        for (topic, batch) in drained {
-            self.send_batch(&topic, batch, now)?;
-        }
-        Ok(())
-    }
-
-    fn send_batch(&self, topic: &str, batch: Vec<Record>, now: Timestamp) -> Result<()> {
-        for record in batch {
-            self.send_now(topic, record, now)?;
-        }
-        Ok(())
-    }
-
-    fn send_now(&self, topic: &str, record: Record, now: Timestamp) -> Result<()> {
+        audit.trace_ts = Some(now);
+        audit.service = Some(self.service.clone());
+        let record = Arc::new(record);
         let limiter = self.quotas.lock().get(topic).cloned();
         // at-least-once: the shared policy retries only retryable errors
         // and backs off with deterministic jitter between attempts. The
@@ -180,7 +143,7 @@ impl Producer {
             if let Some(limiter) = &limiter {
                 limiter.acquire(1, topic)?;
             }
-            self.endpoint.send(topic, record.clone(), now)
+            self.endpoint.send(topic, Arc::clone(&record), now)
         });
         match result {
             Ok(_) => {
@@ -242,36 +205,45 @@ mod tests {
         let part = (0..2)
             .find(|&i| topic.fetch(i, 0, 1).unwrap().records.len() == 1)
             .unwrap();
-        let rec = &topic.fetch(part, 0, 1).unwrap().records[0].record;
-        assert_eq!(rec.headers.get(headers::SERVICE), Some("driver-app"));
-        assert_eq!(rec.headers.get(headers::APP_TIMESTAMP), Some("1000"));
-        assert!(rec.unique_id().unwrap().starts_with("driver-app-"));
+        let rec = topic.fetch(part, 0, 1).unwrap().records.remove(0).record;
+        let rec = rec.audit();
+        assert_eq!(rec.service.as_deref(), Some("driver-app"));
+        assert_eq!((rec.app_ts, rec.trace_ts), (Some(1000), Some(1000)));
+        let id = rec.unique_id.as_ref().unwrap().to_string();
+        assert!(id.starts_with("driver-app#") && id.ends_with("-0"), "{id}");
     }
 
     #[test]
-    fn batching_defers_until_full_or_flush() {
+    fn two_producers_of_one_service_mint_distinct_ids() {
         let (c, clock) = setup();
-        let p = Producer::with_clock(
-            c.clone(),
-            ProducerConfig {
-                batch_size: 10,
-                ..Default::default()
-            },
-            clock,
-        );
-        for i in 0..9 {
-            p.send("t", Record::new(Row::new().with("i", i as i64), 0))
-                .unwrap();
+        let config = ProducerConfig {
+            service: "svc".into(),
+            ..Default::default()
+        };
+        let a = Producer::with_clock(c.clone(), config.clone(), clock.clone());
+        let b = Producer::with_clock(c.clone(), config, clock);
+        for _ in 0..3 {
+            a.send("t", Record::new(Row::new(), 5)).unwrap();
+            b.send("t", Record::new(Row::new(), 5)).unwrap();
         }
-        assert_eq!(c.topic("t").unwrap().total_records(), 0);
-        p.send("t", Record::new(Row::new().with("i", 9i64), 0))
-            .unwrap();
-        assert_eq!(c.topic("t").unwrap().total_records(), 10);
-        p.send("t", Record::new(Row::new().with("i", 10i64), 0))
-            .unwrap();
-        p.flush().unwrap();
-        assert_eq!(c.topic("t").unwrap().total_records(), 11);
-        assert_eq!(p.records_sent(), 11);
+        let topic = c.topic("t").unwrap();
+        let ids: std::collections::HashSet<UniqueId> = (0..2)
+            .flat_map(|p| topic.fetch(p, 0, 10).unwrap().records)
+            .filter_map(|r| r.record.audit().unique_id.clone())
+            .collect();
+        assert_eq!(ids.len(), 6);
+        // a caller-supplied id is kept
+        a.send(
+            "t",
+            Record::new(Row::new(), 5)
+                .with_unique_id("mine")
+                .with_key("k"),
+        )
+        .unwrap();
+        let kept = (0..2)
+            .flat_map(|p| topic.fetch(p, 0, 10).unwrap().records)
+            .any(|r| r.record.audit().unique_id == Some(UniqueId::Text("mine".into())));
+        assert!(kept);
     }
 
     /// Endpoint that fails transiently N times then succeeds.
@@ -281,7 +253,7 @@ mod tests {
     }
 
     impl StreamEndpoint for Flaky {
-        fn send(&self, topic: &str, record: Record, now: Timestamp) -> Result<(usize, u64)> {
+        fn send(&self, topic: &str, record: Arc<Record>, now: Timestamp) -> Result<(usize, u64)> {
             let mut left = self.failures_left.write();
             if *left > 0 {
                 *left -= 1;
@@ -350,6 +322,7 @@ mod tests {
         let p = Producer::with_clock(flaky, ProducerConfig::default(), clock.clone());
         p.send("t", Record::new(Row::new(), 0)).unwrap();
         assert_eq!(c.topic("t").unwrap().total_records(), 1);
+        assert_eq!(p.records_sent(), 1);
 
         // too many failures -> surfaced
         let flaky = Arc::new(Flaky {

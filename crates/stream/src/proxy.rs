@@ -22,7 +22,8 @@ use crate::log::OffsetRecord;
 use parking_lot::Mutex;
 use rtdi_common::record::headers;
 use rtdi_common::{
-    AdmissionController, Clock, FaultPoint, PipelineTracer, Priority, Record, Result, RetryPolicy,
+    AdmissionController, Clock, Error, FaultPoint, PipelineTracer, Priority, Record, Result,
+    RetryPolicy, TraceStage,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -61,8 +62,8 @@ pub struct ProxyConfig {
     /// Records fetched per poll per partition.
     pub poll_batch: usize,
     /// Admission gate consulted per record before dispatch: per-tenant
-    /// quotas (tenant = the producing service from the [`headers::SERVICE`]
-    /// header) plus queue-depth watermarks fed from consumer lag. Shed
+    /// quotas (tenant = the producing service, `Audit::service`) plus
+    /// queue-depth watermarks fed from consumer lag. Shed
     /// records park to the DLQ as [`ParkReason::Overload`] instead of
     /// being dropped. `None` disables admission control.
     pub admission: Option<Arc<AdmissionController>>,
@@ -141,7 +142,7 @@ pub struct ConsumerProxy {
     config: ProxyConfig,
     service: Arc<dyn ConsumerService>,
     dlq: Arc<DeadLetterQueue>,
-    trace: Option<(PipelineTracer, String, Arc<dyn Clock>)>,
+    trace: Option<(TraceStage, Arc<dyn Clock>)>,
 }
 
 impl ConsumerProxy {
@@ -168,7 +169,7 @@ impl ConsumerProxy {
         pipeline: &str,
         clock: Arc<dyn Clock>,
     ) -> Self {
-        self.trace = Some((tracer, pipeline.to_string(), clock));
+        self.trace = Some((tracer.stage(pipeline, "proxy-dispatch"), clock));
         self
     }
 
@@ -282,18 +283,11 @@ impl ConsumerProxy {
         // and skips the retry budget entirely: retrying against a
         // tripped quota only adds load.
         let _permit = if let Some(ac) = &self.config.admission {
-            let tenant = record.headers.get(headers::SERVICE).unwrap_or("unknown");
+            let tenant = record.audit().service.as_deref().unwrap_or("unknown");
             match ac.admit(tenant, Priority::Interactive) {
                 Ok(permit) => Some(permit),
                 Err(e) => {
-                    let mut parked = record.clone();
-                    parked.headers.set(headers::ATTEMPTS, "0");
-                    self.dlq.park(
-                        parked,
-                        ParkReason::classify(&e),
-                        &e.to_string(),
-                        record.timestamp,
-                    );
+                    self.park(record, 0, &e);
                     stats.shed.fetch_add(1, Ordering::Relaxed);
                     return;
                 }
@@ -317,22 +311,24 @@ impl ConsumerProxy {
         match result {
             Ok(()) => {
                 stats.delivered.fetch_add(1, Ordering::Relaxed);
-                if let Some((tracer, pipeline, clock)) = &self.trace {
-                    tracer.observe_read(pipeline, "proxy-dispatch", record, clock.now());
+                if let Some((stage, clock)) = &self.trace {
+                    stage.observe_read(record, clock.now());
                 }
             }
             Err(e) => {
-                let mut parked = record.clone();
-                parked.headers.set(headers::ATTEMPTS, attempts.to_string());
-                self.dlq.park(
-                    parked,
-                    ParkReason::classify(&e),
-                    &e.to_string(),
-                    record.timestamp,
-                );
+                self.park(record, attempts, &e);
                 stats.dead_lettered.fetch_add(1, Ordering::Relaxed);
             }
         }
+    }
+
+    /// Park a copy of the borrowed record with the attempts it consumed.
+    fn park(&self, record: &Record, attempts: u32, e: &Error) {
+        let mut parked = record.clone();
+        parked.headers.set(headers::ATTEMPTS, attempts.to_string());
+        let reason = ParkReason::classify(e);
+        self.dlq
+            .park(parked, reason, &e.to_string(), record.timestamp);
     }
 }
 
@@ -558,7 +554,7 @@ mod tests {
                 "rider-app"
             };
             let mut r = Record::new(Row::new().with("i", i), i).with_key(format!("k{i}"));
-            r.headers.set(headers::SERVICE, svc);
+            r.audit_mut().service = Some(svc.into());
             t.append(r, 0).unwrap();
         }
         let group = ConsumerGroup::new("g", TopicSubscription::new(t));

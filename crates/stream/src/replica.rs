@@ -24,7 +24,6 @@ use crate::log::{FetchResult, PartitionLog};
 use parking_lot::RwLock;
 use rtdi_common::chaos::{self, FaultPoint};
 use rtdi_common::{Error, Record, Result, Timestamp};
-use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// Consecutive failed replication attempts before a follower is dropped
@@ -74,28 +73,47 @@ pub struct ReplicaStatus {
     pub log_end: u64,
 }
 
+/// Most replicas of one partition (the in-sync and dead sets are bit
+/// masks): `ReplicaSet::new` keeps the first 64, `Topic` rejects more.
+pub const MAX_REPLICAS: usize = 64;
+
+/// Everything but `assignment` is indexed by replica slot — the position
+/// of a node in `assignment` — so the per-record path touches no node name.
 struct ReplicaInner {
-    /// Replica placement in preference order; `assignment[0]` is the
-    /// preferred leader.
+    /// Replica placement in preference order (slot 0: preferred leader).
     assignment: Vec<String>,
-    leader: Option<String>,
+    leader: Option<usize>,
     epoch: u64,
-    isr: BTreeSet<String>,
-    /// Per-replica log-end offset (next offset the replica would write).
-    leo: BTreeMap<String, u64>,
-    /// Consecutive replication failures per follower.
-    strikes: BTreeMap<String, u32>,
+    /// Bit `i` set: slot `i` is in sync.
+    isr: u64,
+    /// Bit `i` set: slot `i`'s node is dead. Disjoint from `isr`.
+    down: u64,
+    /// Per-slot log-end offset (next offset the replica would write).
+    leo: Vec<u64>,
+    /// Consecutive replication failures per follower slot.
+    strikes: Vec<u32>,
     /// Committed high watermark: consumers only see offsets below it.
     committed: u64,
 }
 
 impl ReplicaInner {
+    fn in_sync(&self, slot: usize) -> bool {
+        self.isr & (1 << slot) != 0
+    }
+
+    /// The slot is caught up to `end`: it (re)joins the ISR with a clean
+    /// strike count.
+    fn caught_up(&mut self, slot: usize, end: u64) {
+        self.leo[slot] = end;
+        self.strikes[slot] = 0;
+        self.isr |= 1 << slot;
+    }
+
     /// committed = min log-end offset across the ISR; never moves back.
     fn recompute_committed(&mut self) {
-        if let Some(min) = self
-            .isr
-            .iter()
-            .filter_map(|n| self.leo.get(n).copied())
+        if let Some(min) = (0..self.leo.len())
+            .filter(|&slot| self.in_sync(slot))
+            .map(|slot| self.leo[slot])
             .min()
         {
             self.committed = self.committed.max(min);
@@ -111,32 +129,37 @@ pub struct ReplicaSet {
 }
 
 impl ReplicaSet {
-    pub fn new(partition: usize, log: Arc<PartitionLog>, assignment: Vec<String>) -> Self {
+    pub fn new(partition: usize, log: Arc<PartitionLog>, mut assignment: Vec<String>) -> Self {
+        assignment.truncate(MAX_REPLICAS);
         let start = log.high_watermark();
-        let leo = assignment.iter().map(|n| (n.clone(), start)).collect();
-        let isr = assignment.iter().cloned().collect();
-        let leader = assignment.first().cloned();
+        let n = assignment.len();
         ReplicaSet {
             partition,
             log,
             inner: RwLock::new(ReplicaInner {
-                assignment,
-                leader,
+                leader: (n > 0).then_some(0),
                 epoch: 0,
-                isr,
-                leo,
-                strikes: BTreeMap::new(),
+                isr: (0..n).fold(0, |isr, slot| isr | 1 << slot),
+                down: 0,
+                leo: vec![start; n],
+                strikes: vec![0; n],
                 committed: start,
+                assignment,
             }),
         }
     }
 
     pub fn status(&self) -> ReplicaStatus {
         let inner = self.inner.read();
+        let mut isr: Vec<String> = (0..inner.assignment.len())
+            .filter(|&slot| inner.in_sync(slot))
+            .map(|slot| inner.assignment[slot].clone())
+            .collect();
+        isr.sort();
         ReplicaStatus {
             assignment: inner.assignment.clone(),
-            leader: inner.leader.clone(),
-            isr: inner.isr.iter().cloned().collect(),
+            leader: inner.leader.map(|slot| inner.assignment[slot].clone()),
+            isr,
             epoch: inner.epoch,
             committed: inner.committed.min(self.log.high_watermark()),
             log_end: self.log.high_watermark(),
@@ -155,69 +178,48 @@ impl ReplicaSet {
     /// replicated to every live follower (chaos permitting), the ISR is
     /// updated, and the committed watermark advances; the returned offset
     /// is therefore *committed* under the topic's durability contract.
+    /// Dead nodes are those `on_node_down` named and `on_node_up` has not.
     pub fn append(
         &self,
-        record: Record,
+        record: impl Into<Arc<Record>>,
         now: Timestamp,
-        down: &BTreeSet<String>,
         lossless: bool,
         min_insync: usize,
     ) -> Result<u64> {
         let mut inner = self.inner.write();
-        let leader = match &inner.leader {
-            Some(l) if !down.contains(l) => l.clone(),
-            _ => {
-                return Err(Error::Unavailable(format!(
-                    "partition {} has no live leader",
-                    self.partition
-                )))
-            }
+        let Some(leader) = inner.leader else {
+            return Err(Error::Unavailable(format!(
+                "partition {} has no live leader",
+                self.partition
+            )));
         };
-        // drop dead followers from the ISR before judging acks=all
-        let dead: Vec<String> = inner
-            .isr
-            .iter()
-            .filter(|n| down.contains(*n))
-            .cloned()
-            .collect();
-        for n in dead {
-            inner.isr.remove(&n);
-        }
-        inner.isr.insert(leader.clone());
+        inner.isr |= 1 << leader;
         if lossless {
             let need = min_insync.min(inner.assignment.len()).max(1);
-            if inner.isr.len() < need {
+            let isr = inner.isr.count_ones() as usize;
+            if isr < need {
                 return Err(Error::Unavailable(format!(
-                    "partition {}: not enough in-sync replicas (isr={}, min.insync={need})",
+                    "partition {}: not enough in-sync replicas (isr={isr}, min.insync={need})",
                     self.partition,
-                    inner.isr.len(),
                 )));
             }
         }
         let offset = self.log.append(record, now);
         let end = offset + 1;
-        inner.leo.insert(leader.clone(), end);
-        // synchronous replication to live followers; a follower that
-        // keeps failing is dropped from the ISR, one that succeeds again
-        // catches up from shared storage and rejoins
-        let followers: Vec<String> = inner
-            .assignment
-            .iter()
-            .filter(|n| **n != leader && !down.contains(*n))
-            .cloned()
-            .collect();
-        for f in followers {
+        inner.leo[leader] = end;
+        // synchronous replication to live followers, in assignment order;
+        // a follower that keeps failing is dropped from the ISR, one that
+        // succeeds again catches up from shared storage and rejoins
+        for f in 0..inner.leo.len() {
+            if f == leader || inner.down & (1 << f) != 0 {
+                continue;
+            }
             match chaos::check(FaultPoint::StreamReplicate) {
-                Ok(()) => {
-                    inner.leo.insert(f.clone(), end);
-                    inner.strikes.remove(&f);
-                    inner.isr.insert(f);
-                }
+                Ok(()) => inner.caught_up(f, end),
                 Err(_) => {
-                    let strikes = inner.strikes.entry(f.clone()).or_insert(0);
-                    *strikes += 1;
-                    if *strikes >= MAX_REPLICA_STRIKES {
-                        inner.isr.remove(&f);
+                    inner.strikes[f] += 1;
+                    if inner.strikes[f] >= MAX_REPLICA_STRIKES {
+                        inner.isr &= !(1 << f);
                     }
                 }
             }
@@ -239,40 +241,35 @@ impl ReplicaSet {
     /// transition, if any.
     pub fn on_node_down(&self, node: &str, now: Timestamp, topic: &str) -> Option<FailoverEvent> {
         let mut inner = self.inner.write();
-        if !inner.assignment.iter().any(|n| n == node) {
-            return None;
-        }
-        inner.isr.remove(node);
-        inner.strikes.remove(node);
-        if inner.leader.as_deref() != Some(node) {
+        let slot = inner.assignment.iter().position(|n| n == node)?;
+        inner.down |= 1 << slot;
+        inner.isr &= !(1 << slot);
+        inner.strikes[slot] = 0;
+        if inner.leader != Some(slot) {
             // follower death: ISR shrink may advance the watermark
             inner.recompute_committed();
             return None;
         }
-        let old_leader = inner.leader.take();
+        inner.leader = None;
         inner.epoch += 1;
-        let candidate = inner
-            .assignment
-            .iter()
-            .find(|n| inner.isr.contains(*n))
-            .cloned();
+        let candidate = (0..inner.leo.len()).find(|&s| inner.in_sync(s));
         let mut truncated = 0;
-        if let Some(new_leader) = &candidate {
-            let new_end = inner.leo.get(new_leader).copied().unwrap_or(0);
+        if let Some(new_leader) = candidate {
+            let new_end = inner.leo[new_leader];
             truncated = self.log.truncate_to(new_end);
             // survivors cannot be ahead of the new leader's log
-            for leo in inner.leo.values_mut() {
+            for leo in &mut inner.leo {
                 *leo = (*leo).min(new_end);
             }
-            inner.leader = Some(new_leader.clone());
+            inner.leader = candidate;
             inner.recompute_committed();
         }
         Some(FailoverEvent {
             at: now,
             topic: topic.to_string(),
             partition: self.partition,
-            old_leader,
-            new_leader: candidate,
+            old_leader: Some(node.to_string()),
+            new_leader: candidate.map(|s| inner.assignment[s].clone()),
             epoch: inner.epoch,
             truncated,
         })
@@ -282,15 +279,12 @@ impl ReplicaSet {
     /// rejoins the ISR, and becomes leader if the partition was offline.
     pub fn on_node_up(&self, node: &str, now: Timestamp, topic: &str) -> Option<FailoverEvent> {
         let mut inner = self.inner.write();
-        if !inner.assignment.iter().any(|n| n == node) {
-            return None;
-        }
+        let slot = inner.assignment.iter().position(|n| n == node)?;
+        inner.down &= !(1 << slot);
         let end = self.log.high_watermark();
-        inner.leo.insert(node.to_string(), end);
-        inner.strikes.remove(node);
-        inner.isr.insert(node.to_string());
+        inner.caught_up(slot, end);
         let event = if inner.leader.is_none() {
-            inner.leader = Some(node.to_string());
+            inner.leader = Some(slot);
             inner.epoch += 1;
             Some(FailoverEvent {
                 at: now,
@@ -311,19 +305,13 @@ impl ReplicaSet {
     /// Declare every live replica fully caught up to the shared log (used
     /// after offset-preserving bulk imports like topic migration, where
     /// records are copied into storage beneath the replication layer).
-    pub fn sync_to_end(&self, down: &BTreeSet<String>) {
+    pub fn sync_to_end(&self) {
         let mut inner = self.inner.write();
         let end = self.log.high_watermark();
-        let live: Vec<String> = inner
-            .assignment
-            .iter()
-            .filter(|n| !down.contains(*n))
-            .cloned()
-            .collect();
-        for n in &live {
-            inner.leo.insert(n.clone(), end);
-            inner.strikes.remove(n);
-            inner.isr.insert(n.clone());
+        for slot in 0..inner.leo.len() {
+            if inner.down & (1 << slot) == 0 {
+                inner.caught_up(slot, end);
+            }
         }
         inner.recompute_committed();
     }
@@ -350,9 +338,8 @@ mod tests {
     #[test]
     fn replicated_append_commits_through_full_isr() {
         let r = rs(&["n0", "n1", "n2"]);
-        let down = BTreeSet::new();
         for i in 0..10 {
-            let off = r.append(rec(i), 0, &down, true, 2).unwrap();
+            let off = r.append(rec(i), 0, true, 2).unwrap();
             assert_eq!(off, i as u64);
         }
         let st = r.status();
@@ -363,22 +350,16 @@ mod tests {
     }
 
     #[test]
-    fn dead_leader_fails_appends_until_failover() {
+    fn dead_leader_fails_over_to_the_next_in_sync_replica() {
         let r = rs(&["n0", "n1", "n2"]);
-        let mut down = BTreeSet::new();
-        r.append(rec(0), 0, &down, false, 1).unwrap();
-        down.insert("n0".to_string());
-        assert!(matches!(
-            r.append(rec(1), 0, &down, false, 1),
-            Err(Error::Unavailable(_))
-        ));
+        r.append(rec(0), 0, false, 1).unwrap();
         let ev = r.on_node_down("n0", 5, "t").unwrap();
         assert_eq!(ev.old_leader.as_deref(), Some("n0"));
         assert_eq!(ev.new_leader.as_deref(), Some("n1"));
         assert_eq!(ev.epoch, 1);
         assert_eq!(ev.truncated, 0, "fully replicated tail survives");
         // writes flow again through the new leader
-        let off = r.append(rec(1), 6, &down, false, 1).unwrap();
+        let off = r.append(rec(1), 6, false, 1).unwrap();
         assert_eq!(off, 1);
         assert_eq!(r.committed(), 2);
     }
@@ -388,10 +369,9 @@ mod tests {
         let _g = chaos::test_guard();
         chaos::registry().reset(0xFA11);
         let r = rs(&["n0", "n1"]);
-        let down = BTreeSet::new();
         // replicate 5 records cleanly...
         for i in 0..5 {
-            r.append(rec(i), 0, &down, false, 1).unwrap();
+            r.append(rec(i), 0, false, 1).unwrap();
         }
         // ...then the follower stops replicating: strikes shrink the ISR
         chaos::registry().arm(
@@ -399,7 +379,7 @@ mod tests {
             FaultPlan::fail(FaultKind::Timeout, Trigger::Always),
         );
         for i in 5..12 {
-            r.append(rec(i), 0, &down, false, 1).unwrap();
+            r.append(rec(i), 0, false, 1).unwrap();
         }
         chaos::registry().disarm_all();
         let st = r.status();
@@ -413,7 +393,7 @@ mod tests {
         // electing an unclean leader
         assert_eq!(ev.new_leader, None);
         assert!(matches!(
-            r.append(rec(99), 10, &down, false, 1),
+            r.append(rec(99), 10, false, 1),
             Err(Error::Unavailable(_))
         ));
         // the old leader comes back: catches up, leads again, no data lost
@@ -428,9 +408,8 @@ mod tests {
         let _g = chaos::test_guard();
         chaos::registry().reset(0xFA12);
         let r = rs(&["n0", "n1"]);
-        let down = BTreeSet::new();
         for i in 0..5 {
-            r.append(rec(i), 0, &down, false, 1).unwrap();
+            r.append(rec(i), 0, false, 1).unwrap();
         }
         // follower misses 2 records (strikes below the ISR-drop threshold)
         chaos::registry().arm(
@@ -438,7 +417,7 @@ mod tests {
             FaultPlan::fail(FaultKind::Timeout, Trigger::Always).with_max_fires(2),
         );
         for i in 5..7 {
-            r.append(rec(i), 0, &down, false, 1).unwrap();
+            r.append(rec(i), 0, false, 1).unwrap();
         }
         chaos::registry().disarm_all();
         let st = r.status();
@@ -453,23 +432,22 @@ mod tests {
         assert_eq!(r.committed(), 5);
         assert_eq!(r.fetch(0, 100).unwrap().records.len(), 5);
         // new appends continue from the truncation point: no reordering
-        let off = r.append(rec(7), 10, &down, false, 1).unwrap();
+        let off = r.append(rec(7), 10, false, 1).unwrap();
         assert_eq!(off, 5);
     }
 
     #[test]
     fn lossless_rejects_when_isr_below_min_insync() {
         let r = rs(&["n0", "n1", "n2"]);
-        let mut down = BTreeSet::new();
-        r.append(rec(0), 0, &down, true, 2).unwrap();
-        down.insert("n1".to_string());
-        down.insert("n2".to_string());
+        r.append(rec(0), 0, true, 2).unwrap();
+        assert!(r.on_node_down("n1", 1, "t").is_none(), "follower death");
+        assert!(r.on_node_down("n2", 1, "t").is_none());
         // acks=all with min.insync=2: reject rather than under-replicate
-        let err = r.append(rec(1), 1, &down, true, 2).unwrap_err();
+        let err = r.append(rec(1), 1, true, 2).unwrap_err();
         assert!(matches!(err, Error::Unavailable(_)));
         assert!(err.to_string().contains("in-sync"));
         // the same write succeeds for a throughput-profile topic
-        assert!(r.append(rec(1), 1, &down, false, 1).is_ok());
+        assert!(r.append(rec(1), 1, false, 1).is_ok());
     }
 
     #[test]
@@ -477,21 +455,20 @@ mod tests {
         let _g = chaos::test_guard();
         chaos::registry().reset(0xFA13);
         let r = rs(&["n0", "n1"]);
-        let down = BTreeSet::new();
         for i in 0..4 {
-            r.append(rec(i), 0, &down, false, 1).unwrap();
+            r.append(rec(i), 0, false, 1).unwrap();
         }
         chaos::registry().arm(
             FaultPoint::StreamReplicate,
             FaultPlan::fail(FaultKind::Timeout, Trigger::Always).with_max_fires(1),
         );
-        r.append(rec(4), 0, &down, false, 1).unwrap();
+        r.append(rec(4), 0, false, 1).unwrap();
         chaos::registry().disarm_all();
         let f = r.fetch(0, 100).unwrap();
         assert_eq!(f.records.len(), 4, "unacked record invisible");
         assert_eq!(f.high_watermark, 4);
         // replication recovers on the next append: both become visible
-        r.append(rec(5), 0, &down, false, 1).unwrap();
+        r.append(rec(5), 0, false, 1).unwrap();
         assert_eq!(r.fetch(0, 100).unwrap().records.len(), 6);
     }
 }

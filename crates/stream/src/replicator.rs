@@ -62,28 +62,21 @@ impl StickyAssigner {
         let mut orphans = Vec::new();
         // keep sticky assignments that are still valid and under capacity
         for p in 0..partitions {
-            match self.assignment.get(&p) {
-                Some(w) if load.contains_key(w.as_str()) => {
-                    let l = load.get_mut(w.as_str()).expect("checked");
-                    if *l < capacity {
-                        *l += 1;
-                    } else {
-                        orphans.push(p);
-                    }
-                }
+            let sticky = self.assignment.get(&p);
+            match sticky.and_then(|w| load.get_mut(w.as_str())) {
+                Some(l) if *l < capacity => *l += 1,
                 _ => orphans.push(p),
             }
         }
         // place orphans on least-loaded workers
         for p in orphans {
-            let w = active
-                .iter()
-                .min_by_key(|w| load[w.as_str()])
-                .expect("non-empty")
-                .clone();
-            *load.get_mut(w.as_str()).expect("exists") += 1;
-            let prev = self.assignment.insert(p, w);
-            if prev.map(|pw| pw != self.assignment[&p]).unwrap_or(true) {
+            let Some(w) = active.iter().min_by_key(|w| load.get(w.as_str())) else {
+                break;
+            };
+            if let Some(l) = load.get_mut(w.as_str()) {
+                *l += 1;
+            }
+            if self.assignment.insert(p, w.clone()).as_ref() != Some(w) {
                 moved.push(p);
             }
         }
@@ -313,13 +306,13 @@ impl Replicator {
                 }
                 for rec in fetch.records {
                     let src_offset = rec.offset;
-                    let record = rec.into_record();
                     // the fault check sits inside the retried closure: an
                     // injected fault consumes attempts exactly like a real
-                    // cross-region failure would
+                    // cross-region failure would. Every attempt offers the
+                    // source log's own record: the two logs share it.
                     let dst_offset = match policy.run(|_| {
                         rtdi_common::chaos::check(FaultPoint::MultiregionReplicate)?;
-                        dst.append_to(p, record.clone(), now)
+                        dst.append_to(p, Arc::clone(&rec.record), now)
                     }) {
                         Ok(off) => off,
                         Err(e) => {

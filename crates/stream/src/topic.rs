@@ -15,10 +15,9 @@
 //! membership detector by [`crate::cluster::Cluster`]).
 
 use crate::log::{FetchResult, PartitionLog};
-use crate::replica::{FailoverEvent, ReplicaSet, ReplicaStatus};
+use crate::replica::{FailoverEvent, ReplicaSet, ReplicaStatus, MAX_REPLICAS};
 use parking_lot::RwLock;
 use rtdi_common::{Error, Record, Result, Timestamp};
-use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -86,9 +85,6 @@ pub struct Topic {
     /// of it; see [`crate::replica`]).
     partitions: Vec<Arc<PartitionLog>>,
     replica_sets: Vec<ReplicaSet>,
-    /// Nodes currently considered dead for this topic's partitions,
-    /// maintained by `on_node_down`/`on_node_up`.
-    down: RwLock<BTreeSet<String>>,
     failovers: RwLock<Vec<FailoverEvent>>,
     round_robin: AtomicUsize,
 }
@@ -117,6 +113,12 @@ impl Topic {
     ) -> Result<Self> {
         if config.partitions == 0 {
             return Err(Error::InvalidArgument("topic needs >= 1 partition".into()));
+        }
+        if config.replication > MAX_REPLICAS {
+            return Err(Error::InvalidArgument(format!(
+                "replication factor {} exceeds {MAX_REPLICAS}",
+                config.replication
+            )));
         }
         if nodes.is_empty() {
             return Err(Error::Unavailable(
@@ -150,7 +152,6 @@ impl Topic {
             config,
             partitions,
             replica_sets,
-            down: RwLock::new(BTreeSet::new()),
             failovers: RwLock::new(Vec::new()),
             round_robin: AtomicUsize::new(0),
         })
@@ -180,30 +181,31 @@ impl Topic {
 
     /// Append to the chosen partition; returns `(partition, offset)`.
     /// Fails when the partition has no live leader, or — on lossless
-    /// topics — when the ISR is below `min_insync` (acks=all).
-    pub fn append(&self, record: Record, now: Timestamp) -> Result<(usize, u64)> {
+    /// topics — when the ISR is below `min_insync` (acks=all). The log
+    /// keeps the `Arc` it is given: a caller that already shares the
+    /// record (a retry, a replicator) hands it over uncopied.
+    pub fn append(&self, record: impl Into<Arc<Record>>, now: Timestamp) -> Result<(usize, u64)> {
+        let record = record.into();
         let p = self.partition_for(&record);
-        let offset = self.replicated_append(p, record, now)?;
-        Ok((p, offset))
+        Ok((p, self.append_to(p, record, now)?))
     }
 
     /// Append directly to a specific partition (used by the replicator to
     /// preserve partition alignment, which upsert tables require, §4.3.1).
-    pub fn append_to(&self, partition: usize, record: Record, now: Timestamp) -> Result<u64> {
+    pub fn append_to(
+        &self,
+        partition: usize,
+        record: impl Into<Arc<Record>>,
+        now: Timestamp,
+    ) -> Result<u64> {
         if partition >= self.partitions.len() {
             return Err(Error::InvalidArgument(format!(
                 "partition {partition} out of range"
             )));
         }
-        self.replicated_append(partition, record, now)
-    }
-
-    fn replicated_append(&self, partition: usize, record: Record, now: Timestamp) -> Result<u64> {
-        let down = self.down.read();
         self.replica_sets[partition].append(
             record,
             now,
-            &down,
             self.config.lossless,
             self.config.min_insync,
         )
@@ -255,7 +257,6 @@ impl Topic {
     /// partitions it led elect an in-sync follower (or go offline when
     /// none exists). Returns the leadership transitions.
     pub fn on_node_down(&self, node: &str, now: Timestamp) -> Vec<FailoverEvent> {
-        self.down.write().insert(node.to_string());
         let events: Vec<FailoverEvent> = self
             .replica_sets
             .iter()
@@ -268,7 +269,6 @@ impl Topic {
     /// Mark a broker node live again: it catches up, rejoins ISRs, and
     /// revives partitions that were offline.
     pub fn on_node_up(&self, node: &str, now: Timestamp) -> Vec<FailoverEvent> {
-        self.down.write().remove(node);
         let events: Vec<FailoverEvent> = self
             .replica_sets
             .iter()
@@ -297,9 +297,8 @@ impl Topic {
     /// after offset-preserving bulk imports (topic migration) that write
     /// to the partition logs beneath the replication layer.
     pub fn resync_replicas(&self) {
-        let down = self.down.read();
         for rs in &self.replica_sets {
-            rs.sync_to_end(&down);
+            rs.sync_to_end();
         }
     }
 }

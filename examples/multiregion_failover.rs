@@ -4,7 +4,6 @@
 //!
 //! Run with: `cargo run --example multiregion_failover`
 
-use rtdi::common::record::headers;
 use rtdi::common::{Record, Row};
 use rtdi::multiregion::activepassive::{ActivePassiveConsumer, OffsetSyncService};
 use rtdi::multiregion::topology::MultiRegionTopology;
@@ -12,15 +11,16 @@ use rtdi::stream::topic::TopicConfig;
 use std::collections::BTreeSet;
 
 fn payment(i: i64, region: &str) -> Record {
-    Record::new(
+    let mut payment = Record::new(
         Row::new()
             .with("payment_id", i)
             .with("amount", 10.0 + (i % 50) as f64),
         i,
     )
     .with_key(format!("p{i}"))
-    .with_header(headers::UNIQUE_ID, format!("pay-{i}"))
-    .with_header(headers::SERVICE, region)
+    .with_unique_id(format!("pay-{i}"));
+    payment.audit_mut().service = Some(region.into());
+    payment
 }
 
 fn main() {
@@ -73,7 +73,7 @@ fn main() {
     // verify: zero data loss, bounded replay
     let mut seen: BTreeSet<String> = BTreeSet::new();
     for r in batch1.iter().chain(&batch2).chain(&batch3) {
-        seen.insert(r.unique_id().unwrap().to_string());
+        seen.insert(r.audit().unique_id.as_ref().unwrap().to_string());
     }
     println!(
         "unique payments processed: {} of 6000 (replay overlap: {})",

@@ -7,7 +7,7 @@
 //! [`Buf::remaining`].
 
 use std::fmt;
-use std::ops::Deref;
+use std::ops::{Deref, DerefMut};
 use std::sync::Arc;
 
 /// Immutable, cheaply-cloneable byte buffer. Reading via [`Buf`] advances
@@ -178,6 +178,12 @@ impl Deref for BytesMut {
 
     fn deref(&self) -> &[u8] {
         &self.data
+    }
+}
+
+impl DerefMut for BytesMut {
+    fn deref_mut(&mut self) -> &mut [u8] {
+        &mut self.data
     }
 }
 

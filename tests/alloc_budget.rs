@@ -1,0 +1,176 @@
+//! Allocation budget of the write path, counted by this binary's own
+//! allocator: one record from `Producer::send` to the partition log costs
+//! the `Arc<Record>` the log keeps plus amortised container growth, its
+//! audit at OLAP ingest costs nothing per record, and a retried send
+//! re-sends the shared record instead of copying it.
+//!
+//! One `#[test]`, so the process-wide counter sees one thread at work.
+
+use rtdi::common::{Error, FieldType, Record, Result, Row, Schema};
+use rtdi::core::platform::RealtimePlatform;
+use rtdi::olap::ingestion::{IngestionConfig, RealtimeIngester};
+use rtdi::olap::table::{OlapTable, TableConfig};
+use rtdi::stream::log::FetchResult;
+use rtdi::stream::producer::{Producer, ProducerConfig, StreamEndpoint};
+use rtdi::stream::topic::TopicConfig;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
+
+struct Counting;
+
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counter touches no allocator state.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller's `layout` is passed through as received.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through this type with `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: `ptr` came from `System` through this type with `layout`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+fn allocs_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = ALLOCS.load(Ordering::Relaxed);
+    let out = f();
+    (out, ALLOCS.load(Ordering::Relaxed) - before)
+}
+
+const PARTITIONS: usize = 4;
+
+fn schema() -> Schema {
+    Schema::of(
+        "trips",
+        &[
+            ("city", FieldType::Str),
+            ("fare", FieldType::Double),
+            ("ts", FieldType::Timestamp),
+        ],
+    )
+}
+
+fn trips(n: usize) -> Vec<Record> {
+    (0..n)
+        .map(|i| {
+            let row = Row::new()
+                .with("city", ["sf", "la", "nyc"][i % 3])
+                .with("fare", (i % 64) as f64)
+                .with("ts", (i / 20) as i64);
+            Record::new(row, (i / 20) as i64).with_key(format!("trip-{i}"))
+        })
+        .collect()
+}
+
+fn platform_with_topic() -> RealtimePlatform {
+    let platform = RealtimePlatform::new();
+    let config = TopicConfig::default().with_partitions(PARTITIONS);
+    platform.create_topic("trips", config, schema()).unwrap();
+    platform
+}
+
+fn table(name: &str) -> TableConfig {
+    TableConfig::new(name, schema())
+        .with_time_column("ts")
+        .with_partitions(PARTITIONS)
+}
+
+/// An endpoint that refuses every send `failures` times before passing it
+/// on. Its error carries an empty `String`, which allocates nothing.
+struct Flaky {
+    inner: Arc<dyn StreamEndpoint>,
+    failures: usize,
+    refused: AtomicUsize,
+}
+
+impl StreamEndpoint for Flaky {
+    fn send(&self, topic: &str, record: Arc<Record>, now: i64) -> Result<(usize, u64)> {
+        if self.refused.fetch_add(1, Ordering::Relaxed) % (self.failures + 1) < self.failures {
+            return Err(Error::Unavailable(String::new()));
+        }
+        self.inner.send(topic, record, now)
+    }
+    fn fetch(&self, topic: &str, partition: usize, offset: u64, max: usize) -> Result<FetchResult> {
+        self.inner.fetch(topic, partition, offset, max)
+    }
+    fn num_partitions(&self, topic: &str) -> Result<usize> {
+        self.inner.num_partitions(topic)
+    }
+}
+
+/// Allocations of `n` sends through an endpoint failing `failures` times
+/// per send, on a platform of its own.
+fn allocs_of_flaky_sends(n: usize, failures: usize) -> u64 {
+    let platform = platform_with_topic();
+    let endpoint = Arc::new(Flaky {
+        inner: Arc::new(platform.federation().clone()),
+        failures,
+        refused: AtomicUsize::new(0),
+    });
+    let producer = Producer::new(endpoint.clone(), ProducerConfig::default());
+    let records = trips(n);
+    let ((), allocs) = allocs_during(|| {
+        for r in records {
+            producer.send("trips", r).unwrap();
+        }
+    });
+    assert_eq!(producer.records_sent(), n as u64);
+    let attempts = endpoint.refused.load(Ordering::Relaxed);
+    assert_eq!(attempts, n * (failures + 1), "every refusal was retried");
+    allocs
+}
+
+#[test]
+fn produce_ingest_and_retry_hold_their_allocation_budgets() {
+    const N: usize = 10_000;
+    let platform = platform_with_topic();
+    let producer = platform.producer("budget");
+    let records = trips(N);
+    let ((), sent) = allocs_during(|| {
+        for r in records {
+            producer.send("trips", r).unwrap();
+        }
+    });
+    assert!(
+        sent <= 3 * N as u64,
+        "producer.send: {sent} allocations for {N} records"
+    );
+
+    // the platform's ingester audits and traces every record; a bare one
+    // into a twin table pays only what the table itself allocates
+    let audited = platform.create_olap_table(table("trips")).unwrap();
+    let mut ingester = platform.ingest_into("trips", audited).unwrap();
+    let (ingested, with_audit) = allocs_during(|| ingester.run_once().unwrap());
+    let topic = platform.federation().subscribe("trips").unwrap().topic();
+    let twin = OlapTable::new(table("twin")).unwrap();
+    let mut bare = RealtimeIngester::new(topic, twin, IngestionConfig::default()).unwrap();
+    let (plain, table_only) = allocs_during(|| bare.run_once().unwrap());
+    assert_eq!((ingested, plain), (N as u64, N as u64));
+    assert!(
+        with_audit <= table_only + N as u64,
+        "audited ingest: {with_audit} allocations against {table_only} for the table alone"
+    );
+    assert!(platform.health().zero_loss());
+
+    // two refusals per send cost two more attempts and no copy of the record
+    const M: usize = 1_000;
+    let (clean, retried) = (allocs_of_flaky_sends(M, 0), allocs_of_flaky_sends(M, 2));
+    assert_eq!(
+        retried, clean,
+        "a retried send allocated ({retried}) what a clean one does not ({clean})"
+    );
+}

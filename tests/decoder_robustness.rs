@@ -19,7 +19,9 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rtdi::common::value::JsonValue;
-use rtdi::common::{AggFn, Error, Field, FieldType, Record, Result, Row, Schema, Value};
+use rtdi::common::{
+    AggFn, Audit, Error, Field, FieldType, Record, Result, Row, Schema, UniqueId, Value,
+};
 use rtdi::compute::runtime::CheckpointData;
 use rtdi::compute::source::{HiveSource, Source};
 use rtdi::compute::{
@@ -101,6 +103,32 @@ fn arb_records(rng: &mut StdRng) -> Vec<Record> {
             Record::new(row, rng.gen_range(0..4000i64)).with_key(format!("k{i}"))
         })
         .collect()
+}
+
+/// Give record `i` one of the envelopes the system writes: a producer's
+/// (minted id, both stamps, service), a caller's id from a region, none.
+fn audit((i, mut record): (usize, Record)) -> Record {
+    match i % 3 {
+        0 => {
+            let app_ts = Some(record.timestamp);
+            *record.audit_mut() = Audit {
+                unique_id: Some(UniqueId::Seq {
+                    origin: "fz#1".into(),
+                    seq: i as u64,
+                }),
+                app_ts,
+                trace_ts: Some(i as i64),
+                service: Some("fz".into()),
+                origin_region: None,
+            };
+        }
+        1 => {
+            record = record.with_unique_id(format!("m{i}"));
+            record.audit_mut().origin_region = Some("west".into());
+        }
+        _ => {}
+    }
+    record.with_header("tenant", "fz")
 }
 
 /// Decode outcomes of one decoder across the corpus: a pure function of
@@ -317,6 +345,13 @@ fn soak(seed: u64) -> Vec<String> {
         run("checkpoint-object", &store.get(&key).unwrap(), &|b| {
             store.put(&key, b.into()).unwrap();
             checkpoints.latest("fz").map(drop)
+        });
+        // the same records as a producer and a region leave them: the typed
+        // audit block in each of its shapes (last, so the damage drawn for
+        // the decoders above does not move)
+        let audited: Vec<Record> = records.iter().cloned().enumerate().map(audit).collect();
+        run("raw-log-audit", &encode_raw(&audited).unwrap(), &|b| {
+            decode_raw(&b.into()).map(drop)
         });
     }
     let line = |(name, t): (&&str, &Tally)| {

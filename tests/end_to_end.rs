@@ -1,6 +1,5 @@
 //! Cross-crate integration tests: the platform flows of Figures 1 and 3.
 
-use rtdi::common::record::headers;
 use rtdi::common::{AggFn, FieldType, Record, Row, Schema, SimClock};
 use rtdi::core::platform::RealtimePlatform;
 use rtdi::flinksql::compiler::CompileOptions;
@@ -233,10 +232,79 @@ fn producer_audit_headers_survive_to_olap_ingestion() {
         )
         .unwrap();
     let sub = p.federation().subscribe("trips").unwrap();
-    let rec = &sub.topic().fetch(0, 0, 1).unwrap().records[0].record;
-    assert_eq!(rec.headers.get(headers::SERVICE), Some("driver-app"));
-    assert!(rec.unique_id().is_some());
-    assert!(rec.headers.get(headers::APP_TIMESTAMP).is_some());
+    let rec = sub.topic().fetch(0, 0, 1).unwrap().records.remove(0).record;
+    let rec = rec.audit();
+    assert_eq!(rec.service.as_deref(), Some("driver-app"));
+    assert!(rec.unique_id.is_some());
+    assert!(rec.app_ts.is_some());
+}
+
+/// Ingest `topic` into a fresh table and return its two audit stages.
+fn ingest_and_audit_stages(p: &RealtimePlatform, topic: &str, n: u64) -> (String, String) {
+    let table = p
+        .create_olap_table(
+            TableConfig::new(topic, trips_schema())
+                .with_time_column("ts")
+                .with_partitions(2),
+        )
+        .unwrap();
+    assert_eq!(p.ingest_into(topic, table).unwrap().run_once().unwrap(), n);
+    (format!("{topic}/stream"), format!("{topic}/ingested"))
+}
+
+fn same_ms_trip(i: i64) -> Record {
+    let row = Row::new()
+        .with("city", "sf")
+        .with("fare", 1.0)
+        .with("ts", 7i64);
+    Record::new(row, 7).with_key(format!("k{i}"))
+}
+
+#[test]
+fn two_producers_of_one_service_audit_clean() {
+    // both handles used to mint `svc-0, svc-1, ...`: Chaperone saw every
+    // second record as a duplicate and half the uniques
+    let p = platform();
+    p.create_topic(
+        "trips",
+        TopicConfig::default().with_partitions(2),
+        trips_schema(),
+    )
+    .unwrap();
+    let (a, b) = (p.producer("svc"), p.producer("svc"));
+    for i in 0..50 {
+        a.send("trips", same_ms_trip(2 * i)).unwrap();
+        b.send("trips", same_ms_trip(2 * i + 1)).unwrap();
+    }
+    let (stream, olap) = ingest_and_audit_stages(&p, "trips", 100);
+    assert!(p.chaperone().certify(&stream, &olap));
+    for stage in [&stream, &olap] {
+        let stats = p.chaperone().stats(stage, 0);
+        assert_eq!((stats.count, stats.unique), (100, 100), "{stage}");
+    }
+    assert!(p.health().zero_loss());
+}
+
+#[test]
+fn undecorated_records_of_one_millisecond_are_not_duplicates() {
+    // `platform.produce` mints no id: two records of one event ms used to
+    // share the `<anon-7>` key, a false duplication that also hid a loss
+    let p = platform();
+    p.create_topic(
+        "trips",
+        TopicConfig::default().with_partitions(2),
+        trips_schema(),
+    )
+    .unwrap();
+    p.produce("trips", same_ms_trip(0)).unwrap();
+    p.produce("trips", same_ms_trip(1)).unwrap();
+    let (stream, olap) = ingest_and_audit_stages(&p, "trips", 2);
+    assert!(p.chaperone().certify(&stream, &olap));
+    let stats = p.chaperone().stats(&stream, 0);
+    assert_eq!((stats.count, stats.anonymous), (2, 2));
+    // a third one that never reaches the table is a loss of exactly one
+    p.produce("trips", same_ms_trip(2)).unwrap();
+    assert_eq!(p.chaperone().loss_and_duplication(&stream, &olap), (1, 0));
 }
 
 #[test]

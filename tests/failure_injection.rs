@@ -163,7 +163,7 @@ fn dlq_merge_after_downstream_fix() {
         fn send(
             &self,
             _topic: &str,
-            record: Record,
+            record: Arc<Record>,
             now: i64,
         ) -> rtdi::common::Result<(usize, u64)> {
             self.0.append(record, now)

@@ -287,7 +287,7 @@ fn offered_equals_delivered_plus_parked_across_seeds() {
             for i in 0..n {
                 let mut r = Record::new(Row::new().with("i", i as i64), burst * 1_000)
                     .with_key(format!("b{burst}-{i}"));
-                r.headers.set(headers::SERVICE, rng.pick(&TENANTS));
+                r.audit_mut().service = Some(rng.pick(&TENANTS).into());
                 topic.append(r, burst * 1_000).unwrap();
                 offered += 1;
             }

@@ -544,12 +544,12 @@ fn log_offsets_monotonic() {
         let log = PartitionLog::new(0, retention_bytes);
         let mut expected = 0u64;
         for (i, size) in sizes.iter().enumerate() {
-            let batch: Vec<Record> = (0..*size)
-                .map(|j| Record::new(Row::new().with("i", (i * 100 + j) as i64), 0))
-                .collect();
-            let first = log.append_batch(batch, i as i64);
-            assert_eq!(first, expected, "case {case} batch {i}");
-            expected += *size as u64;
+            for j in 0..*size {
+                let record = Record::new(Row::new().with("i", (i * 100 + j) as i64), 0);
+                let offset = log.append(record, i as i64);
+                assert_eq!(offset, expected, "case {case} burst {i} record {j}");
+                expected += 1;
+            }
         }
         assert_eq!(log.high_watermark(), expected, "case {case}");
         assert!(
