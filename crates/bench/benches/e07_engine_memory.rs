@@ -7,16 +7,17 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use rtdi_bench::{quick_criterion, report, report_header};
 use rtdi_common::{AggFn, Record, Row};
 use rtdi_compute::baselines::{streaming_windowed_agg, MicroBatchEngine};
+use std::sync::Arc;
 
-fn workload(n: usize) -> Vec<Record> {
+fn workload(n: usize) -> Vec<Arc<Record>> {
     (0..n)
         .map(|i| {
-            Record::new(
+            Arc::new(Record::new(
                 Row::new()
                     .with("city", format!("c{}", i % 16))
                     .with("fare", 5.0 + (i % 20) as f64),
                 (i as i64) * 10,
-            )
+            ))
         })
         .collect()
 }
@@ -34,7 +35,8 @@ fn bench(c: &mut Criterion) {
     for n in [50_000usize, 200_000] {
         let records = workload(n);
         let mb = MicroBatchEngine::new(10_000).run_windowed_agg(&records, "city", &aggs);
-        let (st_rows, st_peak) = streaming_windowed_agg(&records, "city", &aggs, 10_000);
+        let (st_rows, st_peak) =
+            streaming_windowed_agg(&records, "city", &aggs, 10_000).expect("the fold cannot fail");
         assert_eq!(mb.rows.len(), st_rows.len(), "engines disagree");
         report(
             format!("{n} records").as_str(),

@@ -27,7 +27,7 @@ impl Operator for FailOnce {
     fn name(&self) -> &str {
         "fail-once"
     }
-    fn process(&mut self, r: Record, out: &mut Vec<Record>) -> Result<()> {
+    fn process(&mut self, r: &Arc<Record>, out: &mut Vec<Arc<Record>>) -> Result<()> {
         self.seen += 1;
         if self.seen == self.at {
             let mut b = self.budget.lock();
@@ -36,7 +36,7 @@ impl Operator for FailOnce {
                 return Err(rtdi_common::Error::Unavailable("node lost".into()));
             }
         }
-        out.push(r);
+        out.push(Arc::clone(r));
         Ok(())
     }
 }

@@ -71,13 +71,12 @@ fn job(
 /// Drive an operator instance over its share of the stream the way a
 /// shard thread does: batched process_batch calls with a watermark per
 /// batch, then the terminal flush. Returns (busy time, emissions).
-fn fold_time(op: &mut Box<dyn Operator>, share: &[Arc<Record>]) -> (Duration, Vec<Record>) {
+fn fold_time(op: &mut Box<dyn Operator>, share: &[Arc<Record>]) -> (Duration, Vec<Arc<Record>>) {
     let mut out = Vec::new();
     let (res, t) = time_it(|| {
         for chunk in share.chunks(256) {
-            let mut batch: Vec<Record> = chunk.iter().map(|r| (**r).clone()).collect();
-            let wm = batch.last().map(|r| r.timestamp).unwrap_or(0);
-            op.process_batch(&mut batch, &mut out)?;
+            let wm = chunk.last().map(|r| r.timestamp).unwrap_or(0);
+            op.process_batch(chunk, &mut out)?;
             op.on_watermark(wm, &mut out);
         }
         op.on_watermark(i64::MAX, &mut out);
@@ -116,7 +115,7 @@ fn project(rows: &[Arc<Record>], parallelism: usize) -> Projection {
     // stage 2: each shard folds its share; the slowest shard gates the epoch
     let template = agg_op(SWEEP_WINDOW_MS, parallelism, false);
     let mut max_shard = Duration::ZERO;
-    let mut merged: Vec<Vec<Record>> = Vec::new();
+    let mut merged: Vec<Vec<Arc<Record>>> = Vec::new();
     for (i, bucket) in buckets.iter().enumerate() {
         let mut shard = if parallelism > 1 {
             template.make_shard(i, parallelism).unwrap()
@@ -131,7 +130,7 @@ fn project(rows: &[Arc<Record>], parallelism: usize) -> Projection {
     // stage 3: the deterministic merge — stable sort flushed windows into
     // serial emission order
     let (_, merge_t) = time_it(|| {
-        let mut all: Vec<Record> = merged.into_iter().flatten().collect();
+        let mut all: Vec<Arc<Record>> = merged.into_iter().flatten().collect();
         all.sort_by_cached_key(|r| {
             (
                 key_string(&r.value, &key_cols),

@@ -169,6 +169,19 @@ impl Record {
         self
     }
 
+    /// This record with `value` for its payload: what an operator that
+    /// changes the row emits. The key, timestamp, headers and envelope are
+    /// copied; the old row is not.
+    pub fn rewritten(&self, value: Row) -> Self {
+        Record {
+            key: self.key.clone(),
+            value,
+            timestamp: self.timestamp,
+            headers: self.headers.clone(),
+            audit: self.audit.clone(),
+        }
+    }
+
     /// The audit envelope; every field `None` when the record has none.
     pub fn audit(&self) -> &Audit {
         self.audit.as_deref().unwrap_or(&NO_AUDIT)

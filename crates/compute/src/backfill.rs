@@ -64,7 +64,14 @@ pub fn kappa_plus_job(
             "backfill range must be non-empty".into(),
         ));
     }
-    let source = HiveSource::new(table, config.from, config.to, config.throttle_per_poll)?;
+    // a hand-built chain may read any column: decode them all
+    let source = HiveSource::new(
+        table,
+        config.from,
+        config.to,
+        config.throttle_per_poll,
+        None,
+    )?;
     Ok(Job::new(name, Box::new(source), operators, sink)
         .with_out_of_orderness(config.max_out_of_orderness))
 }

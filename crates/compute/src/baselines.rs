@@ -17,8 +17,9 @@
 //!   footprint gap (experiment E7).
 
 use rtdi_common::agg::{AggAcc, AggFn};
-use rtdi_common::{Record, Row, Timestamp};
+use rtdi_common::{Record, Result, Row, Timestamp};
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::Arc;
 
 /// Which engine model to simulate.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -193,17 +194,17 @@ impl MicroBatchEngine {
     /// in event-time order (micro-batching assumes arrival order).
     pub fn run_windowed_agg(
         &self,
-        records: &[Record],
+        records: &[Arc<Record>],
         key_col: &str,
         aggs: &[(String, AggFn)],
     ) -> MicroBatchResult {
         let mut out = Vec::new();
         let mut peak = 0usize;
-        let mut batch: Vec<Record> = Vec::new();
+        let mut batch: Vec<Arc<Record>> = Vec::new();
         let mut batch_bytes = 0usize;
         let mut batch_start: Option<Timestamp> = None;
 
-        let flush = |batch: &mut Vec<Record>,
+        let flush = |batch: &mut Vec<Arc<Record>>,
                      batch_bytes: &mut usize,
                      start: Timestamp,
                      out: &mut Vec<Row>,
@@ -256,7 +257,7 @@ impl MicroBatchEngine {
                 None => batch_start = Some(start),
             }
             batch_bytes += rec.value.approx_bytes();
-            batch.push(rec.clone());
+            batch.push(Arc::clone(rec));
             peak = peak.max(batch_bytes);
         }
         if let Some(s) = batch_start {
@@ -282,11 +283,11 @@ pub const STREAMING_EXCHANGE_BUFFER_BYTES: usize = 16 * 1024;
 /// incremental window operator, tracking peak state bytes (plus the
 /// exchange-buffer allowance above). Returns `(rows, peak_bytes)`.
 pub fn streaming_windowed_agg(
-    records: &[Record],
+    records: &[Arc<Record>],
     key_col: &str,
     aggs: &[(String, AggFn)],
     window_ms: i64,
-) -> (Vec<Row>, usize) {
+) -> Result<(Vec<Row>, usize)> {
     use crate::operator::{Operator, WindowAggregateOp};
     use crate::window::WindowAssigner;
     let mut op = WindowAggregateOp::new(
@@ -301,16 +302,19 @@ pub fn streaming_windowed_agg(
     let mut max_ts = Timestamp::MIN;
     for rec in records {
         max_ts = max_ts.max(rec.timestamp);
-        op.process(rec.clone(), &mut out).unwrap();
+        op.process(rec, &mut out)?;
         // in-order input: watermark chases event time directly
         op.on_watermark(max_ts, &mut out);
         peak = peak.max(op.memory_bytes() + rec.value.approx_bytes());
     }
     op.on_watermark(Timestamp::MAX, &mut out);
-    (
-        out.into_iter().map(|r| r.value).collect(),
+    // the fold's emissions are held by nobody else: unwrapped, not copied
+    Ok((
+        out.into_iter()
+            .map(|r| Arc::unwrap_or_clone(r).value)
+            .collect(),
         peak + STREAMING_EXCHANGE_BUFFER_BYTES,
-    )
+    ))
 }
 
 #[cfg(test)]
@@ -390,15 +394,15 @@ mod tests {
         assert_eq!(r.wasted_replays, 0);
     }
 
-    fn sample_records(n: usize) -> Vec<Record> {
+    fn sample_records(n: usize) -> Vec<Arc<Record>> {
         (0..n)
             .map(|i| {
-                Record::new(
+                Arc::new(Record::new(
                     Row::new()
                         .with("city", format!("c{}", i % 8))
                         .with("fare", 1.0 + (i % 10) as f64),
                     (i as i64) * 10,
-                )
+                ))
             })
             .collect()
     }
@@ -411,7 +415,7 @@ mod tests {
             ("sum_fare".to_string(), AggFn::Sum("fare".into())),
         ];
         let mb = MicroBatchEngine::new(1000).run_windowed_agg(&records, "city", &aggs);
-        let (st, _) = streaming_windowed_agg(&records, "city", &aggs, 1000);
+        let (st, _) = streaming_windowed_agg(&records, "city", &aggs, 1000).unwrap();
         let canon = |mut rows: Vec<Row>| {
             rows.sort_by_key(|r| {
                 (
@@ -441,7 +445,7 @@ mod tests {
             ("sum_fare".to_string(), AggFn::Sum("fare".into())),
         ];
         let mb = MicroBatchEngine::new(10_000).run_windowed_agg(&records, "city", &aggs);
-        let (_, streaming_peak) = streaming_windowed_agg(&records, "city", &aggs, 10_000);
+        let (_, streaming_peak) = streaming_windowed_agg(&records, "city", &aggs, 10_000).unwrap();
         let ratio = mb.peak_bytes as f64 / streaming_peak as f64;
         assert!(
             ratio >= 5.0,

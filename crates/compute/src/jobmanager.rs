@@ -738,13 +738,13 @@ mod tests {
         fn name(&self) -> &str {
             "transient"
         }
-        fn process(&mut self, r: Record, out: &mut Vec<Record>) -> Result<()> {
+        fn process(&mut self, r: &Arc<Record>, out: &mut Vec<Arc<Record>>) -> Result<()> {
             let mut b = self.budget.lock();
             if *b > 0 {
                 *b -= 1;
                 return Err(Error::Unavailable("downstream flake".into()));
             }
-            out.push(r);
+            out.push(Arc::clone(r));
             Ok(())
         }
     }

@@ -9,10 +9,12 @@
 //! - [`operator`]: the dataflow operators (map / filter / flat-map / keyed
 //!   window aggregation / windowed stream-stream join) with snapshotable
 //!   state, plus the operator-chaining pass that fuses adjacent stateless
-//!   operators into one stage;
+//!   operators into one stage. Operators borrow shared record handles
+//!   (`&Arc<Record>`) and copy no cell they do not change;
 //! - [`source`], [`sink`]: bounded & unbounded sources over topics,
 //!   in-memory vectors and archived Hive tables (the Kappa+ read path),
-//!   all batch-aware (`poll_batch` / `write_batch`);
+//!   all batch-aware (`poll_batch` / `write_batch`) and all moving
+//!   handles, not copies;
 //! - [`runtime`]: the one engine every job runs on — a staged
 //!   multi-threaded runtime with bounded channels whose natural
 //!   backpressure reproduces Flink's backlog behaviour, moving
@@ -27,6 +29,10 @@
 //!   replayed over archived data with throttling and enlarged buffers;
 //! - [`baselines`]: the Storm-like ack-based engine and the Spark-like
 //!   micro-batch engine used by the §4.2 comparison experiments (E6, E7).
+
+// non-test code on the data path returns `Error`, never panics
+// (ROADMAP item 5)
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod backfill;
 pub mod baselines;

@@ -8,13 +8,21 @@
 //! features for failure recovery" the paper names as the reason it chose
 //! Flink (§4.2).
 //!
-//! The batched runtime hands operators whole record batches via
-//! [`Operator::process_batch`]; keyed operators override it to amortize
-//! per-record work (grouping-key construction, window assignment) across
-//! the batch. [`fuse_stateless`] is the operator-chaining pass: adjacent
-//! stateless operators collapse into one [`FusedOp`] stage that executes
-//! in a single thread with no channel hop in between — Flink's operator
-//! chaining.
+//! **Record ownership.** Records travel as shared handles
+//! (`Arc<Record>`) that the partition log, the archive source or another
+//! stage may still hold, so an operator *borrows* its input and nothing
+//! copies a cell it does not change. A read-only operator (filter, window
+//! fold, dedup) forwards the handle it was given or reads the cells it
+//! needs; an operator that changes a record builds a new one from the new
+//! [`Row`] and the key, timestamp, headers and envelope it keeps
+//! ([`Record::rewritten`]). No operator writes through a handle: a record
+//! in the log is immutable.
+//!
+//! The runtime hands operators whole record batches via
+//! [`Operator::process_batch`]. [`fuse_stateless`] is the
+//! operator-chaining pass: adjacent stateless operators collapse into one
+//! [`FusedOp`] stage that executes in a single thread with no channel hop
+//! in between — Flink's operator chaining.
 //!
 //! Keyed stateful operators ([`WindowAggregateOp`], [`DedupOp`]) can also
 //! run *data-parallel*: [`Operator::shard_spec`] declares the stage's
@@ -39,9 +47,11 @@ use rtdi_storage::archival::{decode_rows, encode_rows};
 use rtdi_storage::keyed::{key_group_of, shard_of_group, KeyedSnapshot};
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt::Write;
+use std::sync::Arc;
 
-/// Convenience alias for operator emission buffers.
-pub type OperatorOutput = Vec<Record>;
+/// Operator emission buffer: handles, so a forwarded record is not copied.
+pub type OperatorOutput = Vec<Arc<Record>>;
 
 /// Sharding contract of a keyed stateful stage (see
 /// [`Operator::shard_spec`]). The runtime's router hashes the grouping
@@ -63,20 +73,21 @@ pub struct ShardSpec {
     pub hot_key_threshold: Option<u64>,
 }
 
-/// One stage of a dataflow.
+/// One stage of a dataflow. Input records are borrowed handles that other
+/// holders (the log, a source, an upstream buffer) may share: read them,
+/// forward them (`Arc::clone`), or emit new records — never write them.
 pub trait Operator: Send {
     fn name(&self) -> &str;
 
     /// Process one record, appending any outputs.
-    fn process(&mut self, record: Record, out: &mut OperatorOutput) -> Result<()>;
+    fn process(&mut self, record: &Arc<Record>, out: &mut OperatorOutput) -> Result<()>;
 
-    /// Process a whole batch, draining `batch`. Must be equivalent to
-    /// calling [`Operator::process`] on each record in order — the
-    /// batched runtime relies on that for byte-identical results vs the
-    /// per-record oracle ([`crate::reference`]). Override to amortize
-    /// per-record costs.
-    fn process_batch(&mut self, batch: &mut Vec<Record>, out: &mut OperatorOutput) -> Result<()> {
-        for record in batch.drain(..) {
+    /// Process a whole batch. Must be equivalent to calling
+    /// [`Operator::process`] on each record in order — the runtime relies
+    /// on that for byte-identical results vs the per-record oracle
+    /// ([`crate::reference`]).
+    fn process_batch(&mut self, batch: &[Arc<Record>], out: &mut OperatorOutput) -> Result<()> {
+        for record in batch {
             self.process(record, out)?;
         }
         Ok(())
@@ -139,10 +150,9 @@ pub trait Operator: Send {
 
     /// Whether [`Operator::process`] may emit records. Operators that
     /// only emit from [`Operator::on_watermark`] (windowed aggregation)
-    /// return `false`, which lets a shard run the amortized
-    /// [`Operator::process_batch`] fold without per-record output
-    /// attribution. An operator returning `false` must not emit from
-    /// `process`/`process_batch`.
+    /// return `false`, which lets a shard run [`Operator::process_batch`]
+    /// without per-record output attribution. An operator returning
+    /// `false` must not emit from `process`/`process_batch`.
     fn emits_inline(&self) -> bool {
         true
     }
@@ -168,9 +178,9 @@ impl Operator for MapOp {
         &self.name
     }
 
-    fn process(&mut self, mut record: Record, out: &mut OperatorOutput) -> Result<()> {
-        record.value = (self.f)(&record.value);
-        out.push(record);
+    fn process(&mut self, record: &Arc<Record>, out: &mut OperatorOutput) -> Result<()> {
+        // changes the payload: a new record around the mapped row
+        out.push(Arc::new(record.rewritten((self.f)(&record.value))));
         Ok(())
     }
 }
@@ -195,9 +205,9 @@ impl Operator for FilterOp {
         &self.name
     }
 
-    fn process(&mut self, record: Record, out: &mut OperatorOutput) -> Result<()> {
+    fn process(&mut self, record: &Arc<Record>, out: &mut OperatorOutput) -> Result<()> {
         if (self.pred)(&record.value) {
-            out.push(record);
+            out.push(Arc::clone(record));
         }
         Ok(())
     }
@@ -228,28 +238,40 @@ impl Operator for FlatMapOp {
         &self.name
     }
 
-    fn process(&mut self, record: Record, out: &mut OperatorOutput) -> Result<()> {
-        out.extend((self.f)(&record));
+    fn process(&mut self, record: &Arc<Record>, out: &mut OperatorOutput) -> Result<()> {
+        out.extend((self.f)(record).into_iter().map(Arc::new));
         Ok(())
     }
 }
 
-/// Encode a grouping key from rows deterministically. This is the one
-/// canonical keying function of the compute layer: operators fold by it,
-/// the parallel router hashes it (FNV via [`Value::hash_of_str`]) to pick
-/// a key group, and the downstream merge sorts flushed emissions by it to
-/// reproduce serial emission order.
-pub fn key_string(row: &Row, cols: &[String]) -> String {
-    let mut s = String::new();
+/// Write the grouping key of `row` over `cols` into `buf` (cleared first).
+/// This is the one canonical keying function of the compute layer:
+/// operators probe their state with it, the parallel router hashes the
+/// same bytes (FNV via [`Value::hash_of_str`]) to pick a key group, and
+/// the downstream merge sorts flushed emissions by it to reproduce serial
+/// emission order. Callers on the per-record path keep one `buf` and so
+/// build no `String` per record.
+pub fn write_key(buf: &mut String, row: &Row, cols: &[impl AsRef<str>]) {
+    buf.clear();
     for (i, c) in cols.iter().enumerate() {
         if i > 0 {
-            s.push('\u{1f}');
+            buf.push('\u{1f}');
         }
-        match row.get(c) {
-            Some(v) => s.push_str(&v.to_string()),
-            None => s.push('\u{0}'),
+        match row.get(c.as_ref()) {
+            Some(Value::Str(s)) => buf.push_str(s),
+            // writing to a `String` cannot fail
+            Some(v) => {
+                let _ = write!(buf, "{v}");
+            }
+            None => buf.push('\u{0}'),
         }
     }
+}
+
+/// [`write_key`] into a fresh `String`.
+pub fn key_string(row: &Row, cols: &[impl AsRef<str>]) -> String {
+    let mut s = String::new();
+    write_key(&mut s, row, cols);
     s
 }
 
@@ -257,7 +279,7 @@ pub fn key_string(row: &Row, cols: &[String]) -> String {
 /// shard phase and the combine phase of a salted aggregation.
 pub const PARTIAL_COL: &str = "__partial";
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct WindowState {
     key_row: Row,
     accs: Vec<AggAcc>,
@@ -265,26 +287,91 @@ struct WindowState {
 
 type WindowKey = (String, Timestamp, Timestamp);
 
-/// Build the final output row for a closed (key, window) — shared by the
-/// serial aggregation path and [`PartialCombineOp`] so the two produce
-/// byte-identical records.
-fn finalize_window(
-    key_cols: &[String],
-    aggs: &[(String, AggFn)],
-    st: &WindowState,
-    start: Timestamp,
-    end: Timestamp,
-) -> Record {
-    let mut row = st.key_row.clone();
-    row.push(WINDOW_START_COL, start);
-    row.push(WINDOW_END_COL, end);
-    for ((name, _), acc) in aggs.iter().zip(&st.accs) {
-        row.push(name.clone(), acc.result());
+/// The grouping and output columns of a windowed stage, names interned
+/// once so state rows and emitted rows share them.
+struct WindowCols {
+    keys: Vec<Arc<str>>,
+    start: Arc<str>,
+    end: Arc<str>,
+    partial: Arc<str>,
+    aggs: Vec<(Arc<str>, AggFn)>,
+}
+
+impl WindowCols {
+    fn new(key_cols: Vec<String>, aggs: &[(String, AggFn)]) -> Self {
+        WindowCols {
+            keys: key_cols.into_iter().map(Into::into).collect(),
+            start: WINDOW_START_COL.into(),
+            end: WINDOW_END_COL.into(),
+            partial: PARTIAL_COL.into(),
+            aggs: aggs
+                .iter()
+                .map(|(name, f)| (name.as_str().into(), f.clone()))
+                .collect(),
+        }
     }
-    let key = key_cols.first().and_then(|c| st.key_row.get(c).cloned());
-    let mut rec = Record::new(row, end - 1);
-    rec.key = key;
-    rec
+
+    fn key_cols(&self) -> Vec<String> {
+        self.keys.iter().map(|c| c.to_string()).collect()
+    }
+
+    fn aggs(&self) -> Vec<(String, AggFn)> {
+        let named = |(name, f): &(Arc<str>, AggFn)| (name.to_string(), f.clone());
+        self.aggs.iter().map(named).collect()
+    }
+
+    fn new_state(&self, row: &Row) -> WindowState {
+        WindowState {
+            key_row: row.project_shared(&self.keys),
+            accs: self.aggs.iter().map(|(_, f)| f.new_acc()).collect(),
+        }
+    }
+
+    /// The output record of a closed (key, window): the key row, the
+    /// window bounds, then one final column per aggregate — or, from a
+    /// shard of a salted aggregation (`partial`), the raw accumulators for
+    /// the combine stage to merge.
+    fn record(&self, st: WindowState, start: Timestamp, end: Timestamp, partial: bool) -> Record {
+        let key = self.keys.first().and_then(|c| st.key_row.get(c).cloned());
+        let mut row = st.key_row;
+        row.push(self.start.clone(), start);
+        row.push(self.end.clone(), end);
+        if partial {
+            let mut accs = BytesMut::new();
+            accs.put_u32(st.accs.len() as u32);
+            for a in &st.accs {
+                a.encode(&mut accs);
+            }
+            row.push(self.partial.clone(), Value::Bytes(accs.to_vec()));
+        } else {
+            for ((name, _), acc) in self.aggs.iter().zip(&st.accs) {
+                row.push(name.clone(), acc.result());
+            }
+        }
+        let mut rec = Record::new(row, end - 1);
+        rec.key = key;
+        rec
+    }
+
+    /// Remove every (key, window) the watermark closed from `state` and
+    /// emit its record, in key order.
+    fn flush_closed(
+        &self,
+        state: &mut BTreeMap<WindowKey, WindowState>,
+        wm: Timestamp,
+        lateness: i64,
+        partial: bool,
+        out: &mut OperatorOutput,
+    ) {
+        state.retain(|(_, start, end), st| {
+            let closed = end.checked_add(lateness).is_none_or(|e| e <= wm);
+            if closed {
+                let st = std::mem::take(st);
+                out.push(Arc::new(self.record(st, *start, *end, partial)));
+            }
+            !closed
+        });
+    }
 }
 
 fn encode_window_entry(
@@ -408,6 +495,13 @@ fn windowed_restore(
     Ok((snap.watermark, dropped, state))
 }
 
+fn windowed_bytes(state: &BTreeMap<WindowKey, WindowState>) -> usize {
+    let bytes = |st: &WindowState| {
+        st.key_row.approx_bytes() + st.accs.iter().map(AggAcc::memory_bytes).sum::<usize>() + 48
+    };
+    state.values().map(bytes).sum()
+}
+
 /// Keyed event-time window aggregation.
 ///
 /// Emits one row per (key, window) when the watermark passes
@@ -415,13 +509,16 @@ fn windowed_restore(
 /// `window_start`, `window_end` and one column per aggregate.
 pub struct WindowAggregateOp {
     name: String,
-    key_cols: Vec<String>,
+    cols: WindowCols,
     assigner: WindowAssigner,
-    aggs: Vec<(String, AggFn)>,
     allowed_lateness: i64,
     /// (key, window_start, window_end) -> state, ordered so that emission
     /// and snapshots are deterministic.
     state: BTreeMap<WindowKey, WindowState>,
+    /// The lookup key, reused across records: [`write_key`] fills the
+    /// string and a `String` is allocated only for a (key, window) that
+    /// enters the state.
+    probe: WindowKey,
     watermark: Timestamp,
     late_dropped: u64,
     parallelism: usize,
@@ -444,11 +541,11 @@ impl WindowAggregateOp {
     ) -> Self {
         WindowAggregateOp {
             name: name.into(),
-            key_cols,
+            cols: WindowCols::new(key_cols, &aggs),
             assigner,
-            aggs,
             allowed_lateness: allowed_lateness.max(0),
             state: BTreeMap::new(),
+            probe: WindowKey::default(),
             watermark: Timestamp::MIN,
             late_dropped: 0,
             parallelism: 1,
@@ -483,60 +580,71 @@ impl WindowAggregateOp {
         self.late_dropped
     }
 
-    fn fold_into(&mut self, key: String, window: Window, record: &Record) {
-        // session windows merge overlapping entries of the same key
+    /// Fold `row` into `window` of the key held in `self.probe.0`.
+    fn fold_into(&mut self, mut window: Window, row: &Row) {
+        if window.end + self.allowed_lateness <= self.watermark {
+            self.late_dropped += 1;
+            return;
+        }
         if self.assigner.is_session() {
-            let mut merged = window;
-            let mut absorbed: Vec<(String, Timestamp, Timestamp)> = Vec::new();
-            for (k, st) in self
-                .state
-                .range((key.clone(), Timestamp::MIN, Timestamp::MIN)..)
-            {
-                if k.0 != key {
-                    break;
-                }
-                let _ = st;
-                // overlap if existing [k.1, k.2) intersects [merged.start, merged.end)
-                if k.1 < merged.end && merged.start < k.2 {
-                    merged.start = merged.start.min(k.1);
-                    merged.end = merged.end.max(k.2);
-                    absorbed.push(k.clone());
-                }
+            window = self.absorb_sessions(window);
+        }
+        (self.probe.1, self.probe.2) = (window.start, window.end);
+        let add = |st: &mut WindowState| {
+            for (acc, (_, f)) in st.accs.iter_mut().zip(&self.cols.aggs) {
+                acc.add(f, row);
             }
-            let mut accs: Vec<AggAcc> = self.aggs.iter().map(|(_, f)| f.new_acc()).collect();
-            let mut key_row = record
-                .value
-                .project(&self.key_cols.iter().map(|s| s.as_str()).collect::<Vec<_>>());
-            for k in absorbed {
-                let st = self.state.remove(&k).expect("collected above");
-                for (a, b) in accs.iter_mut().zip(&st.accs) {
-                    a.merge(b);
-                }
-                key_row = st.key_row;
-            }
-            for (acc, (_, f)) in accs.iter_mut().zip(&self.aggs) {
-                acc.add(f, &record.value);
-            }
-            self.state.insert(
-                (key, merged.start, merged.end),
-                WindowState { key_row, accs },
-            );
-        } else {
-            let key_cols = &self.key_cols;
-            let aggs = &self.aggs;
-            let entry = self
-                .state
-                .entry((key, window.start, window.end))
-                .or_insert_with(|| WindowState {
-                    key_row: record
-                        .value
-                        .project(&key_cols.iter().map(|s| s.as_str()).collect::<Vec<_>>()),
-                    accs: aggs.iter().map(|(_, f)| f.new_acc()).collect(),
-                });
-            for (acc, (_, f)) in entry.accs.iter_mut().zip(aggs) {
-                acc.add(f, &record.value);
+        };
+        match self.state.get_mut(&self.probe) {
+            Some(st) => add(st),
+            None => {
+                let mut st = self.cols.new_state(row);
+                add(&mut st);
+                self.state.insert(self.probe.clone(), st);
             }
         }
+    }
+
+    /// Session windows merge: take every session of the probe key that
+    /// overlaps `window` out of the state and put their union back as one
+    /// entry, keyed by a string one of them held, for the caller to fold
+    /// the record into. Returns the merged bounds.
+    fn absorb_sessions(&mut self, window: Window) -> Window {
+        let mut merged = window;
+        let mut overlapping: Vec<(Timestamp, Timestamp)> = Vec::new();
+        (self.probe.1, self.probe.2) = (Timestamp::MIN, Timestamp::MIN);
+        for (k, _) in self.state.range(&self.probe..) {
+            if k.0 != self.probe.0 {
+                break;
+            }
+            // existing [k.1, k.2) intersects [merged.start, merged.end)
+            if k.1 < merged.end && merged.start < k.2 {
+                merged.start = merged.start.min(k.1);
+                merged.end = merged.end.max(k.2);
+                overlapping.push((k.1, k.2));
+            }
+        }
+        let mut union: Option<(WindowKey, WindowState)> = None;
+        for bounds in overlapping {
+            (self.probe.1, self.probe.2) = bounds;
+            let Some((key, absorbed)) = self.state.remove_entry(&self.probe) else {
+                continue;
+            };
+            match &mut union {
+                None => union = Some((key, absorbed)),
+                Some((_, st)) => {
+                    for (a, b) in st.accs.iter_mut().zip(&absorbed.accs) {
+                        a.merge(b);
+                    }
+                    st.key_row = absorbed.key_row;
+                }
+            }
+        }
+        if let Some((mut key, st)) = union {
+            (key.1, key.2) = (merged.start, merged.end);
+            self.state.insert(key, st);
+        }
+        merged
     }
 }
 
@@ -545,94 +653,17 @@ impl Operator for WindowAggregateOp {
         &self.name
     }
 
-    fn process(&mut self, record: Record, out: &mut OperatorOutput) -> Result<()> {
-        let _ = out;
-        let key = key_string(&record.value, &self.key_cols);
-        for window in self.assigner.assign(record.timestamp) {
-            if window.end + self.allowed_lateness <= self.watermark {
-                self.late_dropped += 1;
-                continue;
-            }
-            self.fold_into(key.clone(), window, &record);
-        }
-        Ok(())
-    }
-
-    /// Batched fold: grouping keys (and their hashes) are computed once
-    /// per batch in a first pass, then consecutive records hitting the
-    /// same (key, window) fold into a single state entry without repeating
-    /// the map lookup. Fold order is per-record order, so results are
-    /// byte-identical to the per-record path.
-    fn process_batch(&mut self, batch: &mut Vec<Record>, out: &mut OperatorOutput) -> Result<()> {
-        let _ = out;
-        if self.assigner.is_session() {
-            // sessions merge state across records: per-record path
-            for record in batch.drain(..) {
-                self.process(record, out)?;
-            }
-            return Ok(());
-        }
-        let keys: Vec<(u64, String)> = batch
-            .iter()
-            .map(|r| {
-                let k = key_string(&r.value, &self.key_cols);
-                (Value::hash_of_str(&k), k)
-            })
-            .collect();
-        let lateness = self.allowed_lateness;
-        let wm = self.watermark;
-        let n = batch.len();
-        let mut i = 0;
-        while i < n {
-            match self.assigner.single_window(batch[i].timestamp) {
-                Some(win) => {
-                    if win.end + lateness <= wm {
-                        self.late_dropped += 1;
-                        i += 1;
-                        continue;
-                    }
-                    let aggs = &self.aggs;
-                    let key_cols = &self.key_cols;
-                    let first = &batch[i];
-                    let entry = self
-                        .state
-                        .entry((keys[i].1.clone(), win.start, win.end))
-                        .or_insert_with(|| WindowState {
-                            key_row: first
-                                .value
-                                .project(&key_cols.iter().map(|s| s.as_str()).collect::<Vec<_>>()),
-                            accs: aggs.iter().map(|(_, f)| f.new_acc()).collect(),
-                        });
-                    loop {
-                        for (acc, (_, f)) in entry.accs.iter_mut().zip(aggs) {
-                            acc.add(f, &batch[i].value);
-                        }
-                        i += 1;
-                        if i >= n
-                            || keys[i].0 != keys[i - 1].0
-                            || keys[i].1 != keys[i - 1].1
-                            || self.assigner.single_window(batch[i].timestamp) != Some(win)
-                        {
-                            break;
-                        }
-                    }
-                }
-                None => {
-                    // sliding windows: fold once per assigned window with
-                    // the precomputed key
-                    for window in self.assigner.assign(batch[i].timestamp) {
-                        if window.end + lateness <= wm {
-                            self.late_dropped += 1;
-                            continue;
-                        }
-                        let record = batch[i].clone();
-                        self.fold_into(keys[i].1.clone(), window, &record);
-                    }
-                    i += 1;
+    fn process(&mut self, record: &Arc<Record>, _out: &mut OperatorOutput) -> Result<()> {
+        write_key(&mut self.probe.0, &record.value, &self.cols.keys);
+        match self.assigner.single_window(record.timestamp) {
+            Some(window) => self.fold_into(window, &record.value),
+            // sliding and session assigners: one fold per assigned window
+            None => {
+                for window in self.assigner.assign(record.timestamp) {
+                    self.fold_into(window, &record.value);
                 }
             }
         }
-        batch.clear();
         Ok(())
     }
 
@@ -642,38 +673,8 @@ impl Operator for WindowAggregateOp {
         }
         self.watermark = wm;
         let lateness = self.allowed_lateness;
-        let ready: Vec<WindowKey> = self
-            .state
-            .keys()
-            .filter(|(_, _, end)| end.checked_add(lateness).map(|e| e <= wm).unwrap_or(true))
-            .cloned()
-            .collect();
-        for k in ready {
-            let st = self.state.remove(&k).expect("key collected above");
-            let (_, start, end) = k;
-            if self.emit_partials {
-                // phase one of a salted aggregation: ship the raw
-                // accumulators; the combine stage folds them via merge
-                let mut row = st.key_row.clone();
-                row.push(WINDOW_START_COL, start);
-                row.push(WINDOW_END_COL, end);
-                let mut accs = BytesMut::new();
-                accs.put_u32(st.accs.len() as u32);
-                for a in &st.accs {
-                    a.encode(&mut accs);
-                }
-                row.push(PARTIAL_COL, Value::Bytes(accs.to_vec()));
-                let key = self
-                    .key_cols
-                    .first()
-                    .and_then(|c| st.key_row.get(c).cloned());
-                let mut rec = Record::new(row, end - 1);
-                rec.key = key;
-                out.push(rec);
-            } else {
-                out.push(finalize_window(&self.key_cols, &self.aggs, &st, start, end));
-            }
-        }
+        self.cols
+            .flush_closed(&mut self.state, wm, lateness, self.emit_partials, out);
     }
 
     fn snapshot(&self) -> Bytes {
@@ -689,14 +690,7 @@ impl Operator for WindowAggregateOp {
     }
 
     fn memory_bytes(&self) -> usize {
-        self.state
-            .values()
-            .map(|st| {
-                st.key_row.approx_bytes()
-                    + st.accs.iter().map(AggAcc::memory_bytes).sum::<usize>()
-                    + 48
-            })
-            .sum()
+        windowed_bytes(&self.state)
     }
 
     fn is_stateful(&self) -> bool {
@@ -710,21 +704,17 @@ impl Operator for WindowAggregateOp {
     fn shard_spec(&self) -> Option<ShardSpec> {
         (self.parallelism > 1 || self.salted()).then(|| ShardSpec {
             parallelism: self.parallelism,
-            key_cols: self.key_cols.clone(),
-            hot_key_threshold: if self.assigner.is_session() {
-                None
-            } else {
-                self.hot_key_threshold
-            },
+            key_cols: self.cols.key_cols(),
+            hot_key_threshold: self.hot_key_threshold.filter(|_| self.salted()),
         })
     }
 
     fn make_shard(&self, index: usize, of: usize) -> Option<Box<dyn Operator>> {
         let mut op = WindowAggregateOp::new(
             self.name.clone(),
-            self.key_cols.clone(),
+            self.cols.key_cols(),
             self.assigner,
-            self.aggs.clone(),
+            self.cols.aggs(),
             self.allowed_lateness,
         );
         op.emit_partials = self.salted();
@@ -736,8 +726,8 @@ impl Operator for WindowAggregateOp {
         self.salted().then(|| {
             Box::new(PartialCombineOp::new(
                 format!("{}-combine", self.name),
-                self.key_cols.clone(),
-                self.aggs.clone(),
+                self.cols.key_cols(),
+                self.cols.aggs(),
                 self.allowed_lateness,
             )) as Box<dyn Operator>
         })
@@ -760,6 +750,8 @@ pub struct DedupOp {
     /// `(instance, parallelism)` when running as a shard.
     shard: Option<(usize, usize)>,
     seen: BTreeSet<String>,
+    /// Reused [`write_key`] buffer: only a first occurrence allocates.
+    key_buf: String,
 }
 
 impl DedupOp {
@@ -770,6 +762,7 @@ impl DedupOp {
             parallelism: 1,
             shard: None,
             seen: BTreeSet::new(),
+            key_buf: String::new(),
         }
     }
 
@@ -790,9 +783,11 @@ impl Operator for DedupOp {
         &self.name
     }
 
-    fn process(&mut self, record: Record, out: &mut OperatorOutput) -> Result<()> {
-        if self.seen.insert(key_string(&record.value, &self.key_cols)) {
-            out.push(record);
+    fn process(&mut self, record: &Arc<Record>, out: &mut OperatorOutput) -> Result<()> {
+        write_key(&mut self.key_buf, &record.value, &self.key_cols);
+        if !self.seen.contains(&self.key_buf) {
+            self.seen.insert(self.key_buf.clone());
+            out.push(Arc::clone(record));
         }
         Ok(())
     }
@@ -872,10 +867,11 @@ impl Operator for DedupOp {
 /// the shape and order of an unsalted [`WindowAggregateOp`].
 pub struct PartialCombineOp {
     name: String,
-    key_cols: Vec<String>,
-    aggs: Vec<(String, AggFn)>,
+    cols: WindowCols,
     allowed_lateness: i64,
     state: BTreeMap<WindowKey, WindowState>,
+    /// Reused lookup key, as in [`WindowAggregateOp`].
+    probe: WindowKey,
     watermark: Timestamp,
     dropped: u64,
 }
@@ -889,10 +885,10 @@ impl PartialCombineOp {
     ) -> Self {
         PartialCombineOp {
             name: name.into(),
-            key_cols,
-            aggs,
+            cols: WindowCols::new(key_cols, &aggs),
             allowed_lateness: allowed_lateness.max(0),
             state: BTreeMap::new(),
+            probe: WindowKey::default(),
             watermark: Timestamp::MIN,
             dropped: 0,
         }
@@ -904,27 +900,25 @@ impl Operator for PartialCombineOp {
         &self.name
     }
 
-    fn process(&mut self, record: Record, out: &mut OperatorOutput) -> Result<()> {
-        let _ = out;
-        let start = record
-            .value
+    fn process(&mut self, record: &Arc<Record>, _out: &mut OperatorOutput) -> Result<()> {
+        let row = &record.value;
+        let start = row
             .get_int(WINDOW_START_COL)
             .ok_or_else(|| Error::InvalidArgument("partial row missing window_start".into()))?;
-        let end = record
-            .value
+        let end = row
             .get_int(WINDOW_END_COL)
             .ok_or_else(|| Error::InvalidArgument("partial row missing window_end".into()))?;
-        let Some(Value::Bytes(payload)) = record.value.get(PARTIAL_COL) else {
+        let Some(Value::Bytes(payload)) = row.get(PARTIAL_COL) else {
             return Err(Error::InvalidArgument(
                 "combine input missing __partial accumulators".into(),
             ));
         };
         let mut buf = Bytes::copy_from_slice(payload);
         let n = get_u32_checked(&mut buf, "partial accumulator count")? as usize;
-        if n != self.aggs.len() {
+        if n != self.cols.aggs.len() {
             return Err(Error::Corruption(format!(
                 "partial row has {n} accumulators, stage has {}",
-                self.aggs.len()
+                self.cols.aggs.len()
             )));
         }
         let mut incoming = Vec::with_capacity(n);
@@ -940,19 +934,20 @@ impl Operator for PartialCombineOp {
             self.dropped += 1;
             return Ok(());
         }
-        let key = key_string(&record.value, &self.key_cols);
-        match self.state.entry((key, start, end)) {
-            Entry::Vacant(v) => {
-                let cols: Vec<&str> = self.key_cols.iter().map(|s| s.as_str()).collect();
-                v.insert(WindowState {
-                    key_row: record.value.project(&cols),
-                    accs: incoming,
-                });
-            }
-            Entry::Occupied(mut o) => {
-                for (a, b) in o.get_mut().accs.iter_mut().zip(&incoming) {
+        write_key(&mut self.probe.0, row, &self.cols.keys);
+        (self.probe.1, self.probe.2) = (start, end);
+        match self.state.get_mut(&self.probe) {
+            Some(st) => {
+                for (a, b) in st.accs.iter_mut().zip(&incoming) {
                     a.merge(b);
                 }
+            }
+            None => {
+                let st = WindowState {
+                    key_row: row.project_shared(&self.cols.keys),
+                    accs: incoming,
+                };
+                self.state.insert(self.probe.clone(), st);
             }
         }
         Ok(())
@@ -964,17 +959,8 @@ impl Operator for PartialCombineOp {
         }
         self.watermark = wm;
         let lateness = self.allowed_lateness;
-        let ready: Vec<WindowKey> = self
-            .state
-            .keys()
-            .filter(|(_, _, end)| end.checked_add(lateness).map(|e| e <= wm).unwrap_or(true))
-            .cloned()
-            .collect();
-        for k in ready {
-            let st = self.state.remove(&k).expect("key collected above");
-            let (_, start, end) = k;
-            out.push(finalize_window(&self.key_cols, &self.aggs, &st, start, end));
-        }
+        self.cols
+            .flush_closed(&mut self.state, wm, lateness, false, out);
     }
 
     fn snapshot(&self) -> Bytes {
@@ -990,14 +976,7 @@ impl Operator for PartialCombineOp {
     }
 
     fn memory_bytes(&self) -> usize {
-        self.state
-            .values()
-            .map(|st| {
-                st.key_row.approx_bytes()
-                    + st.accs.iter().map(AggAcc::memory_bytes).sum::<usize>()
-                    + 48
-            })
-            .sum()
+        windowed_bytes(&self.state)
     }
 
     fn is_stateful(&self) -> bool {
@@ -1022,10 +1001,8 @@ impl Operator for PartialCombineOp {
 pub struct FusedOp {
     name: String,
     ops: Vec<Box<dyn Operator>>,
-    /// Staging buffer for single-record `process` calls.
-    single: Vec<Record>,
-    /// Reused ping-pong buffer between chain members.
-    scratch: Vec<Record>,
+    /// Reused ping-pong buffers between chain members.
+    scratch: (OperatorOutput, OperatorOutput),
     /// Error raised while cascading a watermark (which can't return one);
     /// surfaced at the next fallible call.
     pending_error: Option<Error>,
@@ -1041,30 +1018,9 @@ impl FusedOp {
         FusedOp {
             name,
             ops,
-            single: Vec::with_capacity(1),
-            scratch: Vec::new(),
+            scratch: Default::default(),
             pending_error: None,
         }
-    }
-
-    /// Run `batch` through every member in order; the last member writes
-    /// into `out`. Buffers are recycled across calls.
-    fn run_chain(&mut self, batch: &mut Vec<Record>, out: &mut OperatorOutput) -> Result<()> {
-        let last = self.ops.len() - 1;
-        let mut cur = std::mem::take(batch);
-        let mut next = std::mem::take(&mut self.scratch);
-        for (i, op) in self.ops.iter_mut().enumerate() {
-            if i == last {
-                op.process_batch(&mut cur, out)?;
-            } else {
-                next.clear();
-                op.process_batch(&mut cur, &mut next)?;
-                std::mem::swap(&mut cur, &mut next);
-            }
-        }
-        *batch = cur; // drained by the first member; keep the allocation
-        self.scratch = next;
-        Ok(())
     }
 }
 
@@ -1073,34 +1029,44 @@ impl Operator for FusedOp {
         &self.name
     }
 
-    fn process(&mut self, record: Record, out: &mut OperatorOutput) -> Result<()> {
-        if let Some(e) = self.pending_error.take() {
-            return Err(e);
-        }
-        let mut batch = std::mem::take(&mut self.single);
-        batch.push(record);
-        let res = self.run_chain(&mut batch, out);
-        self.single = batch;
-        res
+    fn process(&mut self, record: &Arc<Record>, out: &mut OperatorOutput) -> Result<()> {
+        self.process_batch(std::slice::from_ref(record), out)
     }
 
-    fn process_batch(&mut self, batch: &mut Vec<Record>, out: &mut OperatorOutput) -> Result<()> {
+    /// Run `batch` through every member in order; the last member writes
+    /// into `out`. Buffers are recycled across calls.
+    fn process_batch(&mut self, batch: &[Arc<Record>], out: &mut OperatorOutput) -> Result<()> {
         if let Some(e) = self.pending_error.take() {
             return Err(e);
         }
-        self.run_chain(batch, out)
+        let last = self.ops.len() - 1;
+        let (mut cur, mut next) = std::mem::take(&mut self.scratch);
+        for (i, op) in self.ops.iter_mut().enumerate() {
+            let input = if i == 0 { batch } else { &cur[..] };
+            if i == last {
+                op.process_batch(input, out)?;
+            } else {
+                next.clear();
+                op.process_batch(input, &mut next)?;
+                std::mem::swap(&mut cur, &mut next);
+            }
+        }
+        cur.clear();
+        next.clear();
+        self.scratch = (cur, next);
+        Ok(())
     }
 
     fn on_watermark(&mut self, wm: Timestamp, out: &mut OperatorOutput) {
         // anything member i emits on the watermark must pass through
         // members i+1.. before the watermark itself reaches them
         let last = self.ops.len() - 1;
-        let mut pending: Vec<Record> = Vec::new();
+        let mut pending = OperatorOutput::new();
         for i in 0..self.ops.len() {
             let mut emitted = Vec::new();
             if !pending.is_empty() {
                 let dst = if i == last { &mut *out } else { &mut emitted };
-                if let Err(e) = self.ops[i].process_batch(&mut pending, dst) {
+                if let Err(e) = self.ops[i].process_batch(&pending, dst) {
                     self.pending_error.get_or_insert(e);
                     return;
                 }
@@ -1155,10 +1121,10 @@ impl Operator for FusedOp {
 }
 
 fn flush_fuse_run(out: &mut Vec<Box<dyn Operator>>, run: &mut Vec<Box<dyn Operator>>) {
-    match run.len() {
-        0 => {}
-        1 => out.push(run.pop().expect("len checked")),
-        _ => out.push(Box::new(FusedOp::new(std::mem::take(run)))),
+    if run.len() > 1 {
+        out.push(Box::new(FusedOp::new(std::mem::take(run))));
+    } else {
+        out.append(run);
     }
 }
 
@@ -1247,43 +1213,33 @@ impl Operator for WindowJoinOp {
         &self.name
     }
 
-    fn process(&mut self, record: Record, out: &mut OperatorOutput) -> Result<()> {
-        let tag = record
-            .value
+    fn process(&mut self, record: &Arc<Record>, out: &mut OperatorOutput) -> Result<()> {
+        let row = &record.value;
+        let tag = row
             .get_str(STREAM_TAG)
-            .ok_or_else(|| Error::InvalidArgument("join input missing __stream tag".into()))?
-            .to_string();
+            .ok_or_else(|| Error::InvalidArgument("join input missing __stream tag".into()))?;
         let win_start = record.timestamp.div_euclid(self.window_ms) * self.window_ms;
         if win_start + self.window_ms <= self.watermark {
             self.dropped += 1;
             return Ok(());
         }
-        let key = key_string(&record.value, std::slice::from_ref(&self.key_col));
-        let mut row = record.value.clone();
-        // strip the tag from the stored row
-        row.set(STREAM_TAG, Value::Null);
-        let entry = self
-            .state
-            .entry((key, win_start))
-            .or_insert_with(|| (Vec::new(), Vec::new()));
+        let key = key_string(row, std::slice::from_ref(&self.key_col));
+        let (lefts, rights) = self.state.entry((key, win_start)).or_default();
+        let mut emit = |left: &Row, right: &Row| {
+            let mut joined = Self::merge_rows(left, right);
+            joined.set(STREAM_TAG, Value::Null);
+            let mut rec = Record::new(joined, record.timestamp);
+            rec.key = record.key.clone();
+            out.push(Arc::new(rec));
+        };
+        // the join buffers the row itself: state outlives the batch, and a
+        // held handle would pin the whole record
         if tag == self.left_tag {
-            for r in &entry.1 {
-                let mut joined = Self::merge_rows(&record.value, r);
-                joined.set(STREAM_TAG, Value::Null);
-                let mut rec = Record::new(joined, record.timestamp);
-                rec.key = record.key.clone();
-                out.push(rec);
-            }
-            entry.0.push(record.value);
+            rights.iter().for_each(|r| emit(row, r));
+            lefts.push(row.clone());
         } else if tag == self.right_tag {
-            for l in &entry.0 {
-                let mut joined = Self::merge_rows(l, &record.value);
-                joined.set(STREAM_TAG, Value::Null);
-                let mut rec = Record::new(joined, record.timestamp);
-                rec.key = record.key.clone();
-                out.push(rec);
-            }
-            entry.1.push(record.value);
+            lefts.iter().for_each(|l| emit(l, row));
+            rights.push(row.clone());
         } else {
             return Err(Error::InvalidArgument(format!(
                 "unknown stream tag '{tag}' (expected '{}' or '{}')",
@@ -1366,13 +1322,17 @@ impl Operator for WindowJoinOp {
 mod tests {
     use super::*;
 
-    fn rec(ts: Timestamp, row: Row) -> Record {
-        Record::new(row, ts)
+    fn rec(ts: Timestamp, row: Row) -> Arc<Record> {
+        Arc::new(Record::new(row, ts))
     }
 
-    fn drain(op: &mut dyn Operator, records: Vec<Record>, final_wm: Timestamp) -> Vec<Record> {
+    fn drain(
+        op: &mut dyn Operator,
+        records: Vec<Arc<Record>>,
+        final_wm: Timestamp,
+    ) -> OperatorOutput {
         let mut out = Vec::new();
-        for r in records {
+        for r in &records {
             op.process(r, &mut out).unwrap();
         }
         op.on_watermark(final_wm, &mut out);
@@ -1449,12 +1409,12 @@ mod tests {
             0,
         );
         let mut out = Vec::new();
-        op.process(rec(100, Row::new().with("k", "a")), &mut out)
+        op.process(&rec(100, Row::new().with("k", "a")), &mut out)
             .unwrap();
         op.on_watermark(1500, &mut out); // window [0,1000) closes and emits
         assert_eq!(out.len(), 1);
         // a record for the closed window is late
-        op.process(rec(200, Row::new().with("k", "a")), &mut out)
+        op.process(&rec(200, Row::new().with("k", "a")), &mut out)
             .unwrap();
         assert_eq!(op.late_dropped(), 1);
         // with lateness allowance it would have been accepted
@@ -1466,11 +1426,11 @@ mod tests {
             1000,
         );
         let mut out2 = Vec::new();
-        op2.process(rec(100, Row::new().with("k", "a")), &mut out2)
+        op2.process(&rec(100, Row::new().with("k", "a")), &mut out2)
             .unwrap();
         op2.on_watermark(1500, &mut out2); // not emitted yet: lateness holds it
         assert!(out2.is_empty());
-        op2.process(rec(200, Row::new().with("k", "a")), &mut out2)
+        op2.process(&rec(200, Row::new().with("k", "a")), &mut out2)
             .unwrap();
         assert_eq!(op2.late_dropped(), 0);
         op2.on_watermark(2100, &mut out2);
@@ -1537,7 +1497,7 @@ mod tests {
         let mut out = Vec::new();
         for i in 0..20 {
             op.process(
-                rec(
+                &rec(
                     i * 100,
                     Row::new()
                         .with("city", "sf")
@@ -1578,12 +1538,12 @@ mod tests {
 
     #[test]
     fn fused_chain_matches_sequential_execution() {
-        let records: Vec<Record> = (0..20).map(|i| rec(i, Row::new().with("x", i))).collect();
+        let records: Vec<Arc<Record>> = (0..20).map(|i| rec(i, Row::new().with("x", i))).collect();
         // reference: run the chain operator by operator
         let mut expected = records.clone();
         for mut op in map_filter_chain() {
             let mut next = Vec::new();
-            for r in expected {
+            for r in &expected {
                 op.process(r, &mut next).unwrap();
             }
             expected = next;
@@ -1594,16 +1554,14 @@ mod tests {
         assert!(!fused.is_stateful());
         // per-record path
         let mut got = Vec::new();
-        for r in records.clone() {
+        for r in &records {
             fused.process(r, &mut got).unwrap();
         }
         assert_eq!(got, expected);
         // batched path
         let mut fused2 = FusedOp::new(map_filter_chain());
-        let mut batch = records;
         let mut got2 = Vec::new();
-        fused2.process_batch(&mut batch, &mut got2).unwrap();
-        assert!(batch.is_empty());
+        fused2.process_batch(&records, &mut got2).unwrap();
         assert_eq!(got2, expected);
     }
 
@@ -1651,7 +1609,7 @@ mod tests {
         let mut fused = FusedOp::new(ops);
         let mut out = Vec::new();
         fused
-            .process(rec(100, Row::new().with("k", "a")), &mut out)
+            .process(&rec(100, Row::new().with("k", "a")), &mut out)
             .unwrap();
         fused.on_watermark(5000, &mut out);
         assert_eq!(out.len(), 1);
@@ -1676,7 +1634,7 @@ mod tests {
         let mut op = mk();
         let mut out = Vec::new();
         for i in 0..10 {
-            op.process(rec(i * 100, Row::new().with("k", "a")), &mut out)
+            op.process(&rec(i * 100, Row::new().with("k", "a")), &mut out)
                 .unwrap();
         }
         let snap = op.snapshot();
@@ -1708,7 +1666,7 @@ mod tests {
             WindowAssigner::tumbling(700),
             WindowAssigner::sliding(900, 300),
         ] {
-            let records: Vec<Record> = (0..60)
+            let records: Vec<Arc<Record>> = (0..60)
                 .map(|i| {
                     rec(
                         (i * 137) % 2500, // out of order, with same-key runs
@@ -1725,10 +1683,9 @@ mod tests {
             // interleave a watermark so the late path is exercised too
             for (idx, chunk) in records.chunks(20).enumerate() {
                 for r in chunk {
-                    a.process(r.clone(), &mut out_a).unwrap();
+                    a.process(r, &mut out_a).unwrap();
                 }
-                let mut batch = chunk.to_vec();
-                b.process_batch(&mut batch, &mut out_b).unwrap();
+                b.process_batch(chunk, &mut out_b).unwrap();
                 let wm = 600 * (idx as i64 + 1);
                 a.on_watermark(wm, &mut out_a);
                 b.on_watermark(wm, &mut out_b);
@@ -1762,10 +1719,10 @@ mod tests {
                     .with("actual", v),
             )
         };
-        op.process(pred(100, "m1", 0.9), &mut out).unwrap();
-        op.process(outcome(200, "m1", 1.0), &mut out).unwrap(); // same window -> join
-        op.process(outcome(1500, "m1", 0.0), &mut out).unwrap(); // next window -> no match
-        op.process(outcome(300, "m2", 0.5), &mut out).unwrap(); // other key -> no match
+        op.process(&pred(100, "m1", 0.9), &mut out).unwrap();
+        op.process(&outcome(200, "m1", 1.0), &mut out).unwrap(); // same window -> join
+        op.process(&outcome(1500, "m1", 0.0), &mut out).unwrap(); // next window -> no match
+        op.process(&outcome(300, "m2", 0.5), &mut out).unwrap(); // other key -> no match
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].value.get_double("predicted"), Some(0.9));
         assert_eq!(out[0].value.get_double("actual"), Some(1.0));
@@ -1777,7 +1734,7 @@ mod tests {
         let mut op = WindowJoinOp::new("join", "k", "l", "r", 1000);
         let mut out = Vec::new();
         op.process(
-            rec(
+            &rec(
                 100,
                 Row::new()
                     .with(STREAM_TAG, "l")
@@ -1792,7 +1749,7 @@ mod tests {
         assert!(op.memory_bytes() < before);
         // matching record now arrives too late: dropped, no join output
         op.process(
-            rec(
+            &rec(
                 150,
                 Row::new()
                     .with(STREAM_TAG, "r")
@@ -1810,11 +1767,11 @@ mod tests {
         let mut op = WindowJoinOp::new("join", "k", "l", "r", 1000);
         let mut out = Vec::new();
         assert!(op
-            .process(rec(0, Row::new().with("k", "a")), &mut out)
+            .process(&rec(0, Row::new().with("k", "a")), &mut out)
             .is_err());
         assert!(op
             .process(
-                rec(0, Row::new().with(STREAM_TAG, "zzz").with("k", "a")),
+                &rec(0, Row::new().with(STREAM_TAG, "zzz").with("k", "a")),
                 &mut out
             )
             .is_err());
@@ -1826,7 +1783,7 @@ mod tests {
         let mut out = Vec::new();
         for i in 0..10 {
             op.process(
-                rec(
+                &rec(
                     i * 50,
                     Row::new()
                         .with(STREAM_TAG, "l")
@@ -1850,8 +1807,8 @@ mod tests {
                 .with("k", "k0")
                 .with("y", 7i64),
         );
-        op.process(right.clone(), &mut out_a).unwrap();
-        restored.process(right, &mut out_b).unwrap();
+        op.process(&right, &mut out_a).unwrap();
+        restored.process(&right, &mut out_b).unwrap();
         assert_eq!(out_a.len(), out_b.len());
         assert!(!out_b.is_empty());
     }
@@ -1865,7 +1822,7 @@ mod tests {
                 .with(STREAM_TAG, tag)
                 .with("k", format!("k{}", i % 2))
                 .with("x", i as i64);
-            op.process(rec(i as i64 * 10, row), &mut out).unwrap();
+            op.process(&rec(i as i64 * 10, row), &mut out).unwrap();
         }
         let snap = op.snapshot().to_vec();
         let restore = |bytes: &[u8]| {
@@ -1908,7 +1865,7 @@ mod tests {
                 0,
             );
             let row = Row::new().with("city", "sf").with("fare", 2.0);
-            op.process(rec(10, row), &mut Vec::new()).unwrap();
+            op.process(&rec(10, row), &mut Vec::new()).unwrap();
             KeyedSnapshot::decode(op.snapshot()).unwrap()
         };
         let mixed = KeyedSnapshot::merge([mk(AggFn::Count), mk(AggFn::Sum("fare".into()))]);
@@ -1929,7 +1886,7 @@ mod tests {
             .enumerate()
         {
             op.process(
-                rec(i as i64, Row::new().with("city", *c).with("driver", *d)),
+                &rec(i as i64, Row::new().with("city", *c).with("driver", *d)),
                 &mut out,
             )
             .unwrap();
@@ -1944,7 +1901,7 @@ mod tests {
         let mut op = DedupOp::new("dedup", vec!["k".into()]);
         let mut out = Vec::new();
         for i in 0..200 {
-            op.process(rec(i, Row::new().with("k", format!("k{i}"))), &mut out)
+            op.process(&rec(i, Row::new().with("k", format!("k{i}"))), &mut out)
                 .unwrap();
         }
         let snap = op.snapshot();
@@ -1990,7 +1947,7 @@ mod tests {
         for i in 0..300i64 {
             serial
                 .process(
-                    rec(
+                    &rec(
                         (i * 37) % 5000,
                         Row::new()
                             .with("city", format!("city-{}", i % 29))
@@ -2011,7 +1968,7 @@ mod tests {
                 shard.restore(snap.clone()).unwrap();
                 shard.on_watermark(i64::MAX, &mut union);
             }
-            let sort_key = |r: &Record| {
+            let sort_key = |r: &Arc<Record>| {
                 (
                     key_string(&r.value, &["city".to_string()]),
                     r.value.get_int(WINDOW_START_COL),
@@ -2043,7 +2000,7 @@ mod tests {
             )
         };
         // dyadic fares, so re-associated float sums stay exact
-        let records: Vec<Record> = (0..400i64)
+        let records: Vec<Arc<Record>> = (0..400i64)
             .map(|i| {
                 rec(
                     (i * 53) % 4000,
@@ -2056,7 +2013,7 @@ mod tests {
         let mut serial = mk();
         let mut expected = Vec::new();
         for r in &records {
-            serial.process(r.clone(), &mut expected).unwrap();
+            serial.process(r, &mut expected).unwrap();
         }
         serial.on_watermark(i64::MAX, &mut expected);
 
@@ -2069,7 +2026,7 @@ mod tests {
         let mut combiner = template.make_combiner().unwrap();
         let mut partials = Vec::new();
         for (i, r) in records.iter().enumerate() {
-            shards[i % 2].process(r.clone(), &mut partials).unwrap();
+            shards[i % 2].process(r, &mut partials).unwrap();
         }
         for s in &mut shards {
             s.on_watermark(i64::MAX, &mut partials);
@@ -2082,7 +2039,7 @@ mod tests {
             )
         });
         let mut got = Vec::new();
-        for p in partials {
+        for p in &partials {
             combiner.process(p, &mut got).unwrap();
         }
         combiner.on_watermark(i64::MAX, &mut got);

@@ -36,7 +36,6 @@ pub fn run_reference(mut job: Job) -> Result<JobRunStats> {
         for record in batch {
             wm_gen.observe(record.timestamp);
             stats.records_in += 1;
-            let record = Arc::unwrap_or_clone(record);
             stats.records_out += push_chain(&mut job.operators, record, job.sink.as_mut())?;
         }
         let wm = wm_gen.current();
@@ -61,13 +60,13 @@ pub fn run_reference(mut job: Job) -> Result<JobRunStats> {
 /// Push one record through the chain; returns records written to the sink.
 fn push_chain(
     operators: &mut [Box<dyn Operator>],
-    record: Record,
+    record: Arc<Record>,
     sink: &mut dyn Sink,
 ) -> Result<u64> {
     let mut current = vec![record];
     for op in operators.iter_mut() {
         let mut next = Vec::new();
-        for r in current {
+        for r in &current {
             op.process(r, &mut next)?;
         }
         current = next;
@@ -77,7 +76,8 @@ fn push_chain(
     }
     let n = current.len() as u64;
     for r in current {
-        sink.write(r)?;
+        // copies only a record the source still holds (a filter's output)
+        sink.write(Arc::unwrap_or_clone(r))?;
     }
     Ok(n)
 }

@@ -33,7 +33,7 @@
 //! The single-threaded per-record oracle the tests compare this engine
 //! against lives in [`crate::reference`].
 
-use crate::operator::{key_string, Operator, ShardSpec};
+use crate::operator::{key_string, write_key, Operator, OperatorOutput, ShardSpec};
 use crate::sink::Sink;
 use crate::source::Source;
 use crate::watermark::WatermarkGenerator;
@@ -353,10 +353,6 @@ impl Default for StagedConfig {
     }
 }
 
-fn unwrap_or_clone(r: Arc<Record>) -> Record {
-    Arc::try_unwrap(r).unwrap_or_else(|a| (*a).clone())
-}
-
 /// One entry of the staged execution plan: a serial operator thread, or a
 /// sharded stage expanded into router + N shards + merge. Each entry owns
 /// exactly one checkpoint slot, so slot counts are independent of
@@ -434,11 +430,11 @@ enum ShardMsg {
 /// What shards send the merge thread.
 enum MergeMsg {
     /// Inline emissions: `(input seq, emission index within record, rec)`.
-    Data(usize, Vec<(u64, u32, Record)>),
+    Data(usize, Vec<(u64, u32, Arc<Record>)>),
     /// Watermark epoch complete on this shard, with its flush emissions
     /// (already in the operator's deterministic per-shard order). Sent
     /// even when empty — it is the epoch-completion signal.
-    Flush(usize, Timestamp, Vec<Record>),
+    Flush(usize, Timestamp, OperatorOutput),
     /// This shard's snapshot for barrier `id`.
     Snapshot(usize, u64, Bytes),
 }
@@ -505,8 +501,11 @@ fn run_parallel_router(
     let mut sketch = CountMinSketch::new(4, 1024);
     let mut seq = 0u64;
     let mut buckets: Vec<Vec<(u64, Arc<Record>)>> = (0..n).map(|_| Vec::new()).collect();
+    // the operators' own key bytes, hashed in place: no `String` per record
+    let mut key = String::new();
     let mut route = |r: Arc<Record>, seq: &mut u64, buckets: &mut Vec<Vec<(u64, Arc<Record>)>>| {
-        let h = Value::hash_of_str(&key_string(&r.value, &spec.key_cols));
+        write_key(&mut key, &r.value, &spec.key_cols);
+        let h = Value::hash_of_str(&key);
         let shard = match spec.hot_key_threshold {
             // hot key: salt it across all shards (two-phase aggregation
             // recombines); cold keys keep their stable key-group home
@@ -574,16 +573,16 @@ fn run_parallel_shard(
         ..ShardStats::default()
     };
     let mut err = None;
-    let mut owned: Vec<Record> = Vec::new();
-    let mut buf: Vec<Record> = Vec::new();
-    let mut data: Vec<(u64, u32, Record)> = Vec::new();
+    let mut fold: Vec<Arc<Record>> = Vec::new();
+    let mut buf = OperatorOutput::new();
+    let mut data: Vec<(u64, u32, Arc<Record>)> = Vec::new();
     'recv: while let Ok(msg) = rx.recv() {
         match msg {
             ShardMsg::Batch(batch) => {
                 st.records_in += batch.len() as u64;
                 if inline {
                     for (seq, r) in batch {
-                        if let Err(e) = op.process(unwrap_or_clone(r), &mut buf) {
+                        if let Err(e) = op.process(&r, &mut buf) {
                             err = Some(e);
                             break 'recv;
                         }
@@ -593,10 +592,11 @@ fn run_parallel_shard(
                     }
                 } else {
                     // stateful fold: emissions only happen on watermarks,
-                    // so the batched fast path needs no seq attribution
-                    owned.clear();
-                    owned.extend(batch.into_iter().map(|(_, r)| unwrap_or_clone(r)));
-                    if let Err(e) = op.process_batch(&mut owned, &mut buf) {
+                    // so the batch needs no seq attribution
+                    fold.extend(batch.into_iter().map(|(_, r)| r));
+                    let res = op.process_batch(&fold, &mut buf);
+                    fold.clear();
+                    if let Err(e) = res {
                         err = Some(e);
                         break;
                     }
@@ -653,15 +653,14 @@ fn flush_sort_key(r: &Record, key_cols: &[String]) -> (String, i64, i64) {
 
 fn send_merge_out(
     tx: &crossbeam::channel::Sender<StagedMsg>,
-    recs: Vec<Record>,
+    recs: OperatorOutput,
     records_out: &mut u64,
 ) -> bool {
     if recs.is_empty() {
         return true;
     }
     *records_out += recs.len() as u64;
-    tx.send(StagedMsg::Batch(recs.into_iter().map(Arc::new).collect()))
-        .is_ok()
+    tx.send(StagedMsg::Batch(recs)).is_ok()
 }
 
 /// The merge thread of a parallel stage: buffers each shard's output per
@@ -679,8 +678,8 @@ fn run_parallel_merge(
     let mut records_out = 0u64;
     let mut err = None;
     // per shard: data of the open epoch, plus closed-but-unmerged epochs
-    let mut cur: Vec<Vec<(u64, u32, Record)>> = (0..n).map(|_| Vec::new()).collect();
-    type Epoch = (Timestamp, Vec<(u64, u32, Record)>, Vec<Record>);
+    let mut cur: Vec<Vec<(u64, u32, Arc<Record>)>> = (0..n).map(|_| Vec::new()).collect();
+    type Epoch = (Timestamp, Vec<(u64, u32, Arc<Record>)>, OperatorOutput);
     let mut done: Vec<VecDeque<Epoch>> = (0..n).map(|_| VecDeque::new()).collect();
     let mut parts: BTreeMap<u64, Vec<Option<Bytes>>> = BTreeMap::new();
     'recv: while let Ok(msg) = rx.recv() {
@@ -690,17 +689,16 @@ fn run_parallel_merge(
                 let data = std::mem::take(&mut cur[s]);
                 done[s].push_back((wm, data, flushed));
                 while done.iter().all(|q| !q.is_empty()) {
-                    let mut epoch_data: Vec<(u64, u32, Record)> = Vec::new();
-                    let mut epoch_flush: Vec<Record> = Vec::new();
+                    let mut epoch_data: Vec<(u64, u32, Arc<Record>)> = Vec::new();
+                    let mut epoch_flush = OperatorOutput::new();
                     let mut wm_min = Timestamp::MAX;
-                    for q in done.iter_mut() {
-                        let (w, d, f) = q.pop_front().expect("queue checked non-empty");
+                    for (w, d, f) in done.iter_mut().filter_map(VecDeque::pop_front) {
                         wm_min = wm_min.min(w);
                         epoch_data.extend(d);
                         epoch_flush.extend(f);
                     }
                     epoch_data.sort_by_key(|(seq, sub, _)| (*seq, *sub));
-                    let inline: Vec<Record> = epoch_data.into_iter().map(|(_, _, r)| r).collect();
+                    let inline = epoch_data.into_iter().map(|(_, _, r)| r).collect();
                     if !send_merge_out(&tx, inline, &mut records_out) {
                         break 'recv;
                     }
@@ -717,7 +715,7 @@ fn run_parallel_merge(
                 let entry = parts.entry(id).or_insert_with(|| vec![None; n]);
                 entry[s] = Some(bytes);
                 if entry.iter().all(Option::is_some) {
-                    let ready = parts.remove(&id).expect("entry just inserted");
+                    let ready = parts.remove(&id).into_iter().flatten().flatten();
                     // FIFO per shard means barriers complete in id order,
                     // and the router enqueued this barrier before any of
                     // its snapshot requests — recv cannot block forever
@@ -726,10 +724,8 @@ fn run_parallel_merge(
                         Err(_) => break,
                     };
                     debug_assert_eq!(b.id, id, "barriers complete in order");
-                    let decoded: Result<Vec<KeyedSnapshot>> = ready
-                        .into_iter()
-                        .map(|p| KeyedSnapshot::decode(p.expect("all parts present")))
-                        .collect();
+                    let decoded: Result<Vec<KeyedSnapshot>> =
+                        ready.map(KeyedSnapshot::decode).collect();
                     match decoded {
                         Ok(shard_snaps) => {
                             b.snapshots.push(KeyedSnapshot::merge(shard_snaps).encode());
@@ -762,31 +758,28 @@ fn run_serial_stage(
         ..StageStats::default()
     };
     let mut err = None;
-    let mut owned: Vec<Record> = Vec::new();
-    let mut buf: Vec<Record> = Vec::new();
+    let mut buf = OperatorOutput::new();
     // emissions travel as one batch; `false` = downstream is gone
-    let emit = |buf: &mut Vec<Record>, st: &mut StageStats| {
+    let emit = |buf: &mut OperatorOutput, st: &mut StageStats| {
         if buf.is_empty() {
             return true;
         }
         st.records_out += buf.len() as u64;
-        tx.send(StagedMsg::Batch(buf.drain(..).map(Arc::new).collect()))
-            .is_ok()
+        // the next emission is likely as long: one allocation, no regrowth
+        let batch = std::mem::replace(buf, Vec::with_capacity(buf.len()));
+        tx.send(StagedMsg::Batch(batch)).is_ok()
     };
     while let Ok(msg) = rx.recv() {
         match msg {
             StagedMsg::Batch(batch) => {
                 st.records_in += batch.len() as u64;
                 st.batches_in += 1;
-                let res = process_fault(first, batch.len()).and_then(|_| {
-                    owned.extend(batch.into_iter().map(unwrap_or_clone));
-                    op.process_batch(&mut owned, &mut buf)
-                });
+                let res = process_fault(first, batch.len())
+                    .and_then(|_| op.process_batch(&batch, &mut buf));
                 if let Err(e) = res {
                     err = Some(e);
                     break;
                 }
-                owned.clear();
                 if !emit(&mut buf, &mut st) {
                     break;
                 }
@@ -950,8 +943,7 @@ pub fn run_staged_with(mut job: Job, config: &StagedConfig) -> Result<JobRunStat
                 match msg {
                     StagedMsg::Batch(batch) => {
                         let n = batch.len() as u64;
-                        let owned = batch.into_iter().map(unwrap_or_clone).collect();
-                        if let Err(e) = sink.write_batch(owned) {
+                        if let Err(e) = sink.write_batch(batch) {
                             err = Some(e);
                             break;
                         }

@@ -15,12 +15,16 @@ use std::sync::Arc;
 pub trait Sink: Send {
     fn write(&mut self, record: Record) -> Result<()>;
 
-    /// Write a whole batch. Equivalent to writing each record in order;
-    /// sinks with per-call overhead (locks, appends) override to amortize
-    /// it across the batch.
-    fn write_batch(&mut self, records: Vec<Record>) -> Result<()> {
+    /// Write a whole batch of handles, equivalent to writing each record
+    /// in order. The sink owns the handles, not necessarily the records:
+    /// one that a filter forwarded is still the log's. A sink that keeps
+    /// or changes a record may take it out of a handle it holds alone and
+    /// must copy one that is shared (this default does, through
+    /// [`Sink::write`]); a sink that can keep the handle itself
+    /// ([`TopicSink`]) copies nothing.
+    fn write_batch(&mut self, records: Vec<Arc<Record>>) -> Result<()> {
         for record in records {
-            self.write(record)?;
+            self.write(Arc::unwrap_or_clone(record))?;
         }
         Ok(())
     }
@@ -69,8 +73,10 @@ impl Sink for CollectSink {
         Ok(())
     }
 
-    fn write_batch(&mut self, records: Vec<Record>) -> Result<()> {
-        self.rows.lock().extend(records);
+    fn write_batch(&mut self, records: Vec<Arc<Record>>) -> Result<()> {
+        // keeps the records: copies only those something else still holds
+        let owned = records.into_iter().map(Arc::unwrap_or_clone);
+        self.rows.lock().extend(owned);
         Ok(())
     }
 }
@@ -93,6 +99,14 @@ impl TopicSink {
 impl Sink for TopicSink {
     fn write(&mut self, record: Record) -> Result<()> {
         self.topic.append(record, (self.now)())?;
+        Ok(())
+    }
+
+    /// The destination log stores the handles it is given.
+    fn write_batch(&mut self, records: Vec<Arc<Record>>) -> Result<()> {
+        for record in records {
+            self.topic.append(record, (self.now)())?;
+        }
         Ok(())
     }
 }
@@ -130,6 +144,20 @@ impl Sink for TracingSink {
         self.hop.observe_hop(&mut record, now);
         self.total.record_total(&record, now);
         self.inner.write(record)
+    }
+
+    /// Restamps `trace_ts` in place on a record this sink holds alone; a
+    /// shared one (the log's) is measured and left as its owner stamped it.
+    fn write_batch(&mut self, mut records: Vec<Arc<Record>>) -> Result<()> {
+        for record in &mut records {
+            let now = self.clock.now();
+            match Arc::get_mut(record) {
+                Some(owned) => self.hop.observe_hop(owned, now),
+                None => self.hop.observe_last_hop(record, now),
+            };
+            self.total.record_total(record, now);
+        }
+        self.inner.write_batch(records)
     }
 
     fn flush(&mut self) -> Result<()> {

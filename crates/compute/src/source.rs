@@ -21,11 +21,12 @@ use std::sync::Arc;
 
 /// A record source with checkpointable progress.
 pub trait Source: Send {
-    /// Pull up to `max` records as shared handles: sources backed by
-    /// `Arc`-retaining storage (the stream log, in-memory vectors) hand out
-    /// reference bumps instead of deep clones. An empty result from a
-    /// bounded source means exhaustion; from an unbounded source it means
-    /// "nothing right now".
+    /// Pull up to `max` records as handles. The source may keep a handle to
+    /// every record it hands out (the stream log and the in-memory sources
+    /// do, so a poll is a reference bump and a seek can replay), which is
+    /// why nothing downstream writes through one: a stage that changes a
+    /// record emits a new one. An empty result from a bounded source means
+    /// exhaustion; from an unbounded source it means "nothing right now".
     fn poll_batch(&mut self, max: usize) -> Result<Vec<Arc<Record>>>;
 
     /// Bounded sources report completion.
@@ -141,9 +142,8 @@ impl Source for TopicSource {
     /// drop perfectly-good records as late — Flink's Kafka source solves
     /// the same problem with per-partition watermark alignment.
     ///
-    /// Zero-copy fetch: the log already stores `Arc<Record>` entries
-    /// (PR 2's `append_batch`/`into_record` path), so the combined batch
-    /// shares them instead of deep-cloning each record out of the log.
+    /// Zero-copy fetch: the log stores the `Arc<Record>` it was appended
+    /// with, and the combined batch holds those same handles.
     fn poll_batch(&mut self, max: usize) -> Result<Vec<Arc<Record>>> {
         let n = self.topic.num_partitions();
         let per_partition = (max / n).max(1);
@@ -224,9 +224,16 @@ impl Source for UnionSource {
             let (tag, src) = &mut self.sources[i];
             let batch = src.poll_batch(max.saturating_sub(out.len()).max(1))?;
             for mut rec in batch {
-                // tagging writes the record: copy-on-write out of the
-                // inner source's shared handle
-                Arc::make_mut(&mut rec).value.set(STREAM_TAG, tag.as_str());
+                // changes the payload (adds the tag cell): in place on a
+                // record held alone, else a new record around the new row
+                match Arc::get_mut(&mut rec) {
+                    Some(owned) => owned.value.set(STREAM_TAG, tag.as_str()),
+                    None => {
+                        let mut row = rec.value.clone();
+                        row.set(STREAM_TAG, tag.as_str());
+                        rec = Arc::new(rec.rewritten(row));
+                    }
+                }
                 out.push(rec);
             }
             if out.len() >= max {
@@ -283,13 +290,16 @@ pub struct HiveSource {
 impl HiveSource {
     /// Load the `[from, to)` event-time range of the table. The `__ts`
     /// column (added by the archival compactor) provides event time.
+    /// `select` names the columns the job reads — only those are decoded
+    /// into the records' rows; `None` decodes every column.
     pub fn new(
         table: &HiveTable,
         from: Timestamp,
         to: Timestamp,
         throttle_per_poll: usize,
+        select: Option<&[String]>,
     ) -> Result<Self> {
-        let mut rows = table.scan_range_timed(from, to)?;
+        let mut rows = table.scan_range_timed(from, to, select)?;
         // archived data "could be out of order": restore event-time order
         // here so the pipeline's lateness buffer needs stay bounded
         rows.sort_by_key(|(ts, _)| *ts);
@@ -559,7 +569,7 @@ mod tests {
             .map(|&ts| Row::new().with("v", ts).with("__ts", ts))
             .collect();
         catalog.write_rows("t", "d000000", &rows).unwrap();
-        let mut s = HiveSource::new(&table, 0, 100, 2).unwrap();
+        let mut s = HiveSource::new(&table, 0, 100, 2, None).unwrap();
         let b1 = s.poll_batch(100).unwrap();
         assert_eq!(b1.len(), 2, "throttle caps the batch");
         assert_eq!(b1[0].timestamp, 1, "event-time order restored");

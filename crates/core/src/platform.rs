@@ -318,38 +318,7 @@ impl RealtimePlatform {
             &format!("pinot.{}", sink_table.name()),
             name,
         );
-        let topic = sub.topic();
-        let sql_owned = sql.to_string();
-        let name_owned = name.to_string();
-        let options = options.clone();
-        let spec = JobSpec {
-            name: name.to_string(),
-            job_type: if sql.to_ascii_uppercase().contains("GROUP BY") {
-                JobType::WindowedAggregation
-            } else {
-                JobType::Stateless
-            },
-            tier: 1,
-            expected_records_per_sec: 10_000,
-            factory: Box::new(move || {
-                compile_streaming(
-                    &name_owned,
-                    &sql_owned,
-                    topic.clone(),
-                    Box::new(PinotSink::new(sink_table.clone())),
-                    &options,
-                )
-                .expect("validated at deploy time")
-            }),
-        };
-        // validate eagerly so compile errors surface now, not at run time
-        compile_streaming(
-            name,
-            sql,
-            sub.topic(),
-            Box::new(rtdi_compute::sink::CollectSink::new()),
-            &CompileOptions::default(),
-        )?;
+        let spec = sql_pipeline_spec(name, sql, sub.topic(), sink_table, options)?;
         self.job_manager.supervise(&spec)
     }
 
@@ -449,6 +418,49 @@ impl RealtimePlatform {
         )?;
         run_staged_with(job, &StagedConfig::default())
     }
+}
+
+/// The supervised job of a FlinkSQL pipeline. Compiling the statement here
+/// surfaces its errors at deploy time, not at run time, and the compiled
+/// chain — not the SQL text, where 'group by' can sit in a string literal
+/// — says whether the job holds state (§4.2.1 sizes the two differently).
+fn sql_pipeline_spec(
+    name: &str,
+    sql: &str,
+    topic: Arc<Topic>,
+    sink_table: Arc<OlapTable>,
+    options: &CompileOptions,
+) -> Result<JobSpec> {
+    let validated = compile_streaming(
+        name,
+        sql,
+        topic.clone(),
+        Box::new(rtdi_compute::sink::CollectSink::new()),
+        &CompileOptions::default(),
+    )?;
+    let sql_owned = sql.to_string();
+    let name_owned = name.to_string();
+    let options = options.clone();
+    Ok(JobSpec {
+        name: name.to_string(),
+        job_type: if validated.operators.iter().any(|op| op.is_stateful()) {
+            JobType::WindowedAggregation
+        } else {
+            JobType::Stateless
+        },
+        tier: 1,
+        expected_records_per_sec: 10_000,
+        factory: Box::new(move || {
+            compile_streaming(
+                &name_owned,
+                &sql_owned,
+                topic.clone(),
+                Box::new(PinotSink::new(sink_table.clone())),
+                &options,
+            )
+            .expect("validated at deploy time")
+        }),
+    })
 }
 
 impl Default for RealtimePlatform {
@@ -596,6 +608,31 @@ mod tests {
                 &CompileOptions::default(),
             )
             .is_err());
+    }
+
+    #[test]
+    fn sql_job_type_comes_from_the_compiled_chain_not_the_text() {
+        let (p, sink_table) = platform_with_trip_stats();
+        let topic = p.federation.subscribe("trips").unwrap().topic();
+        let job_type = |sql: &str| {
+            let options = CompileOptions::default();
+            sql_pipeline_spec("j", sql, topic.clone(), sink_table.clone(), &options)
+                .unwrap()
+                .job_type
+        };
+        // the words in a string literal do not make a job stateful
+        assert_eq!(
+            job_type("SELECT city FROM trips WHERE note = 'group by'"),
+            JobType::Stateless
+        );
+        // and an aggregate is one however its keywords are cased
+        assert_eq!(
+            job_type(
+                "select city, tumble(ts, 1000) as w, count(*) as trips \
+                 from trips group by city, tumble(ts, 1000)"
+            ),
+            JobType::WindowedAggregation
+        );
     }
 
     #[test]

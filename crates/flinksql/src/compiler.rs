@@ -6,7 +6,7 @@ use rtdi_compute::runtime::Job;
 use rtdi_compute::sink::Sink;
 use rtdi_compute::source::{HiveSource, Source, TopicSource};
 use rtdi_compute::window::WindowAssigner;
-use rtdi_sql::ast::{AggName, Expr};
+use rtdi_sql::ast::{AggName, Expr, SelectStmt, TableRef};
 use rtdi_sql::expr::{eval, truthy};
 use rtdi_sql::parser::parse_select;
 use rtdi_sql::plan::{plan_select, AggItem, Plan};
@@ -103,17 +103,22 @@ pub fn compile_streaming(
     sink: Box<dyn Sink>,
     options: &CompileOptions,
 ) -> Result<Job> {
-    let source: Box<dyn Source> = if options.bounded {
-        Box::new(TopicSource::bounded(topic)?)
-    } else {
-        Box::new(TopicSource::unbounded(topic))
+    // the log's records are shared as they are: nothing to project
+    let source = |_: Option<&[String]>| -> Result<Box<dyn Source>> {
+        Ok(if options.bounded {
+            Box::new(TopicSource::bounded(topic)?)
+        } else {
+            Box::new(TopicSource::unbounded(topic))
+        })
     };
     compile(name, sql, source, sink, options)
 }
 
 /// Compile the same SQL into a batch job over the archive
 /// ("DataSet mode", the §7 SQL-based backfill). `from`/`to` bound the
-/// replayed event-time range.
+/// replayed event-time range. The source decodes only the columns the
+/// statement names (all of them for `SELECT *`): its records' rows carry
+/// no other cell, and event time comes from `__ts` either way.
 pub fn compile_batch(
     name: &str,
     sql: &str,
@@ -123,17 +128,44 @@ pub fn compile_batch(
     sink: Box<dyn Sink>,
     options: &CompileOptions,
 ) -> Result<Job> {
-    let source = HiveSource::new(table, from, to, 4096)?;
+    let source = |select: Option<&[String]>| -> Result<Box<dyn Source>> {
+        Ok(Box::new(HiveSource::new(table, from, to, 4096, select)?))
+    };
     // archived data is out of order: widen the buffer (§7)
     let mut options = options.clone();
     options.max_out_of_orderness = options.max_out_of_orderness.max(60_000);
-    compile(name, sql, Box::new(source), sink, &options)
+    compile(name, sql, source, sink, &options)
 }
 
+/// The columns `stmt` reads off its source, or `None` when it may read
+/// any (`SELECT *`, a subquery or a join in FROM). Names that are not
+/// source columns (an alias in HAVING) are harmless: a source leaves out
+/// what it does not have.
+fn referenced_columns(stmt: &SelectStmt) -> Option<Vec<String>> {
+    if !matches!(stmt.from, TableRef::Table { .. }) || !stmt.joins.is_empty() {
+        return None;
+    }
+    let exprs = (stmt.projections.iter().map(|item| &item.expr))
+        .chain(&stmt.where_clause)
+        .chain(&stmt.group_by)
+        .chain(&stmt.having)
+        .chain(stmt.order_by.iter().map(|item| &item.expr));
+    let mut cols = Vec::new();
+    for expr in exprs {
+        if matches!(expr, Expr::Star) {
+            return None;
+        }
+        expr.referenced_columns(&mut cols);
+    }
+    Some(cols)
+}
+
+/// `source` is built from the columns the statement reads (see
+/// [`referenced_columns`]).
 fn compile(
     name: &str,
     sql: &str,
-    source: Box<dyn Source>,
+    source: impl FnOnce(Option<&[String]>) -> Result<Box<dyn Source>>,
     sink: Box<dyn Sink>,
     options: &CompileOptions,
 ) -> Result<Job> {
@@ -150,6 +182,7 @@ fn compile(
     if options.chain_operators {
         operators = rtdi_compute::operator::fuse_stateless(operators);
     }
+    let source = source(referenced_columns(&stmt).as_deref())?;
     Ok(Job::new(name, source, operators, sink).with_out_of_orderness(options.max_out_of_orderness))
 }
 

@@ -236,10 +236,11 @@ impl Operator for DedupOp {
         "dr-dedup"
     }
 
-    fn process(&mut self, record: Record, out: &mut OperatorOutput) -> Result<()> {
-        let id = record.value.get_str("id").unwrap_or("").to_string();
-        if self.seen.insert(id) {
-            out.push(record);
+    fn process(&mut self, record: &Arc<Record>, out: &mut OperatorOutput) -> Result<()> {
+        let id = record.value.get_str("id").unwrap_or("");
+        if !self.seen.contains(id) {
+            self.seen.insert(id.to_string());
+            out.push(Arc::clone(record));
         }
         Ok(())
     }

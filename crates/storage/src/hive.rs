@@ -113,16 +113,19 @@ impl HiveTable {
     /// bounded-input read path the Kappa+ backfill uses to identify the
     /// "start/end boundary of the bounded input" (§7).
     pub fn scan_range(&self, from: Timestamp, to: Timestamp) -> Result<Vec<Row>> {
-        let timed = self.scan_range_timed(from, to)?;
+        let timed = self.scan_range_timed(from, to, None)?;
         Ok(timed.into_iter().map(|(_, row)| row).collect())
     }
 
     /// [`Self::scan_range`] with every row's event time beside it (0 for a
-    /// row without one), read off the decoded `__ts` column.
+    /// row without one), read off the decoded `__ts` column. Rows carry the
+    /// columns `select` names (all when `None`), whether or not `__ts` is
+    /// one of them.
     pub fn scan_range_timed(
         &self,
         from: Timestamp,
         to: Timestamp,
+        select: Option<&[String]>,
     ) -> Result<Vec<(Timestamp, Row)>> {
         let mut out = Vec::new();
         for file in self.open_range(from, to)? {
@@ -137,7 +140,7 @@ impl HiveTable {
             let docs: Vec<u32> = (0..file.nrows() as u32)
                 .filter(|&d| inside || times[d as usize].is_none_or(in_range))
                 .collect();
-            let rows = file.read_rows_where(None, Some(&docs))?;
+            let rows = file.read_rows_where(select, Some(&docs))?;
             let timed = docs.iter().map(|&d| times[d as usize].unwrap_or(0));
             out.extend(timed.zip(rows));
         }
@@ -402,7 +405,7 @@ mod tests {
         assert_eq!(covers(0, 10_000), vec![Inside, Disjoint, Inside]);
         assert_eq!(covers(5_000, 15_000), vec![Straddles, Straddles, Inside]);
         // rows without an event time belong to every range, at time 0
-        let timed = table.scan_range_timed(5_000, 15_000).unwrap();
+        let timed = table.scan_range_timed(5_000, 15_000, None).unwrap();
         let got: Vec<(Timestamp, i64)> = timed
             .iter()
             .map(|(ts, r)| (*ts, r.get_int("id").unwrap()))

@@ -2,17 +2,24 @@
 //! allocator: one record from `Producer::send` to the partition log costs
 //! the `Arc<Record>` the log keeps plus amortised container growth, its
 //! audit at OLAP ingest costs nothing per record, and a retried send
-//! re-sends the shared record instead of copying it.
+//! re-sends the shared record instead of copying it. Then compute's: the
+//! FlinkSQL window job reads the log's records where they lie, a filter
+//! forwards the log's own handles, and a map leaves the log as appended.
 //!
 //! One `#[test]`, so the process-wide counter sees one thread at work.
 
 use rtdi::common::{Error, FieldType, Record, Result, Row, Schema};
+use rtdi::compute::{
+    run_staged_with, CollectSink, FilterOp, Job, MapOp, StagedConfig, TopicSink, TopicSource,
+};
 use rtdi::core::platform::RealtimePlatform;
+use rtdi::flinksql::compiler::{compile_streaming, CompileOptions};
 use rtdi::olap::ingestion::{IngestionConfig, RealtimeIngester};
 use rtdi::olap::table::{OlapTable, TableConfig};
 use rtdi::stream::log::FetchResult;
 use rtdi::stream::producer::{Producer, ProducerConfig, StreamEndpoint};
-use rtdi::stream::topic::TopicConfig;
+use rtdi::stream::topic::{Topic, TopicConfig};
+use rtdi::usecases::workloads::CityDriverGenerator;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -134,6 +141,111 @@ fn allocs_of_flaky_sends(n: usize, failures: usize) -> u64 {
     allocs
 }
 
+/// Every handle a topic's partition `p` holds, in offset order.
+fn held(topic: &Topic, p: usize) -> Vec<Arc<Record>> {
+    let fetched = topic.fetch(p, 0, usize::MAX / 2).unwrap();
+    fetched.records.into_iter().map(|r| r.record).collect()
+}
+
+fn bare_topic(name: &str) -> Arc<Topic> {
+    Arc::new(Topic::new(name, TopicConfig::default().with_partitions(PARTITIONS)).unwrap())
+}
+
+/// Compute over records a topic already holds: the benchmark's windowed SQL
+/// within its allocation budget, and the ownership rule at both ends — a
+/// filter's output *is* the source log's entries, a map's input is left
+/// as it was appended.
+fn compute_reads_the_log_where_it_lies() {
+    const N: usize = 40_000;
+    let source = bare_topic("trips");
+    let mut gen = CityDriverGenerator::new(7, 512, 4_000, 1.0);
+    for i in 0..N {
+        let trip = gen.trip((i / 20) as i64).with_key(format!("trip-{i}"));
+        source.append(trip, 0).unwrap();
+    }
+    let appended: Vec<Vec<Record>> = (0..PARTITIONS)
+        .map(|p| held(&source, p).iter().map(|r| (**r).clone()).collect())
+        .collect();
+    let run = |job: Job| run_staged_with(job, &StagedConfig::default()).unwrap();
+
+    let windows = CollectSink::new();
+    let job = compile_streaming(
+        "windows",
+        "SELECT city, TUMBLE(ts, 1000) AS w, COUNT(*) AS trips, SUM(fare) AS revenue \
+         FROM trips GROUP BY city, TUMBLE(ts, 1000)",
+        source.clone(),
+        Box::new(windows.clone()),
+        &CompileOptions::default(),
+    )
+    .unwrap();
+    let (stats, allocs) = allocs_during(|| run(job));
+    assert_eq!(stats.records_in, N as u64);
+    let counted: i64 = windows
+        .rows()
+        .iter()
+        .filter_map(|r| r.get_int("trips"))
+        .sum();
+    assert_eq!(counted, N as i64, "no record dropped as late");
+    assert!(
+        allocs <= 2 * N as u64,
+        "window job: {allocs} allocations for {N} records, emissions included"
+    );
+
+    // filter -> topic: what the destination log holds are the source log's
+    // own entries, in order, so no record was copied on the way
+    let dest = bare_topic("cheap");
+    let cheap = |r: &Row| r.get_double("fare").is_some_and(|f| f < 20.0);
+    run(Job::new(
+        "filter",
+        Box::new(TopicSource::bounded(source.clone()).unwrap()),
+        vec![Box::new(FilterOp::new("cheap", cheap))],
+        Box::new(TopicSink::new(dest.clone(), || 0)),
+    ));
+    let mut kept = 0;
+    for p in 0..PARTITIONS {
+        let from = held(&source, p);
+        let mut from = from.iter();
+        for forwarded in held(&dest, p) {
+            let shared = from.any(|r| Arc::ptr_eq(r, &forwarded));
+            assert!(
+                shared,
+                "partition {p} holds a record the source log does not"
+            );
+            kept += 1;
+        }
+    }
+    let expected = appended
+        .iter()
+        .flatten()
+        .filter(|r| cheap(&r.value))
+        .count();
+    assert!(
+        0 < kept && kept < N,
+        "the filter passes some records, not all"
+    );
+    assert_eq!(kept, expected);
+
+    // map: new records come out, and the log's are as they were appended
+    let mapped = CollectSink::new();
+    run(Job::new(
+        "map",
+        Box::new(TopicSource::bounded(source.clone()).unwrap()),
+        vec![Box::new(MapOp::new("tag", |r: &Row| {
+            r.clone().with("tagged", true)
+        }))],
+        Box::new(mapped.clone()),
+    ));
+    assert_eq!(mapped.len(), N);
+    assert!(mapped.rows().iter().all(|r| r.get("tagged").is_some()));
+    for (p, before) in appended.iter().enumerate() {
+        let after = held(&source, p);
+        assert!(
+            after.iter().map(|r| &**r).eq(before),
+            "partition {p} of the source log changed under a map"
+        );
+    }
+}
+
 #[test]
 fn produce_ingest_and_retry_hold_their_allocation_budgets() {
     const N: usize = 10_000;
@@ -173,4 +285,6 @@ fn produce_ingest_and_retry_hold_their_allocation_budgets() {
         retried, clean,
         "a retried send allocated ({retried}) what a clean one does not ({clean})"
     );
+
+    compute_reads_the_log_where_it_lies();
 }

@@ -206,7 +206,7 @@ impl Warehouse {
                     "SELECT f0, COUNT(*) AS n, MAX(f1) AS m FROM hive.fz WHERE f0 >= 0 GROUP BY f0",
                 )
                 .map(drop),
-            HiveSource::new(&self.table, 0, i64::MAX, 64).and_then(|mut source| {
+            HiveSource::new(&self.table, 0, i64::MAX, 64, None).and_then(|mut source| {
                 while !source.is_exhausted() {
                     source.poll_batch(64)?;
                 }
@@ -314,7 +314,7 @@ fn soak(seed: u64) -> Vec<String> {
             let mut op = stage(name);
             let mut out = Vec::new();
             for r in &records {
-                op.process(r.clone(), &mut out).unwrap();
+                op.process(&Arc::new(r.clone()), &mut out).unwrap();
             }
             op.on_watermark(1000, &mut out);
             let shards = op.shard_spec().map_or(0, |spec| spec.parallelism);
