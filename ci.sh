@@ -13,10 +13,9 @@ cargo run --release --offline --manifest-path benchmark/Cargo.toml -- --smoke
 # and its own unit tests (generator determinism, percentiles, the oracle's
 # tie rule, span self-time): `--workspace` above does not reach them
 cargo test --release --offline --manifest-path benchmark/Cargo.toml
-# also the gate of rtdi-stream's and rtdi-compute's crate-level deny of
-# clippy::unwrap_used and clippy::expect_used outside tests (ROADMAP item 5)
+# also the gate of every crate's deny of clippy::unwrap_used and
+# clippy::expect_used outside tests (ROADMAP item 4)
 cargo clippy --workspace -- -D warnings
-cargo bench --workspace --no-run
 cargo fmt --check
 
 # Determinism gates: each row names a seeded test that prints summary lines

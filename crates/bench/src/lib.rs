@@ -1,34 +1,38 @@
-//! Shared helpers for the experiment benches.
-//!
-//! Every table/figure/quantitative claim in the paper has a bench target
-//! under `benches/` (see DESIGN.md §3 for the experiment index and
-//! EXPERIMENTS.md for recorded results). Each bench prints a
-//! paper-vs-measured report before its criterion timings so the headline
-//! numbers survive in the bench logs.
+//! The reproduction's measurements of the paper: [`claims`] holds every
+//! quantitative claim (DESIGN.md §3, E1–E30) as a typed, asserted row,
+//! and this module the workspace's one counting allocator.
+//! `tests/paper_claims.rs` gates the claims in tier-1 and keeps the table
+//! in EXPERIMENTS.md equal to what they print; end-to-end time is the
+//! business of `benchmark/`.
 
-use criterion::Criterion;
+// Non-test code returns `Error`, never panics.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
+pub mod claims;
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
 
 /// A [`System`]-backed allocator that counts every allocation. Installed
-/// as the global allocator for every binary linking this crate (all the
-/// E1–E22 benches), so reports can include bytes-allocated alongside
-/// latency — the vectorized-execution work trades per-doc allocations
-/// for batch buffers and the benches prove it.
+/// as the global allocator of every binary that links this crate, so an
+/// allocation budget can be asserted wherever a claim or a test needs one.
 pub struct CountingAllocator;
 
 static ALLOC_COUNT: AtomicU64 = AtomicU64::new(0);
 static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
 
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counters touch no allocator state.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOC_COUNT.fetch_add(1, Ordering::Relaxed);
         ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        // SAFETY: the caller's `layout` is passed through as received.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through this type with `layout`.
         unsafe { System.dealloc(ptr, layout) }
     }
 
@@ -38,6 +42,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
             new_size.saturating_sub(layout.size()) as u64,
             Ordering::Relaxed,
         );
+        // SAFETY: `ptr` came from `System` through this type with `layout`.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -79,42 +84,12 @@ pub fn count_allocations<T>(f: impl FnOnce() -> T) -> (T, AllocStats) {
 }
 
 /// Assert that a measured region stayed under an allocation budget.
-/// Panics with the measured numbers so a regressing kernel fails loudly
-/// in the bench log.
+/// Panics with the measured numbers so a regressing kernel fails loudly.
 pub fn assert_allocs_at_most(label: &str, stats: AllocStats, max_allocs: u64) {
     assert!(
         stats.allocs <= max_allocs,
         "{label}: expected at most {max_allocs} allocations, measured {stats}"
     );
-}
-
-/// A Criterion tuned so the whole 20-experiment suite finishes in minutes:
-/// the comparisons in this paper are order-of-magnitude shapes, not
-/// nanosecond deltas.
-pub fn quick_criterion() -> Criterion {
-    Criterion::default()
-        .sample_size(10)
-        .warm_up_time(Duration::from_millis(200))
-        .measurement_time(Duration::from_millis(600))
-        .configure_from_args()
-}
-
-/// Print a report header for an experiment.
-pub fn report_header(experiment: &str, paper_claim: &str) {
-    println!("\n=== {experiment} ===");
-    println!("paper: {paper_claim}");
-}
-
-/// Print one measured line.
-pub fn report(metric: &str, value: impl std::fmt::Display) {
-    println!("measured: {metric} = {value}");
-}
-
-/// Wall-clock one closure.
-pub fn time_it<T>(f: impl FnOnce() -> T) -> (T, Duration) {
-    let start = std::time::Instant::now();
-    let out = f();
-    (out, start.elapsed())
 }
 
 #[cfg(test)]

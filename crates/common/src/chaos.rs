@@ -86,7 +86,8 @@ impl FaultPoint {
     }
 
     fn index(self) -> usize {
-        Self::ALL.iter().position(|p| *p == self).expect("in ALL")
+        // fieldless, declared in the order of `ALL`
+        self as usize
     }
 
     fn bit(self) -> u64 {
@@ -676,11 +677,6 @@ impl RetryPolicy {
     pub fn with_backoff_us(mut self, base: u64, max: u64) -> Self {
         self.base_delay_us = base;
         self.max_delay_us = max.max(base);
-        self
-    }
-
-    pub fn with_jitter_seed(mut self, seed: u64) -> Self {
-        self.jitter_seed = seed;
         self
     }
 

@@ -9,6 +9,9 @@
 //! Every other crate in the workspace depends on this one; it has no
 //! dependencies on the rest of the stack.
 
+// Non-test code returns `Error`, never panics.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod agg;
 pub mod chaos;
 pub mod error;

@@ -407,14 +407,11 @@ impl AdmissionController {
             Ok(()) => {
                 self.admitted.fetch_add(1, Ordering::Relaxed);
                 self.in_flight.fetch_add(1, Ordering::Relaxed);
-                let mut inner = self.inner.lock();
-                self.tenant_entry(&mut inner, tenant).1.admitted += 1;
+                self.with_tenant(&mut self.inner.lock(), tenant, |t| t.1.admitted += 1);
                 Ok(Permit { controller: self })
             }
             Err((reason, err)) => {
-                let mut inner = self.inner.lock();
-                let entry = self.tenant_entry(&mut inner, tenant);
-                entry.1.shed += 1;
+                self.with_tenant(&mut self.inner.lock(), tenant, |t| t.1.shed += 1);
                 match reason {
                     ShedReason::TenantQuota => &self.shed_quota,
                     ShedReason::Concurrency => &self.shed_concurrency,
@@ -429,18 +426,17 @@ impl AdmissionController {
     fn decide(&self, tenant: &str, lane: Priority) -> std::result::Result<(), (ShedReason, Error)> {
         {
             let mut inner = self.inner.lock();
-            let entry = self.tenant_entry(&mut inner, tenant);
-            entry.1.offered += 1;
-            let has_quota = self.config.default_tenant_quota.is_some()
-                || self.inner_has_override(&inner, tenant);
-            if has_quota {
-                let entry = self.tenant_entry(&mut inner, tenant);
-                if !entry.0.try_acquire(1) {
-                    return Err((
-                        ShedReason::TenantQuota,
-                        Error::Overloaded(format!("tenant {tenant} over quota")),
-                    ));
-                }
+            let has_quota =
+                self.config.default_tenant_quota.is_some() || inner.overrides.contains_key(tenant);
+            let within_quota = self.with_tenant(&mut inner, tenant, |t| {
+                t.1.offered += 1;
+                !has_quota || t.0.try_acquire(1)
+            });
+            if !within_quota {
+                return Err((
+                    ShedReason::TenantQuota,
+                    Error::Overloaded(format!("tenant {tenant} over quota")),
+                ));
             }
         }
         if self.config.max_in_flight > 0
@@ -482,32 +478,32 @@ impl AdmissionController {
         Ok(())
     }
 
-    fn inner_has_override(&self, inner: &AdmissionInner, tenant: &str) -> bool {
-        inner.overrides.contains_key(tenant)
-    }
-
-    fn tenant_entry<'a>(
+    /// Run `f` on the tenant's limiter and counters, creating them on the
+    /// tenant's first request.
+    fn with_tenant<R>(
         &self,
-        inner: &'a mut AdmissionInner,
+        inner: &mut AdmissionInner,
         tenant: &str,
-    ) -> &'a mut (RateLimiter, TenantCounters) {
-        if !inner.tenants.contains_key(tenant) {
-            let quota = inner
-                .overrides
-                .get(tenant)
-                .copied()
-                .or(self.config.default_tenant_quota)
-                // quota-less controllers still track per-tenant counters
-                .unwrap_or(Quota {
-                    rate_per_sec: u64::MAX / 2000,
-                    burst: u64::MAX / 2000,
-                });
-            let limiter = RateLimiter::new(self.clock.clone(), quota);
-            inner
-                .tenants
-                .insert(tenant.to_string(), (limiter, TenantCounters::default()));
+        f: impl FnOnce(&mut (RateLimiter, TenantCounters)) -> R,
+    ) -> R {
+        if let Some(entry) = inner.tenants.get_mut(tenant) {
+            return f(entry);
         }
-        inner.tenants.get_mut(tenant).expect("just inserted")
+        let quota = inner
+            .overrides
+            .get(tenant)
+            .copied()
+            .or(self.config.default_tenant_quota)
+            // quota-less controllers still track per-tenant counters
+            .unwrap_or(Quota {
+                rate_per_sec: u64::MAX / 2000,
+                burst: u64::MAX / 2000,
+            });
+        let limiter = RateLimiter::new(self.clock.clone(), quota);
+        let mut entry = (limiter, TenantCounters::default());
+        let out = f(&mut entry);
+        inner.tenants.insert(tenant.to_string(), entry);
+        out
     }
 
     pub fn stats(&self) -> AdmissionStats {

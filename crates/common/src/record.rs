@@ -16,8 +16,6 @@ use std::sync::Arc;
 /// Well-known header keys. The audit envelope (unique id, timestamps,
 /// service, origin region) is the typed [`Audit`] of a record, not headers.
 pub mod headers {
-    /// Tier of the producing service (0 = most critical).
-    pub const TIER: &str = "rtdi.tier";
     /// Number of delivery attempts so far (set by the consumer proxy).
     pub const ATTEMPTS: &str = "rtdi.attempts";
     /// Original topic for messages parked in a dead letter queue.

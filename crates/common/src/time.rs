@@ -27,10 +27,10 @@ pub struct WallClock;
 
 impl Clock for WallClock {
     fn now(&self) -> Timestamp {
-        SystemTime::now()
-            .duration_since(UNIX_EPOCH)
-            .expect("system clock before epoch")
-            .as_millis() as Timestamp
+        match SystemTime::now().duration_since(UNIX_EPOCH) {
+            Ok(since) => since.as_millis() as Timestamp,
+            Err(before) => -(before.duration().as_millis() as Timestamp),
+        }
     }
 }
 

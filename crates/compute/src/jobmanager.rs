@@ -40,7 +40,7 @@ pub struct JobSpec {
     pub tier: u8,
     /// Expected steady-state input rate, used for resource estimation.
     pub expected_records_per_sec: u64,
-    pub factory: Box<dyn Fn() -> Job + Send + Sync>,
+    pub factory: Box<dyn Fn() -> Result<Job> + Send + Sync>,
 }
 
 /// An elastically scalable job: like [`JobSpec`] but the factory takes
@@ -295,10 +295,6 @@ impl JobManager {
         ]
     }
 
-    pub fn add_rule(&mut self, rule: HealthRule) {
-        self.rules.push(rule);
-    }
-
     /// Evaluate rules in order; first match wins.
     pub fn evaluate_health(&self, health: &JobHealth) -> (HealthAction, Option<&str>) {
         for rule in &self.rules {
@@ -350,8 +346,8 @@ impl JobManager {
                 spec.name
             )));
         }
-        // instantiate once to catch construction panics/config errors early
-        let job = (spec.factory)();
+        // instantiate once to catch construction and config errors early
+        let job = (spec.factory)()?;
         if job.operators.is_empty() {
             return Err(Error::InvalidArgument(
                 "job must have at least one operator".into(),
@@ -384,16 +380,6 @@ impl JobManager {
             .ok_or_else(|| Error::NotFound(format!("job '{job}'")))?;
         info.node = Some(node.to_string());
         Ok(())
-    }
-
-    /// Jobs currently placed on a node, in name order.
-    pub fn jobs_on(&self, node: &str) -> Vec<String> {
-        self.jobs
-            .read()
-            .iter()
-            .filter(|(_, i)| i.node.as_deref() == Some(node))
-            .map(|(n, _)| n.clone())
-            .collect()
     }
 
     /// React to a task-manager node death (§4.2.1 failure recovery):
@@ -510,7 +496,7 @@ impl JobManager {
         }
         self.run_supervised(
             &spec.name,
-            &|p| (spec.factory)(p),
+            &|p| Ok((spec.factory)(p)),
             initial_parallelism.clamp(min, max),
             Some((policy, min, max)),
         )
@@ -523,7 +509,7 @@ impl JobManager {
     fn run_supervised(
         &self,
         name: &str,
-        factory: &dyn Fn(usize) -> Job,
+        factory: &dyn Fn(usize) -> Result<Job>,
         mut p: usize,
         elastic: Option<(&RescalePolicy, usize, usize)>,
     ) -> Result<ElasticRunStats> {
@@ -533,11 +519,11 @@ impl JobManager {
             ..ElasticRunStats::default()
         };
         loop {
-            let job = factory(p);
             // the parallelism the monitor decided on when it raised the
             // rescale flag, so the restart uses exactly that decision
             let mut target = None;
-            let result = match elastic {
+            // a factory that fails is a failed attempt like any other
+            let result = factory(p).and_then(|job| match elastic {
                 None => run_staged_with(job, &self.config),
                 Some((policy, min, max)) => {
                     let handle = RescaleHandle::new();
@@ -567,7 +553,7 @@ impl JobManager {
                         res
                     })
                 }
-            };
+            });
             // the one place the loop touches the registry: a job forgotten
             // while it ran is an error for the caller, never a panic
             let mut jobs = self.jobs.write();
@@ -676,14 +662,14 @@ mod tests {
             tier: 1,
             expected_records_per_sec: 1000,
             factory: Box::new(move || {
-                Job::new(
+                Ok(Job::new(
                     "inner",
                     Box::new(VecSource::from_rows(
                         (0..10).map(|i| (i, Row::new().with("i", i))).collect(),
                     )),
                     vec![Box::new(MapOp::new("id", |r: &Row| r.clone()))],
                     Box::new(sink.clone()),
-                )
+                ))
             }),
         }
     }
@@ -704,12 +690,12 @@ mod tests {
             tier: 0,
             expected_records_per_sec: 1,
             factory: Box::new(|| {
-                Job::new(
+                Ok(Job::new(
                     "x",
                     Box::new(VecSource::new(vec![])),
                     vec![],
                     Box::new(CollectSink::new()),
-                )
+                ))
             }),
         };
         assert!(jm.validate(&empty_ops).is_err());
@@ -765,7 +751,7 @@ mod tests {
             tier: 0,
             expected_records_per_sec: 100,
             factory: Box::new(move || {
-                Job::new(
+                Ok(Job::new(
                     job_name.clone(),
                     Box::new(VecSource::from_rows(
                         (0..20).map(|i| (i, Row::new().with("i", i))).collect(),
@@ -777,7 +763,7 @@ mod tests {
                         }),
                     ],
                     Box::new(sink.clone()),
-                )
+                ))
             }),
         };
         (spec, config)
@@ -846,12 +832,12 @@ mod tests {
             tier: 0,
             expected_records_per_sec: 100_000,
             factory: Box::new(|| {
-                Job::new(
+                Ok(Job::new(
                     "x",
                     Box::new(VecSource::new(vec![])),
                     vec![],
                     Box::new(CollectSink::new()),
-                )
+                ))
             }),
         };
         let stateless = JobManager::estimate_resources(&mk(JobType::Stateless));
@@ -1152,12 +1138,12 @@ mod tests {
             tier,
             expected_records_per_sec: 1,
             factory: Box::new(|| {
-                Job::new(
+                Ok(Job::new(
                     "x",
                     Box::new(VecSource::new(vec![])),
                     vec![Box::new(MapOp::new("id", |r: &Row| r.clone()))],
                     Box::new(CollectSink::new()),
-                )
+                ))
             }),
         };
         jm.validate(&mk("zeta-critical", 0)).unwrap();

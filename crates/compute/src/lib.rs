@@ -30,8 +30,7 @@
 //! - [`baselines`]: the Storm-like ack-based engine and the Spark-like
 //!   micro-batch engine used by the §4.2 comparison experiments (E6, E7).
 
-// non-test code on the data path returns `Error`, never panics
-// (ROADMAP item 5)
+// Non-test code on the data path returns `Error`, never panics.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod backfill;

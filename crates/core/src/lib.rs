@@ -15,6 +15,9 @@
 //! - [`usage`]: per-use-case component accounting that regenerates the
 //!   paper's Table 1.
 
+// Non-test code returns `Error`, never panics.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod pipeline;
 pub mod platform;
 pub mod usage;

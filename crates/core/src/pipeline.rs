@@ -21,7 +21,6 @@ pub struct PipelineBuilder {
     existing_source: Option<String>,
     sql: Option<String>,
     sink: Option<(String, Schema, IndexSpec, Option<String>)>,
-    options: CompileOptions,
 }
 
 impl PipelineBuilder {
@@ -32,7 +31,6 @@ impl PipelineBuilder {
             existing_source: None,
             sql: None,
             sink: None,
-            options: CompileOptions::default(),
         }
     }
 
@@ -71,11 +69,6 @@ impl PipelineBuilder {
         self
     }
 
-    pub fn with_options(mut self, options: CompileOptions) -> Self {
-        self.options = options;
-        self
-    }
-
     /// Provision and run the pipeline on the platform. Returns the job
     /// stats of the first (bounded) supervision run.
     pub fn deploy(self, platform: &RealtimePlatform) -> Result<JobRunStats> {
@@ -102,7 +95,7 @@ impl PipelineBuilder {
             config = config.with_time_column(&tc);
         }
         let table = platform.create_olap_table(config)?;
-        platform.deploy_sql_pipeline(&self.name, &sql, &source, table, &self.options)
+        platform.deploy_sql_pipeline(&self.name, &sql, &source, table, &CompileOptions::default())
     }
 }
 

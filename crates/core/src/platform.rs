@@ -322,14 +322,6 @@ impl RealtimePlatform {
         self.job_manager.supervise(&spec)
     }
 
-    /// Deploy a hand-built dataflow job under supervision (the advanced
-    /// API path of §4.2 for logic SQL cannot express).
-    pub fn deploy_job(&self, spec: &JobSpec) -> Result<JobRunStats> {
-        self.usage.note(Component::Api);
-        self.usage.note(Component::Compute);
-        self.job_manager.supervise(spec)
-    }
-
     /// Federated SQL over Pinot (default catalog) and Hive (§4.5).
     pub fn sql(&self, query: &str) -> Result<QueryOutput> {
         self.usage.note(Component::Sql);
@@ -344,10 +336,6 @@ impl RealtimePlatform {
             }
         }
         self.engine.query(query)
-    }
-
-    pub fn sql_engine_mut(&mut self) -> &mut SqlEngine {
-        &mut self.engine
     }
 
     /// Archive everything currently in a topic into the warehouse raw
@@ -458,7 +446,6 @@ fn sql_pipeline_spec(
                 Box::new(PinotSink::new(sink_table.clone())),
                 &options,
             )
-            .expect("validated at deploy time")
         }),
     })
 }

@@ -20,6 +20,9 @@
 //! job over the archived Hive table (DataSet) — "the user does not need to
 //! maintain 2 distinct jobs."
 
+// Non-test code returns `Error`, never panics.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod compiler;
 pub mod sinks;
 

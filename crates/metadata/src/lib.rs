@@ -7,6 +7,9 @@
 //! realtime and offline systems ... this system also tracks the data
 //! lineage representing flow of data across these components").
 
+// Non-test code returns `Error`, never panics.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod lineage;
 pub mod registry;
 

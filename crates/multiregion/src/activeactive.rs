@@ -31,10 +31,6 @@ impl ActiveActiveCoordinator {
         self.primary.read().clone()
     }
 
-    pub fn is_primary(&self, region: &str) -> bool {
-        *self.primary.read() == region
-    }
-
     /// Fail over to another region.
     pub fn fail_over(&self, to: &str) {
         *self.primary.write() = to.to_string();

@@ -410,12 +410,12 @@ impl DrDrill {
             tier: 0,
             expected_records_per_sec: 1_000,
             factory: Box::new(|| {
-                Job::new(
+                Ok(Job::new(
                     JOB,
                     Box::new(VecSource::new(Vec::new())),
                     vec![Box::new(MapOp::new("noop", |r| r.clone()))],
                     Box::new(CollectSink::new()),
-                )
+                ))
             }),
         })?;
         jm.assign_node(JOB, &rts[0].tm)?;
@@ -524,8 +524,8 @@ impl DrDrill {
         self.run_compute(survivor)
     }
 
-    fn apply_strike(&mut self, outage: &RegionOutage) {
-        let region = self.topo.region(&outage.region).expect("planned region");
+    fn apply_strike(&mut self, outage: &RegionOutage) -> Result<()> {
+        let region = self.topo.region(&outage.region)?;
         match outage.kind {
             RegionOutageKind::RegionKill => {
                 region.fail_region();
@@ -538,10 +538,11 @@ impl DrDrill {
                 FaultPlan::fail(FaultKind::Timeout, Trigger::Always),
             ),
         }
+        Ok(())
     }
 
-    fn apply_heal(&mut self, outage: &RegionOutage) -> usize {
-        let region = self.topo.region(&outage.region).expect("planned region");
+    fn apply_heal(&mut self, outage: &RegionOutage) -> Result<usize> {
+        let region = self.topo.region(&outage.region)?;
         let mut resynced = 0;
         match outage.kind {
             RegionOutageKind::RegionKill => {
@@ -557,7 +558,7 @@ impl DrDrill {
             RegionOutageKind::AggregateLoss => region.heal_aggregate(),
             RegionOutageKind::ReplicatorLag => chaos::registry().disarm_all(),
         }
-        resynced
+        Ok(resynced)
     }
 
     fn detected(&self, outage: &RegionOutage) -> bool {
@@ -630,7 +631,7 @@ impl DrDrill {
             {
                 let outage = self.plan[next_outage].clone();
                 next_outage += 1;
-                self.apply_strike(&outage);
+                self.apply_strike(&outage)?;
                 let lag_kind = outage.kind == RegionOutageKind::ReplicatorLag;
                 let affected = !lag_kind && outage.region == self.active_region;
                 active = Some(ActiveState {
@@ -668,7 +669,7 @@ impl DrDrill {
                             .max()
                             .unwrap_or(0)
                     };
-                    ckpt_resynced += self.apply_heal(&st.outage.clone());
+                    ckpt_resynced += self.apply_heal(&st.outage.clone())?;
                     st.healed_at = Some(now);
                 }
             }
@@ -889,11 +890,10 @@ impl DrDrill {
             .regions
             .iter()
             .all(|r| self.topo.aggregate_count(r).map(|n| n == committed) == Ok(true));
-        let surge_converged = !last_surge.is_empty()
+        let first_surge = last_surge.values().next();
+        let surge_converged = first_surge.is_some()
             && last_surge.len() == self.cfg.regions.len()
-            && last_surge
-                .values()
-                .all(|s| s == last_surge.values().next().unwrap());
+            && last_surge.values().all(|s| Some(s) == first_surge);
         let mut isr_full = true;
         for r in &self.topo.regions {
             for cluster in [&r.regional, &r.aggregate] {

@@ -20,6 +20,9 @@
 //!   cycles against whole region failure domains with an exact RPO/RTO
 //!   ledger ("business resilience and continuity is a top priority").
 
+// Non-test code returns `Error`, never panics.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod activeactive;
 pub mod activepassive;
 pub mod dr;

@@ -112,14 +112,15 @@ impl Bitmap {
             let mut pos = 0usize;
             while pos < 64 {
                 let chunk = block >> pos;
-                if run_start.is_some() {
+                if let Some(start) = run_start {
                     // inside a run: find the next zero bit
                     let zeros = (!chunk).trailing_zeros() as usize;
                     if zeros + pos >= 64 {
                         break; // run continues into the next block
                     }
                     pos += zeros;
-                    f(run_start.take().expect("inside run"), base + pos);
+                    run_start = None;
+                    f(start, base + pos);
                 } else {
                     if chunk == 0 {
                         break;

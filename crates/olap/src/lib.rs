@@ -31,6 +31,9 @@
 //! - [`baselines`]: the Elasticsearch-like heap/row store used by the §4.3
 //!   footprint and latency comparison (E10).
 
+// Non-test code returns `Error`, never panics.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod baselines;
 pub mod bitmap;
 pub mod broker;

@@ -156,7 +156,14 @@ impl ColumnData {
                 nulls,
                 intern,
             } => {
-                let intern = intern.as_mut().expect("a consuming column interns");
+                // a sealed column pushed to is consuming again: its sorted
+                // dictionary becomes the first insertions
+                let intern = intern.get_or_insert_with(|| {
+                    (0u32..)
+                        .zip(dict.iter())
+                        .map(|(i, s)| (s.clone(), i))
+                        .collect()
+                });
                 let mut id_of = |s: &str| match intern.get(s) {
                     Some(&id) => id,
                     None => {
@@ -1095,10 +1102,6 @@ impl Segment {
         self.doc_count
     }
 
-    pub fn has_startree(&self) -> bool {
-        self.indexes.startree.is_some()
-    }
-
     /// In-memory footprint, indices included.
     pub fn memory_bytes(&self) -> usize {
         let cols: usize = self.columns.values().map(|c| c.memory_bytes()).sum();
@@ -1172,7 +1175,7 @@ impl Segment {
             let data = self.columns.get(&field.name).ok_or_else(|| {
                 Error::Internal(format!("column '{}' missing at persist", field.name))
             })?;
-            cols.push(to_segfile_column(field.field_type, data, self.doc_count));
+            cols.push(to_segfile_column(field.field_type, data, self.doc_count)?);
         }
         segfile::encode_segment(&meta, &self.schema.fields, &cols)
     }
@@ -1417,24 +1420,18 @@ impl LazySegment {
 /// variant must agree with the field's type tag: Int/Timestamp store
 /// `Int`, Str/Json store the dictionary form, and Bytes fields (held in
 /// string form in memory) store var-byte rows.
-fn to_segfile_column(ftype: FieldType, data: &ColumnData, nrows: usize) -> segfile::Column {
-    let mask_of = |nulls: &Bitmap| {
-        segfile::NullMask::from_bits(nulls.to_bytes(), nrows)
-            .expect("Bitmap::to_bytes emits ceil(n/8) bytes")
-    };
-    match data {
-        ColumnData::Int { values, nulls, .. } => segfile::Column {
-            values: segfile::ColumnValues::Int(values.clone()),
-            nulls: mask_of(nulls),
-        },
-        ColumnData::Double { values, nulls } => segfile::Column {
-            values: segfile::ColumnValues::Double(values.clone()),
-            nulls: mask_of(nulls),
-        },
-        ColumnData::Bool { values, nulls } => segfile::Column {
-            values: segfile::ColumnValues::Bool((0..nrows).map(|i| values.get(i)).collect()),
-            nulls: mask_of(nulls),
-        },
+fn to_segfile_column(ftype: FieldType, data: &ColumnData, nrows: usize) -> Result<segfile::Column> {
+    let (values, nulls) = match data {
+        ColumnData::Int { values, nulls, .. } => {
+            (segfile::ColumnValues::Int(values.clone()), nulls)
+        }
+        ColumnData::Double { values, nulls } => {
+            (segfile::ColumnValues::Double(values.clone()), nulls)
+        }
+        ColumnData::Bool { values, nulls } => (
+            segfile::ColumnValues::Bool((0..nrows).map(|i| values.get(i)).collect()),
+            nulls,
+        ),
         ColumnData::Str {
             dict, ids, nulls, ..
         } => {
@@ -1463,12 +1460,13 @@ fn to_segfile_column(ftype: FieldType, data: &ColumnData, nrows: usize) -> segfi
                     ids: ids.clone(),
                 }
             };
-            segfile::Column {
-                values,
-                nulls: mask_of(nulls),
-            }
+            (values, nulls)
         }
-    }
+    };
+    Ok(segfile::Column {
+        values,
+        nulls: segfile::NullMask::from_bits(nulls.to_bytes(), nrows)?,
+    })
 }
 
 /// Inverse of [`to_segfile_column`]: a decoded on-disk column back into

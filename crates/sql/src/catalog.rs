@@ -228,10 +228,6 @@ impl HybridTable {
         self.cache.lock().clear();
     }
 
-    pub fn offline_segment_count(&self) -> usize {
-        self.offline.read().len()
-    }
-
     /// The time boundary: the newest timestamp the offline side is
     /// authoritative for (max of every segment's zone-map max). `None`
     /// when there is no offline data — the realtime side then serves the

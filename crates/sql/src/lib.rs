@@ -22,6 +22,9 @@
 //! - [`engine`]: the MPP-style in-memory executor and the federated query
 //!   entry point.
 
+// Non-test code returns `Error`, never panics.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod ast;
 pub mod catalog;
 pub mod connector;

@@ -19,6 +19,9 @@
 //!   (little-endian, dictionary + bit-packed/var-byte forward indexes,
 //!   RLE runs, zone maps, CRC32-checked footer, lazy per-column decoding).
 
+// Non-test code returns `Error`, never panics.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod archival;
 pub mod hive;
 pub mod keyed;

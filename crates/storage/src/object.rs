@@ -365,9 +365,6 @@ impl ObjectStore for MirroredStore {
     }
 }
 
-/// Convenience alias: the store type most components hold.
-pub type SharedStore = Arc<dyn ObjectStore>;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -473,26 +470,5 @@ mod tests {
         let failed_over = MirroredStore::new(gone, mirror_inner.clone());
         assert_eq!(failed_over.get("ckpt/2").unwrap(), Bytes::from_static(b"b"));
         assert_eq!(failed_over.list("ckpt/").unwrap().len(), 2);
-    }
-
-    #[test]
-    fn chaos_point_fails_every_nth_put() {
-        use rtdi_common::chaos::{self, FaultKind, FaultPlan, Trigger};
-        let _g = chaos::test_guard();
-        chaos::registry().reset(0x5707A6E);
-        chaos::registry().arm(
-            FaultPoint::StorageObjectPut,
-            FaultPlan::fail(FaultKind::Unavailable, Trigger::EveryNth(3)),
-        );
-        let s = InMemoryStore::new();
-        let mut failures = 0;
-        for i in 0..9 {
-            if s.put(&format!("k{i}"), Bytes::new()).is_err() {
-                failures += 1;
-            }
-        }
-        chaos::registry().disarm_all();
-        assert_eq!(failures, 3);
-        assert_eq!(s.object_count(), 6);
     }
 }

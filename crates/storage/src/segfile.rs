@@ -206,16 +206,22 @@ impl<'a> Reader<'a> {
         Ok(self.bytes(1, what)?[0])
     }
 
+    fn array<const N: usize>(&mut self, what: &str) -> Result<[u8; N]> {
+        let mut a = [0u8; N];
+        a.copy_from_slice(self.bytes(N, what)?);
+        Ok(a)
+    }
+
     fn u16(&mut self, what: &str) -> Result<u16> {
-        Ok(u16::from_le_bytes(self.bytes(2, what)?.try_into().unwrap()))
+        Ok(u16::from_le_bytes(self.array(what)?))
     }
 
     fn u32(&mut self, what: &str) -> Result<u32> {
-        Ok(u32::from_le_bytes(self.bytes(4, what)?.try_into().unwrap()))
+        Ok(u32::from_le_bytes(self.array(what)?))
     }
 
     fn u64(&mut self, what: &str) -> Result<u64> {
-        Ok(u64::from_le_bytes(self.bytes(8, what)?.try_into().unwrap()))
+        Ok(u64::from_le_bytes(self.array(what)?))
     }
 
     fn i64(&mut self, what: &str) -> Result<i64> {
@@ -1138,7 +1144,11 @@ fn decode_column_block(block: &[u8], ftype: FieldType, nrows: usize) -> Result<C
                 let raw = r.bytes(nrows * 8, "double data")?;
                 ColumnValues::Double(
                     raw.chunks_exact(8)
-                        .map(|c| f64::from_bits(u64::from_le_bytes(c.try_into().unwrap())))
+                        .map(|c| {
+                            let mut bits = [0u8; 8];
+                            bits.copy_from_slice(c);
+                            f64::from_bits(u64::from_le_bytes(bits))
+                        })
                         .collect(),
                 )
             }

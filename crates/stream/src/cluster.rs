@@ -52,7 +52,7 @@ impl Default for ClusterConfig {
 /// One physical broker cluster.
 pub struct Cluster {
     name: String,
-    config: RwLock<ClusterConfig>,
+    config: ClusterConfig,
     topics: RwLock<BTreeMap<String, Arc<Topic>>>,
     /// Simulated total-cluster failure (for federation failover tests).
     down: AtomicBool,
@@ -119,7 +119,7 @@ impl Cluster {
         let name = name.into();
         let cluster = Arc::new(Cluster {
             name,
-            config: RwLock::new(config),
+            config,
             topics: RwLock::new(BTreeMap::new()),
             down: AtomicBool::new(false),
             membership,
@@ -141,12 +141,12 @@ impl Cluster {
     }
 
     pub fn nodes(&self) -> usize {
-        self.config.read().nodes
+        self.config.nodes
     }
 
     /// Names of every broker this cluster was sized with, dead or alive.
     pub fn node_names(&self) -> Vec<String> {
-        (0..self.config.read().nodes)
+        (0..self.config.nodes)
             .map(|i| format!("{}-n{}", self.name, i))
             .collect()
     }
@@ -155,17 +155,6 @@ impl Cluster {
     /// listeners).
     pub fn membership(&self) -> &Arc<Membership> {
         &self.membership
-    }
-
-    /// Grow the cluster (operators add brokers before adding clusters).
-    pub fn add_nodes(&self, n: usize) {
-        let mut cfg = self.config.write();
-        cfg.nodes += n;
-        let total = cfg.nodes;
-        drop(cfg);
-        for i in total - n..total {
-            self.membership.register(&format!("{}-n{}", self.name, i));
-        }
     }
 
     pub fn set_down(&self, down: bool) {
@@ -258,7 +247,7 @@ impl Cluster {
 
     /// Total partition-replica slots and how many are used.
     pub fn capacity(&self) -> (usize, usize) {
-        let cfg = self.config.read();
+        let cfg = &self.config;
         let total = cfg.nodes * cfg.partitions_per_node;
         let used: usize = self
             .topics
@@ -281,7 +270,7 @@ impl Cluster {
     /// nodes". Used by the federation experiment (E2) to compare one giant
     /// cluster against federated ones.
     pub fn coordination_cost(&self) -> f64 {
-        let cfg = self.config.read();
+        let cfg = &self.config;
         let base = 1.0 + (cfg.nodes as f64).log2() * 0.05;
         if cfg.nodes <= cfg.ideal_max_nodes {
             base
@@ -301,7 +290,7 @@ impl Cluster {
             return Err(Error::AlreadyExists(format!("topic '{name}'")));
         }
         {
-            let cfg = self.config.read();
+            let cfg = &self.config;
             let total = cfg.nodes * cfg.partitions_per_node;
             let used: usize = topics
                 .values()

@@ -19,6 +19,9 @@
 //! - [`workloads`]: the seeded synthetic event generators standing in for
 //!   Uber's production traces (see DESIGN.md substitution table).
 
+// Non-test code returns `Error`, never panics.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub mod eatsops;
 pub mod prediction;
 pub mod restaurant;

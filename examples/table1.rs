@@ -2,170 +2,17 @@
 //! representative use case exercises (experiment E19).
 //!
 //! Each §5 use case runs (scaled down) against the platform with usage
-//! accounting on; the resulting matrix is printed in the paper's layout.
+//! accounting on — the same run `tests/paper_claims.rs` checks cell by
+//! cell as claim E19 — and the matrix is printed in the paper's layout.
 //!
 //! Run with: `cargo run --example table1`
 
-use rtdi::common::{FieldType, Record, Schema};
 use rtdi::core::platform::RealtimePlatform;
-use rtdi::core::usage::Component;
-use rtdi::multiregion::kv::ReplicatedKv;
-use rtdi::olap::table::TableConfig;
-use rtdi::stream::topic::TopicConfig;
-use rtdi::usecases::eatsops::{AutomationRule, OpsAutomation, RuleAction};
-use rtdi::usecases::prediction::PredictionMonitoring;
-use rtdi::usecases::restaurant::RestaurantManager;
-use rtdi::usecases::surge::{LinearSurgeModel, SurgePipeline};
-use rtdi::usecases::workloads::TripEventGenerator;
-use std::sync::Arc;
+use rtdi_bench::claims::usecases::run_table1_use_cases;
 
 fn main() {
     let platform = RealtimePlatform::new();
-    let mut gen = TripEventGenerator::new(99, 32);
-
-    // ---- Surge: API + Compute + Stream ---------------------------------
-    platform.usage().begin_use_case("Surge");
-    let schema = Schema::of(
-        "marketplace",
-        &[
-            ("hex", FieldType::Str),
-            ("kind", FieldType::Str),
-            ("ts", FieldType::Timestamp),
-        ],
-    );
-    platform
-        .create_topic(
-            "marketplace",
-            TopicConfig::high_throughput().with_partitions(2),
-            schema,
-        )
-        .unwrap();
-    let producer = platform.producer("marketplace");
-    for t in 0..2_000i64 {
-        producer
-            .send("marketplace", gen.marketplace_event(t * 10))
-            .unwrap();
-    }
-    // advanced users use the low-level API (not SQL) for the surge job
-    let surge = SurgePipeline::new(10_000, Arc::new(LinearSurgeModel::default()));
-    let kv = ReplicatedKv::new();
-    let job = surge
-        .job(
-            "surge",
-            platform
-                .federation()
-                .subscribe("marketplace")
-                .unwrap()
-                .topic(),
-            kv.clone(),
-            "region-1",
-        )
-        .unwrap();
-    platform.usage().note(Component::Api);
-    platform.usage().note(Component::Compute);
-    surge.run(job).unwrap();
-    println!("Surge priced {} hexes", kv.len());
-    platform.usage().end_use_case();
-
-    // ---- Restaurant Manager: SQL + OLAP + Compute + Stream + Storage ---
-    platform.usage().begin_use_case("Restaurant Manager");
-    let rm = RestaurantManager::new(60_000).unwrap();
-    let orders: Vec<Record> = (0..5_000)
-        .map(|i| gen.eats_order((i as i64) * 100))
-        .collect();
-    platform.usage().note(Component::Compute);
-    platform.usage().note(Component::Stream);
-    platform.usage().note(Component::Storage); // segments archived long-term
-    rm.ingest_orders(orders).unwrap();
-    platform.usage().note(Component::Sql);
-    platform.usage().note(Component::Olap);
-    let pages = rm.load_dashboard("rest-0001").unwrap();
-    println!(
-        "Restaurant Manager dashboard: {} query results",
-        pages.len()
-    );
-    platform.usage().end_use_case();
-
-    // ---- Real-time Prediction Monitoring: everything -------------------
-    platform
-        .usage()
-        .begin_use_case("Real-time Prediction Monitoring");
-    let pm = PredictionMonitoring::new(60_000, 10_000).unwrap();
-    let mut preds = Vec::new();
-    let mut outs = Vec::new();
-    for i in 0..2_000 {
-        let (p, o) = gen.prediction_pair((i as i64) * 20, 100, 1_000);
-        preds.push(p);
-        outs.push(o);
-    }
-    platform.usage().note(Component::Api); // pipeline built via low-level API
-    platform.usage().note(Component::Compute);
-    platform.usage().note(Component::Stream);
-    platform.usage().note(Component::Storage); // checkpoints + archives
-    pm.run(preds, outs).unwrap();
-    platform.usage().note(Component::Sql);
-    platform.usage().note(Component::Olap);
-    let degraded = pm.degraded_models(0.5).unwrap();
-    println!("Prediction monitoring: {} degraded models", degraded.len());
-    platform.usage().end_use_case();
-
-    // ---- Eats Ops Automation: SQL + OLAP + Compute + Stream -------------
-    platform.usage().begin_use_case("Eats Ops Automation");
-    let schema = Schema::of(
-        "courier_activity",
-        &[
-            ("hex", FieldType::Str),
-            ("restaurant", FieldType::Str),
-            ("items", FieldType::Int),
-            ("ts", FieldType::Timestamp),
-        ],
-    );
-    platform
-        .create_topic(
-            "courier_activity",
-            TopicConfig::default().with_partitions(2),
-            schema.clone(),
-        )
-        .unwrap();
-    let table = platform
-        .create_olap_table(
-            TableConfig::new("courier_activity", schema)
-                .with_time_column("ts")
-                .with_partitions(2),
-        )
-        .unwrap();
-    let producer = platform.producer("eats");
-    for i in 0..3_000usize {
-        let o = gen.eats_order((i as i64) * 50);
-        let mut rec = Record::new(o.value.clone(), o.timestamp);
-        rec.key = o.key.clone();
-        producer.send("courier_activity", rec).unwrap();
-    }
-    platform.usage().note(Component::Compute); // ingestion pipeline
-    platform
-        .ingest_into("courier_activity", table)
-        .unwrap()
-        .run_once()
-        .unwrap();
-    let mut ops = OpsAutomation::new();
-    ops.promote_with(
-        |sql| platform.sql(sql).map(|_| ()),
-        AutomationRule {
-            name: "capacity".into(),
-            sql: "SELECT hex, COUNT(*) AS couriers FROM courier_activity GROUP BY hex".into(),
-            metric_column: "couriers".into(),
-            threshold: 50.0,
-            action: RuleAction::ThrottleOrders,
-        },
-    )
-    .unwrap();
-    let alerts = ops
-        .evaluate_with(|sql| platform.sql(sql).map(|o| o.rows))
-        .unwrap();
-    println!("Eats ops automation: {} alerts", alerts.len());
-    platform.usage().end_use_case();
-
-    // ---- Table 1 --------------------------------------------------------
-    println!("\nTable 1 — components used by the example use cases:\n");
+    run_table1_use_cases(&platform).expect("the four use cases run");
+    println!("Table 1 — components used by the example use cases:\n");
     println!("{}", platform.usage().render_table());
 }

@@ -49,6 +49,9 @@
 //! See `DESIGN.md` for the system inventory and the experiment index, and
 //! `EXPERIMENTS.md` for paper-vs-measured results.
 
+// Non-test code returns `Error`, never panics.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+
 pub use rtdi_common as common;
 pub use rtdi_compute as compute;
 pub use rtdi_core as core;

@@ -1,5 +1,5 @@
-//! Allocation budget of the write path, counted by this binary's own
-//! allocator: one record from `Producer::send` to the partition log costs
+//! Allocation budget of the write path, counted by the workspace's
+//! counting allocator (`rtdi_bench`): one record from `Producer::send` to the partition log costs
 //! the `Arc<Record>` the log keeps plus amortised container growth, its
 //! audit at OLAP ingest costs nothing per record, and a retried send
 //! re-sends the shared record instead of copying it. Then compute's: the
@@ -20,43 +20,9 @@ use rtdi::stream::log::FetchResult;
 use rtdi::stream::producer::{Producer, ProducerConfig, StreamEndpoint};
 use rtdi::stream::topic::{Topic, TopicConfig};
 use rtdi::usecases::workloads::CityDriverGenerator;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use rtdi_bench::count_allocations;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
-
-struct Counting;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counter touches no allocator state.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: the caller's `layout` is passed through as received.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` through this type with `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: `ptr` came from `System` through this type with `layout`.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
-
-fn allocs_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    let before = ALLOCS.load(Ordering::Relaxed);
-    let out = f();
-    (out, ALLOCS.load(Ordering::Relaxed) - before)
-}
 
 const PARTITIONS: usize = 4;
 
@@ -130,7 +96,7 @@ fn allocs_of_flaky_sends(n: usize, failures: usize) -> u64 {
     });
     let producer = Producer::new(endpoint.clone(), ProducerConfig::default());
     let records = trips(n);
-    let ((), allocs) = allocs_during(|| {
+    let ((), spent) = count_allocations(|| {
         for r in records {
             producer.send("trips", r).unwrap();
         }
@@ -138,7 +104,7 @@ fn allocs_of_flaky_sends(n: usize, failures: usize) -> u64 {
     assert_eq!(producer.records_sent(), n as u64);
     let attempts = endpoint.refused.load(Ordering::Relaxed);
     assert_eq!(attempts, n * (failures + 1), "every refusal was retried");
-    allocs
+    spent.allocs
 }
 
 /// Every handle a topic's partition `p` holds, in offset order.
@@ -178,7 +144,8 @@ fn compute_reads_the_log_where_it_lies() {
         &CompileOptions::default(),
     )
     .unwrap();
-    let (stats, allocs) = allocs_during(|| run(job));
+    let (stats, spent) = count_allocations(|| run(job));
+    let allocs = spent.allocs;
     assert_eq!(stats.records_in, N as u64);
     let counted: i64 = windows
         .rows()
@@ -252,11 +219,12 @@ fn produce_ingest_and_retry_hold_their_allocation_budgets() {
     let platform = platform_with_topic();
     let producer = platform.producer("budget");
     let records = trips(N);
-    let ((), sent) = allocs_during(|| {
+    let ((), sent) = count_allocations(|| {
         for r in records {
             producer.send("trips", r).unwrap();
         }
     });
+    let sent = sent.allocs;
     assert!(
         sent <= 3 * N as u64,
         "producer.send: {sent} allocations for {N} records"
@@ -266,11 +234,12 @@ fn produce_ingest_and_retry_hold_their_allocation_budgets() {
     // into a twin table pays only what the table itself allocates
     let audited = platform.create_olap_table(table("trips")).unwrap();
     let mut ingester = platform.ingest_into("trips", audited).unwrap();
-    let (ingested, with_audit) = allocs_during(|| ingester.run_once().unwrap());
+    let (ingested, with_audit) = count_allocations(|| ingester.run_once().unwrap());
     let topic = platform.federation().subscribe("trips").unwrap().topic();
     let twin = OlapTable::new(table("twin")).unwrap();
     let mut bare = RealtimeIngester::new(topic, twin, IngestionConfig::default()).unwrap();
-    let (plain, table_only) = allocs_during(|| bare.run_once().unwrap());
+    let (plain, table_only) = count_allocations(|| bare.run_once().unwrap());
+    let (with_audit, table_only) = (with_audit.allocs, table_only.allocs);
     assert_eq!((ingested, plain), (N as u64, N as u64));
     assert!(
         with_audit <= table_only + N as u64,
