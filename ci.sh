@@ -17,6 +17,8 @@ cargo test --release --offline --manifest-path benchmark/Cargo.toml
 # clippy::expect_used outside tests (ROADMAP item 4)
 cargo clippy --workspace -- -D warnings
 cargo fmt --check
+# every intra-doc link resolves, and to an item as public as its page
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 
 # Determinism gates: each row names a seeded test that prints summary lines
 # under a tag; for every seed the lines must be byte-identical between two

@@ -255,13 +255,14 @@ fn e12_upsert(r: &mut Report) -> Result<()> {
     let keys: Vec<Value> = (0..100_000)
         .map(|i| Value::Str(format!("k{}", i % 10_000)))
         .collect();
+    let seg: Arc<str> = "seg".into();
     let mut local = PrimaryKeyIndex::new();
     r.timed(
         "E12",
         "100000 key-tracking upserts, partition-local",
         || {
             for (i, key) in keys.iter().enumerate() {
-                local.upsert(key, "seg", i);
+                local.upsert(key, &seg, i);
             }
         },
     );
@@ -271,7 +272,7 @@ fn e12_upsert(r: &mut Report) -> Result<()> {
         "100000 key-tracking upserts, behind one lock",
         || {
             for (i, key) in keys.iter().enumerate() {
-                shared.lock().upsert(key, "seg", i);
+                shared.lock().upsert(key, &seg, i);
             }
         },
     );

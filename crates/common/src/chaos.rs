@@ -9,8 +9,8 @@
 //! - a process-wide [`FaultRegistry`] where named [`FaultPoint`]s can be
 //!   armed with a [`FaultPlan`] (error kind, probability or every-Nth
 //!   trigger, latency injection, burst windows);
-//! - the [`fault_point!`] macro threaded through the stream, compute,
-//!   olap, storage and multiregion crates;
+//! - the [`fault_point!`](crate::fault_point) macro threaded through the
+//!   stream, compute, olap, storage and multiregion crates;
 //! - a shared [`RetryPolicy`]: exponential backoff with deterministic
 //!   jitter, an attempt budget, and retry classification via
 //!   [`Error::is_retryable`].
@@ -18,9 +18,10 @@
 //! Everything is deterministic: fault decisions come from a seeded
 //! SplitMix64 stream per fault point (never the wall clock), so the same
 //! seed always yields a byte-identical fault schedule
-//! ([`schedule_summary`]). The disarmed fast path is a single relaxed
-//! atomic load per check — cheap enough to leave compiled into the hot
-//! paths (benchmarked by E01/E10 against the pre-chaos baselines).
+//! ([`FaultRegistry::schedule_summary`]). The disarmed fast path is a
+//! single relaxed atomic load per check — cheap enough to leave compiled
+//! into the hot paths (benchmarked by E01/E10 against the pre-chaos
+//! baselines).
 
 use crate::error::{Error, Result};
 use parking_lot::{Mutex, MutexGuard};

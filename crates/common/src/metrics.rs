@@ -94,13 +94,23 @@ impl Default for Histogram {
 
 impl Histogram {
     pub fn record(&self, value: u64) {
+        self.record_n(value, 1);
+    }
+
+    /// Record `n` samples of one value with one update (a batch observer
+    /// folds a run of equal dwells into one call).
+    pub fn record_n(&self, value: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
         let idx = match self.bounds.binary_search(&value) {
             Ok(i) => i,
             Err(i) => i,
         };
-        self.buckets[idx].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(value, Ordering::Relaxed);
+        self.buckets[idx].fetch_add(n, Ordering::Relaxed);
+        self.count.fetch_add(n, Ordering::Relaxed);
+        self.sum
+            .fetch_add(value.saturating_mul(n), Ordering::Relaxed);
         let mut cur = self.max.load(Ordering::Relaxed);
         while value > cur {
             match self
@@ -274,6 +284,26 @@ mod tests {
         assert!(p50 <= p99);
         assert!(p99 <= h.max() * 2);
         assert!((h.mean() - 500.5).abs() < 1.0);
+    }
+
+    #[test]
+    fn record_n_equals_n_records() {
+        let (one_by_one, folded) = (Histogram::default(), Histogram::default());
+        for (value, n) in [(3u64, 5u64), (700, 1), (0, 2), (9, 0)] {
+            (0..n).for_each(|_| one_by_one.record(value));
+            folded.record_n(value, n);
+        }
+        let read = |h: &Histogram| {
+            (
+                h.count(),
+                h.mean(),
+                h.max(),
+                h.quantile(0.5),
+                h.quantile(1.0),
+            )
+        };
+        assert_eq!(read(&folded), read(&one_by_one));
+        assert_eq!(folded.count(), 8);
     }
 
     #[test]

@@ -105,31 +105,25 @@ impl Schema {
     /// every present field type-correct. Extra columns are tolerated (the
     /// paper's pipelines decorate events with audit metadata en route).
     pub fn validate(&self, row: &Row) -> Result<()> {
-        self.validate_cells(|field| row.get(&field.name))
+        let mut fields = self.fields.iter();
+        fields.try_for_each(|field| self.validate_cell(field, row.get(&field.name)))
     }
 
-    /// [`Schema::validate`] over one cell per field as `cell` yields them,
-    /// for callers that fill some fields from outside the row (an ingester
+    /// [`Schema::validate`] for one field's cell, for callers that find the
+    /// cells themselves or fill some from outside the row (an ingester
     /// defaulting the time column to the record's event time).
-    pub fn validate_cells<'a>(&self, cell: impl Fn(&Field) -> Option<&'a Value>) -> Result<()> {
-        for field in &self.fields {
-            match cell(field) {
-                None | Some(Value::Null) if !field.nullable => {
-                    return Err(Error::Schema(format!(
-                        "required field '{}' missing in row for schema '{}'",
-                        field.name, self.name
-                    )));
-                }
-                Some(v) if !field.field_type.accepts(v) => {
-                    return Err(Error::Schema(format!(
-                        "field '{}' expected {:?}, got {v:?}",
-                        field.name, field.field_type
-                    )));
-                }
-                _ => {}
-            }
+    pub fn validate_cell(&self, field: &Field, cell: Option<&Value>) -> Result<()> {
+        match cell {
+            None | Some(Value::Null) if !field.nullable => Err(Error::Schema(format!(
+                "required field '{}' missing in row for schema '{}'",
+                field.name, self.name
+            ))),
+            Some(v) if !field.field_type.accepts(v) => Err(Error::Schema(format!(
+                "field '{}' expected {:?}, got {v:?}",
+                field.name, field.field_type
+            ))),
+            _ => Ok(()),
         }
-        Ok(())
     }
 
     /// Backward compatibility: can data written with `self` still be read

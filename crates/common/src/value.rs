@@ -308,6 +308,17 @@ impl Row {
             .map(|(_, v)| v)
     }
 
+    /// The cell at a position, for a reader that remembers where a column
+    /// sat in the last row of the same shape.
+    pub fn at(&self, position: usize) -> Option<(&str, &Value)> {
+        self.columns.get(position).map(|(n, v)| (&**n, v))
+    }
+
+    /// Position of the first cell named `name`.
+    pub fn position(&self, name: &str) -> Option<usize> {
+        self.columns.iter().position(|(n, _)| &**n == name)
+    }
+
     pub fn get_int(&self, name: &str) -> Option<i64> {
         self.get(name).and_then(Value::as_int)
     }

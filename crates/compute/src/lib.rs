@@ -20,7 +20,7 @@
 //!   backpressure reproduces Flink's backlog behaviour, moving
 //!   micro-batches (`Vec<Arc<Record>>`) per hop, with aligned checkpoint
 //!   barriers persisted to the object store and exact state recovery;
-//! - [`reference`]: the single-threaded per-record oracle the tests
+//! - [`mod@reference`]: the single-threaded per-record oracle the tests
 //!   compare the runtime against (never called by production code);
 //! - [`jobmanager`] (§4.2.2, Figure 5): job lifecycle management,
 //!   rule-based health monitoring, automatic failure recovery and

@@ -1156,7 +1156,7 @@ pub const STREAM_TAG: &str = "__stream";
 ///
 /// Inputs must carry [`STREAM_TAG`] identifying their side. Emits one
 /// merged row per matching (left, right) pair within the same tumbling
-/// window. This is the paper's "stream-stream join job [that] will almost
+/// window. This is the paper's "stream-stream join job \[that\] will almost
 /// always be memory bound" (§4.2.1) and the core of the prediction
 /// monitoring pipeline (§5.3: joining predictions to observed outcomes).
 pub struct WindowJoinOp {

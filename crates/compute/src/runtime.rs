@@ -5,7 +5,7 @@
 //! sends are the credit-based backpressure that lets the engine absorb
 //! massive input backlogs gracefully (§4.2) — measured against the
 //! Storm-like baseline in experiment E6. Its hot path is micro-batched
-//! ([`StagedMsg::Batch`] moves one `Vec<Arc<Record>>` per hop instead of
+//! (`StagedMsg::Batch` moves one `Vec<Arc<Record>>` per hop instead of
 //! one message per record — Flink's network-buffer batching) and
 //! operator-chained (adjacent stateless stages fuse into one thread via
 //! [`crate::operator::fuse_stateless`]).

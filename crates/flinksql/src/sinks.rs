@@ -4,7 +4,7 @@
 //! customers can simply build a SQL transformation query and the output
 //! messages can be 'pushed' to Pinot."
 
-use rtdi_common::{Record, Result, Row, Timestamp, Value};
+use rtdi_common::{Record, Result, Value};
 use rtdi_compute::sink::Sink;
 use rtdi_olap::table::OlapTable;
 use std::sync::Arc;
@@ -37,32 +37,22 @@ impl PinotSink {
 }
 
 impl PinotSink {
-    fn ingest(&mut self, key: &Option<Value>, mut row: Row, timestamp: Timestamp) -> Result<()> {
-        let p = self.partition_for(key);
-        if let Some(tc) = &self.table.config().time_column {
-            if row.get(tc).is_none() {
-                row.push(tc.clone(), timestamp);
-            }
-        }
-        self.table.ingest(p, row)
+    /// The table reads the row where it lies and stores the record's event
+    /// time under its time column when the row has none.
+    fn ingest(&mut self, record: &Record) -> Result<()> {
+        let p = self.partition_for(&record.key);
+        self.table
+            .ingest_at(p, &record.value, Some(record.timestamp))
     }
 }
 
 impl Sink for PinotSink {
     fn write(&mut self, record: Record) -> Result<()> {
-        self.ingest(&record.key, record.value, record.timestamp)
+        self.ingest(&record)
     }
 
-    /// The table takes the row: moved out of a record held alone, copied
-    /// (the row only) out of one something else still holds.
     fn write_batch(&mut self, records: Vec<Arc<Record>>) -> Result<()> {
-        for record in records {
-            match Arc::try_unwrap(record) {
-                Ok(owned) => self.write(owned)?,
-                Err(shared) => self.ingest(&shared.key, shared.value.clone(), shared.timestamp)?,
-            }
-        }
-        Ok(())
+        records.iter().try_for_each(|record| self.ingest(record))
     }
 }
 

@@ -119,30 +119,41 @@ impl RealtimeIngester {
                 if fetch.records.is_empty() {
                     break;
                 }
-                // the log shares its records: observe and append from the
-                // borrow, copying nothing
-                for rec in &fetch.records {
-                    let record = rec.record.as_ref();
-                    self.positions[p] = rec.offset + 1;
-                    let now = self
-                        .clock
-                        .as_ref()
-                        .map(|c| c.now())
-                        .unwrap_or(record.timestamp);
-                    if let Some(stage) = &self.chaperone {
-                        stage.observe_at(record, now);
-                    }
-                    if let Some((hop, total)) = &self.trace {
+                // the log shares its records: append and observe from the
+                // borrow, copying nothing. Event time is queryable under the
+                // table's time column.
+                let rows = fetch.records.iter();
+                let rows = rows.map(|r| (&r.record.value, Some(r.record.timestamp)));
+                // a refused row is consumed like the rows before it: it is
+                // audited and the next round resumes behind it
+                let (consumed, refusal) = match self.table.ingest_batch(p, rows) {
+                    Ok(all) => (all, None),
+                    Err((before, refusal)) => (before + 1, Some(refusal)),
+                };
+                let consumed = &fetch.records[..consumed];
+                let Some(last) = consumed.last() else { break };
+                self.positions[p] = last.offset + 1;
+                // one clock reading serves the fetch
+                let now = self.clock.as_ref().map(|c| c.now());
+                let seen = consumed.iter().map(|r| {
+                    let record = r.record.as_ref();
+                    (record, now.unwrap_or(record.timestamp))
+                });
+                if let Some(stage) = &self.chaperone {
+                    stage.observe_batch(seen.clone());
+                }
+                if let Some((hop, total)) = &self.trace {
+                    for (record, now) in seen {
                         hop.observe_last_hop(record, now);
                         // the record is queryable from here on: close out
                         // the end-to-end freshness measurement
                         total.record_total(record, now);
                     }
-                    // event time is queryable under the table's time column
-                    self.table
-                        .ingest_at(p, &record.value, Some(record.timestamp))?;
-                    total += 1;
                 }
+                if let Some(refusal) = refusal {
+                    return Err(refusal);
+                }
+                total += consumed.len() as u64;
             }
         }
         // archive newly sealed segments
@@ -262,6 +273,113 @@ mod tests {
             .filter(Predicate::eq("trip_id", "t2"))
             .aggregate("f", AggFn::Sum("fare".into()));
         assert_eq!(tbl.query(&q).unwrap().rows[0].get_double("f"), Some(777.0));
+    }
+
+    /// `run_once`'s contract around a row the schema refuses: the rows
+    /// before it are in, it is consumed and audited like them, the error
+    /// comes back, and the next round resumes behind it.
+    #[test]
+    fn a_refused_row_is_skipped_and_the_rows_before_it_stay() {
+        const REFUSED: usize = 13;
+        let one = TopicConfig::default().with_partitions(1);
+        let t = Arc::new(Topic::new("trips", one).unwrap());
+        for i in 0..30 {
+            let mut rec = trip(i, 1.0);
+            if i == REFUSED {
+                rec.value.set("fare", "free");
+            }
+            t.append(rec, 0).unwrap();
+        }
+        let cfg = TableConfig::new("trips", schema()).with_time_column("ts");
+        // a seal falls inside the fetch, before the refused row
+        let tbl = OlapTable::new(cfg.with_segment_rows(10).with_partitions(1)).unwrap();
+        let ch = Chaperone::new(1_000);
+        let mut ing = RealtimeIngester::new(t, tbl.clone(), IngestionConfig::default())
+            .unwrap()
+            .with_chaperone(ch.clone());
+        let rows = || {
+            let q = Query::select_all("trips").aggregate("n", AggFn::Count);
+            tbl.query(&q).unwrap().rows[0].get_int("n")
+        };
+        assert!(matches!(ing.run_once(), Err(Error::Schema(_))));
+        assert_eq!(rows(), Some(REFUSED as i64));
+        assert_eq!(tbl.sealed_segments(0).len(), 1);
+        assert_eq!(ch.stats("pinot-ingestion", 0).count, REFUSED as u64 + 1);
+        assert_eq!(ing.lag(), 30 - (REFUSED as u64 + 1));
+        assert_eq!(ing.run_once().unwrap(), 30 - (REFUSED as u64 + 1));
+        assert_eq!(rows(), Some(29));
+        assert_eq!(ch.stats("pinot-ingestion", 0).count, 30);
+    }
+
+    /// A fetch is ingested as if its rows had come one by one: fetches that
+    /// cross `segment_rows` several times leave the segments (names, doc
+    /// counts, back-up order) and the answers that `ingest_at` row by row
+    /// leaves, upserts across the seals included.
+    #[test]
+    fn a_fetch_seals_and_upserts_like_its_rows_one_by_one() {
+        for (upsert, partitions) in [(false, 1), (false, 4), (true, 1), (true, 4)] {
+            let config = TopicConfig::default().with_partitions(partitions);
+            let t = Arc::new(Topic::new("trips", config).unwrap());
+            for i in 0..137 {
+                // every key comes back with another fare, segments later
+                t.append(trip(i % 50, i as f64), 0).unwrap();
+            }
+            let table = || {
+                let cfg = TableConfig::new("trips", schema()).with_time_column("ts");
+                let cfg = cfg.with_segment_rows(7).with_partitions(partitions);
+                OlapTable::new(if upsert {
+                    cfg.with_upsert("trip_id")
+                } else {
+                    cfg
+                })
+                .unwrap()
+            };
+            let (fetched, one_by_one) = (table(), table());
+            let ing = RealtimeIngester::new(t.clone(), fetched.clone(), IngestionConfig::default());
+            assert_eq!(ing.unwrap().run_once().unwrap(), 137);
+            for p in 0..partitions {
+                for r in t.fetch(p, 0, 1024).unwrap().records {
+                    let at = Some(r.record.timestamp);
+                    one_by_one.ingest_at(p, &r.record.value, at).unwrap();
+                }
+            }
+            let case = format!("upsert {upsert}, {partitions} partitions");
+            let segments = |tbl: &OlapTable| -> Vec<(usize, String, usize)> {
+                let sealed = tbl.take_unbacked().into_iter();
+                sealed
+                    .map(|(p, seg)| (p, seg.name().to_string(), seg.doc_count()))
+                    .collect()
+            };
+            let sealed = segments(&fetched);
+            assert!(sealed.len() > 3 * partitions, "{case}: {sealed:?}");
+            assert_eq!(sealed, segments(&one_by_one), "{case}");
+            for p in 0..partitions {
+                assert_eq!(fetched.sealed_segments(p), one_by_one.sealed_segments(p));
+            }
+            let queries = [
+                Query::select_all("trips")
+                    .aggregate("n", AggFn::Count)
+                    .aggregate("f", AggFn::Sum("fare".into())),
+                Query::select_all("trips")
+                    .filter(Predicate::eq("trip_id", "t7"))
+                    .order("fare", crate::query::SortOrder::Asc),
+            ];
+            for q in &queries {
+                let answer = fetched.query(q).unwrap();
+                assert_eq!(answer.rows, one_by_one.query(q).unwrap().rows, "{case}");
+                assert!(!answer.rows.is_empty());
+            }
+            let key = Value::Str("t7".into());
+            assert_eq!(
+                fetched.lookup(&key, "fare"),
+                one_by_one.lookup(&key, "fare"),
+                "{case}"
+            );
+            assert_eq!(
+                fetched.lookup(&key, "fare"),
+                upsert.then_some(Value::Double(107.0))
+            );
+        }
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //!   stream topics — columnar from the first row, queried by the sealed
 //!   segments' kernels — sealed into immutable segments at size
 //!   thresholds by sorting their dictionaries;
-//! - [`reference`]: the row-at-a-time executor kept as the test oracle of
+//! - [`mod@reference`]: the row-at-a-time executor kept as the test oracle of
 //!   those kernels (no production caller, not re-exported);
 //! - [`upsert`] (§4.3.1): partitioned primary-key tracking with
 //!   shared-nothing, per-partition ownership and valid-doc filtering;

@@ -6,7 +6,7 @@
 //! once it reaches its row threshold.
 //!
 //! The segment is columnar from its first row, as Pinot's is: one
-//! append-only [`ColumnData`] per schema field, strings interned into a
+//! append-only `ColumnData` per schema field, strings interned into a
 //! dictionary kept in insertion order. A query runs the kernels a sealed
 //! segment runs, over these columns and no index; sealing sorts each
 //! dictionary, remaps its ids and moves the columns into the `Segment`.
@@ -15,18 +15,30 @@
 use crate::bitmap::Bitmap;
 use crate::query::{PartialAgg, Query, QueryResult};
 use crate::segment::{self, intern_field_names, ColumnData, ColumnSet, IndexSpec, Segment};
-use rtdi_common::{Field, Result, Row, Schema, Timestamp, Value};
+use rtdi_common::{Result, Row, Schema, Timestamp, Value};
 use std::sync::Arc;
 
 /// An append-only, immediately-queryable segment.
 pub struct MutableSegment {
-    name: String,
+    /// Shared with the upsert index, which names it once per row.
+    name: Arc<str>,
     schema: Schema,
     field_names: Vec<Arc<str>>,
     /// `columns[i]` holds `schema.fields[i]`.
     columns: Vec<ColumnData>,
+    /// `cells[i]`: where `schema.fields[i]` sat in the row appended last
+    /// ([`ABSENT`] or [`DEFAULTED`] when it did not). Rows of one shape
+    /// follow one another, so the next row confirms a position with one
+    /// name compare instead of finding it again; kept here so that an
+    /// append allocates nothing for it.
+    cells: Vec<usize>,
     doc_count: usize,
 }
+
+/// In `cells`: the row has no such column.
+const ABSENT: usize = usize::MAX;
+/// In `cells`: the row has no such column and takes the append's default.
+const DEFAULTED: usize = usize::MAX - 1;
 
 impl ColumnSet for MutableSegment {
     fn doc_count(&self) -> usize {
@@ -43,7 +55,7 @@ impl ColumnSet for MutableSegment {
 }
 
 impl MutableSegment {
-    pub fn new(name: impl Into<String>, schema: Schema) -> Self {
+    pub fn new(name: impl Into<Arc<str>>, schema: Schema) -> Self {
         MutableSegment {
             name: name.into(),
             field_names: intern_field_names(&schema),
@@ -52,12 +64,14 @@ impl MutableSegment {
                 .iter()
                 .map(|f| ColumnData::new(f.field_type))
                 .collect(),
+            // rows are most often written in schema order
+            cells: (0..schema.fields.len()).collect(),
             schema,
             doc_count: 0,
         }
     }
 
-    pub fn name(&self) -> &str {
+    pub fn name(&self) -> &Arc<str> {
         &self.name
     }
 
@@ -66,28 +80,40 @@ impl MutableSegment {
     /// field's type; row columns outside the schema are dropped. A row
     /// without the column `default` names gets the timestamp given there
     /// (the ingester's event-time fallback for the table's time column).
+    ///
+    /// The one appending function, made for a batch of like rows: each
+    /// field is looked for where the last row had it (one name compare; the
+    /// whole row is searched only on a miss, so of a column named twice
+    /// either cell may be read), the cells found are validated, and only
+    /// then pushed from their positions — a refused row leaves no trace.
     pub fn append(&mut self, row: &Row, default: Option<(&str, Timestamp)>) -> Result<usize> {
         let default = default.map(|(column, ts)| (column, Value::Int(ts)));
-        let cell = |field: &Field| {
-            row.get(&field.name).or_else(|| match &default {
-                Some((column, ts)) if *column == field.name => Some(ts),
-                _ => None,
-            })
+        let cell = |at: usize| match at {
+            DEFAULTED => default.as_ref().map(|(_, ts)| ts),
+            at => row.at(at).map(|(_, value)| value),
         };
-        self.schema.validate_cells(cell)?;
-        self.push_cells(cell);
+        for (field, at) in self.schema.fields.iter().zip(&mut self.cells) {
+            if row.at(*at).is_none_or(|(name, _)| name != field.name) {
+                *at = match (row.position(&field.name), &default) {
+                    (Some(found), _) => found,
+                    (None, Some((column, _))) if *column == field.name => DEFAULTED,
+                    (None, _) => ABSENT,
+                };
+            }
+            self.schema.validate_cell(field, cell(*at))?;
+        }
+        for (column, &at) in self.columns.iter_mut().zip(&self.cells) {
+            column.push(cell(at));
+        }
+        self.doc_count += 1;
         Ok(self.doc_count - 1)
     }
 
     /// Append a row as it is: a cell its field cannot hold becomes NULL
     /// ([`Segment::build`] takes rows without validating them).
     pub(crate) fn push(&mut self, row: &Row) {
-        self.push_cells(|field| row.get(&field.name));
-    }
-
-    fn push_cells<'a>(&mut self, cell: impl Fn(&Field) -> Option<&'a Value>) {
         for (field, column) in self.schema.fields.iter().zip(&mut self.columns) {
-            column.push(cell(field));
+            column.push(row.get(&field.name));
         }
         self.doc_count += 1;
     }
@@ -130,7 +156,7 @@ impl MutableSegment {
     /// tables.
     pub fn seal(self, spec: &IndexSpec) -> Result<Segment> {
         Segment::seal(
-            self.name,
+            self.name.to_string(),
             self.schema,
             self.field_names,
             self.columns,
@@ -227,6 +253,56 @@ mod tests {
         // the default is validated like a cell of the row
         assert!(seg.append(&Row::new(), Some(("city", 1))).is_err());
         assert_eq!(seg.doc_count(), 2);
+    }
+
+    #[test]
+    fn rows_of_changing_shape_are_read_by_name() {
+        let mut seg = MutableSegment::new("rt", schema());
+        let shapes = [
+            Row::new()
+                .with("city", "sf")
+                .with("total", 1.0)
+                .with("ts", 1i64),
+            Row::new()
+                .with("ts", 2i64)
+                .with("tip", 0.5)
+                .with("city", "la"),
+            Row::new().with("total", 3.0).with("city", "nyc"),
+            Row::new()
+                .with("city", "sf")
+                .with("total", 4.0)
+                .with("ts", 4i64),
+            Row::new(),
+            Row::new()
+                .with("tip", 0.5)
+                .with("ts", 6i64)
+                .with("total", 6.0),
+        ];
+        // a refused row leaves no cell behind, whatever it made the segment
+        // remember about its shape
+        let refused = Row::new().with("total", "free").with("city", "sf");
+        for (doc, row) in shapes.iter().enumerate() {
+            assert!(seg.append(&refused, None).is_err());
+            assert_eq!(seg.append(row, Some(("ts", 99))).unwrap(), doc);
+        }
+        for (doc, row) in shapes.iter().enumerate() {
+            let cell = |name| row.get(name).cloned();
+            assert_eq!(
+                seg.value_at("city", doc),
+                cell("city").unwrap_or(Value::Null)
+            );
+            assert_eq!(
+                seg.value_at("total", doc),
+                cell("total").unwrap_or(Value::Null)
+            );
+            assert_eq!(
+                seg.value_at("ts", doc),
+                cell("ts").unwrap_or(Value::Int(99))
+            );
+        }
+        // without the default the column is NULL again
+        seg.append(&shapes[2], None).unwrap();
+        assert_eq!(seg.value_at("ts", shapes.len()), Value::Null);
     }
 
     #[test]

@@ -1031,7 +1031,7 @@ impl Segment {
         rows: Vec<Row>,
         spec: &IndexSpec,
     ) -> Result<Segment> {
-        let mut consuming = MutableSegment::new(name, schema.clone());
+        let mut consuming = MutableSegment::new(name.into(), schema.clone());
         for row in &rows {
             consuming.push(row);
         }

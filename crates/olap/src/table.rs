@@ -163,19 +163,52 @@ impl OlapTable {
         self.ingest_at(partition, &row, None)
     }
 
-    /// [`OlapTable::ingest`] from a borrowed row. A row without the
-    /// table's time column is stored with `event_time` there (the ingester
-    /// passes the record's timestamp, which makes event time queryable).
+    /// [`OlapTable::ingest_batch`] of one borrowed row.
     pub fn ingest_at(
         &self,
         partition: usize,
         row: &Row,
         event_time: Option<Timestamp>,
     ) -> Result<()> {
-        let state = self
-            .partitions
-            .get(partition)
-            .ok_or_else(|| Error::InvalidArgument(format!("partition {partition} out of range")))?;
+        let outcome = self.ingest_batch(partition, [(row, event_time)]);
+        outcome.map(|_| ()).map_err(|(_, refusal)| refusal)
+    }
+
+    /// Ingest rows into a realtime partition, in order, under one hold of
+    /// the partition's write lock: queries of the partition wait for the
+    /// whole batch, so a caller bounds the hold by the batch it passes (the
+    /// ingester's `batch_size`). A row without the table's time column is
+    /// stored with its event time there (the ingester passes the record's
+    /// timestamp, which makes event time queryable). Upserts are applied
+    /// and a segment is sealed at exactly `segment_rows`, row by row, as
+    /// if each had come alone.
+    ///
+    /// Returns how many rows went in. A refused row ends the batch:
+    /// `Err((k, refusal))` says the `k` rows before it are in and queryable
+    /// and neither it nor any row after it is.
+    pub fn ingest_batch<'a>(
+        &self,
+        partition: usize,
+        rows: impl IntoIterator<Item = (&'a Row, Option<Timestamp>)>,
+    ) -> std::result::Result<usize, (usize, Error)> {
+        let out_of_range = || Error::InvalidArgument(format!("partition {partition} out of range"));
+        let state = self.partitions.get(partition);
+        let mut st = state.ok_or_else(|| (0, out_of_range()))?.write();
+        let mut taken = 0;
+        for (row, event_time) in rows {
+            self.ingest_row(&mut st, row, event_time)
+                .map_err(|refusal| (taken, refusal))?;
+            taken += 1;
+        }
+        Ok(taken)
+    }
+
+    fn ingest_row(
+        &self,
+        st: &mut PartitionState,
+        row: &Row,
+        event_time: Option<Timestamp>,
+    ) -> Result<()> {
         let key = match &self.config.primary_key {
             Some(pk_col) if self.config.upsert => Some(
                 row.get(pk_col)
@@ -184,14 +217,12 @@ impl OlapTable {
             _ => None,
         };
         let default = self.config.time_column.as_deref().zip(event_time);
-        let mut st = state.write();
         let doc = st.consuming.append(row, default)?;
         if let Some(key) = key {
-            let seg_name = st.consuming.name().to_string();
-            st.pk_index.upsert(key, &seg_name, doc);
+            st.pk_index.upsert(key, st.consuming.name(), doc);
         }
         if st.consuming.doc_count() >= self.config.segment_rows {
-            self.seal_partition(&mut st)?;
+            self.seal_partition(st)?;
         }
         Ok(())
     }
@@ -420,10 +451,10 @@ impl OlapTable {
         let partition = (key.partition_hash() % self.config.partitions as u64) as usize;
         let st = self.partitions[partition].read();
         let loc = st.pk_index.location(key)?;
-        if loc.segment == st.consuming.name() {
+        if &loc.segment == st.consuming.name() {
             return Some(st.consuming.value_at(column, loc.doc_id));
         }
-        let seg = st.sealed.iter().find(|s| s.name() == loc.segment)?;
+        let seg = st.sealed.iter().find(|s| s.name() == &*loc.segment)?;
         Some(seg.value_at(column, loc.doc_id))
     }
 }
@@ -721,7 +752,7 @@ mod tests {
             let p = (key.partition_hash() % 4) as usize;
             let st = table.partitions[p].read();
             let loc = st.pk_index.location(&key).unwrap();
-            in_tail += usize::from(loc.segment == st.consuming.name());
+            in_tail += usize::from(&loc.segment == st.consuming.name());
         }
         assert!(in_tail > 0, "no latest version sits in a consuming segment");
         // uncorrected trip unchanged
@@ -809,6 +840,26 @@ mod tests {
             let b = parallel.query(&q).unwrap();
             assert_eq!(a, b);
         }
+    }
+
+    #[test]
+    fn a_batch_stops_at_the_row_it_refuses() {
+        let table = plain_table(10);
+        let mut rows: Vec<Row> = (0..30).map(trip).collect();
+        rows[23].set("fare", "free");
+        let batch = || rows.iter().map(|r| (r, None));
+        assert!(matches!(
+            table.ingest_batch(0, batch()),
+            Err((23, Error::Schema(_)))
+        ));
+        assert_eq!(table.doc_count(), 23);
+        assert_eq!(table.sealed_segments(0).len(), 2);
+        assert_eq!(table.ingest_batch(1, batch().take(23)), Ok(23));
+        assert_eq!(table.ingest_batch(1, batch().take(0)), Ok(0));
+        assert!(matches!(
+            table.ingest_batch(2, batch()),
+            Err((0, Error::InvalidArgument(_)))
+        ));
     }
 
     #[test]

@@ -17,11 +17,13 @@
 use crate::bitmap::Bitmap;
 use rtdi_common::Value;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Location of the current version of a primary key.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecordLocation {
-    pub segment: String,
+    /// The segment's own name, shared: a location costs a pointer bump.
+    pub segment: Arc<str>,
     pub doc_id: usize,
 }
 
@@ -30,7 +32,7 @@ pub struct RecordLocation {
 pub struct PrimaryKeyIndex {
     locations: HashMap<String, RecordLocation>,
     /// segment name -> valid docs bitmap
-    valid: HashMap<String, Bitmap>,
+    valid: HashMap<Arc<str>, Bitmap>,
 }
 
 impl PrimaryKeyIndex {
@@ -45,10 +47,15 @@ impl PrimaryKeyIndex {
     /// Record that `key`'s newest version now lives at (segment, doc_id).
     /// Any previous location is invalidated. Returns the displaced
     /// location, if any.
-    pub fn upsert(&mut self, key: &Value, segment: &str, doc_id: usize) -> Option<RecordLocation> {
+    pub fn upsert(
+        &mut self,
+        key: &Value,
+        segment: &Arc<str>,
+        doc_id: usize,
+    ) -> Option<RecordLocation> {
         let ks = Self::key_string(key);
         let new_loc = RecordLocation {
-            segment: segment.to_string(),
+            segment: segment.clone(),
             doc_id,
         };
         let old = self.locations.insert(ks, new_loc);
@@ -59,7 +66,7 @@ impl PrimaryKeyIndex {
         }
         let bm = self
             .valid
-            .entry(segment.to_string())
+            .entry(segment.clone())
             .or_insert_with(|| Bitmap::new(0));
         if doc_id >= bm.len() {
             bm.resize(doc_id + 1);
@@ -103,19 +110,19 @@ mod tests {
     fn upsert_tracks_latest_location() {
         let mut idx = PrimaryKeyIndex::new();
         assert!(idx
-            .upsert(&Value::Str("trip-1".into()), "seg-a", 0)
+            .upsert(&Value::Str("trip-1".into()), &"seg-a".into(), 0)
             .is_none());
         assert!(idx
-            .upsert(&Value::Str("trip-2".into()), "seg-a", 1)
+            .upsert(&Value::Str("trip-2".into()), &"seg-a".into(), 1)
             .is_none());
         // update trip-1 in a newer segment
         let displaced = idx
-            .upsert(&Value::Str("trip-1".into()), "seg-b", 0)
+            .upsert(&Value::Str("trip-1".into()), &"seg-b".into(), 0)
             .unwrap();
-        assert_eq!(displaced.segment, "seg-a");
+        assert_eq!(&*displaced.segment, "seg-a");
         assert_eq!(displaced.doc_id, 0);
         assert_eq!(
-            idx.location(&Value::Str("trip-1".into())).unwrap().segment,
+            &*idx.location(&Value::Str("trip-1".into())).unwrap().segment,
             "seg-b"
         );
         assert_eq!(idx.key_count(), 2);
@@ -124,17 +131,17 @@ mod tests {
     #[test]
     fn valid_bitmaps_reflect_displacement() {
         let mut idx = PrimaryKeyIndex::new();
-        idx.upsert(&Value::Str("k1".into()), "seg-a", 0);
-        idx.upsert(&Value::Str("k2".into()), "seg-a", 1);
-        idx.upsert(&Value::Str("k3".into()), "seg-a", 2);
+        idx.upsert(&Value::Str("k1".into()), &"seg-a".into(), 0);
+        idx.upsert(&Value::Str("k2".into()), &"seg-a".into(), 1);
+        idx.upsert(&Value::Str("k3".into()), &"seg-a".into(), 2);
         let bm = idx.valid_docs("seg-a").unwrap();
         assert_eq!(bm.count(), 3);
         // k2 updated within the same segment
-        idx.upsert(&Value::Str("k2".into()), "seg-a", 3);
+        idx.upsert(&Value::Str("k2".into()), &"seg-a".into(), 3);
         let bm = idx.valid_docs("seg-a").unwrap();
         assert!(bm.get(0) && !bm.get(1) && bm.get(2) && bm.get(3));
         // k1 moves to another segment
-        idx.upsert(&Value::Str("k1".into()), "seg-b", 0);
+        idx.upsert(&Value::Str("k1".into()), &"seg-b".into(), 0);
         assert!(!idx.valid_docs("seg-a").unwrap().get(0));
         assert!(idx.valid_docs("seg-b").unwrap().get(0));
         assert!(idx.valid_docs("never-seen").is_none());
@@ -145,7 +152,7 @@ mod tests {
         let mut idx = PrimaryKeyIndex::new();
         let before = idx.memory_bytes();
         for i in 0..1000 {
-            idx.upsert(&Value::Str(format!("key-{i}")), "seg", i);
+            idx.upsert(&Value::Str(format!("key-{i}")), &"seg".into(), i);
         }
         assert!(idx.memory_bytes() > before + 1000 * 8);
     }

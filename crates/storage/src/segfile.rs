@@ -25,7 +25,7 @@
 //! - a null bitmap and a zone map (min/max/null-count) for every column.
 //!
 //! The decoder NEVER panics on corrupt bytes: every read goes through a
-//! bounds-checked little-endian [`Reader`] and every declared length,
+//! bounds-checked little-endian `Reader` and every declared length,
 //! bit width, run count and dictionary id is validated before use, so
 //! truncated or bit-flipped files surface as [`Error::Corruption`].
 //! See DESIGN.md ("On-disk segment format") for the full byte diagram.

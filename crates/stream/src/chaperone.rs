@@ -50,11 +50,103 @@ pub enum AlertKind {
     Duplication,
 }
 
+/// Sequence numbers one bit chunk covers.
+const CHUNK_SEQS: u64 = 512;
+type Chunk = [u64; (CHUNK_SEQS / 64) as usize];
+
+/// The sequence numbers of one origin's ids in one window, a bit each in
+/// fixed-size chunks: a run of consecutive sends stays in the chunk touched
+/// last and costs a bit per id, and a chunk exists only where a number
+/// fell, so sparse numbers cost O(ids), not O(range).
+#[derive(Default)]
+struct SeqSet {
+    chunks: Vec<Chunk>,
+    /// chunk number (`seq / CHUNK_SEQS`) -> slot in `chunks`
+    slots: HashMap<u64, usize>,
+    /// Chunk number and slot touched last.
+    last: Option<(u64, usize)>,
+    /// Distinct numbers seen, and sightings of a number already seen.
+    unique: u64,
+    repeats: u64,
+}
+
+impl SeqSet {
+    fn insert(&mut self, seq: u64) {
+        let number = seq / CHUNK_SEQS;
+        let slot = match self.last {
+            Some((last, slot)) if last == number => slot,
+            _ => {
+                let chunks = &mut self.chunks;
+                let slot = *self.slots.entry(number).or_insert_with(|| {
+                    chunks.push(Chunk::default());
+                    chunks.len() - 1
+                });
+                self.last = Some((number, slot));
+                slot
+            }
+        };
+        let bit = seq % CHUNK_SEQS;
+        let word = &mut self.chunks[slot][(bit / 64) as usize];
+        let mask = 1u64 << (bit % 64);
+        if *word & mask == 0 {
+            *word |= mask;
+            self.unique += 1;
+        } else {
+            self.repeats += 1;
+        }
+    }
+}
+
+/// What one window of one stage saw. The two kinds of id are kept apart
+/// (a text that spells an origin's `"{origin}-{seq}"` is still another
+/// id), and [`Window::tally`] adds them up to what one map of ids gave.
 #[derive(Default)]
 struct Window {
-    /// id -> occurrences
-    ids: HashMap<UniqueId, u32>,
+    /// caller-supplied id -> occurrences
+    texts: HashMap<Arc<str>, u32>,
+    /// Producer-minted ids: each origin's sequence numbers.
+    origins: Vec<(Arc<str>, SeqSet)>,
+    /// origin name -> slot in `origins`, for an id whose origin is not the
+    /// one used last: an observation is not linear in the origins
+    by_name: HashMap<Arc<str>, usize>,
+    /// Slot in `origins` used last.
+    last_origin: usize,
     anonymous: u64,
+}
+
+impl Window {
+    fn count(&mut self, id: Option<&UniqueId>) {
+        match id {
+            None => self.anonymous += 1,
+            Some(UniqueId::Text(text)) => *self.texts.entry(text.clone()).or_insert(0) += 1,
+            Some(UniqueId::Seq { origin, seq }) => {
+                let slot = match self.origins.get(self.last_origin) {
+                    Some((last, _)) if Arc::ptr_eq(last, origin) => self.last_origin,
+                    _ => match self.by_name.get(&**origin) {
+                        Some(&slot) => slot,
+                        None => {
+                            self.origins.push((origin.clone(), SeqSet::default()));
+                            self.by_name.insert(origin.clone(), self.origins.len() - 1);
+                            self.origins.len() - 1
+                        }
+                    },
+                };
+                self.last_origin = slot;
+                self.origins[slot].1.insert(*seq);
+            }
+        }
+    }
+
+    fn tally(&self) -> WindowStats {
+        let seqs = self.origins.iter().map(|(_, set)| set);
+        let texts: u64 = self.texts.values().map(|&c| c as u64).sum();
+        let minted: u64 = seqs.clone().map(|set| set.unique + set.repeats).sum();
+        WindowStats {
+            count: texts + minted + self.anonymous,
+            unique: self.texts.len() as u64 + seqs.map(|set| set.unique).sum::<u64>(),
+            anonymous: self.anonymous,
+        }
+    }
 }
 
 #[derive(Default)]
@@ -63,7 +155,7 @@ struct StageData {
     windows: Mutex<BTreeMap<Timestamp, Window>>,
     /// Freshness at this stage: observation time minus the record's
     /// producer origin stamp, in milliseconds. Only populated by
-    /// `observe_at` (plain `observe` has no wall clock).
+    /// `observe_at`/`observe_batch` (plain `observe` has no wall clock).
     freshness: Histogram,
 }
 
@@ -95,30 +187,59 @@ impl ChaperoneStage {
     /// Report one message's passage through the stage, windowed by its
     /// event time. One without a unique id is counted, not deduplicated.
     pub fn observe(&self, record: &Record) {
-        self.count(record.audit().unique_id.as_ref(), record.timestamp);
+        self.count([id_and_time(record)]);
     }
 
-    /// Like [`observe`](Self::observe), but with the observer's clock:
-    /// also records the record's freshness (now minus its producer origin
-    /// stamp) so audits carry per-stage freshness percentiles alongside
-    /// counts. Windowing still uses the record's event time so upstream
-    /// and downstream observations of the same message land in the same
-    /// audit window regardless of when each stage saw it.
+    /// [`observe_batch`](Self::observe_batch) of one record.
     pub fn observe_at(&self, record: &Record, now: Timestamp) {
-        self.observe(record);
-        let dwell = (now - PipelineTracer::app_ts_of(record)).max(0);
-        self.data.freshness.record(dwell as u64);
+        self.observe_batch([(record, now)]);
     }
 
-    fn count(&self, id: Option<&UniqueId>, ts: Timestamp) {
-        let start = ts.div_euclid(self.window_ms) * self.window_ms;
+    /// Report a batch under one hold of the stage's lock: each record as
+    /// [`observe`](Self::observe) does, and its freshness — the observer's
+    /// clock when it saw the record (one reading may serve a whole fetch)
+    /// minus the record's producer origin stamp — so audits carry per-stage
+    /// freshness percentiles alongside counts. A run of equal freshness is
+    /// one histogram update. Windowing still uses the record's event time
+    /// so upstream and downstream observations of the same message land in
+    /// the same audit window regardless of when each stage saw it.
+    pub fn observe_batch<'a>(&self, records: impl IntoIterator<Item = (&'a Record, Timestamp)>) {
+        let freshness = &self.data.freshness;
+        let (mut dwell, mut run) = (0, 0);
+        let timed = records.into_iter().inspect(|(record, now)| {
+            let fresh = (now - PipelineTracer::app_ts_of(record)).max(0) as u64;
+            if fresh != dwell {
+                freshness.record_n(dwell, run);
+                (dwell, run) = (fresh, 0);
+            }
+            run += 1;
+        });
+        self.count(timed.map(|(record, _)| id_and_time(record)));
+        freshness.record_n(dwell, run);
+    }
+
+    /// The one counting function: takes the lock once and keeps the
+    /// current window while event time stays inside it.
+    fn count<'a>(&self, ids: impl IntoIterator<Item = (Option<&'a UniqueId>, Timestamp)>) {
+        let mut ids = ids.into_iter().peekable();
         let mut windows = self.data.windows.lock();
-        let window = windows.entry(start).or_default();
-        match id {
-            None => window.anonymous += 1,
-            Some(id) => *window.ids.entry(id.clone()).or_insert(0) += 1,
+        while let Some((id, ts)) = ids.next() {
+            let start = ts.div_euclid(self.window_ms) * self.window_ms;
+            let inside = |ts: Timestamp| {
+                let since = ts.checked_sub(start);
+                since.is_some_and(|ms| (0..self.window_ms).contains(&ms))
+            };
+            let window = windows.entry(start).or_default();
+            window.count(id);
+            while let Some((id, _)) = ids.next_if(|&(_, ts)| inside(ts)) {
+                window.count(id);
+            }
         }
     }
+}
+
+fn id_and_time(record: &Record) -> (Option<&UniqueId>, Timestamp) {
+    (record.audit().unique_id.as_ref(), record.timestamp)
 }
 
 impl Chaperone {
@@ -150,7 +271,7 @@ impl Chaperone {
     /// Lower-level variant for stages that only have ids.
     pub fn observe_id(&self, stage: &str, unique_id: &str, ts: Timestamp) {
         let id = UniqueId::Text(unique_id.into());
-        self.stage(stage).count(Some(&id), ts);
+        self.stage(stage).count([(Some(&id), ts)]);
     }
 
     /// Freshness percentiles for a stage; `None` if the stage has never
@@ -180,13 +301,8 @@ impl Chaperone {
         let Some(data) = self.stages.read().get(stage).cloned() else {
             return BTreeMap::new();
         };
-        let tally = |w: &Window| WindowStats {
-            count: w.ids.values().map(|&c| c as u64).sum::<u64>() + w.anonymous,
-            unique: w.ids.len() as u64,
-            anonymous: w.anonymous,
-        };
         let windows = data.windows.lock();
-        windows.iter().map(|(&at, w)| (at, tally(w))).collect()
+        windows.iter().map(|(&at, w)| (at, w.tally())).collect()
     }
 
     /// Statistics for one stage/window.
@@ -363,6 +479,138 @@ mod tests {
         // a stage resolved but never fed is not reported
         ch.stage("idle");
         assert!(!ch.stage_names().contains(&"idle".to_string()));
+    }
+
+    /// The id sets against a plain map of ids: streams of minted ids from
+    /// 1, 3 and 1000 origins (dense runs, numbers ahead of their turn, gaps
+    /// of 2^40, replays), text ids (some spelling a minted id's text form,
+    /// which stays another id), anonymous records and negative event times,
+    /// fed through all three observers in drawn chunk sizes; the downstream
+    /// stage sees the stream with drops and repeats.
+    #[test]
+    fn tallies_equal_a_plain_map_of_ids() {
+        use rtdi_common::chaos::SplitMix64;
+        /// window start -> (id -> occurrences, anonymous records)
+        type Model = BTreeMap<Timestamp, (HashMap<(u8, String), u32>, u64)>;
+        let tallies_of = |stream: &[Record]| -> BTreeMap<Timestamp, WindowStats> {
+            let mut model = Model::new();
+            for r in stream {
+                let window = model.entry(r.timestamp.div_euclid(1000) * 1000);
+                let (ids, anonymous) = window.or_default();
+                match &r.audit().unique_id {
+                    None => *anonymous += 1,
+                    Some(id) => {
+                        let variant = matches!(id, UniqueId::Text(_)) as u8;
+                        *ids.entry((variant, id.to_string())).or_insert(0) += 1
+                    }
+                }
+            }
+            let stats = |(ids, anonymous): &(HashMap<_, u32>, u64)| WindowStats {
+                count: ids.values().map(|&c| c as u64).sum::<u64>() + anonymous,
+                unique: ids.len() as u64,
+                anonymous: *anonymous,
+            };
+            model.iter().map(|(&at, w)| (at, stats(w))).collect()
+        };
+        for (case, origins) in [1usize, 3, 1000].into_iter().enumerate() {
+            let mut rng = SplitMix64::new(0xC4A9E + case as u64);
+            let mut draw = |n: u64| rng.next_u64() % n;
+            let names: Vec<Arc<str>> = (0..origins).map(|o| format!("svc#{o}").into()).collect();
+            let mut next_seq = vec![0u64; origins];
+            let mut ts = 0i64;
+            let mut upstream = Vec::new();
+            for _ in 0..6000 {
+                ts = match draw(10) {
+                    0..=1 => draw(8000) as i64 - 3000,
+                    _ => ts + draw(3) as i64,
+                };
+                let o = draw(origins as u64) as usize;
+                let next = &mut next_seq[o];
+                let seq = match draw(100) {
+                    0..=4 => None,
+                    5..=9 => Some(Err(format!("t{}", draw(200)))),
+                    10..=14 => Some(Err(format!("{}-{}", names[o], draw(50)))),
+                    15..=24 => Some(Ok(draw(*next + 1))),
+                    25..=34 => Some(Ok(*next + 1 + draw(5))),
+                    35..=39 => {
+                        *next += 1 << 40;
+                        Some(Ok(*next))
+                    }
+                    _ => {
+                        *next += 1;
+                        Some(Ok(*next - 1))
+                    }
+                };
+                let mut record = Record::new(Row::new(), ts);
+                record.audit_mut().app_ts = Some(ts - draw(100) as i64);
+                record.audit_mut().unique_id = seq.map(|seq| match seq {
+                    Err(text) => UniqueId::Text(text.into()),
+                    // an origin is its name, under whichever pointer
+                    Ok(seq) => UniqueId::Seq {
+                        origin: match draw(4) {
+                            0 => Arc::from(&*names[o]),
+                            _ => names[o].clone(),
+                        },
+                        seq,
+                    },
+                });
+                upstream.push(record);
+            }
+            let downstream: Vec<Record> = upstream
+                .iter()
+                .flat_map(|r| vec![r.clone(); [1, 1, 1, 1, 0, 2][draw(6) as usize]])
+                .collect();
+
+            let ch = Chaperone::new(1000);
+            for (stage, stream) in [("up", &upstream), ("down", &downstream)] {
+                let handle = ch.stage(stage);
+                let (mut left, mut timed) = (&stream[..], 0);
+                while !left.is_empty() {
+                    let (chunk, rest) = left.split_at(left.len().min(1 + draw(64) as usize));
+                    left = rest;
+                    let with_clock = chunk.iter().map(|r| (r, r.timestamp + 7));
+                    let mode = draw(3);
+                    match mode {
+                        0 => chunk.iter().for_each(|r| handle.observe(r)),
+                        1 => with_clock.for_each(|(r, now)| handle.observe_at(r, now)),
+                        _ => handle.observe_batch(with_clock),
+                    }
+                    timed += if mode == 0 { 0 } else { chunk.len() as u64 };
+                }
+                let expected = tallies_of(stream);
+                assert_eq!(ch.tallies(stage), expected, "{origins} origins, {stage}");
+                for (&at, stats) in &expected {
+                    assert_eq!(&ch.stats(stage, at), stats);
+                }
+                assert_eq!(ch.freshness(stage).map(|f| f.count), Some(timed));
+                // a number costs at most the chunk it falls in, however far
+                // it lies from the one before
+                for window in handle.data.windows.lock().values() {
+                    for (origin, set) in &window.origins {
+                        assert!(set.chunks.len() as u64 <= set.unique, "{origin}");
+                    }
+                }
+            }
+            let (up, down) = (tallies_of(&upstream), tallies_of(&downstream));
+            let mut expected = Vec::new();
+            for (&at, u) in &up {
+                let d = down.get(&at).cloned().unwrap_or_default();
+                let (sent, arrived) = (u.unique + u.anonymous, d.unique + d.anonymous);
+                if arrived < sent {
+                    expected.push((at, AlertKind::Loss, sent - arrived));
+                }
+                if d.count > arrived {
+                    expected.push((at, AlertKind::Duplication, d.count - arrived));
+                }
+            }
+            let alerts = ch.audit("up", "down");
+            let found = alerts.iter().map(|a| (a.window_start, a.kind, a.magnitude));
+            assert_eq!(found.collect::<Vec<_>>(), expected, "{origins} origins");
+            let total = |kind| expected.iter().filter(|a| a.1 == kind).map(|a| a.2).sum();
+            let totals: (u64, u64) = (total(AlertKind::Loss), total(AlertKind::Duplication));
+            assert_eq!(ch.loss_and_duplication("up", "down"), totals);
+            assert!(totals.0 > 0 && totals.1 > 0, "{totals:?}");
+        }
     }
 
     #[test]

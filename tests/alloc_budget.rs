@@ -1,8 +1,10 @@
 //! Allocation budget of the write path, counted by the workspace's
 //! counting allocator (`rtdi_bench`): one record from `Producer::send` to the partition log costs
 //! the `Arc<Record>` the log keeps plus amortised container growth, its
-//! audit at OLAP ingest costs nothing per record, and a retried send
-//! re-sends the shared record instead of copying it. Then compute's: the
+//! audit at OLAP ingest costs nothing per record, a round of ingest costs
+//! its fetches and keeps no scratch of its own, an upsert names its segment
+//! by pointer, and a retried send re-sends the shared record instead of
+//! copying it. Then compute's: the
 //! FlinkSQL window job reads the log's records where they lie, a filter
 //! forwards the log's own handles, and a map leaves the log as appended.
 //!
@@ -213,6 +215,36 @@ fn compute_reads_the_log_where_it_lies() {
     }
 }
 
+/// An upsert costs its key's text and nothing for the segment's name.
+fn upsert_names_its_segment_by_pointer() {
+    const N: usize = 10_000;
+    let trip = Schema::of(
+        "fares",
+        &[("trip", FieldType::Str), ("fare", FieldType::Double)],
+    );
+    let rows: Vec<Row> = (0..N)
+        .map(|i| {
+            let fare = (i % 64) as f64;
+            Row::new()
+                .with("trip", format!("t{}", i % 2_000))
+                .with("fare", fare)
+        })
+        .collect();
+    let allocs_of = |config: TableConfig| {
+        let table = OlapTable::new(config.with_partitions(1).with_segment_rows(3_000)).unwrap();
+        let batch = rows.iter().map(|r| (r, None));
+        let (ingested, spent) = count_allocations(|| table.ingest_batch(0, batch));
+        assert_eq!(ingested, Ok(N));
+        spent.allocs
+    };
+    let plain = allocs_of(TableConfig::new("plain", trip.clone()));
+    let upsert = allocs_of(TableConfig::new("upsert", trip.clone()).with_upsert("trip"));
+    assert!(
+        upsert <= plain + N as u64 + 64,
+        "upsert ingest: {upsert} allocations for {N} rows against {plain} without the index"
+    );
+}
+
 #[test]
 fn produce_ingest_and_retry_hold_their_allocation_budgets() {
     const N: usize = 10_000;
@@ -242,10 +274,32 @@ fn produce_ingest_and_retry_hold_their_allocation_budgets() {
     let (with_audit, table_only) = (with_audit.allocs, table_only.allocs);
     assert_eq!((ingested, plain), (N as u64, N as u64));
     assert!(
-        with_audit <= table_only + N as u64,
+        with_audit <= table_only + N as u64 / 16,
         "audited ingest: {with_audit} allocations against {table_only} for the table alone"
     );
     assert!(platform.health().zero_loss());
+
+    // the same records trickling in, a hundred to a fetch: a round costs
+    // its fetches, not a scratch buffer of its own
+    let trickle = platform_with_topic();
+    let producer = trickle.producer("budget");
+    let slow = trickle.create_olap_table(table("trips")).unwrap();
+    let mut ingester = trickle.ingest_into("trips", slow).unwrap();
+    let mut trickled = 0;
+    for round in trips(N).chunks(100) {
+        for r in round {
+            producer.send("trips", r.clone()).unwrap();
+        }
+        let (ingested, spent) = count_allocations(|| ingester.run_once().unwrap());
+        assert_eq!(ingested, 100);
+        trickled += spent.allocs;
+    }
+    assert!(
+        trickled <= with_audit + 8 * (N as u64 / 100),
+        "{trickled} allocations in rounds of 100 against {with_audit} in one round"
+    );
+
+    upsert_names_its_segment_by_pointer();
 
     // two refusals per send cost two more attempts and no copy of the record
     const M: usize = 1_000;
