@@ -3,9 +3,9 @@
 
 use super::{present, Report, Timing};
 use crate::count_allocations;
-use rtdi_common::chaos::{self, FaultKind, FaultPlan, FaultPoint, Trigger};
+use rtdi_common::chaos::{FaultKind, FaultPlan, FaultPoint, Trigger};
 use rtdi_common::{
-    AggFn, CountMinSketch, FieldType, Record, Result, Row, Schema, Timestamp, Value,
+    AggFn, Chaos, CountMinSketch, FieldType, Record, Result, Row, Schema, Timestamp, Value,
 };
 use rtdi_compute::backfill::{kafka_retains, kappa_plus_job, BackfillConfig};
 use rtdi_compute::baselines::{
@@ -261,8 +261,8 @@ fn kill_and_recover(
     interval: u64,
     kill_after: u64,
 ) -> Result<Recovery> {
-    chaos::registry().reset(0xE23);
-    chaos::registry().arm(
+    let chaos = Chaos::seeded(0xE23);
+    chaos.arm(
         FaultPoint::ComputeProcess,
         FaultPlan::fail(FaultKind::ProcessingFailed, Trigger::Always)
             .with_burst(kill_after, Some(1)),
@@ -270,6 +270,7 @@ fn kill_and_recover(
     let config = StagedConfig {
         checkpoint_interval: interval,
         checkpoint_store: Some(CheckpointStore::new(Arc::new(InMemoryStore::new()))),
+        chaos,
         ..StagedConfig::batched(2, 64)
     };
     let jm = JobManager::new(config, 3);
@@ -277,7 +278,6 @@ fn kill_and_recover(
     let spec = numbered_job_spec("killed", n, &sink);
     let label = format!("{n}-record job killed after {kill_after}, restarted");
     let stats = r.timed(id, label, || jm.supervise(&spec));
-    chaos::registry().disarm_all();
     let resumed_at = stats?.restored_from_checkpoint.unwrap_or(0) * interval;
     let mut seen = vec![false; n];
     for row in sink.rows() {

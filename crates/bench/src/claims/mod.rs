@@ -8,8 +8,9 @@
 //! runs [`run_all`] in tier-1, asserts every `holds`, and compares
 //! [`Report::table`] with the block recorded in EXPERIMENTS.md.
 //!
-//! The allocation counter and the fault registry are process-wide, so the
-//! experiments run one after another on the calling thread.
+//! The allocation counter is process-wide, so the experiments run one
+//! after another on the calling thread; an experiment that injects a
+//! fault does it through a `Chaos` handle of its own.
 
 pub mod compute;
 pub mod multiregion;

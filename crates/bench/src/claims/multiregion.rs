@@ -2,8 +2,8 @@
 //! experiment E23.
 
 use super::{present, Report};
-use rtdi_common::chaos::{self, FaultKind, FaultPlan, FaultPoint, RegionOutageKind, Trigger};
-use rtdi_common::{Error, Record, Result, Row};
+use rtdi_common::chaos::{FaultKind, FaultPlan, FaultPoint, RegionOutageKind, Trigger};
+use rtdi_common::{Chaos, Error, Record, Result, Row};
 use rtdi_multiregion::activepassive::{ActivePassiveConsumer, OffsetSyncService};
 use rtdi_multiregion::{DrConfig, DrDrill, MultiRegionTopology};
 use rtdi_storage::{FaultyStore, InMemoryStore, MirroredStore, ObjectStore};
@@ -84,18 +84,17 @@ fn e20_offset_sync(r: &mut Report) -> Result<()> {
 
 fn e23_replication_catch_up(r: &mut Report) -> Result<()> {
     const BACKLOG: usize = 5_000;
-    chaos::registry().reset(0xE23B);
     let topo = two_regions("trips", TopicConfig::default())?;
     for i in 0..BACKLOG {
         produce_alternating(&topo, 2 * i)?; // all in west
     }
     // the cross-region link is dead: replication makes no progress
-    chaos::registry().arm(
+    topo.chaos().arm(
         FaultPoint::MultiregionReplicate,
         FaultPlan::fail(FaultKind::Unavailable, Trigger::Always),
     );
     let during = topo.replicate(100);
-    chaos::registry().disarm_all();
+    topo.chaos().disarm(FaultPoint::MultiregionReplicate);
     let after = r.timed(
         "E23",
         format!("drain a {BACKLOG}-record replication backlog"),
@@ -115,9 +114,8 @@ fn e23_replication_catch_up(r: &mut Report) -> Result<()> {
 fn e29_region_failover(r: &mut Report) -> Result<()> {
     // a seed whose one planned outage kills the serving region
     let home_kill = (0..64).find(|&seed| {
-        chaos::registry().reset(seed);
         let plan =
-            chaos::registry().plan_region_outages(&["west", "east"], 1, 20_000, 40_000, 15_000);
+            Chaos::seeded(seed).plan_region_outages(&["west", "east"], 1, 20_000, 40_000, 15_000);
         plan[0].kind == RegionOutageKind::RegionKill && plan[0].region == "west"
     });
     let seed = present(home_kill, "seed in 0..64 that kills the home region")?;
@@ -130,7 +128,6 @@ fn e29_region_failover(r: &mut Report) -> Result<()> {
         "one kill/heal drill cycle of the home region",
         || DrDrill::new(seed, config)?.run(),
     )?;
-    chaos::registry().reset(seed);
     let cycle = present(drill.cycles.first(), "drill cycle")?;
     if cycle.kind != "region-kill" || !cycle.affected {
         return Err(Error::Internal(format!("the drill struck {cycle:?}")));
@@ -176,7 +173,6 @@ fn e29_region_failover(r: &mut Report) -> Result<()> {
 
 fn e29_catch_up_and_resync(r: &mut Report) -> Result<()> {
     const BACKLOG: usize = 8_000;
-    chaos::registry().reset(0xE29B);
     let topo = two_regions("trips", TopicConfig::high_throughput())?;
     for i in 0..BACKLOG {
         produce_alternating(&topo, i)?;

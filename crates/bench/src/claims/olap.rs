@@ -4,8 +4,7 @@
 use super::Report;
 use crate::count_allocations;
 use parking_lot::Mutex;
-use rtdi_common::chaos;
-use rtdi_common::{AggFn, FieldType, Result, Row, Schema, Value};
+use rtdi_common::{AggFn, Chaos, FieldType, Result, Row, Schema, Value};
 use rtdi_olap::baselines::{comparison_rows, comparison_schema, druid_like_spec, HeapStore};
 use rtdi_olap::broker::{Broker, ServerNode};
 use rtdi_olap::query::{Predicate, PredicateOp, Query, SortOrder};
@@ -396,8 +395,9 @@ fn e23_segment_loss(r: &mut Report) -> Result<()> {
 fn e24_segment_rehost(r: &mut Report) -> Result<()> {
     const SEGMENTS: usize = 16;
     const ROWS: usize = 500;
-    chaos::registry().reset(0xE24B);
-    let broker = Arc::new(Broker::new((0..4).map(ServerNode::new).collect()));
+    let chaos = Chaos::seeded(0xE24B);
+    let servers = (0..4).map(|i| ServerNode::with_chaos(i, chaos.clone()));
+    let broker = Arc::new(Broker::new(servers.collect()));
     broker.register_table("t", false);
     let archive = Arc::new(InMemoryStore::new());
     let store = SegmentStore::new(archive, SegmentStoreMode::PeerToPeer, IndexSpec::none());
@@ -411,13 +411,11 @@ fn e24_segment_rehost(r: &mut Report) -> Result<()> {
 
     let victim = broker.servers()[0].name().to_string();
     let stranded = broker.servers()[0].hosted().len();
-    chaos::registry().kill_node(&victim);
+    chaos.kill_node(&victim);
     let report = r.timed("E24", "re-host a dead server's replicas", || {
         rebalancer.rebalance()
     })?;
     let healed = broker.query(&Query::select_all("t").aggregate("n", AggFn::Count))?;
-    chaos::registry().heal_node(&victim);
-    chaos::registry().reset(0xE24B);
     r.claim(
         "E24.rehost",
         "§4.3.4",

@@ -2,7 +2,7 @@
 //! recovery experiments E23 and E24.
 
 use super::{present, Report};
-use rtdi_common::chaos::{self, FaultKind, FaultPlan, FaultPoint, Trigger};
+use rtdi_common::chaos::{Chaos, FaultKind, FaultPlan, FaultPoint, Trigger};
 use rtdi_common::{
     AdmissionConfig, AdmissionController, Clock, NodeState, Priority, Quota, Record, Result, Row,
     SimClock,
@@ -497,33 +497,33 @@ fn e22_tiered_storage(r: &mut Report) -> Result<()> {
 }
 
 fn e23_producer_burst_and_dlq_drain(r: &mut Report) -> Result<()> {
-    chaos::registry().reset(0xE23A);
-    let cluster = cluster_with_topic("c1", "trips", 4)?;
+    let chaos = Chaos::seeded(0xE23A);
+    let cluster = Cluster::with_chaos("c1", ClusterConfig::default(), chaos.clone());
+    cluster.create_topic("trips", TopicConfig::default().with_partitions(4))?;
     let producer = Producer::new(cluster.clone(), ProducerConfig::default());
     producer.send("trips", keyed(0))?;
     // an outage of three appends: what the four-attempt budget absorbs
-    chaos::reset_retry_stats();
-    chaos::registry().arm(
+    chaos.arm(
         FaultPoint::StreamAppend,
         FaultPlan::fail(FaultKind::Unavailable, Trigger::Always).with_burst(0, Some(3)),
     );
     let sent = r.timed("E23", "one send through a 3-deep append outage", || {
         producer.send("trips", keyed(1))
     });
-    let (_, fired) = chaos::registry().stats(FaultPoint::StreamAppend);
-    chaos::registry().disarm_all();
+    let (_, fired) = chaos.stats(FaultPoint::StreamAppend);
+    chaos.disarm(FaultPoint::StreamAppend);
     r.claim(
         "E23.producer",
         "§4.1, §9",
         "a produce outage shorter than the retry budget never reaches the caller",
-        chaos::retries_total() as f64,
+        producer.retries() as f64,
         "retries spent on 3 injected append failures, 0 send errors",
-        sent.is_ok() && fired == 3 && chaos::retries_total() == 3 && producer.records_sent() == 2,
+        sent.is_ok() && fired == 3 && producer.retries() == 3 && producer.records_sent() == 2,
     );
 
     // the cost of leaving the fault points compiled in: one atomic load
     r.timed("E23", "100000 disarmed fault-point checks", || {
-        (0..100_000).try_for_each(|_| chaos::check(FaultPoint::StreamAppend))
+        (0..100_000).try_for_each(|_| chaos.check(FaultPoint::StreamAppend))
     })?;
 
     const PARKED: usize = 1_000;
@@ -567,7 +567,6 @@ fn leads(topic: &Topic, node: &str) -> usize {
 }
 
 fn e24_leader_failover(r: &mut Report) -> Result<()> {
-    chaos::registry().reset(0xE24);
     let clock = Arc::new(SimClock::new(0));
     let config = ClusterConfig {
         nodes: 6,
@@ -620,7 +619,6 @@ fn e24_leader_failover(r: &mut Report) -> Result<()> {
         .filter(|&p| topic.replica_status(p).and_then(|s| s.leader).is_none())
         .count();
     cluster.heal_node(&victim);
-    chaos::registry().reset(0xE24);
     r.claim(
         "E24.election",
         "§4.1",
@@ -635,7 +633,6 @@ fn e24_leader_failover(r: &mut Report) -> Result<()> {
 fn e24_durability_under_kill_cycles(r: &mut Report) -> Result<()> {
     const CYCLES: usize = 3;
     const PER_CYCLE: i64 = 500;
-    chaos::registry().reset(0xE24C);
     let clock = Arc::new(SimClock::new(0));
     let config = ClusterConfig {
         nodes: 5,
@@ -669,7 +666,6 @@ fn e24_durability_under_kill_cycles(r: &mut Report) -> Result<()> {
             .collect();
         wrong += usize::from(!ids.iter().copied().eq(expect.iter().map(|&i| Some(i))));
     }
-    chaos::registry().reset(0xE24C);
     let total: usize = committed.iter().map(Vec::len).sum();
     r.claim(
         "E24.durability",

@@ -96,30 +96,21 @@ pub fn assert_allocs_at_most(label: &str, stats: AllocStats, max_allocs: u64) {
 mod tests {
     use super::*;
 
+    /// One `#[test]`: the counter is process-wide, so a sibling running
+    /// beside this one would add its allocations to every reading here.
     #[test]
-    fn counting_allocator_sees_heap_traffic() {
-        let (v, stats) = count_allocations(|| vec![0u8; 4096]);
+    fn counts_heap_traffic_and_enforces_budgets() {
+        let (v, built) = count_allocations(|| vec![0u8; 4096]);
         assert_eq!(v.len(), 4096);
-        assert!(stats.allocs >= 1);
-        assert!(stats.bytes >= 4096);
-    }
+        assert!(built.allocs >= 1);
+        assert!(built.bytes >= 4096);
 
-    #[test]
-    fn allocation_budget_holds_for_arithmetic() {
-        // counts are process-wide and sibling tests allocate concurrently;
-        // that noise only ever adds, so the quietest attempt is the reading
-        let (sum, stats) = (0..16)
-            .map(|_| count_allocations(|| (0u64..1000).sum::<u64>()))
-            .min_by_key(|(_, stats)| stats.allocs)
-            .unwrap();
+        let (sum, quiet) = count_allocations(|| (0u64..1000).sum::<u64>());
         assert_eq!(sum, 499_500);
-        assert_allocs_at_most("pure arithmetic", stats, 0);
-    }
+        assert_allocs_at_most("pure arithmetic", quiet, 0);
 
-    #[test]
-    #[should_panic(expected = "expected at most 0 allocations")]
-    fn allocation_budget_violations_panic() {
-        let (_, stats) = count_allocations(|| vec![0u8; 1024].len());
-        assert_allocs_at_most("vec build", stats, 0);
+        let over = std::panic::catch_unwind(|| assert_allocs_at_most("vec build", built, 0));
+        let message = over.unwrap_err().downcast::<String>().unwrap();
+        assert!(message.contains("vec build: expected at most 0 allocations"));
     }
 }

@@ -6,11 +6,15 @@
 //! failover (§6). This module gives the whole stack one coherent fault
 //! model instead of per-crate one-off injectors:
 //!
-//! - a process-wide [`FaultRegistry`] where named [`FaultPoint`]s can be
-//!   armed with a [`FaultPlan`] (error kind, probability or every-Nth
-//!   trigger, latency injection, burst windows);
-//! - the [`fault_point!`](crate::fault_point) macro threaded through the
-//!   stream, compute, olap, storage and multiregion crates;
+//! - a [`Chaos`] handle on which named [`FaultPoint`]s can be armed with
+//!   a [`FaultPlan`] (error kind, probability or every-Nth trigger,
+//!   latency injection, burst windows). Whoever builds a component owns
+//!   the handle and hands clones down (a platform to its federation, a
+//!   cluster to its topics, a job to its stage threads), so a fault armed
+//!   on one handle reaches exactly what was built with it and nothing
+//!   else in the process;
+//! - [`Chaos::check`] calls threaded through the stream, compute, olap,
+//!   storage and multiregion crates;
 //! - a shared [`RetryPolicy`]: exponential backoff with deterministic
 //!   jitter, an attempt budget, and retry classification via
 //!   [`Error::is_retryable`].
@@ -18,17 +22,17 @@
 //! Everything is deterministic: fault decisions come from a seeded
 //! SplitMix64 stream per fault point (never the wall clock), so the same
 //! seed always yields a byte-identical fault schedule
-//! ([`FaultRegistry::schedule_summary`]). The disarmed fast path is a
-//! single relaxed atomic load per check — cheap enough to leave compiled
-//! into the hot paths (benchmarked by E01/E10 against the pre-chaos
-//! baselines).
+//! ([`Chaos::schedule_summary`], one per handle). The disarmed fast path
+//! is a single relaxed atomic load of the handle's own mask per check —
+//! cheap enough to leave compiled into the hot paths (benchmarked by
+//! E01/E10 against the pre-chaos baselines).
 
 use crate::error::{Error, Result};
-use parking_lot::{Mutex, MutexGuard};
+use parking_lot::Mutex;
 use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
+use std::sync::Arc;
 
 /// Named places in the stack where faults can be injected.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -207,7 +211,7 @@ impl FaultPlan {
 }
 
 /// One planned node outage: kill at `kill_at_ms`, heal at `heal_at_ms`
-/// (logical clock). Produced by [`FaultRegistry::plan_node_outages`].
+/// (logical clock). Produced by [`Chaos::plan_node_outages`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NodeOutage {
     pub node: String,
@@ -241,7 +245,7 @@ impl RegionOutageKind {
 
 /// One planned region outage: strike at `kill_at_ms`, heal at
 /// `heal_at_ms` (logical clock). Produced by
-/// [`FaultRegistry::plan_region_outages`].
+/// [`Chaos::plan_region_outages`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RegionOutage {
     pub region: String,
@@ -305,52 +309,60 @@ struct Inner {
 
 const MAX_RECORDED_EVENTS: usize = 100_000;
 
-/// Process-wide registry of armed fault points.
-pub struct FaultRegistry {
+struct Shared {
+    /// Bitmask of currently armed fault points, outside the mutex so the
+    /// disarmed fast path is exactly one relaxed atomic load.
+    armed: AtomicU64,
     inner: Mutex<Inner>,
 }
 
-/// Bitmask of currently armed fault points. Module-level so the disarmed
-/// fast path is exactly one relaxed atomic load, with no `OnceLock`
-/// indirection in front of it.
-static ARMED: AtomicU64 = AtomicU64::new(0);
+/// A fault-injection handle: the seed, the armed plans with their
+/// decision streams, the fired-event log and the downed-node set. Cheap
+/// to clone (an `Arc` inside); every clone arms, checks and reports the
+/// same state. A component built without one starts with a handle of its
+/// own that nobody else holds, so nothing can fail it.
+#[derive(Clone)]
+pub struct Chaos {
+    shared: Arc<Shared>,
+}
 
-static REGISTRY: OnceLock<FaultRegistry> = OnceLock::new();
+impl Default for Chaos {
+    fn default() -> Self {
+        Chaos::seeded(0)
+    }
+}
 
-/// Serializes tests that arm the global registry (unit and integration
-/// tests run concurrently inside one binary).
-static TEST_GUARD: Mutex<()> = Mutex::new(());
-
-impl FaultRegistry {
-    fn new() -> Self {
-        FaultRegistry {
-            inner: Mutex::new(Inner {
-                seed: 0,
-                plans: Default::default(),
-                events: Vec::new(),
-                nodes_down: BTreeSet::new(),
-                node_log: Vec::new(),
+impl Chaos {
+    /// A disarmed handle whose fault schedule derives from `seed`.
+    pub fn seeded(seed: u64) -> Self {
+        Chaos {
+            shared: Arc::new(Shared {
+                armed: AtomicU64::new(0),
+                inner: Mutex::new(Inner {
+                    seed,
+                    plans: Default::default(),
+                    events: Vec::new(),
+                    nodes_down: BTreeSet::new(),
+                    node_log: Vec::new(),
+                }),
             }),
         }
     }
 
-    /// Re-seed and disarm everything; the fault schedule restarts from a
-    /// clean, reproducible state.
-    pub fn reset(&self, seed: u64) {
-        let mut inner = self.inner.lock();
-        ARMED.store(0, Ordering::SeqCst);
-        inner.seed = seed;
-        inner.plans = Default::default();
-        inner.events.clear();
-        inner.nodes_down.clear();
-        inner.node_log.clear();
+    /// Check a fault point. Disarmed cost: one relaxed atomic load.
+    #[inline(always)]
+    pub fn check(&self, point: FaultPoint) -> Result<()> {
+        if self.shared.armed.load(Ordering::Relaxed) & point.bit() == 0 {
+            return Ok(());
+        }
+        self.check_slow(point)
     }
 
     /// Arm a fault point. The point's decision stream is seeded from the
-    /// registry seed and the point's identity, so concurrent activity at
+    /// handle's seed and the point's identity, so concurrent activity at
     /// *other* points cannot perturb this one's schedule.
     pub fn arm(&self, point: FaultPoint, plan: FaultPlan) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.shared.inner.lock();
         let seed = inner.seed;
         let point_seed =
             SplitMix64::new(seed ^ (point.index() as u64 + 1).wrapping_mul(0xA076_1D64_78BD_642F))
@@ -361,28 +373,22 @@ impl FaultRegistry {
             fires: 0,
             rng: SplitMix64::new(point_seed),
         });
-        ARMED.fetch_or(point.bit(), Ordering::SeqCst);
+        self.shared.armed.fetch_or(point.bit(), Ordering::SeqCst);
     }
 
     pub fn disarm(&self, point: FaultPoint) {
-        let mut inner = self.inner.lock();
+        let mut inner = self.shared.inner.lock();
         inner.plans[point.index()] = None;
-        ARMED.fetch_and(!point.bit(), Ordering::SeqCst);
-    }
-
-    pub fn disarm_all(&self) {
-        let mut inner = self.inner.lock();
-        inner.plans = Default::default();
-        ARMED.store(0, Ordering::SeqCst);
+        self.shared.armed.fetch_and(!point.bit(), Ordering::SeqCst);
     }
 
     pub fn is_armed(&self, point: FaultPoint) -> bool {
-        ARMED.load(Ordering::SeqCst) & point.bit() != 0
+        self.shared.armed.load(Ordering::SeqCst) & point.bit() != 0
     }
 
     /// (checks seen, faults fired) at a point since it was armed.
     pub fn stats(&self, point: FaultPoint) -> (u64, u64) {
-        let inner = self.inner.lock();
+        let inner = self.shared.inner.lock();
         inner.plans[point.index()]
             .as_ref()
             .map(|s| (s.hits, s.fires))
@@ -393,7 +399,7 @@ impl FaultRegistry {
     /// Two runs under the same seed and workload produce byte-identical
     /// summaries — the CI determinism gate diffs this.
     pub fn schedule_summary(&self) -> String {
-        let inner = self.inner.lock();
+        let inner = self.shared.inner.lock();
         let mut out = String::new();
         out.push_str(&format!("seed={}\n", inner.seed));
         for ev in &inner.events {
@@ -422,15 +428,15 @@ impl FaultRegistry {
     }
 
     pub fn events(&self) -> Vec<FaultEvent> {
-        self.inner.lock().events.clone()
+        self.shared.inner.lock().events.clone()
     }
 
     /// Down a named node (a Kafka broker node, an OLAP server, a task
     /// manager): node-granular chaos rather than call-granular. Drivers
-    /// mirror the registry's down set into their `Membership` so every
+    /// mirror the handle's down set into their `Membership` so every
     /// failure domain reacts. Returns false if already down.
     pub fn kill_node(&self, node: &str) -> bool {
-        let mut inner = self.inner.lock();
+        let mut inner = self.shared.inner.lock();
         let newly = inner.nodes_down.insert(node.to_string());
         if newly {
             inner.node_log.push(format!("kill {node}"));
@@ -440,7 +446,7 @@ impl FaultRegistry {
 
     /// Bring a chaos-killed node back. Returns false if it was not down.
     pub fn heal_node(&self, node: &str) -> bool {
-        let mut inner = self.inner.lock();
+        let mut inner = self.shared.inner.lock();
         let healed = inner.nodes_down.remove(node);
         if healed {
             inner.node_log.push(format!("heal {node}"));
@@ -449,20 +455,26 @@ impl FaultRegistry {
     }
 
     pub fn node_is_down(&self, node: &str) -> bool {
-        self.inner.lock().nodes_down.contains(node)
+        self.shared.inner.lock().nodes_down.contains(node)
     }
 
     /// Currently downed nodes, in name order.
     pub fn downed_nodes(&self) -> Vec<String> {
-        self.inner.lock().nodes_down.iter().cloned().collect()
+        self.shared
+            .inner
+            .lock()
+            .nodes_down
+            .iter()
+            .cloned()
+            .collect()
     }
 
     /// The kill/heal action log, in action order.
     pub fn node_log(&self) -> Vec<String> {
-        self.inner.lock().node_log.clone()
+        self.shared.inner.lock().node_log.clone()
     }
 
-    /// Plan a deterministic node-outage schedule from the registry seed:
+    /// Plan a deterministic node-outage schedule from the handle's seed:
     /// `cycles` outages, each picking a victim node and a kill time inside
     /// its cycle window from the seeded stream, healing `outage_ms` later.
     /// Same seed + same arguments => byte-identical schedule; the soak
@@ -476,7 +488,7 @@ impl FaultRegistry {
         period_ms: i64,
         outage_ms: i64,
     ) -> Vec<NodeOutage> {
-        let seed = self.inner.lock().seed;
+        let seed = self.shared.inner.lock().seed;
         let mut rng = SplitMix64::new(seed ^ 0x004E_0DE0_C1D5_C4ED_u64);
         let mut out = Vec::with_capacity(cycles);
         for cycle in 0..cycles {
@@ -492,7 +504,7 @@ impl FaultRegistry {
         out
     }
 
-    /// Plan a deterministic region-outage schedule from the registry
+    /// Plan a deterministic region-outage schedule from the handle's
     /// seed: `cycles` outages, each picking a victim region, an outage
     /// kind (full-region kill, aggregate-only loss, or a replicator lag
     /// burst) and a kill time inside its cycle window from the seeded
@@ -507,7 +519,7 @@ impl FaultRegistry {
         period_ms: i64,
         outage_ms: i64,
     ) -> Vec<RegionOutage> {
-        let seed = self.inner.lock().seed;
+        let seed = self.shared.inner.lock().seed;
         let mut rng = SplitMix64::new(seed ^ 0x2E61_0D15_A57E_25ED_u64);
         let mut out = Vec::with_capacity(cycles);
         for cycle in 0..cycles {
@@ -533,7 +545,7 @@ impl FaultRegistry {
     /// (outside the lock) applies latency.
     fn check_slow(&self, point: FaultPoint) -> Result<()> {
         let (error, latency_us) = {
-            let mut inner = self.inner.lock();
+            let mut inner = self.shared.inner.lock();
             let Some(state) = inner.plans[point.index()].as_mut() else {
                 // disarmed between the fast-path load and here
                 return Ok(());
@@ -589,50 +601,9 @@ impl FaultRegistry {
     }
 }
 
-/// The process-wide registry.
-pub fn registry() -> &'static FaultRegistry {
-    REGISTRY.get_or_init(FaultRegistry::new)
-}
-
-/// Check a fault point. Disarmed cost: one relaxed atomic load.
-#[inline(always)]
-pub fn check(point: FaultPoint) -> Result<()> {
-    if ARMED.load(Ordering::Relaxed) & point.bit() == 0 {
-        return Ok(());
-    }
-    registry().check_slow(point)
-}
-
-/// Exclusive access for tests that arm the global registry; hold the
-/// guard for the whole test so concurrently running tests cannot see each
-/// other's fault plans.
-pub fn test_guard() -> MutexGuard<'static, ()> {
-    TEST_GUARD.lock()
-}
-
-/// Early-return with the injected error if the fault point fires.
-#[macro_export]
-macro_rules! fault_point {
-    ($point:expr) => {
-        $crate::chaos::check($point)?
-    };
-}
-
 // ---------------------------------------------------------------------------
 // Retry policy
 // ---------------------------------------------------------------------------
-
-/// Retries performed under any [`RetryPolicy`], process-wide — soak tests
-/// assert the total stays bounded.
-static RETRIES_TOTAL: AtomicU64 = AtomicU64::new(0);
-
-pub fn retries_total() -> u64 {
-    RETRIES_TOTAL.load(Ordering::Relaxed)
-}
-
-pub fn reset_retry_stats() {
-    RETRIES_TOTAL.store(0, Ordering::Relaxed);
-}
 
 /// Shared retry/backoff policy: exponential backoff with deterministic
 /// jitter and a hard attempt budget. Only errors classified retryable by
@@ -712,7 +683,6 @@ impl RetryPolicy {
             match op(attempt) {
                 Ok(v) => return (Ok(v), attempt),
                 Err(e) if e.is_retryable() && attempt < self.max_attempts => {
-                    RETRIES_TOTAL.fetch_add(1, Ordering::Relaxed);
                     if self.sleep {
                         let us = self.backoff_us(attempt);
                         if us > 0 {
@@ -748,111 +718,147 @@ mod tests {
 
     #[test]
     fn disarmed_points_never_interfere() {
-        let _g = test_guard();
-        registry().reset(1);
+        let chaos = Chaos::seeded(1);
         for p in FaultPoint::ALL {
-            assert!(check(p).is_ok());
-            assert!(!registry().is_armed(p));
+            assert!(chaos.check(p).is_ok());
+            assert!(!chaos.is_armed(p));
         }
-        assert_eq!(registry().events().len(), 0);
+        assert_eq!(chaos.events().len(), 0);
     }
 
     #[test]
     fn every_nth_fires_deterministically() {
-        let _g = test_guard();
-        registry().reset(7);
-        registry().arm(
+        let chaos = Chaos::seeded(7);
+        chaos.arm(
             FaultPoint::StreamAppend,
             FaultPlan::fail(FaultKind::Unavailable, Trigger::EveryNth(3)),
         );
         let outcomes: Vec<bool> = (0..9)
-            .map(|_| check(FaultPoint::StreamAppend).is_err())
+            .map(|_| chaos.check(FaultPoint::StreamAppend).is_err())
             .collect();
         assert_eq!(
             outcomes,
             vec![false, false, true, false, false, true, false, false, true]
         );
-        assert_eq!(registry().stats(FaultPoint::StreamAppend), (9, 3));
-        registry().disarm_all();
+        assert_eq!(chaos.stats(FaultPoint::StreamAppend), (9, 3));
     }
 
     #[test]
     fn probability_schedule_is_seed_stable() {
-        let _g = test_guard();
         let run = |seed: u64| -> String {
-            registry().reset(seed);
-            registry().arm(
+            let chaos = Chaos::seeded(seed);
+            chaos.arm(
                 FaultPoint::StorageObjectPut,
                 FaultPlan::fail(FaultKind::Io, Trigger::Probability(0.3)),
             );
             for _ in 0..50 {
-                let _ = check(FaultPoint::StorageObjectPut);
+                let _ = chaos.check(FaultPoint::StorageObjectPut);
             }
-            let s = registry().schedule_summary();
-            registry().disarm_all();
-            s
+            chaos.schedule_summary()
         };
         assert_eq!(run(99), run(99), "same seed, same schedule");
         assert_ne!(run(99), run(100), "different seed, different schedule");
     }
 
+    /// Two handles with one seed, each checked from its own thread while
+    /// the other runs: neither perturbs the other's stream.
+    #[test]
+    fn same_seed_handles_on_interleaving_threads_agree_byte_for_byte() {
+        let handles = [Chaos::seeded(0x5A3E), Chaos::seeded(0x5A3E)];
+        for chaos in &handles {
+            chaos.arm(
+                FaultPoint::StreamFetch,
+                FaultPlan::fail(FaultKind::Timeout, Trigger::Probability(0.3)),
+            );
+        }
+        let barrier = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for chaos in &handles {
+                s.spawn(|| {
+                    for _ in 0..200 {
+                        barrier.wait();
+                        let _ = chaos.check(FaultPoint::StreamFetch);
+                    }
+                });
+            }
+        });
+        let summary = handles[0].schedule_summary();
+        assert_eq!(summary, handles[1].schedule_summary());
+        assert!(summary.contains("totals stream.fetch hits=200"));
+        assert!(handles[0].stats(FaultPoint::StreamFetch).1 > 0);
+    }
+
+    #[test]
+    fn a_clone_is_the_same_handle_and_a_new_one_is_not() {
+        let chaos = Chaos::seeded(4);
+        let clone = chaos.clone();
+        let other = Chaos::seeded(4);
+        chaos.arm(
+            FaultPoint::ComputeProcess,
+            FaultPlan::fail(FaultKind::ProcessingFailed, Trigger::Always),
+        );
+        assert!(matches!(
+            clone.check(FaultPoint::ComputeProcess),
+            Err(Error::ProcessingFailed(_))
+        ));
+        assert!(other.check(FaultPoint::ComputeProcess).is_ok());
+        assert_eq!(other.stats(FaultPoint::ComputeProcess), (0, 0));
+        clone.disarm(FaultPoint::ComputeProcess);
+        assert!(chaos.check(FaultPoint::ComputeProcess).is_ok());
+    }
+
     #[test]
     fn burst_window_and_max_fires_gate_firing() {
-        let _g = test_guard();
-        registry().reset(5);
-        registry().arm(
+        let chaos = Chaos::seeded(5);
+        chaos.arm(
             FaultPoint::ProxyDispatch,
             FaultPlan::fail(FaultKind::Timeout, Trigger::Always).with_burst(3, Some(2)),
         );
         let outcomes: Vec<bool> = (0..8)
-            .map(|_| check(FaultPoint::ProxyDispatch).is_err())
+            .map(|_| chaos.check(FaultPoint::ProxyDispatch).is_err())
             .collect();
         // hits 1-3 skipped, 4-5 in window, 6+ past it
         assert_eq!(
             outcomes,
             vec![false, false, false, true, true, false, false, false]
         );
-        registry().arm(
+        chaos.arm(
             FaultPoint::ProxyDispatch,
             FaultPlan::fail(FaultKind::Timeout, Trigger::Always).with_max_fires(2),
         );
         let fired = (0..10)
-            .filter(|_| check(FaultPoint::ProxyDispatch).is_err())
+            .filter(|_| chaos.check(FaultPoint::ProxyDispatch).is_err())
             .count();
         assert_eq!(fired, 2);
-        registry().disarm_all();
     }
 
     #[test]
     fn latency_only_plan_returns_ok() {
-        let _g = test_guard();
-        registry().reset(11);
-        registry().arm(
+        let chaos = Chaos::seeded(11);
+        chaos.arm(
             FaultPoint::StreamFetch,
             FaultPlan::delay(1, Trigger::Always),
         );
-        assert!(check(FaultPoint::StreamFetch).is_ok());
-        let events = registry().events();
+        assert!(chaos.check(FaultPoint::StreamFetch).is_ok());
+        let events = chaos.events();
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].kind, None);
-        registry().disarm_all();
     }
 
     #[test]
     fn error_kinds_map_to_error_variants() {
-        let _g = test_guard();
-        registry().reset(2);
+        let chaos = Chaos::seeded(2);
         let cases = [
             (FaultKind::Unavailable, "unavailable"),
             (FaultKind::Timeout, "timeout"),
             (FaultKind::Corruption, "corruption"),
         ];
         for (kind, _) in cases {
-            registry().arm(
+            chaos.arm(
                 FaultPoint::MultiregionReplicate,
                 FaultPlan::fail(kind, Trigger::Always),
             );
-            let err = check(FaultPoint::MultiregionReplicate).unwrap_err();
+            let err = chaos.check(FaultPoint::MultiregionReplicate).unwrap_err();
             match kind {
                 FaultKind::Unavailable => assert!(matches!(err, Error::Unavailable(_))),
                 FaultKind::Timeout => assert!(matches!(err, Error::Timeout(_))),
@@ -861,7 +867,6 @@ mod tests {
             }
             assert!(err.to_string().contains("multiregion.replicate"));
         }
-        registry().disarm_all();
     }
 
     #[test]
@@ -907,37 +912,36 @@ mod tests {
 
     #[test]
     fn node_kill_heal_tracks_down_set_and_log() {
-        let _g = test_guard();
-        registry().reset(21);
-        assert!(!registry().node_is_down("broker-0"));
-        assert!(registry().kill_node("broker-0"));
-        assert!(!registry().kill_node("broker-0"), "idempotent kill");
-        registry().kill_node("olap-server-2");
-        assert!(registry().node_is_down("broker-0"));
+        let chaos = Chaos::seeded(21);
+        assert!(!chaos.node_is_down("broker-0"));
+        assert!(chaos.kill_node("broker-0"));
+        assert!(!chaos.kill_node("broker-0"), "idempotent kill");
+        chaos.kill_node("olap-server-2");
+        assert!(chaos.node_is_down("broker-0"));
         assert_eq!(
-            registry().downed_nodes(),
+            chaos.downed_nodes(),
             vec!["broker-0".to_string(), "olap-server-2".to_string()]
         );
-        assert!(registry().heal_node("broker-0"));
-        assert!(!registry().heal_node("broker-0"));
+        assert!(chaos.heal_node("broker-0"));
+        assert!(!chaos.heal_node("broker-0"));
         assert_eq!(
-            registry().node_log(),
+            chaos.node_log(),
             vec!["kill broker-0", "kill olap-server-2", "heal broker-0"]
         );
         // node actions land in the schedule summary (determinism gate)
-        let summary = registry().schedule_summary();
+        let summary = chaos.schedule_summary();
         assert!(summary.contains("node kill broker-0"));
         assert!(summary.contains("node heal broker-0"));
-        registry().reset(21);
-        assert!(!registry().node_is_down("olap-server-2"), "reset clears");
+        assert!(
+            !Chaos::seeded(21).node_is_down("olap-server-2"),
+            "the down set belongs to the handle"
+        );
     }
 
     #[test]
     fn node_outage_plan_is_seed_stable() {
-        let _g = test_guard();
         let plan = |seed: u64| {
-            registry().reset(seed);
-            registry().plan_node_outages(&["n0", "n1", "n2"], 6, 1_000, 10_000, 2_500)
+            Chaos::seeded(seed).plan_node_outages(&["n0", "n1", "n2"], 6, 1_000, 10_000, 2_500)
         };
         let a = plan(77);
         assert_eq!(a, plan(77), "same seed, same outage schedule");
@@ -948,15 +952,18 @@ mod tests {
             let window = 1_000 + i as i64 * 10_000;
             assert!(o.kill_at_ms >= window && o.kill_at_ms < window + 10_000);
         }
-        registry().reset(0);
     }
 
     #[test]
     fn region_outage_plan_is_seed_stable_and_mixes_kinds() {
-        let _g = test_guard();
         let plan = |seed: u64| {
-            registry().reset(seed);
-            registry().plan_region_outages(&["west", "east", "asia"], 9, 5_000, 30_000, 12_000)
+            Chaos::seeded(seed).plan_region_outages(
+                &["west", "east", "asia"],
+                9,
+                5_000,
+                30_000,
+                12_000,
+            )
         };
         let a = plan(0xD12);
         assert_eq!(a, plan(0xD12), "same seed, same region schedule");
@@ -973,32 +980,18 @@ mod tests {
         let kinds: std::collections::BTreeSet<&str> = a.iter().map(|o| o.kind.name()).collect();
         assert!(kinds.len() >= 2, "kinds drawn: {kinds:?}");
         // the region plan is independent of the node plan (distinct salt)
-        registry().reset(0xD12);
-        let nodes =
-            registry().plan_node_outages(&["west", "east", "asia"], 9, 5_000, 30_000, 12_000);
+        let nodes = Chaos::seeded(0xD12).plan_node_outages(
+            &["west", "east", "asia"],
+            9,
+            5_000,
+            30_000,
+            12_000,
+        );
         assert!(
             a.iter()
                 .zip(&nodes)
                 .any(|(r, n)| r.region != n.node || r.kill_at_ms != n.kill_at_ms),
             "region and node plans must not be correlated"
         );
-        registry().reset(0);
-    }
-
-    #[test]
-    fn fault_point_macro_early_returns() {
-        let _g = test_guard();
-        registry().reset(3);
-        fn guarded() -> Result<u32> {
-            fault_point!(FaultPoint::ComputeProcess);
-            Ok(7)
-        }
-        assert_eq!(guarded().unwrap(), 7);
-        registry().arm(
-            FaultPoint::ComputeProcess,
-            FaultPlan::fail(FaultKind::ProcessingFailed, Trigger::Always),
-        );
-        assert!(matches!(guarded(), Err(Error::ProcessingFailed(_))));
-        registry().disarm_all();
     }
 }

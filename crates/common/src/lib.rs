@@ -29,7 +29,7 @@ pub mod wire;
 
 pub use agg::{AggAcc, AggFn};
 pub use chaos::{
-    FaultKind, FaultPlan, FaultPoint, RegionOutage, RegionOutageKind, RetryPolicy, Trigger,
+    Chaos, FaultKind, FaultPlan, FaultPoint, RegionOutage, RegionOutageKind, RetryPolicy, Trigger,
 };
 pub use error::{Error, Result};
 pub use membership::{

@@ -18,7 +18,7 @@
 //!   ([`Membership::event_log`]) so failover schedules can be diffed
 //!   byte-for-byte across runs — the same discipline as the chaos layer.
 //!
-//! Chaos node-kills ([`crate::chaos::FaultRegistry::kill_node`]) route
+//! Chaos node-kills ([`crate::chaos::Chaos::kill_node`]) route
 //! through [`Membership::kill`]: a killed node is pinned `Dead` and its
 //! heartbeats are ignored until [`Membership::revive`].
 
@@ -397,16 +397,6 @@ impl Membership {
         self.state(node)
             .map(|s| s != NodeState::Dead)
             .unwrap_or(false)
-    }
-
-    /// All registered nodes with their states, in name order.
-    pub fn nodes(&self) -> Vec<(String, NodeState)> {
-        self.inner
-            .read()
-            .nodes
-            .iter()
-            .map(|(n, i)| (n.clone(), i.state))
-            .collect()
     }
 
     /// Names of live (non-dead) nodes, in name order.

@@ -388,10 +388,6 @@ impl AdmissionController {
         self.queue_depth.store(depth, Ordering::Relaxed);
     }
 
-    pub fn queue_depth(&self) -> u64 {
-        self.queue_depth.load(Ordering::Relaxed)
-    }
-
     pub fn in_flight(&self) -> u64 {
         self.in_flight.load(Ordering::Relaxed)
     }

@@ -347,10 +347,6 @@ impl Row {
         self.columns.is_empty()
     }
 
-    pub fn values(&self) -> impl Iterator<Item = &Value> {
-        self.columns.iter().map(|(_, v)| v)
-    }
-
     /// Project the row down to the named columns, in the given order.
     /// Missing columns become `Value::Null` (semi-structured data may omit
     /// fields).

@@ -225,7 +225,6 @@ mod tests {
 
     #[test]
     fn kappa_plus_matches_streaming_results() {
-        let _g = rtdi_common::chaos::test_guard();
         let (_, table) = archived_table();
         // streaming reference: same operators over the live (ordered) stream
         let stream_sink = CollectSink::new();
@@ -273,7 +272,6 @@ mod tests {
 
     #[test]
     fn kappa_plus_respects_time_bounds() {
-        let _g = rtdi_common::chaos::test_guard();
         let (_, table) = archived_table();
         let sink = CollectSink::new();
         let job = kappa_plus_job(

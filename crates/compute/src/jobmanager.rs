@@ -650,7 +650,6 @@ mod tests {
     use crate::sink::CollectSink;
     use crate::source::VecSource;
     use parking_lot::Mutex;
-    use rtdi_common::chaos::test_guard;
     use rtdi_common::{Record, Row};
     use rtdi_storage::object::InMemoryStore;
     use std::sync::Arc;
@@ -703,7 +702,6 @@ mod tests {
 
     #[test]
     fn supervise_runs_to_completion() {
-        let _g = test_guard();
         let jm = JobManager::new(StagedConfig::default(), 3);
         let sink = CollectSink::new();
         let spec = simple_spec("run", sink.clone());
@@ -771,7 +769,6 @@ mod tests {
 
     #[test]
     fn transient_failures_recover_automatically() {
-        let _g = test_guard();
         let budget = Arc::new(Mutex::new(2u32)); // fails twice then healthy
         let sink = CollectSink::new();
         let store = Arc::new(InMemoryStore::new());
@@ -797,7 +794,6 @@ mod tests {
 
     #[test]
     fn permanent_failure_exhausts_restarts() {
-        let _g = test_guard();
         let budget = Arc::new(Mutex::new(u32::MAX)); // never heals
         let sink = CollectSink::new();
         let store = Arc::new(InMemoryStore::new());
@@ -810,7 +806,6 @@ mod tests {
 
     #[test]
     fn job_forgotten_while_supervised_is_an_error_not_a_panic() {
-        let _g = test_guard();
         let jm = Arc::new(JobManager::new(StagedConfig::default(), 3));
         let mut spec = simple_spec("gone", CollectSink::new());
         let inner = spec.factory;
@@ -899,7 +894,6 @@ mod tests {
 
     #[test]
     fn node_death_marks_placed_jobs_for_restart() {
-        let _g = test_guard();
         use rtdi_common::{Membership, MembershipConfig, SimClock};
         let jm = Arc::new(JobManager::new(StagedConfig::default(), 3));
         let sink = CollectSink::new();
@@ -985,7 +979,6 @@ mod tests {
 
     #[test]
     fn finished_jobs_ignore_node_death() {
-        let _g = test_guard();
         let jm = JobManager::new(StagedConfig::default(), 3);
         let sink = CollectSink::new();
         let spec = simple_spec("done", sink);
@@ -1031,7 +1024,6 @@ mod tests {
 
     #[test]
     fn supervise_elastic_scales_up_on_stale_pipeline_and_stays_exact() {
-        let _g = test_guard();
         use crate::operator::WindowAggregateOp;
         use crate::runtime::run_staged_with;
         use crate::window::WindowAssigner;

@@ -39,9 +39,8 @@ use crate::source::Source;
 use crate::watermark::WatermarkGenerator;
 use crate::window::{WINDOW_END_COL, WINDOW_START_COL};
 use bytes::{BufMut, Bytes, BytesMut};
-use rtdi_common::fault_point;
 use rtdi_common::wire::{get_block_checked, get_count_checked, get_u64_checked};
-use rtdi_common::{CountMinSketch, Error, FaultPoint, Record, Result, Timestamp, Value};
+use rtdi_common::{Chaos, CountMinSketch, Error, FaultPoint, Record, Result, Timestamp, Value};
 use rtdi_storage::keyed::{key_group_of, shard_of_group, KeyedSnapshot};
 use rtdi_storage::object::ObjectStore;
 use std::collections::{BTreeMap, VecDeque};
@@ -177,11 +176,6 @@ impl CheckpointStore {
         self
     }
 
-    /// The underlying object store (cross-region mirroring wraps this).
-    pub fn object_store(&self) -> &Arc<dyn ObjectStore> {
-        &self.store
-    }
-
     fn key(job: &str, id: u64) -> String {
         format!("checkpoints/{job}/ckpt-{id:010}")
     }
@@ -287,11 +281,6 @@ impl RescaleHandle {
     pub fn is_requested(&self) -> bool {
         self.flag.load(Ordering::SeqCst)
     }
-
-    /// Lower the flag (done by the supervisor before restarting).
-    pub fn clear(&self) {
-        self.flag.store(false, Ordering::SeqCst);
-    }
 }
 
 /// An aligned checkpoint barrier flowing down the chain. Each stage
@@ -330,6 +319,9 @@ pub struct StagedConfig {
     /// Optional cooperative stop-at-checkpoint flag for elastic rescale.
     /// Only effective when checkpointing is configured.
     pub rescale: Option<RescaleHandle>,
+    /// Where the run's `compute.channel` and `compute.process` faults
+    /// come from; a handle of the config's own unless the caller sets one.
+    pub chaos: Chaos,
 }
 
 impl StagedConfig {
@@ -342,6 +334,7 @@ impl StagedConfig {
             checkpoint_interval: 0,
             checkpoint_store: None,
             rescale: None,
+            chaos: Chaos::default(),
         }
     }
 }
@@ -449,12 +442,13 @@ struct RouterOutcome {
 }
 
 /// The chaos crash site for operator processing: one check per source
-/// record, made only on the thread of the first plan entry (`first`), so
-/// hit counts and seeded `Probability` draws are deterministic per run.
-fn process_fault(first: bool, records: usize) -> Result<()> {
-    if first {
+/// record, made only on the thread of the first plan entry (the one
+/// given the run's handle), so hit counts and seeded `Probability` draws
+/// are deterministic per run.
+fn process_fault(chaos: Option<&Chaos>, records: usize) -> Result<()> {
+    if let Some(chaos) = chaos {
         for _ in 0..records {
-            fault_point!(FaultPoint::ComputeProcess);
+            chaos.check(FaultPoint::ComputeProcess)?;
         }
     }
     Ok(())
@@ -491,7 +485,7 @@ fn run_parallel_router(
     shard_txs: Vec<crossbeam::channel::Sender<ShardMsg>>,
     barrier_tx: crossbeam::channel::Sender<Box<BarrierState>>,
     spec: ShardSpec,
-    first: bool,
+    chaos: Option<Chaos>,
 ) -> RouterOutcome {
     let n = shard_txs.len();
     let mut out = RouterOutcome {
@@ -520,7 +514,7 @@ fn run_parallel_router(
             StagedMsg::Batch(batch) => {
                 out.records_in += batch.len() as u64;
                 out.batches_in += 1;
-                if let Err(e) = process_fault(first, batch.len()) {
+                if let Err(e) = process_fault(chaos.as_ref(), batch.len()) {
                     out.err = Some(e);
                     break 'recv;
                 }
@@ -750,7 +744,7 @@ fn run_serial_stage(
     mut op: Box<dyn Operator>,
     rx: crossbeam::channel::Receiver<StagedMsg>,
     tx: crossbeam::channel::Sender<StagedMsg>,
-    first: bool,
+    chaos: Option<Chaos>,
 ) -> (StageStats, Option<Error>) {
     let mut st = StageStats {
         stage: op.name().to_string(),
@@ -774,7 +768,7 @@ fn run_serial_stage(
             StagedMsg::Batch(batch) => {
                 st.records_in += batch.len() as u64;
                 st.batches_in += 1;
-                let res = process_fault(first, batch.len())
+                let res = process_fault(chaos.as_ref(), batch.len())
                     .and_then(|_| op.process_batch(&batch, &mut buf));
                 if let Err(e) = res {
                     err = Some(e);
@@ -880,11 +874,11 @@ pub fn run_staged_with(mut job: Job, config: &StagedConfig) -> Result<JobRunStat
         let mut handles = Vec::with_capacity(n_stages);
         for (i, (entry, rx)) in stage_inputs.into_iter().enumerate() {
             let tx = senders[i + 1].clone();
-            let first = i == 0;
+            let chaos = (i == 0).then(|| config.chaos.clone());
             match entry {
                 StagePlan::Serial(op) => {
                     handles.push(Spawned::Serial(
-                        scope.spawn(move || run_serial_stage(op, rx, tx, first)),
+                        scope.spawn(move || run_serial_stage(op, rx, tx, chaos)),
                     ));
                 }
                 StagePlan::Parallel {
@@ -907,7 +901,7 @@ pub fn run_staged_with(mut job: Job, config: &StagedConfig) -> Result<JobRunStat
                         crossbeam::channel::bounded::<Box<BarrierState>>(cap);
                     let key_cols = spec.key_cols.clone();
                     let router = scope
-                        .spawn(move || run_parallel_router(rx, shard_txs, barrier_tx, spec, first));
+                        .spawn(move || run_parallel_router(rx, shard_txs, barrier_tx, spec, chaos));
                     let shard_handles: Vec<_> = shards
                         .into_iter()
                         .zip(shard_rxs)
@@ -1016,7 +1010,7 @@ pub fn run_staged_with(mut job: Job, config: &StagedConfig) -> Result<JobRunStat
                         *records_in += 1;
                         since_checkpoint += 1;
                         // a channel-hop fault surfaces exactly like a dead stage
-                        fault_point!(FaultPoint::ComputeChannel);
+                        config.chaos.check(FaultPoint::ComputeChannel)?;
                         pending.push(rec);
                         if pending.len() >= batch_size {
                             let full =
@@ -1159,7 +1153,7 @@ mod tests {
     use crate::sink::CollectSink;
     use crate::source::VecSource;
     use crate::window::WindowAssigner;
-    use rtdi_common::chaos::{self, FaultKind, FaultPlan, Trigger};
+    use rtdi_common::chaos::{FaultKind, FaultPlan, Trigger};
     use rtdi_common::AggFn;
     use rtdi_common::Row;
     use rtdi_storage::object::InMemoryStore;
@@ -1202,7 +1196,6 @@ mod tests {
 
     #[test]
     fn bounded_run_emits_all_windows() {
-        let _g = chaos::test_guard();
         let sink = CollectSink::new();
         let job = window_count_job("j", trip_rows(100), sink.clone());
         let stats = run_staged_with(job, &StagedConfig::default()).unwrap();
@@ -1220,7 +1213,6 @@ mod tests {
 
     #[test]
     fn chained_map_runs() {
-        let _g = chaos::test_guard();
         let sink = CollectSink::new();
         let job = Job::new(
             "m",
@@ -1240,12 +1232,12 @@ mod tests {
 
     #[test]
     fn checkpoint_and_recover_produces_identical_results() {
-        let _g = chaos::test_guard();
-        chaos::registry().reset(0xC0FFEE);
+        let chaos = Chaos::seeded(0xC0FFEE);
         let cs = CheckpointStore::new(Arc::new(InMemoryStore::new()));
         let config = StagedConfig {
             checkpoint_interval: 30,
             checkpoint_store: Some(cs),
+            chaos: chaos.clone(),
             ..StagedConfig::batched(8, 10)
         };
         // the sharded aggregate is the only operator, so the router is the
@@ -1262,7 +1254,7 @@ mod tests {
 
         // crash run: the compute.process fault point hard-fails the 59th
         // source record (after the checkpoint at 30 records)
-        chaos::registry().arm(
+        chaos.arm(
             FaultPoint::ComputeProcess,
             FaultPlan::fail(FaultKind::ProcessingFailed, Trigger::Always).with_burst(58, None),
         );
@@ -1270,8 +1262,8 @@ mod tests {
         let err = run_staged_with(job("ckpt-job", &crash_sink), &config);
         assert!(matches!(err, Err(Error::ProcessingFailed(_))));
         // one check per source record, from one thread: 59 hits, 1 fire
-        assert_eq!(chaos::registry().stats(FaultPoint::ComputeProcess), (59, 1));
-        chaos::registry().disarm_all();
+        assert_eq!(chaos.stats(FaultPoint::ComputeProcess), (59, 1));
+        chaos.disarm(FaultPoint::ComputeProcess);
 
         // recovery run: fresh job instance restores from the checkpoint and
         // keeps writing into the SAME sink (at-least-once to the sink,
@@ -1381,7 +1373,6 @@ mod tests {
 
     #[test]
     fn staged_run_matches_single_threaded() {
-        let _g = chaos::test_guard();
         let sink = CollectSink::new();
         let job = window_count_job("staged", trip_rows(1000), sink.clone());
         let stats = run_staged_with(job, &StagedConfig::default()).unwrap();
@@ -1393,21 +1384,23 @@ mod tests {
 
     #[test]
     fn staged_run_surfaces_channel_faults_and_recovers_when_disarmed() {
-        let _g = chaos::test_guard();
-        chaos::registry().reset(0xC4A7);
-        chaos::registry().arm(
+        let chaos = Chaos::seeded(0xC4A7);
+        chaos.arm(
             FaultPoint::ComputeChannel,
             FaultPlan::fail(FaultKind::Unavailable, Trigger::Always).with_burst(100, None),
         );
         let sink = CollectSink::new();
         let job = window_count_job("chan-fault", trip_rows(1000), sink.clone());
         // the injected channel-hop fault kills the run like a dead stage
-        let cfg = StagedConfig::default();
+        let cfg = StagedConfig {
+            chaos: chaos.clone(),
+            ..StagedConfig::default()
+        };
         assert!(matches!(
             run_staged_with(job, &cfg),
             Err(Error::Unavailable(_))
         ));
-        chaos::registry().disarm_all();
+        chaos.disarm(FaultPoint::ComputeChannel);
         // a fresh run with the fault cleared completes normally
         let sink = CollectSink::new();
         let job = window_count_job("chan-ok", trip_rows(1000), sink.clone());
@@ -1459,7 +1452,6 @@ mod tests {
 
     #[test]
     fn staged_batched_fused_matches_reference_protocol() {
-        let _g = chaos::test_guard();
         let ref_sink = CollectSink::new();
         let ref_stats =
             run_reference(four_stage_job("ref", trip_rows(1000), ref_sink.clone())).unwrap();
@@ -1497,8 +1489,7 @@ mod tests {
 
     #[test]
     fn barrier_mid_batch_checkpoints_exactly_the_records_before_it() {
-        let _g = chaos::test_guard();
-        chaos::registry().reset(0xBA881E);
+        let chaos = Chaos::seeded(0xBA881E);
         let store = Arc::new(InMemoryStore::new());
         let cs = CheckpointStore::new(store);
         // interval 130 is deliberately not a multiple of batch_size 64, so
@@ -1506,6 +1497,7 @@ mod tests {
         let cfg = StagedConfig {
             checkpoint_interval: 130,
             checkpoint_store: Some(cs.clone()),
+            chaos: chaos.clone(),
             ..StagedConfig::batched(8, 64)
         };
 
@@ -1518,7 +1510,7 @@ mod tests {
         .unwrap();
 
         // crash run: channel-hop fault fires once at the 701st record
-        chaos::registry().arm(
+        chaos.arm(
             FaultPoint::ComputeChannel,
             FaultPlan::fail(FaultKind::Unavailable, Trigger::Always).with_burst(700, Some(1)),
         );
@@ -1590,7 +1582,6 @@ mod tests {
 
     #[test]
     fn parallel_stage_output_matches_serial_exactly() {
-        let _g = chaos::test_guard();
         let serial_sink = CollectSink::new();
         run_staged_with(
             window_count_job("ser", trip_rows(1000), serial_sink.clone()),
@@ -1619,7 +1610,6 @@ mod tests {
 
     #[test]
     fn rescale_stop_at_barrier_then_resume_is_exactly_once() {
-        let _g = chaos::test_guard();
         let store = Arc::new(InMemoryStore::new());
         let cs = CheckpointStore::new(store);
         let handle = RescaleHandle::new();
@@ -1672,7 +1662,6 @@ mod tests {
 
     #[test]
     fn staged_run_with_tiny_buffers_still_completes() {
-        let _g = chaos::test_guard();
         // capacity-1 channels carrying batches of one exercise full
         // backpressure blocking
         let sink = CollectSink::new();

@@ -48,11 +48,6 @@ impl WatermarkGenerator {
     pub fn max_out_of_orderness(&self) -> i64 {
         self.max_out_of_orderness
     }
-
-    /// The highest event time observed.
-    pub fn max_seen(&self) -> Timestamp {
-        self.max_seen
-    }
 }
 
 #[cfg(test)]

@@ -3,8 +3,8 @@
 //! §9.4: "users can automatically create Flink and Pinot pipelines using a
 //! convenient drag and drop UI that hides the complex sequence of
 //! provisioning and capacity allocation." [`PipelineBuilder`] is that UI's
-//! programmatic equivalent: declare a source topic, a SQL transformation
-//! and a sink table; `deploy` provisions everything in the right order.
+//! programmatic equivalent: name a source topic, a SQL transformation and
+//! a sink table; `deploy` provisions the table and the job in order.
 
 use crate::platform::RealtimePlatform;
 use rtdi_common::{Error, Result, Schema};
@@ -12,13 +12,11 @@ use rtdi_compute::runtime::JobRunStats;
 use rtdi_flinksql::compiler::CompileOptions;
 use rtdi_olap::segment::IndexSpec;
 use rtdi_olap::table::TableConfig;
-use rtdi_stream::topic::TopicConfig;
 
 /// Declarative pipeline description.
 pub struct PipelineBuilder {
     name: String,
-    source_topic: Option<(String, TopicConfig, Schema)>,
-    existing_source: Option<String>,
+    source: Option<String>,
     sql: Option<String>,
     sink: Option<(String, Schema, IndexSpec, Option<String>)>,
 }
@@ -27,22 +25,15 @@ impl PipelineBuilder {
     pub fn new(name: &str) -> Self {
         PipelineBuilder {
             name: name.to_string(),
-            source_topic: None,
-            existing_source: None,
+            source: None,
             sql: None,
             sink: None,
         }
     }
 
-    /// Provision a new source topic as part of deployment.
-    pub fn create_source(mut self, topic: &str, config: TopicConfig, schema: Schema) -> Self {
-        self.source_topic = Some((topic.to_string(), config, schema));
-        self
-    }
-
     /// Use an already-provisioned topic.
     pub fn from_topic(mut self, topic: &str) -> Self {
-        self.existing_source = Some(topic.to_string());
+        self.source = Some(topic.to_string());
         self
     }
 
@@ -72,18 +63,9 @@ impl PipelineBuilder {
     /// Provision and run the pipeline on the platform. Returns the job
     /// stats of the first (bounded) supervision run.
     pub fn deploy(self, platform: &RealtimePlatform) -> Result<JobRunStats> {
-        let source = match (&self.source_topic, &self.existing_source) {
-            (Some((name, config, schema)), None) => {
-                platform.create_topic(name, config.clone(), schema.clone())?;
-                name.clone()
-            }
-            (None, Some(name)) => name.clone(),
-            _ => {
-                return Err(Error::InvalidArgument(
-                    "pipeline needs exactly one source (create_source or from_topic)".into(),
-                ))
-            }
-        };
+        let source = self
+            .source
+            .ok_or_else(|| Error::InvalidArgument("pipeline needs a from_topic(..)".into()))?;
         let sql = self
             .sql
             .ok_or_else(|| Error::InvalidArgument("pipeline needs a transform(sql)".into()))?;
@@ -103,6 +85,7 @@ impl PipelineBuilder {
 mod tests {
     use super::*;
     use rtdi_common::{FieldType, Record, Row, SimClock};
+    use rtdi_stream::topic::TopicConfig;
     use std::sync::Arc;
 
     fn order_schema() -> Schema {

@@ -11,7 +11,7 @@
 
 use crate::usage::{Component, UsageTracker};
 use rtdi_common::{
-    Clock, Error, PipelineTracer, Record, Result, Schema, Timestamp, TraceReport, WallClock,
+    Chaos, Clock, Error, PipelineTracer, Record, Result, Schema, Timestamp, TraceReport, WallClock,
 };
 use rtdi_compute::jobmanager::{JobHealth, JobManager, JobSpec, JobType};
 use rtdi_compute::runtime::{run_staged_with, CheckpointStore, JobRunStats, StagedConfig};
@@ -26,7 +26,7 @@ use rtdi_sql::connector::{HiveConnector, PinotConnector};
 use rtdi_sql::engine::{EngineConfig, QueryOutput, SqlEngine};
 use rtdi_storage::archival::{ArchivalWriter, Compactor};
 use rtdi_storage::hive::HiveCatalog;
-use rtdi_storage::object::{InMemoryStore, ObjectStore};
+use rtdi_storage::object::{FaultyStore, InMemoryStore, ObjectStore};
 use rtdi_stream::chaperone::Chaperone;
 use rtdi_stream::cluster::{Cluster, ClusterConfig};
 use rtdi_stream::federation::FederatedCluster;
@@ -78,6 +78,7 @@ pub struct RealtimePlatform {
     usage: UsageTracker,
     tracer: PipelineTracer,
     clock: Arc<dyn Clock>,
+    chaos: Chaos,
 }
 
 impl RealtimePlatform {
@@ -88,15 +89,27 @@ impl RealtimePlatform {
     }
 
     pub fn with_clock(clock: Arc<dyn Clock>) -> Self {
-        let federation = FederatedCluster::new();
-        federation.add_cluster(Cluster::new("cluster-1", ClusterConfig::default()));
+        Self::with_chaos(clock, Chaos::default())
+    }
+
+    /// [`RealtimePlatform::with_clock`] under a fault-injection handle the
+    /// caller keeps a clone of: the federation and its cluster, the object
+    /// store and every supervised or backfill job check it.
+    pub fn with_chaos(clock: Arc<dyn Clock>, chaos: Chaos) -> Self {
+        let federation = FederatedCluster::new().with_chaos(chaos.clone());
+        federation.add_cluster(Cluster::with_chaos(
+            "cluster-1",
+            ClusterConfig::default(),
+            chaos.clone(),
+        ));
         let tracer = PipelineTracer::default();
         let chaperone = Chaperone::new(60_000);
         // every broker append records the "stream" hop and a
         // `{topic}/stream` audit observation
         federation.set_tracer(tracer.clone());
         federation.set_chaperone(chaperone.clone());
-        let store: Arc<dyn ObjectStore> = Arc::new(InMemoryStore::new());
+        let store: Arc<dyn ObjectStore> =
+            Arc::new(FaultyStore::new(InMemoryStore::new()).with_chaos(chaos.clone()));
         let catalog = HiveCatalog::new(store.clone());
         let pinot = Arc::new(PinotConnector::new());
         let mut engine = SqlEngine::new(EngineConfig::default());
@@ -106,6 +119,7 @@ impl RealtimePlatform {
             StagedConfig {
                 checkpoint_interval: 10_000,
                 checkpoint_store: Some(CheckpointStore::new(store.clone())),
+                chaos: chaos.clone(),
                 ..StagedConfig::default()
             },
             3,
@@ -123,7 +137,13 @@ impl RealtimePlatform {
             usage: UsageTracker::new(),
             tracer,
             clock,
+            chaos,
         }
+    }
+
+    /// The handle everything this platform built takes its faults from.
+    pub fn chaos(&self) -> &Chaos {
+        &self.chaos
     }
 
     pub fn federation(&self) -> &FederatedCluster {
@@ -209,10 +229,6 @@ impl RealtimePlatform {
             freshness_p99_ms: p99,
             ..Default::default()
         }
-    }
-
-    pub fn now(&self) -> Timestamp {
-        self.clock.now()
     }
 
     /// Provision a topic with a registered, compatibility-checked schema
@@ -404,7 +420,11 @@ impl RealtimePlatform {
             sink,
             &CompileOptions::default(),
         )?;
-        run_staged_with(job, &StagedConfig::default())
+        let config = StagedConfig {
+            chaos: self.chaos.clone(),
+            ..StagedConfig::default()
+        };
+        run_staged_with(job, &config)
     }
 }
 

@@ -134,7 +134,6 @@ mod tests {
 
     #[test]
     fn redundant_states_converge_across_regions() {
-        let _g = rtdi_common::chaos::test_guard();
         let topo = topo();
         for i in 0..40 {
             let region = if i % 2 == 0 { "west" } else { "east" };
@@ -155,7 +154,6 @@ mod tests {
 
     #[test]
     fn failover_switches_writer_without_losing_results() {
-        let _g = rtdi_common::chaos::test_guard();
         let topo = topo();
         for i in 0..20 {
             topo.produce("west", event(i, "hexA", "demand"), i).unwrap();

@@ -181,7 +181,6 @@ mod tests {
 
     #[test]
     fn failover_loses_nothing_and_bounds_replay() {
-        let _g = rtdi_common::chaos::test_guard();
         let topo = MultiRegionTopology::new(
             &["west", "east"],
             "payments",
@@ -234,9 +233,7 @@ mod tests {
 
     #[test]
     fn failover_under_injected_replication_lag_loses_nothing() {
-        use rtdi_common::chaos::{self, FaultKind, FaultPlan, FaultPoint, Trigger};
-        let _g = chaos::test_guard();
-        chaos::registry().reset(0x1A65);
+        use rtdi_common::chaos::{FaultKind, FaultPlan, FaultPoint, Trigger};
         let topo = MultiRegionTopology::new(
             &["west", "east"],
             "payments",
@@ -260,7 +257,7 @@ mod tests {
             let region = if i % 2 == 0 { "west" } else { "east" };
             topo.produce(region, payment(i), i).unwrap();
         }
-        chaos::registry().arm(
+        topo.chaos().arm(
             FaultPoint::MultiregionReplicate,
             FaultPlan::fail(FaultKind::Timeout, Trigger::Always).with_burst(40, None),
         );
@@ -282,7 +279,7 @@ mod tests {
 
         // the links heal and west recovers; replication catches east up,
         // and the consumer drains from the translated resume point
-        chaos::registry().disarm_all();
+        topo.chaos().disarm(FaultPoint::MultiregionReplicate);
         topo.region("west").unwrap().set_down(false);
         topo.replicate(700);
         let after = consumer.consume_available(&topo).unwrap();
@@ -304,7 +301,6 @@ mod tests {
 
     #[test]
     fn failover_without_sync_data_restarts_from_earliest() {
-        let _g = rtdi_common::chaos::test_guard();
         let topo =
             MultiRegionTopology::new(&["a", "b"], "t", TopicConfig::default().with_partitions(1))
                 .unwrap();

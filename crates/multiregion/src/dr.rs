@@ -23,10 +23,10 @@ use crate::kv::ReplicatedKv;
 use crate::topology::MultiRegionTopology;
 use bytes::Bytes;
 use parking_lot::Mutex;
-use rtdi_common::chaos::{self, FaultKind, FaultPlan, Trigger};
+use rtdi_common::chaos::{FaultKind, FaultPlan, Trigger};
 use rtdi_common::{
-    Clock, Error, FaultPoint, FieldType, PipelineTracer, Record, RegionOutage, RegionOutageKind,
-    Result, Row, Schema, SimClock,
+    Chaos, Clock, Error, FaultPoint, FieldType, PipelineTracer, Record, RegionOutage,
+    RegionOutageKind, Result, Row, Schema, SimClock,
 };
 use rtdi_compute::jobmanager::JobType;
 use rtdi_compute::operator::{MapOp, Operator, OperatorOutput};
@@ -322,20 +322,20 @@ pub struct DrDrill {
 }
 
 impl DrDrill {
-    /// Build the platform under drill. Resets the global chaos registry
-    /// to `seed`; callers running inside a test binary must hold
-    /// [`chaos::test_guard`] for the drill's whole lifetime.
+    /// Build the platform under drill, on a fault-injection handle of its
+    /// own seeded with `seed` (reachable as the topology's).
     pub fn new(seed: u64, cfg: DrConfig) -> Result<Self> {
-        chaos::registry().reset(seed);
+        let chaos = Chaos::seeded(seed);
         let clock = Arc::new(SimClock::new(0));
         let region_names: Vec<&str> = cfg.regions.iter().map(|s| s.as_str()).collect();
-        let topo = MultiRegionTopology::with_clock(
+        let topo = MultiRegionTopology::with_chaos(
             &region_names,
             "trips",
             TopicConfig::lossless().with_partitions(cfg.partitions),
             clock.clone(),
+            chaos.clone(),
         )?;
-        let plan = chaos::registry().plan_region_outages(
+        let plan = chaos.plan_region_outages(
             &region_names,
             cfg.cycles,
             cfg.warmup_ms,
@@ -358,7 +358,7 @@ impl DrDrill {
         let stores: Vec<Arc<FaultyStore<InMemoryStore>>> = cfg
             .regions
             .iter()
-            .map(|_| Arc::new(FaultyStore::new(InMemoryStore::new())))
+            .map(|_| Arc::new(FaultyStore::new(InMemoryStore::new()).with_chaos(chaos.clone())))
             .collect();
         let mut rts = Vec::with_capacity(cfg.regions.len());
         for (i, name) in cfg.regions.iter().enumerate() {
@@ -402,7 +402,11 @@ impl DrDrill {
             });
         }
 
-        let jm = Arc::new(JobManager::new(StagedConfig::default(), 8));
+        let jm_config = StagedConfig {
+            chaos,
+            ..StagedConfig::default()
+        };
+        let jm = Arc::new(JobManager::new(jm_config, 8));
         membership.subscribe(jm.node_listener());
         jm.validate(&JobSpec {
             name: JOB.into(),
@@ -441,11 +445,6 @@ impl DrDrill {
             seq: 0,
             produce_cursor: 0,
         })
-    }
-
-    /// The planned outage schedule (for logging / assertions).
-    pub fn plan(&self) -> &[RegionOutage] {
-        &self.plan
     }
 
     fn rt_index(&self, region: &str) -> usize {
@@ -490,6 +489,7 @@ impl DrDrill {
         let cfg = StagedConfig {
             checkpoint_interval: self.cfg.checkpoint_interval,
             checkpoint_store: Some(rt.ckpts.clone()),
+            chaos: self.topo.chaos().clone(),
             ..StagedConfig::default()
         };
         run_staged_with(job, &cfg)?;
@@ -533,7 +533,7 @@ impl DrDrill {
                 self.region_killed.insert(outage.region.clone());
             }
             RegionOutageKind::AggregateLoss => region.fail_aggregate(),
-            RegionOutageKind::ReplicatorLag => chaos::registry().arm(
+            RegionOutageKind::ReplicatorLag => self.topo.chaos().arm(
                 FaultPoint::MultiregionReplicate,
                 FaultPlan::fail(FaultKind::Timeout, Trigger::Always),
             ),
@@ -556,7 +556,9 @@ impl DrDrill {
                 }
             }
             RegionOutageKind::AggregateLoss => region.heal_aggregate(),
-            RegionOutageKind::ReplicatorLag => chaos::registry().disarm_all(),
+            RegionOutageKind::ReplicatorLag => {
+                self.topo.chaos().disarm(FaultPoint::MultiregionReplicate)
+            }
         }
         Ok(resynced)
     }
@@ -934,7 +936,6 @@ mod tests {
 
     #[test]
     fn drill_runs_clean_with_zero_rpo() {
-        let _g = chaos::test_guard();
         let report = DrDrill::new(7, DrConfig::default()).unwrap().run().unwrap();
         assert!(report.committed > 0);
         assert_eq!(report.lost, 0, "RPO must be zero:\n{}", report.summary());
@@ -952,7 +953,6 @@ mod tests {
 
     #[test]
     fn drill_summary_is_seed_stable() {
-        let _g = chaos::test_guard();
         let a = DrDrill::new(42, DrConfig::default())
             .unwrap()
             .run()
@@ -974,14 +974,17 @@ mod tests {
 
     #[test]
     fn region_kill_failover_detects_and_restores_every_layer() {
-        let _g = chaos::test_guard();
         // scan seeds for a plan whose first strike is a region-kill of
         // the home region, so every layer must fail over
         let mut hit = None;
         for seed in 0..64 {
-            chaos::registry().reset(seed);
-            let plan =
-                chaos::registry().plan_region_outages(&["west", "east"], 1, 20_000, 40_000, 15_000);
+            let plan = Chaos::seeded(seed).plan_region_outages(
+                &["west", "east"],
+                1,
+                20_000,
+                40_000,
+                15_000,
+            );
             if plan[0].kind == RegionOutageKind::RegionKill && plan[0].region == "west" {
                 hit = Some(seed);
                 break;

@@ -3,7 +3,7 @@
 //! §6: "All the trip events are sent over to the Kafka regional cluster
 //! and then aggregated into the aggregate clusters for the global view."
 
-use rtdi_common::{Clock, Error, Membership, MembershipEvent, Record, Result, Timestamp};
+use rtdi_common::{Chaos, Clock, Error, Membership, MembershipEvent, Record, Result, Timestamp};
 use rtdi_stream::cluster::{Cluster, ClusterConfig};
 use rtdi_stream::replicator::{OffsetMappingStore, Replicator};
 use rtdi_stream::topic::TopicConfig;
@@ -51,33 +51,40 @@ pub struct Region {
 }
 
 impl Region {
-    pub fn new(name: &str) -> Region {
+    /// Both clusters take their faults from `chaos`.
+    pub fn new(name: &str, chaos: &Chaos) -> Region {
+        let cluster = |role: &str| {
+            Cluster::with_chaos(
+                format!("{name}-{role}"),
+                ClusterConfig::default(),
+                chaos.clone(),
+            )
+        };
         Region {
             name: name.to_string(),
             origin: name.into(),
-            regional: Cluster::new(format!("{name}-regional"), ClusterConfig::default()),
-            aggregate: Cluster::new(format!("{name}-aggregate"), ClusterConfig::default()),
+            regional: cluster("regional"),
+            aggregate: cluster("aggregate"),
         }
     }
 
     /// Build a region whose clusters join a shared membership view, so a
     /// region kill is detectable as a correlated burst of node deaths.
-    pub fn with_membership(name: &str, membership: Arc<Membership>) -> Region {
-        Region {
-            name: name.to_string(),
-            origin: name.into(),
-            regional: Cluster::with_membership(
-                format!("{name}-regional"),
+    pub fn with_membership(name: &str, membership: Arc<Membership>, chaos: &Chaos) -> Region {
+        let cluster = |role: &str| {
+            Cluster::with_membership(
+                format!("{name}-{role}"),
                 ClusterConfig::default(),
                 membership.clone(),
                 Some(name),
-            ),
-            aggregate: Cluster::with_membership(
-                format!("{name}-aggregate"),
-                ClusterConfig::default(),
-                membership,
-                Some(name),
-            ),
+                chaos.clone(),
+            )
+        };
+        Region {
+            name: name.to_string(),
+            origin: name.into(),
+            regional: cluster("regional"),
+            aggregate: cluster("aggregate"),
         }
     }
 
@@ -155,13 +162,19 @@ pub struct MultiRegionTopology {
     /// Shared failure detector across every cluster of every region
     /// (only when built via [`MultiRegionTopology::with_clock`]).
     membership: Option<Arc<Membership>>,
+    /// The one handle every cluster and replication route was built with.
+    chaos: Chaos,
 }
 
 impl MultiRegionTopology {
     /// Build `n` regions wired for `topic`.
     pub fn new(region_names: &[&str], topic: &str, config: TopicConfig) -> Result<Self> {
-        let regions: Vec<Region> = region_names.iter().map(|n| Region::new(n)).collect();
-        Self::wire(regions, topic, config, None)
+        let chaos = Chaos::default();
+        let regions: Vec<Region> = region_names
+            .iter()
+            .map(|n| Region::new(n, &chaos))
+            .collect();
+        Self::wire(regions, topic, config, None, chaos)
     }
 
     /// Build the topology on one shared membership view driven by
@@ -175,12 +188,24 @@ impl MultiRegionTopology {
         config: TopicConfig,
         clock: Arc<dyn Clock>,
     ) -> Result<Self> {
+        Self::with_chaos(region_names, topic, config, clock, Chaos::default())
+    }
+
+    /// [`MultiRegionTopology::with_clock`] under a fault-injection handle
+    /// the caller keeps a clone of.
+    pub fn with_chaos(
+        region_names: &[&str],
+        topic: &str,
+        config: TopicConfig,
+        clock: Arc<dyn Clock>,
+        chaos: Chaos,
+    ) -> Result<Self> {
         let membership = Membership::new(clock, rtdi_common::MembershipConfig::default());
         let regions: Vec<Region> = region_names
             .iter()
-            .map(|n| Region::with_membership(n, membership.clone()))
+            .map(|n| Region::with_membership(n, membership.clone(), &chaos))
             .collect();
-        Self::wire(regions, topic, config, Some(membership))
+        Self::wire(regions, topic, config, Some(membership), chaos)
     }
 
     fn wire(
@@ -188,6 +213,7 @@ impl MultiRegionTopology {
         topic: &str,
         config: TopicConfig,
         membership: Option<Arc<Membership>>,
+        chaos: Chaos,
     ) -> Result<Self> {
         let mappings = OffsetMappingStore::new();
         for r in &regions {
@@ -205,7 +231,8 @@ impl MultiRegionTopology {
                     topic,
                     mappings.clone(),
                     64,
-                );
+                )
+                .with_chaos(chaos.clone());
                 rep.prepare()?;
                 replicators.push(rep);
             }
@@ -216,7 +243,14 @@ impl MultiRegionTopology {
             mappings,
             topic: topic.to_string(),
             membership,
+            chaos,
         })
+    }
+
+    /// The topology's fault-injection handle: arm `multiregion.replicate`
+    /// or `stream.*` here to fail its routes and clusters.
+    pub fn chaos(&self) -> &Chaos {
+        &self.chaos
     }
 
     pub fn topic(&self) -> &str {
@@ -323,7 +357,6 @@ mod tests {
 
     #[test]
     fn aggregate_clusters_converge_to_global_view() {
-        let _g = rtdi_common::chaos::test_guard();
         let topo = MultiRegionTopology::new(
             &["us-west", "us-east"],
             "trips",
@@ -344,7 +377,6 @@ mod tests {
 
     #[test]
     fn downed_region_does_not_block_others() {
-        let _g = rtdi_common::chaos::test_guard();
         let topo = MultiRegionTopology::new(
             &["a", "b"],
             "trips",
@@ -366,7 +398,6 @@ mod tests {
 
     #[test]
     fn partial_degradation_reports_which_half_is_lost() {
-        let _g = rtdi_common::chaos::test_guard();
         let topo = MultiRegionTopology::new(
             &["a", "b"],
             "trips",

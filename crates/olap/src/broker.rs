@@ -11,8 +11,7 @@ use crate::query::{PartialAgg, PartialResult, Query, QueryResult};
 use crate::scatter::gather;
 use crate::segment::Segment;
 use parking_lot::RwLock;
-use rtdi_common::{chaos, fault_point};
-use rtdi_common::{AdmissionController, Error, FaultPoint, Permit, Priority, Result};
+use rtdi_common::{AdmissionController, Chaos, Error, FaultPoint, Permit, Priority, Result};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -20,31 +19,29 @@ use std::sync::Arc;
 /// One server node hosting segment replicas.
 pub struct ServerNode {
     id: usize,
-    /// Membership/chaos identity: a node downed by name in the chaos
-    /// registry (`FaultRegistry::kill_node`) reports itself down here too.
+    /// Membership/chaos identity: a node downed by name on `chaos`
+    /// ([`Chaos::kill_node`]) reports itself down here too.
     name: String,
     down: AtomicBool,
     segments: RwLock<HashMap<String, Arc<Segment>>>,
+    chaos: Chaos,
 }
 
 impl ServerNode {
     pub fn new(id: usize) -> Arc<Self> {
-        Self::named(id, format!("olap-server-{id}"))
+        Self::with_chaos(id, Chaos::default())
     }
 
-    /// A server with an explicit membership name (so heartbeat/chaos
-    /// infrastructure can address it).
-    pub fn named(id: usize, name: impl Into<String>) -> Arc<Self> {
+    /// A server whose segment serving fails, and which is down, when
+    /// `chaos` says so. Its membership name is `olap-server-{id}`.
+    pub fn with_chaos(id: usize, chaos: Chaos) -> Arc<Self> {
         Arc::new(ServerNode {
             id,
-            name: name.into(),
+            name: format!("olap-server-{id}"),
             down: AtomicBool::new(false),
             segments: RwLock::new(HashMap::new()),
+            chaos,
         })
-    }
-
-    pub fn id(&self) -> usize {
-        self.id
     }
 
     pub fn name(&self) -> &str {
@@ -56,7 +53,7 @@ impl ServerNode {
     }
 
     pub fn is_down(&self) -> bool {
-        self.down.load(Ordering::SeqCst) || chaos::registry().node_is_down(&self.name)
+        self.down.load(Ordering::SeqCst) || self.chaos.node_is_down(&self.name)
     }
 
     pub fn host(&self, segment: Arc<Segment>) {
@@ -76,7 +73,7 @@ impl ServerNode {
     /// Serve a peer-recovery fetch (§4.3.4: "server replicas can serve the
     /// archived segments in case of failures").
     pub fn fetch_segment(&self, name: &str) -> Result<Arc<Segment>> {
-        fault_point!(FaultPoint::OlapSegmentServe);
+        self.chaos.check(FaultPoint::OlapSegmentServe)?;
         if self.is_down() {
             return Err(Error::Unavailable(format!("server {} down", self.id)));
         }

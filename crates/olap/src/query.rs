@@ -138,12 +138,6 @@ impl Query {
         self
     }
 
-    /// Restrict the scatter to the given partition ids.
-    pub fn partitions(mut self, parts: &[usize]) -> Self {
-        self.partitions = Some(Arc::new(parts.to_vec()));
-        self
-    }
-
     /// Does the partition hint (if any) admit partition `p`? Segments with
     /// an unknown partition are always admitted.
     pub fn admits_partition(&self, p: Option<usize>) -> bool {

@@ -53,10 +53,6 @@ impl SegmentStore {
         }
     }
 
-    pub fn mode(&self) -> SegmentStoreMode {
-        self.mode
-    }
-
     fn key(table: &str, segment: &str) -> String {
         format!("segments/{table}/{segment}")
     }

@@ -133,10 +133,6 @@ impl HybridTable {
         &self.schema
     }
 
-    pub fn time_column(&self) -> &str {
-        &self.time_column
-    }
-
     pub fn partition_spec(&self) -> Option<(String, usize)> {
         self.partition_spec.clone()
     }

@@ -9,8 +9,7 @@
 
 use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
-use rtdi_common::fault_point;
-use rtdi_common::{Error, FaultPoint, Result};
+use rtdi_common::{Chaos, Error, FaultPoint, Result};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -61,7 +60,6 @@ impl InMemoryStore {
 
 impl ObjectStore for InMemoryStore {
     fn put(&self, key: &str, data: Bytes) -> Result<()> {
-        fault_point!(FaultPoint::StorageObjectPut);
         self.bytes_written
             .fetch_add(data.len() as u64, Ordering::Relaxed);
         self.objects.write().insert(key.to_string(), data);
@@ -69,7 +67,6 @@ impl ObjectStore for InMemoryStore {
     }
 
     fn get(&self, key: &str) -> Result<Bytes> {
-        fault_point!(FaultPoint::StorageObjectGet);
         self.objects
             .read()
             .get(key)
@@ -123,7 +120,6 @@ impl LocalFsStore {
 
 impl ObjectStore for LocalFsStore {
     fn put(&self, key: &str, data: Bytes) -> Result<()> {
-        fault_point!(FaultPoint::StorageObjectPut);
         let path = self.path_for(key)?;
         if let Some(parent) = path.parent() {
             std::fs::create_dir_all(parent)?;
@@ -136,7 +132,6 @@ impl ObjectStore for LocalFsStore {
     }
 
     fn get(&self, key: &str) -> Result<Bytes> {
-        fault_point!(FaultPoint::StorageObjectGet);
         let path = self.path_for(key)?;
         match std::fs::read(&path) {
             Ok(data) => Ok(Bytes::from(data)),
@@ -186,9 +181,9 @@ impl ObjectStore for LocalFsStore {
 /// Bandwidth/outage-modelling wrapper used by the failure experiments:
 /// the E13 centralized-segment-store bottleneck models the archive as a
 /// store with limited upload bandwidth; availability experiments flip the
-/// store into a failing state. (Transient per-operation faults are no
-/// longer modelled here — arm the `storage.object_put/get` chaos points
-/// instead.)
+/// store into a failing state; transient per-operation faults come from
+/// the `storage.object_put/get` points of the [`Chaos`] handle it was
+/// given ([`FaultyStore::with_chaos`]). The plain stores check nothing.
 pub struct FaultyStore<S> {
     inner: S,
     /// Simulated per-put latency in microseconds of busy-wait-free delay
@@ -199,6 +194,7 @@ pub struct FaultyStore<S> {
     /// Serializes puts, modelling a single-controller upload path.
     serialize_puts: bool,
     put_lock: Mutex<()>,
+    chaos: Chaos,
 }
 
 impl<S: ObjectStore> FaultyStore<S> {
@@ -209,7 +205,14 @@ impl<S: ObjectStore> FaultyStore<S> {
             down: std::sync::atomic::AtomicBool::new(false),
             serialize_puts: false,
             put_lock: Mutex::new(()),
+            chaos: Chaos::default(),
         }
+    }
+
+    /// Puts and gets fail when `chaos` says so.
+    pub fn with_chaos(mut self, chaos: Chaos) -> Self {
+        self.chaos = chaos;
+        self
     }
 
     /// Model a slow archive: every put takes at least `us` microseconds.
@@ -241,6 +244,7 @@ impl<S: ObjectStore> FaultyStore<S> {
 impl<S: ObjectStore> ObjectStore for FaultyStore<S> {
     fn put(&self, key: &str, data: Bytes) -> Result<()> {
         self.check_up()?;
+        self.chaos.check(FaultPoint::StorageObjectPut)?;
         let delay = self.put_delay_us.load(Ordering::Relaxed);
         if self.serialize_puts {
             let _g = self.put_lock.lock();
@@ -258,6 +262,7 @@ impl<S: ObjectStore> ObjectStore for FaultyStore<S> {
 
     fn get(&self, key: &str) -> Result<Bytes> {
         self.check_up()?;
+        self.chaos.check(FaultPoint::StorageObjectGet)?;
         self.inner.get(key)
     }
 
@@ -434,6 +439,30 @@ mod tests {
         ));
         s.set_down(false);
         assert_eq!(s.get("k").unwrap(), Bytes::from_static(b"v"));
+    }
+
+    #[test]
+    fn chaos_point_fails_every_nth_put() {
+        use rtdi_common::chaos::{FaultKind, FaultPlan, Trigger};
+        let chaos = Chaos::seeded(0x5707A6E);
+        chaos.arm(
+            FaultPoint::StorageObjectPut,
+            FaultPlan::fail(FaultKind::Unavailable, Trigger::EveryNth(3)),
+        );
+        let s = FaultyStore::new(InMemoryStore::new()).with_chaos(chaos.clone());
+        // a store that was not given the handle is out of its reach
+        let bystander = FaultyStore::new(InMemoryStore::new());
+        let mut failures = 0;
+        for i in 0..9 {
+            if s.put(&format!("k{i}"), Bytes::new()).is_err() {
+                failures += 1;
+            }
+            bystander.put(&format!("k{i}"), Bytes::new()).unwrap();
+        }
+        assert_eq!(failures, 3);
+        assert_eq!(s.inner().object_count(), 6);
+        assert_eq!(bystander.inner().object_count(), 9);
+        assert_eq!(chaos.stats(FaultPoint::StorageObjectPut), (9, 3));
     }
 
     #[test]

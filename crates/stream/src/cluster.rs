@@ -12,17 +12,16 @@
 //! member (`{cluster}-n{i}`) of a shared [`Membership`] view. Topic
 //! partitions are placed across live nodes with replication-factor
 //! spread, node death (declared by the heartbeat failure detector or by a
-//! chaos [`rtdi_common::chaos::FaultRegistry::kill_node`]) triggers
+//! [`Cluster::kill_node`] on the cluster's [`Chaos`] handle) triggers
 //! leader failover on every partition the node led, and recovery rejoins
 //! it to the ISRs.
 
 use crate::replica::FailoverEvent;
 use crate::topic::{Topic, TopicConfig};
 use parking_lot::RwLock;
-use rtdi_common::chaos;
 use rtdi_common::{
-    Clock, Error, Membership, MembershipConfig, MembershipEvent, MembershipListener, NodeState,
-    Record, Result, SimClock, Timestamp,
+    Chaos, Clock, Error, Membership, MembershipConfig, MembershipEvent, MembershipListener,
+    NodeState, Record, Result, SimClock, Timestamp,
 };
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -57,6 +56,9 @@ pub struct Cluster {
     /// Simulated total-cluster failure (for federation failover tests).
     down: AtomicBool,
     membership: Arc<Membership>,
+    /// Which brokers are chaos-downed, and the handle every topic created
+    /// here and both [`crate::producer::StreamEndpoint`] edges check.
+    pub(crate) chaos: Chaos,
 }
 
 /// Fans membership transitions out to every topic's replica sets:
@@ -90,7 +92,14 @@ impl MembershipListener for TopicFailoverFanout {
 
 impl Cluster {
     pub fn new(name: impl Into<String>, config: ClusterConfig) -> Arc<Self> {
-        Self::with_clock(name, config, Arc::new(SimClock::new(0)))
+        Self::with_chaos(name, config, Chaos::default())
+    }
+
+    /// [`Cluster::new`] under a fault-injection handle the caller keeps a
+    /// clone of.
+    pub fn with_chaos(name: impl Into<String>, config: ClusterConfig, chaos: Chaos) -> Arc<Self> {
+        let membership = Membership::new(Arc::new(SimClock::new(0)), MembershipConfig::default());
+        Self::with_membership(name, config, membership, None, chaos)
     }
 
     /// Create a cluster whose membership/failure detection runs on the
@@ -101,7 +110,7 @@ impl Cluster {
         clock: Arc<dyn Clock>,
     ) -> Arc<Self> {
         let membership = Membership::new(clock, MembershipConfig::default());
-        Self::with_membership(name, config, membership, None)
+        Self::with_membership(name, config, membership, None, Chaos::default())
     }
 
     /// Create a cluster joining an existing (shared) membership view,
@@ -115,6 +124,7 @@ impl Cluster {
         config: ClusterConfig,
         membership: Arc<Membership>,
         region: Option<&str>,
+        chaos: Chaos,
     ) -> Arc<Self> {
         let name = name.into();
         let cluster = Arc::new(Cluster {
@@ -123,6 +133,7 @@ impl Cluster {
             topics: RwLock::new(BTreeMap::new()),
             down: AtomicBool::new(false),
             membership,
+            chaos,
         });
         for node in cluster.node_names() {
             match region {
@@ -138,10 +149,6 @@ impl Cluster {
 
     pub fn name(&self) -> &str {
         &self.name
-    }
-
-    pub fn nodes(&self) -> usize {
-        self.config.nodes
     }
 
     /// Names of every broker this cluster was sized with, dead or alive.
@@ -190,7 +197,7 @@ impl Cluster {
     /// this on every cluster and then ticks the shared membership once.
     pub fn heartbeat_nodes(&self) {
         for node in self.node_names() {
-            if !chaos::registry().node_is_down(&node) {
+            if !self.chaos.node_is_down(&node) {
                 self.membership.heartbeat(&node);
             }
         }
@@ -201,7 +208,7 @@ impl Cluster {
     /// detector must notice the correlated burst of missed deadlines.
     pub fn fail_all_nodes_silently(&self) {
         for node in self.node_names() {
-            chaos::registry().kill_node(&node);
+            self.chaos.kill_node(&node);
         }
     }
 
@@ -213,29 +220,29 @@ impl Cluster {
         }
     }
 
-    /// Kill a broker abruptly and *announce* it (chaos registry + pinned
+    /// Kill a broker abruptly and *announce* it (chaos handle + pinned
     /// membership kill): partitions fail over immediately. Use
     /// [`Cluster::fail_node_silently`] to exercise the detection path
     /// instead. Returns false if the node was already down.
     pub fn kill_node(&self, node: &str) -> bool {
-        let newly = chaos::registry().kill_node(node);
+        let newly = self.chaos.kill_node(node);
         self.membership.kill(node);
         newly
     }
 
-    /// Kill a broker silently: it stops heartbeating (the chaos registry
+    /// Kill a broker silently: it stops heartbeating (the chaos handle
     /// marks it down so [`Cluster::heartbeat_tick`] skips it) but nothing
     /// is announced — the failure detector must notice the missed
     /// deadlines. Returns false if the node was already down.
     pub fn fail_node_silently(&self, node: &str) -> bool {
-        chaos::registry().kill_node(node)
+        self.chaos.kill_node(node)
     }
 
     /// Bring a downed broker back: heartbeats resume and it rejoins every
     /// ISR (catching up from shared storage). Works for both announced
     /// and silent kills.
     pub fn heal_node(&self, node: &str) -> bool {
-        let newly = chaos::registry().heal_node(node);
+        let newly = self.chaos.heal_node(node);
         self.membership.revive(node);
         newly
     }
@@ -311,7 +318,8 @@ impl Cluster {
                 self.name
             )));
         }
-        let topic = Arc::new(Topic::with_placement(name, config, &live)?);
+        let topic =
+            Arc::new(Topic::with_placement(name, config, &live)?.with_chaos(self.chaos.clone()));
         topics.insert(name.to_string(), topic.clone());
         Ok(topic)
     }
@@ -487,8 +495,6 @@ mod tests {
 
     #[test]
     fn announced_kill_fails_partitions_over_immediately() {
-        let _g = chaos::test_guard();
-        chaos::registry().reset(0);
         let c = Cluster::new(
             "agg",
             ClusterConfig {
@@ -518,13 +524,10 @@ mod tests {
         assert!(c.failover_log().contains(&victim));
         c.heal_node(&victim);
         assert_eq!(t.replica_status(0).unwrap().isr.len(), 3);
-        chaos::registry().reset(0);
     }
 
     #[test]
     fn silent_failure_is_detected_by_deadline_and_healed() {
-        let _g = chaos::test_guard();
-        chaos::registry().reset(0);
         let clock = Arc::new(SimClock::new(0));
         let c = Cluster::with_clock(
             "agg",
@@ -560,13 +563,10 @@ mod tests {
         clock.advance(interval);
         c.heartbeat_tick();
         assert_eq!(t.replica_status(0).unwrap().isr.len(), 3);
-        chaos::registry().reset(0);
     }
 
     #[test]
     fn placement_skips_dead_nodes() {
-        let _g = chaos::test_guard();
-        chaos::registry().reset(0);
         let c = Cluster::new(
             "agg",
             ClusterConfig {
@@ -584,6 +584,5 @@ mod tests {
             );
         }
         c.heal_node("agg-n0");
-        chaos::registry().reset(0);
     }
 }

@@ -84,10 +84,6 @@ impl ConsumerGroup {
         &self.name
     }
 
-    pub fn subscription(&self) -> &TopicSubscription {
-        &self.subscription
-    }
-
     /// Add a member and rebalance. Returns the new generation.
     pub fn join(&self, member: &str) -> u64 {
         let mut st = self.state.write();
@@ -311,6 +307,35 @@ mod tests {
         let replay = g.poll(owner, 10).unwrap();
         assert_eq!(replay[0].offset, 5, "uncommitted records must replay");
         assert_eq!(replay.len(), 5);
+    }
+
+    /// §4.1.3: a member leaving hands its partitions to the survivors in
+    /// a new generation, and what it had polled but not committed replays.
+    #[test]
+    fn leave_rebalances_to_the_survivors_and_replays_uncommitted() {
+        let t = topic_with(2, 20);
+        let g = ConsumerGroup::new("g", TopicSubscription::new(t));
+        g.join("a");
+        let joined = g.join("b");
+        assert_eq!(g.members(), vec!["a".to_string(), "b".to_string()]);
+        let of_b = g.assignment("b");
+        assert_eq!((g.assignment("a").len(), of_b.len()), (1, 1));
+        let polled = g.poll("b", 100).unwrap();
+        assert!(!polled.is_empty(), "both partitions hold records");
+        // b goes away without committing
+        assert_eq!(g.leave("b"), joined + 1);
+        assert_eq!(g.generation(), joined + 1);
+        assert_eq!(g.members(), vec!["a".to_string()]);
+        assert_eq!(g.assignment("a"), vec![0, 1]);
+        assert!(g.poll("b", 1).is_err(), "a member that left cannot poll");
+        let replayed = g.poll("a", 100).unwrap();
+        assert_eq!(replayed.len(), 20, "a now reads both partitions from 0");
+        assert!(polled.iter().all(|r| replayed
+            .iter()
+            .any(|q| q.offset == r.offset && q.record == r.record)));
+        // the last member leaving leaves nothing assigned
+        g.leave("a");
+        assert!(g.members().is_empty() && g.assignment("a").is_empty());
     }
 
     #[test]

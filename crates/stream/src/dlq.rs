@@ -10,7 +10,7 @@ use crate::log::PartitionLog;
 use crate::producer::StreamEndpoint;
 use crate::topic::{Topic, TopicConfig};
 use rtdi_common::record::headers;
-use rtdi_common::{Error, Record, Result, RetryPolicy, Timestamp};
+use rtdi_common::{Chaos, Error, Record, Result, RetryPolicy, Timestamp};
 use std::sync::Arc;
 
 /// Why a record was parked. A closed enum (stamped into the
@@ -77,7 +77,7 @@ impl std::fmt::Display for ParkReason {
 pub struct DeadLetterQueue {
     /// Name of the topic whose poison messages land here.
     source_topic: String,
-    dlq: Arc<Topic>,
+    dlq: Topic,
     /// The queue's one partition: what depth, peek, purge and merge read.
     log: Arc<PartitionLog>,
 }
@@ -87,7 +87,7 @@ impl DeadLetterQueue {
         let source_topic = source_topic.into();
         // DLQ uses a single partition: ordering across poison messages is
         // irrelevant and it simplifies drain/merge.
-        let dlq = Arc::new(Topic::new(
+        let dlq = Topic::new(
             format!("{source_topic}.dlq"),
             TopicConfig {
                 partitions: 1,
@@ -95,7 +95,7 @@ impl DeadLetterQueue {
                 retention_bytes: 0,
                 ..TopicConfig::lossless()
             },
-        )?);
+        )?;
         let log = dlq
             .partition(0)
             .cloned()
@@ -107,8 +107,10 @@ impl DeadLetterQueue {
         })
     }
 
-    pub fn source_topic(&self) -> &str {
-        &self.source_topic
+    /// Replication of the queue's own topic fails when `chaos` says so.
+    pub fn with_chaos(mut self, chaos: Chaos) -> Self {
+        self.dlq = self.dlq.with_chaos(chaos);
+        self
     }
 
     /// Park a message that cannot be processed. The classified reason,
@@ -284,7 +286,6 @@ mod tests {
 
     #[test]
     fn merge_republishes_to_source_topic() {
-        let _g = rtdi_common::chaos::test_guard();
         let cluster = Cluster::new("c", ClusterConfig::default());
         cluster
             .create_topic("trips", TopicConfig::default().with_partitions(1))
@@ -312,7 +313,6 @@ mod tests {
 
     #[test]
     fn merge_shares_the_parked_record_unless_its_retry_counter_is_stale() {
-        let _g = rtdi_common::chaos::test_guard();
         let cluster = Cluster::new("c", ClusterConfig::default());
         cluster
             .create_topic("trips", TopicConfig::default().with_partitions(1))
@@ -338,20 +338,20 @@ mod tests {
 
     #[test]
     fn parking_survives_a_replication_outage_of_the_queue_itself() {
-        use rtdi_common::chaos::{self, FaultKind, FaultPlan, FaultPoint, Trigger};
-        let _g = chaos::test_guard();
-        chaos::registry().reset(0xD2);
-        let dlq = DeadLetterQueue::new("trips").unwrap();
+        use rtdi_common::chaos::{FaultKind, FaultPlan, FaultPoint, Trigger};
+        let chaos = Chaos::seeded(0xD2);
+        let dlq = DeadLetterQueue::new("trips")
+            .unwrap()
+            .with_chaos(chaos.clone());
         // followers stop acknowledging: after three strikes each the
         // acks=all queue refuses appends, which used to panic the parker
-        chaos::registry().arm(
+        chaos.arm(
             FaultPoint::StreamReplicate,
             FaultPlan::fail(FaultKind::Timeout, Trigger::Always),
         );
         for i in 0..6 {
             dlq.park(rec(i), ParkReason::Poison, "x", i);
         }
-        chaos::registry().reset(0);
         assert_eq!(dlq.depth(), 6);
         let ids: Vec<_> = dlq.peek(10).iter().map(|r| r.value.get_int("i")).collect();
         assert_eq!(ids, (0..6).map(Some).collect::<Vec<_>>());
@@ -461,10 +461,9 @@ mod tests {
 
     #[test]
     fn merge_keeps_unsent_tail_when_endpoint_dies_mid_merge() {
-        use rtdi_common::chaos::{self, FaultKind, FaultPlan, FaultPoint, Trigger};
-        let _g = chaos::test_guard();
-        chaos::registry().reset(0xD1);
-        let cluster = Cluster::new("c", ClusterConfig::default());
+        use rtdi_common::chaos::{FaultKind, FaultPlan, FaultPoint, Trigger};
+        let chaos = Chaos::seeded(0xD1);
+        let cluster = Cluster::with_chaos("c", ClusterConfig::default(), chaos.clone());
         cluster
             .create_topic("trips", TopicConfig::default().with_partitions(1))
             .unwrap();
@@ -474,12 +473,12 @@ mod tests {
         }
         // the stream endpoint accepts the first 2 appends, then the
         // cluster edge goes hard-down
-        chaos::registry().arm(
+        chaos.arm(
             FaultPoint::StreamAppend,
             FaultPlan::fail(FaultKind::Unavailable, Trigger::Always).with_burst(2, None),
         );
         assert!(dlq.merge(cluster.as_ref(), 10).is_err());
-        chaos::registry().disarm_all();
+        chaos.disarm(FaultPoint::StreamAppend);
         // exactly the sent prefix was dropped from the DLQ...
         let published = cluster
             .topic("trips")

@@ -22,8 +22,9 @@ use crate::log::FetchResult;
 use crate::producer::StreamEndpoint;
 use crate::topic::{Topic, TopicConfig};
 use parking_lot::RwLock;
-use rtdi_common::fault_point;
-use rtdi_common::{Error, FaultPoint, PipelineTracer, Record, Result, Timestamp, TraceStage};
+use rtdi_common::{
+    Chaos, Error, FaultPoint, PipelineTracer, Record, Result, Timestamp, TraceStage,
+};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -86,6 +87,7 @@ impl Inner {
 #[derive(Clone)]
 pub struct FederatedCluster {
     inner: Arc<RwLock<Inner>>,
+    chaos: Chaos,
 }
 
 impl FederatedCluster {
@@ -98,7 +100,14 @@ impl FederatedCluster {
                 tracer: None,
                 chaperone: None,
             })),
+            chaos: Chaos::default(),
         }
+    }
+
+    /// Sends and fetches through the federation fail when `chaos` says so.
+    pub fn with_chaos(mut self, chaos: Chaos) -> Self {
+        self.chaos = chaos;
+        self
     }
 
     /// Enable freshness tracing on every append through the federation:
@@ -273,7 +282,7 @@ impl Default for FederatedCluster {
 
 impl StreamEndpoint for FederatedCluster {
     fn send(&self, topic: &str, mut record: Arc<Record>, now: Timestamp) -> Result<(usize, u64)> {
-        fault_point!(FaultPoint::StreamAppend);
+        self.chaos.check(FaultPoint::StreamAppend)?;
         let route = self.resolve(topic)?;
         if let Some(stage) = &route.trace {
             stage.observe_last_hop(&record, now);
@@ -290,7 +299,7 @@ impl StreamEndpoint for FederatedCluster {
     }
 
     fn fetch(&self, topic: &str, partition: usize, offset: u64, max: usize) -> Result<FetchResult> {
-        fault_point!(FaultPoint::StreamFetch);
+        self.chaos.check(FaultPoint::StreamFetch)?;
         self.resolve(topic)?.topic.fetch(partition, offset, max)
     }
 
@@ -324,22 +333,21 @@ mod tests {
     #[test]
     fn injected_fetch_faults_surface_and_clear() {
         use crate::producer::StreamEndpoint;
-        use rtdi_common::chaos::{self, FaultKind, FaultPlan, FaultPoint, Trigger};
-        let _g = chaos::test_guard();
-        chaos::registry().reset(0xFE7C);
-        let fed = FederatedCluster::new();
+        use rtdi_common::chaos::{FaultKind, FaultPlan, FaultPoint, Trigger};
+        let chaos = Chaos::seeded(0xFE7C);
+        let fed = FederatedCluster::new().with_chaos(chaos.clone());
         fed.add_cluster(small_cluster("c1", 16));
         fed.create_topic("t", TopicConfig::default().with_partitions(1))
             .unwrap();
         fed.send("t", rec(1).into(), 0).unwrap();
         // every 2nd fetch through the federation endpoint times out
-        chaos::registry().arm(
+        chaos.arm(
             FaultPoint::StreamFetch,
             FaultPlan::fail(FaultKind::Timeout, Trigger::EveryNth(2)),
         );
         assert_eq!(fed.fetch("t", 0, 0, 10).unwrap().records.len(), 1);
         assert!(matches!(fed.fetch("t", 0, 0, 10), Err(Error::Timeout(_))));
-        chaos::registry().disarm_all();
+        chaos.disarm(FaultPoint::StreamFetch);
         assert_eq!(fed.fetch("t", 0, 0, 10).unwrap().records.len(), 1);
     }
 
@@ -387,9 +395,6 @@ mod tests {
 
     #[test]
     fn placement_skips_cluster_with_all_brokers_dead() {
-        use rtdi_common::chaos;
-        let _g = chaos::test_guard();
-        chaos::registry().reset(0);
         let fed = FederatedCluster::new();
         let c1 = small_cluster("c1", 100);
         fed.add_cluster(c1.clone());
@@ -404,7 +409,6 @@ mod tests {
             "placement skips the brokerless cluster"
         );
         c1.heal_node("c1-n0");
-        chaos::registry().reset(0);
     }
 
     #[test]

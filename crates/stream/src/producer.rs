@@ -7,7 +7,6 @@
 
 use crate::log::FetchResult;
 use parking_lot::Mutex;
-use rtdi_common::fault_point;
 use rtdi_common::{
     Clock, Error, FaultPoint, Quota, RateLimiter, Record, Result, RetryPolicy, Timestamp, UniqueId,
     WallClock,
@@ -28,12 +27,12 @@ pub trait StreamEndpoint: Send + Sync {
 
 impl StreamEndpoint for crate::cluster::Cluster {
     fn send(&self, topic: &str, record: Arc<Record>, now: Timestamp) -> Result<(usize, u64)> {
-        fault_point!(FaultPoint::StreamAppend);
+        self.chaos.check(FaultPoint::StreamAppend)?;
         self.produce(topic, record, now)
     }
 
     fn fetch(&self, topic: &str, partition: usize, offset: u64, max: usize) -> Result<FetchResult> {
-        fault_point!(FaultPoint::StreamFetch);
+        self.chaos.check(FaultPoint::StreamFetch)?;
         self.topic(topic)?.fetch(partition, offset, max)
     }
 
@@ -82,6 +81,7 @@ pub struct Producer {
     /// budget surfaces `Error::Overloaded` and is counted as shed.
     quotas: Mutex<BTreeMap<String, Arc<RateLimiter>>>,
     shed: AtomicU64,
+    retries: AtomicU64,
 }
 
 impl Producer {
@@ -105,6 +105,7 @@ impl Producer {
             sent: AtomicU64::new(0),
             quotas: Mutex::new(BTreeMap::new()),
             shed: AtomicU64::new(0),
+            retries: AtomicU64::new(0),
         }
     }
 
@@ -139,12 +140,16 @@ impl Producer {
         // retryable, so a throttled send backs off and tries again while
         // the bucket refills before surfacing.
         let policy = RetryPolicy::new(self.config.max_retries as u32 + 1);
-        let result = policy.run(|_| {
+        let (result, attempts) = policy.run_with_attempts(&mut |_| {
             if let Some(limiter) = &limiter {
                 limiter.acquire(1, topic)?;
             }
             self.endpoint.send(topic, Arc::clone(&record), now)
         });
+        if attempts > 1 {
+            self.retries
+                .fetch_add(attempts as u64 - 1, Ordering::Relaxed);
+        }
         match result {
             Ok(_) => {
                 self.sent.fetch_add(1, Ordering::Relaxed);
@@ -167,6 +172,11 @@ impl Producer {
     /// Records refused by a topic quota (after the retry budget).
     pub fn records_shed(&self) -> u64 {
         self.shed.load(Ordering::Relaxed)
+    }
+
+    /// Send attempts beyond the first, over every `send` so far.
+    pub fn retries(&self) -> u64 {
+        self.retries.load(Ordering::Relaxed)
     }
 }
 
@@ -323,6 +333,7 @@ mod tests {
         p.send("t", Record::new(Row::new(), 0)).unwrap();
         assert_eq!(c.topic("t").unwrap().total_records(), 1);
         assert_eq!(p.records_sent(), 1);
+        assert_eq!(p.retries(), 2, "this producer's own retries");
 
         // too many failures -> surfaced
         let flaky = Arc::new(Flaky {
@@ -331,5 +342,10 @@ mod tests {
         });
         let p = Producer::with_clock(flaky, ProducerConfig::default(), clock);
         assert!(p.send("t", Record::new(Row::new(), 0)).is_err());
+        assert_eq!(
+            p.retries(),
+            3,
+            "the budget of 3, none of the first producer's"
+        );
     }
 }

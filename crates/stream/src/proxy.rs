@@ -22,7 +22,7 @@ use crate::log::OffsetRecord;
 use parking_lot::Mutex;
 use rtdi_common::record::headers;
 use rtdi_common::{
-    AdmissionController, Clock, Error, FaultPoint, PipelineTracer, Priority, Record, Result,
+    AdmissionController, Chaos, Clock, Error, FaultPoint, PipelineTracer, Priority, Record, Result,
     RetryPolicy, TraceStage,
 };
 use std::collections::{BTreeMap, BTreeSet};
@@ -143,6 +143,7 @@ pub struct ConsumerProxy {
     service: Arc<dyn ConsumerService>,
     dlq: Arc<DeadLetterQueue>,
     trace: Option<(TraceStage, Arc<dyn Clock>)>,
+    chaos: Chaos,
 }
 
 impl ConsumerProxy {
@@ -156,7 +157,14 @@ impl ConsumerProxy {
             service,
             dlq,
             trace: None,
+            chaos: Chaos::default(),
         }
+    }
+
+    /// Dispatches fail when `chaos` says so.
+    pub fn with_chaos(mut self, chaos: Chaos) -> Self {
+        self.chaos = chaos;
+        self
     }
 
     /// Record, under `pipeline`'s `"proxy-dispatch"` stage, how long each
@@ -300,7 +308,7 @@ impl ConsumerProxy {
         // retry budget and DLQ hand-off
         let policy = RetryPolicy::new(self.config.max_attempts as u32);
         let (result, attempts) = policy.run_with_attempts(&mut |_| {
-            rtdi_common::chaos::check(FaultPoint::ProxyDispatch)?;
+            self.chaos.check(FaultPoint::ProxyDispatch)?;
             self.service.process(record)
         });
         if attempts > 1 {

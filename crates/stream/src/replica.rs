@@ -22,8 +22,7 @@
 
 use crate::log::{FetchResult, PartitionLog};
 use parking_lot::RwLock;
-use rtdi_common::chaos::{self, FaultPoint};
-use rtdi_common::{Error, Record, Result, Timestamp};
+use rtdi_common::{Chaos, Error, FaultPoint, Record, Result, Timestamp};
 use std::sync::Arc;
 
 /// Consecutive failed replication attempts before a follower is dropped
@@ -126,6 +125,7 @@ pub struct ReplicaSet {
     partition: usize,
     log: Arc<PartitionLog>,
     inner: RwLock<ReplicaInner>,
+    chaos: Chaos,
 }
 
 impl ReplicaSet {
@@ -146,7 +146,14 @@ impl ReplicaSet {
                 committed: start,
                 assignment,
             }),
+            chaos: Chaos::default(),
         }
+    }
+
+    /// Follower replication fails when `chaos` says so.
+    pub fn with_chaos(mut self, chaos: Chaos) -> Self {
+        self.chaos = chaos;
+        self
     }
 
     pub fn status(&self) -> ReplicaStatus {
@@ -214,7 +221,7 @@ impl ReplicaSet {
             if f == leader || inner.down & (1 << f) != 0 {
                 continue;
             }
-            match chaos::check(FaultPoint::StreamReplicate) {
+            match self.chaos.check(FaultPoint::StreamReplicate) {
                 Ok(()) => inner.caught_up(f, end),
                 Err(_) => {
                     inner.strikes[f] += 1;
@@ -335,6 +342,11 @@ mod tests {
         )
     }
 
+    fn rs_with_chaos(nodes: &[&str], seed: u64) -> (ReplicaSet, Chaos) {
+        let chaos = Chaos::seeded(seed);
+        (rs(nodes).with_chaos(chaos.clone()), chaos)
+    }
+
     #[test]
     fn replicated_append_commits_through_full_isr() {
         let r = rs(&["n0", "n1", "n2"]);
@@ -366,22 +378,20 @@ mod tests {
 
     #[test]
     fn failover_truncates_only_uncommitted_tail() {
-        let _g = chaos::test_guard();
-        chaos::registry().reset(0xFA11);
-        let r = rs(&["n0", "n1"]);
+        let (r, chaos) = rs_with_chaos(&["n0", "n1"], 0xFA11);
         // replicate 5 records cleanly...
         for i in 0..5 {
             r.append(rec(i), 0, false, 1).unwrap();
         }
         // ...then the follower stops replicating: strikes shrink the ISR
-        chaos::registry().arm(
+        chaos.arm(
             FaultPoint::StreamReplicate,
             FaultPlan::fail(FaultKind::Timeout, Trigger::Always),
         );
         for i in 5..12 {
             r.append(rec(i), 0, false, 1).unwrap();
         }
-        chaos::registry().disarm_all();
+        chaos.disarm(FaultPoint::StreamReplicate);
         let st = r.status();
         assert_eq!(st.isr, vec!["n0".to_string()], "lagging follower dropped");
         assert_eq!(st.log_end, 12);
@@ -405,21 +415,19 @@ mod tests {
 
     #[test]
     fn clean_failover_to_in_sync_follower_truncates_unreplicated_tail() {
-        let _g = chaos::test_guard();
-        chaos::registry().reset(0xFA12);
-        let r = rs(&["n0", "n1"]);
+        let (r, chaos) = rs_with_chaos(&["n0", "n1"], 0xFA12);
         for i in 0..5 {
             r.append(rec(i), 0, false, 1).unwrap();
         }
         // follower misses 2 records (strikes below the ISR-drop threshold)
-        chaos::registry().arm(
+        chaos.arm(
             FaultPoint::StreamReplicate,
             FaultPlan::fail(FaultKind::Timeout, Trigger::Always).with_max_fires(2),
         );
         for i in 5..7 {
             r.append(rec(i), 0, false, 1).unwrap();
         }
-        chaos::registry().disarm_all();
+        chaos.disarm(FaultPoint::StreamReplicate);
         let st = r.status();
         assert_eq!(st.isr.len(), 2, "2 strikes < {MAX_REPLICA_STRIKES}");
         assert_eq!(st.committed, 5, "watermark held back by lagging follower");
@@ -452,18 +460,16 @@ mod tests {
 
     #[test]
     fn consumers_never_see_past_committed_watermark() {
-        let _g = chaos::test_guard();
-        chaos::registry().reset(0xFA13);
-        let r = rs(&["n0", "n1"]);
+        let (r, chaos) = rs_with_chaos(&["n0", "n1"], 0xFA13);
         for i in 0..4 {
             r.append(rec(i), 0, false, 1).unwrap();
         }
-        chaos::registry().arm(
+        chaos.arm(
             FaultPoint::StreamReplicate,
             FaultPlan::fail(FaultKind::Timeout, Trigger::Always).with_max_fires(1),
         );
         r.append(rec(4), 0, false, 1).unwrap();
-        chaos::registry().disarm_all();
+        chaos.disarm(FaultPoint::StreamReplicate);
         let f = r.fetch(0, 100).unwrap();
         assert_eq!(f.records.len(), 4, "unacked record invisible");
         assert_eq!(f.high_watermark, 4);

@@ -18,7 +18,7 @@
 
 use crate::cluster::Cluster;
 use parking_lot::RwLock;
-use rtdi_common::{Error, FaultPoint, Result, RetryPolicy, Timestamp};
+use rtdi_common::{Chaos, Error, FaultPoint, Result, RetryPolicy, Timestamp};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -219,6 +219,7 @@ pub struct Replicator {
     checkpoint_interval: u64,
     /// next source offset to replicate, per partition
     positions: RwLock<BTreeMap<usize, u64>>,
+    chaos: Chaos,
 }
 
 impl Replicator {
@@ -238,7 +239,14 @@ impl Replicator {
             mappings,
             checkpoint_interval: checkpoint_interval.max(1),
             positions: RwLock::new(BTreeMap::new()),
+            chaos: Chaos::default(),
         }
+    }
+
+    /// Copies across the route fail when `chaos` says so.
+    pub fn with_chaos(mut self, chaos: Chaos) -> Self {
+        self.chaos = chaos;
+        self
     }
 
     /// Ensure the destination topic exists with the same partitioning.
@@ -311,7 +319,7 @@ impl Replicator {
                     // cross-region failure would. Every attempt offers the
                     // source log's own record: the two logs share it.
                     let dst_offset = match policy.run(|_| {
-                        rtdi_common::chaos::check(FaultPoint::MultiregionReplicate)?;
+                        self.chaos.check(FaultPoint::MultiregionReplicate)?;
                         dst.append_to(p, Arc::clone(&rec.record), now)
                     }) {
                         Ok(off) => off,
@@ -486,9 +494,8 @@ mod tests {
 
     #[test]
     fn replication_retries_faults_and_resumes_after_outage_without_duplication() {
-        use rtdi_common::chaos::{self, FaultKind, FaultPlan, Trigger};
-        let _g = chaos::test_guard();
-        chaos::registry().reset(0x5EED);
+        use rtdi_common::chaos::{FaultKind, FaultPlan, Trigger};
+        let chaos = Chaos::seeded(0x5EED);
         let src = cluster_with_topic("regional");
         let dst = Cluster::new("aggregate", ClusterConfig::default());
         let r = Replicator::new(
@@ -498,7 +505,8 @@ mod tests {
             "trips",
             OffsetMappingStore::new(),
             10,
-        );
+        )
+        .with_chaos(chaos.clone());
         r.prepare().unwrap();
         for i in 0..100 {
             src.produce(
@@ -510,7 +518,7 @@ mod tests {
         }
         // every 5th cross-region send fails transiently: well inside the
         // 4-attempt budget, so replication completes without caller help
-        chaos::registry().arm(
+        chaos.arm(
             FaultPoint::MultiregionReplicate,
             FaultPlan::fail(FaultKind::Unavailable, Trigger::EveryNth(5)),
         );
@@ -526,13 +534,13 @@ mod tests {
             )
             .unwrap();
         }
-        chaos::registry().arm(
+        chaos.arm(
             FaultPoint::MultiregionReplicate,
             FaultPlan::fail(FaultKind::Unavailable, Trigger::Always).with_burst(10, None),
         );
         let partial = r.run_once(2000);
         assert!(partial.is_err(), "persistent outage surfaces");
-        chaos::registry().disarm_all();
+        chaos.disarm(FaultPoint::MultiregionReplicate);
         let resumed = r.run_once(3000).unwrap();
         assert!(resumed > 0 && resumed <= 50, "resumed {resumed}");
 
@@ -550,9 +558,8 @@ mod tests {
 
     #[test]
     fn restarted_replicator_resumes_from_mapping_store_without_gaps() {
-        use rtdi_common::chaos::{self, FaultKind, FaultPlan, Trigger};
-        let _g = chaos::test_guard();
-        chaos::registry().reset(0x2E57A27);
+        use rtdi_common::chaos::{FaultKind, FaultPlan, Trigger};
+        let chaos = Chaos::seeded(0x2E57A27);
         let src = cluster_with_topic("regional");
         let dst = Cluster::new("aggregate", ClusterConfig::default());
         let store = OffsetMappingStore::new();
@@ -564,7 +571,8 @@ mod tests {
             "trips",
             store.clone(),
             interval,
-        );
+        )
+        .with_chaos(chaos.clone());
         r.prepare().unwrap();
         for i in 0..200 {
             src.produce(
@@ -576,12 +584,12 @@ mod tests {
         }
         // the route dies mid-copy: the worker loses its in-memory
         // positions (the process is gone), leaving only the mapping store
-        chaos::registry().arm(
+        chaos.arm(
             FaultPoint::MultiregionReplicate,
             FaultPlan::fail(FaultKind::Unavailable, Trigger::Always).with_burst(95, None),
         );
         assert!(r.run_once(1_000).is_err(), "outage mid-route surfaces");
-        chaos::registry().disarm_all();
+        chaos.disarm(FaultPoint::MultiregionReplicate);
         drop(r);
 
         // a restarted worker with the same route + shared mapping store
@@ -620,7 +628,6 @@ mod tests {
                 }
             }
         }
-        chaos::registry().reset(0x2E57A27);
     }
 
     #[test]

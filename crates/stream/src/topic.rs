@@ -17,7 +17,7 @@
 use crate::log::{FetchResult, PartitionLog};
 use crate::replica::{FailoverEvent, ReplicaSet, ReplicaStatus, MAX_REPLICAS};
 use parking_lot::RwLock;
-use rtdi_common::{Error, Record, Result, Timestamp};
+use rtdi_common::{Chaos, Error, Record, Result, Timestamp};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -155,6 +155,17 @@ impl Topic {
             failovers: RwLock::new(Vec::new()),
             round_robin: AtomicUsize::new(0),
         })
+    }
+
+    /// Follower replication on every partition fails when `chaos` says
+    /// so: a cluster hands the topics it creates its own handle.
+    pub fn with_chaos(mut self, chaos: Chaos) -> Self {
+        self.replica_sets = self
+            .replica_sets
+            .into_iter()
+            .map(|rs| rs.with_chaos(chaos.clone()))
+            .collect();
+        self
     }
 
     pub fn name(&self) -> &str {

@@ -186,10 +186,6 @@ impl RestaurantManager {
                 .with_segment_rows(65_536),
         )
     }
-
-    pub fn window_ms(&self) -> i64 {
-        self.window_ms
-    }
 }
 
 /// Ingest raw orders into the baseline table (no preprocessing).

@@ -155,14 +155,6 @@ impl SurgePipeline {
         run_staged_with(job, &StagedConfig::default())
     }
 
-    /// End-to-end freshness: how long after a window closes its multiplier
-    /// is visible in the KV store. In this in-process reproduction the
-    /// result is visible at the watermark that closes the window, so
-    /// freshness = watermark bound; exposed for the E15 report.
-    pub fn freshness_bound_ms(&self) -> i64 {
-        self.max_out_of_orderness + 1
-    }
-
     /// §5.1's SLA check against measured freshness: every traced hop of
     /// `pipeline` must have p99 dwell at or below `sla_ms`. False when the
     /// pipeline has no traced stages — an unmeasured pipeline cannot be

@@ -38,10 +38,6 @@ impl Zipf {
         Zipf { cdf }
     }
 
-    pub fn n(&self) -> usize {
-        self.cdf.len()
-    }
-
     /// Draw a rank in `0..n` (rank 0 is the hottest key).
     pub fn sample(&self, rng: &mut StdRng) -> usize {
         let u: f64 = rng.gen_range(0.0..1.0);

@@ -8,7 +8,7 @@
 //! replayed. `ci.sh` additionally diffs the printed `CHAOS_SUMMARY` lines
 //! between two separate processes for three fixed seeds.
 
-use rtdi::common::chaos::{self, FaultKind, FaultPlan, FaultPoint, Trigger};
+use rtdi::common::chaos::{Chaos, FaultKind, FaultPlan, FaultPoint, Trigger};
 use rtdi::common::{AggFn, FieldType, Record, Row, Schema, SimClock};
 use rtdi::core::platform::RealtimePlatform;
 use rtdi::flinksql::compiler::CompileOptions;
@@ -100,19 +100,18 @@ fn mix_bursty() -> FaultMix {
 /// invariant (zero loss, green health, degraded-not-failed broker,
 /// bounded retries) and return the recorded fault schedule.
 fn soak(seed: u64, mix: FaultMix) -> String {
-    chaos::registry().reset(seed);
-    chaos::reset_retry_stats();
+    let chaos = Chaos::seeded(seed);
     let clock = Arc::new(SimClock::new(1_000_000));
-    let p = RealtimePlatform::with_clock(clock);
+    let p = RealtimePlatform::with_chaos(clock, chaos.clone());
     p.create_topic(
         "trips",
         TopicConfig::default().with_partitions(2),
         trips_schema(),
     )
     .unwrap();
-    chaos::registry().arm(FaultPoint::StreamAppend, mix.append);
-    chaos::registry().arm(FaultPoint::ProxyDispatch, mix.dispatch);
-    chaos::registry().arm(FaultPoint::ComputeProcess, mix.compute);
+    chaos.arm(FaultPoint::StreamAppend, mix.append);
+    chaos.arm(FaultPoint::ProxyDispatch, mix.dispatch);
+    chaos.arm(FaultPoint::ComputeProcess, mix.compute);
 
     // --- produce through injected stream.append faults: the producer's
     // retry policy absorbs every one of them
@@ -147,7 +146,8 @@ fn soak(seed: u64, mix: FaultMix) -> String {
         },
         Arc::new(|_: &Record| Ok(())),
         dlq.clone(),
-    );
+    )
+    .with_chaos(chaos.clone());
     let stats = proxy.run_until_caught_up(&group).unwrap();
     assert_eq!(stats.delivered as usize, RECORDS, "proxy delivered all");
     assert_eq!(stats.dead_lettered, 0, "transient faults never park");
@@ -205,7 +205,9 @@ fn soak(seed: u64, mix: FaultMix) -> String {
 
     // --- broker degradation: one server down plus injected segment-serve
     // faults yields a partial answer, never an error
-    let servers: Vec<Arc<ServerNode>> = (0..3).map(ServerNode::new).collect();
+    let servers: Vec<Arc<ServerNode>> = (0..3)
+        .map(|i| ServerNode::with_chaos(i, chaos.clone()))
+        .collect();
     let broker = Broker::new(servers);
     broker.register_table("cities", false);
     for i in 0..4 {
@@ -213,7 +215,7 @@ fn soak(seed: u64, mix: FaultMix) -> String {
             .place_segment("cities", seg(&format!("s{i}"), 100), None, 1)
             .unwrap();
     }
-    chaos::registry().arm(FaultPoint::OlapSegmentServe, mix.serve);
+    chaos.arm(FaultPoint::OlapSegmentServe, mix.serve);
     broker.servers()[1].set_down(true);
     let cq = Query::select_all("cities").aggregate("n", AggFn::Count);
     let degraded = broker
@@ -227,16 +229,16 @@ fn soak(seed: u64, mix: FaultMix) -> String {
     let n = degraded.rows[0].get_int("n").unwrap();
     assert!(n > 0 && n < 400, "partial count, got {n}");
     // the server heals and the faults stop: full service resumes
-    chaos::registry().disarm(FaultPoint::OlapSegmentServe);
+    chaos.disarm(FaultPoint::OlapSegmentServe);
     broker.servers()[1].set_down(false);
     let healed = broker.query(&cq).unwrap();
     assert!(!healed.ledger.partial());
     assert_eq!(healed.rows[0].get_int("n"), Some(400));
 
     // --- archival through injected storage.object_put faults
-    chaos::registry().arm(FaultPoint::StorageObjectPut, mix.archive_put);
+    chaos.arm(FaultPoint::StorageObjectPut, mix.archive_put);
     assert_eq!(p.archive_topic("trips", &trips_schema()).unwrap(), RECORDS);
-    let (_, put_fires) = chaos::registry().stats(FaultPoint::StorageObjectPut);
+    let (_, put_fires) = chaos.stats(FaultPoint::StorageObjectPut);
     assert!(put_fires >= 1, "archival fault plan must have fired");
 
     // --- green health: per-stage freshness traced, Chaperone audits clean
@@ -250,14 +252,13 @@ fn soak(seed: u64, mix: FaultMix) -> String {
     assert_eq!(audit.duplicated, 0, "chaos must not duplicate records");
     assert!(health.zero_loss());
 
-    // --- retries happened, and stayed within a sane global bound
-    let retries = chaos::retries_total();
+    // --- retries happened, and stayed within a sane bound: the producer's
+    // and the proxy's, the two retry loops the plans reach
+    let retries = producer.retries() + stats.retried;
     assert!(retries > 0, "fault plans must exercise the retry paths");
     assert!(retries < 1_000, "retry storm: {retries} retries");
 
-    let summary = chaos::registry().schedule_summary();
-    chaos::registry().disarm_all();
-    summary
+    chaos.schedule_summary()
 }
 
 /// Run one seed twice; the fault schedule must be byte-identical.
@@ -274,19 +275,16 @@ fn soak_twice(seed: u64, mk: fn() -> FaultMix) -> String {
 
 #[test]
 fn soak_every_nth_plan_is_survivable_and_deterministic() {
-    let _g = chaos::test_guard();
     soak_twice(0xA11CE, mix_every_nth);
 }
 
 #[test]
 fn soak_probabilistic_plan_is_survivable_and_deterministic() {
-    let _g = chaos::test_guard();
     soak_twice(0xB0B5EED, mix_probabilistic);
 }
 
 #[test]
 fn soak_bursty_plan_is_survivable_and_deterministic() {
-    let _g = chaos::test_guard();
     soak_twice(0xC4A05C4, mix_bursty);
 }
 
@@ -302,7 +300,6 @@ fn soak_env_seed_prints_schedule() {
                 .unwrap_or_else(|| s.parse().ok())
         })
         .unwrap_or(0xA11CE);
-    let _g = chaos::test_guard();
     let summary = soak_twice(seed, mix_every_nth);
     for line in summary.lines() {
         println!("CHAOS_SUMMARY {line}");

@@ -8,12 +8,12 @@
 //! - log → replicator → log and federation migration: the destination log
 //!   shares the source's records (`Arc::ptr_eq`), retried or not.
 //!
-//! Every test arms the process-global fault registry or must not see a
-//! neighbour's faults, so every test holds `chaos::test_guard()`.
+//! Each test arms a `Chaos` handle of its own and builds what it faults
+//! with it, so the tests run beside each other.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rtdi::common::chaos::{self, FaultKind, FaultPlan, FaultPoint, Trigger};
+use rtdi::common::chaos::{Chaos, FaultKind, FaultPlan, FaultPoint, Trigger};
 use rtdi::common::{Record, Row, SimClock, UniqueId};
 use rtdi::stream::cluster::{Cluster, ClusterConfig};
 use rtdi::stream::federation::FederatedCluster;
@@ -38,13 +38,12 @@ fn raw_log(topic: &Topic, partition: usize) -> Vec<OffsetRecord> {
 
 #[test]
 fn accepted_records_land_exactly_once_and_in_send_order_under_retry() {
-    let _g = chaos::test_guard();
     let mut surfaced_in_all = 0;
     for seed in 0..24u64 {
-        chaos::registry().reset(seed);
+        let chaos = Chaos::seeded(seed);
         let mut rng = StdRng::seed_from_u64(0xDE11_7E12 ^ seed);
         let partitions = rng.gen_range(1..=4usize);
-        let cluster = Cluster::new("c", ClusterConfig::default());
+        let cluster = Cluster::with_chaos("c", ClusterConfig::default(), chaos.clone());
         let config = TopicConfig::default().with_partitions(partitions);
         let topic = cluster.create_topic("t", config).unwrap();
         let clock = Arc::new(SimClock::new(1_000));
@@ -53,9 +52,9 @@ fn accepted_records_land_exactly_once_and_in_send_order_under_retry() {
         // four attempts; followers miss replications, holding acks back
         let refuse = Trigger::Probability(rng.gen_range(0.3..0.7));
         let append = FaultPlan::fail(FaultKind::Unavailable, refuse);
-        chaos::registry().arm(FaultPoint::StreamAppend, append);
+        chaos.arm(FaultPoint::StreamAppend, append);
         let lag = FaultPlan::fail(FaultKind::Timeout, Trigger::Probability(0.3));
-        chaos::registry().arm(FaultPoint::StreamReplicate, lag);
+        chaos.arm(FaultPoint::StreamReplicate, lag);
 
         let offered = rng.gen_range(200..400i64);
         let mut accepted = Vec::new();
@@ -69,8 +68,7 @@ fn accepted_records_land_exactly_once_and_in_send_order_under_retry() {
                 }
             }
         }
-        let (_, refused) = chaos::registry().stats(FaultPoint::StreamAppend);
-        chaos::registry().disarm_all();
+        let (_, refused) = chaos.stats(FaultPoint::StreamAppend);
         assert_eq!(producer.records_sent(), accepted.len() as u64);
         assert_eq!(producer.records_sent() + surfaced, offered as u64);
         assert!(refused > surfaced && !accepted.is_empty(), "seed {seed}");
@@ -113,13 +111,11 @@ fn accepted_records_land_exactly_once_and_in_send_order_under_retry() {
         );
     }
     assert!(surfaced_in_all > 0, "no send ever outlived its retries");
-    chaos::registry().reset(0);
 }
 
 #[test]
 fn replication_shares_the_source_records_even_when_retried() {
-    let _g = chaos::test_guard();
-    chaos::registry().reset(0x5A4E);
+    let chaos = Chaos::seeded(0x5A4E);
     let src = Cluster::new("regional", ClusterConfig::default());
     let dst = Cluster::new("aggregate", ClusterConfig::default());
     let config = TopicConfig::default().with_partitions(3);
@@ -131,16 +127,16 @@ fn replication_shares_the_source_records_even_when_retried() {
         "t",
         OffsetMappingStore::new(),
         10,
-    );
+    )
+    .with_chaos(chaos.clone());
     route.prepare().unwrap();
     for i in 0..90 {
         src.produce("t", keyed(i as usize, i), i).unwrap();
     }
     // every third cross-region attempt fails and is retried
     let flaky = FaultPlan::fail(FaultKind::Unavailable, Trigger::EveryNth(3));
-    chaos::registry().arm(FaultPoint::MultiregionReplicate, flaky);
+    chaos.arm(FaultPoint::MultiregionReplicate, flaky);
     assert_eq!(route.run_once(1_000).unwrap(), 90);
-    chaos::registry().reset(0);
     let (src, dst) = (src.topic("t").unwrap(), dst.topic("t").unwrap());
     for p in 0..3 {
         let (from, to) = (raw_log(&src, p), raw_log(&dst, p));
@@ -157,8 +153,6 @@ fn replication_shares_the_source_records_even_when_retried() {
 
 #[test]
 fn migration_hands_the_records_over_uncopied() {
-    let _g = chaos::test_guard();
-    chaos::registry().reset(0);
     let fed = FederatedCluster::new();
     fed.add_cluster(Cluster::new("c1", ClusterConfig::default()));
     fed.add_cluster(Cluster::new("c2", ClusterConfig::default()));

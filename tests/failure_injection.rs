@@ -204,17 +204,17 @@ fn dlq_merge_after_downstream_fix() {
 /// without caller-side retry loops.
 #[test]
 fn archival_tolerates_flaky_store() {
-    use rtdi::common::chaos::{self, FaultKind, FaultPlan, FaultPoint, Trigger};
+    use rtdi::common::chaos::{Chaos, FaultKind, FaultPlan, FaultPoint, Trigger};
     use rtdi::storage::archival::ArchivalWriter;
-    let _g = chaos::test_guard();
-    chaos::registry().reset(0xA2C417);
+    use rtdi::storage::object::FaultyStore;
+    let chaos = Chaos::seeded(0xA2C417);
     // every 3rd put fails transiently: well inside the writer's 4-attempt
     // budget, so every batch lands
-    chaos::registry().arm(
+    chaos.arm(
         FaultPoint::StorageObjectPut,
         FaultPlan::fail(FaultKind::Unavailable, Trigger::EveryNth(3)),
     );
-    let store = Arc::new(InMemoryStore::new());
+    let store = Arc::new(FaultyStore::new(InMemoryStore::new()).with_chaos(chaos.clone()));
     let writer = ArchivalWriter::new(store as Arc<dyn ObjectStore>, "trips");
     for batch in 0..10 {
         let records: Vec<Record> = (0..10)
@@ -222,7 +222,7 @@ fn archival_tolerates_flaky_store() {
             .collect();
         writer.write_batch(&records).unwrap();
     }
-    chaos::registry().disarm_all();
+    chaos.disarm(FaultPoint::StorageObjectPut);
     let read_back = writer.read_raw("d000000").unwrap();
     // retried puts overwrite the same key: no loss AND no duplicates
     let values: Vec<i64> = read_back
@@ -241,11 +241,10 @@ fn archival_tolerates_flaky_store() {
 /// in order, with no duplicates and no gaps.
 #[test]
 fn replicator_honors_saved_resume_position_after_retry_exhaustion() {
-    use rtdi::common::chaos::{self, FaultKind, FaultPlan, FaultPoint, Trigger};
+    use rtdi::common::chaos::{Chaos, FaultKind, FaultPlan, FaultPoint, Trigger};
     use rtdi::stream::cluster::{Cluster, ClusterConfig};
     use rtdi::stream::replicator::{OffsetMappingStore, Replicator};
-    let _g = chaos::test_guard();
-    chaos::registry().reset(0x2E5);
+    let chaos = Chaos::seeded(0x2E5);
 
     let src = Cluster::new("regional", ClusterConfig::default());
     src.create_topic("trips", TopicConfig::default().with_partitions(2))
@@ -258,7 +257,8 @@ fn replicator_honors_saved_resume_position_after_retry_exhaustion() {
         "trips",
         OffsetMappingStore::new(),
         10,
-    );
+    )
+    .with_chaos(chaos.clone());
     r.prepare().unwrap();
     let produce = |lo: i64, hi: i64| {
         for i in lo..hi {
@@ -279,14 +279,14 @@ fn replicator_honors_saved_resume_position_after_retry_exhaustion() {
     // exhausts and run_once errors with the position parked at the
     // first uncopied record
     produce(60, 120);
-    chaos::registry().arm(
+    chaos.arm(
         FaultPoint::MultiregionReplicate,
         FaultPlan::fail(FaultKind::Unavailable, Trigger::Always).with_burst(20, None),
     );
     assert!(r.run_once(2_000).is_err(), "outage must surface");
 
     // link restored: the restart resumes from the saved position
-    chaos::registry().disarm_all();
+    chaos.disarm(FaultPoint::MultiregionReplicate);
     let resumed = r.run_once(3_000).unwrap();
     assert!(resumed > 0 && resumed <= 60, "resumed {resumed}");
     assert_eq!(r.run_once(4_000).unwrap(), 0, "nothing left behind");
@@ -339,4 +339,104 @@ fn upsert_correct_across_seals_and_eviction_recovery() {
         .lookup(&rtdi::common::Value::Str("sf".into()), "v")
         .unwrap();
     assert_eq!(latest_sf, rtdi::common::Value::Int(94));
+}
+
+/// §4.1.1's clusters fail independently: a fault armed on one cluster's
+/// handle fails every send to it while a neighbour in the same process,
+/// driven at the same moments from another thread, never sees it.
+#[test]
+fn a_fault_armed_on_one_cluster_spares_its_neighbour() {
+    use rtdi::common::chaos::{Chaos, FaultKind, FaultPlan, FaultPoint, Trigger};
+    use rtdi::stream::cluster::{Cluster, ClusterConfig};
+    use rtdi::stream::producer::StreamEndpoint;
+    const SENDS: usize = 200;
+    let handles = [Chaos::seeded(7), Chaos::seeded(7)];
+    let clusters: Vec<Arc<Cluster>> = handles
+        .iter()
+        .enumerate()
+        .map(|(i, chaos)| {
+            let c = Cluster::with_chaos(format!("c{i}"), ClusterConfig::default(), chaos.clone());
+            c.create_topic("t", TopicConfig::default()).unwrap();
+            c
+        })
+        .collect();
+    handles[0].arm(
+        FaultPoint::StreamAppend,
+        FaultPlan::fail(FaultKind::Unavailable, Trigger::Always),
+    );
+    let barrier = std::sync::Barrier::new(2);
+    let sent: Vec<usize> = std::thread::scope(|s| {
+        let drivers: Vec<_> = clusters
+            .iter()
+            .map(|c| {
+                s.spawn(|| {
+                    (0..SENDS)
+                        .filter(|&i| {
+                            barrier.wait();
+                            let rec = Record::new(Row::new().with("i", i as i64), i as i64);
+                            c.send("t", rec.into(), i as i64).is_ok()
+                        })
+                        .count()
+                })
+            })
+            .collect();
+        drivers.into_iter().map(|d| d.join().unwrap()).collect()
+    });
+    assert_eq!(sent, vec![0, SENDS]);
+    let n = SENDS as u64;
+    assert_eq!(handles[0].stats(FaultPoint::StreamAppend), (n, n));
+    assert_eq!(handles[1].stats(FaultPoint::StreamAppend), (0, 0));
+    assert_eq!(clusters[1].topic("t").unwrap().total_records(), n);
+}
+
+/// A store, a topic and a whole platform built without a handle cannot
+/// be failed by one: with every point armed `Always` on a handle the test
+/// holds, each works and the handle never sees a check.
+#[test]
+fn what_is_built_without_a_handle_is_out_of_every_handles_reach() {
+    use rtdi::common::chaos::{Chaos, FaultKind, FaultPlan, FaultPoint, Trigger};
+    use rtdi::core::platform::RealtimePlatform;
+    let chaos = Chaos::seeded(0xBAD);
+    for point in FaultPoint::ALL {
+        chaos.arm(
+            point,
+            FaultPlan::fail(FaultKind::Unavailable, Trigger::Always),
+        );
+    }
+
+    let store = InMemoryStore::new();
+    store.put("k", b"v".to_vec().into()).unwrap();
+    assert_eq!(store.get("k").unwrap()[..], b"v"[..]);
+
+    let topic = Topic::new("t", TopicConfig::lossless().with_partitions(1)).unwrap();
+    for i in 0..10 {
+        topic
+            .append(Record::new(Row::new().with("v", i), i), i)
+            .unwrap();
+    }
+    let status = topic.replica_status(0).unwrap();
+    assert_eq!(status.committed, 10);
+    assert_eq!(status.isr.len(), status.assignment.len());
+
+    let platform = RealtimePlatform::new();
+    platform
+        .create_topic("t", TopicConfig::default().with_partitions(2), schema())
+        .unwrap();
+    let producer = platform.producer("svc");
+    for i in 0..50i64 {
+        let row = Row::new().with("city", "sf").with("v", i).with("ts", i);
+        producer.send("t", Record::new(row, i)).unwrap();
+    }
+    assert_eq!(producer.retries(), 0);
+    let config = TableConfig::new("t", schema())
+        .with_time_column("ts")
+        .with_partitions(2);
+    let table = platform.create_olap_table(config).unwrap();
+    let mut ingester = platform.ingest_into("t", table).unwrap();
+    assert_eq!(ingester.run_once().unwrap(), 50);
+    assert_eq!(platform.archive_topic("t", &schema()).unwrap(), 50);
+
+    for point in FaultPoint::ALL {
+        assert_eq!(chaos.stats(point), (0, 0), "{point}");
+    }
 }

@@ -14,9 +14,8 @@
 //! diffs the printed `NODEKILL_SUMMARY` lines between two separate
 //! processes for two fixed seeds.
 
-use rtdi::common::chaos;
 use rtdi::common::{
-    AggFn, Clock, FieldType, Membership, MembershipConfig, Record, Row, Schema, SimClock,
+    AggFn, Chaos, Clock, FieldType, Membership, MembershipConfig, Record, Row, Schema, SimClock,
 };
 use rtdi::olap::broker::{Broker, ServerNode};
 use rtdi::olap::query::Query;
@@ -38,15 +37,17 @@ const OUTAGE_MS: i64 = 12_000;
 /// Stream half: produce through seeded kill/heal cycles, alternating
 /// announced kills (instant failover) with silent failures (deadline
 /// detection), and prove exactly-once delivery of every committed record.
-fn stream_soak() -> String {
+fn stream_soak(chaos: &Chaos) -> String {
     let clock = Arc::new(SimClock::new(0));
-    let cluster = Cluster::with_clock(
+    let cluster = Cluster::with_membership(
         "core",
         ClusterConfig {
             nodes: NODES,
             ..Default::default()
         },
-        clock.clone(),
+        Membership::new(clock.clone(), MembershipConfig::default()),
+        None,
+        chaos.clone(),
     );
     let topic = cluster
         .create_topic(
@@ -63,8 +64,7 @@ fn stream_soak() -> String {
 
     let names = cluster.node_names();
     let name_refs: Vec<&str> = names.iter().map(|s| s.as_str()).collect();
-    let outages =
-        chaos::registry().plan_node_outages(&name_refs, CYCLES, 5_000, PERIOD_MS, OUTAGE_MS);
+    let outages = chaos.plan_node_outages(&name_refs, CYCLES, 5_000, PERIOD_MS, OUTAGE_MS);
 
     let interval = cluster.membership().config().heartbeat_interval_ms;
     let horizon = 5_000 + CYCLES as i64 * PERIOD_MS + 20_000;
@@ -144,8 +144,10 @@ fn stream_soak() -> String {
 /// OLAP half: kill servers under the same seeded schedule; the membership
 /// listener drives the rebalancer, which must re-host every sealed
 /// segment so queries return to full coverage after each death.
-fn olap_soak() -> String {
-    let servers: Vec<Arc<ServerNode>> = (0..4).map(ServerNode::new).collect();
+fn olap_soak(chaos: &Chaos) -> String {
+    let servers: Vec<Arc<ServerNode>> = (0..4)
+        .map(|i| ServerNode::with_chaos(i, chaos.clone()))
+        .collect();
     let broker = Arc::new(Broker::new(servers));
     broker.register_table("t", false);
     let store = Arc::new(SegmentStore::new(
@@ -183,10 +185,10 @@ fn olap_soak() -> String {
     rebalancer.watch(&membership);
 
     let name_refs: Vec<&str> = server_names.iter().map(|s| s.as_str()).collect();
-    let outages = chaos::registry().plan_node_outages(&name_refs, CYCLES, 0, PERIOD_MS, OUTAGE_MS);
+    let outages = chaos.plan_node_outages(&name_refs, CYCLES, 0, PERIOD_MS, OUTAGE_MS);
     let q = Query::select_all("t").aggregate("n", AggFn::Count);
     for o in &outages {
-        chaos::registry().kill_node(&o.node);
+        chaos.kill_node(&o.node);
         // the Dead event triggers an immediate rebalance pass
         membership.kill(&o.node);
         let healed = broker.query(&q).unwrap();
@@ -201,7 +203,7 @@ fn olap_soak() -> String {
             "every sealed segment re-served after {} died",
             o.node
         );
-        chaos::registry().heal_node(&o.node);
+        chaos.heal_node(&o.node);
         membership.revive(&o.node);
     }
     let moves = rebalancer.move_log();
@@ -210,10 +212,12 @@ fn olap_soak() -> String {
 }
 
 fn soak(seed: u64) -> String {
-    chaos::registry().reset(seed);
-    let summary = format!("seed={seed:#x}\n{}{}", stream_soak(), olap_soak());
-    chaos::registry().reset(seed);
-    summary
+    let chaos = Chaos::seeded(seed);
+    format!(
+        "seed={seed:#x}\n{}{}",
+        stream_soak(&chaos),
+        olap_soak(&chaos)
+    )
 }
 
 fn soak_twice(seed: u64) -> String {
@@ -228,13 +232,11 @@ fn soak_twice(seed: u64) -> String {
 
 #[test]
 fn node_kills_preserve_committed_records_and_segment_coverage() {
-    let _g = chaos::test_guard();
     soak_twice(0xFA110);
 }
 
 #[test]
 fn node_kill_soak_alternate_seed() {
-    let _g = chaos::test_guard();
     soak_twice(0xDEAD5EED);
 }
 
@@ -250,7 +252,6 @@ fn node_kill_env_seed_prints_failover_log() {
                 .unwrap_or_else(|| s.parse().ok())
         })
         .unwrap_or(0xFA110);
-    let _g = chaos::test_guard();
     let summary = soak_twice(seed);
     for line in summary.lines() {
         println!("NODEKILL_SUMMARY {line}");

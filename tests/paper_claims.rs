@@ -2,8 +2,8 @@
 //! fixed size, every shape predicate must hold, and the table the run
 //! prints must be the one recorded in EXPERIMENTS.md.
 //!
-//! One `#[test]`: the claims count allocations and arm the process-global
-//! fault registry, so they need the process to themselves. Wall times are
+//! One `#[test]`: the claims count allocations on a process-wide counter,
+//! so they need the process to themselves. Wall times are
 //! printed as `CLAIMS_TIMING` lines and never asserted; read them from
 //! `cargo test --release --test paper_claims -- --nocapture`.
 

@@ -13,7 +13,7 @@
 //!   one `PARALLEL_SUMMARY` line whose digests must agree across
 //!   parallelism levels, across processes and across seeds.
 
-use rtdi::common::chaos::{self, FaultKind, FaultPlan, FaultPoint, Trigger};
+use rtdi::common::chaos::{Chaos, FaultKind, FaultPlan, FaultPoint, Trigger};
 use rtdi::common::{AggFn, Error, Record, Row, Value};
 use rtdi::compute::reference::run_reference;
 use rtdi::compute::{
@@ -78,7 +78,6 @@ fn salted_job(
 
 #[test]
 fn parallel_output_is_byte_identical_to_serial_for_all_parallelisms() {
-    let _g = chaos::test_guard();
     let rows = trips(0xA110, 4_000, 1.1);
     let serial = CollectSink::new();
     run_reference(agg_job("serial", rows.clone(), serial.clone(), 1)).unwrap();
@@ -115,7 +114,6 @@ fn parallel_output_is_byte_identical_to_serial_for_all_parallelisms() {
 
 #[test]
 fn parallel_dedup_matches_serial_exactly() {
-    let _g = chaos::test_guard();
     // duplicate-heavy stream: replay each trip 1-3 times
     let base = trips(0xD0D0, 1_500, 1.0);
     let mut rows = Vec::new();
@@ -146,7 +144,6 @@ fn parallel_dedup_matches_serial_exactly() {
 
 #[test]
 fn salted_hot_key_aggregation_is_byte_identical() {
-    let _g = chaos::test_guard();
     // s=1.5 Zipf: one scorching city plus a long tail — the hot-key
     // storm that motivates two-phase salted pre-aggregation
     let rows = trips(0x5A17, 6_000, 1.5);
@@ -183,7 +180,6 @@ fn salted_hot_key_aggregation_is_byte_identical() {
 
 #[test]
 fn rescale_chain_two_to_four_to_one_is_exactly_once() {
-    let _g = chaos::test_guard();
     let rows = trips(0x2E5C, 3_000, 1.2);
     let baseline = CollectSink::new();
     run_staged_with(
@@ -235,8 +231,6 @@ fn rescale_chain_two_to_four_to_one_is_exactly_once() {
 
 #[test]
 fn crash_during_rescaled_segment_recovers_exactly_once() {
-    let _g = chaos::test_guard();
-    chaos::registry().disarm_all();
     let rows = trips(0xC2A5, 2_000, 1.2);
     let baseline = CollectSink::new();
     run_staged_with(
@@ -260,8 +254,8 @@ fn crash_during_rescaled_segment_recovers_exactly_once() {
     assert_eq!(s1.stopped_at_checkpoint, Some(1));
 
     // segment 2 at p=4 crashes mid-flight on an injected channel fault
-    chaos::registry().reset(0xC2A5);
-    chaos::registry().arm(
+    cfg.chaos = Chaos::seeded(0xC2A5);
+    cfg.chaos.arm(
         FaultPoint::ComputeChannel,
         FaultPlan::fail(FaultKind::Unavailable, Trigger::Always).with_burst(300, Some(1)),
     );
@@ -269,7 +263,6 @@ fn crash_during_rescaled_segment_recovers_exactly_once() {
     let err = run_staged_with(agg_job("job", rows.clone(), sink.clone(), 4), &cfg)
         .expect_err("armed channel fault must crash the rescaled segment");
     assert!(matches!(err, Error::Unavailable(_)), "wrong error: {err}");
-    chaos::registry().disarm_all();
 
     // retry from the surviving checkpoint completes the job
     let s3 = run_staged_with(agg_job("job", rows.clone(), sink.clone(), 4), &cfg).unwrap();
@@ -291,7 +284,6 @@ fn crash_during_rescaled_segment_recovers_exactly_once() {
 /// byte-identical output under the sharded plan and the serial plan.
 #[test]
 fn random_keyed_jobs_parallel_equals_serial() {
-    let _g = chaos::test_guard();
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     for case in 0..8u64 {
@@ -380,7 +372,6 @@ fn env_seed() -> u64 {
 /// match the serial plan and reproduce across processes.
 #[test]
 fn parallel_env_seed_prints_summary() {
-    let _g = chaos::test_guard();
     let seed = env_seed();
     let rows = trips(seed, 3_000, 1.0 + (seed % 7) as f64 / 10.0);
 

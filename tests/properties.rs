@@ -1033,7 +1033,7 @@ mod hive_pushdown_equivalence {
 /// size, and with a chaos delay fault injected on the channel hop.
 mod fused_batched_equivalence {
     use super::*;
-    use rtdi::common::chaos::{self, FaultKind, FaultPlan, FaultPoint, Trigger};
+    use rtdi::common::chaos::{Chaos, FaultKind, FaultPlan, FaultPoint, Trigger};
     use rtdi::common::Timestamp;
     use rtdi::compute::reference::run_reference;
     use rtdi::compute::{
@@ -1159,7 +1159,6 @@ mod fused_batched_equivalence {
     /// for every batch size, including sizes that leave partial batches.
     #[test]
     fn staged_batched_fused_matches_reference_on_random_jobs() {
-        let _g = chaos::test_guard();
         for case in 0..32u64 {
             let mut rng = StdRng::seed_from_u64(SEED_FUSION + case);
             let spec = arb_job_spec(&mut rng);
@@ -1192,24 +1191,22 @@ mod fused_batched_equivalence {
     /// change what comes out.
     #[test]
     fn staged_batched_fused_matches_reference_under_channel_delay_fault() {
-        let _g = chaos::test_guard();
         for case in 0..8u64 {
             let mut rng = StdRng::seed_from_u64(SEED_FUSION + 0x1000 + case);
             let spec = arb_job_spec(&mut rng);
-            chaos::registry().disarm_all();
             let ref_sink = CollectSink::new();
             run_reference(build_job("ref", &spec, ref_sink.clone())).unwrap();
-            chaos::registry().reset(SEED_FUSION + case);
-            chaos::registry().arm(
+            let chaos = Chaos::seeded(SEED_FUSION + case);
+            chaos.arm(
                 FaultPoint::ComputeChannel,
                 FaultPlan::delay(50, Trigger::Probability(0.2)),
             );
+            let config = StagedConfig {
+                chaos,
+                ..StagedConfig::batched(32, 7)
+            };
             let sink = CollectSink::new();
-            let res = run_staged_with(
-                build_job("fused", &spec, sink.clone()),
-                &StagedConfig::batched(32, 7),
-            );
-            chaos::registry().disarm_all();
+            let res = run_staged_with(build_job("fused", &spec, sink.clone()), &config);
             res.unwrap_or_else(|e| panic!("case {case}: delay fault must not error: {e}"));
             assert_eq!(
                 sink.records(),
@@ -1224,35 +1221,30 @@ mod fused_batched_equivalence {
     /// exactly — the retry semantics jobs lean on.
     #[test]
     fn staged_batched_fused_recovers_identically_after_channel_fault() {
-        let _g = chaos::test_guard();
         for case in 0..8u64 {
             let mut rng = StdRng::seed_from_u64(SEED_FUSION + 0x2000 + case);
             let spec = arb_job_spec(&mut rng);
-            chaos::registry().disarm_all();
             let ref_sink = CollectSink::new();
             run_reference(build_job("ref", &spec, ref_sink.clone())).unwrap();
-            chaos::registry().reset(SEED_FUSION + case);
+            let chaos = Chaos::seeded(SEED_FUSION + case);
             let skip = rng.gen_range(0..spec.rows.len() as u64);
-            chaos::registry().arm(
+            chaos.arm(
                 FaultPoint::ComputeChannel,
                 FaultPlan::fail(FaultKind::Unavailable, Trigger::Always).with_burst(skip, Some(1)),
             );
+            let config = StagedConfig {
+                chaos,
+                ..StagedConfig::batched(32, 7)
+            };
             let crash_sink = CollectSink::new();
-            let err = run_staged_with(
-                build_job("crash", &spec, crash_sink.clone()),
-                &StagedConfig::batched(32, 7),
-            )
-            .expect_err("armed channel fault must surface");
+            let err = run_staged_with(build_job("crash", &spec, crash_sink.clone()), &config)
+                .expect_err("armed channel fault must surface");
             assert!(
                 matches!(err, rtdi::common::Error::Unavailable(_)),
                 "case {case}: wrong error kind: {err}"
             );
             let retry_sink = CollectSink::new();
-            let res = run_staged_with(
-                build_job("retry", &spec, retry_sink.clone()),
-                &StagedConfig::batched(32, 7),
-            );
-            chaos::registry().disarm_all();
+            let res = run_staged_with(build_job("retry", &spec, retry_sink.clone()), &config);
             res.unwrap_or_else(|e| panic!("case {case}: retry must succeed: {e}"));
             assert_eq!(
                 retry_sink.records(),

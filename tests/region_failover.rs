@@ -16,7 +16,7 @@
 //! `ci.sh` additionally diffs the printed `DR_SUMMARY` lines between two
 //! separate processes for two fixed seeds.
 
-use rtdi::common::chaos::{self, RegionOutageKind};
+use rtdi::common::chaos::{Chaos, RegionOutageKind};
 use rtdi::multiregion::{DrConfig, DrDrill};
 
 /// Offset-mapping checkpoint interval of the replicator (records): the
@@ -90,13 +90,11 @@ fn soak_twice(seed: u64) -> String {
 
 #[test]
 fn region_dr_soak() {
-    let _g = chaos::test_guard();
     soak_twice(0xD12A57E2);
 }
 
 #[test]
 fn region_dr_soak_alternate_seed() {
-    let _g = chaos::test_guard();
     soak_twice(0x5EED_0DDA);
 }
 
@@ -105,12 +103,10 @@ fn region_dr_soak_alternate_seed() {
 /// assert the freshness tracer exposed the lag to `QueryStats`.
 #[test]
 fn replication_lag_surfaces_as_query_staleness() {
-    let _g = chaos::test_guard();
     let mut hit = None;
     for seed in 0..64 {
-        chaos::registry().reset(seed);
         let plan =
-            chaos::registry().plan_region_outages(&["west", "east"], 1, 20_000, 40_000, 15_000);
+            Chaos::seeded(seed).plan_region_outages(&["west", "east"], 1, 20_000, 40_000, 15_000);
         if plan[0].kind == RegionOutageKind::ReplicatorLag {
             hit = Some(seed);
             break;
@@ -154,7 +150,6 @@ fn region_dr_env_seed_prints_summary() {
                 .unwrap_or_else(|| s.parse().ok())
         })
         .unwrap_or(0xD12);
-    let _g = chaos::test_guard();
     let summary = soak_twice(seed);
     for line in summary.lines() {
         println!("{line}");
