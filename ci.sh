@@ -21,6 +21,15 @@ cargo run --release --offline --manifest-path benchmark/Cargo.toml -- --smoke
 # and its own unit tests (generator determinism, percentiles, the oracle's
 # tie rule, span self-time): `--workspace` above does not reach them
 cargo test --release --offline --manifest-path benchmark/Cargo.toml
+# those two builds re-resolve the tracked benchmark/Cargo.lock: put it back,
+# then nothing under the benchmark's paths may differ from the commit — a
+# change that claims a gain cannot carry an edit to what measures it
+git checkout -- benchmark/Cargo.lock
+if [ -n "$(git status --porcelain -- benchmark BENCHMARK.json)" ]; then
+  echo "uncommitted changes under the benchmark's paths:" >&2
+  git status --porcelain -- benchmark BENCHMARK.json >&2
+  exit 1
+fi
 # also the gate of every crate's deny of clippy::unwrap_used and
 # clippy::expect_used outside tests (ROADMAP item 4)
 cargo clippy --workspace -- -D warnings

@@ -79,41 +79,39 @@ pub enum AggAcc {
 }
 
 impl AggAcc {
-    /// Fold one row in.
+    /// Fold one row in: the cell `f` reads, or the row itself for COUNT(*).
+    /// A row without the column folds nothing.
     pub fn add(&mut self, f: &AggFn, row: &Row) {
-        match (self, f) {
-            (AggAcc::Count(n), AggFn::Count) => *n += 1,
-            (AggAcc::Sum { sum, count }, AggFn::Sum(col)) => {
-                if let Some(v) = row.get_double(col) {
-                    *sum += v;
-                    *count += 1;
-                }
-            }
-            (AggAcc::Avg { sum, count }, AggFn::Avg(col)) => {
-                if let Some(v) = row.get_double(col) {
-                    *sum += v;
-                    *count += 1;
-                }
-            }
-            (AggAcc::Min(m), AggFn::Min(col)) => {
-                if let Some(v) = row.get_double(col) {
-                    *m = Some(m.map_or(v, |cur| cur.min(v)));
-                }
-            }
-            (AggAcc::Max(m), AggFn::Max(col)) => {
-                if let Some(v) = row.get_double(col) {
-                    *m = Some(m.map_or(v, |cur| cur.max(v)));
-                }
-            }
-            (AggAcc::Distinct(set), AggFn::DistinctCount(col)) => {
+        debug_assert_eq!(
+            std::mem::discriminant(self),
+            std::mem::discriminant(&f.new_acc()),
+            "accumulator {self:?} mismatched with {f:?}"
+        );
+        match f.input_column() {
+            None => self.add_one(),
+            Some(col) => {
                 if let Some(v) = row.get(col) {
-                    if !v.is_null() {
-                        set.insert(v.partition_hash());
-                    }
+                    self.add_value(v);
                 }
             }
-            (acc, f) => {
-                debug_assert!(false, "accumulator {acc:?} mismatched with {f:?}");
+        }
+    }
+
+    /// Fold one input value in: a count counts it whatever it is, SUM /
+    /// AVG / MIN / MAX take it as a number and skip what is not one,
+    /// a distinct count takes its [`Value::partition_hash`] and skips NULL.
+    pub fn add_value(&mut self, v: &Value) {
+        match self {
+            AggAcc::Count(n) => *n += 1,
+            AggAcc::Distinct(set) => {
+                if !v.is_null() {
+                    set.insert(v.partition_hash());
+                }
+            }
+            numeric => {
+                if let Some(x) = v.as_double() {
+                    numeric.add_num(x);
+                }
             }
         }
     }

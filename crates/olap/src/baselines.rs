@@ -17,8 +17,8 @@
 //! - aggregations walk materialized rows with by-name field lookups
 //!   (fielddata-style access) instead of tight columnar loops.
 
-use crate::query::{sort_and_limit, PartialAgg, PredicateOp, Query, QueryResult, ScanLedger};
-use rtdi_common::{AggAcc, Result, Row};
+use crate::query::{sort_and_limit, PredicateOp, Query, QueryResult, ScanLedger};
+use rtdi_common::{Result, Row};
 use std::collections::HashMap;
 
 /// Row-store with all-fields inverted indexing.
@@ -117,43 +117,16 @@ impl HeapStore {
             segments_queried: 1,
             ..Default::default()
         };
-        if query.is_aggregation() {
-            let mut partial = PartialAgg::default();
-            for id in ids {
-                let doc = &self.docs[id];
-                let key: crate::query::GroupKey = query
-                    .group_by
-                    .iter()
-                    .map(|c| doc.get(c).filter(|v| !v.is_null()).map(|v| v.to_string()))
-                    .collect();
-                let accs: &mut Vec<AggAcc> = partial.groups.entry(key).or_insert_with(|| {
-                    query
-                        .aggregations
-                        .iter()
-                        .map(|(_, f)| f.new_acc())
-                        .collect()
-                });
-                for (acc, (_, f)) in accs.iter_mut().zip(query.aggregations.iter()) {
-                    acc.add(f, doc);
-                }
-            }
-            return Ok(QueryResult {
-                rows: partial.finalize(query),
-                ledger,
-                used_startree: false,
-            });
-        }
-        let mut rows: Vec<Row> = ids
-            .into_iter()
-            .map(|id| {
-                let doc = &self.docs[id];
-                if query.select.is_empty() {
-                    doc.clone()
-                } else {
-                    doc.project(&query.select.iter().map(|s| s.as_str()).collect::<Vec<_>>())
-                }
-            })
-            .collect();
+        let docs = ids.into_iter().map(|id| &self.docs[id]);
+        let mut rows: Vec<Row> = if query.is_aggregation() {
+            // a stringified key and a map probe per document
+            crate::reference::aggregate(docs, query)
+        } else if query.select.is_empty() {
+            docs.cloned().collect()
+        } else {
+            let select: Vec<&str> = query.select.iter().map(|s| s.as_str()).collect();
+            docs.map(|doc| doc.project(&select)).collect()
+        };
         sort_and_limit(&mut rows, &query.order_by, query.limit);
         Ok(QueryResult {
             rows,

@@ -12,6 +12,9 @@
 //! - [`query`]: the "limited SQL" query model (filters, aggregations,
 //!   group-by/order-by, limits) executed per segment with automatic index
 //!   selection;
+//! - [`groups`]: the form an aggregation's groups travel in from a segment
+//!   through the merge to finalize — key cells in one arena, accumulators
+//!   in one flat vector, rows only for what ORDER BY / LIMIT keeps;
 //! - [`realtime`], [`ingestion`]: consuming (mutable) segments fed from
 //!   stream topics — columnar from the first row, queried by the sealed
 //!   segments' kernels — sealed into immutable segments at size
@@ -37,6 +40,7 @@
 pub mod baselines;
 pub mod bitmap;
 pub mod broker;
+pub mod groups;
 pub mod ingestion;
 pub mod query;
 pub mod realtime;

@@ -6,7 +6,9 @@
 //! subqueries deliberately do not exist here — they live in the full SQL
 //! layer (`rtdi-sql`), which pushes what it can down to this model.
 
+use crate::groups::Groups;
 use rtdi_common::{AggFn, Deadline, Error, Priority, Result, Row, Value};
+use std::cmp::Ordering;
 use std::sync::Arc;
 
 /// Comparison operators supported by predicates.
@@ -69,6 +71,16 @@ impl Predicate {
 pub enum SortOrder {
     Asc,
     Desc,
+}
+
+impl SortOrder {
+    /// An ascending comparison, in this direction.
+    pub fn apply(self, ord: Ordering) -> Ordering {
+        match self {
+            SortOrder::Asc => ord,
+            SortOrder::Desc => ord.reverse(),
+        }
+    }
 }
 
 /// An OLAP query: either a selection (projected columns) or an aggregation
@@ -261,16 +273,16 @@ pub struct PartialResult {
 
 impl PartialResult {
     /// Book one served segment and fold its partial in.
-    pub fn serve(&mut self, part: PartialAgg, query: &Query) {
+    pub fn serve(&mut self, part: PartialAgg) {
         self.ledger.segments_queried += 1;
         self.ledger.docs_scanned += part.docs_scanned;
-        self.agg.merge(part, query);
+        self.agg.merge(part);
     }
 
     /// Fold another store's partial result into this one.
-    pub fn merge(&mut self, other: PartialResult, query: &Query) {
+    pub fn merge(&mut self, other: PartialResult) {
         self.ledger.absorb(&other.ledger);
-        self.agg.merge(other.agg, query);
+        self.agg.merge(other.agg);
     }
 
     /// Finalize into a [`QueryResult`]. This is where a scan that served
@@ -297,12 +309,6 @@ impl PartialResult {
     }
 }
 
-/// Group key: the group-by column values (in `group_by` order) rendered to
-/// strings, with `None` for a NULL (or absent) value so a NULL key can
-/// never collide with a literal `"NULL"` string. A global aggregation uses
-/// the empty key.
-pub type GroupKey = Vec<Option<String>>;
-
 /// One segment's share of a query — the unit shipped from segments/servers
 /// to the broker for the "merge" step of scatter-gather-merge: per-group
 /// accumulators for an aggregation (shipping accumulators, not finalized
@@ -310,7 +316,7 @@ pub type GroupKey = Vec<Option<String>>;
 /// a selection.
 #[derive(Debug, Clone, Default)]
 pub struct PartialAgg {
-    pub groups: std::collections::BTreeMap<GroupKey, Vec<rtdi_common::AggAcc>>,
+    pub groups: Groups,
     /// A selection's rows: the segment's own top `limit` when the query
     /// has one, in segment order otherwise.
     pub rows: Vec<Row>,
@@ -320,23 +326,11 @@ pub struct PartialAgg {
 
 impl PartialAgg {
     /// Merge another partial in: groups fold, rows concatenate.
-    pub fn merge(&mut self, other: PartialAgg, query: &Query) {
+    pub fn merge(&mut self, other: PartialAgg) {
         self.docs_scanned += other.docs_scanned;
         self.used_startree |= other.used_startree;
         self.rows.extend(other.rows);
-        for (key, accs) in other.groups {
-            match self.groups.get_mut(&key) {
-                Some(mine) => {
-                    for (a, b) in mine.iter_mut().zip(&accs) {
-                        a.merge(b);
-                    }
-                }
-                None => {
-                    self.groups.insert(key, accs);
-                }
-            }
-        }
-        let _ = query;
+        self.groups.merge(other.groups);
     }
 
     /// Finalize into result rows (applying ORDER BY / LIMIT).
@@ -345,64 +339,41 @@ impl PartialAgg {
             sort_and_limit(&mut self.rows, &query.order_by, query.limit);
             return self.rows;
         }
-        if self.groups.is_empty() && query.group_by.is_empty() {
-            // empty input still yields the zero row for global aggregates
-            self.groups.insert(
-                Vec::new(),
-                query
-                    .aggregations
-                    .iter()
-                    .map(|(_, f)| f.new_acc())
-                    .collect(),
-            );
-        }
-        // intern output column names once; every result row shares them
-        let group_names: Vec<std::sync::Arc<str>> = query
-            .group_by
-            .iter()
-            .map(|c| std::sync::Arc::from(c.as_str()))
-            .collect();
-        let agg_names: Vec<std::sync::Arc<str>> = query
-            .aggregations
-            .iter()
-            .map(|(n, _)| std::sync::Arc::from(n.as_str()))
-            .collect();
-        let mut rows = Vec::with_capacity(self.groups.len());
-        for (key, accs) in self.groups {
-            let mut row = Row::with_capacity(key.len() + accs.len());
-            for (col, k) in group_names.iter().zip(key) {
-                row.push(
-                    std::sync::Arc::clone(col),
-                    k.map(Value::Str).unwrap_or(Value::Null),
-                );
-            }
-            for (name, acc) in agg_names.iter().zip(&accs) {
-                row.push(std::sync::Arc::clone(name), acc.result());
-            }
-            rows.push(row);
-        }
-        sort_and_limit(&mut rows, &query.order_by, query.limit);
-        rows
+        self.groups.into_rows(query)
     }
 }
 
-/// Sort + limit helper shared by segment execution and broker merging.
+/// Cut `items` to the first `limit` in `order` and leave them in that
+/// order — the ORDER BY / LIMIT of things that are not rows yet (group
+/// indices, doc ids). `order` must tie no two items: the selection and the
+/// sort are unstable.
+pub(crate) fn sort_and_cut<T>(
+    items: &mut Vec<T>,
+    limit: Option<usize>,
+    order: impl Fn(&T, &T) -> Ordering + Copy,
+) {
+    let keep = limit.map_or(items.len(), |n| n.min(items.len()));
+    if 0 < keep && keep < items.len() {
+        items.select_nth_unstable_by(keep - 1, order);
+    }
+    items.truncate(keep);
+    items.sort_unstable_by(order);
+}
+
+/// Sort + limit over built rows: the broker's merge of the segments' own
+/// top rows, and the row-at-a-time executors.
 pub fn sort_and_limit(rows: &mut Vec<Row>, order_by: &[(String, SortOrder)], limit: Option<usize>) {
     if !order_by.is_empty() {
         rows.sort_by(|a, b| {
             for (col, dir) in order_by {
                 let va = a.get(col).unwrap_or(&Value::Null);
                 let vb = b.get(col).unwrap_or(&Value::Null);
-                let ord = va.total_cmp(vb);
-                let ord = match dir {
-                    SortOrder::Asc => ord,
-                    SortOrder::Desc => ord.reverse(),
-                };
-                if ord != std::cmp::Ordering::Equal {
+                let ord = dir.apply(va.total_cmp(vb));
+                if ord != Ordering::Equal {
                     return ord;
                 }
             }
-            std::cmp::Ordering::Equal
+            Ordering::Equal
         });
     }
     if let Some(n) = limit {

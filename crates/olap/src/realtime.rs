@@ -391,7 +391,7 @@ mod tests {
             .aggregate("avg_total".to_string(), AggFn::Avg("total".into()))
             .group(&["city"]);
         let mut p = seg.execute_partial(&q, None).unwrap();
-        p.merge(sealed.execute_partial(&q, None).unwrap(), &q);
+        p.merge(sealed.execute_partial(&q, None).unwrap());
         let rows = p.finalize(&q);
         assert_eq!(rows.len(), 2);
         // avg across both halves equals avg of the duplicated dataset =

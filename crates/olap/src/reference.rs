@@ -3,9 +3,11 @@
 //! [`execute`] answers a [`Query`] the plainest way there is: one row at a
 //! time, [`Predicate::matches`](crate::query::Predicate::matches) per
 //! predicate, a stringified group key and a map probe per row,
-//! [`AggAcc::add`] per aggregation. It shares no code with the column
-//! kernels of [`crate::segment`] that sealed and consuming segments both
-//! run — which is what makes it worth comparing against. Rows are taken as
+//! [`AggAcc::add`] per aggregation, a row per group, a stable sort of the
+//! rows. It shares no code with the column kernels of [`crate::segment`]
+//! that sealed and consuming segments both run, nor with the group
+//! container of [`crate::groups`] they ship their answers in — which is
+//! what makes it worth comparing against. Rows are taken as
 //! given: it is an oracle for rows that fit the schema.
 //!
 //! Test-only by convention: the crate's unit tests, the umbrella crate's
@@ -13,8 +15,9 @@
 //! is deliberately not re-exported from the crate root.
 
 use crate::bitmap::Bitmap;
-use crate::query::{sort_and_limit, GroupKey, PartialAgg, Query};
-use rtdi_common::{AggAcc, Row, Schema};
+use crate::query::{sort_and_limit, Query};
+use rtdi_common::{AggAcc, Row, Schema, Value};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// The rows `valid_docs` and every predicate admit, in doc order.
@@ -38,41 +41,52 @@ pub fn execute(
     query: &Query,
     valid_docs: Option<&Bitmap>,
 ) -> Vec<Row> {
-    if query.is_aggregation() {
-        return execute_partial(rows, query, valid_docs).finalize(query);
-    }
-    // an empty select projects onto the schema (missing fields become NULL)
-    let names: Vec<Arc<str>> = if query.select.is_empty() {
-        schema.field_names().map(Arc::from).collect()
+    let mut out: Vec<Row> = if query.is_aggregation() {
+        aggregate(matching(rows, query, valid_docs), query)
     } else {
-        query.select.iter().map(|s| Arc::from(s.as_str())).collect()
+        // an empty select projects onto the schema (missing fields become NULL)
+        let names: Vec<Arc<str>> = if query.select.is_empty() {
+            schema.field_names().map(Arc::from).collect()
+        } else {
+            query.select.iter().map(|s| Arc::from(s.as_str())).collect()
+        };
+        matching(rows, query, valid_docs)
+            .map(|row| row.project_shared(&names))
+            .collect()
     };
-    let mut out: Vec<Row> = matching(rows, query, valid_docs)
-        .map(|row| row.project_shared(&names))
-        .collect();
     sort_and_limit(&mut out, &query.order_by, query.limit);
     out
 }
 
-/// Mergeable aggregation over `rows` by row scan.
-fn execute_partial(rows: &[Row], query: &Query, valid_docs: Option<&Bitmap>) -> PartialAgg {
-    let mut partial = PartialAgg::default();
-    for row in matching(rows, query, valid_docs) {
-        let key: GroupKey = query
+/// One row per group of `rows`, in key order (NULL first, then text, column
+/// by column), which a stable sort then keeps among ORDER BY ties. A global
+/// aggregation over nothing still answers its zero row.
+pub(crate) fn aggregate<'a>(rows: impl Iterator<Item = &'a Row>, query: &Query) -> Vec<Row> {
+    let new_accs = || -> Vec<AggAcc> {
+        let fns = query.aggregations.iter();
+        fns.map(|(_, f)| f.new_acc()).collect()
+    };
+    let mut groups = BTreeMap::new();
+    if query.group_by.is_empty() {
+        groups.insert(Vec::new(), new_accs());
+    }
+    for row in rows {
+        let key: Vec<Option<String>> = query
             .group_by
             .iter()
             .map(|c| row.get(c).filter(|v| !v.is_null()).map(|v| v.to_string()))
             .collect();
-        let accs: &mut Vec<AggAcc> = partial.groups.entry(key).or_insert_with(|| {
-            query
-                .aggregations
-                .iter()
-                .map(|(_, f)| f.new_acc())
-                .collect()
-        });
+        let accs = groups.entry(key).or_insert_with(new_accs);
         for (acc, (_, f)) in accs.iter_mut().zip(query.aggregations.iter()) {
             acc.add(f, row);
         }
     }
-    partial
+    let group_rows = groups.into_iter().map(|(key, accs)| {
+        let cells = key.into_iter().map(|k| k.map_or(Value::Null, Value::Str));
+        let results = accs.iter().map(AggAcc::result);
+        let names = query.group_by.iter().cloned();
+        let agg_names = query.aggregations.iter().map(|(n, _)| n.clone());
+        names.zip(cells).chain(agg_names.zip(results)).collect()
+    });
+    group_rows.collect()
 }

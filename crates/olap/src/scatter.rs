@@ -109,7 +109,7 @@ where
     });
     for part in parts {
         match part {
-            Ok(part) => out.serve(part, query),
+            Ok(part) => out.serve(part),
             Err(Error::DeadlineExceeded(_)) => out.ledger.shed(),
             Err(Error::Unavailable(_) | Error::Timeout(_)) => out.ledger.segments_unavailable += 1,
             Err(e) => return Err(e),
@@ -170,6 +170,7 @@ mod tests {
     /// task order whatever the worker count, and a hard error wins.
     #[test]
     fn gather_books_every_outcome_and_merges_in_task_order() {
+        use crate::groups::Groups;
         use rand::{rngs::StdRng, Rng, SeedableRng};
         use rtdi_common::{AggFn, Row, Value};
 
@@ -192,7 +193,7 @@ mod tests {
                 };
                 let mut acc = sum.new_acc();
                 acc.add_num(x(i));
-                part.groups.insert(vec![Some("g".into())], vec![acc]);
+                part.groups = Groups::from_distinct(1, [Some("g")].into_iter(), vec![acc]);
                 part.rows.push(Row::new().with("task", i as i64));
                 Ok(part)
             }
@@ -252,7 +253,12 @@ mod tests {
                         .map(|r| r.get("task").unwrap().clone())
                         .collect();
                     assert_eq!(got, tasks, "rows concatenate in task order");
-                    let merged = out.agg.groups.values().next().map(|accs| accs[0].result());
+                    let merged = out
+                        .agg
+                        .groups
+                        .iter()
+                        .next()
+                        .map(|(_, accs)| accs[0].result());
                     let expect = (!served.is_empty()).then(|| expect_sum.result());
                     assert_eq!(merged, expect, "groups fold in task order");
                 }

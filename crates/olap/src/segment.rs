@@ -12,9 +12,10 @@
 //! inverted-index bitmap, range-index buckets, or a columnar scan.
 
 use crate::bitmap::Bitmap;
+use crate::groups::{Groups, KeyCells};
 use crate::query::{
-    sort_and_limit, PartialAgg, PartialResult, Predicate, PredicateOp, Query, QueryResult,
-    ScanLedger,
+    sort_and_cut, PartialAgg, PartialResult, Predicate, PredicateOp, Query, QueryResult,
+    ScanLedger, SortOrder,
 };
 use crate::realtime::MutableSegment;
 use crate::startree::{StarTree, StarTreeSpec};
@@ -268,6 +269,46 @@ impl ColumnData {
             ColumnData::Double { values, .. } => Value::Double(values[doc]),
             ColumnData::Bool { values, .. } => Value::Bool(values.get(doc)),
             ColumnData::Str { dict, ids, .. } => Value::Str(dict[ids[doc] as usize].clone()),
+        }
+    }
+
+    /// How the cells of two docs order: [`Value::total_cmp`] of what
+    /// [`ColumnData::value_at`] would build for each, NULL first.
+    fn cmp_docs(&self, a: usize, b: usize) -> Ordering {
+        let nulls = self.nulls();
+        match (nulls.get(a), nulls.get(b)) {
+            (true, true) => return Ordering::Equal,
+            (true, false) => return Ordering::Less,
+            (false, true) => return Ordering::Greater,
+            (false, false) => {}
+        }
+        match self {
+            ColumnData::Int { values, .. } => values[a].cmp(&values[b]),
+            ColumnData::Double { values, .. } => values[a].total_cmp(&values[b]),
+            ColumnData::Bool { values, .. } => values.get(a).cmp(&values.get(b)),
+            ColumnData::Str { dict, ids, .. } => {
+                let (a, b) = (ids[a] as usize, ids[b] as usize);
+                // a consuming dictionary is in insertion order
+                if a == b {
+                    Ordering::Equal
+                } else {
+                    dict[a].cmp(&dict[b])
+                }
+            }
+        }
+    }
+
+    /// Append the cell to a group key as `value_at(doc)` would display,
+    /// without building the value.
+    fn render_key_cell(&self, doc: usize, key: &mut KeyCells) {
+        if self.nulls().get(doc) {
+            return key.push(None::<&str>);
+        }
+        match self {
+            ColumnData::Int { values, .. } => key.push(Some(values[doc])),
+            ColumnData::Double { values, .. } => key.push(Some(values[doc])),
+            ColumnData::Bool { values, .. } => key.push(Some(values.get(doc))),
+            ColumnData::Str { dict, ids, .. } => key.push_str(Some(&dict[ids[doc] as usize])),
         }
     }
 
@@ -792,7 +833,7 @@ pub(crate) fn execute_partial(
         ..Default::default()
     };
     if !query.is_aggregation() {
-        partial.rows = select_rows(seg, query, &docs);
+        partial.rows = select_rows(seg, query, &mut docs);
         return Ok(partial);
     }
     // resolve each aggregation to a direct columnar fold — Pinot-style
@@ -814,17 +855,18 @@ pub(crate) fn execute_partial(
             for (r, acc) in resolved.iter().zip(&mut accs) {
                 fold_column(r, &docs, acc);
             }
-            partial.groups.insert(Vec::new(), accs);
+            partial.groups = Groups::global(accs);
         }
         return Ok(partial);
     }
 
     // fast group path: every group column is dictionary-encoded, so
     // group ids are interned from packed dict ids (u32::MAX = NULL) and
-    // key strings are only materialized once per group at the end; the
-    // accumulators live in one flat `[group * num_slots + slot]` vector
-    // so the per-slot folds stream through a contiguous buffer. Dict ids
-    // serve as identities only, so the dictionary's order does not matter.
+    // key text is only copied once per group at the end; the accumulators
+    // live in one flat `[group * num_slots + slot]` vector, which the
+    // per-slot folds stream through and the partial then takes whole. Dict
+    // ids serve as identities only, so the dictionary's order does not
+    // matter.
     let group_cols: Vec<Option<&ColumnData>> =
         query.group_by.iter().map(|c| seg.column(c)).collect();
     let dict_cols: Option<Vec<&ColumnData>> = group_cols
@@ -899,54 +941,51 @@ pub(crate) fn execute_partial(
         for (slot, r) in resolved.iter().enumerate() {
             fold_column_grouped(r, &docs, &gids, num_slots, slot, &mut accs);
         }
-        let mut acc_iter = accs.into_iter();
-        for key in group_keys {
-            let mut parts = Vec::with_capacity(cols.len());
-            for (i, col) in cols.iter().enumerate() {
+        // one group per packed key: distinct by construction, so the
+        // partial is appended to, never probed
+        let cells = group_keys.iter().flat_map(|key| {
+            cols.iter().enumerate().map(move |(i, col)| {
                 let shift = 32 * (cols.len() - 1 - i);
-                let id = ((key >> shift) & 0xFFFF_FFFF) as u32;
-                let part = if id == u32::MAX {
-                    None
-                } else if let ColumnData::Str { dict, .. } = col {
-                    Some(dict[id as usize].clone())
-                } else {
-                    unreachable!("checked above")
-                };
-                parts.push(part);
-            }
-            partial
-                .groups
-                .insert(parts, acc_iter.by_ref().take(num_slots).collect());
-        }
+                match (((key >> shift) & 0xFFFF_FFFF) as u32, col) {
+                    (u32::MAX, _) => None,
+                    (id, ColumnData::Str { dict, .. }) => Some(dict[id as usize].as_str()),
+                    _ => unreachable!("checked above"),
+                }
+            })
+        });
+        partial.groups = Groups::from_distinct(cols.len(), cells, accs);
         return Ok(partial);
     }
 
-    // general path: stringified group keys (None for NULL values)
+    // general path: a group column that is not dictionary-encoded (or
+    // absent) renders each document's key into one reused buffer, so what
+    // allocates is a new group, not a document
+    let mut key = KeyCells::default();
     for &d in &docs {
         let doc = d as usize;
-        let key: crate::query::GroupKey = group_cols
-            .iter()
-            .map(|c| match c.map_or(Value::Null, |c| c.value_at(doc)) {
-                Value::Null => None,
-                v => Some(v.to_string()),
-            })
-            .collect();
-        let accs = partial.groups.entry(key).or_insert_with(|| {
-            query
-                .aggregations
-                .iter()
-                .map(|(_, f)| f.new_acc())
-                .collect()
-        });
+        key.clear();
+        for col in &group_cols {
+            match col {
+                Some(col) => col.render_key_cell(doc, &mut key),
+                None => key.push(None::<&str>),
+            }
+        }
+        let accs = partial
+            .groups
+            .entry(&key, || query.aggregations.iter().map(|(_, f)| f.new_acc()));
         fold_resolved(&resolved, doc, accs);
     }
     Ok(partial)
 }
 
-/// A selection's rows for the selected docs, sorted and limited.
-fn select_rows(seg: &dyn ColumnSet, query: &Query, docs: &[u32]) -> Vec<Row> {
+/// A selection's rows: the selected docs are ordered on the ORDER BY
+/// columns' cells and cut to LIMIT first, and only the survivors become
+/// rows. An ORDER BY column outside the projection is NULL in every row (a
+/// row is all a later sort would see) and orders nothing; docs that tie
+/// keep doc order.
+fn select_rows(seg: &dyn ColumnSet, query: &Query, docs: &mut Vec<u32>) -> Vec<Row> {
     // late materialization: resolve projected columns and interned
-    // names once, then emit rows only for the selected docs. An empty
+    // names once, then emit rows only for the surviving docs. An empty
     // select projects onto the schema.
     let select_names: Vec<Arc<str>>;
     let names: &[Arc<str>] = if query.select.is_empty() {
@@ -956,8 +995,32 @@ fn select_rows(seg: &dyn ColumnSet, query: &Query, docs: &[u32]) -> Vec<Row> {
         &select_names
     };
     let cols: Vec<Option<&ColumnData>> = names.iter().map(|n| seg.column(n)).collect();
+
+    let projected = |col: &String| names.iter().position(|n| **n == **col);
+    let order: Vec<(&ColumnData, SortOrder)> = query
+        .order_by
+        .iter()
+        .filter_map(|(col, dir)| Some((cols[projected(col)?]?, *dir)))
+        .collect();
+    let by_order_then_doc = |a: &u32, b: &u32| {
+        for (col, dir) in &order {
+            let ord = dir.apply(col.cmp_docs(*a as usize, *b as usize));
+            if ord != Ordering::Equal {
+                return ord;
+            }
+        }
+        a.cmp(b)
+    };
+    if order.is_empty() {
+        docs.truncate(query.limit.unwrap_or(docs.len()));
+    } else {
+        // doc ids are distinct, so no two docs tie: this is what a stable
+        // sort of the rows would give
+        sort_and_cut(docs, query.limit, by_order_then_doc);
+    }
+
     let mut rows = Vec::with_capacity(docs.len());
-    for &d in docs {
+    for &d in docs.iter() {
         let doc = d as usize;
         let mut row = Row::with_capacity(names.len());
         for (name, col) in names.iter().zip(&cols) {
@@ -968,7 +1031,6 @@ fn select_rows(seg: &dyn ColumnSet, query: &Query, docs: &[u32]) -> Vec<Row> {
         }
         rows.push(row);
     }
-    sort_and_limit(&mut rows, &query.order_by, query.limit);
     rows
 }
 
@@ -2046,6 +2108,99 @@ mod tests {
         let mut sorted = totals.clone();
         sorted.sort_by(|a, b| b.partial_cmp(a).unwrap());
         assert_eq!(totals, sorted);
+    }
+
+    /// Ordering and cutting the docs before any row is built answers what
+    /// building every row, sorting stably and truncating does — on ties,
+    /// NULL order cells, an order column the projection leaves out, two
+    /// sort keys and every size of limit, whichever kind of segment runs
+    /// the kernel.
+    #[test]
+    fn selection_top_k_equals_materialise_sort_truncate() {
+        use crate::query::{sort_and_limit, SortOrder::*};
+        let rows: Vec<Row> = (0..300usize)
+            .map(|i| {
+                let mut row = Row::new()
+                    .with("restaurant", format!("rest-{:02}", (i * 7) % 31))
+                    .with("items", (i % 5) as i64)
+                    .with("delivered", i % 3 == 0)
+                    .with("ts", 1_000 + (i as i64 / 10));
+                if i % 7 != 0 {
+                    row.push("city", ["sf", "la", "nyc", "chi"][i % 4]);
+                }
+                if i % 11 != 0 {
+                    row.push("total", ((i * 5) % 13) as f64);
+                }
+                row
+            })
+            .collect();
+        let mut consuming = MutableSegment::new("c", orders_schema());
+        for row in &rows {
+            consuming.append(row, None).unwrap();
+        }
+        let sealed = Segment::build("s", &orders_schema(), rows.clone(), &full_spec()).unwrap();
+        let plain = Segment::build("p", &orders_schema(), rows, &IndexSpec::none()).unwrap();
+        let lazy = Segment::load_lazy(plain.persist().unwrap()).unwrap();
+        type Run<'a> = Box<dyn Fn(&Query) -> Vec<Row> + 'a>;
+        let segments: [(&str, Run); 3] = [
+            (
+                "consuming",
+                Box::new(|q| consuming.execute(q, None).unwrap().rows),
+            ),
+            (
+                "sealed",
+                Box::new(|q| sealed.execute(q, None).unwrap().rows),
+            ),
+            ("lazy", Box::new(|q| lazy.execute(q).unwrap().rows)),
+        ];
+
+        let filters = [
+            None,
+            Some(Predicate::eq("city", "sf")),
+            Some(Predicate::new("items", PredicateOp::Ge, 2i64)),
+        ];
+        let projections: [&[&str]; 2] = [&[], &["city", "items", "total", "ts"]];
+        let orders: [&[(&str, SortOrder)]; 8] = [
+            &[],
+            &[("items", Asc)],
+            &[("total", Desc)],
+            &[("total", Asc)],
+            &[("restaurant", Desc)],
+            &[("items", Desc), ("city", Asc)],
+            &[("delivered", Asc), ("ts", Desc)],
+            &[("ghost", Desc), ("city", Desc)],
+        ];
+        for (kind, run) in &segments {
+            for filter in &filters {
+                for select in projections {
+                    let mut base = Query::select_all("orders").columns(select);
+                    if let Some(p) = filter {
+                        base = base.filter(p.clone());
+                    }
+                    let all = run(&base);
+                    assert!(all.len() > 50, "{kind}: {} rows match", all.len());
+                    for order in orders {
+                        for limit in [
+                            None,
+                            Some(0),
+                            Some(1),
+                            Some(20),
+                            Some(all.len()),
+                            Some(9_999),
+                        ] {
+                            let mut q = base.clone();
+                            q.limit = limit;
+                            for (col, dir) in order {
+                                q = q.order(*col, *dir);
+                            }
+                            let mut expected = all.clone();
+                            sort_and_limit(&mut expected, &q.order_by, q.limit);
+                            assert_eq!(run(&q), expected, "{kind}: {q:?}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -12,6 +12,7 @@
 //! subset of the tree's dimensions is answered by tree traversal without
 //! touching raw documents.
 
+use crate::groups::{Groups, KeyCells};
 use crate::query::{PredicateOp, Query};
 use rtdi_common::{AggAcc, AggFn, Error, Result, Row};
 use std::collections::BTreeMap;
@@ -110,10 +111,7 @@ impl StarTree {
     /// Like [`StarTree::try_execute`] but returns mergeable per-group
     /// accumulators keyed in `query.group_by` order, for cross-segment
     /// merging by the broker.
-    pub fn try_execute_partial(
-        &self,
-        query: &Query,
-    ) -> Result<Option<BTreeMap<crate::query::GroupKey, Vec<AggAcc>>>> {
+    pub fn try_execute_partial(&self, query: &Query) -> Result<Option<Groups>> {
         // map each aggregation to a metric index
         let mut metric_idx = Vec::with_capacity(query.aggregations.len());
         for (_, f) in query.aggregations.iter() {
@@ -150,24 +148,16 @@ impl StarTree {
         // merge nodes with the same group key (can happen when group-by
         // dims are not a prefix of the dimension order), re-keying into
         // query.group_by order and projecting to the queried metrics
-        let mut groups: BTreeMap<crate::query::GroupKey, Vec<AggAcc>> = BTreeMap::new();
+        let mut groups = Groups::default();
+        let mut group_key = KeyCells::default();
         for (key, node) in results {
-            let group_key: crate::query::GroupKey = query
-                .group_by
-                .iter()
-                .map(|g| {
-                    key.iter()
-                        .find(|(d, _)| d == g)
-                        .map(|(_, v)| v.clone())
-                        .unwrap_or_default()
-                })
-                .collect();
-            let entry = groups.entry(group_key).or_insert_with(|| {
-                query
-                    .aggregations
-                    .iter()
-                    .map(|(_, f)| f.new_acc())
-                    .collect()
+            group_key.clear();
+            for g in query.group_by.iter() {
+                let cell = key.iter().find(|(d, _)| d == g);
+                group_key.push(cell.and_then(|(_, v)| v.as_deref()));
+            }
+            let entry = groups.entry(&group_key, || {
+                query.aggregations.iter().map(|(_, f)| f.new_acc())
             });
             for (slot, mi) in entry.iter_mut().zip(&metric_idx) {
                 slot.merge(&node.metrics[*mi]);

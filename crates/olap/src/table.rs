@@ -428,7 +428,7 @@ impl OlapTable {
             } else {
                 None
             };
-            out.serve(st.consuming.execute_partial(query, valid.as_ref())?, query);
+            out.serve(st.consuming.execute_partial(query, valid.as_ref())?);
         }
         let (tasks, segments_pruned) = self.scan_tasks(query);
         out.ledger.segments_pruned += segments_pruned;

@@ -277,7 +277,7 @@ impl HybridTable {
             None => merged.ledger.segments_pruned = self.offline.read().len() as u64,
             Some(q) => {
                 let slice = self.offline_slice(q, boundary, &mut bytes_read, &mut cache_hit)?;
-                merged.merge(slice, &base);
+                merged.merge(slice);
             }
         }
         if let Some(q) = &realtime_q {
@@ -286,7 +286,7 @@ impl HybridTable {
                 RealtimeSide::Direct(t) => t.query_partial(q)?,
                 RealtimeSide::Brokered(b) => b.query_partial(q)?,
             };
-            merged.merge(slice, &base);
+            merged.merge(slice);
         }
         let mut result = merged.finalize(&base)?;
         if let Some(agg) = &pushdown.aggregation {

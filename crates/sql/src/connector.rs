@@ -174,7 +174,7 @@ impl ScanOutput {
         let mut merged = PartialAgg::default();
         for view in &views {
             let before = view.segment.bytes_loaded();
-            merged.merge(view.segment.execute_partial(&q, Some(&view.docs))?, &q);
+            merged.merge(view.segment.execute_partial(&q, Some(&view.docs))?);
             self.bytes_read += (view.segment.bytes_loaded() - before) as u64;
         }
         let mut rows = merged.finalize(&q);

@@ -14,9 +14,7 @@ use crate::expr::{eval, truthy};
 use crate::optimizer::{optimize_with, pushable_aggregation};
 use crate::parser::parse_select;
 use crate::plan::{plan_select, AggItem, Plan};
-use rtdi_common::{
-    AggAcc, AggFn, Clock, Deadline, Error, PipelineTracer, Priority, Result, Row, Value,
-};
+use rtdi_common::{AggAcc, Clock, Deadline, Error, PipelineTracer, Priority, Result, Row, Value};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
@@ -402,14 +400,14 @@ fn stamp_overload(plan: &mut Plan, deadline: &Option<Deadline>, priority: Priori
     }
 }
 
-fn agg_fn_for(item: &AggItem) -> AggFn {
+fn new_acc(item: &AggItem) -> AggAcc {
     match (item.func, item.distinct) {
-        (AggName::Count, true) => AggFn::DistinctCount("__arg".into()),
-        (AggName::Count, false) => AggFn::Count,
-        (AggName::Sum, _) => AggFn::Sum("__arg".into()),
-        (AggName::Avg, _) => AggFn::Avg("__arg".into()),
-        (AggName::Min, _) => AggFn::Min("__arg".into()),
-        (AggName::Max, _) => AggFn::Max("__arg".into()),
+        (AggName::Count, true) => AggAcc::Distinct(Default::default()),
+        (AggName::Count, false) => AggAcc::Count(0),
+        (AggName::Sum, _) => AggAcc::Sum { sum: 0.0, count: 0 },
+        (AggName::Avg, _) => AggAcc::Avg { sum: 0.0, count: 0 },
+        (AggName::Min, _) => AggAcc::Min(None),
+        (AggName::Max, _) => AggAcc::Max(None),
     }
 }
 
@@ -418,7 +416,6 @@ fn execute_aggregate(
     group_by: &[(String, crate::ast::Expr)],
     aggs: &[AggItem],
 ) -> Result<Vec<Row>> {
-    let fns: Vec<AggFn> = aggs.iter().map(agg_fn_for).collect();
     // group key -> (representative group values, accumulators); NULL keys
     // are None so they never collide with a literal "NULL" string
     type GroupKey = Vec<Option<String>>;
@@ -437,25 +434,25 @@ fn execute_aggregate(
         }
         let (_, accs) = groups
             .entry(key)
-            .or_insert_with(|| (vals, fns.iter().map(|f| f.new_acc()).collect()));
-        for ((acc, f), item) in accs.iter_mut().zip(&fns).zip(aggs) {
-            let arg_val = match &item.arg {
-                None => Value::Int(1), // COUNT(*)
-                Some(e) => eval(e, row)?,
-            };
-            // SQL semantics: aggregates skip NULL arguments (except COUNT(*))
-            if item.arg.is_some() && arg_val.is_null() {
-                continue;
+            .or_insert_with(|| (vals, aggs.iter().map(new_acc).collect()));
+        for (acc, item) in accs.iter_mut().zip(aggs) {
+            match &item.arg {
+                None => acc.add_one(), // COUNT(*)
+                Some(e) => {
+                    // SQL semantics: aggregates skip NULL arguments
+                    let arg = eval(e, row)?;
+                    if !arg.is_null() {
+                        acc.add_value(&arg);
+                    }
+                }
             }
-            let tmp = Row::new().with("__arg", arg_val);
-            acc.add(f, &tmp);
         }
     }
     if groups.is_empty() && group_by.is_empty() {
         // global aggregate over empty input still yields one row
         let mut row = Row::new();
-        for (item, f) in aggs.iter().zip(&fns) {
-            row.push(item.name.clone(), f.new_acc().result());
+        for item in aggs {
+            row.push(item.name.clone(), new_acc(item).result());
         }
         return Ok(vec![row]);
     }
@@ -532,7 +529,7 @@ fn merge_joined(l: &Row, r: &Row, lb: &str, rb: &str) -> Row {
 mod tests {
     use super::*;
     use crate::connector::MemoryConnector;
-    use rtdi_common::{FieldType, Schema};
+    use rtdi_common::{AggFn, FieldType, Schema};
 
     fn engine() -> SqlEngine {
         let mut mem = MemoryConnector::new();

@@ -7,9 +7,13 @@
 //! copying it. Then compute's: the
 //! FlinkSQL window job reads the log's records where they lie, a filter
 //! forwards the log's own handles, and a map leaves the log as appended.
+//! Then the read path's: a query pays for the groups and rows it answers
+//! with and a fixed sum per segment, not for every group of every segment
+//! nor for every document that matched.
 //!
 //! One `#[test]`, so the process-wide counter sees one thread at work.
 
+use rtdi::common::AggFn;
 use rtdi::common::{Error, FieldType, Record, Result, Row, Schema};
 use rtdi::compute::{
     run_staged_with, CollectSink, FilterOp, Job, MapOp, StagedConfig, TopicSink, TopicSource,
@@ -17,6 +21,7 @@ use rtdi::compute::{
 use rtdi::core::platform::RealtimePlatform;
 use rtdi::flinksql::compiler::{compile_streaming, CompileOptions};
 use rtdi::olap::ingestion::{IngestionConfig, RealtimeIngester};
+use rtdi::olap::query::{Predicate, PredicateOp, Query, SortOrder};
 use rtdi::olap::table::{OlapTable, TableConfig};
 use rtdi::stream::log::FetchResult;
 use rtdi::stream::producer::{Producer, ProducerConfig, StreamEndpoint};
@@ -245,6 +250,90 @@ fn upsert_names_its_segment_by_pointer() {
     );
 }
 
+/// What a query's answer travels in: a segment's groups are cells in an
+/// arena and accumulators in a vector, a selection's docs are cut to the
+/// limit before rows are built. Budgets are `a * what is answered +
+/// b * segments`; the forms they replaced paid per group per segment and
+/// per matching document.
+fn queries_pay_for_what_they_answer() {
+    const N: usize = 12_000;
+    const CITIES: usize = 512;
+    let table = OlapTable::new(table("trips").with_segment_rows(1_000)).unwrap();
+    for i in 0..N {
+        let row = Row::new()
+            .with("city", format!("city-{:03}", (i * 7) % CITIES))
+            .with("fare", (i % 64) as f64)
+            .with("ts", (i / 20) as i64);
+        table.ingest(i % PARTITIONS, row).unwrap();
+    }
+    let run = |q: &Query| {
+        let (res, spent) = count_allocations(|| table.query(q).unwrap());
+        assert!(res.ledger.segments_queried >= 12);
+        (
+            res.rows.len() as u64,
+            res.ledger.segments_queried,
+            spent.allocs,
+        )
+    };
+    let count = Query::select_all("trips").aggregate("n", AggFn::Count);
+    let revenue = count
+        .clone()
+        .aggregate("revenue", AggFn::Sum("fare".into()));
+
+    // a global aggregate has no keys to ship: a partial is its accumulators
+    // and the merge probes nothing. The bound is what a map node and an
+    // accumulator vector per partial came to on this table (92 over 16
+    // segments); a probe table and a hash vector beside them is 5 more
+    let (_, segments, allocs) = run(&count);
+    assert!(
+        allocs <= 5 * segments + 12,
+        "COUNT(*): {allocs} allocations over {segments} segments"
+    );
+
+    // every city is in every segment: 512 groups a segment, 512 answered
+    let by_city = revenue.clone().group(&["city"]);
+    let (groups, segments, allocs) = run(&by_city);
+    assert_eq!(groups, CITIES as u64);
+    assert!(
+        allocs <= 2 * groups + 40 * segments + 64,
+        "GROUP BY city: {allocs} allocations for {groups} groups over {segments} segments"
+    );
+    // and a top 10 builds 10 rows
+    let top = by_city.order("n", SortOrder::Desc).limit(10);
+    let (rows, segments, allocs) = run(&top);
+    assert!(
+        allocs <= 2 * rows + 40 * segments + 64,
+        "top 10 cities: {allocs} allocations over {segments} segments"
+    );
+
+    // a group column without a dictionary renders each document's key into
+    // one buffer: a new group allocates, a document does not
+    let (groups, segments, allocs) = run(&count.group(&["ts"]));
+    assert_eq!(groups, (N / 20) as u64);
+    assert!(
+        allocs <= 3 * groups + 40 * segments + 64,
+        "GROUP BY ts: {allocs} allocations for {groups} groups, {N} docs, {segments} segments"
+    );
+
+    // the latest 20 of an eighth of the table and of all of it: eight times
+    // the matching docs grow each segment's doc-id list three doublings
+    let latest = |fare: f64| {
+        Query::select_all("trips")
+            .columns(&["city", "fare", "ts"])
+            .filter(Predicate::new("fare", PredicateOp::Ge, fare))
+            .order("ts", SortOrder::Desc)
+            .limit(20)
+    };
+    let (_, segments, of_an_eighth) = run(&latest(56.0));
+    let (rows, _, of_all) = run(&latest(0.0));
+    assert_eq!(rows, 20);
+    assert!(
+        of_all <= of_an_eighth + 4 * segments,
+        "ORDER BY ts DESC LIMIT 20: {of_all} allocations over {N} matching docs, \
+         {of_an_eighth} over an eighth of them"
+    );
+}
+
 #[test]
 fn produce_ingest_and_retry_hold_their_allocation_budgets() {
     const N: usize = 10_000;
@@ -310,4 +399,6 @@ fn produce_ingest_and_retry_hold_their_allocation_budgets() {
     );
 
     compute_reads_the_log_where_it_lies();
+
+    queries_pay_for_what_they_answer();
 }
