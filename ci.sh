@@ -31,8 +31,9 @@ if [ -n "$(git status --porcelain -- benchmark BENCHMARK.json)" ]; then
   exit 1
 fi
 # also the gate of every crate's deny of clippy::unwrap_used and
-# clippy::expect_used outside tests (ROADMAP item 4)
-cargo clippy --workspace -- -D warnings
+# clippy::expect_used outside tests (ROADMAP item 4); `--all-targets`
+# lints the tests and examples too
+cargo clippy --workspace --all-targets -- -D warnings
 cargo fmt --check
 # every intra-doc link resolves, and to an item as public as its page
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline

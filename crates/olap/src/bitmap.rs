@@ -71,6 +71,11 @@ impl Bitmap {
         self.blocks.iter().map(|b| b.count_ones() as usize).sum()
     }
 
+    /// Is any bit set? Stops at the first set word.
+    pub fn any(&self) -> bool {
+        self.blocks.iter().any(|&b| b != 0)
+    }
+
     /// In-place intersection.
     pub fn and_with(&mut self, other: &Bitmap) {
         debug_assert_eq!(self.len, other.len);
@@ -209,11 +214,22 @@ impl Bitmap {
         }
     }
 
-    /// Set bits in `[from, to)`.
+    /// Set bits in `[from, to)`, a whole word at a time.
     pub fn set_range(&mut self, from: usize, to: usize) {
-        for i in from..to.min(self.len) {
-            self.set(i);
+        let to = to.min(self.len);
+        if from >= to {
+            return;
         }
+        let (first, last) = (from / 64, (to - 1) / 64);
+        let head = u64::MAX << (from % 64);
+        let tail = u64::MAX >> (63 - (to - 1) % 64);
+        if first == last {
+            self.blocks[first] |= head & tail;
+            return;
+        }
+        self.blocks[first] |= head;
+        self.blocks[first + 1..last].fill(u64::MAX);
+        self.blocks[last] |= tail;
     }
 
     pub fn memory_bytes(&self) -> usize {
@@ -426,6 +442,25 @@ mod tests {
             want.sort_unstable();
             want.dedup();
             assert_eq!(got, want, "range {from}..{to}");
+        }
+    }
+
+    #[test]
+    fn set_range_fills_words_like_bit_by_bit() {
+        for len in [0usize, 1, 63, 64, 65, 200] {
+            for from in [0usize, 1, 5, 63, 64, 65, 127, 128, 199] {
+                for to in [0usize, 1, 2, 63, 64, 65, 128, 129, 200, 300] {
+                    let mut words = Bitmap::new(len);
+                    if len > 0 {
+                        words.set(len / 2); // bits outside the range survive
+                    }
+                    let mut bits = words.clone();
+                    words.set_range(from, to);
+                    (from..to.min(len)).for_each(|i| bits.set(i));
+                    assert_eq!(words, bits, "len {len} range {from}..{to}");
+                    assert_eq!(words.any(), words.count() > 0);
+                }
+            }
         }
     }
 

@@ -426,7 +426,7 @@ mod tests {
     }
 
     #[test]
-    fn sort_and_limit_orders_with_nulls_last_asc() {
+    fn sort_and_limit_orders_nulls_first_asc() {
         let mut rows = vec![
             Row::new().with("x", 3i64),
             Row::new().with("x", Value::Null),

@@ -20,7 +20,7 @@ use crate::query::{
 use crate::realtime::MutableSegment;
 use crate::startree::{StarTree, StarTreeSpec};
 use bytes::Bytes;
-use rtdi_common::{AggAcc, Error, FieldType, Result, Row, Schema, Timestamp, Value};
+use rtdi_common::{AggAcc, AggFn, Error, FieldType, Result, Row, Schema, Timestamp, Value};
 use rtdi_storage::segfile;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashMap};
@@ -466,9 +466,9 @@ fn op_accepts(op: PredicateOp, ord: Ordering) -> bool {
 }
 
 impl<'a> CompiledPred<'a> {
-    fn compile(col: &'a ColumnData, pred: &Predicate) -> CompiledPred<'a> {
-        let keys = |rhs: i64| KeyRange::around(pred.op, rhs, rhs);
-        let test = match (col, &pred.value) {
+    fn compile(col: &'a ColumnData, op: PredicateOp, rhs: &Value) -> CompiledPred<'a> {
+        let keys = |key: i64| KeyRange::around(op, key, key);
+        let test = match (col, rhs) {
             (ColumnData::Int { values, .. }, Value::Int(rhs)) => DocTest::Int(values, keys(*rhs)),
             (ColumnData::Int { values, .. }, Value::Double(rhs)) => {
                 DocTest::IntAsDouble(values, keys(f64_key(*rhs)))
@@ -493,20 +493,20 @@ impl<'a> CompiledPred<'a> {
                 None => {
                     let lo = dict.partition_point(|d| d.as_str() < s.as_str()) as i64;
                     let hi = dict.partition_point(|d| d.as_str() <= s.as_str()) as i64;
-                    DocTest::StrId(ids, KeyRange::around(pred.op, lo, hi - 1))
+                    DocTest::StrId(ids, KeyRange::around(op, lo, hi - 1))
                 }
                 // insertion-ordered dictionary: ids are identities only
-                Some(intern) if matches!(pred.op, PredicateOp::Eq | PredicateOp::Ne) => {
+                Some(intern) if matches!(op, PredicateOp::Eq | PredicateOp::Ne) => {
                     let (lo, hi) = intern
                         .get(s)
                         .map_or(KeyRange::EMPTY, |&id| (id as i64, id as i64));
-                    DocTest::StrId(ids, KeyRange::around(pred.op, lo, hi))
+                    DocTest::StrId(ids, KeyRange::around(op, lo, hi))
                 }
                 // nothing but NULLs so far: their id 0 names no entry, and
                 // the scan tests a doc before it masks the NULLs out
                 Some(_) if dict.is_empty() => DocTest::Const(false),
                 Some(_) => {
-                    let accepts = |d: &String| op_accepts(pred.op, d.as_str().cmp(s));
+                    let accepts = |d: &String| op_accepts(op, d.as_str().cmp(s));
                     DocTest::StrIn(ids, dict.iter().map(accepts).collect())
                 }
             },
@@ -519,7 +519,7 @@ impl<'a> CompiledPred<'a> {
                     ColumnData::Int { .. } | ColumnData::Double { .. } => 2,
                     ColumnData::Str { .. } => 3,
                 };
-                let rhs_rank: u8 = match &pred.value {
+                let rhs_rank: u8 = match rhs {
                     Value::Null => 0,
                     Value::Bool(_) => 1,
                     Value::Int(_) | Value::Double(_) => 2,
@@ -527,7 +527,7 @@ impl<'a> CompiledPred<'a> {
                     Value::Bytes(_) => 4,
                     Value::Json(_) => 5,
                 };
-                DocTest::Const(op_accepts(pred.op, col_rank.cmp(&rhs_rank)))
+                DocTest::Const(op_accepts(op, col_rank.cmp(&rhs_rank)))
             }
         };
         CompiledPred {
@@ -559,6 +559,20 @@ impl<'a> CompiledPred<'a> {
             DocTest::StrIn(ids, accepts) => {
                 out.set_where(from, to, nulls, |d| accepts[ids[d] as usize])
             }
+        }
+    }
+
+    /// Does non-NULL doc `d` match? One doc of what [`Self::eval_range`]
+    /// tests a run of, for a binary search to probe with.
+    fn accepts(&self, d: usize) -> bool {
+        match &self.test {
+            DocTest::Const(all) => *all,
+            DocTest::Int(v, keys) => keys.holds(v[d]),
+            DocTest::IntAsDouble(v, keys) => keys.holds(f64_key(v[d] as f64)),
+            DocTest::Double(v, keys) => keys.holds(f64_key(v[d])),
+            DocTest::Bool(v, keys) => keys.holds(v.get(d) as i64),
+            DocTest::StrId(ids, keys) => keys.holds(ids[d] as i64),
+            DocTest::StrIn(ids, accepts) => accepts[ids[d] as usize],
         }
     }
 }
@@ -749,7 +763,7 @@ fn eval_predicate(
         }
     }
     // 4. batch columnar scan over runs of candidate docs
-    let compiled = CompiledPred::compile(col, pred);
+    let compiled = CompiledPred::compile(col, pred.op, &pred.value);
     let mut bm = Bitmap::new(n);
     let mut cost = 0u64;
     candidates
@@ -762,11 +776,18 @@ fn eval_predicate(
     Ok((bm, cost))
 }
 
+/// A predicate on the column the segment is sorted by: NULLs first, then
+/// ascending, so the docs below the literal and the docs up to it are two
+/// prefixes. Each boundary is a binary search probing the raw column
+/// through the compiled `<` and `<=` of the literal — no value is built
+/// per probe.
 fn eval_sorted(col: &ColumnData, pred: &Predicate, n: usize) -> Bitmap {
-    // binary search over the sorted column for the boundary positions
-    let cmp_at = |doc: usize| -> std::cmp::Ordering { col.value_at(doc).total_cmp(&pred.value) };
-    let lower = partition_point(n, |d| cmp_at(d) == std::cmp::Ordering::Less);
-    let upper = partition_point(n, |d| cmp_at(d) != std::cmp::Ordering::Greater);
+    let nulls = col.nulls();
+    let prefix = |op| {
+        let below = CompiledPred::compile(col, op, &pred.value);
+        partition_point(n, |d| nulls.get(d) || below.accepts(d))
+    };
+    let (lower, upper) = (prefix(PredicateOp::Lt), prefix(PredicateOp::Le));
     let mut bm = Bitmap::new(n);
     match pred.op {
         PredicateOp::Eq => bm.set_range(lower, upper),
@@ -781,7 +802,7 @@ fn eval_sorted(col: &ColumnData, pred: &Predicate, n: usize) -> Bitmap {
     }
     // nulls sort first (Null type-rank lowest): exclude them from
     // range results
-    bm.and_not(col.nulls());
+    bm.and_not(nulls);
     bm
 }
 
@@ -826,143 +847,72 @@ pub(crate) fn execute_partial(
     if let Some(valid) = valid_docs {
         selected.and_with(valid);
     }
-    let mut docs: Vec<u32> = Vec::new();
-    selected.collect_into(&mut docs);
+    let count = selected.count();
     let mut partial = PartialAgg {
-        docs_scanned: scanned + docs.len() as u64,
+        docs_scanned: scanned + count as u64,
         ..Default::default()
     };
+    let mut docs: Vec<u32> = Vec::new();
     if !query.is_aggregation() {
+        selected.collect_into(&mut docs);
         partial.rows = select_rows(seg, query, &mut docs);
-        return Ok(partial);
-    }
-    // resolve each aggregation to a direct columnar fold — Pinot-style
-    // tight loops instead of per-document row materialization
-    let resolved: Vec<ResolvedAgg<'_>> = query
-        .aggregations
-        .iter()
-        .map(|(_, f)| resolve_agg(seg, f))
-        .collect();
-    let num_slots = resolved.len();
-
-    if query.group_by.is_empty() {
-        if !docs.is_empty() {
-            let mut accs: Vec<AggAcc> = query
-                .aggregations
-                .iter()
-                .map(|(_, f)| f.new_acc())
-                .collect();
-            for (r, acc) in resolved.iter().zip(&mut accs) {
-                fold_column(r, &docs, acc);
-            }
-            partial.groups = Groups::global(accs);
+    } else if count == seg.doc_count() {
+        // every doc selected: the folds walk the column vectors, no list
+        partial.groups = aggregate(seg, query, 0..count, count);
+    } else {
+        // a list only for a fold that reads a doc: COUNT(*) alone is the
+        // count
+        let reads_docs = |(_, f): &(String, AggFn)| *f != AggFn::Count;
+        if !query.group_by.is_empty() || query.aggregations.iter().any(reads_docs) {
+            selected.collect_into(&mut docs);
         }
-        return Ok(partial);
+        partial.groups = aggregate(seg, query, docs.iter().map(|&d| d as usize), count);
     }
+    Ok(partial)
+}
 
-    // fast group path: every group column is dictionary-encoded, so
-    // group ids are interned from packed dict ids (u32::MAX = NULL) and
-    // key text is only copied once per group at the end; the accumulators
-    // live in one flat `[group * num_slots + slot]` vector, which the
-    // per-slot folds stream through and the partial then takes whole. Dict
-    // ids serve as identities only, so the dictionary's order does not
-    // matter.
+/// The fold half of [`execute_partial`]: `docs` yields the `count`
+/// selected docs in ascending order, and is not walked when no fold reads
+/// a doc. Each aggregation slot folds into a [`Lane`].
+fn aggregate<I>(seg: &dyn ColumnSet, query: &Query, docs: I, count: usize) -> Groups
+where
+    I: Iterator<Item = usize> + Clone,
+{
+    if query.group_by.is_empty() {
+        if count == 0 {
+            return Groups::default();
+        }
+        let accs = query.aggregations.iter().map(|(_, f)| {
+            let mut lane = Lane::new(seg, f, 1);
+            lane.fold_global(docs.clone());
+            lane.emit(0, count as u64)
+        });
+        return Groups::global(accs.collect());
+    }
+    let lanes = |groups: usize| -> Vec<Lane<'_>> {
+        let aggs = query.aggregations.iter();
+        aggs.map(|(_, f)| Lane::new(seg, f, groups)).collect()
+    };
+
     let group_cols: Vec<Option<&ColumnData>> =
         query.group_by.iter().map(|c| seg.column(c)).collect();
-    let dict_cols: Option<Vec<&ColumnData>> = group_cols
-        .iter()
-        .map(|c| c.filter(|c| matches!(c, ColumnData::Str { .. })))
-        .collect();
-    if let (Some(cols), true) = (&dict_cols, query.group_by.len() <= 4) {
-        let new_group = |group_keys: &mut Vec<u128>, accs: &mut Vec<AggAcc>, key: u128| {
-            let gid = group_keys.len() as u32;
-            group_keys.push(key);
-            accs.extend(query.aggregations.iter().map(|(_, f)| f.new_acc()));
-            gid
-        };
-        let mut group_keys: Vec<u128> = Vec::new();
-        let mut accs: Vec<AggAcc> = Vec::new();
-        // per-doc dense group id, parallel to `docs`
-        let mut gids: Vec<u32> = Vec::with_capacity(docs.len());
-        if let [ColumnData::Str {
-            dict, ids, nulls, ..
-        }] = cols.as_slice()
-        {
-            // single column: a direct dict-id -> group-id table replaces
-            // hashing entirely (slot dict.len() holds NULL)
-            let mut gid_of: Vec<u32> = vec![u32::MAX; dict.len() + 1];
-            for &d in &docs {
-                let doc = d as usize;
-                let id = if nulls.get(doc) {
-                    dict.len()
-                } else {
-                    ids[doc] as usize
-                };
-                let gid = if gid_of[id] == u32::MAX {
-                    let key = if id == dict.len() {
-                        u32::MAX
-                    } else {
-                        id as u32
-                    };
-                    let gid = new_group(&mut group_keys, &mut accs, key as u128);
-                    gid_of[id] = gid;
-                    gid
-                } else {
-                    gid_of[id]
-                };
-                gids.push(gid);
-            }
-        } else {
-            // multi-column: intern the packed key through an FNV map
-            // (integer keys; SipHash would dominate the loop)
-            let mut intern: HashMap<u128, u32, FnvBuildHasher> = HashMap::default();
-            for &d in &docs {
-                let doc = d as usize;
-                let mut key: u128 = 0;
-                for col in cols {
-                    let id = match col {
-                        ColumnData::Str { ids, nulls, .. } => {
-                            if nulls.get(doc) {
-                                u32::MAX
-                            } else {
-                                ids[doc]
-                            }
-                        }
-                        _ => unreachable!("checked above"),
-                    };
-                    key = (key << 32) | id as u128;
-                }
-                let gid = *intern
-                    .entry(key)
-                    .or_insert_with(|| new_group(&mut group_keys, &mut accs, key));
-                gids.push(gid);
-            }
-        }
-        for (slot, r) in resolved.iter().enumerate() {
-            fold_column_grouped(r, &docs, &gids, num_slots, slot, &mut accs);
-        }
-        // one group per packed key: distinct by construction, so the
-        // partial is appended to, never probed
-        let cells = group_keys.iter().flat_map(|key| {
-            cols.iter().enumerate().map(move |(i, col)| {
-                let shift = 32 * (cols.len() - 1 - i);
-                match (((key >> shift) & 0xFFFF_FFFF) as u32, col) {
-                    (u32::MAX, _) => None,
-                    (id, ColumnData::Str { dict, .. }) => Some(dict[id as usize].as_str()),
-                    _ => unreachable!("checked above"),
-                }
-            })
-        });
-        partial.groups = Groups::from_distinct(cols.len(), cells, accs);
-        return Ok(partial);
+    let dict_cols: Option<Vec<DictCol<'_>>> =
+        group_cols.iter().map(|c| c.and_then(DictCol::of)).collect();
+    if let Some(cols) = dict_cols.filter(|cols| cols.len() <= 4) {
+        return group_by_dict(&cols, lanes, docs, count);
     }
 
     // general path: a group column that is not dictionary-encoded (or
     // absent) renders each document's key into one reused buffer, so what
     // allocates is a new group, not a document
+    let resolved: Vec<ResolvedAgg<'_>> = query
+        .aggregations
+        .iter()
+        .map(|(_, f)| resolve_agg(seg, f))
+        .collect();
+    let mut groups = Groups::default();
     let mut key = KeyCells::default();
-    for &d in &docs {
-        let doc = d as usize;
+    for doc in docs {
         key.clear();
         for col in &group_cols {
             match col {
@@ -970,12 +920,173 @@ pub(crate) fn execute_partial(
                 None => key.push(None::<&str>),
             }
         }
-        let accs = partial
-            .groups
-            .entry(&key, || query.aggregations.iter().map(|(_, f)| f.new_acc()));
+        let accs = groups.entry(&key, || query.aggregations.iter().map(|(_, f)| f.new_acc()));
         fold_resolved(&resolved, doc, accs);
     }
-    Ok(partial)
+    groups
+}
+
+/// A group column's dictionary ids; `nulls` only when it has a NULL.
+#[derive(Clone, Copy)]
+struct DictCol<'a> {
+    dict: &'a [String],
+    ids: &'a [u32],
+    nulls: Option<&'a Bitmap>,
+}
+
+impl<'a> DictCol<'a> {
+    fn of(col: &'a ColumnData) -> Option<DictCol<'a>> {
+        match col {
+            ColumnData::Str {
+                dict, ids, nulls, ..
+            } => Some(DictCol {
+                dict,
+                ids,
+                nulls: nulls.any().then_some(nulls),
+            }),
+            _ => None,
+        }
+    }
+
+    /// The doc's dictionary id, `u32::MAX` for NULL.
+    #[inline]
+    fn id(&self, doc: usize) -> u32 {
+        match self.nulls {
+            Some(nulls) if nulls.get(doc) => u32::MAX,
+            _ => self.ids[doc],
+        }
+    }
+}
+
+/// Group on dictionary columns: a group is a combination of dictionary
+/// ids (`u32::MAX` = NULL), packed into a `u128` key, and key text is
+/// copied once per group at the end. Ids serve as identities only, so a
+/// consuming segment's insertion-ordered dictionary does too.
+///
+/// One column and at least as many docs as dictionary entries (dense):
+/// the lanes are indexed by id, NULL after the last one, so the first pass
+/// is a per-id doc count and no doc carries a group id; the groups are
+/// the ids that met a doc, in id order. Otherwise (sparse, or several
+/// columns) groups are numbered as first met — through a per-id table for
+/// one column, an FNV map of packed keys for several — into a per-doc
+/// `gids` vector the lanes fold through, so lanes are as long as the
+/// groups found, not as the dictionary.
+fn group_by_dict<'a, I>(
+    cols: &[DictCol<'_>],
+    lanes: impl Fn(usize) -> Vec<Lane<'a>>,
+    docs: I,
+    count: usize,
+) -> Groups
+where
+    I: Iterator<Item = usize> + Clone,
+{
+    const NULL: u32 = u32::MAX;
+    let (keys, accs) = match cols {
+        [col] if count >= col.dict.len() => {
+            let null_slot = col.dict.len();
+            let mut lanes = lanes(null_slot + 1);
+            let ids = col.ids;
+            let counts = match col.nulls {
+                None => fold_by_slot(&mut lanes, docs, null_slot + 1, |d| ids[d] as usize),
+                Some(nulls) => fold_by_slot(&mut lanes, docs, null_slot + 1, |d| {
+                    if nulls.get(d) {
+                        null_slot
+                    } else {
+                        ids[d] as usize
+                    }
+                }),
+            };
+            let present = || (0..=null_slot).filter(|&s| counts[s] > 0);
+            let key = |s: usize| (if s == null_slot { NULL } else { s as u32 }) as u128;
+            let mut keys = Vec::with_capacity(present().count());
+            keys.extend(present().map(key));
+            let accs = emit(&mut lanes, &counts, present(), keys.len());
+            (keys, accs)
+        }
+        _ => {
+            let mut keys: Vec<u128> = Vec::new();
+            let mut gids: Vec<u32> = Vec::with_capacity(count);
+            let mut group_of = |key: u128| {
+                keys.push(key);
+                keys.len() as u32 - 1
+            };
+            if let [col] = cols {
+                // slot dict.len() holds NULL
+                let mut gid_of: Vec<u32> = vec![NULL; col.dict.len() + 1];
+                for d in docs.clone() {
+                    let id = col.id(d);
+                    let slot = &mut gid_of[(id as usize).min(col.dict.len())];
+                    if *slot == NULL {
+                        *slot = group_of(id as u128);
+                    }
+                    gids.push(*slot);
+                }
+            } else {
+                // integer keys: SipHash would dominate the loop
+                let mut intern: HashMap<u128, u32, FnvBuildHasher> = HashMap::default();
+                for d in docs.clone() {
+                    let key = cols
+                        .iter()
+                        .fold(0u128, |key, col| (key << 32) | col.id(d) as u128);
+                    gids.push(*intern.entry(key).or_insert_with(|| group_of(key)));
+                }
+            }
+            let mut counts = vec![0u64; keys.len()];
+            gids.iter().for_each(|&g| counts[g as usize] += 1);
+            let mut lanes = lanes(keys.len());
+            for lane in &mut lanes {
+                lane.fold(docs.clone().zip(gids.iter().map(|&g| g as usize)));
+            }
+            let accs = emit(&mut lanes, &counts, 0..keys.len(), keys.len());
+            (keys, accs)
+        }
+    };
+    // one group per packed key: distinct by construction, so the partial
+    // is appended to, never probed
+    let cells = keys.iter().flat_map(|key| {
+        cols.iter().enumerate().map(move |(i, col)| {
+            let shift = 32 * (cols.len() - 1 - i);
+            match ((key >> shift) & 0xFFFF_FFFF) as u32 {
+                NULL => None,
+                id => Some(col.dict[id as usize].as_str()),
+            }
+        })
+    });
+    Groups::from_distinct(cols.len(), cells, accs)
+}
+
+/// Count the docs into `slots` groups by `slot(doc)` and fold every lane
+/// over them; the doc count of each slot.
+fn fold_by_slot<I>(
+    lanes: &mut [Lane<'_>],
+    docs: I,
+    slots: usize,
+    slot: impl Fn(usize) -> usize + Copy,
+) -> Vec<u64>
+where
+    I: Iterator<Item = usize> + Clone,
+{
+    let mut counts = vec![0u64; slots];
+    docs.clone().for_each(|d| counts[slot(d)] += 1);
+    for lane in lanes {
+        lane.fold(docs.clone().map(|d| (d, slot(d))));
+    }
+    counts
+}
+
+/// The accumulators of `groups` (`len` of them, `counts` holding each
+/// group's doc count), group after group: lanes become `AggAcc`s only here.
+fn emit(
+    lanes: &mut [Lane<'_>],
+    counts: &[u64],
+    groups: impl Iterator<Item = usize>,
+    len: usize,
+) -> Vec<AggAcc> {
+    let mut accs = Vec::with_capacity(len * lanes.len());
+    for g in groups {
+        accs.extend(lanes.iter_mut().map(|lane| lane.emit(g, counts[g])));
+    }
+    accs
 }
 
 /// A selection's rows: the selected docs are ordered on the ORDER BY
@@ -1034,8 +1145,7 @@ fn select_rows(seg: &dyn ColumnSet, query: &Query, docs: &mut Vec<u32>) -> Vec<R
     rows
 }
 
-fn resolve_agg<'a>(seg: &'a dyn ColumnSet, f: &rtdi_common::AggFn) -> ResolvedAgg<'a> {
-    use rtdi_common::AggFn;
+fn resolve_agg<'a>(seg: &'a dyn ColumnSet, f: &AggFn) -> ResolvedAgg<'a> {
     match f {
         AggFn::Count => ResolvedAgg::CountAll,
         AggFn::Sum(c) | AggFn::Avg(c) | AggFn::Min(c) | AggFn::Max(c) => {
@@ -1356,7 +1466,6 @@ impl LazySegment {
             add(c);
         }
         for (_, f) in query.aggregations.iter() {
-            use rtdi_common::AggFn;
             match f {
                 AggFn::Count => {}
                 AggFn::Sum(c)
@@ -1677,132 +1786,209 @@ fn fold_resolved(resolved: &[ResolvedAgg<'_>], doc: usize, accs: &mut [AggAcc]) 
     }
 }
 
-/// Fold one aggregation slot over all selected docs (global aggregation):
-/// the variant dispatch happens once per slot, not once per document.
-fn fold_column(r: &ResolvedAgg<'_>, docs: &[u32], acc: &mut AggAcc) {
-    match r {
-        ResolvedAgg::CountAll => {
-            if let AggAcc::Count(n) = acc {
-                *n += docs.len() as u64;
+/// One aggregation slot's per-group state while a segment folds: a typed
+/// vector indexed by group where the fold is arithmetic, an [`AggAcc`]
+/// per group where it is not. Docs are folded in ascending order, so a
+/// group's values add up in doc order and every float is what an `AggAcc`
+/// fed doc by doc would hold.
+enum Lane<'a> {
+    /// COUNT(*): the group's doc count, which the kernel keeps anyway.
+    Count,
+    /// SUM or AVG over an Int or Double column. `nulls` is the column's
+    /// NULL mask only when it has a NULL, and then `counts` holds each
+    /// group's non-NULL count; otherwise the group's doc count is the
+    /// count and the loop tests nothing.
+    Sum {
+        avg: bool,
+        values: Numbers<'a>,
+        nulls: Option<&'a Bitmap>,
+        sums: Vec<f64>,
+        counts: Vec<u64>,
+    },
+    /// MIN/MAX (an `f64` lane seeded with ±∞ would turn an all-NaN MIN
+    /// into ∞ where `AggAcc` gives NaN), DISTINCTCOUNT, and anything over
+    /// an absent or non-numeric column.
+    Acc {
+        input: ResolvedAgg<'a>,
+        accs: Vec<AggAcc>,
+    },
+}
+
+#[derive(Clone, Copy)]
+enum Numbers<'a> {
+    Int(&'a [i64]),
+    Double(&'a [f64]),
+}
+
+impl<'a> Lane<'a> {
+    /// The lane of `f` over `groups` groups. Whether its column has a NULL
+    /// is decided here, once per column and segment.
+    fn new(seg: &'a dyn ColumnSet, f: &AggFn, groups: usize) -> Lane<'a> {
+        let acc = || Lane::Acc {
+            input: resolve_agg(seg, f),
+            accs: vec![f.new_acc(); groups],
+        };
+        let (avg, column) = match f {
+            AggFn::Count => return Lane::Count,
+            AggFn::Sum(c) => (false, c),
+            AggFn::Avg(c) => (true, c),
+            _ => return acc(),
+        };
+        let (values, nulls) = match seg.column(column) {
+            Some(ColumnData::Int { values, nulls, .. }) => (Numbers::Int(values), nulls),
+            Some(ColumnData::Double { values, nulls }) => (Numbers::Double(values), nulls),
+            _ => return acc(),
+        };
+        let nulls = nulls.any().then_some(nulls);
+        Lane::Sum {
+            avg,
+            values,
+            nulls,
+            sums: vec![0.0; groups],
+            counts: if nulls.is_some() {
+                vec![0; groups]
             } else {
-                for _ in docs {
-                    acc.add_one();
-                }
-            }
+                Vec::new()
+            },
         }
-        ResolvedAgg::Num(col) => match col {
-            ColumnData::Int { values, nulls, .. } => {
-                for &d in docs {
-                    let doc = d as usize;
-                    if !nulls.get(doc) {
-                        acc.add_num(values[doc] as f64);
-                    }
-                }
-            }
-            ColumnData::Double { values, nulls } => {
-                for &d in docs {
-                    let doc = d as usize;
-                    if !nulls.get(doc) {
-                        acc.add_num(values[doc]);
-                    }
-                }
-            }
-            _ => {
-                for &d in docs {
-                    if let Some(v) = col.double_at(d as usize) {
-                        acc.add_num(v);
-                    }
-                }
-            }
-        },
-        ResolvedAgg::Distinct(col) => match col {
-            ColumnData::Str {
-                dict, ids, nulls, ..
+    }
+
+    /// Fold `(doc, group)` pairs in.
+    fn fold(&mut self, pairs: impl Iterator<Item = (usize, usize)>) {
+        match self {
+            Lane::Count => {}
+            Lane::Sum {
+                values,
+                nulls,
+                sums,
+                counts,
+                ..
+            } => match *values {
+                Numbers::Int(v) => sum_by_group(pairs, |d| v[d] as f64, *nulls, sums, counts),
+                Numbers::Double(v) => sum_by_group(pairs, |d| v[d], *nulls, sums, counts),
+            },
+            Lane::Acc { input, accs } => fold_accs(input, pairs, accs),
+        }
+    }
+
+    /// Fold the docs of the one group of a global aggregation in, keeping
+    /// a sum in a local rather than in its lane.
+    fn fold_global(&mut self, docs: impl Iterator<Item = usize>) {
+        match self {
+            Lane::Count => {}
+            Lane::Sum {
+                values,
+                nulls,
+                sums,
+                counts,
+                ..
             } => {
-                // hash each dictionary entry once, not once per document
-                let hashes: Vec<u64> = dict.iter().map(|s| Value::hash_of_str(s)).collect();
-                for &d in docs {
-                    let doc = d as usize;
-                    if !nulls.get(doc) {
-                        acc.add_hash(hashes[ids[doc] as usize]);
-                    }
+                let (sum, count) = match *values {
+                    Numbers::Int(v) => sum_of(docs, |d| v[d] as f64, *nulls),
+                    Numbers::Double(v) => sum_of(docs, |d| v[d], *nulls),
+                };
+                sums[0] = sum;
+                if nulls.is_some() {
+                    counts[0] = count;
                 }
             }
-            _ => {
-                for &d in docs {
-                    if let Some(h) = col.hash_at(d as usize) {
-                        acc.add_hash(h);
-                    }
+            Lane::Acc { input, accs } => fold_accs(input, docs.map(|d| (d, 0)), accs),
+        }
+    }
+
+    /// Group `g`'s accumulator, `docs` being its doc count. An `AggAcc`
+    /// lane hands its own over.
+    fn emit(&mut self, g: usize, docs: u64) -> AggAcc {
+        match self {
+            Lane::Count => AggAcc::Count(docs),
+            Lane::Sum {
+                avg,
+                nulls,
+                sums,
+                counts,
+                ..
+            } => {
+                let (sum, count) = (sums[g], if nulls.is_some() { counts[g] } else { docs });
+                if *avg {
+                    AggAcc::Avg { sum, count }
+                } else {
+                    AggAcc::Sum { sum, count }
                 }
             }
-        },
-        ResolvedAgg::Missing => {}
+            Lane::Acc { accs, .. } => std::mem::replace(&mut accs[g], AggAcc::Count(0)),
+        }
     }
 }
 
-/// Grouped variant of [`fold_column`]: `gids[i]` is the dense group id of
-/// `docs[i]`, and the accumulator for (group, slot) lives at
-/// `accs[group * num_slots + slot]`.
-fn fold_column_grouped(
-    r: &ResolvedAgg<'_>,
-    docs: &[u32],
-    gids: &[u32],
-    num_slots: usize,
-    slot: usize,
+/// `sums[group] += value(doc)` for every pair, in pair order; with a NULL
+/// mask, a NULL doc is skipped and `counts[group]` counts the others.
+#[inline]
+fn sum_by_group(
+    pairs: impl Iterator<Item = (usize, usize)>,
+    value: impl Fn(usize) -> f64,
+    nulls: Option<&Bitmap>,
+    sums: &mut [f64],
+    counts: &mut [u64],
+) {
+    match nulls {
+        None => pairs.for_each(|(d, g)| sums[g] += value(d)),
+        Some(nulls) => pairs.filter(|&(d, _)| !nulls.get(d)).for_each(|(d, g)| {
+            sums[g] += value(d);
+            counts[g] += 1;
+        }),
+    }
+}
+
+/// The sum of `value(doc)` over the docs, in doc order, and how many were
+/// not NULL (only counted under a NULL mask).
+#[inline]
+fn sum_of(
+    docs: impl Iterator<Item = usize>,
+    value: impl Fn(usize) -> f64,
+    nulls: Option<&Bitmap>,
+) -> (f64, u64) {
+    let (mut sum, mut count) = (0.0, 0u64);
+    match nulls {
+        None => docs.for_each(|d| sum += value(d)),
+        Some(nulls) => docs.filter(|&d| !nulls.get(d)).for_each(|d| {
+            sum += value(d);
+            count += 1;
+        }),
+    }
+    (sum, count)
+}
+
+/// Fold `(doc, group)` pairs into per-group accumulators, the input's
+/// variant matched once per lane, not once per doc.
+fn fold_accs(
+    input: &ResolvedAgg<'_>,
+    pairs: impl Iterator<Item = (usize, usize)>,
     accs: &mut [AggAcc],
 ) {
-    match r {
-        ResolvedAgg::CountAll => {
-            for &g in gids {
-                accs[g as usize * num_slots + slot].add_one();
-            }
+    match input {
+        ResolvedAgg::CountAll => pairs.for_each(|(_, g)| accs[g].add_one()),
+        ResolvedAgg::Num(ColumnData::Int { values, nulls, .. }) => pairs
+            .filter(|&(d, _)| !nulls.get(d))
+            .for_each(|(d, g)| accs[g].add_num(values[d] as f64)),
+        ResolvedAgg::Num(ColumnData::Double { values, nulls }) => pairs
+            .filter(|&(d, _)| !nulls.get(d))
+            .for_each(|(d, g)| accs[g].add_num(values[d])),
+        // a column with no number in it folds nothing, as an absent one
+        ResolvedAgg::Num(_) | ResolvedAgg::Missing => {}
+        ResolvedAgg::Distinct(ColumnData::Str {
+            dict, ids, nulls, ..
+        }) => {
+            // hash each dictionary entry once, not once per document
+            let hashes: Vec<u64> = dict.iter().map(|s| Value::hash_of_str(s)).collect();
+            pairs
+                .filter(|&(d, _)| !nulls.get(d))
+                .for_each(|(d, g)| accs[g].add_hash(hashes[ids[d] as usize]));
         }
-        ResolvedAgg::Num(col) => match col {
-            ColumnData::Int { values, nulls, .. } => {
-                for (&d, &g) in docs.iter().zip(gids) {
-                    let doc = d as usize;
-                    if !nulls.get(doc) {
-                        accs[g as usize * num_slots + slot].add_num(values[doc] as f64);
-                    }
-                }
+        ResolvedAgg::Distinct(col) => pairs.for_each(|(d, g)| {
+            if let Some(h) = col.hash_at(d) {
+                accs[g].add_hash(h);
             }
-            ColumnData::Double { values, nulls } => {
-                for (&d, &g) in docs.iter().zip(gids) {
-                    let doc = d as usize;
-                    if !nulls.get(doc) {
-                        accs[g as usize * num_slots + slot].add_num(values[doc]);
-                    }
-                }
-            }
-            _ => {
-                for (&d, &g) in docs.iter().zip(gids) {
-                    if let Some(v) = col.double_at(d as usize) {
-                        accs[g as usize * num_slots + slot].add_num(v);
-                    }
-                }
-            }
-        },
-        ResolvedAgg::Distinct(col) => match col {
-            ColumnData::Str {
-                dict, ids, nulls, ..
-            } => {
-                let hashes: Vec<u64> = dict.iter().map(|s| Value::hash_of_str(s)).collect();
-                for (&d, &g) in docs.iter().zip(gids) {
-                    let doc = d as usize;
-                    if !nulls.get(doc) {
-                        accs[g as usize * num_slots + slot].add_hash(hashes[ids[doc] as usize]);
-                    }
-                }
-            }
-            _ => {
-                for (&d, &g) in docs.iter().zip(gids) {
-                    if let Some(h) = col.hash_at(d as usize) {
-                        accs[g as usize * num_slots + slot].add_hash(h);
-                    }
-                }
-            }
-        },
-        ResolvedAgg::Missing => {}
+        }),
     }
 }
 
@@ -2073,6 +2259,64 @@ mod tests {
                 .get_int("n")
                 .unwrap();
             assert_eq!(a, b, "mismatch for {pred:?}");
+        }
+
+        // a string column the segment is sorted by: a binary search on
+        // dictionary ids, against the scan and the row semantics, over
+        // NULL cells, every operator, needles in, between, below and
+        // above the dictionary, and literals of other types
+        let rows: Vec<Row> = orders(500)
+            .into_iter()
+            .enumerate()
+            .map(|(i, row)| {
+                if i % 9 == 0 {
+                    row.project(&["city", "total", "items", "delivered", "ts"])
+                } else {
+                    row
+                }
+            })
+            .collect();
+        let sorted = IndexSpec::none().with_sorted("restaurant");
+        let sorted = Segment::build("a", &orders_schema(), rows.clone(), &sorted).unwrap();
+        let plain =
+            Segment::build("b", &orders_schema(), rows.clone(), &IndexSpec::none()).unwrap();
+        let needles = [
+            Value::from("rest-010"),
+            Value::from("rest-0105"),
+            Value::from("a"),
+            Value::from("z"),
+            Value::from(""),
+            Value::Int(7),
+            Value::Null,
+        ];
+        let ops = [
+            PredicateOp::Eq,
+            PredicateOp::Ne,
+            PredicateOp::Lt,
+            PredicateOp::Le,
+            PredicateOp::Gt,
+            PredicateOp::Ge,
+        ];
+        let matched_ts = |seg: &Segment, pred: &Predicate| {
+            let q = Query::select_all("orders")
+                .columns(&["ts"])
+                .filter(pred.clone());
+            let rows = seg.execute(&q, None).unwrap().rows;
+            let mut ts: Vec<i64> = rows.iter().map(|r| r.get_int("ts").unwrap()).collect();
+            ts.sort_unstable();
+            ts
+        };
+        for needle in &needles {
+            for op in ops {
+                let pred = Predicate::new("restaurant", op, needle.clone());
+                let expected: Vec<i64> = rows
+                    .iter()
+                    .filter(|r| pred.matches(r))
+                    .map(|r| r.get_int("ts").unwrap())
+                    .collect();
+                assert_eq!(matched_ts(&sorted, &pred), expected, "sorted {pred:?}");
+                assert_eq!(matched_ts(&plain, &pred), expected, "scan {pred:?}");
+            }
         }
     }
 

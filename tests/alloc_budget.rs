@@ -9,7 +9,8 @@
 //! forwards the log's own handles, and a map leaves the log as appended.
 //! Then the read path's: a query pays for the groups and rows it answers
 //! with and a fixed sum per segment, not for every group of every segment
-//! nor for every document that matched.
+//! nor for every document that matched, and a predicate on a sorted column
+//! builds no cell per probe.
 //!
 //! One `#[test]`, so the process-wide counter sees one thread at work.
 
@@ -22,6 +23,7 @@ use rtdi::core::platform::RealtimePlatform;
 use rtdi::flinksql::compiler::{compile_streaming, CompileOptions};
 use rtdi::olap::ingestion::{IngestionConfig, RealtimeIngester};
 use rtdi::olap::query::{Predicate, PredicateOp, Query, SortOrder};
+use rtdi::olap::segment::{IndexSpec, Segment};
 use rtdi::olap::table::{OlapTable, TableConfig};
 use rtdi::stream::log::FetchResult;
 use rtdi::stream::producer::{Producer, ProducerConfig, StreamEndpoint};
@@ -258,14 +260,22 @@ fn upsert_names_its_segment_by_pointer() {
 fn queries_pay_for_what_they_answer() {
     const N: usize = 12_000;
     const CITIES: usize = 512;
-    let table = OlapTable::new(table("trips").with_segment_rows(1_000)).unwrap();
-    for i in 0..N {
-        let row = Row::new()
-            .with("city", format!("city-{:03}", (i * 7) % CITIES))
-            .with("fare", (i % 64) as f64)
-            .with("ts", (i / 20) as i64);
-        table.ingest(i % PARTITIONS, row).unwrap();
-    }
+    // `rows` rows in segments of `segment_rows`, 128 cities a partition,
+    // queried on one thread: how a pool's workers split the segments
+    // moves the allocations of their result vectors
+    let filled = |segment_rows: usize, rows: usize| {
+        let config = table("trips").with_segment_rows(segment_rows);
+        let table = OlapTable::new(config.with_query_threads(1)).unwrap();
+        for i in 0..rows {
+            let row = Row::new()
+                .with("city", format!("city-{:03}", (i * 7) % CITIES))
+                .with("fare", (i % 64) as f64)
+                .with("ts", (i / 20) as i64);
+            table.ingest(i % PARTITIONS, row).unwrap();
+        }
+        table
+    };
+    let table = filled(1_000, N);
     let run = |q: &Query| {
         let (res, spent) = count_allocations(|| table.query(q).unwrap());
         assert!(res.ledger.segments_queried >= 12);
@@ -281,12 +291,13 @@ fn queries_pay_for_what_they_answer() {
         .aggregate("revenue", AggFn::Sum("fare".into()));
 
     // a global aggregate has no keys to ship: a partial is its accumulators
-    // and the merge probes nothing. The bound is what a map node and an
-    // accumulator vector per partial came to on this table (92 over 16
-    // segments); a probe table and a hash vector beside them is 5 more
+    // and the merge probes nothing. A full selection walks the column
+    // vectors, so a sealed segment pays its selection bitmap and its
+    // accumulator vector and no doc-id list (33 over 16 segments, 4 of them
+    // empty; a doc-id list and a vector of resolved inputs beside them, 61)
     let (_, segments, allocs) = run(&count);
     assert!(
-        allocs <= 5 * segments + 12,
+        allocs <= 2 * segments + 12,
         "COUNT(*): {allocs} allocations over {segments} segments"
     );
 
@@ -305,6 +316,30 @@ fn queries_pay_for_what_they_answer() {
         allocs <= 2 * rows + 40 * segments + 64,
         "top 10 cities: {allocs} allocations over {segments} segments"
     );
+
+    // four times the docs a segment, as many segments: a full selection
+    // folds off the column vectors, with no doc-id list and no per-doc
+    // group id, so what a query allocates does not change and what grows
+    // is the filter's selection bitmap, a bit a doc
+    let quadrupled = filled(4_000, 4 * N);
+    for q in [&revenue, &top] {
+        let (small, of_small) = count_allocations(|| table.query(q).unwrap());
+        let (big, of_big) = count_allocations(|| quadrupled.query(q).unwrap());
+        let segments = small.ledger.segments_queried;
+        assert_eq!(segments, big.ledger.segments_queried);
+        assert_eq!(big.ledger.docs_scanned, 4 * small.ledger.docs_scanned);
+        assert_eq!(
+            of_small.allocs,
+            of_big.allocs,
+            "{q:?}: {of_small} over {N} docs, {of_big} over {}",
+            4 * N
+        );
+        assert!(
+            of_big.bytes <= of_small.bytes + (3 * N / 8) as u64 + 8 * segments,
+            "{q:?}: {of_small} over {N} docs, {of_big} over {}",
+            4 * N
+        );
+    }
 
     // a group column without a dictionary renders each document's key into
     // one buffer: a new group allocates, a document does not
@@ -331,6 +366,42 @@ fn queries_pay_for_what_they_answer() {
         of_all <= of_an_eighth + 4 * segments,
         "ORDER BY ts DESC LIMIT 20: {of_all} allocations over {N} matching docs, \
          {of_an_eighth} over an eighth of them"
+    );
+}
+
+/// A predicate on the column a segment is sorted by is a binary search
+/// that probes the raw column (dictionary ids here), so it allocates its
+/// bitmaps and no cell: sixty-four times the docs, six more probes, the
+/// same allocations.
+fn sorted_probes_build_no_value() {
+    let by_city = IndexSpec::none().with_sorted("city");
+    let allocs_of = |n: usize| {
+        let rows = (0..n).map(|i| Row::new().with("city", format!("city-{i:06}")));
+        let segment = Segment::build("s", &schema(), rows.collect(), &by_city).unwrap();
+        let ops = [
+            PredicateOp::Eq,
+            PredicateOp::Ne,
+            PredicateOp::Lt,
+            PredicateOp::Ge,
+        ];
+        let preds: Vec<Predicate> = ops
+            .into_iter()
+            .map(|op| Predicate::new("city", op, "city-000500"))
+            .collect();
+        preds
+            .iter()
+            .map(|p| {
+                let ((docs, _), spent) =
+                    count_allocations(|| segment.filter_docs(std::slice::from_ref(p)).unwrap());
+                assert!(docs.any(), "{p:?} over {n} docs");
+                spent.allocs
+            })
+            .sum::<u64>()
+    };
+    let (small, big) = (allocs_of(1_000), allocs_of(64_000));
+    assert_eq!(
+        small, big,
+        "sorted-column predicates: {small} allocations over 1 000 docs, {big} over 64 000"
     );
 }
 
@@ -401,4 +472,6 @@ fn produce_ingest_and_retry_hold_their_allocation_budgets() {
     compute_reads_the_log_where_it_lies();
 
     queries_pay_for_what_they_answer();
+
+    sorted_probes_build_no_value();
 }

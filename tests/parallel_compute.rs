@@ -81,7 +81,7 @@ fn parallel_output_is_byte_identical_to_serial_for_all_parallelisms() {
     let rows = trips(0xA110, 4_000, 1.1);
     let serial = CollectSink::new();
     run_reference(agg_job("serial", rows.clone(), serial.clone(), 1)).unwrap();
-    assert!(serial.len() > 0);
+    assert!(!serial.is_empty());
 
     // every parallelism, plus batches of one at p=4
     for (p, batch) in [(1usize, 32usize), (2, 32), (4, 32), (8, 32), (4, 1)] {
@@ -134,7 +134,7 @@ fn parallel_dedup_matches_serial_exactly() {
     };
     let serial = CollectSink::new();
     run_reference(job("ser", serial.clone(), 1)).unwrap();
-    assert!(serial.len() > 0 && serial.len() < rows.len());
+    assert!(!serial.is_empty() && serial.len() < rows.len());
     for p in [1usize, 2, 4] {
         let sink = CollectSink::new();
         run_staged_with(job("par", sink.clone(), p), &StagedConfig::batched(16, 32)).unwrap();

@@ -47,17 +47,23 @@ fn schema() -> Schema {
 /// A row over the schema where each column is independently present ~75%
 /// of the time (absent columns exercise the NULL paths end to end).
 fn arb_row(rng: &mut StdRng) -> Row {
+    arb_row_with(rng, 0.75, 6)
+}
+
+/// [`arb_row`] with each column present at `presence` (1.0: no column
+/// has a NULL) and `cities` distinct cities.
+fn arb_row_with(rng: &mut StdRng, presence: f64, cities: u32) -> Row {
     let mut row = Row::new();
-    if rng.gen_bool(0.75) {
-        row.push("city", format!("c{}", rng.gen_range(0..6u8)));
+    if rng.gen_bool(presence) {
+        row.push("city", format!("c{}", rng.gen_range(0..cities)));
     }
-    if rng.gen_bool(0.75) {
+    if rng.gen_bool(presence) {
         row.push("n", rng.gen_range(-1000..1000i64));
     }
-    if rng.gen_bool(0.75) {
+    if rng.gen_bool(presence) {
         row.push("x", rng.gen_range(-100.0..100.0f64));
     }
-    if rng.gen_bool(0.75) {
+    if rng.gen_bool(presence) {
         row.push("flag", rng.gen::<bool>());
     }
     row
@@ -69,6 +75,10 @@ fn arb_rows(rng: &mut StdRng, lo: usize, hi: usize) -> Vec<Row> {
 }
 
 fn arb_predicate(rng: &mut StdRng) -> Predicate {
+    arb_predicate_with(rng, 6)
+}
+
+fn arb_predicate_with(rng: &mut StdRng, cities: u32) -> Predicate {
     let op = [
         PredicateOp::Eq,
         PredicateOp::Ne,
@@ -78,7 +88,7 @@ fn arb_predicate(rng: &mut StdRng) -> Predicate {
         PredicateOp::Ge,
     ][rng.gen_range(0..6usize)];
     match rng.gen_range(0..3u8) {
-        0 => Predicate::new("city", op, format!("c{}", rng.gen_range(0..6u8))),
+        0 => Predicate::new("city", op, format!("c{}", rng.gen_range(0..cities))),
         1 => Predicate::new("n", op, rng.gen_range(-1000..1000i64)),
         _ => Predicate::new("x", op, rng.gen_range(-100.0..100.0f64)),
     }
@@ -310,7 +320,9 @@ fn mask_prefix(mask: &Bitmap, len: usize) -> Bitmap {
 /// oracle of `rtdi::olap::reference`, which shares no code with either.
 /// The consuming segment also answers after every `every`-th append, when
 /// its dictionaries have grown since the last query, against the oracle
-/// over the rows so far. Answers must be identical, values and order.
+/// over the rows so far. The sealed segment answers once more after
+/// `persist` → `load_lazy`, from columns decoded out of its file. Answers
+/// must be identical, values and order.
 fn assert_three_way(
     rows: &[Row],
     spec: &IndexSpec,
@@ -343,20 +355,33 @@ fn assert_three_way(
     let resealed = consuming.seal(spec).unwrap();
     let again = resealed.execute(q, valid).unwrap();
     assert_eq!(again.rows, slow, "{ctx} resealed {q:?}");
+    // and the sealed segment answers the same from its file, decoded
+    let lazy = Segment::load_lazy(sealed.persist().unwrap()).unwrap();
+    let cold = lazy.execute_partial(q, valid).unwrap().finalize(q);
+    assert_eq!(cold, slow, "{ctx} lazy {q:?}");
 }
 
 /// The column kernels return exactly the rows of the row-at-a-time oracle
-/// for arbitrary queries, from a sealed and from a consuming segment (see
-/// [`assert_three_way`]): selections and aggregations, predicates of every
-/// operator, NULL-producing absent columns, group-by and projections over
-/// columns the schema does not even have, and upsert valid-doc masks.
-/// Specs are restricted to non-reordering indices so all engines fold docs
-/// in identical order and float sums compare exactly.
+/// for arbitrary queries, from a sealed, a consuming and a persisted
+/// segment (see [`assert_three_way`]): selections and aggregations,
+/// predicates of every operator, NULL-producing absent columns, group-by
+/// and projections over columns the schema does not even have, and upsert
+/// valid-doc masks. A case draws whether cells go missing at all (so the
+/// folds over NULL-free columns run too) and 6 or 200 cities (so a city
+/// group-by runs on both sides of the dense-lane rule: a selection at least
+/// as large as the dictionary, and one smaller). Specs are restricted to
+/// non-reordering indices so all engines fold docs in identical order and
+/// float sums compare exactly.
 #[test]
 fn vectorized_execution_equals_row_reference() {
     for case in 0..96u64 {
         let mut rng = StdRng::seed_from_u64(SEED_VECTOR + case);
-        let rows = arb_rows(&mut rng, 0, 300);
+        let presence = [1.0, 0.75][rng.gen_range(0..2usize)];
+        let cities = [6, 200][rng.gen_range(0..2usize)];
+        let len = rng.gen_range(0..300usize);
+        let rows: Vec<Row> = (0..len)
+            .map(|_| arb_row_with(&mut rng, presence, cities))
+            .collect();
         let spec = match rng.gen_range(0..3u8) {
             0 => IndexSpec::none(),
             1 => IndexSpec::none().with_inverted(&["city", "n"]),
@@ -365,7 +390,7 @@ fn vectorized_execution_equals_row_reference() {
 
         let mut q = Query::select_all("t");
         for _ in 0..rng.gen_range(0..3usize) {
-            q = q.filter(arb_predicate(&mut rng));
+            q = q.filter(arb_predicate_with(&mut rng, cities));
         }
         if rng.gen_bool(0.5) {
             // aggregation: slots may target absent ("ghost") columns, and
