@@ -8,6 +8,8 @@ cargo build --release
 # Eight test threads: this guest has 2 vCPUs, and the default of 2 hides
 # the interleavings a test that shares state with a sibling would fail on
 RUST_TEST_THREADS=8 cargo test -q --workspace
+# the allocation budgets hold in the build the benchmark measures too
+cargo test --release -q --test alloc_budget
 # fault injection is a handle its owner hands down, never process state
 # (an `if`, not `! grep`: `set -e` ignores a status inverted with `!`)
 if grep -n '^\(pub \)\?static' crates/common/src/chaos.rs; then

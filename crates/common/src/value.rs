@@ -314,6 +314,16 @@ impl Row {
         self.columns.get(position).map(|(n, v)| (&**n, v))
     }
 
+    /// [`Row::at`] with the cell open to a move or a rewrite in place.
+    pub fn at_mut(&mut self, position: usize) -> Option<(&str, &mut Value)> {
+        self.columns.get_mut(position).map(|(n, v)| (&**n, v))
+    }
+
+    /// Drop every cell from `len` on.
+    pub fn truncate(&mut self, len: usize) {
+        self.columns.truncate(len);
+    }
+
     /// Position of the first cell named `name`.
     pub fn position(&self, name: &str) -> Option<usize> {
         self.columns.iter().position(|(n, _)| &**n == name)

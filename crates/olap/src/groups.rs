@@ -3,25 +3,23 @@
 //! What a segment hands to the merge step of scatter-gather-merge, and what
 //! the merge hands to finalize: the key cells of every group in one text
 //! arena, the accumulators of every group in one flat `[group × slot]`
-//! vector. A segment emits a group without a heap block of its own; a merge
-//! finds a group by one hash probe; a result row exists only for a group
-//! that survived ORDER BY and LIMIT.
+//! vector, and the groups in key order — NULL first, then text, column by
+//! column. A segment emits a group without a heap block of its own; a merge
+//! is one pass over two sorted runs; a finalize without ORDER BY walks the
+//! groups as they lie; a result row exists only for a group that survived
+//! ORDER BY and LIMIT.
 
 use crate::query::{sort_and_cut, Query, SortOrder};
 use rtdi_common::{AggAcc, Row, Value};
 use std::cmp::Ordering;
-use std::collections::hash_map::RandomState;
 use std::fmt::Write;
-use std::hash::{BuildHasher, Hash, Hasher};
 use std::sync::Arc;
 
-/// Key cells laid end to end: one group's key while it is being looked up
-/// (a scratch a scan reuses from document to document), every group's keys
-/// inside [`Groups`]. A NULL cell is marked, not spelled, so it equals no
-/// text; every cell keeps its own end, so `("ab", "c")` and `("a", "bc")`
-/// differ.
+/// Key cells laid end to end in one text arena. A NULL cell is marked, not
+/// spelled, so it equals no text; every cell keeps its own end, so
+/// `("ab", "c")` and `("a", "bc")` differ.
 #[derive(Debug, Clone, Default)]
-pub struct KeyCells {
+pub(crate) struct KeyCells {
     text: String,
     /// Per cell `end << 1 | is_null`, `end` being where its text stops in
     /// `text` (and the next cell's starts).
@@ -30,7 +28,7 @@ pub struct KeyCells {
 
 impl KeyCells {
     /// Append one cell: `None` for NULL, else the text `cell` displays as.
-    pub fn push(&mut self, cell: Option<impl std::fmt::Display>) {
+    pub(crate) fn push(&mut self, cell: Option<impl std::fmt::Display>) {
         if let Some(cell) = &cell {
             // writing to a `String` cannot fail
             let _ = write!(self.text, "{cell}");
@@ -48,98 +46,51 @@ impl KeyCells {
         self.cells.push(self.text.len() << 1 | usize::from(null));
     }
 
-    /// Forget every cell, keep the buffers.
-    pub fn clear(&mut self) {
-        self.text.clear();
-        self.cells.clear();
+    /// How many cells there are.
+    pub(crate) fn len(&self) -> usize {
+        self.cells.len()
     }
 
-    fn cell(&self, i: usize) -> Option<&str> {
+    /// Where cell `i` starts in `text` (and cell `i - 1` stops).
+    fn start(&self, i: usize) -> usize {
+        if i == 0 {
+            0
+        } else {
+            self.cells[i - 1] >> 1
+        }
+    }
+
+    pub(crate) fn cell(&self, i: usize) -> Option<&str> {
         let packed = self.cells[i];
-        let start = if i == 0 { 0 } else { self.cells[i - 1] >> 1 };
-        (packed & 1 == 0).then(|| &self.text[start..packed >> 1])
+        (packed & 1 == 0).then(|| &self.text[self.start(i)..packed >> 1])
     }
 
-    /// Cells `from..to`: one group's key when the bounds are its own.
-    fn span(&self, from: usize, to: usize) -> impl Iterator<Item = Option<&str>> + Clone {
-        (from..to).map(|i| self.cell(i))
-    }
-}
-
-/// The lookup side of [`Groups`]: open addressing over group indices.
-/// Built the first time a container is merged into or probed by key, never
-/// for one a segment only appends to. The keys are table data, so the
-/// hasher is the standard library's keyed one.
-#[derive(Debug, Clone)]
-struct Probe {
-    state: RandomState,
-    /// `0` for an empty slot, else the group's index plus one.
-    table: Vec<usize>,
-}
-
-impl Probe {
-    fn over(keys: &KeyCells, key_cols: usize, len: usize) -> Probe {
-        let mut probe = Probe {
-            state: RandomState::new(),
-            table: Vec::new(),
-        };
-        probe.rebuild(keys, key_cols, len);
-        probe
+    /// [`KeyCells::cell`] as bytes, which order as the text does.
+    fn bytes(&self, i: usize) -> Option<&[u8]> {
+        let packed = self.cells[i];
+        (packed & 1 == 0).then(|| &self.text.as_bytes()[self.start(i)..packed >> 1])
     }
 
-    /// Size the table for `len` groups and as many again, and enter them.
-    fn rebuild(&mut self, keys: &KeyCells, key_cols: usize, len: usize) {
-        let slots = (len * 4).next_power_of_two().max(16);
-        self.table.clear();
-        self.table.resize(slots, 0);
-        for g in 0..len {
-            let hash = self.hash(keys.span(g * key_cols, (g + 1) * key_cols));
-            self.enter(hash, g);
+    /// Append cells `from..to` of `src` as a block: one copy of their
+    /// text, their ends shifted by where it lands.
+    fn extend_from(&mut self, src: &KeyCells, from: usize, to: usize) {
+        if from == to {
+            return;
         }
-    }
-
-    fn hash<'a>(&self, key: impl Iterator<Item = Option<&'a str>>) -> u64 {
-        let mut h = self.state.build_hasher();
-        // `Option<&str>` hashes its variant, then the text and an end mark
-        key.for_each(|cell| cell.hash(&mut h));
-        h.finish()
-    }
-
-    /// The group among those entered whose key `same` accepts.
-    fn find(&self, hash: u64, mut same: impl FnMut(usize) -> bool) -> Option<usize> {
-        let mask = self.table.len() - 1;
-        let mut at = hash as usize & mask;
-        while self.table[at] != 0 {
-            let g = self.table[at] - 1;
-            if same(g) {
-                return Some(g);
-            }
-            at = (at + 1) & mask;
-        }
-        None
-    }
-
-    /// Enter group `g`, which [`Probe::find`] did not find. The table is
-    /// kept at most half full, so a free slot exists.
-    fn enter(&mut self, hash: u64, g: usize) {
-        let mask = self.table.len() - 1;
-        let mut at = hash as usize & mask;
-        while self.table[at] != 0 {
-            at = (at + 1) & mask;
-        }
-        self.table[at] = g + 1;
+        let (start, base) = (src.start(from), self.text.len());
+        self.text.push_str(&src.text[start..src.start(to)]);
+        let shift = |packed: &usize| packed - (start << 1) + (base << 1);
+        self.cells.extend(src.cells[from..to].iter().map(shift));
     }
 }
 
 /// Per-group accumulators keyed by the group-by cells (in `group_by`
-/// order, rendered to text, NULL or absent kept apart from any text). No
-/// two groups share a key. Iteration and merge order is arrival order;
-/// [`Groups::into_rows`] is where key order is imposed.
+/// order, rendered to text, NULL or absent kept apart from any text), in
+/// key order: NULL first, then text, column by column. No two groups share
+/// a key, and every constructor keeps the order, so a merge is a merge of
+/// sorted runs and a finalize without ORDER BY is a walk.
 ///
-/// The shape — cells per key, accumulators per group — is that of the
-/// first group to arrive, and every later one must match it. A global
-/// aggregation has zero key cells, at most one group, and never a probe
-/// table.
+/// A global aggregation has zero key cells and at most one group.
 #[derive(Debug, Clone, Default)]
 pub struct Groups {
     key_cols: usize,
@@ -148,7 +99,6 @@ pub struct Groups {
     keys: KeyCells,
     /// `[group * slots + slot]`
     accs: Vec<AggAcc>,
-    probe: Option<Probe>,
 }
 
 impl Groups {
@@ -162,31 +112,40 @@ impl Groups {
         }
     }
 
-    /// Groups the caller knows to be distinct — a dictionary kernel's, one
-    /// per dictionary-id combination it met. `cells` yields `key_cols`
-    /// cells a group, group after group; `accs` is laid out
-    /// `[group × slot]` and moves in whole.
-    pub fn from_distinct<'a>(
+    /// Groups whose keys the caller has in key order, each once. `cells`
+    /// yields `key_cols` cells a group, group after group; `accs` is laid
+    /// out `[group × slot]` and moves in whole.
+    pub fn from_sorted<'a>(
         key_cols: usize,
-        cells: impl Iterator<Item = Option<&'a str>>,
+        cells: impl Iterator<Item = Option<&'a str>> + Clone,
         accs: Vec<AggAcc>,
     ) -> Groups {
         debug_assert!(key_cols > 0, "a global aggregation is `Groups::global`");
-        let mut keys = KeyCells::default();
-        keys.cells.reserve(cells.size_hint().0);
+        // the arena is sized once, from a first pass over the cells
+        let (n, bytes) = (cells.clone()).fold((0, 0), |(n, bytes), cell| {
+            (n + 1, bytes + cell.map_or(0, str::len))
+        });
+        let mut keys = KeyCells {
+            text: String::with_capacity(bytes),
+            cells: Vec::with_capacity(n),
+        };
         cells.for_each(|cell| keys.push_str(cell));
-        let len = keys.cells.len() / key_cols.max(1);
-        debug_assert_eq!(keys.cells.len(), len * key_cols);
+        let len = keys.len() / key_cols.max(1);
+        debug_assert_eq!(keys.len(), len * key_cols);
         let slots = accs.len().checked_div(len).unwrap_or(0);
         debug_assert_eq!(accs.len(), len * slots);
-        Groups {
+        let groups = Groups {
             key_cols,
             slots,
             len,
             keys,
             accs,
-            probe: None,
-        }
+        };
+        debug_assert!(
+            (1..len).all(|g| groups.key(g - 1).cmp(groups.key(g)) == Ordering::Less),
+            "groups shipped out of key order"
+        );
+        groups
     }
 
     pub fn len(&self) -> usize {
@@ -197,70 +156,35 @@ impl Groups {
         self.len == 0
     }
 
-    /// Every group in arrival order: its key cells and its accumulators.
-    pub fn iter(&self) -> impl Iterator<Item = (Vec<Option<&str>>, &[AggAcc])> {
+    /// Every group in key order: its key cells and its accumulators.
+    #[cfg(test)]
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (Vec<Option<&str>>, &[AggAcc])> {
         (0..self.len).map(|g| (self.key(g).collect(), self.accs_of(g)))
     }
 
     fn key(&self, g: usize) -> impl Iterator<Item = Option<&str>> + Clone {
-        self.keys.span(g * self.key_cols, (g + 1) * self.key_cols)
+        (g * self.key_cols..(g + 1) * self.key_cols).map(|i| self.keys.cell(i))
     }
 
     fn accs_of(&self, g: usize) -> &[AggAcc] {
         &self.accs[g * self.slots..(g + 1) * self.slots]
     }
 
-    /// The accumulators of the group keyed `key`, which starts out with
-    /// `init()`'s when it is new.
-    pub fn entry<I>(&mut self, key: &KeyCells, init: impl FnOnce() -> I) -> &mut [AggAcc]
-    where
-        I: IntoIterator<Item = AggAcc>,
-    {
-        let (g, new) = self.locate(key, 0, key.cells.len());
-        if new {
-            self.accs.extend(init());
-            if g == 0 {
-                self.slots = self.accs.len();
-            }
-            debug_assert_eq!(self.accs.len(), self.len * self.slots);
-        }
-        &mut self.accs[g * self.slots..(g + 1) * self.slots]
+    /// How group `g`'s key orders against group `h` of `other`, cell by
+    /// cell: NULL first, then text, which orders as its bytes do.
+    fn cmp_key(&self, g: usize, other: &Groups, h: usize) -> Ordering {
+        let (mine, theirs) = (g * self.key_cols, h * self.key_cols);
+        let cell = |c: usize| self.keys.bytes(mine + c).cmp(&other.keys.bytes(theirs + c));
+        let mut cells = (0..self.key_cols).map(cell);
+        cells.find(|ord| ord.is_ne()).unwrap_or(Ordering::Equal)
     }
 
-    /// Index of the group whose key is cells `from..from + key_cols` of
-    /// `src`, appended (key only: the caller owes its accumulators) when no
-    /// group has that key, and whether it was.
-    fn locate(&mut self, src: &KeyCells, from: usize, key_cols: usize) -> (usize, bool) {
-        if self.len == 0 {
-            self.key_cols = key_cols;
-        }
-        debug_assert_eq!(self.key_cols, key_cols, "key width differs");
-        let (keys, len) = (&mut self.keys, self.len);
-        if key_cols > 0 {
-            let probe = self
-                .probe
-                .get_or_insert_with(|| Probe::over(keys, key_cols, len));
-            let hash = probe.hash(src.span(from, from + key_cols));
-            let same =
-                |g: usize| (0..key_cols).all(|c| keys.cell(g * key_cols + c) == src.cell(from + c));
-            if let Some(g) = probe.find(hash, same) {
-                return (g, false);
-            }
-            if (len + 1) * 2 > probe.table.len() {
-                probe.rebuild(keys, key_cols, len);
-            }
-            probe.enter(hash, len);
-            (from..from + key_cols).for_each(|i| keys.push_str(src.cell(i)));
-        } else if len == 1 {
-            return (0, false);
-        }
-        self.len += 1;
-        (len, true)
-    }
-
-    /// Fold `other` in: a group already here merges accumulator by
-    /// accumulator (so a group's partials add up in the order they were
-    /// merged, whatever else arrived between them), a new one is appended.
+    /// Fold `other` in, in one walk over the two runs. A key in both merges
+    /// accumulator by accumulator, `other`'s into this one's where it lies,
+    /// so a group's partials add up in the order they were merged, whatever
+    /// else arrived between them. A key only `other` has is noted with the
+    /// place it goes, and only then, if there is one, the run is rebuilt:
+    /// this run's groups move between the noted places as blocks.
     pub fn merge(&mut self, other: Groups) {
         if other.is_empty() {
             return;
@@ -269,25 +193,65 @@ impl Groups {
             *self = other;
             return;
         }
+        debug_assert_eq!(self.key_cols, other.key_cols, "key width differs");
         debug_assert_eq!(self.slots, other.slots, "accumulators per group differ");
-        let slots = self.slots;
-        let mut theirs = other.accs.into_iter();
-        for g in 0..other.len {
-            let from = g * other.key_cols;
-            let (mine, new) = self.locate(&other.keys, from, other.key_cols);
-            let theirs = theirs.by_ref().take(slots);
-            if new {
-                self.accs.extend(theirs);
-            } else {
-                let mine = &mut self.accs[mine * slots..(mine + 1) * slots];
-                mine.iter_mut().zip(theirs).for_each(|(a, b)| a.merge(&b));
+        let (cols, slots) = (self.key_cols, self.slots);
+        // (group of `other`, the place in this run it goes)
+        let mut new: Vec<(usize, usize)> = Vec::new();
+        let (mut a, mut b) = (0, 0);
+        while b < other.len {
+            match (a < self.len).then(|| self.cmp_key(a, &other, b)) {
+                Some(Ordering::Less) => a += 1,
+                Some(Ordering::Equal) => {
+                    let mine = &mut self.accs[a * slots..(a + 1) * slots];
+                    mine.iter_mut()
+                        .zip(other.accs_of(b))
+                        .for_each(|(x, y)| x.merge(y));
+                    (a, b) = (a + 1, b + 1);
+                }
+                _ => {
+                    new.push((b, a));
+                    b += 1;
+                }
             }
         }
+        if new.is_empty() {
+            return;
+        }
+        let Groups {
+            len, keys, accs, ..
+        } = std::mem::take(self);
+        let (their_keys, their_accs) = (other.keys, other.accs);
+        let mut out = Groups {
+            key_cols: cols,
+            slots,
+            len: len + new.len(),
+            keys: KeyCells {
+                text: String::with_capacity(keys.text.len() + their_keys.text.len()),
+                cells: Vec::with_capacity((len + new.len()) * cols),
+            },
+            accs: Vec::with_capacity((len + new.len()) * slots),
+        };
+        let (mut my_accs, mut their_accs) = (accs.into_iter(), their_accs.into_iter());
+        // `from`: this run's next group to move; `skip`: `other`'s next
+        let (mut from, mut skip) = (0, 0);
+        for (b, at) in new {
+            out.keys.extend_from(&keys, from * cols, at * cols);
+            out.accs.extend(my_accs.by_ref().take((at - from) * slots));
+            out.keys.extend_from(&their_keys, b * cols, (b + 1) * cols);
+            // the groups of `other` passed over were folded in above
+            their_accs.by_ref().take((b - skip) * slots).for_each(drop);
+            out.accs.extend(their_accs.by_ref().take(slots));
+            (from, skip) = (at, b + 1);
+        }
+        out.keys.extend_from(&keys, from * cols, len * cols);
+        out.accs.extend(my_accs);
+        *self = out;
     }
 
-    /// Finalize into result rows. Groups are ordered on their finalized
-    /// ORDER BY cells, ties (and everything, without an ORDER BY) by key —
-    /// NULL first, then text, column by column — and cut to LIMIT before
+    /// Finalize into result rows. Without an ORDER BY the groups are taken
+    /// as they lie, in key order, up to LIMIT; with one, they are ordered on
+    /// their finalized ORDER BY cells, ties by key, and cut to LIMIT before
     /// any row is built. An ORDER BY column that is neither a group column
     /// nor an aggregate's name is NULL in every row and orders nothing.
     pub fn into_rows(mut self, query: &Query) -> Vec<Row> {
@@ -316,10 +280,14 @@ impl Groups {
                 Some((key.or_else(slot)?, *dir))
             })
             .collect();
+        let cols = self.key_cols;
         let by_order_then_key = |&a: &usize, &b: &usize| {
             for (cell, dir) in &order {
                 let ord = match *cell {
-                    Cell::Key(c) => self.key(a).nth(c).cmp(&self.key(b).nth(c)),
+                    Cell::Key(c) => self
+                        .keys
+                        .cell(a * cols + c)
+                        .cmp(&self.keys.cell(b * cols + c)),
                     Cell::Slot(s) => {
                         let (a, b) = (&self.accs_of(a)[s], &self.accs_of(b)[s]);
                         a.result().total_cmp(&b.result())
@@ -329,11 +297,15 @@ impl Groups {
                     return dir.apply(ord);
                 }
             }
-            self.key(a).cmp(self.key(b))
+            // groups lie in key order, and no two share an index
+            a.cmp(&b)
         };
-        // keys are distinct, so no two groups tie
         let mut survivors: Vec<usize> = (0..self.len).collect();
-        sort_and_cut(&mut survivors, query.limit, by_order_then_key);
+        if order.is_empty() {
+            survivors.truncate(query.limit.unwrap_or(self.len));
+        } else {
+            sort_and_cut(&mut survivors, query.limit, by_order_then_key);
+        }
 
         // intern output column names once; every result row shares them
         let group_names: Vec<Arc<str>> = query
@@ -369,12 +341,6 @@ mod tests {
 
     type Model = BTreeMap<Vec<Option<String>>, Vec<AggAcc>>;
 
-    fn key_of(cells: &[Option<String>]) -> KeyCells {
-        let mut key = KeyCells::default();
-        cells.iter().for_each(|c| key.push(c.as_deref()));
-        key
-    }
-
     /// What the container replaced: rows of the map in its own order, then
     /// a stable sort and a truncate.
     fn model_rows(model: &Model, query: &Query) -> Vec<Row> {
@@ -396,44 +362,40 @@ mod tests {
         rows
     }
 
+    /// Keys that differ only in where a cell ends or in NULL against text
+    /// stay apart through a merge, and merge with themselves.
     #[test]
     fn cells_keep_null_and_boundaries_apart() {
+        // in key order: NULL first, then text, column by column
         let keys: [&[Option<&str>]; 6] = [
-            &[Some("ab"), Some("c")],
-            &[Some("a"), Some("bc")],
-            &[Some("abc"), Some("")],
+            &[None, Some("")],
             &[None, Some("abc")],
             &[Some("NULL"), Some("")],
-            &[None, Some("")],
+            &[Some("a"), Some("bc")],
+            &[Some("ab"), Some("c")],
+            &[Some("abc"), Some("")],
         ];
-        let mut groups = Groups::default();
-        for (i, cells) in keys.iter().enumerate() {
-            let mut key = KeyCells::default();
-            cells.iter().for_each(|c| key.push(*c));
-            let accs = groups.entry(&key, || [AggAcc::Count(i as u64)]);
-            assert_eq!(
-                accs,
-                [AggAcc::Count(i as u64)],
-                "{cells:?} met an earlier key"
-            );
-        }
+        let run = |n: u64| {
+            let cells = keys.iter().flat_map(|k| k.iter().copied());
+            let accs = (0..keys.len() as u64).map(|i| AggAcc::Count(i * n));
+            Groups::from_sorted(2, cells, accs.collect())
+        };
+        let mut groups = run(1);
+        groups.merge(run(10));
         assert_eq!(groups.len(), keys.len());
         for (i, (cells, accs)) in groups.iter().enumerate() {
-            assert_eq!(
-                (cells.as_slice(), accs),
-                (keys[i], &[AggAcc::Count(i as u64)][..])
-            );
+            let count = AggAcc::Count(i as u64 * 11);
+            assert_eq!((cells.as_slice(), accs), (keys[i], &[count][..]));
         }
     }
 
     #[test]
-    fn a_global_aggregate_takes_no_keys_and_no_probe() {
+    fn a_global_aggregate_takes_no_keys() {
         let mut merged = Groups::default();
         for n in [3, 4] {
             merged.merge(Groups::global(vec![AggAcc::Count(n)]));
         }
         assert_eq!(merged.len(), 1);
-        assert!(merged.probe.is_none());
         assert_eq!(
             merged.keys.cells.capacity() + merged.keys.text.capacity(),
             0
@@ -448,9 +410,10 @@ mod tests {
         );
     }
 
-    /// Seeded partials of drawn keys, merged in order and finalized under
-    /// every ORDER BY / LIMIT shape, against the `BTreeMap` the container
-    /// replaced: the same rows in the same order, float sums to the bit.
+    /// Seeded partials of drawn keys, shipped in key order, merged in order
+    /// and finalized under every ORDER BY / LIMIT shape, against the
+    /// `BTreeMap` the container replaced: the same rows in the same order,
+    /// float sums to the bit.
     #[test]
     fn merge_and_finalize_equal_the_btreemap_model() {
         let cells = ["", "a", "ab", "abc", "b", "bc", "c", "NULL", "7", "-1.5"];
@@ -467,7 +430,6 @@ mod tests {
         for case in 0..120 {
             let key_cols = rng.gen_range(1..=2usize);
             // the later cases draw from more cells: more distinct keys
-            // than the probe table's first two sizes hold
             let alphabet = if case < 60 { 4 } else { cells.len() };
             let slots: Vec<AggFn> = (0..rng.gen_range(1..=3))
                 .map(|_| fns[rng.gen_range(0..fns.len())].clone())
@@ -505,22 +467,12 @@ mod tests {
                         }
                     }
                 }
-                // shipped in an order of its own, by either way in
-                let mut order: Vec<&Vec<Option<String>>> = part_model.keys().collect();
-                for i in (1..order.len()).rev() {
-                    order.swap(i, rng.gen_range(0..=i));
-                }
-                let part = if rng.gen_bool(0.5) {
-                    let accs = order.iter().flat_map(|k| part_model[*k].clone());
-                    let flat = order.iter().flat_map(|k| k.iter().map(|c| c.as_deref()));
-                    Groups::from_distinct(key_cols, flat, accs.collect())
-                } else {
-                    let mut part = Groups::default();
-                    for k in &order {
-                        part.entry(&key_of(k), || part_model[*k].clone());
-                    }
-                    part
-                };
+                // shipped in key order: the map's own
+                let accs = part_model.values().flat_map(|accs| accs.iter().cloned());
+                let flat = part_model
+                    .keys()
+                    .flat_map(|k| k.iter().map(|c| c.as_deref()));
+                let part = Groups::from_sorted(key_cols, flat, accs.collect());
                 assert_eq!(part.len(), part_model.len());
                 merged.merge(part);
                 for (key, accs) in part_model {
@@ -557,7 +509,7 @@ mod tests {
                 }
             }
         }
-        // 16 slots hold 8 groups, 32 hold 16: the table was rebuilt twice
+        // the largest runs interleave many keys, not a handful
         assert!(
             most_groups > 32,
             "only {most_groups} groups in the largest case"

@@ -193,7 +193,7 @@ mod tests {
                 };
                 let mut acc = sum.new_acc();
                 acc.add_num(x(i));
-                part.groups = Groups::from_distinct(1, [Some("g")].into_iter(), vec![acc]);
+                part.groups = Groups::from_sorted(1, [Some("g")].into_iter(), vec![acc]);
                 part.rows.push(Row::new().with("task", i as i64));
                 Ok(part)
             }

@@ -22,6 +22,7 @@ use crate::startree::{StarTree, StarTreeSpec};
 use bytes::Bytes;
 use rtdi_common::{AggAcc, AggFn, Error, FieldType, Result, Row, Schema, Timestamp, Value};
 use rtdi_storage::segfile;
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, OnceLock};
@@ -93,8 +94,29 @@ pub(crate) enum ColumnData {
         dict: Vec<String>,
         ids: Vec<u32>,
         nulls: Bitmap,
-        intern: Option<HashMap<String, u32>>,
+        intern: Option<Intern>,
     },
+}
+
+/// A consuming dictionary's lookup side: every entry's id, and the ids in
+/// text order, sorted by the first grouping since the dictionary grew.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Intern {
+    ids: HashMap<String, u32>,
+    by_text: OnceLock<Vec<u32>>,
+}
+
+impl Intern {
+    fn by_text(&self, dict: &[String]) -> &[u32] {
+        self.by_text.get_or_init(|| text_order(dict))
+    }
+}
+
+/// The ids of `dict` in the order of their text.
+fn text_order(dict: &[String]) -> Vec<u32> {
+    let mut order: Vec<u32> = (0..dict.len() as u32).collect();
+    order.sort_unstable_by(|&a, &b| dict[a as usize].cmp(&dict[b as usize]));
+    order
 }
 
 impl ColumnData {
@@ -120,7 +142,7 @@ impl ColumnData {
                 dict: Vec::new(),
                 ids: Vec::new(),
                 nulls,
-                intern: Some(HashMap::new()),
+                intern: Some(Intern::default()),
             },
         }
     }
@@ -159,18 +181,20 @@ impl ColumnData {
             } => {
                 // a sealed column pushed to is consuming again: its sorted
                 // dictionary becomes the first insertions
-                let intern = intern.get_or_insert_with(|| {
-                    (0u32..)
+                let intern = intern.get_or_insert_with(|| Intern {
+                    ids: (0u32..)
                         .zip(dict.iter())
                         .map(|(i, s)| (s.clone(), i))
-                        .collect()
+                        .collect(),
+                    by_text: OnceLock::new(),
                 });
-                let mut id_of = |s: &str| match intern.get(s) {
+                let mut id_of = |s: &str| match intern.ids.get(s) {
                     Some(&id) => id,
                     None => {
                         let id = dict.len() as u32;
                         dict.push(s.to_string());
-                        intern.insert(s.to_string(), id);
+                        intern.ids.insert(s.to_string(), id);
+                        intern.by_text.take();
                         id
                     }
                 };
@@ -198,11 +222,13 @@ impl ColumnData {
         else {
             return;
         };
-        if intern.take().is_none() {
+        let Some(intern) = intern.take() else {
             return;
-        }
-        let mut order: Vec<u32> = (0..dict.len() as u32).collect();
-        order.sort_unstable_by(|&a, &b| dict[a as usize].cmp(&dict[b as usize]));
+        };
+        let order = intern
+            .by_text
+            .into_inner()
+            .unwrap_or_else(|| text_order(dict));
         let mut new_id = vec![0u32; dict.len()];
         let mut sorted = Vec::with_capacity(dict.len());
         for (new, &old) in order.iter().enumerate() {
@@ -298,29 +324,14 @@ impl ColumnData {
         }
     }
 
-    /// Append the cell to a group key as `value_at(doc)` would display,
-    /// without building the value.
+    /// Append the non-NULL cell to a group key as `value_at(doc)` would
+    /// display, without building the value.
     fn render_key_cell(&self, doc: usize, key: &mut KeyCells) {
-        if self.nulls().get(doc) {
-            return key.push(None::<&str>);
-        }
         match self {
             ColumnData::Int { values, .. } => key.push(Some(values[doc])),
             ColumnData::Double { values, .. } => key.push(Some(values[doc])),
             ColumnData::Bool { values, .. } => key.push(Some(values.get(doc))),
             ColumnData::Str { dict, ids, .. } => key.push_str(Some(&dict[ids[doc] as usize])),
-        }
-    }
-
-    /// Numeric read without constructing a [`Value`]; `None` for nulls and
-    /// non-numeric columns (mirrors `Row::get_double` semantics).
-    #[inline]
-    fn double_at(&self, doc: usize) -> Option<f64> {
-        match self {
-            _ if self.nulls().get(doc) => None,
-            ColumnData::Int { values, .. } => Some(values[doc] as f64),
-            ColumnData::Double { values, .. } => Some(values[doc]),
-            _ => None,
         }
     }
 
@@ -368,7 +379,9 @@ impl ColumnData {
             } => {
                 // a consuming column's intern map holds every entry again
                 let copies = if intern.is_some() { 2 } else { 1 };
+                let by_text = intern.as_ref().and_then(|i| i.by_text.get());
                 dict.iter().map(|s| s.len() + 24).sum::<usize>() * copies
+                    + by_text.map_or(0, |order| order.len() * 4)
                     + ids.len() * 4
                     + nulls.memory_bytes()
             }
@@ -498,6 +511,7 @@ impl<'a> CompiledPred<'a> {
                 // insertion-ordered dictionary: ids are identities only
                 Some(intern) if matches!(op, PredicateOp::Eq | PredicateOp::Ne) => {
                     let (lo, hi) = intern
+                        .ids
                         .get(s)
                         .map_or(KeyRange::EMPTY, |&id| (id as i64, id as i64));
                     DocTest::StrId(ids, KeyRange::around(op, lo, hi))
@@ -878,10 +892,10 @@ fn aggregate<I>(seg: &dyn ColumnSet, query: &Query, docs: I, count: usize) -> Gr
 where
     I: Iterator<Item = usize> + Clone,
 {
+    if count == 0 {
+        return Groups::default();
+    }
     if query.group_by.is_empty() {
-        if count == 0 {
-            return Groups::default();
-        }
         let accs = query.aggregations.iter().map(|(_, f)| {
             let mut lane = Lane::new(seg, f, 1);
             lane.fold_global(docs.clone());
@@ -893,86 +907,159 @@ where
         let aggs = query.aggregations.iter();
         aggs.map(|(_, f)| Lane::new(seg, f, groups)).collect()
     };
-
-    let group_cols: Vec<Option<&ColumnData>> =
-        query.group_by.iter().map(|c| seg.column(c)).collect();
-    let dict_cols: Option<Vec<DictCol<'_>>> =
-        group_cols.iter().map(|c| c.and_then(DictCol::of)).collect();
-    if let Some(cols) = dict_cols.filter(|cols| cols.len() <= 4) {
-        return group_by_dict(&cols, lanes, docs, count);
-    }
-
-    // general path: a group column that is not dictionary-encoded (or
-    // absent) renders each document's key into one reused buffer, so what
-    // allocates is a new group, not a document
-    let resolved: Vec<ResolvedAgg<'_>> = query
-        .aggregations
-        .iter()
-        .map(|(_, f)| resolve_agg(seg, f))
-        .collect();
-    let mut groups = Groups::default();
-    let mut key = KeyCells::default();
-    for doc in docs {
-        key.clear();
-        for col in &group_cols {
-            match col {
-                Some(col) => col.render_key_cell(doc, &mut key),
-                None => key.push(None::<&str>),
-            }
-        }
-        let accs = groups.entry(&key, || query.aggregations.iter().map(|(_, f)| f.new_acc()));
-        fold_resolved(&resolved, doc, accs);
-    }
-    groups
+    let key_col = |c: &String| KeyCol::of(seg.column(c), docs.clone(), seg.doc_count());
+    let cols: Vec<KeyCol<'_>> = query.group_by.iter().map(key_col).collect();
+    group_by_ids(&cols, lanes, docs, count)
 }
 
-/// A group column's dictionary ids; `nulls` only when it has a NULL.
-#[derive(Clone, Copy)]
-struct DictCol<'a> {
-    dict: &'a [String],
-    ids: &'a [u32],
+/// `KeyCol` id of a NULL cell.
+const NULL: u32 = u32::MAX;
+
+/// A group column as ids: a string column's dictionary ids, or another
+/// column's values numbered as the selected docs meet them, each rendered
+/// to its key text once.
+struct KeyCol<'a> {
+    /// Per doc. A rendered column holds [`NULL`] for a NULL cell.
+    ids: Cow<'a, [u32]>,
+    /// How many ids there are.
+    len: usize,
+    /// A dictionary column's NULL mask, only when it has a NULL.
     nulls: Option<&'a Bitmap>,
+    text: KeyText<'a>,
 }
 
-impl<'a> DictCol<'a> {
-    fn of(col: &'a ColumnData) -> Option<DictCol<'a>> {
-        match col {
-            ColumnData::Str {
-                dict, ids, nulls, ..
-            } => Some(DictCol {
+enum KeyText<'a> {
+    /// A dictionary, and a consuming one's ids in text order (a sealed
+    /// one's id order is text order).
+    Dict {
+        dict: &'a [String],
+        by_text: Option<&'a [u32]>,
+    },
+    Rendered(KeyCells),
+}
+
+impl<'a> KeyCol<'a> {
+    fn of<I>(col: Option<&'a ColumnData>, docs: I, n: usize) -> KeyCol<'a>
+    where
+        I: Iterator<Item = usize>,
+    {
+        let (ids, text) = match col {
+            // an absent column is NULL in every doc
+            None => (vec![NULL; n], KeyCells::default()),
+            Some(ColumnData::Str {
                 dict,
                 ids,
-                nulls: nulls.any().then_some(nulls),
+                nulls,
+                intern,
+            }) => {
+                return KeyCol {
+                    ids: Cow::Borrowed(ids),
+                    len: dict.len(),
+                    nulls: nulls.any().then_some(nulls),
+                    text: KeyText::Dict {
+                        dict,
+                        by_text: intern.as_ref().map(|i| i.by_text(dict)),
+                    },
+                }
+            }
+            Some(col @ ColumnData::Int { values, .. }) => {
+                render(col, docs, n, |d| values[d] as u64)
+            }
+            Some(col @ ColumnData::Double { values, .. }) => render(col, docs, n, |d| {
+                // every NaN renders as one text, so it is one group
+                let v = values[d];
+                if v.is_nan() {
+                    u64::MAX
+                } else {
+                    v.to_bits()
+                }
             }),
-            _ => None,
+            Some(col @ ColumnData::Bool { values, .. }) => {
+                render(col, docs, n, |d| values.get(d) as u64)
+            }
+        };
+        KeyCol {
+            ids: Cow::Owned(ids),
+            len: text.len(),
+            nulls: None,
+            text: KeyText::Rendered(text),
         }
     }
 
-    /// The doc's dictionary id, `u32::MAX` for NULL.
+    /// The doc's id, [`NULL`] for a NULL cell.
     #[inline]
     fn id(&self, doc: usize) -> u32 {
         match self.nulls {
-            Some(nulls) if nulls.get(doc) => u32::MAX,
+            Some(nulls) if nulls.get(doc) => NULL,
             _ => self.ids[doc],
+        }
+    }
+
+    /// The key cell of an id.
+    fn cell(&self, id: u32) -> Option<&str> {
+        match &self.text {
+            _ if id == NULL => None,
+            KeyText::Dict { dict, .. } => Some(&dict[id as usize]),
+            KeyText::Rendered(cells) => cells.cell(id as usize),
+        }
+    }
+
+    /// A dictionary column's ids in key order, NULL's slot (`len`) first;
+    /// `None` for a rendered column, whose ids are numbered as met.
+    fn walk(&self) -> Option<impl Iterator<Item = usize> + '_> {
+        let KeyText::Dict { dict, by_text } = self.text else {
+            return None;
+        };
+        let ids = (0..dict.len()).map(move |i| by_text.map_or(i, |order| order[i] as usize));
+        Some(std::iter::once(dict.len()).chain(ids))
+    }
+
+    /// How the key cells of two ids order: NULL first, then text.
+    fn cmp_ids(&self, a: u32, b: u32) -> Ordering {
+        match self.text {
+            KeyText::Dict { by_text: None, .. } if a != NULL && b != NULL => a.cmp(&b),
+            _ => self.cell(a).cmp(&self.cell(b)),
         }
     }
 }
 
-/// Group on dictionary columns: a group is a combination of dictionary
-/// ids (`u32::MAX` = NULL), packed into a `u128` key, and key text is
-/// copied once per group at the end. Ids serve as identities only, so a
-/// consuming segment's insertion-ordered dictionary does too.
+/// Number the values of the selected non-NULL docs by `value(doc)`, an
+/// identity of what the doc's cell renders as, in the order they are met:
+/// per doc its number (`n` long, indexed by doc, [`NULL`] where the cell
+/// is), and each value's key text.
+fn render<I>(
+    col: &ColumnData,
+    docs: I,
+    n: usize,
+    value: impl Fn(usize) -> u64,
+) -> (Vec<u32>, KeyCells)
+where
+    I: Iterator<Item = usize>,
+{
+    let (mut ids, mut text) = (vec![NULL; n], KeyCells::default());
+    let mut seen: HashMap<u64, u32, FnvBuildHasher> = HashMap::default();
+    let nulls = col.nulls();
+    for d in docs.filter(|&d| !nulls.get(d)) {
+        ids[d] = *seen.entry(value(d)).or_insert_with(|| {
+            col.render_key_cell(d, &mut text);
+            text.len() as u32 - 1
+        });
+    }
+    (ids, text)
+}
+
+/// Group on key columns' ids, and emit the groups in key order: one
+/// dictionary column's by a walk of its ids in key order, other keys
+/// sorted.
 ///
-/// One column and at least as many docs as dictionary entries (dense):
-/// the lanes are indexed by id, NULL after the last one, so the first pass
-/// is a per-id doc count and no doc carries a group id; the groups are
-/// the ids that met a doc, in id order. Otherwise (sparse, or several
-/// columns) groups are numbered as first met — through a per-id table for
-/// one column, an FNV map of packed keys for several — into a per-doc
-/// `gids` vector the lanes fold through, so lanes are as long as the
-/// groups found, not as the dictionary.
-fn group_by_dict<'a, I>(
-    cols: &[DictCol<'_>],
+/// One column and at least as many docs as ids (dense): the lanes are
+/// indexed by id, NULL after the last one, so no doc carries a group id.
+/// Otherwise groups are numbered as first met — one column's through a
+/// per-id table, several columns' by an FNV map of their ids — into a
+/// per-doc `gids` vector the lanes fold through, so lanes are as long as
+/// the groups found, not as the ids.
+fn group_by_ids<'a, I>(
+    cols: &[KeyCol<'_>],
     lanes: impl Fn(usize) -> Vec<Lane<'a>>,
     docs: I,
     count: usize,
@@ -980,14 +1067,15 @@ fn group_by_dict<'a, I>(
 where
     I: Iterator<Item = usize> + Clone,
 {
-    const NULL: u32 = u32::MAX;
-    let (keys, accs) = match cols {
-        [col] if count >= col.dict.len() => {
-            let null_slot = col.dict.len();
+    let width = cols.len();
+    // `keys` holds each lane group's key, `width` ids a group; `groups`
+    // the lane groups that met a doc, already in key order when walked
+    let (mut lanes, counts, keys, mut groups, walked) = match cols {
+        [col] if count >= col.len => {
+            let null_slot = col.len;
             let mut lanes = lanes(null_slot + 1);
-            let ids = col.ids;
+            let ids: &[u32] = &col.ids;
             let counts = match col.nulls {
-                None => fold_by_slot(&mut lanes, docs, null_slot + 1, |d| ids[d] as usize),
                 Some(nulls) => fold_by_slot(&mut lanes, docs, null_slot + 1, |d| {
                     if nulls.get(d) {
                         null_slot
@@ -995,64 +1083,83 @@ where
                         ids[d] as usize
                     }
                 }),
+                // a rendered column's ids hold its NULLs
+                None => fold_by_slot(&mut lanes, docs, null_slot + 1, |d| {
+                    (ids[d] as usize).min(null_slot)
+                }),
             };
-            let present = || (0..=null_slot).filter(|&s| counts[s] > 0);
-            let key = |s: usize| (if s == null_slot { NULL } else { s as u32 }) as u128;
-            let mut keys = Vec::with_capacity(present().count());
-            keys.extend(present().map(key));
-            let accs = emit(&mut lanes, &counts, present(), keys.len());
-            (keys, accs)
+            let keys: Vec<u32> = (0..null_slot as u32).chain([NULL]).collect();
+            let present = |&s: &usize| counts[s] > 0;
+            let (groups, walked): (Vec<usize>, _) = match col.walk() {
+                Some(walk) => (walk.filter(present).collect(), true),
+                None => ((0..=null_slot).filter(present).collect(), false),
+            };
+            (lanes, counts, keys, groups, walked)
         }
         _ => {
-            let mut keys: Vec<u128> = Vec::new();
-            let mut gids: Vec<u32> = Vec::with_capacity(count);
-            let mut group_of = |key: u128| {
-                keys.push(key);
-                keys.len() as u32 - 1
-            };
+            let (mut keys, mut gids) = (Vec::new(), Vec::with_capacity(count));
+            let mut walked = None;
             if let [col] = cols {
-                // slot dict.len() holds NULL
-                let mut gid_of: Vec<u32> = vec![NULL; col.dict.len() + 1];
+                // slot `len` holds NULL
+                let mut gid_of = vec![NULL; col.len + 1];
                 for d in docs.clone() {
                     let id = col.id(d);
-                    let slot = &mut gid_of[(id as usize).min(col.dict.len())];
+                    let slot = &mut gid_of[(id as usize).min(col.len)];
                     if *slot == NULL {
-                        *slot = group_of(id as u128);
+                        *slot = keys.len() as u32;
+                        keys.push(id);
                     }
                     gids.push(*slot);
                 }
+                // a dictionary's groups, walked through its ids
+                walked = col.walk().map(|walk| {
+                    let groups = walk.map(|s| gid_of[s]).filter(|&g| g != NULL);
+                    groups.map(|g| g as usize).collect()
+                });
             } else {
                 // integer keys: SipHash would dominate the loop
-                let mut intern: HashMap<u128, u32, FnvBuildHasher> = HashMap::default();
+                let mut intern: HashMap<Vec<u32>, u32, FnvBuildHasher> = HashMap::default();
+                let mut key = Vec::with_capacity(width);
                 for d in docs.clone() {
-                    let key = cols
-                        .iter()
-                        .fold(0u128, |key, col| (key << 32) | col.id(d) as u128);
-                    gids.push(*intern.entry(key).or_insert_with(|| group_of(key)));
+                    key.clear();
+                    key.extend(cols.iter().map(|col| col.id(d)));
+                    if let Some(&g) = intern.get(&key) {
+                        gids.push(g);
+                        continue;
+                    }
+                    gids.push(intern.len() as u32);
+                    keys.extend(&key);
+                    intern.insert(key.clone(), intern.len() as u32);
                 }
             }
-            let mut counts = vec![0u64; keys.len()];
+            let len = keys.len() / width;
+            let mut counts = vec![0u64; len];
             gids.iter().for_each(|&g| counts[g as usize] += 1);
-            let mut lanes = lanes(keys.len());
+            let mut lanes = lanes(len);
             for lane in &mut lanes {
                 lane.fold(docs.clone().zip(gids.iter().map(|&g| g as usize)));
             }
-            let accs = emit(&mut lanes, &counts, 0..keys.len(), keys.len());
-            (keys, accs)
+            let ordered = walked.is_some();
+            let groups = walked.unwrap_or_else(|| (0..len).collect());
+            (lanes, counts, keys, groups, ordered)
         }
     };
-    // one group per packed key: distinct by construction, so the partial
-    // is appended to, never probed
-    let cells = keys.iter().flat_map(|key| {
-        cols.iter().enumerate().map(move |(i, col)| {
-            let shift = 32 * (cols.len() - 1 - i);
-            match ((key >> shift) & 0xFFFF_FFFF) as u32 {
-                NULL => None,
-                id => Some(col.dict[id as usize].as_str()),
-            }
-        })
-    });
-    Groups::from_distinct(cols.len(), cells, accs)
+    let key = |g: usize| &keys[g * width..(g + 1) * width];
+    if !walked {
+        groups.sort_unstable_by(|&a, &b| {
+            let ids = key(a).iter().zip(key(b));
+            let mut ords = cols
+                .iter()
+                .zip(ids)
+                .map(|(col, (&x, &y))| col.cmp_ids(x, y));
+            ords.find(|ord| ord.is_ne()).unwrap_or(Ordering::Equal)
+        });
+    }
+    let accs = emit(&mut lanes, &counts, groups.iter().copied(), groups.len());
+    let cells = groups
+        .iter()
+        .flat_map(|&g| cols.iter().zip(key(g)).map(|(col, &id)| col.cell(id)));
+    Groups::from_sorted(width, cells, accs)
 }
 
 /// Count the docs into `slots` groups by `slot(doc)` and fold every lane
@@ -1143,18 +1250,6 @@ fn select_rows(seg: &dyn ColumnSet, query: &Query, docs: &mut Vec<u32>) -> Vec<R
         rows.push(row);
     }
     rows
-}
-
-fn resolve_agg<'a>(seg: &'a dyn ColumnSet, f: &AggFn) -> ResolvedAgg<'a> {
-    match f {
-        AggFn::Count => ResolvedAgg::CountAll,
-        AggFn::Sum(c) | AggFn::Avg(c) | AggFn::Min(c) | AggFn::Max(c) => {
-            seg.column(c).map_or(ResolvedAgg::Missing, ResolvedAgg::Num)
-        }
-        AggFn::DistinctCount(c) => seg
-            .column(c)
-            .map_or(ResolvedAgg::Missing, ResolvedAgg::Distinct),
-    }
 }
 
 /// An immutable, index-equipped columnar segment.
@@ -1755,37 +1850,6 @@ pub(crate) fn zone_may_match(zone: &segfile::ZoneMap, pred: &Predicate, nrows: u
     }
 }
 
-/// A pre-resolved aggregation input: the per-document fold never looks up
-/// columns by name.
-enum ResolvedAgg<'a> {
-    CountAll,
-    Num(&'a ColumnData),
-    Distinct(&'a ColumnData),
-    /// Aggregation over a column this segment does not have: folds nothing
-    /// (matches the row-based semantics for absent fields).
-    Missing,
-}
-
-#[inline]
-fn fold_resolved(resolved: &[ResolvedAgg<'_>], doc: usize, accs: &mut [AggAcc]) {
-    for (acc, r) in accs.iter_mut().zip(resolved) {
-        match r {
-            ResolvedAgg::CountAll => acc.add_one(),
-            ResolvedAgg::Num(col) => {
-                if let Some(v) = col.double_at(doc) {
-                    acc.add_num(v);
-                }
-            }
-            ResolvedAgg::Distinct(col) => {
-                if let Some(h) = col.hash_at(doc) {
-                    acc.add_hash(h);
-                }
-            }
-            ResolvedAgg::Missing => {}
-        }
-    }
-}
-
 /// One aggregation slot's per-group state while a segment folds: a typed
 /// vector indexed by group where the fold is arithmetic, an [`AggAcc`]
 /// per group where it is not. Docs are folded in ascending order, so a
@@ -1807,9 +1871,11 @@ enum Lane<'a> {
     },
     /// MIN/MAX (an `f64` lane seeded with ±∞ would turn an all-NaN MIN
     /// into ∞ where `AggAcc` gives NaN), DISTINCTCOUNT, and anything over
-    /// an absent or non-numeric column.
+    /// an absent or non-numeric column: an `AggAcc` per group, fed the
+    /// column's numbers, or its values' hashes when `distinct`.
     Acc {
-        input: ResolvedAgg<'a>,
+        column: Option<&'a ColumnData>,
+        distinct: bool,
         accs: Vec<AggAcc>,
     },
 }
@@ -1825,7 +1891,8 @@ impl<'a> Lane<'a> {
     /// is decided here, once per column and segment.
     fn new(seg: &'a dyn ColumnSet, f: &AggFn, groups: usize) -> Lane<'a> {
         let acc = || Lane::Acc {
-            input: resolve_agg(seg, f),
+            column: f.input_column().and_then(|c| seg.column(c)),
+            distinct: matches!(f, AggFn::DistinctCount(_)),
             accs: vec![f.new_acc(); groups],
         };
         let (avg, column) = match f {
@@ -1853,7 +1920,8 @@ impl<'a> Lane<'a> {
         }
     }
 
-    /// Fold `(doc, group)` pairs in.
+    /// Fold `(doc, group)` pairs in, the input's variant matched once per
+    /// lane, not once per doc.
     fn fold(&mut self, pairs: impl Iterator<Item = (usize, usize)>) {
         match self {
             Lane::Count => {}
@@ -1867,7 +1935,13 @@ impl<'a> Lane<'a> {
                 Numbers::Int(v) => sum_by_group(pairs, |d| v[d] as f64, *nulls, sums, counts),
                 Numbers::Double(v) => sum_by_group(pairs, |d| v[d], *nulls, sums, counts),
             },
-            Lane::Acc { input, accs } => fold_accs(input, pairs, accs),
+            Lane::Acc {
+                column: Some(column),
+                distinct,
+                accs,
+            } => fold_accs(column, *distinct, pairs, accs),
+            // an absent column folds nothing
+            Lane::Acc { column: None, .. } => {}
         }
     }
 
@@ -1875,7 +1949,6 @@ impl<'a> Lane<'a> {
     /// a sum in a local rather than in its lane.
     fn fold_global(&mut self, docs: impl Iterator<Item = usize>) {
         match self {
-            Lane::Count => {}
             Lane::Sum {
                 values,
                 nulls,
@@ -1892,7 +1965,7 @@ impl<'a> Lane<'a> {
                     counts[0] = count;
                 }
             }
-            Lane::Acc { input, accs } => fold_accs(input, docs.map(|d| (d, 0)), accs),
+            lane => lane.fold(docs.map(|d| (d, 0))),
         }
     }
 
@@ -1958,42 +2031,43 @@ fn sum_of(
     (sum, count)
 }
 
-/// Fold `(doc, group)` pairs into per-group accumulators, the input's
+/// Fold `(doc, group)` pairs of a column into per-group accumulators —
+/// its numbers, or its values' hashes when `distinct` — the column's
 /// variant matched once per lane, not once per doc.
 fn fold_accs(
-    input: &ResolvedAgg<'_>,
+    column: &ColumnData,
+    distinct: bool,
     pairs: impl Iterator<Item = (usize, usize)>,
     accs: &mut [AggAcc],
 ) {
-    match input {
-        ResolvedAgg::CountAll => pairs.for_each(|(_, g)| accs[g].add_one()),
-        ResolvedAgg::Num(ColumnData::Int { values, nulls, .. }) => pairs
-            .filter(|&(d, _)| !nulls.get(d))
-            .for_each(|(d, g)| accs[g].add_num(values[d] as f64)),
-        ResolvedAgg::Num(ColumnData::Double { values, nulls }) => pairs
-            .filter(|&(d, _)| !nulls.get(d))
-            .for_each(|(d, g)| accs[g].add_num(values[d])),
-        // a column with no number in it folds nothing, as an absent one
-        ResolvedAgg::Num(_) | ResolvedAgg::Missing => {}
-        ResolvedAgg::Distinct(ColumnData::Str {
+    match column {
+        ColumnData::Str {
             dict, ids, nulls, ..
-        }) => {
+        } if distinct => {
             // hash each dictionary entry once, not once per document
             let hashes: Vec<u64> = dict.iter().map(|s| Value::hash_of_str(s)).collect();
             pairs
                 .filter(|&(d, _)| !nulls.get(d))
                 .for_each(|(d, g)| accs[g].add_hash(hashes[ids[d] as usize]));
         }
-        ResolvedAgg::Distinct(col) => pairs.for_each(|(d, g)| {
-            if let Some(h) = col.hash_at(d) {
+        _ if distinct => pairs.for_each(|(d, g)| {
+            if let Some(h) = column.hash_at(d) {
                 accs[g].add_hash(h);
             }
         }),
+        ColumnData::Int { values, nulls, .. } => pairs
+            .filter(|&(d, _)| !nulls.get(d))
+            .for_each(|(d, g)| accs[g].add_num(values[d] as f64)),
+        ColumnData::Double { values, nulls } => pairs
+            .filter(|&(d, _)| !nulls.get(d))
+            .for_each(|(d, g)| accs[g].add_num(values[d])),
+        // a column with no number in it folds nothing, as an absent one
+        _ => {}
     }
 }
 
-/// FNV-1a over the packed group key — the interning map sits in the
-/// hottest group-by loop and SipHash costs more than the fold itself.
+/// FNV-1a over an integer group key — the interning maps sit in the
+/// hottest group-by loops and SipHash costs more than the fold itself.
 struct FnvHasher(u64);
 
 impl Default for FnvHasher {

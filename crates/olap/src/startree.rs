@@ -12,7 +12,7 @@
 //! subset of the tree's dimensions is answered by tree traversal without
 //! touching raw documents.
 
-use crate::groups::{Groups, KeyCells};
+use crate::groups::Groups;
 use crate::query::{PredicateOp, Query};
 use rtdi_common::{AggAcc, AggFn, Error, Result, Row};
 use std::collections::BTreeMap;
@@ -145,25 +145,32 @@ impl StarTree {
         if incomplete {
             return Ok(None);
         }
-        // merge nodes with the same group key (can happen when group-by
-        // dims are not a prefix of the dimension order), re-keying into
-        // query.group_by order and projecting to the queried metrics
-        let mut groups = Groups::default();
-        let mut group_key = KeyCells::default();
-        for (key, node) in results {
-            group_key.clear();
-            for g in query.group_by.iter() {
-                let cell = key.iter().find(|(d, _)| d == g);
-                group_key.push(cell.and_then(|(_, v)| v.as_deref()));
-            }
-            let entry = groups.entry(&group_key, || {
-                query.aggregations.iter().map(|(_, f)| f.new_acc())
-            });
-            for (slot, mi) in entry.iter_mut().zip(&metric_idx) {
+        // re-key into query.group_by order and merge the nodes of one key
+        // (can happen when group-by dims are not a prefix of the dimension
+        // order), in traversal order and projected to the queried metrics
+        let mut groups: BTreeMap<Vec<Option<&str>>, Vec<AggAcc>> = BTreeMap::new();
+        let fresh = || {
+            query
+                .aggregations
+                .iter()
+                .map(|(_, f)| f.new_acc())
+                .collect()
+        };
+        for (key, node) in &results {
+            let cell = |g: &String| key.iter().find(|(d, _)| d == g)?.1.as_deref();
+            let accs = groups.entry(query.group_by.iter().map(cell).collect());
+            let accs = accs.or_insert_with(fresh);
+            for (slot, mi) in accs.iter_mut().zip(&metric_idx) {
                 slot.merge(&node.metrics[*mi]);
             }
         }
-        Ok(Some(groups))
+        let (keys, accs): (Vec<_>, Vec<_>) = groups.into_iter().unzip();
+        let accs = accs.into_iter().flatten().collect();
+        Ok(Some(match query.group_by.len() {
+            _ if keys.is_empty() => Groups::default(),
+            0 => Groups::global(accs),
+            width => Groups::from_sorted(width, keys.iter().flatten().copied(), accs),
+        }))
     }
 }
 

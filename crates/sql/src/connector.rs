@@ -354,29 +354,28 @@ pub(crate) fn pushdown_query(table: &str, pushdown: &Pushdown) -> OlapQuery {
 
 /// The OLAP store renders non-null group keys as strings (NULL keys
 /// arrive as real `Value::Null`); restore the schema types so pushed and
-/// unpushed plans produce identical rows.
+/// unpushed plans produce identical rows. A key is rewritten where it lies
+/// — group columns lead a row, in `group_by` order — and a key whose
+/// field is text is not touched at all.
 pub(crate) fn restore_group_key_types(rows: &mut [Row], group_by: &[String], schema: &Schema) {
-    for row in rows {
-        for col in group_by {
-            let Some(field) = schema.field(col) else {
+    for (at, col) in group_by.iter().enumerate() {
+        let parse: fn(&str) -> Option<Value> = match schema.field(col).map(|f| f.field_type) {
+            Some(FieldType::Int | FieldType::Timestamp) => |s| s.parse().ok().map(Value::Int),
+            Some(FieldType::Double) => |s| s.parse().ok().map(Value::Double),
+            Some(FieldType::Bool) => |s| s.parse().ok().map(Value::Bool),
+            _ => continue,
+        };
+        for row in rows.iter_mut() {
+            let at = match row.at(at) {
+                Some((name, _)) if name == col => Some(at),
+                _ => row.position(col),
+            };
+            let Some((_, cell)) = at.and_then(|at| row.at_mut(at)) else {
                 continue;
             };
-            let Some(Value::Str(s)) = row.get(col).cloned() else {
-                continue;
-            };
-            let typed = match field.field_type {
-                FieldType::Int | FieldType::Timestamp => {
-                    s.parse::<i64>().map(Value::Int).unwrap_or(Value::Str(s))
-                }
-                FieldType::Double => s.parse::<f64>().map(Value::Double).unwrap_or(Value::Str(s)),
-                FieldType::Bool => match s.as_str() {
-                    "true" => Value::Bool(true),
-                    "false" => Value::Bool(false),
-                    _ => Value::Str(s),
-                },
-                _ => Value::Str(s),
-            };
-            row.set(col, typed);
+            if let Some(typed) = cell.as_str().and_then(parse) {
+                *cell = typed;
+            }
         }
     }
 }

@@ -8,10 +8,10 @@
 //! data... we have leveraged Presto's connector model and built a Pinot
 //! connector."
 
-use crate::ast::AggName;
+use crate::ast::{AggName, Expr};
 use crate::connector::{Connector, ScanOutput};
 use crate::expr::{eval, truthy};
-use crate::optimizer::{optimize_with, pushable_aggregation};
+use crate::optimizer::{map_children, optimize_with, pushable_aggregation};
 use crate::parser::parse_select;
 use crate::plan::{plan_select, AggItem, Plan};
 use rtdi_common::{AggAcc, Clock, Deadline, Error, PipelineTracer, Priority, Result, Row, Value};
@@ -158,46 +158,7 @@ impl SqlEngine {
                 binding,
                 pushdown,
             },
-            Plan::Filter { input, predicate } => Plan::Filter {
-                input: Box::new(self.resolve_catalogs(*input)),
-                predicate,
-            },
-            Plan::Project { input, items } => Plan::Project {
-                input: Box::new(self.resolve_catalogs(*input)),
-                items,
-            },
-            Plan::Aggregate {
-                input,
-                group_by,
-                aggs,
-            } => Plan::Aggregate {
-                input: Box::new(self.resolve_catalogs(*input)),
-                group_by,
-                aggs,
-            },
-            Plan::Join {
-                left,
-                right,
-                left_binding,
-                right_binding,
-                on_left,
-                on_right,
-            } => Plan::Join {
-                left: Box::new(self.resolve_catalogs(*left)),
-                right: Box::new(self.resolve_catalogs(*right)),
-                left_binding,
-                right_binding,
-                on_left,
-                on_right,
-            },
-            Plan::Sort { input, keys } => Plan::Sort {
-                input: Box::new(self.resolve_catalogs(*input)),
-                keys,
-            },
-            Plan::Limit { input, n } => Plan::Limit {
-                input: Box::new(self.resolve_catalogs(*input)),
-                n,
-            },
+            other => map_children(other, &mut |p| self.resolve_catalogs(p)),
         }
     }
 
@@ -280,18 +241,7 @@ impl SqlEngine {
                 }
                 Ok(out)
             }
-            Plan::Project { input, items } => {
-                let rows = self.execute(input, stats)?;
-                rows.into_iter()
-                    .map(|row| {
-                        let mut out = Row::with_capacity(items.len());
-                        for (name, expr) in items {
-                            out.push(name.clone(), eval(expr, &row)?);
-                        }
-                        Ok(out)
-                    })
-                    .collect()
-            }
+            Plan::Project { input, items } => project(self.execute(input, stats)?, items),
             Plan::Aggregate {
                 input,
                 group_by,
@@ -308,11 +258,12 @@ impl SqlEngine {
                     ..
                 } = &**input
                 {
-                    if let Some(shape) = pushable_aggregation(group_by, aggs) {
+                    if let Some((shape, rename)) = pushable_aggregation(group_by, aggs) {
                         let mut out = self.connector(catalog)?.scan(table, pushdown)?;
-                        let rows = match out.fold(&shape)? {
-                            Some(rows) => rows,
-                            None => execute_aggregate(&out.take_rows()?, group_by, aggs)?,
+                        let rows = match (out.fold(&shape)?, rename) {
+                            (Some(rows), Some(items)) => project(rows, &items)?,
+                            (Some(rows), None) => rows,
+                            (None, _) => execute_aggregate(&out.take_rows()?, group_by, aggs)?,
                         };
                         stats.absorb(&out);
                         return Ok(rows);
@@ -340,7 +291,7 @@ impl SqlEngine {
                     on_right,
                 )
             }
-            Plan::Sort { input, keys } => {
+            Plan::Sort { input, keys, strip } => {
                 let mut rows = self.execute(input, stats)?;
                 rows.sort_by(|a, b| {
                     for (col, desc) in keys {
@@ -354,21 +305,11 @@ impl SqlEngine {
                     }
                     std::cmp::Ordering::Equal
                 });
-                // strip hidden sort columns
-                if rows
-                    .first()
-                    .map(|r| r.column_names().any(|c| c.starts_with("__sort")))
-                    .unwrap_or(false)
-                {
-                    rows = rows
-                        .into_iter()
-                        .map(|r| {
-                            r.iter()
-                                .filter(|(n, _)| !n.starts_with("__sort"))
-                                .map(|(n, v)| (n.to_string(), v.clone()))
-                                .collect()
-                        })
-                        .collect();
+                // the planner's own sort keys end every row
+                if *strip > 0 {
+                    for row in &mut rows {
+                        row.truncate(row.len().saturating_sub(*strip));
+                    }
                 }
                 Ok(rows)
             }
@@ -398,6 +339,61 @@ fn stamp_overload(plan: &mut Plan, deadline: &Option<Deadline>, priority: Priori
             stamp_overload(right, deadline, priority);
         }
     }
+}
+
+/// Evaluate the items over every row. Each item's output name is interned
+/// once and shared by every row. A bare column that no other item reads
+/// is moved out of its input row, looked for where the previous row had
+/// it; any other item is evaluated.
+fn project(rows: Vec<Row>, items: &[(String, Expr)]) -> Result<Vec<Row>> {
+    let reads = |expr: &Expr, column: &str| match expr {
+        Expr::Column { name, .. } => name == column,
+        expr => {
+            let mut cols = Vec::new();
+            expr.referenced_columns(&mut cols);
+            cols.iter().any(|c| c == column)
+        }
+    };
+    // per item its output name, and the column it moves with the position
+    // the last row had it at
+    let mut plan: Vec<_> = (items.iter().enumerate())
+        .map(|(i, (name, expr))| {
+            let moved = match expr {
+                Expr::Column {
+                    qualifier: None,
+                    name: column,
+                } => {
+                    let mut others = items.iter().enumerate().filter(|&(j, _)| j != i);
+                    others
+                        .all(|(_, (_, e))| !reads(e, column))
+                        .then_some((column.as_str(), 0))
+                }
+                _ => None,
+            };
+            (Arc::<str>::from(name.as_str()), moved)
+        })
+        .collect();
+    rows.into_iter()
+        .map(|mut row| {
+            let mut out = Row::with_capacity(items.len());
+            for ((name, moved), (_, expr)) in plan.iter_mut().zip(items) {
+                let value = match moved {
+                    Some((column, at)) => {
+                        if row.at(*at).is_none_or(|(found, _)| found != *column) {
+                            *at = row.position(column).unwrap_or(usize::MAX);
+                        }
+                        let cell = row
+                            .at_mut(*at)
+                            .map(|(_, v)| std::mem::replace(v, Value::Null));
+                        cell.unwrap_or(Value::Null)
+                    }
+                    None => eval(expr, &row)?,
+                };
+                out.push(Arc::clone(name), value);
+            }
+            Ok(out)
+        })
+        .collect()
 }
 
 fn new_acc(item: &AggItem) -> AggAcc {
@@ -583,6 +579,79 @@ mod tests {
         assert_eq!(out.rows.len(), 2);
         assert_eq!(out.rows[0].get_double("total"), Some(99.0));
         assert_eq!(out.rows[0].len(), 2);
+    }
+
+    /// The sort strips the keys the planner added and nothing else: a
+    /// projection of the user's stays, whatever it is called.
+    #[test]
+    fn sort_strips_only_its_own_keys() {
+        let e = engine();
+        let out = e
+            .query(
+                "SELECT city AS __sortable, total FROM orders WHERE total < 10 \
+                 ORDER BY __sortable LIMIT 3",
+            )
+            .unwrap();
+        let names: Vec<Vec<&str>> = out
+            .rows
+            .iter()
+            .map(|r| r.column_names().collect())
+            .collect();
+        assert_eq!(names, vec![vec!["__sortable", "total"]; 3]);
+        assert_eq!(out.rows[0].get_str("__sortable"), Some("la"));
+        // a hidden key (`total * 2`) goes, the user's `__sortable` stays
+        let out = e
+            .query("SELECT city AS __sortable, total FROM orders ORDER BY total * 2 DESC LIMIT 2")
+            .unwrap();
+        let expect = vec![
+            Row::new().with("__sortable", "sf").with("total", 99.0),
+            Row::new().with("__sortable", "nyc").with("total", 98.0),
+        ];
+        assert_eq!(out.rows, expect);
+    }
+
+    /// A group key under an alias still goes down to the kernels: the scan
+    /// aggregates on the column, and a bare-column Project above it renames
+    /// the column to the alias. The answers are the row aggregator's.
+    #[test]
+    fn an_aliased_group_key_is_pushed_down_and_renamed() {
+        use crate::connector::PinotConnector;
+        use rtdi_olap::table::{OlapTable, TableConfig};
+
+        let schema = Schema::of(
+            "orders",
+            &[("city", FieldType::Str), ("total", FieldType::Double)],
+        );
+        let config = TableConfig::new("orders", schema)
+            .with_partitions(2)
+            .with_segment_rows(16);
+        let table = OlapTable::new(config).unwrap();
+        for i in 0..100 {
+            let city = ["sf", "la", "nyc", "chi"][i % 7 % 4];
+            let row = Row::new().with("city", city).with("total", i as f64);
+            table.ingest(i % 2, row).unwrap();
+        }
+        let pinot = PinotConnector::new();
+        pinot.register(table);
+        let mut e = SqlEngine::new(EngineConfig::default());
+        e.register_connector("pinot", Arc::new(pinot));
+        for order in ["c DESC", "n DESC", "revenue"] {
+            let sql = format!(
+                "SELECT city AS c, COUNT(*) AS n, SUM(total) AS revenue FROM orders \
+                 GROUP BY city ORDER BY {order} LIMIT 3"
+            );
+            e.set_pushdown(true);
+            let plan = e.explain(&sql).unwrap();
+            assert!(plan.contains("agg=true"), "{plan}");
+            assert!(!plan.contains("Aggregate"), "{plan}");
+            let pushed = e.query(&sql).unwrap();
+            // the order and the limit went down with the aggregation
+            assert_eq!(pushed.stats.rows_shipped, 3, "{sql}");
+            e.set_pushdown(false);
+            let engine_side = e.query(&sql).unwrap();
+            assert_eq!(pushed.rows, engine_side.rows, "{sql}");
+            assert_eq!(pushed.rows[0].column_names().next(), Some("c"));
+        }
     }
 
     #[test]

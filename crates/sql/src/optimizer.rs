@@ -215,19 +215,23 @@ fn pushable_agg(item: &AggItem) -> Option<AggFn> {
     }
 }
 
+/// The items of a bare-column Project that gives columns other names.
+pub(crate) type Renames = Vec<(String, Expr)>;
+
 /// The aggregation the column kernels can run, if this one has that
 /// shape: a connector takes it into the scan, and the engine folds it over
-/// the column views of a scan that did not.
+/// the column views of a scan that did not. Group keys must be bare
+/// columns, and the kernels name a group cell by its column: when a key's
+/// output name is an alias, the items of the bare-column Project that
+/// renames the kernels' rows to the plan's names come with it.
 pub(crate) fn pushable_aggregation(
     group_by: &[(String, Expr)],
     aggs: &[AggItem],
-) -> Option<PushedAgg> {
-    // group keys must be bare columns whose output name equals the column
-    // name (the OLAP store names them that way)
+) -> Option<(PushedAgg, Option<Renames>)> {
     let groups: Option<Vec<String>> = group_by
         .iter()
-        .map(|(name, e)| match e {
-            Expr::Column { name: col, .. } if col == name => Some(col.clone()),
+        .map(|(_, e)| match e {
+            Expr::Column { name, .. } => Some(name.clone()),
             _ => None,
         })
         .collect();
@@ -235,10 +239,23 @@ pub(crate) fn pushable_aggregation(
         .iter()
         .map(|a| pushable_agg(a).map(|f| (a.name.clone(), f)))
         .collect();
-    Some(PushedAgg {
+    let shape = PushedAgg {
         group_by: Arc::new(groups?),
         aggs: Arc::new(fns?),
-    })
+    };
+    let column = |name: &String| Expr::Column {
+        qualifier: None,
+        name: name.clone(),
+    };
+    let names = group_by.iter().map(|(name, _)| name);
+    let rename = names.clone().ne(shape.group_by.iter()).then(|| {
+        let keys = names
+            .zip(shape.group_by.iter())
+            .map(|(n, c)| (n.clone(), column(c)));
+        keys.chain(aggs.iter().map(|a| (a.name.clone(), column(&a.name))))
+            .collect()
+    });
+    Some((shape, rename))
 }
 
 fn push_aggregation(plan: Plan, caps: CapsResolver) -> Plan {
@@ -257,13 +274,22 @@ fn push_aggregation(plan: Plan, caps: CapsResolver) -> Plan {
             } = input
             {
                 let supported = caps(&catalog).aggregation && pushdown.aggregation.is_none();
-                if let (true, Some(shape)) = (supported, pushable_aggregation(&group_by, &aggs)) {
+                if let (true, Some((shape, rename))) =
+                    (supported, pushable_aggregation(&group_by, &aggs))
+                {
                     pushdown.aggregation = Some(shape);
-                    return Plan::Scan {
+                    let scan = Plan::Scan {
                         catalog,
                         table,
                         binding,
                         pushdown,
+                    };
+                    return match rename {
+                        Some(items) => Plan::Project {
+                            input: Box::new(scan),
+                            items,
+                        },
+                        None => scan,
                     };
                 }
                 return Plan::Aggregate {
@@ -318,14 +344,13 @@ fn apply_limit_below(
             binding,
             mut pushdown,
         } => {
+            // a plain limit without order is only safe when no engine-side
+            // sort follows — the caller passes order=None exactly then
             let keys_ok = match (&order, &pushdown.aggregation) {
-                // plain limit without order: only safe when no engine-side
-                // sort follows — the caller passes order=None exactly then
-                (None, _) => true,
                 (Some(keys), Some(agg)) => keys.iter().all(|(k, _)| {
                     agg.group_by.contains(k) || agg.aggs.iter().any(|(n2, _)| n2 == k)
                 }),
-                (Some(keys), None) => !keys.iter().any(|(k, _)| k.starts_with("__sort")),
+                _ => true,
             };
             if caps(&catalog).limit && keys_ok {
                 if let Some(keys) = order {
@@ -340,48 +365,33 @@ fn apply_limit_below(
                 pushdown,
             }
         }
-        Plan::Sort { input, keys } => {
-            // map the sort keys through a Project below, if any, so the
-            // scan sees underlying column names
-            let mapped = map_keys_through(&input, &keys);
-            let input = match mapped {
-                Some(scan_keys) => apply_limit_below(*input, Some(scan_keys), n, caps),
-                None => *input,
-            };
-            Plan::Sort {
-                input: Box::new(input),
-                keys,
-            }
-        }
+        Plan::Sort { input, keys, strip } => Plan::Sort {
+            input: Box::new(apply_limit_below(*input, Some(keys.clone()), n, caps)),
+            keys,
+            strip,
+        },
         Plan::Project { input, items } => {
-            let input = apply_limit_below(*input, order, n, caps);
+            // the sort keys, projected names, become the names below; a
+            // key that is not a bare column stops the sink here
+            let mapped = order.as_ref().map(|keys| {
+                let below = |k: &String| match &items.iter().find(|(name, _)| name == k)?.1 {
+                    Expr::Column { name, .. } => Some(name.clone()),
+                    _ => None,
+                };
+                keys.iter()
+                    .map(|(k, desc)| Some((below(k)?, *desc)))
+                    .collect::<Option<Vec<_>>>()
+            });
+            let input = match mapped {
+                Some(None) => *input,
+                keys => apply_limit_below(*input, keys.flatten(), n, caps),
+            };
             Plan::Project {
                 input: Box::new(input),
                 items,
             }
         }
         other => other,
-    }
-}
-
-/// Resolve sort keys (projected names) to scan column names through an
-/// optional Project node. Returns None when any key is not a bare column.
-fn map_keys_through(plan: &Plan, keys: &[(String, bool)]) -> Option<Vec<(String, bool)>> {
-    match plan {
-        Plan::Project { items, .. } => keys
-            .iter()
-            .map(|(k, desc)| {
-                items
-                    .iter()
-                    .find(|(name, _)| name == k)
-                    .and_then(|(_, e)| match e {
-                        Expr::Column { name, .. } => Some((name.clone(), *desc)),
-                        _ => None,
-                    })
-            })
-            .collect(),
-        Plan::Scan { .. } => Some(keys.to_vec()),
-        _ => None,
     }
 }
 
@@ -409,7 +419,7 @@ fn push_projection(plan: Plan, caps: CapsResolver) -> Plan {
                     predicate,
                 }
             }
-            Plan::Sort { input, keys } => {
+            Plan::Sort { input, keys, strip } => {
                 let needed = needed.map(|mut cols| {
                     for (k, _) in &keys {
                         if !cols.contains(k) {
@@ -421,6 +431,7 @@ fn push_projection(plan: Plan, caps: CapsResolver) -> Plan {
                 Plan::Sort {
                     input: Box::new(walk(*input, needed, caps)),
                     keys,
+                    strip,
                 }
             }
             Plan::Limit { input, n } => Plan::Limit {
@@ -481,7 +492,8 @@ fn push_projection(plan: Plan, caps: CapsResolver) -> Plan {
     walk(plan, None, caps)
 }
 
-fn map_children(plan: Plan, f: &mut dyn FnMut(Plan) -> Plan) -> Plan {
+/// The node with `f` applied to each of its inputs.
+pub(crate) fn map_children(plan: Plan, f: &mut dyn FnMut(Plan) -> Plan) -> Plan {
     match plan {
         Plan::Filter { input, predicate } => Plan::Filter {
             input: Box::new(f(*input)),
@@ -515,9 +527,10 @@ fn map_children(plan: Plan, f: &mut dyn FnMut(Plan) -> Plan) -> Plan {
             on_left,
             on_right,
         },
-        Plan::Sort { input, keys } => Plan::Sort {
+        Plan::Sort { input, keys, strip } => Plan::Sort {
             input: Box::new(f(*input)),
             keys,
+            strip,
         },
         Plan::Limit { input, n } => Plan::Limit {
             input: Box::new(f(*input)),

@@ -56,6 +56,9 @@ pub enum Plan {
         input: Box<Plan>,
         /// (output column name, desc)
         keys: Vec<(String, bool)>,
+        /// How many trailing columns of every input row are the planner's
+        /// own sort keys, stripped once the rows are sorted.
+        strip: usize,
     },
     Limit {
         input: Box<Plan>,
@@ -127,7 +130,7 @@ impl Plan {
                 left.explain_into(depth + 1, out);
                 right.explain_into(depth + 1, out);
             }
-            Plan::Sort { input, keys } => {
+            Plan::Sort { input, keys, .. } => {
                 out.push_str(&format!("{pad}Sort {keys:?}\n"));
                 input.explain_into(depth + 1, out);
             }
@@ -245,6 +248,7 @@ pub fn plan_select(stmt: &SelectStmt) -> Result<Plan> {
 
     // ORDER BY is evaluated over the projected output: resolve each key to
     // an output column, adding hidden projections for non-trivial exprs
+    let visible = projections.len();
     let mut sort_keys: Vec<(String, bool)> = Vec::new();
     for (i, o) in order_exprs.iter().enumerate() {
         let name = match &o.expr {
@@ -267,6 +271,7 @@ pub fn plan_select(stmt: &SelectStmt) -> Result<Plan> {
         sort_keys.push((name, o.desc));
     }
 
+    let strip = projections.len() - visible;
     if !projections.is_empty() {
         plan = Plan::Project {
             input: Box::new(plan),
@@ -277,6 +282,7 @@ pub fn plan_select(stmt: &SelectStmt) -> Result<Plan> {
         plan = Plan::Sort {
             input: Box::new(plan),
             keys: sort_keys,
+            strip,
         };
     }
     if let Some(n) = stmt.limit {
@@ -495,8 +501,9 @@ mod tests {
     fn order_by_expression_gets_hidden_projection() {
         let p = plan("SELECT city, fare FROM t ORDER BY fare * 2 DESC");
         match &p {
-            Plan::Sort { keys, input } => {
+            Plan::Sort { keys, input, strip } => {
                 assert_eq!(keys[0], ("__sort0".to_string(), true));
+                assert_eq!(*strip, 1);
                 match &**input {
                     Plan::Project { items, .. } => {
                         assert!(items.iter().any(|(n, _)| n == "__sort0"));

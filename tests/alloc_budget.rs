@@ -369,6 +369,58 @@ fn queries_pay_for_what_they_answer() {
     );
 }
 
+/// The same through SQL: a drilldown pays per group answered the OLAP row
+/// (its cell vector and its key's text) and the projection's row, whose
+/// cells move over from it under names interned once; the rest is a fixed
+/// sum per segment, parse and plan included. At two group counts, so a
+/// cost per group cannot hide in the sum.
+fn sql_drilldown_pays_for_its_groups() {
+    const N: usize = 16_000;
+    let platform = RealtimePlatform::new();
+    let schema = Schema::of(
+        "trips",
+        &[
+            ("city", FieldType::Str),
+            ("driver", FieldType::Str),
+            ("fare", FieldType::Double),
+            ("ts", FieldType::Timestamp),
+        ],
+    );
+    let config = TableConfig::new("trips", schema)
+        .with_time_column("ts")
+        .with_partitions(PARTITIONS)
+        .with_segment_rows(1_000)
+        .with_query_threads(1);
+    let table = platform.create_olap_table(config).unwrap();
+    for i in 0..N {
+        // city "few" has 250 drivers, city "many" 2 000
+        let (city, driver) = match i % 2 {
+            0 => ("few", (i / 2 * 7) % 250),
+            _ => ("many", (i / 2 * 13) % 2_000),
+        };
+        let row = Row::new()
+            .with("city", city)
+            .with("driver", format!("drv-{driver:05}"))
+            .with("fare", (i % 64) as f64)
+            .with("ts", (i / 20) as i64);
+        table.ingest(i % PARTITIONS, row).unwrap();
+    }
+    for (city, drivers) in [("few", 250), ("many", 2_000)] {
+        let sql = format!(
+            "SELECT driver, COUNT(*) AS n, SUM(fare) AS revenue FROM trips \
+             WHERE city = '{city}' GROUP BY driver"
+        );
+        let (out, spent) = count_allocations(|| platform.sql(&sql).unwrap());
+        let (groups, segments) = (out.rows.len() as u64, out.stats.segments_queried);
+        assert_eq!(groups, drivers);
+        assert!(
+            spent.allocs <= 3 * groups + 24 * segments,
+            "{sql}: {} allocations for {groups} groups over {segments} segments",
+            spent.allocs
+        );
+    }
+}
+
 /// A predicate on the column a segment is sorted by is a binary search
 /// that probes the raw column (dictionary ids here), so it allocates its
 /// bitmaps and no cell: sixty-four times the docs, six more probes, the
@@ -472,6 +524,8 @@ fn produce_ingest_and_retry_hold_their_allocation_budgets() {
     compute_reads_the_log_where_it_lies();
 
     queries_pay_for_what_they_answer();
+
+    sql_drilldown_pays_for_its_groups();
 
     sorted_probes_build_no_value();
 }

@@ -1047,6 +1047,196 @@ mod hive_pushdown_equivalence {
     }
 }
 
+/// A grouped answer without ORDER BY comes out in key order — NULL first,
+/// then text, column by column — whichever path computed it, so every
+/// path answers the same rows in the same order, byte for byte: the row
+/// aggregator (pushdown off), a table whose segments are all consuming,
+/// the same rows sealed (all of them, and all but the last segment), the
+/// sealed segments persisted and reopened lazily, a hybrid split at a
+/// drawn row, and the warehouse's fold over part files. A LIMIT without
+/// ORDER BY keeps the first groups in that order, so it must cut the same.
+mod grouped_emission_order {
+    use super::*;
+    use rtdi::olap::table::{OlapTable, TableConfig};
+    use rtdi::sql::catalog::{HybridTable, RealtimeSide};
+    use rtdi::sql::connector::{Connector, HiveConnector, PinotConnector};
+    use rtdi::sql::engine::{EngineConfig, SqlEngine};
+    use rtdi::storage::hive::HiveCatalog;
+    use rtdi::storage::object::InMemoryStore;
+    use std::sync::Arc;
+
+    const SEED_GROUPED: u64 = 0x0060_0D3E;
+
+    fn schema() -> Schema {
+        Schema::of(
+            "t",
+            &[
+                ("city", FieldType::Str),
+                ("n", FieldType::Int),
+                ("x", FieldType::Double),
+                ("ts", FieldType::Timestamp),
+            ],
+        )
+    }
+
+    /// Row `i`: a city out of `cities` (a three-entry dictionary is dense
+    /// in any segment, a few hundred sparse in most), `n` in -3..=12, whose
+    /// text orders `10` before `9`, each NULL or absent now and then; `x`
+    /// in quarters, so every fold order sums it exactly; `ts` = `i`, so a
+    /// hybrid split loses no row.
+    fn row(rng: &mut StdRng, i: usize, cities: u32) -> Row {
+        let mut row = Row::new();
+        match rng.gen_range(0..10u8) {
+            0 => {}
+            1 => row.push("city", Value::Null),
+            _ => row.push("city", format!("c{}", rng.gen_range(0..cities))),
+        }
+        if rng.gen_range(0..8u8) > 0 {
+            row.push("n", rng.gen_range(-3..=12i64));
+        }
+        row.push("x", rng.gen_range(-40..40i64) as f64 * 0.25);
+        row.push("ts", i as i64);
+        row
+    }
+
+    fn table(segment_rows: usize, rows: &[Row]) -> Arc<OlapTable> {
+        let config = TableConfig::new("t", schema())
+            .with_partitions(1)
+            .with_segment_rows(segment_rows)
+            .with_time_column("ts");
+        let table = OlapTable::new(config).unwrap();
+        for r in rows {
+            table.ingest(0, r.clone()).unwrap();
+        }
+        table
+    }
+
+    /// A hybrid table: `archived` as lazily opened segment files of
+    /// `segment_rows` rows, `live` in a realtime table.
+    fn hybrid(archived: &[Row], live: &[Row], segment_rows: usize) -> Arc<PinotConnector> {
+        let realtime = RealtimeSide::Direct(table(segment_rows, live));
+        let hybrid = HybridTable::new("t", schema(), "ts", realtime).with_query_threads(1);
+        for (i, chunk) in archived.chunks(segment_rows).enumerate() {
+            let spec = IndexSpec::none();
+            let segment = Segment::build(format!("off{i}"), &schema(), chunk.to_vec(), &spec);
+            let file = segment.unwrap().persist().unwrap();
+            let lazy = Segment::load_lazy(file).unwrap();
+            hybrid
+                .register_offline_segment(Arc::new(lazy), None)
+                .unwrap();
+        }
+        let pinot = PinotConnector::new();
+        pinot.register_hybrid(Arc::new(hybrid));
+        Arc::new(pinot)
+    }
+
+    fn engine(connector: Arc<dyn Connector>, pushdown: bool) -> SqlEngine {
+        let mut e = SqlEngine::new(EngineConfig {
+            default_catalog: "c".into(),
+            enable_pushdown: pushdown,
+        });
+        e.register_connector("c", connector);
+        e
+    }
+
+    fn pinot(table: Arc<OlapTable>) -> Arc<PinotConnector> {
+        let pinot = PinotConnector::new();
+        pinot.register(table);
+        Arc::new(pinot)
+    }
+
+    /// A GROUP BY of one or two keys (one maybe under an alias), a few
+    /// aggregates, maybe a pushable WHERE, maybe a LIMIT; never ORDER BY.
+    fn arb_sql(rng: &mut StdRng, cities: u32) -> String {
+        let keys: &[&str] = [
+            &["city"][..],
+            &["n"],
+            &["x"],
+            &["city", "n"],
+            &["n", "city"],
+        ][rng.gen_range(0..5usize)];
+        let select: Vec<String> = keys
+            .iter()
+            .enumerate()
+            .map(|(i, k)| match rng.gen_bool(0.25) {
+                true => format!("{k} AS k{i}"),
+                false => k.to_string(),
+            })
+            .collect();
+        let aggs = [
+            "COUNT(*) AS c",
+            "SUM(x) AS s",
+            "AVG(x) AS a",
+            "MIN(x) AS lo",
+            "MAX(n) AS hi",
+            "COUNT(DISTINCT city) AS d",
+        ];
+        let aggs: Vec<&str> = (0..rng.gen_range(1..4usize))
+            .map(|_| aggs[rng.gen_range(0..aggs.len())])
+            .collect();
+        let mut sql = format!("SELECT {}, {} FROM t", select.join(", "), aggs.join(", "));
+        match rng.gen_range(0..5u8) {
+            0 => sql.push_str(&format!(" WHERE city = 'c{}'", rng.gen_range(0..cities))),
+            1 => sql.push_str(&format!(" WHERE city <> 'c{}'", rng.gen_range(0..cities))),
+            2 => sql.push_str(&format!(" WHERE x > {}", rng.gen_range(-10..10i64))),
+            _ => {}
+        }
+        sql.push_str(&format!(" GROUP BY {}", keys.join(", ")));
+        if rng.gen_bool(0.3) {
+            sql.push_str(&format!(" LIMIT {}", rng.gen_range(1..8usize)));
+        }
+        sql
+    }
+
+    #[test]
+    fn grouped_answers_come_out_in_key_order_on_every_path() {
+        let mut dense_and_sparse = (false, false);
+        for case in 0..48u64 {
+            let mut rng = StdRng::seed_from_u64(SEED_GROUPED + case);
+            let cities = [3, 300][rng.gen_range(0..2usize)];
+            let len = rng.gen_range(1..400usize);
+            let rows: Vec<Row> = (0..len).map(|i| row(&mut rng, i, cities)).collect();
+            // 1 to 12 segments
+            let per = len.div_ceil(rng.gen_range(1..=12usize));
+            let cut = rng.gen_range(0..=len);
+
+            let sealed = table(per, &rows);
+            sealed.seal_all().unwrap();
+            let hive = HiveCatalog::new(Arc::new(InMemoryStore::new()));
+            hive.create_table("t", schema()).unwrap();
+            for chunk in rows.chunks(per) {
+                hive.write_rows("t", "d000000", chunk).unwrap();
+            }
+            let paths: [(&str, SqlEngine); 7] = [
+                ("rows", engine(pinot(table(len + 1, &rows)), false)),
+                ("consuming", engine(pinot(table(len + 1, &rows)), true)),
+                ("partly sealed", engine(pinot(table(per, &rows)), true)),
+                ("sealed", engine(pinot(sealed), true)),
+                ("lazy", engine(hybrid(&rows, &[], per), true)),
+                (
+                    "hybrid",
+                    engine(hybrid(&rows[..cut], &rows[cut..], per), true),
+                ),
+                ("hive", engine(Arc::new(HiveConnector::new(hive)), true)),
+            ];
+            dense_and_sparse.0 |= cities == 3;
+            dense_and_sparse.1 |= cities == 300 && per < 300;
+            for q in 0..8 {
+                let sql = arb_sql(&mut rng, cities);
+                let ctx = format!("case {case} query {q}: {sql}");
+                let expect = paths[0].1.query(&sql).unwrap().rows;
+                for (path, e) in &paths[1..] {
+                    let got = e
+                        .query(&sql)
+                        .unwrap_or_else(|e| panic!("{ctx}: {path}: {e}"));
+                    assert_eq!(got.rows, expect, "{ctx}: {path} vs rows");
+                }
+            }
+        }
+        assert_eq!(dense_and_sparse, (true, true));
+    }
+}
+
 /// The shrunk counter-examples recorded by the seed's proptest runs
 /// (`tests/properties.proptest-regressions`), pinned as deterministic
 /// tests so the regressions stay covered without the regressions file.
