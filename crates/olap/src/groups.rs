@@ -257,13 +257,7 @@ impl Groups {
     pub fn into_rows(mut self, query: &Query) -> Vec<Row> {
         if self.is_empty() && query.group_by.is_empty() {
             // empty input still yields the zero row for global aggregates
-            self = Groups::global(
-                query
-                    .aggregations
-                    .iter()
-                    .map(|(_, f)| f.new_acc())
-                    .collect(),
-            );
+            self = Groups::global(query.new_accs());
         }
         enum Cell {
             Key(usize),

@@ -7,7 +7,7 @@
 //! layer (`rtdi-sql`), which pushes what it can down to this model.
 
 use crate::groups::Groups;
-use rtdi_common::{AggFn, Deadline, Error, Priority, Result, Row, Value};
+use rtdi_common::{AggAcc, AggFn, Deadline, Error, Priority, Result, Row, Value};
 use std::cmp::Ordering;
 use std::sync::Arc;
 
@@ -196,6 +196,11 @@ impl Query {
     /// still answers one row per group) or rows.
     pub fn is_aggregation(&self) -> bool {
         !self.aggregations.is_empty() || !self.group_by.is_empty()
+    }
+
+    /// A group's accumulators before it has seen a row, one per aggregation.
+    pub(crate) fn new_accs(&self) -> Vec<AggAcc> {
+        self.aggregations.iter().map(|(_, f)| f.new_acc()).collect()
     }
 }
 

@@ -62,13 +62,9 @@ pub fn execute(
 /// by column), which a stable sort then keeps among ORDER BY ties. A global
 /// aggregation over nothing still answers its zero row.
 pub(crate) fn aggregate<'a>(rows: impl Iterator<Item = &'a Row>, query: &Query) -> Vec<Row> {
-    let new_accs = || -> Vec<AggAcc> {
-        let fns = query.aggregations.iter();
-        fns.map(|(_, f)| f.new_acc()).collect()
-    };
     let mut groups = BTreeMap::new();
     if query.group_by.is_empty() {
-        groups.insert(Vec::new(), new_accs());
+        groups.insert(Vec::new(), query.new_accs());
     }
     for row in rows {
         let key: Vec<Option<String>> = query
@@ -76,7 +72,7 @@ pub(crate) fn aggregate<'a>(rows: impl Iterator<Item = &'a Row>, query: &Query) 
             .iter()
             .map(|c| row.get(c).filter(|v| !v.is_null()).map(|v| v.to_string()))
             .collect();
-        let accs = groups.entry(key).or_insert_with(new_accs);
+        let accs = groups.entry(key).or_insert_with(|| query.new_accs());
         for (acc, (_, f)) in accs.iter_mut().zip(query.aggregations.iter()) {
             acc.add(f, row);
         }

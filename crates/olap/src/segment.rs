@@ -22,7 +22,6 @@ use crate::startree::{StarTree, StarTreeSpec};
 use bytes::Bytes;
 use rtdi_common::{AggAcc, AggFn, Error, FieldType, Result, Row, Schema, Timestamp, Value};
 use rtdi_storage::segfile;
-use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, OnceLock};
@@ -94,29 +93,8 @@ pub(crate) enum ColumnData {
         dict: Vec<String>,
         ids: Vec<u32>,
         nulls: Bitmap,
-        intern: Option<Intern>,
+        intern: Option<HashMap<String, u32>>,
     },
-}
-
-/// A consuming dictionary's lookup side: every entry's id, and the ids in
-/// text order, sorted by the first grouping since the dictionary grew.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct Intern {
-    ids: HashMap<String, u32>,
-    by_text: OnceLock<Vec<u32>>,
-}
-
-impl Intern {
-    fn by_text(&self, dict: &[String]) -> &[u32] {
-        self.by_text.get_or_init(|| text_order(dict))
-    }
-}
-
-/// The ids of `dict` in the order of their text.
-fn text_order(dict: &[String]) -> Vec<u32> {
-    let mut order: Vec<u32> = (0..dict.len() as u32).collect();
-    order.sort_unstable_by(|&a, &b| dict[a as usize].cmp(&dict[b as usize]));
-    order
 }
 
 impl ColumnData {
@@ -142,7 +120,7 @@ impl ColumnData {
                 dict: Vec::new(),
                 ids: Vec::new(),
                 nulls,
-                intern: Some(Intern::default()),
+                intern: Some(HashMap::new()),
             },
         }
     }
@@ -181,20 +159,18 @@ impl ColumnData {
             } => {
                 // a sealed column pushed to is consuming again: its sorted
                 // dictionary becomes the first insertions
-                let intern = intern.get_or_insert_with(|| Intern {
-                    ids: (0u32..)
+                let intern = intern.get_or_insert_with(|| {
+                    (0u32..)
                         .zip(dict.iter())
                         .map(|(i, s)| (s.clone(), i))
-                        .collect(),
-                    by_text: OnceLock::new(),
+                        .collect()
                 });
-                let mut id_of = |s: &str| match intern.ids.get(s) {
+                let mut id_of = |s: &str| match intern.get(s) {
                     Some(&id) => id,
                     None => {
                         let id = dict.len() as u32;
                         dict.push(s.to_string());
-                        intern.ids.insert(s.to_string(), id);
-                        intern.by_text.take();
+                        intern.insert(s.to_string(), id);
                         id
                     }
                 };
@@ -222,13 +198,11 @@ impl ColumnData {
         else {
             return;
         };
-        let Some(intern) = intern.take() else {
+        if intern.take().is_none() {
             return;
-        };
-        let order = intern
-            .by_text
-            .into_inner()
-            .unwrap_or_else(|| text_order(dict));
+        }
+        let mut order: Vec<u32> = (0..dict.len() as u32).collect();
+        order.sort_unstable_by(|&a, &b| dict[a as usize].cmp(&dict[b as usize]));
         let mut new_id = vec![0u32; dict.len()];
         let mut sorted = Vec::with_capacity(dict.len());
         for (new, &old) in order.iter().enumerate() {
@@ -379,9 +353,7 @@ impl ColumnData {
             } => {
                 // a consuming column's intern map holds every entry again
                 let copies = if intern.is_some() { 2 } else { 1 };
-                let by_text = intern.as_ref().and_then(|i| i.by_text.get());
                 dict.iter().map(|s| s.len() + 24).sum::<usize>() * copies
-                    + by_text.map_or(0, |order| order.len() * 4)
                     + ids.len() * 4
                     + nulls.memory_bytes()
             }
@@ -511,7 +483,6 @@ impl<'a> CompiledPred<'a> {
                 // insertion-ordered dictionary: ids are identities only
                 Some(intern) if matches!(op, PredicateOp::Eq | PredicateOp::Ne) => {
                     let (lo, hi) = intern
-                        .ids
                         .get(s)
                         .map_or(KeyRange::EMPTY, |&id| (id as i64, id as i64));
                     DocTest::StrId(ids, KeyRange::around(op, lo, hi))
@@ -907,7 +878,7 @@ where
         let aggs = query.aggregations.iter();
         aggs.map(|(_, f)| Lane::new(seg, f, groups)).collect()
     };
-    let key_col = |c: &String| KeyCol::of(seg.column(c), docs.clone(), seg.doc_count());
+    let key_col = |c: &String| KeyCol::of(seg.column(c), docs.clone());
     let cols: Vec<KeyCol<'_>> = query.group_by.iter().map(key_col).collect();
     group_by_ids(&cols, lanes, docs, count)
 }
@@ -915,57 +886,40 @@ where
 /// `KeyCol` id of a NULL cell.
 const NULL: u32 = u32::MAX;
 
-/// A group column as ids: a string column's dictionary ids, or another
-/// column's values numbered as the selected docs meet them, each rendered
-/// to its key text once.
-struct KeyCol<'a> {
-    /// Per doc. A rendered column holds [`NULL`] for a NULL cell.
-    ids: Cow<'a, [u32]>,
-    /// How many ids there are.
-    len: usize,
-    /// A dictionary column's NULL mask, only when it has a NULL.
-    nulls: Option<&'a Bitmap>,
-    text: KeyText<'a>,
-}
-
-enum KeyText<'a> {
-    /// A dictionary, and a consuming one's ids in text order (a sealed
-    /// one's id order is text order).
+/// A group column as ids, [`NULL`] for a NULL cell.
+enum KeyCol<'a> {
+    /// A string column's dictionary ids, per doc. `nulls` only when the
+    /// column has a NULL; `sorted` when id order is text order, as in a
+    /// sealed segment.
     Dict {
         dict: &'a [String],
-        by_text: Option<&'a [u32]>,
+        ids: &'a [u32],
+        nulls: Option<&'a Bitmap>,
+        sorted: bool,
     },
-    Rendered(KeyCells),
+    /// Another column's values, numbered as the selected docs meet them:
+    /// per selected doc, in selection order, its number, and each number's
+    /// key text, rendered once. An absent column has no ids, so every doc
+    /// is NULL.
+    Rendered { ids: Vec<u32>, text: KeyCells },
 }
 
 impl<'a> KeyCol<'a> {
-    fn of<I>(col: Option<&'a ColumnData>, docs: I, n: usize) -> KeyCol<'a>
-    where
-        I: Iterator<Item = usize>,
-    {
-        let (ids, text) = match col {
-            // an absent column is NULL in every doc
-            None => (vec![NULL; n], KeyCells::default()),
+    fn of(col: Option<&'a ColumnData>, docs: impl Iterator<Item = usize>) -> KeyCol<'a> {
+        match col {
             Some(ColumnData::Str {
                 dict,
                 ids,
                 nulls,
                 intern,
-            }) => {
-                return KeyCol {
-                    ids: Cow::Borrowed(ids),
-                    len: dict.len(),
-                    nulls: nulls.any().then_some(nulls),
-                    text: KeyText::Dict {
-                        dict,
-                        by_text: intern.as_ref().map(|i| i.by_text(dict)),
-                    },
-                }
-            }
-            Some(col @ ColumnData::Int { values, .. }) => {
-                render(col, docs, n, |d| values[d] as u64)
-            }
-            Some(col @ ColumnData::Double { values, .. }) => render(col, docs, n, |d| {
+            }) => KeyCol::Dict {
+                dict,
+                ids,
+                nulls: nulls.any().then_some(nulls),
+                sorted: intern.is_none(),
+            },
+            Some(col @ ColumnData::Int { values, .. }) => render(col, docs, |d| values[d] as u64),
+            Some(col @ ColumnData::Double { values, .. }) => render(col, docs, |d| {
                 // every NaN renders as one text, so it is one group
                 let v = values[d];
                 if v.is_nan() {
@@ -975,89 +929,98 @@ impl<'a> KeyCol<'a> {
                 }
             }),
             Some(col @ ColumnData::Bool { values, .. }) => {
-                render(col, docs, n, |d| values.get(d) as u64)
+                render(col, docs, |d| values.get(d) as u64)
             }
-        };
-        KeyCol {
-            ids: Cow::Owned(ids),
-            len: text.len(),
-            nulls: None,
-            text: KeyText::Rendered(text),
+            None => KeyCol::Rendered {
+                ids: Vec::new(),
+                text: KeyCells::default(),
+            },
         }
     }
 
-    /// The doc's id, [`NULL`] for a NULL cell.
+    /// How many ids there are.
+    fn len(&self) -> usize {
+        match self {
+            KeyCol::Dict { dict, .. } => dict.len(),
+            KeyCol::Rendered { text, .. } => text.len(),
+        }
+    }
+
+    /// The id of `doc`, the selection's `pos`-th doc.
     #[inline]
-    fn id(&self, doc: usize) -> u32 {
-        match self.nulls {
-            Some(nulls) if nulls.get(doc) => NULL,
-            _ => self.ids[doc],
+    fn id(&self, pos: usize, doc: usize) -> u32 {
+        match self {
+            KeyCol::Dict {
+                nulls: Some(nulls), ..
+            } if nulls.get(doc) => NULL,
+            KeyCol::Dict { ids, .. } => ids[doc],
+            KeyCol::Rendered { ids, .. } => ids.get(pos).copied().unwrap_or(NULL),
         }
     }
 
     /// The key cell of an id.
     fn cell(&self, id: u32) -> Option<&str> {
-        match &self.text {
+        match self {
             _ if id == NULL => None,
-            KeyText::Dict { dict, .. } => Some(&dict[id as usize]),
-            KeyText::Rendered(cells) => cells.cell(id as usize),
+            KeyCol::Dict { dict, .. } => Some(&dict[id as usize]),
+            KeyCol::Rendered { text, .. } => text.cell(id as usize),
         }
     }
 
-    /// A dictionary column's ids in key order, NULL's slot (`len`) first;
-    /// `None` for a rendered column, whose ids are numbered as met.
-    fn walk(&self) -> Option<impl Iterator<Item = usize> + '_> {
-        let KeyText::Dict { dict, by_text } = self.text else {
-            return None;
-        };
-        let ids = (0..dict.len()).map(move |i| by_text.map_or(i, |order| order[i] as usize));
-        Some(std::iter::once(dict.len()).chain(ids))
-    }
-
-    /// How the key cells of two ids order: NULL first, then text.
-    fn cmp_ids(&self, a: u32, b: u32) -> Ordering {
-        match self.text {
-            KeyText::Dict { by_text: None, .. } if a != NULL && b != NULL => a.cmp(&b),
-            _ => self.cell(a).cmp(&self.cell(b)),
+    /// An integer that orders as the id's key cell does (NULL first, then
+    /// text) wherever two of them differ: 0 for NULL, a sealed dictionary's
+    /// id + 1, else the text's first 15 bytes and its length up to 15.
+    /// Where two are equal, the cells are compared in full.
+    fn abbrev(&self, id: u32) -> u128 {
+        match (self, self.cell(id)) {
+            (_, None) => 0,
+            (KeyCol::Dict { sorted: true, .. }, _) => id as u128 + 1,
+            (_, Some(text)) => {
+                let (mut bytes, n) = ([0u8; 16], text.len().min(15));
+                bytes[..n].copy_from_slice(&text.as_bytes()[..n]);
+                bytes[15] = n as u8 + 1;
+                u128::from_be_bytes(bytes)
+            }
         }
     }
 }
 
-/// Number the values of the selected non-NULL docs by `value(doc)`, an
-/// identity of what the doc's cell renders as, in the order they are met:
-/// per doc its number (`n` long, indexed by doc, [`NULL`] where the cell
-/// is), and each value's key text.
-fn render<I>(
+/// A column without a dictionary as a [`KeyCol::Rendered`] of the docs:
+/// `value(doc)` tells apart what the non-NULL cells render as.
+fn render<'a>(
     col: &ColumnData,
-    docs: I,
-    n: usize,
+    docs: impl Iterator<Item = usize>,
     value: impl Fn(usize) -> u64,
-) -> (Vec<u32>, KeyCells)
-where
-    I: Iterator<Item = usize>,
-{
-    let (mut ids, mut text) = (vec![NULL; n], KeyCells::default());
-    let mut seen: HashMap<u64, u32, FnvBuildHasher> = HashMap::default();
+) -> KeyCol<'a> {
+    let mut text = KeyCells::default();
+    // the values are table data, so the map hashes with a key of its own:
+    // whoever writes rows cannot pick values that collide in it
+    let mut seen: HashMap<u64, u32> = HashMap::new();
     let nulls = col.nulls();
-    for d in docs.filter(|&d| !nulls.get(d)) {
-        ids[d] = *seen.entry(value(d)).or_insert_with(|| {
+    let ids = docs.map(|d| {
+        if nulls.get(d) {
+            return NULL;
+        }
+        *seen.entry(value(d)).or_insert_with(|| {
             col.render_key_cell(d, &mut text);
             text.len() as u32 - 1
-        });
+        })
+    });
+    KeyCol::Rendered {
+        ids: ids.collect(),
+        text,
     }
-    (ids, text)
 }
 
-/// Group on key columns' ids, and emit the groups in key order: one
-/// dictionary column's by a walk of its ids in key order, other keys
-/// sorted.
+/// Group on key columns' ids, and emit the groups in key order.
 ///
-/// One column and at least as many docs as ids (dense): the lanes are
-/// indexed by id, NULL after the last one, so no doc carries a group id.
-/// Otherwise groups are numbered as first met — one column's through a
-/// per-id table, several columns' by an FNV map of their ids — into a
-/// per-doc `gids` vector the lanes fold through, so lanes are as long as
-/// the groups found, not as the ids.
+/// One dictionary column and at least as many docs as ids (dense): the
+/// lanes are indexed by id, NULL's slot after the last one, so no doc
+/// carries a group id. Otherwise groups are numbered as first met — one
+/// column's through a per-id table, several columns' through a map of
+/// their ids — into a per-doc `gids` vector the lanes fold through, so
+/// lanes are as long as the groups found. Then the groups found are
+/// sorted; a sealed dictionary's dense groups already lie in key order.
 fn group_by_ids<'a, I>(
     cols: &[KeyCol<'_>],
     lanes: impl Fn(usize) -> Vec<Lane<'a>>,
@@ -1069,13 +1032,15 @@ where
 {
     let width = cols.len();
     // `keys` holds each lane group's key, `width` ids a group; `groups`
-    // the lane groups that met a doc, already in key order when walked
-    let (mut lanes, counts, keys, mut groups, walked) = match cols {
-        [col] if count >= col.len => {
-            let null_slot = col.len;
+    // the lane groups that met a doc, each beside its first cell abbreviated
+    let abbrev = |keys: &[u32], g: usize| (cols[0].abbrev(keys[g * width]), g);
+    let (mut lanes, counts, keys, mut groups): (_, _, _, Vec<(u128, usize)>) = match cols {
+        [KeyCol::Dict {
+            dict, ids, nulls, ..
+        }] if count >= dict.len() => {
+            let null_slot = dict.len();
             let mut lanes = lanes(null_slot + 1);
-            let ids: &[u32] = &col.ids;
-            let counts = match col.nulls {
+            let counts = match nulls {
                 Some(nulls) => fold_by_slot(&mut lanes, docs, null_slot + 1, |d| {
                     if nulls.get(d) {
                         null_slot
@@ -1083,53 +1048,53 @@ where
                         ids[d] as usize
                     }
                 }),
-                // a rendered column's ids hold its NULLs
-                None => fold_by_slot(&mut lanes, docs, null_slot + 1, |d| {
-                    (ids[d] as usize).min(null_slot)
-                }),
+                None => fold_by_slot(&mut lanes, docs, null_slot + 1, |d| ids[d] as usize),
             };
             let keys: Vec<u32> = (0..null_slot as u32).chain([NULL]).collect();
-            let present = |&s: &usize| counts[s] > 0;
-            let (groups, walked): (Vec<usize>, _) = match col.walk() {
-                Some(walk) => (walk.filter(present).collect(), true),
-                None => ((0..=null_slot).filter(present).collect(), false),
-            };
-            (lanes, counts, keys, groups, walked)
+            let slots = std::iter::once(null_slot).chain(0..null_slot);
+            let present = slots.filter(|&s| counts[s] > 0);
+            let groups = present.map(|s| abbrev(&keys, s)).collect();
+            (lanes, counts, keys, groups)
         }
         _ => {
             let (mut keys, mut gids) = (Vec::new(), Vec::with_capacity(count));
-            let mut walked = None;
             if let [col] = cols {
                 // slot `len` holds NULL
-                let mut gid_of = vec![NULL; col.len + 1];
-                for d in docs.clone() {
-                    let id = col.id(d);
-                    let slot = &mut gid_of[(id as usize).min(col.len)];
+                let mut gid_of = vec![NULL; col.len() + 1];
+                for (pos, d) in docs.clone().enumerate() {
+                    let id = col.id(pos, d);
+                    let slot = &mut gid_of[(id as usize).min(col.len())];
                     if *slot == NULL {
                         *slot = keys.len() as u32;
                         keys.push(id);
                     }
                     gids.push(*slot);
                 }
-                // a dictionary's groups, walked through its ids
-                walked = col.walk().map(|walk| {
-                    let groups = walk.map(|s| gid_of[s]).filter(|&g| g != NULL);
-                    groups.map(|g| g as usize).collect()
-                });
             } else {
-                // integer keys: SipHash would dominate the loop
-                let mut intern: HashMap<Vec<u32>, u32, FnvBuildHasher> = HashMap::default();
+                // ids are numbers the segment gave, so FNV meets no chosen
+                // collision; up to four pack into one integer key, which
+                // costs a group no allocation of its own
+                let mut narrow: HashMap<u128, u32, FnvBuildHasher> = HashMap::default();
+                let mut wide: HashMap<Vec<u32>, u32, FnvBuildHasher> = HashMap::default();
                 let mut key = Vec::with_capacity(width);
-                for d in docs.clone() {
-                    key.clear();
-                    key.extend(cols.iter().map(|col| col.id(d)));
-                    if let Some(&g) = intern.get(&key) {
-                        gids.push(g);
-                        continue;
+                for (pos, d) in docs.clone().enumerate() {
+                    let id = |col: &KeyCol<'_>| col.id(pos, d);
+                    let next = (keys.len() / width) as u32;
+                    let g = if width <= 4 {
+                        let packed = cols.iter().fold(0, |k, col| (k << 32) | id(col) as u128);
+                        *narrow.entry(packed).or_insert(next)
+                    } else {
+                        key.clear();
+                        key.extend(cols.iter().map(id));
+                        wide.get(&key).copied().unwrap_or_else(|| {
+                            wide.insert(key.clone(), next);
+                            next
+                        })
+                    };
+                    if g == next {
+                        keys.extend(cols.iter().map(id));
                     }
-                    gids.push(intern.len() as u32);
-                    keys.extend(&key);
-                    intern.insert(key.clone(), intern.len() as u32);
+                    gids.push(g);
                 }
             }
             let len = keys.len() / width;
@@ -1139,26 +1104,22 @@ where
             for lane in &mut lanes {
                 lane.fold(docs.clone().zip(gids.iter().map(|&g| g as usize)));
             }
-            let ordered = walked.is_some();
-            let groups = walked.unwrap_or_else(|| (0..len).collect());
-            (lanes, counts, keys, groups, ordered)
+            let groups = (0..len).map(|g| abbrev(&keys, g)).collect();
+            (lanes, counts, keys, groups)
         }
     };
     let key = |g: usize| &keys[g * width..(g + 1) * width];
-    if !walked {
-        groups.sort_unstable_by(|&a, &b| {
-            let ids = key(a).iter().zip(key(b));
-            let mut ords = cols
-                .iter()
-                .zip(ids)
-                .map(|(col, (&x, &y))| col.cmp_ids(x, y));
-            ords.find(|ord| ord.is_ne()).unwrap_or(Ordering::Equal)
-        });
-    }
-    let accs = emit(&mut lanes, &counts, groups.iter().copied(), groups.len());
-    let cells = groups
-        .iter()
-        .flat_map(|&g| cols.iter().zip(key(g)).map(|(col, &id)| col.cell(id)));
+    // groups already in order sort in one pass; keys are compared cell by
+    // cell only where the abbreviations tie
+    groups.sort_unstable_by(|&(x, a), &(y, b)| {
+        let ids = key(a).iter().zip(key(b));
+        let mut ords = (cols.iter().zip(ids)).map(|(col, (&i, &j))| col.cell(i).cmp(&col.cell(j)));
+        x.cmp(&y)
+            .then_with(|| ords.find(|ord| ord.is_ne()).unwrap_or(Ordering::Equal))
+    });
+    let groups = groups.iter().map(|&(_, g)| g);
+    let accs = emit(&mut lanes, &counts, groups.clone(), groups.len());
+    let cells = groups.flat_map(|g| cols.iter().zip(key(g)).map(|(col, &id)| col.cell(id)));
     Groups::from_sorted(width, cells, accs)
 }
 

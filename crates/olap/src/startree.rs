@@ -149,17 +149,10 @@ impl StarTree {
         // (can happen when group-by dims are not a prefix of the dimension
         // order), in traversal order and projected to the queried metrics
         let mut groups: BTreeMap<Vec<Option<&str>>, Vec<AggAcc>> = BTreeMap::new();
-        let fresh = || {
-            query
-                .aggregations
-                .iter()
-                .map(|(_, f)| f.new_acc())
-                .collect()
-        };
         for (key, node) in &results {
             let cell = |g: &String| key.iter().find(|(d, _)| d == g)?.1.as_deref();
             let accs = groups.entry(query.group_by.iter().map(cell).collect());
-            let accs = accs.or_insert_with(fresh);
+            let accs = accs.or_insert_with(|| query.new_accs());
             for (slot, mi) in accs.iter_mut().zip(&metric_idx) {
                 slot.merge(&node.metrics[*mi]);
             }

@@ -341,13 +341,42 @@ fn queries_pay_for_what_they_answer() {
         );
     }
 
-    // a group column without a dictionary renders each document's key into
-    // one buffer: a new group allocates, a document does not
-    let (groups, segments, allocs) = run(&count.group(&["ts"]));
+    // a group column without a dictionary renders each value's key once:
+    // a new group allocates, a document does not
+    let (groups, segments, allocs) = run(&count.clone().group(&["ts"]));
     assert_eq!(groups, (N / 20) as u64);
     assert!(
         allocs <= 3 * groups + 40 * segments + 64,
         "GROUP BY ts: {allocs} allocations for {groups} groups, {N} docs, {segments} segments"
+    );
+    // and numbers the selected docs, not the segment's: the 200 docs of
+    // `ts < 10` cost the same in 4 000-doc segments as in 1 000-doc ones,
+    // bar the selection bitmap
+    let recent = count.filter(Predicate::new("ts", PredicateOp::Lt, 10i64));
+    let recent = recent.group(&["ts"]);
+    let (small, of_small) = count_allocations(|| table.query(&recent).unwrap());
+    let (big, of_big) = count_allocations(|| quadrupled.query(&recent).unwrap());
+    assert_eq!((small.rows.len(), big.rows.len()), (10, 10));
+    let segments = small.ledger.segments_queried;
+    assert_eq!(segments, big.ledger.segments_queried);
+    assert_eq!(
+        of_small.allocs, of_big.allocs,
+        "{of_small} against {of_big}"
+    );
+    assert!(
+        of_big.bytes <= of_small.bytes + (3 * N / 8) as u64 + 8 * segments,
+        "WHERE ts < 10 GROUP BY ts: {of_small} over {N} docs, {of_big} over {}",
+        4 * N
+    );
+
+    // two key columns, one of them without a dictionary, pack into one
+    // integer key: a new group allocates no key of its own, and a row
+    // answered its two key cells
+    let (groups, segments, allocs) = run(&revenue.clone().group(&["city", "fare"]));
+    assert_eq!(groups, CITIES as u64);
+    assert!(
+        allocs <= 3 * groups + 40 * segments + 64,
+        "GROUP BY city, fare: {allocs} allocations for {groups} groups over {segments} segments"
     );
 
     // the latest 20 of an eighth of the table and of all of it: eight times
