@@ -10,6 +10,9 @@ cargo build --release
 RUST_TEST_THREADS=8 cargo test -q --workspace
 # the allocation budgets hold in the build the benchmark measures too
 cargo test --release -q --test alloc_budget
+# and the property tests (about 5 s): the multi-block and NaN cases hold
+# where debug assertions are gone and arithmetic wraps
+cargo test --release -q --test properties
 # fault injection is a handle its owner hands down, never process state
 # (an `if`, not `! grep`: `set -e` ignores a status inverted with `!`)
 if grep -n '^\(pub \)\?static' crates/common/src/chaos.rs; then

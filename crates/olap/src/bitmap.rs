@@ -216,20 +216,34 @@ impl Bitmap {
 
     /// Set bits in `[from, to)`, a whole word at a time.
     pub fn set_range(&mut self, from: usize, to: usize) {
+        self.fill(from, to, |_| u64::MAX);
+    }
+
+    /// Set the bits in `[from, to)` that `except` does not hold, a whole
+    /// word at a time.
+    pub(crate) fn set_range_except(&mut self, from: usize, to: usize, except: &Bitmap) {
+        debug_assert_eq!(self.len, except.len);
+        self.fill(from, to, |w| !except.blocks[w]);
+    }
+
+    /// OR `word(w)` into every word `w` of `[from, to)`, masked to the
+    /// range at its two ends.
+    fn fill(&mut self, from: usize, to: usize, word: impl Fn(usize) -> u64) {
         let to = to.min(self.len);
         if from >= to {
             return;
         }
         let (first, last) = (from / 64, (to - 1) / 64);
-        let head = u64::MAX << (from % 64);
-        let tail = u64::MAX >> (63 - (to - 1) % 64);
-        if first == last {
-            self.blocks[first] |= head & tail;
-            return;
+        for w in first..=last {
+            let mut mask = word(w);
+            if w == first {
+                mask &= u64::MAX << (from % 64);
+            }
+            if w == last {
+                mask &= u64::MAX >> (63 - (to - 1) % 64);
+            }
+            self.blocks[w] |= mask;
         }
-        self.blocks[first] |= head;
-        self.blocks[first + 1..last].fill(u64::MAX);
-        self.blocks[last] |= tail;
     }
 
     pub fn memory_bytes(&self) -> usize {
@@ -454,11 +468,19 @@ mod tests {
                     if len > 0 {
                         words.set(len / 2); // bits outside the range survive
                     }
-                    let mut bits = words.clone();
+                    let (mut bits, mut masked, mut unmasked) =
+                        (words.clone(), words.clone(), words.clone());
                     words.set_range(from, to);
                     (from..to.min(len)).for_each(|i| bits.set(i));
                     assert_eq!(words, bits, "len {len} range {from}..{to}");
                     assert_eq!(words.any(), words.count() > 0);
+                    // and the same range but every third bit
+                    let mut thirds = Bitmap::new(len);
+                    (0..len).step_by(3).for_each(|i| thirds.set(i));
+                    masked.set_range_except(from, to, &thirds);
+                    let kept = (from..to.min(len)).filter(|i| i % 3 != 0);
+                    kept.for_each(|i| unmasked.set(i));
+                    assert_eq!(masked, unmasked, "len {len} range {from}..{to} but thirds");
                 }
             }
         }

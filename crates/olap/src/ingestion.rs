@@ -3,11 +3,10 @@
 //! §4.3: "records can be updated during the real-time ingestion into the
 //! OLAP store"; §4.3.3: Pinot "integrates with Uber's schema service to
 //! automatically infer the schema from the input Kafka topic". The
-//! ingester consumes a topic partition-aligned into an [`OlapTable`],
-//! reports audit observations to Chaperone and backs up newly sealed
-//! segments through the [`SegmentStore`].
+//! ingester consumes a topic partition-aligned into an [`OlapTable`] and
+//! reports audit observations to Chaperone; the segments it seals wait in
+//! [`OlapTable::take_unbacked`] for whoever archives them.
 
-use crate::segstore::SegmentStore;
 use crate::table::OlapTable;
 use rtdi_common::trace::END_TO_END;
 use rtdi_common::{Clock, Error, PipelineTracer, Result, TraceStage};
@@ -37,7 +36,6 @@ impl Default for IngestionConfig {
 pub struct RealtimeIngester {
     topic: Arc<Topic>,
     table: Arc<OlapTable>,
-    segstore: Option<Arc<SegmentStore>>,
     /// The `config.audit_stage` stage of the auditor, resolved once.
     chaperone: Option<ChaperoneStage>,
     /// The topic's pipeline: its `"olap-ingest"` hop and its end-to-end
@@ -62,18 +60,12 @@ impl RealtimeIngester {
         Ok(RealtimeIngester {
             topic,
             table,
-            segstore: None,
             chaperone: None,
             trace: None,
             clock: None,
             config,
             positions: vec![0; n],
         })
-    }
-
-    pub fn with_segment_store(mut self, ss: Arc<SegmentStore>) -> Self {
-        self.segstore = Some(ss);
-        self
     }
 
     pub fn with_chaperone(mut self, ch: Chaperone) -> Self {
@@ -156,12 +148,6 @@ impl RealtimeIngester {
                 total += consumed.len() as u64;
             }
         }
-        // archive newly sealed segments
-        if let Some(ss) = &self.segstore {
-            for (_, seg) in self.table.take_unbacked() {
-                ss.backup(self.table.name(), seg)?;
-            }
-        }
         Ok(total)
     }
 
@@ -182,11 +168,8 @@ impl RealtimeIngester {
 mod tests {
     use super::*;
     use crate::query::{Predicate, Query};
-    use crate::segment::IndexSpec;
-    use crate::segstore::SegmentStoreMode;
     use crate::table::TableConfig;
     use rtdi_common::{AggFn, FieldType, Record, Row, Schema, Value};
-    use rtdi_storage::object::InMemoryStore;
     use rtdi_stream::topic::TopicConfig;
 
     fn schema() -> Schema {
@@ -380,33 +363,6 @@ mod tests {
                 upsert.then_some(Value::Double(107.0))
             );
         }
-    }
-
-    #[test]
-    fn sealed_segments_backed_up() {
-        let t = topic();
-        for i in 0..40 {
-            t.append(trip(i, 1.0), 0).unwrap();
-        }
-        let tbl = table(false);
-        let ss = Arc::new(SegmentStore::new(
-            Arc::new(InMemoryStore::new()),
-            SegmentStoreMode::Centralized,
-            IndexSpec::none(),
-        ));
-        let mut ing = RealtimeIngester::new(t, tbl.clone(), IngestionConfig::default())
-            .unwrap()
-            .with_segment_store(ss.clone());
-        ing.run_once().unwrap();
-        // 40 rows over 2 partitions, seal threshold 10 -> sealed segments exist
-        let mut backed = 0;
-        for p in 0..2 {
-            for name in tbl.sealed_segments(p) {
-                assert!(ss.contains("trips", &name), "{name} not archived");
-                backed += 1;
-            }
-        }
-        assert!(backed >= 2);
     }
 
     #[test]

@@ -132,19 +132,9 @@ impl MutableSegment {
         self.column(column).map_or(Value::Null, |c| c.value_at(doc))
     }
 
-    /// Materialize one document.
-    pub fn row_at(&self, doc: usize) -> Option<Row> {
-        (doc < self.doc_count).then(|| {
-            let cells = self.field_names.iter().zip(&self.columns);
-            cells
-                .map(|(name, col)| (Arc::clone(name), col.value_at(doc)))
-                .collect()
-        })
-    }
-
-    /// Running min/max of an integer column's non-null values: a time
-    /// window that cannot overlap them skips this segment the way it skips
-    /// a sealed one.
+    /// Min/max of an integer column's non-null values, the fold of the
+    /// block statistics kept at append: a time window that cannot overlap
+    /// them skips this segment the way it skips a sealed one.
     pub fn int_range(&self, column: &str) -> Option<(Timestamp, Timestamp)> {
         self.column(column)?.int_range()
     }
@@ -240,15 +230,12 @@ mod tests {
         assert_eq!(seg.append(&row, Some(("ts", 77))).unwrap(), 0);
         let with_ts = Row::new().with("city", "la").with("ts", 5i64);
         assert_eq!(seg.append(&with_ts, Some(("ts", 78))).unwrap(), 1);
-        let stored = Row::new()
-            .with("city", "sf")
-            .with("total", 3.0)
-            .with("ts", 77i64);
-        assert_eq!(seg.row_at(0), Some(stored));
+        assert_eq!(seg.value_at("city", 0), Value::from("sf"));
+        assert_eq!(seg.value_at("total", 0), Value::Double(3.0));
+        assert_eq!(seg.value_at("ts", 0), Value::Int(77));
         assert_eq!(seg.value_at("ts", 1), Value::Int(5));
         assert_eq!(seg.value_at("total", 1), Value::Null);
         assert_eq!(seg.value_at("tip", 0), Value::Null);
-        assert_eq!(seg.row_at(2), None);
         assert_eq!(seg.int_range("ts"), Some((5, 77)));
         // the default is validated like a cell of the row
         assert!(seg.append(&Row::new(), Some(("city", 1))).is_err());
@@ -376,10 +363,7 @@ mod tests {
         assert_eq!(a, b);
         // doc id alignment (no sorted column): every doc identical
         for i in 0..100 {
-            assert_eq!(seg.row_at(i).unwrap().get_double("total"), {
-                let r = sealed.row_at(i);
-                r.get_double("total")
-            });
+            assert_eq!(seg.value_at("total", i), sealed.value_at("total", i));
         }
     }
 

@@ -66,16 +66,25 @@ impl IndexSpec {
     }
 }
 
+/// Docs per block of an Int column's statistics.
+const BLOCK: usize = 1024;
+
+/// The bounds of a block without a non-NULL value: no value lies in them,
+/// and they are the identity of a min/max fold.
+const NO_VALUES: (i64, i64) = (i64::MAX, i64::MIN);
+
 /// Typed columnar storage, shared by sealed and consuming segments.
 #[derive(Debug, Clone)]
 pub(crate) enum ColumnData {
     Int {
         values: Vec<i64>,
         nulls: Bitmap,
-        /// Min and max of the non-null values, kept at append and carried
-        /// through sealing and the segment file's zone map: time pruning
-        /// reads it on every query.
-        range: Option<(i64, i64)>,
+        /// Min and max of the non-NULL values of each run of [`BLOCK`]
+        /// docs ([`NO_VALUES`] when there is none), kept at append and
+        /// rebuilt when docs are reordered or decoded. A predicate skips or
+        /// takes whole the blocks whose bounds settle it; time pruning reads
+        /// their fold.
+        blocks: Vec<(i64, i64)>,
     },
     Double {
         values: Vec<f64>,
@@ -105,7 +114,7 @@ impl ColumnData {
             FieldType::Int | FieldType::Timestamp => ColumnData::Int {
                 values: Vec::new(),
                 nulls,
-                range: None,
+                blocks: Vec::new(),
             },
             FieldType::Double => ColumnData::Double {
                 values: Vec::new(),
@@ -132,11 +141,14 @@ impl ColumnData {
             ColumnData::Int {
                 values,
                 nulls,
-                range,
+                blocks,
             } => {
                 let v = v.and_then(Value::as_int);
-                if let Some(v) = v {
-                    *range = Some(range.map_or((v, v), |(lo, hi)| (lo.min(v), hi.max(v))));
+                if values.len().is_multiple_of(BLOCK) {
+                    blocks.push(NO_VALUES);
+                }
+                if let (Some(v), Some((lo, hi))) = (v, blocks.last_mut()) {
+                    (*lo, *hi) = ((*lo).min(v), (*hi).max(v));
                 }
                 nulls.push(v.is_none());
                 values.push(v.unwrap_or(0));
@@ -229,9 +241,14 @@ impl ColumnData {
             out
         };
         match self {
-            ColumnData::Int { values, nulls, .. } => {
+            ColumnData::Int {
+                values,
+                nulls,
+                blocks,
+            } => {
                 *values = take(values, order);
                 *nulls = bits(nulls);
+                *blocks = int_blocks(values, nulls);
             }
             ColumnData::Double { values, nulls } => {
                 *values = take(values, order);
@@ -322,11 +339,21 @@ impl ColumnData {
         })
     }
 
-    /// Min and max of an integer column's non-null values.
+    /// Min and max of an integer column's non-null values: the fold of its
+    /// blocks.
     pub(crate) fn int_range(&self) -> Option<(i64, i64)> {
+        let (lo, hi) = self
+            .blocks()
+            .iter()
+            .fold(NO_VALUES, |(lo, hi), &(l, h)| (lo.min(l), hi.max(h)));
+        (lo <= hi).then_some((lo, hi))
+    }
+
+    /// An integer column's blocks; none for any other column.
+    fn blocks(&self) -> &[(i64, i64)] {
         match self {
-            ColumnData::Int { range, .. } => *range,
-            _ => None,
+            ColumnData::Int { blocks, .. } => blocks,
+            _ => &[],
         }
     }
 
@@ -342,7 +369,11 @@ impl ColumnData {
 
     pub(crate) fn memory_bytes(&self) -> usize {
         match self {
-            ColumnData::Int { values, nulls, .. } => values.len() * 8 + nulls.memory_bytes(),
+            ColumnData::Int {
+                values,
+                nulls,
+                blocks,
+            } => values.len() * 8 + nulls.memory_bytes() + blocks.len() * 16,
             ColumnData::Double { values, nulls } => values.len() * 8 + nulls.memory_bytes(),
             ColumnData::Bool { values, nulls } => values.memory_bytes() + nulls.memory_bytes(),
             ColumnData::Str {
@@ -358,6 +389,55 @@ impl ColumnData {
                     + nulls.memory_bytes()
             }
         }
+    }
+}
+
+/// The [`ColumnData::Int`] blocks of a column's values, NULLs aside.
+fn int_blocks(values: &[i64], nulls: &Bitmap) -> Vec<(i64, i64)> {
+    let block = |(b, chunk): (usize, &[i64])| {
+        let live = (b * BLOCK..).zip(chunk).filter(|&(d, _)| !nulls.get(d));
+        live.fold(NO_VALUES, |(lo, hi), (_, &v)| (lo.min(v), hi.max(v)))
+    };
+    values.chunks(BLOCK).enumerate().map(block).collect()
+}
+
+/// What an Int block's bounds settle about a predicate on its docs.
+#[derive(Clone, Copy)]
+enum Settled {
+    /// No doc of the block can match.
+    Nothing,
+    /// Every non-NULL doc matches.
+    Whole,
+    /// Each doc must be tested.
+    Open,
+}
+
+impl Settled {
+    /// The one range reasoner asked twice: can a value in `[lo, hi]` pass
+    /// `op literal`, and can one pass the opposite?
+    fn of((lo, hi): (i64, i64), op: PredicateOp, literal: &Value) -> Settled {
+        use segfile::ZoneValue::Int;
+        let may = |op| range_overlaps(&Int(lo), &Int(hi), op, literal);
+        if lo > hi || !may(op) {
+            Settled::Nothing
+        } else if !may(opposite(op)) {
+            Settled::Whole
+        } else {
+            Settled::Open
+        }
+    }
+}
+
+/// The operator that accepts exactly the values `op` refuses (values of
+/// one total order, so one of the two holds for each).
+fn opposite(op: PredicateOp) -> PredicateOp {
+    match op {
+        PredicateOp::Eq => PredicateOp::Ne,
+        PredicateOp::Ne => PredicateOp::Eq,
+        PredicateOp::Lt => PredicateOp::Ge,
+        PredicateOp::Ge => PredicateOp::Lt,
+        PredicateOp::Le => PredicateOp::Gt,
+        PredicateOp::Gt => PredicateOp::Le,
     }
 }
 
@@ -579,11 +659,14 @@ impl InvertedIndex {
     }
 }
 
-/// Bucketed numeric range index: each bucket holds candidate docs.
+/// Bucketed numeric range index: each bucket holds candidate docs. The
+/// bounds span the values that are not NaN; NaN docs of either sign, which
+/// order above +∞ or below −∞, sit in no bucket but in `nan`.
 struct RangeIndex {
     min: f64,
     max: f64,
     buckets: Vec<Bitmap>,
+    nan: Bitmap,
 }
 
 impl RangeIndex {
@@ -597,9 +680,16 @@ impl RangeIndex {
         ((frac * Self::BUCKETS as f64) as usize).min(Self::BUCKETS - 1)
     }
 
-    /// Candidate docs for `op value` (superset; exact check follows).
-    fn candidates(&self, op: PredicateOp, v: f64, len: usize) -> Bitmap {
-        let mut out = Bitmap::new(len);
+    /// Candidate docs for `op value` (superset; exact check follows). The
+    /// NaN docs are candidates of every predicate.
+    fn candidates(&self, op: PredicateOp, v: f64) -> Bitmap {
+        let mut out = self.nan.clone();
+        // a NaN literal buckets as the infinity of its sign
+        let v = if v.is_nan() {
+            f64::INFINITY.copysign(v)
+        } else {
+            v
+        };
         let b = self.bucket_of(v.clamp(self.min, self.max));
         let range: std::ops::RangeInclusive<usize> = match op {
             PredicateOp::Eq => b..=b,
@@ -622,7 +712,8 @@ impl RangeIndex {
     }
 
     fn memory_bytes(&self) -> usize {
-        self.buckets.iter().map(Bitmap::memory_bytes).sum::<usize>() + 16
+        let buckets = self.buckets.iter().map(Bitmap::memory_bytes);
+        buckets.sum::<usize>() + self.nan.memory_bytes() + 16
     }
 }
 
@@ -741,22 +832,45 @@ fn eval_predicate(
         // matching docs, verified by the scan below
         if let Some(idx) = indexes.range_idx.get(&pred.column) {
             if let Some(v) = pred.value.as_double() {
-                let mut bm = idx.candidates(pred.op, v, n);
+                let mut bm = idx.candidates(pred.op, v);
                 bm.and_with(current);
                 candidates = Some(bm);
             }
         }
     }
-    // 4. batch columnar scan over runs of candidate docs
+    // 4. batch columnar scan over runs of candidate docs, cut at an Int
+    // column's block edges: a block whose bounds settle the predicate is
+    // skipped or taken whole, and only the docs of the others are tested
     let compiled = CompiledPred::compile(col, pred.op, &pred.value);
+    let blocks = col.blocks();
+    // runs ascend, so each block is settled once
+    let mut settled = (usize::MAX, Settled::Open);
     let mut bm = Bitmap::new(n);
     let mut cost = 0u64;
     candidates
         .as_ref()
         .unwrap_or(current)
-        .for_each_run(|from, to| {
-            cost += (to - from) as u64;
-            compiled.eval_range(from, to, &mut bm);
+        .for_each_run(|mut from, to| {
+            while from < to {
+                let (end, verdict) = if blocks.is_empty() {
+                    (to, Settled::Open)
+                } else {
+                    let b = from / BLOCK;
+                    if settled.0 != b {
+                        settled = (b, Settled::of(blocks[b], pred.op, &pred.value));
+                    }
+                    (to.min((b + 1) * BLOCK), settled.1)
+                };
+                match verdict {
+                    Settled::Nothing => {}
+                    Settled::Whole => bm.set_range_except(from, end, col.nulls()),
+                    Settled::Open => {
+                        cost += (end - from) as u64;
+                        compiled.eval_range(from, end, &mut bm);
+                    }
+                }
+                from = end;
+            }
         });
     Ok((bm, cost))
 }
@@ -1358,8 +1472,8 @@ impl Segment {
         (0..self.doc_count).map(|i| self.row_at(i)).collect()
     }
 
-    /// Min/max of an integer column's non-null values (time pruning), as
-    /// recorded when the column was built: no scan.
+    /// Min/max of an integer column's non-null values (time pruning): the
+    /// fold of its block statistics, no scan of its values.
     pub fn int_range(&self, column: &str) -> Option<(Timestamp, Timestamp)> {
         self.columns.get(column)?.int_range()
     }
@@ -1501,8 +1615,7 @@ impl LazySegment {
             return Ok(Arc::clone(c));
         }
         let col = self.file.column_at(idx)?;
-        let zone = &self.file.entries()[idx].zone;
-        let data = Arc::new(from_segfile_column(col, self.file.nrows(), zone));
+        let data = Arc::new(from_segfile_column(col, self.file.nrows()));
         Ok(Arc::clone(self.cols[idx].get_or_init(|| data)))
     }
 
@@ -1697,15 +1810,15 @@ fn to_segfile_column(ftype: FieldType, data: &ColumnData, nrows: usize) -> Resul
 }
 
 /// Inverse of [`to_segfile_column`]: a decoded on-disk column back into
-/// the in-memory representation. Lengths were already validated by the
-/// segment decoder.
-fn from_segfile_column(col: segfile::Column, nrows: usize, zone: &segfile::ZoneMap) -> ColumnData {
+/// the in-memory representation, an Int column's blocks rebuilt. Lengths
+/// were already validated by the segment decoder.
+fn from_segfile_column(col: segfile::Column, nrows: usize) -> ColumnData {
     let nulls = Bitmap::from_bytes(col.nulls.bits(), nrows);
     match col.values {
         segfile::ColumnValues::Int(values) => ColumnData::Int {
+            blocks: int_blocks(&values, &nulls),
             values,
             nulls,
-            range: zone.int_bounds(),
         },
         segfile::ColumnValues::Double(values) => ColumnData::Double { values, nulls },
         segfile::ColumnValues::Bool(vals) => {
@@ -1758,15 +1871,21 @@ fn from_segfile_column(col: segfile::Column, nrows: usize, zone: &segfile::ZoneM
 }
 
 /// The one range reasoner: with a column's non-null values confined to
-/// `[min, max]`, can `pred` accept any of them? Every pruning decision —
-/// a consuming or sealed segment's running time range, a federation side
-/// of the time boundary, a zone map — comes here, so pruning can never
-/// disagree with itself. Bounds compare with the literal the way the scan
-/// kernels compare a cell with it (integers exactly, an integer against a
-/// double widened); a cross-type predicate is never pruned on.
-fn range_overlaps(min: &segfile::ZoneValue, max: &segfile::ZoneValue, pred: &Predicate) -> bool {
+/// `[min, max]`, can `op literal` accept any of them? Every pruning
+/// decision — a consuming or sealed segment's running time range, a
+/// federation side of the time boundary, a zone map, an Int column's block
+/// — comes here, so pruning can never disagree with itself. Bounds compare
+/// with the literal the way the scan kernels compare a cell with it
+/// (integers exactly, an integer against a double widened, doubles by
+/// `f64::total_cmp`); a cross-type predicate is never pruned on.
+fn range_overlaps(
+    min: &segfile::ZoneValue,
+    max: &segfile::ZoneValue,
+    op: PredicateOp,
+    literal: &Value,
+) -> bool {
     use segfile::ZoneValue as Z;
-    let cmp = |bound: &Z| match (bound, &pred.value) {
+    let cmp = |bound: &Z| match (bound, literal) {
         (Z::Int(x), Value::Int(v)) => Some(x.cmp(v)),
         (Z::Int(x), Value::Double(v)) => Some((*x as f64).total_cmp(v)),
         (Z::Double(x), Value::Int(v)) => Some(x.total_cmp(&(*v as f64))),
@@ -1778,13 +1897,13 @@ fn range_overlaps(min: &segfile::ZoneValue, max: &segfile::ZoneValue, pred: &Pre
     let (Some(lo), Some(hi)) = (cmp(min), cmp(max)) else {
         return true;
     };
-    match pred.op {
+    match op {
         PredicateOp::Eq => lo != Ordering::Greater && hi != Ordering::Less,
         PredicateOp::Ne => !(lo == Ordering::Equal && hi == Ordering::Equal),
         // the smallest value is the likeliest to be below the literal,
         // the largest to be above it
-        PredicateOp::Lt | PredicateOp::Le => op_accepts(pred.op, lo),
-        PredicateOp::Gt | PredicateOp::Ge => op_accepts(pred.op, hi),
+        PredicateOp::Lt | PredicateOp::Le => op_accepts(op, lo),
+        PredicateOp::Gt | PredicateOp::Ge => op_accepts(op, hi),
     }
 }
 
@@ -1794,7 +1913,7 @@ fn range_overlaps(min: &segfile::ZoneValue, max: &segfile::ZoneValue, pred: &Pre
 pub fn int_range_may_match(predicates: &[Predicate], column: &str, lo: i64, hi: i64) -> bool {
     use segfile::ZoneValue::Int;
     let mut on_column = predicates.iter().filter(|p| p.column == column);
-    on_column.all(|p| range_overlaps(&Int(lo), &Int(hi), p))
+    on_column.all(|p| range_overlaps(&Int(lo), &Int(hi), p.op, &p.value))
 }
 
 /// Zone-map admission test: `false` only when no document in the segment
@@ -1805,7 +1924,7 @@ pub(crate) fn zone_may_match(zone: &segfile::ZoneMap, pred: &Predicate, nrows: u
         return false;
     }
     match (&zone.min, &zone.max) {
-        (Some(min), Some(max)) => range_overlaps(min, max, pred),
+        (Some(min), Some(max)) => range_overlaps(min, max, pred.op, &pred.value),
         // unordered statistics (raw bytes): cannot prune
         _ => true,
     }
@@ -2134,23 +2253,23 @@ fn build_range(col: &ColumnData, n: usize) -> Result<RangeIndex> {
             ))
         }
     };
-    let present: Vec<f64> = values.iter().flatten().copied().collect();
-    let min = present.iter().copied().fold(f64::INFINITY, f64::min);
-    let max = present.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    let (min, max) = if present.is_empty() {
-        (0.0, 0.0)
-    } else {
-        (min, max)
-    };
+    let ordered = values.iter().flatten().copied().filter(|v| !v.is_nan());
+    let min = ordered.clone().min_by(f64::total_cmp);
+    let max = ordered.max_by(f64::total_cmp);
     let mut idx = RangeIndex {
-        min,
-        max,
+        min: min.unwrap_or(0.0),
+        max: max.unwrap_or(0.0),
         buckets: vec![Bitmap::new(n); RangeIndex::BUCKETS],
+        nan: Bitmap::new(n),
     };
     for (doc, v) in values.iter().enumerate() {
-        if let Some(v) = v {
-            let b = idx.bucket_of(*v);
-            idx.buckets[b].set(doc);
+        match v {
+            Some(v) if v.is_nan() => idx.nan.set(doc),
+            Some(v) => {
+                let b = idx.bucket_of(*v);
+                idx.buckets[b].set(doc);
+            }
+            None => {}
         }
     }
     Ok(idx)

@@ -80,37 +80,17 @@ impl StarTree {
         })
     }
 
-    pub fn node_count(&self) -> usize {
-        self.node_count
-    }
-
     pub fn memory_bytes(&self) -> usize {
         // rough: accs + map overhead per node
         self.node_count * (self.spec.metrics.len() * 24 + 64)
     }
 
-    /// Try answering a query from the tree. Returns `None` when the query
-    /// shape is not covered (caller falls back to raw execution):
+    /// Try answering a query from the tree, as mergeable per-group
+    /// accumulators keyed in `query.group_by` order. Returns `None` when
+    /// the query shape is not covered (caller falls back to raw execution):
     /// - predicates must be equality on tree dimensions;
     /// - group-by columns must be tree dimensions;
     /// - every aggregation must match a pre-aggregated metric.
-    pub fn try_execute(&self, query: &Query) -> Result<Option<Vec<Row>>> {
-        match self.try_execute_partial(query)? {
-            None => Ok(None),
-            Some(groups) => {
-                let partial = crate::query::PartialAgg {
-                    groups,
-                    used_startree: true,
-                    ..Default::default()
-                };
-                Ok(Some(partial.finalize(query)))
-            }
-        }
-    }
-
-    /// Like [`StarTree::try_execute`] but returns mergeable per-group
-    /// accumulators keyed in `query.group_by` order, for cross-segment
-    /// merging by the broker.
     pub fn try_execute_partial(&self, query: &Query) -> Result<Option<Groups>> {
         // map each aggregation to a metric index
         let mut metric_idx = Vec::with_capacity(query.aggregations.len());
@@ -311,6 +291,17 @@ mod tests {
         )
     }
 
+    /// The tree's answer as rows, finalized as a segment's would be.
+    fn answer(st: &StarTree, query: &Query) -> Option<Vec<Row>> {
+        let groups = st.try_execute_partial(query).unwrap()?;
+        let partial = crate::query::PartialAgg {
+            groups,
+            used_startree: true,
+            ..Default::default()
+        };
+        Some(partial.finalize(query))
+    }
+
     fn exact(query: &Query, rows: &[Row]) -> BTreeMap<String, (i64, f64)> {
         let mut groups: BTreeMap<String, (i64, f64)> = BTreeMap::new();
         for r in rows {
@@ -354,7 +345,7 @@ mod tests {
         let q = Query::select_all("t")
             .aggregate("n", AggFn::Count)
             .aggregate("sum_fare", AggFn::Sum("fare".into()));
-        let out = st.try_execute(&q).unwrap().unwrap();
+        let out = answer(&st, &q).unwrap();
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].get_int("n"), Some(240));
         let expected: f64 = rows.iter().map(|r| r.get_double("fare").unwrap()).sum();
@@ -369,7 +360,7 @@ mod tests {
             .aggregate("n", AggFn::Count)
             .aggregate("sum_fare", AggFn::Sum("fare".into()))
             .group(&["city"]);
-        let out = st.try_execute(&q).unwrap().unwrap();
+        let out = answer(&st, &q).unwrap();
         assert_eq!(tree_result_map(out, &["city"]), exact(&q, &rows));
     }
 
@@ -383,7 +374,7 @@ mod tests {
             .aggregate("n", AggFn::Count)
             .aggregate("sum_fare", AggFn::Sum("fare".into()))
             .group(&["product"]);
-        let out = st.try_execute(&q).unwrap().unwrap();
+        let out = answer(&st, &q).unwrap();
         assert_eq!(tree_result_map(out, &["product"]), exact(&q, &rows));
     }
 
@@ -396,7 +387,7 @@ mod tests {
             .aggregate("n", AggFn::Count)
             .aggregate("sum_fare", AggFn::Sum("fare".into()))
             .group(&["product"]);
-        let out = st.try_execute(&q).unwrap().unwrap();
+        let out = answer(&st, &q).unwrap();
         assert_eq!(tree_result_map(out, &["product"]), exact(&q, &rows));
     }
 
@@ -408,20 +399,20 @@ mod tests {
         let q = Query::select_all("t")
             .filter(Predicate::new("city", PredicateOp::Ne, "sf"))
             .aggregate("n", AggFn::Count);
-        assert!(st.try_execute(&q).unwrap().is_none());
+        assert!(answer(&st, &q).is_none());
         // predicate on a non-dimension
         let q = Query::select_all("t")
             .filter(Predicate::eq("fare", 3.0))
             .aggregate("n", AggFn::Count);
-        assert!(st.try_execute(&q).unwrap().is_none());
+        assert!(answer(&st, &q).is_none());
         // unknown aggregation metric
         let q = Query::select_all("t").aggregate("m", AggFn::Max("fare".into()));
-        assert!(st.try_execute(&q).unwrap().is_none());
+        assert!(answer(&st, &q).is_none());
         // group by non-dimension
         let q = Query::select_all("t")
             .aggregate("n", AggFn::Count)
             .group(&["fare"]);
-        assert!(st.try_execute(&q).unwrap().is_none());
+        assert!(answer(&st, &q).is_none());
     }
 
     #[test]
@@ -432,7 +423,7 @@ mod tests {
             .filter(Predicate::eq("city", "tokyo"))
             .aggregate("n", AggFn::Count)
             .aggregate("sum_fare", AggFn::Sum("fare".into()));
-        let out = st.try_execute(&q).unwrap().unwrap();
+        let out = answer(&st, &q).unwrap();
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].get_int("n"), Some(0));
     }
@@ -445,15 +436,12 @@ mod tests {
         let st = StarTree::build(&rows, &sp).unwrap();
         // global aggregate still answerable from the root
         let q = Query::select_all("t").aggregate("n", AggFn::Count);
-        assert_eq!(
-            st.try_execute(&q).unwrap().unwrap()[0].get_int("n"),
-            Some(240)
-        );
+        assert_eq!(answer(&st, &q).unwrap()[0].get_int("n"), Some(240));
         // but group-by needs children that were never built
         let q = Query::select_all("t")
             .aggregate("n", AggFn::Count)
             .group(&["city"]);
-        assert!(st.try_execute(&q).unwrap().is_none());
+        assert!(answer(&st, &q).is_none());
     }
 
     #[test]
@@ -464,7 +452,7 @@ mod tests {
         let q = Query::select_all("t")
             .aggregate("products", AggFn::DistinctCount("product".into()))
             .group(&["city"]);
-        let out = st.try_execute(&q).unwrap().unwrap();
+        let out = answer(&st, &q).unwrap();
         assert_eq!(out.len(), 3);
         assert!(out.iter().all(|r| r.get_int("products") == Some(2)));
     }
@@ -478,7 +466,7 @@ mod tests {
     fn node_count_reported() {
         let st = StarTree::build(&rows(), &spec()).unwrap();
         // root + (3 cities + star) + 4 x (2 products + star) = 1 + 4 + 12
-        assert_eq!(st.node_count(), 17);
+        assert_eq!(st.node_count, 17);
         assert!(st.memory_bytes() > 0);
     }
 }

@@ -86,11 +86,6 @@ impl PrimaryKeyIndex {
         self.valid.get(segment)
     }
 
-    /// Number of live primary keys.
-    pub fn key_count(&self) -> usize {
-        self.locations.len()
-    }
-
     pub fn memory_bytes(&self) -> usize {
         let keys: usize = self
             .locations
@@ -125,7 +120,7 @@ mod tests {
             &*idx.location(&Value::Str("trip-1".into())).unwrap().segment,
             "seg-b"
         );
-        assert_eq!(idx.key_count(), 2);
+        assert_eq!(idx.locations.len(), 2);
     }
 
     #[test]

@@ -625,10 +625,11 @@ fn encode_column_block(w: &mut Writer, col: &Column) -> Result<ZoneMap> {
         }
         ColumnValues::Double(vals) => {
             encode_double_block(w, vals);
-            let live: Vec<f64> = (0..vals.len()).filter(non_null).map(|i| vals[i]).collect();
-            if !live.is_empty() {
-                let mn = live.iter().copied().fold(f64::INFINITY, f64::min);
-                let mx = live.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+            // ordered as `Value::total_cmp` orders cells: a NaN above +inf
+            // or below -inf by its sign, -0.0 below 0.0
+            let live = (0..vals.len()).filter(non_null).map(|i| vals[i]);
+            let mn = live.clone().min_by(f64::total_cmp);
+            if let (Some(mn), Some(mx)) = (mn, live.max_by(f64::total_cmp)) {
                 zone.min = Some(ZoneValue::Double(mn));
                 zone.max = Some(ZoneValue::Double(mx));
             }

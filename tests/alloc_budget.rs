@@ -14,6 +14,8 @@
 //!
 //! One `#[test]`, so the process-wide counter sees one thread at work.
 
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use rtdi::common::AggFn;
 use rtdi::common::{Error, FieldType, Record, Result, Row, Schema};
 use rtdi::compute::{
@@ -23,6 +25,7 @@ use rtdi::core::platform::RealtimePlatform;
 use rtdi::flinksql::compiler::{compile_streaming, CompileOptions};
 use rtdi::olap::ingestion::{IngestionConfig, RealtimeIngester};
 use rtdi::olap::query::{Predicate, PredicateOp, Query, SortOrder};
+use rtdi::olap::realtime::MutableSegment;
 use rtdi::olap::segment::{IndexSpec, Segment};
 use rtdi::olap::table::{OlapTable, TableConfig};
 use rtdi::stream::log::FetchResult;
@@ -486,6 +489,56 @@ fn sorted_probes_build_no_value() {
     );
 }
 
+/// `ts >= X` over rows appended in time order, as event time arrives: the
+/// docs a segment tests are those of the one or two 1 024-doc blocks whose
+/// time bounds straddle X, consuming or sealed, at 10 000 docs and at
+/// 40 000, and the query allocates the same at both. Shuffled, every block
+/// straddles X, every doc is tested, and the answer is the same.
+fn fresh_rows_skip_old_blocks() {
+    const BLOCK: u64 = 1_024;
+    const LATEST: usize = 2_000;
+    let mut allocs = Vec::new();
+    for n in [10_000usize, 40_000] {
+        let row = |i: usize| Row::new().with("city", "sf").with("ts", (i / 20) as i64);
+        let since = Query::select_all("trips")
+            .filter(Predicate::new(
+                "ts",
+                PredicateOp::Ge,
+                ((n - LATEST) / 20) as i64,
+            ))
+            .aggregate("n", AggFn::Count);
+        let mut rng = StdRng::seed_from_u64(n as u64);
+        let mut shuffled: Vec<Row> = (0..n).map(row).collect();
+        for i in (1..n).rev() {
+            shuffled.swap(i, rng.gen_range(0..=i));
+        }
+        for (ordered, rows) in [(true, (0..n).map(row).collect()), (false, shuffled)] {
+            let mut consuming = MutableSegment::new("c", schema());
+            for r in &rows {
+                consuming.append(r, None).unwrap();
+            }
+            let sealed = Segment::build("s", &schema(), rows, &IndexSpec::none()).unwrap();
+            let (tail, of_tail) = count_allocations(|| consuming.execute(&since, None).unwrap());
+            let (cold, of_cold) = count_allocations(|| sealed.execute(&since, None).unwrap());
+            for res in [&tail, &cold] {
+                // a segment's docs_scanned: the docs it tested, then the
+                // docs that matched, folded
+                assert_eq!(res.rows[0].get_int("n"), Some(LATEST as i64));
+                let tested = res.ledger.docs_scanned - LATEST as u64;
+                if ordered {
+                    assert!(tested <= 2 * BLOCK, "{tested} of {n} docs tested");
+                } else {
+                    assert_eq!(tested, n as u64, "shuffled: {tested} of {n} docs tested");
+                }
+            }
+            if ordered {
+                allocs.push((of_tail.allocs, of_cold.allocs));
+            }
+        }
+    }
+    assert_eq!(allocs[0], allocs[1], "ts >= X at 10 000 and at 40 000 docs");
+}
+
 #[test]
 fn produce_ingest_and_retry_hold_their_allocation_budgets() {
     const N: usize = 10_000;
@@ -557,4 +610,6 @@ fn produce_ingest_and_retry_hold_their_allocation_budgets() {
     sql_drilldown_pays_for_its_groups();
 
     sorted_probes_build_no_value();
+
+    fresh_rows_skip_old_blocks();
 }

@@ -15,8 +15,8 @@
 
 use rtdi::common::record::headers;
 use rtdi::common::{
-    AdmissionConfig, AdmissionController, AggFn, Clock, Deadline, FieldType, Priority, Quota,
-    Record, Row, Schema, SimClock, Timestamp,
+    AdmissionConfig, AdmissionController, AggFn, Clock, Deadline, Error, FieldType, Priority,
+    Quota, Record, Row, Schema, SimClock, Timestamp,
 };
 use rtdi::olap::broker::{Broker, ServerNode};
 use rtdi::olap::query::Query;
@@ -326,6 +326,58 @@ fn offered_equals_delivered_plus_parked_across_seeds() {
         assert_eq!(s.offered, offered);
         assert_eq!(s.offered, s.admitted + s.shed_total());
     }
+}
+
+/// The broker's own admission gate, keyed by table (the tenant) and the
+/// query's lane: over the high watermark every lane is refused and stays
+/// refused until the depth falls below the low one; between the two only
+/// the backfill lane is. A refused query is `Error::Overloaded`, and the
+/// controller's ledger balances.
+#[test]
+fn broker_admission_sheds_every_lane_over_the_high_watermark_and_backfill_first() {
+    let servers: Vec<Arc<ServerNode>> = (0..2).map(ServerNode::new).collect();
+    let broker = Broker::new(servers);
+    broker.register_table("cities", false);
+    for i in 0..3 {
+        broker
+            .place_segment("cities", seg(&format!("s{i}"), 50), None, 1)
+            .unwrap();
+    }
+    let admission = Arc::new(AdmissionController::new(
+        Arc::new(SimClock::new(0)),
+        AdmissionConfig {
+            queue_high_watermark: 8,
+            queue_low_watermark: 4,
+            ..Default::default()
+        },
+    ));
+    broker.set_admission(admission.clone());
+    let interactive = Query::select_all("cities").aggregate("n", AggFn::Count);
+    let backfill = interactive.clone().lane(Priority::Backfill);
+    let refused = |q: &Query| match broker.query(q) {
+        Ok(res) => {
+            assert_eq!(res.rows[0].get_int("n"), Some(150));
+            false
+        }
+        Err(e) => {
+            assert!(matches!(e, Error::Overloaded(_)), "{e}");
+            true
+        }
+    };
+    assert!(!refused(&interactive) && !refused(&backfill));
+    admission.set_queue_depth(9);
+    assert!(refused(&interactive) && refused(&backfill));
+    // hysteresis: between the watermarks the latch holds
+    admission.set_queue_depth(6);
+    assert!(refused(&interactive));
+    admission.set_queue_depth(3);
+    assert!(!refused(&interactive));
+    // released, between the watermarks only the backfill lane sheds
+    admission.set_queue_depth(6);
+    assert!(refused(&backfill) && !refused(&interactive));
+    let s = admission.stats();
+    assert_eq!((s.offered, s.admitted), (8, 4));
+    assert_eq!(s.offered, s.admitted + s.shed_total());
 }
 
 /// ci.sh hook: the seed comes from `RTDI_OVERLOAD_SEED` and the summary

@@ -31,6 +31,7 @@ const SEED_FUSION: u64 = 0x0F05_ED00;
 const SEED_SEGFILE: u64 = 0x5E6F_11E0;
 const SEED_SEGFUZZ: u64 = 0x5E6F_F422;
 const SEED_HIVE: u64 = 0x0041_7E5C;
+const SEED_BLOCKS: u64 = 0xB10C_5EED;
 
 fn schema() -> Schema {
     Schema::of(
@@ -47,12 +48,50 @@ fn schema() -> Schema {
 /// A row over the schema where each column is independently present ~75%
 /// of the time (absent columns exercise the NULL paths end to end).
 fn arb_row(rng: &mut StdRng) -> Row {
-    arb_row_with(rng, 0.75, 6)
+    arb_row_with(rng, 0.75, 6, &Specials::default())
+}
+
+/// The doubles that `Value::total_cmp`, and so every kernel, orders apart
+/// from IEEE comparison: NaN of either sign (above +∞, below −∞), the two
+/// zeros (−0.0 below 0.0), and the infinities.
+const SPECIAL_X: [f64; 6] = [
+    f64::NAN,
+    -f64::NAN,
+    -0.0,
+    0.0,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+];
+
+/// Which of [`SPECIAL_X`] a case's `x` cells take, and what share of them.
+#[derive(Default)]
+struct Specials {
+    values: Vec<f64>,
+    share: f64,
+}
+
+/// Half the cases take no special double; the others a nonempty subset of
+/// them, in a third of the `x` cells or in all of them.
+fn arb_specials(rng: &mut StdRng) -> Specials {
+    if rng.gen_bool(0.5) {
+        return Specials::default();
+    }
+    loop {
+        let values: Vec<f64> = SPECIAL_X
+            .into_iter()
+            .filter(|_| rng.gen_bool(0.5))
+            .collect();
+        if !values.is_empty() {
+            let share = [0.3, 1.0][rng.gen_range(0..2usize)];
+            return Specials { values, share };
+        }
+    }
 }
 
 /// [`arb_row`] with each column present at `presence` (1.0: no column
-/// has a NULL) and `cities` distinct cities.
-fn arb_row_with(rng: &mut StdRng, presence: f64, cities: u32) -> Row {
+/// has a NULL), `cities` distinct cities and `x` drawn from `specials` in
+/// its share of the rows.
+fn arb_row_with(rng: &mut StdRng, presence: f64, cities: u32, specials: &Specials) -> Row {
     let mut row = Row::new();
     if rng.gen_bool(presence) {
         row.push("city", format!("c{}", rng.gen_range(0..cities)));
@@ -61,7 +100,14 @@ fn arb_row_with(rng: &mut StdRng, presence: f64, cities: u32) -> Row {
         row.push("n", rng.gen_range(-1000..1000i64));
     }
     if rng.gen_bool(presence) {
-        row.push("x", rng.gen_range(-100.0..100.0f64));
+        let special = specials.share > 0.0 && rng.gen_bool(specials.share);
+        row.push(
+            "x",
+            match special {
+                true => specials.values[rng.gen_range(0..specials.values.len())],
+                false => rng.gen_range(-100.0..100.0f64),
+            },
+        );
     }
     if rng.gen_bool(presence) {
         row.push("flag", rng.gen::<bool>());
@@ -75,21 +121,28 @@ fn arb_rows(rng: &mut StdRng, lo: usize, hi: usize) -> Vec<Row> {
 }
 
 fn arb_predicate(rng: &mut StdRng) -> Predicate {
-    arb_predicate_with(rng, 6)
+    arb_predicate_with(rng, 6, &Specials::default())
 }
 
-fn arb_predicate_with(rng: &mut StdRng, cities: u32) -> Predicate {
-    let op = [
-        PredicateOp::Eq,
-        PredicateOp::Ne,
-        PredicateOp::Lt,
-        PredicateOp::Le,
-        PredicateOp::Gt,
-        PredicateOp::Ge,
-    ][rng.gen_range(0..6usize)];
+const OPS: [PredicateOp; 6] = [
+    PredicateOp::Eq,
+    PredicateOp::Ne,
+    PredicateOp::Lt,
+    PredicateOp::Le,
+    PredicateOp::Gt,
+    PredicateOp::Ge,
+];
+
+/// A predicate of any operator on any column; where the case has special
+/// doubles, half the literals on `x` are one of [`SPECIAL_X`].
+fn arb_predicate_with(rng: &mut StdRng, cities: u32, specials: &Specials) -> Predicate {
+    let op = OPS[rng.gen_range(0..6usize)];
     match rng.gen_range(0..3u8) {
         0 => Predicate::new("city", op, format!("c{}", rng.gen_range(0..cities))),
         1 => Predicate::new("n", op, rng.gen_range(-1000..1000i64)),
+        _ if specials.share > 0.0 && rng.gen_bool(0.5) => {
+            Predicate::new("x", op, SPECIAL_X[rng.gen_range(0..SPECIAL_X.len())])
+        }
         _ => Predicate::new("x", op, rng.gen_range(-100.0..100.0f64)),
     }
 }
@@ -220,14 +273,19 @@ fn arb_typed_rows(rng: &mut StdRng, schema: &Schema, lo: usize, hi: usize) -> Ve
 }
 
 /// Index-accelerated segment execution agrees with row-by-row predicate
-/// evaluation for every predicate type.
+/// evaluation for every predicate type, over NaN of either sign, signed
+/// zeros and infinities too: a range index's candidates hold every match.
 #[test]
 fn indexes_equal_scan() {
     for case in 0..64u64 {
         let mut rng = StdRng::seed_from_u64(SEED_INDEXES + case);
-        let rows = arb_rows(&mut rng, 1, 300);
+        let specials = arb_specials(&mut rng);
+        let len = rng.gen_range(1..300);
+        let rows: Vec<Row> = (0..len)
+            .map(|_| arb_row_with(&mut rng, 0.75, 6, &specials))
+            .collect();
         let preds: Vec<Predicate> = (0..rng.gen_range(1..3usize))
-            .map(|_| arb_predicate(&mut rng))
+            .map(|_| arb_predicate_with(&mut rng, 6, &specials))
             .collect();
         let spec = IndexSpec::none()
             .with_inverted(&["city", "n"])
@@ -321,8 +379,10 @@ fn mask_prefix(mask: &Bitmap, len: usize) -> Bitmap {
 /// The consuming segment also answers after every `every`-th append, when
 /// its dictionaries have grown since the last query, against the oracle
 /// over the rows so far. The sealed segment answers once more after
-/// `persist` → `load_lazy`, from columns decoded out of its file. Answers
-/// must be identical, values and order.
+/// `persist` → `load_lazy`, from columns decoded out of its file, and,
+/// unmasked, through `LazySegment::execute`, which consults the file's zone
+/// maps first. Answers must be identical, values and order, a double to
+/// its bits.
 fn assert_three_way(
     rows: &[Row],
     spec: &IndexSpec,
@@ -341,24 +401,48 @@ fn assert_three_way(
             let valid = valid.map(|v| mask_prefix(v, i + 1));
             let tail = consuming.execute(q, valid.as_ref()).unwrap();
             let slow = reference::execute(&schema(), &rows[..=i], q, valid.as_ref());
-            assert_eq!(tail.rows, slow, "{ctx} after {} rows {q:?}", i + 1);
+            assert_eq!(
+                by_bits(tail.rows),
+                by_bits(slow),
+                "{ctx} after {} rows {q:?}",
+                i + 1
+            );
         }
     }
-    let slow = reference::execute(&schema(), rows, q, valid);
+    let slow = by_bits(reference::execute(&schema(), rows, q, valid));
     let sealed = Segment::build("v", &schema(), rows.to_vec(), spec).unwrap();
     // docs_scanned intentionally differs (index pruning vs full scan)
     let fast = sealed.execute(q, valid).unwrap();
-    assert_eq!(fast.rows, slow, "{ctx} sealed {q:?}");
+    assert_eq!(by_bits(fast.rows), slow, "{ctx} sealed {q:?}");
     let tail = consuming.execute(q, valid).unwrap();
-    assert_eq!(tail.rows, slow, "{ctx} consuming {q:?}");
+    assert_eq!(by_bits(tail.rows), slow, "{ctx} consuming {q:?}");
     // and the consuming segment seals into that sealed segment
     let resealed = consuming.seal(spec).unwrap();
     let again = resealed.execute(q, valid).unwrap();
-    assert_eq!(again.rows, slow, "{ctx} resealed {q:?}");
+    assert_eq!(by_bits(again.rows), slow, "{ctx} resealed {q:?}");
     // and the sealed segment answers the same from its file, decoded
     let lazy = Segment::load_lazy(sealed.persist().unwrap()).unwrap();
     let cold = lazy.execute_partial(q, valid).unwrap().finalize(q);
-    assert_eq!(cold, slow, "{ctx} lazy {q:?}");
+    assert_eq!(by_bits(cold), slow, "{ctx} lazy {q:?}");
+    if valid.is_none() {
+        let zoned = lazy.execute(q).unwrap();
+        assert_eq!(by_bits(zoned.rows), slow, "{ctx} lazy, zone maps {q:?}");
+    }
+}
+
+/// Rows with every double replaced by its bits, so that a NaN equals the
+/// same NaN and −0.0 differs from 0.0.
+fn by_bits(rows: Vec<Row>) -> Vec<Row> {
+    let bits = |(name, v): (&str, &Value)| {
+        let v = match v {
+            Value::Double(x) => Value::Bytes(x.to_bits().to_be_bytes().to_vec()),
+            v => v.clone(),
+        };
+        (std::sync::Arc::from(name), v)
+    };
+    rows.iter()
+        .map(|row| row.iter().map(bits).collect())
+        .collect()
 }
 
 /// The column kernels return exactly the rows of the row-at-a-time oracle
@@ -371,16 +455,18 @@ fn assert_three_way(
 /// group-by runs on both sides of the dense-lane rule: a selection at least
 /// as large as the dictionary, and one smaller). Specs are restricted to
 /// non-reordering indices so all engines fold docs in identical order and
-/// float sums compare exactly.
+/// float sums compare exactly, to the bit: half the cases hold NaN of
+/// either sign, signed zeros or infinities in `x`.
 #[test]
 fn vectorized_execution_equals_row_reference() {
     for case in 0..96u64 {
         let mut rng = StdRng::seed_from_u64(SEED_VECTOR + case);
         let presence = [1.0, 0.75][rng.gen_range(0..2usize)];
         let cities = [6, 200][rng.gen_range(0..2usize)];
+        let specials = arb_specials(&mut rng);
         let len = rng.gen_range(0..300usize);
         let rows: Vec<Row> = (0..len)
-            .map(|_| arb_row_with(&mut rng, presence, cities))
+            .map(|_| arb_row_with(&mut rng, presence, cities, &specials))
             .collect();
         let spec = match rng.gen_range(0..3u8) {
             0 => IndexSpec::none(),
@@ -390,7 +476,7 @@ fn vectorized_execution_equals_row_reference() {
 
         let mut q = Query::select_all("t");
         for _ in 0..rng.gen_range(0..3usize) {
-            q = q.filter(arb_predicate_with(&mut rng, cities));
+            q = q.filter(arb_predicate_with(&mut rng, cities, &specials));
         }
         if rng.gen_bool(0.5) {
             // aggregation: slots may target absent ("ghost") columns, and
@@ -449,6 +535,122 @@ fn vectorized_execution_equals_row_reference() {
     }
 }
 
+/// Docs per block of an Int column's min/max statistics in a segment.
+const BLOCK: usize = 1024;
+
+/// `len` rows whose `n` grows like event time, by 0–2 a row: a drawn share
+/// of cells (none, 1 % or 10 %) is out of order (an earlier time or an
+/// extreme), up to two runs of 1 024–2 199 rows have no `n`, which empties
+/// whole blocks, and a fifth of the cases climb to just below `i64::MAX`.
+fn time_like_rows(rng: &mut StdRng, len: usize) -> Vec<Row> {
+    let disorder = [0.0, 0.01, 0.1][rng.gen_range(0..3usize)];
+    let start = match rng.gen_bool(0.2) {
+        true => i64::MAX - 3 * len as i64,
+        false => rng.gen_range(-1000..1000i64),
+    };
+    let gaps: Vec<std::ops::Range<usize>> = (0..rng.gen_range(0..3usize))
+        .map(|_| {
+            let from = rng.gen_range(0..len);
+            from..from + rng.gen_range(BLOCK..2200)
+        })
+        .collect();
+    let mut t = start;
+    (0..len)
+        .map(|i| {
+            let row = arb_row_with(rng, 1.0, 6, &Specials::default());
+            let mut row = row.project(&["city", "x", "flag"]);
+            t += rng.gen_range(0..3i64);
+            let n = match rng.gen_bool(disorder) {
+                false => t,
+                true => match rng.gen_range(0..4u8) {
+                    0 => i64::MIN,
+                    1 => i64::MAX,
+                    _ => rng.gen_range(start..=t),
+                },
+            };
+            if !gaps.iter().any(|gap| gap.contains(&i)) {
+                row.push("n", n);
+            }
+            row
+        })
+        .collect()
+}
+
+/// An Int column keeps a min and a max per block of docs, and a predicate
+/// on it skips the blocks whose bounds rule it out, takes whole (NULLs
+/// aside) the blocks whose bounds rule it in, and tests the docs of the
+/// rest. Cases of k·1 024 − 1, k·1 024 and k·1 024 + 1 rows put a
+/// [`time_like_rows`] `n` through every engine of [`assert_three_way`],
+/// queried at block edges as the consuming segment grows: each operator
+/// against a cell at a block edge, the last cell or an extreme, a
+/// two-sided range, a predicate behind a selective one on another column,
+/// and Double literals.
+#[test]
+fn block_statistics_never_change_an_answer() {
+    for case in 0..12u64 {
+        let mut rng = StdRng::seed_from_u64(SEED_BLOCKS + case);
+        let len = rng.gen_range(1..=4usize) * BLOCK + rng.gen_range(0..3usize) - 1;
+        let rows = time_like_rows(&mut rng, len);
+        let present: Vec<i64> = rows.iter().filter_map(|r| r.get_int("n")).collect();
+        let literal = |rng: &mut StdRng| -> i64 {
+            let edge = (rng.gen_range(0..=len / BLOCK) * BLOCK + rng.gen_range(0..3usize))
+                .saturating_sub(1)
+                .min(len - 1);
+            let cell = match rng.gen_range(0..4u8) {
+                0 | 1 => rows[edge].get_int("n"),
+                2 => rows[len - 1].get_int("n"),
+                _ => Some([i64::MIN, i64::MAX, 0][rng.gen_range(0..3usize)]),
+            };
+            let any = || present.get(rng.gen_range(0..present.len().max(1))).copied();
+            let n = cell.or_else(any).unwrap_or(0);
+            n.saturating_add(rng.gen_range(-1..=1i64))
+        };
+        let spec = match rng.gen_range(0..3u8) {
+            0 => IndexSpec::none(),
+            1 => IndexSpec::none().with_inverted(&["city"]),
+            _ => IndexSpec::none().with_range(&["n"]),
+        };
+        let base = Query::select_all("t")
+            .aggregate("cnt", AggFn::Count)
+            .aggregate("lo", AggFn::Min("n".into()))
+            .aggregate("hi", AggFn::Max("n".into()));
+        let mut queries: Vec<Query> = OPS
+            .iter()
+            .map(|&op| {
+                base.clone()
+                    .filter(Predicate::new("n", op, literal(&mut rng)))
+            })
+            .collect();
+        let (a, b) = (literal(&mut rng), literal(&mut rng));
+        queries.push(
+            base.clone()
+                .filter(Predicate::new("n", PredicateOp::Ge, a.min(b)))
+                .filter(Predicate::new("n", PredicateOp::Lt, a.max(b))),
+        );
+        let op = OPS[rng.gen_range(0..6usize)];
+        queries.push(
+            base.clone()
+                .filter(Predicate::eq("city", format!("c{}", rng.gen_range(0..6))))
+                .filter(Predicate::new("n", op, literal(&mut rng))),
+        );
+        let op = OPS[rng.gen_range(0..6usize)];
+        let x = match rng.gen_range(0..3u8) {
+            0 => literal(&mut rng) as f64 + 0.5,
+            1 => literal(&mut rng) as f64,
+            _ => SPECIAL_X[rng.gen_range(0..SPECIAL_X.len())],
+        };
+        queries.push(base.clone().filter(Predicate::new("n", op, x)));
+        let op = OPS[rng.gen_range(0..6usize)];
+        let selection = Query::select_all("t").columns(&["n", "city"]);
+        queries.push(selection.filter(Predicate::new("n", op, literal(&mut rng))));
+        let every = [BLOCK - 1, BLOCK, BLOCK + 1, 600][rng.gen_range(0..4usize)];
+        for q in &queries {
+            let ctx = format!("case {case} ({len} rows)");
+            assert_three_way(&rows, &spec, q, None, every, &ctx);
+        }
+    }
+}
+
 /// Ordered string predicates over a consuming segment's insertion-ordered
 /// dictionary — evaluated per dictionary entry, where a sealed segment
 /// compares ids of its sorted dictionary — for needles in the dictionary,
@@ -458,14 +660,6 @@ fn vectorized_execution_equals_row_reference() {
 /// for any sparse field at the start of each consuming segment.
 #[test]
 fn string_predicates_agree_on_sorted_and_unsorted_dictionaries() {
-    let ops = [
-        PredicateOp::Eq,
-        PredicateOp::Ne,
-        PredicateOp::Lt,
-        PredicateOp::Le,
-        PredicateOp::Gt,
-        PredicateOp::Ge,
-    ];
     for case in 0..8u64 {
         let mut rng = StdRng::seed_from_u64(SEED_VECTOR + 0x1000 + case);
         let rows = arb_rows(&mut rng, 1, 120);
@@ -473,7 +667,7 @@ fn string_predicates_agree_on_sorted_and_unsorted_dictionaries() {
         for r in null_prefixed.iter_mut().take(1 + case as usize) {
             *r = r.project(&["n", "x", "flag"]);
         }
-        for op in ops {
+        for op in OPS {
             for needle in ["c2", "c25", "b", "d", ""] {
                 let q = Query::select_all("t")
                     .filter(Predicate::new("city", op, needle))
@@ -1539,6 +1733,49 @@ mod pinned_regressions {
             assert_eq!(out.rows.len(), 1, "{label}");
             assert_eq!(out.rows[0].get("city"), Some(&Value::Null), "{label}");
             assert_eq!(out.rows[0].get_int("a"), Some(1), "{label}");
+        }
+    }
+
+    /// Double statistics order as the kernels do: of 200 rows of `x`, 4 are
+    /// NaN, which sorts above +∞, and 4 −NaN, below −∞; and a column holds
+    /// 0.0 before −0.0, which sorts below it. A range index's candidates and
+    /// a reloaded segment's zone maps keep every doc the scan matches.
+    #[test]
+    fn nan_and_signed_zero_statistics_keep_every_match() {
+        let with_nan: Vec<Row> = (0..200usize)
+            .map(|i| {
+                let x = match i % 50 {
+                    0 => f64::NAN,
+                    1 => -f64::NAN,
+                    _ => (i % 100) as f64,
+                };
+                Row::new().with("x", x)
+            })
+            .collect();
+        let zeros = vec![Row::new().with("x", 0.0), Row::new().with("x", -0.0)];
+        let cases = [
+            (&with_nan, PredicateOp::Gt, 100.0, 4),
+            (&with_nan, PredicateOp::Gt, 5.0, 188),
+            (&with_nan, PredicateOp::Lt, -1.0, 4),
+            (&zeros, PredicateOp::Lt, 0.0, 1),
+        ];
+        for (rows, op, v, matches) in cases {
+            let pred = Predicate::new("x", op, v);
+            assert_eq!(rows.iter().filter(|r| pred.matches(r)).count(), matches);
+            let q = Query::select_all("t")
+                .filter(pred.clone())
+                .aggregate("cnt", AggFn::Count);
+            let count = |rows: Vec<Row>| rows[0].get_int("cnt");
+            for spec in [IndexSpec::none(), IndexSpec::none().with_range(&["x"])] {
+                let seg = Segment::build("s", &schema(), rows.clone(), &spec).unwrap();
+                let got = count(seg.execute(&q, None).unwrap().rows);
+                assert_eq!(got, Some(matches as i64), "{pred:?} {spec:?}");
+                let lazy = Segment::load_lazy(seg.persist().unwrap()).unwrap();
+                let got = count(lazy.execute(&q).unwrap().rows);
+                assert_eq!(got, Some(matches as i64), "{pred:?} {spec:?} reloaded");
+                let sum = q.clone().aggregate("sx", AggFn::Sum("x".into()));
+                assert_three_way(rows, &spec, &sum, None, 7, "pinned");
+            }
         }
     }
 
