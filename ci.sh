@@ -13,6 +13,9 @@ cargo test --release -q --test alloc_budget
 # and the property tests (about 5 s): the multi-block and NaN cases hold
 # where debug assertions are gone and arithmetic wraps
 cargo test --release -q --test properties
+# and the decoder corpus: the wire reader's bounds arithmetic holds where
+# it would wrap, not only where an overflow panics
+cargo test --release -q --test decoder_robustness
 # fault injection is a handle its owner hands down, never process state
 # (an `if`, not `! grep`: `set -e` ignores a status inverted with `!`)
 if grep -n '^\(pub \)\?static' crates/common/src/chaos.rs; then

@@ -7,8 +7,8 @@
 
 use crate::error::{Error, Result};
 use crate::value::{Row, Value};
-use crate::wire::{get_count_checked, get_f64_checked, get_u64_checked, get_u8_checked};
-use bytes::{BufMut, Bytes, BytesMut};
+use crate::wire::Reader;
+use bytes::{BufMut, BytesMut};
 use std::collections::BTreeSet;
 
 /// An aggregate function over a (possibly absent) input column.
@@ -261,24 +261,24 @@ impl AggAcc {
     }
 
     /// Inverse of [`AggAcc::encode`]; hostile bytes are `Corruption`.
-    pub fn decode(buf: &mut Bytes) -> Result<AggAcc> {
-        Ok(match get_u8_checked(buf, "accumulator tag")? {
-            0 => AggAcc::Count(get_u64_checked(buf, "count")?),
+    pub fn decode(r: &mut Reader) -> Result<AggAcc> {
+        Ok(match r.u8("accumulator tag")? {
+            0 => AggAcc::Count(r.u64("count")?),
             1 => AggAcc::Sum {
-                sum: get_f64_checked(buf, "sum")?,
-                count: get_u64_checked(buf, "sum count")?,
+                sum: r.f64("sum")?,
+                count: r.u64("sum count")?,
             },
             2 => AggAcc::Avg {
-                sum: get_f64_checked(buf, "avg sum")?,
-                count: get_u64_checked(buf, "avg count")?,
+                sum: r.f64("avg sum")?,
+                count: r.u64("avg count")?,
             },
-            3 => AggAcc::Min(decode_opt(buf)?),
-            4 => AggAcc::Max(decode_opt(buf)?),
+            3 => AggAcc::Min(decode_opt(r)?),
+            4 => AggAcc::Max(decode_opt(r)?),
             5 => {
-                let n = get_count_checked(buf, 8, "distinct count")?;
+                let n = r.count(8, "distinct count")?;
                 let mut set = BTreeSet::new();
                 for _ in 0..n {
-                    set.insert(get_u64_checked(buf, "distinct hash")?);
+                    set.insert(r.u64("distinct hash")?);
                 }
                 AggAcc::Distinct(set)
             }
@@ -297,9 +297,9 @@ fn encode_opt(buf: &mut BytesMut, v: Option<f64>) {
     }
 }
 
-fn decode_opt(buf: &mut Bytes) -> Result<Option<f64>> {
-    Ok(if get_u8_checked(buf, "min/max flag")? == 1 {
-        Some(get_f64_checked(buf, "min/max value")?)
+fn decode_opt(r: &mut Reader) -> Result<Option<f64>> {
+    Ok(if r.u8("min/max flag")? == 1 {
+        Some(r.f64("min/max value")?)
     } else {
         None
     })
@@ -411,10 +411,11 @@ mod tests {
         for a in &accs {
             a.encode(&mut buf);
         }
-        let mut bytes = buf.freeze();
+        let mut r = Reader::new(&buf);
         for a in &accs {
-            assert_eq!(&AggAcc::decode(&mut bytes).unwrap(), a);
+            assert_eq!(&AggAcc::decode(&mut r).unwrap(), a);
         }
+        assert_eq!(r.remaining(), 0);
     }
 
     #[test]
@@ -430,9 +431,8 @@ mod tests {
         for a in &accs {
             let mut buf = BytesMut::new();
             a.encode(&mut buf);
-            let full = buf.freeze();
-            for cut in 0..full.len() {
-                let got = AggAcc::decode(&mut full.slice(0..cut));
+            for cut in 0..buf.len() {
+                let got = AggAcc::decode(&mut Reader::new(&buf[..cut]));
                 assert!(
                     matches!(got, Err(Error::Corruption(_))),
                     "{a:?} cut {cut}: {got:?}"
@@ -440,16 +440,13 @@ mod tests {
             }
         }
         // a Distinct count the remaining bytes cannot hold
-        let mut bad = Bytes::from_static(&[5, 0xff, 0xff, 0xff, 0xff]);
-        assert!(matches!(
-            AggAcc::decode(&mut bad),
-            Err(Error::Corruption(_))
-        ));
-        let mut bad = Bytes::from_static(&[5, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 1]);
-        assert!(matches!(
-            AggAcc::decode(&mut bad),
-            Err(Error::Corruption(_))
-        ));
+        for bad in [
+            &[5, 0xff, 0xff, 0xff, 0xff][..],
+            &[5, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 1],
+        ] {
+            let got = AggAcc::decode(&mut Reader::new(bad));
+            assert!(matches!(got, Err(Error::Corruption(_))), "{bad:?}");
+        }
     }
 
     #[test]

@@ -38,10 +38,7 @@
 use crate::window::{Window, WindowAssigner, WINDOW_END_COL, WINDOW_START_COL};
 use bytes::{BufMut, Bytes, BytesMut};
 use rtdi_common::agg::{AggAcc, AggFn};
-use rtdi_common::wire::{
-    get_block_checked, get_count_checked, get_i64_checked, get_str_checked, get_u32_checked,
-    get_u64_checked,
-};
+use rtdi_common::wire::Reader;
 use rtdi_common::{Error, Record, Result, Row, Timestamp, Value};
 use rtdi_storage::archival::{decode_rows, encode_rows};
 use rtdi_storage::keyed::{key_group_of, shard_of_group, KeyedSnapshot};
@@ -394,17 +391,17 @@ fn encode_window_entry(
     }
 }
 
-fn decode_window_entry(buf: &mut Bytes) -> Result<(WindowKey, WindowState)> {
-    let key = get_str_checked(buf, "window state key")?;
-    let start = get_i64_checked(buf, "window start")?;
-    let end = get_i64_checked(buf, "window end")?;
-    let rows = decode_rows(&get_block_checked(buf, "window key row")?)?;
+fn decode_window_entry(r: &mut Reader) -> Result<(WindowKey, WindowState)> {
+    let key = r.str("window state key")?.to_string();
+    let start = r.i64("window start")?;
+    let end = r.i64("window end")?;
+    let rows = decode_rows(r.block("window key row")?)?;
     let key_row = rows.into_iter().next().unwrap_or_default();
     // the smallest accumulator (an empty MIN/MAX) is a tag and a flag
-    let na = get_count_checked(buf, 2, "window accumulator count")?;
+    let na = r.count(2, "window accumulator count")?;
     let mut accs = Vec::with_capacity(na);
     for _ in 0..na {
-        accs.push(AggAcc::decode(buf)?);
+        accs.push(AggAcc::decode(r)?);
     }
     Ok(((key, start, end), WindowState { key_row, accs }))
 }
@@ -457,12 +454,12 @@ fn windowed_restore(
                 continue;
             }
         }
-        let mut buf = frame;
+        let mut r = Reader::new(&frame);
         // an entry's fixed-width fields alone (two length prefixes, the
         // window bounds, the accumulator count) take 28 bytes
-        let count = get_count_checked(&mut buf, 28, "key-group frame entry count")?;
+        let count = r.count(28, "key-group frame entry count")?;
         for _ in 0..count {
-            let (k, st) = decode_window_entry(&mut buf)?;
+            let (k, st) = decode_window_entry(&mut r)?;
             match state.entry(k) {
                 Entry::Vacant(v) => {
                     v.insert(st);
@@ -827,11 +824,11 @@ impl Operator for DedupOp {
                     continue;
                 }
             }
-            let mut buf = frame;
+            let mut r = Reader::new(&frame);
             // every key has at least its length prefix
-            let count = get_count_checked(&mut buf, 4, "dedup frame key count")?;
+            let count = r.count(4, "dedup frame key count")?;
             for _ in 0..count {
-                seen.insert(get_str_checked(&mut buf, "dedup key")?);
+                seen.insert(r.str("dedup key")?.to_string());
             }
         }
         self.seen = seen;
@@ -872,6 +869,9 @@ pub struct PartialCombineOp {
     state: BTreeMap<WindowKey, WindowState>,
     /// Reused lookup key, as in [`WindowAggregateOp`].
     probe: WindowKey,
+    /// Reused decode buffer of a row's accumulators: a row whose (key,
+    /// window) is held merges them and allocates nothing.
+    incoming: Vec<AggAcc>,
     watermark: Timestamp,
     dropped: u64,
 }
@@ -889,6 +889,7 @@ impl PartialCombineOp {
             allowed_lateness: allowed_lateness.max(0),
             state: BTreeMap::new(),
             probe: WindowKey::default(),
+            incoming: Vec::new(),
             watermark: Timestamp::MIN,
             dropped: 0,
         }
@@ -913,17 +914,17 @@ impl Operator for PartialCombineOp {
                 "combine input missing __partial accumulators".into(),
             ));
         };
-        let mut buf = Bytes::copy_from_slice(payload);
-        let n = get_u32_checked(&mut buf, "partial accumulator count")? as usize;
+        let mut r = Reader::new(payload);
+        let n = r.u32("partial accumulator count")? as usize;
         if n != self.cols.aggs.len() {
             return Err(Error::Corruption(format!(
                 "partial row has {n} accumulators, stage has {}",
                 self.cols.aggs.len()
             )));
         }
-        let mut incoming = Vec::with_capacity(n);
+        self.incoming.clear();
         for _ in 0..n {
-            incoming.push(AggAcc::decode(&mut buf)?);
+            self.incoming.push(AggAcc::decode(&mut r)?);
         }
         if end
             .checked_add(self.allowed_lateness)
@@ -938,14 +939,14 @@ impl Operator for PartialCombineOp {
         (self.probe.1, self.probe.2) = (start, end);
         match self.state.get_mut(&self.probe) {
             Some(st) => {
-                for (a, b) in st.accs.iter_mut().zip(&incoming) {
+                for (a, b) in st.accs.iter_mut().zip(&self.incoming) {
                     a.merge(b);
                 }
             }
             None => {
                 let st = WindowState {
                     key_row: row.project_shared(&self.cols.keys),
-                    accs: incoming,
+                    accs: self.incoming.drain(..).collect(),
                 };
                 self.state.insert(self.probe.clone(), st);
             }
@@ -1089,8 +1090,8 @@ impl Operator for FusedOp {
     }
 
     fn restore(&mut self, data: Bytes) -> Result<()> {
-        let mut buf = data;
-        let n = get_u32_checked(&mut buf, "fused snapshot member count")? as usize;
+        let mut r = Reader::new(&data);
+        let n = r.u32("fused snapshot member count")? as usize;
         if n != self.ops.len() {
             return Err(Error::Corruption(format!(
                 "fused snapshot has {n} members, chain has {}",
@@ -1098,7 +1099,7 @@ impl Operator for FusedOp {
             )));
         }
         for op in &mut self.ops {
-            op.restore(get_block_checked(&mut buf, "fused member snapshot")?)?;
+            op.restore(r.owned_block(&data, "fused member snapshot")?)?;
         }
         Ok(())
     }
@@ -1278,18 +1279,18 @@ impl Operator for WindowJoinOp {
     }
 
     fn restore(&mut self, data: Bytes) -> Result<()> {
-        let mut buf = data;
-        let watermark = get_i64_checked(&mut buf, "join watermark")?;
-        let dropped = get_u64_checked(&mut buf, "join drop counter")?;
+        let mut r = Reader::new(&data);
+        let watermark = r.i64("join watermark")?;
+        let dropped = r.u64("join drop counter")?;
         // an entry's fixed-width fields (three length prefixes and the
         // window start) take 20 bytes
-        let n = get_count_checked(&mut buf, 20, "join state entry count")?;
+        let n = r.count(20, "join state entry count")?;
         let mut state = BTreeMap::new();
         for _ in 0..n {
-            let key = get_str_checked(&mut buf, "join key")?;
-            let start = get_i64_checked(&mut buf, "join window start")?;
-            let left = decode_rows(&get_block_checked(&mut buf, "join left rows")?)?;
-            let right = decode_rows(&get_block_checked(&mut buf, "join right rows")?)?;
+            let key = r.str("join key")?.to_string();
+            let start = r.i64("join window start")?;
+            let left = decode_rows(r.block("join left rows")?)?;
+            let right = decode_rows(r.block("join right rows")?)?;
             state.insert((key, start), (left, right));
         }
         self.watermark = watermark;

@@ -39,7 +39,7 @@ use crate::source::Source;
 use crate::watermark::WatermarkGenerator;
 use crate::window::{WINDOW_END_COL, WINDOW_START_COL};
 use bytes::{BufMut, Bytes, BytesMut};
-use rtdi_common::wire::{get_block_checked, get_count_checked, get_u64_checked};
+use rtdi_common::wire::Reader;
 use rtdi_common::{Chaos, CountMinSketch, Error, FaultPoint, Record, Result, Timestamp, Value};
 use rtdi_storage::keyed::{key_group_of, shard_of_group, KeyedSnapshot};
 use rtdi_storage::object::ObjectStore;
@@ -124,19 +124,20 @@ impl CheckpointData {
     }
 
     fn decode(data: &Bytes) -> Result<Self> {
-        let mut buf = data.clone();
-        let checkpoint_id = get_u64_checked(&mut buf, "checkpoint id")?;
-        let records_in = get_u64_checked(&mut buf, "checkpoint record count")?;
-        let np = get_count_checked(&mut buf, 8, "checkpoint position count")?;
+        let mut r = Reader::new(data);
+        let checkpoint_id = r.u64("checkpoint id")?;
+        let records_in = r.u64("checkpoint record count")?;
+        let np = r.count(8, "checkpoint position count")?;
         let mut source_position = Vec::with_capacity(np);
         for _ in 0..np {
-            source_position.push(get_u64_checked(&mut buf, "checkpoint position")?);
+            source_position.push(r.u64("checkpoint position")?);
         }
-        // every state slot has at least its length prefix
-        let ns = get_count_checked(&mut buf, 4, "checkpoint state count")?;
+        // every state slot has at least its length prefix; each is handed
+        // on as a slice of `data`
+        let ns = r.count(4, "checkpoint state count")?;
         let mut operator_state = Vec::with_capacity(ns);
         for _ in 0..ns {
-            operator_state.push(get_block_checked(&mut buf, "checkpoint state")?);
+            operator_state.push(r.owned_block(data, "checkpoint state")?);
         }
         Ok(CheckpointData {
             checkpoint_id,

@@ -14,10 +14,7 @@ use crate::hive::HiveCatalog;
 use crate::object::ObjectStore;
 use crate::segfile::{self, ColumnBuilder, SegmentMeta};
 use bytes::{BufMut, Bytes, BytesMut};
-use rtdi_common::wire::{
-    get_block_checked, get_count_checked, get_f64_checked, get_i64_checked, get_str_checked,
-    get_u64_checked, get_u8_checked,
-};
+use rtdi_common::wire::Reader;
 use rtdi_common::{
     Audit, Error, Record, Result, RetryPolicy, Row, Schema, Timestamp, UniqueId, Value,
 };
@@ -33,12 +30,17 @@ pub fn date_partition(ts: Timestamp) -> String {
     day_name(epoch_day(ts))
 }
 
-fn epoch_day(ts: Timestamp) -> i64 {
+pub(crate) fn epoch_day(ts: Timestamp) -> i64 {
     ts.div_euclid(86_400_000)
 }
 
 fn day_name(day: i64) -> String {
     format!("d{day:06}")
+}
+
+/// Inverse of [`day_name`]: the epoch day a date partition names.
+pub(crate) fn date_day(date: &str) -> Option<i64> {
+    date.strip_prefix('d')?.parse().ok()
 }
 
 /// Raw-log encoding of a record batch: length-prefixed rows with key,
@@ -100,18 +102,17 @@ fn encode_audit(buf: &mut BytesMut, a: &Audit) {
 
 /// Inverse of [`encode_audit`] over one record's block, which must hold
 /// exactly the fields its flags announce.
-fn decode_audit(mut block: Bytes) -> Result<Audit> {
-    let flags = get_u8_checked(&mut block, "audit flags")?;
+fn decode_audit(block: &[u8]) -> Result<Audit> {
+    let mut r = Reader::new(block);
+    let flags = r.u8("audit flags")?;
     let unique_id = match flags & 0b11 {
         0 => None,
         ID_SEQ => {
-            let seq = get_u64_checked(&mut block, "unique id seq")?;
-            let origin = get_str_checked(&mut block, "unique id origin")?.into();
+            let seq = r.u64("unique id seq")?;
+            let origin = r.str("unique id origin")?.into();
             Some(UniqueId::Seq { origin, seq })
         }
-        ID_TEXT => Some(UniqueId::Text(
-            get_str_checked(&mut block, "unique id")?.into(),
-        )),
+        ID_TEXT => Some(UniqueId::Text(r.str("unique id")?.into())),
         _ => return Err(Error::Corruption("bad unique id form".into())),
     };
     let mut a = Audit {
@@ -119,18 +120,18 @@ fn decode_audit(mut block: Bytes) -> Result<Audit> {
         ..Audit::default()
     };
     if flags & HAS_APP_TS != 0 {
-        a.app_ts = Some(get_i64_checked(&mut block, "app timestamp")?);
+        a.app_ts = Some(r.i64("app timestamp")?);
     }
     if flags & HAS_TRACE_TS != 0 {
-        a.trace_ts = Some(get_i64_checked(&mut block, "trace timestamp")?);
+        a.trace_ts = Some(r.i64("trace timestamp")?);
     }
     if flags & HAS_SERVICE != 0 {
-        a.service = Some(get_str_checked(&mut block, "service")?.into());
+        a.service = Some(r.str("service")?.into());
     }
     if flags & HAS_ORIGIN_REGION != 0 {
-        a.origin_region = Some(get_str_checked(&mut block, "origin region")?.into());
+        a.origin_region = Some(r.str("origin region")?.into());
     }
-    if flags >> 6 != 0 || !block.is_empty() {
+    if flags >> 6 != 0 || r.remaining() != 0 {
         return Err(Error::Corruption(
             "audit block does not match its flags".into(),
         ));
@@ -178,7 +179,9 @@ fn encode_raw_refs(records: &[&Record]) -> Bytes {
 /// Key tags of a raw-log record (anything else: no key).
 const KEY_STR: u8 = 1;
 const KEY_INT: u8 = 2;
-/// Value tag of a string.
+/// Value tags compaction reads without building a [`Value`].
+const TAG_INT: u8 = 2;
+const TAG_DOUBLE: u8 = 3;
 const TAG_STR: u8 = 4;
 
 fn encode_value(buf: &mut BytesMut, v: &Value) {
@@ -189,11 +192,11 @@ fn encode_value(buf: &mut BytesMut, v: &Value) {
             buf.put_u8(*b as u8);
         }
         Value::Int(i) => {
-            buf.put_u8(2);
+            buf.put_u8(TAG_INT);
             buf.put_i64(*i);
         }
         Value::Double(d) => {
-            buf.put_u8(3);
+            buf.put_u8(TAG_DOUBLE);
             buf.put_f64(*d);
         }
         Value::Str(s) => {
@@ -213,18 +216,18 @@ fn encode_value(buf: &mut BytesMut, v: &Value) {
     }
 }
 
-fn decode_value(buf: &mut Bytes) -> Result<Value> {
-    let tag = get_u8_checked(buf, "value tag")?;
+/// The value a tag announces, read after the tag.
+fn decode_value(tag: u8, r: &mut Reader) -> Result<Value> {
     Ok(match tag {
         0 => Value::Null,
-        1 => Value::Bool(get_u8_checked(buf, "bool value")? == 1),
-        2 => Value::Int(get_i64_checked(buf, "int value")?),
-        3 => Value::Double(get_f64_checked(buf, "double value")?),
-        TAG_STR => Value::Str(get_str_checked(buf, "string value")?),
-        5 => Value::Bytes(get_block_checked(buf, "bytes value")?.to_vec()),
+        1 => Value::Bool(r.u8("bool value")? == 1),
+        TAG_INT => Value::Int(r.i64("int value")?),
+        TAG_DOUBLE => Value::Double(r.f64("double value")?),
+        TAG_STR => Value::Str(r.str("string value")?.to_string()),
+        5 => Value::Bytes(r.block("bytes value")?.to_vec()),
         6 => {
-            let text = get_str_checked(buf, "json value")?;
-            let j = rtdi_common::json::parse(&text)
+            let text = r.str("json value")?;
+            let j = rtdi_common::json::parse(text)
                 .map_err(|_| Error::Corruption("invalid json in raw log".into()))?;
             Value::Json(Box::new(j))
         }
@@ -249,25 +252,25 @@ pub fn encode_rows(rows: &[Row]) -> Bytes {
 /// Inverse of [`encode_rows`]. Bounds-checked throughout: corrupt input
 /// returns `Err(Corruption)` and declared counts cannot force giant
 /// preallocations.
-pub fn decode_rows(data: &Bytes) -> Result<Vec<Row>> {
-    let mut buf = data.clone();
+pub fn decode_rows(data: &[u8]) -> Result<Vec<Row>> {
+    let mut r = Reader::new(data);
     // every row needs at least its 4-byte column count
-    let n = get_count_checked(&mut buf, 4, "row count")?;
+    let n = r.count(4, "row count")?;
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
-        out.push(decode_row(&mut buf)?);
+        out.push(decode_row(&mut r)?);
     }
     Ok(out)
 }
 
 /// One row: a column count, then `(name, value)` pairs.
-fn decode_row(buf: &mut Bytes) -> Result<Row> {
+fn decode_row(r: &mut Reader) -> Result<Row> {
     // every column needs at least its name length(4) + value tag(1)
-    let ncols = get_count_checked(buf, 5, "column count")?;
+    let ncols = r.count(5, "column count")?;
     let mut row = Row::with_capacity(ncols);
     for _ in 0..ncols {
-        let name = get_str_checked(buf, "column name")?;
-        row.push(name, decode_value(buf)?);
+        let name = r.str("column name")?;
+        row.push(name, decode_value(r.u8("value tag")?, r)?);
     }
     Ok(row)
 }
@@ -275,30 +278,29 @@ fn decode_row(buf: &mut Bytes) -> Result<Row> {
 /// Decode a raw-log object back into records. Bounds-checked throughout:
 /// corrupt input returns `Err(Corruption)`, never panics.
 pub fn decode_raw(data: &Bytes) -> Result<Vec<Record>> {
-    let mut buf = data.clone();
-    let n = get_count_checked(&mut buf, MIN_RECORD_BYTES, "record count")?;
+    let mut r = Reader::new(data);
+    let n = r.count(MIN_RECORD_BYTES, "record count")?;
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
-        let ts = get_i64_checked(&mut buf, "record timestamp")?;
-        let key = match get_u8_checked(&mut buf, "key tag")? {
-            KEY_STR => Some(Value::Str(get_str_checked(&mut buf, "key")?)),
-            KEY_INT => Some(Value::Int(get_i64_checked(&mut buf, "int key")?)),
+        let ts = r.i64("record timestamp")?;
+        let key = match r.u8("key tag")? {
+            KEY_STR => Some(Value::Str(r.str("key")?.to_string())),
+            KEY_INT => Some(Value::Int(r.i64("int key")?)),
             _ => None,
         };
         let mut rec = Record::new(Row::new(), ts);
         rec.key = key;
-        let audit = decode_audit(get_block_checked(&mut buf, "audit block")?)?;
+        let audit = decode_audit(r.block("audit block")?)?;
         if audit != Audit::default() {
             *rec.audit_mut() = audit;
         }
         // every header needs at least its two length prefixes
-        let nh = get_count_checked(&mut buf, 8, "header count")?;
+        let nh = r.count(8, "header count")?;
         for _ in 0..nh {
-            let k = get_str_checked(&mut buf, "header key")?;
-            let v = get_str_checked(&mut buf, "header value")?;
-            rec.headers.set(k, v);
+            let k = r.str("header key")?.to_string();
+            rec.headers.set(k, r.str("header value")?);
         }
-        rec.value = decode_row(&mut buf)?;
+        rec.value = decode_row(&mut r)?;
         out.push(rec);
     }
     Ok(out)
@@ -434,62 +436,59 @@ impl Compactor {
     }
 }
 
-fn utf8<'a>(bytes: &'a [u8], what: &str) -> Result<&'a str> {
-    std::str::from_utf8(bytes).map_err(|_| Error::Corruption(format!("invalid utf8 in {what}")))
-}
-
 /// Append one raw log's rows to the column builders (`columns[i]` builds
 /// `schema.fields[i]`, `__ts` among them). It walks the layout
 /// [`decode_raw`] walks, with every check that makes outside the audit
 /// block (skipped by its length), but builds neither the keys and headers
-/// a part file does not store nor a `Record` and a `Row` around the cells. As in a `Row`, the first of two equal column
-/// names wins; an event time the row lacks is the record's timestamp.
-fn compact_raw(data: &Bytes, schema: &Schema, columns: &mut [ColumnBuilder]) -> Result<()> {
+/// a part file does not store nor a `Record`, a `Row` or, for an Int,
+/// Double or string cell, a [`Value`]. A column name equal to a schema
+/// field's is its own UTF-8 proof; any other name is validated. As in a
+/// `Row`, the first of two equal column names wins; an event time the row
+/// lacks is the record's timestamp.
+fn compact_raw(data: &[u8], schema: &Schema, columns: &mut [ColumnBuilder]) -> Result<()> {
     let ts_col = schema.field_index("__ts");
-    let mut buf = data.clone();
-    let n = get_count_checked(&mut buf, MIN_RECORD_BYTES, "record count")?;
+    let mut r = Reader::new(data);
+    let n = r.count(MIN_RECORD_BYTES, "record count")?;
     for _ in 0..n {
         let row = columns.first().map_or(0, ColumnBuilder::len);
-        let ts = get_i64_checked(&mut buf, "record timestamp")?;
-        match get_u8_checked(&mut buf, "key tag")? {
-            KEY_STR => drop(utf8(&get_block_checked(&mut buf, "key")?, "key")?),
-            KEY_INT => drop(get_i64_checked(&mut buf, "int key")?),
+        let ts = r.i64("record timestamp")?;
+        match r.u8("key tag")? {
+            KEY_STR => drop(r.str("key")?),
+            KEY_INT => drop(r.i64("int key")?),
             _ => {}
         }
-        get_block_checked(&mut buf, "audit block")?;
-        let nh = get_count_checked(&mut buf, 8, "header count")?;
+        r.block("audit block")?;
+        let nh = r.count(8, "header count")?;
         for _ in 0..nh {
-            utf8(&get_block_checked(&mut buf, "header key")?, "header key")?;
-            utf8(
-                &get_block_checked(&mut buf, "header value")?,
-                "header value",
-            )?;
+            r.str("header key")?;
+            r.str("header value")?;
         }
-        let ncols = get_count_checked(&mut buf, 5, "column count")?;
+        let ncols = r.count(5, "column count")?;
         for _ in 0..ncols {
-            let name = get_block_checked(&mut buf, "column name")?;
-            utf8(&name, "column name")?;
-            let col = schema
-                .fields
-                .iter()
-                .position(|f| f.name.as_bytes() == name.as_slice())
+            let name = r.block("column name")?;
+            let field = schema.fields.iter().position(|f| f.name.as_bytes() == name);
+            if field.is_none() && std::str::from_utf8(name).is_err() {
+                return Err(Error::Corruption("invalid utf8 in column name".into()));
+            }
+            let col = field
                 .map(|i| &mut columns[i])
                 .filter(|col| col.len() == row);
-            match col {
-                Some(col) if buf.first() == Some(&TAG_STR) => {
-                    get_u8_checked(&mut buf, "value tag")?;
-                    let text = get_block_checked(&mut buf, "string value")?;
-                    col.push_str(utf8(&text, "string value")?);
-                }
-                Some(col) => col.push(Some(&decode_value(&mut buf)?)),
-                None => drop(decode_value(&mut buf)?),
+            match (col, r.u8("value tag")?) {
+                (Some(col), TAG_INT) => col.push_int(r.i64("int value")?),
+                (Some(col), TAG_DOUBLE) => col.push_double(r.f64("double value")?),
+                (Some(col), TAG_STR) => col.push_str(r.str("string value")?),
+                (Some(col), tag) => col.push(Some(&decode_value(tag, &mut r)?)),
+                (None, tag) => drop(decode_value(tag, &mut r)?),
             }
         }
         for (i, col) in columns.iter_mut().enumerate() {
             if col.len() == row {
                 // preserve event time for time-bounded backfills
-                let event_time = (Some(i) == ts_col).then_some(Value::Int(ts));
-                col.push(event_time.as_ref());
+                if Some(i) == ts_col {
+                    col.push_int(ts);
+                } else {
+                    col.push(None);
+                }
             }
         }
     }
@@ -579,11 +578,13 @@ mod tests {
         assert_eq!(date_partition(0), "d000000");
         assert_eq!(date_partition(86_400_000), "d000001");
         assert_eq!(date_partition(86_399_999), "d000000");
-        // negative timestamps bucket consistently too
-        assert_eq!(
-            date_partition(-1),
-            "d-00001".replace("d-00001", &date_partition(-1))
-        );
+        // before 1970 a day is negative, and its name reads back
+        assert_eq!(date_partition(-1), "d-00001");
+        assert_eq!(date_partition(-86_400_001), "d-00002");
+        for day in [-100_000, -2, -1, 0, 1, 123_456] {
+            assert_eq!(date_day(&day_name(day)), Some(day));
+        }
+        assert_eq!(date_day("2021-06-01"), None);
     }
 
     #[test]
@@ -619,7 +620,7 @@ mod tests {
         // raw logs gone, warehouse file present
         assert!(w.raw_keys("d000000").unwrap().is_empty());
         let table = catalog.table("trips").unwrap();
-        let rows = table.scan_partition("d000000").unwrap();
+        let rows = table.scan_all().unwrap();
         assert_eq!(rows.len(), 50);
         // event time preserved
         assert!(rows[0].get_int("__ts").is_some());

@@ -3,9 +3,11 @@
 //! §4.4: compacted datasets "constitute the source of truth for all
 //! analytical data. This is used to backfill data in Kafka, Pinot and even
 //! some OLTP or key-value store data sinks." The Kappa+ backfill (§7)
-//! reads these tables through [`HiveTable::scan_range`], and the SQL
-//! layer's Hive connector scans them for federated queries.
+//! reads these tables through [`HiveTable::open_range`] (its source through
+//! [`HiveTable::scan_range_timed`]), and the SQL layer's Hive connector
+//! scans them for federated queries.
 
+use crate::archival::{date_day, epoch_day};
 use crate::object::ObjectStore;
 use crate::segfile::{self, ColumnValues, SegmentFile};
 use parking_lot::RwLock;
@@ -40,11 +42,6 @@ impl HiveTable {
 
     pub fn schema(&self) -> Schema {
         self.inner.schema.clone()
-    }
-
-    /// Sorted list of partition keys (dates).
-    pub fn partitions(&self) -> Vec<String> {
-        self.inner.partitions.read().keys().cloned().collect()
     }
 
     /// Part files registered under one partition: the number the next one
@@ -82,25 +79,15 @@ impl HiveTable {
             .collect()
     }
 
-    /// The part files of the date partitions `[from, to)` touches.
+    /// The part files of the date partitions `[from, to)` touches. Dates
+    /// compare as epoch days, not as names: before 1970 the names sort
+    /// backwards (`d-00002` after `d-00001`).
     pub fn open_range(&self, from: Timestamp, to: Timestamp) -> Result<Vec<SegmentFile>> {
         if to <= from {
             return Ok(Vec::new());
         }
-        let from_day = crate::archival::date_partition(from);
-        let to_day = crate::archival::date_partition(to);
-        self.open_parts(|date| from_day.as_str() <= date && date <= to_day.as_str())
-    }
-
-    /// Read every row of one partition.
-    pub fn scan_partition(&self, date: &str) -> Result<Vec<Row>> {
-        if !self.inner.partitions.read().contains_key(date) {
-            return Err(Error::NotFound(format!(
-                "partition '{date}' of '{}'",
-                self.name
-            )));
-        }
-        all_rows(self.open_parts(|d| d == date)?)
+        let days = epoch_day(from)..=epoch_day(to);
+        self.open_parts(|date| date_day(date).is_some_and(|day| days.contains(&day)))
     }
 
     /// Full scan across all partitions, in partition order.
@@ -108,17 +95,11 @@ impl HiveTable {
         all_rows(self.open_parts(|_| true)?)
     }
 
-    /// Scan rows whose `__ts` column falls in `[from, to)`. Partitions are
-    /// pruned by their date bucket, then rows filtered — this is the
-    /// bounded-input read path the Kappa+ backfill uses to identify the
-    /// "start/end boundary of the bounded input" (§7).
-    pub fn scan_range(&self, from: Timestamp, to: Timestamp) -> Result<Vec<Row>> {
-        let timed = self.scan_range_timed(from, to, None)?;
-        Ok(timed.into_iter().map(|(_, row)| row).collect())
-    }
-
-    /// [`Self::scan_range`] with every row's event time beside it (0 for a
-    /// row without one), read off the decoded `__ts` column. Rows carry the
+    /// Rows whose `__ts` column falls in `[from, to)`, each with its event
+    /// time beside it (0 for a row without one, which belongs to every
+    /// range). Partitions are pruned by their date bucket, then rows
+    /// filtered — the bounded-input read path of the Kappa+ backfill's
+    /// "start/end boundary of the bounded input" (§7). Rows carry the
     /// columns `select` names (all when `None`), whether or not `__ts` is
     /// one of them.
     pub fn scan_range_timed(
@@ -346,12 +327,15 @@ mod tests {
         catalog
             .write_rows("trips", "d000001", &rows_for_day(1, 5))
             .unwrap();
-        assert_eq!(table.partitions(), vec!["d000000", "d000001"]);
-        assert_eq!(table.scan_partition("d000000").unwrap().len(), 10);
-        assert_eq!(table.scan_partition("d000001").unwrap().len(), 25);
+        let rows_of = |date: &str| -> usize {
+            let files = table.open_parts(|d| d == date).unwrap();
+            files.iter().map(SegmentFile::nrows).sum()
+        };
+        assert_eq!((rows_of("d000000"), rows_of("d000001")), (10, 25));
+        assert_eq!(rows_of("d000009"), 0);
+        assert_eq!(table.part_count("d000001"), 2);
         assert_eq!(table.scan_all().unwrap().len(), 35);
         assert_eq!(table.row_count(), 35);
-        assert!(table.scan_partition("d000009").is_err());
     }
 
     #[test]
@@ -369,16 +353,50 @@ mod tests {
         // range covering day 1 and first half of day 2
         let from = 86_400_000;
         let to = 2 * 86_400_000 + 5_000;
-        let rows = table.scan_range(from, to).unwrap();
+        let rows = table.scan_range_timed(from, to, None).unwrap();
         // all 10 of day1 + 5 of day2 (ts < to means i*1000 < 5000 -> i in 0..5)
         assert_eq!(rows.len(), 15);
-        assert!(rows.iter().all(|r| {
-            let ts = r.get_int("__ts").unwrap();
-            ts >= from && ts < to
-        }));
+        let in_range =
+            |(ts, r): &(i64, Row)| r.get_int("__ts") == Some(*ts) && (from..to).contains(ts);
+        assert!(rows.iter().all(in_range));
         // empty and inverted ranges
-        assert!(table.scan_range(100, 100).unwrap().is_empty());
-        assert!(table.scan_range(500, 100).unwrap().is_empty());
+        assert!(table.scan_range_timed(100, 100, None).unwrap().is_empty());
+        assert!(table.scan_range_timed(500, 100, None).unwrap().is_empty());
+    }
+
+    #[test]
+    fn range_reads_keep_the_days_before_1970() {
+        // date names sort backwards below day 0 ("d-00002" > "d-00001"):
+        // a range over them must still find every row a filter finds
+        let (catalog, table) = setup();
+        let day = 86_400_000;
+        let times: Vec<i64> = (-3..3)
+            .flat_map(|d| [d * day + 5, d * day + day / 2])
+            .collect();
+        for (id, &ts) in times.iter().enumerate() {
+            let row = Row::new().with("id", id as i64).with("__ts", ts);
+            let date = crate::archival::date_partition(ts);
+            catalog.write_rows("trips", &date, &[row]).unwrap();
+        }
+        let mut bounds: Vec<i64> = times.iter().flat_map(|&t| [t, t + 1]).collect();
+        bounds.extend([-4 * day, -day, 0, 1, 4 * day]);
+        for &from in &bounds {
+            for &to in &bounds {
+                let mut got: Vec<i64> = table
+                    .scan_range_timed(from, to, None)
+                    .unwrap()
+                    .into_iter()
+                    .map(|(ts, _)| ts)
+                    .collect();
+                got.sort_unstable();
+                let want: Vec<i64> = times
+                    .iter()
+                    .copied()
+                    .filter(|ts| (from..to).contains(ts))
+                    .collect();
+                assert_eq!(got, want, "[{from}, {to})");
+            }
+        }
     }
 
     #[test]

@@ -22,9 +22,7 @@
 //! shards — and are resolved by the operator's restore-side fold.
 
 use bytes::{BufMut, Bytes, BytesMut};
-use rtdi_common::wire::{
-    get_block_checked, get_count_checked, get_i64_checked, get_u32_checked, get_u64_checked,
-};
+use rtdi_common::wire::Reader;
 use rtdi_common::{Error, Result, Timestamp};
 
 /// Fixed key-group space. Must never change once checkpoints exist: a
@@ -76,27 +74,26 @@ impl KeyedSnapshot {
         buf.freeze()
     }
 
-    /// Decode an envelope, rejecting truncated or foreign bytes.
-    pub fn decode(mut data: Bytes) -> Result<Self> {
-        if get_u32_checked(&mut data, "keyed snapshot magic")? != MAGIC {
+    /// Decode an envelope, rejecting truncated or foreign bytes. Each
+    /// frame is a slice of `data`, not a copy.
+    pub fn decode(data: Bytes) -> Result<Self> {
+        let mut r = Reader::new(&data);
+        if r.u32("keyed snapshot magic")? != MAGIC {
             return Err(Error::Corruption("keyed snapshot bad magic".into()));
         }
-        let watermark = get_i64_checked(&mut data, "keyed snapshot watermark")?;
-        let dropped = get_u64_checked(&mut data, "keyed snapshot drop counter")?;
+        let watermark = r.i64("keyed snapshot watermark")?;
+        let dropped = r.u64("keyed snapshot drop counter")?;
         // every frame has at least its group id and length prefix
-        let n = get_count_checked(&mut data, 8, "keyed snapshot frame count")?;
+        let n = r.count(8, "keyed snapshot frame count")?;
         let mut frames = Vec::with_capacity(n);
         for _ in 0..n {
-            let group = get_u32_checked(&mut data, "keyed snapshot frame header")?;
+            let group = r.u32("keyed snapshot frame header")?;
             if group >= KEY_GROUPS {
                 return Err(Error::Corruption(format!(
                     "keyed snapshot group {group} out of range"
                 )));
             }
-            frames.push((
-                group,
-                get_block_checked(&mut data, "keyed snapshot frame body")?,
-            ));
+            frames.push((group, r.owned_block(&data, "keyed snapshot frame body")?));
         }
         Ok(KeyedSnapshot {
             watermark,
@@ -123,17 +120,6 @@ impl KeyedSnapshot {
         }
         out.frames.sort_by_key(|(group, _)| *group);
         out
-    }
-
-    /// The frames owned by instance `index` of `parallelism`.
-    pub fn frames_for(
-        &self,
-        index: usize,
-        parallelism: usize,
-    ) -> impl Iterator<Item = &(u32, Bytes)> {
-        self.frames
-            .iter()
-            .filter(move |(group, _)| shard_of_group(*group, parallelism) == index)
     }
 }
 
@@ -252,7 +238,8 @@ mod tests {
         for new_p in [1usize, 2, 3, 4, 8] {
             let mut seen = 0usize;
             for shard in 0..new_p {
-                seen += stage.frames_for(shard, new_p).count();
+                let owned = |(g, _): &&(u32, Bytes)| shard_of_group(*g, new_p) == shard;
+                seen += stage.frames.iter().filter(owned).count();
             }
             assert_eq!(seen, KEY_GROUPS as usize, "rescale to {new_p} lost frames");
         }

@@ -1331,11 +1331,30 @@ impl ColumnBuilder {
     pub(crate) fn push_str(&mut self, s: &str) {
         self.nulls.push(false);
         match &mut self.values {
-            ColumnValues::Bool(vals) => vals.push(false),
-            ColumnValues::Int(vals) => vals.push(0),
-            ColumnValues::Double(vals) => vals.push(0.0),
             ColumnValues::Str { dict, ids } => ids.push(intern_id(dict, &mut self.intern, s)),
-            ColumnValues::Bytes(vals) => vals.push(Vec::new()),
+            values => push_zero(values),
+        }
+    }
+
+    /// [`Self::push`] of an integer cell without the [`Value`]: a double
+    /// field widens it, as [`Value::as_double`] does.
+    pub(crate) fn push_int(&mut self, i: i64) {
+        self.nulls.push(false);
+        match &mut self.values {
+            ColumnValues::Int(vals) => vals.push(i),
+            ColumnValues::Double(vals) => vals.push(i as f64),
+            values => push_zero(values),
+        }
+    }
+
+    /// [`Self::push`] of a double cell without the [`Value`]: an integer
+    /// field keeps it only when it is integral, as [`Value::as_int`] does.
+    pub(crate) fn push_double(&mut self, d: f64) {
+        self.nulls.push(false);
+        match &mut self.values {
+            ColumnValues::Int(vals) => vals.push(if d.fract() == 0.0 { d as i64 } else { 0 }),
+            ColumnValues::Double(vals) => vals.push(d),
+            values => push_zero(values),
         }
     }
 
@@ -1368,6 +1387,17 @@ impl ColumnBuilder {
             values: self.values,
             nulls: self.nulls,
         }
+    }
+}
+
+/// The zero of a column's type: the cell a value it cannot hold becomes.
+fn push_zero(values: &mut ColumnValues) {
+    match values {
+        ColumnValues::Bool(vals) => vals.push(false),
+        ColumnValues::Int(vals) => vals.push(0),
+        ColumnValues::Double(vals) => vals.push(0.0),
+        ColumnValues::Str { ids, .. } => ids.push(NO_TEXT),
+        ColumnValues::Bytes(vals) => vals.push(Vec::new()),
     }
 }
 

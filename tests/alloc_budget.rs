@@ -10,7 +10,9 @@
 //! Then the read path's: a query pays for the groups and rows it answers
 //! with and a fixed sum per segment, not for every group of every segment
 //! nor for every document that matched, and a predicate on a sorted column
-//! builds no cell per probe.
+//! builds no cell per probe. And the decoders': compaction pays per
+//! distinct string, not per record or field, and a combine stage merges a
+//! partial row into a held window without allocating.
 //!
 //! One `#[test]`, so the process-wide counter sees one thread at work.
 
@@ -19,7 +21,8 @@ use rand::{Rng, SeedableRng};
 use rtdi::common::AggFn;
 use rtdi::common::{Error, FieldType, Record, Result, Row, Schema};
 use rtdi::compute::{
-    run_staged_with, CollectSink, FilterOp, Job, MapOp, StagedConfig, TopicSink, TopicSource,
+    run_staged_with, CollectSink, FilterOp, Job, MapOp, Operator, StagedConfig, TopicSink,
+    TopicSource, WindowAggregateOp, WindowAssigner,
 };
 use rtdi::core::platform::RealtimePlatform;
 use rtdi::flinksql::compiler::{compile_streaming, CompileOptions};
@@ -28,11 +31,15 @@ use rtdi::olap::query::{Predicate, PredicateOp, Query, SortOrder};
 use rtdi::olap::realtime::MutableSegment;
 use rtdi::olap::segment::{IndexSpec, Segment};
 use rtdi::olap::table::{OlapTable, TableConfig};
+use rtdi::storage::archival::{ArchivalWriter, Compactor};
+use rtdi::storage::hive::HiveCatalog;
+use rtdi::storage::object::{InMemoryStore, ObjectStore};
 use rtdi::stream::log::FetchResult;
 use rtdi::stream::producer::{Producer, ProducerConfig, StreamEndpoint};
 use rtdi::stream::topic::{Topic, TopicConfig};
 use rtdi::usecases::workloads::CityDriverGenerator;
 use rtdi_bench::count_allocations;
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -539,6 +546,97 @@ fn fresh_rows_skip_old_blocks() {
     assert_eq!(allocs[0], allocs[1], "ts >= X at 10 000 and at 40 000 docs");
 }
 
+/// The benchmark's trips: Zipf cities and drivers over its vocabulary.
+fn benchmark_trips(n: usize) -> Vec<Record> {
+    let mut gen = CityDriverGenerator::new(7, 512, 4_000, 1.0);
+    (0..n).map(|i| gen.trip((i / 20) as i64)).collect()
+}
+
+/// Compaction reads a raw log where it lies: two allocations per distinct
+/// string (the dictionary's and the intern table's copy) plus a sum that
+/// does not grow with the records, at 10 000 records and at 40 000. A
+/// copy per field or per record would be tens of thousands more.
+fn compaction_pays_per_distinct_string() {
+    const FIXED: u64 = 512;
+    let schema = Schema::of(
+        "trips",
+        &[
+            ("city", FieldType::Str),
+            ("driver", FieldType::Str),
+            ("fare", FieldType::Double),
+            ("ts", FieldType::Timestamp),
+        ],
+    );
+    for n in [10_000usize, 40_000] {
+        let records = benchmark_trips(n);
+        let store: Arc<dyn ObjectStore> = Arc::new(InMemoryStore::new());
+        let catalog = HiveCatalog::new(store.clone());
+        catalog.create_table("trips", schema.clone()).unwrap();
+        ArchivalWriter::new(store.clone(), "trips")
+            .write_batch(&records)
+            .unwrap();
+        let distinct = |col: &str| {
+            let texts = records.iter().filter_map(|r| r.value.get_str(col));
+            texts.collect::<HashSet<_>>().len() as u64
+        };
+        let strings = distinct("city") + distinct("driver");
+        let compactor = Compactor::new(store, catalog);
+        let (rows, spent) =
+            count_allocations(|| compactor.compact("trips", "d000000", &schema).unwrap());
+        assert_eq!(rows, n);
+        let allocs = spent.allocs;
+        assert!(
+            allocs <= 2 * strings + FIXED,
+            "compaction of {n} records: {allocs} allocations for {strings} distinct strings"
+        );
+    }
+}
+
+/// A combine stage reads each partial row's accumulators in place: a row
+/// whose (key, window) it already holds merges into it and allocates
+/// nothing.
+fn combine_merges_held_partials_in_place() {
+    let aggs = vec![
+        ("trips".to_string(), AggFn::Count),
+        ("revenue".to_string(), AggFn::Sum("fare".into())),
+        ("top".to_string(), AggFn::Max("fare".into())),
+    ];
+    // a window of 10 ms holds 200 trips: both shards leave a partial of
+    // most cities in each
+    let window = WindowAssigner::tumbling(10);
+    let salted = WindowAggregateOp::new("agg", vec!["city".into()], window, aggs, 0)
+        .with_parallelism(2)
+        .with_hot_key_salting(1);
+    let mut shards: Vec<_> = (0..2).map(|i| salted.make_shard(i, 2).unwrap()).collect();
+    let mut partials = Vec::new();
+    for (i, trip) in benchmark_trips(20_000).into_iter().enumerate() {
+        shards[i % 2]
+            .process(&Arc::new(trip), &mut partials)
+            .unwrap();
+    }
+    for shard in &mut shards {
+        shard.on_watermark(i64::MAX, &mut partials);
+    }
+    let mut combiner = salted.make_combiner().unwrap();
+    let mut out = Vec::new();
+    for p in &partials {
+        combiner.process(p, &mut out).unwrap();
+    }
+    let ((), spent) = count_allocations(|| {
+        for p in &partials {
+            combiner.process(p, &mut out).unwrap();
+        }
+    });
+    assert!(out.is_empty(), "no window closed");
+    assert!(partials.len() > 10_000, "{} partial rows", partials.len());
+    assert_eq!(
+        spent.allocs,
+        0,
+        "{} held partial rows merged",
+        partials.len()
+    );
+}
+
 #[test]
 fn produce_ingest_and_retry_hold_their_allocation_budgets() {
     const N: usize = 10_000;
@@ -612,4 +710,8 @@ fn produce_ingest_and_retry_hold_their_allocation_budgets() {
     sorted_probes_build_no_value();
 
     fresh_rows_skip_old_blocks();
+
+    compaction_pays_per_distinct_string();
+
+    combine_merges_held_partials_in_place();
 }

@@ -2,9 +2,9 @@
 //! through every decode entry point — segment files (eager
 //! `decode_rows_segment`, lazy `Segment::load_lazy`, and as a warehouse
 //! part file under `platform.sql` and the Kappa+ `HiveSource`), raw logs
-//! (`decode_raw`) and compute state: the stateful operators' `restore`
-//! (serial and as shards), `KeyedSnapshot::decode` and
-//! `CheckpointStore::latest`.
+//! (`decode_raw`, and `Compactor::compact`, which walks them on its own)
+//! and compute state: the stateful operators' `restore` (serial and as
+//! shards), `KeyedSnapshot::decode` and `CheckpointStore::latest`.
 //!
 //! The invariant is the bugfix contract of every decoder: fed hostile
 //! bytes it may succeed (benign damage — only segment files carry a
@@ -30,8 +30,8 @@ use rtdi::compute::{
 use rtdi::core::platform::RealtimePlatform;
 use rtdi::olap::query::Query;
 use rtdi::olap::segment::{IndexSpec, Segment};
-use rtdi::storage::archival::{decode_raw, encode_raw};
-use rtdi::storage::hive::HiveTable;
+use rtdi::storage::archival::{decode_raw, encode_raw, Compactor};
+use rtdi::storage::hive::{HiveCatalog, HiveTable};
 use rtdi::storage::keyed::KeyedSnapshot;
 use rtdi::storage::object::{InMemoryStore, ObjectStore};
 use rtdi::storage::segfile;
@@ -222,6 +222,36 @@ impl Warehouse {
     }
 }
 
+/// Compact a damaged raw log into a warehouse of its own. Whenever
+/// `decode_raw` accepts the bytes, the part file must be the one the row
+/// detour writes: the decoded rows, each with its event time, through
+/// `encode_rows_segment`.
+fn probe_compaction(schema: &Schema, bytes: Vec<u8>) -> Result<()> {
+    let store: Arc<dyn ObjectStore> = Arc::new(InMemoryStore::new());
+    let catalog = HiveCatalog::new(store.clone());
+    catalog.create_table("fz", schema.clone())?;
+    store.put("raw/fz/d000000/log-00000000", bytes.clone().into())?;
+    let compacted = Compactor::new(store.clone(), catalog).compact("fz", "d000000", schema);
+    let Ok(records) = decode_raw(&bytes.into()) else {
+        return compacted.map(drop);
+    };
+    let n = compacted.expect("compaction refused a raw log decode_raw accepts");
+    assert_eq!(n, records.len());
+    let mut full = schema.clone();
+    full.fields.push(Field::new("__ts", FieldType::Timestamp));
+    let rows: Vec<Row> = records
+        .into_iter()
+        .map(|r| match r.value.get("__ts") {
+            Some(_) => r.value,
+            None => r.value.with("__ts", r.timestamp),
+        })
+        .collect();
+    let detour = segfile::encode_rows_segment(&full, "fz-d000000-00000", &rows)?;
+    let written = store.get("warehouse/fz/d000000/part-00000")?;
+    assert!(written == detour, "compaction and the row detour disagree");
+    Ok(())
+}
+
 /// Decode a damaged segment file through both entry points.
 fn probe_segfile(bytes: Vec<u8>) -> Result<()> {
     // the lazy path must hold the same bound: open, query (a damaged
@@ -352,6 +382,35 @@ fn soak(seed: u64) -> Vec<String> {
         let audited: Vec<Record> = records.iter().cloned().enumerate().map(audit).collect();
         run("raw-log-audit", &encode_raw(&audited).unwrap(), &|b| {
             decode_raw(&b.into()).map(drop)
+        });
+        // compaction walks the raw log itself, skipping the audit block by
+        // its length; the fields take each cell it reads without a `Value`
+        // through the column coercions: a string in an Int field, a double
+        // in one (fractional, then whole), an integer in a Double one
+        let schema = Schema::of(
+            "fz",
+            &[
+                ("city", FieldType::Str),
+                ("fare", FieldType::Double),
+                ("rider", FieldType::Int),
+                ("n", FieldType::Double),
+                ("cents", FieldType::Int),
+                ("whole", FieldType::Int),
+                ("__stream", FieldType::Json),
+            ],
+        );
+        let priced: Vec<Record> = audited
+            .into_iter()
+            .enumerate()
+            .map(|(i, mut r)| {
+                let fare = r.value.get_double("fare").unwrap_or(0.0);
+                let row = r.value.with("n", i as i64).with("cents", fare * 100.0);
+                r.value = row.with("whole", fare.floor());
+                r
+            })
+            .collect();
+        run("raw-log-compact", &encode_raw(&priced).unwrap(), &|b| {
+            probe_compaction(&schema, b)
         });
     }
     let line = |(name, t): (&&str, &Tally)| {
