@@ -13,6 +13,10 @@ cargo test --release -q --test alloc_budget
 # and the property tests (about 5 s): the multi-block and NaN cases hold
 # where debug assertions are gone and arithmetic wraps
 cargo test --release -q --test properties
+# and random tumbling, sliding, session and dedup chains against the oracle,
+# across a checkpoint stop and a restore at another parallelism, in the
+# build whose window state the benchmark measures
+cargo test --release -q --test compute_ownership
 # and the decoder corpus: the wire reader's bounds arithmetic holds where
 # it would wrap, not only where an overflow panics
 cargo test --release -q --test decoder_robustness

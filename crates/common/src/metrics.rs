@@ -68,28 +68,42 @@ impl Gauge {
 /// Fixed-bucket latency histogram with power-of-two-ish bucket bounds in
 /// microseconds; good enough for p50/p99 style queries without allocation
 /// on the hot path.
+///
+/// An observation costs one atomic add when it raises neither the sum nor
+/// the max: the count is the sum of the buckets, a zero adds nothing to the
+/// sum, and the max is loaded before it is ever written.
 #[derive(Debug)]
 pub struct Histogram {
     bounds: Vec<u64>,
     buckets: Vec<AtomicU64>,
-    count: AtomicU64,
     sum: AtomicU64,
     max: AtomicU64,
 }
 
+/// Bucket bounds: 1us .. ~17min in x2 steps.
+const BOUNDS: u32 = 31;
+
 impl Default for Histogram {
     fn default() -> Self {
-        // 1us .. ~17min in x2 steps
-        let bounds: Vec<u64> = (0..31).map(|i| 1u64 << i).collect();
-        let buckets = (0..bounds.len() + 1).map(|_| AtomicU64::new(0)).collect();
+        let bounds: Vec<u64> = (0..BOUNDS).map(|i| 1u64 << i).collect();
+        let buckets = (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect();
         Histogram {
             bounds,
             buckets,
-            count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
             max: AtomicU64::new(0),
         }
     }
+}
+
+/// The bucket of `value`: the first whose bound `2^i` is at least `value`,
+/// or the overflow bucket past the last bound.
+fn bucket_of(value: u64) -> usize {
+    let ceil_log2 = match value {
+        0 | 1 => 0,
+        v => u64::BITS - (v - 1).leading_zeros(),
+    };
+    ceil_log2.min(BOUNDS) as usize
 }
 
 impl Histogram {
@@ -103,28 +117,29 @@ impl Histogram {
         if n == 0 {
             return;
         }
-        let idx = match self.bounds.binary_search(&value) {
-            Ok(i) => i,
-            Err(i) => i,
-        };
-        self.buckets[idx].fetch_add(n, Ordering::Relaxed);
-        self.count.fetch_add(n, Ordering::Relaxed);
-        self.sum
-            .fetch_add(value.saturating_mul(n), Ordering::Relaxed);
-        let mut cur = self.max.load(Ordering::Relaxed);
-        while value > cur {
-            match self
-                .max
-                .compare_exchange(cur, value, Ordering::Relaxed, Ordering::Relaxed)
-            {
-                Ok(_) => break,
-                Err(actual) => cur = actual,
-            }
+        self.buckets[bucket_of(value)].fetch_add(n, Ordering::Relaxed);
+        let total = value.saturating_mul(n);
+        if total != 0 {
+            self.sum.fetch_add(total, Ordering::Relaxed);
+        }
+        if value > self.max.load(Ordering::Relaxed) {
+            self.max.fetch_max(value, Ordering::Relaxed);
+        }
+    }
+
+    /// A recorder that folds consecutive equal values into one
+    /// [`record_n`](Self::record_n) each; the last run is recorded when it
+    /// drops.
+    pub fn runs(&self) -> Runs<'_> {
+        Runs {
+            hist: self,
+            value: 0,
+            n: 0,
         }
     }
 
     pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
+        self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
     }
 
     pub fn mean(&self) -> f64 {
@@ -163,6 +178,30 @@ impl Histogram {
             }
         }
         self.max()
+    }
+}
+
+/// A run of equal values on its way into a [`Histogram`] (see
+/// [`Histogram::runs`]).
+pub struct Runs<'a> {
+    hist: &'a Histogram,
+    value: u64,
+    n: u64,
+}
+
+impl Runs<'_> {
+    pub fn record(&mut self, value: u64) {
+        if value != self.value {
+            self.hist.record_n(self.value, self.n);
+            (self.value, self.n) = (value, 0);
+        }
+        self.n += 1;
+    }
+}
+
+impl Drop for Runs<'_> {
+    fn drop(&mut self) {
+        self.hist.record_n(self.value, self.n);
     }
 }
 
@@ -304,6 +343,45 @@ mod tests {
         };
         assert_eq!(read(&folded), read(&one_by_one));
         assert_eq!(folded.count(), 8);
+    }
+
+    #[test]
+    fn runs_read_as_one_record_per_value() {
+        // runs of zeros, of exact bounds, past the last bound, and singles
+        let mut values = Vec::new();
+        for (i, v) in [0u64, 0, 3, 1024, 1025, 0, 7, 7, 1 << 35, 2, 0]
+            .into_iter()
+            .enumerate()
+        {
+            values.extend(std::iter::repeat_n(v, i % 4 + 1));
+        }
+        let (one_by_one, through_runs) = (Histogram::default(), Histogram::default());
+        values.iter().for_each(|&v| one_by_one.record(v));
+        let mut runs = through_runs.runs();
+        values.iter().for_each(|&v| runs.record(v));
+        drop(runs);
+        let read = |h: &Histogram| {
+            let quantiles: Vec<u64> = [0.0, 0.1, 0.5, 0.9, 0.99, 1.0]
+                .into_iter()
+                .map(|q| h.quantile(q))
+                .collect();
+            (h.count(), h.mean(), h.max(), quantiles)
+        };
+        assert_eq!(read(&through_runs), read(&one_by_one));
+        assert_eq!(through_runs.count(), values.len() as u64);
+        // an unused recorder records nothing
+        drop(Histogram::default().runs());
+    }
+
+    #[test]
+    fn bucket_of_is_the_first_bound_at_or_above() {
+        let h = Histogram::default();
+        let mut probes: Vec<u64> = (0..64).flat_map(|i| [1u64 << i, (1u64 << i) + 1]).collect();
+        probes.extend([0, 3, 1000, u64::MAX]);
+        for v in probes {
+            let (Ok(expected) | Err(expected)) = h.bounds.binary_search(&v);
+            assert_eq!(bucket_of(v), expected, "{v}");
+        }
     }
 
     #[test]

@@ -129,9 +129,36 @@ impl TraceStage {
     /// `now`, OLAP ingestion after which no hop reads the stamp again).
     pub fn observe_last_hop(&self, record: &Record, now: Timestamp) -> i64 {
         let dwell = self.observe_read(record, now);
-        self.newest_origin
-            .fetch_max(PipelineTracer::app_ts_of(record), Ordering::Relaxed);
+        self.advance_origin(PipelineTracer::app_ts_of(record));
         dwell
+    }
+
+    /// [`Self::observe_last_hop`] of every record of a batch, and on
+    /// `total` its [`Self::record_total`]: the records became visible here.
+    /// Each histogram is updated once per run of equal dwells and the
+    /// pipeline's newest origin once per batch.
+    pub fn observe_visible<'a>(
+        &self,
+        total: &TraceStage,
+        records: impl IntoIterator<Item = (&'a Record, Timestamp)>,
+    ) {
+        let (mut hops, mut totals) = (self.hist.runs(), total.hist.runs());
+        let mut newest = i64::MIN;
+        for (record, now) in records {
+            let origin = PipelineTracer::app_ts_of(record);
+            hops.record((now - PipelineTracer::origin_of(record)).max(0) as u64);
+            totals.record((now - origin).max(0) as u64);
+            newest = newest.max(origin);
+        }
+        self.advance_origin(newest);
+    }
+
+    /// Raise the pipeline's newest origin to `origin`: a load, and a
+    /// read-modify-write only when it does rise.
+    fn advance_origin(&self, origin: Timestamp) {
+        if origin > self.newest_origin.load(Ordering::Relaxed) {
+            self.newest_origin.fetch_max(origin, Ordering::Relaxed);
+        }
     }
 
     /// Step 1 of [`Self::observe_hop`] alone, for observers off the main
@@ -299,6 +326,31 @@ mod tests {
         assert_eq!(tr.staleness_ms("p", 5_000), Some(1_000));
         assert_eq!(tr.note_query("p", 5_000), Some(1_000));
         assert_eq!(tr.report().stage("p", SQL_QUERY_STAGE).unwrap().count, 1);
+    }
+
+    #[test]
+    fn a_visible_batch_reads_as_its_records_one_by_one() {
+        // runs of equal dwells, a restamped record, skew, unstamped ones
+        let mut records: Vec<(Record, Timestamp)> = (0..40)
+            .map(|i| (stamped(1_000 + i / 7 * 10), 1_100 + i % 3))
+            .collect();
+        records[5].0.audit_mut().trace_ts = Some(1_090);
+        records[6].1 = 900;
+        records.push((Record::new(Row::new(), 50), 80));
+        let (batch, single) = (PipelineTracer::new(), PipelineTracer::new());
+        let (hop, total) = (batch.stage("p", "olap"), batch.stage("p", END_TO_END));
+        hop.observe_visible(&total, records.iter().map(|(r, now)| (r, *now)));
+        let (hop, total) = (single.stage("p", "olap"), single.stage("p", END_TO_END));
+        for (r, now) in &records {
+            hop.observe_last_hop(r, *now);
+            total.record_total(r, *now);
+        }
+        assert_eq!(batch.report(), single.report());
+        assert_eq!(
+            batch.staleness_ms("p", 2_000),
+            single.staleness_ms("p", 2_000)
+        );
+        assert_eq!(batch.report().stage("p", "olap").unwrap().count, 41);
     }
 
     #[test]

@@ -379,6 +379,14 @@ impl Row {
         out
     }
 
+    /// A copy that shares the column names and has room for `extra` more
+    /// cells, so a row about to be extended is allocated once.
+    pub fn clone_with_room(&self, extra: usize) -> Row {
+        let mut columns = Vec::with_capacity(self.columns.len() + extra);
+        columns.extend(self.columns.iter().cloned());
+        Row { columns }
+    }
+
     /// Rough in-memory footprint in bytes; used by the engine-memory
     /// experiments (E7) and OLAP footprint accounting (E10).
     pub fn approx_bytes(&self) -> usize {

@@ -40,10 +40,9 @@ use bytes::{BufMut, Bytes, BytesMut};
 use rtdi_common::agg::{AggAcc, AggFn};
 use rtdi_common::wire::Reader;
 use rtdi_common::{Error, Record, Result, Row, Timestamp, Value};
-use rtdi_storage::archival::{decode_rows, encode_rows};
+use rtdi_storage::archival::{decode_rows, encode_rows, encode_rows_into};
 use rtdi_storage::keyed::{key_group_of, shard_of_group, KeyedSnapshot};
-use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt::Write;
 use std::sync::Arc;
 
@@ -276,13 +275,252 @@ pub fn key_string(row: &Row, cols: &[impl AsRef<str>]) -> String {
 /// shard phase and the combine phase of a salted aggregation.
 pub const PARTIAL_COL: &str = "__partial";
 
-#[derive(Debug, Clone, Default)]
-struct WindowState {
-    key_row: Row,
+/// One open window of a key.
+struct Held {
+    start: Timestamp,
+    end: Timestamp,
     accs: Vec<AggAcc>,
+    /// The window's own key row, kept only when the record that opened it
+    /// projects to another row than its key's under the same key text (`1`
+    /// and `"1"`, or a `\u{1f}` inside a cell): every window emits the key
+    /// row it was opened with.
+    row: Option<Row>,
 }
 
-type WindowKey = (String, Timestamp, Timestamp);
+/// One key's open windows in (start, end) order, under the key row stored
+/// once.
+struct KeyWindows {
+    key_row: Row,
+    windows: Vec<Held>,
+}
+
+impl KeyWindows {
+    fn find(&self, start: Timestamp, end: Timestamp) -> std::result::Result<usize, usize> {
+        let bounds = (start, end);
+        self.windows
+            .binary_search_by(|w| (w.start, w.end).cmp(&bounds))
+    }
+
+    fn insert(&mut self, held: Held) {
+        let (Ok(at) | Err(at)) = self.find(held.start, held.end);
+        self.windows.insert(at, held);
+    }
+
+    fn row_of<'a>(&'a self, held: &'a Held) -> &'a Row {
+        held.row.as_ref().unwrap_or(&self.key_row)
+    }
+}
+
+/// Whether `row` projected onto `cols` ([`Row::project_shared`]) would be
+/// `key_row`, answered without allocating the projection.
+fn projects_to(row: &Row, cols: &[Arc<str>], key_row: &Row) -> bool {
+    key_row.len() == cols.len()
+        && cols.iter().zip(key_row.iter()).all(|(col, (name, kept))| {
+            **col == *name && row.get(col).map_or(kept.is_null(), |cell| cell == kept)
+        })
+}
+
+/// Windowed state: the group-key text ([`write_key`]) to that key's open
+/// windows. A record finds its window by hash; order exists only at the
+/// edges — a flush sorts the windows it closes by (key, start, end), a
+/// snapshot sorts its entries, a session merge scans its own key's windows
+/// — so emissions and checkpoint bytes are those of an ordered map. The
+/// hash is std's keyed `RandomState`, drawn afresh for every map: key texts
+/// are table data, and with a fixed hash crafted keys could all collide.
+#[derive(Default)]
+struct WindowMap {
+    keys: HashMap<Arc<str>, KeyWindows>,
+}
+
+impl WindowMap {
+    /// The accumulators of `key`'s window `[start, end)`, if it is held.
+    fn held(&mut self, key: &str, start: Timestamp, end: Timestamp) -> Option<&mut Vec<AggAcc>> {
+        let kw = self.keys.get_mut(key)?;
+        let at = kw.find(start, end).ok()?;
+        Some(&mut kw.windows[at].accs)
+    }
+
+    /// Open `key`'s window `[start, end)` with `accs`. The key row is the
+    /// projection of `opener`, the row that opened it, onto `cols`: built
+    /// for a key not held, and for a held key only when it differs.
+    fn open(
+        &mut self,
+        key: &str,
+        opener: &Row,
+        cols: &[Arc<str>],
+        (start, end): (Timestamp, Timestamp),
+        accs: Vec<AggAcc>,
+    ) {
+        let mut held = Held {
+            start,
+            end,
+            accs,
+            row: None,
+        };
+        match self.keys.get_mut(key) {
+            Some(kw) => {
+                if !projects_to(opener, cols, &kw.key_row) {
+                    held.row = Some(opener.project_shared(cols));
+                }
+                kw.insert(held);
+            }
+            None => {
+                let kw = KeyWindows {
+                    key_row: opener.project_shared(cols),
+                    windows: vec![held],
+                };
+                self.keys.insert(key.into(), kw);
+            }
+        }
+    }
+
+    /// Session windows merge: every window of `key` that overlaps
+    /// `window`, or the union grown so far, scanned in start order, folds
+    /// into the first of them, which takes the merged bounds and the key
+    /// row of the last. Returns the merged bounds for the caller to fold
+    /// the record into.
+    fn absorb_sessions(&mut self, key: &str, window: Window) -> Window {
+        let mut merged = window;
+        let Some(kw) = self.keys.get_mut(key) else {
+            return merged;
+        };
+        let mut union: Option<Held> = None;
+        let overlapping = kw.windows.extract_if(.., |w| {
+            // [w.start, w.end) intersects [merged.start, merged.end)
+            let hit = w.start < merged.end && merged.start < w.end;
+            if hit {
+                merged.start = merged.start.min(w.start);
+                merged.end = merged.end.max(w.end);
+            }
+            hit
+        });
+        for absorbed in overlapping {
+            match &mut union {
+                None => union = Some(absorbed),
+                Some(u) => {
+                    for (a, b) in u.accs.iter_mut().zip(&absorbed.accs) {
+                        a.merge(b);
+                    }
+                    u.row = absorbed.row;
+                }
+            }
+        }
+        if let Some(mut u) = union {
+            (u.start, u.end) = (merged.start, merged.end);
+            kw.insert(u);
+        }
+        merged
+    }
+
+    fn memory_bytes(&self) -> usize {
+        let held = |kw: &KeyWindows, w: &Held| {
+            let accs = w.accs.iter().map(AggAcc::memory_bytes).sum::<usize>();
+            kw.row_of(w).approx_bytes() + accs + 48
+        };
+        let per_key = |kw: &KeyWindows| kw.windows.iter().map(|w| held(kw, w)).sum::<usize>();
+        self.keys.values().map(per_key).sum()
+    }
+
+    /// Snapshot as a key-group framed [`KeyedSnapshot`]: one frame per
+    /// non-empty key group, in group order, its entries in (key, start,
+    /// end) order. The entries are written straight into one buffer, and
+    /// each frame is a slice of it.
+    fn snapshot(&self, watermark: Timestamp, dropped: u64) -> Bytes {
+        let held = self.keys.values().map(|kw| kw.windows.len()).sum();
+        let mut entries: Vec<(u32, &str, &Held, &Row)> = Vec::with_capacity(held);
+        for (key, kw) in &self.keys {
+            let group = key_group_of(Value::hash_of_str(key));
+            entries.extend(kw.windows.iter().map(|w| (group, &**key, w, kw.row_of(w))));
+        }
+        entries.sort_unstable_by(|a, b| {
+            (a.0, a.1, a.2.start, a.2.end).cmp(&(b.0, b.1, b.2.start, b.2.end))
+        });
+        let mut buf = BytesMut::new();
+        let mut frames = Vec::new();
+        for group in entries.chunk_by(|a, b| a.0 == b.0) {
+            let at = buf.len();
+            buf.put_u32(group.len() as u32);
+            for &(_, key, w, key_row) in group {
+                encode_window_entry(&mut buf, key, w, key_row);
+            }
+            frames.push((group[0].0, at..buf.len()));
+        }
+        let buf = buf.freeze();
+        KeyedSnapshot {
+            watermark,
+            dropped,
+            frames: frames
+                .into_iter()
+                .map(|(g, at)| (g, buf.slice(at)))
+                .collect(),
+        }
+        .encode()
+    }
+
+    /// Restore from a [`KeyedSnapshot`] stage envelope. A shard instance
+    /// keeps only the key groups it owns; duplicate entries for the same
+    /// (key, window) — salted partial state from several source shards —
+    /// fold together via [`AggAcc::merge`]. The stage-wide drop counter is
+    /// assigned to instance 0 so shard sums stay exact.
+    fn restore(data: Bytes, shard: Option<(usize, usize)>) -> Result<(Timestamp, u64, WindowMap)> {
+        let snap = KeyedSnapshot::decode(data)?;
+        let mut state = WindowMap::default();
+        for (group, frame) in snap.frames {
+            if let Some((index, of)) = shard {
+                if shard_of_group(group, of) != index {
+                    continue;
+                }
+            }
+            let mut r = Reader::new(&frame);
+            // an entry's fixed-width fields alone (two length prefixes, the
+            // window bounds, the accumulator count) take 28 bytes
+            let count = r.count(28, "key-group frame entry count")?;
+            for _ in 0..count {
+                let (key, held, key_row) = decode_window_entry(&mut r)?;
+                state.restore_entry(key, held, key_row)?;
+            }
+        }
+        let dropped = match shard {
+            Some((index, _)) if index != 0 => 0,
+            _ => snap.dropped,
+        };
+        Ok((snap.watermark, dropped, state))
+    }
+
+    fn restore_entry(&mut self, key: &str, mut held: Held, key_row: Row) -> Result<()> {
+        let Some(kw) = self.keys.get_mut(key) else {
+            let windows = vec![held];
+            self.keys
+                .insert(key.into(), KeyWindows { key_row, windows });
+            return Ok(());
+        };
+        let at = match kw.find(held.start, held.end) {
+            Ok(at) => at,
+            Err(_) => {
+                held.row = (key_row != kw.key_row).then_some(key_row);
+                kw.insert(held);
+                return Ok(());
+            }
+        };
+        // `AggAcc::merge` asserts equal shapes: check them here, where the
+        // bytes are still untrusted
+        let accs = &mut kw.windows[at].accs;
+        let same_shape = accs.len() == held.accs.len()
+            && accs
+                .iter()
+                .zip(&held.accs)
+                .all(|(a, b)| std::mem::discriminant(a) == std::mem::discriminant(b));
+        if !same_shape {
+            return Err(Error::Corruption(
+                "duplicate window entry with different accumulators".into(),
+            ));
+        }
+        for (a, b) in accs.iter_mut().zip(&held.accs) {
+            a.merge(b);
+        }
+        Ok(())
+    }
+}
 
 /// The grouping and output columns of a windowed stage, names interned
 /// once so state rows and emitted rows share them.
@@ -317,82 +555,80 @@ impl WindowCols {
         self.aggs.iter().map(named).collect()
     }
 
-    fn new_state(&self, row: &Row) -> WindowState {
-        WindowState {
-            key_row: row.project_shared(&self.keys),
-            accs: self.aggs.iter().map(|(_, f)| f.new_acc()).collect(),
-        }
+    fn new_accs(&self) -> Vec<AggAcc> {
+        self.aggs.iter().map(|(_, f)| f.new_acc()).collect()
     }
 
     /// The output record of a closed (key, window): the key row, the
     /// window bounds, then one final column per aggregate — or, from a
     /// shard of a salted aggregation (`partial`), the raw accumulators for
     /// the combine stage to merge.
-    fn record(&self, st: WindowState, start: Timestamp, end: Timestamp, partial: bool) -> Record {
-        let key = self.keys.first().and_then(|c| st.key_row.get(c).cloned());
-        let mut row = st.key_row;
-        row.push(self.start.clone(), start);
-        row.push(self.end.clone(), end);
+    fn record(&self, key_row: &Row, held: &Held, partial: bool) -> Record {
+        let key = self.keys.first().and_then(|c| key_row.get(c).cloned());
+        let cells = if partial { 1 } else { self.aggs.len() };
+        let mut row = key_row.clone_with_room(2 + cells);
+        row.push(self.start.clone(), held.start);
+        row.push(self.end.clone(), held.end);
         if partial {
             let mut accs = BytesMut::new();
-            accs.put_u32(st.accs.len() as u32);
-            for a in &st.accs {
+            accs.put_u32(held.accs.len() as u32);
+            for a in &held.accs {
                 a.encode(&mut accs);
             }
             row.push(self.partial.clone(), Value::Bytes(accs.to_vec()));
         } else {
-            for ((name, _), acc) in self.aggs.iter().zip(&st.accs) {
+            for ((name, _), acc) in self.aggs.iter().zip(&held.accs) {
                 row.push(name.clone(), acc.result());
             }
         }
-        let mut rec = Record::new(row, end - 1);
+        let mut rec = Record::new(row, held.end - 1);
         rec.key = key;
         rec
     }
 
     /// Remove every (key, window) the watermark closed from `state` and
-    /// emit its record, in key order.
+    /// emit its record, in (key, start, end) order.
     fn flush_closed(
         &self,
-        state: &mut BTreeMap<WindowKey, WindowState>,
+        state: &mut WindowMap,
         wm: Timestamp,
         lateness: i64,
         partial: bool,
         out: &mut OperatorOutput,
     ) {
-        state.retain(|(_, start, end), st| {
-            let closed = end.checked_add(lateness).is_none_or(|e| e <= wm);
-            if closed {
-                let st = std::mem::take(st);
-                out.push(Arc::new(self.record(st, *start, *end, partial)));
+        let mut closed = Vec::new();
+        state.keys.retain(|key, kw| {
+            let shut = |w: &mut Held| w.end.checked_add(lateness).is_none_or(|e| e <= wm);
+            for w in kw.windows.extract_if(.., shut) {
+                let rec = self.record(w.row.as_ref().unwrap_or(&kw.key_row), &w, partial);
+                closed.push((Arc::clone(key), w.start, w.end, rec));
             }
-            !closed
+            !kw.windows.is_empty()
         });
+        closed.sort_unstable_by(|a, b| (&a.0, a.1, a.2).cmp(&(&b.0, b.1, b.2)));
+        out.extend(closed.into_iter().map(|(.., rec)| Arc::new(rec)));
     }
 }
 
-fn encode_window_entry(
-    buf: &mut BytesMut,
-    key: &str,
-    start: Timestamp,
-    end: Timestamp,
-    st: &WindowState,
-) {
+fn encode_window_entry(buf: &mut BytesMut, key: &str, held: &Held, key_row: &Row) {
     buf.put_u32(key.len() as u32);
     buf.put_slice(key.as_bytes());
-    buf.put_i64(start);
-    buf.put_i64(end);
-    let rows = encode_rows(std::slice::from_ref(&st.key_row));
-    buf.put_u32(rows.len() as u32);
-    buf.put_slice(&rows);
-    buf.put_u32(st.accs.len() as u32);
-    for a in &st.accs {
+    buf.put_i64(held.start);
+    buf.put_i64(held.end);
+    // the key row's length prefix, patched once the row is written
+    let at = buf.len();
+    buf.put_u32(0);
+    encode_rows_into(buf, std::slice::from_ref(key_row));
+    let len = (buf.len() - at - 4) as u32;
+    buf[at..at + 4].copy_from_slice(&len.to_be_bytes());
+    buf.put_u32(held.accs.len() as u32);
+    for a in &held.accs {
         a.encode(buf);
     }
 }
 
-fn decode_window_entry(r: &mut Reader) -> Result<(WindowKey, WindowState)> {
-    let key = r.str("window state key")?.to_string();
+fn decode_window_entry<'a>(r: &mut Reader<'a>) -> Result<(&'a str, Held, Row)> {
+    let key = r.str("window state key")?;
     let start = r.i64("window start")?;
     let end = r.i64("window end")?;
     let rows = decode_rows(r.block("window key row")?)?;
@@ -403,100 +639,13 @@ fn decode_window_entry(r: &mut Reader) -> Result<(WindowKey, WindowState)> {
     for _ in 0..na {
         accs.push(AggAcc::decode(r)?);
     }
-    Ok(((key, start, end), WindowState { key_row, accs }))
-}
-
-/// Snapshot a windowed state map as a key-group framed [`KeyedSnapshot`]:
-/// one frame per non-empty key group, entries in map (= emission) order.
-fn windowed_snapshot(
-    state: &BTreeMap<WindowKey, WindowState>,
-    watermark: Timestamp,
-    dropped: u64,
-) -> Bytes {
-    let mut groups: BTreeMap<u32, (u32, BytesMut)> = BTreeMap::new();
-    for ((key, start, end), st) in state {
-        let g = key_group_of(Value::hash_of_str(key));
-        let slot = groups.entry(g).or_default();
-        slot.0 += 1;
-        encode_window_entry(&mut slot.1, key, *start, *end, st);
-    }
-    let frames = groups
-        .into_iter()
-        .map(|(g, (count, body))| {
-            let mut f = BytesMut::with_capacity(4 + body.len());
-            f.put_u32(count);
-            f.put_slice(&body);
-            (g, f.freeze())
-        })
-        .collect();
-    KeyedSnapshot {
-        watermark,
-        dropped,
-        frames,
-    }
-    .encode()
-}
-
-/// Restore a windowed state map from a [`KeyedSnapshot`] stage envelope.
-/// A shard instance keeps only the key groups it owns; duplicate entries
-/// for the same (key, window) — salted partial state from several source
-/// shards — fold together via [`AggAcc::merge`]. The stage-wide drop
-/// counter is assigned to instance 0 so shard sums stay exact.
-fn windowed_restore(
-    data: Bytes,
-    shard: Option<(usize, usize)>,
-) -> Result<(Timestamp, u64, BTreeMap<WindowKey, WindowState>)> {
-    let snap = KeyedSnapshot::decode(data)?;
-    let mut state: BTreeMap<WindowKey, WindowState> = BTreeMap::new();
-    for (group, frame) in snap.frames {
-        if let Some((index, of)) = shard {
-            if shard_of_group(group, of) != index {
-                continue;
-            }
-        }
-        let mut r = Reader::new(&frame);
-        // an entry's fixed-width fields alone (two length prefixes, the
-        // window bounds, the accumulator count) take 28 bytes
-        let count = r.count(28, "key-group frame entry count")?;
-        for _ in 0..count {
-            let (k, st) = decode_window_entry(&mut r)?;
-            match state.entry(k) {
-                Entry::Vacant(v) => {
-                    v.insert(st);
-                }
-                Entry::Occupied(mut o) => {
-                    // `AggAcc::merge` asserts equal shapes: check them
-                    // here, where the bytes are still untrusted
-                    let held = &mut o.get_mut().accs;
-                    let same_shape = held.len() == st.accs.len()
-                        && held
-                            .iter()
-                            .zip(&st.accs)
-                            .all(|(a, b)| std::mem::discriminant(a) == std::mem::discriminant(b));
-                    if !same_shape {
-                        return Err(Error::Corruption(
-                            "duplicate window entry with different accumulators".into(),
-                        ));
-                    }
-                    for (a, b) in held.iter_mut().zip(&st.accs) {
-                        a.merge(b);
-                    }
-                }
-            }
-        }
-    }
-    let dropped = match shard {
-        Some((index, _)) if index != 0 => 0,
-        _ => snap.dropped,
+    let held = Held {
+        start,
+        end,
+        accs,
+        row: None,
     };
-    Ok((snap.watermark, dropped, state))
-}
-
-fn windowed_bytes(state: &BTreeMap<WindowKey, WindowState>) -> usize {
-    let bytes = |st: &WindowState| {
-        st.key_row.approx_bytes() + st.accs.iter().map(AggAcc::memory_bytes).sum::<usize>() + 48
-    };
-    state.values().map(bytes).sum()
+    Ok((key, held, key_row))
 }
 
 /// Keyed event-time window aggregation.
@@ -509,13 +658,10 @@ pub struct WindowAggregateOp {
     cols: WindowCols,
     assigner: WindowAssigner,
     allowed_lateness: i64,
-    /// (key, window_start, window_end) -> state, ordered so that emission
-    /// and snapshots are deterministic.
-    state: BTreeMap<WindowKey, WindowState>,
-    /// The lookup key, reused across records: [`write_key`] fills the
-    /// string and a `String` is allocated only for a (key, window) that
-    /// enters the state.
-    probe: WindowKey,
+    state: WindowMap,
+    /// The lookup key, reused across records: [`write_key`] fills it, and
+    /// the map copies it only for a key it does not hold.
+    key: String,
     watermark: Timestamp,
     late_dropped: u64,
     parallelism: usize,
@@ -541,8 +687,8 @@ impl WindowAggregateOp {
             cols: WindowCols::new(key_cols, &aggs),
             assigner,
             allowed_lateness: allowed_lateness.max(0),
-            state: BTreeMap::new(),
-            probe: WindowKey::default(),
+            state: WindowMap::default(),
+            key: String::new(),
             watermark: Timestamp::MIN,
             late_dropped: 0,
             parallelism: 1,
@@ -571,77 +717,30 @@ impl WindowAggregateOp {
         self.hot_key_threshold.is_some() && !self.assigner.is_session()
     }
 
-    /// Records dropped for arriving after `window.end + allowed_lateness`
-    /// (the surge pipeline's freshness-over-completeness tradeoff, §5.1).
-    pub fn late_dropped(&self) -> u64 {
-        self.late_dropped
-    }
-
-    /// Fold `row` into `window` of the key held in `self.probe.0`.
+    /// Fold `row` into `window` of the key held in `self.key`.
     fn fold_into(&mut self, mut window: Window, row: &Row) {
         if window.end + self.allowed_lateness <= self.watermark {
             self.late_dropped += 1;
             return;
         }
         if self.assigner.is_session() {
-            window = self.absorb_sessions(window);
+            window = self.state.absorb_sessions(&self.key, window);
         }
-        (self.probe.1, self.probe.2) = (window.start, window.end);
-        let add = |st: &mut WindowState| {
-            for (acc, (_, f)) in st.accs.iter_mut().zip(&self.cols.aggs) {
+        let add = |accs: &mut Vec<AggAcc>| {
+            for (acc, (_, f)) in accs.iter_mut().zip(&self.cols.aggs) {
                 acc.add(f, row);
             }
         };
-        match self.state.get_mut(&self.probe) {
-            Some(st) => add(st),
+        match self.state.held(&self.key, window.start, window.end) {
+            Some(accs) => add(accs),
             None => {
-                let mut st = self.cols.new_state(row);
-                add(&mut st);
-                self.state.insert(self.probe.clone(), st);
+                let mut accs = self.cols.new_accs();
+                add(&mut accs);
+                let bounds = (window.start, window.end);
+                self.state
+                    .open(&self.key, row, &self.cols.keys, bounds, accs);
             }
         }
-    }
-
-    /// Session windows merge: take every session of the probe key that
-    /// overlaps `window` out of the state and put their union back as one
-    /// entry, keyed by a string one of them held, for the caller to fold
-    /// the record into. Returns the merged bounds.
-    fn absorb_sessions(&mut self, window: Window) -> Window {
-        let mut merged = window;
-        let mut overlapping: Vec<(Timestamp, Timestamp)> = Vec::new();
-        (self.probe.1, self.probe.2) = (Timestamp::MIN, Timestamp::MIN);
-        for (k, _) in self.state.range(&self.probe..) {
-            if k.0 != self.probe.0 {
-                break;
-            }
-            // existing [k.1, k.2) intersects [merged.start, merged.end)
-            if k.1 < merged.end && merged.start < k.2 {
-                merged.start = merged.start.min(k.1);
-                merged.end = merged.end.max(k.2);
-                overlapping.push((k.1, k.2));
-            }
-        }
-        let mut union: Option<(WindowKey, WindowState)> = None;
-        for bounds in overlapping {
-            (self.probe.1, self.probe.2) = bounds;
-            let Some((key, absorbed)) = self.state.remove_entry(&self.probe) else {
-                continue;
-            };
-            match &mut union {
-                None => union = Some((key, absorbed)),
-                Some((_, st)) => {
-                    for (a, b) in st.accs.iter_mut().zip(&absorbed.accs) {
-                        a.merge(b);
-                    }
-                    st.key_row = absorbed.key_row;
-                }
-            }
-        }
-        if let Some((mut key, st)) = union {
-            (key.1, key.2) = (merged.start, merged.end);
-            self.state.insert(key, st);
-        }
-        merged
     }
 }
 
@@ -651,7 +750,7 @@ impl Operator for WindowAggregateOp {
     }
 
     fn process(&mut self, record: &Arc<Record>, _out: &mut OperatorOutput) -> Result<()> {
-        write_key(&mut self.probe.0, &record.value, &self.cols.keys);
+        write_key(&mut self.key, &record.value, &self.cols.keys);
         match self.assigner.single_window(record.timestamp) {
             Some(window) => self.fold_into(window, &record.value),
             // sliding and session assigners: one fold per assigned window
@@ -675,11 +774,11 @@ impl Operator for WindowAggregateOp {
     }
 
     fn snapshot(&self) -> Bytes {
-        windowed_snapshot(&self.state, self.watermark, self.late_dropped)
+        self.state.snapshot(self.watermark, self.late_dropped)
     }
 
     fn restore(&mut self, data: Bytes) -> Result<()> {
-        let (watermark, dropped, state) = windowed_restore(data, self.shard)?;
+        let (watermark, dropped, state) = WindowMap::restore(data, self.shard)?;
         self.watermark = watermark;
         self.late_dropped = dropped;
         self.state = state;
@@ -687,7 +786,7 @@ impl Operator for WindowAggregateOp {
     }
 
     fn memory_bytes(&self) -> usize {
-        windowed_bytes(&self.state)
+        self.state.memory_bytes()
     }
 
     fn is_stateful(&self) -> bool {
@@ -866,9 +965,9 @@ pub struct PartialCombineOp {
     name: String,
     cols: WindowCols,
     allowed_lateness: i64,
-    state: BTreeMap<WindowKey, WindowState>,
+    state: WindowMap,
     /// Reused lookup key, as in [`WindowAggregateOp`].
-    probe: WindowKey,
+    key: String,
     /// Reused decode buffer of a row's accumulators: a row whose (key,
     /// window) is held merges them and allocates nothing.
     incoming: Vec<AggAcc>,
@@ -887,8 +986,8 @@ impl PartialCombineOp {
             name: name.into(),
             cols: WindowCols::new(key_cols, &aggs),
             allowed_lateness: allowed_lateness.max(0),
-            state: BTreeMap::new(),
-            probe: WindowKey::default(),
+            state: WindowMap::default(),
+            key: String::new(),
             incoming: Vec::new(),
             watermark: Timestamp::MIN,
             dropped: 0,
@@ -935,20 +1034,17 @@ impl Operator for PartialCombineOp {
             self.dropped += 1;
             return Ok(());
         }
-        write_key(&mut self.probe.0, row, &self.cols.keys);
-        (self.probe.1, self.probe.2) = (start, end);
-        match self.state.get_mut(&self.probe) {
-            Some(st) => {
-                for (a, b) in st.accs.iter_mut().zip(&self.incoming) {
+        write_key(&mut self.key, row, &self.cols.keys);
+        match self.state.held(&self.key, start, end) {
+            Some(accs) => {
+                for (a, b) in accs.iter_mut().zip(&self.incoming) {
                     a.merge(b);
                 }
             }
             None => {
-                let st = WindowState {
-                    key_row: row.project_shared(&self.cols.keys),
-                    accs: self.incoming.drain(..).collect(),
-                };
-                self.state.insert(self.probe.clone(), st);
+                let accs = self.incoming.drain(..).collect();
+                self.state
+                    .open(&self.key, row, &self.cols.keys, (start, end), accs);
             }
         }
         Ok(())
@@ -965,11 +1061,11 @@ impl Operator for PartialCombineOp {
     }
 
     fn snapshot(&self) -> Bytes {
-        windowed_snapshot(&self.state, self.watermark, self.dropped)
+        self.state.snapshot(self.watermark, self.dropped)
     }
 
     fn restore(&mut self, data: Bytes) -> Result<()> {
-        let (watermark, dropped, state) = windowed_restore(data, None)?;
+        let (watermark, dropped, state) = WindowMap::restore(data, None)?;
         self.watermark = watermark;
         self.dropped = dropped;
         self.state = state;
@@ -977,7 +1073,7 @@ impl Operator for PartialCombineOp {
     }
 
     fn memory_bytes(&self) -> usize {
-        windowed_bytes(&self.state)
+        self.state.memory_bytes()
     }
 
     fn is_stateful(&self) -> bool {
@@ -1870,11 +1966,11 @@ mod tests {
             KeyedSnapshot::decode(op.snapshot()).unwrap()
         };
         let mixed = KeyedSnapshot::merge([mk(AggFn::Count), mk(AggFn::Sum("fare".into()))]);
-        let got = windowed_restore(mixed.encode(), None);
+        let got = WindowMap::restore(mixed.encode(), None);
         assert!(matches!(got, Err(Error::Corruption(_))), "{:?}", got.err());
         let same = KeyedSnapshot::merge([mk(AggFn::Count), mk(AggFn::Count)]);
-        let (_, _, state) = windowed_restore(same.encode(), None).unwrap();
-        assert_eq!(state.values().next().unwrap().accs, vec![AggAcc::Count(2)]);
+        let (_, _, mut state) = WindowMap::restore(same.encode(), None).unwrap();
+        assert_eq!(state.held("sf", 0, 1000), Some(&mut vec![AggAcc::Count(2)]));
     }
 
     #[test]

@@ -134,13 +134,10 @@ impl RealtimeIngester {
                 if let Some(stage) = &self.chaperone {
                     stage.observe_batch(seen.clone());
                 }
+                // the records are queryable from here on: close out the
+                // end-to-end freshness measurement
                 if let Some((hop, total)) = &self.trace {
-                    for (record, now) in seen {
-                        hop.observe_last_hop(record, now);
-                        // the record is queryable from here on: close out
-                        // the end-to-end freshness measurement
-                        total.record_total(record, now);
-                    }
+                    hop.observe_visible(total, seen);
                 }
                 if let Some(refusal) = refusal {
                     return Err(refusal);

@@ -238,15 +238,20 @@ fn decode_value(tag: u8, r: &mut Reader) -> Result<Value> {
 /// Encode a bare row list (used by compute-state checkpoints).
 pub fn encode_rows(rows: &[Row]) -> Bytes {
     let mut buf = BytesMut::new();
+    encode_rows_into(&mut buf, rows);
+    buf.freeze()
+}
+
+/// [`encode_rows`] appended to `buf`: the same bytes, no buffer of its own.
+pub fn encode_rows_into(buf: &mut BytesMut, rows: &[Row]) {
     buf.put_u32(rows.len() as u32);
     for row in rows {
         buf.put_u32(row.len() as u32);
         for (name, value) in row.iter() {
-            put_str(&mut buf, name);
-            encode_value(&mut buf, value);
+            put_str(buf, name);
+            encode_value(buf, value);
         }
     }
-    buf.freeze()
 }
 
 /// Inverse of [`encode_rows`]. Bounds-checked throughout: corrupt input

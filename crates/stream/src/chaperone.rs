@@ -204,18 +204,11 @@ impl ChaperoneStage {
     /// so upstream and downstream observations of the same message land in
     /// the same audit window regardless of when each stage saw it.
     pub fn observe_batch<'a>(&self, records: impl IntoIterator<Item = (&'a Record, Timestamp)>) {
-        let freshness = &self.data.freshness;
-        let (mut dwell, mut run) = (0, 0);
+        let mut freshness = self.data.freshness.runs();
         let timed = records.into_iter().inspect(|(record, now)| {
-            let fresh = (now - PipelineTracer::app_ts_of(record)).max(0) as u64;
-            if fresh != dwell {
-                freshness.record_n(dwell, run);
-                (dwell, run) = (fresh, 0);
-            }
-            run += 1;
+            freshness.record((now - PipelineTracer::app_ts_of(record)).max(0) as u64);
         });
         self.count(timed.map(|(record, _)| id_and_time(record)));
-        freshness.record_n(dwell, run);
     }
 
     /// The one counting function: takes the lock once and keeps the

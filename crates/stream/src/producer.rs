@@ -12,7 +12,7 @@ use rtdi_common::{
     WallClock,
 };
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Anything records can be produced to / fetched from by topic name:
@@ -80,6 +80,10 @@ pub struct Producer {
     /// §4.1): a send that exhausts its topic bucket after the retry
     /// budget surfaces `Error::Overloaded` and is counted as shed.
     quotas: Mutex<BTreeMap<String, Arc<RateLimiter>>>,
+    /// Whether any quota was ever set: until then a send takes no lock.
+    /// Stored (`Release`) after the quota is in the map, so a send that
+    /// loads it (`Acquire`) as set finds the quota under the lock.
+    quoted: AtomicBool,
     shed: AtomicU64,
     retries: AtomicU64,
 }
@@ -104,6 +108,7 @@ impl Producer {
             seq: AtomicU64::new(0),
             sent: AtomicU64::new(0),
             quotas: Mutex::new(BTreeMap::new()),
+            quoted: AtomicBool::new(false),
             shed: AtomicU64::new(0),
             retries: AtomicU64::new(0),
         }
@@ -115,6 +120,7 @@ impl Producer {
             topic.to_string(),
             Arc::new(RateLimiter::new(self.clock.clone(), quota)),
         );
+        self.quoted.store(true, Ordering::Release);
     }
 
     /// Decorate and send one record. Every attempt hands the endpoint the
@@ -133,7 +139,11 @@ impl Producer {
         audit.trace_ts = Some(now);
         audit.service = Some(self.service.clone());
         let record = Arc::new(record);
-        let limiter = self.quotas.lock().get(topic).cloned();
+        let limiter = if self.quoted.load(Ordering::Acquire) {
+            self.quotas.lock().get(topic).cloned()
+        } else {
+            None
+        };
         // at-least-once: the shared policy retries only retryable errors
         // and backs off with deterministic jitter between attempts. The
         // quota check sits inside the retried closure: Overloaded is
@@ -290,6 +300,11 @@ mod tests {
         use rtdi_common::Quota;
         let (c, clock) = setup();
         let p = Producer::with_clock(c.clone(), ProducerConfig::default(), clock.clone());
+        // unthrottled until a quota is set, and bound from the next send on
+        for i in 0..4 {
+            p.send("t", Record::new(Row::new().with("i", i as i64), 0))
+                .unwrap();
+        }
         p.set_topic_quota("t", Quota::per_sec(1_000).with_burst(3));
         let mut accepted = 0u64;
         let mut shed = 0u64;
@@ -304,9 +319,9 @@ mod tests {
             }
         }
         assert_eq!((accepted, shed), (3, 2), "burst of 3, then quota sheds");
-        assert_eq!(p.records_sent(), 3);
+        assert_eq!(p.records_sent(), 4 + 3);
         assert_eq!(p.records_shed(), 2);
-        assert_eq!(c.topic("t").unwrap().total_records(), 3);
+        assert_eq!(c.topic("t").unwrap().total_records(), 4 + 3);
         // advancing the injected clock refills the bucket: 2ms at 1000/s
         clock.advance(2);
         for i in 0..3 {
@@ -317,9 +332,9 @@ mod tests {
                 assert!(matches!(r, Err(Error::Overloaded(_))));
             }
         }
-        assert_eq!(p.records_sent(), 5);
+        assert_eq!(p.records_sent(), 4 + 5);
         // exact accounting: every offered record is either sent or shed
-        assert_eq!(p.records_sent() + p.records_shed(), 8);
+        assert_eq!(p.records_sent() + p.records_shed(), 4 + 8);
     }
 
     #[test]

@@ -33,6 +33,7 @@ use rtdi::olap::segment::{IndexSpec, Segment};
 use rtdi::olap::table::{OlapTable, TableConfig};
 use rtdi::storage::archival::{ArchivalWriter, Compactor};
 use rtdi::storage::hive::HiveCatalog;
+use rtdi::storage::keyed::KeyedSnapshot;
 use rtdi::storage::object::{InMemoryStore, ObjectStore};
 use rtdi::stream::log::FetchResult;
 use rtdi::stream::producer::{Producer, ProducerConfig, StreamEndpoint};
@@ -124,6 +125,31 @@ fn allocs_of_flaky_sends(n: usize, failures: usize) -> u64 {
     let attempts = endpoint.refused.load(Ordering::Relaxed);
     assert_eq!(attempts, n * (failures + 1), "every refusal was retried");
     spent.allocs
+}
+
+/// Ingest the `n` records of `platform`'s topic with the platform's
+/// ingester, which audits and traces every record, and again with a bare
+/// one into a twin table: the audit and the trace cost at most `n / 16`
+/// allocations beyond the table's own. Returns the audited run's count.
+fn audited_ingest_within_budget(platform: &RealtimePlatform, n: usize) -> u64 {
+    let topic = platform.federation().subscribe("trips").unwrap().topic();
+    let partitions = topic.num_partitions();
+    let config = |name: &str| table(name).with_partitions(partitions);
+    let audited = platform.create_olap_table(config("trips")).unwrap();
+    let mut ingester = platform.ingest_into("trips", audited).unwrap();
+    let (ingested, with_audit) = count_allocations(|| ingester.run_once().unwrap());
+    let twin = OlapTable::new(config("twin")).unwrap();
+    let mut bare = RealtimeIngester::new(topic, twin, IngestionConfig::default()).unwrap();
+    let (plain, table_only) = count_allocations(|| bare.run_once().unwrap());
+    let (with_audit, table_only) = (with_audit.allocs, table_only.allocs);
+    assert_eq!((ingested, plain), (n as u64, n as u64));
+    assert!(
+        with_audit <= table_only + n as u64 / 16,
+        "audited ingest of {n} records in {partitions} partitions: {with_audit} allocations \
+         against {table_only} for the table alone"
+    );
+    assert!(platform.health().zero_loss());
+    with_audit
 }
 
 /// Every handle a topic's partition `p` holds, in offset order.
@@ -637,6 +663,41 @@ fn combine_merges_held_partials_in_place() {
     );
 }
 
+/// The benchmark's tumble keeps its windows in a hash map: a record whose
+/// (key, window) is held folds in and allocates nothing, and a checkpoint
+/// of its ~1 000 held windows writes every entry straight into one buffer,
+/// a constant per key group however many windows a group holds.
+fn windows_fold_and_checkpoint_in_place() {
+    let aggs = vec![
+        ("trips".to_string(), AggFn::Count),
+        ("revenue".to_string(), AggFn::Sum("fare".into())),
+    ];
+    let window = WindowAssigner::tumbling(1_000);
+    let mut tumble = WindowAggregateOp::new("agg", vec!["city".into()], window, aggs, 0);
+    let trips: Vec<Arc<Record>> = benchmark_trips(40_000).into_iter().map(Arc::new).collect();
+    let mut out = Vec::new();
+    tumble.process_batch(&trips, &mut out).unwrap();
+    let ((), folded) = count_allocations(|| tumble.process_batch(&trips, &mut out).unwrap());
+    assert!(out.is_empty(), "no window closed");
+    assert_eq!(
+        folded.allocs,
+        0,
+        "{} records folded into held windows",
+        trips.len()
+    );
+
+    let (snapshot, spent) = count_allocations(|| tumble.snapshot());
+    let snap = KeyedSnapshot::decode(snapshot).unwrap();
+    let groups = snap.frames.len() as u64;
+    let frame_entries = |frame: &[u8]| u32::from_be_bytes([frame[0], frame[1], frame[2], frame[3]]);
+    let windows: u32 = snap.frames.iter().map(|(_, f)| frame_entries(f)).sum();
+    assert!(windows > 900, "{windows} windows held");
+    assert!(
+        spent.allocs <= 2 * groups,
+        "checkpoint of {windows} windows in {groups} key groups: {spent}"
+    );
+}
+
 #[test]
 fn produce_ingest_and_retry_hold_their_allocation_budgets() {
     const N: usize = 10_000;
@@ -656,20 +717,17 @@ fn produce_ingest_and_retry_hold_their_allocation_budgets() {
 
     // the platform's ingester audits and traces every record; a bare one
     // into a twin table pays only what the table itself allocates
-    let audited = platform.create_olap_table(table("trips")).unwrap();
-    let mut ingester = platform.ingest_into("trips", audited).unwrap();
-    let (ingested, with_audit) = count_allocations(|| ingester.run_once().unwrap());
-    let topic = platform.federation().subscribe("trips").unwrap().topic();
-    let twin = OlapTable::new(table("twin")).unwrap();
-    let mut bare = RealtimeIngester::new(topic, twin, IngestionConfig::default()).unwrap();
-    let (plain, table_only) = count_allocations(|| bare.run_once().unwrap());
-    let (with_audit, table_only) = (with_audit.allocs, table_only.allocs);
-    assert_eq!((ingested, plain), (N as u64, N as u64));
-    assert!(
-        with_audit <= table_only + N as u64 / 16,
-        "audited ingest: {with_audit} allocations against {table_only} for the table alone"
-    );
-    assert!(platform.health().zero_loss());
+    let with_audit = audited_ingest_within_budget(&platform, N);
+
+    // and so does one whole fetch of 1 024 records
+    let one = RealtimePlatform::new();
+    let partition = TopicConfig::default().with_partitions(1);
+    one.create_topic("trips", partition, schema()).unwrap();
+    let producer = one.producer("budget");
+    for r in trips(1_024) {
+        producer.send("trips", r).unwrap();
+    }
+    audited_ingest_within_budget(&one, 1_024);
 
     // the same records trickling in, a hundred to a fetch: a round costs
     // its fetches, not a scratch buffer of its own
@@ -714,4 +772,6 @@ fn produce_ingest_and_retry_hold_their_allocation_budgets() {
     compaction_pays_per_distinct_string();
 
     combine_merges_held_partials_in_place();
+
+    windows_fold_and_checkpoint_in_place();
 }

@@ -32,6 +32,7 @@ const SEED_SEGFILE: u64 = 0x5E6F_11E0;
 const SEED_SEGFUZZ: u64 = 0x5E6F_F422;
 const SEED_HIVE: u64 = 0x0041_7E5C;
 const SEED_BLOCKS: u64 = 0xB10C_5EED;
+const SEED_WINDOWS: u64 = 0x0057_A7E5;
 
 fn schema() -> Schema {
     Schema::of(
@@ -1660,6 +1661,293 @@ mod fused_batched_equivalence {
                 ref_sink.records(),
                 "case {case}: re-run output diverged from reference"
             );
+        }
+    }
+}
+
+/// Window state kept in a hash map is invisible from outside: what a
+/// windowed aggregation emits, snapshots and reports as its size is what a
+/// plain ordered map of (key, start, end) gives, whatever the hash keys.
+mod order_free_window_state {
+    use super::*;
+    use rtdi::common::{AggAcc, Timestamp};
+    use rtdi::compute::operator::key_string;
+    use rtdi::compute::{Operator, WindowAggregateOp, WindowAssigner};
+    use rtdi::storage::archival::encode_rows;
+    use rtdi::storage::{key_group_of, KeyedSnapshot};
+    use std::collections::BTreeMap;
+    use std::sync::Arc;
+
+    type Entry = (Row, Vec<AggAcc>);
+
+    /// The operator's contract over an ordered map: a (key, window) keeps
+    /// the key row of the record that opened it, a session merge folds the
+    /// overlapping sessions into the first in start order under the key row
+    /// of the last, a flush walks the map in order.
+    struct Model {
+        cols: Vec<String>,
+        assigner: WindowAssigner,
+        aggs: Vec<(String, AggFn)>,
+        lateness: i64,
+        state: BTreeMap<(String, Timestamp, Timestamp), Entry>,
+        watermark: Timestamp,
+        dropped: u64,
+    }
+
+    impl Model {
+        fn process(&mut self, record: &Record) {
+            let key = key_string(&record.value, &self.cols);
+            for mut window in self.assigner.assign(record.timestamp) {
+                if window.end + self.lateness <= self.watermark {
+                    self.dropped += 1;
+                    continue;
+                }
+                if self.assigner.is_session() {
+                    let mut hits = Vec::new();
+                    let from = (key.clone(), Timestamp::MIN, Timestamp::MIN);
+                    for (k, _) in self.state.range(from..) {
+                        if k.0 != key {
+                            break;
+                        }
+                        if k.1 < window.end && window.start < k.2 {
+                            window.start = window.start.min(k.1);
+                            window.end = window.end.max(k.2);
+                            hits.push((k.1, k.2));
+                        }
+                    }
+                    let mut union: Option<Entry> = None;
+                    for (start, end) in hits {
+                        let absorbed = self.state.remove(&(key.clone(), start, end)).unwrap();
+                        match &mut union {
+                            None => union = Some(absorbed),
+                            Some((row, accs)) => {
+                                accs.iter_mut()
+                                    .zip(&absorbed.1)
+                                    .for_each(|(a, b)| a.merge(b));
+                                *row = absorbed.0;
+                            }
+                        }
+                    }
+                    if let Some(union) = union {
+                        self.state
+                            .insert((key.clone(), window.start, window.end), union);
+                    }
+                }
+                let names: Vec<&str> = self.cols.iter().map(String::as_str).collect();
+                let aggs = &self.aggs;
+                let (_, accs) = self
+                    .state
+                    .entry((key.clone(), window.start, window.end))
+                    .or_insert_with(|| {
+                        let accs = aggs.iter().map(|(_, f)| f.new_acc()).collect();
+                        (record.value.project(&names), accs)
+                    });
+                for (acc, (_, f)) in accs.iter_mut().zip(aggs) {
+                    acc.add(f, &record.value);
+                }
+            }
+        }
+
+        fn on_watermark(&mut self, wm: Timestamp, out: &mut Vec<Record>) {
+            if wm <= self.watermark {
+                return;
+            }
+            self.watermark = wm;
+            let lateness = self.lateness;
+            let closed = |end: Timestamp| end.checked_add(lateness).is_none_or(|e| e <= wm);
+            let keys: Vec<_> = self.state.keys().filter(|k| closed(k.2)).cloned().collect();
+            for k in keys {
+                let (key_row, accs) = self.state.remove(&k).unwrap();
+                let mut row = key_row.clone();
+                row.push("window_start", k.1);
+                row.push("window_end", k.2);
+                for ((name, _), acc) in self.aggs.iter().zip(&accs) {
+                    row.push(name.as_str(), acc.result());
+                }
+                let mut rec = Record::new(row, k.2 - 1);
+                rec.key = key_row.get(&self.cols[0]).cloned();
+                out.push(rec);
+            }
+        }
+
+        /// The snapshot's envelope fields and frames: one frame per key
+        /// group in group order, each a count and its entries in map order.
+        fn snapshot(&self) -> (Timestamp, u64, Vec<(u32, Vec<u8>)>) {
+            let mut groups: BTreeMap<u32, Vec<u8>> = BTreeMap::new();
+            let mut counts: BTreeMap<u32, u32> = BTreeMap::new();
+            for ((key, start, end), (key_row, accs)) in &self.state {
+                let g = key_group_of(Value::hash_of_str(key));
+                *counts.entry(g).or_default() += 1;
+                let body = groups.entry(g).or_default();
+                body.extend((key.len() as u32).to_be_bytes());
+                body.extend(key.as_bytes());
+                body.extend(start.to_be_bytes());
+                body.extend(end.to_be_bytes());
+                let rows = encode_rows(std::slice::from_ref(key_row));
+                body.extend((rows.len() as u32).to_be_bytes());
+                body.extend(&rows[..]);
+                body.extend((accs.len() as u32).to_be_bytes());
+                for acc in accs {
+                    let mut buf = Default::default();
+                    acc.encode(&mut buf);
+                    body.extend(&buf[..]);
+                }
+            }
+            let frames = groups.into_iter().map(|(g, body)| {
+                let mut frame = counts[&g].to_be_bytes().to_vec();
+                frame.extend(body);
+                (g, frame)
+            });
+            (self.watermark, self.dropped, frames.collect())
+        }
+
+        fn memory_bytes(&self) -> usize {
+            let entry = |(row, accs): &Entry| {
+                row.approx_bytes() + accs.iter().map(AggAcc::memory_bytes).sum::<usize>() + 48
+            };
+            self.state.values().map(entry).sum()
+        }
+    }
+
+    /// An operator's snapshot as [`Model::snapshot`] shows one.
+    fn decoded(snap: KeyedSnapshot) -> (Timestamp, u64, Vec<(u32, Vec<u8>)>) {
+        let frames = snap.frames.iter().map(|(g, f)| (*g, f.to_vec()));
+        (snap.watermark, snap.dropped, frames.collect())
+    }
+
+    /// Key cells that write to the same key text under different rows:
+    /// shared prefixes, a `\u{1f}` inside a cell (the key separator), the
+    /// empty string, a number and its text, NULL and `"NULL"`, an absent
+    /// cell and `"\u{0}"`.
+    fn arb_cell(rng: &mut StdRng) -> Option<Value> {
+        const TEXTS: [&str; 9] = [
+            "", "a", "ab", "a\u{1f}", "\u{1f}b", "a\u{1f}b", "b", "NULL", "\u{0}",
+        ];
+        Some(match rng.gen_range(0..20u32) {
+            0 => return None,
+            1 => Value::Null,
+            2 => Value::Int(1),
+            3 => Value::Str("1".into()),
+            _ => Value::Str(TEXTS[rng.gen_range(0..TEXTS.len())].into()),
+        })
+    }
+
+    fn arb_assigner(rng: &mut StdRng) -> WindowAssigner {
+        match rng.gen_range(0..3u32) {
+            0 => WindowAssigner::tumbling([7, 50, 300][rng.gen_range(0..3usize)]),
+            1 => {
+                let slide = [5, 20, 100][rng.gen_range(0..3usize)];
+                WindowAssigner::sliding(slide * rng.gen_range(1..5i64), slide)
+            }
+            _ => WindowAssigner::session([3, 40, 250][rng.gen_range(0..3usize)]),
+        }
+    }
+
+    fn aggs() -> Vec<(String, AggFn)> {
+        vec![
+            ("n".into(), AggFn::Count),
+            ("sum".into(), AggFn::Sum("v".into())),
+            ("avg".into(), AggFn::Avg("v".into())),
+            ("lo".into(), AggFn::Min("v".into())),
+            ("hi".into(), AggFn::Max("v".into())),
+            ("kinds".into(), AggFn::DistinctCount("v".into())),
+        ]
+    }
+
+    /// Tumbling, sliding and session windows over one- and two-column keys
+    /// that collide on their text, records in shuffled order with late ones
+    /// among them, and watermarks that come at drawn points, stand still or
+    /// go back. Three ways:
+    /// - emissions, snapshots, late drops and state size equal the model;
+    /// - two instances (each map with hash keys of its own) emit and
+    ///   snapshot byte-identically;
+    /// - a restored instance snapshots its checkpoint byte for byte, and
+    ///   carries on as the one it was restored from.
+    #[test]
+    fn hashed_window_state_equals_an_ordered_map() {
+        for case in 0..96u64 {
+            let mut rng = StdRng::seed_from_u64(SEED_WINDOWS + case);
+            let cols: Vec<String> = if rng.gen_bool(0.5) {
+                vec!["k".into()]
+            } else {
+                vec!["k".into(), "j".into()]
+            };
+            let assigner = arb_assigner(&mut rng);
+            let lateness = [0, 0, 30, 200][rng.gen_range(0..4usize)];
+            let mk = || WindowAggregateOp::new("agg", cols.clone(), assigner, aggs(), lateness);
+            let (mut a, mut b) = (mk(), mk());
+            let mut model = Model {
+                cols: cols.clone(),
+                assigner,
+                aggs: aggs(),
+                lateness,
+                state: BTreeMap::new(),
+                watermark: Timestamp::MIN,
+                dropped: 0,
+            };
+            let n = rng.gen_range(20..400usize);
+            let mut records: Vec<Record> = (0..n)
+                .map(|i| {
+                    let mut row = Row::new();
+                    for col in &cols {
+                        if let Some(cell) = arb_cell(&mut rng) {
+                            row.push(col.as_str(), cell);
+                        }
+                    }
+                    if rng.gen_bool(0.9) {
+                        row.push("v", (rng.gen_range(-40..40i64) as f64) * 0.37);
+                    }
+                    Record::new(row, (i as i64) * 3 + rng.gen_range(0..60i64))
+                })
+                .collect();
+            // shuffle within a drawn reach: mostly ordered, some far behind
+            let reach = [1usize, 8, n][rng.gen_range(0..3usize)];
+            for i in (1..n).rev() {
+                let j = i.saturating_sub(rng.gen_range(0..reach));
+                records.swap(i, j);
+            }
+            let (mut out_a, mut out_b, mut expected) = (Vec::new(), Vec::new(), Vec::new());
+            let mut newest = Timestamp::MIN;
+            let ctx = format!("case {case} {assigner:?} keys {cols:?} lateness {lateness}");
+            for record in &records {
+                newest = newest.max(record.timestamp);
+                let shared = Arc::new(record.clone());
+                a.process(&shared, &mut out_a).unwrap();
+                b.process(&shared, &mut out_b).unwrap();
+                model.process(record);
+                if rng.gen_bool(0.08) {
+                    let wm = newest - rng.gen_range(0..120i64);
+                    a.on_watermark(wm, &mut out_a);
+                    b.on_watermark(wm, &mut out_b);
+                    model.on_watermark(wm, &mut expected);
+                }
+                if rng.gen_bool(0.03) {
+                    let snap = a.snapshot();
+                    assert_eq!(snap, b.snapshot(), "{ctx}: two instances");
+                    let held = decoded(KeyedSnapshot::decode(snap.clone()).unwrap());
+                    assert_eq!(held, model.snapshot(), "{ctx}: model snapshot");
+                    let mut restored = mk();
+                    restored.restore(snap.clone()).unwrap();
+                    assert_eq!(restored.snapshot(), snap, "{ctx}: restore round trip");
+                    b = restored;
+                }
+                assert_eq!(a.memory_bytes(), model.memory_bytes(), "{ctx}: state size");
+            }
+            let held = decoded(KeyedSnapshot::decode(a.snapshot()).unwrap());
+            assert_eq!(held, model.snapshot(), "{ctx}: last snapshot");
+            a.on_watermark(Timestamp::MAX, &mut out_a);
+            b.on_watermark(Timestamp::MAX, &mut out_b);
+            model.on_watermark(Timestamp::MAX, &mut expected);
+            let expected: Vec<Arc<Record>> = expected.into_iter().map(Arc::new).collect();
+            assert_eq!(out_a, expected, "{ctx}: emissions");
+            assert_eq!(out_b, expected, "{ctx}: emissions of the second instance");
+            assert_eq!(
+                Operator::late_dropped(&a),
+                model.dropped,
+                "{ctx}: late drops"
+            );
+            assert_eq!(Operator::late_dropped(&b), model.dropped, "{ctx}");
+            assert!(!expected.is_empty(), "{ctx}");
         }
     }
 }
