@@ -4,6 +4,11 @@ set -euo pipefail
 cd "$(dirname "$0")"
 
 cargo build --release
+# every example runs to completion: the examples are the first runtime
+# surface, and clippy below only compiles them
+for example in examples/*.rs; do
+  cargo run --release -q --example "$(basename "$example" .rs)" >/dev/null
+done
 # --workspace: at the root a bare `cargo test` runs only the umbrella package.
 # Eight test threads: this guest has 2 vCPUs, and the default of 2 hides
 # the interleavings a test that shares state with a sibling would fail on

@@ -186,19 +186,16 @@ fn e08_flinksql(r: &mut Report) -> Result<()> {
         counted == N as i64 && canon(&from_sql) == canon(&by_hand),
     );
 
-    // the compiler's chaining pass folds WHERE and projection into one stage
+    // the runtime's chaining pass folds the compiled WHERE and projection
+    // into one stage
     const STATELESS: &str = "SELECT city, fare * 2 AS fare2 FROM trips WHERE ts >= 0";
     let mut stages = Vec::new();
     let mut outputs = Vec::new();
-    for chain_operators in [false, true] {
-        let options = CompileOptions {
-            chain_operators,
-            ..CompileOptions::default()
-        };
+    for fuse_operators in [false, true] {
         let sink = CollectSink::new();
         let job = compile("proj", STATELESS, trips_topic(N)?, &sink, &options)?;
         let config = StagedConfig {
-            fuse_operators: chain_operators,
+            fuse_operators,
             ..StagedConfig::batched(64, 64)
         };
         stages.push(run(job, &config)?.stages.len());
@@ -220,7 +217,6 @@ fn numbered_job_spec(name: &str, n: usize, sink: &CollectSink) -> JobSpec {
     JobSpec {
         name: name.to_string(),
         job_type: JobType::Stateless,
-        tier: 1,
         expected_records_per_sec: 10_000,
         factory: Box::new(move || {
             let rows = (0..n as i64)

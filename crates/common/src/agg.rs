@@ -45,18 +45,6 @@ impl AggFn {
             | AggFn::DistinctCount(c) => Some(c),
         }
     }
-
-    /// Default output column name (FlinkSQL uses aliases when provided).
-    pub fn default_name(&self) -> String {
-        match self {
-            AggFn::Count => "count".into(),
-            AggFn::Sum(c) => format!("sum_{c}"),
-            AggFn::Avg(c) => format!("avg_{c}"),
-            AggFn::Min(c) => format!("min_{c}"),
-            AggFn::Max(c) => format!("max_{c}"),
-            AggFn::DistinctCount(c) => format!("distinct_{c}"),
-        }
-    }
 }
 
 /// A running accumulator.
@@ -447,15 +435,5 @@ mod tests {
             let got = AggAcc::decode(&mut Reader::new(bad));
             assert!(matches!(got, Err(Error::Corruption(_))), "{bad:?}");
         }
-    }
-
-    #[test]
-    fn default_names() {
-        assert_eq!(AggFn::Count.default_name(), "count");
-        assert_eq!(AggFn::Sum("fare".into()).default_name(), "sum_fare");
-        assert_eq!(
-            AggFn::DistinctCount("rider".into()).default_name(),
-            "distinct_rider"
-        );
     }
 }

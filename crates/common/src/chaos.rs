@@ -382,10 +382,6 @@ impl Chaos {
         self.shared.armed.fetch_and(!point.bit(), Ordering::SeqCst);
     }
 
-    pub fn is_armed(&self, point: FaultPoint) -> bool {
-        self.shared.armed.load(Ordering::SeqCst) & point.bit() != 0
-    }
-
     /// (checks seen, faults fired) at a point since it was armed.
     pub fn stats(&self, point: FaultPoint) -> (u64, u64) {
         let inner = self.shared.inner.lock();
@@ -427,10 +423,6 @@ impl Chaos {
         out
     }
 
-    pub fn events(&self) -> Vec<FaultEvent> {
-        self.shared.inner.lock().events.clone()
-    }
-
     /// Down a named node (a Kafka broker node, an OLAP server, a task
     /// manager): node-granular chaos rather than call-granular. Drivers
     /// mirror the handle's down set into their `Membership` so every
@@ -456,22 +448,6 @@ impl Chaos {
 
     pub fn node_is_down(&self, node: &str) -> bool {
         self.shared.inner.lock().nodes_down.contains(node)
-    }
-
-    /// Currently downed nodes, in name order.
-    pub fn downed_nodes(&self) -> Vec<String> {
-        self.shared
-            .inner
-            .lock()
-            .nodes_down
-            .iter()
-            .cloned()
-            .collect()
-    }
-
-    /// The kill/heal action log, in action order.
-    pub fn node_log(&self) -> Vec<String> {
-        self.shared.inner.lock().node_log.clone()
     }
 
     /// Plan a deterministic node-outage schedule from the handle's seed:
@@ -640,12 +616,6 @@ impl RetryPolicy {
         }
     }
 
-    /// Same schedule arithmetic, no real sleeping.
-    pub fn no_sleep(mut self) -> Self {
-        self.sleep = false;
-        self
-    }
-
     pub fn with_backoff_us(mut self, base: u64, max: u64) -> Self {
         self.base_delay_us = base;
         self.max_delay_us = max.max(base);
@@ -701,6 +671,28 @@ impl RetryPolicy {
 mod tests {
     use super::*;
 
+    impl Chaos {
+        fn events(&self) -> Vec<FaultEvent> {
+            self.shared.inner.lock().events.clone()
+        }
+
+        /// Currently downed nodes, in name order.
+        fn downed_nodes(&self) -> Vec<String> {
+            self.shared
+                .inner
+                .lock()
+                .nodes_down
+                .iter()
+                .cloned()
+                .collect()
+        }
+
+        /// The kill/heal action log, in action order.
+        fn node_log(&self) -> Vec<String> {
+            self.shared.inner.lock().node_log.clone()
+        }
+    }
+
     #[test]
     fn splitmix_is_deterministic_and_well_spread() {
         let mut a = SplitMix64::new(42);
@@ -721,7 +713,7 @@ mod tests {
         let chaos = Chaos::seeded(1);
         for p in FaultPoint::ALL {
             assert!(chaos.check(p).is_ok());
-            assert!(!chaos.is_armed(p));
+            assert_eq!(chaos.stats(p), (0, 0));
         }
         assert_eq!(chaos.events().len(), 0);
     }
@@ -871,7 +863,10 @@ mod tests {
 
     #[test]
     fn retry_policy_respects_budget_and_classification() {
-        let policy = RetryPolicy::new(3).no_sleep();
+        let policy = RetryPolicy {
+            sleep: false,
+            ..RetryPolicy::new(3)
+        };
         // transient failure resolved within budget
         let mut calls = 0;
         let out = policy.run(|attempt| {

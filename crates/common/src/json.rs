@@ -336,9 +336,14 @@ mod tests {
     fn parses_nested_document() {
         let doc =
             r#"{"order": {"id": 7, "items": ["burger", "fries"], "paid": true, "tip": null}}"#;
-        let v = parse(doc).unwrap();
-        assert_eq!(v.path("order.id"), Some(&JsonValue::Number(7.0)));
-        match v.path("order.items") {
+        let JsonValue::Object(v) = parse(doc).unwrap() else {
+            panic!("not an object")
+        };
+        let Some(JsonValue::Object(order)) = v.get("order") else {
+            panic!("no order: {v:?}")
+        };
+        assert_eq!(order.get("id"), Some(&JsonValue::Number(7.0)));
+        match order.get("items") {
             Some(JsonValue::Array(items)) => assert_eq!(items.len(), 2),
             other => panic!("unexpected: {other:?}"),
         }

@@ -2,7 +2,7 @@
 //!
 //! Shared foundation types for the real-time data infrastructure
 //! reproduction: values, records, schemas, time sources (wall clock and a
-//! deterministic simulated clock), a lightweight metrics registry and a
+//! deterministic simulated clock), latency histograms and a
 //! small JSON codec used for semi-structured ingestion (§4.3.3 of the
 //! paper).
 //!

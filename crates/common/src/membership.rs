@@ -13,10 +13,9 @@
 //!   node [`NodeState::Suspect`] after `suspect_after_ms` without a
 //!   heartbeat and [`NodeState::Dead`] after `dead_after_ms`;
 //! - registered [`MembershipListener`]s (partition leader election, the
-//!   OLAP rebalancer, the job manager) react to state transitions;
-//! - every transition is recorded in a deterministic event log
-//!   ([`Membership::event_log`]) so failover schedules can be diffed
-//!   byte-for-byte across runs — the same discipline as the chaos layer.
+//!   OLAP rebalancer, the job manager) react to state transitions, which
+//!   come out in a deterministic order for a given heartbeat/clock
+//!   schedule — the same discipline as the chaos layer.
 //!
 //! Chaos node-kills ([`crate::chaos::Chaos::kill_node`]) route
 //! through [`Membership::kill`]: a killed node is pinned `Dead` and its
@@ -65,16 +64,6 @@ pub struct MembershipEvent {
     pub node: String,
     pub from: NodeState,
     pub to: NodeState,
-}
-
-impl MembershipEvent {
-    /// Stable one-line rendering for the deterministic event log.
-    pub fn line(&self) -> String {
-        format!(
-            "at={} node={} {}->{}",
-            self.at, self.node, self.from, self.to
-        )
-    }
 }
 
 /// Reacts to membership transitions. Listeners are called after the
@@ -132,17 +121,13 @@ impl RegionStatus {
     }
 }
 
-struct MembershipInner {
-    nodes: BTreeMap<String, NodeInfo>,
-    events: Vec<MembershipEvent>,
-}
-
 /// Shared membership view: register nodes, feed heartbeats, tick the
 /// failure detector, subscribe listeners.
 pub struct Membership {
     clock: Arc<dyn Clock>,
     config: MembershipConfig,
-    inner: RwLock<MembershipInner>,
+    /// node name -> what the detector knows of it
+    nodes: RwLock<BTreeMap<String, NodeInfo>>,
     listeners: RwLock<Vec<Arc<dyn MembershipListener>>>,
 }
 
@@ -151,10 +136,7 @@ impl Membership {
         Arc::new(Membership {
             clock,
             config,
-            inner: RwLock::new(MembershipInner {
-                nodes: BTreeMap::new(),
-                events: Vec::new(),
-            }),
+            nodes: RwLock::new(BTreeMap::new()),
             listeners: RwLock::new(Vec::new()),
         })
     }
@@ -167,8 +149,8 @@ impl Membership {
     /// no-op (its state is preserved).
     pub fn register(&self, node: &str) {
         let now = self.clock.now();
-        let mut inner = self.inner.write();
-        inner.nodes.entry(node.to_string()).or_insert(NodeInfo {
+        let mut nodes = self.nodes.write();
+        nodes.entry(node.to_string()).or_insert(NodeInfo {
             last_heartbeat: now,
             state: NodeState::Alive,
             killed: false,
@@ -181,9 +163,8 @@ impl Membership {
     /// cluster can adopt region tags after construction.
     pub fn register_in_region(&self, node: &str, region: &str) {
         let now = self.clock.now();
-        let mut inner = self.inner.write();
-        inner
-            .nodes
+        let mut nodes = self.nodes.write();
+        nodes
             .entry(node.to_string())
             .and_modify(|i| i.region = Some(region.to_string()))
             .or_insert(NodeInfo {
@@ -194,16 +175,10 @@ impl Membership {
             });
     }
 
-    /// The region a node was registered under, if any.
-    pub fn region_of(&self, node: &str) -> Option<String> {
-        self.inner.read().nodes.get(node)?.region.clone()
-    }
-
     /// All nodes tagged with `region`, in name order.
     pub fn nodes_in_region(&self, region: &str) -> Vec<String> {
-        self.inner
+        self.nodes
             .read()
-            .nodes
             .iter()
             .filter(|(_, i)| i.region.as_deref() == Some(region))
             .map(|(n, _)| n.clone())
@@ -215,9 +190,9 @@ impl Membership {
     /// declares each node dead by heartbeat deadline, and the region is
     /// down once the whole burst has been observed.
     pub fn region_statuses(&self) -> Vec<RegionStatus> {
-        let inner = self.inner.read();
+        let nodes = self.nodes.read();
         let mut by_region: BTreeMap<&str, (usize, usize)> = BTreeMap::new();
-        for info in inner.nodes.values() {
+        for info in nodes.values() {
             if let Some(r) = &info.region {
                 let e = by_region.entry(r.as_str()).or_insert((0, 0));
                 if info.state == NodeState::Dead {
@@ -262,8 +237,8 @@ impl Membership {
     pub fn heartbeat(&self, node: &str) {
         let now = self.clock.now();
         let event = {
-            let mut inner = self.inner.write();
-            let Some(info) = inner.nodes.get_mut(node) else {
+            let mut nodes = self.nodes.write();
+            let Some(info) = nodes.get_mut(node) else {
                 return;
             };
             if info.killed {
@@ -275,14 +250,12 @@ impl Membership {
             } else {
                 let from = info.state;
                 info.state = NodeState::Alive;
-                let ev = MembershipEvent {
+                Some(MembershipEvent {
                     at: now,
                     node: node.to_string(),
                     from,
                     to: NodeState::Alive,
-                };
-                inner.events.push(ev.clone());
-                Some(ev)
+                })
             }
         };
         if let Some(ev) = event {
@@ -292,14 +265,14 @@ impl Membership {
 
     /// Run the failure detector over every node at the current logical
     /// time and return the transitions it observed (already dispatched to
-    /// listeners). Nodes are evaluated in name order, so the event log is
-    /// deterministic for a given heartbeat/clock schedule.
+    /// listeners). Nodes are evaluated in name order, so the transitions
+    /// are deterministic for a given heartbeat/clock schedule.
     pub fn tick(&self) -> Vec<MembershipEvent> {
         let now = self.clock.now();
         let transitions = {
-            let mut inner = self.inner.write();
+            let mut nodes = self.nodes.write();
             let mut transitions = Vec::new();
-            for (name, info) in inner.nodes.iter_mut() {
+            for (name, info) in nodes.iter_mut() {
                 if info.killed {
                     continue;
                 }
@@ -323,7 +296,6 @@ impl Membership {
                     info.state = verdict;
                 }
             }
-            inner.events.extend(transitions.iter().cloned());
             transitions
         };
         for ev in &transitions {
@@ -338,22 +310,20 @@ impl Membership {
     pub fn kill(&self, node: &str) -> Option<MembershipEvent> {
         let now = self.clock.now();
         let event = {
-            let mut inner = self.inner.write();
-            let info = inner.nodes.get_mut(node)?;
+            let mut nodes = self.nodes.write();
+            let info = nodes.get_mut(node)?;
             info.killed = true;
             if info.state == NodeState::Dead {
                 return None;
             }
             let from = info.state;
             info.state = NodeState::Dead;
-            let ev = MembershipEvent {
+            MembershipEvent {
                 at: now,
                 node: node.to_string(),
                 from,
                 to: NodeState::Dead,
-            };
-            inner.events.push(ev.clone());
-            ev
+            }
         };
         self.notify(&event);
         Some(event)
@@ -365,8 +335,8 @@ impl Membership {
     pub fn revive(&self, node: &str) -> Option<MembershipEvent> {
         let now = self.clock.now();
         let event = {
-            let mut inner = self.inner.write();
-            let info = inner.nodes.get_mut(node)?;
+            let mut nodes = self.nodes.write();
+            let info = nodes.get_mut(node)?;
             info.killed = false;
             info.last_heartbeat = now;
             if info.state == NodeState::Alive {
@@ -374,21 +344,19 @@ impl Membership {
             }
             let from = info.state;
             info.state = NodeState::Alive;
-            let ev = MembershipEvent {
+            MembershipEvent {
                 at: now,
                 node: node.to_string(),
                 from,
                 to: NodeState::Alive,
-            };
-            inner.events.push(ev.clone());
-            ev
+            }
         };
         self.notify(&event);
         Some(event)
     }
 
     pub fn state(&self, node: &str) -> Option<NodeState> {
-        self.inner.read().nodes.get(node).map(|i| i.state)
+        self.nodes.read().get(node).map(|i| i.state)
     }
 
     /// Live = not `Dead`. Suspect nodes still serve (their session has
@@ -401,9 +369,8 @@ impl Membership {
 
     /// Names of live (non-dead) nodes, in name order.
     pub fn live_nodes(&self) -> Vec<String> {
-        self.inner
+        self.nodes
             .read()
-            .nodes
             .iter()
             .filter(|(_, i)| i.state != NodeState::Dead)
             .map(|(n, _)| n.clone())
@@ -412,23 +379,6 @@ impl Membership {
 
     pub fn subscribe(&self, listener: Arc<dyn MembershipListener>) {
         self.listeners.write().push(listener);
-    }
-
-    pub fn events(&self) -> Vec<MembershipEvent> {
-        self.inner.read().events.clone()
-    }
-
-    /// Deterministic one-line-per-transition log; two runs with the same
-    /// clock/heartbeat/kill schedule produce byte-identical output (the
-    /// node-kill CI gate diffs this).
-    pub fn event_log(&self) -> String {
-        let inner = self.inner.read();
-        let mut out = String::new();
-        for ev in &inner.events {
-            out.push_str(&ev.line());
-            out.push('\n');
-        }
-        out
     }
 
     fn notify(&self, event: &MembershipEvent) {
@@ -444,6 +394,23 @@ mod tests {
     use super::*;
     use crate::time::SimClock;
     use parking_lot::Mutex;
+
+    /// Every transition a listener was told of, in order.
+    struct Collect(Mutex<Vec<MembershipEvent>>);
+
+    impl MembershipListener for Collect {
+        fn on_membership_event(&self, event: &MembershipEvent) {
+            self.0.lock().push(event.clone());
+        }
+    }
+
+    impl Collect {
+        fn subscribed(m: &Membership) -> Arc<Collect> {
+            let seen = Arc::new(Collect(Mutex::new(Vec::new())));
+            m.subscribe(seen.clone());
+            seen
+        }
+    }
 
     fn setup() -> (Arc<SimClock>, Arc<Membership>) {
         let clock = Arc::new(SimClock::new(0));
@@ -491,11 +458,11 @@ mod tests {
         clock.advance(4_000);
         m.tick();
         assert_eq!(m.state("n0"), Some(NodeState::Suspect));
+        let seen = Collect::subscribed(&m);
         m.heartbeat("n0");
         assert_eq!(m.state("n0"), Some(NodeState::Alive));
         // the recovery itself is an event
-        let evs = m.events();
-        assert_eq!(evs.last().unwrap().to, NodeState::Alive);
+        assert_eq!(seen.0.lock().last().unwrap().to, NodeState::Alive);
     }
 
     #[test]
@@ -516,15 +483,8 @@ mod tests {
 
     #[test]
     fn listeners_observe_transitions() {
-        struct Collect(Mutex<Vec<MembershipEvent>>);
-        impl MembershipListener for Collect {
-            fn on_membership_event(&self, event: &MembershipEvent) {
-                self.0.lock().push(event.clone());
-            }
-        }
         let (clock, m) = setup();
-        let seen = Arc::new(Collect(Mutex::new(Vec::new())));
-        m.subscribe(seen.clone());
+        let seen = Collect::subscribed(&m);
         m.register("n0");
         clock.advance(20_000);
         m.tick();
@@ -536,9 +496,10 @@ mod tests {
     }
 
     #[test]
-    fn event_log_is_deterministic() {
+    fn transitions_are_deterministic() {
         let run = || {
             let (clock, m) = setup();
+            let seen = Collect::subscribed(&m);
             m.register("a");
             m.register("b");
             clock.advance(5_000);
@@ -548,7 +509,8 @@ mod tests {
             m.tick();
             m.kill("b");
             m.revive("a");
-            m.event_log()
+            let transitions = seen.0.lock().clone();
+            transitions
         };
         let first = run();
         assert!(!first.is_empty());
@@ -562,7 +524,6 @@ mod tests {
             m.register_in_region(&format!("west-n{i}"), "west");
             m.register_in_region(&format!("east-n{i}"), "east");
         }
-        assert_eq!(m.region_of("west-n0").as_deref(), Some("west"));
         assert_eq!(m.nodes_in_region("east").len(), 3);
         assert!(!m.region_is_down("west"));
         // west falls silent; east keeps heartbeating

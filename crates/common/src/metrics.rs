@@ -1,69 +1,10 @@
-//! Lightweight metrics registry.
+//! Latency histograms.
 //!
 //! §9.3 of the paper stresses real-time monitoring for every component.
-//! This registry provides counters, gauges and histograms cheap enough to
-//! keep enabled in benches, and snapshotable so the job manager's
-//! rule-based auto-recovery engine (§4.2.1) can read them.
+//! A [`Histogram`] is cheap enough to keep enabled on the record path: the
+//! freshness tracer keeps one per traced hop.
 
-use parking_lot::RwLock;
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::Arc;
-
-/// Monotonic counter.
-#[derive(Debug, Default)]
-pub struct Counter {
-    value: AtomicU64,
-}
-
-impl Counter {
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    pub fn add(&self, n: u64) {
-        self.value.fetch_add(n, Ordering::Relaxed);
-    }
-
-    pub fn get(&self) -> u64 {
-        self.value.load(Ordering::Relaxed)
-    }
-}
-
-/// Point-in-time gauge (can go up and down).
-#[derive(Debug, Default)]
-pub struct Gauge {
-    value: AtomicI64,
-}
-
-impl Gauge {
-    pub fn set(&self, v: i64) {
-        self.value.store(v, Ordering::Relaxed);
-    }
-
-    pub fn add(&self, delta: i64) {
-        self.value.fetch_add(delta, Ordering::Relaxed);
-    }
-
-    pub fn get(&self) -> i64 {
-        self.value.load(Ordering::Relaxed)
-    }
-
-    /// Record a new value and keep the max seen (peak tracking, used by the
-    /// memory-footprint experiment E7).
-    pub fn set_max(&self, v: i64) {
-        let mut cur = self.value.load(Ordering::Relaxed);
-        while v > cur {
-            match self
-                .value
-                .compare_exchange(cur, v, Ordering::Relaxed, Ordering::Relaxed)
-            {
-                Ok(_) => break,
-                Err(actual) => cur = actual,
-            }
-        }
-    }
-}
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Fixed-bucket latency histogram with power-of-two-ish bucket bounds in
 /// microseconds; good enough for p50/p99 style queries without allocation
@@ -205,111 +146,9 @@ impl Drop for Runs<'_> {
     }
 }
 
-/// Snapshot of every metric, keyed by name.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct MetricsSnapshot {
-    pub counters: BTreeMap<String, u64>,
-    pub gauges: BTreeMap<String, i64>,
-    pub histogram_p99_us: BTreeMap<String, u64>,
-}
-
-/// Shared registry. Cloning shares the underlying maps.
-#[derive(Debug, Clone, Default)]
-pub struct MetricsRegistry {
-    counters: Arc<RwLock<BTreeMap<String, Arc<Counter>>>>,
-    gauges: Arc<RwLock<BTreeMap<String, Arc<Gauge>>>>,
-    histograms: Arc<RwLock<BTreeMap<String, Arc<Histogram>>>>,
-}
-
-impl MetricsRegistry {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    pub fn counter(&self, name: &str) -> Arc<Counter> {
-        if let Some(c) = self.counters.read().get(name) {
-            return c.clone();
-        }
-        self.counters
-            .write()
-            .entry(name.to_string())
-            .or_insert_with(|| Arc::new(Counter::default()))
-            .clone()
-    }
-
-    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        if let Some(g) = self.gauges.read().get(name) {
-            return g.clone();
-        }
-        self.gauges
-            .write()
-            .entry(name.to_string())
-            .or_insert_with(|| Arc::new(Gauge::default()))
-            .clone()
-    }
-
-    pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        if let Some(h) = self.histograms.read().get(name) {
-            return h.clone();
-        }
-        self.histograms
-            .write()
-            .entry(name.to_string())
-            .or_insert_with(|| Arc::new(Histogram::default()))
-            .clone()
-    }
-
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            counters: self
-                .counters
-                .read()
-                .iter()
-                .map(|(k, v)| (k.clone(), v.get()))
-                .collect(),
-            gauges: self
-                .gauges
-                .read()
-                .iter()
-                .map(|(k, v)| (k.clone(), v.get()))
-                .collect(),
-            histogram_p99_us: self
-                .histograms
-                .read()
-                .iter()
-                .map(|(k, v)| (k.clone(), v.quantile(0.99)))
-                .collect(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_accumulates() {
-        let r = MetricsRegistry::new();
-        let c = r.counter("msgs");
-        c.inc();
-        c.add(9);
-        assert_eq!(r.counter("msgs").get(), 10); // same instance by name
-        assert_eq!(r.counter("other").get(), 0);
-    }
-
-    #[test]
-    fn gauge_set_and_peak() {
-        let r = MetricsRegistry::new();
-        let g = r.gauge("lag");
-        g.set(100);
-        g.add(-30);
-        assert_eq!(g.get(), 70);
-        let peak = r.gauge("peak");
-        peak.set_max(10);
-        peak.set_max(5);
-        peak.set_max(20);
-        assert_eq!(peak.get(), 20);
-    }
 
     #[test]
     fn histogram_quantiles_ordered() {
@@ -439,25 +278,5 @@ mod tests {
         // the first bucket of the histogram
         assert_eq!(h.quantile(0.0), 1024);
         assert_eq!(h.quantile(0.0), h.quantile(1.0));
-    }
-
-    #[test]
-    fn snapshot_contains_everything() {
-        let r = MetricsRegistry::new();
-        r.counter("a").inc();
-        r.gauge("b").set(-5);
-        r.histogram("c").record(42);
-        let snap = r.snapshot();
-        assert_eq!(snap.counters["a"], 1);
-        assert_eq!(snap.gauges["b"], -5);
-        assert!(snap.histogram_p99_us["c"] >= 42);
-    }
-
-    #[test]
-    fn registry_clone_shares_state() {
-        let r = MetricsRegistry::new();
-        let r2 = r.clone();
-        r.counter("x").inc();
-        assert_eq!(r2.counter("x").get(), 1);
     }
 }

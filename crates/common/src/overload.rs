@@ -74,10 +74,6 @@ impl Deadline {
         Deadline { clock, expires_at }
     }
 
-    pub fn expires_at(&self) -> Timestamp {
-        self.expires_at
-    }
-
     /// Milliseconds of budget left, clamped at zero.
     pub fn remaining_ms(&self) -> i64 {
         (self.expires_at - self.clock.now()).max(0)
@@ -235,14 +231,6 @@ impl RateLimiter {
             )))
         }
     }
-
-    /// Whole tokens currently available (after refill to now).
-    pub fn available(&self) -> u64 {
-        let now = self.clock.now();
-        let mut state = self.state.lock();
-        self.refill(&mut state, now);
-        state.tokens_milli / 1000
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -306,7 +294,6 @@ struct TenantCounters {
 
 struct AdmissionInner {
     tenants: BTreeMap<String, (RateLimiter, TenantCounters)>,
-    overrides: BTreeMap<String, Quota>,
     /// Hysteresis latch: tripped at the high watermark, released below
     /// the low one.
     shedding_all: bool,
@@ -368,28 +355,15 @@ impl AdmissionController {
             shed_queue: AtomicU64::new(0),
             inner: Mutex::new(AdmissionInner {
                 tenants: BTreeMap::new(),
-                overrides: BTreeMap::new(),
                 shedding_all: false,
             }),
         }
-    }
-
-    /// Give `tenant` its own quota instead of the default.
-    pub fn set_tenant_quota(&self, tenant: &str, quota: Quota) {
-        let mut inner = self.inner.lock();
-        inner.overrides.insert(tenant.to_string(), quota);
-        // rebuild the bucket on next admit so the new quota applies
-        inner.tenants.remove(tenant);
     }
 
     /// Report the current downstream queue depth (records buffered,
     /// scatter tasks pending...). Drives the watermark gate.
     pub fn set_queue_depth(&self, depth: u64) {
         self.queue_depth.store(depth, Ordering::Relaxed);
-    }
-
-    pub fn in_flight(&self) -> u64 {
-        self.in_flight.load(Ordering::Relaxed)
     }
 
     /// Admit one unit of work for `tenant` on `lane`, or say why not.
@@ -422,8 +396,7 @@ impl AdmissionController {
     fn decide(&self, tenant: &str, lane: Priority) -> std::result::Result<(), (ShedReason, Error)> {
         {
             let mut inner = self.inner.lock();
-            let has_quota =
-                self.config.default_tenant_quota.is_some() || inner.overrides.contains_key(tenant);
+            let has_quota = self.config.default_tenant_quota.is_some();
             let within_quota = self.with_tenant(&mut inner, tenant, |t| {
                 t.1.offered += 1;
                 !has_quota || t.0.try_acquire(1)
@@ -485,11 +458,9 @@ impl AdmissionController {
         if let Some(entry) = inner.tenants.get_mut(tenant) {
             return f(entry);
         }
-        let quota = inner
-            .overrides
-            .get(tenant)
-            .copied()
-            .or(self.config.default_tenant_quota)
+        let quota = self
+            .config
+            .default_tenant_quota
             // quota-less controllers still track per-tenant counters
             .unwrap_or(Quota {
                 rate_per_sec: u64::MAX / 2000,
@@ -554,6 +525,16 @@ mod tests {
     use super::*;
     use crate::SimClock;
 
+    impl RateLimiter {
+        /// Whole tokens currently available (after refill to now).
+        fn available(&self) -> u64 {
+            let now = self.clock.now();
+            let mut state = self.state.lock();
+            self.refill(&mut state, now);
+            state.tokens_milli / 1000
+        }
+    }
+
     fn clock() -> Arc<SimClock> {
         Arc::new(SimClock::new(1_000))
     }
@@ -562,7 +543,7 @@ mod tests {
     fn deadline_expires_on_the_sim_clock() {
         let c = clock();
         let d = Deadline::within_ms(c.clone(), 500);
-        assert_eq!(d.expires_at(), 1_500);
+        assert_eq!(d.expires_at, 1_500);
         assert_eq!(d.remaining_ms(), 500);
         assert!(!d.expired());
         assert!(d.check("scan").is_ok());
@@ -581,12 +562,12 @@ mod tests {
         let c = clock();
         let d = Deadline::within_ms(c.clone(), 1_000);
         let half = d.with_budget_fraction(1, 2);
-        assert_eq!(half.expires_at(), 1_500);
+        assert_eq!(half.expires_at, 1_500);
         c.advance(800);
         // 200ms left; half of it is 100ms
-        assert_eq!(d.with_budget_fraction(1, 2).expires_at(), 1_900);
+        assert_eq!(d.with_budget_fraction(1, 2).expires_at, 1_900);
         // an over-unity fraction still caps at the parent
-        assert_eq!(d.with_budget_fraction(5, 2).expires_at(), 2_000);
+        assert_eq!(d.with_budget_fraction(5, 2).expires_at, 2_000);
         // deadlines compare by expiry, not clock identity
         assert_eq!(d, Deadline::at(clock(), 2_000));
     }
@@ -630,7 +611,6 @@ mod tests {
                 ..Default::default()
             },
         );
-        ac.set_tenant_quota("vip", Quota::per_sec(1_000).with_burst(100));
         let mut admitted = 0u64;
         let mut shed = 0u64;
         for _ in 0..5 {
@@ -645,16 +625,18 @@ mod tests {
             }
         }
         assert_eq!((admitted, shed), (2, 3), "burst of 2 then quota sheds");
-        for _ in 0..5 {
-            assert!(ac.admit("vip", Priority::Interactive).is_ok());
-        }
+        // another tenant has a bucket of its own
+        let vip: Vec<bool> = (0..3)
+            .map(|_| ac.admit("vip", Priority::Interactive).is_ok())
+            .collect();
+        assert_eq!(vip, [true, true, false]);
         let s = ac.stats();
-        assert_eq!(s.offered, 10);
+        assert_eq!(s.offered, 8);
         assert_eq!(s.offered, s.admitted + s.shed_total());
-        assert_eq!(s.shed_quota, 3);
+        assert_eq!(s.shed_quota, 4);
         let summary = ac.summary();
         assert!(summary.contains("tenant rider-app offered=5 admitted=2 shed=3"));
-        assert!(summary.contains("tenant vip offered=5 admitted=5 shed=0"));
+        assert!(summary.contains("tenant vip offered=3 admitted=2 shed=1"));
         // tenant lines come out in tenant order — byte-stable
         let rider = summary.find("tenant rider-app").unwrap();
         let vip = summary.find("tenant vip").unwrap();
@@ -674,11 +656,11 @@ mod tests {
         );
         let p1 = ac.admit("svc", Priority::Interactive).unwrap();
         let p2 = ac.admit("svc", Priority::Interactive).unwrap();
-        assert_eq!(ac.in_flight(), 2);
+        assert_eq!(ac.in_flight.load(Ordering::Relaxed), 2);
         let err = ac.admit("svc", Priority::Interactive).unwrap_err();
         assert!(matches!(err, Error::Overloaded(_)));
         drop(p1);
-        assert_eq!(ac.in_flight(), 1);
+        assert_eq!(ac.in_flight.load(Ordering::Relaxed), 1);
         assert!(ac.admit("svc", Priority::Interactive).is_ok());
         drop(p2);
         assert_eq!(ac.stats().shed_concurrency, 1);

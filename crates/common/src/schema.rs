@@ -2,10 +2,10 @@
 //!
 //! The paper's Metadata layer (§3) requires versioned schemas with
 //! backward-compatibility checks; the registry itself lives in
-//! `rtdi-metadata`, but the schema model is shared by every layer.
+//! `rtdi_core::metadata`, but the schema model is shared by every layer.
 
 use crate::error::{Error, Result};
-use crate::value::{Row, Value};
+use crate::value::Value;
 
 /// Logical type of a field.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -101,17 +101,12 @@ impl Schema {
         self.fields.iter().map(|f| f.name.as_str())
     }
 
-    /// Validate a row against this schema: required fields present and
-    /// every present field type-correct. Extra columns are tolerated (the
-    /// paper's pipelines decorate events with audit metadata en route).
-    pub fn validate(&self, row: &Row) -> Result<()> {
-        let mut fields = self.fields.iter();
-        fields.try_for_each(|field| self.validate_cell(field, row.get(&field.name)))
-    }
-
-    /// [`Schema::validate`] for one field's cell, for callers that find the
-    /// cells themselves or fill some from outside the row (an ingester
-    /// defaulting the time column to the record's event time).
+    /// Validate one field's cell: a required field is present and a
+    /// present one is type-correct. Callers find the cells themselves or
+    /// fill some from outside the row (an ingester defaulting the time
+    /// column to the record's event time); extra columns are tolerated
+    /// (the paper's pipelines decorate events with audit metadata en
+    /// route).
     pub fn validate_cell(&self, field: &Field, cell: Option<&Value>) -> Result<()> {
         match cell {
             None | Some(Value::Null) if !field.nullable => Err(Error::Schema(format!(
@@ -158,6 +153,17 @@ impl Schema {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::value::Row;
+
+    impl Schema {
+        /// Validate a row against this schema: required fields present and
+        /// every present field type-correct. Extra columns are tolerated (the
+        /// paper's pipelines decorate events with audit metadata en route).
+        fn validate(&self, row: &Row) -> Result<()> {
+            let mut fields = self.fields.iter();
+            fields.try_for_each(|field| self.validate_cell(field, row.get(&field.name)))
+        }
+    }
 
     fn trips_schema() -> Schema {
         Schema::new(

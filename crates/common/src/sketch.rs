@@ -19,7 +19,6 @@
 pub struct CountMinSketch {
     width: usize,
     rows: Vec<Vec<u64>>,
-    total: u64,
 }
 
 /// Fixed per-row mixing constants (odd, from splitmix64's increment
@@ -53,13 +52,11 @@ impl CountMinSketch {
         CountMinSketch {
             width,
             rows: vec![vec![0u64; width]; depth],
-            total: 0,
         }
     }
 
     /// Record one occurrence of `hash` and return the updated estimate.
     pub fn observe(&mut self, hash: u64) -> u64 {
-        self.total += 1;
         let mut est = u64::MAX;
         for (row, seed) in self.rows.iter_mut().zip(ROW_SEEDS) {
             let idx = (mix(hash, seed) % row.len() as u64) as usize;
@@ -67,29 +64,6 @@ impl CountMinSketch {
             est = est.min(row[idx]);
         }
         est
-    }
-
-    /// Upper-bound estimate of how many times `hash` has been observed.
-    pub fn estimate(&self, hash: u64) -> u64 {
-        self.rows
-            .iter()
-            .zip(ROW_SEEDS)
-            .map(|(row, seed)| row[(mix(hash, seed) % row.len() as u64) as usize])
-            .min()
-            .unwrap_or(0)
-    }
-
-    /// Total observations since creation (or the last [`clear`](Self::clear)).
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Reset every counter to zero.
-    pub fn clear(&mut self) {
-        for row in &mut self.rows {
-            row.iter_mut().for_each(|c| *c = 0);
-        }
-        self.total = 0;
     }
 
     /// Approximate heap footprint in bytes.
@@ -102,6 +76,18 @@ impl CountMinSketch {
 mod tests {
     use super::*;
     use crate::value::Value;
+
+    impl CountMinSketch {
+        /// Upper-bound estimate of how many times `hash` has been observed.
+        fn estimate(&self, hash: u64) -> u64 {
+            self.rows
+                .iter()
+                .zip(ROW_SEEDS)
+                .map(|(row, seed)| row[(mix(hash, seed) % row.len() as u64) as usize])
+                .min()
+                .unwrap_or(0)
+        }
+    }
 
     #[test]
     fn estimates_never_undercount() {
@@ -120,7 +106,6 @@ mod tests {
                 "count-min must be an upper bound"
             );
         }
-        assert_eq!(sk.total(), (1..=50).sum::<usize>() as u64);
     }
 
     #[test]
@@ -152,15 +137,5 @@ mod tests {
             let h = Value::hash_of_int(i as i64);
             assert_eq!(a.observe(h), b.observe(h));
         }
-    }
-
-    #[test]
-    fn clear_resets() {
-        let mut sk = CountMinSketch::new(2, 64);
-        sk.observe(7);
-        sk.clear();
-        assert_eq!(sk.estimate(7), 0);
-        assert_eq!(sk.total(), 0);
-        assert!(sk.memory_bytes() >= 2 * 64 * 8);
     }
 }

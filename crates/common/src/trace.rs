@@ -22,7 +22,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 
-/// Stage name under which [`TraceStage::record_total`] reports the
+/// Stage name under which [`TraceStage::observe_visible`] reports the
 /// origin-to-visible freshness of a record (kept out of the hop chain so
 /// per-stage dwells still sum to it).
 pub const END_TO_END: &str = "end-to-end";
@@ -134,7 +134,8 @@ impl TraceStage {
     }
 
     /// [`Self::observe_last_hop`] of every record of a batch, and on
-    /// `total` its [`Self::record_total`]: the records became visible here.
+    /// `total` each one's origin-to-now freshness: the records became
+    /// visible here.
     /// Each histogram is updated once per run of equal dwells and the
     /// pipeline's newest origin once per batch.
     pub fn observe_visible<'a>(
@@ -162,22 +163,12 @@ impl TraceStage {
     }
 
     /// Step 1 of [`Self::observe_hop`] alone, for observers off the main
-    /// path (e.g. the consumer proxy dispatching borrowed records). The
-    /// next hop will re-measure from the same stamp and the pipeline's
+    /// path that only borrow the records they see. The next hop will re-measure from the same stamp and the pipeline's
     /// staleness does not move, so use this only for side channels.
     pub fn observe_read(&self, record: &Record, now: Timestamp) -> i64 {
         let dwell = now - PipelineTracer::origin_of(record);
         self.record_dwell(dwell);
         dwell.max(0)
-    }
-
-    /// Record origin-to-now freshness — on the pipeline's [`END_TO_END`]
-    /// stage, at the point where the record becomes visible to consumers
-    /// (OLAP segment, KV store, sink topic).
-    pub fn record_total(&self, record: &Record, now: Timestamp) -> i64 {
-        let total = now - PipelineTracer::app_ts_of(record);
-        self.record_dwell(total);
-        total.max(0)
     }
 }
 
@@ -282,6 +273,17 @@ impl PipelineTracer {
 mod tests {
     use super::*;
     use crate::value::Row;
+
+    impl TraceStage {
+        /// Record origin-to-now freshness — on the pipeline's [`END_TO_END`]
+        /// stage, at the point where the record becomes visible to consumers
+        /// (OLAP segment, KV store, sink topic).
+        fn record_total(&self, record: &Record, now: Timestamp) -> i64 {
+            let total = now - PipelineTracer::app_ts_of(record);
+            self.record_dwell(total);
+            total.max(0)
+        }
+    }
 
     fn stamped(ts: Timestamp) -> Record {
         let mut r = Record::new(Row::new(), ts);

@@ -46,18 +46,6 @@ pub enum JsonValue {
 }
 
 impl JsonValue {
-    /// Navigate a dotted path (`a.b.c`) into nested objects.
-    pub fn path(&self, path: &str) -> Option<&JsonValue> {
-        let mut cur = self;
-        for part in path.split('.') {
-            match cur {
-                JsonValue::Object(map) => cur = map.get(part)?,
-                _ => return None,
-            }
-        }
-        Some(cur)
-    }
-
     /// Flatten nested objects into `prefix.key -> scalar` pairs, the
     /// transformation the paper describes Flink jobs performing before
     /// Pinot ingestion.
@@ -489,18 +477,6 @@ mod tests {
             Value::Int(7).partition_hash(),
             Value::Str("7".into()).partition_hash()
         );
-    }
-
-    #[test]
-    fn json_path_navigation() {
-        let mut inner = BTreeMap::new();
-        inner.insert("lat".to_string(), JsonValue::Number(37.77));
-        let mut outer = BTreeMap::new();
-        outer.insert("loc".to_string(), JsonValue::Object(inner));
-        let v = JsonValue::Object(outer);
-        assert_eq!(v.path("loc.lat"), Some(&JsonValue::Number(37.77)));
-        assert_eq!(v.path("loc.lon"), None);
-        assert_eq!(v.path("nope.lat"), None);
     }
 
     #[test]

@@ -9,14 +9,10 @@
 //! always be memory bound") and the rule-based engine that restarts or
 //! rescales jobs when metrics drift from the desired state.
 
-use crate::runtime::{run_staged_with, Job, JobRunStats, RescaleHandle, StagedConfig};
-use crate::source::SourceThrottle;
+use crate::runtime::{run_staged_with, Job, JobRunStats, StagedConfig};
 use parking_lot::RwLock;
-use rtdi_common::{
-    Clock, Error, MembershipEvent, MembershipListener, NodeState, PipelineTracer, Result,
-};
+use rtdi_common::{Error, MembershipEvent, MembershipListener, NodeState, Result};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
 
 /// Broad job classification driving the resource model.
@@ -35,81 +31,9 @@ pub enum JobType {
 pub struct JobSpec {
     pub name: String,
     pub job_type: JobType,
-    /// Importance tier (0 = most critical); the dispatcher uses it for
-    /// placement priority.
-    pub tier: u8,
     /// Expected steady-state input rate, used for resource estimation.
     pub expected_records_per_sec: u64,
     pub factory: Box<dyn Fn() -> Result<Job> + Send + Sync>,
-}
-
-/// An elastically scalable job: like [`JobSpec`] but the factory takes
-/// the parallelism to build the operator chain at, so the supervisor can
-/// re-instantiate the job wider or narrower across rescale restarts.
-pub struct ElasticJobSpec {
-    pub name: String,
-    pub job_type: JobType,
-    pub tier: u8,
-    pub expected_records_per_sec: u64,
-    pub min_parallelism: usize,
-    pub max_parallelism: usize,
-    pub factory: Box<dyn Fn(usize) -> Job + Send + Sync>,
-}
-
-/// Backlog-driven rescale policy: double while the watched pipeline is
-/// staler than the scale-up threshold, halve when it is fresher than the
-/// scale-down threshold, always clamped to the spec's bounds.
-#[derive(Debug, Clone, Copy)]
-pub struct RescalePolicy {
-    pub scale_up_staleness_ms: i64,
-    pub scale_down_staleness_ms: i64,
-}
-
-impl Default for RescalePolicy {
-    fn default() -> Self {
-        RescalePolicy {
-            scale_up_staleness_ms: 5_000,
-            scale_down_staleness_ms: 250,
-        }
-    }
-}
-
-impl RescalePolicy {
-    /// The parallelism the policy wants given the current one and the
-    /// watched staleness (pure, so tests drive it directly).
-    pub fn desired(&self, current: usize, min: usize, max: usize, staleness_ms: i64) -> usize {
-        let min = min.max(1);
-        let max = max.max(min);
-        let current = current.clamp(min, max);
-        if staleness_ms > self.scale_up_staleness_ms {
-            (current * 2).clamp(min, max)
-        } else if staleness_ms < self.scale_down_staleness_ms {
-            (current / 2).clamp(min, max)
-        } else {
-            current
-        }
-    }
-}
-
-/// One completed rescale: the job stopped at `at_checkpoint` running
-/// `from` shards and restarted from that checkpoint with `to`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RescaleEvent {
-    pub from: usize,
-    pub to: usize,
-    pub at_checkpoint: u64,
-}
-
-/// Outcome of an elastically supervised run.
-#[derive(Debug, Clone, Default)]
-pub struct ElasticRunStats {
-    pub final_parallelism: usize,
-    /// Failure-recovery restarts (rescale restarts are not failures).
-    pub attempts: u32,
-    pub rescales: Vec<RescaleEvent>,
-    /// The final segment's stats, with `records_out` and
-    /// `checkpoints_taken` summed over every rescale segment.
-    pub run: JobRunStats,
 }
 
 /// Estimated resources for a job (§4.2.1 "Resource estimation").
@@ -168,7 +92,6 @@ pub struct ManagedJobInfo {
     pub status: JobStatus,
     pub restarts: u32,
     pub last_stats: Option<JobRunStats>,
-    pub tier: u8,
     /// Task-manager node this job runs on (when placed).
     pub node: Option<String>,
     /// Set when the node hosting the job died; the deployment loop must
@@ -176,26 +99,13 @@ pub struct ManagedJobInfo {
     pub pending_restart: bool,
 }
 
-/// Saturation watch: the freshness tracer's backlog signal wired to a
-/// source throttle, plus the staleness level at which the platform is
-/// considered saturated.
-struct SaturationWatch {
-    tracer: PipelineTracer,
-    clock: Arc<dyn Clock>,
-    threshold_ms: i64,
-    throttle: SourceThrottle,
-    /// Per-poll cap applied to throttled sources while saturated.
-    throttled_cap: usize,
-}
-
-/// The job manager: deploy, supervise, recover, rescale.
+/// The job manager: deploy, supervise, recover.
 pub struct JobManager {
     /// What every supervised job runs under.
     config: StagedConfig,
     max_restarts: u32,
     jobs: RwLock<BTreeMap<String, ManagedJobInfo>>,
     rules: Vec<HealthRule>,
-    saturation: RwLock<Option<SaturationWatch>>,
 }
 
 impl JobManager {
@@ -205,64 +115,7 @@ impl JobManager {
             max_restarts,
             jobs: RwLock::new(BTreeMap::new()),
             rules: Self::default_rules(),
-            saturation: RwLock::new(None),
         }
-    }
-
-    /// Wire the freshness tracer's backlog signal into the manager: while
-    /// any traced pipeline is more than `threshold_ms` stale, the manager
-    /// refuses new deployments and caps every source wrapped with the
-    /// returned [`SourceThrottle`] at `throttled_cap` records per poll.
-    pub fn watch_saturation(
-        &self,
-        tracer: PipelineTracer,
-        clock: Arc<dyn Clock>,
-        threshold_ms: i64,
-        throttled_cap: usize,
-    ) -> SourceThrottle {
-        let throttle = SourceThrottle::new();
-        *self.saturation.write() = Some(SaturationWatch {
-            tracer,
-            clock,
-            threshold_ms,
-            throttle: throttle.clone(),
-            throttled_cap: throttled_cap.max(1),
-        });
-        throttle
-    }
-
-    /// Pipelines currently staler than the saturation threshold, with
-    /// their staleness, in name order.
-    pub fn saturated_pipelines(&self) -> Vec<(String, i64)> {
-        let watch = self.saturation.read();
-        let Some(w) = watch.as_ref() else {
-            return Vec::new();
-        };
-        let now = w.clock.now();
-        w.tracer
-            .pipelines()
-            .into_iter()
-            .filter_map(|p| {
-                let stale = w.tracer.staleness_ms(&p, now)?;
-                (stale > w.threshold_ms).then_some((p, stale))
-            })
-            .collect()
-    }
-
-    /// Re-evaluate the backlog signal and apply/release the source
-    /// throttle. Returns whether the platform is currently saturated.
-    /// Called periodically by the deployment loop (tests call it
-    /// directly).
-    pub fn tick_saturation(&self) -> bool {
-        let saturated = !self.saturated_pipelines().is_empty();
-        if let Some(w) = self.saturation.read().as_ref() {
-            if saturated {
-                w.throttle.set_cap(w.throttled_cap);
-            } else {
-                w.throttle.clear();
-            }
-        }
-        saturated
     }
 
     /// The default rule set the paper's description implies: restart stuck
@@ -337,15 +190,6 @@ impl JobManager {
         if self.jobs.read().contains_key(&spec.name) {
             return Err(Error::AlreadyExists(format!("job '{}'", spec.name)));
         }
-        // overload protection: a saturated platform takes no new work —
-        // deploying into a backlog only deepens it (retryable, so the
-        // deployment loop tries again once the pipelines catch up)
-        if let Some((pipeline, stale)) = self.saturated_pipelines().into_iter().next() {
-            return Err(Error::Overloaded(format!(
-                "deployment of '{}' refused: pipeline '{pipeline}' is {stale}ms stale",
-                spec.name
-            )));
-        }
         // instantiate once to catch construction and config errors early
         let job = (spec.factory)()?;
         if job.operators.is_empty() {
@@ -353,22 +197,17 @@ impl JobManager {
                 "job must have at least one operator".into(),
             ));
         }
-        self.register(&spec.name, spec.tier);
-        Ok(())
-    }
-
-    fn register(&self, name: &str, tier: u8) {
         self.jobs.write().insert(
-            name.to_string(),
+            spec.name.clone(),
             ManagedJobInfo {
                 status: JobStatus::Validated,
                 restarts: 0,
                 last_stats: None,
-                tier,
                 node: None,
                 pending_restart: false,
             },
         );
+        Ok(())
     }
 
     /// Record which task-manager node a job was placed on, so node-level
@@ -449,142 +288,35 @@ impl JobManager {
 
     /// Run a job under supervision: on failure, re-instantiate from the
     /// factory (the run recovers from the last checkpoint) and retry, up
-    /// to `max_restarts` times.
+    /// to `max_restarts` times. The one supervision loop: nothing watches
+    /// the run from outside it.
     pub fn supervise(&self, spec: &JobSpec) -> Result<JobRunStats> {
         if !self.jobs.read().contains_key(&spec.name) {
             self.validate(spec)?;
         }
-        self.run_supervised(&spec.name, &|_| (spec.factory)(), 1, None)
-            .map(|stats| stats.run)
-    }
-
-    /// Worst staleness across every watched pipeline right now (`None`
-    /// when no saturation watch is wired or nothing is traced yet). This
-    /// is the backlog signal the elastic supervisor scales on.
-    pub fn max_watched_staleness(&self) -> Option<i64> {
-        let watch = self.saturation.read();
-        let w = watch.as_ref()?;
-        let now = w.clock.now();
-        w.tracer
-            .pipelines()
-            .into_iter()
-            .filter_map(|p| w.tracer.staleness_ms(&p, now))
-            .max()
-    }
-
-    /// Supervise a job with backlog-driven elastic rescale: a monitor
-    /// thread watches the freshness tracer (wired via
-    /// [`JobManager::watch_saturation`]) and, whenever `policy` wants a
-    /// different parallelism, asks the running job to stop at its next
-    /// checkpoint barrier; the job is then re-instantiated at the new
-    /// parallelism and resumes from that checkpoint — key-group framed
-    /// state redistributes across the new shard count without rehashing.
-    /// Requires checkpointing in the manager's config; without it the
-    /// rescale flag is never acted on and the job simply runs to
-    /// completion. Failures still retry from the last checkpoint, up to
-    /// `max_restarts`.
-    pub fn supervise_elastic(
-        &self,
-        spec: &ElasticJobSpec,
-        policy: &RescalePolicy,
-        initial_parallelism: usize,
-    ) -> Result<ElasticRunStats> {
-        let min = spec.min_parallelism.max(1);
-        let max = spec.max_parallelism.max(min);
-        if !self.jobs.read().contains_key(&spec.name) {
-            self.register(&spec.name, spec.tier);
-        }
-        self.run_supervised(
-            &spec.name,
-            &|p| Ok((spec.factory)(p)),
-            initial_parallelism.clamp(min, max),
-            Some((policy, min, max)),
-        )
-    }
-
-    /// The one restart loop behind every front door: instantiate, run,
-    /// then finish, restart rescaled, retry from the last checkpoint, or
-    /// fail. `elastic` carries the rescale policy with its parallelism
-    /// bounds; the monitor thread exists only when it is given.
-    fn run_supervised(
-        &self,
-        name: &str,
-        factory: &dyn Fn(usize) -> Result<Job>,
-        mut p: usize,
-        elastic: Option<(&RescalePolicy, usize, usize)>,
-    ) -> Result<ElasticRunStats> {
-        self.set_status(name, JobStatus::Running);
-        let mut out = ElasticRunStats {
-            final_parallelism: p,
-            ..ElasticRunStats::default()
-        };
+        self.set_status(&spec.name, JobStatus::Running);
+        let mut restarts = 0;
         loop {
-            // the parallelism the monitor decided on when it raised the
-            // rescale flag, so the restart uses exactly that decision
-            let mut target = None;
             // a factory that fails is a failed attempt like any other
-            let result = factory(p).and_then(|job| match elastic {
-                None => run_staged_with(job, &self.config),
-                Some((policy, min, max)) => {
-                    let handle = RescaleHandle::new();
-                    let mut cfg = self.config.clone();
-                    cfg.rescale = Some(handle.clone());
-                    let stop = AtomicBool::new(false);
-                    std::thread::scope(|scope| {
-                        let monitor = scope.spawn(|| {
-                            // watch until the run ends or a decision is made
-                            let mut want = None;
-                            while want.is_none() && !stop.load(Ordering::SeqCst) {
-                                if let Some(stale) = self.max_watched_staleness() {
-                                    let to = policy.desired(p, min, max, stale);
-                                    if to != p {
-                                        want = Some(to);
-                                        handle.request();
-                                    }
-                                }
-                                std::thread::sleep(std::time::Duration::from_millis(1));
-                            }
-                            want
-                        });
-                        let res = run_staged_with(job, &cfg);
-                        stop.store(true, Ordering::SeqCst);
-                        // a panicked monitor made no decision
-                        target = monitor.join().unwrap_or(None);
-                        res
-                    })
-                }
-            });
-            // the one place the loop touches the registry: a job forgotten
-            // while it ran is an error for the caller, never a panic
+            let result = (spec.factory)().and_then(|job| run_staged_with(job, &self.config));
+            // `validate` registered the job and nothing unregisters one;
+            // a missing entry is still an error, never a panic
             let mut jobs = self.jobs.write();
-            let info = jobs.get_mut(name).ok_or_else(|| {
-                Error::NotFound(format!("job '{name}' was forgotten while supervised"))
-            })?;
+            let info = jobs
+                .get_mut(&spec.name)
+                .ok_or_else(|| Error::NotFound(format!("job '{}' is not registered", spec.name)))?;
             match result {
-                Ok(mut stats) => {
-                    stats.records_out += out.run.records_out;
-                    stats.checkpoints_taken += out.run.checkpoints_taken;
-                    out.run = stats;
-                    if let Some(ckpt) = out.run.stopped_at_checkpoint {
-                        if let Some(to) = target {
-                            out.rescales.push(RescaleEvent {
-                                from: p,
-                                to,
-                                at_checkpoint: ckpt,
-                            });
-                            p = to;
-                            out.final_parallelism = p;
-                        }
-                        continue; // restart from the checkpoint, rescaled
-                    }
+                // a run the config's own `rescale` handle stopped at a
+                // checkpoint is returned as it is (`stopped_at_checkpoint`)
+                Ok(stats) => {
                     info.status = JobStatus::Finished;
-                    info.last_stats = Some(out.run.clone());
-                    return Ok(out);
+                    info.last_stats = Some(stats.clone());
+                    return Ok(stats);
                 }
                 // transient: retry from checkpoint
-                Err(_) if out.attempts < self.max_restarts => {
-                    out.attempts += 1;
-                    info.restarts = out.attempts;
+                Err(_) if restarts < self.max_restarts => {
+                    restarts += 1;
+                    info.restarts = restarts;
                 }
                 Err(e) => {
                     info.status = JobStatus::Failed(e.to_string());
@@ -602,28 +334,6 @@ impl JobManager {
 
     pub fn status(&self, name: &str) -> Option<ManagedJobInfo> {
         self.jobs.read().get(name).cloned()
-    }
-
-    /// List jobs sorted by tier then name — the dispatch order of the
-    /// proxy layer in Figure 5.
-    pub fn list(&self) -> Vec<(String, ManagedJobInfo)> {
-        let mut jobs: Vec<(String, ManagedJobInfo)> = self
-            .jobs
-            .read()
-            .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect();
-        jobs.sort_by(|a, b| a.1.tier.cmp(&b.1.tier).then(a.0.cmp(&b.0)));
-        jobs
-    }
-
-    /// Remove a finished/failed job from the registry.
-    pub fn forget(&self, name: &str) -> Result<()> {
-        self.jobs
-            .write()
-            .remove(name)
-            .map(|_| ())
-            .ok_or_else(|| Error::NotFound(format!("job '{name}'")))
     }
 }
 
@@ -658,7 +368,6 @@ mod tests {
         JobSpec {
             name: name.to_string(),
             job_type: JobType::Stateless,
-            tier: 1,
             expected_records_per_sec: 1000,
             factory: Box::new(move || {
                 Ok(Job::new(
@@ -686,7 +395,6 @@ mod tests {
         let empty_ops = JobSpec {
             name: "no-ops".into(),
             job_type: JobType::Stateless,
-            tier: 0,
             expected_records_per_sec: 1,
             factory: Box::new(|| {
                 Ok(Job::new(
@@ -746,7 +454,6 @@ mod tests {
         let spec = JobSpec {
             name: name.to_string(),
             job_type: JobType::Stateless,
-            tier: 0,
             expected_records_per_sec: 100,
             factory: Box::new(move || {
                 Ok(Job::new(
@@ -805,18 +512,20 @@ mod tests {
     }
 
     #[test]
-    fn job_forgotten_while_supervised_is_an_error_not_a_panic() {
-        let jm = Arc::new(JobManager::new(StagedConfig::default(), 3));
-        let mut spec = simple_spec("gone", CollectSink::new());
-        let inner = spec.factory;
-        let forgetful = jm.clone();
-        spec.factory = Box::new(move || {
-            // not registered yet when `validate` instantiates: ignore
-            let _ = forgetful.forget("gone");
-            inner()
-        });
-        assert!(matches!(jm.supervise(&spec), Err(Error::NotFound(_))));
-        assert!(jm.status("gone").is_none());
+    fn a_requested_stop_at_a_checkpoint_is_returned_not_restarted() {
+        use crate::runtime::RescaleHandle;
+        let sink = CollectSink::new();
+        let store = Arc::new(InMemoryStore::new());
+        let (spec, mut config) = flaky_spec("stops", Arc::new(Mutex::new(0)), sink, store);
+        let handle = RescaleHandle::new();
+        handle.request();
+        config.rescale = Some(handle);
+        let jm = JobManager::new(config, 3);
+        let stats = jm.supervise(&spec).unwrap();
+        assert_eq!(stats.stopped_at_checkpoint, Some(1));
+        assert_eq!(stats.records_in, 5, "stopped at the first barrier");
+        let info = jm.status("stops").unwrap();
+        assert_eq!((info.status, info.restarts), (JobStatus::Finished, 0));
     }
 
     #[test]
@@ -824,7 +533,6 @@ mod tests {
         let mk = |jt| JobSpec {
             name: "r".into(),
             job_type: jt,
-            tier: 0,
             expected_records_per_sec: 100_000,
             factory: Box::new(|| {
                 Ok(Job::new(
@@ -927,57 +635,6 @@ mod tests {
     }
 
     #[test]
-    fn saturation_refuses_deployments_and_throttles_sources() {
-        use crate::source::{Source, ThrottledSource};
-        use rtdi_common::SimClock;
-
-        let jm = JobManager::new(StagedConfig::default(), 3);
-        let tracer = PipelineTracer::new();
-        let clock = Arc::new(SimClock::new(0));
-        let throttle = jm.watch_saturation(tracer.clone(), clock.clone(), 10_000, 2);
-
-        // trace a hop so the pipeline has an origin timestamp
-        let mut rec = Record::new(Row::new().with("i", 1i64), 0);
-        PipelineTracer::stamp(&mut rec, 0);
-        tracer.stage("surge", "ingest").observe_hop(&mut rec, 0);
-
-        // fresh: deployments admitted, sources unthrottled
-        assert!(!jm.tick_saturation());
-        let sink = CollectSink::new();
-        jm.validate(&simple_spec("fresh-ok", sink.clone())).unwrap();
-        assert_eq!(throttle.cap(), None);
-
-        // backlog grows past the threshold: refuse and throttle
-        clock.advance(30_000);
-        assert!(jm.tick_saturation());
-        let refused = jm.validate(&simple_spec("too-late", sink.clone()));
-        assert!(matches!(refused, Err(Error::Overloaded(_))), "{refused:?}");
-        assert!(
-            refused.unwrap_err().is_retryable(),
-            "deployment loop may retry once drained"
-        );
-        assert_eq!(throttle.cap(), Some(2));
-        let mut src = ThrottledSource::new(
-            Box::new(VecSource::from_rows(
-                (0..10).map(|i| (i, Row::new().with("i", i))).collect(),
-            )),
-            throttle.clone(),
-        );
-        assert_eq!(src.poll_batch(100).unwrap().len(), 2, "cap applied");
-
-        // pipeline catches up: throttle released, deployments admitted
-        let mut rec = Record::new(Row::new().with("i", 2i64), 30_000);
-        PipelineTracer::stamp(&mut rec, 30_000);
-        tracer
-            .stage("surge", "ingest")
-            .observe_hop(&mut rec, 30_000);
-        assert!(!jm.tick_saturation());
-        assert_eq!(throttle.cap(), None);
-        assert_eq!(src.poll_batch(100).unwrap().len(), 8, "uncapped again");
-        jm.validate(&simple_spec("recovered", sink)).unwrap();
-    }
-
-    #[test]
     fn finished_jobs_ignore_node_death() {
         let jm = JobManager::new(StagedConfig::default(), 3);
         let sink = CollectSink::new();
@@ -1004,145 +661,5 @@ mod tests {
         assert!(jm.status("idle").unwrap().node.is_some(), "east untouched");
         assert_eq!(jm.take_pending_restarts(), displaced);
         assert!(jm.on_region_dead("west").is_empty(), "already displaced");
-    }
-
-    #[test]
-    fn rescale_policy_doubles_and_halves_within_bounds() {
-        let pol = RescalePolicy::default();
-        // stale: double, clamped at max
-        assert_eq!(pol.desired(1, 1, 8, 60_000), 2);
-        assert_eq!(pol.desired(4, 1, 8, 60_000), 8);
-        assert_eq!(pol.desired(8, 1, 8, 60_000), 8);
-        // fresh: halve, clamped at min
-        assert_eq!(pol.desired(8, 2, 8, 0), 4);
-        assert_eq!(pol.desired(2, 2, 8, 0), 2);
-        // in between: hold
-        assert_eq!(pol.desired(4, 1, 8, 1_000), 4);
-        // degenerate bounds clamp sanely
-        assert_eq!(pol.desired(0, 0, 0, 60_000), 1);
-    }
-
-    #[test]
-    fn supervise_elastic_scales_up_on_stale_pipeline_and_stays_exact() {
-        use crate::operator::WindowAggregateOp;
-        use crate::runtime::run_staged_with;
-        use crate::window::WindowAssigner;
-        use rtdi_common::{AggFn, SimClock, Timestamp};
-
-        let rows: Vec<(Timestamp, Row)> = (0..20_000)
-            .map(|i| {
-                (
-                    (i as i64) * 10,
-                    Row::new()
-                        .with("city", format!("city-{:02}", i % 7))
-                        .with("fare", 5.0 + (i % 13) as f64),
-                )
-            })
-            .collect();
-        let make_job = |name: &str, rows: Vec<(Timestamp, Row)>, sink: CollectSink, p: usize| {
-            Job::new(
-                name,
-                Box::new(VecSource::from_rows(rows)),
-                vec![Box::new(
-                    WindowAggregateOp::new(
-                        "agg",
-                        vec!["city".into()],
-                        WindowAssigner::tumbling(1000),
-                        vec![
-                            ("trips".into(), AggFn::Count),
-                            ("total".into(), AggFn::Sum("fare".into())),
-                        ],
-                        0,
-                    )
-                    .with_parallelism(p),
-                )],
-                Box::new(sink),
-            )
-        };
-
-        // baseline: uninterrupted serial run
-        let base_sink = CollectSink::new();
-        run_staged_with(
-            make_job("base", rows.clone(), base_sink.clone(), 1),
-            &StagedConfig::batched(16, 64),
-        )
-        .unwrap();
-
-        // a pipeline that is permanently 60s stale: the tracer saw one
-        // record at t=0 and the (simulated) clock is pinned at 60s
-        let mut cfg = StagedConfig::batched(16, 64);
-        cfg.checkpoint_interval = 2_000;
-        cfg.checkpoint_store = Some(CheckpointStore::new(Arc::new(InMemoryStore::new())));
-        let jm = JobManager::new(cfg, 2);
-        let tracer = PipelineTracer::new();
-        let mut rec = Record::new(Row::new().with("i", 1i64), 0);
-        PipelineTracer::stamp(&mut rec, 0);
-        tracer.stage("trips", "ingest").observe_hop(&mut rec, 0);
-        let clock = Arc::new(SimClock::new(60_000));
-        jm.watch_saturation(tracer, clock, 1_000_000, usize::MAX);
-        assert_eq!(jm.max_watched_staleness(), Some(60_000));
-
-        let sink = CollectSink::new();
-        let job_rows = rows.clone();
-        let job_sink = sink.clone();
-        let spec = ElasticJobSpec {
-            name: "elastic".into(),
-            job_type: JobType::WindowedAggregation,
-            tier: 0,
-            expected_records_per_sec: 10_000,
-            min_parallelism: 1,
-            max_parallelism: 4,
-            factory: Box::new(move |p| make_job("elastic", job_rows.clone(), job_sink.clone(), p)),
-        };
-        let stats = jm
-            .supervise_elastic(&spec, &RescalePolicy::default(), 1)
-            .unwrap();
-
-        // the permanently stale signal must have forced at least one
-        // doubling; with 10 checkpoint boundaries available it reaches max
-        assert!(!stats.rescales.is_empty(), "no rescale happened: {stats:?}");
-        assert!(stats.final_parallelism > 1);
-        for ev in &stats.rescales {
-            assert_eq!(ev.to, (ev.from * 2).min(4), "doubling steps: {ev:?}");
-        }
-        assert_eq!(stats.run.records_in, 20_000);
-        assert_eq!(jm.status("elastic").unwrap().status, JobStatus::Finished);
-
-        // exactly-once across every rescale restart: sorted, NOT deduped
-        let canon = |mut rows: Vec<Row>| {
-            rows.sort_by_key(|r| {
-                (
-                    r.get_str("city").unwrap().to_string(),
-                    r.get_int("window_start").unwrap(),
-                )
-            });
-            rows
-        };
-        assert_eq!(canon(base_sink.rows()), canon(sink.rows()));
-    }
-
-    #[test]
-    fn list_orders_by_tier() {
-        let jm = JobManager::new(StagedConfig::default(), 0);
-        let mk = |name: &str, tier| JobSpec {
-            name: name.to_string(),
-            job_type: JobType::Stateless,
-            tier,
-            expected_records_per_sec: 1,
-            factory: Box::new(|| {
-                Ok(Job::new(
-                    "x",
-                    Box::new(VecSource::new(vec![])),
-                    vec![Box::new(MapOp::new("id", |r: &Row| r.clone()))],
-                    Box::new(CollectSink::new()),
-                ))
-            }),
-        };
-        jm.validate(&mk("zeta-critical", 0)).unwrap();
-        jm.validate(&mk("alpha-batchy", 2)).unwrap();
-        let names: Vec<String> = jm.list().into_iter().map(|(n, _)| n).collect();
-        assert_eq!(names, vec!["zeta-critical", "alpha-batchy"]);
-        jm.forget("alpha-batchy").unwrap();
-        assert!(jm.forget("alpha-batchy").is_err());
     }
 }

@@ -23,8 +23,8 @@
 //! - [`mod@reference`]: the single-threaded per-record oracle the tests
 //!   compare the runtime against (never called by production code);
 //! - [`jobmanager`] (§4.2.2, Figure 5): job lifecycle management,
-//!   rule-based health monitoring, automatic failure recovery and
-//!   CPU-vs-memory-bound auto-scaling;
+//!   rule-based health monitoring, automatic failure recovery and the
+//!   CPU-vs-memory-bound resource model;
 //! - [`backfill`] (§7): the Kappa+ architecture — the same operator chain
 //!   replayed over archived data with throttling and enlarged buffers;
 //! - [`baselines`]: the Storm-like ack-based engine and the Spark-like
@@ -44,9 +44,7 @@ pub mod source;
 pub mod watermark;
 pub mod window;
 
-pub use jobmanager::{
-    ElasticJobSpec, ElasticRunStats, JobManager, JobSpec, JobStatus, RescaleEvent, RescalePolicy,
-};
+pub use jobmanager::{JobManager, JobSpec, JobStatus};
 pub use operator::{
     fuse_stateless, key_string, DedupOp, FilterOp, FlatMapOp, FusedOp, MapOp, Operator,
     OperatorOutput, PartialCombineOp, ShardSpec, WindowAggregateOp, WindowJoinOp, PARTIAL_COL,

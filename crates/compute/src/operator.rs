@@ -867,11 +867,6 @@ impl DedupOp {
         self.parallelism = n.max(1);
         self
     }
-
-    /// Distinct keys seen so far.
-    pub fn seen_keys(&self) -> usize {
-        self.seen.len()
-    }
 }
 
 impl Operator for DedupOp {
@@ -1989,7 +1984,7 @@ mod tests {
             .unwrap();
         }
         assert_eq!(out.len(), 3);
-        assert_eq!(op.seen_keys(), 3);
+        assert_eq!(op.seen.len(), 3);
         assert!(op.memory_bytes() > 0);
     }
 
@@ -2004,7 +1999,7 @@ mod tests {
         let snap = op.snapshot();
         let mut whole = DedupOp::new("dedup", vec!["k".into()]);
         whole.restore(snap.clone()).unwrap();
-        assert_eq!(whole.seen_keys(), 200);
+        assert_eq!(whole.seen.len(), 200);
         // sharded restore partitions the seen-set without loss or overlap
         for p in [2usize, 3, 4] {
             let template = DedupOp::new("dedup", vec!["k".into()]).with_parallelism(p);

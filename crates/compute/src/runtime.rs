@@ -215,13 +215,6 @@ impl CheckpointStore {
             ))),
         }
     }
-
-    pub fn clear(&self, job: &str) -> Result<()> {
-        for k in self.store.list(&format!("checkpoints/{job}/"))? {
-            self.store.delete(&k)?;
-        }
-        Ok(())
-    }
 }
 
 /// Per-stage counters from a staged run. A fused stage lists every
@@ -259,7 +252,7 @@ pub struct ShardStats {
     pub peak_state_bytes: usize,
 }
 
-/// Cooperative rescale request: the job manager raises the flag, the
+/// Cooperative rescale request: the caller raises the flag, the
 /// source pump notices right after it emits a checkpoint barrier and shuts
 /// the run down cleanly at that exact cut. All open windows live in the
 /// checkpoint; the restarted job (at any parallelism) resumes from it with
@@ -317,8 +310,9 @@ pub struct StagedConfig {
     /// Checkpoint every N input records via barrier alignment (0 = off).
     pub checkpoint_interval: u64,
     pub checkpoint_store: Option<CheckpointStore>,
-    /// Optional cooperative stop-at-checkpoint flag for elastic rescale.
-    /// Only effective when checkpointing is configured.
+    /// Optional cooperative stop-at-checkpoint flag for a rescale: the
+    /// caller restores the stopped run at another parallelism. Only
+    /// effective when checkpointing is configured.
     pub rescale: Option<RescaleHandle>,
     /// Where the run's `compute.channel` and `compute.process` faults
     /// come from; a handle of the config's own unless the caller sets one.
@@ -1306,8 +1300,6 @@ mod tests {
         };
         cs.persist("j", &newer).unwrap();
         assert_eq!(cs.latest("j").unwrap().unwrap().checkpoint_id, 4);
-        cs.clear("j").unwrap();
-        assert!(cs.latest("j").unwrap().is_none());
     }
 
     #[test]

@@ -6,8 +6,7 @@
 //! to keep this crate independent of the OLAP layer.
 
 use parking_lot::Mutex;
-use rtdi_common::trace::END_TO_END;
-use rtdi_common::{Clock, PipelineTracer, Record, Result, Row, Timestamp, TraceStage};
+use rtdi_common::{Record, Result, Row, Timestamp};
 use rtdi_stream::topic::Topic;
 use std::sync::Arc;
 
@@ -61,10 +60,6 @@ impl CollectSink {
     pub fn is_empty(&self) -> bool {
         self.rows.lock().is_empty()
     }
-
-    pub fn clear(&self) {
-        self.rows.lock().clear();
-    }
 }
 
 impl Sink for CollectSink {
@@ -111,60 +106,6 @@ impl Sink for TopicSink {
     }
 }
 
-/// Decorator that records each written record's event-time lag (and the
-/// end-to-end freshness rollup) before forwarding to the inner sink —
-/// the point where a job's output becomes visible to consumers.
-pub struct TracingSink {
-    inner: Box<dyn Sink>,
-    /// The pipeline's `"sink"` hop and its end-to-end rollup, resolved once.
-    hop: TraceStage,
-    total: TraceStage,
-    clock: Arc<dyn Clock>,
-}
-
-impl TracingSink {
-    pub fn new(
-        inner: Box<dyn Sink>,
-        tracer: PipelineTracer,
-        pipeline: &str,
-        clock: Arc<dyn Clock>,
-    ) -> Self {
-        TracingSink {
-            inner,
-            hop: tracer.stage(pipeline, "sink"),
-            total: tracer.stage(pipeline, END_TO_END),
-            clock,
-        }
-    }
-}
-
-impl Sink for TracingSink {
-    fn write(&mut self, mut record: Record) -> Result<()> {
-        let now = self.clock.now();
-        self.hop.observe_hop(&mut record, now);
-        self.total.record_total(&record, now);
-        self.inner.write(record)
-    }
-
-    /// Restamps `trace_ts` in place on a record this sink holds alone; a
-    /// shared one (the log's) is measured and left as its owner stamped it.
-    fn write_batch(&mut self, mut records: Vec<Arc<Record>>) -> Result<()> {
-        for record in &mut records {
-            let now = self.clock.now();
-            match Arc::get_mut(record) {
-                Some(owned) => self.hop.observe_hop(owned, now),
-                None => self.hop.observe_last_hop(record, now),
-            };
-            self.total.record_total(record, now);
-        }
-        self.inner.write_batch(records)
-    }
-
-    fn flush(&mut self) -> Result<()> {
-        self.inner.flush()
-    }
-}
-
 /// Closure adaptor.
 pub struct FnSink<F: FnMut(Record) -> Result<()> + Send> {
     f: F,
@@ -197,8 +138,6 @@ mod tests {
             .unwrap();
         assert_eq!(view.len(), 2);
         assert_eq!(view.rows()[1].get_int("a"), Some(2));
-        view.clear();
-        assert!(view.is_empty());
     }
 
     #[test]
@@ -208,27 +147,6 @@ mod tests {
         sink.write(Record::new(Row::new().with("x", 1i64), 7))
             .unwrap();
         assert_eq!(t.total_records(), 1);
-    }
-
-    #[test]
-    fn tracing_sink_records_event_time_lag() {
-        use rtdi_common::{trace::END_TO_END, SimClock};
-        let tracer = PipelineTracer::new();
-        let collect = CollectSink::new();
-        let view = collect.clone();
-        let mut sink = TracingSink::new(
-            Box::new(collect),
-            tracer.clone(),
-            "p",
-            Arc::new(SimClock::new(1_400)),
-        );
-        let mut rec = Record::new(Row::new(), 1_000);
-        PipelineTracer::stamp(&mut rec, 1_000);
-        sink.write(rec).unwrap();
-        let report = tracer.report();
-        assert_eq!(report.stage("p", "sink").unwrap().max_ms, 400);
-        assert_eq!(report.stage("p", END_TO_END).unwrap().max_ms, 400);
-        assert_eq!(view.len(), 1);
     }
 
     #[test]

@@ -16,7 +16,6 @@ use crate::operator::STREAM_TAG;
 use rtdi_common::{Error, Record, Result, Row, Timestamp};
 use rtdi_storage::hive::HiveTable;
 use rtdi_stream::topic::Topic;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// A record source with checkpointable progress.
@@ -335,73 +334,6 @@ impl Source for HiveSource {
     fn seek(&mut self, position: &[u64]) -> Result<()> {
         self.cursor = position.first().copied().unwrap_or(0) as usize;
         Ok(())
-    }
-}
-
-/// A shared per-poll cap the job manager tightens when the platform is
-/// saturated (backlog growing faster than it drains) and clears once the
-/// pipeline catches up. Cheap to clone; 0 means unthrottled.
-#[derive(Clone, Debug, Default)]
-pub struct SourceThrottle {
-    cap: Arc<AtomicUsize>,
-}
-
-impl SourceThrottle {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Cap every throttled source at `records_per_poll` (min 1).
-    pub fn set_cap(&self, records_per_poll: usize) {
-        self.cap.store(records_per_poll.max(1), Ordering::Relaxed);
-    }
-
-    /// Remove the cap.
-    pub fn clear(&self) {
-        self.cap.store(0, Ordering::Relaxed);
-    }
-
-    pub fn cap(&self) -> Option<usize> {
-        match self.cap.load(Ordering::Relaxed) {
-            0 => None,
-            n => Some(n),
-        }
-    }
-
-    fn limit(&self, max: usize) -> usize {
-        self.cap().map_or(max, |c| max.min(c))
-    }
-}
-
-/// Wraps any source with a [`SourceThrottle`]: the saturation-reaction
-/// path of the job manager — back-pressure applied at the intake instead
-/// of letting an overloaded pipeline build unbounded in-flight state.
-pub struct ThrottledSource {
-    inner: Box<dyn Source>,
-    throttle: SourceThrottle,
-}
-
-impl ThrottledSource {
-    pub fn new(inner: Box<dyn Source>, throttle: SourceThrottle) -> Self {
-        ThrottledSource { inner, throttle }
-    }
-}
-
-impl Source for ThrottledSource {
-    fn poll_batch(&mut self, max: usize) -> Result<Vec<Arc<Record>>> {
-        self.inner.poll_batch(self.throttle.limit(max))
-    }
-
-    fn is_exhausted(&self) -> bool {
-        self.inner.is_exhausted()
-    }
-
-    fn position(&self) -> Vec<u64> {
-        self.inner.position()
-    }
-
-    fn seek(&mut self, position: &[u64]) -> Result<()> {
-        self.inner.seek(position)
     }
 }
 

@@ -6,22 +6,19 @@
 //! §9.4 ("a layer of indirection between our users and the underlying
 //! technologies", §10).
 //!
+//! - [`metadata`]: the versioned schema registry and the lineage graph
+//!   (§3, §9.4);
 //! - [`platform`]: the [`RealtimePlatform`] facade — topics, producers,
 //!   OLAP tables, federated SQL, archival and backfill in one place;
-//! - [`pipeline`]: the drag-and-drop-style [`pipeline::PipelineBuilder`]
-//!   that provisions a FlinkSQL job from source topic to Pinot sink ("users
-//!   can automatically create Flink and Pinot pipelines using a convenient
-//!   drag and drop UI");
 //! - [`usage`]: per-use-case component accounting that regenerates the
 //!   paper's Table 1.
 
 // Non-test code returns `Error`, never panics.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
-pub mod pipeline;
+pub mod metadata;
 pub mod platform;
 pub mod usage;
 
-pub use pipeline::PipelineBuilder;
 pub use platform::RealtimePlatform;
 pub use usage::{Component, UsageTracker};

@@ -3,9 +3,8 @@
 //! §9.4: the metadata system "tracks the data lineage representing flow of
 //! data across these components" — e.g. a Kafka topic feeds a Flink job
 //! which sinks into a Pinot table that a dashboard queries. The lineage
-//! graph answers "what is downstream of this topic?" (impact analysis) and
-//! "where did this table's data come from?" (provenance), which operators
-//! use when triaging data-quality incidents.
+//! graph answers "what is downstream of this topic?" (impact analysis),
+//! which operators use when triaging data-quality incidents.
 
 use parking_lot::RwLock;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -20,16 +19,10 @@ pub struct LineageEdge {
     pub via: String,
 }
 
-#[derive(Default)]
-struct GraphInner {
-    downstream: BTreeMap<String, Vec<LineageEdge>>,
-    upstream: BTreeMap<String, Vec<LineageEdge>>,
-}
-
-/// Thread-safe lineage graph.
+/// Thread-safe lineage graph: each dataset's downstream edges.
 #[derive(Clone, Default)]
 pub struct LineageGraph {
-    inner: Arc<RwLock<GraphInner>>,
+    downstream: Arc<RwLock<BTreeMap<String, Vec<LineageEdge>>>>,
 }
 
 impl LineageGraph {
@@ -43,60 +36,23 @@ impl LineageGraph {
             to: to.to_string(),
             via: via.to_string(),
         };
-        let mut g = self.inner.write();
-        let down = g.downstream.entry(from.to_string()).or_default();
+        let mut g = self.downstream.write();
+        let down = g.entry(from.to_string()).or_default();
         if !down.contains(&edge) {
-            down.push(edge.clone());
+            down.push(edge);
         }
-        let up = g.upstream.entry(to.to_string()).or_default();
-        if !up.contains(&edge) {
-            up.push(edge);
-        }
-    }
-
-    /// Direct downstream edges of a dataset.
-    pub fn downstream(&self, of: &str) -> Vec<LineageEdge> {
-        self.inner
-            .read()
-            .downstream
-            .get(of)
-            .cloned()
-            .unwrap_or_default()
-    }
-
-    /// Direct upstream edges of a dataset.
-    pub fn upstream(&self, of: &str) -> Vec<LineageEdge> {
-        self.inner
-            .read()
-            .upstream
-            .get(of)
-            .cloned()
-            .unwrap_or_default()
     }
 
     /// Every dataset transitively reachable downstream of `of` (impact
     /// analysis: "if this topic is corrupt, what must be backfilled?").
     pub fn impact(&self, of: &str) -> Vec<String> {
-        self.walk(of, true)
-    }
-
-    /// Every dataset transitively upstream of `of` (provenance).
-    pub fn provenance(&self, of: &str) -> Vec<String> {
-        self.walk(of, false)
-    }
-
-    fn walk(&self, of: &str, down: bool) -> Vec<String> {
-        let g = self.inner.read();
-        let map = if down { &g.downstream } else { &g.upstream };
+        let g = self.downstream.read();
         let mut seen = BTreeSet::new();
         let mut queue = VecDeque::from([of.to_string()]);
         while let Some(node) = queue.pop_front() {
-            if let Some(edges) = map.get(&node) {
-                for e in edges {
-                    let next = if down { &e.to } else { &e.from };
-                    if seen.insert(next.clone()) {
-                        queue.push_back(next.clone());
-                    }
+            for e in g.get(&node).into_iter().flatten() {
+                if seen.insert(e.to.clone()) {
+                    queue.push_back(e.to.clone());
                 }
             }
         }
@@ -120,28 +76,14 @@ mod tests {
     }
 
     #[test]
-    fn direct_edges() {
-        let g = sample();
-        let down = g.downstream("kafka.trips");
-        assert_eq!(down.len(), 2);
-        let up = g.upstream("pinot.trips");
-        assert_eq!(up.len(), 1);
-        assert_eq!(up[0].via, "piper-offline-push");
-        assert!(g.downstream("unknown").is_empty());
-    }
-
-    #[test]
-    fn transitive_impact_and_provenance() {
+    fn transitive_impact() {
         let g = sample();
         let impact = g.impact("kafka.trips");
         assert!(impact.contains(&"kv.surge".to_string()));
         assert!(impact.contains(&"pinot.trips".to_string()));
         assert_eq!(impact.len(), 4);
-        let prov = g.provenance("pinot.trips");
-        assert_eq!(
-            prov,
-            vec!["hive.trips".to_string(), "kafka.trips".to_string()]
-        );
+        assert_eq!(g.impact("hive.trips"), vec!["pinot.trips".to_string()]);
+        assert!(g.impact("unknown").is_empty());
     }
 
     #[test]
@@ -149,9 +91,9 @@ mod tests {
         let g = LineageGraph::new();
         g.record("a", "b", "x");
         g.record("a", "b", "x");
-        assert_eq!(g.downstream("a").len(), 1);
+        assert_eq!(g.downstream.read()["a"].len(), 1);
         g.record("a", "b", "y"); // different processor = distinct edge
-        assert_eq!(g.downstream("a").len(), 2);
+        assert_eq!(g.downstream.read()["a"].len(), 2);
     }
 
     #[test]

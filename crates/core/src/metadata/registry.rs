@@ -11,16 +11,6 @@ use rtdi_common::{Error, Field, FieldType, Result, Row, Schema, Value};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// How strictly new schema versions are checked against prior versions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CompatibilityMode {
-    /// New version must be readable by consumers of the previous version.
-    #[default]
-    Backward,
-    /// No checks (used for scratch/test subjects).
-    None,
-}
-
 /// A schema plus its registry version number (1-based).
 #[derive(Debug, Clone, PartialEq)]
 pub struct VersionedSchema {
@@ -28,17 +18,11 @@ pub struct VersionedSchema {
     pub schema: Schema,
 }
 
-#[derive(Default)]
-struct Subject {
-    mode: CompatibilityMode,
-    versions: Vec<Schema>,
-}
-
 /// Central, thread-safe schema registry shared by stream topics, OLAP
-/// tables and warehouse datasets.
+/// tables and warehouse datasets: each subject's versions, oldest first.
 #[derive(Clone, Default)]
 pub struct SchemaRegistry {
-    subjects: Arc<RwLock<BTreeMap<String, Subject>>>,
+    subjects: Arc<RwLock<BTreeMap<String, Vec<Schema>>>>,
 }
 
 impl SchemaRegistry {
@@ -46,48 +30,38 @@ impl SchemaRegistry {
         Self::default()
     }
 
-    /// Register a new version for `subject`. Fails if the compatibility
-    /// check rejects it. Returns the registered version.
+    /// Register a new version for `subject`. Fails unless consumers of
+    /// the previous version can read it (backward compatibility). Returns
+    /// the registered version.
     pub fn register(&self, subject: &str, schema: Schema) -> Result<VersionedSchema> {
         let mut subjects = self.subjects.write();
-        let entry = subjects.entry(subject.to_string()).or_default();
-        if let Some(prior) = entry.versions.last() {
-            if entry.mode == CompatibilityMode::Backward
-                && !schema.is_backward_compatible_with(prior)
-            {
+        let versions = subjects.entry(subject.to_string()).or_default();
+        if let Some(prior) = versions.last() {
+            if !schema.is_backward_compatible_with(prior) {
                 return Err(Error::Schema(format!(
                     "schema for '{subject}' is not backward compatible with version {}",
-                    entry.versions.len()
+                    versions.len()
                 )));
             }
         }
-        entry.versions.push(schema.clone());
+        versions.push(schema.clone());
         Ok(VersionedSchema {
-            version: entry.versions.len() as u32,
+            version: versions.len() as u32,
             schema,
         })
-    }
-
-    pub fn set_mode(&self, subject: &str, mode: CompatibilityMode) {
-        self.subjects
-            .write()
-            .entry(subject.to_string())
-            .or_default()
-            .mode = mode;
     }
 
     /// Latest version of a subject.
     pub fn latest(&self, subject: &str) -> Result<VersionedSchema> {
         let subjects = self.subjects.read();
-        let entry = subjects
+        let versions = subjects
             .get(subject)
             .ok_or_else(|| Error::NotFound(format!("schema subject '{subject}'")))?;
-        let schema = entry
-            .versions
+        let schema = versions
             .last()
             .ok_or_else(|| Error::NotFound(format!("no versions for '{subject}'")))?;
         Ok(VersionedSchema {
-            version: entry.versions.len() as u32,
+            version: versions.len() as u32,
             schema: schema.clone(),
         })
     }
@@ -95,11 +69,10 @@ impl SchemaRegistry {
     /// A specific version (1-based).
     pub fn version(&self, subject: &str, version: u32) -> Result<VersionedSchema> {
         let subjects = self.subjects.read();
-        let entry = subjects
+        let versions = subjects
             .get(subject)
             .ok_or_else(|| Error::NotFound(format!("schema subject '{subject}'")))?;
-        let schema = entry
-            .versions
+        let schema = versions
             .get(version.saturating_sub(1) as usize)
             .ok_or_else(|| Error::NotFound(format!("version {version} of '{subject}'")))?;
         Ok(VersionedSchema {
@@ -204,13 +177,8 @@ mod tests {
         reg.register("orders", v1()).unwrap();
         let mut bad = v1();
         bad.fields.retain(|f| f.name != "total");
-        assert!(matches!(
-            reg.register("orders", bad.clone()),
-            Err(Error::Schema(_))
-        ));
-        // with checks off it goes through
-        reg.set_mode("orders", CompatibilityMode::None);
-        assert!(reg.register("orders", bad).is_ok());
+        assert!(matches!(reg.register("orders", bad), Err(Error::Schema(_))));
+        assert_eq!(reg.latest("orders").unwrap().version, 1);
     }
 
     #[test]

@@ -9,6 +9,7 @@
 //! backfills (§7, §10: "Backfilling data across regions is as simple as
 //! clicking a button").
 
+use crate::metadata::{LineageGraph, SchemaRegistry};
 use crate::usage::{Component, UsageTracker};
 use rtdi_common::{
     Chaos, Clock, Error, PipelineTracer, Record, Result, Schema, Timestamp, TraceReport, WallClock,
@@ -18,8 +19,6 @@ use rtdi_compute::runtime::{run_staged_with, CheckpointStore, JobRunStats, Stage
 use rtdi_compute::sink::Sink;
 use rtdi_flinksql::compiler::{compile_batch, compile_streaming, CompileOptions};
 use rtdi_flinksql::sinks::PinotSink;
-use rtdi_metadata::lineage::LineageGraph;
-use rtdi_metadata::registry::SchemaRegistry;
 use rtdi_olap::ingestion::{IngestionConfig, RealtimeIngester};
 use rtdi_olap::table::{OlapTable, TableConfig};
 use rtdi_sql::connector::{HiveConnector, PinotConnector};
@@ -456,7 +455,6 @@ fn sql_pipeline_spec(
         } else {
             JobType::Stateless
         },
-        tier: 1,
         expected_records_per_sec: 10_000,
         factory: Box::new(move || {
             compile_streaming(

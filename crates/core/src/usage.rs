@@ -88,15 +88,6 @@ impl UsageTracker {
         }
     }
 
-    pub fn components_of(&self, use_case: &str) -> Vec<Component> {
-        self.inner
-            .read()
-            .matrix
-            .get(use_case)
-            .map(|s| s.iter().copied().collect())
-            .unwrap_or_default()
-    }
-
     /// Does the matrix row for `use_case` mark `component`?
     pub fn uses(&self, use_case: &str, component: Component) -> bool {
         self.inner
@@ -160,8 +151,8 @@ mod tests {
         assert!(t.uses("Surge", Component::Api));
         assert!(!t.uses("Surge", Component::Sql));
         assert!(t.uses("Restaurant Manager", Component::Olap));
-        assert_eq!(t.components_of("Surge").len(), 3);
-        assert!(t.components_of("unknown").is_empty());
+        assert_eq!(t.inner.read().matrix["Surge"].len(), 3);
+        assert!(!t.uses("unknown", Component::Api));
     }
 
     #[test]
@@ -169,7 +160,7 @@ mod tests {
         let t = UsageTracker::new();
         t.note(Component::Api);
         assert!(t.render_table().lines().count() >= 7);
-        assert!(t.components_of("").is_empty());
+        assert!(!t.inner.read().matrix.contains_key(""));
     }
 
     #[test]

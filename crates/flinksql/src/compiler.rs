@@ -23,12 +23,6 @@ pub struct CompileOptions {
     pub allowed_lateness: i64,
     /// Bounded streaming source (read-to-current-end) vs unbounded.
     pub bounded: bool,
-    /// Operator chaining: fuse adjacent stateless operators (WHERE
-    /// filters, projections, window aliases) into single stages so the
-    /// staged runtime spends no channel hop between them — Flink chains
-    /// eligible SQL operators the same way. Window aggregations keep
-    /// their own stage.
-    pub chain_operators: bool,
     /// Parallelism of keyed (window-aggregate) stages; the staged runtime
     /// expands them into router + N shards + merge. Settable per query
     /// with a leading `/*+ PARALLELISM(n) */` hint.
@@ -45,7 +39,6 @@ impl Default for CompileOptions {
             max_out_of_orderness: 1_000,
             allowed_lateness: 0,
             bounded: true,
-            chain_operators: true,
             parallelism: 1,
             hot_key_threshold: None,
         }
@@ -178,9 +171,6 @@ fn compile(
     if operators.is_empty() {
         // pure `SELECT * FROM t`: identity map keeps the job non-trivial
         operators.push(Box::new(MapOp::new("identity", |r: &Row| r.clone())));
-    }
-    if options.chain_operators {
-        operators = rtdi_compute::operator::fuse_stateless(operators);
     }
     let source = source(referenced_columns(&stmt).as_deref())?;
     Ok(Job::new(name, source, operators, sink).with_out_of_orderness(options.max_out_of_orderness))
@@ -407,7 +397,10 @@ mod tests {
             &CompileOptions::default(),
         )
         .unwrap();
-        run(job);
+        // the runtime chains the compiled WHERE and projection
+        let stats = run_staged_with(job, &StagedConfig::default()).unwrap();
+        let stages: Vec<&str> = stats.stages.iter().map(|s| s.stage.as_str()).collect();
+        assert_eq!(stages, ["fused[where->project]"]);
         let rows = sink.rows();
         assert!(!rows.is_empty());
         assert!(rows

@@ -83,10 +83,6 @@ impl ActivePassiveConsumer {
         }
     }
 
-    pub fn current_region(&self) -> &str {
-        &self.current_region
-    }
-
     pub fn committed(&self, partition: usize) -> u64 {
         *self.offsets.get(&partition).unwrap_or(&0)
     }
@@ -213,7 +209,7 @@ mod tests {
 
         // fail over to east and drain
         consumer.fail_over(&topo, &sync, "east").unwrap();
-        assert_eq!(consumer.current_region(), "east");
+        assert_eq!(consumer.current_region, "east");
         let after = consumer.consume_available(&topo).unwrap();
 
         // zero data loss: every payment id seen at least once
@@ -275,7 +271,7 @@ mod tests {
         topo.region("west").unwrap().set_down(true);
         assert!(consumer.consume_available(&topo).is_err());
         consumer.fail_over(&topo, &sync, "east").unwrap();
-        assert_eq!(consumer.current_region(), "east");
+        assert_eq!(consumer.current_region, "east");
 
         // the links heal and west recovers; replication catches east up,
         // and the consumer drains from the translated resume point
@@ -327,6 +323,6 @@ mod tests {
         let sync = OffsetSyncService::new(topo.mappings().clone());
         let mut consumer = ActivePassiveConsumer::new("c", "t", "a");
         assert!(consumer.fail_over(&topo, &sync, "b").is_err());
-        assert_eq!(consumer.current_region(), "a");
+        assert_eq!(consumer.current_region, "a");
     }
 }

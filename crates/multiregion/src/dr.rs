@@ -21,7 +21,6 @@ use crate::activeactive::{redundant_compute_round, ActiveActiveCoordinator};
 use crate::activepassive::{ActivePassiveConsumer, OffsetSyncService};
 use crate::kv::ReplicatedKv;
 use crate::topology::MultiRegionTopology;
-use bytes::Bytes;
 use parking_lot::Mutex;
 use rtdi_common::chaos::{FaultKind, FaultPlan, Trigger};
 use rtdi_common::{
@@ -29,7 +28,7 @@ use rtdi_common::{
     RegionOutageKind, Result, Row, Schema, SimClock,
 };
 use rtdi_compute::jobmanager::JobType;
-use rtdi_compute::operator::{MapOp, Operator, OperatorOutput};
+use rtdi_compute::operator::{DedupOp, MapOp};
 use rtdi_compute::runtime::CheckpointData;
 use rtdi_compute::{
     run_staged_with, CheckpointStore, CollectSink, FnSink, Job, JobManager, JobSpec, StagedConfig,
@@ -215,61 +214,6 @@ impl DrReport {
     }
 }
 
-/// Stateful dedup operator: emits each record id exactly once per state
-/// lineage. Its snapshot IS the exactly-once proof — restoring it on a
-/// redeployed job filters the replayed suffix, so the distinct count
-/// survives region death without double-counting.
-struct DedupOp {
-    seen: BTreeSet<String>,
-}
-
-impl DedupOp {
-    fn new() -> Self {
-        DedupOp {
-            seen: BTreeSet::new(),
-        }
-    }
-}
-
-impl Operator for DedupOp {
-    fn name(&self) -> &str {
-        "dr-dedup"
-    }
-
-    fn process(&mut self, record: &Arc<Record>, out: &mut OperatorOutput) -> Result<()> {
-        let id = record.value.get_str("id").unwrap_or("");
-        if !self.seen.contains(id) {
-            self.seen.insert(id.to_string());
-            out.push(Arc::clone(record));
-        }
-        Ok(())
-    }
-
-    fn snapshot(&self) -> Bytes {
-        let joined = self.seen.iter().cloned().collect::<Vec<_>>().join("\n");
-        Bytes::from(joined.into_bytes())
-    }
-
-    fn restore(&mut self, data: Bytes) -> Result<()> {
-        let text = std::str::from_utf8(&data)
-            .map_err(|_| Error::Corruption("dedup state is not utf-8".into()))?;
-        self.seen = text
-            .split('\n')
-            .filter(|s| !s.is_empty())
-            .map(str::to_string)
-            .collect();
-        Ok(())
-    }
-
-    fn memory_bytes(&self) -> usize {
-        self.seen.iter().map(|s| s.len() + 16).sum()
-    }
-
-    fn is_stateful(&self) -> bool {
-        true
-    }
-}
-
 /// Per-region serving stack: mirrored checkpoint store view, OLAP table
 /// fed from the region's aggregate topic, and a SQL engine with the
 /// region's freshness tracer attached.
@@ -411,7 +355,6 @@ impl DrDrill {
         jm.validate(&JobSpec {
             name: JOB.into(),
             job_type: JobType::Stateless,
-            tier: 0,
             expected_records_per_sec: 1_000,
             factory: Box::new(|| {
                 Ok(Job::new(
@@ -483,7 +426,9 @@ impl DrDrill {
         let job = Job::new(
             JOB,
             Box::new(source),
-            vec![Box::new(DedupOp::new())],
+            // the dedup state is the exactly-once proof: restoring it on a
+            // redeployed job filters the replayed suffix
+            vec![Box::new(DedupOp::new("dr-dedup", vec!["id".into()]))],
             Box::new(sink),
         );
         let cfg = StagedConfig {

@@ -33,4 +33,4 @@ pub use activeactive::ActiveActiveCoordinator;
 pub use activepassive::{ActivePassiveConsumer, OffsetSyncService};
 pub use dr::{CycleLedger, DrConfig, DrDrill, DrReport};
 pub use kv::ReplicatedKv;
-pub use topology::{MultiRegionTopology, Region, RegionHealth};
+pub use topology::{MultiRegionTopology, Region};

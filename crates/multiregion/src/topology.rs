@@ -9,36 +9,6 @@ use rtdi_stream::replicator::{OffsetMappingStore, Replicator};
 use rtdi_stream::topic::TopicConfig;
 use std::sync::Arc;
 
-/// How much of a region is reachable. A region is two failure domains —
-/// the regional ingestion cluster and the aggregate cluster — and they
-/// can be lost independently (e.g. the aggregate cluster's racks lose
-/// power while apps keep producing into the regional cluster).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RegionHealth {
-    Healthy,
-    /// The regional cluster is unreachable: local produce fails, but the
-    /// aggregate keeps serving consumers and receiving replication from
-    /// other regions.
-    RegionalDown,
-    /// The aggregate cluster is unreachable: consumers and redundant
-    /// compute must fail over, but local produce and outbound
-    /// replication continue.
-    AggregateDown,
-    /// Full region loss.
-    Down,
-}
-
-impl RegionHealth {
-    pub fn name(&self) -> &'static str {
-        match self {
-            RegionHealth::Healthy => "healthy",
-            RegionHealth::RegionalDown => "regional-down",
-            RegionHealth::AggregateDown => "aggregate-down",
-            RegionHealth::Down => "down",
-        }
-    }
-}
-
 /// One region: a regional ingestion cluster and an aggregate cluster
 /// receiving replicated data from every region.
 pub struct Region {
@@ -94,32 +64,17 @@ impl Region {
         self.aggregate.set_down(down);
     }
 
-    /// Down only the regional ingestion cluster (partial degradation).
-    pub fn set_regional_down(&self, down: bool) {
-        self.regional.set_down(down);
-    }
-
     /// Down only the aggregate cluster (partial degradation).
     pub fn set_aggregate_down(&self, down: bool) {
         self.aggregate.set_down(down);
     }
 
     /// Full region loss: both clusters unreachable. Partial degradation
-    /// (one cluster lost) is reported by [`Region::health`], not here —
-    /// a region with a live aggregate can still serve consumers, and one
-    /// with a live regional cluster still ingests.
+    /// (one cluster lost) is not — a region with a live aggregate can
+    /// still serve consumers, and one with a live regional cluster still
+    /// ingests.
     pub fn is_down(&self) -> bool {
         self.regional.is_down() && self.aggregate.is_down()
-    }
-
-    /// Which half (if any) of the region is lost.
-    pub fn health(&self) -> RegionHealth {
-        match (self.regional.is_down(), self.aggregate.is_down()) {
-            (false, false) => RegionHealth::Healthy,
-            (true, false) => RegionHealth::RegionalDown,
-            (false, true) => RegionHealth::AggregateDown,
-            (true, true) => RegionHealth::Down,
-        }
     }
 
     /// Region kill: every broker of both clusters falls silent (the
@@ -405,12 +360,10 @@ mod tests {
         )
         .unwrap();
         let a = topo.region("a").unwrap();
-        assert_eq!(a.health(), RegionHealth::Healthy);
         assert!(!a.is_down());
 
         // aggregate-only loss: produce + outbound replication still work
         a.set_aggregate_down(true);
-        assert_eq!(a.health(), RegionHealth::AggregateDown);
         assert!(!a.is_down(), "partial loss is not full region loss");
         for i in 0..5 {
             topo.produce("a", trip(i), i).unwrap();
@@ -426,15 +379,12 @@ mod tests {
         assert_eq!(topo.aggregate_count("a").unwrap(), 5, "aggregate caught up");
 
         // regional-only loss: ingest fails, the aggregate keeps serving
-        a.set_regional_down(true);
-        assert_eq!(a.health(), RegionHealth::RegionalDown);
+        a.regional.set_down(true);
         assert!(topo.produce("a", trip(9), 9).is_err());
         assert_eq!(topo.aggregate_count("a").unwrap(), 5, "still serving");
 
-        a.set_regional_down(false);
-        assert_eq!(a.health(), RegionHealth::Healthy);
+        a.regional.set_down(false);
         a.set_down(true);
-        assert_eq!(a.health(), RegionHealth::Down);
         assert!(a.is_down());
     }
 

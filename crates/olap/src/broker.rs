@@ -130,16 +130,6 @@ impl Broker {
         }
     }
 
-    /// Builder-style scatter parallelism (0 = one worker per core).
-    pub fn with_parallelism(self, threads: usize) -> Self {
-        self.set_parallelism(threads);
-        self
-    }
-
-    pub fn set_parallelism(&self, threads: usize) {
-        self.parallelism.store(threads, Ordering::Relaxed);
-    }
-
     /// Gate queries behind an admission controller (tenant = table name,
     /// lane = the query's priority).
     pub fn set_admission(&self, admission: Arc<AdmissionController>) {
@@ -390,6 +380,12 @@ mod tests {
     use super::*;
     use crate::segment::IndexSpec;
     use rtdi_common::{AggFn, FieldType, Row, Schema};
+
+    impl Broker {
+        fn set_parallelism(&self, threads: usize) {
+            self.parallelism.store(threads, Ordering::Relaxed);
+        }
+    }
 
     fn schema() -> Schema {
         Schema::of(

@@ -148,10 +148,6 @@ impl Groups {
         groups
     }
 
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
@@ -332,6 +328,12 @@ mod tests {
     use rand::{rngs::StdRng, Rng, SeedableRng};
     use rtdi_common::AggFn;
     use std::collections::BTreeMap;
+
+    impl Groups {
+        fn len(&self) -> usize {
+            self.len
+        }
+    }
 
     type Model = BTreeMap<Vec<Option<String>>, Vec<AggAcc>>;
 

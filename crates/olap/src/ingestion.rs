@@ -125,18 +125,17 @@ impl RealtimeIngester {
                 let consumed = &fetch.records[..consumed];
                 let Some(last) = consumed.last() else { break };
                 self.positions[p] = last.offset + 1;
-                // one clock reading serves the fetch
-                let now = self.clock.as_ref().map(|c| c.now());
-                let seen = consumed.iter().map(|r| {
-                    let record = r.record.as_ref();
-                    (record, now.unwrap_or(record.timestamp))
-                });
                 if let Some(stage) = &self.chaperone {
-                    stage.observe_batch(seen.clone());
+                    stage.observe_batch(consumed.iter().map(|r| r.record.as_ref()));
                 }
                 // the records are queryable from here on: close out the
-                // end-to-end freshness measurement
+                // end-to-end freshness measurement, one clock reading a fetch
                 if let Some((hop, total)) = &self.trace {
+                    let now = self.clock.as_ref().map(|c| c.now());
+                    let seen = consumed.iter().map(|r| {
+                        let record = r.record.as_ref();
+                        (record, now.unwrap_or(record.timestamp))
+                    });
                     hop.observe_visible(total, seen);
                 }
                 if let Some(refusal) = refusal {
@@ -147,18 +146,6 @@ impl RealtimeIngester {
         }
         Ok(total)
     }
-
-    /// Total lag across partitions.
-    pub fn lag(&self) -> u64 {
-        (0..self.topic.num_partitions())
-            .map(|p| {
-                self.topic
-                    .partition(p)
-                    .map(|l| l.high_watermark().saturating_sub(self.positions[p]))
-                    .unwrap_or(0)
-            })
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -168,6 +155,20 @@ mod tests {
     use crate::table::TableConfig;
     use rtdi_common::{AggFn, FieldType, Record, Row, Schema, Value};
     use rtdi_stream::topic::TopicConfig;
+
+    impl RealtimeIngester {
+        /// Total lag across partitions.
+        fn lag(&self) -> u64 {
+            (0..self.topic.num_partitions())
+                .map(|p| {
+                    self.topic
+                        .partition(p)
+                        .map(|l| l.high_watermark().saturating_sub(self.positions[p]))
+                        .unwrap_or(0)
+                })
+                .sum()
+        }
+    }
 
     fn schema() -> Schema {
         Schema::of(
@@ -283,7 +284,7 @@ mod tests {
         };
         assert!(matches!(ing.run_once(), Err(Error::Schema(_))));
         assert_eq!(rows(), Some(REFUSED as i64));
-        assert_eq!(tbl.sealed_segments(0).len(), 1);
+        assert_eq!(tbl.sealed_segments(0).unwrap().len(), 1);
         assert_eq!(ch.stats("pinot-ingestion", 0).count, REFUSED as u64 + 1);
         assert_eq!(ing.lag(), 30 - (REFUSED as u64 + 1));
         assert_eq!(ing.run_once().unwrap(), 30 - (REFUSED as u64 + 1));
@@ -334,7 +335,10 @@ mod tests {
             assert!(sealed.len() > 3 * partitions, "{case}: {sealed:?}");
             assert_eq!(sealed, segments(&one_by_one), "{case}");
             for p in 0..partitions {
-                assert_eq!(fetched.sealed_segments(p), one_by_one.sealed_segments(p));
+                assert_eq!(
+                    fetched.sealed_segments(p).unwrap(),
+                    one_by_one.sealed_segments(p).unwrap()
+                );
             }
             let queries = [
                 Query::select_all("trips")

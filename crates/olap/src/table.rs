@@ -191,9 +191,7 @@ impl OlapTable {
         partition: usize,
         rows: impl IntoIterator<Item = (&'a Row, Option<Timestamp>)>,
     ) -> std::result::Result<usize, (usize, Error)> {
-        let out_of_range = || Error::InvalidArgument(format!("partition {partition} out of range"));
-        let state = self.partitions.get(partition);
-        let mut st = state.ok_or_else(|| (0, out_of_range()))?.write();
+        let mut st = self.partition(partition).map_err(|e| (0, e))?.write();
         let mut taken = 0;
         for (row, event_time) in rows {
             self.ingest_row(&mut st, row, event_time)
@@ -284,7 +282,7 @@ impl OlapTable {
     /// Drop a sealed realtime segment from a partition (replica-failure
     /// injection for the recovery experiments). Returns the segment.
     pub fn evict_sealed(&self, partition: usize, name: &str) -> Result<Arc<Segment>> {
-        let mut st = self.partitions[partition].write();
+        let mut st = self.partition(partition)?.write();
         let idx = st
             .sealed
             .iter()
@@ -294,18 +292,21 @@ impl OlapTable {
     }
 
     /// Re-install a recovered segment.
-    pub fn restore_sealed(&self, partition: usize, segment: Arc<Segment>) {
-        self.partitions[partition].write().sealed.push(segment);
+    pub fn restore_sealed(&self, partition: usize, segment: Arc<Segment>) -> Result<()> {
+        self.partition(partition)?.write().sealed.push(segment);
+        Ok(())
     }
 
     /// Names of sealed segments per partition.
-    pub fn sealed_segments(&self, partition: usize) -> Vec<String> {
-        self.partitions[partition]
-            .read()
-            .sealed
-            .iter()
-            .map(|s| s.name().to_string())
-            .collect()
+    pub fn sealed_segments(&self, partition: usize) -> Result<Vec<String>> {
+        let st = self.partition(partition)?.read();
+        Ok(st.sealed.iter().map(|s| s.name().to_string()).collect())
+    }
+
+    fn partition(&self, partition: usize) -> Result<&RwLock<PartitionState>> {
+        self.partitions
+            .get(partition)
+            .ok_or_else(|| Error::InvalidArgument(format!("partition {partition} out of range")))
     }
 
     pub fn doc_count(&self) -> usize {
@@ -514,7 +515,7 @@ mod tests {
             table.ingest(i % 2, trip(i)).unwrap();
         }
         // 100 rows, 25-per-segment -> sealing happened
-        assert!(!table.sealed_segments(0).is_empty());
+        assert!(!table.sealed_segments(0).unwrap().is_empty());
         assert_eq!(table.doc_count(), 100);
         let q = Query::select_all("trips")
             .aggregate("n", AggFn::Count)
@@ -621,7 +622,7 @@ mod tests {
         };
         let consuming = answers();
         table.seal_all().unwrap();
-        assert_eq!(table.sealed_segments(0).len(), 1);
+        assert_eq!(table.sealed_segments(0).unwrap().len(), 1);
         for ((q, before), after) in queries.iter().zip(&consuming).zip(answers()) {
             assert_eq!(before, &after, "answer changed at the seal: {q:?}");
         }
@@ -792,15 +793,31 @@ mod tests {
         for i in 0..20 {
             table.ingest(0, trip(i)).unwrap();
         }
-        let names = table.sealed_segments(0);
+        let names = table.sealed_segments(0).unwrap();
         assert_eq!(names.len(), 2);
         let q = Query::select_all("trips").aggregate("n", AggFn::Count);
         assert_eq!(table.query(&q).unwrap().rows[0].get_int("n"), Some(20));
         let seg = table.evict_sealed(0, &names[0]).unwrap();
         assert_eq!(table.query(&q).unwrap().rows[0].get_int("n"), Some(10));
-        table.restore_sealed(0, seg);
+        table.restore_sealed(0, seg).unwrap();
         assert_eq!(table.query(&q).unwrap().rows[0].get_int("n"), Some(20));
         assert!(table.evict_sealed(0, "ghost").is_err());
+    }
+
+    /// A partition past the last is refused as `ingest_batch` refuses it,
+    /// never indexed.
+    #[test]
+    fn sealed_segment_calls_refuse_an_unknown_partition() {
+        let table = plain_table(10);
+        for i in 0..10 {
+            table.ingest(0, trip(i)).unwrap();
+        }
+        let seg = table.evict_sealed(0, &table.sealed_segments(0).unwrap()[0]);
+        let past = table.config().partitions;
+        let refused = |r: Result<()>| matches!(r, Err(Error::InvalidArgument(_)));
+        assert!(refused(table.evict_sealed(past, "x").map(drop)));
+        assert!(refused(table.restore_sealed(past, seg.unwrap())));
+        assert!(refused(table.sealed_segments(past).map(drop)));
     }
 
     #[test]
@@ -853,7 +870,7 @@ mod tests {
             Err((23, Error::Schema(_)))
         ));
         assert_eq!(table.doc_count(), 23);
-        assert_eq!(table.sealed_segments(0).len(), 2);
+        assert_eq!(table.sealed_segments(0).unwrap().len(), 2);
         assert_eq!(table.ingest_batch(1, batch().take(23)), Ok(23));
         assert_eq!(table.ingest_batch(1, batch().take(0)), Ok(0));
         assert!(matches!(

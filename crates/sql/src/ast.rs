@@ -60,13 +60,6 @@ pub enum Expr {
 }
 
 impl Expr {
-    pub fn col(name: &str) -> Expr {
-        Expr::Column {
-            qualifier: None,
-            name: name.to_string(),
-        }
-    }
-
     /// Does this expression (transitively) contain an aggregate call?
     pub fn contains_agg(&self) -> bool {
         match self {
@@ -212,6 +205,15 @@ pub struct SelectStmt {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Expr {
+        fn col(name: &str) -> Expr {
+            Expr::Column {
+                qualifier: None,
+                name: name.to_string(),
+            }
+        }
+    }
 
     #[test]
     fn contains_agg_walks_tree() {

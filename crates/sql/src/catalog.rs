@@ -85,8 +85,6 @@ pub struct HybridTable {
     /// Offline slices, unfinalized, with the ledger of the scan that first
     /// computed them.
     cache: Mutex<HashMap<String, PartialResult>>,
-    cache_hits: AtomicU64,
-    cache_misses: AtomicU64,
     /// Scatter threads for the offline side (0 = one per core).
     query_threads: usize,
 }
@@ -107,8 +105,6 @@ impl HybridTable {
             offline: RwLock::new(Vec::new()),
             version: AtomicU64::new(0),
             cache: Mutex::new(HashMap::new()),
-            cache_hits: AtomicU64::new(0),
-            cache_misses: AtomicU64::new(0),
             query_threads: 0,
         }
     }
@@ -135,14 +131,6 @@ impl HybridTable {
 
     pub fn partition_spec(&self) -> Option<(String, usize)> {
         self.partition_spec.clone()
-    }
-
-    /// `(hits, misses)` of the freshness-aware result cache.
-    pub fn cache_stats(&self) -> (u64, u64) {
-        (
-            self.cache_hits.load(Ordering::Relaxed),
-            self.cache_misses.load(Ordering::Relaxed),
-        )
     }
 
     /// Current segment-inventory version (bumped by every segment event).
@@ -312,11 +300,9 @@ impl HybridTable {
     ) -> Result<PartialResult> {
         let key = cache_key(query, boundary, self.version());
         if let Some(slice) = self.cache.lock().get(&key).cloned() {
-            self.cache_hits.fetch_add(1, Ordering::Relaxed);
             *cache_hit = true;
             return Ok(slice);
         }
-        self.cache_misses.fetch_add(1, Ordering::Relaxed);
 
         // Prune the inventory: partition hint, then the zone maps (the
         // time column's among them). Pruned segments cost header bytes
@@ -471,8 +457,7 @@ mod tests {
         assert_eq!(out.rows[0].get_int("n"), Some(39)); // 211..=249
         assert_eq!(out.ledger.segments_pruned, 2); // both archives skipped
         assert_eq!(out.bytes_read, 0); // without touching a single byte
-        let (hits, misses) = h.cache_stats();
-        assert_eq!((hits, misses), (0, 0)); // skipped side never cached
+        assert!(h.cache.lock().is_empty()); // skipped side never cached
     }
 
     #[test]
@@ -511,7 +496,6 @@ mod tests {
         assert!(second.cache_hit);
         assert_eq!(second.rows[0].get_int("n"), Some(260));
         assert_eq!(second.bytes_read, 0);
-        assert_eq!(h.cache_stats(), (1, 1));
     }
 
     #[test]

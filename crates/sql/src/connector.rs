@@ -9,7 +9,6 @@
 use crate::catalog::HybridTable;
 use rtdi_common::{AggFn, Deadline, Error, FieldType, Priority, Result, Row, Schema, Value};
 use rtdi_olap::bitmap::Bitmap;
-use rtdi_olap::broker::Broker;
 use rtdi_olap::query::{PartialAgg, Predicate, Query as OlapQuery, ScanLedger, SortOrder};
 use rtdi_olap::segment::LazySegment;
 use rtdi_olap::table::OlapTable;
@@ -204,10 +203,6 @@ pub trait Connector: Send + Sync {
 enum PinotSource {
     /// In-process hybrid table (no server fan-out).
     Direct(Arc<OlapTable>),
-    /// Table served through a scatter-gather [`Broker`] over server
-    /// nodes. Server death surfaces here as Pinot partial-response
-    /// metadata rather than a hard error.
-    Brokered { schema: Schema, broker: Arc<Broker> },
     /// Federated hybrid table: realtime side + archival segments, split
     /// at the time boundary by [`HybridTable`].
     Hybrid(Arc<HybridTable>),
@@ -232,15 +227,6 @@ impl PinotConnector {
         self.tables
             .write()
             .insert(table.name().to_string(), PinotSource::Direct(table));
-    }
-
-    /// Register a table served by a scatter-gather broker. Queries route
-    /// through the broker's replica-aware plan, so a dead server degrades
-    /// the scan to `partial=true` instead of failing it.
-    pub fn register_brokered(&self, name: &str, schema: Schema, broker: Arc<Broker>) {
-        self.tables
-            .write()
-            .insert(name.to_string(), PinotSource::Brokered { schema, broker });
     }
 
     /// Register a federated hybrid table: queries split at the time
@@ -279,7 +265,6 @@ impl Connector for PinotConnector {
     fn table_schema(&self, table: &str) -> Result<Schema> {
         Ok(match self.table(table)? {
             PinotSource::Direct(t) => t.config().schema.clone(),
-            PinotSource::Brokered { schema, .. } => schema,
             PinotSource::Hybrid(t) => t.schema().clone(),
         })
     }
@@ -300,7 +285,6 @@ impl Connector for PinotConnector {
         let q = pushdown_query(table, pushdown);
         let (mut result, schema) = match &source {
             PinotSource::Direct(t) => (t.query(&q)?, t.config().schema.clone()),
-            PinotSource::Brokered { schema, broker } => (broker.query(&q)?, schema.clone()),
             // the hybrid table runs its own two-sided plan over the raw
             // pushdown (it must split the time predicate itself)
             PinotSource::Hybrid(t) => return t.scan(pushdown),
@@ -680,64 +664,5 @@ mod tests {
         assert!(c.scan("ghost", &Pushdown::default()).is_err());
         assert!(c.table_schema("ghost").is_err());
         assert_eq!(c.table_names(), vec!["orders".to_string()]);
-    }
-
-    fn brokered_pinot() -> (PinotConnector, Arc<Broker>) {
-        use rtdi_olap::broker::ServerNode;
-        use rtdi_olap::segment::Segment;
-        let schema = Schema::of(
-            "orders",
-            &[("city", FieldType::Str), ("total", FieldType::Double)],
-        );
-        let servers: Vec<Arc<ServerNode>> = (0..2).map(ServerNode::new).collect();
-        let broker = Arc::new(Broker::new(servers));
-        broker.register_table("orders", false);
-        for s in 0..4 {
-            let rows: Vec<Row> = (0..100)
-                .map(|i| {
-                    Row::new()
-                        .with("city", ["sf", "la"][i % 2])
-                        .with("total", (s * 100 + i) as f64)
-                })
-                .collect();
-            let seg = Segment::build(format!("s{s}"), &schema, rows, &IndexSpec::none()).unwrap();
-            // replication 1: a server death strands half the segments
-            broker
-                .place_segment("orders", Arc::new(seg), None, 1)
-                .unwrap();
-        }
-        let c = PinotConnector::new();
-        c.register_brokered("orders", schema, broker.clone());
-        (c, broker)
-    }
-
-    #[test]
-    fn brokered_scan_surfaces_partial_response() {
-        let (c, broker) = brokered_pinot();
-        let pd = Pushdown {
-            aggregation: Some(PushedAgg {
-                group_by: Arc::new(vec![]),
-                aggs: Arc::new(vec![("n".into(), AggFn::Count)]),
-            }),
-            ..Default::default()
-        };
-        let healthy = c.scan("orders", &pd).unwrap();
-        assert!(!healthy.ledger.partial());
-        assert_eq!(healthy.ledger.segments_unavailable, 0);
-        assert_eq!(healthy.rows[0].get_int("n"), Some(400));
-
-        broker.servers()[1].set_down(true);
-        let degraded = c.scan("orders", &pd).unwrap();
-        assert!(
-            degraded.ledger.partial(),
-            "dead server must mark the scan partial"
-        );
-        assert_eq!(degraded.ledger.segments_unavailable, 2);
-        assert_eq!(degraded.rows[0].get_int("n"), Some(200));
-
-        broker.servers()[1].set_down(false);
-        let healed = c.scan("orders", &pd).unwrap();
-        assert!(!healed.ledger.partial());
-        assert_eq!(healed.rows[0].get_int("n"), Some(400));
     }
 }

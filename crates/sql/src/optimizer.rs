@@ -31,11 +31,7 @@ pub type CapsResolver<'a> = &'a dyn Fn(&Option<String>) -> Capabilities;
 pub type PartitionResolver<'a> = &'a dyn Fn(&Option<String>, &str) -> Option<(String, usize)>;
 
 /// Optimize a plan. `enable` gates all pushdown (the E14 ablation flag).
-pub fn optimize(plan: Plan, caps: CapsResolver, enable: bool) -> Plan {
-    optimize_with(plan, caps, &|_, _| None, enable)
-}
-
-/// [`optimize`] plus partition derivation: after predicate pushdown, an
+/// After predicate pushdown comes partition derivation: an
 /// equality predicate on a table's partition column pins the scatter to
 /// the single partition `hash(value) % count` (§4.3's partition-aware
 /// routing, derived by the planner instead of declared by the client).
@@ -561,11 +557,8 @@ mod tests {
     }
 
     fn optimized(sql: &str, caps: CapsResolver) -> Plan {
-        optimize(
-            plan_select(&parse_select(sql).unwrap()).unwrap(),
-            caps,
-            true,
-        )
+        let plan = plan_select(&parse_select(sql).unwrap()).unwrap();
+        optimize_with(plan, caps, &|_, _| None, true)
     }
 
     fn find_scan(p: &Plan) -> &Pushdown {
@@ -708,7 +701,7 @@ mod tests {
     fn disable_flag_bypasses_everything() {
         let plan =
             plan_select(&parse_select("SELECT city FROM t WHERE total > 10").unwrap()).unwrap();
-        let same = optimize(plan.clone(), &full_caps, false);
+        let same = optimize_with(plan.clone(), &full_caps, &|_, _| None, false);
         assert_eq!(plan, same);
     }
 }

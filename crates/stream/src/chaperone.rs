@@ -13,8 +13,6 @@
 //! through the handle.
 
 use parking_lot::{Mutex, RwLock};
-use rtdi_common::metrics::Histogram;
-use rtdi_common::trace::PipelineTracer;
 use rtdi_common::{Record, Timestamp, UniqueId};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
@@ -149,24 +147,8 @@ impl Window {
     }
 }
 
-#[derive(Default)]
-struct StageData {
-    /// window start -> what the window saw
-    windows: Mutex<BTreeMap<Timestamp, Window>>,
-    /// Freshness at this stage: observation time minus the record's
-    /// producer origin stamp, in milliseconds. Only populated by
-    /// `observe_at`/`observe_batch` (plain `observe` has no wall clock).
-    freshness: Histogram,
-}
-
-/// Freshness percentiles of one stage, in milliseconds.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StageFreshness {
-    pub count: u64,
-    pub p50_ms: u64,
-    pub p99_ms: u64,
-    pub max_ms: u64,
-}
+/// window start -> what the window saw
+type StageData = Mutex<BTreeMap<Timestamp, Window>>;
 
 /// The audit collector.
 #[derive(Clone)]
@@ -190,32 +172,18 @@ impl ChaperoneStage {
         self.count([id_and_time(record)]);
     }
 
-    /// [`observe_batch`](Self::observe_batch) of one record.
-    pub fn observe_at(&self, record: &Record, now: Timestamp) {
-        self.observe_batch([(record, now)]);
-    }
-
-    /// Report a batch under one hold of the stage's lock: each record as
-    /// [`observe`](Self::observe) does, and its freshness — the observer's
-    /// clock when it saw the record (one reading may serve a whole fetch)
-    /// minus the record's producer origin stamp — so audits carry per-stage
-    /// freshness percentiles alongside counts. A run of equal freshness is
-    /// one histogram update. Windowing still uses the record's event time
-    /// so upstream and downstream observations of the same message land in
-    /// the same audit window regardless of when each stage saw it.
-    pub fn observe_batch<'a>(&self, records: impl IntoIterator<Item = (&'a Record, Timestamp)>) {
-        let mut freshness = self.data.freshness.runs();
-        let timed = records.into_iter().inspect(|(record, now)| {
-            freshness.record((now - PipelineTracer::app_ts_of(record)).max(0) as u64);
-        });
-        self.count(timed.map(|(record, _)| id_and_time(record)));
+    /// Report a batch under one hold of the stage's lock, each record as
+    /// [`observe`](Self::observe) does. How fresh a record is, is the
+    /// tracer's to measure; the Chaperone counts.
+    pub fn observe_batch<'a>(&self, records: impl IntoIterator<Item = &'a Record>) {
+        self.count(records.into_iter().map(id_and_time));
     }
 
     /// The one counting function: takes the lock once and keeps the
     /// current window while event time stays inside it.
     fn count<'a>(&self, ids: impl IntoIterator<Item = (Option<&'a UniqueId>, Timestamp)>) {
         let mut ids = ids.into_iter().peekable();
-        let mut windows = self.data.windows.lock();
+        let mut windows = self.data.lock();
         while let Some((id, ts)) = ids.next() {
             let start = ts.div_euclid(self.window_ms) * self.window_ms;
             let inside = |ts: Timestamp| {
@@ -267,26 +235,10 @@ impl Chaperone {
         self.stage(stage).count([(Some(&id), ts)]);
     }
 
-    /// Freshness percentiles for a stage; `None` if the stage has never
-    /// been observed with a clock.
-    pub fn freshness(&self, stage: &str) -> Option<StageFreshness> {
-        let stages = self.stages.read();
-        let h = &stages.get(stage)?.freshness;
-        if h.count() == 0 {
-            return None;
-        }
-        Some(StageFreshness {
-            count: h.count(),
-            p50_ms: h.quantile(0.5),
-            p99_ms: h.quantile(0.99),
-            max_ms: h.max(),
-        })
-    }
-
     /// Every stage that has reported at least one observation.
     pub fn stage_names(&self) -> Vec<String> {
         let stages = self.stages.read();
-        let observed = stages.iter().filter(|(_, d)| !d.windows.lock().is_empty());
+        let observed = stages.iter().filter(|(_, d)| !d.lock().is_empty());
         observed.map(|(name, _)| name.clone()).collect()
     }
 
@@ -294,7 +246,7 @@ impl Chaperone {
         let Some(data) = self.stages.read().get(stage).cloned() else {
             return BTreeMap::new();
         };
-        let windows = data.windows.lock();
+        let windows = data.lock();
         windows.iter().map(|(&at, w)| (at, w.tally())).collect()
     }
 
@@ -340,15 +292,6 @@ impl Chaperone {
     /// stages (the §2 "ability to certify data quality" requirement).
     pub fn certify(&self, upstream: &str, downstream: &str) -> bool {
         self.audit(upstream, downstream).is_empty()
-    }
-
-    /// Audit a whole pipeline — each consecutive pair of stages in order
-    /// (stream -> compute -> OLAP) — and return every alert found.
-    pub fn audit_chain(&self, stages: &[&str]) -> Vec<AuditAlert> {
-        stages
-            .windows(2)
-            .flat_map(|pair| self.audit(pair[0], pair[1]))
-            .collect()
     }
 
     /// Total messages lost and duplicated between two stages, summed over
@@ -478,7 +421,7 @@ mod tests {
     /// 1, 3 and 1000 origins (dense runs, numbers ahead of their turn, gaps
     /// of 2^40, replays), text ids (some spelling a minted id's text form,
     /// which stays another id), anonymous records and negative event times,
-    /// fed through all three observers in drawn chunk sizes; the downstream
+    /// fed through both observers in drawn chunk sizes; the downstream
     /// stage sees the stream with drops and repeats.
     #[test]
     fn tallies_equal_a_plain_map_of_ids() {
@@ -535,7 +478,6 @@ mod tests {
                     }
                 };
                 let mut record = Record::new(Row::new(), ts);
-                record.audit_mut().app_ts = Some(ts - draw(100) as i64);
                 record.audit_mut().unique_id = seq.map(|seq| match seq {
                     Err(text) => UniqueId::Text(text.into()),
                     // an origin is its name, under whichever pointer
@@ -557,28 +499,23 @@ mod tests {
             let ch = Chaperone::new(1000);
             for (stage, stream) in [("up", &upstream), ("down", &downstream)] {
                 let handle = ch.stage(stage);
-                let (mut left, mut timed) = (&stream[..], 0);
+                let mut left = &stream[..];
                 while !left.is_empty() {
                     let (chunk, rest) = left.split_at(left.len().min(1 + draw(64) as usize));
                     left = rest;
-                    let with_clock = chunk.iter().map(|r| (r, r.timestamp + 7));
-                    let mode = draw(3);
-                    match mode {
+                    match draw(2) {
                         0 => chunk.iter().for_each(|r| handle.observe(r)),
-                        1 => with_clock.for_each(|(r, now)| handle.observe_at(r, now)),
-                        _ => handle.observe_batch(with_clock),
+                        _ => handle.observe_batch(chunk),
                     }
-                    timed += if mode == 0 { 0 } else { chunk.len() as u64 };
                 }
                 let expected = tallies_of(stream);
                 assert_eq!(ch.tallies(stage), expected, "{origins} origins, {stage}");
                 for (&at, stats) in &expected {
                     assert_eq!(&ch.stats(stage, at), stats);
                 }
-                assert_eq!(ch.freshness(stage).map(|f| f.count), Some(timed));
                 // a number costs at most the chunk it falls in, however far
                 // it lies from the one before
-                for window in handle.data.windows.lock().values() {
+                for window in handle.data.lock().values() {
                     for (origin, set) in &window.origins {
                         assert!(set.chunks.len() as u64 <= set.unique, "{origin}");
                     }
@@ -614,26 +551,7 @@ mod tests {
     }
 
     #[test]
-    fn observe_at_records_freshness_percentiles() {
-        let ch = Chaperone::new(1000);
-        for i in 0..10i64 {
-            let mut r = rec(&format!("m{i}"), i);
-            r.audit_mut().app_ts = Some(i);
-            // observed 100ms after its origin stamp
-            ch.stage("kafka").observe_at(&r, i + 100);
-        }
-        let f = ch.freshness("kafka").unwrap();
-        assert_eq!(f.count, 10);
-        assert!(f.p50_ms >= 100 && f.p50_ms <= 128, "p50={}", f.p50_ms);
-        assert!(f.max_ms == 100);
-        // a stage observed without a clock has no freshness data
-        ch.observe("clockless", &rec("x", 0));
-        assert!(ch.freshness("clockless").is_none());
-        assert!(ch.stage_names().contains(&"kafka".to_string()));
-    }
-
-    #[test]
-    fn chain_audit_covers_every_consecutive_pair() {
+    fn loss_and_duplication_are_counted_apart() {
         let ch = Chaperone::new(1000);
         for i in 0..20 {
             let r = rec(&format!("m{i}"), i);
@@ -644,8 +562,8 @@ mod tests {
                 ch.observe("olap", &r);
             }
         }
-        assert!(ch.audit_chain(&["stream", "compute"]).is_empty());
-        let alerts = ch.audit_chain(&["stream", "compute", "olap"]);
+        assert!(ch.audit("stream", "compute").is_empty());
+        let alerts = ch.audit("compute", "olap");
         assert_eq!(alerts.len(), 1);
         assert_eq!(alerts[0].from_stage, "compute");
         let (lost, duplicated) = ch.loss_and_duplication("compute", "olap");

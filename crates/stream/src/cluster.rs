@@ -265,12 +265,6 @@ impl Cluster {
         (total, used)
     }
 
-    /// Whether the federation layer should stop placing new topics here.
-    pub fn is_full(&self) -> bool {
-        let (total, used) = self.capacity();
-        used >= total
-    }
-
     /// Per-operation coordination overhead in arbitrary cost units. Flat
     /// up to `ideal_max_nodes`, then grows quadratically with the excess —
     /// the empirical shape behind the paper's "ideal cluster size < 150
@@ -383,6 +377,14 @@ impl Cluster {
 mod tests {
     use super::*;
     use rtdi_common::Row;
+
+    impl Cluster {
+        /// Whether the federation layer should stop placing new topics here.
+        fn is_full(&self) -> bool {
+            let (total, used) = self.capacity();
+            used >= total
+        }
+    }
 
     #[test]
     fn create_produce_fetch() {

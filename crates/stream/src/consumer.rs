@@ -94,14 +94,6 @@ impl ConsumerGroup {
         st.generation
     }
 
-    /// Remove a member and rebalance.
-    pub fn leave(&self, member: &str) -> u64 {
-        let mut st = self.state.write();
-        st.members.retain(|m| m != member);
-        self.rebalance(&mut st);
-        st.generation
-    }
-
     fn rebalance(&self, st: &mut GroupState) {
         st.generation += 1;
         st.assignment.clear();
@@ -129,19 +121,10 @@ impl ConsumerGroup {
             .unwrap_or_default()
     }
 
-    /// Poll up to `max` records *per assigned partition* for a member.
-    /// Advances the in-memory position (not the commit).
-    pub fn poll(&self, member: &str, max: usize) -> Result<Vec<OffsetRecord>> {
-        Ok(self
-            .poll_partitioned(member, max)?
-            .into_iter()
-            .flat_map(|(_, recs)| recs)
-            .collect())
-    }
-
-    /// Like [`ConsumerGroup::poll`] but keeps records grouped by the
-    /// partition they came from — the consumer proxy needs partition
-    /// identity for its out-of-order offset tracking.
+    /// Poll up to `max` records *per assigned partition* for a member,
+    /// grouped by the partition they came from — the consumer proxy needs
+    /// partition identity for its out-of-order offset tracking. Advances
+    /// the in-memory position (not the commit).
     pub fn poll_partitioned(
         &self,
         member: &str,
@@ -196,10 +179,6 @@ impl ConsumerGroup {
         st.position.insert(partition, offset);
     }
 
-    pub fn committed(&self, partition: usize) -> u64 {
-        *self.state.read().committed.get(&partition).unwrap_or(&0)
-    }
-
     /// Total lag: records between committed offsets and the *committed*
     /// (consumer-visible) high watermarks — uncommitted tail records a
     /// consumer could never fetch don't count as lag. The job manager's
@@ -214,14 +193,6 @@ impl ConsumerGroup {
             })
             .sum()
     }
-
-    pub fn members(&self) -> Vec<String> {
-        self.state.read().members.clone()
-    }
-
-    pub fn generation(&self) -> u64 {
-        self.state.read().generation
-    }
 }
 
 #[cfg(test)]
@@ -229,6 +200,22 @@ mod tests {
     use super::*;
     use crate::topic::TopicConfig;
     use rtdi_common::{Record, Row};
+
+    impl ConsumerGroup {
+        /// Poll up to `max` records *per assigned partition* for a member.
+        /// Advances the in-memory position (not the commit).
+        pub(crate) fn poll(&self, member: &str, max: usize) -> Result<Vec<OffsetRecord>> {
+            Ok(self
+                .poll_partitioned(member, max)?
+                .into_iter()
+                .flat_map(|(_, recs)| recs)
+                .collect())
+        }
+
+        fn committed(&self, partition: usize) -> u64 {
+            *self.state.read().committed.get(&partition).unwrap_or(&0)
+        }
+    }
 
     fn topic_with(n: usize, records: usize) -> Arc<Topic> {
         let t = Arc::new(Topic::new("t", TopicConfig::default().with_partitions(n)).unwrap());
@@ -307,35 +294,6 @@ mod tests {
         let replay = g.poll(owner, 10).unwrap();
         assert_eq!(replay[0].offset, 5, "uncommitted records must replay");
         assert_eq!(replay.len(), 5);
-    }
-
-    /// §4.1.3: a member leaving hands its partitions to the survivors in
-    /// a new generation, and what it had polled but not committed replays.
-    #[test]
-    fn leave_rebalances_to_the_survivors_and_replays_uncommitted() {
-        let t = topic_with(2, 20);
-        let g = ConsumerGroup::new("g", TopicSubscription::new(t));
-        g.join("a");
-        let joined = g.join("b");
-        assert_eq!(g.members(), vec!["a".to_string(), "b".to_string()]);
-        let of_b = g.assignment("b");
-        assert_eq!((g.assignment("a").len(), of_b.len()), (1, 1));
-        let polled = g.poll("b", 100).unwrap();
-        assert!(!polled.is_empty(), "both partitions hold records");
-        // b goes away without committing
-        assert_eq!(g.leave("b"), joined + 1);
-        assert_eq!(g.generation(), joined + 1);
-        assert_eq!(g.members(), vec!["a".to_string()]);
-        assert_eq!(g.assignment("a"), vec![0, 1]);
-        assert!(g.poll("b", 1).is_err(), "a member that left cannot poll");
-        let replayed = g.poll("a", 100).unwrap();
-        assert_eq!(replayed.len(), 20, "a now reads both partitions from 0");
-        assert!(polled.iter().all(|r| replayed
-            .iter()
-            .any(|q| q.offset == r.offset && q.record == r.record)));
-        // the last member leaving leaves nothing assigned
-        g.leave("a");
-        assert!(g.members().is_empty() && g.assignment("a").is_empty());
     }
 
     #[test]

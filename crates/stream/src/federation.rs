@@ -293,7 +293,7 @@ impl StreamEndpoint for FederatedCluster {
             }
         }
         if let Some(stage) = &route.audit {
-            stage.observe_at(&record, now);
+            stage.observe(&record);
         }
         route.topic.append(record, now)
     }

@@ -173,18 +173,6 @@ impl PartitionLog {
         dropped as u64
     }
 
-    /// How long the record at `offset` has been sitting in the log
-    /// (`now` minus its append time) — the broker-side component of
-    /// end-to-end freshness. `None` if the offset is not retained.
-    pub fn queue_dwell_at(&self, offset: u64, now: Timestamp) -> Option<i64> {
-        let inner = self.inner.read();
-        let idx = offset.checked_sub(inner.base_offset)? as usize;
-        inner
-            .entries
-            .get(idx)
-            .map(|(appended, _)| (now - appended).max(0))
-    }
-
     /// Next offset that will be assigned (a.k.a. log end offset / high
     /// watermark in this single-replica model).
     pub fn high_watermark(&self) -> u64 {
@@ -360,19 +348,6 @@ mod tests {
         assert!(log.bytes() <= 2_000 + 200, "bytes={}", log.bytes());
         assert!(log.log_start_offset() > 0);
         assert_eq!(log.high_watermark(), 1000);
-    }
-
-    #[test]
-    fn queue_dwell_measures_time_since_append() {
-        let log = PartitionLog::new(0, 0);
-        log.append(rec(0), 1_000);
-        log.append(rec(1), 1_500);
-        assert_eq!(log.queue_dwell_at(0, 2_000), Some(1_000));
-        assert_eq!(log.queue_dwell_at(1, 2_000), Some(500));
-        // not yet appended / trimmed offsets have no dwell
-        assert_eq!(log.queue_dwell_at(2, 2_000), None);
-        log.truncate_all();
-        assert_eq!(log.queue_dwell_at(0, 2_000), None);
     }
 
     #[test]

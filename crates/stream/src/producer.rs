@@ -8,7 +8,7 @@
 use crate::log::FetchResult;
 use parking_lot::Mutex;
 use rtdi_common::{
-    Clock, Error, FaultPoint, Quota, RateLimiter, Record, Result, RetryPolicy, Timestamp, UniqueId,
+    Clock, FaultPoint, Quota, RateLimiter, Record, Result, RetryPolicy, Timestamp, UniqueId,
     WallClock,
 };
 use std::collections::BTreeMap;
@@ -78,13 +78,12 @@ pub struct Producer {
     sent: AtomicU64,
     /// Per-topic ingress quotas (the paper's Kafka-side client quotas,
     /// §4.1): a send that exhausts its topic bucket after the retry
-    /// budget surfaces `Error::Overloaded` and is counted as shed.
+    /// budget surfaces `Error::Overloaded`.
     quotas: Mutex<BTreeMap<String, Arc<RateLimiter>>>,
     /// Whether any quota was ever set: until then a send takes no lock.
     /// Stored (`Release`) after the quota is in the map, so a send that
     /// loads it (`Acquire`) as set finds the quota under the lock.
     quoted: AtomicBool,
-    shed: AtomicU64,
     retries: AtomicU64,
 }
 
@@ -109,7 +108,6 @@ impl Producer {
             sent: AtomicU64::new(0),
             quotas: Mutex::new(BTreeMap::new()),
             quoted: AtomicBool::new(false),
-            shed: AtomicU64::new(0),
             retries: AtomicU64::new(0),
         }
     }
@@ -160,28 +158,14 @@ impl Producer {
             self.retries
                 .fetch_add(attempts as u64 - 1, Ordering::Relaxed);
         }
-        match result {
-            Ok(_) => {
-                self.sent.fetch_add(1, Ordering::Relaxed);
-                Ok(())
-            }
-            Err(e) => {
-                if matches!(e, Error::Overloaded(_)) {
-                    self.shed.fetch_add(1, Ordering::Relaxed);
-                }
-                Err(e)
-            }
-        }
+        result.map(|_| {
+            self.sent.fetch_add(1, Ordering::Relaxed);
+        })
     }
 
     /// Records successfully delivered to the endpoint.
     pub fn records_sent(&self) -> u64 {
         self.sent.load(Ordering::Relaxed)
-    }
-
-    /// Records refused by a topic quota (after the retry budget).
-    pub fn records_shed(&self) -> u64 {
-        self.shed.load(Ordering::Relaxed)
     }
 
     /// Send attempts beyond the first, over every `send` so far.
@@ -320,7 +304,6 @@ mod tests {
         }
         assert_eq!((accepted, shed), (3, 2), "burst of 3, then quota sheds");
         assert_eq!(p.records_sent(), 4 + 3);
-        assert_eq!(p.records_shed(), 2);
         assert_eq!(c.topic("t").unwrap().total_records(), 4 + 3);
         // advancing the injected clock refills the bucket: 2ms at 1000/s
         clock.advance(2);
@@ -333,8 +316,6 @@ mod tests {
             }
         }
         assert_eq!(p.records_sent(), 4 + 5);
-        // exact accounting: every offered record is either sent or shed
-        assert_eq!(p.records_sent() + p.records_shed(), 4 + 8);
     }
 
     #[test]

@@ -22,8 +22,7 @@ use crate::log::OffsetRecord;
 use parking_lot::Mutex;
 use rtdi_common::record::headers;
 use rtdi_common::{
-    AdmissionController, Chaos, Clock, Error, FaultPoint, PipelineTracer, Priority, Record, Result,
-    RetryPolicy, TraceStage,
+    AdmissionController, Chaos, Error, FaultPoint, Priority, Record, Result, RetryPolicy,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -142,7 +141,6 @@ pub struct ConsumerProxy {
     config: ProxyConfig,
     service: Arc<dyn ConsumerService>,
     dlq: Arc<DeadLetterQueue>,
-    trace: Option<(TraceStage, Arc<dyn Clock>)>,
     chaos: Chaos,
 }
 
@@ -156,7 +154,6 @@ impl ConsumerProxy {
             config,
             service,
             dlq,
-            trace: None,
             chaos: Chaos::default(),
         }
     }
@@ -164,20 +161,6 @@ impl ConsumerProxy {
     /// Dispatches fail when `chaos` says so.
     pub fn with_chaos(mut self, chaos: Chaos) -> Self {
         self.chaos = chaos;
-        self
-    }
-
-    /// Record, under `pipeline`'s `"proxy-dispatch"` stage, how long each
-    /// successfully dispatched record dwelled since its last traced hop.
-    /// A side-channel read — the proxy borrows records, so it does not
-    /// restamp them.
-    pub fn with_tracer(
-        mut self,
-        tracer: PipelineTracer,
-        pipeline: &str,
-        clock: Arc<dyn Clock>,
-    ) -> Self {
-        self.trace = Some((tracer.stage(pipeline, "proxy-dispatch"), clock));
         self
     }
 
@@ -319,9 +302,6 @@ impl ConsumerProxy {
         match result {
             Ok(()) => {
                 stats.delivered.fetch_add(1, Ordering::Relaxed);
-                if let Some((stage, clock)) = &self.trace {
-                    stage.observe_read(record, clock.now());
-                }
             }
             Err(e) => {
                 self.park(record, attempts, &e);
@@ -521,33 +501,6 @@ mod tests {
         assert_eq!(stats.delivered, 10);
         assert_eq!(stats.retried, 10);
         assert_eq!(stats.dead_lettered, 0);
-    }
-
-    #[test]
-    fn tracer_records_dispatch_dwell() {
-        use rtdi_common::SimClock;
-        let t = Arc::new(Topic::new("trips", TopicConfig::default().with_partitions(1)).unwrap());
-        for i in 0..20i64 {
-            let mut r = Record::new(Row::new().with("i", i), i).with_key(format!("k{i}"));
-            // producer stamped the trace origin at t=1000
-            PipelineTracer::stamp(&mut r, 1_000);
-            t.append(r, 0).unwrap();
-        }
-        let group = ConsumerGroup::new("g", TopicSubscription::new(t));
-        let tracer = PipelineTracer::new();
-        // dispatch happens 250ms after the producer stamp
-        let clock = Arc::new(SimClock::new(1_250));
-        let p = proxy(DispatchMode::Push(4), Arc::new(|_: &Record| Ok(()))).with_tracer(
-            tracer.clone(),
-            "trips",
-            clock,
-        );
-        p.run_until_caught_up(&group).unwrap();
-        let report = tracer.report();
-        let stage = report.stage("trips", "proxy-dispatch").unwrap();
-        assert_eq!(stage.count, 20);
-        assert!(stage.p99_ms >= 250, "p99={}", stage.p99_ms);
-        assert_eq!(stage.max_ms, 250);
     }
 
     #[test]

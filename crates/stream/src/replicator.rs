@@ -41,10 +41,6 @@ impl StickyAssigner {
         }
     }
 
-    pub fn assignment(&self) -> &BTreeMap<u32, String> {
-        &self.assignment
-    }
-
     /// Assign `partitions` to the active workers, moving as few existing
     /// assignments as possible: partitions keep their worker unless it is
     /// gone or overloaded; only the overflow/orphans move. Returns the set
@@ -123,10 +119,6 @@ impl StickyAssigner {
             self.workers.push(w);
         }
         take
-    }
-
-    pub fn active_workers(&self) -> &[String] {
-        &self.workers
     }
 
     /// Max partitions on one worker divided by the ideal share; 1.0 is a
@@ -367,10 +359,6 @@ impl Replicator {
         }
         Ok(copied)
     }
-
-    pub fn mappings(&self) -> &OffsetMappingStore {
-        &self.mappings
-    }
 }
 
 #[cfg(test)]
@@ -414,7 +402,7 @@ mod tests {
         let mut a = StickyAssigner::new((0..4).map(|i| format!("w{i}")).collect(), vec![]);
         a.rebalance(100);
         let victim_parts: Vec<u32> = a
-            .assignment()
+            .assignment
             .iter()
             .filter(|(_, w)| *w == "w0")
             .map(|(p, _)| *p)
@@ -438,7 +426,7 @@ mod tests {
         let promoted = a.promote_standby(2);
         assert_eq!(promoted, 2);
         let moved = a.rebalance(100);
-        assert_eq!(a.active_workers().len(), 4);
+        assert_eq!(a.workers.len(), 4);
         // the two new workers absorb ~half the load with minimal movement
         assert!(moved.len() <= before_share + 5, "moved {}", moved.len());
         assert!(a.skew(100) <= 1.2);

@@ -127,10 +127,6 @@ impl TieredLog {
             .unwrap_or_else(|| self.hot.log_start_offset())
     }
 
-    pub fn high_watermark(&self) -> u64 {
-        self.hot.high_watermark()
-    }
-
     /// Bytes held in expensive hot memory — the cost-efficiency metric
     /// tiering optimizes.
     pub fn hot_bytes(&self) -> usize {
@@ -185,7 +181,7 @@ mod tests {
         // offload everything appended before t=60
         assert_eq!(log.offload_older_than(60).unwrap(), 60);
         assert_eq!(log.log_start_offset(), 0);
-        assert_eq!(log.high_watermark(), 100);
+        assert_eq!(log.hot.high_watermark(), 100);
         // hot read
         let hot = log.fetch(80, 10).unwrap();
         assert_eq!(hot.records[0].offset, 80);

@@ -294,16 +294,6 @@ impl Topic {
         self.failovers.read().clone()
     }
 
-    /// Partitions that currently have no live leader.
-    pub fn offline_partitions(&self) -> Vec<usize> {
-        self.replica_sets
-            .iter()
-            .enumerate()
-            .filter(|(_, rs)| rs.status().leader.is_none())
-            .map(|(p, _)| p)
-            .collect()
-    }
-
     /// Declare all live replicas caught up with shared storage. Called
     /// after offset-preserving bulk imports (topic migration) that write
     /// to the partition logs beneath the replication layer.
@@ -318,6 +308,18 @@ impl Topic {
 mod tests {
     use super::*;
     use rtdi_common::Row;
+
+    impl Topic {
+        /// Partitions that currently have no live leader.
+        fn offline_partitions(&self) -> Vec<usize> {
+            self.replica_sets
+                .iter()
+                .enumerate()
+                .filter(|(_, rs)| rs.status().leader.is_none())
+                .map(|(p, _)| p)
+                .collect()
+        }
+    }
 
     fn rec(key: Option<&str>, i: i64) -> Record {
         let r = Record::new(Row::new().with("i", i), i);

@@ -10,7 +10,6 @@
 //! seamless path from ad-hoc exploration to production rollout."
 
 use rtdi_common::{Error, Result, Row};
-use rtdi_sql::engine::SqlEngine;
 
 /// What to do when a rule fires.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -54,24 +53,9 @@ impl OpsAutomation {
     }
 
     /// Promote an explored query into production ("inject such queries
-    /// into the automation framework"). Validates the SQL eagerly against
-    /// the engine so broken rules never reach the evaluation loop.
-    pub fn promote(&mut self, engine: &SqlEngine, rule: AutomationRule) -> Result<()> {
-        engine.explain(&rule.sql)?;
-        if rule.metric_column.is_empty() {
-            return Err(Error::InvalidArgument("rule needs a metric column".into()));
-        }
-        self.rules.push(rule);
-        Ok(())
-    }
-
-    pub fn rules(&self) -> &[AutomationRule] {
-        &self.rules
-    }
-
-    /// Like [`OpsAutomation::promote`] but validates through any SQL
-    /// executor (e.g. `platform.sql`), so the framework composes with the
-    /// full platform and not only a bare engine.
+    /// into the automation framework"). Validates the SQL eagerly through
+    /// `validate` (e.g. an explain through `platform.sql`) so broken rules
+    /// never reach the evaluation loop.
     pub fn promote_with(
         &mut self,
         validate: impl Fn(&str) -> Result<()>,
@@ -85,12 +69,8 @@ impl OpsAutomation {
         Ok(())
     }
 
-    /// Evaluate every rule against fresh data; returns the fired alerts.
-    pub fn evaluate(&self, engine: &SqlEngine) -> Result<Vec<Alert>> {
-        self.evaluate_with(|sql| engine.query(sql).map(|o| o.rows))
-    }
-
-    /// Evaluate rules through any SQL executor returning result rows.
+    /// Evaluate every rule against fresh data through any SQL executor
+    /// returning result rows; returns the fired alerts.
     pub fn evaluate_with(&self, run: impl Fn(&str) -> Result<Vec<Row>>) -> Result<Vec<Alert>> {
         let mut alerts = Vec::new();
         for rule in &self.rules {
@@ -133,8 +113,16 @@ mod tests {
     use rtdi_olap::segment::IndexSpec;
     use rtdi_olap::table::{OlapTable, TableConfig};
     use rtdi_sql::connector::PinotConnector;
-    use rtdi_sql::engine::EngineConfig;
+    use rtdi_sql::engine::{EngineConfig, SqlEngine};
     use std::sync::Arc;
+
+    fn promote(ops: &mut OpsAutomation, engine: &SqlEngine, rule: AutomationRule) -> Result<()> {
+        ops.promote_with(|sql| engine.explain(sql).map(|_| ()), rule)
+    }
+
+    fn evaluate(ops: &OpsAutomation, engine: &SqlEngine) -> Result<Vec<Alert>> {
+        ops.evaluate_with(|sql| engine.query(sql).map(|o| o.rows))
+    }
 
     /// Stand up courier-activity data in Pinot + a SQL engine over it —
     /// the §5.4 covid capacity scenario.
@@ -183,7 +171,8 @@ mod tests {
 
         // 2. the discovered query is promoted into the automation framework
         let mut ops = OpsAutomation::new();
-        ops.promote(
+        promote(
+            &mut ops,
             &engine,
             AutomationRule {
                 name: "covid-capacity".into(),
@@ -198,7 +187,7 @@ mod tests {
         .unwrap();
 
         // 3. production evaluation fires for the hot hexes
-        let alerts = ops.evaluate(&engine).unwrap();
+        let alerts = evaluate(&ops, &engine).unwrap();
         assert!(!alerts.is_empty());
         assert!(alerts
             .iter()
@@ -210,38 +199,39 @@ mod tests {
     fn broken_rules_rejected_at_promotion() {
         let (engine, _) = setup();
         let mut ops = OpsAutomation::new();
-        assert!(ops
-            .promote(
-                &engine,
-                AutomationRule {
-                    name: "bad-sql".into(),
-                    sql: "SELECT FROM WHERE".into(),
-                    metric_column: "x".into(),
-                    threshold: 0.0,
-                    action: RuleAction::ThrottleOrders,
-                },
-            )
-            .is_err());
-        assert!(ops
-            .promote(
-                &engine,
-                AutomationRule {
-                    name: "no-metric".into(),
-                    sql: "SELECT hex FROM courier_activity LIMIT 1".into(),
-                    metric_column: "".into(),
-                    threshold: 0.0,
-                    action: RuleAction::ThrottleOrders,
-                },
-            )
-            .is_err());
-        assert!(ops.rules().is_empty());
+        assert!(promote(
+            &mut ops,
+            &engine,
+            AutomationRule {
+                name: "bad-sql".into(),
+                sql: "SELECT FROM WHERE".into(),
+                metric_column: "x".into(),
+                threshold: 0.0,
+                action: RuleAction::ThrottleOrders,
+            },
+        )
+        .is_err());
+        assert!(promote(
+            &mut ops,
+            &engine,
+            AutomationRule {
+                name: "no-metric".into(),
+                sql: "SELECT hex FROM courier_activity LIMIT 1".into(),
+                metric_column: "".into(),
+                threshold: 0.0,
+                action: RuleAction::ThrottleOrders,
+            },
+        )
+        .is_err());
+        assert!(ops.rules.is_empty());
     }
 
     #[test]
     fn rule_with_missing_metric_column_errors_at_eval() {
         let (engine, _) = setup();
         let mut ops = OpsAutomation::new();
-        ops.promote(
+        promote(
+            &mut ops,
             &engine,
             AutomationRule {
                 name: "misnamed".into(),
@@ -252,14 +242,15 @@ mod tests {
             },
         )
         .unwrap();
-        assert!(ops.evaluate(&engine).is_err());
+        assert!(evaluate(&ops, &engine).is_err());
     }
 
     #[test]
     fn quiet_metrics_fire_nothing() {
         let (engine, _) = setup();
         let mut ops = OpsAutomation::new();
-        ops.promote(
+        promote(
+            &mut ops,
             &engine,
             AutomationRule {
                 name: "impossible".into(),
@@ -270,6 +261,6 @@ mod tests {
             },
         )
         .unwrap();
-        assert!(ops.evaluate(&engine).unwrap().is_empty());
+        assert!(evaluate(&ops, &engine).unwrap().is_empty());
     }
 }

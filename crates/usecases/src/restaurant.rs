@@ -9,7 +9,7 @@
 //! required for ad-hoc exploration and complexity of query evolution for
 //! lower latency."
 
-use rtdi_common::{AggFn, Error, FieldType, Record, Result, Row, Schema};
+use rtdi_common::{AggFn, FieldType, Record, Result, Row, Schema};
 use rtdi_compute::operator::{FilterOp, Operator, WindowAggregateOp};
 use rtdi_compute::runtime::{run_staged_with, Job, StagedConfig};
 use rtdi_compute::source::VecSource;
@@ -196,18 +196,19 @@ pub fn ingest_raw(table: &OlapTable, orders: &[Record]) -> Result<()> {
     Ok(())
 }
 
-/// Convenience error helper for tests/benches.
-pub fn first_row(result: &QueryResult) -> Result<&Row> {
-    result
-        .rows
-        .first()
-        .ok_or_else(|| Error::Internal("empty result".into()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::workloads::TripEventGenerator;
+    use rtdi_common::Error;
+
+    /// The first row of an answer, or an error for an empty one.
+    fn first_row(result: &QueryResult) -> Result<&Row> {
+        result
+            .rows
+            .first()
+            .ok_or_else(|| Error::Internal("empty result".into()))
+    }
 
     fn orders(n: usize) -> Vec<Record> {
         let mut g = TripEventGenerator::new(21, 32);

@@ -170,7 +170,24 @@ mod tests {
     use super::*;
     use crate::workloads::TripEventGenerator;
     use rtdi_common::{Timestamp, Value};
-    use rtdi_compute::source::{SourceThrottle, ThrottledSource};
+
+    /// Hands its records out at most five a poll.
+    struct PollsOfFive(VecSource);
+
+    impl Source for PollsOfFive {
+        fn poll_batch(&mut self, max: usize) -> Result<Vec<Arc<Record>>> {
+            self.0.poll_batch(max.min(5))
+        }
+        fn is_exhausted(&self) -> bool {
+            self.0.is_exhausted()
+        }
+        fn position(&self) -> Vec<u64> {
+            self.0.position()
+        }
+        fn seek(&mut self, position: &[u64]) -> Result<()> {
+            self.0.seek(position)
+        }
+    }
 
     fn run_over(records: Vec<Record>) -> ReplicatedKv {
         let kv = ReplicatedKv::new();
@@ -238,9 +255,7 @@ mod tests {
         let p = SurgePipeline::new(1_000, Arc::new(LinearSurgeModel::default()));
         // polls of 5 so the watermark advances between the hexB traffic
         // and the late arrival (watermarks are generated per poll)
-        let throttle = SourceThrottle::new();
-        throttle.set_cap(5);
-        let source = ThrottledSource::new(Box::new(VecSource::new(records)), throttle);
+        let source = PollsOfFive(VecSource::new(records));
         let job = p.job_from_source("surge", Box::new(source), kv.clone(), "t");
         p.run(job).unwrap();
         // hexA's only window was computed from the 5 on-time events; the

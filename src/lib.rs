@@ -55,8 +55,8 @@
 pub use rtdi_common as common;
 pub use rtdi_compute as compute;
 pub use rtdi_core as core;
+pub use rtdi_core::metadata;
 pub use rtdi_flinksql as flinksql;
-pub use rtdi_metadata as metadata;
 pub use rtdi_multiregion as multiregion;
 pub use rtdi_olap as olap;
 pub use rtdi_sql as sql;

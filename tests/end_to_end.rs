@@ -320,6 +320,14 @@ fn schema_registry_guards_all_surfaces() {
     assert!(subjects.contains(&"pinot.trips".to_string()));
     // discovery finds them
     assert_eq!(p.registry().discover("trips").len(), 2);
+    // the topic holds version 1 of its schema, and a version its readers
+    // could not read is refused
+    let latest = p.registry().latest("kafka.trips").unwrap();
+    assert_eq!((latest.version, &latest.schema), (1, &trips_schema()));
+    let mut narrowed = trips_schema();
+    narrowed.fields.pop();
+    assert!(p.registry().register("kafka.trips", narrowed).is_err());
+    assert_eq!(p.registry().latest("kafka.trips").unwrap().version, 1);
 }
 
 #[test]

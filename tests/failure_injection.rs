@@ -58,7 +58,7 @@ fn segment_recovery_survives_deep_store_outage() {
             )
             .unwrap();
     }
-    let names = table.sealed_segments(0);
+    let names = table.sealed_segments(0).unwrap();
     assert_eq!(names.len(), 4);
 
     // peers (other server replicas) hold copies of the sealed segments
@@ -89,7 +89,7 @@ fn segment_recovery_survives_deep_store_outage() {
 
     // peer-to-peer recovery restores it without touching the archive
     let recovered = store.recover("t", &victim, &[peer]).unwrap();
-    table.restore_sealed(0, recovered);
+    table.restore_sealed(0, recovered).unwrap();
     assert_eq!(count(&table), 200);
 }
 
