@@ -1,59 +1,71 @@
 #!/usr/bin/env bash
 # Tier-1 gate: build, tests, lints, formatting. Run before every commit.
+#
+# `bash ci.sh gates` runs only the determinism gates (the table at the
+# bottom) and prints every tag line they compare, so two checkouts, each
+# with its own target dir, compare as one `diff` of their outputs.
 set -euo pipefail
 cd "$(dirname "$0")"
 
-cargo build --release
-# every example runs to completion: the examples are the first runtime
-# surface, and clippy below only compiles them
-for example in examples/*.rs; do
-  cargo run --release -q --example "$(basename "$example" .rs)" >/dev/null
-done
-# --workspace: at the root a bare `cargo test` runs only the umbrella package.
-# Eight test threads: this guest has 2 vCPUs, and the default of 2 hides
-# the interleavings a test that shares state with a sibling would fail on
-RUST_TEST_THREADS=8 cargo test -q --workspace
-# the allocation budgets hold in the build the benchmark measures too
-cargo test --release -q --test alloc_budget
-# and the property tests (about 5 s): the multi-block and NaN cases hold
-# where debug assertions are gone and arithmetic wraps
-cargo test --release -q --test properties
-# and random tumbling, sliding, session and dedup chains against the oracle,
-# across a checkpoint stop and a restore at another parallelism, in the
-# build whose window state the benchmark measures
-cargo test --release -q --test compute_ownership
-# and the decoder corpus: the wire reader's bounds arithmetic holds where
-# it would wrap, not only where an overflow panics
-cargo test --release -q --test decoder_robustness
-# fault injection is a handle its owner hands down, never process state
-# (an `if`, not `! grep`: `set -e` ignores a status inverted with `!`)
-if grep -n '^\(pub \)\?static' crates/common/src/chaos.rs; then
-  echo "process-global fault state in chaos.rs" >&2
-  exit 1
+case "${1:-}" in
+  '') gates_only="" ;;
+  gates) gates_only=1 ;;
+  *) echo "usage: bash ci.sh [gates]" >&2; exit 2 ;;
+esac
+
+if [ -z "$gates_only" ]; then
+  cargo build --release
+  # every example runs to completion: the examples are the first runtime
+  # surface, and clippy below only compiles them
+  for example in examples/*.rs; do
+    cargo run --release -q --example "$(basename "$example" .rs)" >/dev/null
+  done
+  # --workspace: at the root a bare `cargo test` runs only the umbrella package.
+  # Eight test threads: this guest has 2 vCPUs, and the default of 2 hides
+  # the interleavings a test that shares state with a sibling would fail on
+  RUST_TEST_THREADS=8 cargo test -q --workspace
+  # the allocation budgets hold in the build the benchmark measures too
+  cargo test --release -q --test alloc_budget
+  # and the property tests (about 5 s): the multi-block and NaN cases hold
+  # where debug assertions are gone and arithmetic wraps
+  cargo test --release -q --test properties
+  # and random tumbling, sliding, session and dedup chains against the oracle,
+  # across a checkpoint stop and a restore at another parallelism, in the
+  # build whose window state the benchmark measures
+  cargo test --release -q --test compute_ownership
+  # and the decoder corpus: the wire reader's bounds arithmetic holds where
+  # it would wrap, not only where an overflow panics
+  cargo test --release -q --test decoder_robustness
+  # fault injection is a handle its owner hands down, never process state
+  # (an `if`, not `! grep`: `set -e` ignores a status inverted with `!`)
+  if grep -n '^\(pub \)\?static' crates/common/src/chaos.rs; then
+    echo "process-global fault state in chaos.rs" >&2
+    exit 1
+  fi
+  # the repo benchmark (BENCHMARK.json) is a workspace of its own: its smoke
+  # runs all four workloads for one round at 1/20 size with every oracle
+  # check, so a break in the API or the answers it sees fails here
+  cargo run --release --offline --manifest-path benchmark/Cargo.toml -- --smoke
+  # and its own unit tests (generator determinism, percentiles, the oracle's
+  # tie rule, span self-time): `--workspace` above does not reach them
+  cargo test --release --offline --manifest-path benchmark/Cargo.toml
+  # those two builds re-resolve the tracked benchmark/Cargo.lock: put it back,
+  # then nothing under the benchmark's paths may differ from the commit — a
+  # change that claims a gain cannot carry an edit to what measures it
+  git checkout -- benchmark/Cargo.lock
+  if [ -n "$(git status --porcelain -- benchmark BENCHMARK.json)" ]; then
+    echo "uncommitted changes under the benchmark's paths:" >&2
+    git status --porcelain -- benchmark BENCHMARK.json >&2
+    exit 1
+  fi
+  # also the gate of every crate's deny of clippy::unwrap_used and
+  # clippy::expect_used outside tests (ROADMAP item 4); `--all-targets`
+  # lints the tests and examples too
+  cargo clippy --workspace --all-targets -- -D warnings
+  cargo fmt --check
+  # every intra-doc link resolves, and to an item as public as its page
+  RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 fi
-# the repo benchmark (BENCHMARK.json) is a workspace of its own: its smoke
-# runs all four workloads for one round at 1/20 size with every oracle
-# check, so a break in the API or the answers it sees fails here
-cargo run --release --offline --manifest-path benchmark/Cargo.toml -- --smoke
-# and its own unit tests (generator determinism, percentiles, the oracle's
-# tie rule, span self-time): `--workspace` above does not reach them
-cargo test --release --offline --manifest-path benchmark/Cargo.toml
-# those two builds re-resolve the tracked benchmark/Cargo.lock: put it back,
-# then nothing under the benchmark's paths may differ from the commit — a
-# change that claims a gain cannot carry an edit to what measures it
-git checkout -- benchmark/Cargo.lock
-if [ -n "$(git status --porcelain -- benchmark BENCHMARK.json)" ]; then
-  echo "uncommitted changes under the benchmark's paths:" >&2
-  git status --porcelain -- benchmark BENCHMARK.json >&2
-  exit 1
-fi
-# also the gate of every crate's deny of clippy::unwrap_used and
-# clippy::expect_used outside tests (ROADMAP item 4); `--all-targets`
-# lints the tests and examples too
-cargo clippy --workspace --all-targets -- -D warnings
-cargo fmt --check
-# every intra-doc link resolves, and to an item as public as its page
-RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 
 # Determinism gates: each row names a seeded test that prints summary lines
 # under a tag; for every seed the lines must be byte-identical between two
@@ -74,6 +86,9 @@ while read -r var file test tag seeds; do
       exit 1
     fi
     echo "$tag deterministic for seed $seed ($(printf '%s\n' "$a" | wc -l) lines)"
+    if [ -n "$gates_only" ]; then
+      printf '%s\n' "$a"
+    fi
   done
 done <<'GATES'
 # chaos: the soak's recorded fault schedule

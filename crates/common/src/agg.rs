@@ -7,8 +7,7 @@
 
 use crate::error::{Error, Result};
 use crate::value::{Row, Value};
-use crate::wire::Reader;
-use bytes::{BufMut, BytesMut};
+use crate::wire::{Reader, Writer};
 use std::collections::BTreeSet;
 
 /// An aggregate function over a (possibly absent) input column.
@@ -214,35 +213,35 @@ impl AggAcc {
         }
     }
 
-    pub fn encode(&self, buf: &mut BytesMut) {
+    pub fn encode(&self, w: &mut Writer) {
         match self {
             AggAcc::Count(n) => {
-                buf.put_u8(0);
-                buf.put_u64(*n);
+                w.u8(0);
+                w.u64(*n);
             }
             AggAcc::Sum { sum, count } => {
-                buf.put_u8(1);
-                buf.put_f64(*sum);
-                buf.put_u64(*count);
+                w.u8(1);
+                w.f64(*sum);
+                w.u64(*count);
             }
             AggAcc::Avg { sum, count } => {
-                buf.put_u8(2);
-                buf.put_f64(*sum);
-                buf.put_u64(*count);
+                w.u8(2);
+                w.f64(*sum);
+                w.u64(*count);
             }
             AggAcc::Min(m) => {
-                buf.put_u8(3);
-                encode_opt(buf, *m);
+                w.u8(3);
+                encode_opt(w, *m);
             }
             AggAcc::Max(m) => {
-                buf.put_u8(4);
-                encode_opt(buf, *m);
+                w.u8(4);
+                encode_opt(w, *m);
             }
             AggAcc::Distinct(set) => {
-                buf.put_u8(5);
-                buf.put_u32(set.len() as u32);
+                w.u8(5);
+                w.u32(set.len() as u32);
                 for v in set {
-                    buf.put_u64(*v);
+                    w.u64(*v);
                 }
             }
         }
@@ -275,13 +274,13 @@ impl AggAcc {
     }
 }
 
-fn encode_opt(buf: &mut BytesMut, v: Option<f64>) {
+fn encode_opt(w: &mut Writer, v: Option<f64>) {
     match v {
         Some(x) => {
-            buf.put_u8(1);
-            buf.put_f64(x);
+            w.u8(1);
+            w.f64(x);
         }
-        None => buf.put_u8(0),
+        None => w.u8(0),
     }
 }
 
@@ -395,10 +394,11 @@ mod tests {
             AggAcc::Max(None),
             AggAcc::Distinct([1u64, 5, 9].into_iter().collect()),
         ];
-        let mut buf = BytesMut::new();
+        let mut w = Writer::new();
         for a in &accs {
-            a.encode(&mut buf);
+            a.encode(&mut w);
         }
+        let buf = w.into_vec();
         let mut r = Reader::new(&buf);
         for a in &accs {
             assert_eq!(&AggAcc::decode(&mut r).unwrap(), a);
@@ -417,8 +417,9 @@ mod tests {
             AggAcc::Distinct([1u64, 5, 9].into_iter().collect()),
         ];
         for a in &accs {
-            let mut buf = BytesMut::new();
-            a.encode(&mut buf);
+            let mut w = Writer::new();
+            a.encode(&mut w);
+            let buf = w.into_vec();
             for cut in 0..buf.len() {
                 let got = AggAcc::decode(&mut Reader::new(&buf[..cut]));
                 assert!(

@@ -36,11 +36,11 @@
 //! into final rows via [`AggAcc::merge`].
 
 use crate::window::{Window, WindowAssigner, WINDOW_END_COL, WINDOW_START_COL};
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 use rtdi_common::agg::{AggAcc, AggFn};
-use rtdi_common::wire::Reader;
+use rtdi_common::wire::{Reader, Writer};
 use rtdi_common::{Error, Record, Result, Row, Timestamp, Value};
-use rtdi_storage::archival::{decode_rows, encode_rows, encode_rows_into};
+use rtdi_storage::archival::{decode_rows, encode_rows_into};
 use rtdi_storage::keyed::{key_group_of, shard_of_group, KeyedSnapshot};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt::Write;
@@ -435,17 +435,17 @@ impl WindowMap {
         entries.sort_unstable_by(|a, b| {
             (a.0, a.1, a.2.start, a.2.end).cmp(&(b.0, b.1, b.2.start, b.2.end))
         });
-        let mut buf = BytesMut::new();
+        let mut w = Writer::new();
         let mut frames = Vec::new();
         for group in entries.chunk_by(|a, b| a.0 == b.0) {
-            let at = buf.len();
-            buf.put_u32(group.len() as u32);
-            for &(_, key, w, key_row) in group {
-                encode_window_entry(&mut buf, key, w, key_row);
+            let at = w.len();
+            w.u32(group.len() as u32);
+            for &(_, key, held, key_row) in group {
+                encode_window_entry(&mut w, key, held, key_row);
             }
-            frames.push((group[0].0, at..buf.len()));
+            frames.push((group[0].0, at..w.len()));
         }
-        let buf = buf.freeze();
+        let buf = w.into_bytes();
         KeyedSnapshot {
             watermark,
             dropped,
@@ -570,12 +570,12 @@ impl WindowCols {
         row.push(self.start.clone(), held.start);
         row.push(self.end.clone(), held.end);
         if partial {
-            let mut accs = BytesMut::new();
-            accs.put_u32(held.accs.len() as u32);
+            let mut accs = Writer::new();
+            accs.u32(held.accs.len() as u32);
             for a in &held.accs {
                 a.encode(&mut accs);
             }
-            row.push(self.partial.clone(), Value::Bytes(accs.to_vec()));
+            row.push(self.partial.clone(), Value::Bytes(accs.into_vec()));
         } else {
             for ((name, _), acc) in self.aggs.iter().zip(&held.accs) {
                 row.push(name.clone(), acc.result());
@@ -610,20 +610,14 @@ impl WindowCols {
     }
 }
 
-fn encode_window_entry(buf: &mut BytesMut, key: &str, held: &Held, key_row: &Row) {
-    buf.put_u32(key.len() as u32);
-    buf.put_slice(key.as_bytes());
-    buf.put_i64(held.start);
-    buf.put_i64(held.end);
-    // the key row's length prefix, patched once the row is written
-    let at = buf.len();
-    buf.put_u32(0);
-    encode_rows_into(buf, std::slice::from_ref(key_row));
-    let len = (buf.len() - at - 4) as u32;
-    buf[at..at + 4].copy_from_slice(&len.to_be_bytes());
-    buf.put_u32(held.accs.len() as u32);
+fn encode_window_entry(w: &mut Writer, key: &str, held: &Held, key_row: &Row) {
+    w.str(key);
+    w.i64(held.start);
+    w.i64(held.end);
+    w.block_with(|w| encode_rows_into(w, std::slice::from_ref(key_row)));
+    w.u32(held.accs.len() as u32);
     for a in &held.accs {
-        a.encode(buf);
+        a.encode(w);
     }
 }
 
@@ -884,21 +878,21 @@ impl Operator for DedupOp {
     }
 
     fn snapshot(&self) -> Bytes {
-        let mut groups: BTreeMap<u32, (u32, BytesMut)> = BTreeMap::new();
+        let mut groups: BTreeMap<u32, Vec<&str>> = BTreeMap::new();
         for key in &self.seen {
             let g = key_group_of(Value::hash_of_str(key));
-            let slot = groups.entry(g).or_default();
-            slot.0 += 1;
-            slot.1.put_u32(key.len() as u32);
-            slot.1.put_slice(key.as_bytes());
+            groups.entry(g).or_default().push(key);
         }
         let frames = groups
             .into_iter()
-            .map(|(g, (count, body))| {
-                let mut f = BytesMut::with_capacity(4 + body.len());
-                f.put_u32(count);
-                f.put_slice(&body);
-                (g, f.freeze())
+            .map(|(g, keys)| {
+                let len = keys.iter().map(|k| 4 + k.len()).sum::<usize>();
+                let mut f = Writer::with_capacity(4 + len);
+                f.u32(keys.len() as u32);
+                for key in keys {
+                    f.str(key);
+                }
+                (g, f.into_bytes())
             })
             .collect();
         KeyedSnapshot {
@@ -1170,14 +1164,12 @@ impl Operator for FusedOp {
     }
 
     fn snapshot(&self) -> Bytes {
-        let mut buf = BytesMut::new();
-        buf.put_u32(self.ops.len() as u32);
+        let mut w = Writer::new();
+        w.u32(self.ops.len() as u32);
         for op in &self.ops {
-            let s = op.snapshot();
-            buf.put_u32(s.len() as u32);
-            buf.put_slice(&s);
+            w.block(&op.snapshot());
         }
-        buf.freeze()
+        w.into_bytes()
     }
 
     fn restore(&mut self, data: Bytes) -> Result<()> {
@@ -1351,22 +1343,17 @@ impl Operator for WindowJoinOp {
     }
 
     fn snapshot(&self) -> Bytes {
-        let mut buf = BytesMut::new();
-        buf.put_i64(self.watermark);
-        buf.put_u64(self.dropped);
-        buf.put_u32(self.state.len() as u32);
+        let mut w = Writer::new();
+        w.i64(self.watermark);
+        w.u64(self.dropped);
+        w.u32(self.state.len() as u32);
         for ((key, start), (left, right)) in &self.state {
-            buf.put_u32(key.len() as u32);
-            buf.put_slice(key.as_bytes());
-            buf.put_i64(*start);
-            let l = encode_rows(left);
-            buf.put_u32(l.len() as u32);
-            buf.put_slice(&l);
-            let r = encode_rows(right);
-            buf.put_u32(r.len() as u32);
-            buf.put_slice(&r);
+            w.str(key);
+            w.i64(*start);
+            w.block_with(|w| encode_rows_into(w, left));
+            w.block_with(|w| encode_rows_into(w, right));
         }
-        buf.freeze()
+        w.into_bytes()
     }
 
     fn restore(&mut self, data: Bytes) -> Result<()> {

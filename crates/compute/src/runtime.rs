@@ -38,8 +38,8 @@ use crate::sink::Sink;
 use crate::source::Source;
 use crate::watermark::WatermarkGenerator;
 use crate::window::{WINDOW_END_COL, WINDOW_START_COL};
-use bytes::{BufMut, Bytes, BytesMut};
-use rtdi_common::wire::Reader;
+use bytes::Bytes;
+use rtdi_common::wire::{Reader, Writer};
 use rtdi_common::{Chaos, CountMinSketch, Error, FaultPoint, Record, Result, Timestamp, Value};
 use rtdi_storage::keyed::{key_group_of, shard_of_group, KeyedSnapshot};
 use rtdi_storage::object::ObjectStore;
@@ -108,19 +108,18 @@ pub struct CheckpointData {
 
 impl CheckpointData {
     fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::new();
-        buf.put_u64(self.checkpoint_id);
-        buf.put_u64(self.records_in);
-        buf.put_u32(self.source_position.len() as u32);
+        let mut w = Writer::new();
+        w.u64(self.checkpoint_id);
+        w.u64(self.records_in);
+        w.u32(self.source_position.len() as u32);
         for p in &self.source_position {
-            buf.put_u64(*p);
+            w.u64(*p);
         }
-        buf.put_u32(self.operator_state.len() as u32);
+        w.u32(self.operator_state.len() as u32);
         for s in &self.operator_state {
-            buf.put_u32(s.len() as u32);
-            buf.put_slice(s);
+            w.block(s);
         }
-        buf.freeze()
+        w.into_bytes()
     }
 
     fn decode(data: &Bytes) -> Result<Self> {

@@ -372,7 +372,7 @@ impl RealtimePlatform {
             return Ok(0);
         }
         // encoded from the log's own handles: no record is copied
-        let keys = writer.write_records(fetched.iter().map(|r| &*r.record))?;
+        let written = writer.write_records(fetched.iter().map(|r| &*r.record))?;
         if self.catalog.table(topic).is_err() {
             self.catalog.create_table(topic, schema.clone())?;
         }
@@ -383,13 +383,8 @@ impl RealtimePlatform {
         );
         let compactor = Compactor::new(self.store.clone(), self.catalog.clone());
         let mut rows = 0;
-        let mut dates: Vec<String> = keys
-            .iter()
-            .filter_map(|k| k.split('/').nth(2).map(|s| s.to_string()))
-            .collect();
-        dates.sort();
-        dates.dedup();
-        for date in dates {
+        // one object per date
+        for (date, _) in written {
             rows += compactor.compact(topic, &date, schema)?;
         }
         Ok(rows)
@@ -496,11 +491,15 @@ mod tests {
     }
 
     fn produce_trips(p: &RealtimePlatform, n: usize) {
+        produce(p, "trips", n);
+    }
+
+    fn produce(p: &RealtimePlatform, topic: &str, n: usize) {
         let producer = p.producer("trip-service");
         for i in 0..n {
             producer
                 .send(
-                    "trips",
+                    topic,
                     Record::new(
                         Row::new()
                             .with("city", ["sf", "la"][i % 2])
@@ -727,6 +726,26 @@ mod tests {
         assert_eq!(table.scan_all().unwrap().len(), 80);
         let out = p.sql("SELECT COUNT(*) AS n FROM hive.trips").unwrap();
         assert_eq!(out.rows[0].get_int("n"), Some(80));
+    }
+
+    #[test]
+    fn archiving_a_topic_whose_name_holds_a_slash_compacts_it() {
+        // the dates to compact were once parsed out of the object keys,
+        // `raw/<topic>/<date>/..`: for `eats/orders` that read `orders`, and
+        // nothing was compacted
+        let p = platform();
+        let topic = "eats/orders";
+        p.create_topic(
+            topic,
+            TopicConfig::default().with_partitions(2),
+            trips_schema(),
+        )
+        .unwrap();
+        produce(&p, topic, 30);
+        assert_eq!(p.archive_topic(topic, &trips_schema()).unwrap(), 30);
+        assert_eq!(p.store().list("raw/").unwrap(), Vec::<String>::new());
+        let table = p.catalog().table(topic).unwrap();
+        assert_eq!(table.scan_all().unwrap().len(), 30);
     }
 
     #[test]

@@ -13,8 +13,8 @@
 use crate::hive::HiveCatalog;
 use crate::object::ObjectStore;
 use crate::segfile::{self, ColumnBuilder, SegmentMeta};
-use bytes::{BufMut, Bytes, BytesMut};
-use rtdi_common::wire::Reader;
+use bytes::Bytes;
+use rtdi_common::wire::{Reader, Writer};
 use rtdi_common::{
     Audit, Error, Record, Result, RetryPolicy, Row, Schema, Timestamp, UniqueId, Value,
 };
@@ -63,40 +63,34 @@ const HAS_TRACE_TS: u8 = 1 << 3;
 const HAS_SERVICE: u8 = 1 << 4;
 const HAS_ORIGIN_REGION: u8 = 1 << 5;
 
-fn put_str(buf: &mut BytesMut, s: &str) {
-    buf.put_u32(s.len() as u32);
-    buf.put_slice(s.as_bytes());
-}
-
 /// A record's audit envelope, typed: a flags byte, then the fields it
 /// announces — fixed-width integers, length-prefixed strings.
-fn encode_audit(buf: &mut BytesMut, a: &Audit) {
+fn encode_audit(w: &mut Writer, a: &Audit) {
     let has = |present: bool, flag: u8| if present { flag } else { 0 };
     let id_form = match &a.unique_id {
         None => 0,
         Some(UniqueId::Seq { .. }) => ID_SEQ,
         Some(UniqueId::Text(_)) => ID_TEXT,
     };
-    buf.put_u8(
-        id_form
-            | has(a.app_ts.is_some(), HAS_APP_TS)
-            | has(a.trace_ts.is_some(), HAS_TRACE_TS)
-            | has(a.service.is_some(), HAS_SERVICE)
-            | has(a.origin_region.is_some(), HAS_ORIGIN_REGION),
-    );
+    let flags = id_form
+        | has(a.app_ts.is_some(), HAS_APP_TS)
+        | has(a.trace_ts.is_some(), HAS_TRACE_TS)
+        | has(a.service.is_some(), HAS_SERVICE)
+        | has(a.origin_region.is_some(), HAS_ORIGIN_REGION);
+    w.u8(flags);
     match &a.unique_id {
         None => {}
         Some(UniqueId::Seq { origin, seq }) => {
-            buf.put_u64(*seq);
-            put_str(buf, origin);
+            w.u64(*seq);
+            w.str(origin);
         }
-        Some(UniqueId::Text(text)) => put_str(buf, text),
+        Some(UniqueId::Text(text)) => w.str(text),
     }
     for ts in [a.app_ts, a.trace_ts].into_iter().flatten() {
-        buf.put_i64(ts);
+        w.i64(ts);
     }
     for s in [&a.service, &a.origin_region].into_iter().flatten() {
-        put_str(buf, s);
+        w.str(s);
     }
 }
 
@@ -140,40 +134,31 @@ fn decode_audit(block: &[u8]) -> Result<Audit> {
 }
 
 fn encode_raw_refs(records: &[&Record]) -> Bytes {
-    let mut buf = BytesMut::new();
-    buf.put_u32(records.len() as u32);
+    let mut w = Writer::new();
+    w.u32(records.len() as u32);
     for r in records {
-        buf.put_i64(r.timestamp);
+        w.i64(r.timestamp);
         match &r.key {
             Some(Value::Str(s)) => {
-                buf.put_u8(KEY_STR);
-                put_str(&mut buf, s);
+                w.u8(KEY_STR);
+                w.str(s);
             }
             Some(Value::Int(i)) => {
-                buf.put_u8(KEY_INT);
-                buf.put_i64(*i);
+                w.u8(KEY_INT);
+                w.i64(*i);
             }
-            _ => buf.put_u8(0),
+            _ => w.u8(0),
         }
-        // length-prefixed (the length patched in once the block is
-        // written), so a reader that wants none of it skips it
-        let block = buf.len() + 4;
-        buf.put_u32(0);
-        encode_audit(&mut buf, r.audit());
-        let len = (buf.len() - block) as u32;
-        buf[block - 4..block].copy_from_slice(&len.to_be_bytes());
-        buf.put_u32(r.headers.len() as u32);
+        // length-prefixed, so a reader that wants none of it skips it
+        w.block_with(|w| encode_audit(w, r.audit()));
+        w.u32(r.headers.len() as u32);
         for (k, v) in r.headers.iter() {
-            put_str(&mut buf, k);
-            put_str(&mut buf, v);
+            w.str(k);
+            w.str(v);
         }
-        buf.put_u32(r.value.len() as u32);
-        for (name, value) in r.value.iter() {
-            put_str(&mut buf, name);
-            encode_value(&mut buf, value);
-        }
+        encode_row(&mut w, &r.value);
     }
-    buf.freeze()
+    w.into_bytes()
 }
 
 /// Key tags of a raw-log record (anything else: no key).
@@ -184,34 +169,32 @@ const TAG_INT: u8 = 2;
 const TAG_DOUBLE: u8 = 3;
 const TAG_STR: u8 = 4;
 
-fn encode_value(buf: &mut BytesMut, v: &Value) {
+fn encode_value(w: &mut Writer, v: &Value) {
     match v {
-        Value::Null => buf.put_u8(0),
+        Value::Null => w.u8(0),
         Value::Bool(b) => {
-            buf.put_u8(1);
-            buf.put_u8(*b as u8);
+            w.u8(1);
+            w.u8(*b as u8);
         }
         Value::Int(i) => {
-            buf.put_u8(TAG_INT);
-            buf.put_i64(*i);
+            w.u8(TAG_INT);
+            w.i64(*i);
         }
         Value::Double(d) => {
-            buf.put_u8(TAG_DOUBLE);
-            buf.put_f64(*d);
+            w.u8(TAG_DOUBLE);
+            w.f64(*d);
         }
         Value::Str(s) => {
-            buf.put_u8(TAG_STR);
-            put_str(buf, s);
+            w.u8(TAG_STR);
+            w.str(s);
         }
         Value::Bytes(b) => {
-            buf.put_u8(5);
-            buf.put_u32(b.len() as u32);
-            buf.put_slice(b);
+            w.u8(5);
+            w.block(b);
         }
         Value::Json(j) => {
-            let s = rtdi_common::json::to_string(j);
-            buf.put_u8(6);
-            put_str(buf, &s);
+            w.u8(6);
+            w.str(&rtdi_common::json::to_string(j));
         }
     }
 }
@@ -237,20 +220,25 @@ fn decode_value(tag: u8, r: &mut Reader) -> Result<Value> {
 
 /// Encode a bare row list (used by compute-state checkpoints).
 pub fn encode_rows(rows: &[Row]) -> Bytes {
-    let mut buf = BytesMut::new();
-    encode_rows_into(&mut buf, rows);
-    buf.freeze()
+    let mut w = Writer::new();
+    encode_rows_into(&mut w, rows);
+    w.into_bytes()
 }
 
-/// [`encode_rows`] appended to `buf`: the same bytes, no buffer of its own.
-pub fn encode_rows_into(buf: &mut BytesMut, rows: &[Row]) {
-    buf.put_u32(rows.len() as u32);
+/// [`encode_rows`] appended to `w`: the same bytes, no buffer of its own.
+pub fn encode_rows_into(w: &mut Writer, rows: &[Row]) {
+    w.u32(rows.len() as u32);
     for row in rows {
-        buf.put_u32(row.len() as u32);
-        for (name, value) in row.iter() {
-            put_str(buf, name);
-            encode_value(buf, value);
-        }
+        encode_row(w, row);
+    }
+}
+
+/// One row: a column count, then `(name, value)` pairs.
+fn encode_row(w: &mut Writer, row: &Row) {
+    w.u32(row.len() as u32);
+    for (name, value) in row.iter() {
+        w.str(name);
+        encode_value(w, value);
     }
 }
 
@@ -330,16 +318,21 @@ impl ArchivalWriter {
 
     /// Write one micro-batch; records may span dates — they are split into
     /// per-date objects so compaction stays date-aligned.
+    /// Returns the object keys written.
     pub fn write_batch(&self, records: &[Record]) -> Result<Vec<String>> {
-        self.write_records(records)
+        let written = self.write_records(records)?;
+        Ok(written.into_iter().map(|(_, key)| key).collect())
     }
 
     /// [`Self::write_batch`] over borrowed records, wherever they live:
     /// the archiver encodes a topic's records from the log's own handles.
+    /// Returns `(date, object key)` per object written, in date-name order, so
+    /// a caller compacts the dates without parsing a key (a dataset name
+    /// may hold a `/`).
     pub fn write_records<'a>(
         &self,
         records: impl IntoIterator<Item = &'a Record>,
-    ) -> Result<Vec<String>> {
+    ) -> Result<Vec<(String, String)>> {
         let mut by_day: BTreeMap<i64, Vec<&Record>> = BTreeMap::new();
         for r in records {
             by_day.entry(epoch_day(r.timestamp)).or_default().push(r);
@@ -350,7 +343,7 @@ impl ArchivalWriter {
             .map(|(day, recs)| (day_name(day), recs))
             .collect();
         by_date.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut keys = Vec::new();
+        let mut written = Vec::new();
         let policy = RetryPolicy::new(4).with_backoff_us(50, 2_000);
         for (date, recs) in by_date {
             let seq = self.seq.fetch_add(1, Ordering::SeqCst);
@@ -359,9 +352,9 @@ impl ArchivalWriter {
             // a flaky archive is absorbed here: re-putting the same key is
             // an idempotent overwrite, so retries cannot duplicate data
             policy.run(|_| self.store.put(&key, data.clone()))?;
-            keys.push(key);
+            written.push((date, key));
         }
-        Ok(keys)
+        Ok(written)
     }
 
     /// List the raw-log object keys for a date.

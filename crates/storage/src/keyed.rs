@@ -21,8 +21,8 @@
 //! salted hot key leaves partial state for the same group in several
 //! shards — and are resolved by the operator's restore-side fold.
 
-use bytes::{BufMut, Bytes, BytesMut};
-use rtdi_common::wire::Reader;
+use bytes::Bytes;
+use rtdi_common::wire::{Reader, Writer};
 use rtdi_common::{Error, Result, Timestamp};
 
 /// Fixed key-group space. Must never change once checkpoints exist: a
@@ -59,19 +59,17 @@ const MAGIC: u32 = 0x4b47_5230; // "KGR0"
 impl KeyedSnapshot {
     /// Serialize the envelope.
     pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(
-            24 + self.frames.iter().map(|(_, b)| 8 + b.len()).sum::<usize>(),
-        );
-        buf.put_u32(MAGIC);
-        buf.put_i64(self.watermark);
-        buf.put_u64(self.dropped);
-        buf.put_u32(self.frames.len() as u32);
+        let mut w =
+            Writer::with_capacity(24 + self.frames.iter().map(|(_, b)| 8 + b.len()).sum::<usize>());
+        w.u32(MAGIC);
+        w.i64(self.watermark);
+        w.u64(self.dropped);
+        w.u32(self.frames.len() as u32);
         for (group, bytes) in &self.frames {
-            buf.put_u32(*group);
-            buf.put_u32(bytes.len() as u32);
-            buf.put_slice(bytes);
+            w.u32(*group);
+            w.block(bytes);
         }
-        buf.freeze()
+        w.into_bytes()
     }
 
     /// Decode an envelope, rejecting truncated or foreign bytes. Each

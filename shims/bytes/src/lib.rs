@@ -1,18 +1,15 @@
 //! Minimal offline stand-in for the `bytes` crate.
 //!
 //! Implements the slice of the API this workspace uses: cheaply-cloneable
-//! immutable [`Bytes`] views over shared buffers, a growable [`BytesMut`],
-//! and big-endian [`Buf`]/[`BufMut`] codec methods. Like the real crate,
-//! reads past the end of a buffer panic; callers bound their reads with
-//! [`Buf::remaining`].
+//! immutable [`Bytes`] views over shared buffers. Big-endian layouts are
+//! written and read by `rtdi_common::wire`, not here.
 
 use std::fmt;
-use std::ops::{Deref, DerefMut};
+use std::ops::Deref;
 use std::sync::Arc;
 
-/// Immutable, cheaply-cloneable byte buffer. Reading via [`Buf`] advances
-/// the view in place; [`Bytes::split_to`] splits off a prefix that shares
-/// the underlying allocation.
+/// Immutable, cheaply-cloneable byte buffer; [`Bytes::slice`] is a view
+/// that shares the underlying allocation.
 #[derive(Clone, Default)]
 pub struct Bytes {
     data: Arc<Vec<u8>>,
@@ -49,22 +46,6 @@ impl Bytes {
         self.as_slice().to_vec()
     }
 
-    /// Split off the first `n` bytes, leaving the remainder in `self`.
-    pub fn split_to(&mut self, n: usize) -> Bytes {
-        assert!(
-            n <= self.len(),
-            "split_to out of bounds: {n} > {}",
-            self.len()
-        );
-        let head = Bytes {
-            data: self.data.clone(),
-            start: self.start,
-            end: self.start + n,
-        };
-        self.start += n;
-        head
-    }
-
     pub fn slice(&self, range: std::ops::Range<usize>) -> Bytes {
         assert!(range.start <= range.end && range.end <= self.len());
         Bytes {
@@ -72,17 +53,6 @@ impl Bytes {
             start: self.start + range.start,
             end: self.start + range.end,
         }
-    }
-
-    fn take(&mut self, n: usize) -> &[u8] {
-        assert!(
-            n <= self.len(),
-            "buffer underflow: need {n}, have {}",
-            self.len()
-        );
-        let s = &self.data[self.start..self.start + n];
-        self.start += n;
-        s
     }
 }
 
@@ -94,12 +64,6 @@ impl From<Vec<u8>> for Bytes {
             start: 0,
             end,
         }
-    }
-}
-
-impl From<&[u8]> for Bytes {
-    fn from(data: &[u8]) -> Self {
-        Bytes::from(data.to_vec())
     }
 }
 
@@ -135,199 +99,17 @@ impl fmt::Debug for Bytes {
     }
 }
 
-/// Growable byte buffer; freeze into [`Bytes`] when done writing.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct BytesMut {
-    data: Vec<u8>,
-}
-
-impl BytesMut {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    pub fn with_capacity(cap: usize) -> Self {
-        BytesMut {
-            data: Vec::with_capacity(cap),
-        }
-    }
-
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
-    pub fn freeze(self) -> Bytes {
-        Bytes::from(self.data)
-    }
-
-    pub fn extend_from_slice(&mut self, s: &[u8]) {
-        self.data.extend_from_slice(s);
-    }
-
-    pub fn clear(&mut self) {
-        self.data.clear();
-    }
-}
-
-impl Deref for BytesMut {
-    type Target = [u8];
-
-    fn deref(&self) -> &[u8] {
-        &self.data
-    }
-}
-
-impl DerefMut for BytesMut {
-    fn deref_mut(&mut self) -> &mut [u8] {
-        &mut self.data
-    }
-}
-
-impl AsRef<[u8]> for BytesMut {
-    fn as_ref(&self) -> &[u8] {
-        &self.data
-    }
-}
-
-/// Big-endian read cursor.
-pub trait Buf {
-    fn remaining(&self) -> usize;
-    fn copy_to_bytes(&mut self, n: usize) -> Bytes;
-
-    fn has_remaining(&self) -> bool {
-        self.remaining() > 0
-    }
-
-    fn get_u8(&mut self) -> u8 {
-        self.copy_to_bytes(1).as_slice()[0]
-    }
-
-    fn get_u32(&mut self) -> u32 {
-        u32::from_be_bytes(self.copy_to_bytes(4).as_slice().try_into().unwrap())
-    }
-
-    fn get_u64(&mut self) -> u64 {
-        u64::from_be_bytes(self.copy_to_bytes(8).as_slice().try_into().unwrap())
-    }
-
-    fn get_i64(&mut self) -> i64 {
-        i64::from_be_bytes(self.copy_to_bytes(8).as_slice().try_into().unwrap())
-    }
-
-    fn get_f64(&mut self) -> f64 {
-        f64::from_be_bytes(self.copy_to_bytes(8).as_slice().try_into().unwrap())
-    }
-}
-
-impl Buf for Bytes {
-    fn remaining(&self) -> usize {
-        self.len()
-    }
-
-    fn copy_to_bytes(&mut self, n: usize) -> Bytes {
-        Bytes::from(self.take(n).to_vec())
-    }
-
-    fn get_u8(&mut self) -> u8 {
-        self.take(1)[0]
-    }
-
-    fn get_u32(&mut self) -> u32 {
-        u32::from_be_bytes(self.take(4).try_into().unwrap())
-    }
-
-    fn get_u64(&mut self) -> u64 {
-        u64::from_be_bytes(self.take(8).try_into().unwrap())
-    }
-
-    fn get_i64(&mut self) -> i64 {
-        i64::from_be_bytes(self.take(8).try_into().unwrap())
-    }
-
-    fn get_f64(&mut self) -> f64 {
-        f64::from_be_bytes(self.take(8).try_into().unwrap())
-    }
-}
-
-/// Big-endian writer.
-pub trait BufMut {
-    fn put_slice(&mut self, s: &[u8]);
-
-    fn put_u8(&mut self, v: u8) {
-        self.put_slice(&[v]);
-    }
-
-    fn put_u32(&mut self, v: u32) {
-        self.put_slice(&v.to_be_bytes());
-    }
-
-    fn put_u64(&mut self, v: u64) {
-        self.put_slice(&v.to_be_bytes());
-    }
-
-    fn put_i64(&mut self, v: i64) {
-        self.put_slice(&v.to_be_bytes());
-    }
-
-    fn put_f64(&mut self, v: f64) {
-        self.put_slice(&v.to_be_bytes());
-    }
-}
-
-impl BufMut for BytesMut {
-    fn put_slice(&mut self, s: &[u8]) {
-        self.data.extend_from_slice(s);
-    }
-}
-
-impl BufMut for Vec<u8> {
-    fn put_slice(&mut self, s: &[u8]) {
-        self.extend_from_slice(s);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn round_trip_all_widths() {
-        let mut w = BytesMut::with_capacity(64);
-        w.put_u8(7);
-        w.put_u32(42);
-        w.put_u64(1 << 40);
-        w.put_i64(-5);
-        w.put_f64(2.5);
-        w.put_slice(b"tail");
-        let mut r = w.freeze();
-        assert_eq!(r.remaining(), 1 + 4 + 8 + 8 + 8 + 4);
-        assert_eq!(r.get_u8(), 7);
-        assert_eq!(r.get_u32(), 42);
-        assert_eq!(r.get_u64(), 1 << 40);
-        assert_eq!(r.get_i64(), -5);
-        assert_eq!(r.get_f64(), 2.5);
-        assert_eq!(r.split_to(4).to_vec(), b"tail");
-        assert!(!r.has_remaining());
-    }
-
-    #[test]
-    fn split_shares_and_advances() {
-        let mut b = Bytes::from(vec![1, 2, 3, 4, 5]);
-        let head = b.split_to(2);
-        assert_eq!(head.to_vec(), vec![1, 2]);
-        assert_eq!(b.to_vec(), vec![3, 4, 5]);
-        assert_eq!(b.slice(1..3).to_vec(), vec![4, 5]);
+    fn slices_share_and_compare_by_content() {
+        let b = Bytes::from(vec![1, 2, 3, 4, 5]);
+        let tail = b.slice(2..5);
+        assert_eq!(tail.to_vec(), vec![3, 4, 5]);
+        assert_eq!(tail.slice(1..3).to_vec(), vec![4, 5]);
+        assert!(tail.slice(3..3).is_empty());
         assert_eq!(Bytes::from_static(b"ab"), Bytes::from(vec![b'a', b'b']));
-    }
-
-    #[test]
-    #[should_panic(expected = "buffer underflow")]
-    fn read_past_end_panics() {
-        let mut b = Bytes::from(vec![1u8]);
-        let _ = b.get_u32();
     }
 }

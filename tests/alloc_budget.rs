@@ -10,9 +10,10 @@
 //! Then the read path's: a query pays for the groups and rows it answers
 //! with and a fixed sum per segment, not for every group of every segment
 //! nor for every document that matched, and a predicate on a sorted column
-//! builds no cell per probe. And the decoders': compaction pays per
-//! distinct string, not per record or field, and a combine stage merges a
-//! partial row into a held window without allocating.
+//! builds no cell per probe. And the codecs': archiving pays nothing per
+//! record, compaction pays per distinct string, not per record or field,
+//! and a combine stage merges a partial row into a held window without
+//! allocating.
 //!
 //! One `#[test]`, so the process-wide counter sees one thread at work.
 
@@ -618,6 +619,28 @@ fn compaction_pays_per_distinct_string() {
     }
 }
 
+/// Archiving encodes a date's records into one growing buffer: 10 000 and
+/// 40 000 records of one date allocate within a constant of each other.
+/// Anything paid per record — a `String`, a buffer of its own — would be
+/// tens of thousands more.
+fn archiving_pays_nothing_per_record() {
+    const SLACK: u64 = 16;
+    let mut allocs = Vec::new();
+    for n in [10_000usize, 40_000] {
+        let records = benchmark_trips(n);
+        let writer = ArchivalWriter::new(Arc::new(InMemoryStore::new()), "trips");
+        let (written, spent) = count_allocations(|| writer.write_records(&records).unwrap());
+        assert_eq!(written.len(), 1, "{n} records span one date");
+        allocs.push(spent.allocs);
+    }
+    assert!(
+        allocs[1] <= allocs[0] + SLACK,
+        "archiving 10 000 records: {} allocations, 40 000: {}",
+        allocs[0],
+        allocs[1]
+    );
+}
+
 /// A combine stage reads each partial row's accumulators in place: a row
 /// whose (key, window) it already holds merges into it and allocates
 /// nothing.
@@ -770,6 +793,8 @@ fn produce_ingest_and_retry_hold_their_allocation_budgets() {
     fresh_rows_skip_old_blocks();
 
     compaction_pays_per_distinct_string();
+
+    archiving_pays_nothing_per_record();
 
     combine_merges_held_partials_in_place();
 

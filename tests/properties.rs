@@ -1670,6 +1670,7 @@ mod fused_batched_equivalence {
 /// plain ordered map of (key, start, end) gives, whatever the hash keys.
 mod order_free_window_state {
     use super::*;
+    use rtdi::common::wire::Writer;
     use rtdi::common::{AggAcc, Timestamp};
     use rtdi::compute::operator::key_string;
     use rtdi::compute::{Operator, WindowAggregateOp, WindowAssigner};
@@ -1788,9 +1789,9 @@ mod order_free_window_state {
                 body.extend(&rows[..]);
                 body.extend((accs.len() as u32).to_be_bytes());
                 for acc in accs {
-                    let mut buf = Default::default();
-                    acc.encode(&mut buf);
-                    body.extend(&buf[..]);
+                    let mut w = Writer::new();
+                    acc.encode(&mut w);
+                    body.extend(w.into_vec());
                 }
             }
             let frames = groups.into_iter().map(|(g, body)| {
