@@ -1,17 +1,17 @@
 //! Compute layer (§4.2, §7): E6–E9, E21, E25, E30, and the compute part
 //! of the recovery experiment E23.
 
+mod baselines;
+
 use super::{present, Report, Timing};
 use crate::count_allocations;
+use baselines::{simulate_recovery, streaming_windowed_agg, EngineModel, MicroBatchEngine};
 use rtdi_common::chaos::{FaultKind, FaultPlan, FaultPoint, Trigger};
 use rtdi_common::{
     AggFn, Chaos, CountMinSketch, FieldType, Record, Result, Row, Schema, Timestamp, Value,
 };
 use rtdi_compute::backfill::{kafka_retains, kappa_plus_job, BackfillConfig};
-use rtdi_compute::baselines::{
-    simulate_recovery, streaming_windowed_agg, EngineModel, MicroBatchEngine,
-};
-use rtdi_compute::jobmanager::{JobManager, JobSpec, JobType};
+use rtdi_compute::jobmanager::{JobManager, JobSpec};
 use rtdi_compute::operator::{key_string, FilterOp, MapOp, Operator, WindowAggregateOp};
 use rtdi_compute::runtime::{run_staged_with, CheckpointStore, Job, JobRunStats, StagedConfig};
 use rtdi_compute::sink::CollectSink;
@@ -216,8 +216,6 @@ fn numbered_job_spec(name: &str, n: usize, sink: &CollectSink) -> JobSpec {
     let (job_name, sink) = (name.to_string(), sink.clone());
     JobSpec {
         name: name.to_string(),
-        job_type: JobType::Stateless,
-        expected_records_per_sec: 10_000,
         factory: Box::new(move || {
             let rows = (0..n as i64)
                 .map(|i| (i, Row::new().with("i", i)))
@@ -302,14 +300,7 @@ fn e09_job_manager(r: &mut Report) -> Result<()> {
         run.restarts == 1 && run.lost == 0 && run.replayed < N / 2 && run.reread < N as u64 / 2,
     );
 
-    let estimate = |job_type| {
-        let spec = JobSpec {
-            job_type,
-            expected_records_per_sec: 100_000,
-            ..numbered_job_spec("sized", 0, &CollectSink::new())
-        };
-        JobManager::estimate_resources(&spec)
-    };
+    let estimate = |job_type| estimate_resources(job_type, 100_000);
     let (stateless, join) = (estimate(JobType::Stateless), estimate(JobType::StreamJoin));
     r.claim(
         "E9.resources",
@@ -320,6 +311,39 @@ fn e09_job_manager(r: &mut Report) -> Result<()> {
         join.memory_mb > 5 * stateless.memory_mb && stateless.cpu_cores >= 2,
     );
     Ok(())
+}
+
+/// Broad job classification driving the §4.2.1 resource model.
+#[derive(Clone, Copy)]
+enum JobType {
+    /// No windows, no joins: CPU bound.
+    Stateless,
+    /// Stream-stream joins: memory bound.
+    StreamJoin,
+}
+
+/// Estimated resources for a job (§4.2.1 "Resource estimation").
+struct ResourceEstimate {
+    cpu_cores: u32,
+    memory_mb: u64,
+}
+
+/// §4.2.1's empirical resource model: "a stateless Flink job ... is CPU
+/// bound vs a stream-stream join job will almost always be memory bound".
+fn estimate_resources(job_type: JobType, records_per_sec: u64) -> ResourceEstimate {
+    let rate = records_per_sec.max(1);
+    match job_type {
+        // CPU bound: one core per ~50k rec/s, little memory
+        JobType::Stateless => ResourceEstimate {
+            cpu_cores: rate.div_ceil(50_000).max(1) as u32,
+            memory_mb: 512,
+        },
+        // memory bound: buffers hold the full join window on both sides
+        JobType::StreamJoin => ResourceEstimate {
+            cpu_cores: rate.div_ceil(40_000).max(1) as u32,
+            memory_mb: 4096 + rate / 20,
+        },
+    }
 }
 
 fn e21_backfill(r: &mut Report) -> Result<()> {

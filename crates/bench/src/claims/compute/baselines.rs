@@ -1,4 +1,5 @@
-//! Comparison baselines from the paper's 2016 engine evaluation (§4.2).
+//! Comparison baselines from the paper's 2016 engine evaluation (§4.2),
+//! the models claims E6 and E7 run.
 //!
 //! - "Storm performed poorly in handling back pressure when faced with a
 //!   massive input backlog of millions of messages, taking several hours
@@ -18,6 +19,8 @@
 
 use rtdi_common::agg::{AggAcc, AggFn};
 use rtdi_common::{Record, Result, Row, Timestamp};
+use rtdi_compute::operator::{Operator, WindowAggregateOp};
+use rtdi_compute::window::WindowAssigner;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Arc;
 
@@ -288,8 +291,6 @@ pub fn streaming_windowed_agg(
     aggs: &[(String, AggFn)],
     window_ms: i64,
 ) -> Result<(Vec<Row>, usize)> {
-    use crate::operator::{Operator, WindowAggregateOp};
-    use crate::window::WindowAssigner;
     let mut op = WindowAggregateOp::new(
         "agg",
         vec![key_col.to_string()],

@@ -5,7 +5,8 @@ use super::{present, Report};
 use rtdi_common::chaos::{FaultKind, FaultPlan, FaultPoint, RegionOutageKind, Trigger};
 use rtdi_common::{Chaos, Error, Record, Result, Row};
 use rtdi_multiregion::activepassive::{ActivePassiveConsumer, OffsetSyncService};
-use rtdi_multiregion::{DrConfig, DrDrill, MultiRegionTopology};
+use rtdi_multiregion::topology::MultiRegionTopology;
+use rtdi_multiregion::{DrConfig, DrDrill};
 use rtdi_storage::{FaultyStore, InMemoryStore, MirroredStore, ObjectStore};
 use rtdi_stream::topic::TopicConfig;
 use std::collections::BTreeSet;

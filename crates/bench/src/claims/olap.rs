@@ -1,11 +1,14 @@
 //! OLAP layer (§4.3): E10–E13, E26, and the OLAP parts of the recovery
 //! experiments E23 and E24.
 
+pub(super) mod baselines;
+
 use super::Report;
 use crate::count_allocations;
+use baselines::{comparison_rows, comparison_schema, druid_like_spec, HeapStore};
+use bytes::Bytes;
 use parking_lot::Mutex;
 use rtdi_common::{AggFn, Chaos, FieldType, Result, Row, Schema, Value};
-use rtdi_olap::baselines::{comparison_rows, comparison_schema, druid_like_spec, HeapStore};
 use rtdi_olap::broker::{Broker, ServerNode};
 use rtdi_olap::query::{Predicate, PredicateOp, Query, SortOrder};
 use rtdi_olap::rebalance::Rebalancer;
@@ -14,9 +17,10 @@ use rtdi_olap::segstore::{SegmentStore, SegmentStoreMode};
 use rtdi_olap::startree::StarTreeSpec;
 use rtdi_olap::table::{OlapTable, TableConfig};
 use rtdi_olap::upsert::PrimaryKeyIndex;
-use rtdi_storage::object::{FaultyStore, InMemoryStore};
+use rtdi_storage::object::{FaultyStore, InMemoryStore, ObjectStore};
 use rtdi_storage::{archival, segfile};
 use std::sync::Arc;
+use std::time::Duration;
 
 pub fn claims(r: &mut Report) -> Result<()> {
     // E10 and E11 read the same 40k orders
@@ -295,12 +299,39 @@ fn city_segment(name: &str, first: usize, rows: usize) -> Result<Arc<Segment>> {
     )?))
 }
 
+/// An archive that takes 1 ms per upload, one upload at a time: the
+/// single-controller backup path §4.3.4 calls out.
+#[derive(Default)]
+struct SerializedSlowStore {
+    inner: InMemoryStore,
+    put_lock: Mutex<()>,
+}
+
+impl ObjectStore for SerializedSlowStore {
+    fn put(&self, key: &str, data: Bytes) -> Result<()> {
+        let _one_at_a_time = self.put_lock.lock();
+        std::thread::sleep(Duration::from_millis(1));
+        self.inner.put(key, data)
+    }
+
+    fn get(&self, key: &str) -> Result<Bytes> {
+        self.inner.get(key)
+    }
+
+    fn delete(&self, key: &str) -> Result<()> {
+        self.inner.delete(key)
+    }
+
+    fn list(&self, prefix: &str) -> Result<Vec<String>> {
+        self.inner.list(prefix)
+    }
+}
+
 fn e13_segment_backup(r: &mut Report) -> Result<()> {
     const SEALS: usize = 16;
-    // an archive that takes 1 ms per upload, one upload at a time
-    let archive = || Arc::new(FaultyStore::new(InMemoryStore::new()).with_put_delay(1_000, true));
+    let archive = || Arc::new(FaultyStore::new(SerializedSlowStore::default()));
     let (central_archive, p2p_archive) = (archive(), archive());
-    let store = |archive: &Arc<FaultyStore<InMemoryStore>>, mode| {
+    let store = |archive: &Arc<FaultyStore<SerializedSlowStore>>, mode| {
         SegmentStore::new(archive.clone(), mode, IndexSpec::none())
     };
     let centralized = store(&central_archive, SegmentStoreMode::Centralized);
@@ -321,8 +352,8 @@ fn e13_segment_backup(r: &mut Report) -> Result<()> {
         )?;
     }
     // what a seal waited for: the uploads done by the time it returned
-    let waited_central = central_archive.inner().object_count();
-    let waited_p2p = p2p_archive.inner().object_count();
+    let waited_central = central_archive.inner().inner.object_count();
+    let waited_p2p = p2p_archive.inner().inner.object_count();
     let queued = p2p.pending_count();
     let flushed = p2p.flush_pending()?;
     r.claim(

@@ -1,4 +1,5 @@
-//! OLAP comparison baseline: an Elasticsearch-like heap/row store.
+//! OLAP comparison baselines: an Elasticsearch-like heap/row store (E10),
+//! a Druid-like index spec (E11) and the orders both compare on.
 //!
 //! §4.3: "With the same amount of data ingested into Elasticsearch and
 //! Pinot, Elasticsearch's memory usage was 4x higher and disk usage was 8x
@@ -17,9 +18,11 @@
 //! - aggregations walk materialized rows with by-name field lookups
 //!   (fielddata-style access) instead of tight columnar loops.
 
-use crate::query::{sort_and_limit, PredicateOp, Query, QueryResult, ScanLedger};
-use rtdi_common::{Result, Row};
-use std::collections::HashMap;
+use rtdi_common::{FieldType, Result, Row, Schema};
+use rtdi_olap::query::{sort_and_limit, PredicateOp, Query, QueryResult, ScanLedger};
+use rtdi_olap::reference;
+use rtdi_olap::segment::IndexSpec;
+use std::collections::{HashMap, HashSet};
 
 /// Row-store with all-fields inverted indexing.
 #[derive(Default)]
@@ -50,10 +53,6 @@ impl HeapStore {
         self.docs.push(row);
     }
 
-    pub fn doc_count(&self) -> usize {
-        self.docs.len()
-    }
-
     /// Heap footprint: stored docs (`_source`), posting lists (terms +
     /// postings), and the uncompressed per-field doc-values columns ES
     /// keeps for sorting/aggregations.
@@ -65,8 +64,7 @@ impl HeapStore {
             .sum();
         // doc_values: one 8-byte cell per field per document (no dictionary
         // bit-packing in this model)
-        let fields: std::collections::HashSet<&str> =
-            self.docs.iter().flat_map(|d| d.column_names()).collect();
+        let fields: HashSet<&str> = self.docs.iter().flat_map(|d| d.column_names()).collect();
         let doc_values = self.docs.len() * fields.len() * 8;
         self.doc_bytes + postings + doc_values
     }
@@ -119,8 +117,7 @@ impl HeapStore {
         };
         let docs = ids.into_iter().map(|id| &self.docs[id]);
         let mut rows: Vec<Row> = if query.is_aggregation() {
-            // a stringified key and a map probe per document
-            crate::reference::aggregate(docs, query)
+            reference::aggregate(docs, query)
         } else if query.select.is_empty() {
             docs.cloned().collect()
         } else {
@@ -139,8 +136,8 @@ impl HeapStore {
 /// A "Druid-like" configuration helper for the index-ablation experiment
 /// (E11): same columnar engine, but without the startree/sorted/range
 /// indices Pinot adds. Returns the reduced index spec.
-pub fn druid_like_spec(full: &crate::segment::IndexSpec) -> crate::segment::IndexSpec {
-    crate::segment::IndexSpec {
+pub fn druid_like_spec(full: &IndexSpec) -> IndexSpec {
+    IndexSpec {
         inverted: full.inverted.clone(),
         sorted: None,
         range: Vec::new(),
@@ -163,15 +160,15 @@ pub fn comparison_rows(n: usize) -> Vec<Row> {
 }
 
 /// Schema for [`comparison_rows`].
-pub fn comparison_schema() -> rtdi_common::Schema {
-    rtdi_common::Schema::of(
+pub fn comparison_schema() -> Schema {
+    Schema::of(
         "orders",
         &[
-            ("restaurant", rtdi_common::FieldType::Str),
-            ("city", rtdi_common::FieldType::Str),
-            ("total", rtdi_common::FieldType::Double),
-            ("items", rtdi_common::FieldType::Int),
-            ("ts", rtdi_common::FieldType::Timestamp),
+            ("restaurant", FieldType::Str),
+            ("city", FieldType::Str),
+            ("total", FieldType::Double),
+            ("items", FieldType::Int),
+            ("ts", FieldType::Timestamp),
         ],
     )
 }
@@ -179,9 +176,10 @@ pub fn comparison_schema() -> rtdi_common::Schema {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::query::Predicate;
-    use crate::segment::{IndexSpec, Segment};
     use rtdi_common::AggFn;
+    use rtdi_olap::query::Predicate;
+    use rtdi_olap::segment::Segment;
+    use rtdi_olap::startree::StarTreeSpec;
     use rtdi_storage::segfile;
 
     fn filled(n: usize) -> HeapStore {
@@ -263,10 +261,7 @@ mod tests {
             .with_inverted(&["city"])
             .with_sorted("ts")
             .with_range(&["total"])
-            .with_startree(crate::startree::StarTreeSpec::new(
-                &["city"],
-                vec![AggFn::Count],
-            ));
+            .with_startree(StarTreeSpec::new(&["city"], vec![AggFn::Count]));
         let druid = druid_like_spec(&full);
         assert_eq!(druid.inverted, vec!["city"]);
         assert!(druid.sorted.is_none());

@@ -1,9 +1,9 @@
 //! SQL layer (§4.5): E14 and E27.
 
+use super::olap::baselines::{comparison_rows, comparison_schema};
 use super::Report;
 use crate::count_allocations;
 use rtdi_common::{AggFn, FieldType, Result, Row, Schema, Value};
-use rtdi_olap::baselines::{comparison_rows, comparison_schema};
 use rtdi_olap::query::{Predicate, PredicateOp, Query};
 use rtdi_olap::segment::{IndexSpec, Segment};
 use rtdi_olap::table::{OlapTable, TableConfig};

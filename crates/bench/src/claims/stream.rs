@@ -1,6 +1,9 @@
 //! Streaming layer (§4.1): E1–E5, E22, E28, and the stream halves of the
 //! recovery experiments E23 and E24.
 
+mod sticky;
+mod tiered;
+
 use super::{present, Report};
 use rtdi_common::chaos::{Chaos, FaultKind, FaultPlan, FaultPoint, Trigger};
 use rtdi_common::{
@@ -15,13 +18,14 @@ use rtdi_stream::dlq::{DeadLetterQueue, ParkReason};
 use rtdi_stream::federation::FederatedCluster;
 use rtdi_stream::producer::{Producer, ProducerConfig, StreamEndpoint};
 use rtdi_stream::proxy::{ConsumerProxy, ConsumerService, DispatchMode, ProxyConfig};
-use rtdi_stream::replicator::{OffsetMappingStore, Replicator, StickyAssigner};
-use rtdi_stream::tiered::TieredLog;
+use rtdi_stream::replicator::{OffsetMappingStore, Replicator};
 use rtdi_stream::topic::{Topic, TopicConfig};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+use sticky::StickyAssigner;
+use tiered::TieredLog;
 
 pub fn claims(r: &mut Report) -> Result<()> {
     e01_pubsub(r)?;
@@ -104,14 +108,22 @@ fn e01_pubsub(r: &mut Report) -> Result<()> {
     Ok(())
 }
 
+/// The node count past which a cluster's coordination overhead grows
+/// super-linearly: the paper's "ideal cluster size < 150 nodes".
+const IDEAL_MAX_NODES: usize = 150;
+
+/// Per-operation coordination overhead of a `nodes`-node cluster, in
+/// arbitrary cost units: flat up to [`IDEAL_MAX_NODES`], then growing
+/// quadratically with the excess. The model E2 compares one giant cluster
+/// against federated ones with.
+fn coordination_cost(nodes: usize) -> f64 {
+    let base = 1.0 + (nodes as f64).log2() * 0.05;
+    let excess = nodes.saturating_sub(IDEAL_MAX_NODES) as f64;
+    base + 0.002 * excess * excess
+}
+
 fn e02_federation(r: &mut Report) -> Result<()> {
-    let cost = |nodes| {
-        let config = ClusterConfig {
-            nodes,
-            ..Default::default()
-        };
-        Cluster::new("sized", config).coordination_cost()
-    };
+    let cost = coordination_cost;
     let (at_300, at_600) = (cost(300) / cost(150), cost(600) / cost(150));
     r.claim(
         "E2.cost",
@@ -128,7 +140,6 @@ fn e02_federation(r: &mut Report) -> Result<()> {
         let config = ClusterConfig {
             nodes: 150,
             partitions_per_node: 2,
-            ..Default::default()
         };
         fed.add_cluster(Cluster::new(format!("c{i}"), config));
     }
@@ -802,4 +813,20 @@ fn e28_overload(r: &mut Report) {
         "drive points where offered != processed + shed + queued",
         unbalanced == 0,
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn coordination_cost_grows_past_ideal() {
+        let (small, ideal, big) = (
+            coordination_cost(100),
+            coordination_cost(IDEAL_MAX_NODES),
+            coordination_cost(400),
+        );
+        assert!(small <= ideal + 0.01);
+        assert!(big > 10.0 * ideal, "big={big} ideal={ideal}");
+    }
 }

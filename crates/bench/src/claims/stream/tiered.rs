@@ -1,4 +1,5 @@
-//! Tiered log storage — the §11 future-work item, implemented.
+//! Tiered log storage — the §11 future-work item, the model claim E22
+//! runs. No platform path holds a tiered log.
 //!
 //! "Storage tiering improves both cost efficiency by storing colder data
 //! in a cheaper storage medium as well as elasticity by separating data
@@ -13,11 +14,11 @@
 //! with tiering, "retention" becomes a cost knob instead of a data-loss
 //! cliff.
 
-use crate::log::{FetchResult, OffsetRecord, PartitionLog};
 use parking_lot::RwLock;
 use rtdi_common::{Error, Record, Result, Timestamp};
 use rtdi_storage::archival::{decode_raw, encode_raw};
 use rtdi_storage::object::ObjectStore;
+use rtdi_stream::log::{FetchResult, OffsetRecord, PartitionLog};
 use std::sync::Arc;
 
 /// Index entry for one cold chunk object.
@@ -132,28 +133,6 @@ impl TieredLog {
     pub fn hot_bytes(&self) -> usize {
         self.hot.bytes()
     }
-
-    /// Records currently in the cold tier.
-    pub fn cold_records(&self) -> u64 {
-        self.cold.read().iter().map(|c| c.count).sum()
-    }
-
-    /// Permanently expire cold chunks older than `min_offset` (true
-    /// deletion — the cost knob).
-    pub fn expire_cold_before(&self, min_offset: u64) -> Result<usize> {
-        let mut cold = self.cold.write();
-        let mut removed = 0;
-        while let Some(first) = cold.first() {
-            if first.base_offset + first.count <= min_offset {
-                self.store.delete(&first.key)?;
-                removed += first.count as usize;
-                cold.remove(0);
-            } else {
-                break;
-            }
-        }
-        Ok(removed)
-    }
 }
 
 #[cfg(test)]
@@ -221,7 +200,6 @@ mod tests {
             after * 5 < before,
             "hot tier should shrink: {before} -> {after}"
         );
-        assert_eq!(log.cold_records(), 900);
         assert!(store.stored_bytes() > 0);
         // the full history is still served
         assert_eq!(log.fetch(0, 5).unwrap().records.len(), 5);
@@ -245,33 +223,6 @@ mod tests {
             assert_eq!(f.records[0].offset, offset, "offset {offset}");
             assert_eq!(f.records[0].record.value.get_int("i"), Some(offset as i64));
         }
-    }
-
-    #[test]
-    fn cold_expiry_is_the_cost_knob() {
-        let (log, store) = tiered();
-        for i in 0..100 {
-            log.append(rec(i), i);
-        }
-        log.offload_older_than(50).unwrap();
-        for i in 100..200 {
-            log.append(rec(i), i);
-        }
-        log.offload_older_than(150).unwrap();
-        assert_eq!(log.cold_records(), 150);
-        let objects_before = store.object_count();
-        // expire the first chunk only
-        let removed = log.expire_cold_before(50).unwrap();
-        assert_eq!(removed, 50);
-        assert_eq!(log.cold_records(), 100);
-        assert!(store.object_count() < objects_before);
-        assert_eq!(log.log_start_offset(), 50);
-        // reading expired offsets now errors like retention did
-        assert!(matches!(
-            log.fetch(0, 1),
-            Err(Error::OffsetOutOfRange { .. })
-        ));
-        assert!(log.fetch(50, 1).is_ok());
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! Use cases (§5, Table 1): E15–E19.
 
+pub mod usage;
+
 use super::{present, Report};
 use crate::count_allocations;
 use rtdi_common::trace::END_TO_END;
 use rtdi_common::{AggFn, FieldType, Record, Result, Row, Schema, SimClock};
 use rtdi_core::platform::RealtimePlatform;
-use rtdi_core::usage::Component;
 use rtdi_multiregion::activeactive::{redundant_compute_round, ActiveActiveCoordinator};
 use rtdi_multiregion::kv::ReplicatedKv;
 use rtdi_multiregion::topology::MultiRegionTopology;
@@ -19,6 +20,7 @@ use rtdi_usecases::surge::{LinearSurgeModel, SurgeModel, SurgePipeline};
 use rtdi_usecases::workloads::TripEventGenerator;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
+use usage::{Component, UsageTracker};
 
 pub fn claims(r: &mut Report) -> Result<()> {
     e15_surge(r)?;
@@ -351,16 +353,18 @@ fn e18_ops_automation(r: &mut Report) -> Result<()> {
     Ok(())
 }
 
-/// Run the four §5 use cases, scaled down, against `platform` with usage
-/// accounting on: what `examples/table1.rs` prints and E19 checks.
-pub fn run_table1_use_cases(platform: &RealtimePlatform) -> Result<()> {
-    let usage = platform.usage();
+/// Run the four §5 use cases, scaled down, against `platform`, declaring
+/// beside each step the components it is built on: what
+/// `examples/table1.rs` prints and E19 checks.
+pub fn run_table1_use_cases(platform: &RealtimePlatform) -> Result<UsageTracker> {
+    let mut usage = UsageTracker::new();
     let mut generator = TripEventGenerator::new(99, 32);
 
     usage.begin_use_case("Surge");
     let config = TopicConfig::high_throughput().with_partitions(2);
     platform.create_topic("marketplace", config, marketplace_schema("marketplace"))?;
     let producer = platform.producer("marketplace");
+    usage.note(Component::Stream); // the topic and its producer
     for t in 0..2_000 {
         producer.send("marketplace", generator.marketplace_event(t * 10))?;
     }
@@ -371,7 +375,6 @@ pub fn run_table1_use_cases(platform: &RealtimePlatform) -> Result<()> {
     usage.note(Component::Api);
     usage.note(Component::Compute);
     surge.run(job)?;
-    usage.end_use_case();
 
     usage.begin_use_case("Restaurant Manager");
     let manager = RestaurantManager::new(60_000)?;
@@ -385,7 +388,6 @@ pub fn run_table1_use_cases(platform: &RealtimePlatform) -> Result<()> {
     usage.note(Component::Sql);
     usage.note(Component::Olap);
     manager.load_dashboard("rest-0001")?;
-    usage.end_use_case();
 
     usage.begin_use_case("Real-time Prediction Monitoring");
     let monitoring = PredictionMonitoring::new(60_000, 10_000)?;
@@ -399,16 +401,18 @@ pub fn run_table1_use_cases(platform: &RealtimePlatform) -> Result<()> {
     usage.note(Component::Sql);
     usage.note(Component::Olap);
     monitoring.degraded_models(0.5)?;
-    usage.end_use_case();
 
     usage.begin_use_case("Eats Ops Automation");
     ingest_courier_activity(platform, &mut generator, 3_000)?;
+    usage.note(Component::Stream); // the topic, its producer and ingester
+    usage.note(Component::Olap);
     usage.note(Component::Compute); // the ingestion pipeline
     let mut ops = OpsAutomation::new();
     ops.promote_with(|sql| platform.sql(sql).map(|_| ()), capacity_rule(50.0))?;
     ops.evaluate_with(|sql| platform.sql(sql).map(|out| out.rows))?;
-    usage.end_use_case();
-    Ok(())
+    usage.note(Component::Sql);
+    usage.note(Component::Olap);
+    Ok(usage)
 }
 
 fn e19_table1(r: &mut Report) -> Result<()> {
@@ -423,14 +427,14 @@ fn e19_table1(r: &mut Report) -> Result<()> {
         ("Eats Ops Automation", &[Sql, Olap, Compute, Stream]),
     ];
     let platform = RealtimePlatform::new();
-    r.timed("E19", "the four use cases with usage accounting", || {
+    let usage = r.timed("E19", "the four use cases behind Table 1", || {
         run_table1_use_cases(&platform)
     })?;
     let mut differing = 0;
     for (use_case, components) in paper {
         for component in Component::all() {
             let expected = components.contains(&component);
-            differing += usize::from(platform.usage().uses(use_case, component) != expected);
+            differing += usize::from(usage.uses(use_case, component) != expected);
         }
     }
     r.claim(

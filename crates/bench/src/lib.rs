@@ -91,26 +91,3 @@ pub fn assert_allocs_at_most(label: &str, stats: AllocStats, max_allocs: u64) {
         "{label}: expected at most {max_allocs} allocations, measured {stats}"
     );
 }
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// One `#[test]`: the counter is process-wide, so a sibling running
-    /// beside this one would add its allocations to every reading here.
-    #[test]
-    fn counts_heap_traffic_and_enforces_budgets() {
-        let (v, built) = count_allocations(|| vec![0u8; 4096]);
-        assert_eq!(v.len(), 4096);
-        assert!(built.allocs >= 1);
-        assert!(built.bytes >= 4096);
-
-        let (sum, quiet) = count_allocations(|| (0u64..1000).sum::<u64>());
-        assert_eq!(sum, 499_500);
-        assert_allocs_at_most("pure arithmetic", quiet, 0);
-
-        let over = std::panic::catch_unwind(|| assert_allocs_at_most("vec build", built, 0));
-        let message = over.unwrap_err().downcast::<String>().unwrap();
-        assert!(message.contains("vec build: expected at most 0 allocations"));
-    }
-}

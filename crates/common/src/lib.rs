@@ -11,6 +11,8 @@
 
 // Non-test code returns `Error`, never panics.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+// Every [dependencies] edge is one the code uses.
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
 
 pub mod agg;
 pub mod chaos;
@@ -28,20 +30,17 @@ pub mod value;
 pub mod wire;
 
 pub use agg::{AggAcc, AggFn};
-pub use chaos::{
-    Chaos, FaultKind, FaultPlan, FaultPoint, RegionOutage, RegionOutageKind, RetryPolicy, Trigger,
-};
+pub use chaos::{Chaos, FaultPoint, RegionOutage, RegionOutageKind, RetryPolicy};
 pub use error::{Error, Result};
 pub use membership::{
-    Membership, MembershipConfig, MembershipEvent, MembershipListener, NodeState, RegionStatus,
+    Membership, MembershipConfig, MembershipEvent, MembershipListener, NodeState,
 };
 pub use overload::{
-    AdmissionConfig, AdmissionController, AdmissionStats, Deadline, Permit, Priority, Quota,
-    RateLimiter, ShedReason,
+    AdmissionConfig, AdmissionController, Deadline, Permit, Priority, Quota, RateLimiter,
 };
-pub use record::{Audit, Record, RecordHeaders, UniqueId};
+pub use record::{Audit, Record, UniqueId};
 pub use schema::{Field, FieldType, Schema};
 pub use sketch::CountMinSketch;
 pub use time::{Clock, SimClock, Timestamp, WallClock};
-pub use trace::{PipelineTracer, StageDwell, TraceReport, TraceStage};
+pub use trace::{PipelineTracer, TraceReport, TraceStage};
 pub use value::{Row, Value};

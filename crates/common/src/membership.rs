@@ -175,16 +175,6 @@ impl Membership {
             });
     }
 
-    /// All nodes tagged with `region`, in name order.
-    pub fn nodes_in_region(&self, region: &str) -> Vec<String> {
-        self.nodes
-            .read()
-            .iter()
-            .filter(|(_, i)| i.region.as_deref() == Some(region))
-            .map(|(n, _)| n.clone())
-            .collect()
-    }
-
     /// Per-region live/dead counts, in region name order. A region kill
     /// shows up here as a correlated burst of node deaths — the detector
     /// declares each node dead by heartbeat deadline, and the region is
@@ -220,15 +210,6 @@ impl Membership {
         self.region_statuses()
             .iter()
             .any(|s| s.region == region && s.is_down())
-    }
-
-    /// Regions currently fully dead, in name order.
-    pub fn dead_regions(&self) -> Vec<String> {
-        self.region_statuses()
-            .into_iter()
-            .filter(|s| s.is_down())
-            .map(|s| s.region)
-            .collect()
     }
 
     /// Record a heartbeat from `node` at the current logical time. A
@@ -524,7 +505,7 @@ mod tests {
             m.register_in_region(&format!("west-n{i}"), "west");
             m.register_in_region(&format!("east-n{i}"), "east");
         }
-        assert_eq!(m.nodes_in_region("east").len(), 3);
+        assert_eq!(m.region_statuses()[0].live, 3); // east
         assert!(!m.region_is_down("west"));
         // west falls silent; east keeps heartbeating
         for _ in 0..12 {
@@ -536,7 +517,6 @@ mod tests {
         }
         assert!(m.region_is_down("west"), "deadline detector downs west");
         assert!(!m.region_is_down("east"));
-        assert_eq!(m.dead_regions(), vec!["west".to_string()]);
         let st = m.region_statuses();
         assert_eq!(st.len(), 2);
         assert_eq!((st[1].live, st[1].dead), (0, 3)); // west

@@ -126,15 +126,6 @@ pub enum Priority {
     Backfill,
 }
 
-impl Priority {
-    pub fn name(self) -> &'static str {
-        match self {
-            Priority::Interactive => "interactive",
-            Priority::Backfill => "backfill",
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // RateLimiter
 // ---------------------------------------------------------------------------
@@ -273,16 +264,6 @@ pub enum ShedReason {
     Concurrency,
     /// Queue depth tripped a watermark for this lane.
     QueueDepth,
-}
-
-impl ShedReason {
-    pub fn name(self) -> &'static str {
-        match self {
-            ShedReason::TenantQuota => "tenant_quota",
-            ShedReason::Concurrency => "concurrency",
-            ShedReason::QueueDepth => "queue_depth",
-        }
-    }
 }
 
 #[derive(Default)]

@@ -17,7 +17,6 @@
 /// a false negative would leave a hot shard overloaded.
 #[derive(Debug, Clone)]
 pub struct CountMinSketch {
-    width: usize,
     rows: Vec<Vec<u64>>,
 }
 
@@ -50,7 +49,6 @@ impl CountMinSketch {
         let depth = depth.clamp(1, ROW_SEEDS.len());
         let width = width.max(16);
         CountMinSketch {
-            width,
             rows: vec![vec![0u64; width]; depth],
         }
     }
@@ -64,11 +62,6 @@ impl CountMinSketch {
             est = est.min(row[idx]);
         }
         est
-    }
-
-    /// Approximate heap footprint in bytes.
-    pub fn memory_bytes(&self) -> usize {
-        self.rows.len() * self.width * std::mem::size_of::<u64>()
     }
 }
 

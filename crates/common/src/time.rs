@@ -52,22 +52,6 @@ impl SimClock {
     pub fn advance(&self, delta_ms: i64) -> Timestamp {
         self.now_ms.fetch_add(delta_ms, Ordering::SeqCst) + delta_ms
     }
-
-    /// Jump to an absolute time. Time never moves backwards: setting a
-    /// value in the past is ignored (returns current now).
-    pub fn set(&self, to: Timestamp) -> Timestamp {
-        let mut cur = self.now_ms.load(Ordering::SeqCst);
-        while to > cur {
-            match self
-                .now_ms
-                .compare_exchange(cur, to, Ordering::SeqCst, Ordering::SeqCst)
-            {
-                Ok(_) => return to,
-                Err(actual) => cur = actual,
-            }
-        }
-        cur
-    }
 }
 
 impl Clock for SimClock {
@@ -89,14 +73,12 @@ mod tests {
     }
 
     #[test]
-    fn sim_clock_advances_and_never_rewinds() {
+    fn sim_clock_advances_and_clones_share_time() {
         let c = SimClock::new(1000);
         assert_eq!(c.now(), 1000);
         assert_eq!(c.advance(500), 1500);
-        assert_eq!(c.set(1200), 1500); // rewind ignored
-        assert_eq!(c.set(2000), 2000);
         let c2 = c.clone();
         c2.advance(1);
-        assert_eq!(c.now(), 2001); // clones share time
+        assert_eq!(c.now(), 1501); // clones share time
     }
 }

@@ -4,9 +4,7 @@
 //! validation, deployment, monitoring and failure recovery... a shared
 //! component in the job management server continuously monitors the health
 //! of all jobs and automatically recovers the jobs from the transient
-//! failures." It also owns the empirical resource model ("a stateless
-//! Flink job ... is CPU bound vs a stream-stream join job will almost
-//! always be memory bound") and the rule-based engine that restarts or
+//! failures." It also owns the rule-based engine that restarts or
 //! rescales jobs when metrics drift from the desired state.
 
 use crate::runtime::{run_staged_with, Job, JobRunStats, StagedConfig};
@@ -15,32 +13,11 @@ use rtdi_common::{Error, MembershipEvent, MembershipListener, NodeState, Result}
 use std::collections::BTreeMap;
 use std::sync::{Arc, Weak};
 
-/// Broad job classification driving the resource model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JobType {
-    /// No windows, no joins: CPU bound.
-    Stateless,
-    /// Windowed aggregations: mixed.
-    WindowedAggregation,
-    /// Stream-stream joins: memory bound.
-    StreamJoin,
-}
-
-/// A deployable job: a factory (so the manager can re-instantiate after
-/// failure) plus scheduling metadata.
+/// A deployable job: a name and a factory, so the manager can
+/// re-instantiate it after a failure.
 pub struct JobSpec {
     pub name: String,
-    pub job_type: JobType,
-    /// Expected steady-state input rate, used for resource estimation.
-    pub expected_records_per_sec: u64,
     pub factory: Box<dyn Fn() -> Result<Job> + Send + Sync>,
-}
-
-/// Estimated resources for a job (§4.2.1 "Resource estimation").
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ResourceEstimate {
-    pub cpu_cores: u32,
-    pub memory_mb: u64,
 }
 
 /// Point-in-time health of a running job, fed to the rule engine.
@@ -156,29 +133,6 @@ impl JobManager {
             }
         }
         (HealthAction::None, None)
-    }
-
-    /// §4.2.1 empirical resource model.
-    pub fn estimate_resources(spec: &JobSpec) -> ResourceEstimate {
-        let rate = spec.expected_records_per_sec.max(1);
-        match spec.job_type {
-            // CPU bound: one core per ~50k rec/s, little memory
-            JobType::Stateless => ResourceEstimate {
-                cpu_cores: rate.div_ceil(50_000).max(1) as u32,
-                memory_mb: 512,
-            },
-            // aggregation: moderate CPU, memory grows with rate (window
-            // state is proportional to keys/sec x window length)
-            JobType::WindowedAggregation => ResourceEstimate {
-                cpu_cores: rate.div_ceil(30_000).max(1) as u32,
-                memory_mb: 1024 + rate / 100,
-            },
-            // memory bound: buffers hold the full join window on both sides
-            JobType::StreamJoin => ResourceEstimate {
-                cpu_cores: rate.div_ceil(40_000).max(1) as u32,
-                memory_mb: 4096 + rate / 20,
-            },
-        }
     }
 
     /// Validate a spec before deployment (the "validation" step of the job
@@ -367,8 +321,6 @@ mod tests {
     fn simple_spec(name: &str, sink: CollectSink) -> JobSpec {
         JobSpec {
             name: name.to_string(),
-            job_type: JobType::Stateless,
-            expected_records_per_sec: 1000,
             factory: Box::new(move || {
                 Ok(Job::new(
                     "inner",
@@ -394,8 +346,6 @@ mod tests {
         ));
         let empty_ops = JobSpec {
             name: "no-ops".into(),
-            job_type: JobType::Stateless,
-            expected_records_per_sec: 1,
             factory: Box::new(|| {
                 Ok(Job::new(
                     "x",
@@ -453,8 +403,6 @@ mod tests {
         let job_name = name.to_string();
         let spec = JobSpec {
             name: name.to_string(),
-            job_type: JobType::Stateless,
-            expected_records_per_sec: 100,
             factory: Box::new(move || {
                 Ok(Job::new(
                     job_name.clone(),
@@ -526,28 +474,6 @@ mod tests {
         assert_eq!(stats.records_in, 5, "stopped at the first barrier");
         let info = jm.status("stops").unwrap();
         assert_eq!((info.status, info.restarts), (JobStatus::Finished, 0));
-    }
-
-    #[test]
-    fn resource_model_matches_paper_observations() {
-        let mk = |jt| JobSpec {
-            name: "r".into(),
-            job_type: jt,
-            expected_records_per_sec: 100_000,
-            factory: Box::new(|| {
-                Ok(Job::new(
-                    "x",
-                    Box::new(VecSource::new(vec![])),
-                    vec![],
-                    Box::new(CollectSink::new()),
-                ))
-            }),
-        };
-        let stateless = JobManager::estimate_resources(&mk(JobType::Stateless));
-        let join = JobManager::estimate_resources(&mk(JobType::StreamJoin));
-        // stateless: CPU-heavy relative to memory; join: memory-heavy
-        assert!(join.memory_mb > 5 * stateless.memory_mb);
-        assert!(stateless.cpu_cores >= 2);
     }
 
     #[test]

@@ -23,18 +23,16 @@
 //! - [`mod@reference`]: the single-threaded per-record oracle the tests
 //!   compare the runtime against (never called by production code);
 //! - [`jobmanager`] (§4.2.2, Figure 5): job lifecycle management,
-//!   rule-based health monitoring, automatic failure recovery and the
-//!   CPU-vs-memory-bound resource model;
+//!   rule-based health monitoring and automatic failure recovery;
 //! - [`backfill`] (§7): the Kappa+ architecture — the same operator chain
-//!   replayed over archived data with throttling and enlarged buffers;
-//! - [`baselines`]: the Storm-like ack-based engine and the Spark-like
-//!   micro-batch engine used by the §4.2 comparison experiments (E6, E7).
+//!   replayed over archived data with throttling and enlarged buffers.
 
 // Non-test code on the data path returns `Error`, never panics.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+// Every [dependencies] edge is one the code uses.
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
 
 pub mod backfill;
-pub mod baselines;
 pub mod jobmanager;
 pub mod operator;
 pub mod reference;
@@ -44,17 +42,13 @@ pub mod source;
 pub mod watermark;
 pub mod window;
 
-pub use jobmanager::{JobManager, JobSpec, JobStatus};
+pub use jobmanager::{JobManager, JobSpec};
 pub use operator::{
-    fuse_stateless, key_string, DedupOp, FilterOp, FlatMapOp, FusedOp, MapOp, Operator,
-    OperatorOutput, PartialCombineOp, ShardSpec, WindowAggregateOp, WindowJoinOp, PARTIAL_COL,
+    DedupOp, FilterOp, FlatMapOp, FusedOp, MapOp, Operator, WindowAggregateOp, WindowJoinOp,
 };
-pub use rtdi_common::agg::{AggAcc, AggFn};
 pub use runtime::{
-    run_staged_with, CheckpointStore, Job, JobRunStats, RescaleHandle, ShardStats, StageStats,
-    StagedConfig,
+    run_staged_with, CheckpointStore, Job, JobRunStats, RescaleHandle, StagedConfig,
 };
-pub use sink::{CollectSink, FnSink, Sink, TopicSink};
-pub use source::{HiveSource, Source, TopicSource, UnionSource, VecSource};
-pub use watermark::WatermarkGenerator;
-pub use window::{WindowAssigner, WINDOW_END_COL, WINDOW_START_COL};
+pub use sink::{CollectSink, FnSink, TopicSink};
+pub use source::{HiveSource, Source, TopicSource, VecSource};
+pub use window::WindowAssigner;

@@ -8,17 +8,13 @@
 //!
 //! - [`metadata`]: the versioned schema registry and the lineage graph
 //!   (§3, §9.4);
-//! - [`platform`]: the [`RealtimePlatform`] facade — topics, producers,
-//!   OLAP tables, federated SQL, archival and backfill in one place;
-//! - [`usage`]: per-use-case component accounting that regenerates the
-//!   paper's Table 1.
+//! - [`platform`]: the [`RealtimePlatform`](platform::RealtimePlatform) facade — topics, producers,
+//!   OLAP tables, federated SQL, archival and backfill in one place.
 
 // Non-test code returns `Error`, never panics.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+// Every [dependencies] edge is one the code uses.
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
 
 pub mod metadata;
 pub mod platform;
-pub mod usage;
-
-pub use platform::RealtimePlatform;
-pub use usage::{Component, UsageTracker};

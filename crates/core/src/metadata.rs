@@ -8,5 +8,5 @@
 pub mod lineage;
 pub mod registry;
 
-pub use lineage::{LineageEdge, LineageGraph};
-pub use registry::{SchemaRegistry, VersionedSchema};
+pub use lineage::LineageGraph;
+pub use registry::SchemaRegistry;

@@ -34,21 +34,38 @@ impl SchemaRegistry {
     /// the previous version can read it (backward compatibility). Returns
     /// the registered version.
     pub fn register(&self, subject: &str, schema: Schema) -> Result<VersionedSchema> {
+        let registered = schema.clone();
+        self.register_with(subject, registered, |version| {
+            Ok(VersionedSchema { version, schema })
+        })
+    }
+
+    /// [`SchemaRegistry::register`], kept only if `create` — told the
+    /// version the schema will get — succeeds: a refused create leaves
+    /// the subject as it was. The registry is held for the call, so two
+    /// creates under one registry never interleave.
+    pub fn register_with<T>(
+        &self,
+        subject: &str,
+        schema: Schema,
+        create: impl FnOnce(u32) -> Result<T>,
+    ) -> Result<T> {
         let mut subjects = self.subjects.write();
-        let versions = subjects.entry(subject.to_string()).or_default();
-        if let Some(prior) = versions.last() {
-            if !schema.is_backward_compatible_with(prior) {
+        let prior = subjects.get(subject).map_or(&[][..], Vec::as_slice);
+        if let Some(last) = prior.last() {
+            if !schema.is_backward_compatible_with(last) {
                 return Err(Error::Schema(format!(
                     "schema for '{subject}' is not backward compatible with version {}",
-                    versions.len()
+                    prior.len()
                 )));
             }
         }
-        versions.push(schema.clone());
-        Ok(VersionedSchema {
-            version: versions.len() as u32,
-            schema,
-        })
+        let created = create(prior.len() as u32 + 1)?;
+        subjects
+            .entry(subject.to_string())
+            .or_default()
+            .push(schema);
+        Ok(created)
     }
 
     /// Latest version of a subject.
@@ -62,21 +79,6 @@ impl SchemaRegistry {
             .ok_or_else(|| Error::NotFound(format!("no versions for '{subject}'")))?;
         Ok(VersionedSchema {
             version: versions.len() as u32,
-            schema: schema.clone(),
-        })
-    }
-
-    /// A specific version (1-based).
-    pub fn version(&self, subject: &str, version: u32) -> Result<VersionedSchema> {
-        let subjects = self.subjects.read();
-        let versions = subjects
-            .get(subject)
-            .ok_or_else(|| Error::NotFound(format!("schema subject '{subject}'")))?;
-        let schema = versions
-            .get(version.saturating_sub(1) as usize)
-            .ok_or_else(|| Error::NotFound(format!("version {version} of '{subject}'")))?;
-        Ok(VersionedSchema {
-            version,
             schema: schema.clone(),
         })
     }
@@ -166,8 +168,6 @@ mod tests {
         let r2 = reg.register("orders", v2.clone()).unwrap();
         assert_eq!(r2.version, 2);
         assert_eq!(reg.latest("orders").unwrap().schema, v2);
-        assert_eq!(reg.version("orders", 1).unwrap().schema, v1());
-        assert!(reg.version("orders", 3).is_err());
         assert!(reg.latest("nope").is_err());
     }
 

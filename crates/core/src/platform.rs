@@ -10,18 +10,17 @@
 //! clicking a button").
 
 use crate::metadata::{LineageGraph, SchemaRegistry};
-use crate::usage::{Component, UsageTracker};
 use rtdi_common::{
     Chaos, Clock, Error, PipelineTracer, Record, Result, Schema, Timestamp, TraceReport, WallClock,
 };
-use rtdi_compute::jobmanager::{JobHealth, JobManager, JobSpec, JobType};
+use rtdi_compute::jobmanager::{JobHealth, JobManager, JobSpec};
 use rtdi_compute::runtime::{run_staged_with, CheckpointStore, JobRunStats, StagedConfig};
 use rtdi_compute::sink::Sink;
 use rtdi_flinksql::compiler::{compile_batch, compile_streaming, CompileOptions};
 use rtdi_flinksql::sinks::PinotSink;
 use rtdi_olap::ingestion::{IngestionConfig, RealtimeIngester};
 use rtdi_olap::table::{OlapTable, TableConfig};
-use rtdi_sql::connector::{HiveConnector, PinotConnector};
+use rtdi_sql::connector::{Connector, HiveConnector, PinotConnector};
 use rtdi_sql::engine::{EngineConfig, QueryOutput, SqlEngine};
 use rtdi_storage::archival::{ArchivalWriter, Compactor};
 use rtdi_storage::hive::HiveCatalog;
@@ -74,7 +73,6 @@ pub struct RealtimePlatform {
     pinot: Arc<PinotConnector>,
     engine: SqlEngine,
     job_manager: JobManager,
-    usage: UsageTracker,
     tracer: PipelineTracer,
     clock: Arc<dyn Clock>,
     chaos: Chaos,
@@ -133,16 +131,10 @@ impl RealtimePlatform {
             pinot,
             engine,
             job_manager,
-            usage: UsageTracker::new(),
             tracer,
             clock,
             chaos,
         }
-    }
-
-    /// The handle everything this platform built takes its faults from.
-    pub fn chaos(&self) -> &Chaos {
-        &self.chaos
     }
 
     pub fn federation(&self) -> &FederatedCluster {
@@ -169,10 +161,6 @@ impl RealtimePlatform {
     /// deep-store segments.
     pub fn store(&self) -> &Arc<dyn ObjectStore> {
         &self.store
-    }
-
-    pub fn usage(&self) -> &UsageTracker {
-        &self.usage
     }
 
     pub fn job_manager(&self) -> &JobManager {
@@ -231,23 +219,23 @@ impl RealtimePlatform {
     }
 
     /// Provision a topic with a registered, compatibility-checked schema
-    /// (§9.4 "seamless onboarding").
+    /// (§9.4 "seamless onboarding"). The schema is registered only if the
+    /// topic is created.
     pub fn create_topic(
         &self,
         name: &str,
         config: TopicConfig,
         schema: Schema,
     ) -> Result<Arc<Topic>> {
-        self.usage.note(Component::Stream);
-        self.registry.register(&format!("kafka.{name}"), schema)?;
-        self.federation.create_topic(name, config)?;
-        let sub = self.federation.subscribe(name)?;
-        Ok(sub.topic())
+        self.registry
+            .register_with(&format!("kafka.{name}"), schema, |_| {
+                self.federation.create_topic(name, config)?;
+                Ok(self.federation.subscribe(name)?.topic())
+            })
     }
 
     /// A thin producer for a service (§9.2's "thin client").
     pub fn producer(&self, service: &str) -> Producer {
-        self.usage.note(Component::Stream);
         Producer::with_clock(
             Arc::new(self.federation.clone()),
             ProducerConfig {
@@ -261,27 +249,32 @@ impl RealtimePlatform {
     /// Produce one record (convenience; services normally hold a
     /// [`Producer`]).
     pub fn produce(&self, topic: &str, record: Record) -> Result<()> {
-        self.usage.note(Component::Stream);
         self.federation
             .send(topic, Arc::new(record), self.clock.now())?;
         Ok(())
     }
 
     /// Create an OLAP table, register it with the schema service and make
-    /// it queryable through the SQL layer (§4.3.3 integration).
+    /// it queryable through the SQL layer (§4.3.3 integration). A name
+    /// already taken is refused, and a refused table registers no schema.
     pub fn create_olap_table(&self, config: TableConfig) -> Result<Arc<OlapTable>> {
-        self.usage.note(Component::Olap);
+        let subject = format!("pinot.{}", config.name);
         self.registry
-            .register(&format!("pinot.{}", config.name), config.schema.clone())?;
-        let table = OlapTable::new(config)?;
-        self.pinot.register(table.clone());
-        Ok(table)
+            .register_with(&subject, config.schema.clone(), |_| {
+                if self.pinot.table_names().contains(&config.name) {
+                    return Err(Error::AlreadyExists(format!(
+                        "pinot table '{}'",
+                        config.name
+                    )));
+                }
+                let table = OlapTable::new(config)?;
+                self.pinot.register(table.clone());
+                Ok(table)
+            })
     }
 
     /// Connect a topic to an OLAP table with a realtime ingester.
     pub fn ingest_into(&self, topic: &str, table: Arc<OlapTable>) -> Result<RealtimeIngester> {
-        self.usage.note(Component::Stream);
-        self.usage.note(Component::Olap);
         let sub = self.federation.subscribe(topic)?;
         self.lineage.record(
             &format!("kafka.{topic}"),
@@ -318,10 +311,6 @@ impl RealtimePlatform {
         sink_table: Arc<OlapTable>,
         options: &CompileOptions,
     ) -> Result<JobRunStats> {
-        self.usage.note(Component::Sql);
-        self.usage.note(Component::Compute);
-        self.usage.note(Component::Stream);
-        self.usage.note(Component::Olap);
         let sub = self.federation.subscribe(source_topic)?;
         self.lineage.record(
             &format!("kafka.{source_topic}"),
@@ -339,8 +328,6 @@ impl RealtimePlatform {
 
     /// Federated SQL over Pinot (default catalog) and Hive (§4.5).
     pub fn sql(&self, query: &str) -> Result<QueryOutput> {
-        self.usage.note(Component::Sql);
-        self.usage.note(Component::Olap);
         // record query-time staleness for every traced pipeline the query
         // mentions (substring match is a heuristic — topic and table names
         // coincide on this platform, so it tags the right pipelines)
@@ -357,7 +344,6 @@ impl RealtimePlatform {
     /// logs and compact into a queryable Hive table (§4.4). Registers the
     /// table on first call.
     pub fn archive_topic(&self, topic: &str, schema: &Schema) -> Result<usize> {
-        self.usage.note(Component::Storage);
         let sub = self.federation.subscribe(topic)?;
         let t = sub.topic();
         let writer = ArchivalWriter::new(self.store.clone(), topic);
@@ -401,9 +387,6 @@ impl RealtimePlatform {
         to: Timestamp,
         sink: Box<dyn Sink>,
     ) -> Result<JobRunStats> {
-        self.usage.note(Component::Sql);
-        self.usage.note(Component::Compute);
-        self.usage.note(Component::Storage);
         let table = self.catalog.table(dataset)?;
         let job = compile_batch(
             name,
@@ -423,9 +406,7 @@ impl RealtimePlatform {
 }
 
 /// The supervised job of a FlinkSQL pipeline. Compiling the statement here
-/// surfaces its errors at deploy time, not at run time, and the compiled
-/// chain — not the SQL text, where 'group by' can sit in a string literal
-/// — says whether the job holds state (§4.2.1 sizes the two differently).
+/// surfaces its errors at deploy time, not at run time.
 fn sql_pipeline_spec(
     name: &str,
     sql: &str,
@@ -433,7 +414,7 @@ fn sql_pipeline_spec(
     sink_table: Arc<OlapTable>,
     options: &CompileOptions,
 ) -> Result<JobSpec> {
-    let validated = compile_streaming(
+    compile_streaming(
         name,
         sql,
         topic.clone(),
@@ -445,12 +426,6 @@ fn sql_pipeline_spec(
     let options = options.clone();
     Ok(JobSpec {
         name: name.to_string(),
-        job_type: if validated.operators.iter().any(|op| op.is_stateful()) {
-            JobType::WindowedAggregation
-        } else {
-            JobType::Stateless
-        },
-        expected_records_per_sec: 10_000,
         factory: Box::new(move || {
             compile_streaming(
                 &name_owned,
@@ -511,6 +486,29 @@ mod tests {
                 )
                 .unwrap();
         }
+    }
+
+    #[test]
+    fn a_refused_create_keeps_the_first_and_registers_no_schema() {
+        let p = platform();
+        let topic = || TopicConfig::default().with_partitions(2);
+        p.create_topic("trips", topic(), trips_schema()).unwrap();
+        let again = p.create_topic("trips", topic(), trips_schema());
+        assert!(matches!(again, Err(Error::AlreadyExists(_))));
+        assert_eq!(p.registry().latest("kafka.trips").unwrap().version, 1);
+
+        produce_trips(&p, 10);
+        let table = || {
+            let config = TableConfig::new("trips", trips_schema()).with_time_column("ts");
+            config.with_partitions(2)
+        };
+        let first = p.create_olap_table(table()).unwrap();
+        p.ingest_into("trips", first).unwrap().run_once().unwrap();
+        let again = p.create_olap_table(table());
+        assert!(matches!(again, Err(Error::AlreadyExists(_))));
+        assert_eq!(p.registry().latest("pinot.trips").unwrap().version, 1);
+        let out = p.sql("SELECT COUNT(*) AS n FROM trips").unwrap();
+        assert_eq!(out.rows[0].get_int("n"), Some(10));
     }
 
     #[test]
@@ -612,31 +610,6 @@ mod tests {
                 &CompileOptions::default(),
             )
             .is_err());
-    }
-
-    #[test]
-    fn sql_job_type_comes_from_the_compiled_chain_not_the_text() {
-        let (p, sink_table) = platform_with_trip_stats();
-        let topic = p.federation.subscribe("trips").unwrap().topic();
-        let job_type = |sql: &str| {
-            let options = CompileOptions::default();
-            sql_pipeline_spec("j", sql, topic.clone(), sink_table.clone(), &options)
-                .unwrap()
-                .job_type
-        };
-        // the words in a string literal do not make a job stateful
-        assert_eq!(
-            job_type("SELECT city FROM trips WHERE note = 'group by'"),
-            JobType::Stateless
-        );
-        // and an aggregate is one however its keywords are cased
-        assert_eq!(
-            job_type(
-                "select city, tumble(ts, 1000) as w, count(*) as trips \
-                 from trips group by city, tumble(ts, 1000)"
-            ),
-            JobType::WindowedAggregation
-        );
     }
 
     #[test]
@@ -746,20 +719,6 @@ mod tests {
         assert_eq!(p.store().list("raw/").unwrap(), Vec::<String>::new());
         let table = p.catalog().table(topic).unwrap();
         assert_eq!(table.scan_all().unwrap().len(), 30);
-    }
-
-    #[test]
-    fn usage_tracker_builds_table1_rows() {
-        let p = platform();
-        p.usage().begin_use_case("Surge");
-        p.create_topic("trips", TopicConfig::high_throughput(), trips_schema())
-            .unwrap();
-        produce_trips(&p, 4);
-        p.usage().end_use_case();
-        assert!(p.usage().uses("Surge", Component::Stream));
-        assert!(!p.usage().uses("Surge", Component::Sql));
-        let table = p.usage().render_table();
-        assert!(table.contains("Surge"));
     }
 
     #[test]

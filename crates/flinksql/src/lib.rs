@@ -22,9 +22,8 @@
 
 // Non-test code returns `Error`, never panics.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+// Every [dependencies] edge is one the code uses.
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
 
 pub mod compiler;
 pub mod sinks;
-
-pub use compiler::{compile_batch, compile_streaming, CompileOptions};
-pub use sinks::PinotSink;

@@ -27,7 +27,6 @@ use rtdi_common::{
     Chaos, Clock, Error, FaultPoint, FieldType, PipelineTracer, Record, RegionOutage,
     RegionOutageKind, Result, Row, Schema, SimClock,
 };
-use rtdi_compute::jobmanager::JobType;
 use rtdi_compute::operator::{DedupOp, MapOp};
 use rtdi_compute::runtime::CheckpointData;
 use rtdi_compute::{
@@ -354,8 +353,6 @@ impl DrDrill {
         membership.subscribe(jm.node_listener());
         jm.validate(&JobSpec {
             name: JOB.into(),
-            job_type: JobType::Stateless,
-            expected_records_per_sec: 1_000,
             factory: Box::new(|| {
                 Ok(Job::new(
                     JOB,

@@ -22,6 +22,8 @@
 
 // Non-test code returns `Error`, never panics.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+// Every [dependencies] edge is one the code uses.
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
 
 pub mod activeactive;
 pub mod activepassive;
@@ -29,8 +31,4 @@ pub mod dr;
 pub mod kv;
 pub mod topology;
 
-pub use activeactive::ActiveActiveCoordinator;
-pub use activepassive::{ActivePassiveConsumer, OffsetSyncService};
-pub use dr::{CycleLedger, DrConfig, DrDrill, DrReport};
-pub use kv::ReplicatedKv;
-pub use topology::{MultiRegionTopology, Region};
+pub use dr::{DrConfig, DrDrill, DrReport};

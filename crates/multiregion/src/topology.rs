@@ -115,7 +115,7 @@ pub struct MultiRegionTopology {
     mappings: OffsetMappingStore,
     topic: String,
     /// Shared failure detector across every cluster of every region
-    /// (only when built via [`MultiRegionTopology::with_clock`]).
+    /// (only when built via [`MultiRegionTopology::with_chaos`]).
     membership: Option<Arc<Membership>>,
     /// The one handle every cluster and replication route was built with.
     chaos: Chaos,
@@ -133,21 +133,11 @@ impl MultiRegionTopology {
     }
 
     /// Build the topology on one shared membership view driven by
-    /// `clock`: every broker of every cluster registers under its
-    /// region, so a region kill surfaces as a correlated burst of
-    /// heartbeat-deadline deaths in `membership().region_is_down(...)`
-    /// — detected, not announced.
-    pub fn with_clock(
-        region_names: &[&str],
-        topic: &str,
-        config: TopicConfig,
-        clock: Arc<dyn Clock>,
-    ) -> Result<Self> {
-        Self::with_chaos(region_names, topic, config, clock, Chaos::default())
-    }
-
-    /// [`MultiRegionTopology::with_clock`] under a fault-injection handle
-    /// the caller keeps a clone of.
+    /// `clock`, under a fault-injection handle the caller keeps a clone
+    /// of: every broker of every cluster registers under its region, so a
+    /// region kill surfaces as a correlated burst of heartbeat-deadline
+    /// deaths in `membership().region_is_down(...)` — detected, not
+    /// announced.
     pub fn with_chaos(
         region_names: &[&str],
         topic: &str,
@@ -217,7 +207,7 @@ impl MultiRegionTopology {
     }
 
     /// The shared failure detector (None unless built with
-    /// [`MultiRegionTopology::with_clock`]).
+    /// [`MultiRegionTopology::with_chaos`]).
     pub fn membership(&self) -> Option<&Arc<Membership>> {
         self.membership.as_ref()
     }
@@ -392,16 +382,20 @@ mod tests {
     fn shared_membership_detects_region_kill_by_missed_heartbeats() {
         use rtdi_common::SimClock;
         let clock = Arc::new(SimClock::new(0));
-        let topo = MultiRegionTopology::with_clock(
+        let topo = MultiRegionTopology::with_chaos(
             &["west", "east"],
             "trips",
             TopicConfig::default().with_partitions(1),
             clock.clone(),
+            Chaos::default(),
         )
         .unwrap();
         let m = topo.membership().unwrap().clone();
         // all brokers of both regions live under their region tags
-        assert!(!m.nodes_in_region("west").is_empty());
+        let statuses = m.region_statuses();
+        let regions: Vec<&str> = statuses.iter().map(|s| s.region.as_str()).collect();
+        assert_eq!(regions, ["east", "west"]);
+        assert!(statuses.iter().all(|s| s.live > 0 && s.dead == 0));
         for _ in 0..3 {
             clock.advance(1_000);
             topo.heartbeat_tick();
@@ -423,7 +417,6 @@ mod tests {
         let detected_at = detected_at.expect("region death detected");
         assert!(detected_at >= 10_000, "not before the dead deadline");
         assert!(!m.region_is_down("east"), "east unaffected");
-        assert_eq!(m.dead_regions(), vec!["west".to_string()]);
 
         // heal: brokers heartbeat again and the region leaves the dead set
         topo.region("west").unwrap().heal_region();

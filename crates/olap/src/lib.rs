@@ -30,14 +30,13 @@
 //!   scheme that replaced it;
 //! - [`rebalance`] (§4.3.4): the self-healing placement loop that
 //!   re-hosts under-replicated segments after server death, wired to the
-//!   shared heartbeat membership view;
-//! - [`baselines`]: the Elasticsearch-like heap/row store used by the §4.3
-//!   footprint and latency comparison (E10).
+//!   shared heartbeat membership view.
 
 // Non-test code returns `Error`, never panics.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+// Every [dependencies] edge is one the code uses.
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
 
-pub mod baselines;
 pub mod bitmap;
 pub mod broker;
 pub mod groups;
@@ -53,14 +52,5 @@ pub mod startree;
 pub mod table;
 pub mod upsert;
 
-pub use bitmap::Bitmap;
-pub use broker::{Broker, ServerNode};
 pub use ingestion::{IngestionConfig, RealtimeIngester};
-pub use query::{Predicate, PredicateOp, Query, QueryResult};
-pub use realtime::MutableSegment;
-pub use rebalance::{RebalanceReport, Rebalancer, ReplicaMove};
-pub use segment::{IndexSpec, LazySegment, Segment};
-pub use segstore::{SegmentStore, SegmentStoreMode};
-pub use startree::{StarTree, StarTreeSpec};
 pub use table::{OlapTable, TableConfig};
-pub use upsert::PrimaryKeyIndex;

@@ -60,8 +60,9 @@ pub fn execute(
 
 /// One row per group of `rows`, in key order (NULL first, then text, column
 /// by column), which a stable sort then keeps among ORDER BY ties. A global
-/// aggregation over nothing still answers its zero row.
-pub(crate) fn aggregate<'a>(rows: impl Iterator<Item = &'a Row>, query: &Query) -> Vec<Row> {
+/// aggregation over nothing still answers its zero row. The row-store
+/// model of claim E10 (`crates/bench`) aggregates with it too.
+pub fn aggregate<'a>(rows: impl Iterator<Item = &'a Row>, query: &Query) -> Vec<Row> {
     let mut groups = BTreeMap::new();
     if query.group_by.is_empty() {
         groups.insert(Vec::new(), query.new_accs());

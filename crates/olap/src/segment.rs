@@ -1436,10 +1436,6 @@ impl Segment {
         &self.name
     }
 
-    pub fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
     pub fn doc_count(&self) -> usize {
         self.doc_count
     }

@@ -51,15 +51,6 @@ pub struct Pushdown {
     pub priority: Priority,
 }
 
-impl Pushdown {
-    pub fn is_empty(&self) -> bool {
-        self.predicates.is_empty()
-            && self.projection.is_none()
-            && self.aggregation.is_none()
-            && self.limit.is_none()
-    }
-}
-
 /// What a connector can apply server-side.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Capabilities {

@@ -128,10 +128,6 @@ impl SqlEngine {
         self
     }
 
-    pub fn config(&self) -> &EngineConfig {
-        &self.config
-    }
-
     fn connector(&self, catalog: &Option<String>) -> Result<&Arc<dyn Connector>> {
         let name = catalog
             .clone()

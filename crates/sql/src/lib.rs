@@ -24,6 +24,8 @@
 
 // Non-test code returns `Error`, never panics.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+// Every [dependencies] edge is one the code uses.
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
 
 pub mod ast;
 pub mod catalog;
@@ -35,7 +37,5 @@ pub mod optimizer;
 pub mod parser;
 pub mod plan;
 
-pub use catalog::{HybridTable, OfflineSegment, RealtimeSide};
-pub use connector::{Connector, HiveConnector, PinotConnector, Pushdown, ScanOutput};
+pub use connector::PinotConnector;
 pub use engine::{EngineConfig, SqlEngine};
-pub use parser::parse_select;

@@ -692,7 +692,8 @@ mod tests {
             &no_caps,
         );
         let pd = find_scan(&p);
-        assert!(pd.is_empty());
+        assert!(pd.predicates.is_empty() && pd.projection.is_none());
+        assert!(pd.aggregation.is_none() && pd.limit.is_none());
         assert!(p.explain().contains("Aggregate"));
         assert!(p.explain().contains("Filter"));
     }

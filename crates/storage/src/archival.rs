@@ -44,8 +44,8 @@ pub(crate) fn date_day(date: &str) -> Option<i64> {
 }
 
 /// Raw-log encoding of a record batch: length-prefixed rows with key,
-/// timestamp, the typed audit block and headers (public: the
-/// tiered-storage extension reuses it for cold chunks).
+/// timestamp, the typed audit block and headers (public: claim E22's
+/// tiered-log model reuses it for cold chunks).
 pub fn encode_raw(records: &[Record]) -> Result<Bytes> {
     Ok(encode_raw_refs(&records.iter().collect::<Vec<_>>()))
 }

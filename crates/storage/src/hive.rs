@@ -30,16 +30,11 @@ struct TableInner {
 /// A partitioned table backed by columnar files in the object store.
 #[derive(Clone)]
 pub struct HiveTable {
-    name: String,
     store: Arc<dyn ObjectStore>,
     inner: Arc<TableInner>,
 }
 
 impl HiveTable {
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     pub fn schema(&self) -> Schema {
         self.inner.schema.clone()
     }
@@ -214,7 +209,6 @@ impl HiveCatalog {
             return Err(Error::AlreadyExists(format!("hive table '{name}'")));
         }
         let table = HiveTable {
-            name: name.to_string(),
             store: self.store.clone(),
             inner: Arc::new(TableInner {
                 schema,

@@ -4,9 +4,9 @@
 //! archival store"). Provides:
 //!
 //! - [`object`]: a generic object/blob store interface with read-after-write
-//!   consistency (the paper's minimum storage requirement), with in-memory
-//!   and local-filesystem backends plus a fault-injecting wrapper used by
-//!   the failure experiments;
+//!   consistency (the paper's minimum storage requirement), with an
+//!   in-memory backend plus a fault-injecting wrapper used by the failure
+//!   experiments;
 //! - [`archival`]: raw-log persistence of stream records (the "Avro raw
 //!   logs" of §4.4) and the compaction process that merges them into
 //!   segment files;
@@ -21,6 +21,8 @@
 
 // Non-test code returns `Error`, never panics.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+// Every [dependencies] edge is one the code uses.
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
 
 pub mod archival;
 pub mod hive;
@@ -28,8 +30,6 @@ pub mod keyed;
 pub mod object;
 pub mod segfile;
 
-pub use archival::{ArchivalWriter, Compactor};
-pub use hive::{HiveCatalog, HiveTable};
-pub use keyed::{key_group_of, shard_of_group, KeyedSnapshot, KEY_GROUPS};
-pub use object::{FaultyStore, InMemoryStore, LocalFsStore, MirroredStore, ObjectStore};
-pub use segfile::{decode_rows_segment, encode_rows_segment, SegmentFile, SegmentMeta};
+pub use keyed::{key_group_of, KeyedSnapshot};
+pub use object::{FaultyStore, InMemoryStore, MirroredStore, ObjectStore};
+pub use segfile::SegmentFile;

@@ -3,16 +3,14 @@
 //! §3: "This provides a generic object or blob storage interface for all
 //! the layers above it with a read after write consistency guarantee...
 //! optimized for high write rate." Flink checkpoints, Pinot segment
-//! archival and raw-log persistence all sit on this trait, so the same
-//! pipeline can run against memory (tests/benches) or the local
-//! filesystem.
+//! archival and raw-log persistence all sit on this trait; the one
+//! backend is in memory.
 
 use bytes::Bytes;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 use rtdi_common::{Chaos, Error, FaultPoint, Result};
 use std::collections::BTreeMap;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// A flat key -> bytes store with read-after-write consistency.
@@ -86,106 +84,15 @@ impl ObjectStore for InMemoryStore {
     }
 }
 
-/// Local-filesystem backend. Keys map to files under a root directory;
-/// `/` in keys becomes directory structure.
-#[derive(Debug)]
-pub struct LocalFsStore {
-    root: PathBuf,
-}
-
-impl LocalFsStore {
-    pub fn new(root: impl Into<PathBuf>) -> Result<Self> {
-        let root = root.into();
-        std::fs::create_dir_all(&root)?;
-        Ok(LocalFsStore { root })
-    }
-
-    fn path_for(&self, key: &str) -> Result<PathBuf> {
-        if key.contains("..") || key.starts_with('/') {
-            return Err(Error::InvalidArgument(format!(
-                "invalid object key '{key}'"
-            )));
-        }
-        Ok(self.root.join(key))
-    }
-}
-
-impl ObjectStore for LocalFsStore {
-    fn put(&self, key: &str, data: Bytes) -> Result<()> {
-        let path = self.path_for(key)?;
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent)?;
-        }
-        // write-then-rename for atomicity (read-after-write without torn reads)
-        let tmp = path.with_extension("tmp-rtdi");
-        std::fs::write(&tmp, &data)?;
-        std::fs::rename(&tmp, &path)?;
-        Ok(())
-    }
-
-    fn get(&self, key: &str) -> Result<Bytes> {
-        let path = self.path_for(key)?;
-        match std::fs::read(&path) {
-            Ok(data) => Ok(Bytes::from(data)),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-                Err(Error::NotFound(format!("object '{key}'")))
-            }
-            Err(e) => Err(e.into()),
-        }
-    }
-
-    fn delete(&self, key: &str) -> Result<()> {
-        let path = self.path_for(key)?;
-        match std::fs::remove_file(&path) {
-            Ok(()) => Ok(()),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
-            Err(e) => Err(e.into()),
-        }
-    }
-
-    fn list(&self, prefix: &str) -> Result<Vec<String>> {
-        let mut out = Vec::new();
-        let mut stack = vec![self.root.clone()];
-        while let Some(dir) = stack.pop() {
-            let entries = match std::fs::read_dir(&dir) {
-                Ok(e) => e,
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => continue,
-                Err(e) => return Err(e.into()),
-            };
-            for entry in entries {
-                let entry = entry?;
-                let path = entry.path();
-                if path.is_dir() {
-                    stack.push(path);
-                } else if let Ok(rel) = path.strip_prefix(&self.root) {
-                    let key = rel.to_string_lossy().replace('\\', "/");
-                    if key.starts_with(prefix) && !key.ends_with(".tmp-rtdi") {
-                        out.push(key);
-                    }
-                }
-            }
-        }
-        out.sort();
-        Ok(out)
-    }
-}
-
-/// Bandwidth/outage-modelling wrapper used by the failure experiments:
-/// the E13 centralized-segment-store bottleneck models the archive as a
-/// store with limited upload bandwidth; availability experiments flip the
-/// store into a failing state; transient per-operation faults come from
-/// the `storage.object_put/get` points of the [`Chaos`] handle it was
-/// given ([`FaultyStore::with_chaos`]). The plain stores check nothing.
+/// Outage-modelling wrapper used by the failure experiments: availability
+/// experiments flip the store into a failing state; transient
+/// per-operation faults come from the `storage.object_put/get` points of
+/// the [`Chaos`] handle it was given ([`FaultyStore::with_chaos`]). The
+/// plain stores check nothing.
 pub struct FaultyStore<S> {
     inner: S,
-    /// Simulated per-put latency in microseconds of busy-wait-free delay
-    /// (applied via thread::sleep).
-    put_delay_us: AtomicU64,
     /// When true, every operation fails with `Unavailable`.
-    down: std::sync::atomic::AtomicBool,
-    /// Serializes puts, modelling a single-controller upload path.
-    serialize_puts: bool,
-    put_lock: Mutex<()>,
+    down: AtomicBool,
     chaos: Chaos,
 }
 
@@ -193,10 +100,7 @@ impl<S: ObjectStore> FaultyStore<S> {
     pub fn new(inner: S) -> Self {
         FaultyStore {
             inner,
-            put_delay_us: AtomicU64::new(0),
-            down: std::sync::atomic::AtomicBool::new(false),
-            serialize_puts: false,
-            put_lock: Mutex::new(()),
+            down: AtomicBool::new(false),
             chaos: Chaos::default(),
         }
     }
@@ -204,15 +108,6 @@ impl<S: ObjectStore> FaultyStore<S> {
     /// Puts and gets fail when `chaos` says so.
     pub fn with_chaos(mut self, chaos: Chaos) -> Self {
         self.chaos = chaos;
-        self
-    }
-
-    /// Model a slow archive: every put takes at least `us` microseconds.
-    /// When `serialize` is set, puts also contend on a single lock, like
-    /// the single-controller backup path the paper calls out in §4.3.4.
-    pub fn with_put_delay(mut self, us: u64, serialize: bool) -> Self {
-        self.put_delay_us.store(us, Ordering::Relaxed);
-        self.serialize_puts = serialize;
         self
     }
 
@@ -237,19 +132,7 @@ impl<S: ObjectStore> ObjectStore for FaultyStore<S> {
     fn put(&self, key: &str, data: Bytes) -> Result<()> {
         self.check_up()?;
         self.chaos.check(FaultPoint::StorageObjectPut)?;
-        let delay = self.put_delay_us.load(Ordering::Relaxed);
-        if self.serialize_puts {
-            let _g = self.put_lock.lock();
-            if delay > 0 {
-                std::thread::sleep(std::time::Duration::from_micros(delay));
-            }
-            self.inner.put(key, data)
-        } else {
-            if delay > 0 {
-                std::thread::sleep(std::time::Duration::from_micros(delay));
-            }
-            self.inner.put(key, data)
-        }
+        self.inner.put(key, data)
     }
 
     fn get(&self, key: &str) -> Result<Bytes> {
@@ -365,24 +248,6 @@ mod tests {
     #[test]
     fn memory_store_roundtrip() {
         roundtrip(&InMemoryStore::new());
-    }
-
-    #[test]
-    fn fs_store_roundtrip() {
-        let dir = std::env::temp_dir().join(format!("rtdi-fs-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let store = LocalFsStore::new(&dir).unwrap();
-        roundtrip(&store);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn fs_store_rejects_escaping_keys() {
-        let dir = std::env::temp_dir().join(format!("rtdi-fs-esc-{}", std::process::id()));
-        let store = LocalFsStore::new(&dir).unwrap();
-        assert!(store.put("../evil", Bytes::new()).is_err());
-        assert!(store.get("/etc/passwd").is_err());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -3,10 +3,10 @@
 //! §4.1.1: "Based on our empirical data, the ideal cluster size is less
 //! than 150 nodes for optimum performance. With federation, the Kafka
 //! service can scale horizontally by adding more clusters when a cluster
-//! is full." [`Cluster`] models node count, per-node partition capacity,
-//! a fullness signal the federation layer uses to decide when to add a
-//! cluster, and a node-count-dependent overhead model that reproduces the
-//! "degradation past ~150 nodes" observation in experiment E2.
+//! is full." [`Cluster`] models node count, per-node partition capacity
+//! and a fullness signal the federation layer uses to decide when to add a
+//! cluster. The overhead model behind the 150-node observation is claim
+//! E2's, in `rtdi-bench`.
 //!
 //! Since PR 4 the nodes are real failure domains: each broker is a named
 //! member (`{cluster}-n{i}`) of a shared [`Membership`] view. Topic
@@ -33,9 +33,6 @@ pub struct ClusterConfig {
     pub nodes: usize,
     /// How many partition replicas one node can host.
     pub partitions_per_node: usize,
-    /// Soft limit past which per-operation coordination overhead grows
-    /// super-linearly (the paper's 150-node observation).
-    pub ideal_max_nodes: usize,
 }
 
 impl Default for ClusterConfig {
@@ -43,7 +40,6 @@ impl Default for ClusterConfig {
         ClusterConfig {
             nodes: 30,
             partitions_per_node: 100,
-            ideal_max_nodes: 150,
         }
     }
 }
@@ -265,22 +261,6 @@ impl Cluster {
         (total, used)
     }
 
-    /// Per-operation coordination overhead in arbitrary cost units. Flat
-    /// up to `ideal_max_nodes`, then grows quadratically with the excess —
-    /// the empirical shape behind the paper's "ideal cluster size < 150
-    /// nodes". Used by the federation experiment (E2) to compare one giant
-    /// cluster against federated ones.
-    pub fn coordination_cost(&self) -> f64 {
-        let cfg = &self.config;
-        let base = 1.0 + (cfg.nodes as f64).log2() * 0.05;
-        if cfg.nodes <= cfg.ideal_max_nodes {
-            base
-        } else {
-            let excess = (cfg.nodes - cfg.ideal_max_nodes) as f64;
-            base + 0.002 * excess * excess
-        }
-    }
-
     /// Create a topic with its partition replicas placed across this
     /// cluster's *live* nodes — brokers currently marked dead are skipped
     /// at placement time.
@@ -416,7 +396,6 @@ mod tests {
             ClusterConfig {
                 nodes: 1,
                 partitions_per_node: 9,
-                ideal_max_nodes: 150,
             },
         );
         // 9 slots; topic with 2 partitions x 3 replicas = 6 slots
@@ -446,45 +425,12 @@ mod tests {
     }
 
     #[test]
-    fn coordination_cost_grows_past_ideal() {
-        let small = Cluster::new(
-            "s",
-            ClusterConfig {
-                nodes: 100,
-                ..Default::default()
-            },
-        );
-        let ideal = Cluster::new(
-            "i",
-            ClusterConfig {
-                nodes: 150,
-                ..Default::default()
-            },
-        );
-        let big = Cluster::new(
-            "b",
-            ClusterConfig {
-                nodes: 400,
-                ..Default::default()
-            },
-        );
-        assert!(small.coordination_cost() <= ideal.coordination_cost() + 0.01);
-        assert!(
-            big.coordination_cost() > 10.0 * ideal.coordination_cost(),
-            "big={} ideal={}",
-            big.coordination_cost(),
-            ideal.coordination_cost()
-        );
-    }
-
-    #[test]
     fn drop_topic_frees_capacity() {
         let c = Cluster::new(
             "c",
             ClusterConfig {
                 nodes: 1,
                 partitions_per_node: 6,
-                ideal_max_nodes: 150,
             },
         );
         c.create_topic("a", TopicConfig::default().with_partitions(2))

@@ -80,10 +80,6 @@ impl ConsumerGroup {
         }
     }
 
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// Add a member and rebalance. Returns the new generation.
     pub fn join(&self, member: &str) -> u64 {
         let mut st = self.state.write();

@@ -10,7 +10,7 @@ use crate::log::PartitionLog;
 use crate::producer::StreamEndpoint;
 use crate::topic::{Topic, TopicConfig};
 use rtdi_common::record::headers;
-use rtdi_common::{Chaos, Error, Record, Result, RetryPolicy, Timestamp};
+use rtdi_common::{Error, Record, Result, RetryPolicy, Timestamp};
 use std::sync::Arc;
 
 /// Why a record was parked. A closed enum (stamped into the
@@ -37,18 +37,6 @@ impl ParkReason {
             ParkReason::Schema => "schema",
             ParkReason::Poison => "poison",
             ParkReason::Overload => "overload",
-        }
-    }
-
-    /// Inverse of [`ParkReason::as_str`]: parse the value of a
-    /// [`headers::DLQ_REASON`] header back into the enum.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "retries-exhausted" => Some(ParkReason::RetriesExhausted),
-            "schema" => Some(ParkReason::Schema),
-            "poison" => Some(ParkReason::Poison),
-            "overload" => Some(ParkReason::Overload),
-            _ => None,
         }
     }
 
@@ -105,12 +93,6 @@ impl DeadLetterQueue {
             dlq,
             log,
         })
-    }
-
-    /// Replication of the queue's own topic fails when `chaos` says so.
-    pub fn with_chaos(mut self, chaos: Chaos) -> Self {
-        self.dlq = self.dlq.with_chaos(chaos);
-        self
     }
 
     /// Park a message that cannot be processed. The classified reason,
@@ -254,6 +236,18 @@ mod tests {
         );
     }
 
+    /// Inverse of [`ParkReason::as_str`]: parse the value of a
+    /// [`headers::DLQ_REASON`] header back into the enum.
+    fn parse(s: &str) -> Option<ParkReason> {
+        match s {
+            "retries-exhausted" => Some(ParkReason::RetriesExhausted),
+            "schema" => Some(ParkReason::Schema),
+            "poison" => Some(ParkReason::Poison),
+            "overload" => Some(ParkReason::Overload),
+            _ => None,
+        }
+    }
+
     #[test]
     fn park_reason_round_trips_through_header_string() {
         for reason in [
@@ -262,15 +256,15 @@ mod tests {
             ParkReason::Poison,
             ParkReason::Overload,
         ] {
-            assert_eq!(ParkReason::parse(reason.as_str()), Some(reason));
+            assert_eq!(parse(reason.as_str()), Some(reason));
         }
-        assert_eq!(ParkReason::parse("gibberish"), None);
+        assert_eq!(parse("gibberish"), None);
         // and through an actual parked record's headers
         let dlq = DeadLetterQueue::new("trips").unwrap();
         dlq.park(rec(1), ParkReason::Overload, "tenant over quota", 7);
         let parked = dlq.peek(1);
         let header = parked[0].headers.get(headers::DLQ_REASON).unwrap();
-        assert_eq!(ParkReason::parse(header), Some(ParkReason::Overload));
+        assert_eq!(parse(header), Some(ParkReason::Overload));
     }
 
     #[test]
@@ -338,11 +332,10 @@ mod tests {
 
     #[test]
     fn parking_survives_a_replication_outage_of_the_queue_itself() {
-        use rtdi_common::chaos::{FaultKind, FaultPlan, FaultPoint, Trigger};
+        use rtdi_common::chaos::{Chaos, FaultKind, FaultPlan, FaultPoint, Trigger};
         let chaos = Chaos::seeded(0xD2);
-        let dlq = DeadLetterQueue::new("trips")
-            .unwrap()
-            .with_chaos(chaos.clone());
+        let mut dlq = DeadLetterQueue::new("trips").unwrap();
+        dlq.dlq = dlq.dlq.with_chaos(chaos.clone());
         // followers stop acknowledging: after three strikes each the
         // acks=all queue refuses appends, which used to panic the parker
         chaos.arm(
@@ -461,7 +454,7 @@ mod tests {
 
     #[test]
     fn merge_keeps_unsent_tail_when_endpoint_dies_mid_merge() {
-        use rtdi_common::chaos::{FaultKind, FaultPlan, FaultPoint, Trigger};
+        use rtdi_common::chaos::{Chaos, FaultKind, FaultPlan, FaultPoint, Trigger};
         let chaos = Chaos::seeded(0xD1);
         let cluster = Cluster::with_chaos("c", ClusterConfig::default(), chaos.clone());
         cluster

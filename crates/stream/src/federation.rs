@@ -321,7 +321,6 @@ mod tests {
             ClusterConfig {
                 nodes: 1,
                 partitions_per_node: slots,
-                ideal_max_nodes: 150,
             },
         )
     }

@@ -20,13 +20,14 @@
 //!   push-based dispatch with retries, DLQ hand-off and parallelism beyond
 //!   the partition count;
 //! - [`replicator`] (§4.1.4): uReplicator-style cross-cluster replication
-//!   with sticky rebalancing, standby workers and offset mapping
-//!   checkpoints;
+//!   with offset mapping checkpoints;
 //! - [`chaperone`] (§4.1.4): end-to-end audit of per-window message counts
 //!   across pipeline stages with loss/duplicate alerting.
 
 // Non-test code on the data path returns `Error`, never panics.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+// Every [dependencies] edge is one the code uses.
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
 
 pub mod chaperone;
 pub mod cluster;
@@ -38,16 +39,4 @@ pub mod producer;
 pub mod proxy;
 pub mod replica;
 pub mod replicator;
-pub mod tiered;
 pub mod topic;
-
-pub use cluster::{Cluster, ClusterConfig};
-pub use consumer::{ConsumerGroup, TopicSubscription};
-pub use dlq::DeadLetterQueue;
-pub use federation::FederatedCluster;
-pub use log::{FetchResult, OffsetRecord, PartitionLog};
-pub use producer::Producer;
-pub use proxy::{ConsumerProxy, ConsumerService, DispatchMode, ProxyConfig};
-pub use replica::{FailoverEvent, ReplicaSet, ReplicaStatus};
-pub use tiered::TieredLog;
-pub use topic::{Topic, TopicConfig};

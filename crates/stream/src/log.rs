@@ -218,9 +218,10 @@ impl PartitionLog {
     }
 
     /// Remove and return the head records whose *append* time is older
-    /// than `cutoff`, advancing the log start past them. The tiered-storage
-    /// extension (§11) uses this to move cold data to the object store
-    /// instead of deleting it the way time retention does.
+    /// than `cutoff`, advancing the log start past them: the stream-side
+    /// hook of tiered storage (§11, claim E22's model in `rtdi-bench`),
+    /// which moves cold data to the object store instead of deleting it
+    /// the way time retention does.
     pub fn drain_head_older_than(&self, cutoff: Timestamp) -> Vec<Record> {
         let mut inner = self.inner.write();
         let mut out = Vec::new();

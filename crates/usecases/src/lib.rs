@@ -21,6 +21,8 @@
 
 // Non-test code returns `Error`, never panics.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+// Every [dependencies] edge is one the code uses.
+#![cfg_attr(not(test), deny(unused_crate_dependencies))]
 
 pub mod eatsops;
 pub mod prediction;
@@ -28,8 +30,4 @@ pub mod restaurant;
 pub mod surge;
 pub mod workloads;
 
-pub use eatsops::{AutomationRule, OpsAutomation, RuleAction};
-pub use prediction::PredictionMonitoring;
-pub use restaurant::RestaurantManager;
-pub use surge::{LinearSurgeModel, SurgeModel, SurgePipeline};
-pub use workloads::{hex_for, CityDriverGenerator, TripEventGenerator, Zipf};
+pub use workloads::CityDriverGenerator;
