@@ -1,28 +1,33 @@
-//! The bytes of every big-endian encoder, pinned: a fixed corpus goes
-//! through each encoder the system persists or ships state with, and each
-//! output's length and CRC32 must equal the constants below. The constants
-//! were taken before the encoders moved to `wire::Writer`; an encoder that
-//! writes one byte differently fails here even where its own decoder would
-//! still read it back.
+//! The bytes of every encoder, pinned: a fixed corpus goes through each
+//! encoder the system persists or ships state with — the big-endian
+//! layouts of `wire::Writer` and the little-endian segment file alike —
+//! and each output's length and CRC32 must equal the constants below. The
+//! big-endian constants were taken before those encoders moved to
+//! `wire::Writer`, the segment-file ones while each writer still built its
+//! own column model; an encoder that writes one byte differently fails
+//! here even where its own decoder would still read it back.
 //!
 //! On a mismatch the failure prints the whole table to paste, but a layout
-//! change is a format change: every persisted raw log, snapshot and
-//! checkpoint in the field would stop reading.
+//! change is a format change: every persisted raw log, snapshot,
+//! checkpoint and segment file in the field would stop reading.
 
 use rtdi::common::json;
 use rtdi::common::wire::Writer;
-use rtdi::common::{AggAcc, AggFn, Audit, Record, Row, UniqueId, Value};
+use rtdi::common::{AggAcc, AggFn, Audit, FieldType, Record, Row, Schema, UniqueId, Value};
 use rtdi::compute::runtime::CheckpointData;
 use rtdi::compute::{
     CheckpointStore, DedupOp, FusedOp, Operator, WindowAggregateOp, WindowAssigner, WindowJoinOp,
 };
-use rtdi::storage::archival::{encode_raw, encode_rows};
+use rtdi::olap::segment::{IndexSpec, Segment};
+use rtdi::storage::archival::{encode_raw, encode_rows, ArchivalWriter, Compactor};
+use rtdi::storage::hive::HiveCatalog;
 use rtdi::storage::keyed::KeyedSnapshot;
 use rtdi::storage::object::{InMemoryStore, ObjectStore};
-use rtdi::storage::segfile::crc32;
+use rtdi::storage::segfile::{crc32, encode_rows_segment};
 use std::sync::Arc;
 
-/// `(encoder, byte length, CRC32)`, taken before the port.
+/// `(encoder, byte length, CRC32)`, taken before the port; a segment file's
+/// without its footer's last eight bytes ([`segment_body`]).
 const EXPECTED: &[(&str, usize, u32)] = &[
     ("raw-log", 619, 0x3306eccd),
     ("rows", 354, 0x9bc9053e),
@@ -34,6 +39,10 @@ const EXPECTED: &[(&str, usize, u32)] = &[
     ("fused", 1404, 0x1675a957),
     ("keyed-snapshot", 69, 0x036bb978),
     ("checkpoint-object", 680, 0x85d20100),
+    ("segfile-rows", 4150, 0xa1949135),
+    ("segfile-persist", 2806, 0x2a6c1266),
+    ("segfile-persist-sorted", 2801, 0x790d9068),
+    ("segfile-compact", 4455, 0x6426d88b),
 ];
 
 /// A value of every tag the raw log and row layouts know.
@@ -212,6 +221,97 @@ fn checkpoint_object() -> Vec<u8> {
     store.get(&key).unwrap().to_vec()
 }
 
+/// A field of every type the segment file stores, and one no row fills.
+fn segment_schema(with_bytes: bool) -> Schema {
+    let mut fields = vec![
+        ("id", FieldType::Int),
+        ("city", FieldType::Str),
+        ("fare", FieldType::Double),
+        ("ok", FieldType::Bool),
+        ("ts", FieldType::Timestamp),
+        ("doc", FieldType::Json),
+        ("gone", FieldType::Str),
+    ];
+    if with_bytes {
+        fields.push(("blob", FieldType::Bytes));
+    }
+    Schema::of("t", &fields)
+}
+
+/// Well-typed rows with NULL cells in every column but `id`, runs of equal
+/// ids (the RLE encoding), a packed timestamp and bytes that are not UTF-8.
+fn segment_rows(with_bytes: bool) -> Vec<Row> {
+    let doc = json::parse(r#"{"a":[1,2.5,null],"b":"x"}"#).unwrap();
+    (0..200i64)
+        .map(|i| {
+            let mut row = Row::new().with("id", i / 50);
+            if i % 11 != 0 {
+                row.push("city", format!("c{}", i % 7));
+            }
+            if i % 13 != 0 {
+                row.push("fare", i as f64 * 0.5 - 20.0);
+            }
+            if i % 17 != 0 {
+                row.push("ok", i % 3 == 0);
+            }
+            if i % 19 != 0 {
+                row.push("ts", 1_000 + i * 7);
+            }
+            if i % 4 == 0 {
+                row.push("doc", Value::Json(Box::new(doc.clone())));
+            }
+            if with_bytes && i % 5 != 0 {
+                row.push("blob", Value::Bytes(vec![0xff, i as u8, 0xfe]));
+            }
+            row
+        })
+        .collect()
+}
+
+/// A sealed OLAP segment persisted, unsorted or sorted by `city` with an
+/// inverted and a range index.
+fn persisted(sorted: bool) -> Vec<u8> {
+    let spec = if sorted {
+        IndexSpec::none()
+            .with_sorted("city")
+            .with_inverted(&["city"])
+            .with_range(&["fare"])
+    } else {
+        IndexSpec::none()
+    };
+    let segment = Segment::build("seg", &segment_schema(false), segment_rows(false), &spec);
+    segment.unwrap().persist().unwrap().to_vec()
+}
+
+/// The part file `Compactor::compact` writes from one raw log.
+fn compacted() -> Vec<u8> {
+    let store: Arc<dyn ObjectStore> = Arc::new(InMemoryStore::new());
+    let catalog = HiveCatalog::new(store.clone());
+    let schema = segment_schema(true);
+    catalog.create_table("t", schema.clone()).unwrap();
+    let records: Vec<Record> = (0i64..)
+        .zip(segment_rows(true))
+        .map(|(i, row)| Record::new(row, 5_000 + i))
+        .collect();
+    ArchivalWriter::new(store.clone(), "t")
+        .write_batch(&records)
+        .unwrap();
+    let n = Compactor::new(store.clone(), catalog).compact("t", "d000000", &schema);
+    assert_eq!(n.unwrap(), records.len());
+    store
+        .get("warehouse/t/d000000/part-00000")
+        .unwrap()
+        .to_vec()
+}
+
+/// A segment file without its last eight bytes: its CRC32 and tail magic
+/// are a function of what precedes them, and the CRC32 of a file that ends
+/// in its own CRC32 is the same constant for every file.
+fn segment_body(file: impl AsRef<[u8]>) -> Vec<u8> {
+    let file = file.as_ref();
+    file[..file.len() - 8].to_vec()
+}
+
 fn encoded() -> Vec<(&'static str, Vec<u8>)> {
     vec![
         ("raw-log", encode_raw(&raw_records()).unwrap().to_vec()),
@@ -233,6 +333,15 @@ fn encoded() -> Vec<(&'static str, Vec<u8>)> {
         ),
         ("keyed-snapshot", keyed_snapshot()),
         ("checkpoint-object", checkpoint_object()),
+        (
+            "segfile-rows",
+            segment_body(
+                encode_rows_segment(&segment_schema(true), "part", &segment_rows(true)).unwrap(),
+            ),
+        ),
+        ("segfile-persist", segment_body(persisted(false))),
+        ("segfile-persist-sorted", segment_body(persisted(true))),
+        ("segfile-compact", segment_body(compacted())),
     ]
 }
 
