@@ -4,13 +4,34 @@
 # `bash ci.sh gates` runs only the determinism gates (the table at the
 # bottom) and prints every tag line they compare, so two checkouts, each
 # with its own target dir, compare as one `diff` of their outputs.
+#
+# `bash ci.sh lines` builds nothing: it prints the non-test code lines of
+# each system crate (`crates/*/src` but the claims crate `bench`, and the
+# umbrella `src`) and their total — every `.rs` file up to its first
+# `#[cfg(test)]`, blank lines and `//` comment lines left out.
 set -euo pipefail
 cd "$(dirname "$0")"
 
 case "${1:-}" in
   '') gates_only="" ;;
   gates) gates_only=1 ;;
-  *) echo "usage: bash ci.sh [gates]" >&2; exit 2 ;;
+  lines)
+    total=0
+    for dir in crates/*/src src; do
+      [ "$dir" = crates/bench/src ] && continue
+      n=$(find "$dir" -name '*.rs' | sort | xargs awk '
+        FNR == 1 { live = 1 }
+        /^[[:space:]]*#\[cfg\(test\)\]/ { live = 0 }
+        live && !/^[[:space:]]*$/ && !/^[[:space:]]*\/\// { n++ }
+        END { print n + 0 }')
+      name=${dir%/src}
+      printf '%-12s %6d\n' "${name#crates/}" "$n"
+      total=$((total + n))
+    done
+    printf '%-12s %6d\n' total "$total"
+    exit 0
+    ;;
+  *) echo "usage: bash ci.sh [gates|lines]" >&2; exit 2 ;;
 esac
 
 if [ -z "$gates_only" ]; then

@@ -97,6 +97,7 @@ impl JsonValue {
 
 impl Value {
     /// Interpret the value as an i64 where a lossless conversion exists.
+    #[inline]
     pub fn as_int(&self) -> Option<i64> {
         match self {
             Value::Int(i) => Some(*i),
@@ -107,6 +108,7 @@ impl Value {
     }
 
     /// Interpret as f64 (ints widen).
+    #[inline]
     pub fn as_double(&self) -> Option<f64> {
         match self {
             Value::Double(d) => Some(*d),
@@ -123,6 +125,7 @@ impl Value {
         }
     }
 
+    #[inline]
     pub fn as_bool(&self) -> Option<bool> {
         match self {
             Value::Bool(b) => Some(*b),

@@ -3,10 +3,11 @@
 //! The real-time OLAP layer — the Apache Pinot stand-in of §4.3 — with
 //! every Uber enhancement the paper describes:
 //!
-//! - [`bitmap`], [`segment`]: dictionary-encoded, bit-packed columnar
-//!   segments with inverted, sorted and range indices, persisted to the
-//!   real on-disk format of `rtdi_storage::segfile` and re-opened lazily
-//!   (zone maps first, per-column decode on demand);
+//! - [`segment`]: dictionary-encoded, bit-packed columnar segments with
+//!   inverted, sorted and range indices over `rtdi_storage::column`'s one
+//!   decoded column, persisted to the real on-disk format of
+//!   `rtdi_storage::segfile` and re-opened lazily (zone maps first,
+//!   per-column decode on demand, each column decoded once per file);
 //! - [`startree`]: the star-tree pre-aggregation index Pinot credits for
 //!   order-of-magnitude group-by speedups;
 //! - [`query`]: the "limited SQL" query model (filters, aggregations,
@@ -37,7 +38,6 @@
 // Every [dependencies] edge is one the code uses.
 #![cfg_attr(not(test), deny(unused_crate_dependencies))]
 
-pub mod bitmap;
 pub mod broker;
 pub mod groups;
 pub mod ingestion;

@@ -12,10 +12,11 @@
 //! dictionary, remaps its ids and moves the columns into the `Segment`.
 //! No row is stored and none is pivoted twice.
 
-use crate::bitmap::Bitmap;
 use crate::query::{PartialAgg, Query, QueryResult};
-use crate::segment::{self, intern_field_names, ColumnData, ColumnSet, IndexSpec, Segment};
+use crate::segment::{self, intern_field_names, ColumnSet, IndexSpec, Segment};
 use rtdi_common::{Result, Row, Schema, Timestamp, Value};
+use rtdi_storage::bitmap::Bitmap;
+use rtdi_storage::column::ColumnData;
 use std::sync::Arc;
 
 /// An append-only, immediately-queryable segment.

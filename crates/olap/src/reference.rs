@@ -14,9 +14,9 @@
 //! `tests/` and `crates/bench` call it; production paths never do, and it
 //! is deliberately not re-exported from the crate root.
 
-use crate::bitmap::Bitmap;
 use crate::query::{sort_and_limit, Query};
 use rtdi_common::{AggAcc, Row, Schema, Value};
+use rtdi_storage::bitmap::Bitmap;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 

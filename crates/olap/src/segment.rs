@@ -11,7 +11,6 @@
 //! the cheapest access path per predicate: sorted-column binary search,
 //! inverted-index bitmap, range-index buckets, or a columnar scan.
 
-use crate::bitmap::Bitmap;
 use crate::groups::{Groups, KeyCells};
 use crate::query::{
     sort_and_cut, PartialAgg, PartialResult, Predicate, PredicateOp, Query, QueryResult,
@@ -20,11 +19,13 @@ use crate::query::{
 use crate::realtime::MutableSegment;
 use crate::startree::{StarTree, StarTreeSpec};
 use bytes::Bytes;
-use rtdi_common::{AggAcc, AggFn, Error, FieldType, Result, Row, Schema, Timestamp, Value};
+use rtdi_common::{AggAcc, AggFn, Error, Result, Row, Schema, Timestamp, Value};
+use rtdi_storage::bitmap::Bitmap;
+use rtdi_storage::column::{ColumnData, BLOCK};
 use rtdi_storage::segfile;
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, HashMap};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Which indices to build for a segment.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -66,339 +67,56 @@ impl IndexSpec {
     }
 }
 
-/// Docs per block of an Int column's statistics.
-const BLOCK: usize = 1024;
-
-/// The bounds of a block without a non-NULL value: no value lies in them,
-/// and they are the identity of a min/max fold.
-const NO_VALUES: (i64, i64) = (i64::MAX, i64::MIN);
-
-/// Typed columnar storage, shared by sealed and consuming segments.
-#[derive(Debug, Clone)]
-pub(crate) enum ColumnData {
-    Int {
-        values: Vec<i64>,
-        nulls: Bitmap,
-        /// Min and max of the non-NULL values of each run of [`BLOCK`]
-        /// docs ([`NO_VALUES`] when there is none), kept at append and
-        /// rebuilt when docs are reordered or decoded. A predicate skips or
-        /// takes whole the blocks whose bounds settle it; time pruning reads
-        /// their fold.
-        blocks: Vec<(i64, i64)>,
-    },
-    Double {
-        values: Vec<f64>,
-        nulls: Bitmap,
-    },
-    Bool {
-        values: Bitmap,
-        nulls: Bitmap,
-    },
-    /// Dictionary-encoded strings. A sealed segment's dictionary is sorted,
-    /// so dict-id order equals lexicographic order, and `intern` is `None`.
-    /// A consuming segment's dictionary is in insertion order and `intern`
-    /// maps every entry to its id.
-    Str {
-        dict: Vec<String>,
-        ids: Vec<u32>,
-        nulls: Bitmap,
-        intern: Option<HashMap<String, u32>>,
-    },
-}
-
-impl ColumnData {
-    /// An empty column of a consuming segment.
-    pub(crate) fn new(field_type: FieldType) -> ColumnData {
-        let nulls = Bitmap::new(0);
-        match field_type {
-            FieldType::Int | FieldType::Timestamp => ColumnData::Int {
-                values: Vec::new(),
-                nulls,
-                blocks: Vec::new(),
-            },
-            FieldType::Double => ColumnData::Double {
-                values: Vec::new(),
-                nulls,
-            },
-            FieldType::Bool => ColumnData::Bool {
-                values: Bitmap::new(0),
-                nulls,
-            },
-            // JSON and bytes are stored in their string form
-            FieldType::Str | FieldType::Json | FieldType::Bytes => ColumnData::Str {
-                dict: Vec::new(),
-                ids: Vec::new(),
-                nulls,
-                intern: Some(HashMap::new()),
-            },
-        }
+/// How the cells of two docs order: [`Value::total_cmp`] of what
+/// [`ColumnData::value_at`] would build for each, NULL first.
+fn cmp_docs(col: &ColumnData, a: usize, b: usize) -> Ordering {
+    let nulls = col.nulls();
+    match (nulls.get(a), nulls.get(b)) {
+        (true, true) => return Ordering::Equal,
+        (true, false) => return Ordering::Less,
+        (false, true) => return Ordering::Greater,
+        (false, false) => {}
     }
-
-    /// Append one cell coerced to the column's type. An absent, NULL or
-    /// uncoercible value is stored as NULL.
-    pub(crate) fn push(&mut self, v: Option<&Value>) {
-        match self {
-            ColumnData::Int {
-                values,
-                nulls,
-                blocks,
-            } => {
-                let v = v.and_then(Value::as_int);
-                if values.len().is_multiple_of(BLOCK) {
-                    blocks.push(NO_VALUES);
-                }
-                if let (Some(v), Some((lo, hi))) = (v, blocks.last_mut()) {
-                    (*lo, *hi) = ((*lo).min(v), (*hi).max(v));
-                }
-                nulls.push(v.is_none());
-                values.push(v.unwrap_or(0));
-            }
-            ColumnData::Double { values, nulls } => {
-                let v = v.and_then(Value::as_double);
-                nulls.push(v.is_none());
-                values.push(v.unwrap_or(0.0));
-            }
-            ColumnData::Bool { values, nulls } => {
-                let v = v.and_then(Value::as_bool);
-                nulls.push(v.is_none());
-                values.push(v == Some(true));
-            }
-            ColumnData::Str {
-                dict,
-                ids,
-                nulls,
-                intern,
-            } => {
-                // a sealed column pushed to is consuming again: its sorted
-                // dictionary becomes the first insertions
-                let intern = intern.get_or_insert_with(|| {
-                    (0u32..)
-                        .zip(dict.iter())
-                        .map(|(i, s)| (s.clone(), i))
-                        .collect()
-                });
-                let mut id_of = |s: &str| match intern.get(s) {
-                    Some(&id) => id,
-                    None => {
-                        let id = dict.len() as u32;
-                        dict.push(s.to_string());
-                        intern.insert(s.to_string(), id);
-                        id
-                    }
-                };
-                let id = match v {
-                    None | Some(Value::Null) => None,
-                    Some(Value::Str(s)) => Some(id_of(s)),
-                    Some(other) => Some(id_of(&other.to_string())),
-                };
-                nulls.push(id.is_none());
-                ids.push(id.unwrap_or(0));
+    match col {
+        ColumnData::Int { values, .. } => values[a].cmp(&values[b]),
+        ColumnData::Double { values, .. } => values[a].total_cmp(&values[b]),
+        ColumnData::Bool { values, .. } => values.get(a).cmp(&values.get(b)),
+        ColumnData::Str { dict, ids, .. } => {
+            let (a, b) = (ids[a] as usize, ids[b] as usize);
+            // a consuming dictionary is in insertion order
+            if a == b {
+                Ordering::Equal
+            } else {
+                dict[a].cmp(&dict[b])
             }
         }
-    }
-
-    /// Turn a consuming column into its sealed form: the dictionary is
-    /// sorted and the ids rewritten through the permutation (a sort of
-    /// the distinct values, not of the cells).
-    fn seal(&mut self) {
-        let ColumnData::Str {
-            dict,
-            ids,
-            nulls,
-            intern,
-        } = self
-        else {
-            return;
-        };
-        if intern.take().is_none() {
-            return;
-        }
-        let mut order: Vec<u32> = (0..dict.len() as u32).collect();
-        order.sort_unstable_by(|&a, &b| dict[a as usize].cmp(&dict[b as usize]));
-        let mut new_id = vec![0u32; dict.len()];
-        let mut sorted = Vec::with_capacity(dict.len());
-        for (new, &old) in order.iter().enumerate() {
-            new_id[old as usize] = new as u32;
-            sorted.push(std::mem::take(&mut dict[old as usize]));
-        }
-        *dict = sorted;
-        // NULL cells hold id 0 whatever the dictionary
-        for (doc, id) in ids.iter_mut().enumerate() {
-            if !nulls.get(doc) {
-                *id = new_id[*id as usize];
-            }
-        }
-    }
-
-    /// Reorder the rows: row `i` becomes the former row `order[i]`.
-    fn permute(&mut self, order: &[u32]) {
-        fn take<T: Copy>(values: &[T], order: &[u32]) -> Vec<T> {
-            order.iter().map(|&d| values[d as usize]).collect()
-        }
-        let bits = |bm: &Bitmap| {
-            let mut out = Bitmap::new(0);
-            order.iter().for_each(|&d| out.push(bm.get(d as usize)));
-            out
-        };
-        match self {
-            ColumnData::Int {
-                values,
-                nulls,
-                blocks,
-            } => {
-                *values = take(values, order);
-                *nulls = bits(nulls);
-                *blocks = int_blocks(values, nulls);
-            }
-            ColumnData::Double { values, nulls } => {
-                *values = take(values, order);
-                *nulls = bits(nulls);
-            }
-            ColumnData::Bool { values, nulls } => {
-                *values = bits(values);
-                *nulls = bits(nulls);
-            }
-            ColumnData::Str { ids, nulls, .. } => {
-                *ids = take(ids, order);
-                *nulls = bits(nulls);
-            }
-        }
-    }
-
-    /// The cell as an integer that orders like `Value::total_cmp`; `None`,
-    /// which sorts first, for NULL. A string's key is its id, so the
-    /// column must be sealed.
-    fn sort_key(&self, doc: usize) -> Option<i64> {
-        (!self.nulls().get(doc)).then(|| match self {
-            ColumnData::Int { values, .. } => values[doc],
-            ColumnData::Double { values, .. } => f64_key(values[doc]),
-            ColumnData::Bool { values, .. } => values.get(doc) as i64,
-            ColumnData::Str { ids, .. } => ids[doc] as i64,
-        })
-    }
-
-    pub(crate) fn value_at(&self, doc: usize) -> Value {
-        if self.nulls().get(doc) {
-            return Value::Null;
-        }
-        match self {
-            ColumnData::Int { values, .. } => Value::Int(values[doc]),
-            ColumnData::Double { values, .. } => Value::Double(values[doc]),
-            ColumnData::Bool { values, .. } => Value::Bool(values.get(doc)),
-            ColumnData::Str { dict, ids, .. } => Value::Str(dict[ids[doc] as usize].clone()),
-        }
-    }
-
-    /// How the cells of two docs order: [`Value::total_cmp`] of what
-    /// [`ColumnData::value_at`] would build for each, NULL first.
-    fn cmp_docs(&self, a: usize, b: usize) -> Ordering {
-        let nulls = self.nulls();
-        match (nulls.get(a), nulls.get(b)) {
-            (true, true) => return Ordering::Equal,
-            (true, false) => return Ordering::Less,
-            (false, true) => return Ordering::Greater,
-            (false, false) => {}
-        }
-        match self {
-            ColumnData::Int { values, .. } => values[a].cmp(&values[b]),
-            ColumnData::Double { values, .. } => values[a].total_cmp(&values[b]),
-            ColumnData::Bool { values, .. } => values.get(a).cmp(&values.get(b)),
-            ColumnData::Str { dict, ids, .. } => {
-                let (a, b) = (ids[a] as usize, ids[b] as usize);
-                // a consuming dictionary is in insertion order
-                if a == b {
-                    Ordering::Equal
-                } else {
-                    dict[a].cmp(&dict[b])
-                }
-            }
-        }
-    }
-
-    /// Append the non-NULL cell to a group key as `value_at(doc)` would
-    /// display, without building the value.
-    fn render_key_cell(&self, doc: usize, key: &mut KeyCells) {
-        match self {
-            ColumnData::Int { values, .. } => key.push(Some(values[doc])),
-            ColumnData::Double { values, .. } => key.push(Some(values[doc])),
-            ColumnData::Bool { values, .. } => key.push(Some(values.get(doc))),
-            ColumnData::Str { dict, ids, .. } => key.push_str(Some(&dict[ids[doc] as usize])),
-        }
-    }
-
-    /// Partition-hash of the value at `doc` without cloning strings; the
-    /// hash is identical to `value_at(doc).partition_hash()` so distinct
-    /// sets merge correctly with other segments.
-    #[inline]
-    fn hash_at(&self, doc: usize) -> Option<u64> {
-        (!self.nulls().get(doc)).then(|| match self {
-            ColumnData::Int { values, .. } => Value::hash_of_int(values[doc]),
-            ColumnData::Double { values, .. } => Value::hash_of_double(values[doc]),
-            ColumnData::Bool { values, .. } => Value::Bool(values.get(doc)).partition_hash(),
-            ColumnData::Str { dict, ids, .. } => Value::hash_of_str(&dict[ids[doc] as usize]),
-        })
-    }
-
-    /// Min and max of an integer column's non-null values: the fold of its
-    /// blocks.
-    pub(crate) fn int_range(&self) -> Option<(i64, i64)> {
-        let (lo, hi) = self
-            .blocks()
-            .iter()
-            .fold(NO_VALUES, |(lo, hi), &(l, h)| (lo.min(l), hi.max(h)));
-        (lo <= hi).then_some((lo, hi))
-    }
-
-    /// An integer column's blocks; none for any other column.
-    fn blocks(&self) -> &[(i64, i64)] {
-        match self {
-            ColumnData::Int { blocks, .. } => blocks,
-            _ => &[],
-        }
-    }
-
-    #[inline]
-    fn nulls(&self) -> &Bitmap {
-        match self {
-            ColumnData::Int { nulls, .. }
-            | ColumnData::Double { nulls, .. }
-            | ColumnData::Bool { nulls, .. }
-            | ColumnData::Str { nulls, .. } => nulls,
-        }
-    }
-
-    pub(crate) fn memory_bytes(&self) -> usize {
-        match self {
-            ColumnData::Int {
-                values,
-                nulls,
-                blocks,
-            } => values.len() * 8 + nulls.memory_bytes() + blocks.len() * 16,
-            ColumnData::Double { values, nulls } => values.len() * 8 + nulls.memory_bytes(),
-            ColumnData::Bool { values, nulls } => values.memory_bytes() + nulls.memory_bytes(),
-            ColumnData::Str {
-                dict,
-                ids,
-                nulls,
-                intern,
-            } => {
-                // a consuming column's intern map holds every entry again
-                let copies = if intern.is_some() { 2 } else { 1 };
-                dict.iter().map(|s| s.len() + 24).sum::<usize>() * copies
-                    + ids.len() * 4
-                    + nulls.memory_bytes()
-            }
-        }
+        ColumnData::Bytes { values, .. } => values[a].cmp(&values[b]),
     }
 }
 
-/// The [`ColumnData::Int`] blocks of a column's values, NULLs aside.
-fn int_blocks(values: &[i64], nulls: &Bitmap) -> Vec<(i64, i64)> {
-    let block = |(b, chunk): (usize, &[i64])| {
-        let live = (b * BLOCK..).zip(chunk).filter(|&(d, _)| !nulls.get(d));
-        live.fold(NO_VALUES, |(lo, hi), (_, &v)| (lo.min(v), hi.max(v)))
-    };
-    values.chunks(BLOCK).enumerate().map(block).collect()
+/// Append the non-NULL cell to a group key as `value_at(doc)` would
+/// display, without building the value (a bytes cell aside).
+fn render_key_cell(col: &ColumnData, doc: usize, key: &mut KeyCells) {
+    match col {
+        ColumnData::Int { values, .. } => key.push(Some(values[doc])),
+        ColumnData::Double { values, .. } => key.push(Some(values[doc])),
+        ColumnData::Bool { values, .. } => key.push(Some(values.get(doc))),
+        ColumnData::Str { dict, ids, .. } => key.push_str(Some(&dict[ids[doc] as usize])),
+        ColumnData::Bytes { .. } => key.push(Some(col.value_at(doc))),
+    }
+}
+
+/// Partition-hash of the value at `doc` without cloning strings; the
+/// hash is identical to `value_at(doc).partition_hash()` so distinct
+/// sets merge correctly with other segments.
+#[inline]
+fn hash_at(col: &ColumnData, doc: usize) -> Option<u64> {
+    (!col.nulls().get(doc)).then(|| match col {
+        ColumnData::Int { values, .. } => Value::hash_of_int(values[doc]),
+        ColumnData::Double { values, .. } => Value::hash_of_double(values[doc]),
+        ColumnData::Str { dict, ids, .. } => Value::hash_of_str(&dict[ids[doc] as usize]),
+        ColumnData::Bool { .. } | ColumnData::Bytes { .. } => col.value_at(doc).partition_hash(),
+    })
 }
 
 /// What an Int block's bounds settle about a predicate on its docs.
@@ -515,6 +233,8 @@ enum DocTest<'a> {
     /// An ordered operator over a consuming segment's insertion-ordered
     /// dictionary: evaluated once per dictionary entry, looked up per id.
     StrIn(&'a [u32], Vec<bool>),
+    /// A bytes column against a bytes literal, compared as the values are.
+    Bytes(&'a [Vec<u8>], PredicateOp, &'a [u8]),
 }
 
 /// Does `op` accept this `lhs.cmp(rhs)` outcome?
@@ -531,7 +251,7 @@ fn op_accepts(op: PredicateOp, ord: Ordering) -> bool {
 }
 
 impl<'a> CompiledPred<'a> {
-    fn compile(col: &'a ColumnData, op: PredicateOp, rhs: &Value) -> CompiledPred<'a> {
+    fn compile(col: &'a ColumnData, op: PredicateOp, rhs: &'a Value) -> CompiledPred<'a> {
         let keys = |key: i64| KeyRange::around(op, key, key);
         let test = match (col, rhs) {
             (ColumnData::Int { values, .. }, Value::Int(rhs)) => DocTest::Int(values, keys(*rhs)),
@@ -575,6 +295,9 @@ impl<'a> CompiledPred<'a> {
                     DocTest::StrIn(ids, dict.iter().map(accepts).collect())
                 }
             },
+            (ColumnData::Bytes { values, .. }, Value::Bytes(rhs)) => {
+                DocTest::Bytes(values, op, rhs)
+            }
             _ => {
                 // `Value::total_cmp` falls back to type ranks, so the
                 // ordering is the same for every non-null document (stored
@@ -583,6 +306,7 @@ impl<'a> CompiledPred<'a> {
                     ColumnData::Bool { .. } => 1,
                     ColumnData::Int { .. } | ColumnData::Double { .. } => 2,
                     ColumnData::Str { .. } => 3,
+                    ColumnData::Bytes { .. } => 4,
                 };
                 let rhs_rank: u8 = match rhs {
                     Value::Null => 0,
@@ -624,6 +348,7 @@ impl<'a> CompiledPred<'a> {
             DocTest::StrIn(ids, accepts) => {
                 out.set_where(from, to, nulls, |d| accepts[ids[d] as usize])
             }
+            DocTest::Bytes(..) => out.set_where(from, to, nulls, |d| self.accepts(d)),
         }
     }
 
@@ -638,6 +363,7 @@ impl<'a> CompiledPred<'a> {
             DocTest::Bool(v, keys) => keys.holds(v.get(d) as i64),
             DocTest::StrId(ids, keys) => keys.holds(ids[d] as i64),
             DocTest::StrIn(ids, accepts) => accepts[ids[d] as usize],
+            DocTest::Bytes(v, op, rhs) => op_accepts(*op, v[d].as_slice().cmp(rhs)),
         }
     }
 }
@@ -1026,6 +752,7 @@ impl<'a> KeyCol<'a> {
                 ids,
                 nulls,
                 intern,
+                ..
             }) => KeyCol::Dict {
                 dict,
                 ids,
@@ -1044,6 +771,10 @@ impl<'a> KeyCol<'a> {
             }),
             Some(col @ ColumnData::Bool { values, .. }) => {
                 render(col, docs, |d| values.get(d) as u64)
+            }
+            // a bytes cell displays as its length
+            Some(col @ ColumnData::Bytes { values, .. }) => {
+                render(col, docs, |d| values[d].len() as u64)
             }
             None => KeyCol::Rendered {
                 ids: Vec::new(),
@@ -1116,7 +847,7 @@ fn render<'a>(
             return NULL;
         }
         *seen.entry(value(d)).or_insert_with(|| {
-            col.render_key_cell(d, &mut text);
+            render_key_cell(col, d, &mut text);
             text.len() as u32 - 1
         })
     });
@@ -1297,7 +1028,7 @@ fn select_rows(seg: &dyn ColumnSet, query: &Query, docs: &mut Vec<u32>) -> Vec<R
         .collect();
     let by_order_then_doc = |a: &u32, b: &u32| {
         for (col, dir) in &order {
-            let ord = dir.apply(col.cmp_docs(*a as usize, *b as usize));
+            let ord = dir.apply(cmp_docs(col, *a as usize, *b as usize));
             if ord != Ordering::Equal {
                 return ord;
             }
@@ -1407,7 +1138,7 @@ impl Segment {
                     Error::Schema(format!("sorted index on unknown column '{sorted}'"))
                 })?;
             let mut order: Vec<u32> = (0..doc_count as u32).collect();
-            order.sort_by_key(|&d| by.sort_key(d as usize));
+            order.sort_by(|&a, &b| cmp_docs(by, a as usize, b as usize));
             columns.iter_mut().for_each(|c| c.permute(&order));
         }
         let columns: BTreeMap<String, Arc<ColumnData>> = schema
@@ -1513,7 +1244,7 @@ impl Segment {
             let data = self.columns.get(&field.name).ok_or_else(|| {
                 Error::Internal(format!("column '{}' missing at persist", field.name))
             })?;
-            cols.push(to_segfile_column(field.field_type, data, self.doc_count)?);
+            cols.push(data.as_ref());
         }
         segfile::encode_segment(&meta, &self.schema.fields, &cols)
     }
@@ -1530,13 +1261,12 @@ impl Segment {
 /// A persisted segment opened lazily: header and index map parsed, column
 /// bytes untouched until a query needs them. Zone maps are consulted
 /// before any column load, so a pruned segment costs header bytes only.
+/// Each column decodes at most once, in the file, and is shared with every
+/// view and with the file's own row reader.
 pub struct LazySegment {
     file: segfile::SegmentFile,
     schema: Schema,
     field_names: Vec<Arc<str>>,
-    /// Decoded columns, parallel to `file.entries()`; each decodes at
-    /// most once and is shared with materialized views.
-    cols: Vec<OnceLock<Arc<ColumnData>>>,
 }
 
 impl LazySegment {
@@ -1545,17 +1275,16 @@ impl LazySegment {
     pub fn from_file(file: segfile::SegmentFile) -> LazySegment {
         let schema = file.schema();
         let field_names = intern_field_names(&schema);
-        let cols = (0..file.entries().len()).map(|_| OnceLock::new()).collect();
         LazySegment {
             file,
             schema,
             field_names,
-            cols,
         }
     }
 
     /// The file underneath: its typed row reader serves whoever needs rows
-    /// of the types the columns were written with.
+    /// of the types the columns were written with, from the columns this
+    /// segment decoded.
     pub fn file(&self) -> &segfile::SegmentFile {
         &self.file
     }
@@ -1589,30 +1318,13 @@ impl LazySegment {
 
     /// How many columns have been decoded so far.
     pub fn columns_loaded(&self) -> usize {
-        self.cols.iter().filter(|c| c.get().is_some()).count()
+        self.file.columns_loaded()
     }
 
     /// File bytes touched so far: the header plus every decoded column's
     /// block.
     pub fn bytes_loaded(&self) -> usize {
-        let cols: usize = self
-            .file
-            .entries()
-            .iter()
-            .zip(&self.cols)
-            .filter(|(_, c)| c.get().is_some())
-            .map(|(e, _)| e.len as usize)
-            .sum();
-        self.file.header_bytes() + cols
-    }
-
-    fn column(&self, idx: usize) -> Result<Arc<ColumnData>> {
-        if let Some(c) = self.cols[idx].get() {
-            return Ok(Arc::clone(c));
-        }
-        let col = self.file.column_at(idx)?;
-        let data = Arc::new(from_segfile_column(col, self.file.nrows()));
-        Ok(Arc::clone(self.cols[idx].get_or_init(|| data)))
+        self.file.bytes_loaded()
     }
 
     /// Columns this query touches: predicate, group-by and aggregation
@@ -1710,7 +1422,7 @@ impl LazySegment {
         let mut columns = BTreeMap::new();
         for name in names {
             if let Some(idx) = self.file.entries().iter().position(|e| e.name == *name) {
-                columns.insert(name.clone(), self.column(idx)?);
+                columns.insert(name.clone(), self.file.column_at(idx)?);
             }
         }
         Ok(Segment {
@@ -1727,142 +1439,21 @@ impl LazySegment {
     }
 
     /// Fully materialize into an indexed [`Segment`] (the recovery path:
-    /// deep-store bytes back to a servable segment). Index construction
-    /// reuses the decoded columns; a spec that re-sorts or builds a
-    /// star-tree falls back to row materialization.
+    /// deep-store bytes back to a servable segment): the decoded columns
+    /// are sealed as a consuming segment's are, re-sorted by `spec.sorted`
+    /// and indexed, a star-tree built when the spec asks for one.
     pub fn into_segment(&self, spec: &IndexSpec) -> Result<Segment> {
-        let resort = spec.sorted.is_some() && spec.sorted != self.file.meta().sorted_col;
-        if resort || spec.startree.is_some() {
-            let (schema, rows) = self.file.read_rows()?;
-            return Segment::build(self.name(), &schema, rows, spec);
-        }
-        let n = self.file.nrows();
-        let mut columns = BTreeMap::new();
-        for (idx, e) in self.file.entries().iter().enumerate() {
-            columns.insert(e.name.clone(), self.column(idx)?);
-        }
-        Ok(Segment {
-            name: self.name().to_string(),
-            schema: self.schema.clone(),
-            indexes: Indexes::build(&columns, n, spec)?,
+        let columns = (0..self.file.entries().len())
+            .map(|idx| Ok(Arc::unwrap_or_clone(self.file.column_at(idx)?)))
+            .collect::<Result<Vec<_>>>()?;
+        Segment::seal(
+            self.name().to_string(),
+            self.schema.clone(),
+            self.field_names.clone(),
             columns,
-            field_names: self.field_names.clone(),
-            doc_count: n,
-        })
-    }
-}
-
-/// Lower a [`ColumnData`] onto the on-disk column model. The values
-/// variant must agree with the field's type tag: Int/Timestamp store
-/// `Int`, Str/Json store the dictionary form, and Bytes fields (held in
-/// string form in memory) store var-byte rows.
-fn to_segfile_column(ftype: FieldType, data: &ColumnData, nrows: usize) -> Result<segfile::Column> {
-    let (values, nulls) = match data {
-        ColumnData::Int { values, nulls, .. } => {
-            (segfile::ColumnValues::Int(values.clone()), nulls)
-        }
-        ColumnData::Double { values, nulls } => {
-            (segfile::ColumnValues::Double(values.clone()), nulls)
-        }
-        ColumnData::Bool { values, nulls } => (
-            segfile::ColumnValues::Bool((0..nrows).map(|i| values.get(i)).collect()),
-            nulls,
-        ),
-        ColumnData::Str {
-            dict, ids, nulls, ..
-        } => {
-            let values = if ftype == FieldType::Bytes {
-                segfile::ColumnValues::Bytes(
-                    (0..nrows)
-                        .map(|i| {
-                            if nulls.get(i) {
-                                Vec::new()
-                            } else {
-                                dict[ids[i] as usize].clone().into_bytes()
-                            }
-                        })
-                        .collect(),
-                )
-            } else if dict.is_empty() && nrows > 0 {
-                // all-null column: the format requires a non-empty
-                // dictionary whenever rows exist
-                segfile::ColumnValues::Str {
-                    dict: vec![String::new()],
-                    ids: vec![0; nrows],
-                }
-            } else {
-                segfile::ColumnValues::Str {
-                    dict: dict.clone(),
-                    ids: ids.clone(),
-                }
-            };
-            (values, nulls)
-        }
-    };
-    Ok(segfile::Column {
-        values,
-        nulls: segfile::NullMask::from_bits(nulls.to_bytes(), nrows)?,
-    })
-}
-
-/// Inverse of [`to_segfile_column`]: a decoded on-disk column back into
-/// the in-memory representation, an Int column's blocks rebuilt. Lengths
-/// were already validated by the segment decoder.
-fn from_segfile_column(col: segfile::Column, nrows: usize) -> ColumnData {
-    let nulls = Bitmap::from_bytes(col.nulls.bits(), nrows);
-    match col.values {
-        segfile::ColumnValues::Int(values) => ColumnData::Int {
-            blocks: int_blocks(&values, &nulls),
-            values,
-            nulls,
-        },
-        segfile::ColumnValues::Double(values) => ColumnData::Double { values, nulls },
-        segfile::ColumnValues::Bool(vals) => {
-            let mut values = Bitmap::new(nrows);
-            for (i, b) in vals.into_iter().enumerate() {
-                if b {
-                    values.set(i);
-                }
-            }
-            ColumnData::Bool { values, nulls }
-        }
-        segfile::ColumnValues::Str { dict, ids } => ColumnData::Str {
-            dict,
-            ids,
-            nulls,
-            intern: None,
-        },
-        segfile::ColumnValues::Bytes(rows) => {
-            // bytes columns live in string form in memory (see
-            // `ColumnData::new`): rebuild the sorted dictionary
-            let strs: Vec<Option<String>> = rows
-                .into_iter()
-                .enumerate()
-                .map(|(i, b)| {
-                    if nulls.get(i) {
-                        None
-                    } else {
-                        Some(String::from_utf8_lossy(&b).into_owned())
-                    }
-                })
-                .collect();
-            let mut dict: Vec<String> = strs.iter().flatten().cloned().collect();
-            dict.sort_unstable();
-            dict.dedup();
-            let ids = strs
-                .iter()
-                .map(|s| match s {
-                    Some(s) => dict.binary_search(s).unwrap_or(0) as u32,
-                    None => 0,
-                })
-                .collect();
-            ColumnData::Str {
-                dict,
-                ids,
-                nulls,
-                intern: None,
-            }
-        }
+            self.file.nrows(),
+            spec,
+        )
     }
 }
 
@@ -2127,7 +1718,7 @@ fn fold_accs(
                 .for_each(|(d, g)| accs[g].add_hash(hashes[ids[d] as usize]));
         }
         _ if distinct => pairs.for_each(|(d, g)| {
-            if let Some(h) = column.hash_at(d) {
+            if let Some(h) = hash_at(column, d) {
                 accs[g].add_hash(h);
             }
         }),
@@ -2899,6 +2490,26 @@ mod tests {
             assert_eq!(back.value_at("s", i), Value::Null);
             assert_eq!(back.value_at("x", i), Value::Int(i as i64));
         }
+    }
+
+    #[test]
+    fn a_bytes_cell_answers_as_bytes_before_and_after_persist() {
+        let schema = Schema::of("t", &[("id", FieldType::Int), ("blob", FieldType::Bytes)]);
+        let blob = Value::Bytes(vec![1, 2, 3]);
+        let row = Row::new().with("id", 1i64).with("blob", blob.clone());
+        let mut consuming = MutableSegment::new("c", schema.clone());
+        consuming.append(&row, None).unwrap();
+        assert_eq!(consuming.value_at("blob", 0), blob);
+        let seg = Segment::build("s", &schema, vec![row.clone()], &IndexSpec::none()).unwrap();
+        assert_eq!(seg.row_at(0), row);
+        let q = Query::select_all("t").filter(Predicate::eq("blob", blob.clone()));
+        assert_eq!(seg.execute(&q, None).unwrap().rows, vec![row.clone()]);
+        // the file holds the three bytes, not their printed form
+        let lazy = Segment::load_lazy(seg.persist().unwrap()).unwrap();
+        assert_eq!(lazy.file().read_rows().unwrap().1, vec![row.clone()]);
+        assert_eq!(lazy.execute(&q).unwrap().rows, vec![row.clone()]);
+        let back = lazy.into_segment(&IndexSpec::none()).unwrap();
+        assert_eq!(back.row_at(0), row);
     }
 
     #[test]

@@ -13,7 +13,6 @@
 //! Queries scatter across all live segments with time-range pruning and
 //! merge through [`crate::query::PartialAgg`].
 
-use crate::bitmap::Bitmap;
 use crate::query::{PartialResult, Query, QueryResult};
 use crate::realtime::MutableSegment;
 use crate::scatter::gather;
@@ -21,6 +20,7 @@ use crate::segment::{int_range_may_match, IndexSpec, Segment};
 use crate::upsert::PrimaryKeyIndex;
 use parking_lot::RwLock;
 use rtdi_common::{Error, Result, Row, Schema, Timestamp, Value};
+use rtdi_storage::bitmap::Bitmap;
 use std::sync::Arc;
 
 /// One scatter unit: a sealed/offline segment plus the upsert valid-doc

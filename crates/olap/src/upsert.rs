@@ -14,8 +14,8 @@
 //! and maintains per-segment valid-doc bitmaps that query execution
 //! intersects with its filter results.
 
-use crate::bitmap::Bitmap;
 use rtdi_common::Value;
+use rtdi_storage::bitmap::Bitmap;
 use std::collections::HashMap;
 use std::sync::Arc;
 

@@ -8,12 +8,11 @@
 
 use crate::catalog::HybridTable;
 use rtdi_common::{AggFn, Deadline, Error, FieldType, Priority, Result, Row, Schema, Value};
-use rtdi_olap::bitmap::Bitmap;
 use rtdi_olap::query::{PartialAgg, Predicate, Query as OlapQuery, ScanLedger, SortOrder};
 use rtdi_olap::segment::LazySegment;
 use rtdi_olap::table::OlapTable;
+use rtdi_storage::bitmap::Bitmap;
 use rtdi_storage::hive::HiveCatalog;
-use rtdi_storage::segfile::ColumnEntry;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -86,25 +85,24 @@ impl std::fmt::Debug for ColumnView {
 impl ColumnView {
     /// Rows of the surviving documents, of the projected columns only,
     /// through the file's typed row reader; and the column bytes that
-    /// decoded.
+    /// decoded for them (a column the scan's predicates decoded is not
+    /// decoded, nor counted, again).
     fn rows(&self) -> Result<(Vec<Row>, u64)> {
         let file = self.segment.file();
         let select = self.projection.as_ref().map(|p| p.as_slice());
         let mut docs = Vec::new();
         self.docs.collect_into(&mut docs);
+        let before = file.bytes_loaded();
         let rows = file.read_rows_where(select, Some(&docs))?;
-        let projected = |e: &&ColumnEntry| select.is_none_or(|names| names.contains(&e.name));
-        let decoded = file.entries().iter().filter(projected).map(|e| e.len).sum();
-        Ok((rows, decoded))
+        Ok((rows, (file.bytes_loaded() - before) as u64))
     }
 }
 
-/// The column kernels hold a JSON or bytes column in string form: they
-/// would compare, group and count its cells as text.
-fn held_as_text(schema: &Schema, column: &str) -> bool {
+/// Is `column` a field of `schema` of one of `types`?
+fn is_of(schema: &Schema, column: &str, types: &[FieldType]) -> bool {
     schema
         .field(column)
-        .is_some_and(|f| matches!(f.field_type, FieldType::Json | FieldType::Bytes))
+        .is_some_and(|f| types.contains(&f.field_type))
 }
 
 /// Scan result plus execution statistics (for the pushdown experiments).
@@ -145,13 +143,14 @@ impl ScanOutput {
     /// Fold a grouped aggregate over the shipped views with the segment
     /// kernels (`execute_partial` per file, merged, finalized). `None`,
     /// with nothing consumed, when the scan shipped rows, or when a column
-    /// the aggregate touches is one the kernels hold as text.
+    /// the aggregate touches is JSON, which the kernels hold as text, or
+    /// bytes, whose group keys they render as text.
     pub fn fold(&mut self, agg: &PushedAgg) -> Result<Option<Vec<Row>>> {
         let inputs = agg.aggs.iter().filter_map(|(_, f)| f.input_column());
         let mut touched = agg.group_by.iter().map(String::as_str).chain(inputs);
         let as_text = |c| {
             let mut schemas = self.views.iter().map(|v| v.segment.schema());
-            schemas.any(|s| held_as_text(s, c))
+            schemas.any(|s| is_of(s, c, &[FieldType::Json, FieldType::Bytes]))
         };
         if self.views.is_empty() || touched.any(as_text) {
             return Ok(None);
@@ -373,14 +372,14 @@ impl HiveConnector {
 }
 
 /// The pushed predicates as the column kernels must see them. By row
-/// semantics a JSON or bytes cell outranks every literal the optimizer
-/// pushes, whatever its content; the kernels, holding the column as text,
-/// would compare a string literal with it. An integer literal gives them
-/// the row outcome: a string column outranks it the same way.
+/// semantics a JSON cell outranks every literal the optimizer pushes,
+/// whatever its content; the kernels, holding the column as text, would
+/// compare a string literal with it. An integer literal gives them the row
+/// outcome: a string column outranks it the same way.
 fn kernel_predicates(predicates: &[Predicate], schema: &Schema) -> Vec<Predicate> {
     let mut out = predicates.to_vec();
     for p in &mut out {
-        if held_as_text(schema, &p.column) && matches!(p.value, Value::Str(_)) {
+        if is_of(schema, &p.column, &[FieldType::Json]) && matches!(p.value, Value::Str(_)) {
             p.value = Value::Int(0);
         }
     }

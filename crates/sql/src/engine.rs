@@ -997,6 +997,52 @@ mod tests {
     }
 
     #[test]
+    fn a_column_filtered_and_projected_decodes_once() {
+        use crate::connector::HiveConnector;
+        use rtdi_storage::hive::HiveCatalog;
+        use rtdi_storage::object::InMemoryStore;
+
+        let catalog = HiveCatalog::new(Arc::new(InMemoryStore::new()));
+        let schema = Schema::of(
+            "trips",
+            &[
+                ("city", FieldType::Str),
+                ("fare", FieldType::Double),
+                ("ts", FieldType::Timestamp),
+            ],
+        );
+        let table = catalog.create_table("trips", schema).unwrap();
+        let rows: Vec<Row> = (0..1000i64)
+            .map(|i| {
+                Row::new()
+                    .with("city", format!("c{}", i % 7))
+                    .with("fare", i as f64 * 0.5 + 0.25)
+                    .with("ts", i)
+            })
+            .collect();
+        catalog.write_rows("trips", "d000000", &rows).unwrap();
+        let file = table.open_parts(|_| true).unwrap().remove(0);
+        let block = |column: &str| file.entry(column).unwrap().len;
+        assert_eq!((block("city"), block("fare")), (556, 8130));
+        let mut e = SqlEngine::new(EngineConfig::default());
+        e.register_connector("hive", Arc::new(HiveConnector::new(catalog)));
+
+        // the predicate decodes `city`, and its rows are built from that
+        // decode: the block is read, and counted, once
+        let out = e
+            .query("SELECT city FROM hive.trips WHERE city = 'c3'")
+            .unwrap();
+        assert_eq!(out.rows.len(), 143);
+        assert_eq!(out.stats.bytes_read, 556);
+        // a projected column the predicate did not touch decodes for the rows
+        let out = e
+            .query("SELECT fare FROM hive.trips WHERE city = 'c3'")
+            .unwrap();
+        assert_eq!(out.rows.len(), 143);
+        assert_eq!(out.stats.bytes_read, 556 + 8130);
+    }
+
+    #[test]
     fn deadline_propagates_from_sql_to_scan() {
         use crate::connector::PinotConnector;
         use rtdi_common::{FieldType, Schema, SimClock};

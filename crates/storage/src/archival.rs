@@ -10,9 +10,10 @@
 //! `warehouse/<dataset>/<date>/part-<n>` and registers it with the Hive
 //! catalog.
 
+use crate::column::ColumnData;
 use crate::hive::HiveCatalog;
 use crate::object::ObjectStore;
-use crate::segfile::{self, ColumnBuilder, SegmentMeta};
+use crate::segfile::{self, SegmentMeta};
 use bytes::Bytes;
 use rtdi_common::wire::{Reader, Writer};
 use rtdi_common::{
@@ -164,7 +165,7 @@ fn encode_raw_refs(records: &[&Record]) -> Bytes {
 /// Key tags of a raw-log record (anything else: no key).
 const KEY_STR: u8 = 1;
 const KEY_INT: u8 = 2;
-/// Value tags compaction reads without building a [`Value`].
+/// Value tags compaction reads without decoding a heap [`Value`].
 const TAG_INT: u8 = 2;
 const TAG_DOUBLE: u8 = 3;
 const TAG_STR: u8 = 4;
@@ -401,15 +402,16 @@ impl Compactor {
                 rtdi_common::FieldType::Timestamp,
             ));
         }
-        let mut columns: Vec<ColumnBuilder> = full_schema
+        let mut columns: Vec<ColumnData> = full_schema
             .fields
             .iter()
-            .map(|f| ColumnBuilder::new(f.field_type))
+            .map(|f| ColumnData::new(f.field_type))
             .collect();
         for key in &keys {
             compact_raw(&self.store.get(key)?, &full_schema, &mut columns)?;
         }
-        let nrows = columns.first().map_or(0, ColumnBuilder::len);
+        columns.iter_mut().for_each(ColumnData::seal);
+        let nrows = columns.first().map_or(0, ColumnData::len);
         // a date compacted before keeps its files: this one takes the
         // next part number, as `HiveCatalog::write_rows` does
         let n = self.catalog.table(dataset)?.part_count(date);
@@ -422,7 +424,6 @@ impl Compactor {
             sorted_col: None,
             nrows: nrows as u64,
         };
-        let columns: Vec<_> = columns.into_iter().map(ColumnBuilder::finish).collect();
         let data = segfile::encode_segment(&meta, &full_schema.fields, &columns)?;
         self.store.put(&part, data)?;
         self.catalog
@@ -434,21 +435,22 @@ impl Compactor {
     }
 }
 
-/// Append one raw log's rows to the column builders (`columns[i]` builds
-/// `schema.fields[i]`, `__ts` among them). It walks the layout
+/// Append one raw log's rows to the columns (`columns[i]` holds
+/// `schema.fields[i]`, `__ts` among them), each cell pushed as
+/// [`ColumnData::push`] would take its [`Value`]. It walks the layout
 /// [`decode_raw`] walks, with every check that makes outside the audit
 /// block (skipped by its length), but builds neither the keys and headers
-/// a part file does not store nor a `Record`, a `Row` or, for an Int,
-/// Double or string cell, a [`Value`]. A column name equal to a schema
-/// field's is its own UTF-8 proof; any other name is validated. As in a
-/// `Row`, the first of two equal column names wins; an event time the row
-/// lacks is the record's timestamp.
-fn compact_raw(data: &[u8], schema: &Schema, columns: &mut [ColumnBuilder]) -> Result<()> {
+/// a part file does not store nor a `Record`, a `Row` or, for a string
+/// cell, a heap value. A column name equal to a schema field's is its own
+/// UTF-8 proof; any other name is validated. As in a `Row`, the first of
+/// two equal column names wins; an event time the row lacks is the
+/// record's timestamp.
+fn compact_raw(data: &[u8], schema: &Schema, columns: &mut [ColumnData]) -> Result<()> {
     let ts_col = schema.field_index("__ts");
     let mut r = Reader::new(data);
     let n = r.count(MIN_RECORD_BYTES, "record count")?;
     for _ in 0..n {
-        let row = columns.first().map_or(0, ColumnBuilder::len);
+        let row = columns.first().map_or(0, ColumnData::len);
         let ts = r.i64("record timestamp")?;
         match r.u8("key tag")? {
             KEY_STR => drop(r.str("key")?),
@@ -472,8 +474,8 @@ fn compact_raw(data: &[u8], schema: &Schema, columns: &mut [ColumnBuilder]) -> R
                 .map(|i| &mut columns[i])
                 .filter(|col| col.len() == row);
             match (col, r.u8("value tag")?) {
-                (Some(col), TAG_INT) => col.push_int(r.i64("int value")?),
-                (Some(col), TAG_DOUBLE) => col.push_double(r.f64("double value")?),
+                (Some(col), TAG_INT) => col.push(Some(&Value::Int(r.i64("int value")?))),
+                (Some(col), TAG_DOUBLE) => col.push(Some(&Value::Double(r.f64("double value")?))),
                 (Some(col), TAG_STR) => col.push_str(r.str("string value")?),
                 (Some(col), tag) => col.push(Some(&decode_value(tag, &mut r)?)),
                 (None, tag) => drop(decode_value(tag, &mut r)?),
@@ -482,11 +484,8 @@ fn compact_raw(data: &[u8], schema: &Schema, columns: &mut [ColumnBuilder]) -> R
         for (i, col) in columns.iter_mut().enumerate() {
             if col.len() == row {
                 // preserve event time for time-bounded backfills
-                if Some(i) == ts_col {
-                    col.push_int(ts);
-                } else {
-                    col.push(None);
-                }
+                let ts = (Some(i) == ts_col).then_some(Value::Int(ts));
+                col.push(ts.as_ref());
             }
         }
     }
@@ -712,6 +711,66 @@ mod tests {
         let expect = segfile::encode_rows_segment(&full_schema, "t-d000000-00000", &rows).unwrap();
         let written = store.get("warehouse/t/d000000/part-00000").unwrap();
         assert_eq!(written, expect);
+    }
+
+    #[test]
+    fn both_warehouse_writers_read_a_refused_cell_back_as_null() {
+        let schema = Schema::of(
+            "t",
+            &[
+                ("city", FieldType::Str),
+                ("flag", FieldType::Bool),
+                ("n", FieldType::Int),
+            ],
+        );
+        let rows = vec![
+            Row::new()
+                .with("city", "zurich")
+                .with("flag", true)
+                .with("n", 1i64),
+            Row::new()
+                .with("city", 5i64)
+                .with("flag", 1i64)
+                .with("n", "x"),
+            Row::new()
+                .with("city", "amsterdam")
+                .with("flag", false)
+                .with("n", 2.5),
+        ];
+        let want = vec![
+            Row::new()
+                .with("city", "zurich")
+                .with("flag", true)
+                .with("n", 1i64),
+            Row::new()
+                .with("city", Value::Null)
+                .with("flag", Value::Null)
+                .with("n", Value::Null),
+            Row::new()
+                .with("city", "amsterdam")
+                .with("flag", false)
+                .with("n", Value::Null),
+        ];
+        let store = Arc::new(InMemoryStore::new());
+        let catalog = HiveCatalog::new(store.clone() as Arc<dyn ObjectStore>);
+        let written = catalog.create_table("t", schema.clone()).unwrap();
+        catalog.write_rows("t", "d000000", &rows).unwrap();
+        assert_eq!(written.scan_all().unwrap(), want);
+
+        let compacted = catalog.create_table("c", schema.clone()).unwrap();
+        let records: Vec<Record> = rows.into_iter().map(|r| Record::new(r, 7)).collect();
+        ArchivalWriter::new(store.clone(), "c")
+            .write_batch(&records)
+            .unwrap();
+        let compactor = Compactor::new(store, catalog);
+        assert_eq!(compactor.compact("c", "d000000", &schema).unwrap(), 3);
+        let got: Vec<Row> = compacted
+            .scan_all()
+            .unwrap()
+            .iter()
+            .map(|r| r.project(&["city", "flag", "n"]))
+            .collect();
+        assert_eq!(got, want);
     }
 
     #[test]

@@ -1,10 +1,13 @@
 //! Dense bitset over document ids.
 //!
-//! The workhorse of index evaluation: inverted-index posting lists, range
-//! buckets, upsert valid-doc sets and filter intersection all operate on
-//! these. A simple `Vec<u64>` block representation is plenty for
-//! segment-sized doc counts (Pinot uses roaring bitmaps for the same
-//! role).
+//! A decoded column's NULL mask and Bool values are one of these (see
+//! [`crate::column`]), and so is the workhorse of OLAP index evaluation:
+//! inverted-index posting lists, range buckets, upsert valid-doc sets and
+//! filter intersection all operate on them. A simple `Vec<u64>` block
+//! representation is plenty for segment-sized doc counts (Pinot uses
+//! roaring bitmaps for the same role). The per-bit and per-word methods
+//! are `#[inline]`: the OLAP kernels call them per document from another
+//! crate.
 
 /// A fixed-capacity dense bitmap.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -41,24 +44,29 @@ impl Bitmap {
         }
     }
 
+    #[inline]
     pub fn len(&self) -> usize {
         self.len
     }
 
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
 
+    #[inline]
     pub fn set(&mut self, i: usize) {
         debug_assert!(i < self.len, "bit {i} out of range {}", self.len);
         self.blocks[i / 64] |= 1 << (i % 64);
     }
 
+    #[inline]
     pub fn unset(&mut self, i: usize) {
         debug_assert!(i < self.len);
         self.blocks[i / 64] &= !(1 << (i % 64));
     }
 
+    #[inline]
     pub fn get(&self, i: usize) -> bool {
         if i >= self.len {
             return false;
@@ -67,16 +75,19 @@ impl Bitmap {
     }
 
     /// Number of set bits.
+    #[inline]
     pub fn count(&self) -> usize {
         self.blocks.iter().map(|b| b.count_ones() as usize).sum()
     }
 
     /// Is any bit set? Stops at the first set word.
+    #[inline]
     pub fn any(&self) -> bool {
         self.blocks.iter().any(|&b| b != 0)
     }
 
     /// In-place intersection.
+    #[inline]
     pub fn and_with(&mut self, other: &Bitmap) {
         debug_assert_eq!(self.len, other.len);
         for (a, b) in self.blocks.iter_mut().zip(&other.blocks) {
@@ -85,6 +96,7 @@ impl Bitmap {
     }
 
     /// In-place union.
+    #[inline]
     pub fn or_with(&mut self, other: &Bitmap) {
         debug_assert_eq!(self.len, other.len);
         for (a, b) in self.blocks.iter_mut().zip(&other.blocks) {
@@ -93,6 +105,7 @@ impl Bitmap {
     }
 
     /// In-place difference: clear every bit that is set in `other`.
+    #[inline]
     pub fn and_not(&mut self, other: &Bitmap) {
         debug_assert_eq!(self.len, other.len);
         for (a, b) in self.blocks.iter_mut().zip(&other.blocks) {
@@ -170,6 +183,7 @@ impl Bitmap {
     }
 
     /// Append one bit (consuming segments grow their bitmaps per row).
+    #[inline]
     pub fn push(&mut self, bit: bool) {
         if self.len.is_multiple_of(64) {
             self.blocks.push(0);
@@ -215,13 +229,15 @@ impl Bitmap {
     }
 
     /// Set bits in `[from, to)`, a whole word at a time.
+    #[inline]
     pub fn set_range(&mut self, from: usize, to: usize) {
         self.fill(from, to, |_| u64::MAX);
     }
 
     /// Set the bits in `[from, to)` that `except` does not hold, a whole
     /// word at a time.
-    pub(crate) fn set_range_except(&mut self, from: usize, to: usize, except: &Bitmap) {
+    #[inline]
+    pub fn set_range_except(&mut self, from: usize, to: usize, except: &Bitmap) {
         debug_assert_eq!(self.len, except.len);
         self.fill(from, to, |w| !except.blocks[w]);
     }
@@ -246,6 +262,7 @@ impl Bitmap {
         }
     }
 
+    #[inline]
     pub fn memory_bytes(&self) -> usize {
         self.blocks.len() * 8 + 16
     }
@@ -263,10 +280,16 @@ impl Bitmap {
     /// segment file's null bitmap). Bytes beyond `len` bits are ignored;
     /// missing bytes read as zero.
     pub fn from_bytes(bytes: &[u8], len: usize) -> Bitmap {
-        let mut blocks = vec![0u64; len.div_ceil(64)];
-        for (i, &b) in bytes.iter().enumerate().take(len.div_ceil(8)) {
-            blocks[i / 8] |= (b as u64) << ((i % 8) * 8);
-        }
+        let bytes = &bytes[..bytes.len().min(len.div_ceil(8))];
+        let mut blocks: Vec<u64> = bytes
+            .chunks(8)
+            .map(|chunk| {
+                let mut word = [0u8; 8];
+                word[..chunk.len()].copy_from_slice(chunk);
+                u64::from_le_bytes(word)
+            })
+            .collect();
+        blocks.resize(len.div_ceil(64), 0);
         let mut bm = Bitmap { blocks, len };
         bm.clear_tail();
         bm
@@ -282,6 +305,7 @@ pub struct BitmapIter<'a> {
 impl Iterator for BitmapIter<'_> {
     type Item = usize;
 
+    #[inline]
     fn next(&mut self) -> Option<usize> {
         loop {
             if self.current != 0 {

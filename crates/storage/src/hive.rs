@@ -8,8 +8,9 @@
 //! scans them for federated queries.
 
 use crate::archival::{date_day, epoch_day};
+use crate::column::ColumnData;
 use crate::object::ObjectStore;
-use crate::segfile::{self, ColumnValues, SegmentFile};
+use crate::segfile::{self, SegmentFile};
 use parking_lot::RwLock;
 use rtdi_common::{Error, Result, Row, Schema, Timestamp};
 use std::collections::BTreeMap;
@@ -170,12 +171,11 @@ pub fn event_times(file: &SegmentFile) -> Result<Vec<Option<Timestamp>>> {
     if file.entry("__ts").is_none() {
         return Ok(vec![None; file.nrows()]);
     }
-    let col = file.column("__ts")?;
-    Ok(match &col.values {
-        ColumnValues::Int(vals) => vals
+    Ok(match file.column("__ts")?.as_ref() {
+        ColumnData::Int { values, nulls, .. } => values
             .iter()
             .enumerate()
-            .map(|(i, &ts)| (!col.nulls.is_null(i)).then_some(ts))
+            .map(|(i, &ts)| (!nulls.get(i)).then_some(ts))
             .collect(),
         // a `__ts` that is not integral carries no event time
         _ => vec![None; file.nrows()],

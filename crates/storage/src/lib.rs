@@ -17,7 +17,11 @@
 //! - [`segfile`]: the one columnar file format — warehouse part files
 //!   (the "Parquet" stand-in) and OLAP segment backups alike
 //!   (little-endian, dictionary + bit-packed/var-byte forward indexes,
-//!   RLE runs, zone maps, CRC32-checked footer, lazy per-column decoding).
+//!   RLE runs, zone maps, CRC32-checked footer, lazy per-column decoding,
+//!   each column decoded once per opened file);
+//! - [`mod@column`], [`bitmap`]: the one decoded column that file is written
+//!   from and read into, and the OLAP kernels read — built by one `push`
+//!   per cell and one `seal` by every writer.
 
 // Non-test code returns `Error`, never panics.
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
@@ -25,6 +29,8 @@
 #![cfg_attr(not(test), deny(unused_crate_dependencies))]
 
 pub mod archival;
+pub mod bitmap;
+pub mod column;
 pub mod hive;
 pub mod keyed;
 pub mod object;

@@ -30,10 +30,11 @@
 //! truncated or bit-flipped files surface as [`Error::Corruption`].
 //! See DESIGN.md ("On-disk segment format") for the full byte diagram.
 
+use crate::bitmap::Bitmap;
+use crate::column::{int_blocks, ColumnData};
 use bytes::Bytes;
 use rtdi_common::{Error, FieldType, Result, Row, Schema, Value};
-use std::collections::HashMap;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// Head magic: the file starts with the bytes `RTSG`.
 pub const MAGIC: u32 = u32::from_le_bytes(*b"RTSG");
@@ -291,116 +292,6 @@ impl Writer {
     }
 }
 
-// ---------------------------------------------------------------------
-// In-memory column model handed to the encoder / returned by the decoder.
-// ---------------------------------------------------------------------
-
-/// Per-column null mask: bit `i` set means row `i` is NULL. Bits are
-/// stored LSB-first, `ceil(len/8)` bytes.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct NullMask {
-    bits: Vec<u8>,
-    len: usize,
-}
-
-impl NullMask {
-    /// All-non-null mask over `len` rows.
-    pub fn new(len: usize) -> Self {
-        NullMask {
-            bits: vec![0u8; len.div_ceil(8)],
-            len,
-        }
-    }
-
-    /// Rebuild a mask from its on-disk bytes.
-    pub fn from_bits(bits: Vec<u8>, len: usize) -> Result<Self> {
-        if bits.len() != len.div_ceil(8) {
-            return Err(Error::Corruption(format!(
-                "null bitmap length {} does not cover {len} rows",
-                bits.len()
-            )));
-        }
-        Ok(NullMask { bits, len })
-    }
-
-    pub fn set_null(&mut self, i: usize) {
-        if i < self.len {
-            self.bits[i / 8] |= 1 << (i % 8);
-        }
-    }
-
-    /// Append one row.
-    pub fn push(&mut self, null: bool) {
-        if self.len.is_multiple_of(8) {
-            self.bits.push(0);
-        }
-        self.len += 1;
-        if null {
-            self.set_null(self.len - 1);
-        }
-    }
-
-    pub fn is_null(&self, i: usize) -> bool {
-        i < self.len && (self.bits[i / 8] >> (i % 8)) & 1 == 1
-    }
-
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    pub fn null_count(&self) -> u64 {
-        (0..self.len).filter(|&i| self.is_null(i)).count() as u64
-    }
-
-    /// Raw LSB-first bitmap bytes (`ceil(len/8)` of them).
-    pub fn bits(&self) -> &[u8] {
-        &self.bits
-    }
-}
-
-/// Decoded column values. The variant is determined by the column's
-/// [`FieldType`]: Int/Timestamp -> `Int`, Str/Json -> `Str` (JSON is
-/// stored as its serialized text in the dictionary), Bytes -> `Bytes`.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ColumnValues {
-    Int(Vec<i64>),
-    Double(Vec<f64>),
-    Bool(Vec<bool>),
-    /// Sorted dictionary + per-row dictionary ids.
-    Str {
-        dict: Vec<String>,
-        ids: Vec<u32>,
-    },
-    Bytes(Vec<Vec<u8>>),
-}
-
-impl ColumnValues {
-    pub fn len(&self) -> usize {
-        match self {
-            ColumnValues::Int(v) => v.len(),
-            ColumnValues::Double(v) => v.len(),
-            ColumnValues::Bool(v) => v.len(),
-            ColumnValues::Str { ids, .. } => ids.len(),
-            ColumnValues::Bytes(v) => v.len(),
-        }
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// One materialized column: values plus its null mask.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Column {
-    pub values: ColumnValues,
-    pub nulls: NullMask,
-}
-
 /// A zone-map bound. Ordering semantics match `Value::total_cmp` within
 /// one type; cross-type comparisons are never pruned on.
 #[derive(Debug, Clone, PartialEq)]
@@ -592,57 +483,61 @@ fn encode_id_block(w: &mut Writer, ids: &[u32], dict_len: usize) {
     }
 }
 
-/// Encode one column block; returns the zone map computed from the data.
-fn encode_column_block(w: &mut Writer, col: &Column) -> Result<ZoneMap> {
-    let nulls = &col.nulls;
-    w.u32(nulls.bits().len() as u32);
-    w.slice(nulls.bits());
-    let non_null = |i: &usize| !nulls.is_null(*i);
+/// Encode one sealed column's block; returns the zone map computed from
+/// the data.
+fn encode_column_block(w: &mut Writer, col: &ColumnData) -> Result<ZoneMap> {
+    let nulls = col.nulls();
+    let nrows = nulls.len();
+    let null_bytes = nulls.to_bytes();
+    w.u32(null_bytes.len() as u32);
+    w.slice(&null_bytes);
+    let live = |d: &usize| !nulls.get(*d);
     let mut zone = ZoneMap {
         min: None,
         max: None,
-        null_count: nulls.null_count(),
+        null_count: nulls.count() as u64,
     };
-    match &col.values {
-        ColumnValues::Bool(vals) => {
-            let packed: Vec<u64> = vals.iter().map(|&b| b as u64).collect();
-            let bitvec = bitpack(&packed, 1);
-            w.u32(bitvec.len() as u32);
-            w.slice(&bitvec);
-            let live: Vec<bool> = (0..vals.len()).filter(non_null).map(|i| vals[i]).collect();
-            if let (Some(&mn), Some(&mx)) = (live.iter().min(), live.iter().max()) {
+    match col {
+        ColumnData::Bool { values, .. } => {
+            let bits = values.to_bytes();
+            w.u32(bits.len() as u32);
+            w.slice(&bits);
+            let live = (0..nrows).filter(live).map(|d| values.get(d));
+            if let (Some(mn), Some(mx)) = (live.clone().min(), live.max()) {
                 zone.min = Some(ZoneValue::Bool(mn));
                 zone.max = Some(ZoneValue::Bool(mx));
             }
         }
-        ColumnValues::Int(vals) => {
-            encode_int_block(w, vals);
-            let live = (0..vals.len()).filter(non_null).map(|i| vals[i]);
-            if let Some((mn, mx)) = min_max(live) {
+        ColumnData::Int { values, .. } => {
+            encode_int_block(w, values);
+            if let Some((mn, mx)) = col.int_range() {
                 zone.min = Some(ZoneValue::Int(mn));
                 zone.max = Some(ZoneValue::Int(mx));
             }
         }
-        ColumnValues::Double(vals) => {
-            encode_double_block(w, vals);
+        ColumnData::Double { values, .. } => {
+            encode_double_block(w, values);
             // ordered as `Value::total_cmp` orders cells: a NaN above +inf
             // or below -inf by its sign, -0.0 below 0.0
-            let live = (0..vals.len()).filter(non_null).map(|i| vals[i]);
+            let live = (0..nrows).filter(live).map(|d| values[d]);
             let mn = live.clone().min_by(f64::total_cmp);
             if let (Some(mn), Some(mx)) = (mn, live.max_by(f64::total_cmp)) {
                 zone.min = Some(ZoneValue::Double(mn));
                 zone.max = Some(ZoneValue::Double(mx));
             }
         }
-        ColumnValues::Str { dict, ids } => {
-            if ids.len() != col.nulls.len() {
-                return Err(Error::Internal("id count != row count".into()));
+        ColumnData::Str { dict, ids, .. } => {
+            if dict.windows(2).any(|win| win[0] >= win[1]) {
+                return Err(Error::Internal("segment dictionary not sorted".into()));
             }
-            for win in dict.windows(2) {
-                if win[0] >= win[1] {
-                    return Err(Error::Internal("segment dictionary not sorted".into()));
-                }
-            }
+            // the format requires a dictionary whenever rows exist: an
+            // all-NULL column writes one placeholder entry
+            let placeholder = [String::new()];
+            let dict = if dict.is_empty() && nrows > 0 {
+                &placeholder[..]
+            } else {
+                &dict[..]
+            };
             if let Some(&bad) = ids.iter().find(|&&id| id as usize >= dict.len()) {
                 return Err(Error::Internal(format!("dict id {bad} out of range")));
             }
@@ -651,17 +546,14 @@ fn encode_column_block(w: &mut Writer, col: &Column) -> Result<ZoneMap> {
                 w.lpstr(s);
             }
             encode_id_block(w, ids, dict.len());
-            let live = (0..ids.len())
-                .filter(non_null)
-                .map(|i| ids[i])
-                .collect::<Vec<_>>();
-            if let (Some(&mn), Some(&mx)) = (live.iter().min(), live.iter().max()) {
+            let live = (0..nrows).filter(live).map(|d| ids[d]);
+            if let (Some(mn), Some(mx)) = (live.clone().min(), live.max()) {
                 zone.min = Some(ZoneValue::Str(dict[mn as usize].clone()));
                 zone.max = Some(ZoneValue::Str(dict[mx as usize].clone()));
             }
         }
-        ColumnValues::Bytes(vals) => {
-            for v in vals {
+        ColumnData::Bytes { values, .. } => {
+            for v in values {
                 w.u32(v.len() as u32);
                 w.slice(v);
             }
@@ -669,17 +561,6 @@ fn encode_column_block(w: &mut Writer, col: &Column) -> Result<ZoneMap> {
         }
     }
     Ok(zone)
-}
-
-fn min_max<I: Iterator<Item = i64>>(iter: I) -> Option<(i64, i64)> {
-    let mut out: Option<(i64, i64)> = None;
-    for v in iter {
-        out = Some(match out {
-            None => (v, v),
-            Some((mn, mx)) => (mn.min(v), mx.max(v)),
-        });
-    }
-    out
 }
 
 fn write_zone(w: &mut Writer, zone: &ZoneMap) {
@@ -740,12 +621,12 @@ fn read_zone(r: &mut Reader) -> Result<ZoneMap> {
 }
 
 /// Serialize a segment: header, per-column blocks, length-prefixed index
-/// map, CRC32-checked footer. `fields[i]` describes `columns[i]`; every
-/// column must have exactly `meta.nrows` rows.
+/// map, CRC32-checked footer. `fields[i]` describes `columns[i]`, a sealed
+/// column of its type; every column must have exactly `meta.nrows` rows.
 pub fn encode_segment(
     meta: &SegmentMeta,
     fields: &[rtdi_common::Field],
-    columns: &[Column],
+    columns: &[impl std::borrow::Borrow<ColumnData>],
 ) -> Result<Bytes> {
     if fields.len() != columns.len() {
         return Err(Error::Internal(format!(
@@ -755,12 +636,13 @@ pub fn encode_segment(
         )));
     }
     for (f, c) in fields.iter().zip(columns) {
-        if c.values.len() as u64 != meta.nrows || c.nulls.len() as u64 != meta.nrows {
+        let c = c.borrow();
+        let kind = std::mem::discriminant(&ColumnData::new(f.field_type));
+        let rows = [c.len(), c.nulls().len()];
+        if kind != std::mem::discriminant(c) || rows.iter().any(|&n| n as u64 != meta.nrows) {
             return Err(Error::Internal(format!(
-                "column '{}' has {} rows, segment declares {}",
-                f.name,
-                c.values.len(),
-                meta.nrows
+                "column '{}' is not a {:?} column of {} rows",
+                f.name, f.field_type, meta.nrows
             )));
         }
     }
@@ -777,7 +659,7 @@ pub fn encode_segment(
     let mut entries: Vec<ColumnEntry> = Vec::with_capacity(fields.len());
     for (f, c) in fields.iter().zip(columns) {
         let offset = w.len() as u64;
-        let zone = encode_column_block(&mut w, c)?;
+        let zone = encode_column_block(&mut w, c.borrow())?;
         entries.push(ColumnEntry {
             name: f.name.clone(),
             field_type: f.field_type,
@@ -819,6 +701,9 @@ pub struct SegmentFile {
     /// Bytes actually parsed by `open` (header + index map + footer) —
     /// the cost of a header-only, zone-map-pruned read.
     header_bytes: usize,
+    /// Decoded columns, parallel to `entries`: each decodes at most once,
+    /// and every reader of the file shares it.
+    columns: Vec<OnceLock<Arc<ColumnData>>>,
 }
 
 impl SegmentFile {
@@ -939,6 +824,7 @@ impl SegmentFile {
                 },
                 nrows,
             },
+            columns: entries.iter().map(|_| OnceLock::new()).collect(),
             entries,
             header_bytes: header_end + index_map_len + FOOTER_LEN,
         })
@@ -982,8 +868,22 @@ impl SegmentFile {
         )
     }
 
-    /// Decode a single column by name without touching any other column.
-    pub fn column(&self, name: &str) -> Result<Column> {
+    /// How many columns have been decoded so far.
+    pub fn columns_loaded(&self) -> usize {
+        self.columns.iter().filter(|c| c.get().is_some()).count()
+    }
+
+    /// File bytes touched so far: the header plus every decoded column's
+    /// block.
+    pub fn bytes_loaded(&self) -> usize {
+        let decoded = self.entries.iter().zip(&self.columns);
+        let blocks = decoded.filter(|(_, c)| c.get().is_some());
+        self.header_bytes + blocks.map(|(e, _)| e.len as usize).sum::<usize>()
+    }
+
+    /// A single column by name, decoded on first use without touching any
+    /// other column.
+    pub fn column(&self, name: &str) -> Result<Arc<ColumnData>> {
         let idx = self
             .entries
             .iter()
@@ -992,18 +892,27 @@ impl SegmentFile {
         self.column_at(idx)
     }
 
-    /// Decode the column at index-map position `idx`.
-    pub fn column_at(&self, idx: usize) -> Result<Column> {
-        let entry = self
+    /// The column at index-map position `idx`, decoded on first use.
+    pub fn column_at(&self, idx: usize) -> Result<Arc<ColumnData>> {
+        let (entry, slot) = self
             .entries
-            .get(idx)
+            .iter()
+            .zip(&self.columns)
+            .nth(idx)
             .ok_or_else(|| Error::NotFound(format!("segment column #{idx}")))?;
+        if let Some(col) = slot.get() {
+            return Ok(Arc::clone(col));
+        }
         let start = entry.offset as usize;
         let block = &self.data.as_slice()[start..start + entry.len as usize];
-        decode_column_block(block, entry.field_type, self.nrows()).map_err(|e| match e {
-            Error::Corruption(msg) => Error::Corruption(format!("column '{}': {msg}", entry.name)),
-            other => other,
-        })
+        let col =
+            decode_column_block(block, entry.field_type, self.nrows()).map_err(|e| match e {
+                Error::Corruption(msg) => {
+                    Error::Corruption(format!("column '{}': {msg}", entry.name))
+                }
+                other => other,
+            })?;
+        Ok(Arc::clone(slot.get_or_init(|| Arc::new(col))))
     }
 
     /// Materialize every column back into rows (schema order).
@@ -1032,7 +941,7 @@ impl SegmentFile {
         for &i in &picked {
             let e = &self.entries[i];
             columns.push((
-                std::sync::Arc::<str>::from(e.name.as_str()),
+                Arc::<str>::from(e.name.as_str()),
                 e.field_type,
                 self.column_at(i)?,
             ));
@@ -1116,12 +1025,20 @@ fn decode_rle<T: Copy>(
     Ok(out)
 }
 
-fn decode_column_block(block: &[u8], ftype: FieldType, nrows: usize) -> Result<Column> {
+/// Decode one column block straight into its sealed [`ColumnData`]: the
+/// NULL and Bool bits become bitmap words, an Int column's blocks are
+/// built from the values decoded.
+fn decode_column_block(block: &[u8], ftype: FieldType, nrows: usize) -> Result<ColumnData> {
     let mut r = Reader::new(block);
     let bm_len = r.u32("null bitmap length")? as usize;
-    let bm = r.bytes(bm_len, "null bitmap")?.to_vec();
-    let nulls = NullMask::from_bits(bm, nrows)?;
-    let values = match ftype {
+    let bm = r.bytes(bm_len, "null bitmap")?;
+    if bm_len != nrows.div_ceil(8) {
+        return Err(Error::Corruption(format!(
+            "null bitmap length {bm_len} does not cover {nrows} rows"
+        )));
+    }
+    let nulls = Bitmap::from_bytes(bm, nrows);
+    let col = match ftype {
         FieldType::Bool => {
             let plen = r.u32("bool packed length")? as usize;
             if plen != nrows.div_ceil(8) {
@@ -1129,42 +1046,41 @@ fn decode_column_block(block: &[u8], ftype: FieldType, nrows: usize) -> Result<C
                     "bool packed length {plen} != expected for {nrows} rows"
                 )));
             }
-            let packed = r.bytes(plen, "bool packed data")?;
-            ColumnValues::Bool(
-                bitunpack(packed, 1, nrows)
-                    .into_iter()
-                    .map(|v| v == 1)
-                    .collect(),
-            )
+            let values = Bitmap::from_bytes(r.bytes(plen, "bool packed data")?, nrows);
+            ColumnData::Bool { values, nulls }
         }
         FieldType::Int | FieldType::Timestamp => {
-            ColumnValues::Int(decode_int_block(&mut r, nrows)?)
+            let values = decode_int_block(&mut r, nrows)?;
+            ColumnData::Int {
+                blocks: int_blocks(&values, &nulls),
+                values,
+                nulls,
+            }
         }
-        FieldType::Double => match r.u8("double encoding tag")? {
-            ENC_PACKED => {
-                let raw = r.bytes(nrows * 8, "double data")?;
-                ColumnValues::Double(
+        FieldType::Double => {
+            let values = match r.u8("double encoding tag")? {
+                ENC_PACKED => {
+                    let raw = r.bytes(nrows * 8, "double data")?;
                     raw.chunks_exact(8)
                         .map(|c| {
                             let mut bits = [0u8; 8];
                             bits.copy_from_slice(c);
                             f64::from_bits(u64::from_le_bytes(bits))
                         })
-                        .collect(),
-                )
-            }
-            ENC_RLE => ColumnValues::Double(
-                decode_rle(&mut r, nrows, "double", |r| r.u64("double run value"))?
+                        .collect()
+                }
+                ENC_RLE => decode_rle(&mut r, nrows, "double", |r| r.u64("double run value"))?
                     .into_iter()
                     .map(f64::from_bits)
                     .collect(),
-            ),
-            t => {
-                return Err(Error::Corruption(format!(
-                    "unknown double encoding tag {t}"
-                )))
-            }
-        },
+                t => {
+                    return Err(Error::Corruption(format!(
+                        "unknown double encoding tag {t}"
+                    )))
+                }
+            };
+            ColumnData::Double { values, nulls }
+        }
         FieldType::Str | FieldType::Json => {
             let dict_len = r.u32("dictionary length")? as usize;
             // every dictionary entry needs at least its 4-byte length
@@ -1215,15 +1131,21 @@ fn decode_column_block(block: &[u8], ftype: FieldType, nrows: usize) -> Result<C
                     )));
                 }
             }
-            ColumnValues::Str { dict, ids }
+            ColumnData::Str {
+                dict,
+                ids,
+                nulls,
+                intern: None,
+                json: ftype == FieldType::Json,
+            }
         }
         FieldType::Bytes => {
-            let mut vals = Vec::with_capacity(nrows.min(1 << 20));
+            let mut values = Vec::with_capacity(nrows.min(1 << 20));
             for _ in 0..nrows {
                 let len = r.u32("bytes value length")? as usize;
-                vals.push(r.bytes(len, "bytes value")?.to_vec());
+                values.push(r.bytes(len, "bytes value")?.to_vec());
             }
-            ColumnValues::Bytes(vals)
+            ColumnData::Bytes { values, nulls }
         }
     };
     if r.remaining() != 0 {
@@ -1232,203 +1154,37 @@ fn decode_column_block(block: &[u8], ftype: FieldType, nrows: usize) -> Result<C
             r.remaining()
         )));
     }
-    Ok(Column { values, nulls })
+    Ok(col)
 }
 
-/// One cell of a decoded column as a [`Value`] (NULL applied, JSON parsed
-/// back from its dictionary text).
-fn cell_value(col: &Column, ftype: FieldType, i: usize) -> Result<Value> {
-    if col.nulls.is_null(i) {
-        return Ok(Value::Null);
-    }
-    Ok(match &col.values {
-        ColumnValues::Int(vals) => Value::Int(vals[i]),
-        ColumnValues::Double(vals) => Value::Double(vals[i]),
-        ColumnValues::Bool(vals) => Value::Bool(vals[i]),
-        ColumnValues::Str { dict, ids } => {
-            let s = &dict[ids[i] as usize];
-            if ftype == FieldType::Json {
-                Value::Json(Box::new(rtdi_common::json::parse(s).map_err(|_| {
-                    Error::Corruption(format!("invalid json in dictionary: {s}"))
-                })?))
-            } else {
-                Value::Str(s.clone())
-            }
+/// One cell of a decoded column as a [`Value`] of its field's type: a
+/// JSON cell parsed back from its dictionary text.
+fn cell_value(col: &ColumnData, ftype: FieldType, doc: usize) -> Result<Value> {
+    Ok(match col.value_at(doc) {
+        Value::Str(s) if ftype == FieldType::Json => {
+            Value::Json(Box::new(rtdi_common::json::parse(&s).map_err(|_| {
+                Error::Corruption(format!("invalid json in dictionary: {s}"))
+            })?))
         }
-        ColumnValues::Bytes(vals) => Value::Bytes(vals[i].clone()),
+        cell => cell,
     })
 }
 
 // ---------------------------------------------------------------------
-// Row-batch convenience encoder (warehouse part files, compaction).
+// Row-batch convenience encoder (warehouse part files).
 // ---------------------------------------------------------------------
 
-/// Builds one schema field's [`Column`] a cell at a time. A cell is
-/// coerced to the field's type; a value that cannot be (a string in an
-/// integer field) is stored as the type's zero, not as NULL. Strings are
-/// interned as they arrive and only the distinct values are sorted, once,
-/// in [`ColumnBuilder::finish`].
-pub(crate) struct ColumnBuilder {
-    values: ColumnValues,
-    nulls: NullMask,
-    /// Dictionary id of every distinct string, in arrival order.
-    intern: HashMap<String, u32>,
-}
-
-/// Dictionary id of a cell that carries no string while the column is
-/// built; it becomes id 0 of the sorted dictionary.
-const NO_TEXT: u32 = u32::MAX;
-
-impl ColumnBuilder {
-    pub(crate) fn new(field_type: FieldType) -> Self {
-        let values = match field_type {
-            FieldType::Bool => ColumnValues::Bool(Vec::new()),
-            FieldType::Int | FieldType::Timestamp => ColumnValues::Int(Vec::new()),
-            FieldType::Double => ColumnValues::Double(Vec::new()),
-            FieldType::Str | FieldType::Json => ColumnValues::Str {
-                dict: Vec::new(),
-                ids: Vec::new(),
-            },
-            FieldType::Bytes => ColumnValues::Bytes(Vec::new()),
-        };
-        ColumnBuilder {
-            values,
-            nulls: NullMask::new(0),
-            intern: HashMap::new(),
-        }
-    }
-
-    /// Rows appended so far.
-    pub(crate) fn len(&self) -> usize {
-        self.nulls.len()
-    }
-
-    /// Append one cell; an absent value is NULL.
-    pub(crate) fn push(&mut self, v: Option<&Value>) {
-        if let Some(Value::Str(s)) = v {
-            return self.push_str(s);
-        }
-        self.nulls.push(matches!(v, None | Some(Value::Null)));
-        match &mut self.values {
-            ColumnValues::Bool(vals) => vals.push(matches!(v, Some(Value::Bool(true)))),
-            ColumnValues::Int(vals) => vals.push(v.and_then(Value::as_int).unwrap_or(0)),
-            ColumnValues::Double(vals) => vals.push(v.and_then(Value::as_double).unwrap_or(0.0)),
-            ColumnValues::Str { dict, ids } => ids.push(match v {
-                Some(Value::Json(j)) => {
-                    intern_id(dict, &mut self.intern, &rtdi_common::json::to_string(j))
-                }
-                _ => NO_TEXT,
-            }),
-            ColumnValues::Bytes(vals) => vals.push(match v {
-                Some(Value::Bytes(b)) => b.clone(),
-                _ => Vec::new(),
-            }),
-        }
-    }
-
-    /// Append a string cell without building a [`Value`] around it: what
-    /// compaction hands over straight from a raw log's bytes.
-    pub(crate) fn push_str(&mut self, s: &str) {
-        self.nulls.push(false);
-        match &mut self.values {
-            ColumnValues::Str { dict, ids } => ids.push(intern_id(dict, &mut self.intern, s)),
-            values => push_zero(values),
-        }
-    }
-
-    /// [`Self::push`] of an integer cell without the [`Value`]: a double
-    /// field widens it, as [`Value::as_double`] does.
-    pub(crate) fn push_int(&mut self, i: i64) {
-        self.nulls.push(false);
-        match &mut self.values {
-            ColumnValues::Int(vals) => vals.push(i),
-            ColumnValues::Double(vals) => vals.push(i as f64),
-            values => push_zero(values),
-        }
-    }
-
-    /// [`Self::push`] of a double cell without the [`Value`]: an integer
-    /// field keeps it only when it is integral, as [`Value::as_int`] does.
-    pub(crate) fn push_double(&mut self, d: f64) {
-        self.nulls.push(false);
-        match &mut self.values {
-            ColumnValues::Int(vals) => vals.push(if d.fract() == 0.0 { d as i64 } else { 0 }),
-            ColumnValues::Double(vals) => vals.push(d),
-            values => push_zero(values),
-        }
-    }
-
-    /// The finished column: the dictionary sorted, the ids rewritten
-    /// through the permutation.
-    pub(crate) fn finish(mut self) -> Column {
-        if let ColumnValues::Str { dict, ids } = &mut self.values {
-            let mut order: Vec<u32> = (0..dict.len() as u32).collect();
-            order.sort_unstable_by(|&a, &b| dict[a as usize].cmp(&dict[b as usize]));
-            let mut new_id = vec![0u32; dict.len()];
-            let mut sorted = Vec::with_capacity(dict.len().max(1));
-            for (new, &old) in order.iter().enumerate() {
-                new_id[old as usize] = new as u32;
-                sorted.push(std::mem::take(&mut dict[old as usize]));
-            }
-            if sorted.is_empty() && !ids.is_empty() {
-                // no string at all: one placeholder keeps ids in range
-                sorted.push(String::new());
-            }
-            *dict = sorted;
-            for id in ids.iter_mut() {
-                *id = if *id == NO_TEXT {
-                    0
-                } else {
-                    new_id[*id as usize]
-                };
-            }
-        }
-        Column {
-            values: self.values,
-            nulls: self.nulls,
-        }
-    }
-}
-
-/// The zero of a column's type: the cell a value it cannot hold becomes.
-fn push_zero(values: &mut ColumnValues) {
-    match values {
-        ColumnValues::Bool(vals) => vals.push(false),
-        ColumnValues::Int(vals) => vals.push(0),
-        ColumnValues::Double(vals) => vals.push(0.0),
-        ColumnValues::Str { ids, .. } => ids.push(NO_TEXT),
-        ColumnValues::Bytes(vals) => vals.push(Vec::new()),
-    }
-}
-
-/// The dictionary id of `s`, entered at the end of `dict` when it is new.
-fn intern_id(dict: &mut Vec<String>, intern: &mut HashMap<String, u32>, s: &str) -> u32 {
-    if let Some(&id) = intern.get(s) {
-        return id;
-    }
-    let id = dict.len() as u32;
-    dict.push(s.to_string());
-    intern.insert(s.to_string(), id);
-    id
-}
-
-/// Build the segfile [`Column`] for one schema field from a row batch.
-pub fn column_from_rows(field: &rtdi_common::Field, rows: &[Row]) -> Column {
-    let mut col = ColumnBuilder::new(field.field_type);
-    for row in rows {
-        col.push(row.get(&field.name));
-    }
-    col.finish()
-}
-
 /// Encode a row batch under a schema as a segment file — what the
-/// warehouse writers (Hive part files, compaction) emit.
+/// warehouse's direct writer emits: each field's column built by one
+/// [`ColumnData::push`] per row and one [`ColumnData::seal`].
 pub fn encode_rows_segment(schema: &Schema, name: &str, rows: &[Row]) -> Result<Bytes> {
-    let columns: Vec<Column> = schema
-        .fields
-        .iter()
-        .map(|f| column_from_rows(f, rows))
-        .collect();
+    let column = |f: &rtdi_common::Field| {
+        let mut col = ColumnData::new(f.field_type);
+        rows.iter().for_each(|row| col.push(row.get(&f.name)));
+        col.seal();
+        col
+    };
+    let columns: Vec<ColumnData> = schema.fields.iter().map(column).collect();
     let meta = SegmentMeta {
         name: name.to_string(),
         table: schema.name.clone(),
@@ -1502,13 +1258,22 @@ mod tests {
         let data = encode_rows_segment(&schema, "s", &rows).unwrap();
         let file = SegmentFile::open(data).unwrap();
         let col = file.column("id").unwrap();
-        match &col.values {
-            ColumnValues::Int(vals) => {
-                assert_eq!(vals.len(), 64);
-                assert_eq!(vals[10], 10);
+        match col.as_ref() {
+            ColumnData::Int { values, .. } => {
+                assert_eq!(values.len(), 64);
+                assert_eq!(values[10], 10);
             }
             other => panic!("wrong column type: {other:?}"),
         }
+        assert_eq!(
+            (file.columns_loaded(), file.bytes_loaded()),
+            (1, {
+                file.header_bytes() + file.entry("id").unwrap().len as usize
+            })
+        );
+        // a second reader shares the decoded column
+        assert!(Arc::ptr_eq(&col, &file.column("id").unwrap()));
+        assert_eq!(file.columns_loaded(), 1);
         assert!(matches!(file.column("nope"), Err(Error::NotFound(_))));
     }
 
@@ -1764,30 +1529,20 @@ mod tests {
         }
     }
 
-    /// The dictionary build `ColumnBuilder` replaced (clone every string,
-    /// sort, dedup, binary-search per row): the reference for identical
-    /// columns.
-    fn string_column_reference(rows: &[Row], name: &str) -> Column {
-        let mut nulls = NullMask::new(rows.len());
-        for (i, row) in rows.iter().enumerate() {
-            if matches!(row.get(name), None | Some(Value::Null)) {
-                nulls.set_null(i);
-            }
-        }
+    /// The dictionary build interning replaced (clone every string, sort,
+    /// dedup, binary-search per row): the reference for identical
+    /// dictionaries and ids. A cell a Str field refuses is NULL.
+    fn string_column_reference(rows: &[Row], name: &str) -> (Vec<String>, Vec<u32>, Vec<bool>) {
         let texts: Vec<Option<String>> = rows
             .iter()
             .map(|r| match r.get(name) {
                 Some(Value::Str(s)) => Some(s.clone()),
-                Some(Value::Json(j)) => Some(rtdi_common::json::to_string(j)),
                 _ => None,
             })
             .collect();
         let mut dict: Vec<String> = texts.iter().flatten().cloned().collect();
         dict.sort_unstable();
         dict.dedup();
-        if dict.is_empty() && !rows.is_empty() {
-            dict.push(String::new());
-        }
         let ids = texts
             .iter()
             .map(|t| {
@@ -1795,23 +1550,19 @@ mod tests {
                     .map_or(0, |s| dict.binary_search(s).unwrap() as u32)
             })
             .collect();
-        Column {
-            values: ColumnValues::Str { dict, ids },
-            nulls,
-        }
+        (dict, ids, texts.iter().map(Option::is_none).collect())
     }
 
     #[test]
     fn interned_dictionary_equals_the_sorted_dedup_reference() {
         let mut next = draws(0xD1C7);
-        let field = Field::new("s", FieldType::Str);
         for len in [0usize, 1, 5, 200] {
             for cardinality in [1u64, 3, 50] {
                 let rows: Vec<Row> = (0..len)
                     .map(|_| match next() % 8 {
                         0 => Row::new(),
                         1 => Row::new().with("s", Value::Null),
-                        // a value of another type: stored as id 0, not NULL
+                        // a value of another type: NULL
                         2 => Row::new().with("s", 7i64),
                         3 => Row::new().with(
                             "s",
@@ -1820,8 +1571,18 @@ mod tests {
                         _ => Row::new().with("s", format!("v{:03}", next() % cardinality)),
                     })
                     .collect();
+                let mut col = ColumnData::new(FieldType::Str);
+                rows.iter().for_each(|r| col.push(r.get("s")));
+                col.seal();
+                let ColumnData::Str {
+                    dict, ids, nulls, ..
+                } = &col
+                else {
+                    panic!("not a string column");
+                };
+                let nulls = (0..len).map(|d| nulls.get(d)).collect();
                 assert_eq!(
-                    column_from_rows(&field, &rows),
+                    (dict.clone(), ids.clone(), nulls),
                     string_column_reference(&rows, "s"),
                     "{len} rows, {cardinality} values"
                 );

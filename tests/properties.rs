@@ -11,10 +11,10 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rtdi::common::{AggFn, FieldType, Record, Row, Schema, Value};
-use rtdi::olap::bitmap::Bitmap;
 use rtdi::olap::query::{Predicate, PredicateOp, Query};
 use rtdi::olap::segment::{IndexSpec, Segment};
 use rtdi::olap::startree::StarTreeSpec;
+use rtdi::storage::bitmap::Bitmap;
 use rtdi::storage::segfile::{self, SegmentFile};
 use rtdi::stream::log::PartitionLog;
 
@@ -42,12 +42,14 @@ fn schema() -> Schema {
             ("n", FieldType::Int),
             ("x", FieldType::Double),
             ("flag", FieldType::Bool),
+            ("blob", FieldType::Bytes),
         ],
     )
 }
 
-/// A row over the schema where each column is independently present ~75%
-/// of the time (absent columns exercise the NULL paths end to end).
+/// A row over the schema where each column but `blob` is independently
+/// present ~75% of the time (absent columns exercise the NULL paths end to
+/// end).
 fn arb_row(rng: &mut StdRng) -> Row {
     arb_row_with(rng, 0.75, 6, &Specials::default())
 }
@@ -450,11 +452,13 @@ fn by_bits(rows: Vec<Row>) -> Vec<Row> {
 /// for arbitrary queries, from a sealed, a consuming and a persisted
 /// segment (see [`assert_three_way`]): selections and aggregations,
 /// predicates of every operator, NULL-producing absent columns, group-by
-/// and projections over columns the schema does not even have, and upsert
-/// valid-doc masks. A case draws whether cells go missing at all (so the
-/// folds over NULL-free columns run too) and 6 or 200 cities (so a city
-/// group-by runs on both sides of the dense-lane rule: a selection at least
-/// as large as the dictionary, and one smaller). Specs are restricted to
+/// and projections over columns the schema does not even have, a bytes
+/// column that is not UTF-8 (filtered, grouped, ordered, projected and
+/// counted by value), and upsert valid-doc masks. A case draws whether
+/// cells go missing at all (so the folds over NULL-free columns run too)
+/// and 6 or 200 cities (so a city group-by runs on both sides of the
+/// dense-lane rule: a selection at least as large as the dictionary, and
+/// one smaller). Specs are restricted to
 /// non-reordering indices so all engines fold docs in identical order and
 /// float sums compare exactly, to the bit: half the cases hold NaN of
 /// either sign, signed zeros or infinities in `x`.
@@ -467,7 +471,13 @@ fn vectorized_execution_equals_row_reference() {
         let specials = arb_specials(&mut rng);
         let len = rng.gen_range(0..300usize);
         let rows: Vec<Row> = (0..len)
-            .map(|_| arb_row_with(&mut rng, presence, cities, &specials))
+            .map(|_| {
+                let mut row = arb_row_with(&mut rng, presence, cities, &specials);
+                if rng.gen_bool(presence) {
+                    row.push("blob", arb_blob(&mut rng));
+                }
+                row
+            })
             .collect();
         let spec = match rng.gen_range(0..3u8) {
             0 => IndexSpec::none(),
@@ -477,7 +487,13 @@ fn vectorized_execution_equals_row_reference() {
 
         let mut q = Query::select_all("t");
         for _ in 0..rng.gen_range(0..3usize) {
-            q = q.filter(arb_predicate_with(&mut rng, cities, &specials));
+            let pred = match rng.gen_range(0..5u8) {
+                // a bytes literal, or a literal of another type
+                0 => Predicate::new("blob", OPS[rng.gen_range(0..6usize)], arb_blob(&mut rng)),
+                1 => Predicate::new("blob", OPS[rng.gen_range(0..6usize)], "c1"),
+                _ => arb_predicate_with(&mut rng, cities, &specials),
+            };
+            q = q.filter(pred);
         }
         if rng.gen_bool(0.5) {
             // aggregation: slots may target absent ("ghost") columns, and
@@ -490,26 +506,32 @@ fn vectorized_execution_equals_row_reference() {
                 ("mx", AggFn::Max("n".into())),
                 ("dc", AggFn::DistinctCount("city".into())),
                 ("gg", AggFn::Sum("ghost".into())),
+                ("db", AggFn::DistinctCount("blob".into())),
+                ("sb", AggFn::Sum("blob".into())),
             ];
             for slot in 0..rng.gen_range(1..4usize) {
                 let (name, f) = &aggs[rng.gen_range(0..aggs.len())];
                 q = q.aggregate(format!("{name}{slot}"), f.clone());
             }
-            q = match rng.gen_range(0..5u8) {
+            q = match rng.gen_range(0..7u8) {
                 0 => q,
                 1 => q.group(&["city"]),
                 2 => q.group(&["city", "flag"]),
                 3 => q.group(&["ghost"]),
+                4 => q.group(&["blob"]),
+                5 => q.group(&["blob", "city"]),
                 _ => q.group(&["city", "ghost"]),
             };
         } else {
-            q = match rng.gen_range(0..3u8) {
+            q = match rng.gen_range(0..4u8) {
                 0 => q,
                 1 => q.columns(&["city", "x"]),
+                2 => q.columns(&["blob", "n"]),
                 _ => q.columns(&["ghost", "n"]),
             };
             if rng.gen_bool(0.5) {
-                q = q.order("n", rtdi::olap::query::SortOrder::Asc);
+                let by = ["n", "blob"][rng.gen_range(0..2usize)];
+                q = q.order(by, rtdi::olap::query::SortOrder::Asc);
             }
             if rng.gen_bool(0.5) {
                 q = q.limit(rng.gen_range(1..40usize));
@@ -534,6 +556,13 @@ fn vectorized_execution_equals_row_reference() {
             assert_three_way(&rows, &spec, &q, None, every, &ctx);
         }
     }
+}
+
+/// A bytes cell that is not UTF-8, of 0–3 bytes out of a small alphabet,
+/// so equal cells and equal lengths (a group key's text) recur.
+fn arb_blob(rng: &mut StdRng) -> Value {
+    let len = rng.gen_range(0..4usize);
+    Value::Bytes((0..len).map(|_| rng.gen_range(0xfd..=0xffu8)).collect())
 }
 
 /// Docs per block of an Int column's min/max statistics in a segment.
@@ -698,11 +727,11 @@ fn consuming_seal_is_byte_equal_to_batch_build() {
         let mut rng = StdRng::seed_from_u64(SEED_SEGFILE + 0x1000 + case);
         let schema = arb_schema(&mut rng);
         let rows = arb_typed_rows(&mut rng, &schema, 0, 200);
-        // JSON and bytes cells have no order of their own to sort by
+        // a JSON cell has no order of its own to sort by
         let sortable: Vec<&str> = schema
             .fields
             .iter()
-            .filter(|f| !matches!(f.field_type, FieldType::Json | FieldType::Bytes))
+            .filter(|f| f.field_type != FieldType::Json)
             .map(|f| f.name.as_str())
             .collect();
         let sorted = (!sortable.is_empty() && rng.gen_bool(0.5))
@@ -724,15 +753,8 @@ fn consuming_seal_is_byte_equal_to_batch_build() {
 
         match sorted {
             None => {
-                // OLAP keeps a bytes cell in its printed form
-                let has_bytes = schema
-                    .fields
-                    .iter()
-                    .any(|f| f.field_type == FieldType::Bytes);
-                if !has_bytes {
-                    let stored = segfile::encode_rows_segment(&schema, "p", &rows).unwrap();
-                    assert_eq!(bytes, stored, "case {case}: storage pivot differs");
-                }
+                let stored = segfile::encode_rows_segment(&schema, "p", &rows).unwrap();
+                assert_eq!(bytes, stored, "case {case}: storage pivot differs");
             }
             Some(col) => {
                 let mut by_value = rows.clone();
