@@ -9,6 +9,18 @@
 # each system crate (`crates/*/src` but the claims crate `bench`, and the
 # umbrella `src`) and their total — every `.rs` file up to its first
 # `#[cfg(test)]`, blank lines and `//` comment lines left out.
+#
+# `bash ci.sh pair <parent> <change> [workload...]` compares the repo
+# benchmark of two commits: it builds each commit's benchmark binary under
+# two lenses, the default build and one whose functions all start on a
+# 64-byte boundary (`-C llvm-args=-align-all-functions=6`, so a shift that
+# only code placement causes shows in one lens and not the other), runs
+# the two binaries alternately, and prints per metric the change's median,
+# the parent's median and quartiles, and the pairs each side won. Every
+# workload of BENCHMARK.json when none is named. Knobs: PAIR_COUNT (10),
+# PAIR_SECONDS (20), PAIR_SEED (43), PAIR_TRACE (0; 1 prints the per-layer
+# metrics), PAIR_DIR (builds and raw runs, `$TMPDIR/rtdi-pair`). It changes
+# nothing in this checkout.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -31,7 +43,112 @@ case "${1:-}" in
     printf '%-12s %6d\n' total "$total"
     exit 0
     ;;
-  *) echo "usage: bash ci.sh [gates|lines]" >&2; exit 2 ;;
+  pair)
+    [ $# -ge 3 ] || { echo "usage: bash ci.sh pair <parent> <change> [workload...]" >&2; exit 2; }
+    parent=$(git rev-parse --verify "$2^{commit}")
+    change=$(git rev-parse --verify "$3^{commit}")
+    shift 3
+    workloads=${*:-$(sed -n 's/.*{"name": "\([a-z_]*\)", "why".*/\1/p' BENCHMARK.json)}
+    pairs=${PAIR_COUNT:-10}
+    seconds=${PAIR_SECONDS:-20}
+    seed=${PAIR_SEED:-43}
+    trace=${PAIR_TRACE:-0}
+    root=${PAIR_DIR:-${TMPDIR:-/tmp}/rtdi-pair}
+    mkdir -p "$root"
+    # the benchmark binary of a commit under a lens, built once: the
+    # committed files (`git archive`, so nothing is registered in this
+    # repository), in a target dir of their own
+    bench() {
+      local dir="$root/${1:0:12}-$2" flags=""
+      [ "$2" = aligned ] && flags="-C llvm-args=-align-all-functions=6"
+      if [ ! -x "$dir/rtdi-benchmark" ]; then
+        rm -rf "$dir"
+        mkdir -p "$dir/src"
+        git archive "$1" | tar -x -C "$dir/src"
+        (cd "$dir/src" && env -u CARGO_TARGET_DIR RUSTFLAGS="$flags" \
+          cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml) >&2
+        cp "$dir/src/benchmark/target/release/rtdi-benchmark" "$dir/rtdi-benchmark"
+      fi
+      echo "$dir/rtdi-benchmark"
+    }
+    # `<metric> <better>` for every metric BENCHMARK.json declares
+    sed -n 's/.*"name": "\([^"]*\)", "unit": "[^"]*", "better": "\([a-z]*\)".*/\1 \2/p' \
+      BENCHMARK.json >"$root/better"
+    for lens in aligned default; do
+      bench "$parent" "$lens" >/dev/null
+      bench "$change" "$lens" >/dev/null
+    done
+    for lens in aligned default; do
+      for w in $workloads; do
+        runs="$root/runs-${parent:0:12}-${change:0:12}-$lens-$w-trace$trace"
+        : >"$runs"
+        for i in $(seq 1 "$pairs"); do
+          # which side runs first alternates, so a drift of the host over
+          # the session weighs on both
+          order="parent change"
+          [ $((i % 2)) -eq 0 ] && order="change parent"
+          for side in $order; do
+            sha=$parent
+            [ "$side" = change ] && sha=$change
+            # a run with a failed check exits 1 and still prints its line
+            line=$("$(bench "$sha" "$lens")" --workload "$w" --seed "$seed" \
+              --seconds "$seconds" --trace "$trace" | tail -n 1) || true
+            printf '%s\n' "$line" |
+              { grep -o '"failed": [0-9]*\|"[a-z0-9_.]*": {"value": [^,]*' || true; } |
+              sed 's/"\([^"]*\)": \({"value": \)\?/\1 /' |
+              while read -r metric value; do echo "$i $side $metric $value"; done >>"$runs"
+          done
+        done
+        echo "== $w, $lens lens: $pairs pairs, seed $seed, ${seconds} s, trace $trace"
+        echo "   parent ${parent:0:12}, change ${change:0:12}; runs in $runs"
+        awk '
+          function sorted(a, n,   i, j, t) {
+            for (i = 2; i <= n; i++)
+              for (j = i; j > 1 && a[j - 1] > a[j]; j--) { t = a[j]; a[j] = a[j - 1]; a[j - 1] = t }
+          }
+          # linear interpolation between the order statistics of a sorted a[1..n]
+          function quantile(a, n, q,   h, lo) {
+            h = (n - 1) * q + 1
+            lo = int(h)
+            return lo >= n ? a[n] : a[lo] + (h - lo) * (a[lo + 1] - a[lo])
+          }
+          # whole numbers past six digits, not an exponent
+          function num(x) { return sprintf(x >= 1e5 || x <= -1e5 ? "%.0f" : "%.6g", x) }
+          NR == FNR { better[$1] = $2; next }
+          {
+            if (!(($3) in seen)) { seen[$3] = 1; names[++m] = $3 }
+            v[$3, $2, $1] = $4
+            if ($1 > n) n = $1
+          }
+          END {
+            printf "   %-36s %14s %14s %14s %14s %6s %6s\n", "metric", "change_median",
+              "parent_median", "parent_q1", "parent_q3", "change", "parent"
+            for (k = 1; k <= m; k++) {
+              x = names[k]
+              cnt = 0; live = 0; wc = 0; wp = 0
+              for (i = 1; i <= n; i++) {
+                if (!((x, "change", i) in v) || !((x, "parent", i) in v)) continue
+                c = v[x, "change", i] + 0; p = v[x, "parent", i] + 0
+                cs[++cnt] = c; ps[cnt] = p
+                if (c != 0 || p != 0) live = 1
+                if (c != p) {
+                  lower = x == "failed" || better[x] == "lower"
+                  if ((c < p) == lower) wc++; else wp++
+                }
+              }
+              if (cnt == 0 || (!live && x != "failed")) continue
+              sorted(cs, cnt); sorted(ps, cnt)
+              printf "   %-36s %14s %14s %14s %14s %6d %6d\n", x, num(quantile(cs, cnt, 0.5)),
+                num(quantile(ps, cnt, 0.5)), num(quantile(ps, cnt, 0.25)),
+                num(quantile(ps, cnt, 0.75)), wc, wp
+            }
+            print "   (change/parent: the pairs each side won, by the metric'"'"'s better direction)"
+          }' "$root/better" "$runs"
+      done
+    done
+    exit 0
+    ;;
+  *) echo "usage: bash ci.sh [gates|lines|pair <parent> <change> [workload...]]" >&2; exit 2 ;;
 esac
 
 if [ -z "$gates_only" ]; then

@@ -300,7 +300,9 @@ impl HiveSource {
     ) -> Result<Self> {
         let mut rows = table.scan_range_timed(from, to, select)?;
         // archived data "could be out of order": restore event-time order
-        // here so the pipeline's lateness buffer needs stay bounded
+        // here so the pipeline's lateness buffer needs stay bounded. Each
+        // compacted part is in order already, so this stable sort merges
+        // one run per part
         rows.sort_by_key(|(ts, _)| *ts);
         let records = rows
             .into_iter()

@@ -67,33 +67,6 @@ impl IndexSpec {
     }
 }
 
-/// How the cells of two docs order: [`Value::total_cmp`] of what
-/// [`ColumnData::value_at`] would build for each, NULL first.
-fn cmp_docs(col: &ColumnData, a: usize, b: usize) -> Ordering {
-    let nulls = col.nulls();
-    match (nulls.get(a), nulls.get(b)) {
-        (true, true) => return Ordering::Equal,
-        (true, false) => return Ordering::Less,
-        (false, true) => return Ordering::Greater,
-        (false, false) => {}
-    }
-    match col {
-        ColumnData::Int { values, .. } => values[a].cmp(&values[b]),
-        ColumnData::Double { values, .. } => values[a].total_cmp(&values[b]),
-        ColumnData::Bool { values, .. } => values.get(a).cmp(&values.get(b)),
-        ColumnData::Str { dict, ids, .. } => {
-            let (a, b) = (ids[a] as usize, ids[b] as usize);
-            // a consuming dictionary is in insertion order
-            if a == b {
-                Ordering::Equal
-            } else {
-                dict[a].cmp(&dict[b])
-            }
-        }
-        ColumnData::Bytes { values, .. } => values[a].cmp(&values[b]),
-    }
-}
-
 /// Append the non-NULL cell to a group key as `value_at(doc)` would
 /// display, without building the value (a bytes cell aside).
 fn render_key_cell(col: &ColumnData, doc: usize, key: &mut KeyCells) {
@@ -1028,7 +1001,7 @@ fn select_rows(seg: &dyn ColumnSet, query: &Query, docs: &mut Vec<u32>) -> Vec<R
         .collect();
     let by_order_then_doc = |a: &u32, b: &u32| {
         for (col, dir) in &order {
-            let ord = dir.apply(cmp_docs(col, *a as usize, *b as usize));
+            let ord = dir.apply(col.cmp_docs(*a as usize, *b as usize));
             if ord != Ordering::Equal {
                 return ord;
             }
@@ -1138,7 +1111,7 @@ impl Segment {
                     Error::Schema(format!("sorted index on unknown column '{sorted}'"))
                 })?;
             let mut order: Vec<u32> = (0..doc_count as u32).collect();
-            order.sort_by(|&a, &b| cmp_docs(by, a as usize, b as usize));
+            order.sort_by(|&a, &b| by.cmp_docs(a as usize, b as usize));
             columns.iter_mut().for_each(|c| c.permute(&order));
         }
         let columns: BTreeMap<String, Arc<ColumnData>> = schema

@@ -9,6 +9,12 @@
 //! of a (dataset, date) into one columnar file under
 //! `warehouse/<dataset>/<date>/part-<n>` and registers it with the Hive
 //! catalog.
+//!
+//! Both are written in event-time order. A raw log holds its records by
+//! timestamp, equal timestamps in the order they came; a part file holds
+//! its rows by `__ts`, NULL first, and says so in its header
+//! (`sorted_col`), so a `__ts` range is a binary search and the Kappa+
+//! source's sort is one pass over each part.
 
 use crate::column::ColumnData;
 use crate::hive::HiveCatalog;
@@ -48,7 +54,7 @@ pub(crate) fn date_day(date: &str) -> Option<i64> {
 /// timestamp, the typed audit block and headers (public: claim E22's
 /// tiered-log model reuses it for cold chunks).
 pub fn encode_raw(records: &[Record]) -> Result<Bytes> {
-    Ok(encode_raw_refs(&records.iter().collect::<Vec<_>>()))
+    Ok(encode_raw_refs(records.iter()))
 }
 
 /// Fewest bytes a raw-log record takes: ts(8) + key tag(1) + an audit
@@ -134,7 +140,7 @@ fn decode_audit(block: &[u8]) -> Result<Audit> {
     Ok(a)
 }
 
-fn encode_raw_refs(records: &[&Record]) -> Bytes {
+fn encode_raw_refs<'a>(records: impl ExactSizeIterator<Item = &'a Record>) -> Bytes {
     let mut w = Writer::new();
     w.u32(records.len() as u32);
     for r in records {
@@ -327,29 +333,40 @@ impl ArchivalWriter {
 
     /// [`Self::write_batch`] over borrowed records, wherever they live:
     /// the archiver encodes a topic's records from the log's own handles.
-    /// Returns `(date, object key)` per object written, in date-name order, so
-    /// a caller compacts the dates without parsing a key (a dataset name
-    /// may hold a `/`).
+    /// Each object holds its records in event-time order, equal timestamps
+    /// in the order given. Returns `(date, object key)` per object written,
+    /// in date-name order, so a caller compacts the dates without parsing a
+    /// key (a dataset name may hold a `/`).
     pub fn write_records<'a>(
         &self,
         records: impl IntoIterator<Item = &'a Record>,
     ) -> Result<Vec<(String, String)>> {
-        let mut by_day: BTreeMap<i64, Vec<&Record>> = BTreeMap::new();
+        let mut by_day: BTreeMap<i64, Vec<(Timestamp, &Record)>> = BTreeMap::new();
         for r in records {
-            by_day.entry(epoch_day(r.timestamp)).or_default().push(r);
+            let day = by_day.entry(epoch_day(r.timestamp)).or_default();
+            day.push((r.timestamp, r));
         }
         // objects are written in the order of the date names
-        let mut by_date: Vec<(String, Vec<&Record>)> = by_day
+        let mut by_date: Vec<(String, Vec<(Timestamp, &Record)>)> = by_day
             .into_iter()
             .map(|(day, recs)| (day_name(day), recs))
             .collect();
         by_date.sort_by(|a, b| a.0.cmp(&b.0));
         let mut written = Vec::new();
         let policy = RetryPolicy::new(4).with_backoff_us(50, 2_000);
-        for (date, recs) in by_date {
+        for (date, mut recs) in by_date {
+            // a stable sort on the time beside each handle. Where event
+            // time follows the order the records were produced in (a log fed
+            // roughly in event-time order, late records a minority), the
+            // encode then walks them in the order they were allocated in
+            // instead of jumping across the heap partition by partition;
+            // where event times are shuffled against it, the walk is random
+            // and slower than the partition walk, which the sorted part
+            // repays when it is read back in event-time order
+            recs.sort_by_key(|&(ts, _)| ts);
             let seq = self.seq.fetch_add(1, Ordering::SeqCst);
             let key = format!("raw/{}/{}/log-{seq:08}", self.dataset, date);
-            let data = encode_raw_refs(&recs);
+            let data = encode_raw_refs(recs.iter().map(|&(_, r)| r));
             // a flaky archive is absorbed here: re-putting the same key is
             // an idempotent overwrite, so retries cannot duplicate data
             policy.run(|_| self.store.put(&key, data.clone()))?;
@@ -387,8 +404,10 @@ impl Compactor {
     }
 
     /// Compact every raw log of `(dataset, date)` into a single columnar
-    /// part file, register it with the catalog, and delete the raw logs.
-    /// Returns the number of rows compacted.
+    /// part file sorted by `__ts` (NULL first, then
+    /// [`ColumnData::cmp_docs`] order, equal times in raw-log order), which
+    /// its header claims; register it with the catalog, and delete the raw
+    /// logs. Returns the number of rows compacted.
     pub fn compact(&self, dataset: &str, date: &str, schema: &Schema) -> Result<usize> {
         let raw_prefix = format!("raw/{dataset}/{date}/");
         let keys = self.store.list(&raw_prefix)?;
@@ -396,12 +415,16 @@ impl Compactor {
             return Ok(0);
         }
         let mut full_schema = schema.clone();
-        if full_schema.field("__ts").is_none() {
-            full_schema.fields.push(rtdi_common::Field::new(
-                "__ts",
-                rtdi_common::FieldType::Timestamp,
-            ));
-        }
+        let ts_col = match full_schema.field_index("__ts") {
+            Some(i) => i,
+            None => {
+                full_schema.fields.push(rtdi_common::Field::new(
+                    "__ts",
+                    rtdi_common::FieldType::Timestamp,
+                ));
+                full_schema.fields.len() - 1
+            }
+        };
         let mut columns: Vec<ColumnData> = full_schema
             .fields
             .iter()
@@ -412,6 +435,14 @@ impl Compactor {
         }
         columns.iter_mut().for_each(ColumnData::seal);
         let nrows = columns.first().map_or(0, ColumnData::len);
+        // one raw log written by `ArchivalWriter` is in order already; two
+        // of one date, or rows that carry their own `__ts`, may not be
+        let by = &columns[ts_col];
+        if !by.is_sorted() {
+            let mut order: Vec<u32> = (0..nrows as u32).collect();
+            order.sort_by(|&a, &b| by.cmp_docs(a as usize, b as usize));
+            columns.iter_mut().for_each(|c| c.permute(&order));
+        }
         // a date compacted before keeps its files: this one takes the
         // next part number, as `HiveCatalog::write_rows` does
         let n = self.catalog.table(dataset)?.part_count(date);
@@ -421,7 +452,7 @@ impl Compactor {
         let meta = SegmentMeta {
             name: format!("{dataset}-{date}-{n:05}"),
             table: full_schema.name.clone(),
-            sorted_col: None,
+            sorted_col: Some("__ts".into()),
             nrows: nrows as u64,
         };
         let data = segfile::encode_segment(&meta, &full_schema.fields, &columns)?;
@@ -600,6 +631,27 @@ mod tests {
     }
 
     #[test]
+    fn raw_logs_hold_their_records_in_event_time_order() {
+        let store = Arc::new(InMemoryStore::new());
+        let w = ArchivalWriter::new(store.clone(), "trips");
+        let day = 86_400_000i64;
+        // two days, each out of order, equal times among them
+        let times = [30, day + 5, 10, 30, day + 1, 20, 10, day + 5, 30];
+        let batch: Vec<Record> = (0i64..).zip(times).map(|(i, ts)| rec(i, ts)).collect();
+        assert_eq!(w.write_batch(&batch).unwrap().len(), 2);
+        let order = |date: &str| -> Vec<(Timestamp, i64)> {
+            let recs = w.read_raw(date).unwrap();
+            recs.iter()
+                .map(|r| (r.timestamp, r.value.get_int("id").unwrap()))
+                .collect()
+        };
+        // equal times keep the order they were given in
+        let d0 = [(10, 2), (10, 6), (20, 5), (30, 0), (30, 3), (30, 8)];
+        assert_eq!(order("d000000"), d0);
+        assert_eq!(order("d000001"), [(day + 1, 4), (day + 5, 1), (day + 5, 7)]);
+    }
+
+    #[test]
     fn compaction_merges_and_registers() {
         let store = Arc::new(InMemoryStore::new());
         let catalog = HiveCatalog::new(store.clone() as Arc<dyn ObjectStore>);
@@ -650,12 +702,32 @@ mod tests {
         assert_eq!(ids, (0..20).collect::<Vec<i64>>());
     }
 
+    /// A part file of `rows`: one sealed column per field of `schema` and
+    /// the sort claim as given.
+    fn part_file(schema: &Schema, name: &str, rows: &[Row], sorted_col: Option<&str>) -> Bytes {
+        let column = |f: &rtdi_common::Field| {
+            let mut col = ColumnData::new(f.field_type);
+            rows.iter().for_each(|row| col.push(row.get(&f.name)));
+            col.seal();
+            col
+        };
+        let columns: Vec<ColumnData> = schema.fields.iter().map(column).collect();
+        let meta = SegmentMeta {
+            name: name.into(),
+            table: schema.name.clone(),
+            sorted_col: sorted_col.map(String::from),
+            nrows: rows.len() as u64,
+        };
+        segfile::encode_segment(&meta, &schema.fields, &columns).unwrap()
+    }
+
     #[test]
     fn compaction_writes_the_file_the_row_detour_wrote() {
-        // decode_raw -> Row -> encode_rows_segment is what compaction used
-        // to do: the column builders must produce the same bytes from rows
-        // that are missing columns, repeat one, carry extra ones, hold NULLs
-        // and values of the wrong type, and bring their own event time
+        // decode_raw -> Row -> a stable sort by `__ts` -> one column per
+        // field is what compaction used to do: the column builders must
+        // produce the same bytes from rows that are missing columns, repeat
+        // one, carry extra ones, hold NULLs and values of the wrong type,
+        // and bring their own event time, out of order or NULL
         let schema = Schema::of(
             "t",
             &[
@@ -697,7 +769,7 @@ mod tests {
         full_schema
             .fields
             .push(rtdi_common::Field::new("__ts", FieldType::Timestamp));
-        let rows: Vec<Row> = decode_raw(&encode_raw(&records).unwrap())
+        let mut rows: Vec<Row> = decode_raw(&encode_raw(&records).unwrap())
             .unwrap()
             .into_iter()
             .map(|r| {
@@ -708,7 +780,9 @@ mod tests {
                 row
             })
             .collect();
-        let expect = segfile::encode_rows_segment(&full_schema, "t-d000000-00000", &rows).unwrap();
+        // NULL first, then by time: `None < Some`
+        rows.sort_by_key(|row| row.get("__ts").and_then(Value::as_int));
+        let expect = part_file(&full_schema, "t-d000000-00000", &rows, Some("__ts"));
         let written = store.get("warehouse/t/d000000/part-00000").unwrap();
         assert_eq!(written, expect);
     }

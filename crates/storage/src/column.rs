@@ -12,6 +12,7 @@
 
 use crate::bitmap::Bitmap;
 use rtdi_common::{json, FieldType, Value};
+use std::cmp::Ordering;
 use std::collections::HashMap;
 
 /// Docs per block of an Int column's statistics.
@@ -252,6 +253,42 @@ impl ColumnData {
         }
     }
 
+    /// How the cells of two docs order: [`Value::total_cmp`] of what
+    /// [`Self::value_at`] would build for each, NULL first. A sorted
+    /// segment's rows are in this order: the OLAP seal sorts by it, the
+    /// warehouse compaction too, and the segment decoder holds a file's
+    /// sort claim to it.
+    #[inline]
+    pub fn cmp_docs(&self, a: usize, b: usize) -> Ordering {
+        let nulls = self.nulls();
+        match (nulls.get(a), nulls.get(b)) {
+            (true, true) => return Ordering::Equal,
+            (true, false) => return Ordering::Less,
+            (false, true) => return Ordering::Greater,
+            (false, false) => {}
+        }
+        match self {
+            ColumnData::Int { values, .. } => values[a].cmp(&values[b]),
+            ColumnData::Double { values, .. } => values[a].total_cmp(&values[b]),
+            ColumnData::Bool { values, .. } => values.get(a).cmp(&values.get(b)),
+            ColumnData::Str { dict, ids, .. } => {
+                let (a, b) = (ids[a] as usize, ids[b] as usize);
+                // a column being built has its dictionary in insertion order
+                if a == b {
+                    Ordering::Equal
+                } else {
+                    dict[a].cmp(&dict[b])
+                }
+            }
+            ColumnData::Bytes { values, .. } => values[a].cmp(&values[b]),
+        }
+    }
+
+    /// Whether no doc orders after the next by [`Self::cmp_docs`].
+    pub fn is_sorted(&self) -> bool {
+        (1..self.len()).all(|d| self.cmp_docs(d - 1, d) != Ordering::Greater)
+    }
+
     /// The cell as a [`Value`]: a Str column's text (a Json field's too) as
     /// `Value::Str`.
     #[inline]
@@ -462,6 +499,33 @@ mod tests {
             let all = |c: &ColumnData| (0..5).map(|d| c.value_at(d)).collect::<Vec<_>>();
             assert_eq!(all(&by_value), all(&by_str), "{ftype:?}");
         }
+    }
+
+    #[test]
+    fn docs_order_null_first_then_by_value() {
+        let sorted = |cells: &[Option<Value>]| {
+            let mut col = ColumnData::new(FieldType::Int);
+            cells.iter().for_each(|c| col.push(c.as_ref()));
+            col.is_sorted()
+        };
+        let (null, int) = (None, |v: i64| Some(Value::Int(v)));
+        assert!(sorted(&[]));
+        assert!(sorted(&[
+            null.clone(),
+            null.clone(),
+            int(-5),
+            int(-5),
+            int(3)
+        ]));
+        assert!(!sorted(&[int(-5), null.clone(), int(3)]));
+        assert!(!sorted(&[null, int(3), int(-5)]));
+        // a column being built compares its text, not its ids
+        let mut col = ColumnData::new(FieldType::Str);
+        ["b", "a"].iter().for_each(|s| col.push_str(s));
+        assert_eq!(col.cmp_docs(0, 1), Ordering::Greater);
+        assert!(!col.is_sorted());
+        col.seal();
+        assert_eq!(col.cmp_docs(0, 1), Ordering::Greater);
     }
 
     #[test]

@@ -343,7 +343,9 @@ pub struct SegmentMeta {
     pub name: String,
     /// Owning table / schema name.
     pub table: String,
-    /// Column the rows are physically sorted by, if any.
+    /// Column the rows are physically sorted by, if any: NULL first, then
+    /// [`ColumnData::cmp_docs`] order. Readers binary-search it, so the
+    /// decoder refuses the column when its rows break the claim.
     pub sorted_col: Option<String>,
     /// Row count shared by every column.
     pub nrows: u64,
@@ -395,15 +397,17 @@ fn run_count<T: PartialEq>(vals: &[T]) -> usize {
     runs
 }
 
-fn rle_runs<T: PartialEq + Copy>(vals: &[T]) -> Vec<(u32, T)> {
-    let mut runs: Vec<(u32, T)> = Vec::new();
-    for &v in vals {
-        match runs.last_mut() {
-            Some((len, last)) if *last == v => *len += 1,
-            _ => runs.push((1, v)),
-        }
+/// Write `vals` as `(run_len u32, value)` pairs, one per run, straight
+/// from the slice: a sorted column's runs are many.
+fn write_runs<T: PartialEq + Copy>(
+    w: &mut Writer,
+    vals: &[T],
+    mut value: impl FnMut(&mut Writer, T),
+) {
+    for run in vals.chunk_by(|a, b| a == b) {
+        w.u32(run.len() as u32);
+        value(w, run[0]);
     }
-    runs
 }
 
 fn encode_int_block(w: &mut Writer, vals: &[i64]) {
@@ -418,12 +422,8 @@ fn encode_int_block(w: &mut Writer, vals: &[i64]) {
     let rle_cost = 1 + 4 + nruns * 12;
     if rle_cost < packed_cost {
         w.u8(ENC_RLE);
-        let runs = rle_runs(vals);
-        w.u32(runs.len() as u32);
-        for (len, v) in runs {
-            w.u32(len);
-            w.i64(v);
-        }
+        w.u32(nruns as u32);
+        write_runs(w, vals, Writer::i64);
     } else {
         w.u8(ENC_PACKED);
         w.i64(min);
@@ -446,12 +446,8 @@ fn encode_double_block(w: &mut Writer, vals: &[f64]) {
     let raw_cost = 1 + vals.len() * 8;
     if rle_cost < raw_cost {
         w.u8(ENC_RLE);
-        let runs = rle_runs(&bits);
-        w.u32(runs.len() as u32);
-        for (len, b) in runs {
-            w.u32(len);
-            w.u64(b);
-        }
+        w.u32(nruns as u32);
+        write_runs(w, &bits, Writer::u64);
     } else {
         w.u8(ENC_PACKED);
         for &b in &bits {
@@ -467,12 +463,8 @@ fn encode_id_block(w: &mut Writer, ids: &[u32], dict_len: usize) {
     let rle_cost = 1 + 4 + nruns * 8;
     if rle_cost < packed_cost {
         w.u8(ENC_RLE);
-        let runs = rle_runs(ids);
-        w.u32(runs.len() as u32);
-        for (len, id) in runs {
-            w.u32(len);
-            w.u32(id);
-        }
+        w.u32(nruns as u32);
+        write_runs(w, ids, Writer::u32);
     } else {
         w.u8(ENC_PACKED);
         w.u8(width as u8);
@@ -892,7 +884,9 @@ impl SegmentFile {
         self.column_at(idx)
     }
 
-    /// The column at index-map position `idx`, decoded on first use.
+    /// The column at index-map position `idx`, decoded on first use. The
+    /// column the file claims to be sorted by is checked then, once: rows
+    /// out of that order are [`Error::Corruption`].
     pub fn column_at(&self, idx: usize) -> Result<Arc<ColumnData>> {
         let (entry, slot) = self
             .entries
@@ -905,8 +899,17 @@ impl SegmentFile {
         }
         let start = entry.offset as usize;
         let block = &self.data.as_slice()[start..start + entry.len as usize];
-        let col =
-            decode_column_block(block, entry.field_type, self.nrows()).map_err(|e| match e {
+        let claimed = self.meta.sorted_col.as_deref() == Some(entry.name.as_str());
+        let col = decode_column_block(block, entry.field_type, self.nrows())
+            .and_then(|col| {
+                if claimed && !col.is_sorted() {
+                    return Err(Error::Corruption(
+                        "rows are not in the order the file claims".into(),
+                    ));
+                }
+                Ok(col)
+            })
+            .map_err(|e| match e {
                 Error::Corruption(msg) => {
                     Error::Corruption(format!("column '{}': {msg}", entry.name))
                 }

@@ -27,7 +27,9 @@ use rtdi::storage::segfile::{crc32, encode_rows_segment};
 use std::sync::Arc;
 
 /// `(encoder, byte length, CRC32)`, taken before the port; a segment file's
-/// without its footer's last eight bytes ([`segment_body`]).
+/// without its footer's last eight bytes ([`segment_body`]). One format
+/// change since: a compacted part names its sort column, `__ts`, in its
+/// header (`segfile-compact`, 4455 bytes before, four more now).
 const EXPECTED: &[(&str, usize, u32)] = &[
     ("raw-log", 619, 0x3306eccd),
     ("rows", 354, 0x9bc9053e),
@@ -42,7 +44,7 @@ const EXPECTED: &[(&str, usize, u32)] = &[
     ("segfile-rows", 4150, 0xa1949135),
     ("segfile-persist", 2806, 0x2a6c1266),
     ("segfile-persist-sorted", 2801, 0x790d9068),
-    ("segfile-compact", 4455, 0x6426d88b),
+    ("segfile-compact", 4459, 0xcde585b7),
 ];
 
 /// A value of every tag the raw log and row layouts know.

@@ -9,7 +9,9 @@
 //! The invariant is the bugfix contract of every decoder: fed hostile
 //! bytes it may succeed (benign damage — only segment files carry a
 //! checksum) or return `Err(Error::Corruption)`, but it must NEVER panic
-//! and never surface another error kind. A panic fails `ci.sh`.
+//! and never surface another error kind. A panic fails `ci.sh`. A segment
+//! file whose checksum holds but whose rows break its sort claim is
+//! `Corruption` too, never a wrong answer.
 //!
 //! The corpus derives entirely from a seed (`RTDI_FUZZ_SEED` in ci), so
 //! the printed `DECODER_SUMMARY` lines — one per decoder, with the size
@@ -30,11 +32,12 @@ use rtdi::compute::{
 use rtdi::core::platform::RealtimePlatform;
 use rtdi::olap::query::Query;
 use rtdi::olap::segment::{IndexSpec, Segment};
-use rtdi::storage::archival::{decode_raw, encode_raw, Compactor};
+use rtdi::storage::archival::{decode_raw, encode_raw, ArchivalWriter, Compactor};
+use rtdi::storage::column::ColumnData;
 use rtdi::storage::hive::{HiveCatalog, HiveTable};
 use rtdi::storage::keyed::KeyedSnapshot;
 use rtdi::storage::object::{InMemoryStore, ObjectStore};
-use rtdi::storage::segfile;
+use rtdi::storage::segfile::{self, SegmentMeta};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -222,10 +225,37 @@ impl Warehouse {
     }
 }
 
+/// A part file of `rows`: one sealed column per field of `schema` and the
+/// sort claim as given, true or not.
+fn part_file(schema: &Schema, name: &str, rows: &[Row], sorted_col: Option<&str>) -> Vec<u8> {
+    let column = |f: &Field| {
+        let mut col = ColumnData::new(f.field_type);
+        rows.iter().for_each(|row| col.push(row.get(&f.name)));
+        col.seal();
+        col
+    };
+    let columns: Vec<ColumnData> = schema.fields.iter().map(column).collect();
+    let meta = SegmentMeta {
+        name: name.into(),
+        table: schema.name.clone(),
+        sorted_col: sorted_col.map(String::from),
+        nrows: rows.len() as u64,
+    };
+    segfile::encode_segment(&meta, &schema.fields, &columns)
+        .unwrap()
+        .to_vec()
+}
+
+/// The event time a row's `__ts` cell holds once its column coerces it:
+/// `None` (NULL) orders first.
+fn event_time(row: &Row) -> Option<i64> {
+    row.get("__ts").and_then(Value::as_int)
+}
+
 /// Compact a damaged raw log into a warehouse of its own. Whenever
 /// `decode_raw` accepts the bytes, the part file must be the one the row
-/// detour writes: the decoded rows, each with its event time, through
-/// `encode_rows_segment`.
+/// detour writes: the decoded rows, each with its event time, stably
+/// sorted by it, through [`part_file`] with `__ts` claimed.
 fn probe_compaction(schema: &Schema, bytes: Vec<u8>) -> Result<()> {
     let store: Arc<dyn ObjectStore> = Arc::new(InMemoryStore::new());
     let catalog = HiveCatalog::new(store.clone());
@@ -239,16 +269,20 @@ fn probe_compaction(schema: &Schema, bytes: Vec<u8>) -> Result<()> {
     assert_eq!(n, records.len());
     let mut full = schema.clone();
     full.fields.push(Field::new("__ts", FieldType::Timestamp));
-    let rows: Vec<Row> = records
+    let mut rows: Vec<Row> = records
         .into_iter()
         .map(|r| match r.value.get("__ts") {
             Some(_) => r.value,
             None => r.value.with("__ts", r.timestamp),
         })
         .collect();
-    let detour = segfile::encode_rows_segment(&full, "fz-d000000-00000", &rows)?;
+    rows.sort_by_key(event_time);
+    let detour = part_file(&full, "fz-d000000-00000", &rows, Some("__ts"));
     let written = store.get("warehouse/fz/d000000/part-00000")?;
-    assert!(written == detour, "compaction and the row detour disagree");
+    assert!(
+        written.as_slice() == detour,
+        "compaction and the row detour disagree"
+    );
     Ok(())
 }
 
@@ -423,6 +457,137 @@ fn soak(seed: u64) -> Vec<String> {
         )
     };
     tallies.iter().map(line).collect()
+}
+
+/// `COUNT(*)` of `hive.<table>` under `cond`.
+fn count_where(platform: &RealtimePlatform, table: &str, cond: &str) -> Result<i64> {
+    let sql = format!("SELECT COUNT(*) AS n FROM hive.{table} WHERE {cond}");
+    let out = platform.sql(&sql)?;
+    Ok(out.rows.first().and_then(|r| r.get_int("n")).unwrap_or(0))
+}
+
+#[test]
+fn a_false_sort_claim_is_corruption_not_a_wrong_answer() {
+    // readers binary-search a claimed column: over these rows a claim of
+    // `__ts` answered `>= 25` as 6, `< 25` as 2 and `= 40` as 0
+    let schema = Schema::of(
+        "t",
+        &[("id", FieldType::Int), ("__ts", FieldType::Timestamp)],
+    );
+    let rows: Vec<Row> = [50i64, 10, 40, 20, 30, 60, 0, 70]
+        .into_iter()
+        .enumerate()
+        .map(|(i, ts)| Row::new().with("id", i as i64).with("__ts", ts))
+        .collect();
+    let conds = ["__ts >= 25", "__ts < 25", "__ts = 40"];
+    for claim in [None, Some("__ts")] {
+        let platform = RealtimePlatform::new();
+        platform
+            .catalog()
+            .create_table("t", schema.clone())
+            .unwrap();
+        let part = "warehouse/t/d000000/part-00000";
+        let file = part_file(&schema, "t-d000000-00000", &rows, claim);
+        platform.store().put(part, file.into()).unwrap();
+        let catalog = platform.catalog();
+        catalog
+            .register_partition("t", "d000000", part, rows.len())
+            .unwrap();
+        for (cond, want) in conds.into_iter().zip([5, 3, 1]) {
+            match (claim, count_where(&platform, "t", cond)) {
+                (None, Ok(n)) => assert_eq!(n, want, "{cond}"),
+                (Some(_), Err(Error::Corruption(msg))) => assert!(msg.contains("__ts"), "{msg}"),
+                (_, got) => panic!("claim {claim:?}, {cond}: {got:?}"),
+            }
+        }
+    }
+}
+
+#[test]
+fn a_sorted_part_with_two_times_swapped_is_corruption_everywhere() {
+    // a part `Compactor::compact` wrote, claims and all, then written again
+    // with two `__ts` cells of different value swapped: every reader that
+    // decodes `__ts` refuses it, and none panics or answers
+    let schema = Schema::of("fz", &[("id", FieldType::Int)]);
+    let mut swapped = 0;
+    for case in 0..16u64 {
+        let mut rng = StdRng::seed_from_u64(DEFAULT_SEED.wrapping_add(case));
+        let records: Vec<Record> = (0..rng.gen_range(2..60i64))
+            .map(|i| {
+                let row = Row::new().with("id", i);
+                let ts = rng.gen_range(0..50_000i64);
+                // now and then a NULL event time of the row's own
+                if rng.gen_bool(0.1) {
+                    Record::new(row.with("__ts", Value::Null), ts)
+                } else {
+                    Record::new(row, ts)
+                }
+            })
+            .collect();
+        let store: Arc<dyn ObjectStore> = Arc::new(InMemoryStore::new());
+        let catalog = HiveCatalog::new(store.clone());
+        catalog.create_table("fz", schema.clone()).unwrap();
+        ArchivalWriter::new(store.clone(), "fz")
+            .write_batch(&records)
+            .unwrap();
+        Compactor::new(store.clone(), catalog)
+            .compact("fz", "d000000", &schema)
+            .unwrap();
+        let sorted = store.get("warehouse/fz/d000000/part-00000").unwrap();
+        let (full, mut rows) = segfile::decode_rows_segment(&sorted).unwrap();
+        // the undamaged part is its own detour, claim included
+        assert_eq!(
+            part_file(&full, "fz-d000000-00000", &rows, Some("__ts")),
+            sorted.to_vec()
+        );
+        let (a, b) = (rng.gen_range(0..rows.len()), rng.gen_range(0..rows.len()));
+        let (a, b) = (a.min(b), a.max(b));
+        if event_time(&rows[a]) == event_time(&rows[b]) {
+            continue;
+        }
+        let (ta, tb) = (rows[a].get("__ts").cloned(), rows[b].get("__ts").cloned());
+        rows[a].set("__ts", tb.unwrap_or(Value::Null));
+        rows[b].set("__ts", ta.unwrap_or(Value::Null));
+        let bad = part_file(&full, "fz-d000000-00000", &rows, Some("__ts"));
+        swapped += 1;
+
+        let warehouse = Warehouse::new();
+        warehouse
+            .platform
+            .store()
+            .put(PART, bad.clone().into())
+            .unwrap();
+        let corrupt = |what: &str, outcome: Result<()>| match outcome {
+            Err(Error::Corruption(msg)) => assert!(msg.contains("__ts"), "{what}: {msg}"),
+            other => panic!("case {case} {what}: {other:?}"),
+        };
+        // a time the zone map cannot prune away: one of the two swapped
+        let t = event_time(&rows[a]).or(event_time(&rows[b])).unwrap_or(0);
+        for op in [">=", "<=", "="] {
+            let cond = format!("__ts {op} {t}");
+            corrupt(
+                &cond,
+                count_where(&warehouse.platform, "fz", &cond).map(drop),
+            );
+        }
+        corrupt(
+            "select",
+            warehouse.platform.sql("SELECT * FROM hive.fz").map(drop),
+        );
+        let source = HiveSource::new(&warehouse.table, 0, i64::MAX, 64, None);
+        corrupt("hive source", source.map(drop));
+        corrupt(
+            "rows",
+            segfile::decode_rows_segment(&bad.clone().into()).map(drop),
+        );
+        let lazy = Segment::load_lazy(bad.into()).unwrap();
+        corrupt("lazy", lazy.execute(&Query::select_all("fz")).map(drop));
+        corrupt("reload", lazy.into_segment(&IndexSpec::none()).map(drop));
+    }
+    assert!(
+        swapped >= 8,
+        "only {swapped} of 16 parts had two times to swap"
+    );
 }
 
 #[test]

@@ -33,6 +33,7 @@ const SEED_SEGFUZZ: u64 = 0x5E6F_F422;
 const SEED_HIVE: u64 = 0x0041_7E5C;
 const SEED_BLOCKS: u64 = 0xB10C_5EED;
 const SEED_WINDOWS: u64 = 0x0057_A7E5;
+const SEED_COMPACTION: u64 = 0xC0_4D5E_0A7E;
 
 fn schema() -> Schema {
     Schema::of(
@@ -2105,5 +2106,195 @@ mod pinned_regressions {
         assert_eq!(out.rows.len(), 2, "NULL key must not merge with 'NULL'");
         assert_eq!(out.rows[0].get("city"), Some(&Value::Null));
         assert_eq!(out.rows[1].get("city"), Some(&Value::Str("NULL".into())));
+    }
+}
+
+/// Every part `Compactor::compact` writes is in event-time order and says
+/// so, whatever order its input came in: two raw logs of one date, rows
+/// that carry their own `__ts` (out of order, or NULL), days before 1970.
+/// The part holds the input's rows, equal times in raw-log order, and every
+/// `__ts` range reads as a row oracle over the unsorted input reads it:
+/// `scan_range_timed`, and SQL `=`, `<`, `>=` and two-sided ranges.
+mod sorted_compaction {
+    use super::*;
+    use rtdi::sql::connector::HiveConnector;
+    use rtdi::sql::engine::{EngineConfig, SqlEngine};
+    use rtdi::storage::archival::{date_partition, ArchivalWriter, Compactor};
+    use rtdi::storage::column::ColumnData;
+    use rtdi::storage::hive::HiveCatalog;
+    use rtdi::storage::object::{InMemoryStore, ObjectStore};
+    use std::sync::Arc;
+
+    const DAY: i64 = 86_400_000;
+
+    #[derive(Debug, Clone, Copy)]
+    enum Shape {
+        TwoRawLogs,
+        OwnTimes,
+        Before1970,
+    }
+
+    /// The raw logs of one date, each a batch in no time order. Times fall
+    /// on 200 instants of the day, so many are equal.
+    fn raw_logs(rng: &mut StdRng, shape: Shape) -> (i64, Vec<Vec<Record>>) {
+        let day = match shape {
+            Shape::Before1970 => -rng.gen_range(1..400i64),
+            _ => rng.gen_range(0..400i64),
+        };
+        let logs = match shape {
+            Shape::OwnTimes => 1,
+            Shape::TwoRawLogs => 2,
+            Shape::Before1970 => rng.gen_range(1..=2),
+        };
+        let own = match shape {
+            Shape::TwoRawLogs => 0.0,
+            _ => 0.3,
+        };
+        let instant = |rng: &mut StdRng| day * DAY + rng.gen_range(0..200i64) * 1_000;
+        let mut id = 0i64;
+        let batches = (0..logs)
+            .map(|_| {
+                (0..rng.gen_range(1..300))
+                    .map(|_| {
+                        id += 1;
+                        let city = format!("c{}", rng.gen_range(0..5u8));
+                        let mut row = Row::new().with("id", id).with("city", city);
+                        if rng.gen_bool(own) {
+                            let cell = if rng.gen_bool(0.3) {
+                                Value::Null
+                            } else {
+                                Value::Int(instant(rng))
+                            };
+                            row.push("__ts", cell);
+                        }
+                        Record::new(row, instant(rng))
+                    })
+                    .collect()
+            })
+            .collect();
+        (day, batches)
+    }
+
+    /// A record's row as the part holds it, with the event time it keeps:
+    /// its own `__ts` cell, or else its timestamp.
+    fn stored(r: &Record) -> (Option<i64>, Row) {
+        let ts = match r.value.get("__ts") {
+            Some(cell) => cell.as_int(),
+            None => Some(r.timestamp),
+        };
+        let row = Row::new()
+            .with("id", r.value.get("id").cloned().unwrap_or(Value::Null))
+            .with("city", r.value.get("city").cloned().unwrap_or(Value::Null))
+            .with("__ts", ts.map_or(Value::Null, Value::Int));
+        (ts, row)
+    }
+
+    fn ids(rows: impl IntoIterator<Item = Row>) -> Vec<i64> {
+        let mut ids: Vec<i64> = rows.into_iter().filter_map(|r| r.get_int("id")).collect();
+        ids.sort_unstable();
+        ids
+    }
+
+    #[test]
+    fn compacted_parts_are_sorted_by_event_time_and_read_like_their_input() {
+        let schema = Schema::of("t", &[("id", FieldType::Int), ("city", FieldType::Str)]);
+        for case in 0..30u64 {
+            let mut rng = StdRng::seed_from_u64(SEED_COMPACTION + case);
+            let shape = [Shape::TwoRawLogs, Shape::OwnTimes, Shape::Before1970][case as usize % 3];
+            let ctx = format!("case {case} ({shape:?})");
+            let (day, logs) = raw_logs(&mut rng, shape);
+            let store: Arc<dyn ObjectStore> = Arc::new(InMemoryStore::new());
+            let catalog = HiveCatalog::new(store.clone());
+            let table = catalog.create_table("t", schema.clone()).unwrap();
+            let writer = ArchivalWriter::new(store.clone(), "t");
+            logs.iter()
+                .for_each(|batch| drop(writer.write_batch(batch).unwrap()));
+            let date = date_partition(day * DAY);
+            assert_eq!(writer.raw_keys(&date).unwrap().len(), logs.len(), "{ctx}");
+            let n = Compactor::new(store.clone(), catalog.clone()).compact("t", &date, &schema);
+            let input: Vec<(Option<i64>, Row)> = logs.iter().flatten().map(stored).collect();
+            assert_eq!(n.unwrap(), input.len(), "{ctx}");
+
+            // the part claims `__ts`, and its cells are NULL first, then
+            // non-decreasing
+            let files = table.open_parts(|_| true).unwrap();
+            assert_eq!(files.len(), 1, "{ctx}");
+            assert_eq!(files[0].meta().sorted_col.as_deref(), Some("__ts"), "{ctx}");
+            let ColumnData::Int { values, nulls, .. } = &*files[0].column("__ts").unwrap() else {
+                panic!("{ctx}: `__ts` is not an integer column");
+            };
+            let cells: Vec<Option<i64>> = (0..values.len())
+                .map(|d| (!nulls.get(d)).then_some(values[d]))
+                .collect();
+            assert!(cells.windows(2).all(|w| w[0] <= w[1]), "{ctx}: {cells:?}");
+
+            // the input's rows: each raw log in time order, the logs in
+            // write order, then a stable sort by the time each row keeps
+            let mut want: Vec<(Option<i64>, Row)> = Vec::new();
+            for batch in &logs {
+                let mut log: Vec<&Record> = batch.iter().collect();
+                log.sort_by_key(|r| r.timestamp);
+                want.extend(log.into_iter().map(stored));
+            }
+            want.sort_by_key(|(ts, _)| *ts);
+            let got = table.scan_all().unwrap();
+            let want_rows: Vec<Row> = want.iter().map(|(_, r)| r.clone()).collect();
+            assert_eq!(got, want_rows, "{ctx}");
+
+            // ranges: through the Kappa+ read path and through SQL, against
+            // the unsorted input
+            let engine = {
+                let mut e = SqlEngine::new(EngineConfig {
+                    default_catalog: "w".into(),
+                    enable_pushdown: true,
+                });
+                e.register_connector("w", Arc::new(HiveConnector::new(catalog.clone())));
+                e
+            };
+            let times: Vec<i64> = input.iter().filter_map(|(ts, _)| *ts).collect();
+            for q in 0..if times.is_empty() { 0 } else { 8 } {
+                let a = times[rng.gen_range(0..times.len())];
+                let b = a + rng.gen_range(0..80i64) * 1_000;
+                let (from, to) = (a - rng.gen_range(0..2i64) * 500, b + 1);
+                let mut got: Vec<(i64, i64)> = table
+                    .scan_range_timed(from, to, None)
+                    .unwrap()
+                    .into_iter()
+                    .map(|(ts, row)| (ts, row.get_int("id").unwrap()))
+                    .collect();
+                got.sort_unstable();
+                let mut oracle: Vec<(i64, i64)> = input
+                    .iter()
+                    .filter(|(ts, _)| ts.is_none_or(|t| from <= t && t < to))
+                    .map(|(ts, row)| (ts.unwrap_or(0), row.get_int("id").unwrap()))
+                    .collect();
+                oracle.sort_unstable();
+                assert_eq!(
+                    got, oracle,
+                    "{ctx} query {q}: scan_range_timed [{from}, {to})"
+                );
+
+                let preds: [(String, &dyn Fn(i64) -> bool); 5] = [
+                    (format!("__ts = {a}"), &|t| t == a),
+                    (format!("__ts < {a}"), &|t| t < a),
+                    (format!("__ts >= {a}"), &|t| t >= a),
+                    (format!("__ts >= {from} AND __ts < {to}"), &|t| {
+                        from <= t && t < to
+                    }),
+                    (format!("__ts > {a} AND __ts <= {b}"), &|t| a < t && t <= b),
+                ];
+                for (cond, holds) in preds {
+                    let sql = format!("SELECT id FROM t WHERE {cond}");
+                    let out = engine
+                        .query(&sql)
+                        .unwrap_or_else(|e| panic!("{ctx}: {sql}: {e}"));
+                    let want = input
+                        .iter()
+                        .filter(|(ts, _)| ts.is_some_and(holds))
+                        .map(|(_, row)| row.clone());
+                    assert_eq!(ids(out.rows), ids(want), "{ctx}: {sql}");
+                }
+            }
+        }
     }
 }
