@@ -16,6 +16,16 @@ fn counts_heap_traffic_and_enforces_budgets() {
     assert_eq!(sum, 499_500);
     assert_allocs_at_most("pure arithmetic", quiet, 0);
 
+    // a buffer built and freed inside the region still counts at its peak,
+    // and a region nested inside leaves the outer high-water mark standing
+    let ((), held) = count_allocations(|| {
+        drop(vec![1u8; 1 << 20]);
+        let ((), inner) = count_allocations(|| drop(vec![2u8; 1 << 10]));
+        assert!(inner.peak_live >= 1 << 10 && inner.peak_live < 1 << 20);
+    });
+    assert!(held.peak_live >= 1 << 20, "{held}");
+    assert!(built.peak_live >= 4096 && quiet.peak_live == 0);
+
     let over = std::panic::catch_unwind(|| assert_allocs_at_most("vec build", built, 0));
     let message = over.unwrap_err().downcast::<String>().unwrap();
     assert!(message.contains("vec build: expected at most 0 allocations"));

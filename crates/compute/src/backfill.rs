@@ -12,7 +12,9 @@
 //! [`kappa_plus_job`] takes the *same operator chain* a streaming job uses
 //! and wires it to a bounded, throttled [`HiveSource`] over the archive —
 //! "the same code with minor config changes on both streaming or batch
-//! data sources".
+//! data sources". The source holds one group of part files decoded at a
+//! time, and its checkpoint position names a group and an offset in it, so
+//! a restore reopens that group alone.
 //!
 //! The alternative the paper rules out — Kappa (replaying Kafka itself) —
 //! is modelled by [`kafka_replay_job`], which fails when the requested
@@ -357,5 +359,73 @@ mod tests {
         assert_eq!(lo, 0);
         assert_eq!(hi, 9901);
         assert!(detect_bounds(&table, 1_000_000, 2_000_000).is_err());
+    }
+
+    #[test]
+    fn kappa_plus_resumes_from_a_checkpoint_inside_a_later_part_group() {
+        // four days, two overlapping parts each: four groups of 120 rows
+        let store = Arc::new(InMemoryStore::new());
+        let catalog = HiveCatalog::new(store.clone());
+        let schema = Schema::of(
+            "trips",
+            &[
+                ("city", rtdi_common::FieldType::Str),
+                ("__ts", rtdi_common::FieldType::Timestamp),
+            ],
+        );
+        let table = catalog.create_table("trips", schema).unwrap();
+        let day = 86_400_000;
+        for d in 0..4i64 {
+            let date = rtdi_storage::archival::date_partition(d * day);
+            for half in 0..2i64 {
+                let rows: Vec<Row> = (0..60)
+                    .map(|i| {
+                        let mut row = trip_row(2 * i + half);
+                        row.set("__ts", d * day + (2 * i + half) * 100);
+                        row
+                    })
+                    .collect();
+                catalog.write_rows("trips", &date, &rows).unwrap();
+            }
+        }
+        let job = |name: &str, sink: &CollectSink| {
+            let config = BackfillConfig {
+                throttle_per_poll: 50,
+                ..Default::default()
+            };
+            kappa_plus_job(name, &table, agg_chain(), Box::new(sink.clone()), &config).unwrap()
+        };
+        let whole = CollectSink::new();
+        run_staged_with(job("whole", &whole), &StagedConfig::default()).unwrap();
+
+        let handle = crate::runtime::RescaleHandle::new();
+        handle.request();
+        let mut config = StagedConfig::batched(8, 32);
+        config.checkpoint_interval = 300;
+        config.checkpoint_store = Some(crate::runtime::CheckpointStore::new(store));
+        config.rescale = Some(handle);
+        let resumed = CollectSink::new();
+        let stopped = run_staged_with(job("resumed", &resumed), &config).unwrap();
+        assert_eq!(
+            (stopped.stopped_at_checkpoint, stopped.records_in),
+            (Some(1), 300)
+        );
+        config.rescale = None;
+        let rest = run_staged_with(job("resumed", &resumed), &config).unwrap();
+        assert_eq!(
+            (rest.restored_from_checkpoint, rest.records_in),
+            (Some(1), 480)
+        );
+
+        let canon = |mut rows: Vec<Row>| {
+            rows.sort_by_key(|r| {
+                (
+                    r.get_str("city").unwrap().to_string(),
+                    r.get_int("window_start").unwrap(),
+                )
+            });
+            rows
+        };
+        assert_eq!(canon(whole.rows()), canon(resumed.rows()));
     }
 }

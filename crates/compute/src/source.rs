@@ -10,11 +10,15 @@
 //! - [`HiveSource`]: the Kappa+ (§7) read path — streams archived rows of
 //!   a warehouse table in event-time order as if they were live, with a
 //!   throughput throttle ("handling the higher throughput from the
-//!   historic data with throttling").
+//!   historic data with throttling"). It plans the range from zone maps,
+//!   decodes one group of overlapping part files at a time and builds the
+//!   records of one poll at a time, so its memory follows the part it
+//!   reads, not the range ("fine tuning job memory").
 
 use crate::operator::STREAM_TAG;
 use rtdi_common::{Error, Record, Result, Row, Timestamp};
-use rtdi_storage::hive::HiveTable;
+use rtdi_storage::hive::{time_order, HiveTable, TimedDoc};
+use rtdi_storage::segfile::{RowReader, SegmentFile};
 use rtdi_stream::topic::Topic;
 use std::sync::Arc;
 
@@ -81,8 +85,16 @@ impl Source for VecSource {
     }
 
     fn seek(&mut self, position: &[u64]) -> Result<()> {
-        self.cursor = position.first().copied().unwrap_or(0) as usize;
-        Ok(())
+        match *position {
+            [cursor] if cursor as usize <= self.records.len() => {
+                self.cursor = cursor as usize;
+                Ok(())
+            }
+            _ => Err(Error::InvalidArgument(format!(
+                "position {position:?} is not a cursor into {} records",
+                self.records.len()
+            ))),
+        }
     }
 }
 
@@ -276,21 +288,42 @@ impl Source for UnionSource {
 }
 
 /// Kappa+ source: replays archived rows of a Hive table, in event-time
-/// order, at a bounded records-per-poll rate.
+/// order, at a bounded records-per-poll rate, holding one group of part
+/// files decoded at a time and no row beyond the poll that builds it.
+///
+/// The range is planned from zone maps alone ([`HiveTable::time_groups`]).
+/// A group decodes its `__ts` column and the selected columns when it is
+/// first polled, replays in [`time_order`] and drops what it decoded once
+/// drained. The position is `[group, offset in its order]`.
 pub struct HiveSource {
-    rows: Vec<Arc<Record>>,
-    cursor: usize,
+    groups: Vec<Vec<SegmentFile>>,
+    from: Timestamp,
+    to: Timestamp,
+    select: Option<Vec<String>>,
+    /// The group being replayed and how many of its rows were handed out:
+    /// the whole of the progress. `open` is that group decoded.
+    group: usize,
+    offset: usize,
+    open: Option<OpenGroup>,
     /// Max records handed out per poll regardless of the requested batch —
     /// the Kappa+ throttle that protects downstream operators from
     /// full-speed historic reads.
     throttle_per_poll: usize,
 }
 
+/// One group's replay order and a row reader per part of it.
+struct OpenGroup {
+    order: Vec<TimedDoc>,
+    readers: Vec<RowReader>,
+}
+
 impl HiveSource {
-    /// Load the `[from, to)` event-time range of the table. The `__ts`
-    /// column (added by the archival compactor) provides event time.
-    /// `select` names the columns the job reads — only those are decoded
-    /// into the records' rows; `None` decodes every column.
+    /// Plan the `[from, to)` event-time range of the table: its part files
+    /// are opened (header and CRC) and grouped, and no column is decoded.
+    /// The `__ts` column (added by the archival compactor) provides event
+    /// time; a row without one replays at time 0. `select` names the
+    /// columns the job reads — only those are decoded into the records'
+    /// rows; `None` decodes every column.
     pub fn new(
         table: &HiveTable,
         from: Timestamp,
@@ -298,43 +331,108 @@ impl HiveSource {
         throttle_per_poll: usize,
         select: Option<&[String]>,
     ) -> Result<Self> {
-        let mut rows = table.scan_range_timed(from, to, select)?;
-        // archived data "could be out of order": restore event-time order
-        // here so the pipeline's lateness buffer needs stay bounded. Each
-        // compacted part is in order already, so this stable sort merges
-        // one run per part
-        rows.sort_by_key(|(ts, _)| *ts);
-        let records = rows
-            .into_iter()
-            .map(|(ts, row)| Arc::new(Record::new(row, ts)))
-            .collect();
         Ok(HiveSource {
-            rows: records,
-            cursor: 0,
+            groups: table.time_groups(from, to)?,
+            from,
+            to,
+            select: select.map(<[String]>::to_vec),
+            group: 0,
+            offset: 0,
+            open: None,
             throttle_per_poll: throttle_per_poll.max(1),
         })
+    }
+
+    /// Decode group `g`: its `__ts` column for the order, the selected
+    /// columns for the rows.
+    fn open_group(&self, g: usize) -> Result<OpenGroup> {
+        let parts = &self.groups[g];
+        let order = time_order(parts, self.from, self.to)?;
+        let select = self.select.as_deref();
+        let readers = parts
+            .iter()
+            .map(|file| file.row_reader(select))
+            .collect::<Result<_>>()?;
+        Ok(OpenGroup { order, readers })
+    }
+
+    /// Drop what the open group decoded, in the source and in its files.
+    fn close_group(&mut self) {
+        self.open = None;
+        self.unload(self.group);
+    }
+
+    fn unload(&mut self, g: usize) {
+        if let Some(parts) = self.groups.get_mut(g) {
+            parts.iter_mut().for_each(SegmentFile::unload);
+        }
     }
 }
 
 impl Source for HiveSource {
     fn poll_batch(&mut self, max: usize) -> Result<Vec<Arc<Record>>> {
         let take = max.min(self.throttle_per_poll);
-        let end = (self.cursor + take).min(self.rows.len());
-        let batch = self.rows[self.cursor..end].to_vec();
-        self.cursor = end;
-        Ok(batch)
+        while take > 0 && self.group < self.groups.len() {
+            let open = match self.open.take() {
+                Some(open) => open,
+                None => self.open_group(self.group)?,
+            };
+            let end = (self.offset + take).min(open.order.len());
+            let mut batch = Vec::with_capacity(end - self.offset);
+            for entry in &open.order[self.offset..end] {
+                let row = open.readers[entry.part as usize].row(entry.doc as usize)?;
+                batch.push(Arc::new(Record::new(row, entry.ts)));
+            }
+            self.offset = end;
+            if end < open.order.len() {
+                self.open = Some(open);
+                return Ok(batch);
+            }
+            self.close_group();
+            (self.group, self.offset) = (self.group + 1, 0);
+            if !batch.is_empty() {
+                return Ok(batch);
+            }
+        }
+        Ok(Vec::new())
     }
 
     fn is_exhausted(&self) -> bool {
-        self.cursor >= self.rows.len()
+        self.group >= self.groups.len()
     }
 
     fn position(&self) -> Vec<u64> {
-        vec![self.cursor as u64]
+        vec![self.group as u64, self.offset as u64]
     }
 
+    /// Reopens the one group the position names and skips `offset`
+    /// entries of its order without building a row.
     fn seek(&mut self, position: &[u64]) -> Result<()> {
-        self.cursor = position.first().copied().unwrap_or(0) as usize;
+        let &[group, offset] = position else {
+            return Err(Error::InvalidArgument(format!(
+                "a warehouse position is [group, offset], got {position:?}"
+            )));
+        };
+        let (group, offset) = (group as usize, offset as usize);
+        let past_end = || {
+            Error::InvalidArgument(format!(
+                "position {position:?} is past the end of the range"
+            ))
+        };
+        self.close_group();
+        if group < self.groups.len() {
+            let open = match self.open_group(group) {
+                Ok(open) if offset <= open.order.len() => open,
+                other => {
+                    self.unload(group);
+                    return Err(other.err().unwrap_or_else(past_end));
+                }
+            };
+            self.open = Some(open);
+        } else if group > self.groups.len() || offset > 0 {
+            return Err(past_end());
+        }
+        (self.group, self.offset) = (group, offset);
         Ok(())
     }
 }
@@ -514,5 +612,185 @@ mod tests {
         }
         assert_eq!(rest.len(), 3);
         assert_eq!(rest.last().unwrap().timestamp, 9);
+    }
+
+    fn warehouse() -> (rtdi_storage::hive::HiveCatalog, HiveTable) {
+        use rtdi_common::FieldType;
+        let store = Arc::new(rtdi_storage::object::InMemoryStore::new());
+        let catalog = rtdi_storage::hive::HiveCatalog::new(store);
+        let schema = rtdi_common::Schema::of(
+            "trips",
+            &[
+                ("id", FieldType::Int),
+                ("city", FieldType::Str),
+                ("__ts", FieldType::Timestamp),
+            ],
+        );
+        let table = catalog.create_table("trips", schema).unwrap();
+        (catalog, table)
+    }
+
+    fn rows_for_day(day: i64, n: usize) -> Vec<Row> {
+        (0..n)
+            .map(|i| {
+                Row::new()
+                    .with("id", day * 1000 + i as i64)
+                    .with("city", "sf")
+                    .with("__ts", day * 86_400_000 + i as i64 * 1000)
+            })
+            .collect()
+    }
+
+    /// Every record of `[from, to)`, drained 3 at a time.
+    fn drain(table: &HiveTable, from: Timestamp, to: Timestamp) -> Vec<(Timestamp, Row)> {
+        let mut source = HiveSource::new(table, from, to, 3, None).unwrap();
+        let mut out = Vec::new();
+        while !source.is_exhausted() {
+            let batch = source.poll_batch(100).unwrap();
+            assert!(batch.len() <= 3);
+            out.extend(batch.iter().map(|r| (r.timestamp, r.value.clone())));
+        }
+        out
+    }
+
+    #[test]
+    fn hive_source_prunes_and_filters() {
+        let (catalog, table) = warehouse();
+        for day in 0..5 {
+            catalog
+                .write_rows(
+                    "trips",
+                    &rtdi_storage::archival::date_partition(day * 86_400_000),
+                    &rows_for_day(day, 10),
+                )
+                .unwrap();
+        }
+        // range covering day 1 and first half of day 2
+        let from = 86_400_000;
+        let to = 2 * 86_400_000 + 5_000;
+        let rows = drain(&table, from, to);
+        // all 10 of day1 + 5 of day2 (ts < to means i*1000 < 5000 -> i in 0..5)
+        assert_eq!(rows.len(), 15);
+        let in_range =
+            |(ts, r): &(i64, Row)| r.get_int("__ts") == Some(*ts) && (from..to).contains(ts);
+        assert!(rows.iter().all(in_range));
+        // empty and inverted ranges
+        assert!(drain(&table, 100, 100).is_empty());
+        assert!(drain(&table, 500, 100).is_empty());
+    }
+
+    #[test]
+    fn hive_source_keeps_the_days_before_1970() {
+        // date names sort backwards below day 0 ("d-00002" > "d-00001"):
+        // a range over them must still find every row a filter finds, in
+        // time order
+        let (catalog, table) = warehouse();
+        let day = 86_400_000;
+        let times: Vec<i64> = (-3..3)
+            .flat_map(|d| [d * day + 5, d * day + day / 2])
+            .collect();
+        for (id, &ts) in times.iter().enumerate() {
+            let row = Row::new().with("id", id as i64).with("__ts", ts);
+            let date = rtdi_storage::archival::date_partition(ts);
+            catalog.write_rows("trips", &date, &[row]).unwrap();
+        }
+        let mut bounds: Vec<i64> = times.iter().flat_map(|&t| [t, t + 1]).collect();
+        bounds.extend([-4 * day, -day, 0, 1, 4 * day]);
+        for &from in &bounds {
+            for &to in &bounds {
+                let got: Vec<i64> = drain(&table, from, to)
+                    .into_iter()
+                    .map(|(ts, _)| ts)
+                    .collect();
+                let want: Vec<i64> = times
+                    .iter()
+                    .copied()
+                    .filter(|ts| (from..to).contains(ts))
+                    .collect();
+                assert_eq!(got, want, "[{from}, {to})");
+            }
+        }
+    }
+
+    #[test]
+    fn hive_source_tests_rows_only_where_a_file_straddles_a_bound() {
+        use rtdi_storage::hive::{event_times, ts_cover, TsCover};
+        let (catalog, table) = warehouse();
+        let day = 86_400_000;
+        // one date, three part files: ts 0..10k, 10k..20k, and one whose
+        // rows carry no event time
+        catalog
+            .write_rows("trips", "d000000", &rows_for_day(0, 10))
+            .unwrap();
+        let later: Vec<Row> = (10..20)
+            .map(|i| Row::new().with("id", i).with("__ts", i * 1000))
+            .collect();
+        catalog.write_rows("trips", "d000000", &later).unwrap();
+        let untimed = vec![Row::new().with("id", 99i64), Row::new().with("id", 98i64)];
+        catalog.write_rows("trips", "d000000", &untimed).unwrap();
+        let files = table.open_range(0, day).unwrap();
+        assert_eq!(files.len(), 3);
+        let covers =
+            |from, to| -> Vec<TsCover> { files.iter().map(|f| ts_cover(f, from, to)).collect() };
+        use TsCover::*;
+        assert_eq!(covers(0, day), vec![Inside, Inside, Inside]);
+        assert_eq!(covers(0, 10_000), vec![Inside, Disjoint, Inside]);
+        assert_eq!(covers(5_000, 15_000), vec![Straddles, Straddles, Inside]);
+        // rows without an event time belong to every range, at time 0
+        let got: Vec<(Timestamp, i64)> = drain(&table, 5_000, 15_000)
+            .iter()
+            .map(|(ts, r)| (*ts, r.get_int("id").unwrap()))
+            .collect();
+        let mut want: Vec<(Timestamp, i64)> = vec![(0, 99), (0, 98)];
+        want.extend((5..15).map(|i| (i * 1000, i)));
+        assert_eq!(got, want);
+        assert_eq!(
+            event_times(&files[2]).unwrap(),
+            vec![None, None],
+            "NULL event times"
+        );
+    }
+
+    #[test]
+    fn a_seek_past_the_end_is_an_error_not_a_panic() {
+        let mut v = VecSource::from_rows((0..10).map(|i| (i, Row::new().with("i", i))).collect());
+        for bad in [&[100][..], &[11], &[], &[1, 2]] {
+            assert!(
+                matches!(v.seek(bad), Err(Error::InvalidArgument(_))),
+                "{bad:?}"
+            );
+        }
+        // a refused seek leaves the cursor where it was
+        assert_eq!(v.poll_batch(4).unwrap().len(), 4);
+        v.seek(&[10]).unwrap();
+        assert!(v.poll_batch(4).unwrap().is_empty() && v.is_exhausted());
+
+        let (catalog, table) = warehouse();
+        catalog
+            .write_rows("trips", "d000000", &rows_for_day(0, 5))
+            .unwrap();
+        let mut h = HiveSource::new(&table, 0, 86_400_000, 2, None).unwrap();
+        assert_eq!(h.poll_batch(10).unwrap().len(), 2);
+        assert_eq!(h.position(), vec![0, 2]);
+        for bad in [&[9][..], &[], &[0, 6], &[1, 1], &[2, 0], &[0, 1, 2]] {
+            assert!(
+                matches!(h.seek(bad), Err(Error::InvalidArgument(_))),
+                "{bad:?}"
+            );
+        }
+        let ids = |batch: Vec<Arc<Record>>| -> Vec<i64> {
+            batch
+                .iter()
+                .map(|r| r.value.get_int("id").unwrap())
+                .collect()
+        };
+        assert_eq!(ids(h.poll_batch(10).unwrap()), vec![2, 3]);
+        h.seek(&[0, 5]).unwrap();
+        assert!(h.poll_batch(10).unwrap().is_empty() && h.is_exhausted());
+        h.seek(&[0, 4]).unwrap();
+        assert_eq!(ids(h.poll_batch(10).unwrap()), vec![4]);
+        assert_eq!(h.position(), vec![1, 0]);
+        h.seek(&[1, 0]).unwrap();
+        assert!(h.is_exhausted());
     }
 }

@@ -90,10 +90,12 @@ impl ColumnView {
     fn rows(&self) -> Result<(Vec<Row>, u64)> {
         let file = self.segment.file();
         let select = self.projection.as_ref().map(|p| p.as_slice());
-        let mut docs = Vec::new();
-        self.docs.collect_into(&mut docs);
         let before = file.bytes_loaded();
-        let rows = file.read_rows_where(select, Some(&docs))?;
+        let reader = file.row_reader(select)?;
+        let mut rows = Vec::with_capacity(self.docs.count());
+        for doc in self.docs.iter() {
+            rows.push(reader.row(doc)?);
+        }
         Ok((rows, (file.bytes_loaded() - before) as u64))
     }
 }

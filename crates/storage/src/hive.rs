@@ -3,9 +3,10 @@
 //! §4.4: compacted datasets "constitute the source of truth for all
 //! analytical data. This is used to backfill data in Kafka, Pinot and even
 //! some OLTP or key-value store data sinks." The Kappa+ backfill (§7)
-//! reads these tables through [`HiveTable::open_range`] (its source through
-//! [`HiveTable::scan_range_timed`]), and the SQL layer's Hive connector
-//! scans them for federated queries.
+//! reads these tables through [`HiveTable::open_range`] (its source plans a
+//! range with [`HiveTable::time_groups`] and replays each group in
+//! [`time_order`]), and the SQL layer's Hive connector scans them for
+//! federated queries.
 
 use crate::archival::{date_day, epoch_day};
 use crate::column::ColumnData;
@@ -91,38 +92,96 @@ impl HiveTable {
         all_rows(self.open_parts(|_| true)?)
     }
 
-    /// Rows whose `__ts` column falls in `[from, to)`, each with its event
-    /// time beside it (0 for a row without one, which belongs to every
-    /// range). Partitions are pruned by their date bucket, then rows
-    /// filtered — the bounded-input read path of the Kappa+ backfill's
-    /// "start/end boundary of the bounded input" (§7). Rows carry the
-    /// columns `select` names (all when `None`), whether or not `__ts` is
-    /// one of them.
-    pub fn scan_range_timed(
-        &self,
-        from: Timestamp,
-        to: Timestamp,
-        select: Option<&[String]>,
-    ) -> Result<Vec<(Timestamp, Row)>> {
-        let mut out = Vec::new();
-        for file in self.open_range(from, to)? {
-            let cover = ts_cover(&file, from, to);
-            if cover == TsCover::Disjoint {
-                continue;
+    /// The replay plan of `[from, to)`: the part files of the range's
+    /// date partitions that can hold a row of it, opened with no column
+    /// decoded, in groups. A part's interval is the closed range of its
+    /// `__ts` zone map, widened to take in 0 when a row has no event time;
+    /// parts whose intervals overlap or touch share a group. The groups are
+    /// in time order (every event time of one is below every one of the
+    /// next) and a group's parts in (date partition, part) order, so
+    /// replaying each group in [`time_order`] replays the range as one
+    /// stable sort of its rows by event time would. The bounded input of
+    /// the Kappa+ backfill's "start/end boundary of the bounded input"
+    /// (§7).
+    pub fn time_groups(&self, from: Timestamp, to: Timestamp) -> Result<Vec<Vec<SegmentFile>>> {
+        let files: Vec<SegmentFile> = self
+            .open_range(from, to)?
+            .into_iter()
+            .filter(|file| ts_cover(file, from, to) != TsCover::Disjoint)
+            .collect();
+        let mut spans: Vec<(Timestamp, Timestamp, usize)> = files
+            .iter()
+            .enumerate()
+            .map(|(rank, file)| {
+                let (lo, hi) = time_interval(file);
+                (lo, hi, rank)
+            })
+            .collect();
+        spans.sort_unstable();
+        // a part joins the group before it when it starts at or before
+        // that group's end
+        let (mut ends, mut group_of) = (Vec::<Timestamp>::new(), vec![0; files.len()]);
+        for (lo, hi, rank) in spans {
+            match ends.last_mut() {
+                Some(end) if lo <= *end => *end = (*end).max(hi),
+                _ => ends.push(hi),
             }
-            let times = event_times(&file)?;
-            // only a file that straddles a bound tests its rows
-            let inside = cover == TsCover::Inside;
-            let in_range = |ts: Timestamp| from <= ts && ts < to;
-            let docs: Vec<u32> = (0..file.nrows() as u32)
-                .filter(|&d| inside || times[d as usize].is_none_or(in_range))
-                .collect();
-            let rows = file.read_rows_where(select, Some(&docs))?;
-            let timed = docs.iter().map(|&d| times[d as usize].unwrap_or(0));
-            out.extend(timed.zip(rows));
+            group_of[rank] = ends.len() - 1;
         }
-        Ok(out)
+        let mut groups: Vec<Vec<SegmentFile>> = ends.iter().map(|_| Vec::new()).collect();
+        for (file, g) in files.into_iter().zip(group_of) {
+            groups[g].push(file);
+        }
+        Ok(groups)
     }
+}
+
+/// The closed interval a part's event times lie in: its `__ts` zone map,
+/// widened to take in 0 when a row has no event time (a NULL cell, a file
+/// without the column, or one whose `__ts` is not integral).
+fn time_interval(file: &SegmentFile) -> (Timestamp, Timestamp) {
+    let Some(zone) = file.entry("__ts").map(|e| &e.zone) else {
+        return (0, 0);
+    };
+    match zone.int_bounds() {
+        Some((lo, hi)) if zone.null_count > 0 => (lo.min(0), hi.max(0)),
+        Some(bounds) => bounds,
+        None => (0, 0),
+    }
+}
+
+/// One row of a replay: its event time and where it lives (the part's
+/// index within its group, the document within the part).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TimedDoc {
+    pub ts: Timestamp,
+    pub part: u32,
+    pub doc: u32,
+}
+
+/// The replay order of one [`HiveTable::time_groups`] group: its rows in
+/// `[from, to)`, a row without an event time at time 0 (it belongs to every
+/// range), stable-sorted by event time, so equal times keep (part, doc)
+/// order. Decodes each part's `__ts` column and nothing else; only a part
+/// that straddles a bound tests its rows. The sort is adaptive: over parts
+/// that are each in time order it is a linear pass.
+pub fn time_order(group: &[SegmentFile], from: Timestamp, to: Timestamp) -> Result<Vec<TimedDoc>> {
+    let mut order = Vec::with_capacity(group.iter().map(SegmentFile::nrows).sum());
+    for (part, file) in group.iter().enumerate() {
+        let inside = ts_cover(file, from, to) == TsCover::Inside;
+        let in_range = |ts: Timestamp| from <= ts && ts < to;
+        for (doc, ts) in event_times(file)?.into_iter().enumerate() {
+            if inside || ts.is_none_or(in_range) {
+                order.push(TimedDoc {
+                    ts: ts.unwrap_or(0),
+                    part: part as u32,
+                    doc: doc as u32,
+                });
+            }
+        }
+    }
+    order.sort_by_key(|entry| entry.ts);
+    Ok(order)
 }
 
 fn all_rows(files: Vec<SegmentFile>) -> Result<Vec<Row>> {
@@ -333,102 +392,56 @@ mod tests {
     }
 
     #[test]
-    fn scan_range_prunes_and_filters() {
+    fn time_groups_join_parts_whose_times_overlap_or_touch() {
         let (catalog, table) = setup();
-        for day in 0..5 {
-            catalog
-                .write_rows(
-                    "trips",
-                    &crate::archival::date_partition(day * 86_400_000),
-                    &rows_for_day(day, 10),
-                )
-                .unwrap();
+        // one date, six parts (intervals): [10, 19] (touches nothing),
+        // [20, 29] and [29, 38] (touching), [-5, 4] and a part of NULL
+        // times ([0, 0]), which overlap; and a part wholly out of the range
+        for (at, timed) in [
+            (10, true),
+            (20, true),
+            (29, true),
+            (-5, true),
+            (0, false),
+            (90, true),
+        ] {
+            let rows: Vec<Row> = (at..at + 10)
+                .map(|i| {
+                    let row = Row::new().with("id", i);
+                    if timed {
+                        row.with("__ts", i)
+                    } else {
+                        row
+                    }
+                })
+                .collect();
+            catalog.write_rows("trips", "d000000", &rows).unwrap();
         }
-        // range covering day 1 and first half of day 2
-        let from = 86_400_000;
-        let to = 2 * 86_400_000 + 5_000;
-        let rows = table.scan_range_timed(from, to, None).unwrap();
-        // all 10 of day1 + 5 of day2 (ts < to means i*1000 < 5000 -> i in 0..5)
-        assert_eq!(rows.len(), 15);
-        let in_range =
-            |(ts, r): &(i64, Row)| r.get_int("__ts") == Some(*ts) && (from..to).contains(ts);
-        assert!(rows.iter().all(in_range));
-        // empty and inverted ranges
-        assert!(table.scan_range_timed(100, 100, None).unwrap().is_empty());
-        assert!(table.scan_range_timed(500, 100, None).unwrap().is_empty());
-    }
-
-    #[test]
-    fn range_reads_keep_the_days_before_1970() {
-        // date names sort backwards below day 0 ("d-00002" > "d-00001"):
-        // a range over them must still find every row a filter finds
-        let (catalog, table) = setup();
-        let day = 86_400_000;
-        let times: Vec<i64> = (-3..3)
-            .flat_map(|d| [d * day + 5, d * day + day / 2])
-            .collect();
-        for (id, &ts) in times.iter().enumerate() {
-            let row = Row::new().with("id", id as i64).with("__ts", ts);
-            let date = crate::archival::date_partition(ts);
-            catalog.write_rows("trips", &date, &[row]).unwrap();
-        }
-        let mut bounds: Vec<i64> = times.iter().flat_map(|&t| [t, t + 1]).collect();
-        bounds.extend([-4 * day, -day, 0, 1, 4 * day]);
-        for &from in &bounds {
-            for &to in &bounds {
-                let mut got: Vec<i64> = table
-                    .scan_range_timed(from, to, None)
-                    .unwrap()
-                    .into_iter()
-                    .map(|(ts, _)| ts)
-                    .collect();
-                got.sort_unstable();
-                let want: Vec<i64> = times
-                    .iter()
-                    .copied()
-                    .filter(|ts| (from..to).contains(ts))
-                    .collect();
-                assert_eq!(got, want, "[{from}, {to})");
-            }
-        }
-    }
-
-    #[test]
-    fn range_reads_test_rows_only_where_a_file_straddles_a_bound() {
-        let (catalog, table) = setup();
-        let day = 86_400_000;
-        // one date, three part files: ts 0..10k, 10k..20k, and one whose
-        // rows carry no event time
-        catalog
-            .write_rows("trips", "d000000", &rows_for_day(0, 10))
-            .unwrap();
-        let later: Vec<Row> = (10..20)
-            .map(|i| Row::new().with("id", i).with("__ts", i * 1000))
-            .collect();
-        catalog.write_rows("trips", "d000000", &later).unwrap();
-        let untimed = vec![Row::new().with("id", 99i64), Row::new().with("id", 98i64)];
-        catalog.write_rows("trips", "d000000", &untimed).unwrap();
-        let files = table.open_range(0, day).unwrap();
-        assert_eq!(files.len(), 3);
-        let covers =
-            |from, to| -> Vec<TsCover> { files.iter().map(|f| ts_cover(f, from, to)).collect() };
-        use TsCover::*;
-        assert_eq!(covers(0, day), vec![Inside, Inside, Inside]);
-        assert_eq!(covers(0, 10_000), vec![Inside, Disjoint, Inside]);
-        assert_eq!(covers(5_000, 15_000), vec![Straddles, Straddles, Inside]);
-        // rows without an event time belong to every range, at time 0
-        let timed = table.scan_range_timed(5_000, 15_000, None).unwrap();
-        let got: Vec<(Timestamp, i64)> = timed
+        let groups = table.time_groups(-5, 50).unwrap();
+        assert!(groups.iter().flatten().all(|f| f.columns_loaded() == 0));
+        let first_ids: Vec<Vec<i64>> = groups
             .iter()
-            .map(|(ts, r)| (*ts, r.get_int("id").unwrap()))
+            .map(|group| {
+                group
+                    .iter()
+                    .map(|f| {
+                        f.read_rows_where(None, Some(&[0])).unwrap()[0]
+                            .get_int("id")
+                            .unwrap()
+                    })
+                    .collect()
+            })
             .collect();
-        let mut want: Vec<(Timestamp, i64)> = (5..15).map(|i| (i * 1000, i)).collect();
-        want.extend([(0, 99), (0, 98)]);
-        assert_eq!(got, want);
-        assert_eq!(
-            event_times(&files[2]).unwrap(),
-            vec![None, None],
-            "NULL event times"
-        );
+        assert_eq!(first_ids, vec![vec![-5, 0], vec![10], vec![20, 29]]);
+        // a group replays its rows in time order, NULL at 0 among them
+        let order = time_order(&groups[0], -5, 50).unwrap();
+        let times: Vec<Timestamp> = order.iter().map(|e| e.ts).collect();
+        let mut want: Vec<Timestamp> = (-5..5).chain([0; 10]).collect();
+        want.sort();
+        assert_eq!(times, want);
+        // rows without an event time belong to every range of their date
+        let late = table.time_groups(50, 60).unwrap();
+        assert_eq!((late.len(), late[0].len(), late[0][0].nrows()), (1, 1, 10));
+        assert!(table.time_groups(60, 50).unwrap().is_empty());
     }
 }

@@ -925,14 +925,26 @@ impl SegmentFile {
 
     /// The one row materializer: the columns named in `select` (every
     /// column when `None`; a name the file lacks is left out) of the rows
-    /// `docs`, in that order (every row when `None`). Only the selected
-    /// columns are decoded, and a cell becomes a [`Value`] only for a row
-    /// that is kept.
+    /// `docs`, in that order (every row when `None`), through one
+    /// [`RowReader`].
     pub fn read_rows_where(
         &self,
         select: Option<&[String]>,
         docs: Option<&[u32]>,
     ) -> Result<Vec<Row>> {
+        let reader = self.row_reader(select)?;
+        let n = docs.map_or(self.nrows(), <[u32]>::len);
+        let mut rows = Vec::with_capacity(n);
+        for i in 0..n {
+            rows.push(reader.row(docs.map_or(i, |docs| docs[i] as usize))?);
+        }
+        Ok(rows)
+    }
+
+    /// The columns named in `select` (every column when `None`; a name the
+    /// file lacks is left out), resolved and decoded once, ready to build
+    /// the row of any document. Only the selected columns are decoded.
+    pub fn row_reader(&self, select: Option<&[String]>) -> Result<RowReader> {
         let picked: Vec<usize> = match select {
             None => (0..self.entries.len()).collect(),
             Some(names) => names
@@ -941,7 +953,7 @@ impl SegmentFile {
                 .collect(),
         };
         let mut columns = Vec::with_capacity(picked.len());
-        for &i in &picked {
+        for i in picked {
             let e = &self.entries[i];
             columns.push((
                 Arc::<str>::from(e.name.as_str()),
@@ -949,23 +961,42 @@ impl SegmentFile {
                 self.column_at(i)?,
             ));
         }
-        let nrows = self.nrows();
-        let build = |doc: usize| -> Result<Row> {
-            if doc >= nrows {
-                return Err(Error::Internal(format!(
-                    "row {doc} requested of a {nrows}-row segment"
-                )));
-            }
-            let mut row = Row::with_capacity(columns.len());
-            for (name, ftype, col) in &columns {
-                row.push(name.clone(), cell_value(col, *ftype, doc)?);
-            }
-            Ok(row)
-        };
-        match docs {
-            None => (0..nrows).map(build).collect(),
-            Some(docs) => docs.iter().map(|&d| build(d as usize)).collect(),
+        Ok(RowReader {
+            columns,
+            nrows: self.nrows(),
+        })
+    }
+
+    /// Drop every decoded column: the file holds its header again and
+    /// nothing more, and the next reader decodes what it asks for anew.
+    pub fn unload(&mut self) {
+        self.columns.iter_mut().for_each(|slot| drop(slot.take()));
+    }
+}
+
+/// Some decoded columns of one segment file, each with its name and field
+/// type: a row of any document is built from them without looking a
+/// column up again, and a cell becomes a [`Value`] only for a row that is
+/// built.
+pub struct RowReader {
+    columns: Vec<(Arc<str>, FieldType, Arc<ColumnData>)>,
+    nrows: usize,
+}
+
+impl RowReader {
+    /// The row of document `doc`: one cell per column, in selection order.
+    pub fn row(&self, doc: usize) -> Result<Row> {
+        if doc >= self.nrows {
+            return Err(Error::Internal(format!(
+                "row {doc} requested of a {}-row segment",
+                self.nrows
+            )));
         }
+        let mut row = Row::with_capacity(self.columns.len());
+        for (name, ftype, col) in &self.columns {
+            row.push(name.clone(), cell_value(col, *ftype, doc)?);
+        }
+        Ok(row)
     }
 }
 

@@ -13,7 +13,8 @@
 //! builds no cell per probe. And the codecs': archiving pays nothing per
 //! record, compaction pays per distinct string, not per record or field,
 //! and a combine stage merges a partial row into a held window without
-//! allocating.
+//! allocating. And the backfill's: the Kappa+ source's peak live bytes
+//! follow the part it reads, not the range.
 //!
 //! One `#[test]`, so the process-wide counter sees one thread at work.
 
@@ -22,8 +23,8 @@ use rand::{Rng, SeedableRng};
 use rtdi::common::AggFn;
 use rtdi::common::{Error, FieldType, Record, Result, Row, Schema};
 use rtdi::compute::{
-    run_staged_with, CollectSink, FilterOp, Job, MapOp, Operator, StagedConfig, TopicSink,
-    TopicSource, WindowAggregateOp, WindowAssigner,
+    run_staged_with, CollectSink, FilterOp, HiveSource, Job, MapOp, Operator, Source, StagedConfig,
+    TopicSink, TopicSource, WindowAggregateOp, WindowAssigner,
 };
 use rtdi::core::platform::RealtimePlatform;
 use rtdi::flinksql::compiler::{compile_streaming, CompileOptions};
@@ -619,6 +620,55 @@ fn compaction_pays_per_distinct_string() {
     }
 }
 
+/// The Kappa+ source holds one group of part files decoded and one poll of
+/// records at a time: drained a poll at a time, eight days of one-day parts
+/// peak within a quarter of what one day peaks at. A source that built
+/// every record of its range before the first poll peaked eightfold.
+fn backfill_memory_follows_the_part_not_the_range() {
+    const DAY: i64 = 86_400_000;
+    const PER_DAY: usize = 5_000;
+    let schema = Schema::of(
+        "trips",
+        &[
+            ("city", FieldType::Str),
+            ("driver", FieldType::Str),
+            ("fare", FieldType::Double),
+            ("ts", FieldType::Timestamp),
+        ],
+    );
+    let store: Arc<dyn ObjectStore> = Arc::new(InMemoryStore::new());
+    let catalog = HiveCatalog::new(store.clone());
+    let table = catalog.create_table("trips", schema.clone()).unwrap();
+    let mut gen = CityDriverGenerator::new(7, 512, 4_000, 1.0);
+    let records: Vec<Record> = (0..8 * PER_DAY)
+        .map(|i| gen.trip((i / PER_DAY) as i64 * DAY + (i % PER_DAY) as i64 * 10))
+        .collect();
+    let written = ArchivalWriter::new(store.clone(), "trips")
+        .write_records(&records)
+        .unwrap();
+    let compactor = Compactor::new(store, catalog);
+    for (date, _) in &written {
+        assert_eq!(compactor.compact("trips", date, &schema).unwrap(), PER_DAY);
+    }
+    let peak = |days: i64| {
+        let (n, spent) = count_allocations(|| {
+            let mut source = HiveSource::new(&table, 0, days * DAY, 512, None).unwrap();
+            let mut n = 0;
+            while !source.is_exhausted() {
+                n += source.poll_batch(512).unwrap().len();
+            }
+            n
+        });
+        assert_eq!(n, days as usize * PER_DAY);
+        spent.peak_live
+    };
+    let (one, eight) = (peak(1), peak(8));
+    assert!(
+        eight * 4 <= one * 5,
+        "draining one day peaked at {one} live bytes, eight days at {eight}"
+    );
+}
+
 /// Archiving encodes a date's records into one growing buffer: 10 000 and
 /// 40 000 records of one date allocate within a constant of each other.
 /// Anything paid per record — a `String`, a buffer of its own — would be
@@ -795,6 +845,8 @@ fn produce_ingest_and_retry_hold_their_allocation_budgets() {
     compaction_pays_per_distinct_string();
 
     archiving_pays_nothing_per_record();
+
+    backfill_memory_follows_the_part_not_the_range();
 
     combine_merges_held_partials_in_place();
 

@@ -209,12 +209,7 @@ impl Warehouse {
                     "SELECT f0, COUNT(*) AS n, MAX(f1) AS m FROM hive.fz WHERE f0 >= 0 GROUP BY f0",
                 )
                 .map(drop),
-            HiveSource::new(&self.table, 0, i64::MAX, 64, None).and_then(|mut source| {
-                while !source.is_exhausted() {
-                    source.poll_batch(64)?;
-                }
-                Ok(())
-            }),
+            replay(&self.table),
         ];
         for outcome in outcomes {
             match outcome {
@@ -223,6 +218,15 @@ impl Warehouse {
             }
         }
     }
+}
+
+/// Drain the Kappa+ source over the whole table.
+fn replay(table: &HiveTable) -> Result<()> {
+    let mut source = HiveSource::new(table, 0, i64::MAX, 64, None)?;
+    while !source.is_exhausted() {
+        source.poll_batch(64)?;
+    }
+    Ok(())
 }
 
 /// A part file of `rows`: one sealed column per field of `schema` and the
@@ -574,8 +578,9 @@ fn a_sorted_part_with_two_times_swapped_is_corruption_everywhere() {
             "select",
             warehouse.platform.sql("SELECT * FROM hive.fz").map(drop),
         );
-        let source = HiveSource::new(&warehouse.table, 0, i64::MAX, 64, None);
-        corrupt("hive source", source.map(drop));
+        // the source plans from headers alone: the claim is tested when
+        // the first poll decodes `__ts`
+        corrupt("hive source", replay(&warehouse.table));
         corrupt(
             "rows",
             segfile::decode_rows_segment(&bad.clone().into()).map(drop),

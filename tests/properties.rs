@@ -34,6 +34,7 @@ const SEED_HIVE: u64 = 0x0041_7E5C;
 const SEED_BLOCKS: u64 = 0xB10C_5EED;
 const SEED_WINDOWS: u64 = 0x0057_A7E5;
 const SEED_COMPACTION: u64 = 0xC0_4D5E_0A7E;
+const SEED_BACKFILL: u64 = 0xBAC_CF11;
 
 fn schema() -> Schema {
     Schema::of(
@@ -2114,9 +2115,10 @@ mod pinned_regressions {
 /// that carry their own `__ts` (out of order, or NULL), days before 1970.
 /// The part holds the input's rows, equal times in raw-log order, and every
 /// `__ts` range reads as a row oracle over the unsorted input reads it:
-/// `scan_range_timed`, and SQL `=`, `<`, `>=` and two-sided ranges.
+/// the Kappa+ `HiveSource`, and SQL `=`, `<`, `>=` and two-sided ranges.
 mod sorted_compaction {
     use super::*;
+    use rtdi::compute::source::{HiveSource, Source};
     use rtdi::sql::connector::HiveConnector;
     use rtdi::sql::engine::{EngineConfig, SqlEngine};
     use rtdi::storage::archival::{date_partition, ArchivalWriter, Compactor};
@@ -2256,12 +2258,16 @@ mod sorted_compaction {
                 let a = times[rng.gen_range(0..times.len())];
                 let b = a + rng.gen_range(0..80i64) * 1_000;
                 let (from, to) = (a - rng.gen_range(0..2i64) * 500, b + 1);
-                let mut got: Vec<(i64, i64)> = table
-                    .scan_range_timed(from, to, None)
-                    .unwrap()
-                    .into_iter()
-                    .map(|(ts, row)| (ts, row.get_int("id").unwrap()))
-                    .collect();
+                let mut source = HiveSource::new(&table, from, to, 64, None).unwrap();
+                let mut got: Vec<(i64, i64)> = Vec::new();
+                while !source.is_exhausted() {
+                    let batch = source.poll_batch(64).unwrap();
+                    got.extend(
+                        batch
+                            .iter()
+                            .map(|r| (r.timestamp, r.value.get_int("id").unwrap())),
+                    );
+                }
                 got.sort_unstable();
                 let mut oracle: Vec<(i64, i64)> = input
                     .iter()
@@ -2269,10 +2275,7 @@ mod sorted_compaction {
                     .map(|(ts, row)| (ts.unwrap_or(0), row.get_int("id").unwrap()))
                     .collect();
                 oracle.sort_unstable();
-                assert_eq!(
-                    got, oracle,
-                    "{ctx} query {q}: scan_range_timed [{from}, {to})"
-                );
+                assert_eq!(got, oracle, "{ctx} query {q}: HiveSource [{from}, {to})");
 
                 let preds: [(String, &dyn Fn(i64) -> bool); 5] = [
                     (format!("__ts = {a}"), &|t| t == a),
@@ -2294,6 +2297,190 @@ mod sorted_compaction {
                         .map(|(_, row)| row.clone());
                     assert_eq!(ids(out.rows), ids(want), "{ctx}: {sql}");
                 }
+            }
+        }
+    }
+}
+
+/// The Kappa+ source builds its records a poll at a time from one group of
+/// part files; the source it replaced materialised every row of the range
+/// and stable-sorted them by event time. Over archives with overlapping
+/// parts of one date (compacted, sorted and claiming `__ts`; written
+/// directly, unsorted; and written without a `__ts` column), NULL and
+/// absent times, and days before 1970, the two hand out the same records
+/// in the same order with the same timestamps, for any range, selection
+/// and throttle; and so does a fresh source that seeks to the position the
+/// first reported at any poll boundary.
+mod streaming_backfill {
+    use super::*;
+    use rtdi::compute::source::{HiveSource, Source};
+    use rtdi::storage::archival::{date_partition, ArchivalWriter, Compactor};
+    use rtdi::storage::hive::{event_times, ts_cover, HiveCatalog, HiveTable, TsCover};
+    use rtdi::storage::object::{InMemoryStore, ObjectStore};
+    use std::sync::Arc;
+
+    const DAY: i64 = 86_400_000;
+
+    /// Records as (event time, row), in the order handed out.
+    type Replay = Vec<(i64, Row)>;
+
+    fn schema() -> Schema {
+        Schema::of(
+            "t",
+            &[
+                ("id", FieldType::Int),
+                ("city", FieldType::Str),
+                ("fare", FieldType::Double),
+                ("__ts", FieldType::Timestamp),
+            ],
+        )
+    }
+
+    /// The materialising source, as test code: the rows of `[from, to)`
+    /// part by part (a row without an event time at 0), then one stable
+    /// sort by event time.
+    fn materialised(table: &HiveTable, from: i64, to: i64, select: Option<&[String]>) -> Replay {
+        let mut out = Vec::new();
+        for file in table.open_range(from, to).unwrap() {
+            let cover = ts_cover(&file, from, to);
+            if cover == TsCover::Disjoint {
+                continue;
+            }
+            let times = event_times(&file).unwrap();
+            let inside = cover == TsCover::Inside;
+            let in_range = |ts: i64| from <= ts && ts < to;
+            let docs: Vec<u32> = (0..file.nrows() as u32)
+                .filter(|&d| inside || times[d as usize].is_none_or(in_range))
+                .collect();
+            let rows = file.read_rows_where(select, Some(&docs)).unwrap();
+            let timed = docs.iter().map(|&d| times[d as usize].unwrap_or(0));
+            out.extend(timed.zip(rows));
+        }
+        out.sort_by_key(|(ts, _)| *ts);
+        out
+    }
+
+    /// An archive of one to three days around day 0, two to five parts a
+    /// day. Times fall on coarse instants of a window of the day, so parts
+    /// overlap, touch or stand apart, and many times are equal.
+    fn archive(rng: &mut StdRng) -> (HiveTable, Vec<i64>) {
+        let store: Arc<dyn ObjectStore> = Arc::new(InMemoryStore::new());
+        let catalog = HiveCatalog::new(store.clone());
+        let table = catalog.create_table("t", schema()).unwrap();
+        let writer = ArchivalWriter::new(store.clone(), "t");
+        let compactor = Compactor::new(store.clone(), catalog.clone());
+        let untimed = Schema::of("t", &[("id", FieldType::Int), ("city", FieldType::Str)]);
+        let first = rng.gen_range(-3..2i64);
+        let mut id = 0i64;
+        let mut times = Vec::new();
+        for day in first..first + rng.gen_range(1..=3i64) {
+            let date = date_partition(day * DAY);
+            for _ in 0..rng.gen_range(2..=5) {
+                let start = day * DAY + rng.gen_range(0..6i64) * 10_000;
+                let width = rng.gen_range(1..4i64) * 10_000;
+                let mut row = |rng: &mut StdRng| {
+                    id += 1;
+                    let ts = start + rng.gen_range(0..=width / 1_000) * 1_000;
+                    let row = Row::new()
+                        .with("id", id)
+                        .with("city", format!("c{}", rng.gen_range(0..4u8)))
+                        .with("fare", rng.gen_range(0..100i64) as f64 / 4.0);
+                    (ts, row)
+                };
+                let n = rng.gen_range(0..40usize);
+                match rng.gen_range(0..4u8) {
+                    // compacted from a raw log: sorted, claims `__ts`
+                    0 => {
+                        let records: Vec<Record> = (0..n)
+                            .map(|_| {
+                                let (ts, mut row) = row(rng);
+                                if rng.gen_bool(0.15) {
+                                    row.push("__ts", Value::Null);
+                                }
+                                Record::new(row, ts)
+                            })
+                            .collect();
+                        drop(writer.write_batch(&records).unwrap());
+                        compactor.compact("t", &date, &untimed).unwrap();
+                    }
+                    // a part without a `__ts` column: every row at time 0
+                    1 => {
+                        let rows: Vec<Row> = (0..n).map(|_| row(rng).1).collect();
+                        let key = format!("warehouse/t/{date}/untimed-{id}");
+                        let data = segfile::encode_rows_segment(&untimed, "t", &rows).unwrap();
+                        store.put(&key, data).unwrap();
+                        catalog.register_partition("t", &date, &key, n).unwrap();
+                    }
+                    // written directly, in no order, some times NULL or absent
+                    _ => {
+                        let rows: Vec<Row> = (0..n)
+                            .map(|_| {
+                                let (ts, row) = row(rng);
+                                match rng.gen_range(0..10u8) {
+                                    0 => row.with("__ts", Value::Null),
+                                    1 => row,
+                                    _ => row.with("__ts", ts),
+                                }
+                            })
+                            .collect();
+                        catalog.write_rows("t", &date, &rows).unwrap();
+                    }
+                }
+                times.extend([start, start + width]);
+            }
+        }
+        (table, times)
+    }
+
+    /// Poll `source` until exhausted, `max` at a time: every record's
+    /// (time, row), and the position and record count at each poll
+    /// boundary.
+    fn drain(source: &mut HiveSource, max: usize) -> (Replay, Vec<(Vec<u64>, usize)>) {
+        let (mut out, mut stops) = (Vec::new(), vec![(source.position(), 0)]);
+        while !source.is_exhausted() {
+            let batch = source.poll_batch(max).unwrap();
+            out.extend(batch.iter().map(|r| (r.timestamp, r.value.clone())));
+            stops.push((source.position(), out.len()));
+        }
+        (out, stops)
+    }
+
+    #[test]
+    fn the_streaming_source_replays_what_the_materialising_one_did() {
+        let selects: [Option<Vec<String>>; 5] = [
+            None,
+            Some(vec!["city".into()]),
+            Some(vec!["fare".into(), "id".into(), "ghost".into()]),
+            Some(vec!["__ts".into(), "city".into()]),
+            Some(Vec::new()),
+        ];
+        for case in 0..48u64 {
+            let mut rng = StdRng::seed_from_u64(SEED_BACKFILL + case);
+            let (table, times) = archive(&mut rng);
+            let pick = |rng: &mut StdRng| times[rng.gen_range(0..times.len())];
+            let (from, to) = match rng.gen_range(0..4u8) {
+                0 => (i64::MIN, i64::MAX),
+                1 => (pick(&mut rng) - DAY, pick(&mut rng) + DAY),
+                _ => {
+                    let (a, b) = (pick(&mut rng), pick(&mut rng));
+                    (a.min(b) + rng.gen_range(-2..3i64) * 1_000, a.max(b) + 1)
+                }
+            };
+            let select = selects[rng.gen_range(0..selects.len())].as_deref();
+            let throttle = [1usize, 3, 7, 64][rng.gen_range(0..4usize)];
+            let max = [2usize, 5, 512][rng.gen_range(0..3usize)];
+            let ctx =
+                format!("case {case}: [{from}, {to}) {select:?} throttle {throttle} max {max}");
+
+            let want = materialised(&table, from, to, select);
+            let mut source = HiveSource::new(&table, from, to, throttle, select).unwrap();
+            let (got, stops) = drain(&mut source, max);
+            assert_eq!(got, want, "{ctx}");
+            for (position, done) in stops {
+                let mut fresh = HiveSource::new(&table, from, to, throttle, select).unwrap();
+                fresh.seek(&position).unwrap();
+                let (rest, _) = drain(&mut fresh, max);
+                assert_eq!(rest, want[done..], "{ctx}: resumed at {position:?}");
             }
         }
     }
