@@ -254,4 +254,8 @@ RTDI_DR_SEED region_failover region_dr_env_seed_prints_summary DR_SUMMARY 0xD12A
 # parallel compute: record count plus the serial, sharded and salted plan
 # digests (equal in-test)
 RTDI_PARALLEL_SEED parallel_compute parallel_env_seed_prints_summary PARALLEL_SUMMARY 0xA11E1 0x5A17ED
+# parallel ingest: a six-partition backlog drained by `run_once` on every
+# core; outcome, positions, each partition's segments and the digest of
+# their bytes, the audit counts, query answers and upsert lookups
+RTDI_INGEST_SEED properties ingest_env_seed_prints_summary INGEST_SUMMARY 0x1A6E57 0x9A2A11E1
 GATES

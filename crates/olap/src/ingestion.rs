@@ -7,6 +7,7 @@
 //! reports audit observations to Chaperone; the segments it seals wait in
 //! [`OlapTable::take_unbacked`] for whoever archives them.
 
+use crate::scatter::{self, scatter};
 use crate::table::OlapTable;
 use rtdi_common::trace::END_TO_END;
 use rtdi_common::{Clock, Error, PipelineTracer, Result, TraceStage};
@@ -17,7 +18,12 @@ use std::sync::Arc;
 /// Ingestion knobs.
 #[derive(Debug, Clone)]
 pub struct IngestionConfig {
-    /// Records fetched per partition per round.
+    /// The fetch size: `run_once` drains each partition in fetches of at
+    /// most this many records. A fetch goes in under one hold of its
+    /// partition's lock, so this bounds how long a query of that partition
+    /// waits. It is also the backlog that makes a partition count towards
+    /// a parallel drain: at least this many committed records past its
+    /// position.
     pub batch_size: usize,
     /// Name under which ingestion reports to Chaperone.
     pub audit_stage: String,
@@ -92,59 +98,113 @@ impl RealtimeIngester {
         self
     }
 
+    /// The next offset to consume, per partition.
+    pub fn positions(&self) -> &[u64] {
+        &self.positions
+    }
+
     /// Ingest everything currently available. Returns records ingested.
+    ///
+    /// Each partition drains to its log's end or to its own error; the
+    /// error of the lowest-numbered partition that stopped short is
+    /// returned. When at least two partitions each hold a full fetch
+    /// between their position and the committed watermark, the drains run
+    /// on `min(cores, those partitions)` workers, the caller among them;
+    /// otherwise one after another on the calling thread. A partition's
+    /// outcome is the same either way: its rows go in under its own lock.
     pub fn run_once(&mut self) -> Result<u64> {
+        let partitions = self.topic.num_partitions();
+        let batch = self.config.batch_size as u64;
+        let backlogged = (0..partitions)
+            .filter(|&p| {
+                let committed = self.topic.committed_watermark(p).unwrap_or(0);
+                committed.saturating_sub(self.positions[p]) >= batch
+            })
+            .count();
         let mut total = 0;
-        for p in 0..self.topic.num_partitions() {
-            loop {
-                let fetch = match self
-                    .topic
-                    .fetch(p, self.positions[p], self.config.batch_size)
-                {
-                    Ok(f) => f,
-                    Err(Error::OffsetOutOfRange { low, .. }) => {
-                        self.positions[p] = low;
-                        self.topic.fetch(p, low, self.config.batch_size)?
-                    }
-                    Err(e) => return Err(e),
-                };
-                if fetch.records.is_empty() {
-                    break;
-                }
-                // the log shares its records: append and observe from the
-                // borrow, copying nothing. Event time is queryable under the
-                // table's time column.
-                let rows = fetch.records.iter();
-                let rows = rows.map(|r| (&r.record.value, Some(r.record.timestamp)));
-                // a refused row is consumed like the rows before it: it is
-                // audited and the next round resumes behind it
-                let (consumed, refusal) = match self.table.ingest_batch(p, rows) {
-                    Ok(all) => (all, None),
-                    Err((before, refusal)) => (before + 1, Some(refusal)),
-                };
-                let consumed = &fetch.records[..consumed];
-                let Some(last) = consumed.last() else { break };
-                self.positions[p] = last.offset + 1;
-                if let Some(stage) = &self.chaperone {
-                    stage.observe_batch(consumed.iter().map(|r| r.record.as_ref()));
-                }
-                // the records are queryable from here on: close out the
-                // end-to-end freshness measurement, one clock reading a fetch
-                if let Some((hop, total)) = &self.trace {
-                    let now = self.clock.as_ref().map(|c| c.now());
-                    let seen = consumed.iter().map(|r| {
-                        let record = r.record.as_ref();
-                        (record, now.unwrap_or(record.timestamp))
-                    });
-                    hop.observe_visible(total, seen);
-                }
-                if let Some(refusal) = refusal {
-                    return Err(refusal);
-                }
-                total += consumed.len() as u64;
+        let mut first_error = None;
+        let mut settle = |drained: Result<u64>| match drained {
+            Ok(n) => total += n,
+            Err(e) => {
+                first_error.get_or_insert(e);
+            }
+        };
+        let threads = scatter::effective_threads(0, backlogged);
+        if threads > 1 {
+            let drains = scatter(
+                partitions,
+                threads,
+                |p| Ok(self.drain(p, self.positions[p])),
+            );
+            for (p, drain) in drains.into_iter().enumerate() {
+                // a drain that panicked leaves its position where it was
+                let (position, drained) = drain.unwrap_or_else(|e| (self.positions[p], Err(e)));
+                self.positions[p] = position;
+                settle(drained);
+            }
+        } else {
+            for p in 0..partitions {
+                let (position, drained) = self.drain(p, self.positions[p]);
+                self.positions[p] = position;
+                settle(drained);
             }
         }
-        Ok(total)
+        first_error.map_or(Ok(total), Err)
+    }
+
+    /// Drain partition `p` from `position` in fetches of `batch_size`:
+    /// each is ingested under one hold of the partition's lock, then
+    /// audited and traced. Returns the position reached and the records
+    /// consumed, or the error that stopped the drain there.
+    fn drain(&self, p: usize, mut position: u64) -> (u64, Result<u64>) {
+        let mut total = 0;
+        loop {
+            let fetched = match self.topic.fetch(p, position, self.config.batch_size) {
+                Err(Error::OffsetOutOfRange { low, .. }) => {
+                    position = low;
+                    self.topic.fetch(p, low, self.config.batch_size)
+                }
+                fetched => fetched,
+            };
+            let fetch = match fetched {
+                Ok(f) if f.records.is_empty() => return (position, Ok(total)),
+                Ok(f) => f,
+                Err(e) => return (position, Err(e)),
+            };
+            // the log shares its records: append and observe from the
+            // borrow, copying nothing. Event time is queryable under the
+            // table's time column.
+            let rows = fetch.records.iter();
+            let rows = rows.map(|r| (&r.record.value, Some(r.record.timestamp)));
+            // a refused row is consumed like the rows before it: it is
+            // audited and the next round resumes behind it
+            let (consumed, refusal) = match self.table.ingest_batch(p, rows) {
+                Ok(all) => (all, None),
+                Err((before, refusal)) => (before + 1, Some(refusal)),
+            };
+            let consumed = &fetch.records[..consumed];
+            let Some(last) = consumed.last() else {
+                return (position, Ok(total));
+            };
+            position = last.offset + 1;
+            if let Some(stage) = &self.chaperone {
+                stage.observe_batch(consumed.iter().map(|r| r.record.as_ref()));
+            }
+            // the records are queryable from here on: close out the
+            // end-to-end freshness measurement, one clock reading a fetch
+            if let Some((hop, end_to_end)) = &self.trace {
+                let now = self.clock.as_ref().map(|c| c.now());
+                let seen = consumed.iter().map(|r| {
+                    let record = r.record.as_ref();
+                    (record, now.unwrap_or(record.timestamp))
+                });
+                hop.observe_visible(end_to_end, seen);
+            }
+            if let Some(refusal) = refusal {
+                return (position, Err(refusal));
+            }
+            total += consumed.len() as u64;
+        }
     }
 }
 
@@ -290,6 +350,84 @@ mod tests {
         assert_eq!(ing.run_once().unwrap(), 30 - (REFUSED as u64 + 1));
         assert_eq!(rows(), Some(29));
         assert_eq!(ch.stats("pinot-ingestion", 0).count, 30);
+    }
+
+    /// A refusal holds back its own partition only: the others drain to
+    /// their ends in the same call, one after another (no partition holds
+    /// a full fetch) or in parallel (every partition does), and the error
+    /// returned is the lowest-numbered refusing partition's.
+    #[test]
+    fn a_refused_row_holds_back_only_its_own_partition() {
+        const ROWS: usize = 30;
+        const REFUSED: usize = 13;
+        for batch_size in [1024, 8] {
+            let four = TopicConfig::default().with_partitions(4);
+            let t = Arc::new(Topic::new("trips", four).unwrap());
+            let append = |p: usize, i: usize, fare: Option<&str>| {
+                let mut rec = trip(p * 100 + i, 1.0);
+                if let Some(fare) = fare {
+                    rec.value.set("fare", fare);
+                }
+                t.append_to(p, rec, 0).unwrap();
+            };
+            for p in 0..4 {
+                for i in 0..ROWS {
+                    append(p, i, (p == 0 && i == REFUSED).then_some("free"));
+                }
+            }
+            let cfg = TableConfig::new("trips", schema()).with_time_column("ts");
+            let tbl = OlapTable::new(cfg.with_segment_rows(10).with_partitions(4)).unwrap();
+            let ch = Chaperone::new(1_000);
+            let config = IngestionConfig {
+                batch_size,
+                ..IngestionConfig::default()
+            };
+            let mut ing = RealtimeIngester::new(t.clone(), tbl.clone(), config)
+                .unwrap()
+                .with_chaperone(ch.clone());
+            let rows = |p: usize| {
+                let q = Query::select_all("trips").aggregate("n", AggFn::Count);
+                let q = Query {
+                    partitions: Some(Arc::new(vec![p])),
+                    ..q
+                };
+                tbl.query(&q).unwrap().rows[0].get_int("n")
+            };
+            let audited = || ch.stats("pinot-ingestion", 0).count;
+            let case = format!("batch_size {batch_size}");
+            match ing.run_once() {
+                Err(Error::Schema(msg)) => assert!(msg.contains("free"), "{case}: {msg}"),
+                other => panic!("{case}: {other:?}"),
+            }
+            assert_eq!(ing.positions(), [REFUSED as u64 + 1, 30, 30, 30], "{case}");
+            assert_eq!(rows(0), Some(REFUSED as i64), "{case}");
+            for p in 1..4 {
+                assert_eq!(rows(p), Some(ROWS as i64), "{case}: partition {p}");
+            }
+            assert_eq!(audited(), 3 * ROWS as u64 + REFUSED as u64 + 1, "{case}");
+
+            // refusals in partitions 3 and 1: partition 1's comes back, and
+            // both partitions still drain past their own
+            for p in 1..4 {
+                for i in ROWS..ROWS + 10 {
+                    let fare = match (p, i) {
+                        (1, 35) => Some("gratis"),
+                        (3, 32) => Some("libre"),
+                        _ => None,
+                    };
+                    append(p, i, fare);
+                }
+            }
+            match ing.run_once() {
+                Err(Error::Schema(msg)) => assert!(msg.contains("gratis"), "{case}: {msg}"),
+                other => panic!("{case}: {other:?}"),
+            }
+            assert_eq!(ing.positions(), [30, 36, 40, 33], "{case}");
+            assert_eq!(audited(), 30 + 36 + 40 + 33, "{case}");
+            assert_eq!(ing.run_once().unwrap(), 4 + 7, "{case}");
+            assert_eq!(ing.positions(), [30, 40, 40, 40], "{case}");
+            assert_eq!(audited(), 30 + 3 * 40, "{case}");
+        }
     }
 
     /// A fetch is ingested as if its rows had come one by one: fetches that

@@ -11,59 +11,72 @@
 
 use crate::query::{PartialAgg, PartialResult, Query};
 use rtdi_common::{Error, Result};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
-/// Resolve a configured thread count: `0` means one worker per available
-/// core, and the pool never exceeds the task count.
-pub fn effective_threads(configured: usize, tasks: usize) -> usize {
-    let t = if configured == 0 {
+/// The host's core count, asked of the OS once per process: the answer
+/// reads cgroup files and allocates, which no query and no ingest round
+/// should pay again.
+fn cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    *CORES.get_or_init(|| {
         std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1)
-    } else {
-        configured
-    };
+    })
+}
+
+/// Resolve a configured thread count: `0` means one worker per available
+/// core, and the pool never exceeds the task count. One task or none is
+/// one worker, decided before the core count is looked at.
+pub fn effective_threads(configured: usize, tasks: usize) -> usize {
+    if tasks <= 1 {
+        return 1;
+    }
+    let t = if configured == 0 { cores() } else { configured };
     t.min(tasks).max(1)
 }
 
-/// Run `f(i)` for every task in `0..tasks` on up to `threads` scoped
-/// workers and return the results in task order (so merge order — and
-/// therefore floating-point aggregation — is deterministic regardless of
-/// which worker ran which task). Falls back to a plain loop when one
-/// worker suffices. A worker that panics loses the results it held: every
-/// slot it had claimed reports `Error::Internal`, the rest still answer.
+/// Run `f(i)` for every task in `0..tasks` on up to `threads` workers and
+/// return the results in task order (so merge order — and therefore
+/// floating-point aggregation — is deterministic regardless of which
+/// worker ran which task). The calling thread is one of the workers:
+/// `threads - 1` scoped threads are spawned beside it. Falls back to a
+/// plain loop when one worker suffices. A worker that panics, the caller
+/// included, loses the results it held: every slot it had claimed reports
+/// `Error::Internal`, the rest still answer.
 pub fn scatter<T, F>(tasks: usize, threads: usize, f: F) -> Vec<Result<T>>
 where
     T: Send,
     F: Fn(usize) -> Result<T> + Sync,
 {
     let threads = effective_threads(threads, tasks);
-    if threads <= 1 || tasks <= 1 {
+    if threads <= 1 {
         return (0..tasks).map(f).collect();
     }
     let next = AtomicUsize::new(0);
+    let work = || {
+        let mut mine = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= tasks {
+                break;
+            }
+            mine.push((i, f(i)));
+        }
+        mine
+    };
     let mut out: Vec<Option<Result<T>>> = (0..tasks).map(|_| None).collect();
     std::thread::scope(|s| {
-        let workers: Vec<_> = (0..threads)
-            .map(|_| {
-                s.spawn(|| {
-                    let mut mine = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= tasks {
-                            break;
-                        }
-                        mine.push((i, f(i)));
-                    }
-                    mine
-                })
-            })
-            .collect();
-        for w in workers {
-            // a panicked worker's claims stay `None`
-            for (i, r) in w.join().unwrap_or_default() {
-                out[i] = Some(r);
-            }
+        let workers: Vec<_> = (1..threads).map(|_| s.spawn(work)).collect();
+        // a panicked worker's claims stay `None`
+        let own = panic::catch_unwind(AssertUnwindSafe(work)).unwrap_or_default();
+        let theirs = workers
+            .into_iter()
+            .flat_map(|w| w.join().unwrap_or_default());
+        for (i, r) in theirs.chain(own) {
+            out[i] = Some(r);
         }
     });
     // every index is claimed exactly once and a worker that returns hands
@@ -297,11 +310,46 @@ mod tests {
         );
     }
 
+    /// The calling thread is a worker, and a panic on it is caught as a
+    /// spawned worker's is: it costs the one slot the caller held, not the
+    /// call. The spawned worker's first task waits until the caller has
+    /// claimed one, so the caller always holds exactly one.
+    #[test]
+    fn a_panicking_caller_fails_its_slot_not_the_call() {
+        use std::sync::atomic::AtomicBool;
+        let caller = std::thread::current().id();
+        let claimed = AtomicBool::new(false);
+        let out = scatter(16, 2, |i| {
+            if std::thread::current().id() == caller {
+                claimed.store(true, Ordering::SeqCst);
+                panic!("the caller's task {i}");
+            }
+            while !claimed.load(Ordering::SeqCst) {
+                std::thread::yield_now();
+            }
+            Ok(i)
+        });
+        let lost: Vec<usize> = (0..16).filter(|&i| out[i].is_err()).collect();
+        assert_eq!(
+            lost.len(),
+            1,
+            "the caller dies on its first claim: {lost:?}"
+        );
+        for (i, r) in out.into_iter().enumerate() {
+            match r {
+                Ok(v) => assert_eq!(v, i),
+                Err(Error::Internal(msg)) => assert!(msg.contains(&format!("[{i}]")), "{msg}"),
+                Err(e) => panic!("slot {i}: {e:?}"),
+            }
+        }
+    }
+
     #[test]
     fn zero_threads_means_auto() {
         assert!(effective_threads(0, 100) >= 1);
         assert_eq!(effective_threads(8, 3), 3);
         assert_eq!(effective_threads(2, 100), 2);
         assert_eq!(effective_threads(4, 0), 1);
+        assert_eq!(effective_threads(0, 1), 1);
     }
 }

@@ -33,6 +33,9 @@ use rtdi::olap::query::{Predicate, PredicateOp, Query, SortOrder};
 use rtdi::olap::realtime::MutableSegment;
 use rtdi::olap::segment::{IndexSpec, Segment};
 use rtdi::olap::table::{OlapTable, TableConfig};
+use rtdi::sql::catalog::{HybridTable, RealtimeSide};
+use rtdi::sql::connector::PinotConnector;
+use rtdi::sql::engine::{EngineConfig, SqlEngine};
 use rtdi::storage::archival::{ArchivalWriter, Compactor};
 use rtdi::storage::hive::HiveCatalog;
 use rtdi::storage::keyed::KeyedSnapshot;
@@ -488,6 +491,46 @@ fn sql_drilldown_pays_for_its_groups() {
     }
 }
 
+/// A query through a `HybridTable` left at its default thread count (one
+/// per core) over one offline segment scatters one task: it allocates
+/// exactly what the same query allocates on one query thread, and does not
+/// ask the host for its core count, which reads cgroup files and allocates.
+fn one_segment_asks_no_core_count() {
+    let rows: Vec<Row> = trips(2_000).into_iter().map(|r| r.value).collect();
+    let segment = Segment::build("off", &schema(), rows, &IndexSpec::none()).unwrap();
+    let file = segment.persist().unwrap();
+    let engine = |threads: Option<usize>| {
+        let realtime = OlapTable::new(table("trips").with_query_threads(1)).unwrap();
+        let hybrid = HybridTable::new("trips", schema(), "ts", RealtimeSide::Direct(realtime));
+        let hybrid = match threads {
+            Some(n) => hybrid.with_query_threads(n),
+            None => hybrid,
+        };
+        let offline = Segment::load_lazy(file.clone()).unwrap();
+        hybrid
+            .register_offline_segment(Arc::new(offline), None)
+            .unwrap();
+        let pinot = PinotConnector::new();
+        pinot.register_hybrid(Arc::new(hybrid));
+        let mut engine = SqlEngine::new(EngineConfig {
+            default_catalog: "pinot".into(),
+            enable_pushdown: true,
+        });
+        engine.register_connector("pinot", Arc::new(pinot));
+        engine
+    };
+    let sql = "SELECT city, COUNT(*) AS n FROM trips GROUP BY city";
+    let (default, one) = (engine(None), engine(Some(1)));
+    let (answer, spent) = count_allocations(|| default.query(sql).unwrap());
+    let (expected, on_one) = count_allocations(|| one.query(sql).unwrap());
+    assert_eq!(answer.rows, expected.rows);
+    assert_eq!(
+        spent.allocs, on_one.allocs,
+        "{sql}: the default thread count allocated {} against {} on one thread",
+        spent.allocs, on_one.allocs
+    );
+}
+
 /// A predicate on the column a segment is sorted by is a binary search
 /// that probes the raw column (dictionary ids here), so it allocates its
 /// bitmaps and no cell: sixty-four times the docs, six more probes, the
@@ -837,6 +880,8 @@ fn produce_ingest_and_retry_hold_their_allocation_budgets() {
     queries_pay_for_what_they_answer();
 
     sql_drilldown_pays_for_its_groups();
+
+    one_segment_asks_no_core_count();
 
     sorted_probes_build_no_value();
 

@@ -2485,3 +2485,349 @@ mod streaming_backfill {
         }
     }
 }
+
+/// Realtime ingestion drains its partitions in parallel once at least two
+/// of them hold a full fetch, and one after another otherwise; neither
+/// path may be observable. The oracle feeds each partition's new records
+/// to `OlapTable::ingest_batch` in one call, one partition after another,
+/// and resumes a partition behind a refused row in the next round, as the
+/// ingester does. Over 1–8 partitions, backlogs below, at and far above
+/// one fetch, seals inside fetches, plain and upsert tables and the odd
+/// refused row, every round must leave the same segments (names, doc
+/// counts, back-up order), SQL answers, upsert lookups, Chaperone window
+/// counts, positions and outcome.
+mod parallel_ingest {
+    use super::*;
+    use rtdi::common::Error;
+    use rtdi::olap::ingestion::{IngestionConfig, RealtimeIngester};
+    use rtdi::olap::table::{OlapTable, TableConfig};
+    use rtdi::sql::connector::PinotConnector;
+    use rtdi::sql::engine::{EngineConfig, SqlEngine};
+    use rtdi::stream::chaperone::Chaperone;
+    use rtdi::stream::topic::{Topic, TopicConfig};
+    use std::sync::Arc;
+
+    const SEED_INGEST: u64 = 0x1A6E_5700;
+    const STAGE: &str = "pinot-ingestion";
+    const WINDOW_MS: i64 = 100;
+    const QUERIES: [&str; 3] = [
+        "SELECT COUNT(*) AS n, SUM(fare) AS f, MAX(ts) AS t FROM t",
+        "SELECT city, COUNT(*) AS n, SUM(fare) AS f FROM t GROUP BY city ORDER BY city ASC",
+        "SELECT key, fare, ts FROM t WHERE city = 'c1' ORDER BY key ASC, ts ASC LIMIT 40",
+    ];
+
+    fn schema() -> Schema {
+        Schema::of(
+            "t",
+            &[
+                ("key", FieldType::Str),
+                ("city", FieldType::Str),
+                ("fare", FieldType::Double),
+                ("ts", FieldType::Timestamp),
+            ],
+        )
+    }
+
+    /// `per_partition` keys for each of `partitions`, each key in the
+    /// partition its hash routes an upsert lookup to.
+    fn keys(partitions: usize, per_partition: usize) -> Vec<Vec<String>> {
+        let mut keys = vec![Vec::new(); partitions];
+        for j in 0.. {
+            let key = format!("k{j}");
+            let p = (Value::Str(key.clone()).partition_hash() % partitions as u64) as usize;
+            if keys[p].len() < per_partition {
+                keys[p].push(key);
+            }
+            if keys.iter().all(|k| k.len() == per_partition) {
+                break;
+            }
+        }
+        keys
+    }
+
+    /// Record `i` of partition `p`: fares in quarters, so every sum is
+    /// exact whatever order it is added up in. A refused record carries a
+    /// fare the schema does not accept.
+    fn record(p: usize, i: usize, keys: &[String], refused: bool) -> Record {
+        let key = &keys[(i * 7 + p) % keys.len()];
+        let fare = if refused {
+            Value::Str(format!("free in partition {p}"))
+        } else {
+            Value::Double(((i * 13 + p) % 37) as f64 / 4.0)
+        };
+        let ts = (i * 7 + p) as i64;
+        let row = Row::new()
+            .with("key", key.as_str())
+            .with("city", format!("c{}", (i + p) % 5))
+            .with("fare", fare)
+            .with("ts", ts);
+        Record::new(row, ts)
+            .with_key(key.as_str())
+            .with_unique_id(format!("m{p}-{i}"))
+    }
+
+    fn table(partitions: usize, segment_rows: usize, upsert: bool) -> Arc<OlapTable> {
+        let config = TableConfig::new("t", schema())
+            .with_time_column("ts")
+            .with_partitions(partitions)
+            .with_segment_rows(segment_rows);
+        let config = if upsert {
+            config.with_upsert("key")
+        } else {
+            config
+        };
+        OlapTable::new(config).unwrap()
+    }
+
+    fn engine(table: &Arc<OlapTable>) -> SqlEngine {
+        let pinot = PinotConnector::new();
+        pinot.register(table.clone());
+        let mut e = SqlEngine::new(EngineConfig {
+            default_catalog: "pinot".into(),
+            enable_pushdown: true,
+        });
+        e.register_connector("pinot", Arc::new(pinot));
+        e
+    }
+
+    /// The oracle's round: each partition's records past `positions`, in
+    /// one `ingest_batch`, partition after partition. Returns what
+    /// `run_once` returns, with the error as text.
+    fn oracle_round(
+        topic: &Topic,
+        table: &OlapTable,
+        chaperone: &Chaperone,
+        positions: &mut [u64],
+    ) -> std::result::Result<u64, String> {
+        let stage = chaperone.stage(STAGE);
+        let (mut total, mut first_error) = (0, None);
+        for (p, position) in positions.iter_mut().enumerate() {
+            let fetched = topic.fetch(p, *position, usize::MAX / 2).unwrap().records;
+            let rows = fetched.iter();
+            let rows = rows.map(|r| (&r.record.value, Some(r.record.timestamp)));
+            let consumed = match table.ingest_batch(p, rows) {
+                Ok(n) => {
+                    total += n as u64;
+                    n
+                }
+                Err((k, e)) => {
+                    first_error.get_or_insert(e.to_string());
+                    k + 1
+                }
+            };
+            stage.observe_batch(fetched[..consumed].iter().map(|r| r.record.as_ref()));
+            *position += consumed as u64;
+        }
+        first_error.map_or(Ok(total), Err)
+    }
+
+    type Observed = (
+        Vec<(usize, String, usize)>,
+        Vec<Vec<String>>,
+        Vec<Vec<Row>>,
+        Vec<Option<Value>>,
+        Vec<rtdi::stream::chaperone::WindowStats>,
+    );
+
+    /// Everything a round leaves that a reader can see.
+    fn observe(table: &Arc<OlapTable>, chaperone: &Chaperone, keys: &[Vec<String>]) -> Observed {
+        let partitions = keys.len();
+        let backed_up = table.take_unbacked().into_iter();
+        let backed_up = backed_up.map(|(p, s)| (p, s.name().to_string(), s.doc_count()));
+        let sealed = (0..partitions).map(|p| table.sealed_segments(p).unwrap());
+        let engine = engine(table);
+        let answers = QUERIES.iter().map(|q| engine.query(q).unwrap().rows);
+        let lookups = keys.iter().flatten();
+        let lookups = lookups.map(|k| table.lookup(&Value::Str(k.clone()), "ts"));
+        let windows = (0..40).map(|w| chaperone.stats(STAGE, w * WINDOW_MS));
+        (
+            backed_up.collect(),
+            sealed.collect(),
+            answers.collect(),
+            lookups.collect(),
+            windows.collect(),
+        )
+    }
+
+    /// What a round appends to a partition: nothing, less than one fetch,
+    /// exactly one, or several with a partial one at the end.
+    fn backlog(rng: &mut StdRng, batch: usize) -> usize {
+        match rng.gen_range(0..5u8) {
+            0 => 0,
+            1 => rng.gen_range(1..batch),
+            2 => batch,
+            _ => rng.gen_range(batch + 1..batch * 6),
+        }
+    }
+
+    #[test]
+    fn parallel_ingest_equals_the_serial_oracle() {
+        const CASES: u64 = 48;
+        let (mut serial_rounds, mut parallel_rounds) = (0, 0);
+        for case in 0..CASES {
+            let mut rng = StdRng::seed_from_u64(SEED_INGEST + case);
+            let partitions = rng.gen_range(1..=8usize);
+            let batch = rng.gen_range(2..=24usize);
+            // below a fetch, so that fetches seal, or well above one
+            let segment_rows = [rng.gen_range(2..batch + 2), rng.gen_range(batch..batch * 4)]
+                [rng.gen_range(0..2usize)];
+            let upsert = rng.gen_bool(0.5);
+            let refusal_share = [0.0, 0.0, 0.02][rng.gen_range(0..3usize)];
+            let keys = keys(partitions, rng.gen_range(1..=12usize));
+            let ctx = format!(
+                "case {case}: {partitions} partitions, fetch {batch}, segment {segment_rows}, \
+                 upsert {upsert}, refusals {refusal_share}"
+            );
+
+            let topic = Topic::new("t", TopicConfig::default().with_partitions(partitions));
+            let topic = Arc::new(topic.unwrap());
+            let (parallel, oracle) = (
+                table(partitions, segment_rows, upsert),
+                table(partitions, segment_rows, upsert),
+            );
+            let (audit, oracle_audit) = (Chaperone::new(WINDOW_MS), Chaperone::new(WINDOW_MS));
+            let config = IngestionConfig {
+                batch_size: batch,
+                ..IngestionConfig::default()
+            };
+            let mut ingester = RealtimeIngester::new(topic.clone(), parallel.clone(), config)
+                .unwrap()
+                .with_chaperone(audit.clone());
+            let mut positions = vec![0u64; partitions];
+            let mut appended = vec![0usize; partitions];
+            for round in 0..rng.gen_range(1..=3) {
+                for (p, end) in appended.iter_mut().enumerate() {
+                    for _ in 0..backlog(&mut rng, batch) {
+                        let refused = rng.gen_bool(refusal_share);
+                        topic
+                            .append_to(p, record(p, *end, &keys[p], refused), 0)
+                            .unwrap();
+                        *end += 1;
+                    }
+                }
+                let qualifying = (0..partitions)
+                    .filter(|&p| appended[p] as u64 - positions[p] >= batch as u64)
+                    .count();
+                if qualifying >= 2 {
+                    parallel_rounds += 1;
+                } else {
+                    serial_rounds += 1;
+                }
+                let ctx = format!("{ctx}, round {round}, {qualifying} with a full fetch");
+
+                let got = ingester.run_once().map_err(|e: Error| e.to_string());
+                let want = oracle_round(&topic, &oracle, &oracle_audit, &mut positions);
+                assert_eq!(got, want, "{ctx}");
+                assert_eq!(ingester.positions(), positions, "{ctx}");
+                assert_eq!(
+                    observe(&parallel, &audit, &keys),
+                    observe(&oracle, &oracle_audit, &keys),
+                    "{ctx}"
+                );
+            }
+        }
+        // both paths ran under the property
+        assert!(parallel_rounds >= 10, "{parallel_rounds} parallel rounds");
+        assert!(serial_rounds >= 10, "{serial_rounds} serial rounds");
+    }
+
+    /// FNV-1a over `bytes`, folded into `h`.
+    fn fnv(mut h: u64, bytes: &[u8]) -> u64 {
+        for b in bytes {
+            h ^= u64::from(*b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        h
+    }
+
+    fn env_seed() -> u64 {
+        std::env::var("RTDI_INGEST_SEED")
+            .ok()
+            .and_then(|s| {
+                s.strip_prefix("0x")
+                    .map(|h| u64::from_str_radix(h, 16).ok())
+                    .unwrap_or_else(|| s.parse().ok())
+            })
+            .unwrap_or(0x1A6E57)
+    }
+
+    /// ci.sh hook: a seeded backlog of several thousand records in each of
+    /// six partitions, every one of them many fetches deep, ingested in
+    /// one `run_once` (the parallel path on a host with two cores or
+    /// more) into an upsert table whose segments seal inside fetches.
+    /// Prints `INGEST_SUMMARY` lines: the outcome and positions, each
+    /// partition's segments and a digest of their persisted bytes, the
+    /// audit counts, and the answers of a fixed set of queries and
+    /// lookups. ci.sh runs it twice per seed and diffs the lines.
+    #[test]
+    fn ingest_env_seed_prints_summary() {
+        const PARTITIONS: usize = 6;
+        const FETCH: usize = 256;
+        let seed = env_seed();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let keys = keys(PARTITIONS, 400);
+        let topic = Topic::new("t", TopicConfig::default().with_partitions(PARTITIONS));
+        let topic = Arc::new(topic.unwrap());
+        for (p, keys) in keys.iter().enumerate() {
+            for i in 0..rng.gen_range(2_000..3_000usize) {
+                topic.append_to(p, record(p, i, keys, false), 0).unwrap();
+            }
+        }
+        let table = table(PARTITIONS, rng.gen_range(500..900usize), true);
+        let audit = Chaperone::new(WINDOW_MS);
+        let config = IngestionConfig {
+            batch_size: FETCH,
+            ..IngestionConfig::default()
+        };
+        let mut ingester = RealtimeIngester::new(topic, table.clone(), config)
+            .unwrap()
+            .with_chaperone(audit.clone());
+        let ingested = ingester.run_once().unwrap();
+        println!(
+            "INGEST_SUMMARY seed={seed:#x} partitions={PARTITIONS} fetch={FETCH} \
+             ingested={ingested} positions={:?}",
+            ingester.positions()
+        );
+
+        let answers = QUERIES.map(|q| engine(&table).query(q).unwrap().rows);
+        let lookups = keys.iter().flatten();
+        let lookups: Vec<_> = lookups
+            .map(|k| table.lookup(&Value::Str(k.clone()), "ts"))
+            .collect();
+        table.seal_all().unwrap();
+        let mut segments = vec![(Vec::new(), 0xcbf2_9ce4_8422_2325u64); PARTITIONS];
+        for (p, segment) in table.take_unbacked() {
+            let (names, digest) = &mut segments[p];
+            names.push(format!("{}:{}", segment.name(), segment.doc_count()));
+            *digest = fnv(*digest, &segment.persist().unwrap());
+        }
+        for (p, (names, digest)) in segments.iter().enumerate() {
+            println!(
+                "INGEST_SUMMARY p={p} segments={} digest={digest:016x}",
+                names.join(",")
+            );
+        }
+
+        let max_ts = (3_000 * 7 + PARTITIONS) as i64;
+        let windows = (0..=max_ts / WINDOW_MS).map(|w| audit.stats(STAGE, w * WINDOW_MS));
+        let (mut count, mut unique, mut digest) = (0, 0, 0xcbf2_9ce4_8422_2325u64);
+        for w in windows.filter(|w| w.count > 0) {
+            (count, unique) = (count + w.count, unique + w.unique);
+            digest = fnv(digest, format!("{w:?}").as_bytes());
+        }
+        println!("INGEST_SUMMARY audit count={count} unique={unique} windows={digest:016x}");
+        for (q, rows) in QUERIES.iter().zip(&answers) {
+            let digest = fnv(0xcbf2_9ce4_8422_2325, format!("{rows:?}").as_bytes());
+            println!(
+                "INGEST_SUMMARY rows={} digest={digest:016x} sql={q}",
+                rows.len()
+            );
+        }
+        let digest = fnv(0xcbf2_9ce4_8422_2325, format!("{lookups:?}").as_bytes());
+        println!(
+            "INGEST_SUMMARY lookups={} digest={digest:016x}",
+            lookups.len()
+        );
+        assert_eq!(count, ingested, "the audit counts every record ingested");
+    }
+}
