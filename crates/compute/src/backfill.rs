@@ -27,7 +27,7 @@ use crate::source::{HiveSource, TopicSource};
 use crate::Operator;
 use rtdi_common::{Error, Result, Timestamp};
 use rtdi_storage::hive::{event_times, ts_cover, HiveTable, TsCover};
-use rtdi_stream::topic::Topic;
+use rtdi_stream::topic::{PartitionCursor, Topic};
 use std::sync::Arc;
 
 /// Backfill tuning.
@@ -89,24 +89,12 @@ pub fn kafka_replay_job(
     operators: Vec<Box<dyn Operator>>,
     sink: Box<dyn Sink>,
 ) -> Result<Job> {
-    // verify the requested range is still retained: the earliest retained
-    // record in each partition must be no newer than `from`
-    for p in 0..topic.num_partitions() {
-        let log = topic
-            .partition(p)
-            .ok_or_else(|| Error::NotFound(format!("topic '{}' partition {p}", topic.name())))?;
-        let start = log.log_start_offset();
-        if let Ok(fetch) = log.fetch(start, 1) {
-            if let Some(first) = fetch.records.first() {
-                if first.record.timestamp > from {
-                    return Err(Error::OffsetOutOfRange {
-                        requested: 0,
-                        low: start,
-                        high: log.high_watermark(),
-                    });
-                }
-            }
-        }
+    if let Some(trimmed) = first_trimmed(&topic, from)? {
+        return Err(Error::OffsetOutOfRange {
+            requested: 0,
+            low: trimmed.position,
+            high: topic.committed_watermark(trimmed.partition).unwrap_or(0),
+        });
     }
     let source = TopicSource::bounded(topic)?;
     Ok(Job::new(name, Box::new(source), operators, sink))
@@ -114,23 +102,23 @@ pub fn kafka_replay_job(
 
 /// Report whether a topic still retains data back to `from` — the check
 /// a backfill planner runs to choose between Kappa (cheap, if retained)
-/// and Kappa+ (always possible).
+/// and Kappa+ (always possible). A missing partition means the range
+/// cannot be replayed.
 pub fn kafka_retains(topic: &Topic, from: Timestamp) -> bool {
-    (0..topic.num_partitions()).all(|p| {
-        // a missing partition means the range cannot be replayed — answer
-        // "not retained" instead of panicking
-        let Some(log) = topic.partition(p) else {
-            return false;
-        };
-        match log.fetch(log.log_start_offset(), 1) {
-            Ok(f) => f
-                .records
-                .first()
-                .map(|r| r.record.timestamp <= from)
-                .unwrap_or(true),
-            Err(_) => false,
+    matches!(first_trimmed(topic, from), Ok(None))
+}
+
+/// The first partition whose oldest committed record is newer than
+/// `from`, as a cursor at its log start.
+fn first_trimmed(topic: &Topic, from: Timestamp) -> Result<Option<PartitionCursor>> {
+    for p in 0..topic.num_partitions() {
+        let mut cursor = PartitionCursor::at_log_start(topic, p)?;
+        let oldest = cursor.fetch(topic, 1)?;
+        if oldest.first().is_some_and(|r| r.record.timestamp > from) {
+            return Ok(Some(cursor));
         }
-    })
+    }
+    Ok(None)
 }
 
 /// The boundary detection the paper mentions: given a table and a

@@ -1,9 +1,11 @@
 //! Sources: where jobs read records from.
 //!
 //! - [`VecSource`]: bounded in-memory source for tests and examples;
-//! - [`TopicSource`]: the Kafka source — reads a topic's partitions with
-//!   checkpointable positions; bounded ("read to current end", used by
-//!   catch-up runs) or unbounded;
+//! - [`TopicSource`]: the Kafka source — reads each partition of a topic
+//!   through its own [`PartitionCursor`] (committed records only, a
+//!   retention jump counted in [`TopicSource::skipped`]), whose positions
+//!   are the checkpoint; bounded ("read to current end", used by catch-up
+//!   runs) or unbounded;
 //! - [`UnionSource`]: merges several sources, tagging each record with its
 //!   stream name — the input shape [`crate::operator::WindowJoinOp`]
 //!   expects;
@@ -19,7 +21,7 @@ use crate::operator::STREAM_TAG;
 use rtdi_common::{Error, Record, Result, Row, Timestamp};
 use rtdi_storage::hive::{time_order, HiveTable, TimedDoc};
 use rtdi_storage::segfile::{RowReader, SegmentFile};
-use rtdi_stream::topic::Topic;
+use rtdi_stream::topic::{PartitionCursor, Topic};
 use std::sync::Arc;
 
 /// A record source with checkpointable progress.
@@ -98,10 +100,10 @@ impl Source for VecSource {
     }
 }
 
-/// Source over a stream topic with per-partition positions.
+/// Source over a stream topic with a cursor per partition.
 pub struct TopicSource {
     topic: Arc<Topic>,
-    positions: Vec<u64>,
+    cursors: Vec<PartitionCursor>,
     /// For bounded mode: stop at these high watermarks (captured at
     /// construction). `None` = unbounded.
     end_offsets: Option<Vec<u64>>,
@@ -111,10 +113,11 @@ pub struct TopicSource {
 impl TopicSource {
     /// Unbounded: keeps returning new records as they are produced.
     pub fn unbounded(topic: Arc<Topic>) -> Self {
-        let n = topic.num_partitions();
         TopicSource {
+            cursors: (0..topic.num_partitions())
+                .map(|p| PartitionCursor::new(p, 0))
+                .collect(),
             topic,
-            positions: vec![0; n],
             end_offsets: None,
             next_partition: 0,
         }
@@ -125,24 +128,21 @@ impl TopicSource {
     /// inconsistent — e.g. a partition dropped between the watermark
     /// snapshot and here.
     pub fn bounded(topic: Arc<Topic>) -> Result<Self> {
-        let ends = topic.high_watermarks();
-        let n = topic.num_partitions();
-        let starts = (0..n)
-            .map(|p| {
-                topic
-                    .partition(p)
-                    .map(|part| part.log_start_offset())
-                    .ok_or_else(|| {
-                        Error::NotFound(format!("topic '{}' partition {p}", topic.name()))
-                    })
-            })
-            .collect::<Result<Vec<u64>>>()?;
+        let ends = topic.committed_watermarks();
+        let cursors = (0..topic.num_partitions())
+            .map(|p| PartitionCursor::at_log_start(&topic, p))
+            .collect::<Result<_>>()?;
         Ok(TopicSource {
             topic,
-            positions: starts,
+            cursors,
             end_offsets: Some(ends),
             next_partition: 0,
         })
+    }
+
+    /// Records retention removed before this source read them.
+    pub fn skipped(&self) -> u64 {
+        self.cursors.iter().map(|c| c.skipped).sum()
     }
 }
 
@@ -160,32 +160,21 @@ impl Source for TopicSource {
         let per_partition = (max / n).max(1);
         let mut out: Vec<Arc<Record>> = Vec::new();
         for _ in 0..n {
-            let p = self.next_partition;
+            let cursor = &mut self.cursors[self.next_partition];
             self.next_partition = (self.next_partition + 1) % n;
             let limit = match &self.end_offsets {
                 Some(ends) => {
-                    if self.positions[p] >= ends[p] {
-                        continue;
-                    }
-                    ((ends[p] - self.positions[p]) as usize).min(per_partition)
+                    let end = ends[cursor.partition];
+                    (end.saturating_sub(cursor.position) as usize).min(per_partition)
                 }
                 None => per_partition,
             };
             if limit == 0 || out.len() >= max {
                 continue;
             }
-            let fetch = match self.topic.fetch(p, self.positions[p], limit) {
-                Ok(f) => f,
-                Err(rtdi_common::Error::OffsetOutOfRange { low, .. }) => {
-                    self.positions[p] = low;
-                    self.topic.fetch(p, low, limit)?
-                }
-                Err(e) => return Err(e),
-            };
-            if let Some(last) = fetch.records.last() {
-                self.positions[p] = last.offset + 1;
-            }
-            out.extend(fetch.records.into_iter().map(|r| r.record));
+            let records = cursor.fetch(&self.topic, limit)?;
+            cursor.consumed(&records);
+            out.extend(records.into_iter().map(|r| r.record));
         }
         out.sort_by_key(|r| r.timestamp);
         Ok(out)
@@ -193,22 +182,28 @@ impl Source for TopicSource {
 
     fn is_exhausted(&self) -> bool {
         match &self.end_offsets {
-            Some(ends) => self.positions.iter().zip(ends).all(|(pos, end)| pos >= end),
+            Some(ends) => self
+                .cursors
+                .iter()
+                .zip(ends)
+                .all(|(c, &end)| c.position >= end),
             None => false,
         }
     }
 
     fn position(&self) -> Vec<u64> {
-        self.positions.clone()
+        self.cursors.iter().map(|c| c.position).collect()
     }
 
     fn seek(&mut self, position: &[u64]) -> Result<()> {
-        if position.len() != self.positions.len() {
-            return Err(rtdi_common::Error::InvalidArgument(
+        if position.len() != self.cursors.len() {
+            return Err(Error::InvalidArgument(
                 "position vector length mismatch".into(),
             ));
         }
-        self.positions = position.to_vec();
+        for (cursor, &offset) in self.cursors.iter_mut().zip(position) {
+            cursor.position = offset;
+        }
         Ok(())
     }
 }

@@ -10,6 +10,7 @@
 //! clicking a button").
 
 use crate::metadata::{LineageGraph, SchemaRegistry};
+use parking_lot::Mutex;
 use rtdi_common::{
     Chaos, Clock, Error, PipelineTracer, Record, Result, Schema, Timestamp, TraceReport, WallClock,
 };
@@ -27,9 +28,11 @@ use rtdi_storage::hive::HiveCatalog;
 use rtdi_storage::object::{FaultyStore, InMemoryStore, ObjectStore};
 use rtdi_stream::chaperone::Chaperone;
 use rtdi_stream::cluster::{Cluster, ClusterConfig};
+use rtdi_stream::consumer::TopicSubscription;
 use rtdi_stream::federation::FederatedCluster;
 use rtdi_stream::producer::{Producer, ProducerConfig, StreamEndpoint};
-use rtdi_stream::topic::{Topic, TopicConfig};
+use rtdi_stream::topic::{PartitionCursor, Topic, TopicConfig};
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::sync::Arc;
 
 /// Loss/duplication audit for one hop of a pipeline, computed by
@@ -76,6 +79,9 @@ pub struct RealtimePlatform {
     tracer: PipelineTracer,
     clock: Arc<dyn Clock>,
     chaos: Chaos,
+    /// Per archived topic: its subscription and how far each partition is
+    /// in the warehouse. Held for the whole of an `archive_topic` call.
+    archives: Mutex<BTreeMap<String, (TopicSubscription, Vec<PartitionCursor>)>>,
 }
 
 impl RealtimePlatform {
@@ -134,6 +140,7 @@ impl RealtimePlatform {
             tracer,
             clock,
             chaos,
+            archives: Mutex::new(BTreeMap::new()),
         }
     }
 
@@ -340,21 +347,32 @@ impl RealtimePlatform {
         self.engine.query(query)
     }
 
-    /// Archive everything currently in a topic into the warehouse raw
-    /// logs and compact into a queryable Hive table (§4.4). Registers the
-    /// table on first call.
+    /// Archive the committed records of a topic that earlier calls have
+    /// not archived into the warehouse raw logs, and compact them into a
+    /// queryable Hive table (§4.4). Registers the table on first call.
+    /// Returns the rows compacted.
+    ///
+    /// The archiver is a consumer: a cursor per partition, kept in memory
+    /// and advanced only once the call's parts are registered, so a failed
+    /// call is re-read whole by the next.
     pub fn archive_topic(&self, topic: &str, schema: &Schema) -> Result<usize> {
-        let sub = self.federation.subscribe(topic)?;
+        let mut archives = self.archives.lock();
+        let (sub, cursors) = match archives.entry(topic.to_string()) {
+            Entry::Occupied(known) => known.into_mut(),
+            Entry::Vacant(new) => new.insert((self.federation.subscribe(topic)?, Vec::new())),
+        };
         let t = sub.topic();
         let writer = ArchivalWriter::new(self.store.clone(), topic);
+        let mut next = cursors.clone();
+        next.extend((next.len()..t.num_partitions()).map(|p| PartitionCursor::new(p, 0)));
         let mut fetched = Vec::new();
-        for p in 0..t.num_partitions() {
-            let log = t
-                .partition(p)
-                .ok_or_else(|| Error::NotFound(format!("partition {p} of topic '{topic}'")))?;
-            fetched.extend(log.fetch(log.log_start_offset(), usize::MAX / 2)?.records);
+        for cursor in &mut next {
+            let records = cursor.fetch(&t, usize::MAX / 2)?;
+            cursor.consumed(&records);
+            fetched.extend(records);
         }
         if fetched.is_empty() {
+            *cursors = next;
             return Ok(0);
         }
         // encoded from the log's own handles: no record is copied
@@ -373,7 +391,14 @@ impl RealtimePlatform {
         for (date, _) in written {
             rows += compactor.compact(topic, &date, schema)?;
         }
+        *cursors = next;
         Ok(rows)
+    }
+
+    /// The archiver's cursors over `topic`, one per partition; empty
+    /// before the topic is first archived.
+    pub fn archive_cursors(&self, topic: &str) -> Vec<PartitionCursor> {
+        (self.archives.lock().get(topic)).map_or(Vec::new(), |(_, c)| c.clone())
     }
 
     /// One-call backfill (§7 Kappa+ SQL mode): run `sql` over the archived
@@ -680,9 +705,9 @@ mod tests {
     }
 
     #[test]
-    fn archiving_a_topic_again_never_shrinks_its_table() {
-        // archive_topic re-reads the topic from its start: the second call
-        // adds a part file per date beside the first, it must not replace it
+    fn archiving_a_topic_again_archives_only_what_is_new() {
+        // the archiver keeps a position per partition: the second call
+        // reads only the 20 records produced since the first
         let p = platform();
         p.create_topic(
             "trips",
@@ -693,12 +718,68 @@ mod tests {
         produce_trips(&p, 30);
         assert_eq!(p.archive_topic("trips", &trips_schema()).unwrap(), 30);
         produce_trips(&p, 20);
-        assert_eq!(p.archive_topic("trips", &trips_schema()).unwrap(), 50);
+        assert_eq!(p.archive_topic("trips", &trips_schema()).unwrap(), 20);
+        assert_eq!(p.archive_topic("trips", &trips_schema()).unwrap(), 0);
         let table = p.catalog().table("trips").unwrap();
-        assert_eq!(table.row_count(), 80);
-        assert_eq!(table.scan_all().unwrap().len(), 80);
+        assert_eq!(table.row_count(), 50);
+        assert_eq!(table.scan_all().unwrap().len(), 50);
         let out = p.sql("SELECT COUNT(*) AS n FROM hive.trips").unwrap();
-        assert_eq!(out.rows[0].get_int("n"), Some(80));
+        assert_eq!(out.rows[0].get_int("n"), Some(50));
+        let cursors = p.archive_cursors("trips");
+        let positions: u64 = cursors.iter().map(|c| c.position).sum();
+        assert_eq!(positions, 50);
+    }
+
+    #[test]
+    fn a_failed_archive_is_read_again_by_the_next() {
+        use rtdi_common::chaos::{FaultKind, FaultPlan, FaultPoint, Trigger};
+        let chaos = Chaos::seeded(7);
+        let p = RealtimePlatform::with_chaos(Arc::new(SimClock::new(1_000_000)), chaos.clone());
+        p.create_topic(
+            "trips",
+            TopicConfig::default().with_partitions(2),
+            trips_schema(),
+        )
+        .unwrap();
+        produce_trips(&p, 30);
+        let put = FaultPlan::fail(FaultKind::Unavailable, Trigger::Always);
+        chaos.arm(FaultPoint::StorageObjectPut, put);
+        assert!(p.archive_topic("trips", &trips_schema()).is_err());
+        chaos.disarm(FaultPoint::StorageObjectPut);
+        assert_eq!(p.archive_topic("trips", &trips_schema()).unwrap(), 30);
+        assert_eq!(p.catalog().table("trips").unwrap().row_count(), 30);
+    }
+
+    #[test]
+    fn the_archive_holds_committed_records_only() {
+        use rtdi_common::chaos::{FaultKind, FaultPlan, FaultPoint, Trigger};
+        // both followers miss the last two appends: two strikes keep them
+        // in the ISR, so the committed watermark stays two records behind
+        // the log end, and a leader failover could still truncate those two
+        let chaos = Chaos::seeded(11);
+        let p = RealtimePlatform::with_chaos(Arc::new(SimClock::new(1_000_000)), chaos.clone());
+        let topic = p
+            .create_topic(
+                "trips",
+                TopicConfig::default().with_partitions(1),
+                trips_schema(),
+            )
+            .unwrap();
+        produce_trips(&p, 30);
+        let lag = FaultPlan::fail(FaultKind::Timeout, Trigger::Always);
+        chaos.arm(FaultPoint::StreamReplicate, lag);
+        for i in 30..32 {
+            let trip = Row::new()
+                .with("city", "sf")
+                .with("fare", 1.0)
+                .with("ts", i);
+            p.produce("trips", Record::new(trip, i)).unwrap();
+        }
+        chaos.disarm(FaultPoint::StreamReplicate);
+        assert_eq!(topic.committed_watermarks(), vec![30]);
+        assert_eq!(topic.high_watermarks(), vec![32]);
+        assert_eq!(p.archive_topic("trips", &trips_schema()).unwrap(), 30);
+        assert_eq!(p.catalog().table("trips").unwrap().row_count(), 30);
     }
 
     #[test]

@@ -7,11 +7,16 @@
 //! region stores the pricing result in an active/active database... When
 //! disaster strikes the primary region, the active-active service assigns
 //! another region to be the primary."
+//!
+//! Each round recomputes every region's state from its whole retained
+//! aggregate log by design: it reads each partition's committed records
+//! through a fresh [`PartitionCursor`] at the log start.
 
 use crate::kv::ReplicatedKv;
 use crate::topology::MultiRegionTopology;
 use parking_lot::RwLock;
 use rtdi_common::{Error, Result, Row, Timestamp};
+use rtdi_stream::topic::PartitionCursor;
 use std::collections::BTreeMap;
 
 /// The all-active coordinating service: tracks which region's update
@@ -56,11 +61,11 @@ impl ActiveActiveCoordinator {
     }
 }
 
-/// Run one redundant computation round: every healthy region consumes its
-/// aggregate topic from the beginning and computes per-key results with
-/// `compute`; only the primary region's update service writes to the KV
-/// store. Returns the per-region computed states so tests can assert
-/// convergence.
+/// Run one redundant computation round: every healthy region consumes the
+/// committed records of its aggregate topic from the log start and
+/// computes per-key results with `compute`; only the primary region's
+/// update service writes to the KV store. Returns the per-region computed
+/// states so tests can assert convergence.
 pub fn redundant_compute_round(
     topo: &MultiRegionTopology,
     coordinator: &ActiveActiveCoordinator,
@@ -77,11 +82,9 @@ pub fn redundant_compute_round(
         let topic = region.aggregate.topic(topo.topic())?;
         let mut rows = Vec::new();
         for p in 0..topic.num_partitions() {
-            let log = topic.partition(p).ok_or_else(|| {
-                Error::NotFound(format!("partition {p} of topic '{}'", topo.topic()))
-            })?;
-            let fetch = log.fetch(log.log_start_offset(), usize::MAX / 2)?;
-            rows.extend(fetch.records.into_iter().map(|r| r.into_record().value));
+            let records =
+                PartitionCursor::at_log_start(&topic, p)?.fetch(&topic, usize::MAX / 2)?;
+            rows.extend(records.into_iter().map(|r| r.into_record().value));
         }
         let state = compute(&rows);
         if region.name == primary {

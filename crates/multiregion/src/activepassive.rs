@@ -10,10 +10,16 @@
 //! an active/passive consumer fails over from one region to another, the
 //! consumer can take the latest synchronized offset and resume the
 //! consumption."
+//!
+//! [`ActivePassiveConsumer`] reads each partition of the active region's
+//! aggregate topic through a [`PartitionCursor`]: committed records only,
+//! retention jumps counted in [`ActivePassiveConsumer::skipped`], and a
+//! failover seeks every cursor to its translated offset.
 
 use crate::topology::{route_name, MultiRegionTopology};
 use rtdi_common::{Error, Record, Result};
 use rtdi_stream::replicator::OffsetMappingStore;
+use rtdi_stream::topic::PartitionCursor;
 use std::collections::BTreeMap;
 
 /// Translates committed offsets between regions using the replicator's
@@ -69,8 +75,9 @@ pub struct ActivePassiveConsumer {
     pub name: String,
     topic: String,
     current_region: String,
-    /// next offset per partition in the current region's aggregate topic
-    offsets: BTreeMap<usize, u64>,
+    /// where the next read starts, per partition of the current region's
+    /// aggregate topic
+    cursors: BTreeMap<usize, PartitionCursor>,
 }
 
 impl ActivePassiveConsumer {
@@ -79,15 +86,17 @@ impl ActivePassiveConsumer {
             name: name.to_string(),
             topic: topic.to_string(),
             current_region: region.to_string(),
-            offsets: BTreeMap::new(),
+            cursors: BTreeMap::new(),
         }
     }
 
-    pub fn committed(&self, partition: usize) -> u64 {
-        *self.offsets.get(&partition).unwrap_or(&0)
+    /// Records retention removed before this consumer read them.
+    pub fn skipped(&self) -> u64 {
+        self.cursors.values().map(|c| c.skipped).sum()
     }
 
-    /// Consume everything currently available in the active region.
+    /// Consume everything currently available in the active region. The
+    /// positions move only when the whole read succeeds.
     pub fn consume_available(&mut self, topo: &MultiRegionTopology) -> Result<Vec<Record>> {
         let region = topo.region(&self.current_region)?;
         // the consumer reads the aggregate cluster: aggregate-only loss
@@ -99,26 +108,20 @@ impl ActivePassiveConsumer {
             )));
         }
         let topic = region.aggregate.topic(&self.topic)?;
+        let mut cursors = self.cursors.clone();
         let mut out = Vec::new();
         for p in 0..topic.num_partitions() {
-            let mut pos = self.committed(p);
+            let cursor = cursors.entry(p).or_insert(PartitionCursor::new(p, 0));
             loop {
-                let fetch = match topic.fetch(p, pos, 1024) {
-                    Ok(f) => f,
-                    Err(Error::OffsetOutOfRange { low, .. }) => {
-                        pos = low;
-                        topic.fetch(p, low, 1024)?
-                    }
-                    Err(e) => return Err(e),
-                };
-                let Some(last) = fetch.records.last() else {
+                let records = cursor.fetch(&topic, 1024)?;
+                if records.is_empty() {
                     break;
-                };
-                pos = last.offset + 1;
-                out.extend(fetch.records.into_iter().map(|r| r.into_record()));
+                }
+                cursor.consumed(&records);
+                out.extend(records.into_iter().map(|r| r.into_record()));
             }
-            self.offsets.insert(p, pos);
         }
+        self.cursors = cursors;
         Ok(out)
     }
 
@@ -137,19 +140,17 @@ impl ActivePassiveConsumer {
         }
         let sources: Vec<String> = topo.regions.iter().map(|r| r.name.clone()).collect();
         let topic = target.aggregate.topic(&self.topic)?;
-        let mut new_offsets = BTreeMap::new();
         for p in 0..topic.num_partitions() {
-            let translated = sync.translate(
+            let cursor = self.cursors.entry(p).or_insert(PartitionCursor::new(p, 0));
+            cursor.position = sync.translate(
                 &self.topic,
                 &sources,
                 &self.current_region,
                 to_region,
                 p,
-                self.committed(p),
+                cursor.position,
             );
-            new_offsets.insert(p, translated);
         }
-        self.offsets = new_offsets;
         self.current_region = to_region.to_string();
         Ok(())
     }

@@ -5,14 +5,17 @@
 //! automatically infer the schema from the input Kafka topic". The
 //! ingester consumes a topic partition-aligned into an [`OlapTable`] and
 //! reports audit observations to Chaperone; the segments it seals wait in
-//! [`OlapTable::take_unbacked`] for whoever archives them.
+//! [`OlapTable::take_unbacked`] for whoever archives them. Each partition
+//! is read through its own [`PartitionCursor`]: committed records only,
+//! advanced past the rows the table took (a refused row included), with
+//! retention jumps counted in [`RealtimeIngester::skipped`].
 
 use crate::scatter::{self, scatter};
 use crate::table::OlapTable;
 use rtdi_common::trace::END_TO_END;
 use rtdi_common::{Clock, Error, PipelineTracer, Result, TraceStage};
 use rtdi_stream::chaperone::{Chaperone, ChaperoneStage};
-use rtdi_stream::topic::Topic;
+use rtdi_stream::topic::{PartitionCursor, Topic};
 use std::sync::Arc;
 
 /// Ingestion knobs.
@@ -49,7 +52,7 @@ pub struct RealtimeIngester {
     trace: Option<(TraceStage, TraceStage)>,
     clock: Option<Arc<dyn Clock>>,
     config: IngestionConfig,
-    positions: Vec<u64>,
+    cursors: Vec<PartitionCursor>,
 }
 
 impl RealtimeIngester {
@@ -62,15 +65,16 @@ impl RealtimeIngester {
                 table.config().partitions
             )));
         }
-        let n = topic.num_partitions();
         Ok(RealtimeIngester {
+            cursors: (0..topic.num_partitions())
+                .map(|p| PartitionCursor::new(p, 0))
+                .collect(),
             topic,
             table,
             chaperone: None,
             trace: None,
             clock: None,
             config,
-            positions: vec![0; n],
         })
     }
 
@@ -99,8 +103,13 @@ impl RealtimeIngester {
     }
 
     /// The next offset to consume, per partition.
-    pub fn positions(&self) -> &[u64] {
-        &self.positions
+    pub fn positions(&self) -> Vec<u64> {
+        self.cursors.iter().map(|c| c.position).collect()
+    }
+
+    /// Records retention removed before they were ingested.
+    pub fn skipped(&self) -> u64 {
+        self.cursors.iter().map(|c| c.skipped).sum()
     }
 
     /// Ingest everything currently available. Returns records ingested.
@@ -115,10 +124,10 @@ impl RealtimeIngester {
     pub fn run_once(&mut self) -> Result<u64> {
         let partitions = self.topic.num_partitions();
         let batch = self.config.batch_size as u64;
-        let backlogged = (0..partitions)
-            .filter(|&p| {
-                let committed = self.topic.committed_watermark(p).unwrap_or(0);
-                committed.saturating_sub(self.positions[p]) >= batch
+        let backlogged = (self.cursors.iter())
+            .filter(|c| {
+                let committed = self.topic.committed_watermark(c.partition).unwrap_or(0);
+                committed.saturating_sub(c.position) >= batch
             })
             .count();
         let mut total = 0;
@@ -131,62 +140,48 @@ impl RealtimeIngester {
         };
         let threads = scatter::effective_threads(0, backlogged);
         if threads > 1 {
-            let drains = scatter(
-                partitions,
-                threads,
-                |p| Ok(self.drain(p, self.positions[p])),
-            );
+            let drains = scatter(partitions, threads, |p| Ok(self.drain(self.cursors[p])));
             for (p, drain) in drains.into_iter().enumerate() {
-                // a drain that panicked leaves its position where it was
-                let (position, drained) = drain.unwrap_or_else(|e| (self.positions[p], Err(e)));
-                self.positions[p] = position;
+                // a drain that panicked leaves its cursor where it was
+                let (cursor, drained) = drain.unwrap_or_else(|e| (self.cursors[p], Err(e)));
+                self.cursors[p] = cursor;
                 settle(drained);
             }
         } else {
             for p in 0..partitions {
-                let (position, drained) = self.drain(p, self.positions[p]);
-                self.positions[p] = position;
+                let (cursor, drained) = self.drain(self.cursors[p]);
+                self.cursors[p] = cursor;
                 settle(drained);
             }
         }
         first_error.map_or(Ok(total), Err)
     }
 
-    /// Drain partition `p` from `position` in fetches of `batch_size`:
-    /// each is ingested under one hold of the partition's lock, then
-    /// audited and traced. Returns the position reached and the records
-    /// consumed, or the error that stopped the drain there.
-    fn drain(&self, p: usize, mut position: u64) -> (u64, Result<u64>) {
+    /// Drain the cursor's partition in fetches of `batch_size`: each is
+    /// ingested under one hold of the partition's lock, then audited and
+    /// traced. Returns the cursor advanced past what the table took and the
+    /// records consumed, or the error that stopped the drain there.
+    fn drain(&self, mut cursor: PartitionCursor) -> (PartitionCursor, Result<u64>) {
         let mut total = 0;
         loop {
-            let fetched = match self.topic.fetch(p, position, self.config.batch_size) {
-                Err(Error::OffsetOutOfRange { low, .. }) => {
-                    position = low;
-                    self.topic.fetch(p, low, self.config.batch_size)
-                }
-                fetched => fetched,
-            };
-            let fetch = match fetched {
-                Ok(f) if f.records.is_empty() => return (position, Ok(total)),
-                Ok(f) => f,
-                Err(e) => return (position, Err(e)),
+            let fetch = match cursor.fetch(&self.topic, self.config.batch_size) {
+                Ok(records) if records.is_empty() => return (cursor, Ok(total)),
+                Ok(records) => records,
+                Err(e) => return (cursor, Err(e)),
             };
             // the log shares its records: append and observe from the
             // borrow, copying nothing. Event time is queryable under the
             // table's time column.
-            let rows = fetch.records.iter();
+            let rows = fetch.iter();
             let rows = rows.map(|r| (&r.record.value, Some(r.record.timestamp)));
             // a refused row is consumed like the rows before it: it is
             // audited and the next round resumes behind it
-            let (consumed, refusal) = match self.table.ingest_batch(p, rows) {
+            let (consumed, refusal) = match self.table.ingest_batch(cursor.partition, rows) {
                 Ok(all) => (all, None),
                 Err((before, refusal)) => (before + 1, Some(refusal)),
             };
-            let consumed = &fetch.records[..consumed];
-            let Some(last) = consumed.last() else {
-                return (position, Ok(total));
-            };
-            position = last.offset + 1;
+            let consumed = &fetch[..consumed];
+            cursor.consumed(consumed);
             if let Some(stage) = &self.chaperone {
                 stage.observe_batch(consumed.iter().map(|r| r.record.as_ref()));
             }
@@ -201,7 +196,7 @@ impl RealtimeIngester {
                 hop.observe_visible(end_to_end, seen);
             }
             if let Some(refusal) = refusal {
-                return (position, Err(refusal));
+                return (cursor, Err(refusal));
             }
             total += consumed.len() as u64;
         }
@@ -223,7 +218,7 @@ mod tests {
                 .map(|p| {
                     self.topic
                         .partition(p)
-                        .map(|l| l.high_watermark().saturating_sub(self.positions[p]))
+                        .map(|l| l.high_watermark().saturating_sub(self.cursors[p].position))
                         .unwrap_or(0)
                 })
                 .sum()

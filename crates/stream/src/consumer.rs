@@ -4,14 +4,16 @@
 //! partitions are divided among group members (capping parallelism at the
 //! partition count — the limitation §4.1.3's consumer proxy removes),
 //! offsets are committed per partition, and uncommitted progress is
-//! replayed after a rebalance (at-least-once).
+//! replayed after a rebalance (at-least-once). The group reads each
+//! partition through its own [`PartitionCursor`]: committed records only,
+//! and a retention jump is counted in [`ConsumerGroup::skipped`].
 //!
 //! [`TopicSubscription`] is the level of indirection federation (§4.1.1)
 //! uses to redirect a live consumer to another physical cluster without an
 //! application restart.
 
 use crate::log::OffsetRecord;
-use crate::topic::Topic;
+use crate::topic::{PartitionCursor, Topic};
 use parking_lot::RwLock;
 use rtdi_common::{Error, Result};
 use std::collections::BTreeMap;
@@ -57,8 +59,8 @@ struct GroupState {
     members: Vec<String>,
     /// member -> partitions
     assignment: BTreeMap<String, Vec<usize>>,
-    /// next offset to fetch, per partition
-    position: BTreeMap<usize, u64>,
+    /// where the next poll reads, per partition polled or committed
+    cursors: BTreeMap<usize, PartitionCursor>,
     /// committed offset (next offset to process after restart), per partition
     committed: BTreeMap<usize, u64>,
     generation: u64,
@@ -103,7 +105,9 @@ impl ConsumerGroup {
             st.assignment.insert(member.clone(), parts);
         }
         // at-least-once: rewind positions to last commit
-        st.position = st.committed.clone();
+        for (p, cursor) in &mut st.cursors {
+            cursor.position = st.committed.get(p).copied().unwrap_or(0);
+        }
     }
 
     /// Partitions currently assigned to a member. Members beyond the
@@ -120,37 +124,25 @@ impl ConsumerGroup {
     /// Poll up to `max` records *per assigned partition* for a member,
     /// grouped by the partition they came from — the consumer proxy needs
     /// partition identity for its out-of-order offset tracking. Advances
-    /// the in-memory position (not the commit).
+    /// the in-memory position (not the commit). Takes the group's lock once.
     pub fn poll_partitioned(
         &self,
         member: &str,
         max: usize,
     ) -> Result<Vec<(usize, Vec<OffsetRecord>)>> {
         let topic = self.subscription.topic();
-        let parts = self.assignment(member);
-        if parts.is_empty() && !self.state.read().members.iter().any(|m| m == member) {
-            return Err(Error::NotFound(format!(
-                "member '{member}' not in group '{}'",
-                self.name
-            )));
-        }
+        let mut st = self.state.write();
+        let st = &mut *st;
+        let parts = st.assignment.get(member).ok_or_else(|| {
+            Error::NotFound(format!("member '{member}' not in group '{}'", self.name))
+        })?;
         let mut out = Vec::new();
-        for p in parts {
-            let pos = { *self.state.read().position.get(&p).unwrap_or(&0) };
-            let fetch = match topic.fetch(p, pos, max) {
-                Ok(f) => f,
-                Err(Error::OffsetOutOfRange { low, .. }) => {
-                    // retention overtook us; jump to earliest (records lost)
-                    self.state.write().position.insert(p, low);
-                    topic.fetch(p, low, max)?
-                }
-                Err(e) => return Err(e),
-            };
-            if let Some(last) = fetch.records.last() {
-                self.state.write().position.insert(p, last.offset + 1);
-            }
-            if !fetch.records.is_empty() {
-                out.push((p, fetch.records));
+        for &p in parts {
+            let cursor = st.cursors.entry(p).or_insert(PartitionCursor::new(p, 0));
+            let records = cursor.fetch(&topic, max)?;
+            cursor.consumed(&records);
+            if !records.is_empty() {
+                out.push((p, records));
             }
         }
         Ok(out)
@@ -161,8 +153,8 @@ impl ConsumerGroup {
         let parts = self.assignment(member);
         let mut st = self.state.write();
         for p in parts {
-            if let Some(&pos) = st.position.get(&p) {
-                st.committed.insert(p, pos);
+            if let Some(&cursor) = st.cursors.get(&p) {
+                st.committed.insert(p, cursor.position);
             }
         }
     }
@@ -172,7 +164,13 @@ impl ConsumerGroup {
     pub fn commit_offset(&self, partition: usize, offset: u64) {
         let mut st = self.state.write();
         st.committed.insert(partition, offset);
-        st.position.insert(partition, offset);
+        let cursor = PartitionCursor::new(partition, 0);
+        st.cursors.entry(partition).or_insert(cursor).position = offset;
+    }
+
+    /// Records retention removed before the group read them.
+    pub fn skipped(&self) -> u64 {
+        self.state.read().cursors.values().map(|c| c.skipped).sum()
     }
 
     /// Total lag: records between committed offsets and the *committed*
@@ -337,10 +335,16 @@ mod tests {
             )
             .unwrap();
         }
-        // committed offset 0 has been retained away; poll recovers
+        // committed offset 0 has been retained away; poll recovers at the
+        // log start and counts what retention took
+        let low = t.partition(0).unwrap().log_start_offset();
+        assert!(low > 0);
         let recs = g.poll("a", 10).unwrap();
-        assert!(!recs.is_empty());
-        assert!(recs[0].offset > 0);
+        assert_eq!(recs[0].offset, low);
+        assert_eq!(g.skipped(), low);
+        assert_eq!(g.lag(), 500, "nothing committed yet");
+        g.commit("a");
+        assert_eq!(g.lag(), 500 - low - 10);
     }
 
     #[test]

@@ -9,10 +9,14 @@
 //! [`Replicator`] is the copy engine: it mirrors a topic between clusters
 //! partition-aligned, periodically checkpointing the source->destination
 //! offset mapping that the active/passive offset-sync service of §6
-//! consumes. The sticky rebalancing the quote describes is a model beside
-//! claim E4 in `rtdi-bench`, not part of the copy path.
+//! consumes. It reads each source partition through a
+//! [`PartitionCursor`]: committed records only, advanced past the last
+//! record the destination took, with retention jumps counted in
+//! [`Replicator::skipped`]. The sticky rebalancing the quote describes is
+//! a model beside claim E4 in `rtdi-bench`, not part of the copy path.
 
 use crate::cluster::Cluster;
+use crate::topic::PartitionCursor;
 use parking_lot::RwLock;
 use rtdi_common::{Chaos, Error, FaultPoint, Result, RetryPolicy, Timestamp};
 use std::collections::BTreeMap;
@@ -90,8 +94,8 @@ pub struct Replicator {
     topic: String,
     mappings: OffsetMappingStore,
     checkpoint_interval: u64,
-    /// next source offset to replicate, per partition
-    positions: RwLock<BTreeMap<usize, u64>>,
+    /// where the next copy reads the source, per partition it has read
+    cursors: RwLock<BTreeMap<usize, PartitionCursor>>,
     chaos: Chaos,
 }
 
@@ -111,7 +115,7 @@ impl Replicator {
             topic: topic.into(),
             mappings,
             checkpoint_interval: checkpoint_interval.max(1),
-            positions: RwLock::new(BTreeMap::new()),
+            cursors: RwLock::new(BTreeMap::new()),
             chaos: Chaos::default(),
         }
     }
@@ -159,34 +163,21 @@ impl Replicator {
             // shared mapping store (a restarted worker picks up after the
             // last checkpoint — duplicates bounded by checkpoint_interval,
             // never a gap), then the retained log start (fresh route)
-            let saved = self.positions.read().get(&p).copied();
-            let mut pos = match saved {
-                Some(v) => v,
+            let saved = self.cursors.read().get(&p).copied();
+            let mut cursor = match saved {
+                Some(cursor) => cursor,
                 None => match self.mappings.latest(&self.route, p) {
-                    Some(m) => m.src_offset + 1,
-                    None => src
-                        .partition(p)
-                        .ok_or_else(|| {
-                            Error::NotFound(format!("partition {p} of topic '{}'", self.topic))
-                        })?
-                        .log_start_offset(),
+                    Some(m) => PartitionCursor::new(p, m.src_offset + 1),
+                    None => PartitionCursor::at_log_start(&src, p)?,
                 },
             };
             let mut since_checkpoint = 0u64;
             loop {
-                let fetch = match src.fetch(p, pos, 1024) {
-                    Ok(f) => f,
-                    Err(Error::OffsetOutOfRange { low, .. }) => {
-                        pos = low;
-                        src.fetch(p, low, 1024)?
-                    }
-                    Err(e) => return Err(e),
-                };
-                if fetch.records.is_empty() {
+                let records = cursor.fetch(&src, 1024)?;
+                if records.is_empty() {
                     break;
                 }
-                for rec in fetch.records {
-                    let src_offset = rec.offset;
+                for (i, rec) in records.iter().enumerate() {
                     // the fault check sits inside the retried closure: an
                     // injected fault consumes attempts exactly like a real
                     // cross-region failure would. Every attempt offers the
@@ -197,11 +188,11 @@ impl Replicator {
                     }) {
                         Ok(off) => off,
                         Err(e) => {
-                            self.positions.write().insert(p, pos);
+                            cursor.consumed(&records[..i]);
+                            self.cursors.write().insert(p, cursor);
                             return Err(e);
                         }
                     };
-                    pos = src_offset + 1;
                     copied += 1;
                     since_checkpoint += 1;
                     if since_checkpoint >= self.checkpoint_interval {
@@ -209,7 +200,7 @@ impl Replicator {
                             &self.route,
                             OffsetMapping {
                                 partition: p,
-                                src_offset,
+                                src_offset: rec.offset,
                                 dst_offset,
                                 checkpointed_at: now,
                             },
@@ -217,28 +208,31 @@ impl Replicator {
                         since_checkpoint = 0;
                     }
                 }
+                cursor.consumed(&records);
             }
             // always checkpoint the frontier so translation stays fresh
             if copied > 0 {
-                let dst_hwm = dst
-                    .partition(p)
-                    .ok_or_else(|| {
-                        Error::NotFound(format!("partition {p} of topic '{}'", self.topic))
-                    })?
-                    .high_watermark();
+                let dst_log = dst.partition(p).ok_or_else(|| {
+                    Error::NotFound(format!("partition {p} of topic '{}'", self.topic))
+                })?;
                 self.mappings.checkpoint(
                     &self.route,
                     OffsetMapping {
                         partition: p,
-                        src_offset: pos.saturating_sub(1),
-                        dst_offset: dst_hwm.saturating_sub(1),
+                        src_offset: cursor.position.saturating_sub(1),
+                        dst_offset: dst_log.high_watermark().saturating_sub(1),
                         checkpointed_at: now,
                     },
                 );
             }
-            self.positions.write().insert(p, pos);
+            self.cursors.write().insert(p, cursor);
         }
         Ok(copied)
+    }
+
+    /// Source records retention removed before this route copied them.
+    pub fn skipped(&self) -> u64 {
+        self.cursors.read().values().map(|c| c.skipped).sum()
     }
 }
 

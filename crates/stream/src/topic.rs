@@ -13,8 +13,11 @@
 //! watermark capping consumer fetches, and leader failover driven by
 //! [`Topic::on_node_down`] / [`Topic::on_node_up`] (wired to the shared
 //! membership detector by [`crate::cluster::Cluster`]).
+//!
+//! [`PartitionCursor`] is every reader's place in one partition: it reads
+//! committed records only and counts what retention took from under it.
 
-use crate::log::{FetchResult, PartitionLog};
+use crate::log::{FetchResult, OffsetRecord, PartitionLog};
 use crate::replica::{FailoverEvent, ReplicaSet, ReplicaStatus, MAX_REPLICAS};
 use parking_lot::RwLock;
 use rtdi_common::{Chaos, Error, Record, Result, Timestamp};
@@ -232,9 +235,9 @@ impl Topic {
         rs.fetch(offset, max)
     }
 
-    /// Raw storage access for internal subsystems (archival, tiering,
-    /// migration, DLQ bookkeeping). Bypasses the committed-watermark cap;
-    /// consumers must go through [`Topic::fetch`].
+    /// Raw storage access for internal subsystems (tiering, migration,
+    /// DLQ bookkeeping). Bypasses the committed-watermark cap; readers go
+    /// through a [`PartitionCursor`].
     pub fn partition(&self, i: usize) -> Option<&Arc<PartitionLog>> {
         self.partitions.get(i)
     }
@@ -301,6 +304,67 @@ impl Topic {
         for rs in &self.replica_sets {
             rs.sync_to_end();
         }
+    }
+}
+
+/// One reader's place in one partition of a topic: the next offset it
+/// reads and how many records retention took before it read them.
+///
+/// Every reader of a topic holds one per partition. It is a plain value:
+/// the owner passes the topic on every fetch (a redirected subscription
+/// keeps its positions), and a parallel drain hands each worker its
+/// partition's cursor and takes it back.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PartitionCursor {
+    pub partition: usize,
+    /// The next offset this cursor reads. A reader resumes from a
+    /// checkpoint, a commit or a translated offset by setting it.
+    pub position: u64,
+    /// Records retention removed between the position and the log start
+    /// before they were read.
+    pub skipped: u64,
+}
+
+impl PartitionCursor {
+    pub fn new(partition: usize, position: u64) -> Self {
+        PartitionCursor {
+            partition,
+            position,
+            skipped: 0,
+        }
+    }
+
+    /// A cursor at the partition's log start: what retention took before
+    /// the reader existed is not counted as skipped.
+    pub fn at_log_start(topic: &Topic, partition: usize) -> Result<Self> {
+        let log = topic.partition(partition).ok_or_else(|| {
+            Error::NotFound(format!("partition {partition} of topic '{}'", topic.name))
+        })?;
+        Ok(Self::new(partition, log.log_start_offset()))
+    }
+
+    /// Up to `max` committed records from the position, which this does not
+    /// advance: the caller hands what it consumed to
+    /// [`PartitionCursor::consumed`]. When retention has overtaken the
+    /// position, the cursor jumps to the log start once and counts the
+    /// records in between as skipped.
+    pub fn fetch(&mut self, topic: &Topic, max: usize) -> Result<Vec<OffsetRecord>> {
+        let fetched = match topic.fetch(self.partition, self.position, max) {
+            Err(Error::OffsetOutOfRange { low, .. }) => {
+                self.skipped += low - self.position;
+                self.position = low;
+                topic.fetch(self.partition, low, max)
+            }
+            fetched => fetched,
+        };
+        Ok(fetched?.records)
+    }
+
+    /// Advance past `records`, a prefix of the last fetch (offsets are
+    /// dense).
+    pub fn consumed(&mut self, records: &[OffsetRecord]) {
+        debug_assert!(records.first().is_none_or(|r| r.offset == self.position));
+        self.position += records.len() as u64;
     }
 }
 

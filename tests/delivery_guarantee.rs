@@ -7,6 +7,9 @@
 //!   either sent or surfaced as an error.
 //! - log → replicator → log and federation migration: the destination log
 //!   shares the source's records (`Arc::ptr_eq`), retried or not.
+//! - log → reader: every reader of a topic reads through a
+//!   `PartitionCursor`. When retention overtakes its position it resumes
+//!   at the log start and counts the records in between as skipped.
 //!
 //! Each test arms a `Chaos` handle of its own and builds what it faults
 //! with it, so the tests run beside each other.
@@ -14,13 +17,21 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rtdi::common::chaos::{Chaos, FaultKind, FaultPlan, FaultPoint, Trigger};
-use rtdi::common::{Record, Row, SimClock, UniqueId};
+use rtdi::common::{FieldType, Record, Row, Schema, SimClock, UniqueId};
+use rtdi::compute::source::{Source, TopicSource};
+use rtdi::core::platform::RealtimePlatform;
+use rtdi::multiregion::activepassive::ActivePassiveConsumer;
+use rtdi::multiregion::topology::MultiRegionTopology;
+use rtdi::olap::ingestion::{IngestionConfig, RealtimeIngester};
+use rtdi::olap::query::Query;
+use rtdi::olap::table::{OlapTable, TableConfig};
 use rtdi::stream::cluster::{Cluster, ClusterConfig};
+use rtdi::stream::consumer::{ConsumerGroup, TopicSubscription};
 use rtdi::stream::federation::FederatedCluster;
 use rtdi::stream::log::OffsetRecord;
 use rtdi::stream::producer::{Producer, ProducerConfig, StreamEndpoint};
 use rtdi::stream::replicator::{OffsetMappingStore, Replicator};
-use rtdi::stream::topic::{Topic, TopicConfig};
+use rtdi::stream::topic::{PartitionCursor, Topic, TopicConfig};
 use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 
@@ -178,4 +189,153 @@ fn migration_hands_the_records_over_uncopied() {
         }
     }
     assert_eq!(after.committed_watermarks().iter().sum::<u64>(), 60);
+}
+
+/// The record at offset `i` of a one-partition topic: `i` in its row and
+/// as its event time.
+fn at(i: i64) -> Record {
+    Record::new(Row::new().with("i", i).with("ts", i), i).with_key("k")
+}
+
+fn offsets_schema() -> Schema {
+    Schema::of("t", &[("i", FieldType::Int), ("ts", FieldType::Timestamp)])
+}
+
+/// One partition that retains the newest 20 records.
+fn size_retained() -> TopicConfig {
+    TopicConfig {
+        partitions: 1,
+        retention_ms: 0,
+        retention_bytes: 20 * at(0).approx_bytes(),
+        ..TopicConfig::default()
+    }
+}
+
+fn i_of(row: &Row) -> i64 {
+    row.get_int("i").unwrap()
+}
+
+/// Reads everything committed, returning the `i` of each record it
+/// delivered in delivery order and its owner's skipped count after the
+/// read.
+type Read = Box<dyn FnMut() -> (Vec<i64>, u64)>;
+
+/// Every reader of a topic, each over a size-retained topic of its own.
+fn readers() -> Vec<(&'static str, Arc<Topic>, Read)> {
+    let mut readers: Vec<(&'static str, Arc<Topic>, Read)> = Vec::new();
+
+    let topic = Arc::new(Topic::new("t", size_retained()).unwrap());
+    let mut source = TopicSource::unbounded(topic.clone());
+    let read = move || {
+        let mut out = Vec::new();
+        loop {
+            let batch = source.poll_batch(8).unwrap();
+            if batch.is_empty() {
+                return (out, source.skipped());
+            }
+            out.extend(batch.iter().map(|r| i_of(&r.value)));
+        }
+    };
+    readers.push(("TopicSource", topic, Box::new(read)));
+
+    let topic = Arc::new(Topic::new("t", size_retained()).unwrap());
+    let config = TableConfig::new("t", offsets_schema())
+        .with_time_column("ts")
+        .with_partitions(1);
+    let table = OlapTable::new(config).unwrap();
+    let config = IngestionConfig {
+        batch_size: 8,
+        ..IngestionConfig::default()
+    };
+    let mut ingester = RealtimeIngester::new(topic.clone(), table.clone(), config).unwrap();
+    let mut seen = 0;
+    let read = move || {
+        ingester.run_once().unwrap();
+        let rows = table.query(&Query::select_all("t")).unwrap().rows;
+        let out = rows[seen..].iter().map(i_of).collect();
+        seen = rows.len();
+        (out, ingester.skipped())
+    };
+    readers.push(("RealtimeIngester", topic, Box::new(read)));
+
+    let topic = Arc::new(Topic::new("t", size_retained()).unwrap());
+    let group = ConsumerGroup::new("g", TopicSubscription::new(topic.clone()));
+    group.join("m");
+    let read = move || {
+        let mut out = Vec::new();
+        loop {
+            let polled = group.poll_partitioned("m", 8).unwrap();
+            if polled.is_empty() {
+                return (out, group.skipped());
+            }
+            let records = polled.into_iter().flat_map(|(_, records)| records);
+            out.extend(records.map(|r| i_of(&r.record.value)));
+        }
+    };
+    readers.push(("ConsumerGroup", topic, Box::new(read)));
+
+    let source = Cluster::new("regional", ClusterConfig::default());
+    let topic = source.create_topic("t", size_retained()).unwrap();
+    let destination = Cluster::new("aggregate", ClusterConfig::default());
+    let unretained = TopicConfig::default().with_partitions(1);
+    let copies = destination.create_topic("t", unretained).unwrap();
+    let route = Replicator::new("r", source, destination, "t", OffsetMappingStore::new(), 4);
+    let mut copied = PartitionCursor::new(0, 0);
+    let read = move || {
+        route.run_once(0).unwrap();
+        let records = copied.fetch(&copies, usize::MAX / 2).unwrap();
+        copied.consumed(&records);
+        let out = records.iter().map(|r| i_of(&r.record.value)).collect();
+        (out, route.skipped())
+    };
+    readers.push(("Replicator", topic, Box::new(read)));
+
+    let topology = MultiRegionTopology::new(&["west"], "t", size_retained()).unwrap();
+    let west = topology.region("west").unwrap();
+    let topic = west.aggregate.topic("t").unwrap();
+    let mut consumer = ActivePassiveConsumer::new("c", "t", "west");
+    let read = move || {
+        let records = consumer.consume_available(&topology).unwrap();
+        let out = records.iter().map(|r| i_of(&r.value)).collect();
+        (out, consumer.skipped())
+    };
+    readers.push(("ActivePassiveConsumer", topic, Box::new(read)));
+
+    let platform = RealtimePlatform::with_clock(Arc::new(SimClock::new(0)));
+    let topic = (platform.create_topic("t", size_retained(), offsets_schema())).unwrap();
+    let mut seen = 0;
+    let read = move || {
+        platform.archive_topic("t", &offsets_schema()).unwrap();
+        let rows = platform.catalog().table("t").unwrap().scan_all().unwrap();
+        let out = rows[seen..].iter().map(i_of).collect();
+        seen = rows.len();
+        let cursors = platform.archive_cursors("t");
+        (out, cursors.iter().map(|c| c.skipped).sum())
+    };
+    readers.push(("archive_topic", topic, Box::new(read)));
+    readers
+}
+
+#[test]
+fn retention_overtaking_a_reader_is_counted_not_silent() {
+    for (reader, topic, mut read) in readers() {
+        for i in 0..10 {
+            topic.append(at(i), 0).unwrap();
+        }
+        assert_eq!(read(), ((0..10).collect(), 0), "{reader}: first read");
+        // 100 more records: retention takes everything but the newest 20,
+        // so the reader's position (10) is behind the log start
+        for i in 10..110 {
+            topic.append(at(i), 0).unwrap();
+        }
+        let low = topic.partition(0).unwrap().log_start_offset();
+        let committed = topic.committed_watermark(0).unwrap();
+        assert!(low > 10, "{reader}: retention trimmed to {low}");
+        assert_eq!(committed, 110, "{reader}");
+        let (delivered, skipped) = read();
+        assert_eq!(skipped, low - 10, "{reader}: skipped count");
+        let expected: Vec<i64> = (low as i64..committed as i64).collect();
+        assert_eq!(delivered, expected, "{reader}: records after the jump");
+        assert_eq!(read(), (Vec::new(), low - 10), "{reader}: nothing new");
+    }
 }

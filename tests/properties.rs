@@ -35,6 +35,7 @@ const SEED_BLOCKS: u64 = 0xB10C_5EED;
 const SEED_WINDOWS: u64 = 0x0057_A7E5;
 const SEED_COMPACTION: u64 = 0xC0_4D5E_0A7E;
 const SEED_BACKFILL: u64 = 0xBAC_CF11;
+const SEED_CURSOR: u64 = 0xC025_0A11;
 
 fn schema() -> Schema {
     Schema::of(
@@ -2829,5 +2830,113 @@ mod parallel_ingest {
             lookups.len()
         );
         assert_eq!(count, ingested, "the audit counts every record ingested");
+    }
+}
+
+mod partition_cursor {
+    use super::*;
+    use rtdi::common::chaos::{Chaos, FaultKind, FaultPlan, FaultPoint, Trigger};
+    use rtdi::stream::topic::{PartitionCursor, Topic, TopicConfig};
+
+    fn at(i: u64) -> Record {
+        Record::new(Row::new().with("i", i as i64), i as i64)
+    }
+
+    /// Seeded interleavings of appends, retention trims (a size-retained
+    /// log trims at every append), replication lag, fetches of drawn sizes
+    /// and partial advances. What a cursor delivers plus what it counts as
+    /// skipped covers every offset from where it started to the committed
+    /// watermark exactly once, in offset order; and a cursor seeked to any
+    /// position it reported fetches what it fetches from there.
+    #[test]
+    fn delivered_and_skipped_cover_every_committed_offset_once() {
+        let (mut jumps, mut partial) = (0, 0);
+        for case in 0..64u64 {
+            let mut rng = StdRng::seed_from_u64(SEED_CURSOR + case);
+            let chaos = Chaos::seeded(case);
+            let config = TopicConfig {
+                partitions: 1,
+                retention_ms: 0,
+                retention_bytes: rng.gen_range(5..60usize) * at(0).approx_bytes(),
+                ..TopicConfig::default()
+            };
+            let topic = Topic::new("t", config).unwrap().with_chaos(chaos.clone());
+            // followers miss replications: the committed watermark lags the
+            // log end by up to two records at a time
+            let lag = Trigger::Probability(rng.gen_range(0.0..0.4));
+            chaos.arm(
+                FaultPoint::StreamReplicate,
+                FaultPlan::fail(FaultKind::Timeout, lag),
+            );
+            let mut appended = 0u64;
+            let mut append = |rng: &mut StdRng| {
+                for _ in 0..rng.gen_range(1..12u32) {
+                    assert_eq!(topic.append(at(appended), 0).unwrap().1, appended);
+                    appended += 1;
+                }
+            };
+            append(&mut rng);
+            let mut cursor = if rng.gen_bool(0.5) {
+                PartitionCursor::new(0, 0)
+            } else {
+                PartitionCursor::at_log_start(&topic, 0).unwrap()
+            };
+            // the next offset the cursor must deliver or count as skipped
+            let (start, mut next) = (cursor.position, cursor.position);
+            let mut delivered = 0u64;
+            let ctx = |step: usize| format!("case {case} step {step}");
+            for step in 0..rng.gen_range(20..120usize) {
+                if rng.gen_bool(0.4) {
+                    append(&mut rng);
+                    continue;
+                }
+                let max = rng.gen_range(1..16usize);
+                let mut twin = PartitionCursor::new(0, 0);
+                twin.position = cursor.position;
+                let before = cursor;
+                let records = cursor.fetch(&topic, max).unwrap();
+                assert_eq!(twin.fetch(&topic, max).unwrap(), records, "{}", ctx(step));
+                assert_eq!(twin.position, cursor.position, "{}", ctx(step));
+                let skipped = cursor.skipped - before.skipped;
+                assert_eq!(twin.skipped, skipped, "{}", ctx(step));
+                assert_eq!(cursor.position, next + skipped, "{}", ctx(step));
+                jumps += usize::from(skipped > 0);
+                next += skipped;
+                let taken = rng.gen_range(0..=records.len());
+                partial += usize::from(taken < records.len());
+                for (k, r) in records[..taken].iter().enumerate() {
+                    assert_eq!(r.offset, next + k as u64, "{}", ctx(step));
+                    assert_eq!(r.record.value.get_int("i"), Some(r.offset as i64));
+                }
+                cursor.consumed(&records[..taken]);
+                next += taken as u64;
+                delivered += taken as u64;
+                assert_eq!(cursor.position, next, "{}", ctx(step));
+                let committed = topic.committed_watermark(0).unwrap();
+                assert!(next <= committed, "{}: past {committed}", ctx(step));
+            }
+            chaos.disarm(FaultPoint::StreamReplicate);
+            loop {
+                let skipped = cursor.skipped;
+                let records = cursor.fetch(&topic, 64).unwrap();
+                next += cursor.skipped - skipped;
+                if records.is_empty() {
+                    break;
+                }
+                assert_eq!(records[0].offset, next, "case {case}");
+                cursor.consumed(&records);
+                next += records.len() as u64;
+                delivered += records.len() as u64;
+            }
+            let committed = topic.committed_watermark(0).unwrap();
+            assert_eq!(
+                (cursor.position, next),
+                (committed, committed),
+                "case {case}"
+            );
+            assert_eq!(delivered + cursor.skipped, committed - start, "case {case}");
+        }
+        assert!(jumps >= 20, "only {jumps} retention jumps");
+        assert!(partial >= 100, "only {partial} partial advances");
     }
 }
