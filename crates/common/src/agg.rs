@@ -69,18 +69,22 @@ impl AggAcc {
     /// Fold one row in: the cell `f` reads, or the row itself for COUNT(*).
     /// A row without the column folds nothing.
     pub fn add(&mut self, f: &AggFn, row: &Row) {
+        self.add_cell(f, f.input_column().and_then(|col| row.get(col)));
+    }
+
+    /// [`AggAcc::add`] of a row whose input cell (`None`: the row lacks
+    /// the column) its caller has found already.
+    #[inline]
+    pub fn add_cell(&mut self, f: &AggFn, cell: Option<&Value>) {
         debug_assert_eq!(
             std::mem::discriminant(self),
             std::mem::discriminant(&f.new_acc()),
             "accumulator {self:?} mismatched with {f:?}"
         );
-        match f.input_column() {
-            None => self.add_one(),
-            Some(col) => {
-                if let Some(v) = row.get(col) {
-                    self.add_value(v);
-                }
-            }
+        match (f.input_column(), cell) {
+            (None, _) => self.add_one(),
+            (Some(_), Some(v)) => self.add_value(v),
+            (Some(_), None) => {}
         }
     }
 

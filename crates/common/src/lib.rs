@@ -43,4 +43,4 @@ pub use schema::{Field, FieldType, Schema};
 pub use sketch::CountMinSketch;
 pub use time::{Clock, SimClock, Timestamp, WallClock};
 pub use trace::{PipelineTracer, TraceReport, TraceStage};
-pub use value::{Row, Value};
+pub use value::{row_names, Positions, Row, RowNames, SetColumn, Value};

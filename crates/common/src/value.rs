@@ -5,11 +5,17 @@
 //! segments, SQL result sets). [`Value`] is the common currency; [`Row`] is
 //! an ordered bag of named values validated against a
 //! [`crate::schema::Schema`].
+//!
+//! A row holds only its cells and a pointer to its shape, a [`RowNames`]
+//! list that every row of that shape shares: a generator, a part file, an
+//! operator's output or a query result builds its list once. A reader of
+//! fixed columns resolves their positions once per list ([`Positions`],
+//! a pointer compare per row); [`Row::get`] by name is the slow path.
 
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, LazyLock};
 
 const FNV_OFFSET: u64 = 0xcbf29ce484222325;
 const FNV_PRIME: u64 = 0x100000001b3;
@@ -247,77 +253,117 @@ impl From<String> for Value {
     }
 }
 
+/// The column names of one row shape, in cell order. Every row of one
+/// shape holds a clone of the same list, so a row carries its cells and
+/// one thin pointer, and a reader compares lists by pointer
+/// ([`Arc::ptr_eq`]) to know it has seen the shape before. Build one with
+/// [`row_names`].
+pub type RowNames = Arc<Vec<Arc<str>>>;
+
+/// The [`RowNames`] list of `names`, in order.
+pub fn row_names<N: Into<Arc<str>>>(names: impl IntoIterator<Item = N>) -> RowNames {
+    Arc::new(names.into_iter().map(Into::into).collect())
+}
+
 /// A named, ordered collection of values — one structured event or one SQL
 /// result row.
 ///
-/// Column names are reference-counted (`Arc<str>`): cloning a row or
-/// building many rows with the same shape shares one name allocation
-/// instead of copying a `String` per cell, which is what the columnar
-/// query path relies on when materializing results.
-#[derive(Debug, Clone, PartialEq, Default)]
+/// A row is its cells plus a shared [`RowNames`] list. A producer or an
+/// operator that emits rows of one shape builds the list once and every
+/// row on it with [`Row::on`]; a reader of fixed columns resolves their
+/// positions once per list with [`Positions`]. The builder methods
+/// ([`Row::with`], [`Row::push`], [`Row::set`] of a new name) copy the
+/// list first and never change a list another row holds. A row is as
+/// small as a `Vec` (a list pointer and a boxed cell slice): a `Record`
+/// holding one stays within 80 bytes.
+#[derive(Clone)]
 pub struct Row {
-    columns: Vec<(Arc<str>, Value)>,
+    names: RowNames,
+    cells: Box<[Value]>,
+}
+
+impl Default for Row {
+    /// A row with no cells, on the one empty list every such row shares:
+    /// it allocates nothing.
+    fn default() -> Self {
+        static EMPTY: LazyLock<RowNames> = LazyLock::new(RowNames::default);
+        Row {
+            names: Arc::clone(&EMPTY),
+            cells: Box::default(),
+        }
+    }
 }
 
 impl Row {
     pub fn new() -> Self {
-        Row {
-            columns: Vec::new(),
-        }
+        Row::default()
     }
 
-    pub fn with_capacity(n: usize) -> Self {
+    /// A row of `cells` under `names`, one cell per name. A vector with
+    /// room to spare is shrunk to its length.
+    ///
+    /// # Panics
+    /// When the counts differ.
+    #[inline]
+    pub fn on(names: RowNames, cells: Vec<Value>) -> Row {
+        assert_eq!(names.len(), cells.len(), "one cell per column name");
         Row {
-            columns: Vec::with_capacity(n),
+            names,
+            cells: cells.into_boxed_slice(),
         }
     }
 
     /// Builder-style column append.
     pub fn with(mut self, name: impl Into<Arc<str>>, value: impl Into<Value>) -> Self {
-        self.columns.push((name.into(), value.into()));
+        self.push(name, value);
         self
     }
 
+    /// Append a column. The row moves to a list of its own, one name
+    /// longer.
     pub fn push(&mut self, name: impl Into<Arc<str>>, value: impl Into<Value>) {
-        self.columns.push((name.into(), value.into()));
+        let mut names = Vec::with_capacity(self.names.len() + 1);
+        names.extend(self.names.iter().cloned());
+        names.push(name.into());
+        let mut cells = std::mem::take(&mut self.cells).into_vec();
+        cells.push(value.into());
+        *self = Row::on(Arc::new(names), cells);
     }
 
     /// Set an existing column or append a new one.
     pub fn set(&mut self, name: &str, value: impl Into<Value>) {
-        let value = value.into();
-        if let Some(slot) = self.columns.iter_mut().find(|(n, _)| &**n == name) {
-            slot.1 = value;
-        } else {
-            self.columns.push((Arc::from(name), value));
+        match self.position(name) {
+            Some(at) => self.cells[at] = value.into(),
+            None => self.push(name, value),
         }
     }
 
     pub fn get(&self, name: &str) -> Option<&Value> {
-        self.columns
-            .iter()
-            .find(|(n, _)| &**n == name)
-            .map(|(_, v)| v)
+        self.position(name).map(|at| &self.cells[at])
     }
 
-    /// The cell at a position, for a reader that remembers where a column
-    /// sat in the last row of the same shape.
+    /// The cell at a position, for a reader that resolved the position on
+    /// an earlier row of the same [`RowNames`].
+    #[inline]
+    pub fn cell(&self, position: usize) -> Option<&Value> {
+        self.cells.get(position)
+    }
+
+    /// The cell at a position with its name.
     pub fn at(&self, position: usize) -> Option<(&str, &Value)> {
-        self.columns.get(position).map(|(n, v)| (&**n, v))
+        let cell = self.cells.get(position)?;
+        Some((&self.names[position], cell))
     }
 
     /// [`Row::at`] with the cell open to a move or a rewrite in place.
     pub fn at_mut(&mut self, position: usize) -> Option<(&str, &mut Value)> {
-        self.columns.get_mut(position).map(|(n, v)| (&**n, v))
-    }
-
-    /// Drop every cell from `len` on.
-    pub fn truncate(&mut self, len: usize) {
-        self.columns.truncate(len);
+        let cell = self.cells.get_mut(position)?;
+        Some((&self.names[position], cell))
     }
 
     /// Position of the first cell named `name`.
     pub fn position(&self, name: &str) -> Option<usize> {
-        self.columns.iter().position(|(n, _)| &**n == name)
+        self.names.iter().position(|n| &**n == name)
     }
 
     pub fn get_int(&self, name: &str) -> Option<i64> {
@@ -332,59 +378,164 @@ impl Row {
         self.get(name).and_then(Value::as_str)
     }
 
+    /// The list this row's cells stand under.
+    #[inline]
+    pub fn names(&self) -> &RowNames {
+        &self.names
+    }
+
+    #[inline]
+    pub fn cells(&self) -> &[Value] {
+        &self.cells
+    }
+
+    pub fn into_cells(self) -> Vec<Value> {
+        self.cells.into_vec()
+    }
+
     pub fn column_names(&self) -> impl Iterator<Item = &str> {
-        self.columns.iter().map(|(n, _)| &**n)
+        self.names.iter().map(|n| &**n)
     }
 
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Value)> {
-        self.columns.iter().map(|(n, v)| (&**n, v))
+        self.column_names().zip(&self.cells)
     }
 
     pub fn len(&self) -> usize {
-        self.columns.len()
+        self.cells.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.columns.is_empty()
+        self.cells.is_empty()
     }
 
     /// Project the row down to the named columns, in the given order.
     /// Missing columns become `Value::Null` (semi-structured data may omit
     /// fields).
     pub fn project(&self, names: &[&str]) -> Row {
-        let mut out = Row::with_capacity(names.len());
-        for n in names {
-            out.push(*n, self.get(n).cloned().unwrap_or(Value::Null));
-        }
-        out
+        self.project_onto(&row_names(names.iter().copied()))
     }
 
-    /// Like [`Row::project`] but reuses already-interned column names, so
-    /// projecting many rows onto the same shape performs zero name
-    /// allocations.
-    pub fn project_shared(&self, names: &[Arc<str>]) -> Row {
-        let mut out = Row::with_capacity(names.len());
-        for n in names {
-            out.push(Arc::clone(n), self.get(n).cloned().unwrap_or(Value::Null));
-        }
-        out
-    }
-
-    /// A copy that shares the column names and has room for `extra` more
-    /// cells, so a row about to be extended is allocated once.
-    pub fn clone_with_room(&self, extra: usize) -> Row {
-        let mut columns = Vec::with_capacity(self.columns.len() + extra);
-        columns.extend(self.columns.iter().cloned());
-        Row { columns }
+    /// [`Row::project`] onto a list the caller holds, so projecting many
+    /// rows onto one shape shares one list.
+    pub fn project_onto(&self, names: &RowNames) -> Row {
+        let cells = names
+            .iter()
+            .map(|n| self.get(n).cloned().unwrap_or(Value::Null))
+            .collect();
+        Row::on(Arc::clone(names), cells)
     }
 
     /// Rough in-memory footprint in bytes; used by the engine-memory
-    /// experiments (E7) and OLAP footprint accounting (E10).
+    /// experiments (E7) and OLAP footprint accounting (E10). It models a
+    /// row that spells out each column name beside its value, as the wire
+    /// formats do, not the shared list.
     pub fn approx_bytes(&self) -> usize {
-        self.columns
-            .iter()
+        self.iter()
             .map(|(n, v)| n.len() + value_bytes(v) + 16)
             .sum()
+    }
+}
+
+/// Two rows are equal when their names and cells are, wherever their
+/// lists live.
+impl PartialEq for Row {
+    fn eq(&self, other: &Row) -> bool {
+        self.names == other.names && self.cells == other.cells
+    }
+}
+
+/// `Row { columns: [(name, value), …] }`: the text row digests taken
+/// through `{:?}` are made of.
+impl fmt::Debug for Row {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        struct Columns<'a>(&'a Row);
+        impl fmt::Debug for Columns<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                f.debug_list().entries(self.0.iter()).finish()
+            }
+        }
+        f.debug_struct("Row")
+            .field("columns", &Columns(self))
+            .finish()
+    }
+}
+
+/// Where a fixed list of columns sits in rows: resolved by name on the
+/// first row of a [`RowNames`] list and reused, after one pointer compare,
+/// for every later row on the same list. A reader of fixed columns keeps
+/// one and reads its cells with [`Row::cell`].
+#[derive(Debug, Clone, Default)]
+pub struct Positions {
+    /// The list the positions were resolved on, held so its address
+    /// cannot be reused by another list while it is compared against.
+    list: Option<RowNames>,
+    at: Vec<Option<usize>>,
+}
+
+impl Positions {
+    /// The position of each of `cols` in `row` ([`Row::position`]: the
+    /// first match, `None` when absent). A caller passes the same `cols`
+    /// on every call.
+    #[inline]
+    pub fn of(&mut self, row: &Row, cols: &[impl AsRef<str>]) -> &[Option<usize>] {
+        if !self
+            .list
+            .as_ref()
+            .is_some_and(|list| Arc::ptr_eq(list, &row.names))
+        {
+            self.at.clear();
+            self.at
+                .extend(cols.iter().map(|c| row.position(c.as_ref())));
+            self.list = Some(Arc::clone(&row.names));
+        }
+        &self.at
+    }
+}
+
+/// [`Row::set`] of one column over a stream of rows: the cell is set where
+/// the row has the column and appended where it lacks it, and the output
+/// name list is built once per input list.
+#[derive(Debug, Clone)]
+pub struct SetColumn {
+    name: Arc<str>,
+    /// The last input list, its output list and the cell's position there.
+    last: Option<(RowNames, RowNames, usize)>,
+}
+
+impl SetColumn {
+    pub fn new(name: impl Into<Arc<str>>) -> Self {
+        SetColumn {
+            name: name.into(),
+            last: None,
+        }
+    }
+
+    /// A copy of `row` with the column set to `value`.
+    pub fn apply(&mut self, row: &Row, value: Value) -> Row {
+        let (_, names, at) = match &self.last {
+            Some(last) if Arc::ptr_eq(&last.0, &row.names) => last,
+            _ => {
+                let (names, at) = match row.position(&self.name) {
+                    Some(at) => (Arc::clone(&row.names), at),
+                    None => {
+                        let name = Arc::clone(&self.name);
+                        (
+                            row_names(row.names.iter().cloned().chain([name])),
+                            row.len(),
+                        )
+                    }
+                };
+                self.last.insert((Arc::clone(&row.names), names, at))
+            }
+        };
+        let mut cells = Vec::with_capacity(names.len());
+        cells.extend_from_slice(&row.cells);
+        match cells.get_mut(*at) {
+            Some(cell) => *cell = value,
+            None => cells.push(value),
+        }
+        Row::on(Arc::clone(names), cells)
     }
 }
 
@@ -400,19 +551,11 @@ fn value_bytes(v: &Value) -> usize {
     }
 }
 
-impl FromIterator<(String, Value)> for Row {
-    fn from_iter<T: IntoIterator<Item = (String, Value)>>(iter: T) -> Self {
-        Row {
-            columns: iter.into_iter().map(|(n, v)| (Arc::from(n), v)).collect(),
-        }
-    }
-}
-
-impl FromIterator<(Arc<str>, Value)> for Row {
-    fn from_iter<T: IntoIterator<Item = (Arc<str>, Value)>>(iter: T) -> Self {
-        Row {
-            columns: iter.into_iter().collect(),
-        }
+impl<N: Into<Arc<str>>> FromIterator<(N, Value)> for Row {
+    fn from_iter<T: IntoIterator<Item = (N, Value)>>(iter: T) -> Self {
+        let (names, cells): (Vec<Arc<str>>, Vec<Value>) =
+            iter.into_iter().map(|(n, v)| (n.into(), v)).unzip();
+        Row::on(Arc::new(names), cells)
     }
 }
 

@@ -39,7 +39,7 @@ use crate::window::{Window, WindowAssigner, WINDOW_END_COL, WINDOW_START_COL};
 use bytes::Bytes;
 use rtdi_common::agg::{AggAcc, AggFn};
 use rtdi_common::wire::{Reader, Writer};
-use rtdi_common::{Error, Record, Result, Row, Timestamp, Value};
+use rtdi_common::{row_names, Error, Positions, Record, Result, Row, RowNames, Timestamp, Value};
 use rtdi_storage::archival::{decode_rows, encode_rows_into};
 use rtdi_storage::keyed::{key_group_of, shard_of_group, KeyedSnapshot};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -245,15 +245,29 @@ impl Operator for FlatMapOp {
 /// operators probe their state with it, the parallel router hashes the
 /// same bytes (FNV via [`Value::hash_of_str`]) to pick a key group, and
 /// the downstream merge sorts flushed emissions by it to reproduce serial
-/// emission order. Callers on the per-record path keep one `buf` and so
-/// build no `String` per record.
-pub fn write_key(buf: &mut String, row: &Row, cols: &[impl AsRef<str>]) {
+/// emission order. `at` holds the key columns' positions in `row`
+/// ([`Positions::of`], resolved once per row shape). Callers on the
+/// per-record path keep one `buf` and so build no `String` per record.
+pub fn write_key(buf: &mut String, row: &Row, at: &[Option<usize>]) {
+    write_cells(buf, cells_at(row, at));
+}
+
+/// [`write_key`] of `cols` into a fresh `String`, resolved by name.
+pub fn key_string(row: &Row, cols: &[impl AsRef<str>]) -> String {
+    let mut s = String::new();
+    write_cells(&mut s, cols.iter().map(|c| row.get(c.as_ref())));
+    s
+}
+
+/// The key text of `cells` ([`write_key`]), `None` for a column the row
+/// lacks.
+fn write_cells<'a>(buf: &mut String, cells: impl Iterator<Item = Option<&'a Value>>) {
     buf.clear();
-    for (i, c) in cols.iter().enumerate() {
+    for (i, cell) in cells.enumerate() {
         if i > 0 {
             buf.push('\u{1f}');
         }
-        match row.get(c.as_ref()) {
+        match cell {
             Some(Value::Str(s)) => buf.push_str(s),
             // writing to a `String` cannot fail
             Some(v) => {
@@ -264,11 +278,20 @@ pub fn write_key(buf: &mut String, row: &Row, cols: &[impl AsRef<str>]) {
     }
 }
 
-/// [`write_key`] into a fresh `String`.
-pub fn key_string(row: &Row, cols: &[impl AsRef<str>]) -> String {
-    let mut s = String::new();
-    write_key(&mut s, row, cols);
-    s
+/// The cells of `row` at `at`, `None` for a column it lacks.
+#[inline]
+fn cells_at<'r>(
+    row: &'r Row,
+    at: &'r [Option<usize>],
+) -> impl Iterator<Item = Option<&'r Value>> + 'r {
+    at.iter().map(|p| p.and_then(|p| row.cell(p)))
+}
+
+/// `row` projected onto `keys`, whose positions in it are `at`: a missing
+/// column is NULL.
+fn project_at(row: &Row, at: &[Option<usize>], keys: &RowNames) -> Row {
+    let cells = cells_at(row, at).map(|c| c.cloned().unwrap_or(Value::Null));
+    Row::on(Arc::clone(keys), cells.collect())
 }
 
 /// Column carrying encoded partial aggregate accumulators between the
@@ -311,13 +334,13 @@ impl KeyWindows {
     }
 }
 
-/// Whether `row` projected onto `cols` ([`Row::project_shared`]) would be
-/// `key_row`, answered without allocating the projection.
-fn projects_to(row: &Row, cols: &[Arc<str>], key_row: &Row) -> bool {
-    key_row.len() == cols.len()
-        && cols.iter().zip(key_row.iter()).all(|(col, (name, kept))| {
-            **col == *name && row.get(col).map_or(kept.is_null(), |cell| cell == kept)
-        })
+/// Whether [`project_at`] of `row` would be `key_row`, answered without
+/// allocating the projection.
+fn projects_to(row: &Row, at: &[Option<usize>], keys: &RowNames, key_row: &Row) -> bool {
+    key_row.names() == keys
+        && cells_at(row, at)
+            .zip(key_row.cells())
+            .all(|(cell, kept)| cell.map_or(kept.is_null(), |cell| cell == kept))
 }
 
 /// Windowed state: the group-key text ([`write_key`]) to that key's open
@@ -341,13 +364,14 @@ impl WindowMap {
     }
 
     /// Open `key`'s window `[start, end)` with `accs`. The key row is the
-    /// projection of `opener`, the row that opened it, onto `cols`: built
-    /// for a key not held, and for a held key only when it differs.
+    /// projection of `opener`, the row that opened it, onto `keys` (at
+    /// positions `at`): built for a key not held, and for a held key only
+    /// when it differs.
     fn open(
         &mut self,
         key: &str,
-        opener: &Row,
-        cols: &[Arc<str>],
+        (opener, at): (&Row, &[Option<usize>]),
+        keys: &RowNames,
         (start, end): (Timestamp, Timestamp),
         accs: Vec<AggAcc>,
     ) {
@@ -359,14 +383,14 @@ impl WindowMap {
         };
         match self.keys.get_mut(key) {
             Some(kw) => {
-                if !projects_to(opener, cols, &kw.key_row) {
-                    held.row = Some(opener.project_shared(cols));
+                if !projects_to(opener, at, keys, &kw.key_row) {
+                    held.row = Some(project_at(opener, at, keys));
                 }
                 kw.insert(held);
             }
             None => {
                 let kw = KeyWindows {
-                    key_row: opener.project_shared(cols),
+                    key_row: project_at(opener, at, keys),
                     windows: vec![held],
                 };
                 self.keys.insert(key.into(), kw);
@@ -522,27 +546,52 @@ impl WindowMap {
     }
 }
 
-/// The grouping and output columns of a windowed stage, names interned
-/// once so state rows and emitted rows share them.
+/// The grouping and output columns of a windowed stage, each shape's
+/// name list built once so state rows and emitted rows share it.
 struct WindowCols {
-    keys: Vec<Arc<str>>,
-    start: Arc<str>,
-    end: Arc<str>,
-    partial: Arc<str>,
+    /// The key rows' list.
+    keys: RowNames,
+    /// The columns a fold reads: the keys, then every aggregate input.
+    reads: Vec<Arc<str>>,
+    /// Per aggregate, the index in `reads` of its input (`None`: COUNT(*)).
+    inputs: Vec<Option<usize>>,
     aggs: Vec<(Arc<str>, AggFn)>,
+    /// The emitted lists: the keys and the window bounds, then one final
+    /// column per aggregate (`out`) or the raw accumulators (`partial`).
+    out: RowNames,
+    partial: RowNames,
 }
 
 impl WindowCols {
     fn new(key_cols: Vec<String>, aggs: &[(String, AggFn)]) -> Self {
+        let keys = row_names(key_cols);
+        let aggs: Vec<(Arc<str>, AggFn)> = aggs
+            .iter()
+            .map(|(name, f)| (name.as_str().into(), f.clone()))
+            .collect();
+        let mut reads = keys.to_vec();
+        let inputs = (aggs.iter())
+            .map(|(_, f)| {
+                let col = f.input_column()?;
+                reads.push(col.into());
+                Some(reads.len() - 1)
+            })
+            .collect();
+        let bounds = [WINDOW_START_COL, WINDOW_END_COL].map(Arc::from);
+        let shape = |tail: Vec<Arc<str>>| {
+            row_names(
+                (keys.iter().cloned())
+                    .chain(bounds.iter().cloned())
+                    .chain(tail),
+            )
+        };
         WindowCols {
-            keys: key_cols.into_iter().map(Into::into).collect(),
-            start: WINDOW_START_COL.into(),
-            end: WINDOW_END_COL.into(),
-            partial: PARTIAL_COL.into(),
-            aggs: aggs
-                .iter()
-                .map(|(name, f)| (name.as_str().into(), f.clone()))
-                .collect(),
+            out: shape(aggs.iter().map(|(name, _)| name.clone()).collect()),
+            partial: shape(vec![PARTIAL_COL.into()]),
+            keys,
+            reads,
+            inputs,
+            aggs,
         }
     }
 
@@ -565,23 +614,36 @@ impl WindowCols {
     /// the combine stage to merge.
     fn record(&self, key_row: &Row, held: &Held, partial: bool) -> Record {
         let key = self.keys.first().and_then(|c| key_row.get(c).cloned());
-        let cells = if partial { 1 } else { self.aggs.len() };
-        let mut row = key_row.clone_with_room(2 + cells);
-        row.push(self.start.clone(), held.start);
-        row.push(self.end.clone(), held.end);
+        let shape = if partial { &self.partial } else { &self.out };
+        let mut cells = Vec::with_capacity(shape.len());
+        cells.extend_from_slice(key_row.cells());
+        cells.push(Value::Int(held.start));
+        cells.push(Value::Int(held.end));
         if partial {
             let mut accs = Writer::new();
             accs.u32(held.accs.len() as u32);
             for a in &held.accs {
                 a.encode(&mut accs);
             }
-            row.push(self.partial.clone(), Value::Bytes(accs.into_vec()));
+            cells.push(Value::Bytes(accs.into_vec()));
         } else {
-            for ((name, _), acc) in self.aggs.iter().zip(&held.accs) {
-                row.push(name.clone(), acc.result());
-            }
+            let results = self
+                .aggs
+                .iter()
+                .zip(&held.accs)
+                .map(|(_, acc)| acc.result());
+            cells.extend(results);
         }
-        let mut rec = Record::new(row, held.end - 1);
+        let names = if key_row.names() == &self.keys && cells.len() == shape.len() {
+            Arc::clone(shape)
+        } else {
+            // state restored from a checkpoint of another shape emits what
+            // it holds, under the names it was written with
+            let tail = shape[self.keys.len()..].iter().cloned();
+            let tail = tail.take(cells.len() - key_row.len());
+            row_names(key_row.names().iter().cloned().chain(tail))
+        };
+        let mut rec = Record::new(Row::on(names, cells), held.end - 1);
         rec.key = key;
         rec
     }
@@ -656,6 +718,8 @@ pub struct WindowAggregateOp {
     /// The lookup key, reused across records: [`write_key`] fills it, and
     /// the map copies it only for a key it does not hold.
     key: String,
+    /// Where [`WindowCols::reads`] sit in the last row shape seen.
+    at: Positions,
     watermark: Timestamp,
     late_dropped: u64,
     parallelism: usize,
@@ -683,6 +747,7 @@ impl WindowAggregateOp {
             allowed_lateness: allowed_lateness.max(0),
             state: WindowMap::default(),
             key: String::new(),
+            at: Positions::default(),
             watermark: Timestamp::MIN,
             late_dropped: 0,
             parallelism: 1,
@@ -711,8 +776,9 @@ impl WindowAggregateOp {
         self.hot_key_threshold.is_some() && !self.assigner.is_session()
     }
 
-    /// Fold `row` into `window` of the key held in `self.key`.
-    fn fold_into(&mut self, mut window: Window, row: &Row) {
+    /// Fold `row`, whose read columns sit at `at`, into `window` of the
+    /// key held in `self.key`.
+    fn fold_into(&mut self, mut window: Window, row: &Row, at: &[Option<usize>]) {
         if window.end + self.allowed_lateness <= self.watermark {
             self.late_dropped += 1;
             return;
@@ -721,8 +787,9 @@ impl WindowAggregateOp {
             window = self.state.absorb_sessions(&self.key, window);
         }
         let add = |accs: &mut Vec<AggAcc>| {
-            for (acc, (_, f)) in accs.iter_mut().zip(&self.cols.aggs) {
-                acc.add(f, row);
+            let folds = accs.iter_mut().zip(&self.cols.aggs);
+            for ((acc, (_, f)), input) in folds.zip(&self.cols.inputs) {
+                acc.add_cell(f, input.and_then(|i| at[i]).and_then(|p| row.cell(p)));
             }
         };
         match self.state.held(&self.key, window.start, window.end) {
@@ -731,8 +798,9 @@ impl WindowAggregateOp {
                 let mut accs = self.cols.new_accs();
                 add(&mut accs);
                 let bounds = (window.start, window.end);
+                let opener = (row, &at[..self.cols.keys.len()]);
                 self.state
-                    .open(&self.key, row, &self.cols.keys, bounds, accs);
+                    .open(&self.key, opener, &self.cols.keys, bounds, accs);
             }
         }
     }
@@ -744,16 +812,20 @@ impl Operator for WindowAggregateOp {
     }
 
     fn process(&mut self, record: &Arc<Record>, _out: &mut OperatorOutput) -> Result<()> {
-        write_key(&mut self.key, &record.value, &self.cols.keys);
+        let row = &record.value;
+        let mut at = std::mem::take(&mut self.at);
+        let cells = at.of(row, &self.cols.reads);
+        write_key(&mut self.key, row, &cells[..self.cols.keys.len()]);
         match self.assigner.single_window(record.timestamp) {
-            Some(window) => self.fold_into(window, &record.value),
+            Some(window) => self.fold_into(window, row, cells),
             // sliding and session assigners: one fold per assigned window
             None => {
                 for window in self.assigner.assign(record.timestamp) {
-                    self.fold_into(window, &record.value);
+                    self.fold_into(window, row, cells);
                 }
             }
         }
+        self.at = at;
         Ok(())
     }
 
@@ -842,6 +914,7 @@ pub struct DedupOp {
     seen: BTreeSet<String>,
     /// Reused [`write_key`] buffer: only a first occurrence allocates.
     key_buf: String,
+    at: Positions,
 }
 
 impl DedupOp {
@@ -853,6 +926,7 @@ impl DedupOp {
             shard: None,
             seen: BTreeSet::new(),
             key_buf: String::new(),
+            at: Positions::default(),
         }
     }
 
@@ -869,7 +943,8 @@ impl Operator for DedupOp {
     }
 
     fn process(&mut self, record: &Arc<Record>, out: &mut OperatorOutput) -> Result<()> {
-        write_key(&mut self.key_buf, &record.value, &self.key_cols);
+        let at = self.at.of(&record.value, &self.key_cols);
+        write_key(&mut self.key_buf, &record.value, at);
         if !self.seen.contains(&self.key_buf) {
             self.seen.insert(self.key_buf.clone());
             out.push(Arc::clone(record));
@@ -960,6 +1035,8 @@ pub struct PartialCombineOp {
     /// Reused decode buffer of a row's accumulators: a row whose (key,
     /// window) is held merges them and allocates nothing.
     incoming: Vec<AggAcc>,
+    /// Where the key columns sit in the last row shape seen.
+    at: Positions,
     watermark: Timestamp,
     dropped: u64,
 }
@@ -978,6 +1055,7 @@ impl PartialCombineOp {
             state: WindowMap::default(),
             key: String::new(),
             incoming: Vec::new(),
+            at: Positions::default(),
             watermark: Timestamp::MIN,
             dropped: 0,
         }
@@ -1023,7 +1101,8 @@ impl Operator for PartialCombineOp {
             self.dropped += 1;
             return Ok(());
         }
-        write_key(&mut self.key, row, &self.cols.keys);
+        let at = self.at.of(row, &self.cols.keys);
+        write_key(&mut self.key, row, at);
         match self.state.held(&self.key, start, end) {
             Some(accs) => {
                 for (a, b) in accs.iter_mut().zip(&self.incoming) {
@@ -1033,7 +1112,7 @@ impl Operator for PartialCombineOp {
             None => {
                 let accs = self.incoming.drain(..).collect();
                 self.state
-                    .open(&self.key, row, &self.cols.keys, (start, end), accs);
+                    .open(&self.key, (row, at), &self.cols.keys, (start, end), accs);
             }
         }
         Ok(())
@@ -1277,18 +1356,22 @@ impl WindowJoinOp {
     }
 
     fn merge_rows(left: &Row, right: &Row) -> Row {
-        let mut out = left.clone();
+        let mut names = left.names().to_vec();
+        let mut cells = left.cells().to_vec();
         for (name, value) in right.iter() {
             if name == STREAM_TAG {
                 continue;
             }
-            if out.get(name).is_none() {
-                out.push(name.to_string(), value.clone());
+            if !names.iter().any(|n| **n == *name) {
+                names.push(name.into());
             } else if name != "window_start" {
-                out.push(format!("r_{name}"), value.clone());
+                names.push(format!("r_{name}").into());
+            } else {
+                continue;
             }
+            cells.push(value.clone());
         }
-        out
+        Row::on(Arc::new(names), cells)
     }
 }
 

@@ -40,7 +40,9 @@ use crate::watermark::WatermarkGenerator;
 use crate::window::{WINDOW_END_COL, WINDOW_START_COL};
 use bytes::Bytes;
 use rtdi_common::wire::{Reader, Writer};
-use rtdi_common::{Chaos, CountMinSketch, Error, FaultPoint, Record, Result, Timestamp, Value};
+use rtdi_common::{
+    Chaos, CountMinSketch, Error, FaultPoint, Positions, Record, Result, Timestamp, Value,
+};
 use rtdi_storage::keyed::{key_group_of, shard_of_group, KeyedSnapshot};
 use rtdi_storage::object::ObjectStore;
 use std::collections::{BTreeMap, VecDeque};
@@ -491,8 +493,9 @@ fn run_parallel_router(
     let mut buckets: Vec<Vec<(u64, Arc<Record>)>> = (0..n).map(|_| Vec::new()).collect();
     // the operators' own key bytes, hashed in place: no `String` per record
     let mut key = String::new();
+    let mut at = Positions::default();
     let mut route = |r: Arc<Record>, seq: &mut u64, buckets: &mut Vec<Vec<(u64, Arc<Record>)>>| {
-        write_key(&mut key, &r.value, &spec.key_cols);
+        write_key(&mut key, &r.value, at.of(&r.value, &spec.key_cols));
         let h = Value::hash_of_str(&key);
         let shard = match spec.hot_key_threshold {
             // hot key: salt it across all shards (two-phase aggregation

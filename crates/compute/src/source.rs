@@ -18,7 +18,7 @@
 //!   reads, not the range ("fine tuning job memory").
 
 use crate::operator::STREAM_TAG;
-use rtdi_common::{Error, Record, Result, Row, Timestamp};
+use rtdi_common::{Error, Record, Result, Row, SetColumn, Timestamp};
 use rtdi_storage::hive::{time_order, HiveTable, TimedDoc};
 use rtdi_storage::segfile::{RowReader, SegmentFile};
 use rtdi_stream::topic::{PartitionCursor, Topic};
@@ -162,17 +162,25 @@ impl Source for TopicSource {
         for _ in 0..n {
             let cursor = &mut self.cursors[self.next_partition];
             self.next_partition = (self.next_partition + 1) % n;
-            let limit = match &self.end_offsets {
-                Some(ends) => {
-                    let end = ends[cursor.partition];
-                    (end.saturating_sub(cursor.position) as usize).min(per_partition)
-                }
+            let end = self.end_offsets.as_ref().map(|ends| ends[cursor.partition]);
+            let limit = match end {
+                Some(end) => (end.saturating_sub(cursor.position) as usize).min(per_partition),
                 None => per_partition,
             };
             if limit == 0 || out.len() >= max {
                 continue;
             }
-            let records = cursor.fetch(&self.topic, limit)?;
+            let mut records = cursor.fetch(&self.topic, limit)?;
+            // the bound holds for what the fetch returned: a cursor that
+            // retention moved past its end delivers nothing, and of what
+            // it jumped over only the offsets below the end count
+            if let Some(end) = end {
+                records.retain(|r| r.offset < end);
+                if cursor.position > end {
+                    cursor.skipped -= cursor.position - end;
+                    cursor.position = end;
+                }
+            }
             cursor.consumed(&records);
             out.extend(records.into_iter().map(|r| r.record));
         }
@@ -211,12 +219,19 @@ impl Source for TopicSource {
 /// Merges multiple named sources, tagging records with their origin.
 pub struct UnionSource {
     sources: Vec<(String, Box<dyn Source>)>,
+    /// Sets the tag cell, one per source.
+    tags: Vec<SetColumn>,
     next: usize,
 }
 
 impl UnionSource {
     pub fn new(sources: Vec<(String, Box<dyn Source>)>) -> Self {
-        UnionSource { sources, next: 0 }
+        let tags = sources.iter().map(|_| SetColumn::new(STREAM_TAG)).collect();
+        UnionSource {
+            sources,
+            tags,
+            next: 0,
+        }
     }
 }
 
@@ -232,13 +247,10 @@ impl Source for UnionSource {
             for mut rec in batch {
                 // changes the payload (adds the tag cell): in place on a
                 // record held alone, else a new record around the new row
+                let row = self.tags[i].apply(&rec.value, tag.as_str().into());
                 match Arc::get_mut(&mut rec) {
-                    Some(owned) => owned.value.set(STREAM_TAG, tag.as_str()),
-                    None => {
-                        let mut row = rec.value.clone();
-                        row.set(STREAM_TAG, tag.as_str());
-                        rec = Arc::new(rec.rewritten(row));
-                    }
+                    Some(owned) => owned.value = row,
+                    None => rec = Arc::new(rec.rewritten(row)),
                 }
                 out.push(rec);
             }

@@ -1,11 +1,11 @@
 //! SQL -> dataflow compilation.
 
-use rtdi_common::{AggFn, Error, Result, Row, Timestamp, Value};
+use rtdi_common::{row_names, AggFn, Error, Positions, Result, Row, SetColumn, Timestamp, Value};
 use rtdi_compute::operator::{FilterOp, MapOp, Operator, WindowAggregateOp};
 use rtdi_compute::runtime::Job;
 use rtdi_compute::sink::Sink;
 use rtdi_compute::source::{HiveSource, Source, TopicSource};
-use rtdi_compute::window::WindowAssigner;
+use rtdi_compute::window::{WindowAssigner, WINDOW_START_COL};
 use rtdi_sql::ast::{AggName, Expr, SelectStmt, TableRef};
 use rtdi_sql::expr::{eval, truthy};
 use rtdi_sql::parser::parse_select;
@@ -190,13 +190,32 @@ fn lower(plan: &Plan, out: &mut Vec<Box<dyn Operator>>, options: &CompileOptions
         }
         Plan::Project { input, items } => {
             lower(input, out, options)?;
-            let items = items.clone();
+            // one name list for the output; a bare column is copied from
+            // its position, resolved once per input row shape
+            let names = row_names(items.iter().map(|(name, _)| name.as_str()));
+            let exprs: Vec<Expr> = items.iter().map(|(_, expr)| expr.clone()).collect();
+            let columns: Vec<String> = (exprs.iter())
+                .map(|expr| match expr {
+                    Expr::Column {
+                        qualifier: None,
+                        name,
+                    } => name.clone(),
+                    // evaluated, never read by position
+                    _ => String::new(),
+                })
+                .collect();
+            let mut at = Positions::default();
             out.push(Box::new(MapOp::new("project", move |row: &Row| {
-                let mut projected = Row::with_capacity(items.len());
-                for (name, expr) in &items {
-                    projected.push(name.clone(), eval(expr, row).unwrap_or(Value::Null));
-                }
-                projected
+                let at = at.of(row, &columns);
+                let cells = (exprs.iter().zip(at))
+                    .map(|(expr, at)| match expr {
+                        Expr::Column {
+                            qualifier: None, ..
+                        } => at.map_or(Value::Null, |at| row.cells()[at].clone()),
+                        _ => eval(expr, row).unwrap_or(Value::Null),
+                    })
+                    .collect();
+                Row::on(Arc::clone(&names), cells)
             })));
             Ok(())
         }
@@ -261,13 +280,15 @@ fn lower(plan: &Plan, out: &mut Vec<Box<dyn Operator>>, options: &CompileOptions
             out.push(Box::new(agg_op));
             // expose the window under the group output name
             if win_name != "window_start" {
-                out.push(Box::new(MapOp::new("window-alias", move |row: &Row| {
-                    let mut renamed = row.clone();
-                    if let Some(ws) = row.get("window_start").cloned() {
-                        renamed.set(&win_name, ws);
-                    }
-                    renamed
-                })));
+                let mut start = Positions::default();
+                let mut alias = SetColumn::new(win_name);
+                out.push(Box::new(MapOp::new(
+                    "window-alias",
+                    move |row: &Row| match start.of(row, &[WINDOW_START_COL])[0] {
+                        Some(at) => alias.apply(row, row.cells()[at].clone()),
+                        None => row.clone(),
+                    },
+                )));
             }
             Ok(())
         }

@@ -10,7 +10,7 @@
 //! ORDER BY and LIMIT.
 
 use crate::query::{sort_and_cut, Query, SortOrder};
-use rtdi_common::{AggAcc, Row, Value};
+use rtdi_common::{row_names, AggAcc, Row, Value};
 use std::cmp::Ordering;
 use std::fmt::Write;
 use std::sync::Arc;
@@ -290,32 +290,32 @@ impl Groups {
             // groups lie in key order, and no two share an index
             a.cmp(&b)
         };
-        let mut survivors: Vec<usize> = (0..self.len).collect();
-        if order.is_empty() {
-            survivors.truncate(query.limit.unwrap_or(self.len));
-        } else {
-            sort_and_cut(&mut survivors, query.limit, by_order_then_key);
+        // without an ORDER BY the first LIMIT groups, as they lie
+        let mut sorted = Vec::new();
+        if !order.is_empty() {
+            sorted.extend(0..self.len);
+            sort_and_cut(&mut sorted, query.limit, by_order_then_key);
         }
+        let kept = match order.is_empty() {
+            true => query.limit.map_or(self.len, |n| n.min(self.len)),
+            false => sorted.len(),
+        };
+        let survivor = |k: usize| if order.is_empty() { k } else { sorted[k] };
 
-        // intern output column names once; every result row shares them
-        let group_names: Vec<Arc<str>> = query
-            .group_by
-            .iter()
-            .map(|c| Arc::from(c.as_str()))
-            .collect();
-        let agg_names: Vec<Arc<str>> = aggs.iter().map(|(n, _)| Arc::from(n.as_str())).collect();
-        survivors
-            .into_iter()
+        // one name list for the result: every row shares it
+        let names = row_names(
+            (query.group_by.iter().map(String::as_str)).chain(aggs.iter().map(|(n, _)| n.as_str())),
+        );
+        (0..kept)
+            .map(survivor)
             .map(|g| {
-                let mut row = Row::with_capacity(self.key_cols + self.slots);
-                for (col, cell) in group_names.iter().zip(self.key(g)) {
-                    let cell = cell.map_or(Value::Null, |s| Value::Str(s.to_string()));
-                    row.push(Arc::clone(col), cell);
-                }
-                for (name, acc) in agg_names.iter().zip(self.accs_of(g)) {
-                    row.push(Arc::clone(name), acc.result());
-                }
-                row
+                let key = self
+                    .key(g)
+                    .map(|c| c.map_or(Value::Null, |s| Value::Str(s.into())));
+                let mut cells = Vec::with_capacity(names.len());
+                cells.extend(key);
+                cells.extend(self.accs_of(g).iter().map(AggAcc::result));
+                Row::on(Arc::clone(&names), cells)
             })
             .collect()
     }

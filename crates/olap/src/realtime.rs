@@ -14,7 +14,7 @@
 
 use crate::query::{PartialAgg, Query, QueryResult};
 use crate::segment::{self, intern_field_names, ColumnSet, IndexSpec, Segment};
-use rtdi_common::{Result, Row, Schema, Timestamp, Value};
+use rtdi_common::{Field, Positions, Result, Row, RowNames, Schema, Timestamp, Value};
 use rtdi_storage::bitmap::Bitmap;
 use rtdi_storage::column::ColumnData;
 use std::sync::Arc;
@@ -24,29 +24,23 @@ pub struct MutableSegment {
     /// Shared with the upsert index, which names it once per row.
     name: Arc<str>,
     schema: Schema,
-    field_names: Vec<Arc<str>>,
+    field_names: RowNames,
     /// `columns[i]` holds `schema.fields[i]`.
     columns: Vec<ColumnData>,
-    /// `cells[i]`: where `schema.fields[i]` sat in the row appended last
-    /// ([`ABSENT`] or [`DEFAULTED`] when it did not). Rows of one shape
-    /// follow one another, so the next row confirms a position with one
-    /// name compare instead of finding it again; kept here so that an
-    /// append allocates nothing for it.
-    cells: Vec<usize>,
+    /// Where each schema field sits in rows of the shape appended last.
+    /// Rows of one shape follow one another, so the next row confirms the
+    /// positions with one pointer compare instead of finding them again;
+    /// kept here so that an append allocates nothing for them.
+    cells: Positions,
     doc_count: usize,
 }
-
-/// In `cells`: the row has no such column.
-const ABSENT: usize = usize::MAX;
-/// In `cells`: the row has no such column and takes the append's default.
-const DEFAULTED: usize = usize::MAX - 1;
 
 impl ColumnSet for MutableSegment {
     fn doc_count(&self) -> usize {
         self.doc_count
     }
 
-    fn field_names(&self) -> &[Arc<str>] {
+    fn field_names(&self) -> &RowNames {
         &self.field_names
     }
 
@@ -65,9 +59,23 @@ impl MutableSegment {
                 .iter()
                 .map(|f| ColumnData::new(f.field_type))
                 .collect(),
-            // rows are most often written in schema order
-            cells: (0..schema.fields.len()).collect(),
+            cells: Positions::default(),
             schema,
+            doc_count: 0,
+        }
+    }
+
+    /// The empty segment that follows this one in its partition: the same
+    /// schema, this one's name list and the positions it resolved.
+    pub fn successor(&self, name: impl Into<Arc<str>>) -> Self {
+        MutableSegment {
+            name: name.into(),
+            schema: self.schema.clone(),
+            field_names: Arc::clone(&self.field_names),
+            columns: (self.schema.fields.iter())
+                .map(|f| ColumnData::new(f.field_type))
+                .collect(),
+            cells: self.cells.clone(),
             doc_count: 0,
         }
     }
@@ -82,29 +90,26 @@ impl MutableSegment {
     /// without the column `default` names gets the timestamp given there
     /// (the ingester's event-time fallback for the table's time column).
     ///
-    /// The one appending function, made for a batch of like rows: each
-    /// field is looked for where the last row had it (one name compare; the
-    /// whole row is searched only on a miss, so of a column named twice
-    /// either cell may be read), the cells found are validated, and only
-    /// then pushed from their positions — a refused row leaves no trace.
+    /// The one appending function, made for a batch of like rows: the
+    /// fields' positions are resolved once per row shape ([`Positions`];
+    /// of a column named twice the first cell is read), the cells found
+    /// are validated, and only then pushed from their positions — a
+    /// refused row leaves no trace.
     pub fn append(&mut self, row: &Row, default: Option<(&str, Timestamp)>) -> Result<usize> {
         let default = default.map(|(column, ts)| (column, Value::Int(ts)));
-        let cell = |at: usize| match at {
-            DEFAULTED => default.as_ref().map(|(_, ts)| ts),
-            at => row.at(at).map(|(_, value)| value),
+        let cell = |field: &Field, at: Option<usize>| match at {
+            Some(at) => row.cell(at),
+            None => (default.as_ref())
+                .filter(|(column, _)| *column == field.name)
+                .map(|(_, ts)| ts),
         };
-        for (field, at) in self.schema.fields.iter().zip(&mut self.cells) {
-            if row.at(*at).is_none_or(|(name, _)| name != field.name) {
-                *at = match (row.position(&field.name), &default) {
-                    (Some(found), _) => found,
-                    (None, Some((column, _))) if *column == field.name => DEFAULTED,
-                    (None, _) => ABSENT,
-                };
-            }
-            self.schema.validate_cell(field, cell(*at))?;
+        let at = self.cells.of(row, &self.field_names);
+        for (field, &at) in self.schema.fields.iter().zip(at) {
+            self.schema.validate_cell(field, cell(field, at))?;
         }
-        for (column, &at) in self.columns.iter_mut().zip(&self.cells) {
-            column.push(cell(at));
+        let fields = self.schema.fields.iter().zip(at);
+        for (column, (field, &at)) in self.columns.iter_mut().zip(fields) {
+            column.push(cell(field, at));
         }
         self.doc_count += 1;
         Ok(self.doc_count - 1)
@@ -113,8 +118,9 @@ impl MutableSegment {
     /// Append a row as it is: a cell its field cannot hold becomes NULL
     /// ([`Segment::build`] takes rows without validating them).
     pub(crate) fn push(&mut self, row: &Row) {
-        for (field, column) in self.schema.fields.iter().zip(&mut self.columns) {
-            column.push(row.get(&field.name));
+        let at = self.cells.of(row, &self.field_names);
+        for (column, &at) in self.columns.iter_mut().zip(at) {
+            column.push(at.and_then(|at| row.cell(at)));
         }
         self.doc_count += 1;
     }

@@ -15,10 +15,9 @@
 //! is deliberately not re-exported from the crate root.
 
 use crate::query::{sort_and_limit, Query};
-use rtdi_common::{AggAcc, Row, Schema, Value};
+use rtdi_common::{row_names, AggAcc, Row, RowNames, Schema, Value};
 use rtdi_storage::bitmap::Bitmap;
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 /// The rows `valid_docs` and every predicate admit, in doc order.
 fn matching<'a>(
@@ -45,13 +44,13 @@ pub fn execute(
         aggregate(matching(rows, query, valid_docs), query)
     } else {
         // an empty select projects onto the schema (missing fields become NULL)
-        let names: Vec<Arc<str>> = if query.select.is_empty() {
-            schema.field_names().map(Arc::from).collect()
+        let names: RowNames = if query.select.is_empty() {
+            row_names(schema.field_names())
         } else {
-            query.select.iter().map(|s| Arc::from(s.as_str())).collect()
+            row_names(query.select.iter().map(String::as_str))
         };
         matching(rows, query, valid_docs)
-            .map(|row| row.project_shared(&names))
+            .map(|row| row.project_onto(&names))
             .collect()
     };
     sort_and_limit(&mut out, &query.order_by, query.limit);

@@ -19,7 +19,9 @@ use crate::query::{
 use crate::realtime::MutableSegment;
 use crate::startree::{StarTree, StarTreeSpec};
 use bytes::Bytes;
-use rtdi_common::{AggAcc, AggFn, Error, Result, Row, Schema, Timestamp, Value};
+use rtdi_common::{
+    row_names, AggAcc, AggFn, Error, Result, Row, RowNames, Schema, Timestamp, Value,
+};
 use rtdi_storage::bitmap::Bitmap;
 use rtdi_storage::column::{ColumnData, BLOCK};
 use rtdi_storage::segfile;
@@ -475,7 +477,7 @@ pub(crate) trait ColumnSet {
     fn doc_count(&self) -> usize;
     /// Schema field names, interned once: every materialized row shares
     /// them instead of cloning a `String` per cell.
-    fn field_names(&self) -> &[Arc<str>];
+    fn field_names(&self) -> &RowNames;
     fn column(&self, name: &str) -> Option<&ColumnData>;
     /// A consuming segment has none.
     fn indexes(&self) -> Option<&Indexes> {
@@ -981,19 +983,26 @@ fn emit(
 /// row is all a later sort would see) and orders nothing; docs that tie
 /// keep doc order.
 fn select_rows(seg: &dyn ColumnSet, query: &Query, docs: &mut Vec<u32>) -> Vec<Row> {
-    // late materialization: resolve projected columns and interned
-    // names once, then emit rows only for the surviving docs. An empty
-    // select projects onto the schema.
-    let select_names: Vec<Arc<str>>;
-    let names: &[Arc<str>] = if query.select.is_empty() {
-        seg.field_names()
+    // late materialization: resolve the projected columns once, then emit
+    // rows only for the surviving docs. An empty select projects onto the
+    // schema.
+    let fields = seg.field_names();
+    let all = query.select.is_empty();
+    let width = if all {
+        fields.len()
     } else {
-        select_names = query.select.iter().map(|s| Arc::from(s.as_str())).collect();
-        &select_names
+        query.select.len()
     };
-    let cols: Vec<Option<&ColumnData>> = names.iter().map(|n| seg.column(n)).collect();
+    let name = |i: usize| {
+        if all {
+            &*fields[i]
+        } else {
+            query.select[i].as_str()
+        }
+    };
+    let cols: Vec<Option<&ColumnData>> = (0..width).map(|i| seg.column(name(i))).collect();
 
-    let projected = |col: &String| names.iter().position(|n| **n == **col);
+    let projected = |col: &String| (0..width).position(|i| name(i) == col);
     let order: Vec<(&ColumnData, SortOrder)> = query
         .order_by
         .iter()
@@ -1016,17 +1025,26 @@ fn select_rows(seg: &dyn ColumnSet, query: &Query, docs: &mut Vec<u32>) -> Vec<R
         sort_and_cut(docs, query.limit, by_order_then_doc);
     }
 
+    if docs.is_empty() {
+        return Vec::new();
+    }
+    // one list for the rows, each name the schema's own where it has one
+    let names = match all {
+        true => Arc::clone(fields),
+        false => row_names(
+            (0..width).map(|i| match fields.iter().find(|f| ***f == *name(i)) {
+                Some(field) => Arc::clone(field),
+                None => Arc::from(name(i)),
+            }),
+        ),
+    };
     let mut rows = Vec::with_capacity(docs.len());
     for &d in docs.iter() {
         let doc = d as usize;
-        let mut row = Row::with_capacity(names.len());
-        for (name, col) in names.iter().zip(&cols) {
-            row.push(
-                Arc::clone(name),
-                col.map_or(Value::Null, |c| c.value_at(doc)),
-            );
-        }
-        rows.push(row);
+        let cells = cols
+            .iter()
+            .map(|col| col.map_or(Value::Null, |c| c.value_at(doc)));
+        rows.push(Row::on(Arc::clone(&names), cells.collect()));
     }
     rows
 }
@@ -1038,7 +1056,7 @@ pub struct Segment {
     /// Columns are shared (`Arc`) so a [`LazySegment`] view and a fully
     /// materialized segment can reference the same decoded data.
     columns: BTreeMap<String, Arc<ColumnData>>,
-    field_names: Vec<Arc<str>>,
+    field_names: RowNames,
     doc_count: usize,
     indexes: Indexes,
 }
@@ -1048,7 +1066,7 @@ impl ColumnSet for Segment {
         self.doc_count
     }
 
-    fn field_names(&self) -> &[Arc<str>] {
+    fn field_names(&self) -> &RowNames {
         &self.field_names
     }
 
@@ -1062,8 +1080,8 @@ impl ColumnSet for Segment {
 }
 
 /// Schema field names as the shared names of materialized rows.
-pub(crate) fn intern_field_names(schema: &Schema) -> Vec<Arc<str>> {
-    schema.field_names().map(Arc::from).collect()
+pub(crate) fn intern_field_names(schema: &Schema) -> RowNames {
+    row_names(schema.field_names())
 }
 
 impl Segment {
@@ -1097,7 +1115,7 @@ impl Segment {
     pub(crate) fn seal(
         name: String,
         schema: Schema,
-        field_names: Vec<Arc<str>>,
+        field_names: RowNames,
         mut columns: Vec<ColumnData>,
         doc_count: usize,
         spec: &IndexSpec,
@@ -1160,11 +1178,8 @@ impl Segment {
 
     /// Materialize one document.
     pub fn row_at(&self, doc: usize) -> Row {
-        let mut row = Row::with_capacity(self.field_names.len());
-        for name in &self.field_names {
-            row.push(Arc::clone(name), self.value_at(name, doc));
-        }
-        row
+        let cells = self.field_names.iter().map(|name| self.value_at(name, doc));
+        Row::on(Arc::clone(&self.field_names), cells.collect())
     }
 
     /// Materialize every document (used for deep-store encode and tests).
@@ -1239,7 +1254,7 @@ impl Segment {
 pub struct LazySegment {
     file: segfile::SegmentFile,
     schema: Schema,
-    field_names: Vec<Arc<str>>,
+    field_names: RowNames,
 }
 
 impl LazySegment {

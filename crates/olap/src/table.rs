@@ -235,7 +235,7 @@ impl OlapTable {
             partition_of(st),
             st.seg_seq + 1
         );
-        let next = MutableSegment::new(name, self.config.schema.clone());
+        let next = st.consuming.successor(name);
         // `new` sealed an empty segment with this spec, and a seal error
         // depends on schema and spec alone (`Segment::seal`'s contract), so
         // the full segment handed over here is never lost to one

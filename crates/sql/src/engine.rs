@@ -14,7 +14,10 @@ use crate::expr::{eval, truthy};
 use crate::optimizer::{map_children, optimize_with, pushable_aggregation};
 use crate::parser::parse_select;
 use crate::plan::{plan_select, AggItem, Plan};
-use rtdi_common::{AggAcc, Clock, Deadline, Error, PipelineTracer, Priority, Result, Row, Value};
+use rtdi_common::{
+    row_names, AggAcc, Clock, Deadline, Error, PipelineTracer, Priority, Result, Row, RowNames,
+    Value,
+};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
@@ -299,9 +302,7 @@ impl SqlEngine {
                 });
                 // the planner's own sort keys end every row
                 if *strip > 0 {
-                    for row in &mut rows {
-                        row.truncate(row.len().saturating_sub(*strip));
-                    }
+                    strip_tail(&mut rows, *strip);
                 }
                 Ok(rows)
             }
@@ -333,11 +334,15 @@ fn stamp_overload(plan: &mut Plan, deadline: &Option<Deadline>, priority: Priori
     }
 }
 
-/// Evaluate the items over every row. Each item's output name is interned
-/// once and shared by every row. A bare column that no other item reads
-/// is moved out of its input row, looked for where the previous row had
-/// it; any other item is evaluated.
+/// Evaluate the items over every row. A bare column that no other item
+/// reads is moved out of its input row, at a position resolved once per
+/// input row shape; any other item, and any past the 64th, is evaluated.
+/// Items that move every column of the row where it lies rename it: the
+/// row keeps its cells under the output list. The output rows share one
+/// name list, built at the first row: an item named as the column it
+/// moves takes that column's name.
 fn project(rows: Vec<Row>, items: &[(String, Expr)]) -> Result<Vec<Row>> {
+    const MOVABLE: usize = 64;
     let reads = |expr: &Expr, column: &str| match expr {
         Expr::Column { name, .. } => name == column,
         expr => {
@@ -346,46 +351,77 @@ fn project(rows: Vec<Row>, items: &[(String, Expr)]) -> Result<Vec<Row>> {
             cols.iter().any(|c| c == column)
         }
     };
-    // per item its output name, and the column it moves with the position
-    // the last row had it at
-    let mut plan: Vec<_> = (items.iter().enumerate())
-        .map(|(i, (name, expr))| {
-            let moved = match expr {
-                Expr::Column {
-                    qualifier: None,
-                    name: column,
-                } => {
-                    let mut others = items.iter().enumerate().filter(|&(j, _)| j != i);
-                    others
-                        .all(|(_, (_, e))| !reads(e, column))
-                        .then_some((column.as_str(), 0))
-                }
-                _ => None,
-            };
-            (Arc::<str>::from(name.as_str()), moved)
-        })
-        .collect();
+    // the column item `i` moves, if it moves one
+    let column = |i: usize| match &items[i].1 {
+        Expr::Column {
+            qualifier: None,
+            name,
+        } if i < MOVABLE => Some(name.as_str()),
+        _ => None,
+    };
+    // bit `i` set: item `i` moves its column
+    let moved = (0..items.len()).fold(0u64, |moved, i| {
+        let alone = |c: &str| (items.iter().enumerate()).all(|(j, (_, e))| j == i || !reads(e, c));
+        moved | u64::from(column(i).is_some_and(alone)) << i
+    });
+    let moves = |i: usize| i < MOVABLE && moved >> i & 1 == 1;
+    let mut names: Option<RowNames> = None;
+    let mut seen: Option<RowNames> = None;
+    let mut at = [None; MOVABLE];
+    let mut renames = false;
     rows.into_iter()
         .map(|mut row| {
-            let mut out = Row::with_capacity(items.len());
-            for ((name, moved), (_, expr)) in plan.iter_mut().zip(items) {
-                let value = match moved {
-                    Some((column, at)) => {
-                        if row.at(*at).is_none_or(|(found, _)| found != *column) {
-                            *at = row.position(column).unwrap_or(usize::MAX);
-                        }
-                        let cell = row
-                            .at_mut(*at)
-                            .map(|(_, v)| std::mem::replace(v, Value::Null));
-                        cell.unwrap_or(Value::Null)
-                    }
-                    None => eval(expr, &row)?,
-                };
-                out.push(Arc::clone(name), value);
+            if !seen.as_ref().is_some_and(|s| Arc::ptr_eq(s, row.names())) {
+                for i in (0..items.len()).filter(|&i| moves(i)) {
+                    at[i] = column(i).and_then(|c| row.position(c));
+                }
+                renames = items.len() == row.len()
+                    && (0..items.len()).all(|i| moves(i) && at[i] == Some(i));
+                seen = Some(Arc::clone(row.names()));
             }
-            Ok(out)
+            let names = names.get_or_insert_with(|| {
+                row_names(items.iter().enumerate().map(|(i, (name, _))| {
+                    match at.get(i).copied().flatten().filter(|_| moves(i)) {
+                        Some(p) if *row.names()[p] == **name => Arc::clone(&row.names()[p]),
+                        _ => Arc::from(name.as_str()),
+                    }
+                }))
+            });
+            if renames {
+                return Ok(Row::on(Arc::clone(names), row.into_cells()));
+            }
+            let mut cells = Vec::with_capacity(items.len());
+            for (i, (_, expr)) in items.iter().enumerate() {
+                cells.push(if moves(i) {
+                    let cell = at[i].and_then(|p| row.at_mut(p));
+                    cell.map_or(Value::Null, |(_, v)| std::mem::replace(v, Value::Null))
+                } else {
+                    eval(expr, &row)?
+                });
+            }
+            Ok(Row::on(Arc::clone(names), cells))
         })
         .collect()
+}
+
+/// Drop the last `strip` cells of every row: rows of one name list move
+/// to one shortened list.
+fn strip_tail(rows: &mut [Row], strip: usize) {
+    let mut cut: Option<(RowNames, RowNames)> = None;
+    for row in rows {
+        let keep = row.len().saturating_sub(strip);
+        let names = match &cut {
+            Some((from, to)) if Arc::ptr_eq(from, row.names()) => Arc::clone(to),
+            _ => {
+                let to = row_names(row.names()[..keep].iter().cloned());
+                cut = Some((Arc::clone(row.names()), Arc::clone(&to)));
+                to
+            }
+        };
+        let mut cells = std::mem::take(row).into_cells();
+        cells.truncate(keep);
+        *row = Row::on(names, cells);
+    }
 }
 
 fn new_acc(item: &AggItem) -> AggAcc {
@@ -438,22 +474,18 @@ fn execute_aggregate(
     }
     if groups.is_empty() && group_by.is_empty() {
         // global aggregate over empty input still yields one row
-        let mut row = Row::new();
-        for item in aggs {
-            row.push(item.name.clone(), new_acc(item).result());
-        }
-        return Ok(vec![row]);
+        let names = row_names(aggs.iter().map(|item| item.name.as_str()));
+        let cells = aggs.iter().map(|item| new_acc(item).result()).collect();
+        return Ok(vec![Row::on(names, cells)]);
     }
+    let names = row_names(
+        (group_by.iter().map(|(name, _)| name.as_str()))
+            .chain(aggs.iter().map(|item| item.name.as_str())),
+    );
     let mut out = Vec::with_capacity(groups.len());
-    for (_, (vals, accs)) in groups {
-        let mut row = Row::with_capacity(group_by.len() + aggs.len());
-        for ((name, _), v) in group_by.iter().zip(vals) {
-            row.push(name.clone(), v);
-        }
-        for (item, acc) in aggs.iter().zip(&accs) {
-            row.push(item.name.clone(), acc.result());
-        }
-        out.push(row);
+    for (_, (mut cells, accs)) in groups {
+        cells.extend(accs.iter().map(AggAcc::result));
+        out.push(Row::on(Arc::clone(&names), cells));
     }
     Ok(out)
 }
@@ -491,26 +523,29 @@ fn hash_join(
 }
 
 fn merge_joined(l: &Row, r: &Row, lb: &str, rb: &str) -> Row {
-    let mut out = Row::with_capacity(l.len() + r.len());
-    for (n, v) in l.iter() {
-        out.push(n.to_string(), v.clone());
-        if !n.contains('.') {
-            // last element of a composite binding chain (a+b) is not a
-            // valid qualifier; only qualify with simple bindings
-            if !lb.contains('+') {
-                out.push(format!("{lb}.{n}"), v.clone());
-            }
+    let width = 2 * (l.len() + r.len());
+    let (mut names, mut cells) = (Vec::with_capacity(width), Vec::with_capacity(width));
+    for (n, v) in l.names().iter().zip(l.cells()) {
+        names.push(Arc::clone(n));
+        cells.push(v.clone());
+        // last element of a composite binding chain (a+b) is not a valid
+        // qualifier; only qualify with simple bindings
+        if !n.contains('.') && !lb.contains('+') {
+            names.push(format!("{lb}.{n}").into());
+            cells.push(v.clone());
         }
     }
-    for (n, v) in r.iter() {
-        if out.get(n).is_none() {
-            out.push(n.to_string(), v.clone());
+    for (n, v) in r.names().iter().zip(r.cells()) {
+        if !names.contains(n) {
+            names.push(Arc::clone(n));
+            cells.push(v.clone());
         }
         if !n.contains('.') && !rb.contains('+') {
-            out.push(format!("{rb}.{n}"), v.clone());
+            names.push(format!("{rb}.{n}").into());
+            cells.push(v.clone());
         }
     }
-    out
+    Row::on(Arc::new(names), cells)
 }
 
 #[cfg(test)]

@@ -23,7 +23,7 @@ use crate::segfile::{self, SegmentMeta};
 use bytes::Bytes;
 use rtdi_common::wire::{Reader, Writer};
 use rtdi_common::{
-    Audit, Error, Record, Result, RetryPolicy, Row, Schema, Timestamp, UniqueId, Value,
+    Audit, Error, Record, Result, RetryPolicy, Row, RowNames, Schema, Timestamp, UniqueId, Value,
 };
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -257,22 +257,39 @@ pub fn decode_rows(data: &[u8]) -> Result<Vec<Row>> {
     // every row needs at least its 4-byte column count
     let n = r.count(4, "row count")?;
     let mut out = Vec::with_capacity(n);
+    let mut shape = RowNames::default();
     for _ in 0..n {
-        out.push(decode_row(&mut r)?);
+        out.push(decode_row(&mut r, &mut shape)?);
     }
     Ok(out)
 }
 
-/// One row: a column count, then `(name, value)` pairs.
-fn decode_row(r: &mut Reader) -> Result<Row> {
+/// One row: a column count, then `(name, value)` pairs. A row whose names
+/// spell `shape`, the list of the row before it, shares that list;
+/// another row starts a new one.
+fn decode_row(r: &mut Reader, shape: &mut RowNames) -> Result<Row> {
     // every column needs at least its name length(4) + value tag(1)
     let ncols = r.count(5, "column count")?;
-    let mut row = Row::with_capacity(ncols);
-    for _ in 0..ncols {
+    let mut cells = Vec::with_capacity(ncols);
+    // the names read so far, once one differs from `shape`
+    let mut fresh: Option<Vec<Arc<str>>> =
+        (shape.len() != ncols).then(|| Vec::with_capacity(ncols));
+    for i in 0..ncols {
         let name = r.str("column name")?;
-        row.push(name, decode_value(r.u8("value tag")?, r)?);
+        if fresh.is_none() && *shape[i] != *name {
+            let mut names = Vec::with_capacity(ncols);
+            names.extend_from_slice(&shape[..i]);
+            fresh = Some(names);
+        }
+        if let Some(names) = &mut fresh {
+            names.push(name.into());
+        }
+        cells.push(decode_value(r.u8("value tag")?, r)?);
     }
-    Ok(row)
+    if let Some(names) = fresh {
+        *shape = Arc::new(names);
+    }
+    Ok(Row::on(Arc::clone(shape), cells))
 }
 
 /// Decode a raw-log object back into records. Bounds-checked throughout:
@@ -281,6 +298,7 @@ pub fn decode_raw(data: &Bytes) -> Result<Vec<Record>> {
     let mut r = Reader::new(data);
     let n = r.count(MIN_RECORD_BYTES, "record count")?;
     let mut out = Vec::with_capacity(n);
+    let mut shape = RowNames::default();
     for _ in 0..n {
         let ts = r.i64("record timestamp")?;
         let key = match r.u8("key tag")? {
@@ -300,7 +318,7 @@ pub fn decode_raw(data: &Bytes) -> Result<Vec<Record>> {
             let k = r.str("header key")?.to_string();
             rec.headers.set(k, r.str("header value")?);
         }
-        rec.value = decode_row(&mut r)?;
+        rec.value = decode_row(&mut r, &mut shape)?;
         out.push(rec);
     }
     Ok(out)

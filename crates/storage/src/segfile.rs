@@ -33,7 +33,7 @@
 use crate::bitmap::Bitmap;
 use crate::column::{int_blocks, ColumnData};
 use bytes::Bytes;
-use rtdi_common::{Error, FieldType, Result, Row, Schema, Value};
+use rtdi_common::{Error, FieldType, Result, Row, RowNames, Schema, Value};
 use std::sync::{Arc, OnceLock};
 
 /// Head magic: the file starts with the bytes `RTSG`.
@@ -953,15 +953,15 @@ impl SegmentFile {
                 .collect(),
         };
         let mut columns = Vec::with_capacity(picked.len());
-        for i in picked {
-            let e = &self.entries[i];
-            columns.push((
-                Arc::<str>::from(e.name.as_str()),
-                e.field_type,
-                self.column_at(i)?,
-            ));
+        for &i in &picked {
+            columns.push((self.entries[i].field_type, self.column_at(i)?));
         }
         Ok(RowReader {
+            names: Arc::new(
+                (picked.iter())
+                    .map(|&i| Arc::from(self.entries[i].name.as_str()))
+                    .collect(),
+            ),
             columns,
             nrows: self.nrows(),
         })
@@ -974,12 +974,13 @@ impl SegmentFile {
     }
 }
 
-/// Some decoded columns of one segment file, each with its name and field
-/// type: a row of any document is built from them without looking a
-/// column up again, and a cell becomes a [`Value`] only for a row that is
-/// built.
+/// Some decoded columns of one segment file, each with its field type,
+/// and one name list for them: a row of any document is built from them
+/// without looking a column up again, every row on that list, and a cell
+/// becomes a [`Value`] only for a row that is built.
 pub struct RowReader {
-    columns: Vec<(Arc<str>, FieldType, Arc<ColumnData>)>,
+    names: RowNames,
+    columns: Vec<(FieldType, Arc<ColumnData>)>,
     nrows: usize,
 }
 
@@ -992,11 +993,11 @@ impl RowReader {
                 self.nrows
             )));
         }
-        let mut row = Row::with_capacity(self.columns.len());
-        for (name, ftype, col) in &self.columns {
-            row.push(name.clone(), cell_value(col, *ftype, doc)?);
+        let mut cells = Vec::with_capacity(self.columns.len());
+        for (ftype, col) in &self.columns {
+            cells.push(cell_value(col, *ftype, doc)?);
         }
-        Ok(row)
+        Ok(Row::on(Arc::clone(&self.names), cells))
     }
 }
 

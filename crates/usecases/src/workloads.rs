@@ -8,7 +8,8 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rtdi_common::{Record, Row, Timestamp};
+use rtdi_common::{row_names, Record, Row, RowNames, Timestamp, Value};
+use std::sync::Arc;
 
 /// A seeded Zipfian sampler over ranks `0..n`: rank `k` is drawn with
 /// probability proportional to `1 / (k + 1)^s`. `s ~ 1` matches the
@@ -55,6 +56,8 @@ pub struct CityDriverGenerator {
     rng: StdRng,
     cities: Zipf,
     drivers: Zipf,
+    /// One name list for every trip.
+    names: RowNames,
 }
 
 impl CityDriverGenerator {
@@ -63,6 +66,7 @@ impl CityDriverGenerator {
             rng: StdRng::seed_from_u64(seed),
             cities: Zipf::new(cities, skew),
             drivers: Zipf::new(drivers, 1.0),
+            names: row_names(["city", "driver", "fare", "ts"]),
         }
     }
 
@@ -71,15 +75,13 @@ impl CityDriverGenerator {
         let driver = format!("drv-{:05}", self.drivers.sample(&mut self.rng));
         // quarter-dollar fares: exactly representable, order-independent sums
         let fare = self.rng.gen_range(4..200) as f64 * 0.25;
-        Record::new(
-            Row::new()
-                .with("city", city.clone())
-                .with("driver", driver)
-                .with("fare", fare)
-                .with("ts", ts),
-            ts,
-        )
-        .with_key(city)
+        let cells = vec![
+            Value::Str(city.clone()),
+            Value::Str(driver),
+            Value::Double(fare),
+            Value::Int(ts),
+        ];
+        Record::new(Row::on(Arc::clone(&self.names), cells), ts).with_key(city)
     }
 
     pub fn trips(&mut self, n: usize, interval_ms: i64) -> Vec<Record> {
@@ -110,6 +112,9 @@ pub struct TripEventGenerator {
     /// Zipfian order distribution over restaurants (hot restaurants
     /// draw most orders).
     restaurants: Zipf,
+    /// One name list per event shape: marketplace, eats order,
+    /// prediction, outcome.
+    names: [RowNames; 4],
 }
 
 impl TripEventGenerator {
@@ -121,6 +126,21 @@ impl TripEventGenerator {
             max_lateness_ms: 0,
             hot_cells: (cells / 8).max(1),
             restaurants: Zipf::new(500, 1.05),
+            names: [
+                &["hex", "kind", "rider", "ts"][..],
+                &[
+                    "restaurant",
+                    "item",
+                    "items",
+                    "total",
+                    "rating",
+                    "hex",
+                    "ts",
+                ],
+                &["case_id", "model", "feature", "predicted", "ts"],
+                &["case_id", "model", "actual", "ts"],
+            ]
+            .map(|cols| row_names(cols.iter().copied())),
         }
     }
 
@@ -154,15 +174,13 @@ impl TripEventGenerator {
         } else {
             "supply"
         };
-        Record::new(
-            Row::new()
-                .with("hex", hex.clone())
-                .with("kind", kind)
-                .with("rider", format!("u{}", self.rng.gen_range(0..10_000)))
-                .with("ts", event_ts),
-            event_ts,
-        )
-        .with_key(hex)
+        let cells = vec![
+            Value::Str(hex.clone()),
+            kind.into(),
+            Value::Str(format!("u{}", self.rng.gen_range(0..10_000))),
+            Value::Int(event_ts),
+        ];
+        Record::new(Row::on(Arc::clone(&self.names[0]), cells), event_ts).with_key(hex)
     }
 
     /// A batch of events covering `[start, start + duration_ms)` at a
@@ -189,18 +207,16 @@ impl TripEventGenerator {
         let items = self.rng.gen_range(1..=8i64);
         let total = items as f64 * self.rng.gen_range(6.0..25.0);
         let rating = self.rng.gen_range(1..=5i64);
-        Record::new(
-            Row::new()
-                .with("restaurant", restaurant.clone())
-                .with("item", format!("item-{}", self.rng.gen_range(0..50)))
-                .with("items", items)
-                .with("total", (total * 100.0).round() / 100.0)
-                .with("rating", rating)
-                .with("hex", self.cell())
-                .with("ts", ts),
-            ts,
-        )
-        .with_key(restaurant)
+        let cells = vec![
+            Value::Str(restaurant.clone()),
+            Value::Str(format!("item-{}", self.rng.gen_range(0..50))),
+            Value::Int(items),
+            Value::Double((total * 100.0).round() / 100.0),
+            Value::Int(rating),
+            Value::Str(self.cell()),
+            Value::Int(ts),
+        ];
+        Record::new(Row::on(Arc::clone(&self.names[1]), cells), ts).with_key(restaurant)
     }
 
     /// Prediction + delayed outcome pair for model monitoring (§5.3).
@@ -218,25 +234,23 @@ impl TripEventGenerator {
         let predicted = self.rng.gen_range(0.0..1.0);
         let noise: f64 = self.rng.gen_range(-0.1..0.1);
         let actual = (predicted + noise).clamp(0.0, 1.0);
-        let pred = Record::new(
-            Row::new()
-                .with("case_id", case.clone())
-                .with("model", model.clone())
-                .with("feature", feature.clone())
-                .with("predicted", predicted)
-                .with("ts", ts),
-            ts,
-        )
-        .with_key(case.clone());
-        let outcome = Record::new(
-            Row::new()
-                .with("case_id", case.clone())
-                .with("model", model)
-                .with("actual", actual)
-                .with("ts", ts + outcome_delay_ms),
-            ts + outcome_delay_ms,
-        )
-        .with_key(case);
+        let cells = vec![
+            Value::Str(case.clone()),
+            Value::Str(model.clone()),
+            Value::Str(feature),
+            Value::Double(predicted),
+            Value::Int(ts),
+        ];
+        let pred =
+            Record::new(Row::on(Arc::clone(&self.names[2]), cells), ts).with_key(case.clone());
+        let at = ts + outcome_delay_ms;
+        let cells = vec![
+            Value::Str(case.clone()),
+            Value::Str(model),
+            Value::Double(actual),
+            Value::Int(at),
+        ];
+        let outcome = Record::new(Row::on(Arc::clone(&self.names[3]), cells), at).with_key(case);
         (pred, outcome)
     }
 }

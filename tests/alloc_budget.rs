@@ -14,14 +14,16 @@
 //! record, compaction pays per distinct string, not per record or field,
 //! and a combine stage merges a partial row into a held window without
 //! allocating. And the backfill's: the Kappa+ source's peak live bytes
-//! follow the part it reads, not the range.
+//! follow the part it reads, not the range. And the row's own: a row
+//! built on a shared name list, a clone of one, a renamed window row and
+//! a row read from a part pay for their cells and never for a name.
 //!
 //! One `#[test]`, so the process-wide counter sees one thread at work.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rtdi::common::AggFn;
-use rtdi::common::{Error, FieldType, Record, Result, Row, Schema};
+use rtdi::common::{row_names, Error, FieldType, Record, Result, Row, Schema, Value};
 use rtdi::compute::{
     run_staged_with, CollectSink, FilterOp, HiveSource, Job, MapOp, Operator, Source, StagedConfig,
     TopicSink, TopicSource, WindowAggregateOp, WindowAssigner,
@@ -814,6 +816,118 @@ fn windows_fold_and_checkpoint_in_place() {
     );
 }
 
+/// A row is its cells and one shared name list. 1 000 rows built on one
+/// list allocate their cell slices and string cells and no name, and so
+/// does a clone of them. The benchmark job's `TUMBLE(ts, 1000) AS w`
+/// stage allocates what a clone of its input row does: nothing for the
+/// rename. The rows a `HiveSource` reads from one part all stand on one
+/// list.
+fn rows_share_their_names() {
+    const N: usize = 1_000;
+    let names = row_names(["city", "driver", "fare", "ts"]);
+    let (city, driver) = ("city-001".to_string(), "drv-00001".to_string());
+    let (rows, built) = count_allocations(|| {
+        let row = |i: usize| {
+            let cells = vec![
+                Value::Str(city.clone()),
+                Value::Str(driver.clone()),
+                Value::Double(0.25),
+                Value::Int(i as i64),
+            ];
+            Row::on(Arc::clone(&names), cells)
+        };
+        (0..N).map(row).collect::<Vec<Row>>()
+    });
+    // per row its cell slice and two strings, and the vector of rows
+    let cells_and_strings = 3 * N as u64 + 1;
+    assert_eq!(built.allocs, cells_and_strings, "{N} rows on one list");
+    let (copies, cloned) = count_allocations(|| rows.clone());
+    assert_eq!(cloned.allocs, cells_and_strings, "a clone of {N} rows");
+    assert!(copies.iter().all(|r| Arc::ptr_eq(r.names(), &names)));
+
+    // the window stage's rows as the alias stage receives them
+    let job = compile_streaming(
+        "alias",
+        "SELECT city, TUMBLE(ts, 1000) AS w, COUNT(*) AS trips, SUM(fare) AS revenue \
+         FROM trips GROUP BY city, TUMBLE(ts, 1000)",
+        bare_topic("alias"),
+        Box::new(CollectSink::new()),
+        &CompileOptions::default(),
+    )
+    .unwrap();
+    let mut alias = (job.operators.into_iter())
+        .find(|op| op.name() == "window-alias")
+        .unwrap();
+    let emitted = row_names(["city", "window_start", "window_end", "trips", "revenue"]);
+    let windows: Vec<Arc<Record>> = (0..N as i64)
+        .map(|i| {
+            let cells = vec![
+                Value::Str(city.clone()),
+                Value::Int(i * 1_000),
+                Value::Int((i + 1) * 1_000),
+                Value::Int(3),
+                Value::Double(7.5),
+            ];
+            Arc::new(Record::new(
+                Row::on(Arc::clone(&emitted), cells),
+                i * 1_000 + 999,
+            ))
+        })
+        .collect();
+    // the first row builds the stage's output list, once
+    alias.process(&windows[0], &mut Vec::new()).unwrap();
+    let mut copy = MapOp::new("copy", |row: &Row| row.clone());
+    let run = |op: &mut dyn Operator| {
+        let mut out = Vec::with_capacity(N);
+        let ((), spent) = count_allocations(|| {
+            windows
+                .iter()
+                .for_each(|r| op.process(r, &mut out).unwrap());
+        });
+        (out, spent.allocs)
+    };
+    let (aliased, renaming) = run(alias.as_mut());
+    let (_, copying) = run(&mut copy);
+    assert_eq!(
+        renaming, copying,
+        "window-alias over {N} rows against a clone"
+    );
+    let list = aliased[0].value.names();
+    assert!(aliased.iter().all(|r| Arc::ptr_eq(r.value.names(), list)));
+    assert_eq!(aliased[5].value.get_int("w"), Some(5_000));
+
+    // a part's rows: one list, whichever batch they come in
+    let schema = Schema::of(
+        "trips",
+        &[
+            ("city", FieldType::Str),
+            ("driver", FieldType::Str),
+            ("fare", FieldType::Double),
+            ("ts", FieldType::Timestamp),
+        ],
+    );
+    let store: Arc<dyn ObjectStore> = Arc::new(InMemoryStore::new());
+    let catalog = HiveCatalog::new(store.clone());
+    let table = catalog.create_table("trips", schema.clone()).unwrap();
+    let mut gen = CityDriverGenerator::new(7, 512, 4_000, 1.0);
+    let records: Vec<Record> = (0..N).map(|i| gen.trip(i as i64)).collect();
+    let written = ArchivalWriter::new(store.clone(), "trips")
+        .write_records(&records)
+        .unwrap();
+    let compactor = Compactor::new(store, catalog);
+    for (date, _) in &written {
+        assert_eq!(compactor.compact("trips", date, &schema).unwrap(), N);
+    }
+    let mut source = HiveSource::new(&table, 0, 86_400_000, 128, None).unwrap();
+    let mut read = Vec::new();
+    while !source.is_exhausted() {
+        read.extend(source.poll_batch(100).unwrap());
+    }
+    assert_eq!(read.len(), N);
+    let list = read[0].value.names();
+    assert!(read.iter().all(|r| Arc::ptr_eq(r.value.names(), list)));
+}
+
 #[test]
 fn produce_ingest_and_retry_hold_their_allocation_budgets() {
     const N: usize = 10_000;
@@ -896,4 +1010,6 @@ fn produce_ingest_and_retry_hold_their_allocation_budgets() {
     combine_merges_held_partials_in_place();
 
     windows_fold_and_checkpoint_in_place();
+
+    rows_share_their_names();
 }

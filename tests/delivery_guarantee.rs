@@ -339,3 +339,33 @@ fn retention_overtaking_a_reader_is_counted_not_silent() {
         assert_eq!(read(), (Vec::new(), low - 10), "{reader}: nothing new");
     }
 }
+
+#[test]
+fn a_bounded_source_overtaken_by_retention_stops_at_its_bound() {
+    let topic = Arc::new(Topic::new("t", size_retained()).unwrap());
+    for i in 0..10 {
+        topic.append(at(i), 0).unwrap();
+    }
+    let mut source = TopicSource::bounded(topic.clone()).unwrap();
+    // retention keeps the newest 20 of 110: the source's start (0) and its
+    // bound (10) both lie below the log start
+    for i in 10..110 {
+        topic.append(at(i), 0).unwrap();
+    }
+    assert!(topic.partition(0).unwrap().log_start_offset() > 10);
+    let mut delivered = Vec::new();
+    while !source.is_exhausted() {
+        let batch = source.poll_batch(5).unwrap();
+        assert!(batch.len() <= 5);
+        delivered.extend(batch.iter().map(|r| i_of(&r.value)));
+        assert!(delivered.len() <= 110, "the source never ends");
+    }
+    assert_eq!(
+        delivered,
+        Vec::<i64>::new(),
+        "no offset at or past the bound"
+    );
+    assert_eq!(source.skipped(), 10, "only the offsets below the bound");
+    assert_eq!(source.position(), vec![10]);
+    assert!(source.poll_batch(5).unwrap().is_empty());
+}

@@ -36,6 +36,7 @@ const SEED_WINDOWS: u64 = 0x0057_A7E5;
 const SEED_COMPACTION: u64 = 0xC0_4D5E_0A7E;
 const SEED_BACKFILL: u64 = 0xBAC_CF11;
 const SEED_CURSOR: u64 = 0xC025_0A11;
+const SEED_ROWS: u64 = 0x0520_3A3E;
 
 fn schema() -> Schema {
     Schema::of(
@@ -2938,5 +2939,184 @@ mod partition_cursor {
         }
         assert!(jumps >= 20, "only {jumps} retention jumps");
         assert!(partial >= 100, "only {partial} partial advances");
+    }
+}
+
+/// A row on a shared name list behaves as the list of `(name, value)`
+/// pairs it stands for: rows drawn with duplicate and absent names, built
+/// by the builder and on one list, answer every read as a plain
+/// `Vec<(String, Value)>` model does, and a write to one row (by the
+/// builder or a [`SetColumn`]) leaves every other row on its list as it
+/// was.
+mod row_semantics {
+    use super::*;
+    use rtdi::common::{row_names, Positions, SetColumn};
+    use std::sync::Arc;
+
+    type Model = Vec<(String, Value)>;
+
+    /// Names a row may hold; `e` is never drawn into a shape, so it is
+    /// absent until a write appends it.
+    const NAMES: [&str; 5] = ["a", "b", "c", "d", "e"];
+
+    fn arb_value(rng: &mut StdRng) -> Value {
+        match rng.gen_range(0..6) {
+            0 => Value::Null,
+            1 => Value::Bool(rng.gen_bool(0.5)),
+            2 => Value::Int(rng.gen_range(-3i64..4)),
+            3 => Value::Double([0.5, -0.0, f64::NAN][rng.gen_range(0..3usize)]),
+            4 => Value::Str(["", "x", "yz"][rng.gen_range(0..3usize)].to_string()),
+            _ => Value::Bytes(vec![7; rng.gen_range(0..3usize)]),
+        }
+    }
+
+    /// The model's `approx_bytes`: a name and a value per cell and 16
+    /// bytes of overhead, the wire size the retention and state
+    /// accounting read.
+    fn model_bytes(model: &Model) -> usize {
+        let value = |v: &Value| match v {
+            Value::Null | Value::Bool(_) => 1,
+            Value::Int(_) | Value::Double(_) => 8,
+            Value::Str(s) => s.len() + 24,
+            Value::Bytes(b) => b.len() + 24,
+            Value::Json(_) => unreachable!("not drawn"),
+        };
+        model.iter().map(|(n, v)| n.len() + value(v) + 16).sum()
+    }
+
+    fn model_get<'a>(model: &'a Model, name: &str) -> Option<&'a Value> {
+        model.iter().find(|(n, _)| n == name).map(|(_, v)| v)
+    }
+
+    fn assert_agrees(row: &Row, model: &Model, case: u64) {
+        assert_eq!(row.len(), model.len(), "case {case}");
+        assert_eq!(row.is_empty(), model.is_empty(), "case {case}");
+        let pairs: Vec<(&str, &Value)> = row.iter().collect();
+        let expected: Vec<(&str, &Value)> = model.iter().map(|(n, v)| (n.as_str(), v)).collect();
+        assert_eq!(format!("{pairs:?}"), format!("{expected:?}"), "case {case}");
+        let mut at = Positions::default();
+        let resolved = at.of(row, &NAMES).to_vec();
+        for (name, resolved) in NAMES.iter().zip(resolved) {
+            let position = model.iter().position(|(n, _)| n == name);
+            assert_eq!(row.position(name), position, "case {case}: {name}");
+            assert_eq!(resolved, position, "case {case}: {name}");
+            let got = row.get(name).map(|v| format!("{v:?}"));
+            let want = model_get(model, name).map(|v| format!("{v:?}"));
+            assert_eq!(got, want, "case {case}: {name}");
+        }
+        for i in 0..=model.len() {
+            let got = row.at(i).map(|(n, v)| format!("{n} {v:?}"));
+            let want = model.get(i).map(|(n, v)| format!("{n} {v:?}"));
+            assert_eq!(got, want, "case {case}: at {i}");
+        }
+        assert_eq!(row.approx_bytes(), model_bytes(model), "case {case}");
+        let before = old::Row {
+            columns: model.clone(),
+        };
+        assert_eq!(before.columns.len(), row.len(), "case {case}");
+        assert_eq!(format!("{row:?}"), format!("{before:?}"), "case {case}");
+        assert_eq!(format!("{row:#?}"), format!("{before:#?}"), "case {case}");
+    }
+
+    /// The row as a list of pairs, the form it had before its names were
+    /// shared: its derived `Debug` is the text row digests are taken in.
+    mod old {
+        use rtdi::common::Value;
+
+        #[derive(Debug)]
+        pub struct Row {
+            pub columns: Vec<(String, Value)>,
+        }
+    }
+
+    #[test]
+    fn rows_on_a_shared_list_agree_with_a_pair_list() {
+        for case in 0..400 {
+            let mut rng = StdRng::seed_from_u64(SEED_ROWS + case);
+            let shape: Vec<&str> = (0..rng.gen_range(0..5))
+                .map(|_| NAMES[rng.gen_range(0..4usize)])
+                .collect();
+            let list = row_names(shape.iter().copied());
+            let mut rows = Vec::new();
+            let mut models: Vec<Model> = Vec::new();
+            for _ in 0..rng.gen_range(1..5) {
+                let model: Model = shape
+                    .iter()
+                    .map(|n| (n.to_string(), arb_value(&mut rng)))
+                    .collect();
+                let cells = model.iter().map(|(_, v)| v.clone()).collect();
+                let row = if rng.gen_bool(0.5) {
+                    Row::on(Arc::clone(&list), cells)
+                } else {
+                    model
+                        .iter()
+                        .fold(Row::new(), |row, (n, v)| row.with(n.as_str(), v.clone()))
+                };
+                rows.push(row);
+                models.push(model);
+            }
+            // a clone shares the list and is the same row
+            let copy = rows[0].clone();
+            assert_eq!(format!("{copy:?}"), format!("{:?}", rows[0]), "case {case}");
+            rows.push(copy);
+            models.push(models[0].clone());
+
+            // writes to one row, by the builder
+            for _ in 0..rng.gen_range(0..4) {
+                let i = rng.gen_range(0..rows.len());
+                let name = NAMES[rng.gen_range(0..NAMES.len())];
+                let value = arb_value(&mut rng);
+                let model = &mut models[i];
+                let set = |model: &mut Model, value: Value| match model
+                    .iter_mut()
+                    .find(|(n, _)| n == name)
+                {
+                    Some(slot) => slot.1 = value,
+                    None => model.push((name.to_string(), value)),
+                };
+                match rng.gen_range(0..4) {
+                    0 => {
+                        rows[i].set(name, value.clone());
+                        set(model, value);
+                    }
+                    1 => {
+                        rows[i] = SetColumn::new(name).apply(&rows[i], value.clone());
+                        set(model, value);
+                    }
+                    2 => {
+                        rows[i].push(name, value.clone());
+                        model.push((name.to_string(), value));
+                    }
+                    _ => {
+                        rows[i] = rows[i].clone().with(name, value.clone());
+                        model.push((name.to_string(), value));
+                    }
+                }
+            }
+            let names: Vec<&str> = list.iter().map(|n| &**n).collect();
+            assert_eq!(names, shape, "case {case}: the shared list changed");
+
+            for (row, model) in rows.iter().zip(&models) {
+                assert_agrees(row, model, case);
+                let picked: Vec<&str> = (0..rng.gen_range(0..4))
+                    .map(|_| NAMES[rng.gen_range(0..NAMES.len())])
+                    .collect();
+                let projected: Model = picked
+                    .iter()
+                    .map(|n| {
+                        (
+                            n.to_string(),
+                            model_get(model, n).cloned().unwrap_or(Value::Null),
+                        )
+                    })
+                    .collect();
+                assert_agrees(&row.project(&picked), &projected, case);
+            }
+            for (a, ma) in rows.iter().zip(&models) {
+                for (b, mb) in rows.iter().zip(&models) {
+                    assert_eq!(a == b, ma == mb, "case {case}: {a:?} == {b:?}");
+                }
+            }
+        }
     }
 }
