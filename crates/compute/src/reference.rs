@@ -14,7 +14,7 @@
 use crate::operator::Operator;
 use crate::runtime::{Job, JobRunStats, StageStats};
 use crate::sink::Sink;
-use crate::watermark::WatermarkGenerator;
+use crate::watermark::watermark;
 use rtdi_common::{Record, Result, Timestamp};
 use std::sync::Arc;
 
@@ -23,7 +23,6 @@ use std::sync::Arc;
 /// operator (name and late drops).
 pub fn run_reference(mut job: Job) -> Result<JobRunStats> {
     let mut stats = JobRunStats::default();
-    let mut wm_gen = WatermarkGenerator::new(job.max_out_of_orderness);
     loop {
         let batch = job.source.poll_batch(512)?;
         if batch.is_empty() {
@@ -34,11 +33,10 @@ pub fn run_reference(mut job: Job) -> Result<JobRunStats> {
             continue;
         }
         for record in batch {
-            wm_gen.observe(record.timestamp);
             stats.records_in += 1;
             stats.records_out += push_chain(&mut job.operators, record, job.sink.as_mut())?;
         }
-        let wm = wm_gen.current();
+        let wm = watermark(job.source.event_time(), job.max_out_of_orderness);
         stats.records_out += cascade_watermark(&mut job.operators, wm, job.sink.as_mut())?;
     }
     // end of input: flush every window

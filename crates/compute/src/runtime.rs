@@ -10,7 +10,8 @@
 //! operator-chained (adjacent stateless stages fuse into one thread via
 //! [`crate::operator::fuse_stateless`]).
 //!
-//! The source pump generates watermarks and periodically injects aligned
+//! The source pump turns the event time its source reached into a
+//! watermark after every poll and periodically injects aligned
 //! checkpoint barriers that flow through the chain collecting stage
 //! snapshots, so a barrier arriving mid-batch captures exactly the records
 //! before it; the sink stage persists the consistent cut — source
@@ -36,7 +37,7 @@
 use crate::operator::{key_string, write_key, Operator, OperatorOutput, ShardSpec};
 use crate::sink::Sink;
 use crate::source::Source;
-use crate::watermark::WatermarkGenerator;
+use crate::watermark::watermark;
 use crate::window::{WINDOW_END_COL, WINDOW_START_COL};
 use bytes::Bytes;
 use rtdi_common::wire::{Reader, Writer};
@@ -975,7 +976,7 @@ pub fn run_staged_with(mut job: Job, config: &StagedConfig) -> Result<JobRunStat
         // source pump on this thread
         let tx0 = senders.remove(0);
         drop(senders); // stages own their senders via clone
-        let mut wm_gen = WatermarkGenerator::new(job.max_out_of_orderness);
+        let bound = job.max_out_of_orderness;
         let mut since_checkpoint = 0u64;
         let mut pending: Vec<Arc<Record>> = Vec::with_capacity(batch_size);
         let source = &mut job.source;
@@ -1003,7 +1004,6 @@ pub fn run_staged_with(mut job: Job, config: &StagedConfig) -> Result<JobRunStat
                         continue;
                     }
                     for rec in batch {
-                        wm_gen.observe(rec.timestamp);
                         *records_in += 1;
                         since_checkpoint += 1;
                         // a channel-hop fault surfaces exactly like a dead stage
@@ -1021,7 +1021,7 @@ pub fn run_staged_with(mut job: Job, config: &StagedConfig) -> Result<JobRunStat
                             std::mem::replace(&mut pending, Vec::with_capacity(batch_size));
                         tx0.send(StagedMsg::Batch(partial)).map_err(send_err)?;
                     }
-                    tx0.send(StagedMsg::Watermark(wm_gen.current()))
+                    tx0.send(StagedMsg::Watermark(watermark(source.event_time(), bound)))
                         .map_err(send_err)?;
                     if checkpointing && since_checkpoint >= interval {
                         tx0.send(StagedMsg::Barrier(Box::new(BarrierState {

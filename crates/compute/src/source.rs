@@ -16,6 +16,11 @@
 //!   decodes one group of overlapping part files at a time and builds the
 //!   records of one poll at a time, so its memory follows the part it
 //!   reads, not the range ("fine tuning job memory").
+//!
+//! Every source owns its event time ([`Source::event_time`]): the minimum
+//! over its live inputs of the largest timestamp each handed out, which
+//! the staged pump and the reference runner turn into the job's
+//! watermark.
 
 use crate::operator::STREAM_TAG;
 use rtdi_common::{Error, Record, Result, Row, SetColumn, Timestamp};
@@ -41,8 +46,33 @@ pub trait Source: Send {
     /// cursor).
     fn position(&self) -> Vec<u64>;
 
-    /// Rewind to a checkpointed position.
+    /// Rewind to a checkpointed position. What the source reached in
+    /// event time starts over: a restored source has seen nothing.
     fn seek(&mut self, position: &[u64]) -> Result<()>;
+
+    /// The event time every live input has reached: the largest timestamp
+    /// each partition or child handed out, and the minimum of those over
+    /// the inputs that have more to give. An idle input (a bounded
+    /// partition at its end, an unbounded one drained to its committed
+    /// watermark, a child that is exhausted or whose last poll came back
+    /// empty) does not hold it back; when every input is idle it is the
+    /// largest time handed out. `Timestamp::MIN` until every live input
+    /// handed something out. The staged pump and the reference runner turn
+    /// it into a watermark with [`crate::watermark::watermark`].
+    fn event_time(&self) -> Timestamp;
+}
+
+/// The minimum time over the live inputs, or the maximum over all of them
+/// when every input is idle: `(reached, idle)` per input.
+fn min_over_live(inputs: impl Iterator<Item = (Timestamp, bool)>) -> Timestamp {
+    let (mut live, mut all) = (Timestamp::MAX, Timestamp::MIN);
+    for (reached, idle) in inputs {
+        all = all.max(reached);
+        if !idle {
+            live = live.min(reached);
+        }
+    }
+    live.min(all)
 }
 
 /// Bounded source over an in-memory vector. Records are held behind
@@ -50,6 +80,7 @@ pub trait Source: Send {
 pub struct VecSource {
     records: Vec<Arc<Record>>,
     cursor: usize,
+    reached: Timestamp,
 }
 
 impl VecSource {
@@ -57,6 +88,7 @@ impl VecSource {
         VecSource {
             records: records.into_iter().map(Arc::new).collect(),
             cursor: 0,
+            reached: Timestamp::MIN,
         }
     }
 
@@ -75,6 +107,7 @@ impl Source for VecSource {
         let end = (self.cursor + max).min(self.records.len());
         let batch = self.records[self.cursor..end].to_vec();
         self.cursor = end;
+        self.reached = (batch.iter().map(|r| r.timestamp)).fold(self.reached, Timestamp::max);
         Ok(batch)
     }
 
@@ -89,7 +122,7 @@ impl Source for VecSource {
     fn seek(&mut self, position: &[u64]) -> Result<()> {
         match *position {
             [cursor] if cursor as usize <= self.records.len() => {
-                self.cursor = cursor as usize;
+                (self.cursor, self.reached) = (cursor as usize, Timestamp::MIN);
                 Ok(())
             }
             _ => Err(Error::InvalidArgument(format!(
@@ -98,12 +131,19 @@ impl Source for VecSource {
             ))),
         }
     }
+
+    fn event_time(&self) -> Timestamp {
+        self.reached
+    }
 }
 
 /// Source over a stream topic with a cursor per partition.
 pub struct TopicSource {
     topic: Arc<Topic>,
     cursors: Vec<PartitionCursor>,
+    /// Per cursor: the largest event time it handed out, and whether the
+    /// last poll that visited it left it with nothing more to give.
+    reached: Vec<(Timestamp, bool)>,
     /// For bounded mode: stop at these high watermarks (captured at
     /// construction). `None` = unbounded.
     end_offsets: Option<Vec<u64>>,
@@ -117,6 +157,7 @@ impl TopicSource {
             cursors: (0..topic.num_partitions())
                 .map(|p| PartitionCursor::new(p, 0))
                 .collect(),
+            reached: vec![(Timestamp::MIN, false); topic.num_partitions()],
             topic,
             end_offsets: None,
             next_partition: 0,
@@ -133,6 +174,7 @@ impl TopicSource {
             .map(|p| PartitionCursor::at_log_start(&topic, p))
             .collect::<Result<_>>()?;
         Ok(TopicSource {
+            reached: vec![(Timestamp::MIN, false); topic.num_partitions()],
             topic,
             cursors,
             end_offsets: Some(ends),
@@ -148,10 +190,12 @@ impl TopicSource {
 
 impl Source for TopicSource {
     /// Fetches an even share from *every* partition and emits the combined
-    /// batch in event-time order. Draining partitions one at a time would
-    /// manufacture cross-partition out-of-orderness and make watermarks
-    /// drop perfectly-good records as late — Flink's Kafka source solves
-    /// the same problem with per-partition watermark alignment.
+    /// batch in event-time order. Each partition keeps the largest event
+    /// time it handed out, and [`Source::event_time`] is their minimum over
+    /// the partitions with more to give: a hot partition that lags in event
+    /// time holds the watermark back for its own records, while one that
+    /// a fetch drained (or a bounded one at its end) is idle and holds
+    /// nothing back.
     ///
     /// Zero-copy fetch: the log stores the `Arc<Record>` it was appended
     /// with, and the combined batch holds those same handles.
@@ -160,14 +204,19 @@ impl Source for TopicSource {
         let per_partition = (max / n).max(1);
         let mut out: Vec<Arc<Record>> = Vec::new();
         for _ in 0..n {
-            let cursor = &mut self.cursors[self.next_partition];
-            self.next_partition = (self.next_partition + 1) % n;
+            let p = self.next_partition;
+            self.next_partition = (p + 1) % n;
+            let cursor = &mut self.cursors[p];
+            let (reached, idle) = &mut self.reached[p];
             let end = self.end_offsets.as_ref().map(|ends| ends[cursor.partition]);
             let limit = match end {
                 Some(end) => (end.saturating_sub(cursor.position) as usize).min(per_partition),
                 None => per_partition,
             };
             if limit == 0 || out.len() >= max {
+                // at its end a bounded partition is idle; one skipped for a
+                // full batch keeps what its last fetch found
+                *idle |= limit == 0;
                 continue;
             }
             let mut records = cursor.fetch(&self.topic, limit)?;
@@ -182,6 +231,9 @@ impl Source for TopicSource {
                 }
             }
             cursor.consumed(&records);
+            // a fetch short of its limit found the partition drained
+            *idle = records.len() < limit;
+            *reached = (records.iter()).fold(*reached, |t, r| t.max(r.record.timestamp));
             out.extend(records.into_iter().map(|r| r.record));
         }
         out.sort_by_key(|r| r.timestamp);
@@ -212,7 +264,12 @@ impl Source for TopicSource {
         for (cursor, &offset) in self.cursors.iter_mut().zip(position) {
             cursor.position = offset;
         }
+        self.reached.fill((Timestamp::MIN, false));
         Ok(())
+    }
+
+    fn event_time(&self) -> Timestamp {
+        min_over_live(self.reached.iter().copied())
     }
 }
 
@@ -221,6 +278,8 @@ pub struct UnionSource {
     sources: Vec<(String, Box<dyn Source>)>,
     /// Sets the tag cell, one per source.
     tags: Vec<SetColumn>,
+    /// Per source: its last poll came back empty.
+    drained: Vec<bool>,
     next: usize,
 }
 
@@ -228,6 +287,7 @@ impl UnionSource {
     pub fn new(sources: Vec<(String, Box<dyn Source>)>) -> Self {
         let tags = sources.iter().map(|_| SetColumn::new(STREAM_TAG)).collect();
         UnionSource {
+            drained: vec![false; sources.len()],
             sources,
             tags,
             next: 0,
@@ -244,6 +304,7 @@ impl Source for UnionSource {
             self.next = (self.next + 1) % n;
             let (tag, src) = &mut self.sources[i];
             let batch = src.poll_batch(max.saturating_sub(out.len()).max(1))?;
+            self.drained[i] = batch.is_empty();
             for mut rec in batch {
                 // changes the payload (adds the tag cell): in place on a
                 // record held alone, else a new record around the new row
@@ -290,7 +351,17 @@ impl Source for UnionSource {
             s.seek(slice)?;
             idx += len;
         }
+        self.drained.fill(false);
         Ok(())
+    }
+
+    /// The minimum over the children that have more to give: a child that
+    /// is exhausted, or whose last poll came back empty, is idle.
+    fn event_time(&self) -> Timestamp {
+        let children = self.sources.iter().zip(&self.drained);
+        min_over_live(
+            children.map(|((_, s), &drained)| (s.event_time(), drained || s.is_exhausted())),
+        )
     }
 }
 
@@ -312,6 +383,8 @@ pub struct HiveSource {
     group: usize,
     offset: usize,
     open: Option<OpenGroup>,
+    /// The largest event time handed out since the start or the last seek.
+    reached: Timestamp,
     /// Max records handed out per poll regardless of the requested batch —
     /// the Kappa+ throttle that protects downstream operators from
     /// full-speed historic reads.
@@ -346,6 +419,7 @@ impl HiveSource {
             group: 0,
             offset: 0,
             open: None,
+            reached: Timestamp::MIN,
             throttle_per_poll: throttle_per_poll.max(1),
         })
     }
@@ -388,6 +462,7 @@ impl Source for HiveSource {
             let mut batch = Vec::with_capacity(end - self.offset);
             for entry in &open.order[self.offset..end] {
                 let row = open.readers[entry.part as usize].row(entry.doc as usize)?;
+                self.reached = self.reached.max(entry.ts);
                 batch.push(Arc::new(Record::new(row, entry.ts)));
             }
             self.offset = end;
@@ -440,7 +515,12 @@ impl Source for HiveSource {
             return Err(past_end());
         }
         (self.group, self.offset) = (group, offset);
+        self.reached = Timestamp::MIN;
         Ok(())
+    }
+
+    fn event_time(&self) -> Timestamp {
+        self.reached
     }
 }
 
@@ -467,8 +547,11 @@ mod tests {
         let mut s = VecSource::from_rows((0..10).map(|i| (i, Row::new().with("i", i))).collect());
         assert_eq!(s.poll_batch(4).unwrap().len(), 4);
         assert_eq!(s.position(), vec![4]);
+        assert_eq!(s.event_time(), 3);
         s.seek(&[8]).unwrap();
+        assert_eq!(s.event_time(), Timestamp::MIN);
         assert_eq!(s.poll_batch(10).unwrap().len(), 2);
+        assert_eq!(s.event_time(), 9);
         assert!(s.is_exhausted());
         assert!(s.poll_batch(10).unwrap().is_empty());
     }
@@ -536,6 +619,62 @@ mod tests {
         };
         assert_eq!(consumed_after, 14);
         assert!(s.seek(&[0]).is_err(), "length mismatch rejected");
+    }
+
+    #[test]
+    fn topic_event_time_is_the_minimum_over_live_partitions() {
+        // partition 0 runs ahead in event time, 1 lags, 2 stays empty
+        let t = Arc::new(Topic::new("t", TopicConfig::default().with_partitions(3)).unwrap());
+        for i in 0..10i64 {
+            let at = |ts| Record::new(Row::new().with("i", i), ts);
+            t.append_to(0, at(100 * i), 0).unwrap();
+            t.append_to(1, at(i), 0).unwrap();
+        }
+        let mut s = TopicSource::unbounded(t.clone());
+        assert_eq!(s.event_time(), Timestamp::MIN, "nothing handed out");
+        assert_eq!(s.poll_batch(6).unwrap().len(), 4);
+        assert_eq!(s.event_time(), 1, "the lagging partition holds it back");
+        assert_eq!(s.poll_batch(60).unwrap().len(), 16);
+        assert_eq!(s.event_time(), 900, "all drained: the largest time");
+        s.seek(&[0, 0, 0]).unwrap();
+        assert_eq!(s.event_time(), Timestamp::MIN, "a seek starts over");
+
+        // bounded: a partition at its end holds nothing back
+        let mut b = TopicSource::bounded(t).unwrap();
+        b.poll_batch(24).unwrap();
+        assert_eq!(b.event_time(), 7, "the empty partition is at its end");
+        b.poll_batch(3).unwrap();
+        assert_eq!(b.event_time(), 8);
+    }
+
+    #[test]
+    fn union_event_time_skips_idle_children() {
+        let times = |ts: &[i64]| {
+            let rows = ts.iter().map(|&t| (t, Row::new().with("t", t))).collect();
+            Box::new(VecSource::from_rows(rows)) as Box<dyn Source>
+        };
+        let mut u = UnionSource::new(vec![
+            ("a".into(), times(&[0, 1, 2, 3])),
+            ("b".into(), times(&[100, 101, 102])),
+        ]);
+        u.poll_batch(2).unwrap();
+        assert_eq!(u.event_time(), Timestamp::MIN, "b handed out nothing yet");
+        u.poll_batch(2).unwrap();
+        assert_eq!(u.event_time(), 1, "a lags b");
+        u.poll_batch(2).unwrap();
+        assert_eq!(u.event_time(), 101, "a is exhausted");
+
+        // an unbounded child that never receives a record holds nothing
+        // back once a poll of it came back empty
+        let empty = Arc::new(Topic::new("e", TopicConfig::default()).unwrap());
+        let mut u = UnionSource::new(vec![
+            ("a".into(), times(&[0, 1, 2, 3])),
+            ("e".into(), Box::new(TopicSource::unbounded(empty))),
+        ]);
+        u.poll_batch(2).unwrap();
+        assert_eq!(u.event_time(), Timestamp::MIN, "e not polled yet");
+        u.poll_batch(1).unwrap();
+        assert_eq!(u.event_time(), 2, "e came back empty");
     }
 
     #[test]
@@ -613,6 +752,7 @@ mod tests {
         assert_eq!(b1.len(), 2, "throttle caps the batch");
         assert_eq!(b1[0].timestamp, 1, "event-time order restored");
         assert_eq!(b1[1].timestamp, 3);
+        assert_eq!(s.event_time(), 3);
         let mut rest = Vec::new();
         while !s.is_exhausted() {
             rest.extend(s.poll_batch(100).unwrap());

@@ -1,10 +1,14 @@
 //! Watermarks: event-time progress tracking.
 //!
-//! The runtime generates bounded-out-of-orderness watermarks: after seeing
-//! an event at time `t`, it promises no event older than
-//! `t - max_out_of_orderness` will matter — older events are "late" and
-//! the surge pipeline (§5.1) explicitly drops them ("the late-arriving
-//! messages do not contribute to the surge computation").
+//! The source owns event time: [`crate::source::Source::event_time`]
+//! reports the time every live input has reached (the minimum over a
+//! topic's partitions or a union's children of the largest timestamp each
+//! handed out; an idle input does not hold it back). The staged pump and
+//! the reference runner turn that time into a bounded-out-of-orderness
+//! watermark with [`watermark`]: after the source reached `t`, no event
+//! older than `t - max_out_of_orderness` will matter — older events are
+//! "late" and the surge pipeline (§5.1) explicitly drops them ("the
+//! late-arriving messages do not contribute to the surge computation").
 //!
 //! The Kappa+ backfill (§7) runs the same pipelines with a much larger
 //! bound because archived data "could be out of order and therefore demand
@@ -12,41 +16,15 @@
 
 use rtdi_common::Timestamp;
 
-/// Bounded-out-of-orderness watermark generator.
-#[derive(Debug, Clone)]
-pub struct WatermarkGenerator {
-    max_out_of_orderness: i64,
-    max_seen: Timestamp,
-}
-
-impl WatermarkGenerator {
-    pub fn new(max_out_of_orderness: i64) -> Self {
-        WatermarkGenerator {
-            max_out_of_orderness: max_out_of_orderness.max(0),
-            max_seen: Timestamp::MIN,
-        }
-    }
-
-    /// Observe an event timestamp.
-    pub fn observe(&mut self, ts: Timestamp) {
-        if ts > self.max_seen {
-            self.max_seen = ts;
-        }
-    }
-
-    /// Current watermark: no event with `ts <= watermark` is expected
-    /// anymore (Flink semantics: watermark t means no more elements with
-    /// timestamp <= t).
-    pub fn current(&self) -> Timestamp {
-        if self.max_seen == Timestamp::MIN {
-            Timestamp::MIN
-        } else {
-            self.max_seen.saturating_sub(self.max_out_of_orderness + 1)
-        }
-    }
-
-    pub fn max_out_of_orderness(&self) -> i64 {
-        self.max_out_of_orderness
+/// The watermark a source that reached `event_time` allows: no event with
+/// `ts <= watermark` is expected anymore (Flink semantics). A negative
+/// bound counts as 0; a source that reached nothing allows
+/// `Timestamp::MIN`.
+pub fn watermark(event_time: Timestamp, max_out_of_orderness: i64) -> Timestamp {
+    if event_time == Timestamp::MIN {
+        Timestamp::MIN
+    } else {
+        event_time.saturating_sub(max_out_of_orderness.max(0) + 1)
     }
 }
 
@@ -55,29 +33,24 @@ mod tests {
     use super::*;
 
     #[test]
-    fn watermark_trails_max_by_bound() {
-        let mut g = WatermarkGenerator::new(100);
-        assert_eq!(g.current(), Timestamp::MIN);
-        g.observe(1000);
-        assert_eq!(g.current(), 899);
-        g.observe(500); // out-of-order event does not regress the watermark
-        assert_eq!(g.current(), 899);
-        g.observe(2000);
-        assert_eq!(g.current(), 1899);
+    fn watermark_trails_event_time_by_bound() {
+        assert_eq!(watermark(Timestamp::MIN, 100), Timestamp::MIN);
+        assert_eq!(watermark(1000, 100), 899);
+        assert_eq!(watermark(2000, 100), 1899);
     }
 
     #[test]
     fn zero_bound_means_strictly_ordered() {
-        let mut g = WatermarkGenerator::new(0);
-        g.observe(10);
-        assert_eq!(g.current(), 9);
+        assert_eq!(watermark(10, 0), 9);
     }
 
     #[test]
     fn negative_bound_clamped() {
-        let mut g = WatermarkGenerator::new(-5);
-        g.observe(10);
-        assert_eq!(g.current(), 9);
-        assert_eq!(g.max_out_of_orderness(), 0);
+        assert_eq!(watermark(10, -5), 9);
+    }
+
+    #[test]
+    fn saturates_instead_of_wrapping() {
+        assert_eq!(watermark(Timestamp::MIN + 1, 100), Timestamp::MIN);
     }
 }

@@ -329,7 +329,7 @@ impl RealtimePlatform {
             &format!("pinot.{}", sink_table.name()),
             name,
         );
-        let spec = sql_pipeline_spec(name, sql, sub.topic(), sink_table, options)?;
+        let spec = sql_pipeline_spec(name, sql, sub.topic(), sink_table, options);
         self.job_manager.supervise(&spec)
     }
 
@@ -430,26 +430,20 @@ impl RealtimePlatform {
     }
 }
 
-/// The supervised job of a FlinkSQL pipeline. Compiling the statement here
-/// surfaces its errors at deploy time, not at run time.
+/// The supervised job of a FlinkSQL pipeline. The job manager's
+/// validation instantiates it once, so a statement that does not compile
+/// is refused at deploy time, not at run time.
 fn sql_pipeline_spec(
     name: &str,
     sql: &str,
     topic: Arc<Topic>,
     sink_table: Arc<OlapTable>,
     options: &CompileOptions,
-) -> Result<JobSpec> {
-    compile_streaming(
-        name,
-        sql,
-        topic.clone(),
-        Box::new(rtdi_compute::sink::CollectSink::new()),
-        &CompileOptions::default(),
-    )?;
+) -> JobSpec {
     let sql_owned = sql.to_string();
     let name_owned = name.to_string();
     let options = options.clone();
-    Ok(JobSpec {
+    JobSpec {
         name: name.to_string(),
         factory: Box::new(move || {
             compile_streaming(
@@ -460,7 +454,7 @@ fn sql_pipeline_spec(
                 &options,
             )
         }),
-    })
+    }
 }
 
 impl Default for RealtimePlatform {

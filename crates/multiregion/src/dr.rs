@@ -24,7 +24,7 @@ use crate::topology::MultiRegionTopology;
 use parking_lot::Mutex;
 use rtdi_common::chaos::{FaultKind, FaultPlan, Trigger};
 use rtdi_common::{
-    Chaos, Clock, Error, FaultPoint, FieldType, PipelineTracer, Record, RegionOutage,
+    row_names, Chaos, Clock, Error, FaultPoint, FieldType, PipelineTracer, Record, RegionOutage,
     RegionOutageKind, Result, Row, Schema, SimClock,
 };
 use rtdi_compute::operator::{DedupOp, MapOp};
@@ -540,6 +540,9 @@ impl DrDrill {
         let cfg = self.cfg.clone();
         let produce_until = cfg.warmup_ms + cfg.cycles as i64 * cfg.period_ms;
         let total_ticks = (produce_until / TICK_MS) as usize + cfg.drain_ticks;
+        // one name list per row shape: a drill event, a surge row
+        let event_names = row_names(["id", "hex", "kind"]);
+        let surge_names = row_names(["demand"]);
         let surge_fn = |rows: &[Row]| -> BTreeMap<String, Row> {
             let mut counts: BTreeMap<String, i64> = BTreeMap::new();
             for r in rows {
@@ -550,7 +553,7 @@ impl DrDrill {
             }
             counts
                 .into_iter()
-                .map(|(hex, n)| (hex, Row::new().with("demand", n)))
+                .map(|(hex, n)| (hex, Row::on(Arc::clone(&surge_names), vec![n.into()])))
                 .collect()
         };
 
@@ -637,17 +640,14 @@ impl DrDrill {
                     }
                     self.produce_cursor = (self.produce_cursor + 1) % cfg.regions.len();
                     if let Some(target) = target {
-                        let row = Row::new()
-                            .with("id", id.as_str())
-                            .with("hex", format!("h{}", self.seq % 4))
-                            .with(
-                                "kind",
-                                if self.seq.is_multiple_of(3) {
-                                    "supply"
-                                } else {
-                                    "demand"
-                                },
-                            );
+                        let kind = if self.seq.is_multiple_of(3) {
+                            "supply"
+                        } else {
+                            "demand"
+                        };
+                        let hex = format!("h{}", self.seq % 4);
+                        let cells = vec![id.as_str().into(), hex.into(), kind.into()];
+                        let row = Row::on(Arc::clone(&event_names), cells);
                         let mut rec = Record::new(row, now).with_key(id.clone());
                         PipelineTracer::stamp(&mut rec, now);
                         if self.topo.produce(&target, rec, now).is_ok() {

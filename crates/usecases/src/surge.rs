@@ -187,6 +187,9 @@ mod tests {
         fn seek(&mut self, position: &[u64]) -> Result<()> {
             self.0.seek(position)
         }
+        fn event_time(&self) -> Timestamp {
+            self.0.event_time()
+        }
     }
 
     fn run_over(records: Vec<Record>) -> ReplicatedKv {

@@ -15,7 +15,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rtdi::common::{AggFn, FieldType, Record, Result, Row, Schema};
+use rtdi::common::{AggFn, FieldType, Record, Result, Row, Schema, Timestamp};
 use rtdi::compute::reference::run_reference;
 use rtdi::compute::{
     run_staged_with, CheckpointStore, CollectSink, DedupOp, FilterOp, FlatMapOp, HiveSource, Job,
@@ -36,14 +36,16 @@ const POLL: usize = 512;
 struct UniqueSource {
     records: Vec<Record>,
     cursor: usize,
+    reached: Timestamp,
 }
 
 impl Source for UniqueSource {
     fn poll_batch(&mut self, max: usize) -> Result<Vec<Arc<Record>>> {
         let end = (self.cursor + max).min(self.records.len());
-        let batch = self.records[self.cursor..end].iter();
+        let batch = &self.records[self.cursor..end];
         self.cursor = end;
-        Ok(batch.map(|r| Arc::new(r.clone())).collect())
+        self.reached = (batch.iter().map(|r| r.timestamp)).fold(self.reached, Timestamp::max);
+        Ok(batch.iter().map(|r| Arc::new(r.clone())).collect())
     }
     fn is_exhausted(&self) -> bool {
         self.cursor >= self.records.len()
@@ -53,7 +55,11 @@ impl Source for UniqueSource {
     }
     fn seek(&mut self, position: &[u64]) -> Result<()> {
         self.cursor = position.first().copied().unwrap_or(0) as usize;
+        self.reached = Timestamp::MIN;
         Ok(())
+    }
+    fn event_time(&self) -> Timestamp {
+        self.reached
     }
 }
 
@@ -151,6 +157,7 @@ fn shared_and_unique_inputs_agree_with_the_oracle() {
                 Box::new(UniqueSource {
                     records: records.clone(),
                     cursor: 0,
+                    reached: Timestamp::MIN,
                 })
             };
             let ops = chain.iter().enumerate();

@@ -3120,3 +3120,173 @@ mod row_semantics {
         }
     }
 }
+
+/// The Kappa+ claim end to end (§7): the same windowed SQL over the live
+/// topic and over its archive gives the answer a plain fold of the input
+/// gives. Each case draws 1–16 partitions, trip-id or Zipf-city record
+/// keys (city keys make the partitions unequal), 500–5 000 records with
+/// disorder inside a partition up to the job's bound, a tumbling window,
+/// an optional WHERE on the fare and 1–3 archive rounds between bursts of
+/// production. Path A deploys the
+/// statement as a FlinkSQL pipeline into an OLAP table; path B backfills
+/// the same text from the archive into another; both are read back with
+/// SQL. The fold below shares no code with the compute layer.
+mod kappa_equivalence {
+    use super::*;
+    use rtdi::common::SimClock;
+    use rtdi::core::platform::RealtimePlatform;
+    use rtdi::flinksql::compiler::CompileOptions;
+    use rtdi::flinksql::sinks::PinotSink;
+    use rtdi::olap::table::TableConfig;
+    use rtdi::stream::topic::TopicConfig;
+    use rtdi::usecases::CityDriverGenerator;
+    use std::collections::BTreeMap;
+    use std::sync::Arc;
+
+    const SEED_KAPPA: u64 = 0x4A99_A000;
+    /// Event time starts here, so no record (jittered back by at most
+    /// the bound) falls before 0.
+    const T0: i64 = 10_000;
+
+    type Answer = Vec<(String, i64, i64, f64, f64, f64)>;
+
+    fn trips_schema() -> Schema {
+        Schema::of(
+            "trips",
+            &[
+                ("city", FieldType::Str),
+                ("driver", FieldType::Str),
+                ("fare", FieldType::Double),
+                ("ts", FieldType::Timestamp),
+            ],
+        )
+    }
+
+    fn stats_table(name: &str) -> TableConfig {
+        let schema = Schema::of(
+            name,
+            &[
+                ("city", FieldType::Str),
+                ("w", FieldType::Timestamp),
+                ("n", FieldType::Int),
+                ("s", FieldType::Double),
+                ("lo", FieldType::Double),
+                ("hi", FieldType::Double),
+                ("ingest_ts", FieldType::Timestamp),
+            ],
+        );
+        TableConfig::new(name, schema).with_time_column("ingest_ts")
+    }
+
+    /// COUNT, SUM, MIN and MAX of the fares above `cut` per (city, window
+    /// start).
+    fn fold(records: &[Record], window: i64, cut: Option<f64>) -> Answer {
+        let mut groups: BTreeMap<(String, i64), (i64, f64, f64, f64)> = BTreeMap::new();
+        for r in records {
+            let city = r.value.get_str("city").unwrap().to_string();
+            let fare = r.value.get_double("fare").unwrap();
+            if cut.is_some_and(|cut| fare <= cut) {
+                continue;
+            }
+            let start = r.timestamp - r.timestamp.rem_euclid(window);
+            let g =
+                groups
+                    .entry((city, start))
+                    .or_insert((0, 0.0, f64::INFINITY, f64::NEG_INFINITY));
+            *g = (g.0 + 1, g.1 + fare, g.2.min(fare), g.3.max(fare));
+        }
+        (groups.into_iter())
+            .map(|((city, w), (n, s, lo, hi))| (city, w, n, s, lo, hi))
+            .collect()
+    }
+
+    fn answer(platform: &RealtimePlatform, table: &str) -> Answer {
+        let sql =
+            format!("SELECT city, w, n, s, lo, hi FROM {table} ORDER BY city, w LIMIT 1000000");
+        let out = platform.sql(&sql).unwrap();
+        (out.rows.iter())
+            .map(|r| {
+                let double = |c| r.get_double(c).unwrap();
+                let (city, w, n) = (r.get_str("city").unwrap(), r.get_int("w"), r.get_int("n"));
+                (
+                    city.into(),
+                    w.unwrap(),
+                    n.unwrap(),
+                    double("s"),
+                    double("lo"),
+                    double("hi"),
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn the_live_job_and_its_backfill_equal_a_plain_fold() {
+        let options = CompileOptions::default();
+        let bound = options.max_out_of_orderness;
+        for case in 0..24u64 {
+            let mut rng = StdRng::seed_from_u64(SEED_KAPPA + case);
+            let partitions = rng.gen_range(1..=16usize);
+            let by_city = rng.gen_bool(0.5);
+            let n = rng.gen_range(500..=5_000usize);
+            let per_ms = rng.gen_range(1..=20usize);
+            let jitter = [0, bound / 4, bound][rng.gen_range(0..3usize)];
+            let window = [100i64, 250, 1_000, 5_000][rng.gen_range(0..4usize)];
+            let rounds = rng.gen_range(1..=3usize);
+            let ctx = format!(
+                "case {case}: {partitions} partitions, city keys {by_city}, {n} records, \
+                 {per_ms}/ms, jitter {jitter} ms, window {window} ms, {rounds} archive rounds"
+            );
+
+            let mut gen = CityDriverGenerator::new(case, 64, 500, 1.0);
+            let records: Vec<Record> = (0..n)
+                .map(|i| {
+                    let ts = T0 + (i / per_ms) as i64 - rng.gen_range(0..=jitter);
+                    let trip = gen.trip(ts);
+                    if by_city {
+                        trip
+                    } else {
+                        trip.with_key(format!("trip-{i}"))
+                    }
+                })
+                .collect();
+            // drawn after the records, so a case's stream does not depend on it
+            let cut = [None, Some(10.0), Some(30.0)][rng.gen_range(0..3usize)];
+            let ctx = format!("{ctx}, fares above {cut:?}");
+            let want = fold(&records, window, cut);
+
+            let platform = RealtimePlatform::with_clock(Arc::new(SimClock::new(1_000)));
+            let config = TopicConfig::default().with_partitions(partitions);
+            platform
+                .create_topic("trips", config, trips_schema())
+                .unwrap();
+            let producer = platform.producer("kappa");
+            let mut archived = 0;
+            for chunk in records.chunks(n.div_ceil(rounds)) {
+                for r in chunk {
+                    producer.send("trips", r.clone()).unwrap();
+                }
+                archived += platform.archive_topic("trips", &trips_schema()).unwrap();
+            }
+            assert_eq!(archived, n, "{ctx}");
+
+            let filter = cut.map_or(String::new(), |cut| format!("WHERE fare > {cut:.1} "));
+            let sql = format!(
+                "SELECT city, TUMBLE(ts, {window}) AS w, COUNT(*) AS n, SUM(fare) AS s, \
+                 MIN(fare) AS lo, MAX(fare) AS hi FROM trips {filter}\
+                 GROUP BY city, TUMBLE(ts, {window})"
+            );
+            let live = platform.create_olap_table(stats_table("live")).unwrap();
+            let job = platform.deploy_sql_pipeline("live", &sql, "trips", live, &options);
+            assert_eq!(job.unwrap().records_in, n as u64, "{ctx}");
+            assert_eq!(answer(&platform, "live"), want, "{ctx}: the live job");
+
+            let replay = platform.create_olap_table(stats_table("replay")).unwrap();
+            let sink = Box::new(PinotSink::new(replay));
+            let (from, to) = (i64::MIN, i64::MAX);
+            let job = platform.backfill_sql("replay", &sql, "trips", from, to, sink);
+            assert_eq!(job.unwrap().records_in, n as u64, "{ctx}");
+            assert_eq!(answer(&platform, "replay"), want, "{ctx}: the backfill");
+        }
+    }
+}
