@@ -174,6 +174,9 @@ if [ -z "$gates_only" ]; then
   # and the decoder corpus: the wire reader's bounds arithmetic holds where
   # it would wrap, not only where an overflow panics
   cargo test --release -q --test decoder_robustness
+  # and the common crate's unit tests: a string cell's inline length
+  # arithmetic holds where debug assertions are gone
+  cargo test --release -q -p rtdi-common
   # fault injection is a handle its owner hands down, never process state
   # (an `if`, not `! grep`: `set -e` ignores a status inverted with `!`)
   if grep -n '^\(pub \)\?static' crates/common/src/chaos.rs; then

@@ -241,7 +241,7 @@ fn e12_upsert(r: &mut Report) -> Result<()> {
     );
     let stale = (0..KEYS)
         .filter(|k| {
-            let served = table.lookup(&Value::Str(format!("t{k}")), "fare");
+            let served = table.lookup(&Value::from(format!("t{k}")), "fare");
             served != Some(Value::Double((VERSIONS - 1) as f64))
         })
         .count();
@@ -256,7 +256,7 @@ fn e12_upsert(r: &mut Report) -> Result<()> {
 
     // the centralized tracker the paper rejects puts one lock around this
     let keys: Vec<Value> = (0..100_000)
-        .map(|i| Value::Str(format!("k{}", i % 10_000)))
+        .map(|i| Value::from(format!("k{}", i % 10_000)))
         .collect();
     let seg: Arc<str> = "seg".into();
     let mut local = PrimaryKeyIndex::new();

@@ -24,6 +24,7 @@ pub mod overload;
 pub mod record;
 pub mod schema;
 pub mod sketch;
+pub mod text;
 pub mod time;
 pub mod trace;
 pub mod value;
@@ -41,6 +42,7 @@ pub use overload::{
 pub use record::{Audit, Record, UniqueId};
 pub use schema::{Field, FieldType, Schema};
 pub use sketch::CountMinSketch;
+pub use text::Text;
 pub use time::{Clock, SimClock, Timestamp, WallClock};
 pub use trace::{PipelineTracer, TraceReport, TraceStage};
 pub use value::{row_names, Positions, Row, RowNames, SetColumn, Value};

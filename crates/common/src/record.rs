@@ -135,6 +135,10 @@ pub struct Record {
     audit: Option<Box<Audit>>,
 }
 
+// undecorated records stay small: generators and the log hold them by the
+// 100k
+const _: () = assert!(std::mem::size_of::<Record>() == 80);
+
 impl Record {
     pub fn new(value: Row, timestamp: Timestamp) -> Self {
         Record {
@@ -271,8 +275,6 @@ mod tests {
         let r = Record::new(Row::new(), 5).with_unique_id("m-123");
         assert_eq!(r.audit().unique_id, Some(UniqueId::Text("m-123".into())));
         assert_eq!(Record::new(Row::new(), 5).audit(), &Audit::default());
-        // undecorated records stay small: generators hold them by the 100k
-        assert!(std::mem::size_of::<Record>() <= 80);
         let minted = UniqueId::Seq {
             origin: "driver-app#0".into(),
             seq: 7,

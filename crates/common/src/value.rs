@@ -11,11 +11,19 @@
 //! operator's output or a query result builds its list once. A reader of
 //! fixed columns resolves their positions once per list ([`Positions`],
 //! a pointer compare per row); [`Row::get`] by name is the slow path.
+//!
+//! A cell is a [`Value`] of 32 bytes. A string cell is a [`Text`], which
+//! holds a string of up to [`Text::INLINE`] bytes in the cell itself, so
+//! the short dimension ids the pipelines key and group on cost no
+//! allocation and no pointer chase; hashing, ordering, `Debug` and every
+//! codec see the same bytes a `String` showed them.
 
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::{Arc, LazyLock};
+
+pub use crate::text::Text;
 
 const FNV_OFFSET: u64 = 0xcbf29ce484222325;
 const FNV_PRIME: u64 = 0x100000001b3;
@@ -34,11 +42,13 @@ pub enum Value {
     Bool(bool),
     Int(i64),
     Double(f64),
-    Str(String),
+    Str(Text),
     Bytes(Vec<u8>),
     /// Semi-structured nested data (§4.3.3 JSON support).
     Json(Box<JsonValue>),
 }
+
+const _: () = assert!(std::mem::size_of::<Value>() == 32);
 
 /// Nested JSON value used for semi-structured columns.
 #[derive(Debug, Clone, PartialEq)]
@@ -94,7 +104,7 @@ impl JsonValue {
                     Value::Double(*n)
                 }
             }
-            JsonValue::String(s) => Value::Str(s.clone()),
+            JsonValue::String(s) => Value::from(s.as_str()),
             arr @ JsonValue::Array(_) => Value::Json(Box::new(arr.clone())),
             obj @ JsonValue::Object(_) => Value::Json(Box::new(obj.clone())),
         }
@@ -244,11 +254,16 @@ impl From<bool> for Value {
 }
 impl From<&str> for Value {
     fn from(v: &str) -> Self {
-        Value::Str(v.to_string())
+        Value::Str(v.into())
     }
 }
 impl From<String> for Value {
     fn from(v: String) -> Self {
+        Value::Str(v.into())
+    }
+}
+impl From<Text> for Value {
+    fn from(v: Text) -> Self {
         Value::Str(v)
     }
 }

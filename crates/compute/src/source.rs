@@ -186,13 +186,60 @@ impl TopicSource {
     pub fn skipped(&self) -> u64 {
         self.cursors.iter().map(|c| c.skipped).sum()
     }
+
+    /// Fetch up to `share` records of partition `p` into `out`, short of
+    /// its bound and of `max` in `out`, and note what the partition
+    /// reached. Whether the fetch came back full, so the partition may
+    /// hold more.
+    fn fetch_into(
+        &mut self,
+        p: usize,
+        share: usize,
+        max: usize,
+        out: &mut Vec<(Timestamp, Arc<Record>)>,
+    ) -> Result<bool> {
+        let cursor = &mut self.cursors[p];
+        let (reached, idle) = &mut self.reached[p];
+        let end = self.end_offsets.as_ref().map(|ends| ends[cursor.partition]);
+        let limit = match end {
+            Some(end) => (end.saturating_sub(cursor.position) as usize).min(share),
+            None => share,
+        };
+        if limit == 0 || out.len() >= max {
+            // at its end a bounded partition is idle; one skipped for a
+            // full batch keeps what its last fetch found
+            *idle |= limit == 0;
+            return Ok(false);
+        }
+        let mut records = cursor.fetch(&self.topic, limit)?;
+        // the bound holds for what the fetch returned: a cursor that
+        // retention moved past its end delivers nothing, and of what it
+        // jumped over only the offsets below the end count
+        if let Some(end) = end {
+            records.retain(|r| r.offset < end);
+            if cursor.position > end {
+                cursor.skipped -= cursor.position - end;
+                cursor.position = end;
+            }
+        }
+        cursor.consumed(&records);
+        // a fetch short of its limit found the partition drained
+        *idle = records.len() < limit;
+        *reached = (records.iter()).fold(*reached, |t, r| t.max(r.record.timestamp));
+        out.extend(records.into_iter().map(|r| (r.record.timestamp, r.record)));
+        Ok(!*idle)
+    }
 }
 
 impl Source for TopicSource {
-    /// Fetches an even share from *every* partition and emits the combined
-    /// batch in event-time order. Each partition keeps the largest event
-    /// time it handed out, and [`Source::event_time`] is their minimum over
-    /// the partitions with more to give: a hot partition that lags in event
+    /// Fetches an even share from *every* partition, then hands what is
+    /// left of `max` to the partitions whose fetch came back full, in the
+    /// same round-robin order, until the poll is full or they drain: once
+    /// the cold partitions of a skewed topic drain, a poll is still `max`
+    /// records while any partition holds that many. The combined batch is
+    /// in event-time order. Each partition keeps the largest event time it
+    /// handed out, and [`Source::event_time`] is their minimum over the
+    /// partitions with more to give: a hot partition that lags in event
     /// time holds the watermark back for its own records, while one that
     /// a fetch drained (or a bounded one at its end) is idle and holds
     /// nothing back.
@@ -202,42 +249,28 @@ impl Source for TopicSource {
     fn poll_batch(&mut self, max: usize) -> Result<Vec<Arc<Record>>> {
         let n = self.topic.num_partitions();
         let per_partition = (max / n).max(1);
-        let mut out: Vec<Arc<Record>> = Vec::new();
+        let mut out = Vec::new();
+        let mut full = Vec::new();
         for _ in 0..n {
             let p = self.next_partition;
             self.next_partition = (p + 1) % n;
-            let cursor = &mut self.cursors[p];
-            let (reached, idle) = &mut self.reached[p];
-            let end = self.end_offsets.as_ref().map(|ends| ends[cursor.partition]);
-            let limit = match end {
-                Some(end) => (end.saturating_sub(cursor.position) as usize).min(per_partition),
-                None => per_partition,
-            };
-            if limit == 0 || out.len() >= max {
-                // at its end a bounded partition is idle; one skipped for a
-                // full batch keeps what its last fetch found
-                *idle |= limit == 0;
-                continue;
+            if self.fetch_into(p, per_partition, max, &mut out)? {
+                full.push(p);
             }
-            let mut records = cursor.fetch(&self.topic, limit)?;
-            // the bound holds for what the fetch returned: a cursor that
-            // retention moved past its end delivers nothing, and of what
-            // it jumped over only the offsets below the end count
-            if let Some(end) = end {
-                records.retain(|r| r.offset < end);
-                if cursor.position > end {
-                    cursor.skipped -= cursor.position - end;
-                    cursor.position = end;
+        }
+        while out.len() < max && !full.is_empty() {
+            let share = ((max - out.len()) / full.len()).max(1);
+            let mut still_full = Vec::with_capacity(full.len());
+            for p in full {
+                if self.fetch_into(p, share, max, &mut out)? {
+                    still_full.push(p);
                 }
             }
-            cursor.consumed(&records);
-            // a fetch short of its limit found the partition drained
-            *idle = records.len() < limit;
-            *reached = (records.iter()).fold(*reached, |t, r| t.max(r.record.timestamp));
-            out.extend(records.into_iter().map(|r| r.record));
+            full = still_full;
         }
-        out.sort_by_key(|r| r.timestamp);
-        Ok(out)
+        // the timestamp beside each handle: the sort reads no record
+        out.sort_by_key(|&(ts, _)| ts);
+        Ok(out.into_iter().map(|(_, record)| record).collect())
     }
 
     fn is_exhausted(&self) -> bool {
@@ -632,19 +665,21 @@ mod tests {
         }
         let mut s = TopicSource::unbounded(t.clone());
         assert_eq!(s.event_time(), Timestamp::MIN, "nothing handed out");
-        assert_eq!(s.poll_batch(6).unwrap().len(), 4);
-        assert_eq!(s.event_time(), 1, "the lagging partition holds it back");
-        assert_eq!(s.poll_batch(60).unwrap().len(), 16);
+        // two of each live partition, then one more of each: the empty
+        // one's share goes to those whose fetch came back full
+        assert_eq!(s.poll_batch(6).unwrap().len(), 6);
+        assert_eq!(s.event_time(), 2, "the lagging partition holds it back");
+        assert_eq!(s.poll_batch(60).unwrap().len(), 14);
         assert_eq!(s.event_time(), 900, "all drained: the largest time");
         s.seek(&[0, 0, 0]).unwrap();
         assert_eq!(s.event_time(), Timestamp::MIN, "a seek starts over");
 
         // bounded: a partition at its end holds nothing back
         let mut b = TopicSource::bounded(t).unwrap();
-        b.poll_batch(24).unwrap();
-        assert_eq!(b.event_time(), 7, "the empty partition is at its end");
-        b.poll_batch(3).unwrap();
-        assert_eq!(b.event_time(), 8);
+        assert_eq!(b.poll_batch(12).unwrap().len(), 12);
+        assert_eq!(b.event_time(), 5, "the empty partition is at its end");
+        assert_eq!(b.poll_batch(3).unwrap().len(), 3);
+        assert_eq!(b.event_time(), 6);
     }
 
     #[test]

@@ -345,7 +345,7 @@ mod tests {
             .map(|(key, accs)| {
                 let mut row = Row::new();
                 for (col, cell) in query.group_by.iter().zip(key) {
-                    let cell = cell.clone().map_or(Value::Null, Value::Str);
+                    let cell = cell.clone().map_or(Value::Null, Value::from);
                     row.push(col.as_str(), cell);
                 }
                 for ((name, _), acc) in query.aggregations.iter().zip(accs) {

@@ -78,7 +78,7 @@ pub fn aggregate<'a>(rows: impl Iterator<Item = &'a Row>, query: &Query) -> Vec<
         }
     }
     let group_rows = groups.into_iter().map(|(key, accs)| {
-        let cells = key.into_iter().map(|k| k.map_or(Value::Null, Value::Str));
+        let cells = key.into_iter().map(|k| k.map_or(Value::Null, Value::from));
         let results = accs.iter().map(AggAcc::result);
         let names = query.group_by.iter().cloned();
         let agg_names = query.aggregations.iter().map(|(n, _)| n.clone());

@@ -20,7 +20,7 @@ use crate::realtime::MutableSegment;
 use crate::startree::{StarTree, StarTreeSpec};
 use bytes::Bytes;
 use rtdi_common::{
-    row_names, AggAcc, AggFn, Error, Result, Row, RowNames, Schema, Timestamp, Value,
+    row_names, AggAcc, AggFn, Error, Result, Row, RowNames, Schema, Text, Timestamp, Value,
 };
 use rtdi_storage::bitmap::Bitmap;
 use rtdi_storage::column::{ColumnData, BLOCK};
@@ -266,7 +266,7 @@ impl<'a> CompiledPred<'a> {
                 // the scan tests a doc before it masks the NULLs out
                 Some(_) if dict.is_empty() => DocTest::Const(false),
                 Some(_) => {
-                    let accepts = |d: &String| op_accepts(op, d.as_str().cmp(s));
+                    let accepts = |d: &Text| op_accepts(op, d.as_str().cmp(s));
                     DocTest::StrIn(ids, dict.iter().map(accepts).collect())
                 }
             },
@@ -707,7 +707,7 @@ enum KeyCol<'a> {
     /// column has a NULL; `sorted` when id order is text order, as in a
     /// sealed segment.
     Dict {
-        dict: &'a [String],
+        dict: &'a [Text],
         ids: &'a [u32],
         nulls: Option<&'a Bitmap>,
         sorted: bool,

@@ -748,7 +748,7 @@ mod tests {
         // corrections are still in their partitions' tails)
         let mut in_tail = 0;
         for i in 0..10 {
-            let key = Value::Str(format!("t{i}"));
+            let key = Value::from(format!("t{i}"));
             assert_eq!(table.lookup(&key, "fare"), Some(Value::Double(999.0)));
             let p = (key.partition_hash() % 4) as usize;
             let st = table.partitions[p].read();

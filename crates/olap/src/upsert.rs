@@ -147,7 +147,7 @@ mod tests {
         let mut idx = PrimaryKeyIndex::new();
         let before = idx.memory_bytes();
         for i in 0..1000 {
-            idx.upsert(&Value::Str(format!("key-{i}")), &"seg".into(), i);
+            idx.upsert(&Value::from(format!("key-{i}")), &"seg".into(), i);
         }
         assert!(idx.memory_bytes() > before + 1000 * 8);
     }

@@ -130,12 +130,12 @@ fn eval_function(name: &str, args: &[Expr], row: &Row) -> Result<Value> {
             Ok(Value::Null)
         }
         "LOWER" => match eval(&args[0], row)? {
-            Value::Str(s) => Ok(Value::Str(s.to_lowercase())),
+            Value::Str(s) => Ok(Value::from(s.to_lowercase())),
             Value::Null => Ok(Value::Null),
             other => Err(Error::Sql(format!("LOWER on non-string {other:?}"))),
         },
         "UPPER" => match eval(&args[0], row)? {
-            Value::Str(s) => Ok(Value::Str(s.to_uppercase())),
+            Value::Str(s) => Ok(Value::from(s.to_uppercase())),
             Value::Null => Ok(Value::Null),
             other => Err(Error::Sql(format!("UPPER on non-string {other:?}"))),
         },

@@ -322,7 +322,7 @@ impl Parser {
             } else {
                 Value::Double(n)
             })),
-            Some(Token::Str(s)) => Ok(Expr::Literal(Value::Str(s))),
+            Some(Token::Str(s)) => Ok(Expr::Literal(Value::from(s))),
             Some(Token::Minus) => {
                 // unary minus on a numeric literal
                 match self.bump() {

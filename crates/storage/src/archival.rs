@@ -213,7 +213,7 @@ fn decode_value(tag: u8, r: &mut Reader) -> Result<Value> {
         1 => Value::Bool(r.u8("bool value")? == 1),
         TAG_INT => Value::Int(r.i64("int value")?),
         TAG_DOUBLE => Value::Double(r.f64("double value")?),
-        TAG_STR => Value::Str(r.str("string value")?.to_string()),
+        TAG_STR => Value::Str(r.str("string value")?.into()),
         5 => Value::Bytes(r.block("bytes value")?.to_vec()),
         6 => {
             let text = r.str("json value")?;
@@ -302,7 +302,7 @@ pub fn decode_raw(data: &Bytes) -> Result<Vec<Record>> {
     for _ in 0..n {
         let ts = r.i64("record timestamp")?;
         let key = match r.u8("key tag")? {
-            KEY_STR => Some(Value::Str(r.str("key")?.to_string())),
+            KEY_STR => Some(Value::Str(r.str("key")?.into())),
             KEY_INT => Some(Value::Int(r.i64("int key")?)),
             _ => None,
         };

@@ -11,7 +11,7 @@
 //! crates, and the release profile has no LTO.
 
 use crate::bitmap::Bitmap;
-use rtdi_common::{json, FieldType, Value};
+use rtdi_common::{json, FieldType, Text, Value};
 use std::cmp::Ordering;
 use std::collections::HashMap;
 
@@ -49,12 +49,13 @@ pub enum ColumnData {
     /// document's text (`json`). A sealed column's dictionary is sorted, so
     /// dict-id order equals lexicographic order, and `intern` is `None`. A
     /// column being built has its dictionary in insertion order and
-    /// `intern` maps every entry to its id.
+    /// `intern` maps every entry to its id. A short entry is held inline
+    /// in both ([`Text`]), so interning it allocates no string.
     Str {
-        dict: Vec<String>,
+        dict: Vec<Text>,
         ids: Vec<u32>,
         nulls: Bitmap,
-        intern: Option<HashMap<String, u32>>,
+        intern: Option<HashMap<Text, u32>>,
         json: bool,
     },
     /// Raw bytes, one value per doc: the file's var-byte forward index.
@@ -384,10 +385,10 @@ impl ColumnData {
 /// at the end of the dictionary when it is new, or NULL for `None`.
 #[inline]
 fn push_text(
-    dict: &mut Vec<String>,
+    dict: &mut Vec<Text>,
     ids: &mut Vec<u32>,
     nulls: &mut Bitmap,
-    intern: &mut Option<HashMap<String, u32>>,
+    intern: &mut Option<HashMap<Text, u32>>,
     text: Option<&str>,
 ) {
     // a sealed column pushed to is being built again: its sorted
@@ -402,8 +403,9 @@ fn push_text(
         Some(&id) => id,
         None => {
             let id = dict.len() as u32;
-            dict.push(s.to_string());
-            intern.insert(s.to_string(), id);
+            let text = Text::from(s);
+            intern.insert(text.clone(), id);
+            dict.push(text);
             id
         }
     });
@@ -473,7 +475,7 @@ mod tests {
                     (FieldType::Double, Some(v)) => {
                         v.as_double().map_or(Value::Null, Value::Double)
                     }
-                    (FieldType::Json, Some(v @ Value::Json(_))) => Value::Str(v.to_string()),
+                    (FieldType::Json, Some(v @ Value::Json(_))) => Value::from(v.to_string()),
                     (_, Some(v)) if !v.is_null() && ftype.accepts(v) => v.clone(),
                     _ => Value::Null,
                 };

@@ -33,7 +33,7 @@
 use crate::bitmap::Bitmap;
 use crate::column::{int_blocks, ColumnData};
 use bytes::Bytes;
-use rtdi_common::{Error, FieldType, Result, Row, RowNames, Schema, Value};
+use rtdi_common::{Error, FieldType, Result, Row, RowNames, Schema, Text, Value};
 use std::sync::{Arc, OnceLock};
 
 /// Head magic: the file starts with the bytes `RTSG`.
@@ -234,11 +234,10 @@ impl<'a> Reader<'a> {
     }
 
     /// Length-prefixed UTF-8 string: `len u32` + bytes.
-    fn lpstr(&mut self, what: &str) -> Result<String> {
+    fn lpstr(&mut self, what: &str) -> Result<&'a str> {
         let len = self.u32(what)? as usize;
         let raw = self.bytes(len, what)?;
-        String::from_utf8(raw.to_vec())
-            .map_err(|_| Error::Corruption(format!("invalid utf8 in {what}")))
+        std::str::from_utf8(raw).map_err(|_| Error::Corruption(format!("invalid utf8 in {what}")))
     }
 }
 
@@ -298,7 +297,7 @@ impl Writer {
 pub enum ZoneValue {
     Int(i64),
     Double(f64),
-    Str(String),
+    Str(Text),
     Bool(bool),
 }
 
@@ -524,7 +523,7 @@ fn encode_column_block(w: &mut Writer, col: &ColumnData) -> Result<ZoneMap> {
             }
             // the format requires a dictionary whenever rows exist: an
             // all-NULL column writes one placeholder entry
-            let placeholder = [String::new()];
+            let placeholder = [Text::new()];
             let dict = if dict.is_empty() && nrows > 0 {
                 &placeholder[..]
             } else {
@@ -598,7 +597,7 @@ fn read_zone(r: &mut Reader) -> Result<ZoneMap> {
         Ok(match kind {
             0 => ZoneValue::Int(r.i64("zone int")?),
             1 => ZoneValue::Double(r.f64("zone double")?),
-            2 => ZoneValue::Str(r.lpstr("zone string")?),
+            2 => ZoneValue::Str(r.lpstr("zone string")?.into()),
             3 => ZoneValue::Bool(r.u8("zone bool")? != 0),
             k => return Err(Error::Corruption(format!("unknown zone kind {k}"))),
         })
@@ -747,9 +746,10 @@ impl SegmentFile {
             )));
         }
         let _flags = r.u16("flags")?;
-        let table = r.lpstr("table name")?;
-        let name = r.lpstr("segment name")?;
+        let table = r.lpstr("table name")?.to_string();
+        let name = r.lpstr("segment name")?.to_string();
         let sorted = r.lpstr("sorted column")?;
+        let sorted_col = (!sorted.is_empty()).then(|| sorted.to_string());
         let ncols = r.u32("column count")? as usize;
         let nrows = r.u64("row count")?;
         let header_end = r.pos;
@@ -790,7 +790,7 @@ impl SegmentFile {
                 )));
             }
             entries.push(ColumnEntry {
-                name: cname,
+                name: cname.to_string(),
                 field_type: ftype,
                 offset,
                 len,
@@ -809,11 +809,7 @@ impl SegmentFile {
             meta: SegmentMeta {
                 name,
                 table,
-                sorted_col: if sorted.is_empty() {
-                    None
-                } else {
-                    Some(sorted)
-                },
+                sorted_col,
                 nrows,
             },
             columns: entries.iter().map(|_| OnceLock::new()).collect(),
@@ -1124,15 +1120,15 @@ fn decode_column_block(block: &[u8], ftype: FieldType, nrows: usize) -> Result<C
                     "dictionary length {dict_len} exceeds remaining bytes"
                 )));
             }
-            let mut dict = Vec::with_capacity(dict_len);
+            let mut dict: Vec<Text> = Vec::with_capacity(dict_len);
             for _ in 0..dict_len {
                 let s = r.lpstr("dictionary entry")?;
                 if let Some(prev) = dict.last() {
-                    if *prev >= s {
+                    if prev.as_str() >= s {
                         return Err(Error::Corruption("dictionary not sorted".into()));
                     }
                 }
-                dict.push(s);
+                dict.push(Text::from(s));
             }
             let ids: Vec<u32> = match r.u8("id encoding tag")? {
                 ENC_PACKED => {
@@ -1571,7 +1567,7 @@ mod tests {
         let texts: Vec<Option<String>> = rows
             .iter()
             .map(|r| match r.get(name) {
-                Some(Value::Str(s)) => Some(s.clone()),
+                Some(Value::Str(s)) => Some(s.to_string()),
                 _ => None,
             })
             .collect();
@@ -1616,8 +1612,9 @@ mod tests {
                     panic!("not a string column");
                 };
                 let nulls = (0..len).map(|d| nulls.get(d)).collect();
+                let dict = dict.iter().map(|t| t.to_string()).collect();
                 assert_eq!(
-                    (dict.clone(), ids.clone(), nulls),
+                    (dict, ids.clone(), nulls),
                     string_column_reference(&rows, "s"),
                     "{len} rows, {cardinality} values"
                 );

@@ -8,7 +8,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rtdi_common::{row_names, Record, Row, RowNames, Timestamp, Value};
+use rtdi_common::{row_names, Record, Row, RowNames, Text, Timestamp, Value};
 use std::sync::Arc;
 
 /// A seeded Zipfian sampler over ranks `0..n`: rank `k` is drawn with
@@ -56,6 +56,9 @@ pub struct CityDriverGenerator {
     rng: StdRng,
     cities: Zipf,
     drivers: Zipf,
+    /// Each rank's name, built once: a trip copies its city and driver.
+    city_names: Vec<Text>,
+    driver_names: Vec<Text>,
     /// One name list for every trip.
     names: RowNames,
 }
@@ -66,13 +69,19 @@ impl CityDriverGenerator {
             rng: StdRng::seed_from_u64(seed),
             cities: Zipf::new(cities, skew),
             drivers: Zipf::new(drivers, 1.0),
+            city_names: (0..cities.max(1))
+                .map(|k| format!("city-{k:03}").into())
+                .collect(),
+            driver_names: (0..drivers.max(1))
+                .map(|k| format!("drv-{k:05}").into())
+                .collect(),
             names: row_names(["city", "driver", "fare", "ts"]),
         }
     }
 
     pub fn trip(&mut self, ts: Timestamp) -> Record {
-        let city = format!("city-{:03}", self.cities.sample(&mut self.rng));
-        let driver = format!("drv-{:05}", self.drivers.sample(&mut self.rng));
+        let city = self.city_names[self.cities.sample(&mut self.rng)].clone();
+        let driver = self.driver_names[self.drivers.sample(&mut self.rng)].clone();
         // quarter-dollar fares: exactly representable, order-independent sums
         let fare = self.rng.gen_range(4..200) as f64 * 0.25;
         let cells = vec![
@@ -168,7 +177,7 @@ impl TripEventGenerator {
         } else {
             ts
         };
-        let hex = self.cell();
+        let hex = Text::from(self.cell());
         let kind = if self.rng.gen_bool(0.6) {
             "demand"
         } else {
@@ -177,7 +186,7 @@ impl TripEventGenerator {
         let cells = vec![
             Value::Str(hex.clone()),
             kind.into(),
-            Value::Str(format!("u{}", self.rng.gen_range(0..10_000))),
+            format!("u{}", self.rng.gen_range(0..10_000)).into(),
             Value::Int(event_ts),
         ];
         Record::new(Row::on(Arc::clone(&self.names[0]), cells), event_ts).with_key(hex)
@@ -203,17 +212,20 @@ impl TripEventGenerator {
     /// UberEats order events for the restaurant-manager and ops use cases.
     pub fn eats_order(&mut self, ts: Timestamp) -> Record {
         // hot restaurants get most orders (seeded Zipfian over 500)
-        let restaurant = format!("rest-{:04}", self.restaurants.sample(&mut self.rng));
+        let restaurant = Text::from(format!(
+            "rest-{:04}",
+            self.restaurants.sample(&mut self.rng)
+        ));
         let items = self.rng.gen_range(1..=8i64);
         let total = items as f64 * self.rng.gen_range(6.0..25.0);
         let rating = self.rng.gen_range(1..=5i64);
         let cells = vec![
             Value::Str(restaurant.clone()),
-            Value::Str(format!("item-{}", self.rng.gen_range(0..50))),
+            format!("item-{}", self.rng.gen_range(0..50)).into(),
             Value::Int(items),
             Value::Double((total * 100.0).round() / 100.0),
             Value::Int(rating),
-            Value::Str(self.cell()),
+            self.cell().into(),
             Value::Int(ts),
         ];
         Record::new(Row::on(Arc::clone(&self.names[1]), cells), ts).with_key(restaurant)
@@ -228,9 +240,9 @@ impl TripEventGenerator {
         models: usize,
         outcome_delay_ms: i64,
     ) -> (Record, Record) {
-        let model = format!("model-{:04}", self.rng.gen_range(0..models.max(1)));
-        let feature = format!("f{}", self.rng.gen_range(0..100));
-        let case = format!("case-{}-{}", ts, self.rng.gen_range(0..1_000_000));
+        let model = Text::from(format!("model-{:04}", self.rng.gen_range(0..models.max(1))));
+        let feature = Text::from(format!("f{}", self.rng.gen_range(0..100)));
+        let case = Text::from(format!("case-{}-{}", ts, self.rng.gen_range(0..1_000_000)));
         let predicted = self.rng.gen_range(0.0..1.0);
         let noise: f64 = self.rng.gen_range(-0.1..0.1);
         let actual = (predicted + noise).clamp(0.0, 1.0);

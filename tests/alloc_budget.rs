@@ -23,7 +23,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rtdi::common::AggFn;
-use rtdi::common::{row_names, Error, FieldType, Record, Result, Row, Schema, Value};
+use rtdi::common::{row_names, Error, FieldType, Record, Result, Row, Schema, Text, Value};
 use rtdi::compute::{
     run_staged_with, CollectSink, FilterOp, HiveSource, Job, MapOp, Operator, Source, StagedConfig,
     TopicSink, TopicSource, WindowAggregateOp, WindowAssigner,
@@ -817,15 +817,16 @@ fn windows_fold_and_checkpoint_in_place() {
 }
 
 /// A row is its cells and one shared name list. 1 000 rows built on one
-/// list allocate their cell slices and string cells and no name, and so
-/// does a clone of them. The benchmark job's `TUMBLE(ts, 1000) AS w`
+/// list allocate their cell slices and nothing else: no name, and no
+/// short string cell ([`Text`] holds it inline). A clone of them
+/// allocates the same. The benchmark job's `TUMBLE(ts, 1000) AS w`
 /// stage allocates what a clone of its input row does: nothing for the
 /// rename. The rows a `HiveSource` reads from one part all stand on one
 /// list.
 fn rows_share_their_names() {
     const N: usize = 1_000;
     let names = row_names(["city", "driver", "fare", "ts"]);
-    let (city, driver) = ("city-001".to_string(), "drv-00001".to_string());
+    let (city, driver) = (Text::from("city-001"), Text::from("drv-00001"));
     let (rows, built) = count_allocations(|| {
         let row = |i: usize| {
             let cells = vec![
@@ -838,11 +839,11 @@ fn rows_share_their_names() {
         };
         (0..N).map(row).collect::<Vec<Row>>()
     });
-    // per row its cell slice and two strings, and the vector of rows
-    let cells_and_strings = 3 * N as u64 + 1;
-    assert_eq!(built.allocs, cells_and_strings, "{N} rows on one list");
+    // per row its cell slice, and the vector of rows
+    let cell_slices = N as u64 + 1;
+    assert_eq!(built.allocs, cell_slices, "{N} rows on one list");
     let (copies, cloned) = count_allocations(|| rows.clone());
-    assert_eq!(cloned.allocs, cells_and_strings, "a clone of {N} rows");
+    assert_eq!(cloned.allocs, cell_slices, "a clone of {N} rows");
     assert!(copies.iter().all(|r| Arc::ptr_eq(r.names(), &names)));
 
     // the window stage's rows as the alias stage receives them
@@ -926,6 +927,68 @@ fn rows_share_their_names() {
     assert_eq!(read.len(), N);
     let list = read[0].value.names();
     assert!(read.iter().all(|r| Arc::ptr_eq(r.value.names(), list)));
+
+    // the backfill's rows: once the part's group is open, a row is its
+    // cell slice and its `Arc<Record>`, its city text inline
+    let select = ["city", "fare", "ts"].map(String::from).to_vec();
+    let mut source = HiveSource::new(&table, 0, 86_400_000, 128, Some(&select)).unwrap();
+    assert_eq!(source.poll_batch(100).unwrap().len(), 100);
+    let (batch, polled) = count_allocations(|| source.poll_batch(100).unwrap());
+    assert_eq!(batch.len(), 100);
+    assert_eq!(batch[0].value.len(), 3);
+    assert_eq!(
+        polled.allocs,
+        2 * 100 + 1,
+        "100 backfill rows and their batch"
+    );
+}
+
+/// A string cell of up to 22 bytes is held inline ([`Text`]): it costs no
+/// allocation to build, clone or intern. One byte longer, it costs what a
+/// `String` did: one allocation to build and one to clone.
+fn short_strings_live_in_the_cell() {
+    let long = "hexagon-0123456789abcde";
+    assert_eq!(long.len(), Text::INLINE + 1);
+    let (cell, built) = count_allocations(|| Value::from(long));
+    assert_eq!(built.allocs, 1, "a {}-byte cell", long.len());
+    let (_, cloned) = count_allocations(|| cell.clone());
+    assert_eq!(cloned.allocs, 1, "a clone of a {}-byte cell", long.len());
+    let short = &long[..Text::INLINE];
+    let (cell, built) = count_allocations(|| Value::from(short));
+    let (_, cloned) = count_allocations(|| cell.clone());
+    assert_eq!(
+        (built.allocs, cloned.allocs),
+        (0, 0),
+        "a {}-byte cell",
+        short.len()
+    );
+
+    // 1 000 new cities cost a consuming segment what 1 000 repeats of one
+    // city cost, but for the doublings of its dictionary and intern map:
+    // no string per new value (a `String` a copy cost 2 000 more)
+    const N: usize = 1_000;
+    let names = row_names(["city", "fare", "ts"]);
+    let appended = |city: &dyn Fn(usize) -> String| {
+        let rows: Vec<Row> = (0..N)
+            .map(|i| {
+                let cells = vec![city(i).into(), Value::Double(1.0), Value::Int(i as i64)];
+                Row::on(Arc::clone(&names), cells)
+            })
+            .collect();
+        let mut consuming = MutableSegment::new("c", schema());
+        let ((), spent) = count_allocations(|| {
+            for r in &rows {
+                consuming.append(r, None).unwrap();
+            }
+        });
+        spent.allocs
+    };
+    let repeated = appended(&|_| "city-000".to_string());
+    let distinct = appended(&|i| format!("city-{i:03}"));
+    assert!(
+        distinct <= repeated + 32,
+        "{N} new cities: {distinct} allocations against {repeated} for one city"
+    );
 }
 
 #[test]
@@ -996,6 +1059,8 @@ fn produce_ingest_and_retry_hold_their_allocation_budgets() {
     sql_drilldown_pays_for_its_groups();
 
     one_segment_asks_no_core_count();
+
+    short_strings_live_in_the_cell();
 
     sorted_probes_build_no_value();
 

@@ -58,7 +58,7 @@ fn every_value() -> Vec<(&'static str, Value)> {
         ("double", Value::Double(-0.0)),
         ("nan", Value::Double(f64::NAN)),
         ("str", Value::Str("héllo".into())),
-        ("empty", Value::Str(String::new())),
+        ("empty", Value::Str("".into())),
         ("bytes", Value::Bytes(vec![0, 0xff, 7])),
         ("doc", Value::Json(Box::new(doc))),
     ]

@@ -76,7 +76,7 @@ fn arb_rows(rng: &mut StdRng, schema: &Schema, lo: usize, hi: usize) -> Vec<Row>
                     FieldType::Bool => Value::Bool(rng.gen()),
                     FieldType::Int | FieldType::Timestamp => Value::Int(rng.gen_range(0..5000i64)),
                     FieldType::Double => Value::Double(rng.gen_range(-1e6..1e6)),
-                    FieldType::Str => Value::Str(format!("s{}", rng.gen_range(0..12u8))),
+                    FieldType::Str => Value::from(format!("s{}", rng.gen_range(0..12u8))),
                     FieldType::Bytes => {
                         let n = rng.gen_range(0..10usize);
                         Value::Bytes((0..n).map(|_| rng.gen_range(0..=255u8)).collect())

@@ -146,8 +146,9 @@ fn an_empty_partition_does_not_stall_the_watermark() {
             .unwrap();
     }
     let mut source = TopicSource::unbounded(t.clone());
-    assert!(!source.poll_batch(100).unwrap().is_empty());
-    assert_eq!(source.event_time(), 49, "the empty partition is idle");
+    // the empty partition's share goes to the other: one full poll
+    assert_eq!(source.poll_batch(100).unwrap().len(), 100);
+    assert_eq!(source.event_time(), 99, "the empty partition is idle");
 
     let sink = CollectSink::new();
     let ops: Vec<Box<dyn Operator>> = vec![Box::new(tumbling_count(100))];
@@ -166,4 +167,37 @@ fn an_empty_partition_does_not_stall_the_watermark() {
     let rows = sink.rows();
     assert!(rows.len() >= 9, "only {} windows closed", rows.len());
     assert!(rows.iter().all(|r| r.get_int("n") == Some(100)));
+}
+
+/// A city-keyed topic's partitions are of unequal length, so its cold
+/// partitions drain first. A poll still comes back full while the topic
+/// holds that many records, in event-time order.
+#[test]
+fn a_poll_stays_full_after_the_cold_partitions_drain() {
+    const N: usize = 8_000;
+    const MAX: usize = 512;
+    let trips = topic("trips", 4);
+    let mut gen = CityDriverGenerator::new(1, 512, 4_000, 1.0);
+    for i in 0..N {
+        trips.append(gen.trip(i as i64 / 20), 0).unwrap();
+    }
+    let lengths = trips.committed_watermarks();
+    let mut source = TopicSource::unbounded(trips.clone());
+    let (mut left, mut full_after_a_drain) = (N, 0);
+    while left > 0 {
+        let batch = source.poll_batch(MAX).unwrap();
+        assert_eq!(batch.len(), MAX.min(left), "{left} records left");
+        assert!(batch.is_sorted_by_key(|r| r.timestamp));
+        left -= batch.len();
+        let position = source.position();
+        let drained = position.iter().zip(&lengths).filter(|(p, l)| p == l);
+        if drained.count() > 0 && left > 0 {
+            full_after_a_drain += 1;
+        }
+    }
+    assert!(
+        full_after_a_drain >= 2,
+        "partitions {lengths:?}: {full_after_a_drain} full polls after a drain"
+    );
+    assert!(source.poll_batch(MAX).unwrap().is_empty());
 }

@@ -264,7 +264,7 @@ fn arb_typed_rows(rng: &mut StdRng, schema: &Schema, lo: usize, hi: usize) -> Ve
                         }
                     }
                     FieldType::Double => Value::Double(rng.gen_range(-1e6..1e6)),
-                    FieldType::Str => Value::Str(format!("s{}", rng.gen_range(0..10u8))),
+                    FieldType::Str => Value::from(format!("s{}", rng.gen_range(0..10u8))),
                     FieldType::Bytes => {
                         let n = rng.gen_range(0..12usize);
                         Value::Bytes((0..n).map(|_| rng.gen_range(0..=255u8)).collect())
@@ -2536,7 +2536,7 @@ mod parallel_ingest {
         let mut keys = vec![Vec::new(); partitions];
         for j in 0.. {
             let key = format!("k{j}");
-            let p = (Value::Str(key.clone()).partition_hash() % partitions as u64) as usize;
+            let p = (Value::Str(key.as_str().into()).partition_hash() % partitions as u64) as usize;
             if keys[p].len() < per_partition {
                 keys[p].push(key);
             }
@@ -2553,7 +2553,7 @@ mod parallel_ingest {
     fn record(p: usize, i: usize, keys: &[String], refused: bool) -> Record {
         let key = &keys[(i * 7 + p) % keys.len()];
         let fare = if refused {
-            Value::Str(format!("free in partition {p}"))
+            Value::from(format!("free in partition {p}"))
         } else {
             Value::Double(((i * 13 + p) % 37) as f64 / 4.0)
         };
@@ -2640,7 +2640,7 @@ mod parallel_ingest {
         let engine = engine(table);
         let answers = QUERIES.iter().map(|q| engine.query(q).unwrap().rows);
         let lookups = keys.iter().flatten();
-        let lookups = lookups.map(|k| table.lookup(&Value::Str(k.clone()), "ts"));
+        let lookups = lookups.map(|k| table.lookup(&Value::from(k.as_str()), "ts"));
         let windows = (0..40).map(|w| chaperone.stats(STAGE, w * WINDOW_MS));
         (
             backed_up.collect(),
@@ -2794,7 +2794,7 @@ mod parallel_ingest {
         let answers = QUERIES.map(|q| engine(&table).query(q).unwrap().rows);
         let lookups = keys.iter().flatten();
         let lookups: Vec<_> = lookups
-            .map(|k| table.lookup(&Value::Str(k.clone()), "ts"))
+            .map(|k| table.lookup(&Value::from(k.as_str()), "ts"))
             .collect();
         table.seal_all().unwrap();
         let mut segments = vec![(Vec::new(), 0xcbf2_9ce4_8422_2325u64); PARTITIONS];
@@ -2965,7 +2965,7 @@ mod row_semantics {
             1 => Value::Bool(rng.gen_bool(0.5)),
             2 => Value::Int(rng.gen_range(-3i64..4)),
             3 => Value::Double([0.5, -0.0, f64::NAN][rng.gen_range(0..3usize)]),
-            4 => Value::Str(["", "x", "yz"][rng.gen_range(0..3usize)].to_string()),
+            4 => Value::Str(["", "x", "yz"][rng.gen_range(0..3usize)].into()),
             _ => Value::Bytes(vec![7; rng.gen_range(0..3usize)]),
         }
     }
@@ -3288,5 +3288,141 @@ mod kappa_equivalence {
             assert_eq!(job.unwrap().records_in, n as u64, "{ctx}");
             assert_eq!(answer(&platform, "replay"), want, "{ctx}: the backfill");
         }
+    }
+}
+
+/// [`Text`] against the `String` it stands for: texts of 0–64 bytes,
+/// ASCII and multi-byte ones whose last character straddles the 22-byte
+/// inline limit, built from a `&str`, from a `String`, by clone and
+/// through `Value::from`, agree with a `String` model on equality,
+/// order, hashing, `Display`, `Debug`, length, partition hash,
+/// `approx_bytes` and a raw-log and a segment-file round trip.
+mod text_semantics {
+    use super::*;
+    use rtdi::common::Text;
+    use rtdi::storage::archival::{decode_raw, encode_raw};
+    use std::collections::HashMap;
+
+    const SEED_TEXT: u64 = 0x7E47_0022;
+    /// Characters of one to four bytes; the first three are ASCII.
+    const CHARS: [char; 6] = ['a', 'Z', '-', 'é', '€', '🦀'];
+
+    fn arb_string(rng: &mut StdRng) -> String {
+        if rng.gen_bool(0.25) {
+            // a multi-byte character across the limit, or just inside it
+            let wide = CHARS[rng.gen_range(3..CHARS.len())];
+            return "a".repeat(rng.gen_range(17..=Text::INLINE)) + &wide.to_string();
+        }
+        let (target, ascii) = (rng.gen_range(0..=64usize), rng.gen_bool(0.5));
+        let mut s = String::new();
+        loop {
+            let c = CHARS[rng.gen_range(0..if ascii { 3 } else { CHARS.len() })];
+            if s.len() + c.len_utf8() > target {
+                return s;
+            }
+            s.push(c);
+        }
+    }
+
+    /// `s` as a string cell, built one of five ways.
+    fn cell(s: &str, how: u32) -> Value {
+        match how {
+            0 => Value::Str(Text::from(s)),
+            1 => Value::Str(Text::from(s.to_string())),
+            2 => Value::Str(Text::from(s).clone()),
+            3 => Value::from(s),
+            _ => Value::from(s.to_string()),
+        }
+    }
+
+    fn text(v: &Value) -> &Text {
+        match v {
+            Value::Str(t) => t,
+            other => panic!("not a string cell: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn texts_agree_with_a_string_model() {
+        let schema = Schema::of("t", &[("s", FieldType::Str)]);
+        for case in 0..400 {
+            let mut rng = StdRng::seed_from_u64(SEED_TEXT + case);
+            let model: Vec<String> = (0..rng.gen_range(1..9))
+                .map(|_| arb_string(&mut rng))
+                .collect();
+            let cells: Vec<Value> = model
+                .iter()
+                .map(|s| cell(s, rng.gen_range(0..5u32)))
+                .collect();
+
+            for (s, v) in model.iter().zip(&cells) {
+                let t = text(v);
+                assert_eq!((t.as_str(), t.len()), (s.as_str(), s.len()), "case {case}");
+                assert_eq!(t.is_inline(), s.len() <= Text::INLINE, "case {case}: {s:?}");
+                assert_eq!(format!("{t}"), *s, "case {case}");
+                assert_eq!(format!("{v}"), *s, "case {case}");
+                assert_eq!(format!("{t:?}"), format!("{s:?}"), "case {case}");
+                assert_eq!(format!("{v:?}"), format!("Str({s:?})"), "case {case}");
+                assert_eq!(v.partition_hash(), Value::hash_of_str(s), "case {case}");
+                let row = Row::new().with("k", v.clone());
+                assert_eq!(row.approx_bytes(), 1 + s.len() + 24 + 16, "case {case}");
+                let keyed = Record::new(Row::new(), 0).with_key(v.clone());
+                assert_eq!(keyed.approx_bytes(), 16 + s.len() + 8, "case {case}");
+            }
+            for (sa, a) in model.iter().zip(&cells) {
+                for (sb, b) in model.iter().zip(&cells) {
+                    assert_eq!(a == b, sa == sb, "case {case}: {sa:?} == {sb:?}");
+                    assert_eq!(text(a).cmp(text(b)), sa.cmp(sb), "case {case}");
+                    assert_eq!(a.total_cmp(b), sa.cmp(sb), "case {case}");
+                }
+            }
+
+            // later entries overwrite earlier equal ones in both maps
+            let mut by_text: HashMap<Text, u32> = HashMap::new();
+            let mut by_string: HashMap<String, u32> = HashMap::new();
+            for (i, (s, v)) in (0u32..).zip(model.iter().zip(&cells)) {
+                by_text.insert(text(v).clone(), i);
+                by_string.insert(s.clone(), i);
+            }
+            assert_eq!(by_text.len(), by_string.len(), "case {case}");
+            for s in &model {
+                assert_eq!(by_text.get(s.as_str()), by_string.get(s), "case {case}");
+            }
+
+            let records: Vec<Record> = (0i64..)
+                .zip(&cells)
+                .map(|(ts, v)| Record::new(Row::new().with("s", v.clone()), ts).with_key(v.clone()))
+                .collect();
+            let decoded = decode_raw(&encode_raw(&records).unwrap()).unwrap();
+            assert_eq!(decoded, records, "case {case}: raw log");
+            for (r, s) in decoded.iter().zip(&model) {
+                assert_eq!(r.key.as_ref().and_then(Value::as_str), Some(s.as_str()));
+                assert_eq!(r.value.get_str("s"), Some(s.as_str()), "case {case}");
+            }
+            let rows: Vec<Row> = records.into_iter().map(|r| r.value).collect();
+            let data = segfile::encode_rows_segment(&schema, "p", &rows).unwrap();
+            let (_, read) = segfile::decode_rows_segment(&data).unwrap();
+            let read: Vec<&str> = read.iter().map(|r| r.get_str("s").unwrap()).collect();
+            assert_eq!(read, model, "case {case}: segment file");
+        }
+    }
+
+    /// Partition assignment cannot move: these hashes were taken with
+    /// string cells as `String`s.
+    #[test]
+    fn key_hashes_are_pinned() {
+        let long = "0123456789abcdef".repeat(4);
+        let pins = [
+            ("trip-0", 0xf355_aaa3_0474_52cf_u64),
+            ("city-511", 0x5f9a_fa15_cb74_bc6e),
+            ("hexagon-0123456789abcde", 0x9a0f_baa8_1178_73a0),
+            (long.as_str(), 0xec63_1990_456e_2f45),
+        ];
+        for (key, hash) in pins {
+            for how in 0..5 {
+                assert_eq!(cell(key, how).partition_hash(), hash, "{key}");
+            }
+        }
+        assert_eq!(pins[2].0.len(), Text::INLINE + 1);
     }
 }
