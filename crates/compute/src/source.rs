@@ -1,7 +1,8 @@
 //! Sources: where jobs read records from.
 //!
 //! - [`VecSource`]: bounded in-memory source for tests and examples;
-//! - [`TopicSource`]: the Kafka source — reads each partition of a topic
+//! - [`TopicSource`]: the Kafka source — follows a topic's
+//!   [`TopicSubscription`] across a migration and reads each partition
 //!   through its own [`PartitionCursor`] (committed records only, a
 //!   retention jump counted in [`TopicSource::skipped`]), whose positions
 //!   are the checkpoint; bounded ("read to current end", used by catch-up
@@ -26,6 +27,7 @@ use crate::operator::STREAM_TAG;
 use rtdi_common::{Error, Record, Result, Row, SetColumn, Timestamp};
 use rtdi_storage::hive::{time_order, HiveTable, TimedDoc};
 use rtdi_storage::segfile::{RowReader, SegmentFile};
+use rtdi_stream::consumer::TopicSubscription;
 use rtdi_stream::topic::{PartitionCursor, Topic};
 use std::sync::Arc;
 
@@ -137,9 +139,10 @@ impl Source for VecSource {
     }
 }
 
-/// Source over a stream topic with a cursor per partition.
+/// Source over a stream topic with a cursor per partition. It resolves its
+/// subscription once per poll, so a migrated topic is read where it moved.
 pub struct TopicSource {
-    topic: Arc<Topic>,
+    subscription: TopicSubscription,
     cursors: Vec<PartitionCursor>,
     /// Per cursor: the largest event time it handed out, and whether the
     /// last poll that visited it left it with nothing more to give.
@@ -152,30 +155,32 @@ pub struct TopicSource {
 
 impl TopicSource {
     /// Unbounded: keeps returning new records as they are produced.
-    pub fn unbounded(topic: Arc<Topic>) -> Self {
+    pub fn unbounded(subscription: impl Into<TopicSubscription>) -> Self {
+        let subscription = subscription.into();
+        let n = subscription.topic().num_partitions();
         TopicSource {
-            cursors: (0..topic.num_partitions())
-                .map(|p| PartitionCursor::new(p, 0))
-                .collect(),
-            reached: vec![(Timestamp::MIN, false); topic.num_partitions()],
-            topic,
+            subscription,
+            cursors: (0..n).map(|p| PartitionCursor::new(p, 0)).collect(),
+            reached: vec![(Timestamp::MIN, false); n],
             end_offsets: None,
             next_partition: 0,
         }
     }
 
-    /// Bounded: reads from the current log start to the current end.
-    /// Errors (rather than panicking) if the topic's partition map is
-    /// inconsistent — e.g. a partition dropped between the watermark
-    /// snapshot and here.
-    pub fn bounded(topic: Arc<Topic>) -> Result<Self> {
+    /// Bounded: reads from the current log start to the current end, which
+    /// a later migration of the topic does not move. Errors (rather than
+    /// panicking) if the topic's partition map is inconsistent — e.g. a
+    /// partition dropped between the watermark snapshot and here.
+    pub fn bounded(subscription: impl Into<TopicSubscription>) -> Result<Self> {
+        let subscription = subscription.into();
+        let topic = subscription.topic();
         let ends = topic.committed_watermarks();
         let cursors = (0..topic.num_partitions())
             .map(|p| PartitionCursor::at_log_start(&topic, p))
             .collect::<Result<_>>()?;
         Ok(TopicSource {
             reached: vec![(Timestamp::MIN, false); topic.num_partitions()],
-            topic,
+            subscription,
             cursors,
             end_offsets: Some(ends),
             next_partition: 0,
@@ -193,6 +198,7 @@ impl TopicSource {
     /// hold more.
     fn fetch_into(
         &mut self,
+        topic: &Topic,
         p: usize,
         share: usize,
         max: usize,
@@ -211,7 +217,7 @@ impl TopicSource {
             *idle |= limit == 0;
             return Ok(false);
         }
-        let mut records = cursor.fetch(&self.topic, limit)?;
+        let mut records = cursor.fetch(topic, limit)?;
         // the bound holds for what the fetch returned: a cursor that
         // retention moved past its end delivers nothing, and of what it
         // jumped over only the offsets below the end count
@@ -247,14 +253,15 @@ impl Source for TopicSource {
     /// Zero-copy fetch: the log stores the `Arc<Record>` it was appended
     /// with, and the combined batch holds those same handles.
     fn poll_batch(&mut self, max: usize) -> Result<Vec<Arc<Record>>> {
-        let n = self.topic.num_partitions();
+        let topic = self.subscription.topic();
+        let n = self.cursors.len();
         let per_partition = (max / n).max(1);
         let mut out = Vec::new();
         let mut full = Vec::new();
         for _ in 0..n {
             let p = self.next_partition;
             self.next_partition = (p + 1) % n;
-            if self.fetch_into(p, per_partition, max, &mut out)? {
+            if self.fetch_into(&topic, p, per_partition, max, &mut out)? {
                 full.push(p);
             }
         }
@@ -262,7 +269,7 @@ impl Source for TopicSource {
             let share = ((max - out.len()) / full.len()).max(1);
             let mut still_full = Vec::with_capacity(full.len());
             for p in full {
-                if self.fetch_into(p, share, max, &mut out)? {
+                if self.fetch_into(&topic, p, share, max, &mut out)? {
                     still_full.push(p);
                 }
             }
@@ -633,6 +640,53 @@ mod tests {
         t.append(Record::new(Row::new().with("i", 5i64), 0).with_key("x"), 0)
             .unwrap();
         assert_eq!(s.poll_batch(100).unwrap().len(), 1);
+    }
+
+    /// Sources hold the topic's subscription: across a migration between
+    /// two polls an unbounded one reads each record once, the new ones
+    /// where the topic moved, and a bounded one stops at the end it
+    /// captured before the move.
+    #[test]
+    fn topic_sources_follow_a_migration() {
+        use rtdi_stream::cluster::{Cluster, ClusterConfig};
+        use rtdi_stream::federation::FederatedCluster;
+        use rtdi_stream::producer::StreamEndpoint;
+        let fed = FederatedCluster::new();
+        for name in ["c1", "c2"] {
+            fed.add_cluster(Cluster::new(name, ClusterConfig::default()));
+        }
+        fed.create_topic("t", TopicConfig::default().with_partitions(2))
+            .unwrap();
+        let send = |ids: std::ops::Range<i64>| {
+            for i in ids {
+                let rec = Record::new(Row::new().with("i", i), i).with_key(format!("k{i}"));
+                fed.send("t", Arc::new(rec), 0).unwrap();
+            }
+        };
+        let ids = |polled: Vec<Arc<Record>>| -> Vec<i64> {
+            polled
+                .iter()
+                .map(|r| r.value.get_int("i").unwrap())
+                .collect()
+        };
+        send(0..20);
+        let mut live = TopicSource::unbounded(fed.subscribe("t").unwrap());
+        let mut bounded = TopicSource::bounded(fed.subscribe("t").unwrap()).unwrap();
+        let mut read = ids(live.poll_batch(15).unwrap());
+        let mut read_bounded = ids(bounded.poll_batch(15).unwrap());
+        assert_eq!((read.len(), read_bounded.len()), (15, 15));
+
+        fed.migrate_topic("t", "c2").unwrap();
+        send(20..30);
+        read.extend(ids(live.poll_batch(100).unwrap()));
+        assert!(live.poll_batch(100).unwrap().is_empty());
+        read.sort_unstable();
+        assert_eq!(read, (0..30).collect::<Vec<_>>());
+        while !bounded.is_exhausted() {
+            read_bounded.extend(ids(bounded.poll_batch(100).unwrap()));
+        }
+        read_bounded.sort_unstable();
+        assert_eq!(read_bounded, (0..20).collect::<Vec<_>>());
     }
 
     #[test]

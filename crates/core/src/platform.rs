@@ -32,7 +32,7 @@ use rtdi_stream::consumer::TopicSubscription;
 use rtdi_stream::federation::FederatedCluster;
 use rtdi_stream::producer::{Producer, ProducerConfig, StreamEndpoint};
 use rtdi_stream::topic::{PartitionCursor, Topic, TopicConfig};
-use std::collections::btree_map::{BTreeMap, Entry};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 /// Loss/duplication audit for one hop of a pipeline, computed by
@@ -79,9 +79,9 @@ pub struct RealtimePlatform {
     tracer: PipelineTracer,
     clock: Arc<dyn Clock>,
     chaos: Chaos,
-    /// Per archived topic: its subscription and how far each partition is
-    /// in the warehouse. Held for the whole of an `archive_topic` call.
-    archives: Mutex<BTreeMap<String, (TopicSubscription, Vec<PartitionCursor>)>>,
+    /// Per archived topic: how far each partition is in the warehouse.
+    /// Held for the whole of an `archive_topic` call.
+    archives: Mutex<BTreeMap<String, Vec<PartitionCursor>>>,
 }
 
 impl RealtimePlatform {
@@ -236,8 +236,7 @@ impl RealtimePlatform {
     ) -> Result<Arc<Topic>> {
         self.registry
             .register_with(&format!("kafka.{name}"), schema, |_| {
-                self.federation.create_topic(name, config)?;
-                Ok(self.federation.subscribe(name)?.topic())
+                self.federation.create_topic(name, config)
             })
     }
 
@@ -280,7 +279,8 @@ impl RealtimePlatform {
             })
     }
 
-    /// Connect a topic to an OLAP table with a realtime ingester.
+    /// Connect a topic to an OLAP table with a realtime ingester, which
+    /// follows the topic's subscription across a migration.
     pub fn ingest_into(&self, topic: &str, table: Arc<OlapTable>) -> Result<RealtimeIngester> {
         let sub = self.federation.subscribe(topic)?;
         self.lineage.record(
@@ -289,7 +289,7 @@ impl RealtimePlatform {
             "ingestion",
         );
         RealtimeIngester::new(
-            sub.topic(),
+            sub,
             table,
             IngestionConfig {
                 // pairs with the `{topic}/stream` observation the
@@ -307,7 +307,9 @@ impl RealtimePlatform {
 
     /// Deploy a FlinkSQL pipeline: compile the statement against a source
     /// topic, sink into an OLAP table, run under job-manager supervision
-    /// (bounded: processes what is currently in the topic). §4.2.1:
+    /// (bounded: processes what is currently in the topic). Every
+    /// instantiation of the job, a restart included, reads the topic
+    /// through its subscription, wherever it has moved. §4.2.1:
     /// "users of all technical levels can run their streaming processing
     /// applications in production in a span of mere hours."
     pub fn deploy_sql_pipeline(
@@ -329,7 +331,7 @@ impl RealtimePlatform {
             &format!("pinot.{}", sink_table.name()),
             name,
         );
-        let spec = sql_pipeline_spec(name, sql, sub.topic(), sink_table, options);
+        let spec = sql_pipeline_spec(name, sql, sub, sink_table, options);
         self.job_manager.supervise(&spec)
     }
 
@@ -354,14 +356,12 @@ impl RealtimePlatform {
     ///
     /// The archiver is a consumer: a cursor per partition, kept in memory
     /// and advanced only once the call's parts are registered, so a failed
-    /// call is re-read whole by the next.
+    /// call is re-read whole by the next. Each call reads the topic where
+    /// its subscription points, so the cursors carry over a migration.
     pub fn archive_topic(&self, topic: &str, schema: &Schema) -> Result<usize> {
+        let t = self.federation.subscribe(topic)?.topic();
         let mut archives = self.archives.lock();
-        let (sub, cursors) = match archives.entry(topic.to_string()) {
-            Entry::Occupied(known) => known.into_mut(),
-            Entry::Vacant(new) => new.insert((self.federation.subscribe(topic)?, Vec::new())),
-        };
-        let t = sub.topic();
+        let cursors = archives.entry(topic.to_string()).or_default();
         let writer = ArchivalWriter::new(self.store.clone(), topic);
         let mut next = cursors.clone();
         next.extend((next.len()..t.num_partitions()).map(|p| PartitionCursor::new(p, 0)));
@@ -398,7 +398,7 @@ impl RealtimePlatform {
     /// The archiver's cursors over `topic`, one per partition; empty
     /// before the topic is first archived.
     pub fn archive_cursors(&self, topic: &str) -> Vec<PartitionCursor> {
-        (self.archives.lock().get(topic)).map_or(Vec::new(), |(_, c)| c.clone())
+        self.archives.lock().get(topic).cloned().unwrap_or_default()
     }
 
     /// One-call backfill (§7 Kappa+ SQL mode): run `sql` over the archived
@@ -436,7 +436,7 @@ impl RealtimePlatform {
 fn sql_pipeline_spec(
     name: &str,
     sql: &str,
-    topic: Arc<Topic>,
+    topic: TopicSubscription,
     sink_table: Arc<OlapTable>,
     options: &CompileOptions,
 ) -> JobSpec {
@@ -568,6 +568,33 @@ mod tests {
             .contains(&"pinot.trips".to_string()));
     }
 
+    /// §4.1.1's redirect "without restarting the application": an
+    /// ingester reads on after its topic migrates, and the audit between
+    /// the broker and the table shows nothing lost.
+    #[test]
+    fn an_ingester_follows_its_topic_across_a_migration() {
+        let p = platform();
+        let cluster = Cluster::new("cluster-2", ClusterConfig::default());
+        p.federation().add_cluster(cluster);
+        let config = TopicConfig::default().with_partitions(2);
+        p.create_topic("trips", config, trips_schema()).unwrap();
+        let table = TableConfig::new("trips", trips_schema())
+            .with_time_column("ts")
+            .with_partitions(2);
+        let table = p.create_olap_table(table).unwrap();
+        let mut ingester = p.ingest_into("trips", table).unwrap();
+        produce_trips(&p, 10);
+        assert_eq!(ingester.run_once().unwrap(), 10);
+        p.federation().migrate_topic("trips", "cluster-2").unwrap();
+        produce_trips(&p, 10);
+        assert_eq!(ingester.run_once().unwrap(), 10);
+        let out = p.sql("SELECT COUNT(*) AS n FROM trips").unwrap();
+        assert_eq!(out.rows[0].get_int("n"), Some(20));
+        let health = p.health();
+        assert_eq!(health.audits.len(), 1);
+        assert!(health.zero_loss(), "{:?}", health.audits);
+    }
+
     const TRIP_WINDOWS_SQL: &str = "SELECT city, TUMBLE(ts, 1000) AS w, COUNT(*) AS trips \
                                     FROM trips GROUP BY city, TUMBLE(ts, 1000)";
 
@@ -629,6 +656,27 @@ mod tests {
                 &CompileOptions::default(),
             )
             .is_err());
+    }
+
+    /// A pipeline's job is built anew at every (re)start from its
+    /// subscription: one instantiated after a migration reads the topic
+    /// where it moved, records produced after the move included.
+    #[test]
+    fn a_pipeline_started_after_a_migration_reads_where_the_topic_moved() {
+        let (p, sink_table) = platform_with_trip_stats();
+        let cluster = Cluster::new("cluster-2", ClusterConfig::default());
+        p.federation().add_cluster(cluster);
+        let sub = p.federation().subscribe("trips").unwrap();
+        let options = CompileOptions::default();
+        let spec = sql_pipeline_spec("w", TRIP_WINDOWS_SQL, sub, sink_table.clone(), &options);
+        p.federation().migrate_topic("trips", "cluster-2").unwrap();
+        produce_trips(&p, 100);
+        let stats = p.job_manager().supervise(&spec).unwrap();
+        assert_eq!(stats.records_in, 200);
+        let q = Query::select_all("trip_stats")
+            .aggregate("total", rtdi_common::AggFn::Sum("trips".into()));
+        let total = sink_table.query(&q).unwrap().rows[0].get_double("total");
+        assert_eq!(total, Some(200.0));
     }
 
     #[test]

@@ -11,7 +11,7 @@ use rtdi_sql::expr::{eval, truthy};
 use rtdi_sql::parser::parse_select;
 use rtdi_sql::plan::{plan_select, AggItem, Plan};
 use rtdi_storage::hive::HiveTable;
-use rtdi_stream::topic::Topic;
+use rtdi_stream::consumer::TopicSubscription;
 use std::sync::Arc;
 
 /// Compilation knobs.
@@ -88,11 +88,12 @@ fn apply_hints(sql: &str, options: &CompileOptions) -> Result<(String, CompileOp
 }
 
 /// Compile a SQL statement into a streaming job over a topic
-/// ("DataStream mode").
+/// ("DataStream mode"), read through its subscription: a job compiled
+/// after a migration reads the topic where it moved.
 pub fn compile_streaming(
     name: &str,
     sql: &str,
-    topic: Arc<Topic>,
+    topic: impl Into<TopicSubscription>,
     sink: Box<dyn Sink>,
     options: &CompileOptions,
 ) -> Result<Job> {
@@ -337,7 +338,7 @@ mod tests {
     use rtdi_compute::sink::CollectSink;
     use rtdi_storage::hive::HiveCatalog;
     use rtdi_storage::object::InMemoryStore;
-    use rtdi_stream::topic::TopicConfig;
+    use rtdi_stream::topic::{Topic, TopicConfig};
 
     fn trips_topic(n: usize) -> Arc<Topic> {
         let t = Arc::new(Topic::new("trips", TopicConfig::default().with_partitions(2)).unwrap());

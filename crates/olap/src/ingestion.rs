@@ -5,7 +5,8 @@
 //! automatically infer the schema from the input Kafka topic". The
 //! ingester consumes a topic partition-aligned into an [`OlapTable`] and
 //! reports audit observations to Chaperone; the segments it seals wait in
-//! [`OlapTable::take_unbacked`] for whoever archives them. Each partition
+//! [`OlapTable::take_unbacked`] for whoever archives them. It follows the
+//! topic's [`TopicSubscription`] across a migration, and each partition
 //! is read through its own [`PartitionCursor`]: committed records only,
 //! advanced past the rows the table took (a refused row included), with
 //! retention jumps counted in [`RealtimeIngester::skipped`].
@@ -15,6 +16,7 @@ use crate::table::OlapTable;
 use rtdi_common::trace::END_TO_END;
 use rtdi_common::{Clock, Error, PipelineTracer, Result, TraceStage};
 use rtdi_stream::chaperone::{Chaperone, ChaperoneStage};
+use rtdi_stream::consumer::TopicSubscription;
 use rtdi_stream::topic::{PartitionCursor, Topic};
 use std::sync::Arc;
 
@@ -43,7 +45,9 @@ impl Default for IngestionConfig {
 
 /// Consumes a topic into a table.
 pub struct RealtimeIngester {
-    topic: Arc<Topic>,
+    /// Resolved once per `run_once`: a migrated topic is read where it
+    /// moved, from the same positions.
+    subscription: TopicSubscription,
     table: Arc<OlapTable>,
     /// The `config.audit_stage` stage of the auditor, resolved once.
     chaperone: Option<ChaperoneStage>,
@@ -56,7 +60,13 @@ pub struct RealtimeIngester {
 }
 
 impl RealtimeIngester {
-    pub fn new(topic: Arc<Topic>, table: Arc<OlapTable>, config: IngestionConfig) -> Result<Self> {
+    pub fn new(
+        subscription: impl Into<TopicSubscription>,
+        table: Arc<OlapTable>,
+        config: IngestionConfig,
+    ) -> Result<Self> {
+        let subscription = subscription.into();
+        let topic = subscription.topic();
         if topic.num_partitions() != table.config().partitions {
             return Err(Error::InvalidArgument(format!(
                 "topic has {} partitions but table expects {} — upsert \
@@ -69,7 +79,7 @@ impl RealtimeIngester {
             cursors: (0..topic.num_partitions())
                 .map(|p| PartitionCursor::new(p, 0))
                 .collect(),
-            topic,
+            subscription,
             table,
             chaperone: None,
             trace: None,
@@ -87,10 +97,10 @@ impl RealtimeIngester {
     /// the `"olap-ingest"` hop plus the end-to-end rollup (record becomes
     /// queryable here).
     pub fn with_tracer(mut self, tracer: PipelineTracer) -> Self {
-        let pipeline = self.topic.name();
+        let topic = self.subscription.topic();
         self.trace = Some((
-            tracer.stage(pipeline, "olap-ingest"),
-            tracer.stage(pipeline, END_TO_END),
+            tracer.stage(topic.name(), "olap-ingest"),
+            tracer.stage(topic.name(), END_TO_END),
         ));
         self
     }
@@ -122,11 +132,12 @@ impl RealtimeIngester {
     /// otherwise one after another on the calling thread. A partition's
     /// outcome is the same either way: its rows go in under its own lock.
     pub fn run_once(&mut self) -> Result<u64> {
-        let partitions = self.topic.num_partitions();
+        let topic = self.subscription.topic();
+        let partitions = self.cursors.len();
         let batch = self.config.batch_size as u64;
         let backlogged = (self.cursors.iter())
             .filter(|c| {
-                let committed = self.topic.committed_watermark(c.partition).unwrap_or(0);
+                let committed = topic.committed_watermark(c.partition).unwrap_or(0);
                 committed.saturating_sub(c.position) >= batch
             })
             .count();
@@ -140,7 +151,9 @@ impl RealtimeIngester {
         };
         let threads = scatter::effective_threads(0, backlogged);
         if threads > 1 {
-            let drains = scatter(partitions, threads, |p| Ok(self.drain(self.cursors[p])));
+            let drains = scatter(partitions, threads, |p| {
+                Ok(self.drain(&topic, self.cursors[p]))
+            });
             for (p, drain) in drains.into_iter().enumerate() {
                 // a drain that panicked leaves its cursor where it was
                 let (cursor, drained) = drain.unwrap_or_else(|e| (self.cursors[p], Err(e)));
@@ -149,7 +162,7 @@ impl RealtimeIngester {
             }
         } else {
             for p in 0..partitions {
-                let (cursor, drained) = self.drain(self.cursors[p]);
+                let (cursor, drained) = self.drain(&topic, self.cursors[p]);
                 self.cursors[p] = cursor;
                 settle(drained);
             }
@@ -161,10 +174,10 @@ impl RealtimeIngester {
     /// ingested under one hold of the partition's lock, then audited and
     /// traced. Returns the cursor advanced past what the table took and the
     /// records consumed, or the error that stopped the drain there.
-    fn drain(&self, mut cursor: PartitionCursor) -> (PartitionCursor, Result<u64>) {
+    fn drain(&self, topic: &Topic, mut cursor: PartitionCursor) -> (PartitionCursor, Result<u64>) {
         let mut total = 0;
         loop {
-            let fetch = match cursor.fetch(&self.topic, self.config.batch_size) {
+            let fetch = match cursor.fetch(topic, self.config.batch_size) {
                 Ok(records) if records.is_empty() => return (cursor, Ok(total)),
                 Ok(records) => records,
                 Err(e) => return (cursor, Err(e)),
@@ -214,9 +227,10 @@ mod tests {
     impl RealtimeIngester {
         /// Total lag across partitions.
         fn lag(&self) -> u64 {
-            (0..self.topic.num_partitions())
+            let topic = self.subscription.topic();
+            (0..topic.num_partitions())
                 .map(|p| {
-                    self.topic
+                    topic
                         .partition(p)
                         .map(|l| l.high_watermark().saturating_sub(self.cursors[p].position))
                         .unwrap_or(0)
@@ -497,6 +511,54 @@ mod tests {
                 upsert.then_some(Value::Double(107.0))
             );
         }
+    }
+
+    /// A failed fetch stops only its own partition's drain, behind the
+    /// rows the table took. One fetch in three times out on four
+    /// partitions, so every round fails; rounds retried until the table is
+    /// full take each record once.
+    #[test]
+    fn failed_fetches_are_retried_and_deliver_each_record_once() {
+        use rtdi_common::chaos::{Chaos, FaultKind, FaultPlan, FaultPoint, Trigger};
+        const N: usize = 400;
+        let chaos = Chaos::seeded(0xFE7C);
+        let four = TopicConfig::default().with_partitions(4);
+        let t = Arc::new(Topic::new("trips", four).unwrap().with_chaos(chaos.clone()));
+        let ch = Chaperone::new(1_000);
+        for i in 0..N {
+            let rec = trip(i, 1.0);
+            ch.observe("kafka", &rec);
+            t.append(rec, 0).unwrap();
+        }
+        let config = TableConfig::new("trips", schema())
+            .with_time_column("ts")
+            .with_segment_rows(64)
+            .with_partitions(4);
+        let table = OlapTable::new(config).unwrap();
+        let small = IngestionConfig {
+            batch_size: 32,
+            ..IngestionConfig::default()
+        };
+        let mut ing = RealtimeIngester::new(t, table.clone(), small)
+            .unwrap()
+            .with_chaperone(ch.clone());
+        chaos.arm(
+            FaultPoint::StreamFetch,
+            FaultPlan::fail(FaultKind::Timeout, Trigger::EveryNth(3)),
+        );
+        let count = Query::select_all("trips").aggregate("n", AggFn::Count);
+        let count = || table.query(&count).unwrap().rows[0].get_int("n");
+        let mut rounds = 0;
+        while count() != Some(N as i64) {
+            assert!(matches!(ing.run_once(), Err(Error::Timeout(_))));
+            rounds += 1;
+            assert!(rounds < 100, "{:?} of {N} after {rounds} rounds", count());
+        }
+        assert!(rounds > 1);
+        chaos.disarm(FaultPoint::StreamFetch);
+        assert_eq!(ing.run_once().unwrap(), 0, "nothing is read twice");
+        assert_eq!(ch.loss_and_duplication("kafka", "pinot-ingestion"), (0, 0));
+        assert_eq!(count(), Some(N as i64));
     }
 
     #[test]

@@ -368,9 +368,12 @@ impl ColumnData {
                 intern,
                 ..
             } => {
-                // a column being built holds every entry again in `intern`
+                // a column being built holds every entry again in `intern`;
+                // an entry is its cell, plus its text when that is too long
+                // to live inline
                 let copies = if intern.is_some() { 2 } else { 1 };
-                dict.iter().map(|s| s.len() + 24).sum::<usize>() * copies
+                let entry = |s: &Text| size_of::<Text>() + if s.is_inline() { 0 } else { s.len() };
+                dict.iter().map(entry).sum::<usize>() * copies
                     + ids.len() * 4
                     + nulls.memory_bytes()
             }
@@ -426,6 +429,28 @@ pub(crate) fn int_blocks(values: &[i64], nulls: &Bitmap) -> Vec<(i64, i64)> {
 mod tests {
     use super::*;
     use rtdi_common::Row;
+
+    /// A dictionary entry costs its 24-byte cell, and its text only when
+    /// the text is too long for the cell; a column being built pays twice.
+    #[test]
+    fn a_dictionary_charges_heap_text_only_above_the_inline_limit() {
+        let long = "x".repeat(Text::INLINE + 8);
+        let mut column = ColumnData::new(FieldType::Str);
+        column.push_str("sf");
+        column.push_str(&long);
+        let ColumnData::Str { nulls, .. } = &column else {
+            unreachable!("a string field builds a string column")
+        };
+        let fixed = 2 * 4 + nulls.memory_bytes();
+        let entries = 2 * 24 + long.len();
+        assert_eq!(column.memory_bytes(), 2 * entries + fixed, "being built");
+        column.seal();
+        let ColumnData::Str { nulls, .. } = &column else {
+            unreachable!("a sealed string column stays one")
+        };
+        let fixed = 2 * 4 + nulls.memory_bytes();
+        assert_eq!(column.memory_bytes(), entries + fixed, "sealed");
+    }
 
     /// A cell of every type, each field's own and the others.
     fn cells() -> Vec<Option<Value>> {

@@ -53,7 +53,7 @@ pub struct Cluster {
     down: AtomicBool,
     membership: Arc<Membership>,
     /// Which brokers are chaos-downed, and the handle every topic created
-    /// here and both [`crate::producer::StreamEndpoint`] edges check.
+    /// here and the [`crate::producer::StreamEndpoint`] send check.
     pub(crate) chaos: Chaos,
 }
 

@@ -10,7 +10,8 @@
 //!
 //! [`TopicSubscription`] is the level of indirection federation (§4.1.1)
 //! uses to redirect a live consumer to another physical cluster without an
-//! application restart.
+//! application restart: the federation keeps one per topic, and every
+//! reader of the topic holds a clone and resolves it once per poll.
 
 use crate::log::OffsetRecord;
 use crate::topic::{PartitionCursor, Topic};
@@ -21,7 +22,8 @@ use std::sync::Arc;
 
 /// A re-pointable handle to a physical topic. The federation layer swaps
 /// the inner topic during migration; consumers keep polling through the
-/// subscription and never notice.
+/// subscription and never notice. A bare topic converts into one that
+/// nothing redirects.
 #[derive(Clone)]
 pub struct TopicSubscription {
     inner: Arc<RwLock<Arc<Topic>>>,
@@ -40,7 +42,7 @@ impl TopicSubscription {
 
     /// Atomically redirect to another physical topic (same partition
     /// count required, so partition assignments stay valid).
-    pub fn redirect(&self, to: Arc<Topic>) -> Result<()> {
+    pub(crate) fn redirect(&self, to: Arc<Topic>) -> Result<()> {
         let mut guard = self.inner.write();
         if to.num_partitions() != guard.num_partitions() {
             return Err(Error::InvalidArgument(format!(
@@ -51,6 +53,12 @@ impl TopicSubscription {
         }
         *guard = to;
         Ok(())
+    }
+}
+
+impl From<Arc<Topic>> for TopicSubscription {
+    fn from(topic: Arc<Topic>) -> Self {
+        TopicSubscription::new(topic)
     }
 }
 
@@ -124,7 +132,9 @@ impl ConsumerGroup {
     /// Poll up to `max` records *per assigned partition* for a member,
     /// grouped by the partition they came from — the consumer proxy needs
     /// partition identity for its out-of-order offset tracking. Advances
-    /// the in-memory position (not the commit). Takes the group's lock once.
+    /// the in-memory position (not the commit) only when every fetch of the
+    /// poll succeeded: a failed poll drops nothing, and the next one reads
+    /// the same records. Takes the group's lock once.
     pub fn poll_partitioned(
         &self,
         member: &str,
@@ -138,12 +148,18 @@ impl ConsumerGroup {
         })?;
         let mut out = Vec::new();
         for &p in parts {
-            let cursor = st.cursors.entry(p).or_insert(PartitionCursor::new(p, 0));
-            let records = cursor.fetch(&topic, max)?;
-            cursor.consumed(&records);
+            // fetched through a copy: the cursors move once the poll is whole
+            let cursor = st.cursors.get(&p).copied();
+            let records = cursor
+                .unwrap_or(PartitionCursor::new(p, 0))
+                .fetch(&topic, max)?;
             if !records.is_empty() {
                 out.push((p, records));
             }
+        }
+        for (p, records) in &out {
+            let cursor = st.cursors.entry(*p).or_insert(PartitionCursor::new(*p, 0));
+            cursor.consumed(records);
         }
         Ok(out)
     }
@@ -345,6 +361,58 @@ mod tests {
         assert_eq!(g.lag(), 500, "nothing committed yet");
         g.commit("a");
         assert_eq!(g.lag(), 500 - low - 10);
+    }
+
+    /// A poll fails whole. "a" holds partitions 0 and 3, "b" 1 and "c" 2,
+    /// and one fetch in three times out: polled b, a, c, the first poll of
+    /// a fetches partition 0 and fails on 3, and its retry reads partition
+    /// 0 again. Retried polls deliver every committed record once.
+    #[test]
+    fn failed_fetches_are_retried_and_deliver_each_record_once() {
+        use rtdi_common::chaos::{Chaos, FaultKind, FaultPlan, FaultPoint, Trigger};
+        let chaos = Chaos::seeded(0xFE7C);
+        let t = Topic::new("t", TopicConfig::default().with_partitions(4)).unwrap();
+        let t = Arc::new(t.with_chaos(chaos.clone()));
+        for i in 0..400i64 {
+            let rec = Record::new(Row::new().with("i", i), i).with_key(format!("k{i}"));
+            t.append(rec, 0).unwrap();
+        }
+        let g = ConsumerGroup::new("g", TopicSubscription::new(t));
+        for m in ["a", "b", "c"] {
+            g.join(m);
+        }
+        assert_eq!(g.assignment("a"), vec![0, 3]);
+        chaos.arm(
+            FaultPoint::StreamFetch,
+            FaultPlan::fail(FaultKind::Timeout, Trigger::EveryNth(3)),
+        );
+        let mut seen = Vec::new();
+        loop {
+            let before = seen.len();
+            for m in ["b", "a", "c"] {
+                let polled = (0..3)
+                    .find_map(|_| match g.poll(m, 10) {
+                        Ok(records) => Some(records),
+                        Err(e) => {
+                            assert!(matches!(e, Error::Timeout(_)), "{e}");
+                            None
+                        }
+                    })
+                    .expect("a retried poll succeeds");
+                seen.extend(polled.iter().map(|r| r.record.value.get_int("i").unwrap()));
+                g.commit(m);
+            }
+            if seen.len() == before {
+                break;
+            }
+        }
+        assert!(
+            chaos.stats(FaultPoint::StreamFetch).1 > 0,
+            "no fetch failed"
+        );
+        seen.sort_unstable();
+        assert_eq!(seen, (0..400).collect::<Vec<i64>>());
+        assert_eq!(g.lag(), 0);
     }
 
     #[test]

@@ -366,18 +366,6 @@ mod tests {
             }
             self.inner.produce(topic, record, now)
         }
-        fn fetch(
-            &self,
-            topic: &str,
-            partition: usize,
-            offset: u64,
-            max: usize,
-        ) -> Result<crate::log::FetchResult> {
-            self.inner.topic(topic)?.fetch(partition, offset, max)
-        }
-        fn num_partitions(&self, topic: &str) -> Result<usize> {
-            Ok(self.inner.topic(topic)?.num_partitions())
-        }
     }
 
     #[test]

@@ -11,14 +11,15 @@
 //!
 //! [`FederatedCluster`] exposes the same [`StreamEndpoint`] interface as a
 //! single physical cluster — producers and consumers see one "logical
-//! cluster". Topic migration is offset-preserving: destination partitions
-//! adopt the source's base offsets before the copy, so committed consumer
-//! offsets remain valid after the transparent redirect.
+//! cluster". Each topic has one [`TopicSubscription`], made when the topic
+//! is placed; every reader holds a clone of it, and a migration redirects
+//! it once. Topic migration is offset-preserving: destination partitions
+//! adopt the source's base offsets before the copy, so every reader's
+//! cursors remain valid after the transparent redirect.
 
 use crate::chaperone::{Chaperone, ChaperoneStage};
 use crate::cluster::Cluster;
 use crate::consumer::TopicSubscription;
-use crate::log::FetchResult;
 use crate::producer::StreamEndpoint;
 use crate::topic::{Topic, TopicConfig};
 use parking_lot::RwLock;
@@ -28,12 +29,15 @@ use rtdi_common::{
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// The metadata server's entry for one topic: where it lives and what
-/// every append reports to, resolved when the topic is placed (or the
-/// tracer/auditor set), so a send looks up one entry and builds no name.
+/// The metadata server's entry for one topic: where it lives, the one
+/// subscription its readers follow, and what every append reports to,
+/// resolved when the topic is placed (or the tracer/auditor set), so a send
+/// looks up one entry and builds no name.
 struct Route {
     cluster: Arc<Cluster>,
+    /// Where the subscription points: a send appends here without a lock.
     topic: Arc<Topic>,
+    subscription: TopicSubscription,
     /// The topic's pipeline, `"stream"` stage: producer->broker dwell.
     trace: Option<TraceStage>,
     /// The `"<topic>/stream"` stage, the upstream side of loss/dup audits.
@@ -44,8 +48,6 @@ struct Inner {
     clusters: Vec<Arc<Cluster>>,
     /// topic -> route: the central placement table.
     routes: BTreeMap<String, Arc<Route>>,
-    /// Live subscriptions per topic, redirected during migration.
-    subscriptions: BTreeMap<String, Vec<TopicSubscription>>,
     /// Optional freshness tracing on every append.
     tracer: Option<PipelineTracer>,
     /// Optional Chaperone observation on every append.
@@ -53,11 +55,13 @@ struct Inner {
 }
 
 impl Inner {
-    /// (Re)place `name` on `cluster`, resolving its audit handles.
-    fn route(&mut self, name: &str, cluster: Arc<Cluster>, topic: Arc<Topic>) {
+    /// (Re)place `name` on `cluster`, where `subscription` points,
+    /// resolving its audit handles.
+    fn route(&mut self, name: &str, cluster: Arc<Cluster>, subscription: TopicSubscription) {
         let route = Route {
             cluster,
-            topic,
+            topic: subscription.topic(),
+            subscription,
             trace: self.tracer.as_ref().map(|tr| tr.stage(name, "stream")),
             audit: self
                 .chaperone
@@ -70,7 +74,7 @@ impl Inner {
     /// Resolve every route again, after the tracer or the auditor changed.
     fn reroute(&mut self) {
         for (name, old) in std::mem::take(&mut self.routes) {
-            self.route(&name, old.cluster.clone(), old.topic.clone());
+            self.route(&name, old.cluster.clone(), old.subscription.clone());
         }
     }
 
@@ -96,7 +100,6 @@ impl FederatedCluster {
             inner: Arc::new(RwLock::new(Inner {
                 clusters: Vec::new(),
                 routes: BTreeMap::new(),
-                subscriptions: BTreeMap::new(),
                 tracer: None,
                 chaperone: None,
             })),
@@ -104,7 +107,7 @@ impl FederatedCluster {
         }
     }
 
-    /// Sends and fetches through the federation fail when `chaos` says so.
+    /// Sends through the federation fail when `chaos` says so.
     pub fn with_chaos(mut self, chaos: Chaos) -> Self {
         self.chaos = chaos;
         self
@@ -148,8 +151,8 @@ impl FederatedCluster {
     /// Create a topic on the first healthy, non-full cluster. This is the
     /// "new topics are seamlessly created on the newly added clusters"
     /// behaviour: when existing clusters fill up, operators `add_cluster`
-    /// and placement picks it up automatically.
-    pub fn create_topic(&self, name: &str, config: TopicConfig) -> Result<()> {
+    /// and placement picks it up automatically. Returns the topic placed.
+    pub fn create_topic(&self, name: &str, config: TopicConfig) -> Result<Arc<Topic>> {
         let mut inner = self.inner.write();
         if inner.routes.contains_key(name) {
             return Err(Error::AlreadyExists(format!("federated topic '{name}'")));
@@ -174,8 +177,8 @@ impl FederatedCluster {
                 )
             })?;
         let topic = target.create_topic(name, config)?;
-        inner.route(name, target, topic);
-        Ok(())
+        inner.route(name, target, TopicSubscription::new(topic.clone()));
+        Ok(topic)
     }
 
     /// The topic's route, on a cluster that is up.
@@ -198,17 +201,10 @@ impl FederatedCluster {
         Some(route.cluster.name().to_string())
     }
 
-    /// Subscribe to a topic; the returned subscription survives topic
-    /// migration without a restart.
+    /// Subscribe to a topic: a clone of its one subscription, which
+    /// follows topic migration without a restart.
     pub fn subscribe(&self, topic: &str) -> Result<TopicSubscription> {
-        let sub = TopicSubscription::new(self.resolve(topic)?.topic.clone());
-        self.inner
-            .write()
-            .subscriptions
-            .entry(topic.to_string())
-            .or_default()
-            .push(sub.clone());
-        Ok(sub)
+        Ok(self.resolve(topic)?.subscription.clone())
     }
 
     /// Migrate a topic to another physical cluster while consumers keep
@@ -219,8 +215,8 @@ impl FederatedCluster {
     /// 2. align destination partition base offsets with the source;
     /// 3. hand every retained record to the destination log (the two logs
     ///    share the records; nothing is copied);
-    /// 4. update placement (producers now route to the target);
-    /// 5. redirect live subscriptions;
+    /// 4. redirect the topic's subscription (every reader follows);
+    /// 5. update placement (producers now route to the target);
     /// 6. drop the source topic.
     pub fn migrate_topic(&self, topic: &str, to_cluster: &str) -> Result<()> {
         let mut inner = self.inner.write();
@@ -263,12 +259,8 @@ impl FederatedCluster {
         // destination replicas caught up so its committed watermarks
         // expose the migrated records
         dst.resync_replicas();
-        inner.route(topic, to, dst.clone());
-        if let Some(subs) = inner.subscriptions.get(topic) {
-            for sub in subs {
-                sub.redirect(dst.clone())?;
-            }
-        }
+        route.subscription.redirect(dst)?;
+        inner.route(topic, to, route.subscription.clone());
         from.drop_topic(topic)?;
         Ok(())
     }
@@ -297,15 +289,6 @@ impl StreamEndpoint for FederatedCluster {
         }
         route.topic.append(record, now)
     }
-
-    fn fetch(&self, topic: &str, partition: usize, offset: u64, max: usize) -> Result<FetchResult> {
-        self.chaos.check(FaultPoint::StreamFetch)?;
-        self.resolve(topic)?.topic.fetch(partition, offset, max)
-    }
-
-    fn num_partitions(&self, topic: &str) -> Result<usize> {
-        Ok(self.resolve(topic)?.topic.num_partitions())
-    }
 }
 
 #[cfg(test)]
@@ -331,23 +314,34 @@ mod tests {
 
     #[test]
     fn injected_fetch_faults_surface_and_clear() {
-        use crate::producer::StreamEndpoint;
+        use crate::topic::PartitionCursor;
         use rtdi_common::chaos::{FaultKind, FaultPlan, FaultPoint, Trigger};
         let chaos = Chaos::seeded(0xFE7C);
-        let fed = FederatedCluster::new().with_chaos(chaos.clone());
-        fed.add_cluster(small_cluster("c1", 16));
+        let fed = FederatedCluster::new();
+        let config = ClusterConfig {
+            nodes: 1,
+            partitions_per_node: 16,
+        };
+        fed.add_cluster(Cluster::with_chaos("c1", config, chaos.clone()));
         fed.create_topic("t", TopicConfig::default().with_partitions(1))
             .unwrap();
         fed.send("t", rec(1).into(), 0).unwrap();
-        // every 2nd fetch through the federation endpoint times out
+        let topic = fed.subscribe("t").unwrap().topic();
+        let mut cursor = PartitionCursor::new(0, 0);
+        // every 2nd fetch of a cursor on the cluster's topic times out
         chaos.arm(
             FaultPoint::StreamFetch,
             FaultPlan::fail(FaultKind::Timeout, Trigger::EveryNth(2)),
         );
-        assert_eq!(fed.fetch("t", 0, 0, 10).unwrap().records.len(), 1);
-        assert!(matches!(fed.fetch("t", 0, 0, 10), Err(Error::Timeout(_))));
+        assert_eq!(cursor.fetch(&topic, 10).unwrap().len(), 1);
+        assert!(matches!(cursor.fetch(&topic, 10), Err(Error::Timeout(_))));
+        assert_eq!(
+            cursor,
+            PartitionCursor::new(0, 0),
+            "a failed fetch moves nothing"
+        );
         chaos.disarm(FaultPoint::StreamFetch);
-        assert_eq!(fed.fetch("t", 0, 0, 10).unwrap().records.len(), 1);
+        assert_eq!(cursor.fetch(&topic, 10).unwrap().len(), 1);
     }
 
     #[test]
@@ -435,7 +429,7 @@ mod tests {
             fed.send("t", rec(i).into(), 0).unwrap();
         }
         let sub = fed.subscribe("t").unwrap();
-        let group = ConsumerGroup::new("g", sub);
+        let group = ConsumerGroup::new("g", sub.clone());
         group.join("m");
         // consume half, commit
         let mut consumed = Vec::new();
@@ -450,6 +444,10 @@ mod tests {
         fed.migrate_topic("t", "c2").unwrap();
         assert_eq!(fed.placement("t").unwrap(), "c2");
         assert!(fed.cluster("c1").unwrap().topic("t").is_err());
+        // the one subscription moved: every clone, old or new, reads c2
+        let moved = fed.cluster("c2").unwrap().topic("t").unwrap();
+        assert!(Arc::ptr_eq(&sub.topic(), &moved));
+        assert!(Arc::ptr_eq(&fed.subscribe("t").unwrap().topic(), &moved));
 
         // producers keep working against the logical name
         for i in 100..110 {

@@ -5,7 +5,6 @@
 //! retries and audit decoration live here; everything else (routing,
 //! federation, quotas) lives server-side.
 
-use crate::log::FetchResult;
 use parking_lot::Mutex;
 use rtdi_common::{
     Clock, FaultPoint, Quota, RateLimiter, Record, Result, RetryPolicy, Timestamp, UniqueId,
@@ -15,29 +14,20 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Anything records can be produced to / fetched from by topic name:
-/// a single [`crate::cluster::Cluster`] or a federated logical cluster.
-/// `send` takes the record shared: the log keeps that `Arc`, and a caller
-/// that retries or forwards hands the same one over again.
+/// Anything records can be produced to by topic name: a single
+/// [`crate::cluster::Cluster`] or a federated logical cluster. `send` takes
+/// the record shared: the log keeps that `Arc`, and a caller that retries
+/// or forwards hands the same one over again. Readers do not come through
+/// here: each holds a [`crate::consumer::TopicSubscription`] and a
+/// [`crate::topic::PartitionCursor`] per partition.
 pub trait StreamEndpoint: Send + Sync {
     fn send(&self, topic: &str, record: Arc<Record>, now: Timestamp) -> Result<(usize, u64)>;
-    fn fetch(&self, topic: &str, partition: usize, offset: u64, max: usize) -> Result<FetchResult>;
-    fn num_partitions(&self, topic: &str) -> Result<usize>;
 }
 
 impl StreamEndpoint for crate::cluster::Cluster {
     fn send(&self, topic: &str, record: Arc<Record>, now: Timestamp) -> Result<(usize, u64)> {
         self.chaos.check(FaultPoint::StreamAppend)?;
         self.produce(topic, record, now)
-    }
-
-    fn fetch(&self, topic: &str, partition: usize, offset: u64, max: usize) -> Result<FetchResult> {
-        self.chaos.check(FaultPoint::StreamFetch)?;
-        self.topic(topic)?.fetch(partition, offset, max)
-    }
-
-    fn num_partitions(&self, topic: &str) -> Result<usize> {
-        Ok(self.topic(topic)?.num_partitions())
     }
 }
 
@@ -264,18 +254,6 @@ mod tests {
                 return Err(Error::Unavailable("transient".into()));
             }
             self.inner.produce(topic, record, now)
-        }
-        fn fetch(
-            &self,
-            topic: &str,
-            partition: usize,
-            offset: u64,
-            max: usize,
-        ) -> Result<FetchResult> {
-            self.inner.topic(topic)?.fetch(partition, offset, max)
-        }
-        fn num_partitions(&self, topic: &str) -> Result<usize> {
-            Ok(self.inner.topic(topic)?.num_partitions())
         }
     }
 

@@ -11,7 +11,8 @@
 //! log-end offset. Replication advances follower offsets — subject to
 //! [`FaultPoint::StreamReplicate`] chaos and node liveness — and the
 //! committed watermark is the minimum log-end offset across the ISR.
-//! Consumers only ever see records below it.
+//! Consumers only ever see records below it, and every consumer fetch
+//! checks [`FaultPoint::StreamFetch`] here.
 //!
 //! Failover: when a leader's node dies, an in-sync follower is elected
 //! and the shared log is truncated to the new leader's log-end offset.
@@ -150,7 +151,7 @@ impl ReplicaSet {
         }
     }
 
-    /// Follower replication fails when `chaos` says so.
+    /// Follower replication and fetches fail when `chaos` says so.
     pub fn with_chaos(mut self, chaos: Chaos) -> Self {
         self.chaos = chaos;
         self
@@ -235,8 +236,11 @@ impl ReplicaSet {
         Ok(offset)
     }
 
-    /// Consumer fetch: capped at the committed high watermark.
+    /// Consumer fetch: capped at the committed high watermark. Every
+    /// reader's fetch passes here, so this is where it fails when `chaos`
+    /// says so.
     pub fn fetch(&self, offset: u64, max: usize) -> Result<FetchResult> {
+        self.chaos.check(FaultPoint::StreamFetch)?;
         let committed = self.committed();
         self.log.fetch_capped(offset, max, committed)
     }

@@ -16,7 +16,9 @@
 //! allocating. And the backfill's: the Kappa+ source's peak live bytes
 //! follow the part it reads, not the range. And the row's own: a row
 //! built on a shared name list, a clone of one, a renamed window row and
-//! a row read from a part pay for their cells and never for a name.
+//! a row read from a part pay for their cells and never for a name. And a
+//! reader's subscription is a clone of its topic's one, which costs
+//! nothing.
 //!
 //! One `#[test]`, so the process-wide counter sees one thread at work.
 
@@ -42,7 +44,6 @@ use rtdi::storage::archival::{ArchivalWriter, Compactor};
 use rtdi::storage::hive::HiveCatalog;
 use rtdi::storage::keyed::KeyedSnapshot;
 use rtdi::storage::object::{InMemoryStore, ObjectStore};
-use rtdi::stream::log::FetchResult;
 use rtdi::stream::producer::{Producer, ProducerConfig, StreamEndpoint};
 use rtdi::stream::topic::{Topic, TopicConfig};
 use rtdi::usecases::workloads::CityDriverGenerator;
@@ -104,12 +105,6 @@ impl StreamEndpoint for Flaky {
         }
         self.inner.send(topic, record, now)
     }
-    fn fetch(&self, topic: &str, partition: usize, offset: u64, max: usize) -> Result<FetchResult> {
-        self.inner.fetch(topic, partition, offset, max)
-    }
-    fn num_partitions(&self, topic: &str) -> Result<usize> {
-        self.inner.num_partitions(topic)
-    }
 }
 
 /// Allocations of `n` sends through an endpoint failing `failures` times
@@ -157,6 +152,19 @@ fn audited_ingest_within_budget(platform: &RealtimePlatform, n: usize) -> u64 {
     );
     assert!(platform.health().zero_loss());
     with_audit
+}
+
+/// The federation keeps one subscription per topic: a reader's is a
+/// clone, however many readers subscribe.
+fn subscribing_allocates_nothing() {
+    let platform = platform_with_topic();
+    let federation = platform.federation();
+    let ((), spent) = count_allocations(|| {
+        for _ in 0..100 {
+            std::hint::black_box(federation.subscribe("trips").unwrap());
+        }
+    });
+    assert_eq!(spent.allocs, 0, "100 subscriptions to one topic");
 }
 
 /// Every handle a topic's partition `p` holds, in offset order.
@@ -1043,6 +1051,8 @@ fn produce_ingest_and_retry_hold_their_allocation_budgets() {
     );
 
     upsert_names_its_segment_by_pointer();
+
+    subscribing_allocates_nothing();
 
     // two refusals per send cost two more attempts and no copy of the record
     const M: usize = 1_000;

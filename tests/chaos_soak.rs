@@ -16,7 +16,7 @@ use rtdi::olap::broker::{Broker, ServerNode};
 use rtdi::olap::query::Query;
 use rtdi::olap::segment::{IndexSpec, Segment};
 use rtdi::olap::table::TableConfig;
-use rtdi::stream::consumer::{ConsumerGroup, TopicSubscription};
+use rtdi::stream::consumer::ConsumerGroup;
 use rtdi::stream::dlq::DeadLetterQueue;
 use rtdi::stream::proxy::{ConsumerProxy, DispatchMode, ProxyConfig};
 use rtdi::stream::topic::TopicConfig;
@@ -134,8 +134,7 @@ fn soak(seed: u64, mix: FaultMix) -> String {
 
     // --- consumer proxy under injected dispatch faults: transient, so
     // everything is delivered and nothing is dead-lettered
-    let sub = p.federation().subscribe("trips").unwrap();
-    let group = ConsumerGroup::new("soak", TopicSubscription::new(sub.topic()));
+    let group = ConsumerGroup::new("soak", p.federation().subscribe("trips").unwrap());
     let dlq = Arc::new(DeadLetterQueue::new("trips").unwrap());
     let proxy = ConsumerProxy::new(
         ProxyConfig {

@@ -168,18 +168,6 @@ fn dlq_merge_after_downstream_fix() {
         ) -> rtdi::common::Result<(usize, u64)> {
             self.0.append(record, now)
         }
-        fn fetch(
-            &self,
-            _topic: &str,
-            partition: usize,
-            offset: u64,
-            max: usize,
-        ) -> rtdi::common::Result<rtdi::stream::log::FetchResult> {
-            self.0.fetch(partition, offset, max)
-        }
-        fn num_partitions(&self, _topic: &str) -> rtdi::common::Result<usize> {
-            Ok(self.0.num_partitions())
-        }
     }
     let merged = dlq.merge(&Cluster0(topic.clone()), 1_000).unwrap();
     assert_eq!(merged, 10);

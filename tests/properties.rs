@@ -2844,14 +2844,17 @@ mod partition_cursor {
     }
 
     /// Seeded interleavings of appends, retention trims (a size-retained
-    /// log trims at every append), replication lag, fetches of drawn sizes
-    /// and partial advances. What a cursor delivers plus what it counts as
-    /// skipped covers every offset from where it started to the committed
-    /// watermark exactly once, in offset order; and a cursor seeked to any
-    /// position it reported fetches what it fetches from there.
+    /// log trims at every append), replication lag, fetches of drawn sizes,
+    /// failed fetches and partial advances. What a cursor delivers plus
+    /// what it counts as skipped covers every offset from where it started
+    /// to the committed watermark exactly once, in offset order; a failed
+    /// fetch moves the cursor by at most a retention jump; and a cursor
+    /// seeked to any position it reported fetches what it fetches from
+    /// there.
     #[test]
     fn delivered_and_skipped_cover_every_committed_offset_once() {
-        let (mut jumps, mut partial) = (0, 0);
+        use rtdi::common::Error;
+        let (mut jumps, mut partial, mut failed) = (0, 0, 0);
         for case in 0..64u64 {
             let mut rng = StdRng::seed_from_u64(SEED_CURSOR + case);
             let chaos = Chaos::seeded(case);
@@ -2868,6 +2871,11 @@ mod partition_cursor {
             chaos.arm(
                 FaultPoint::StreamReplicate,
                 FaultPlan::fail(FaultKind::Timeout, lag),
+            );
+            let faults = Trigger::Probability(rng.gen_range(0.0..0.3));
+            chaos.arm(
+                FaultPoint::StreamFetch,
+                FaultPlan::fail(FaultKind::Timeout, faults),
             );
             let mut appended = 0u64;
             let mut append = |rng: &mut StdRng| {
@@ -2895,14 +2903,25 @@ mod partition_cursor {
                 let mut twin = PartitionCursor::new(0, 0);
                 twin.position = cursor.position;
                 let before = cursor;
-                let records = cursor.fetch(&topic, max).unwrap();
-                assert_eq!(twin.fetch(&topic, max).unwrap(), records, "{}", ctx(step));
-                assert_eq!(twin.position, cursor.position, "{}", ctx(step));
+                let fetched = cursor.fetch(&topic, max);
                 let skipped = cursor.skipped - before.skipped;
-                assert_eq!(twin.skipped, skipped, "{}", ctx(step));
                 assert_eq!(cursor.position, next + skipped, "{}", ctx(step));
                 jumps += usize::from(skipped > 0);
                 next += skipped;
+                let records = match fetched {
+                    Ok(records) => records,
+                    Err(e) => {
+                        assert!(matches!(e, Error::Timeout(_)), "{}: {e}", ctx(step));
+                        failed += 1;
+                        continue;
+                    }
+                };
+                // the twin's own fetch may fail: it is compared when it reads
+                if let Ok(again) = twin.fetch(&topic, max) {
+                    assert_eq!(again, records, "{}", ctx(step));
+                    assert_eq!(twin.position, cursor.position, "{}", ctx(step));
+                    assert_eq!(twin.skipped, skipped, "{}", ctx(step));
+                }
                 let taken = rng.gen_range(0..=records.len());
                 partial += usize::from(taken < records.len());
                 for (k, r) in records[..taken].iter().enumerate() {
@@ -2917,6 +2936,7 @@ mod partition_cursor {
                 assert!(next <= committed, "{}: past {committed}", ctx(step));
             }
             chaos.disarm(FaultPoint::StreamReplicate);
+            chaos.disarm(FaultPoint::StreamFetch);
             loop {
                 let skipped = cursor.skipped;
                 let records = cursor.fetch(&topic, 64).unwrap();
@@ -2939,6 +2959,7 @@ mod partition_cursor {
         }
         assert!(jumps >= 20, "only {jumps} retention jumps");
         assert!(partial >= 100, "only {partial} partial advances");
+        assert!(failed >= 100, "only {failed} failed fetches");
     }
 }
 
@@ -3138,6 +3159,7 @@ mod kappa_equivalence {
     use rtdi::flinksql::compiler::CompileOptions;
     use rtdi::flinksql::sinks::PinotSink;
     use rtdi::olap::table::TableConfig;
+    use rtdi::stream::cluster::{Cluster, ClusterConfig};
     use rtdi::stream::topic::TopicConfig;
     use rtdi::usecases::CityDriverGenerator;
     use std::collections::BTreeMap;
@@ -3252,22 +3274,40 @@ mod kappa_equivalence {
                 .collect();
             // drawn after the records, so a case's stream does not depend on it
             let cut = [None, Some(10.0), Some(30.0)][rng.gen_range(0..3usize)];
-            let ctx = format!("{ctx}, fares above {cut:?}");
+            // the chunk after which `trips` moves to a second cluster; one
+            // past the last chunk is no move at all
+            let moved_after = rng.gen_range(0..=rounds);
+            let ctx = format!("{ctx}, fares above {cut:?}, moved after chunk {moved_after}");
             let want = fold(&records, window, cut);
 
             let platform = RealtimePlatform::with_clock(Arc::new(SimClock::new(1_000)));
+            let federation = platform.federation();
+            federation.add_cluster(Cluster::new("cluster-2", ClusterConfig::default()));
             let config = TopicConfig::default().with_partitions(partitions);
             platform
                 .create_topic("trips", config, trips_schema())
                 .unwrap();
             let producer = platform.producer("kappa");
             let mut archived = 0;
-            for chunk in records.chunks(n.div_ceil(rounds)) {
-                for r in chunk {
+            for (chunk, records) in records.chunks(n.div_ceil(rounds)).enumerate() {
+                for r in records {
                     producer.send("trips", r.clone()).unwrap();
                 }
                 archived += platform.archive_topic("trips", &trips_schema()).unwrap();
+                if chunk == moved_after {
+                    federation.migrate_topic("trips", "cluster-2").unwrap();
+                }
             }
+            let placed = if moved_after < rounds {
+                "cluster-2"
+            } else {
+                "cluster-1"
+            };
+            assert_eq!(
+                federation.placement("trips").as_deref(),
+                Some(placed),
+                "{ctx}"
+            );
             assert_eq!(archived, n, "{ctx}");
 
             let filter = cut.map_or(String::new(), |cut| format!("WHERE fare > {cut:.1} "));
