@@ -4,6 +4,10 @@
 # `bash ci.sh gates` runs only the determinism gates (the table at the
 # bottom) and prints every tag line they compare, so two checkouts, each
 # with its own target dir, compare as one `diff` of their outputs.
+# `bash ci.sh gates <commit>` is that comparison: it runs this table on the
+# commit's files (`git archive` into `$TMPDIR/rtdi-gates-<commit>`, built
+# in a target dir of their own) and on the working tree, prints the `diff`
+# of the two outputs and exits 1 when they differ.
 #
 # `bash ci.sh lines` builds nothing: it prints the non-test code lines of
 # each system crate (`crates/*/src` but the claims crate `bench`, and the
@@ -26,7 +30,26 @@ cd "$(dirname "$0")"
 
 case "${1:-}" in
   '') gates_only="" ;;
-  gates) gates_only=1 ;;
+  gates)
+    gates_only=1
+    if [ -n "${2:-}" ]; then
+      commit=$(git rev-parse --verify "$2^{commit}")
+      dir=${TMPDIR:-/tmp}/rtdi-gates-${commit:0:12}
+      if [ ! -d "$dir/src" ]; then
+        mkdir -p "$dir/src"
+        git archive "$commit" | tar -x -C "$dir/src"
+      fi
+      # this table, not the commit's, on the commit's files
+      cp ci.sh "$dir/src/ci.sh"
+      (cd "$dir/src" && env -u CARGO_TARGET_DIR bash ci.sh gates) >"$dir/commit.out"
+      bash ci.sh gates >"$dir/tree.out"
+      if diff "$dir/commit.out" "$dir/tree.out"; then
+        echo "every gate line of the working tree equals ${commit:0:12}'s"
+        exit 0
+      fi
+      exit 1
+    fi
+    ;;
   lines)
     total=0
     for dir in crates/*/src src; do
@@ -148,7 +171,7 @@ case "${1:-}" in
     done
     exit 0
     ;;
-  *) echo "usage: bash ci.sh [gates|lines|pair <parent> <change> [workload...]]" >&2; exit 2 ;;
+  *) echo "usage: bash ci.sh [gates [commit]|lines|pair <parent> <change> [workload...]]" >&2; exit 2 ;;
 esac
 
 if [ -z "$gates_only" ]; then

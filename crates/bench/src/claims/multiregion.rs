@@ -58,7 +58,7 @@ fn e20_offset_sync(r: &mut Report) -> Result<()> {
         },
     )?;
     let ids = |records: &[Record]| -> BTreeSet<String> {
-        let id = |rec: &Record| rec.audit().unique_id.as_ref().map(ToString::to_string);
+        let id = |rec: &Record| rec.unique_id().map(|id| id.to_string());
         records.iter().filter_map(id).collect()
     };
     let mut seen = ids(&before);

@@ -39,7 +39,7 @@ pub use membership::{
 pub use overload::{
     AdmissionConfig, AdmissionController, Deadline, Permit, Priority, Quota, RateLimiter,
 };
-pub use record::{Audit, Record, UniqueId};
+pub use record::{Origin, Record, UniqueId};
 pub use schema::{Field, FieldType, Schema};
 pub use sketch::CountMinSketch;
 pub use text::Text;

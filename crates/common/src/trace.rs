@@ -119,7 +119,7 @@ impl TraceStage {
     /// 3. restamp the record (this method, which needs `&mut Record`).
     pub fn observe_hop(&self, record: &mut Record, now: Timestamp) -> i64 {
         let dwell = self.observe_last_hop(record, now);
-        record.audit_mut().trace_ts = Some(now);
+        record.set_trace_ts(Some(now));
         dwell
     }
 
@@ -147,8 +147,8 @@ impl TraceStage {
         let mut newest = i64::MIN;
         for (record, now) in records {
             let origin = PipelineTracer::app_ts_of(record);
-            hops.record((now - PipelineTracer::origin_of(record)).max(0) as u64);
-            totals.record((now - origin).max(0) as u64);
+            hops.record(now.saturating_sub(PipelineTracer::origin_of(record)).max(0) as u64);
+            totals.record(now.saturating_sub(origin).max(0) as u64);
             newest = newest.max(origin);
         }
         self.advance_origin(newest);
@@ -166,7 +166,7 @@ impl TraceStage {
     /// path that only borrow the records they see. The next hop will re-measure from the same stamp and the pipeline's
     /// staleness does not move, so use this only for side channels.
     pub fn observe_read(&self, record: &Record, now: Timestamp) -> i64 {
-        let dwell = now - PipelineTracer::origin_of(record);
+        let dwell = now.saturating_sub(PipelineTracer::origin_of(record));
         self.record_dwell(dwell);
         dwell.max(0)
     }
@@ -202,21 +202,20 @@ impl PipelineTracer {
     /// record): the trace stamp, else the producer's app timestamp, else
     /// the record's event time.
     pub fn origin_of(record: &Record) -> Timestamp {
-        let audit = record.audit();
-        audit.trace_ts.or(audit.app_ts).unwrap_or(record.timestamp)
+        let stamp = record.trace_ts().or(record.app_ts());
+        stamp.unwrap_or(record.timestamp)
     }
 
     /// The producer-side origin stamp (ignores intermediate hop stamps).
     pub fn app_ts_of(record: &Record) -> Timestamp {
-        record.audit().app_ts.unwrap_or(record.timestamp)
+        record.app_ts().unwrap_or(record.timestamp)
     }
 
     /// Stamp a record at its origin: sets the trace stamp, and the app
     /// timestamp too if the producer has not already done so.
     pub fn stamp(record: &mut Record, now: Timestamp) {
-        let audit = record.audit_mut();
-        audit.app_ts.get_or_insert(now);
-        audit.trace_ts = Some(now);
+        record.set_app_ts(Some(record.app_ts().unwrap_or(now)));
+        record.set_trace_ts(Some(now));
     }
 
     /// [`TraceStage::record_dwell`] for a caller without a handle.
@@ -228,7 +227,7 @@ impl PipelineTracer {
     pub fn staleness_ms(&self, pipeline: &str, now: Timestamp) -> Option<i64> {
         let inner = self.inner.read();
         let newest = inner.get(pipeline)?.newest_origin.load(Ordering::Relaxed);
-        (newest != i64::MIN).then(|| (now - newest).max(0))
+        (newest != i64::MIN).then(|| now.saturating_sub(newest).max(0))
     }
 
     /// Record query-time staleness under [`SQL_QUERY_STAGE`]; the SQL
@@ -279,7 +278,7 @@ mod tests {
         /// stage, at the point where the record becomes visible to consumers
         /// (OLAP segment, KV store, sink topic).
         fn record_total(&self, record: &Record, now: Timestamp) -> i64 {
-            let total = now - PipelineTracer::app_ts_of(record);
+            let total = now.saturating_sub(PipelineTracer::app_ts_of(record));
             self.record_dwell(total);
             total.max(0)
         }
@@ -336,7 +335,7 @@ mod tests {
         let mut records: Vec<(Record, Timestamp)> = (0..40)
             .map(|i| (stamped(1_000 + i / 7 * 10), 1_100 + i % 3))
             .collect();
-        records[5].0.audit_mut().trace_ts = Some(1_090);
+        records[5].0.set_trace_ts(Some(1_090));
         records[6].1 = 900;
         records.push((Record::new(Row::new(), 50), 80));
         let (batch, single) = (PipelineTracer::new(), PipelineTracer::new());

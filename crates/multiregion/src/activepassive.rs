@@ -172,7 +172,7 @@ mod tests {
     fn ids(records: &[Record]) -> BTreeSet<String> {
         records
             .iter()
-            .map(|r| r.audit().unique_id.as_ref().unwrap().to_string())
+            .map(|r| r.unique_id().unwrap().to_string())
             .collect()
     }
 

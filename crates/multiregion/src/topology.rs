@@ -238,7 +238,7 @@ impl MultiRegionTopology {
     /// that region does).
     pub fn produce(&self, region: &str, mut record: Record, now: Timestamp) -> Result<()> {
         let region = self.region(region)?;
-        record.audit_mut().origin_region = Some(region.origin.clone());
+        record.set_origin_region(Some(region.origin.clone()));
         region.regional.produce(&self.topic, record, now)?;
         Ok(())
     }
@@ -433,6 +433,6 @@ mod tests {
         topo.produce("a", trip(1), 1).unwrap();
         let t = topo.region("a").unwrap().regional.topic("trips").unwrap();
         let rec = &t.fetch(0, 0, 1).unwrap().records[0].record;
-        assert_eq!(rec.audit().origin_region.as_deref(), Some("a"));
+        assert_eq!(rec.origin_region(), Some("a"));
     }
 }

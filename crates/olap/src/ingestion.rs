@@ -57,6 +57,8 @@ pub struct RealtimeIngester {
     clock: Option<Arc<dyn Clock>>,
     config: IngestionConfig,
     cursors: Vec<PartitionCursor>,
+    /// Rows the table took over every round, failed rounds included.
+    ingested: u64,
 }
 
 impl RealtimeIngester {
@@ -85,6 +87,7 @@ impl RealtimeIngester {
             trace: None,
             clock: None,
             config,
+            ingested: 0,
         })
     }
 
@@ -117,12 +120,20 @@ impl RealtimeIngester {
         self.cursors.iter().map(|c| c.position).collect()
     }
 
+    /// Rows the table took over every `run_once` so far, those of a round
+    /// that returned an error included.
+    pub fn records_ingested(&self) -> u64 {
+        self.ingested
+    }
+
     /// Records retention removed before they were ingested.
     pub fn skipped(&self) -> u64 {
         self.cursors.iter().map(|c| c.skipped).sum()
     }
 
-    /// Ingest everything currently available. Returns records ingested.
+    /// Ingest everything currently available. Returns records ingested;
+    /// a round that stops on an error returns the error, and the rows it
+    /// did ingest still count in [`Self::records_ingested`].
     ///
     /// Each partition drains to its log's end or to its own error; the
     /// error of the lowest-numbered partition that stopped short is
@@ -143,9 +154,9 @@ impl RealtimeIngester {
             .count();
         let mut total = 0;
         let mut first_error = None;
-        let mut settle = |drained: Result<u64>| match drained {
-            Ok(n) => total += n,
-            Err(e) => {
+        let mut settle = |(ingested, error): (u64, Option<Error>)| {
+            total += ingested;
+            if let Some(e) = error {
                 first_error.get_or_insert(e);
             }
         };
@@ -156,7 +167,7 @@ impl RealtimeIngester {
             });
             for (p, drain) in drains.into_iter().enumerate() {
                 // a drain that panicked leaves its cursor where it was
-                let (cursor, drained) = drain.unwrap_or_else(|e| (self.cursors[p], Err(e)));
+                let (cursor, drained) = drain.unwrap_or_else(|e| (self.cursors[p], (0, Some(e))));
                 self.cursors[p] = cursor;
                 settle(drained);
             }
@@ -167,20 +178,25 @@ impl RealtimeIngester {
                 settle(drained);
             }
         }
+        self.ingested += total;
         first_error.map_or(Ok(total), Err)
     }
 
     /// Drain the cursor's partition in fetches of `batch_size`: each is
     /// ingested under one hold of the partition's lock, then audited and
-    /// traced. Returns the cursor advanced past what the table took and the
-    /// records consumed, or the error that stopped the drain there.
-    fn drain(&self, topic: &Topic, mut cursor: PartitionCursor) -> (PartitionCursor, Result<u64>) {
+    /// traced. Returns the cursor advanced past what the table took, the
+    /// rows the table took, and the error that stopped the drain there.
+    fn drain(
+        &self,
+        topic: &Topic,
+        mut cursor: PartitionCursor,
+    ) -> (PartitionCursor, (u64, Option<Error>)) {
         let mut total = 0;
         loop {
             let fetch = match cursor.fetch(topic, self.config.batch_size) {
-                Ok(records) if records.is_empty() => return (cursor, Ok(total)),
+                Ok(records) if records.is_empty() => return (cursor, (total, None)),
                 Ok(records) => records,
-                Err(e) => return (cursor, Err(e)),
+                Err(e) => return (cursor, (total, Some(e))),
             };
             // the log shares its records: append and observe from the
             // borrow, copying nothing. Event time is queryable under the
@@ -189,11 +205,12 @@ impl RealtimeIngester {
             let rows = rows.map(|r| (&r.record.value, Some(r.record.timestamp)));
             // a refused row is consumed like the rows before it: it is
             // audited and the next round resumes behind it
-            let (consumed, refusal) = match self.table.ingest_batch(cursor.partition, rows) {
+            let (taken, refusal) = match self.table.ingest_batch(cursor.partition, rows) {
                 Ok(all) => (all, None),
-                Err((before, refusal)) => (before + 1, Some(refusal)),
+                Err((before, refusal)) => (before, Some(refusal)),
             };
-            let consumed = &fetch[..consumed];
+            total += taken as u64;
+            let consumed = &fetch[..taken + refusal.is_some() as usize];
             cursor.consumed(consumed);
             if let Some(stage) = &self.chaperone {
                 stage.observe_batch(consumed.iter().map(|r| r.record.as_ref()));
@@ -209,9 +226,8 @@ impl RealtimeIngester {
                 hop.observe_visible(end_to_end, seen);
             }
             if let Some(refusal) = refusal {
-                return (cursor, Err(refusal));
+                return (cursor, (total, Some(refusal)));
             }
-            total += consumed.len() as u64;
         }
     }
 }
@@ -353,6 +369,7 @@ mod tests {
         };
         assert!(matches!(ing.run_once(), Err(Error::Schema(_))));
         assert_eq!(rows(), Some(REFUSED as i64));
+        assert_eq!(ing.records_ingested(), REFUSED as u64);
         assert_eq!(tbl.sealed_segments(0).unwrap().len(), 1);
         assert_eq!(ch.stats("pinot-ingestion", 0).count, REFUSED as u64 + 1);
         assert_eq!(ing.lag(), 30 - (REFUSED as u64 + 1));
@@ -516,7 +533,8 @@ mod tests {
     /// A failed fetch stops only its own partition's drain, behind the
     /// rows the table took. One fetch in three times out on four
     /// partitions, so every round fails; rounds retried until the table is
-    /// full take each record once.
+    /// full take each record once, and the ingester's count of what it
+    /// took matches the table after every failed round.
     #[test]
     fn failed_fetches_are_retried_and_deliver_each_record_once() {
         use rtdi_common::chaos::{Chaos, FaultKind, FaultPlan, FaultPoint, Trigger};
@@ -552,11 +570,15 @@ mod tests {
         while count() != Some(N as i64) {
             assert!(matches!(ing.run_once(), Err(Error::Timeout(_))));
             rounds += 1;
+            // a failed round's rows count too
+            let ingested = ing.records_ingested() as i64;
+            assert_eq!(Some(ingested), count(), "after round {rounds}");
             assert!(rounds < 100, "{:?} of {N} after {rounds} rounds", count());
         }
         assert!(rounds > 1);
         chaos.disarm(FaultPoint::StreamFetch);
         assert_eq!(ing.run_once().unwrap(), 0, "nothing is read twice");
+        assert_eq!(ing.records_ingested(), N as u64);
         assert_eq!(ch.loss_and_duplication("kafka", "pinot-ingestion"), (0, 0));
         assert_eq!(count(), Some(N as i64));
     }

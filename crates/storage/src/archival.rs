@@ -23,7 +23,7 @@ use crate::segfile::{self, SegmentMeta};
 use bytes::Bytes;
 use rtdi_common::wire::{Reader, Writer};
 use rtdi_common::{
-    Audit, Error, Record, Result, RetryPolicy, Row, RowNames, Schema, Timestamp, UniqueId, Value,
+    Error, Record, Result, RetryPolicy, Row, RowNames, Schema, Timestamp, UniqueId, Value,
 };
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -72,72 +72,71 @@ const HAS_ORIGIN_REGION: u8 = 1 << 5;
 
 /// A record's audit envelope, typed: a flags byte, then the fields it
 /// announces — fixed-width integers, length-prefixed strings.
-fn encode_audit(w: &mut Writer, a: &Audit) {
+fn encode_audit(w: &mut Writer, r: &Record) {
     let has = |present: bool, flag: u8| if present { flag } else { 0 };
-    let id_form = match &a.unique_id {
+    let id = r.unique_id();
+    let id_form = match id {
         None => 0,
         Some(UniqueId::Seq { .. }) => ID_SEQ,
         Some(UniqueId::Text(_)) => ID_TEXT,
     };
+    let (app_ts, trace_ts) = (r.app_ts(), r.trace_ts());
+    let (service, origin_region) = (r.service(), r.origin_region());
     let flags = id_form
-        | has(a.app_ts.is_some(), HAS_APP_TS)
-        | has(a.trace_ts.is_some(), HAS_TRACE_TS)
-        | has(a.service.is_some(), HAS_SERVICE)
-        | has(a.origin_region.is_some(), HAS_ORIGIN_REGION);
+        | has(app_ts.is_some(), HAS_APP_TS)
+        | has(trace_ts.is_some(), HAS_TRACE_TS)
+        | has(service.is_some(), HAS_SERVICE)
+        | has(origin_region.is_some(), HAS_ORIGIN_REGION);
     w.u8(flags);
-    match &a.unique_id {
+    match id {
         None => {}
         Some(UniqueId::Seq { origin, seq }) => {
-            w.u64(*seq);
+            w.u64(seq);
             w.str(origin);
         }
         Some(UniqueId::Text(text)) => w.str(text),
     }
-    for ts in [a.app_ts, a.trace_ts].into_iter().flatten() {
+    for ts in [app_ts, trace_ts].into_iter().flatten() {
         w.i64(ts);
     }
-    for s in [&a.service, &a.origin_region].into_iter().flatten() {
+    for s in [service, origin_region].into_iter().flatten() {
         w.str(s);
     }
 }
 
 /// Inverse of [`encode_audit`] over one record's block, which must hold
 /// exactly the fields its flags announce.
-fn decode_audit(block: &[u8]) -> Result<Audit> {
+fn decode_audit(block: &[u8], rec: &mut Record) -> Result<()> {
     let mut r = Reader::new(block);
     let flags = r.u8("audit flags")?;
-    let unique_id = match flags & 0b11 {
-        0 => None,
+    match flags & 0b11 {
+        0 => {}
         ID_SEQ => {
             let seq = r.u64("unique id seq")?;
-            let origin = r.str("unique id origin")?.into();
-            Some(UniqueId::Seq { origin, seq })
+            let origin = &r.str("unique id origin")?.into();
+            rec.set_unique_id(Some(UniqueId::Seq { origin, seq }));
         }
-        ID_TEXT => Some(UniqueId::Text(r.str("unique id")?.into())),
+        ID_TEXT => rec.set_unique_id(Some(UniqueId::Text(&r.str("unique id")?.into()))),
         _ => return Err(Error::Corruption("bad unique id form".into())),
-    };
-    let mut a = Audit {
-        unique_id,
-        ..Audit::default()
-    };
+    }
     if flags & HAS_APP_TS != 0 {
-        a.app_ts = Some(r.i64("app timestamp")?);
+        rec.set_app_ts(Some(r.i64("app timestamp")?));
     }
     if flags & HAS_TRACE_TS != 0 {
-        a.trace_ts = Some(r.i64("trace timestamp")?);
+        rec.set_trace_ts(Some(r.i64("trace timestamp")?));
     }
     if flags & HAS_SERVICE != 0 {
-        a.service = Some(r.str("service")?.into());
+        rec.set_service(Some(r.str("service")?.into()));
     }
     if flags & HAS_ORIGIN_REGION != 0 {
-        a.origin_region = Some(r.str("origin region")?.into());
+        rec.set_origin_region(Some(r.str("origin region")?.into()));
     }
     if flags >> 6 != 0 || r.remaining() != 0 {
         return Err(Error::Corruption(
             "audit block does not match its flags".into(),
         ));
     }
-    Ok(a)
+    Ok(())
 }
 
 fn encode_raw_refs<'a>(records: impl ExactSizeIterator<Item = &'a Record>) -> Bytes {
@@ -157,9 +156,9 @@ fn encode_raw_refs<'a>(records: impl ExactSizeIterator<Item = &'a Record>) -> By
             _ => w.u8(0),
         }
         // length-prefixed, so a reader that wants none of it skips it
-        w.block_with(|w| encode_audit(w, r.audit()));
-        w.u32(r.headers.len() as u32);
-        for (k, v) in r.headers.iter() {
+        w.block_with(|w| encode_audit(w, r));
+        w.u32(r.headers().len() as u32);
+        for (k, v) in r.headers() {
             w.str(k);
             w.str(v);
         }
@@ -308,15 +307,12 @@ pub fn decode_raw(data: &Bytes) -> Result<Vec<Record>> {
         };
         let mut rec = Record::new(Row::new(), ts);
         rec.key = key;
-        let audit = decode_audit(r.block("audit block")?)?;
-        if audit != Audit::default() {
-            *rec.audit_mut() = audit;
-        }
+        decode_audit(r.block("audit block")?, &mut rec)?;
         // every header needs at least its two length prefixes
         let nh = r.count(8, "header count")?;
         for _ in 0..nh {
             let k = r.str("header key")?.to_string();
-            rec.headers.set(k, r.str("header value")?);
+            rec.set_header(k, r.str("header value")?);
         }
         rec.value = decode_row(&mut r, &mut shape)?;
         out.push(rec);
@@ -568,30 +564,28 @@ mod tests {
     fn audit_block_roundtrips_every_shape_of_envelope() {
         // what a producer sends: a minted id and all of its stamps
         let mut minted = rec(1, 10);
-        *minted.audit_mut() = Audit {
-            unique_id: Some(UniqueId::Seq {
-                origin: "driver-app#3".into(),
-                seq: u64::MAX,
-            }),
-            app_ts: Some(-5),
-            trace_ts: Some(i64::MAX),
-            service: Some("driver-app".into()),
-            origin_region: Some("us-west".into()),
-        };
+        minted.set_unique_id(Some(UniqueId::Seq {
+            origin: &"driver-app#3".into(),
+            seq: u64::MAX,
+        }));
+        minted.set_app_ts(Some(-5));
+        minted.set_trace_ts(Some(i64::MAX));
+        minted.set_service(Some("driver-app".into()));
+        minted.set_origin_region(Some("us-west".into()));
         // a caller's id beside caller headers, one stamp of the two
         let mut text = rec(2, 11).with_header("tenant", "eats").with_header("", "");
-        text.audit_mut().trace_ts = Some(12);
+        text.set_trace_ts(Some(12));
         // nothing at all, and a region alone
         let bare = Record::new(Row::new(), 12);
         let mut region_only = Record::new(Row::new().with("x", 1i64), 13);
-        region_only.audit_mut().origin_region = Some("".into());
+        region_only.set_origin_region(Some("".into()));
         let records = vec![minted, text, bare, region_only];
         let data = encode_raw(&records).unwrap();
         assert_eq!(decode_raw(&data).unwrap(), records);
         // the typed block is what the four string headers used to be
         let as_headers = |r: &Record| {
-            let mut h = r.clone();
-            *h.audit_mut() = Audit::default();
+            let mut h = Record::new(r.value.clone(), r.timestamp);
+            h.key = r.key.clone();
             h.with_header("rtdi.unique_id", "driver-app-18446744073709551615")
                 .with_header("rtdi.app_ts", "1700000000000")
                 .with_header("rtdi.trace_ts", "1700000000000")

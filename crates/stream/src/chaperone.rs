@@ -113,7 +113,7 @@ struct Window {
 }
 
 impl Window {
-    fn count(&mut self, id: Option<&UniqueId>) {
+    fn count(&mut self, id: Option<UniqueId>) {
         match id {
             None => self.anonymous += 1,
             Some(UniqueId::Text(text)) => *self.texts.entry(text.clone()).or_insert(0) += 1,
@@ -130,7 +130,7 @@ impl Window {
                     },
                 };
                 self.last_origin = slot;
-                self.origins[slot].1.insert(*seq);
+                self.origins[slot].1.insert(seq);
             }
         }
     }
@@ -181,7 +181,7 @@ impl ChaperoneStage {
 
     /// The one counting function: takes the lock once and keeps the
     /// current window while event time stays inside it.
-    fn count<'a>(&self, ids: impl IntoIterator<Item = (Option<&'a UniqueId>, Timestamp)>) {
+    fn count<'a>(&self, ids: impl IntoIterator<Item = (Option<UniqueId<'a>>, Timestamp)>) {
         let mut ids = ids.into_iter().peekable();
         let mut windows = self.data.lock();
         while let Some((id, ts)) = ids.next() {
@@ -199,8 +199,8 @@ impl ChaperoneStage {
     }
 }
 
-fn id_and_time(record: &Record) -> (Option<&UniqueId>, Timestamp) {
-    (record.audit().unique_id.as_ref(), record.timestamp)
+fn id_and_time(record: &Record) -> (Option<UniqueId<'_>>, Timestamp) {
+    (record.unique_id(), record.timestamp)
 }
 
 impl Chaperone {
@@ -231,8 +231,8 @@ impl Chaperone {
 
     /// Lower-level variant for stages that only have ids.
     pub fn observe_id(&self, stage: &str, unique_id: &str, ts: Timestamp) {
-        let id = UniqueId::Text(unique_id.into());
-        self.stage(stage).count([(Some(&id), ts)]);
+        let id = unique_id.into();
+        self.stage(stage).count([(Some(UniqueId::Text(&id)), ts)]);
     }
 
     /// Every stage that has reported at least one observation.
@@ -402,10 +402,10 @@ mod tests {
         let stage = ch.stage("a");
         for seq in [0, 1, 1] {
             let mut r = Record::new(Row::new(), 7);
-            r.audit_mut().unique_id = Some(UniqueId::Seq {
-                origin: "svc#0".into(),
+            r.set_unique_id(Some(UniqueId::Seq {
+                origin: &"svc#0".into(),
                 seq,
-            });
+            }));
             stage.observe(&r);
         }
         stage.observe(&rec("m1", 7));
@@ -433,7 +433,7 @@ mod tests {
             for r in stream {
                 let window = model.entry(r.timestamp.div_euclid(1000) * 1000);
                 let (ids, anonymous) = window.or_default();
-                match &r.audit().unique_id {
+                match r.unique_id() {
                     None => *anonymous += 1,
                     Some(id) => {
                         let variant = matches!(id, UniqueId::Text(_)) as u8;
@@ -478,17 +478,19 @@ mod tests {
                     }
                 };
                 let mut record = Record::new(Row::new(), ts);
-                record.audit_mut().unique_id = seq.map(|seq| match seq {
-                    Err(text) => UniqueId::Text(text.into()),
-                    // an origin is its name, under whichever pointer
-                    Ok(seq) => UniqueId::Seq {
-                        origin: match draw(4) {
+                match seq {
+                    None => {}
+                    Some(Err(text)) => record.set_unique_id(Some(UniqueId::Text(&text.into()))),
+                    Some(Ok(seq)) => {
+                        // an origin is its name, under whichever pointer
+                        let origin = match draw(4) {
                             0 => Arc::from(&*names[o]),
                             _ => names[o].clone(),
-                        },
-                        seq,
-                    },
-                });
+                        };
+                        let origin = &origin;
+                        record.set_unique_id(Some(UniqueId::Seq { origin, seq }));
+                    }
+                }
                 upstream.push(record);
             }
             let downstream: Vec<Record> = upstream

@@ -71,6 +71,9 @@ struct GroupState {
     cursors: BTreeMap<usize, PartitionCursor>,
     /// committed offset (next offset to process after restart), per partition
     committed: BTreeMap<usize, u64>,
+    /// member -> the partition whose fetch failed its last poll: where
+    /// the member's next poll starts
+    resume: BTreeMap<String, usize>,
     generation: u64,
 }
 
@@ -103,6 +106,7 @@ impl ConsumerGroup {
     fn rebalance(&self, st: &mut GroupState) {
         st.generation += 1;
         st.assignment.clear();
+        st.resume.clear();
         let n = self.subscription.topic().num_partitions();
         if st.members.is_empty() {
             return;
@@ -132,9 +136,13 @@ impl ConsumerGroup {
     /// Poll up to `max` records *per assigned partition* for a member,
     /// grouped by the partition they came from — the consumer proxy needs
     /// partition identity for its out-of-order offset tracking. Advances
-    /// the in-memory position (not the commit) only when every fetch of the
-    /// poll succeeded: a failed poll drops nothing, and the next one reads
-    /// the same records. Takes the group's lock once.
+    /// the in-memory position (not the commit) of each partition it
+    /// delivers. A fetch that fails ends the poll: what the partitions
+    /// before it fetched is delivered, the failed partition is where the
+    /// member's next poll starts, and the poll is an error only when its
+    /// first fetch failed. So a member that holds many partitions makes
+    /// progress while some of its fetches fail. Takes the group's lock
+    /// once.
     pub fn poll_partitioned(
         &self,
         member: &str,
@@ -142,25 +150,35 @@ impl ConsumerGroup {
     ) -> Result<Vec<(usize, Vec<OffsetRecord>)>> {
         let topic = self.subscription.topic();
         let mut st = self.state.write();
-        let st = &mut *st;
-        let parts = st.assignment.get(member).ok_or_else(|| {
+        let GroupState {
+            assignment,
+            cursors,
+            resume,
+            ..
+        } = &mut *st;
+        let parts = assignment.get(member).ok_or_else(|| {
             Error::NotFound(format!("member '{member}' not in group '{}'", self.name))
         })?;
+        let start = resume.get(member);
+        let start = start.and_then(|p| parts.iter().position(|q| q == p));
+        let (before, from) = parts.split_at(start.unwrap_or(0));
         let mut out = Vec::new();
-        for &p in parts {
-            // fetched through a copy: the cursors move once the poll is whole
-            let cursor = st.cursors.get(&p).copied();
-            let records = cursor
-                .unwrap_or(PartitionCursor::new(p, 0))
-                .fetch(&topic, max)?;
-            if !records.is_empty() {
-                out.push((p, records));
+        for (i, &p) in from.iter().chain(before).enumerate() {
+            let cursor = cursors.entry(p).or_insert(PartitionCursor::new(p, 0));
+            match cursor.fetch(&topic, max) {
+                Ok(records) => {
+                    cursor.consumed(&records);
+                    if !records.is_empty() {
+                        out.push((p, records));
+                    }
+                }
+                Err(e) => {
+                    resume.insert(member.to_string(), p);
+                    return if i == 0 { Err(e) } else { Ok(out) };
+                }
             }
         }
-        for (p, records) in &out {
-            let cursor = st.cursors.entry(*p).or_insert(PartitionCursor::new(*p, 0));
-            cursor.consumed(records);
-        }
+        resume.remove(member);
         Ok(out)
     }
 
@@ -363,10 +381,10 @@ mod tests {
         assert_eq!(g.lag(), 500 - low - 10);
     }
 
-    /// A poll fails whole. "a" holds partitions 0 and 3, "b" 1 and "c" 2,
-    /// and one fetch in three times out: polled b, a, c, the first poll of
-    /// a fetches partition 0 and fails on 3, and its retry reads partition
-    /// 0 again. Retried polls deliver every committed record once.
+    /// "a" holds partitions 0 and 3, "b" 1 and "c" 2, and one fetch in
+    /// three times out: polled b, a, c, the first poll of a fetches
+    /// partition 0, fails on 3 and delivers 0's records, and a's next poll
+    /// starts at 3. Retried polls deliver every committed record once.
     #[test]
     fn failed_fetches_are_retried_and_deliver_each_record_once() {
         use rtdi_common::chaos::{Chaos, FaultKind, FaultPlan, FaultPoint, Trigger};
@@ -413,6 +431,47 @@ mod tests {
         seen.sort_unstable();
         assert_eq!(seen, (0..400).collect::<Vec<i64>>());
         assert_eq!(g.lag(), 0);
+    }
+
+    /// One member holds all four partitions and one fetch in three times
+    /// out, so no poll gets through four fetches: each delivers what came
+    /// before its failure and the next starts where it failed, and a
+    /// retry loop reads every record once.
+    #[test]
+    fn a_wide_member_progresses_past_failed_fetches() {
+        use rtdi_common::chaos::{Chaos, FaultKind, FaultPlan, FaultPoint, Trigger};
+        let chaos = Chaos::seeded(0x4A1D);
+        let t = Topic::new("t", TopicConfig::default().with_partitions(4)).unwrap();
+        let t = Arc::new(t.with_chaos(chaos.clone()));
+        for i in 0..400i64 {
+            let rec = Record::new(Row::new().with("i", i), i).with_key(format!("k{i}"));
+            t.append(rec, 0).unwrap();
+        }
+        let g = ConsumerGroup::new("g", TopicSubscription::new(t));
+        g.join("a");
+        assert_eq!(g.assignment("a"), vec![0, 1, 2, 3]);
+        chaos.arm(
+            FaultPoint::StreamFetch,
+            FaultPlan::fail(FaultKind::Timeout, Trigger::EveryNth(3)),
+        );
+        let mut seen = Vec::new();
+        for _ in 0..200 {
+            match g.poll("a", 10) {
+                Ok(records) => {
+                    seen.extend(records.iter().map(|r| r.record.value.get_int("i").unwrap()));
+                }
+                Err(e) => assert!(matches!(e, Error::Timeout(_)), "{e}"),
+            }
+            if seen.len() == 400 {
+                break;
+            }
+        }
+        assert!(
+            chaos.stats(FaultPoint::StreamFetch).1 > 0,
+            "no fetch failed"
+        );
+        seen.sort_unstable();
+        assert_eq!(seen, (0..400).collect::<Vec<i64>>());
     }
 
     #[test]

@@ -99,11 +99,9 @@ impl DeadLetterQueue {
     /// human-readable detail and source topic are recorded in headers for
     /// triage.
     pub fn park(&self, mut record: Record, reason: ParkReason, detail: &str, now: Timestamp) {
-        record
-            .headers
-            .set(headers::DLQ_SOURCE, self.source_topic.clone());
-        record.headers.set(headers::DLQ_REASON, reason.as_str());
-        record.headers.set(headers::DLQ_DETAIL, detail);
+        record.set_header(headers::DLQ_SOURCE, self.source_topic.clone());
+        record.set_header(headers::DLQ_REASON, reason.as_str());
+        record.set_header(headers::DLQ_DETAIL, detail);
         let record = Arc::new(record);
         // the last resort must not lose a record: when replicate faults
         // have shrunk the acks=all ISR, it stays on the leader's log
@@ -151,10 +149,8 @@ impl DeadLetterQueue {
             }
             for (i, entry) in parked.iter().enumerate() {
                 let mut record = Arc::clone(&entry.record);
-                if !matches!(record.headers.get(headers::ATTEMPTS), None | Some("0")) {
-                    Arc::make_mut(&mut record)
-                        .headers
-                        .set(headers::ATTEMPTS, "0");
+                if !matches!(record.header(headers::ATTEMPTS), None | Some("0")) {
+                    Arc::make_mut(&mut record).set_header(headers::ATTEMPTS, "0");
                 }
                 let sent =
                     policy.run(|_| endpoint.send(&self.source_topic, Arc::clone(&record), now));
@@ -194,13 +190,13 @@ mod tests {
         assert_eq!(dlq.depth(), 2);
         let peeked = dlq.peek(10);
         assert_eq!(peeked.len(), 2);
-        assert_eq!(peeked[0].headers.get(headers::DLQ_SOURCE), Some("trips"));
-        assert_eq!(peeked[0].headers.get(headers::DLQ_REASON), Some("schema"));
+        assert_eq!(peeked[0].header(headers::DLQ_SOURCE), Some("trips"));
+        assert_eq!(peeked[0].header(headers::DLQ_REASON), Some("schema"));
         assert_eq!(
-            peeked[0].headers.get(headers::DLQ_DETAIL),
+            peeked[0].header(headers::DLQ_DETAIL),
             Some("schema mismatch")
         );
-        assert_eq!(peeked[1].headers.get(headers::DLQ_REASON), Some("poison"));
+        assert_eq!(peeked[1].header(headers::DLQ_REASON), Some("poison"));
         // peeking does not consume
         assert_eq!(dlq.depth(), 2);
     }
@@ -263,7 +259,7 @@ mod tests {
         let dlq = DeadLetterQueue::new("trips").unwrap();
         dlq.park(rec(1), ParkReason::Overload, "tenant over quota", 7);
         let parked = dlq.peek(1);
-        let header = parked[0].headers.get(headers::DLQ_REASON).unwrap();
+        let header = parked[0].header(headers::DLQ_REASON).unwrap();
         assert_eq!(parse(header), Some(ParkReason::Overload));
     }
 
@@ -287,7 +283,7 @@ mod tests {
         let dlq = DeadLetterQueue::new("trips").unwrap();
         for i in 0..3 {
             let mut r = rec(i);
-            r.headers.set(headers::ATTEMPTS, "5");
+            r.set_header(headers::ATTEMPTS, "5");
             dlq.park(r, ParkReason::RetriesExhausted, "boom", 0);
         }
         let merged = dlq.merge(cluster.as_ref(), 50).unwrap();
@@ -297,12 +293,9 @@ mod tests {
         let records = topic.fetch(0, 0, 10).unwrap().records;
         assert_eq!(records.len(), 3);
         // retry budget reset
-        assert_eq!(records[0].record.headers.get(headers::ATTEMPTS), Some("0"));
+        assert_eq!(records[0].record.header(headers::ATTEMPTS), Some("0"));
         // provenance retained
-        assert_eq!(
-            records[0].record.headers.get(headers::DLQ_SOURCE),
-            Some("trips")
-        );
+        assert_eq!(records[0].record.header(headers::DLQ_SOURCE), Some("trips"));
     }
 
     #[test]
@@ -314,10 +307,10 @@ mod tests {
         let dlq = DeadLetterQueue::new("trips").unwrap();
         dlq.park(rec(0), ParkReason::Poison, "x", 0);
         let mut shed = rec(1);
-        shed.headers.set(headers::ATTEMPTS, "0");
+        shed.set_header(headers::ATTEMPTS, "0");
         dlq.park(shed, ParkReason::Overload, "x", 0);
         let mut retried = rec(2);
-        retried.headers.set(headers::ATTEMPTS, "3");
+        retried.set_header(headers::ATTEMPTS, "3");
         dlq.park(retried, ParkReason::RetriesExhausted, "x", 0);
         let parked = dlq.log.fetch(0, 10).unwrap().records;
         assert_eq!(dlq.merge(cluster.as_ref(), 50).unwrap(), 3);

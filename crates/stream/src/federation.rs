@@ -280,8 +280,8 @@ impl StreamEndpoint for FederatedCluster {
             stage.observe_last_hop(&record, now);
             // the stream hop's restamp: a record sent through `Producer`
             // carries this very stamp and stays shared with its retry loop
-            if record.audit().trace_ts != Some(now) {
-                Arc::make_mut(&mut record).audit_mut().trace_ts = Some(now);
+            if record.trace_ts() != Some(now) {
+                Arc::make_mut(&mut record).set_trace_ts(Some(now));
             }
         }
         if let Some(stage) = &route.audit {

@@ -7,7 +7,7 @@
 
 use parking_lot::Mutex;
 use rtdi_common::{
-    Clock, FaultPoint, Quota, RateLimiter, Record, Result, RetryPolicy, Timestamp, UniqueId,
+    Clock, FaultPoint, Origin, Quota, RateLimiter, Record, Result, RetryPolicy, Timestamp,
     WallClock,
 };
 use std::collections::BTreeMap;
@@ -60,10 +60,9 @@ pub struct Producer {
     endpoint: Arc<dyn StreamEndpoint>,
     config: ProducerConfig,
     clock: Arc<dyn Clock>,
-    /// `config.service`, interned: stamping it is an `Arc` bump.
-    service: Arc<str>,
-    /// `"<service>#<instance>"`: the id space of this producer's `seq`.
-    origin: Arc<str>,
+    /// `config.service` and the id space of this producer's `seq`
+    /// (`"<service>#<instance>"`): stamping both is one `Arc` bump.
+    origin: Arc<Origin>,
     seq: AtomicU64,
     sent: AtomicU64,
     /// Per-topic ingress quotas (the paper's Kafka-side client quotas,
@@ -91,8 +90,10 @@ impl Producer {
         Producer {
             endpoint,
             clock,
-            service: config.service.as_str().into(),
-            origin: format!("{}#{instance}", config.service).into(),
+            origin: Arc::new(Origin {
+                name: format!("{}#{instance}", config.service).into(),
+                service: config.service.as_str().into(),
+            }),
             config,
             seq: AtomicU64::new(0),
             sent: AtomicU64::new(0),
@@ -116,16 +117,10 @@ impl Producer {
     pub fn send(&self, topic: &str, mut record: Record) -> Result<()> {
         let now = self.clock.now();
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        let audit = record.audit_mut();
-        audit.unique_id.get_or_insert_with(|| UniqueId::Seq {
-            origin: self.origin.clone(),
-            seq,
-        });
-        audit.app_ts = Some(now);
-        // origin of the freshness trace: downstream hops measure dwell
-        // from this stamp and restamp as they pass the record along
-        audit.trace_ts = Some(now);
-        audit.service = Some(self.service.clone());
+        // the trace stamp is the origin of the freshness trace: downstream
+        // hops measure dwell from it and restamp as they pass the record
+        // along
+        record.stamp(&self.origin, seq, now);
         let record = Arc::new(record);
         let limiter = if self.quoted.load(Ordering::Acquire) {
             self.quotas.lock().get(topic).cloned()
@@ -170,7 +165,7 @@ mod tests {
     use crate::cluster::{Cluster, ClusterConfig};
     use crate::topic::TopicConfig;
     use parking_lot::RwLock;
-    use rtdi_common::{Error, Row, SimClock};
+    use rtdi_common::{Error, Row, SimClock, UniqueId};
 
     fn setup() -> (Arc<Cluster>, Arc<SimClock>) {
         let c = Cluster::new("c", ClusterConfig::default());
@@ -200,10 +195,9 @@ mod tests {
             .find(|&i| topic.fetch(i, 0, 1).unwrap().records.len() == 1)
             .unwrap();
         let rec = topic.fetch(part, 0, 1).unwrap().records.remove(0).record;
-        let rec = rec.audit();
-        assert_eq!(rec.service.as_deref(), Some("driver-app"));
-        assert_eq!((rec.app_ts, rec.trace_ts), (Some(1000), Some(1000)));
-        let id = rec.unique_id.as_ref().unwrap().to_string();
+        assert_eq!(rec.service(), Some("driver-app"));
+        assert_eq!((rec.app_ts(), rec.trace_ts()), (Some(1000), Some(1000)));
+        let id = rec.unique_id().unwrap().to_string();
         assert!(id.starts_with("driver-app#") && id.ends_with("-0"), "{id}");
     }
 
@@ -221,9 +215,9 @@ mod tests {
             b.send("t", Record::new(Row::new(), 5)).unwrap();
         }
         let topic = c.topic("t").unwrap();
-        let ids: std::collections::HashSet<UniqueId> = (0..2)
+        let ids: std::collections::HashSet<String> = (0..2)
             .flat_map(|p| topic.fetch(p, 0, 10).unwrap().records)
-            .filter_map(|r| r.record.audit().unique_id.clone())
+            .filter_map(|r| r.record.unique_id().map(|id| id.to_string()))
             .collect();
         assert_eq!(ids.len(), 6);
         // a caller-supplied id is kept
@@ -236,7 +230,7 @@ mod tests {
         .unwrap();
         let kept = (0..2)
             .flat_map(|p| topic.fetch(p, 0, 10).unwrap().records)
-            .any(|r| r.record.audit().unique_id == Some(UniqueId::Text("mine".into())));
+            .any(|r| r.record.unique_id() == Some(UniqueId::Text(&"mine".into())));
         assert!(kept);
     }
 

@@ -61,7 +61,7 @@ pub struct ProxyConfig {
     /// Records fetched per poll per partition.
     pub poll_batch: usize,
     /// Admission gate consulted per record before dispatch: per-tenant
-    /// quotas (tenant = the producing service, `Audit::service`) plus
+    /// quotas (tenant = the producing service, `Record::service`) plus
     /// queue-depth watermarks fed from consumer lag. Shed
     /// records park to the DLQ as [`ParkReason::Overload`] instead of
     /// being dropped. `None` disables admission control.
@@ -274,7 +274,7 @@ impl ConsumerProxy {
         // and skips the retry budget entirely: retrying against a
         // tripped quota only adds load.
         let _permit = if let Some(ac) = &self.config.admission {
-            let tenant = record.audit().service.as_deref().unwrap_or("unknown");
+            let tenant = record.service().unwrap_or("unknown");
             match ac.admit(tenant, Priority::Interactive) {
                 Ok(permit) => Some(permit),
                 Err(e) => {
@@ -313,7 +313,7 @@ impl ConsumerProxy {
     /// Park a copy of the borrowed record with the attempts it consumed.
     fn park(&self, record: &Record, attempts: u32, e: &Error) {
         let mut parked = record.clone();
-        parked.headers.set(headers::ATTEMPTS, attempts.to_string());
+        parked.set_header(headers::ATTEMPTS, attempts.to_string());
         let reason = ParkReason::classify(e);
         self.dlq
             .park(parked, reason, &e.to_string(), record.timestamp);
@@ -431,9 +431,9 @@ mod tests {
         assert_eq!(group.lag(), 0);
         // parked messages carry attempt count and classified reason
         let parked = dlq.peek(1);
-        assert_eq!(parked[0].headers.get(headers::ATTEMPTS), Some("2"));
+        assert_eq!(parked[0].header(headers::ATTEMPTS), Some("2"));
         assert_eq!(
-            parked[0].headers.get(headers::DLQ_REASON),
+            parked[0].header(headers::DLQ_REASON),
             Some(ParkReason::RetriesExhausted.as_str())
         );
     }
@@ -466,13 +466,13 @@ mod tests {
         // a schema error never consumes the retry budget
         assert_eq!(stats.retried, 0);
         let parked = dlq.peek(1);
-        assert_eq!(parked[0].headers.get(headers::ATTEMPTS), Some("1"));
+        assert_eq!(parked[0].header(headers::ATTEMPTS), Some("1"));
         assert_eq!(
-            parked[0].headers.get(headers::DLQ_REASON),
+            parked[0].header(headers::DLQ_REASON),
             Some(ParkReason::Schema.as_str())
         );
         assert_eq!(
-            parked[0].headers.get(headers::DLQ_DETAIL),
+            parked[0].header(headers::DLQ_DETAIL),
             Some("schema error: field mismatch")
         );
     }
@@ -515,7 +515,7 @@ mod tests {
                 "rider-app"
             };
             let mut r = Record::new(Row::new().with("i", i), i).with_key(format!("k{i}"));
-            r.audit_mut().service = Some(svc.into());
+            r.set_service(Some(svc.into()));
             t.append(r, 0).unwrap();
         }
         let group = ConsumerGroup::new("g", TopicSubscription::new(t));
@@ -549,7 +549,7 @@ mod tests {
         // shed records parked as overload, not dropped
         let parked = dlq.peek(1);
         assert_eq!(
-            parked[0].headers.get(headers::DLQ_REASON),
+            parked[0].header(headers::DLQ_REASON),
             Some(ParkReason::Overload.as_str())
         );
         let s = admission.stats();

@@ -19,7 +19,7 @@ fn payment(i: i64, region: &str) -> Record {
     )
     .with_key(format!("p{i}"))
     .with_unique_id(format!("pay-{i}"));
-    payment.audit_mut().service = Some(region.into());
+    payment.set_service(Some(region.into()));
     payment
 }
 
@@ -73,7 +73,7 @@ fn main() {
     // verify: zero data loss, bounded replay
     let mut seen: BTreeSet<String> = BTreeSet::new();
     for r in batch1.iter().chain(&batch2).chain(&batch3) {
-        seen.insert(r.audit().unique_id.as_ref().unwrap().to_string());
+        seen.insert(r.unique_id().unwrap().to_string());
     }
     println!(
         "unique payments processed: {} of 6000 (replay overlap: {})",

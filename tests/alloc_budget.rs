@@ -1,6 +1,8 @@
 //! Allocation budget of the write path, counted by the workspace's
 //! counting allocator (`rtdi_bench`): one record from `Producer::send` to the partition log costs
-//! the `Arc<Record>` the log keeps plus amortised container growth, its
+//! the `Arc<Record>` the log keeps plus amortised container growth (its
+//! audit envelope rides inside the record, and a clone of it copies only
+//! its cells), its
 //! audit at OLAP ingest costs nothing per record, a round of ingest costs
 //! its fetches and keeps no scratch of its own, an upsert names its segment
 //! by pointer, and a retried send re-sends the shared record instead of
@@ -1010,11 +1012,19 @@ fn produce_ingest_and_retry_hold_their_allocation_budgets() {
             producer.send("trips", r).unwrap();
         }
     });
+    // the `Arc<Record>` the log keeps, and the log's growth: the envelope
+    // travels inside the record
     let sent = sent.allocs;
     assert!(
-        sent <= 3 * N as u64,
+        sent <= (N + N / 64) as u64,
         "producer.send: {sent} allocations for {N} records"
     );
+    // a produced record's clone copies its cell slice and nothing else
+    let logged = platform.federation().subscribe("trips").unwrap().topic();
+    let logged = logged.fetch(0, 0, 1).unwrap().records.remove(0).record;
+    assert!(logged.unique_id().is_some() && logged.service().is_some());
+    let (_, cloned) = count_allocations(|| Record::clone(&logged));
+    assert_eq!(cloned.allocs, 1, "a clone of a produced record");
 
     // the platform's ingester audits and traces every record; a bare one
     // into a twin table pays only what the table itself allocates

@@ -13,7 +13,7 @@
 
 use rtdi::common::json;
 use rtdi::common::wire::Writer;
-use rtdi::common::{AggAcc, AggFn, Audit, FieldType, Record, Row, Schema, UniqueId, Value};
+use rtdi::common::{AggAcc, AggFn, FieldType, Record, Row, Schema, UniqueId, Value};
 use rtdi::compute::runtime::CheckpointData;
 use rtdi::compute::{
     CheckpointStore, DedupOp, FusedOp, Operator, WindowAggregateOp, WindowAssigner, WindowJoinOp,
@@ -71,25 +71,23 @@ fn raw_records() -> Vec<Record> {
         .into_iter()
         .fold(Row::new(), |r, (n, v)| r.with(n, v));
     let mut minted = Record::new(full.clone(), 10).with_key("k1");
-    *minted.audit_mut() = Audit {
-        unique_id: Some(UniqueId::Seq {
-            origin: "driver-app#3".into(),
-            seq: u64::MAX,
-        }),
-        app_ts: Some(-5),
-        trace_ts: Some(i64::MAX),
-        service: Some("driver-app".into()),
-        origin_region: Some("us-west".into()),
-    };
+    minted.set_unique_id(Some(UniqueId::Seq {
+        origin: &"driver-app#3".into(),
+        seq: u64::MAX,
+    }));
+    minted.set_app_ts(Some(-5));
+    minted.set_trace_ts(Some(i64::MAX));
+    minted.set_service(Some("driver-app".into()));
+    minted.set_origin_region(Some("us-west".into()));
     let mut text = Record::new(Row::new().with("id", 2i64).with("city", "c2"), 11)
         .with_key(7i64)
         .with_unique_id("u2")
         .with_header("tenant", "eats")
         .with_header("", "");
-    text.audit_mut().trace_ts = Some(12);
+    text.set_trace_ts(Some(12));
     let bare = Record::new(Row::new(), -12);
     let mut region_only = Record::new(Row::new().with("x", 1i64), 13).with_key(2.5);
-    region_only.audit_mut().origin_region = Some("".into());
+    region_only.set_origin_region(Some("".into()));
     vec![minted, text, bare, region_only, Record::new(full, 14)]
 }
 

@@ -21,9 +21,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rtdi::common::value::JsonValue;
-use rtdi::common::{
-    AggFn, Audit, Error, Field, FieldType, Record, Result, Row, Schema, UniqueId, Value,
-};
+use rtdi::common::{AggFn, Error, Field, FieldType, Record, Result, Row, Schema, UniqueId, Value};
 use rtdi::compute::runtime::CheckpointData;
 use rtdi::compute::source::{HiveSource, Source};
 use rtdi::compute::{
@@ -113,21 +111,17 @@ fn arb_records(rng: &mut StdRng) -> Vec<Record> {
 fn audit((i, mut record): (usize, Record)) -> Record {
     match i % 3 {
         0 => {
-            let app_ts = Some(record.timestamp);
-            *record.audit_mut() = Audit {
-                unique_id: Some(UniqueId::Seq {
-                    origin: "fz#1".into(),
-                    seq: i as u64,
-                }),
-                app_ts,
-                trace_ts: Some(i as i64),
-                service: Some("fz".into()),
-                origin_region: None,
-            };
+            record.set_unique_id(Some(UniqueId::Seq {
+                origin: &"fz#1".into(),
+                seq: i as u64,
+            }));
+            record.set_app_ts(Some(record.timestamp));
+            record.set_trace_ts(Some(i as i64));
+            record.set_service(Some("fz".into()));
         }
         1 => {
             record = record.with_unique_id(format!("m{i}"));
-            record.audit_mut().origin_region = Some("west".into());
+            record.set_origin_region(Some("west".into()));
         }
         _ => {}
     }

@@ -104,9 +104,10 @@ fn accepted_records_land_exactly_once_and_in_send_order_under_retry() {
                     earlier < Some(i),
                     "seed {seed} p{p}: {key} out of send order"
                 );
-                let id = entry.record.audit().unique_id.clone();
+                let id = entry.record.unique_id();
                 assert!(
-                    matches!(id, Some(UniqueId::Seq { .. })) && ids.insert(id),
+                    matches!(id, Some(UniqueId::Seq { .. }))
+                        && ids.insert(id.map(|id| id.to_string())),
                     "seed {seed}: a retry must keep its record's one minted id"
                 );
                 landed.push(i);

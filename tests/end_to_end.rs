@@ -229,10 +229,9 @@ fn producer_audit_headers_survive_to_olap_ingestion() {
         .unwrap();
     let sub = p.federation().subscribe("trips").unwrap();
     let rec = sub.topic().fetch(0, 0, 1).unwrap().records.remove(0).record;
-    let rec = rec.audit();
-    assert_eq!(rec.service.as_deref(), Some("driver-app"));
-    assert!(rec.unique_id.is_some());
-    assert!(rec.app_ts.is_some());
+    assert_eq!(rec.service(), Some("driver-app"));
+    assert!(rec.unique_id().is_some());
+    assert!(rec.app_ts().is_some());
 }
 
 /// Ingest `topic` into a fresh table and return its two audit stages.

@@ -211,7 +211,7 @@ fn soak(seed: u64) -> String {
     // shed work parks under Overload — replayable, not lost
     for rec in dlq.peek(dlq.depth()) {
         assert_eq!(
-            rec.headers.get(headers::DLQ_REASON),
+            rec.header(headers::DLQ_REASON),
             Some(ParkReason::Overload.as_str())
         );
     }
@@ -287,7 +287,7 @@ fn offered_equals_delivered_plus_parked_across_seeds() {
             for i in 0..n {
                 let mut r = Record::new(Row::new().with("i", i as i64), burst * 1_000)
                     .with_key(format!("b{burst}-{i}"));
-                r.audit_mut().service = Some(rng.pick(&TENANTS).into());
+                r.set_service(Some(rng.pick(&TENANTS).into()));
                 topic.append(r, burst * 1_000).unwrap();
                 offered += 1;
             }

@@ -37,6 +37,7 @@ const SEED_COMPACTION: u64 = 0xC0_4D5E_0A7E;
 const SEED_BACKFILL: u64 = 0xBAC_CF11;
 const SEED_CURSOR: u64 = 0xC025_0A11;
 const SEED_ROWS: u64 = 0x0520_3A3E;
+const SEED_ENVELOPE: u64 = 0x0E4E_10BE;
 
 fn schema() -> Schema {
     Schema::of(
@@ -3464,5 +3465,214 @@ mod text_semantics {
             }
         }
         assert_eq!(pins[2].0.len(), Text::INLINE + 1);
+    }
+}
+
+/// A record's audit envelope against a model of it as five plain optional
+/// fields: every mix of a producer's stamp and fields set by hand, read
+/// back directly, from a clone, from `Record::rewritten` and from the raw
+/// log, with the size `approx_bytes` reports.
+mod envelope {
+    use super::*;
+    use rtdi::common::{Origin, PipelineTracer, UniqueId};
+    use rtdi::storage::archival::{decode_raw, encode_raw};
+    use std::sync::Arc;
+
+    #[derive(Debug, Clone, PartialEq)]
+    enum Id {
+        Seq(String, u64),
+        Text(String),
+    }
+
+    /// The envelope as five independent fields.
+    #[derive(Debug, Clone, Default, PartialEq)]
+    struct Audit {
+        unique_id: Option<Id>,
+        app_ts: Option<i64>,
+        trace_ts: Option<i64>,
+        service: Option<String>,
+        origin_region: Option<String>,
+    }
+
+    impl Audit {
+        fn of(record: &Record) -> Self {
+            Audit {
+                unique_id: record.unique_id().map(|id| match id {
+                    UniqueId::Seq { origin, seq } => Id::Seq(origin.to_string(), seq),
+                    UniqueId::Text(text) => Id::Text(text.to_string()),
+                }),
+                app_ts: record.app_ts(),
+                trace_ts: record.trace_ts(),
+                service: record.service().map(str::to_string),
+                origin_region: record.origin_region().map(str::to_string),
+            }
+        }
+
+        fn bytes(&self) -> usize {
+            let id = match &self.unique_id {
+                Some(Id::Seq(origin, _)) => origin.len() + 8,
+                Some(Id::Text(text)) => text.len(),
+                None => 0,
+            };
+            let stamps = 8 * (self.app_ts.is_some() as usize + self.trace_ts.is_some() as usize);
+            let strs = [&self.service, &self.origin_region];
+            id + stamps
+                + strs
+                    .iter()
+                    .map(|s| s.as_ref().map_or(0, String::len))
+                    .sum::<usize>()
+        }
+    }
+
+    fn arb_ts(rng: &mut StdRng) -> Option<i64> {
+        match rng.gen_range(0..6) {
+            0 => None,
+            1 => Some(i64::MIN),
+            2 => Some(i64::MAX),
+            3 => Some(0),
+            _ => Some(rng.gen_range(-5_000..5_000i64)),
+        }
+    }
+
+    fn arb_seq(rng: &mut StdRng) -> u64 {
+        match rng.gen_range(0..6) {
+            0 => u64::MAX,
+            1 => (1 << 60) - 1,
+            2 => 1 << 60,
+            3 => 0,
+            _ => rng.gen_range(0..1_000u64),
+        }
+    }
+
+    fn arb_str(rng: &mut StdRng) -> Option<String> {
+        let words = ["", "svc", "us-west", "a-name-longer-than-twenty-two"];
+        rng.gen_bool(0.8)
+            .then(|| words[rng.gen_range(0..words.len())].to_string())
+    }
+
+    #[test]
+    fn every_mix_of_envelope_fields_reads_back_as_set() {
+        let origins: Vec<Arc<Origin>> = ["a", "b", ""]
+            .iter()
+            .enumerate()
+            .map(|(i, service)| {
+                Arc::new(Origin {
+                    name: format!("{service}#{i}").into(),
+                    service: (*service).into(),
+                })
+            })
+            .collect();
+        for case in 0..400 {
+            let mut rng = StdRng::seed_from_u64(SEED_ENVELOPE + case);
+            let mut record = Record::new(arb_row(&mut rng), rng.gen_range(-100..100i64));
+            if rng.gen_bool(0.5) {
+                record = record.with_key(format!("k{case}"));
+            }
+            let mut model = Audit::default();
+            let mut headers: Vec<(String, String)> = Vec::new();
+            for step in 0..rng.gen_range(1..12) {
+                match rng.gen_range(0..8) {
+                    0 => {
+                        let origin = &origins[rng.gen_range(0..origins.len())];
+                        let (seq, now) = (arb_seq(&mut rng), rng.gen_range(-9..9i64));
+                        record.stamp(origin, seq, now);
+                        if model.unique_id.is_none() {
+                            model.unique_id = Some(Id::Seq(origin.name.to_string(), seq));
+                        }
+                        (model.app_ts, model.trace_ts) = (Some(now), Some(now));
+                        model.service = Some(origin.service.to_string());
+                    }
+                    1 => {
+                        let id = match rng.gen_range(0..3) {
+                            0 => None,
+                            1 => Some(Id::Seq(
+                                format!("o{}", rng.gen_range(0..3)),
+                                arb_seq(&mut rng),
+                            )),
+                            _ => Some(Id::Text(arb_str(&mut rng).unwrap_or_default())),
+                        };
+                        let text: Arc<str> = match &id {
+                            Some(Id::Seq(s, _) | Id::Text(s)) => s.as_str().into(),
+                            None => "".into(),
+                        };
+                        record.set_unique_id(id.as_ref().map(|id| match id {
+                            Id::Seq(_, seq) => UniqueId::Seq {
+                                origin: &text,
+                                seq: *seq,
+                            },
+                            Id::Text(_) => UniqueId::Text(&text),
+                        }));
+                        model.unique_id = id;
+                    }
+                    2 => {
+                        model.app_ts = arb_ts(&mut rng);
+                        record.set_app_ts(model.app_ts);
+                    }
+                    3 => {
+                        model.trace_ts = arb_ts(&mut rng);
+                        record.set_trace_ts(model.trace_ts);
+                    }
+                    4 => {
+                        model.service = arb_str(&mut rng);
+                        record.set_service(model.service.as_deref().map(Arc::from));
+                    }
+                    5 => {
+                        model.origin_region = arb_str(&mut rng);
+                        record.set_origin_region(model.origin_region.as_deref().map(Arc::from));
+                    }
+                    6 => {
+                        let (k, v) = (format!("h{}", rng.gen_range(0..3)), format!("{step}"));
+                        record.set_header(k.clone(), v.clone());
+                        match headers.iter_mut().find(|(key, _)| *key == k) {
+                            Some(entry) => entry.1 = v,
+                            None => headers.push((k, v)),
+                        }
+                    }
+                    _ => {
+                        trace(&mut record, &mut model, rng.gen_range(0..9i64));
+                    }
+                }
+                let at = format!("case {case} step {step}");
+                let header_list = |r: &Record| -> Vec<(String, String)> {
+                    r.headers()
+                        .map(|(k, v)| (k.to_string(), v.to_string()))
+                        .collect()
+                };
+                assert_eq!(Audit::of(&record), model, "{at}");
+                assert_eq!(header_list(&record), headers, "{at}");
+                let copy = record.clone();
+                assert_eq!(Audit::of(&copy), model, "{at}: clone");
+                assert_eq!(copy, record, "{at}: clone");
+                let rewritten = record.rewritten(Row::new().with("n", 1i64));
+                assert_eq!(Audit::of(&rewritten), model, "{at}: rewritten");
+                assert_eq!(header_list(&rewritten), headers, "{at}: rewritten");
+                let logged = encode_raw(std::slice::from_ref(&record)).unwrap();
+                let decoded = decode_raw(&logged).unwrap();
+                assert_eq!(Audit::of(&decoded[0]), model, "{at}: raw log");
+                assert_eq!(decoded[0], record, "{at}: raw log");
+                let mut bare = Record::new(record.value.clone(), record.timestamp);
+                bare.key = record.key.clone();
+                let header_bytes: usize = headers.iter().map(|(k, v)| k.len() + v.len() + 8).sum();
+                assert_eq!(
+                    record.approx_bytes(),
+                    bare.approx_bytes() + model.bytes() + header_bytes,
+                    "{at}: approx_bytes"
+                );
+            }
+        }
+    }
+
+    /// The tracer's two writers, on the model: a hop restamps, an origin
+    /// stamp keeps an app timestamp the producer set.
+    fn trace(record: &mut Record, model: &mut Audit, now: i64) {
+        if now % 2 == 0 {
+            PipelineTracer::stamp(record, now);
+            model.app_ts.get_or_insert(now);
+        } else {
+            PipelineTracer::new()
+                .stage("p", "hop")
+                .observe_hop(record, now);
+        }
+        model.trace_ts = Some(now);
     }
 }
