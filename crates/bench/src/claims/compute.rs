@@ -386,7 +386,7 @@ fn e21_backfill(r: &mut Report) -> Result<()> {
         retention_ms: 2 * DAY_MS,
         ..Default::default()
     };
-    let topic = Topic::new("trips", config)?;
+    let topic = Arc::new(Topic::new("trips", config)?);
     for (i, (ts, row)) in (0..N).map(trip).enumerate() {
         topic.append(Record::new(row, ts).with_key(format!("k{i}")), ts)?;
     }

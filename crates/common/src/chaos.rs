@@ -616,6 +616,13 @@ impl RetryPolicy {
         }
     }
 
+    /// Four attempts, 50 µs to 2 ms apart: the budget of one hop's
+    /// transient fault — a topic reader's fetch, a replicated append, an
+    /// archive or segment upload, a DLQ merge's send.
+    pub fn transient() -> Self {
+        RetryPolicy::new(4).with_backoff_us(50, 2_000)
+    }
+
     pub fn with_backoff_us(mut self, base: u64, max: u64) -> Self {
         self.base_delay_us = base;
         self.max_delay_us = max.max(base);

@@ -27,7 +27,7 @@ use crate::source::{HiveSource, TopicSource};
 use crate::Operator;
 use rtdi_common::{Error, Result, Timestamp};
 use rtdi_storage::hive::{event_times, ts_cover, HiveTable, TsCover};
-use rtdi_stream::topic::{PartitionCursor, Topic};
+use rtdi_stream::topic::{CursorSet, PartitionCursor, Topic};
 use std::sync::Arc;
 
 /// Backfill tuning.
@@ -102,23 +102,28 @@ pub fn kafka_replay_job(
 
 /// Report whether a topic still retains data back to `from` — the check
 /// a backfill planner runs to choose between Kappa (cheap, if retained)
-/// and Kappa+ (always possible). A missing partition means the range
-/// cannot be replayed.
-pub fn kafka_retains(topic: &Topic, from: Timestamp) -> bool {
+/// and Kappa+ (always possible). A transient fetch fault is ridden out; a
+/// partition that cannot be read at all, or a missing one, means the
+/// range cannot be replayed.
+pub fn kafka_retains(topic: &Arc<Topic>, from: Timestamp) -> bool {
     matches!(first_trimmed(topic, from), Ok(None))
 }
 
 /// The first partition whose oldest committed record is newer than
-/// `from`, as a cursor at its log start.
-fn first_trimmed(topic: &Topic, from: Timestamp) -> Result<Option<PartitionCursor>> {
-    for p in 0..topic.num_partitions() {
-        let mut cursor = PartitionCursor::at_log_start(topic, p)?;
-        let oldest = cursor.fetch(topic, 1)?;
-        if oldest.first().is_some_and(|r| r.record.timestamp > from) {
-            return Ok(Some(cursor));
+/// `from`, as a cursor at its log start. A poll that a failed fetch cut
+/// short is polled again, from the failed partition on.
+fn first_trimmed(topic: &Arc<Topic>, from: Timestamp) -> Result<Option<PartitionCursor>> {
+    let mut oldest = CursorSet::at_log_start(Arc::clone(topic))?;
+    let mut trimmed = None::<PartitionCursor>;
+    while !oldest.poll(|turn| {
+        let first = turn.fetch(1)?;
+        if first.first().is_some_and(|r| r.record.timestamp > from) {
+            let p = turn.cursor.partition;
+            trimmed = Some(trimmed.filter(|t| t.partition < p).unwrap_or(*turn.cursor));
         }
-    }
-    Ok(None)
+        Ok(())
+    })? {}
+    Ok(trimmed)
 }
 
 /// The boundary detection the paper mentions: given a table and a

@@ -2,11 +2,11 @@
 //!
 //! - [`VecSource`]: bounded in-memory source for tests and examples;
 //! - [`TopicSource`]: the Kafka source — follows a topic's
-//!   [`TopicSubscription`] across a migration and reads each partition
-//!   through its own [`PartitionCursor`] (committed records only, a
-//!   retention jump counted in [`TopicSource::skipped`]), whose positions
-//!   are the checkpoint; bounded ("read to current end", used by catch-up
-//!   runs) or unbounded;
+//!   [`TopicSubscription`] across a migration and reads it through a
+//!   [`CursorSet`] (committed records only, a transient fetch fault ridden
+//!   out in place, a retention jump counted in [`TopicSource::skipped`]),
+//!   whose positions are the checkpoint; bounded ("read to current end",
+//!   used by catch-up runs) or unbounded;
 //! - [`UnionSource`]: merges several sources, tagging each record with its
 //!   stream name — the input shape [`crate::operator::WindowJoinOp`]
 //!   expects;
@@ -28,7 +28,7 @@ use rtdi_common::{Error, Record, Result, Row, SetColumn, Timestamp};
 use rtdi_storage::hive::{time_order, HiveTable, TimedDoc};
 use rtdi_storage::segfile::{RowReader, SegmentFile};
 use rtdi_stream::consumer::TopicSubscription;
-use rtdi_stream::topic::{PartitionCursor, Topic};
+use rtdi_stream::topic::CursorSet;
 use std::sync::Arc;
 
 /// A record source with checkpointable progress.
@@ -139,31 +139,27 @@ impl Source for VecSource {
     }
 }
 
-/// Source over a stream topic with a cursor per partition. It resolves its
-/// subscription once per poll, so a migrated topic is read where it moved.
+/// Source over a stream topic, read through a [`CursorSet`]: it resolves
+/// its subscription once per poll, so a migrated topic is read where it
+/// moved, and rides out a transient fetch fault in place.
 pub struct TopicSource {
-    subscription: TopicSubscription,
-    cursors: Vec<PartitionCursor>,
+    cursors: CursorSet,
     /// Per cursor: the largest event time it handed out, and whether the
-    /// last poll that visited it left it with nothing more to give.
+    /// last poll that fetched from it left it with nothing more to give.
     reached: Vec<(Timestamp, bool)>,
     /// For bounded mode: stop at these high watermarks (captured at
     /// construction). `None` = unbounded.
     end_offsets: Option<Vec<u64>>,
-    next_partition: usize,
 }
 
 impl TopicSource {
     /// Unbounded: keeps returning new records as they are produced.
     pub fn unbounded(subscription: impl Into<TopicSubscription>) -> Self {
-        let subscription = subscription.into();
-        let n = subscription.topic().num_partitions();
+        let cursors = CursorSet::from_zero(subscription);
         TopicSource {
-            subscription,
-            cursors: (0..n).map(|p| PartitionCursor::new(p, 0)).collect(),
-            reached: vec![(Timestamp::MIN, false); n],
+            reached: vec![(Timestamp::MIN, false); cursors.cursors.len()],
+            cursors,
             end_offsets: None,
-            next_partition: 0,
         }
     }
 
@@ -172,108 +168,110 @@ impl TopicSource {
     /// panicking) if the topic's partition map is inconsistent — e.g. a
     /// partition dropped between the watermark snapshot and here.
     pub fn bounded(subscription: impl Into<TopicSubscription>) -> Result<Self> {
-        let subscription = subscription.into();
-        let topic = subscription.topic();
-        let ends = topic.committed_watermarks();
-        let cursors = (0..topic.num_partitions())
-            .map(|p| PartitionCursor::at_log_start(&topic, p))
-            .collect::<Result<_>>()?;
+        let cursors = CursorSet::at_log_start(subscription)?;
         Ok(TopicSource {
-            reached: vec![(Timestamp::MIN, false); topic.num_partitions()],
-            subscription,
+            reached: vec![(Timestamp::MIN, false); cursors.cursors.len()],
+            end_offsets: Some(cursors.topic().committed_watermarks()),
             cursors,
-            end_offsets: Some(ends),
-            next_partition: 0,
         })
     }
 
     /// Records retention removed before this source read them.
     pub fn skipped(&self) -> u64 {
-        self.cursors.iter().map(|c| c.skipped).sum()
+        self.cursors.skipped()
     }
 
-    /// Fetch up to `share` records of partition `p` into `out`, short of
-    /// its bound and of `max` in `out`, and note what the partition
-    /// reached. Whether the fetch came back full, so the partition may
-    /// hold more.
-    fn fetch_into(
+    /// One pass over the partitions, in a refill only those whose last
+    /// fetch came back full: each fetches up to `share` records into
+    /// `out`, short of its bound and of `max` in `out`, and notes what it
+    /// reached. Returns how many fetches came back full, so their
+    /// partitions may hold more, and whether every partition had its turn.
+    /// A partition that a failed fetch kept from its turn keeps what its
+    /// last fetch found: it is idle only once a fetch found it drained.
+    fn pass(
         &mut self,
-        topic: &Topic,
-        p: usize,
+        refill: bool,
         share: usize,
         max: usize,
         out: &mut Vec<(Timestamp, Arc<Record>)>,
-    ) -> Result<bool> {
-        let cursor = &mut self.cursors[p];
-        let (reached, idle) = &mut self.reached[p];
-        let end = self.end_offsets.as_ref().map(|ends| ends[cursor.partition]);
-        let limit = match end {
-            Some(end) => (end.saturating_sub(cursor.position) as usize).min(share),
-            None => share,
-        };
-        if limit == 0 || out.len() >= max {
-            // at its end a bounded partition is idle; one skipped for a
-            // full batch keeps what its last fetch found
-            *idle |= limit == 0;
-            return Ok(false);
-        }
-        let mut records = cursor.fetch(topic, limit)?;
-        // the bound holds for what the fetch returned: a cursor that
-        // retention moved past its end delivers nothing, and of what it
-        // jumped over only the offsets below the end count
-        if let Some(end) = end {
-            records.retain(|r| r.offset < end);
-            if cursor.position > end {
-                cursor.skipped -= cursor.position - end;
-                cursor.position = end;
+    ) -> Result<(usize, bool)> {
+        let TopicSource {
+            cursors,
+            reached,
+            end_offsets,
+        } = self;
+        let mut full = 0;
+        let complete = cursors.poll(|turn| {
+            let p = turn.cursor.partition;
+            let (reached, idle) = &mut reached[p];
+            if refill && *idle {
+                return Ok(());
             }
-        }
-        cursor.consumed(&records);
-        // a fetch short of its limit found the partition drained
-        *idle = records.len() < limit;
-        *reached = (records.iter()).fold(*reached, |t, r| t.max(r.record.timestamp));
-        out.extend(records.into_iter().map(|r| (r.record.timestamp, r.record)));
-        Ok(!*idle)
+            let end = end_offsets.as_ref().map(|ends| ends[p]);
+            let limit = match end {
+                Some(end) => (end.saturating_sub(turn.cursor.position) as usize).min(share),
+                None => share,
+            };
+            if limit == 0 || out.len() >= max {
+                // at its end a bounded partition is idle; one skipped for a
+                // full batch keeps what its last fetch found
+                *idle |= limit == 0;
+                return Ok(());
+            }
+            let mut records = turn.fetch(limit)?;
+            let cursor = &mut *turn.cursor;
+            // the bound holds for what the fetch returned: a cursor that
+            // retention moved past its end delivers nothing, and of what it
+            // jumped over only the offsets below the end count
+            if let Some(end) = end {
+                records.retain(|r| r.offset < end);
+                if cursor.position > end {
+                    cursor.skipped -= cursor.position - end;
+                    cursor.position = end;
+                }
+            }
+            cursor.consumed(&records);
+            // a fetch short of its limit found the partition drained
+            *idle = records.len() < limit;
+            *reached = (records.iter()).fold(*reached, |t, r| t.max(r.record.timestamp));
+            out.extend(records.into_iter().map(|r| (r.record.timestamp, r.record)));
+            full += usize::from(!*idle);
+            Ok(())
+        })?;
+        Ok((full, complete))
     }
 }
 
 impl Source for TopicSource {
     /// Fetches an even share from *every* partition, then hands what is
     /// left of `max` to the partitions whose fetch came back full, in the
-    /// same round-robin order, until the poll is full or they drain: once
-    /// the cold partitions of a skewed topic drain, a poll is still `max`
-    /// records while any partition holds that many. The combined batch is
-    /// in event-time order. Each partition keeps the largest event time it
+    /// same order, until the poll is full or they drain: once the cold
+    /// partitions of a skewed topic drain, a poll is still `max` records
+    /// while any partition holds that many. The combined batch is in
+    /// event-time order. Each partition keeps the largest event time it
     /// handed out, and [`Source::event_time`] is their minimum over the
     /// partitions with more to give: a hot partition that lags in event
     /// time holds the watermark back for its own records, while one that
     /// a fetch drained (or a bounded one at its end) is idle and holds
     /// nothing back.
     ///
+    /// A fetch that fails for good ends the poll with what the partitions
+    /// before it delivered (the [`CursorSet`] contract); the poll is an
+    /// error only when it delivered nothing.
+    ///
     /// Zero-copy fetch: the log stores the `Arc<Record>` it was appended
     /// with, and the combined batch holds those same handles.
     fn poll_batch(&mut self, max: usize) -> Result<Vec<Arc<Record>>> {
-        let topic = self.subscription.topic();
-        let n = self.cursors.len();
-        let per_partition = (max / n).max(1);
+        let n = self.reached.len();
         let mut out = Vec::new();
-        let mut full = Vec::new();
-        for _ in 0..n {
-            let p = self.next_partition;
-            self.next_partition = (p + 1) % n;
-            if self.fetch_into(&topic, p, per_partition, max, &mut out)? {
-                full.push(p);
-            }
-        }
-        while out.len() < max && !full.is_empty() {
-            let share = ((max - out.len()) / full.len()).max(1);
-            let mut still_full = Vec::with_capacity(full.len());
-            for p in full {
-                if self.fetch_into(&topic, p, share, max, &mut out)? {
-                    still_full.push(p);
-                }
-            }
-            full = still_full;
+        let (mut full, mut complete) = self.pass(false, (max / n).max(1), max, &mut out)?;
+        while complete && out.len() < max && full > 0 {
+            let share = ((max - out.len()) / full).max(1);
+            (full, complete) = match self.pass(true, share, max, &mut out) {
+                Ok(refill) => refill,
+                Err(_) if !out.is_empty() => break,
+                Err(e) => return Err(e),
+            };
         }
         // the timestamp beside each handle: the sort reads no record
         out.sort_by_key(|&(ts, _)| ts);
@@ -282,9 +280,7 @@ impl Source for TopicSource {
 
     fn is_exhausted(&self) -> bool {
         match &self.end_offsets {
-            Some(ends) => self
-                .cursors
-                .iter()
+            Some(ends) => (self.cursors.cursors.iter())
                 .zip(ends)
                 .all(|(c, &end)| c.position >= end),
             None => false,
@@ -292,16 +288,17 @@ impl Source for TopicSource {
     }
 
     fn position(&self) -> Vec<u64> {
-        self.cursors.iter().map(|c| c.position).collect()
+        self.cursors.cursors.iter().map(|c| c.position).collect()
     }
 
     fn seek(&mut self, position: &[u64]) -> Result<()> {
-        if position.len() != self.cursors.len() {
+        let cursors = &mut self.cursors.cursors;
+        if position.len() != cursors.len() {
             return Err(Error::InvalidArgument(
                 "position vector length mismatch".into(),
             ));
         }
-        for (cursor, &offset) in self.cursors.iter_mut().zip(position) {
+        for (cursor, &offset) in cursors.iter_mut().zip(position) {
             cursor.position = offset;
         }
         self.reached.fill((Timestamp::MIN, false));
@@ -336,14 +333,22 @@ impl UnionSource {
 }
 
 impl Source for UnionSource {
+    /// Polls the children in turn until the poll is full. A child whose
+    /// poll fails ends this one with what the children before it
+    /// delivered, and is polled first next time; the poll is an error only
+    /// when that child came first. A failed child keeps its idle mark.
     fn poll_batch(&mut self, max: usize) -> Result<Vec<Arc<Record>>> {
         let n = self.sources.len();
         let mut out = Vec::new();
-        for _ in 0..n {
+        for turn in 0..n {
             let i = self.next;
-            self.next = (self.next + 1) % n;
             let (tag, src) = &mut self.sources[i];
-            let batch = src.poll_batch(max.saturating_sub(out.len()).max(1))?;
+            let batch = match src.poll_batch(max.saturating_sub(out.len()).max(1)) {
+                Ok(batch) => batch,
+                Err(e) if turn == 0 => return Err(e),
+                Err(_) => break,
+            };
+            self.next = (self.next + 1) % n;
             self.drained[i] = batch.is_empty();
             for mut rec in batch {
                 // changes the payload (adds the tag cell): in place on a
@@ -567,7 +572,7 @@ impl Source for HiveSource {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rtdi_stream::topic::TopicConfig;
+    use rtdi_stream::topic::{Topic, TopicConfig};
 
     fn topic(partitions: usize, records: usize) -> Arc<Topic> {
         let t =

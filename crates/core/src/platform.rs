@@ -31,7 +31,7 @@ use rtdi_stream::cluster::{Cluster, ClusterConfig};
 use rtdi_stream::consumer::TopicSubscription;
 use rtdi_stream::federation::FederatedCluster;
 use rtdi_stream::producer::{Producer, ProducerConfig, StreamEndpoint};
-use rtdi_stream::topic::{PartitionCursor, Topic, TopicConfig};
+use rtdi_stream::topic::{CursorSet, PartitionCursor, Topic, TopicConfig};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -79,9 +79,9 @@ pub struct RealtimePlatform {
     tracer: PipelineTracer,
     clock: Arc<dyn Clock>,
     chaos: Chaos,
-    /// Per archived topic: how far each partition is in the warehouse.
-    /// Held for the whole of an `archive_topic` call.
-    archives: Mutex<BTreeMap<String, Vec<PartitionCursor>>>,
+    /// Per archived topic: its subscription and how far each partition is
+    /// in the warehouse. Held for the whole of an `archive_topic` call.
+    archives: Mutex<BTreeMap<String, CursorSet>>,
 }
 
 impl RealtimePlatform {
@@ -354,25 +354,28 @@ impl RealtimePlatform {
     /// queryable Hive table (§4.4). Registers the table on first call.
     /// Returns the rows compacted.
     ///
-    /// The archiver is a consumer: a cursor per partition, kept in memory
-    /// and advanced only once the call's parts are registered, so a failed
-    /// call is re-read whole by the next. Each call reads the topic where
-    /// its subscription points, so the cursors carry over a migration.
+    /// The archiver is a consumer: a [`CursorSet`] kept in memory and
+    /// advanced only once the call's parts are registered, so a call that
+    /// fails after its read is re-read whole by the next. A read that a
+    /// failed fetch cut short archives what the partitions before it
+    /// delivered. Each call reads the topic where its subscription points,
+    /// so the cursors carry over a migration.
     pub fn archive_topic(&self, topic: &str, schema: &Schema) -> Result<usize> {
-        let t = self.federation.subscribe(topic)?.topic();
+        let subscription = self.federation.subscribe(topic)?;
         let mut archives = self.archives.lock();
-        let cursors = archives.entry(topic.to_string()).or_default();
+        let archived = (archives.entry(topic.to_string()))
+            .or_insert_with(|| CursorSet::from_zero(subscription));
         let writer = ArchivalWriter::new(self.store.clone(), topic);
-        let mut next = cursors.clone();
-        next.extend((next.len()..t.num_partitions()).map(|p| PartitionCursor::new(p, 0)));
+        let mut next = archived.clone();
         let mut fetched = Vec::new();
-        for cursor in &mut next {
-            let records = cursor.fetch(&t, usize::MAX / 2)?;
-            cursor.consumed(&records);
+        next.poll(|turn| {
+            let records = turn.fetch(usize::MAX / 2)?;
+            turn.cursor.consumed(&records);
             fetched.extend(records);
-        }
+            Ok(())
+        })?;
         if fetched.is_empty() {
-            *cursors = next;
+            *archived = next;
             return Ok(0);
         }
         // encoded from the log's own handles: no record is copied
@@ -391,14 +394,15 @@ impl RealtimePlatform {
         for (date, _) in written {
             rows += compactor.compact(topic, &date, schema)?;
         }
-        *cursors = next;
+        *archived = next;
         Ok(rows)
     }
 
     /// The archiver's cursors over `topic`, one per partition; empty
     /// before the topic is first archived.
     pub fn archive_cursors(&self, topic: &str) -> Vec<PartitionCursor> {
-        self.archives.lock().get(topic).cloned().unwrap_or_default()
+        let archives = self.archives.lock();
+        (archives.get(topic)).map_or(Vec::new(), |archived| archived.cursors.clone())
     }
 
     /// One-call backfill (§7 Kappa+ SQL mode): run `sql` over the archived

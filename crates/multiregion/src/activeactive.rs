@@ -9,14 +9,14 @@
 //! another region to be the primary."
 //!
 //! Each round recomputes every region's state from its whole retained
-//! aggregate log by design: it reads each partition's committed records
-//! through a fresh [`PartitionCursor`] at the log start.
+//! aggregate log by design: it reads the committed records through a
+//! fresh [`CursorSet`] at the log start.
 
 use crate::kv::ReplicatedKv;
 use crate::topology::MultiRegionTopology;
 use parking_lot::RwLock;
 use rtdi_common::{Error, Result, Row, Timestamp};
-use rtdi_stream::topic::PartitionCursor;
+use rtdi_stream::topic::CursorSet;
 use std::collections::BTreeMap;
 
 /// The all-active coordinating service: tracks which region's update
@@ -65,7 +65,9 @@ impl ActiveActiveCoordinator {
 /// committed records of its aggregate topic from the log start and
 /// computes per-key results with `compute`; only the primary region's
 /// update service writes to the KV store. Returns the per-region computed
-/// states so tests can assert convergence.
+/// states so tests can assert convergence. A transient fetch fault is
+/// ridden out; a fetch of a healthy region that fails for good fails the
+/// round, so a round computes every healthy region or none.
 pub fn redundant_compute_round(
     topo: &MultiRegionTopology,
     coordinator: &ActiveActiveCoordinator,
@@ -79,12 +81,16 @@ pub fn redundant_compute_round(
         if region.aggregate.is_down() {
             continue;
         }
-        let topic = region.aggregate.topic(topo.topic())?;
+        let mut log = CursorSet::at_log_start(region.aggregate.topic(topo.topic())?)?;
         let mut rows = Vec::new();
-        for p in 0..topic.num_partitions() {
-            let records =
-                PartitionCursor::at_log_start(&topic, p)?.fetch(&topic, usize::MAX / 2)?;
+        // a state computed from part of the log is no region's state
+        if !log.poll(|turn| {
+            let records = turn.fetch(usize::MAX / 2)?;
             rows.extend(records.into_iter().map(|r| r.into_record().value));
+            Ok(())
+        })? {
+            let cut = format!("a fetch of region '{}' failed", region.name);
+            return Err(Error::Unavailable(cut));
         }
         let state = compute(&rows);
         if region.name == primary {

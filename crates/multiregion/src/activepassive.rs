@@ -11,16 +11,17 @@
 //! consumer can take the latest synchronized offset and resume the
 //! consumption."
 //!
-//! [`ActivePassiveConsumer`] reads each partition of the active region's
-//! aggregate topic through a [`PartitionCursor`]: committed records only,
-//! retention jumps counted in [`ActivePassiveConsumer::skipped`], and a
-//! failover seeks every cursor to its translated offset.
+//! [`ActivePassiveConsumer`] reads the active region's aggregate topic
+//! through a [`CursorSet`]: committed records only, a transient fetch
+//! fault ridden out in place, retention jumps counted in
+//! [`ActivePassiveConsumer::skipped`], and a failover seeks every cursor
+//! to its translated offset.
 
 use crate::topology::{route_name, MultiRegionTopology};
 use rtdi_common::{Error, Record, Result};
+use rtdi_stream::log::OffsetRecord;
 use rtdi_stream::replicator::OffsetMappingStore;
-use rtdi_stream::topic::PartitionCursor;
-use std::collections::BTreeMap;
+use rtdi_stream::topic::CursorSet;
 
 /// Translates committed offsets between regions using the replicator's
 /// offset-mapping checkpoints.
@@ -75,9 +76,9 @@ pub struct ActivePassiveConsumer {
     pub name: String,
     topic: String,
     current_region: String,
-    /// where the next read starts, per partition of the current region's
-    /// aggregate topic
-    cursors: BTreeMap<usize, PartitionCursor>,
+    /// The current region's aggregate topic and where the next read starts
+    /// in each partition; none before the first read or failover.
+    reader: Option<CursorSet>,
 }
 
 impl ActivePassiveConsumer {
@@ -86,17 +87,19 @@ impl ActivePassiveConsumer {
             name: name.to_string(),
             topic: topic.to_string(),
             current_region: region.to_string(),
-            cursors: BTreeMap::new(),
+            reader: None,
         }
     }
 
     /// Records retention removed before this consumer read them.
     pub fn skipped(&self) -> u64 {
-        self.cursors.values().map(|c| c.skipped).sum()
+        self.reader.as_ref().map_or(0, CursorSet::skipped)
     }
 
-    /// Consume everything currently available in the active region. The
-    /// positions move only when the whole read succeeds.
+    /// Consume everything currently available in the active region. A
+    /// fetch that fails for good ends the read behind what came before it,
+    /// and the read is an error only when nothing did (the [`CursorSet`]
+    /// contract).
     pub fn consume_available(&mut self, topo: &MultiRegionTopology) -> Result<Vec<Record>> {
         let region = topo.region(&self.current_region)?;
         // the consumer reads the aggregate cluster: aggregate-only loss
@@ -108,21 +111,22 @@ impl ActivePassiveConsumer {
             )));
         }
         let topic = region.aggregate.topic(&self.topic)?;
-        let mut cursors = self.cursors.clone();
+        let reader = (self.reader).get_or_insert_with(|| CursorSet::from_zero(topic));
         let mut out = Vec::new();
-        for p in 0..topic.num_partitions() {
-            let cursor = cursors.entry(p).or_insert(PartitionCursor::new(p, 0));
-            loop {
-                let records = cursor.fetch(&topic, 1024)?;
-                if records.is_empty() {
-                    break;
-                }
-                cursor.consumed(&records);
-                out.extend(records.into_iter().map(|r| r.into_record()));
+        let polled = reader.poll(|turn| loop {
+            let records = turn.fetch(1024)?;
+            if records.is_empty() {
+                return Ok(());
             }
+            turn.cursor.consumed(&records);
+            out.extend(records.into_iter().map(OffsetRecord::into_record));
+        });
+        // a turn drains its partition fetch by fetch: a fetch that fails
+        // for good in the first turn can come after records it delivered
+        match polled {
+            Err(e) if out.is_empty() => Err(e),
+            _ => Ok(out),
         }
-        self.cursors = cursors;
-        Ok(out)
     }
 
     /// Fail over to another region, resuming from synchronized offsets.
@@ -139,18 +143,20 @@ impl ActivePassiveConsumer {
             )));
         }
         let sources: Vec<String> = topo.regions.iter().map(|r| r.name.clone()).collect();
-        let topic = target.aggregate.topic(&self.topic)?;
-        for p in 0..topic.num_partitions() {
-            let cursor = self.cursors.entry(p).or_insert(PartitionCursor::new(p, 0));
+        let mut reader = CursorSet::from_zero(target.aggregate.topic(&self.topic)?);
+        let held = self.reader.take().map_or(Vec::new(), |held| held.cursors);
+        for cursor in &mut reader.cursors {
+            *cursor = held.get(cursor.partition).copied().unwrap_or(*cursor);
             cursor.position = sync.translate(
                 &self.topic,
                 &sources,
                 &self.current_region,
                 to_region,
-                p,
+                cursor.partition,
                 cursor.position,
             );
         }
+        self.reader = Some(reader);
         self.current_region = to_region.to_string();
         Ok(())
     }

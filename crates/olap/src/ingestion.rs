@@ -6,18 +6,19 @@
 //! ingester consumes a topic partition-aligned into an [`OlapTable`] and
 //! reports audit observations to Chaperone; the segments it seals wait in
 //! [`OlapTable::take_unbacked`] for whoever archives them. It follows the
-//! topic's [`TopicSubscription`] across a migration, and each partition
-//! is read through its own [`PartitionCursor`]: committed records only,
-//! advanced past the rows the table took (a refused row included), with
-//! retention jumps counted in [`RealtimeIngester::skipped`].
+//! topic's [`TopicSubscription`] across a migration and reads it through
+//! a [`CursorSet`]: committed records only, a transient fetch fault ridden
+//! out in place, each cursor advanced past the rows the table took (a
+//! refused row included), and retention jumps counted in
+//! [`RealtimeIngester::skipped`].
 
 use crate::scatter::{self, scatter};
 use crate::table::OlapTable;
 use rtdi_common::trace::END_TO_END;
-use rtdi_common::{Clock, Error, PipelineTracer, Result, TraceStage};
+use rtdi_common::{Clock, Error, PipelineTracer, Result, RetryPolicy, TraceStage};
 use rtdi_stream::chaperone::{Chaperone, ChaperoneStage};
 use rtdi_stream::consumer::TopicSubscription;
-use rtdi_stream::topic::{PartitionCursor, Topic};
+use rtdi_stream::topic::{CursorSet, PartitionCursor, Topic};
 use std::sync::Arc;
 
 /// Ingestion knobs.
@@ -45,9 +46,9 @@ impl Default for IngestionConfig {
 
 /// Consumes a topic into a table.
 pub struct RealtimeIngester {
-    /// Resolved once per `run_once`: a migrated topic is read where it
-    /// moved, from the same positions.
-    subscription: TopicSubscription,
+    /// Its subscription is resolved once per `run_once`: a migrated topic
+    /// is read where it moved, from the same positions.
+    cursors: CursorSet,
     table: Arc<OlapTable>,
     /// The `config.audit_stage` stage of the auditor, resolved once.
     chaperone: Option<ChaperoneStage>,
@@ -56,7 +57,6 @@ pub struct RealtimeIngester {
     trace: Option<(TraceStage, TraceStage)>,
     clock: Option<Arc<dyn Clock>>,
     config: IngestionConfig,
-    cursors: Vec<PartitionCursor>,
     /// Rows the table took over every round, failed rounds included.
     ingested: u64,
 }
@@ -67,21 +67,17 @@ impl RealtimeIngester {
         table: Arc<OlapTable>,
         config: IngestionConfig,
     ) -> Result<Self> {
-        let subscription = subscription.into();
-        let topic = subscription.topic();
-        if topic.num_partitions() != table.config().partitions {
+        let cursors = CursorSet::from_zero(subscription);
+        let partitions = cursors.cursors.len();
+        if partitions != table.config().partitions {
             return Err(Error::InvalidArgument(format!(
-                "topic has {} partitions but table expects {} — upsert \
-                 integrity requires alignment",
-                topic.num_partitions(),
+                "topic has {partitions} partitions but table expects {} — \
+                 upsert integrity requires alignment",
                 table.config().partitions
             )));
         }
         Ok(RealtimeIngester {
-            cursors: (0..topic.num_partitions())
-                .map(|p| PartitionCursor::new(p, 0))
-                .collect(),
-            subscription,
+            cursors,
             table,
             chaperone: None,
             trace: None,
@@ -100,7 +96,7 @@ impl RealtimeIngester {
     /// the `"olap-ingest"` hop plus the end-to-end rollup (record becomes
     /// queryable here).
     pub fn with_tracer(mut self, tracer: PipelineTracer) -> Self {
-        let topic = self.subscription.topic();
+        let topic = self.cursors.topic();
         self.trace = Some((
             tracer.stage(topic.name(), "olap-ingest"),
             tracer.stage(topic.name(), END_TO_END),
@@ -117,7 +113,7 @@ impl RealtimeIngester {
 
     /// The next offset to consume, per partition.
     pub fn positions(&self) -> Vec<u64> {
-        self.cursors.iter().map(|c| c.position).collect()
+        self.cursors.cursors.iter().map(|c| c.position).collect()
     }
 
     /// Rows the table took over every `run_once` so far, those of a round
@@ -128,25 +124,27 @@ impl RealtimeIngester {
 
     /// Records retention removed before they were ingested.
     pub fn skipped(&self) -> u64 {
-        self.cursors.iter().map(|c| c.skipped).sum()
+        self.cursors.skipped()
     }
 
     /// Ingest everything currently available. Returns records ingested;
     /// a round that stops on an error returns the error, and the rows it
     /// did ingest still count in [`Self::records_ingested`].
     ///
-    /// Each partition drains to its log's end or to its own error; the
-    /// error of the lowest-numbered partition that stopped short is
-    /// returned. When at least two partitions each hold a full fetch
-    /// between their position and the committed watermark, the drains run
-    /// on `min(cores, those partitions)` workers, the caller among them;
-    /// otherwise one after another on the calling thread. A partition's
-    /// outcome is the same either way: its rows go in under its own lock.
+    /// Each partition drains to its log's end or to its own error: a
+    /// refused row, or a fetch that fails for good (a transient fault is
+    /// ridden out in place). The error of the lowest-numbered partition
+    /// that stopped short is returned. When at least two partitions each
+    /// hold a full fetch between their position and the committed
+    /// watermark, the drains run on `min(cores, those partitions)` workers,
+    /// the caller among them; otherwise one after another on the calling
+    /// thread. A partition's outcome is the same either way: its rows go in
+    /// under its own lock.
     pub fn run_once(&mut self) -> Result<u64> {
-        let topic = self.subscription.topic();
-        let partitions = self.cursors.len();
+        let topic = self.cursors.topic();
+        let partitions = self.cursors.cursors.len();
         let batch = self.config.batch_size as u64;
-        let backlogged = (self.cursors.iter())
+        let backlogged = (self.cursors.cursors.iter())
             .filter(|c| {
                 let committed = topic.committed_watermark(c.partition).unwrap_or(0);
                 committed.saturating_sub(c.position) >= batch
@@ -163,18 +161,19 @@ impl RealtimeIngester {
         let threads = scatter::effective_threads(0, backlogged);
         if threads > 1 {
             let drains = scatter(partitions, threads, |p| {
-                Ok(self.drain(&topic, self.cursors[p]))
+                Ok(self.drain(&topic, self.cursors.cursors[p]))
             });
             for (p, drain) in drains.into_iter().enumerate() {
+                let cursor = &mut self.cursors.cursors[p];
                 // a drain that panicked leaves its cursor where it was
-                let (cursor, drained) = drain.unwrap_or_else(|e| (self.cursors[p], (0, Some(e))));
-                self.cursors[p] = cursor;
+                let (moved, drained) = drain.unwrap_or_else(|e| (*cursor, (0, Some(e))));
+                *cursor = moved;
                 settle(drained);
             }
         } else {
             for p in 0..partitions {
-                let (cursor, drained) = self.drain(&topic, self.cursors[p]);
-                self.cursors[p] = cursor;
+                let (moved, drained) = self.drain(&topic, self.cursors.cursors[p]);
+                self.cursors.cursors[p] = moved;
                 settle(drained);
             }
         }
@@ -193,7 +192,9 @@ impl RealtimeIngester {
     ) -> (PartitionCursor, (u64, Option<Error>)) {
         let mut total = 0;
         loop {
-            let fetch = match cursor.fetch(topic, self.config.batch_size) {
+            let fetched =
+                RetryPolicy::transient().run(|_| cursor.fetch(topic, self.config.batch_size));
+            let fetch = match fetched {
                 Ok(records) if records.is_empty() => return (cursor, (total, None)),
                 Ok(records) => records,
                 Err(e) => return (cursor, (total, Some(e))),
@@ -243,12 +244,12 @@ mod tests {
     impl RealtimeIngester {
         /// Total lag across partitions.
         fn lag(&self) -> u64 {
-            let topic = self.subscription.topic();
-            (0..topic.num_partitions())
-                .map(|p| {
+            let topic = self.cursors.topic();
+            (self.cursors.cursors.iter())
+                .map(|c| {
                     topic
-                        .partition(p)
-                        .map(|l| l.high_watermark().saturating_sub(self.cursors[p].position))
+                        .partition(c.partition)
+                        .map(|l| l.high_watermark().saturating_sub(c.position))
                         .unwrap_or(0)
                 })
                 .sum()
@@ -531,10 +532,11 @@ mod tests {
     }
 
     /// A failed fetch stops only its own partition's drain, behind the
-    /// rows the table took. One fetch in three times out on four
-    /// partitions, so every round fails; rounds retried until the table is
-    /// full take each record once, and the ingester's count of what it
-    /// took matches the table after every failed round.
+    /// rows the table took. Four fetch attempts in five time out on four
+    /// partitions, so fetches exhaust the retry policy and every round
+    /// fails; rounds retried until the table is full take each record
+    /// once, and the ingester's count of what it took matches the table
+    /// after every failed round.
     #[test]
     fn failed_fetches_are_retried_and_deliver_each_record_once() {
         use rtdi_common::chaos::{Chaos, FaultKind, FaultPlan, FaultPoint, Trigger};
@@ -562,7 +564,7 @@ mod tests {
             .with_chaperone(ch.clone());
         chaos.arm(
             FaultPoint::StreamFetch,
-            FaultPlan::fail(FaultKind::Timeout, Trigger::EveryNth(3)),
+            FaultPlan::fail(FaultKind::Timeout, Trigger::Probability(0.8)),
         );
         let count = Query::select_all("trips").aggregate("n", AggFn::Count);
         let count = || table.query(&count).unwrap().rows[0].get_int("n");
@@ -581,6 +583,52 @@ mod tests {
         assert_eq!(ing.records_ingested(), N as u64);
         assert_eq!(ch.loss_and_duplication("kafka", "pinot-ingestion"), (0, 0));
         assert_eq!(count(), Some(N as i64));
+    }
+
+    /// One fetch in three times out on four partitions: each is ridden
+    /// out in place, so one round takes every record once and its count
+    /// of what it took matches the table.
+    #[test]
+    fn every_third_fetch_failing_is_ridden_out_in_one_round() {
+        use rtdi_common::chaos::{Chaos, FaultKind, FaultPlan, FaultPoint, Trigger};
+        const N: usize = 400;
+        let chaos = Chaos::seeded(0xFE7C);
+        let four = TopicConfig::default().with_partitions(4);
+        let t = Arc::new(Topic::new("trips", four).unwrap().with_chaos(chaos.clone()));
+        let ch = Chaperone::new(1_000);
+        for i in 0..N {
+            let rec = trip(i, 1.0);
+            ch.observe("kafka", &rec);
+            t.append(rec, 0).unwrap();
+        }
+        let config = TableConfig::new("trips", schema())
+            .with_time_column("ts")
+            .with_segment_rows(64)
+            .with_partitions(4);
+        let table = OlapTable::new(config).unwrap();
+        let small = IngestionConfig {
+            batch_size: 32,
+            ..IngestionConfig::default()
+        };
+        let mut ing = RealtimeIngester::new(t, table.clone(), small)
+            .unwrap()
+            .with_chaperone(ch.clone());
+        chaos.arm(
+            FaultPoint::StreamFetch,
+            FaultPlan::fail(FaultKind::Timeout, Trigger::EveryNth(3)),
+        );
+        assert_eq!(ing.run_once().unwrap(), N as u64);
+        assert!(
+            chaos.stats(FaultPoint::StreamFetch).1 > 0,
+            "no fetch failed"
+        );
+        assert_eq!(ing.records_ingested(), N as u64);
+        let count = Query::select_all("trips").aggregate("n", AggFn::Count);
+        assert_eq!(
+            table.query(&count).unwrap().rows[0].get_int("n"),
+            Some(N as i64)
+        );
+        assert_eq!(ch.loss_and_duplication("kafka", "pinot-ingestion"), (0, 0));
     }
 
     #[test]

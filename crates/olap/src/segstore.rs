@@ -63,9 +63,7 @@ impl SegmentStore {
         let data = segment.persist()?;
         let key = Self::key(table, segment.name());
         // same-key overwrite: retrying a flaky archive put is idempotent
-        RetryPolicy::new(4)
-            .with_backoff_us(50, 2_000)
-            .run(|_| self.store.put(&key, data.clone()))
+        RetryPolicy::transient().run(|_| self.store.put(&key, data.clone()))
     }
 
     /// Back up a sealed segment.

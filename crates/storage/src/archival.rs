@@ -367,7 +367,7 @@ impl ArchivalWriter {
             .collect();
         by_date.sort_by(|a, b| a.0.cmp(&b.0));
         let mut written = Vec::new();
-        let policy = RetryPolicy::new(4).with_backoff_us(50, 2_000);
+        let policy = RetryPolicy::transient();
         for (date, mut recs) in by_date {
             // a stable sort on the time beside each handle. Where event
             // time follows the order the records were produced in (a log fed

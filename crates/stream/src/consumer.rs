@@ -4,9 +4,10 @@
 //! partitions are divided among group members (capping parallelism at the
 //! partition count — the limitation §4.1.3's consumer proxy removes),
 //! offsets are committed per partition, and uncommitted progress is
-//! replayed after a rebalance (at-least-once). The group reads each
-//! partition through its own [`PartitionCursor`]: committed records only,
-//! and a retention jump is counted in [`ConsumerGroup::skipped`].
+//! replayed after a rebalance (at-least-once). Each member reads its
+//! partitions through a [`CursorSet`]: committed records only, a transient
+//! fetch fault ridden out in place, and a retention jump counted in
+//! [`ConsumerGroup::skipped`].
 //!
 //! [`TopicSubscription`] is the level of indirection federation (§4.1.1)
 //! uses to redirect a live consumer to another physical cluster without an
@@ -14,7 +15,7 @@
 //! reader of the topic holds a clone and resolves it once per poll.
 
 use crate::log::OffsetRecord;
-use crate::topic::{PartitionCursor, Topic};
+use crate::topic::{CursorSet, PartitionCursor, Topic};
 use parking_lot::RwLock;
 use rtdi_common::{Error, Result};
 use std::collections::BTreeMap;
@@ -62,18 +63,13 @@ impl From<Arc<Topic>> for TopicSubscription {
     }
 }
 
-#[derive(Debug, Default)]
+#[derive(Default)]
 struct GroupState {
     members: Vec<String>,
-    /// member -> partitions
-    assignment: BTreeMap<String, Vec<usize>>,
-    /// where the next poll reads, per partition polled or committed
-    cursors: BTreeMap<usize, PartitionCursor>,
+    /// member -> the cursors of its partitions: where its next poll reads
+    readers: BTreeMap<String, CursorSet>,
     /// committed offset (next offset to process after restart), per partition
     committed: BTreeMap<usize, u64>,
-    /// member -> the partition whose fetch failed its last poll: where
-    /// the member's next poll starts
-    resume: BTreeMap<String, usize>,
     generation: u64,
 }
 
@@ -103,93 +99,76 @@ impl ConsumerGroup {
         st.generation
     }
 
+    /// Range assignment, deterministic by member order. At-least-once:
+    /// every position rewinds to the last commit, and a cursor keeps its
+    /// skipped count across owners.
     fn rebalance(&self, st: &mut GroupState) {
         st.generation += 1;
-        st.assignment.clear();
-        st.resume.clear();
+        let mut held: BTreeMap<usize, PartitionCursor> = (st.readers.values())
+            .flat_map(|reader| reader.cursors.iter().map(|c| (c.partition, *c)))
+            .collect();
+        st.readers.clear();
         let n = self.subscription.topic().num_partitions();
-        if st.members.is_empty() {
-            return;
-        }
-        // range assignment, deterministic by member order
+        let members = st.members.len();
         for (i, member) in st.members.iter().enumerate() {
-            let parts: Vec<usize> = (0..n).filter(|p| p % st.members.len() == i).collect();
-            st.assignment.insert(member.clone(), parts);
-        }
-        // at-least-once: rewind positions to last commit
-        for (p, cursor) in &mut st.cursors {
-            cursor.position = st.committed.get(p).copied().unwrap_or(0);
+            let cursors = (0..n)
+                .filter(|p| p % members == i)
+                .map(|p| {
+                    let mut cursor = held.remove(&p).unwrap_or(PartitionCursor::new(p, 0));
+                    cursor.position = st.committed.get(&p).copied().unwrap_or(0);
+                    cursor
+                })
+                .collect();
+            let reader = CursorSet::new(self.subscription.clone(), cursors);
+            st.readers.insert(member.clone(), reader);
         }
     }
 
     /// Partitions currently assigned to a member. Members beyond the
     /// partition count get nothing — Kafka's parallelism cap (§4.1.3).
     pub fn assignment(&self, member: &str) -> Vec<usize> {
-        self.state
-            .read()
-            .assignment
-            .get(member)
-            .cloned()
-            .unwrap_or_default()
+        let st = self.state.read();
+        let cursors = st.readers.get(member).map_or(&[][..], |r| &r.cursors);
+        cursors.iter().map(|c| c.partition).collect()
     }
 
     /// Poll up to `max` records *per assigned partition* for a member,
     /// grouped by the partition they came from — the consumer proxy needs
     /// partition identity for its out-of-order offset tracking. Advances
     /// the in-memory position (not the commit) of each partition it
-    /// delivers. A fetch that fails ends the poll: what the partitions
-    /// before it fetched is delivered, the failed partition is where the
-    /// member's next poll starts, and the poll is an error only when its
-    /// first fetch failed. So a member that holds many partitions makes
-    /// progress while some of its fetches fail. Takes the group's lock
-    /// once.
+    /// delivers. The member's [`CursorSet`] rides out a transient fetch
+    /// fault; a fetch that fails for good ends the poll behind what the
+    /// partitions before it delivered, and the member's next poll starts
+    /// at the failed partition. Takes the group's lock once.
     pub fn poll_partitioned(
         &self,
         member: &str,
         max: usize,
     ) -> Result<Vec<(usize, Vec<OffsetRecord>)>> {
-        let topic = self.subscription.topic();
         let mut st = self.state.write();
-        let GroupState {
-            assignment,
-            cursors,
-            resume,
-            ..
-        } = &mut *st;
-        let parts = assignment.get(member).ok_or_else(|| {
+        let reader = st.readers.get_mut(member).ok_or_else(|| {
             Error::NotFound(format!("member '{member}' not in group '{}'", self.name))
         })?;
-        let start = resume.get(member);
-        let start = start.and_then(|p| parts.iter().position(|q| q == p));
-        let (before, from) = parts.split_at(start.unwrap_or(0));
         let mut out = Vec::new();
-        for (i, &p) in from.iter().chain(before).enumerate() {
-            let cursor = cursors.entry(p).or_insert(PartitionCursor::new(p, 0));
-            match cursor.fetch(&topic, max) {
-                Ok(records) => {
-                    cursor.consumed(&records);
-                    if !records.is_empty() {
-                        out.push((p, records));
-                    }
-                }
-                Err(e) => {
-                    resume.insert(member.to_string(), p);
-                    return if i == 0 { Err(e) } else { Ok(out) };
-                }
+        reader.poll(|turn| {
+            let records = turn.fetch(max)?;
+            turn.cursor.consumed(&records);
+            if !records.is_empty() {
+                out.push((turn.cursor.partition, records));
             }
-        }
-        resume.remove(member);
+            Ok(())
+        })?;
         Ok(out)
     }
 
     /// Commit current positions of the member's partitions.
     pub fn commit(&self, member: &str) {
-        let parts = self.assignment(member);
         let mut st = self.state.write();
-        for p in parts {
-            if let Some(&cursor) = st.cursors.get(&p) {
-                st.committed.insert(p, cursor.position);
-            }
+        let GroupState {
+            readers, committed, ..
+        } = &mut *st;
+        for cursor in readers.get(member).map_or(&[][..], |r| &r.cursors) {
+            committed.insert(cursor.partition, cursor.position);
         }
     }
 
@@ -198,13 +177,16 @@ impl ConsumerGroup {
     pub fn commit_offset(&self, partition: usize, offset: u64) {
         let mut st = self.state.write();
         st.committed.insert(partition, offset);
-        let cursor = PartitionCursor::new(partition, 0);
-        st.cursors.entry(partition).or_insert(cursor).position = offset;
+        let cursors = st.readers.values_mut().flat_map(|r| &mut r.cursors);
+        for cursor in cursors.filter(|c| c.partition == partition) {
+            cursor.position = offset;
+        }
     }
 
     /// Records retention removed before the group read them.
     pub fn skipped(&self) -> u64 {
-        self.state.read().cursors.values().map(|c| c.skipped).sum()
+        let st = self.state.read();
+        st.readers.values().map(CursorSet::skipped).sum()
     }
 
     /// Total lag: records between committed offsets and the *committed*

@@ -138,7 +138,7 @@ impl DeadLetterQueue {
         let log = &self.log;
         // a flaky endpoint is retried per record; only a persistently
         // failing send aborts the merge
-        let policy = RetryPolicy::new(4).with_backoff_us(50, 2_000);
+        let policy = RetryPolicy::transient();
         let mut merged = 0;
         loop {
             // fetch the whole backlog so truncate_all below cannot drop

@@ -9,15 +9,16 @@
 //! [`Replicator`] is the copy engine: it mirrors a topic between clusters
 //! partition-aligned, periodically checkpointing the source->destination
 //! offset mapping that the active/passive offset-sync service of §6
-//! consumes. It reads each source partition through a
-//! [`PartitionCursor`]: committed records only, advanced past the last
-//! record the destination took, with retention jumps counted in
-//! [`Replicator::skipped`]. The sticky rebalancing the quote describes is
-//! a model beside claim E4 in `rtdi-bench`, not part of the copy path.
+//! consumes. It reads the source topic through a [`CursorSet`]: committed
+//! records only, a transient fetch fault ridden out in place, each cursor
+//! advanced past the last record the destination took, and retention
+//! jumps counted in [`Replicator::skipped`]. The sticky rebalancing the
+//! quote describes is a model beside claim E4 in `rtdi-bench`, not part of
+//! the copy path.
 
 use crate::cluster::Cluster;
-use crate::topic::PartitionCursor;
-use parking_lot::RwLock;
+use crate::topic::{CursorSet, PartitionCursor, Topic};
+use parking_lot::{Mutex, RwLock};
 use rtdi_common::{Chaos, Error, FaultPoint, Result, RetryPolicy, Timestamp};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -94,8 +95,8 @@ pub struct Replicator {
     topic: String,
     mappings: OffsetMappingStore,
     checkpoint_interval: u64,
-    /// where the next copy reads the source, per partition it has read
-    cursors: RwLock<BTreeMap<usize, PartitionCursor>>,
+    /// Where the next copy reads the source; made by the first run.
+    reader: Mutex<Option<CursorSet>>,
     chaos: Chaos,
 }
 
@@ -115,7 +116,7 @@ impl Replicator {
             topic: topic.into(),
             mappings,
             checkpoint_interval: checkpoint_interval.max(1),
-            cursors: RwLock::new(BTreeMap::new()),
+            reader: Mutex::new(None),
             chaos: Chaos::default(),
         }
     }
@@ -149,31 +150,34 @@ impl Replicator {
 
     /// Replicate everything currently pending. Returns records copied.
     ///
-    /// Transient cross-region faults (`multiregion.replicate`) are retried
-    /// with backoff; a persistent outage surfaces as an error with the
-    /// per-partition position untouched past the last copied record, so the
-    /// next `run_once` resumes without loss or duplication.
+    /// Transient cross-region faults (`multiregion.replicate`) and
+    /// transient fetch faults are retried with backoff. A copy that fails
+    /// for good is an error, and a fetch that fails for good after the
+    /// first partition ends the run (the [`CursorSet`] contract): either
+    /// way the partition's position stays just past the last copied
+    /// record, so the next `run_once` of this worker resumes there without
+    /// loss or duplication.
     pub fn run_once(&self, now: Timestamp) -> Result<u64> {
+        // a route to or from a cluster that is down fails here
         let src = self.source.topic(&self.topic)?;
         let dst = self.destination.topic(&self.topic)?;
-        let policy = RetryPolicy::new(4).with_backoff_us(50, 2_000);
-        let mut copied = 0;
-        for p in 0..src.num_partitions() {
-            // resume priority: in-memory position (same worker), then the
-            // shared mapping store (a restarted worker picks up after the
-            // last checkpoint — duplicates bounded by checkpoint_interval,
-            // never a gap), then the retained log start (fresh route)
-            let saved = self.cursors.read().get(&p).copied();
-            let mut cursor = match saved {
-                Some(cursor) => cursor,
-                None => match self.mappings.latest(&self.route, p) {
-                    Some(m) => PartitionCursor::new(p, m.src_offset + 1),
-                    None => PartitionCursor::at_log_start(&src, p)?,
-                },
+        let mut reader = self.reader.lock();
+        let reader = match &mut *reader {
+            Some(reader) => reader,
+            None => reader.insert(self.resume(src)?),
+        };
+        let policy = RetryPolicy::transient();
+        let (mut copied, mut failed) = (0, None);
+        let polled = reader.poll(|turn| {
+            // an error of the copy's own fails the run wherever it happens
+            let mut own = |e: Error| {
+                failed = Some(e.clone());
+                e
             };
+            let p = turn.cursor.partition;
             let mut since_checkpoint = 0u64;
             loop {
-                let records = cursor.fetch(&src, 1024)?;
+                let records = turn.fetch(1024)?;
                 if records.is_empty() {
                     break;
                 }
@@ -188,9 +192,8 @@ impl Replicator {
                     }) {
                         Ok(off) => off,
                         Err(e) => {
-                            cursor.consumed(&records[..i]);
-                            self.cursors.write().insert(p, cursor);
-                            return Err(e);
+                            turn.cursor.consumed(&records[..i]);
+                            return Err(own(e));
                         }
                     };
                     copied += 1;
@@ -208,31 +211,51 @@ impl Replicator {
                         since_checkpoint = 0;
                     }
                 }
-                cursor.consumed(&records);
+                turn.cursor.consumed(&records);
             }
             // always checkpoint the frontier so translation stays fresh
             if copied > 0 {
                 let dst_log = dst.partition(p).ok_or_else(|| {
-                    Error::NotFound(format!("partition {p} of topic '{}'", self.topic))
+                    own(Error::NotFound(format!(
+                        "partition {p} of topic '{}'",
+                        self.topic
+                    )))
                 })?;
                 self.mappings.checkpoint(
                     &self.route,
                     OffsetMapping {
                         partition: p,
-                        src_offset: cursor.position.saturating_sub(1),
+                        src_offset: turn.cursor.position.saturating_sub(1),
                         dst_offset: dst_log.high_watermark().saturating_sub(1),
                         checkpointed_at: now,
                     },
                 );
             }
-            self.cursors.write().insert(p, cursor);
+            Ok(())
+        });
+        match failed {
+            Some(e) => Err(e),
+            None => polled.map(|_| copied),
         }
-        Ok(copied)
+    }
+
+    /// A worker's first positions: after the last checkpointed mapping of
+    /// each partition (a restarted worker replays at most one checkpoint
+    /// interval, never leaves a gap), else the retained log start (a fresh
+    /// route).
+    fn resume(&self, src: Arc<Topic>) -> Result<CursorSet> {
+        let cursors = (0..src.num_partitions())
+            .map(|p| match self.mappings.latest(&self.route, p) {
+                Some(m) => Ok(PartitionCursor::new(p, m.src_offset + 1)),
+                None => PartitionCursor::at_log_start(&src, p),
+            })
+            .collect::<Result<_>>()?;
+        Ok(CursorSet::new(src, cursors))
     }
 
     /// Source records retention removed before this route copied them.
     pub fn skipped(&self) -> u64 {
-        self.cursors.read().values().map(|c| c.skipped).sum()
+        self.reader.lock().as_ref().map_or(0, CursorSet::skipped)
     }
 }
 

@@ -16,11 +16,15 @@
 //!
 //! [`PartitionCursor`] is every reader's place in one partition: it reads
 //! committed records only and counts what retention took from under it.
+//! [`CursorSet`] is a reader's cursors over one subscribed topic and the
+//! one contract of a fetch that fails: every topic reader polls through
+//! one.
 
+use crate::consumer::TopicSubscription;
 use crate::log::{FetchResult, OffsetRecord, PartitionLog};
 use crate::replica::{FailoverEvent, ReplicaSet, ReplicaStatus, MAX_REPLICAS};
 use parking_lot::RwLock;
-use rtdi_common::{Chaos, Error, Record, Result, Timestamp};
+use rtdi_common::{Chaos, Error, Record, Result, RetryPolicy, Timestamp};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -370,6 +374,107 @@ impl PartitionCursor {
             self.skipped += first.offset - self.position;
             self.position = first.offset + records.len() as u64;
         }
+    }
+}
+
+/// A reader's cursors over one subscribed topic: one [`PartitionCursor`]
+/// per partition it reads, and the partition its next poll starts at.
+///
+/// [`CursorSet::poll`] gives each partition a turn, in order from that
+/// start, and resolves the subscription once, so a migrated topic is read
+/// where it moved. A fetch in a turn is retried under
+/// [`RetryPolicy::transient`]: a transient fault is ridden out in place.
+/// A turn that fails (a fetch that exhausts the policy or fails with an
+/// error that is not retryable, or an error of the reader's own) ends the
+/// poll: the partitions before it keep what they consumed, the failed
+/// partition is where the next poll starts, and the poll is an error only
+/// when its first turn failed.
+#[derive(Clone)]
+pub struct CursorSet {
+    subscription: TopicSubscription,
+    /// One per partition the reader reads, in the order a poll visits
+    /// them. A reader seeks by setting their positions, which keeps their
+    /// skipped counts.
+    pub cursors: Vec<PartitionCursor>,
+    /// The index of the cursor the next poll starts at.
+    start: usize,
+}
+
+/// One partition's turn in a [`CursorSet::poll`].
+pub struct Turn<'a> {
+    topic: &'a Topic,
+    /// The partition's cursor: the turn advances it past what it consumed
+    /// ([`PartitionCursor::consumed`]).
+    pub cursor: &'a mut PartitionCursor,
+}
+
+impl Turn<'_> {
+    /// Up to `max` committed records from the cursor's position, fetched
+    /// under [`RetryPolicy::transient`]; the cursor does not advance.
+    pub fn fetch(&mut self, max: usize) -> Result<Vec<OffsetRecord>> {
+        RetryPolicy::transient().run(|_| self.cursor.fetch(self.topic, max))
+    }
+}
+
+impl CursorSet {
+    /// These cursors, polled in the order given: a group member's share,
+    /// or positions resumed from elsewhere.
+    pub fn new(subscription: impl Into<TopicSubscription>, cursors: Vec<PartitionCursor>) -> Self {
+        let subscription = subscription.into();
+        CursorSet {
+            subscription,
+            cursors,
+            start: 0,
+        }
+    }
+
+    /// A cursor at offset 0 of every partition.
+    pub fn from_zero(subscription: impl Into<TopicSubscription>) -> Self {
+        let subscription = subscription.into();
+        let n = subscription.topic().num_partitions();
+        let cursors = (0..n).map(|p| PartitionCursor::new(p, 0)).collect();
+        Self::new(subscription, cursors)
+    }
+
+    /// A cursor at the log start of every partition: what retention took
+    /// before the reader existed is not counted as skipped.
+    pub fn at_log_start(subscription: impl Into<TopicSubscription>) -> Result<Self> {
+        let subscription = subscription.into();
+        let topic = subscription.topic();
+        let cursors = (0..topic.num_partitions()).map(|p| PartitionCursor::at_log_start(&topic, p));
+        Ok(Self::new(subscription, cursors.collect::<Result<_>>()?))
+    }
+
+    /// The topic the subscription points at now.
+    pub fn topic(&self) -> Arc<Topic> {
+        self.subscription.topic()
+    }
+
+    /// Records retention removed before the reader read them.
+    pub fn skipped(&self) -> u64 {
+        self.cursors.iter().map(|c| c.skipped).sum()
+    }
+
+    /// Give each cursor a turn, from the start, until one fails; a failed
+    /// turn is where the next poll starts. `Ok(true)` when every cursor had
+    /// its turn, `Ok(false)` when a turn after the first failed, and the
+    /// error when the first turn failed.
+    pub fn poll(&mut self, mut turn: impl FnMut(&mut Turn<'_>) -> Result<()>) -> Result<bool> {
+        let topic = self.subscription.topic();
+        let n = self.cursors.len();
+        for i in 0..n {
+            let at = (self.start + i) % n;
+            let cursor = &mut self.cursors[at];
+            if let Err(e) = turn(&mut Turn {
+                topic: &topic,
+                cursor,
+            }) {
+                self.start = at;
+                return if i == 0 { Err(e) } else { Ok(false) };
+            }
+        }
+        self.start = 0;
+        Ok(true)
     }
 }
 

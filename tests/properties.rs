@@ -3155,7 +3155,8 @@ mod row_semantics {
 /// SQL. The fold below shares no code with the compute layer.
 mod kappa_equivalence {
     use super::*;
-    use rtdi::common::SimClock;
+    use rtdi::common::chaos::{Chaos, FaultKind, FaultPlan, FaultPoint, Trigger};
+    use rtdi::common::{Error, SimClock};
     use rtdi::core::platform::RealtimePlatform;
     use rtdi::flinksql::compiler::CompileOptions;
     use rtdi::flinksql::sinks::PinotSink;
@@ -3278,26 +3279,47 @@ mod kappa_equivalence {
             // the chunk after which `trips` moves to a second cluster; one
             // past the last chunk is no move at all
             let moved_after = rng.gen_range(0..=rounds);
-            let ctx = format!("{ctx}, fares above {cut:?}, moved after chunk {moved_after}");
+            // the share of fetches that time out, for the archiver, the
+            // live job and the ingester alike
+            let fetch_faults = rng.gen_range(0.0..0.3);
+            let ctx = format!(
+                "{ctx}, fares above {cut:?}, moved after chunk {moved_after}, \
+                 {fetch_faults:.3} of fetches time out"
+            );
             let want = fold(&records, window, cut);
 
-            let platform = RealtimePlatform::with_clock(Arc::new(SimClock::new(1_000)));
+            let chaos = Chaos::seeded(SEED_KAPPA + case);
+            let clock = Arc::new(SimClock::new(1_000));
+            let platform = RealtimePlatform::with_chaos(clock, chaos.clone());
             let federation = platform.federation();
-            federation.add_cluster(Cluster::new("cluster-2", ClusterConfig::default()));
+            let second = Cluster::with_chaos("cluster-2", ClusterConfig::default(), chaos.clone());
+            federation.add_cluster(second);
             let config = TopicConfig::default().with_partitions(partitions);
             platform
                 .create_topic("trips", config, trips_schema())
                 .unwrap();
+            let timeouts = Trigger::Probability(fetch_faults);
+            let timeouts = FaultPlan::fail(FaultKind::Timeout, timeouts);
+            chaos.arm(FaultPoint::StreamFetch, timeouts);
             let producer = platform.producer("kappa");
             let mut archived = 0;
+            // a call that a fetch failed for good archives what came before
+            // it, and the next call reads on from there
+            let mut archive = || match platform.archive_topic("trips", &trips_schema()) {
+                Ok(rows) => archived += rows,
+                Err(e) => assert!(matches!(e, Error::Timeout(_)), "{ctx}: {e}"),
+            };
             for (chunk, records) in records.chunks(n.div_ceil(rounds)).enumerate() {
                 for r in records {
                     producer.send("trips", r.clone()).unwrap();
                 }
-                archived += platform.archive_topic("trips", &trips_schema()).unwrap();
+                archive();
                 if chunk == moved_after {
                     federation.migrate_topic("trips", "cluster-2").unwrap();
                 }
+            }
+            for _ in 0..8 {
+                archive();
             }
             let placed = if moved_after < rounds {
                 "cluster-2"
@@ -3321,6 +3343,24 @@ mod kappa_equivalence {
             let job = platform.deploy_sql_pipeline("live", &sql, "trips", live, &options);
             assert_eq!(job.unwrap().records_in, n as u64, "{ctx}");
             assert_eq!(answer(&platform, "live"), want, "{ctx}: the live job");
+
+            let raw = TableConfig::new("raw", trips_schema()).with_time_column("ts");
+            let raw = platform.create_olap_table(raw.with_partitions(partitions));
+            let mut ingester = platform.ingest_into("trips", raw.unwrap()).unwrap();
+            for _ in 0..8 {
+                match ingester.run_once() {
+                    Ok(_) => break,
+                    Err(e) => assert!(matches!(e, Error::Timeout(_)), "{ctx}: {e}"),
+                }
+            }
+            let rows = platform.sql("SELECT city, fare, ts FROM raw LIMIT 1000000");
+            let ingested: Vec<Record> = (rows.unwrap().rows.into_iter())
+                .map(|row| {
+                    let ts = row.get_int("ts").unwrap();
+                    Record::new(row, ts)
+                })
+                .collect();
+            assert_eq!(fold(&ingested, window, cut), want, "{ctx}: the ingester");
 
             let replay = platform.create_olap_table(stats_table("replay")).unwrap();
             let sink = Box::new(PinotSink::new(replay));
