@@ -83,6 +83,23 @@ struct PipelineData {
     newest_origin: Arc<AtomicI64>,
 }
 
+impl PipelineData {
+    /// Has some stage recorded a dwell?
+    fn fed(&self) -> bool {
+        self.stages.iter().any(|(_, h)| h.count() > 0)
+    }
+
+    fn sql_stage(&self) -> Option<&Histogram> {
+        let stage = self.stages.iter().find(|(n, _)| n == SQL_QUERY_STAGE);
+        stage.map(|(_, h)| &**h)
+    }
+
+    fn staleness_ms(&self, now: Timestamp) -> Option<i64> {
+        let newest = self.newest_origin.load(Ordering::Relaxed);
+        (newest != i64::MIN).then(|| now.saturating_sub(newest).max(0))
+    }
+}
+
 /// Shared, cheap-to-clone tracer. All clones write into the same
 /// histograms, so the producer, broker, ingester and broker-side SQL can
 /// each hold one without coordination.
@@ -225,24 +242,56 @@ impl PipelineTracer {
 
     /// How stale the pipeline's newest data is at `now`.
     pub fn staleness_ms(&self, pipeline: &str, now: Timestamp) -> Option<i64> {
-        let inner = self.inner.read();
-        let newest = inner.get(pipeline)?.newest_origin.load(Ordering::Relaxed);
-        (newest != i64::MIN).then(|| now.saturating_sub(newest).max(0))
+        self.inner.read().get(pipeline)?.staleness_ms(now)
     }
 
     /// Record query-time staleness under [`SQL_QUERY_STAGE`]; the SQL
-    /// broker calls this per query per referenced pipeline.
+    /// broker calls this per query per referenced pipeline. Once the stage
+    /// exists this takes the read lock only and copies no name.
     pub fn note_query(&self, pipeline: &str, now: Timestamp) -> Option<i64> {
-        let staleness = self.staleness_ms(pipeline, now)?;
+        let staleness = {
+            let inner = self.inner.read();
+            let data = inner.get(pipeline)?;
+            let staleness = data.staleness_ms(now)?;
+            if let Some(h) = data.sql_stage() {
+                h.record(staleness as u64);
+                return Some(staleness);
+            }
+            staleness
+        };
         self.record_dwell(pipeline, SQL_QUERY_STAGE, staleness);
         Some(staleness)
+    }
+
+    /// [`Self::note_query`] for every pipeline of [`Self::pipelines`]
+    /// whose name the query text contains: one read lock, and no name
+    /// copied once each pipeline's SQL stage exists.
+    pub fn note_query_text(&self, query: &str, now: Timestamp) {
+        let mut unresolved = Vec::new();
+        {
+            let inner = self.inner.read();
+            for (name, data) in inner.iter() {
+                if !data.fed() || !query.contains(name.as_str()) {
+                    continue;
+                }
+                let Some(staleness) = data.staleness_ms(now) else {
+                    continue;
+                };
+                match data.sql_stage() {
+                    Some(h) => h.record(staleness as u64),
+                    None => unresolved.push((name.clone(), staleness)),
+                }
+            }
+        }
+        for (name, staleness) in unresolved {
+            self.record_dwell(&name, SQL_QUERY_STAGE, staleness);
+        }
     }
 
     /// Pipelines with at least one stage that has recorded a dwell.
     pub fn pipelines(&self) -> Vec<String> {
         let inner = self.inner.read();
-        let fed = |d: &PipelineData| d.stages.iter().any(|(_, h)| h.count() > 0);
-        let reported = inner.iter().filter(|(_, d)| fed(d));
+        let reported = inner.iter().filter(|(_, d)| d.fed());
         reported.map(|(name, _)| name.clone()).collect()
     }
 
@@ -327,6 +376,28 @@ mod tests {
         assert_eq!(tr.staleness_ms("p", 5_000), Some(1_000));
         assert_eq!(tr.note_query("p", 5_000), Some(1_000));
         assert_eq!(tr.report().stage("p", SQL_QUERY_STAGE).unwrap().count, 1);
+    }
+
+    #[test]
+    fn query_text_notes_the_fed_pipelines_it_names() {
+        let tr = PipelineTracer::new();
+        let mut a = stamped(1_000);
+        tr.stage("trips", "stream").observe_hop(&mut a, 1_001);
+        let _resolved_never_fed = tr.stage("orders", "stream");
+        // the first note makes the SQL stage, the second finds it
+        for now in [3_000, 4_000] {
+            tr.note_query_text("SELECT COUNT(*) FROM trips JOIN orders", now);
+        }
+        tr.note_query_text("SELECT COUNT(*) FROM drivers", 5_000);
+        let report = tr.report();
+        let sql = report.stage("trips", SQL_QUERY_STAGE).unwrap();
+        assert_eq!((sql.count, sql.max_ms), (2, 3_000));
+        assert!(report.stage("orders", SQL_QUERY_STAGE).is_none());
+        assert_eq!(tr.note_query("trips", 6_000), Some(5_000));
+        assert_eq!(
+            tr.report().stage("trips", SQL_QUERY_STAGE).unwrap().count,
+            3
+        );
     }
 
     #[test]

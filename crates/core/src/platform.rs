@@ -340,12 +340,7 @@ impl RealtimePlatform {
         // record query-time staleness for every traced pipeline the query
         // mentions (substring match is a heuristic — topic and table names
         // coincide on this platform, so it tags the right pipelines)
-        let now = self.clock.now();
-        for pipeline in self.tracer.pipelines() {
-            if query.contains(pipeline.as_str()) {
-                self.tracer.note_query(&pipeline, now);
-            }
-        }
+        self.tracer.note_query_text(query, self.clock.now());
         self.engine.query(query)
     }
 

@@ -8,18 +8,24 @@
 //! data... we have leveraged Presto's connector model and built a Pinot
 //! connector."
 
-use crate::ast::{AggName, Expr};
+use crate::ast::{AggName, Expr, SelectStmt};
 use crate::connector::{Connector, ScanOutput};
 use crate::expr::{eval, truthy};
-use crate::optimizer::{map_children, optimize_with, pushable_aggregation};
-use crate::parser::parse_select;
+use crate::optimizer::{derive_partitions, map_children, optimize_with, pushable_aggregation};
+use crate::parser::{parse_select, parse_tokens};
 use crate::plan::{plan_select, AggItem, Plan};
+use crate::shape::{bind, shape, slots_in_where, slotted_tokens};
+use parking_lot::Mutex;
 use rtdi_common::{
     row_names, AggAcc, Clock, Deadline, Error, PipelineTracer, Priority, Result, Row, RowNames,
     Value,
 };
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
+
+/// How many statement shapes the plan cache holds. A new shape past it
+/// empties the cache first.
+const PLAN_CACHE_CAPACITY: usize = 64;
 
 /// Engine configuration.
 #[derive(Debug, Clone)]
@@ -38,7 +44,9 @@ impl Default for EngineConfig {
     }
 }
 
-/// Execution statistics for one query.
+/// Execution statistics for one query: counters of what its scans did,
+/// and its staleness. The plan it ran is [`SqlEngine::explain`]'s text,
+/// formatted only when asked.
 #[derive(Debug, Clone, Default)]
 pub struct QueryStats {
     /// Documents touched inside connectors.
@@ -70,8 +78,6 @@ pub struct QueryStats {
     /// is the replication-lag signal the DR drill surfaces alongside
     /// `partial`.
     pub staleness_ms: Option<i64>,
-    /// EXPLAIN text of the optimized plan.
-    pub plan: String,
 }
 
 impl QueryStats {
@@ -99,10 +105,19 @@ pub struct QueryOutput {
 }
 
 /// The engine.
+///
+/// It plans a statement shape once ([`crate::shape`]): the optimised plan
+/// of a shape is cached with its value slots open, and a statement of that
+/// shape binds its literals into a copy, derives its partitions and runs.
+/// The cache holds 64 shapes (a `const`); registering a connector
+/// empties it.
 pub struct SqlEngine {
     connectors: HashMap<String, Arc<dyn Connector>>,
     config: EngineConfig,
     freshness: Option<(PipelineTracer, String, Arc<dyn Clock>)>,
+    /// Optimised plans by shape key (the pushdown flag, then the shape).
+    /// Locked for a lookup or an insert only.
+    plans: Mutex<HashMap<String, Arc<Plan>>>,
 }
 
 impl SqlEngine {
@@ -111,11 +126,13 @@ impl SqlEngine {
             connectors: HashMap::new(),
             config,
             freshness: None,
+            plans: Mutex::new(HashMap::new()),
         }
     }
 
     pub fn register_connector(&mut self, catalog: &str, connector: Arc<dyn Connector>) {
         self.connectors.insert(catalog.to_string(), connector);
+        self.plans.get_mut().clear();
     }
 
     /// Attach the freshness tracer feeding the tables this engine serves.
@@ -131,12 +148,10 @@ impl SqlEngine {
         self
     }
 
-    fn connector(&self, catalog: &Option<String>) -> Result<&Arc<dyn Connector>> {
-        let name = catalog
-            .clone()
-            .unwrap_or_else(|| self.config.default_catalog.clone());
+    fn connector(&self, catalog: Option<&str>) -> Result<&Arc<dyn Connector>> {
+        let name = catalog.unwrap_or(&self.config.default_catalog);
         self.connectors
-            .get(&name)
+            .get(name)
             .ok_or_else(|| Error::NotFound(format!("catalog '{name}'")))
     }
 
@@ -173,12 +188,9 @@ impl SqlEngine {
         deadline: Option<Deadline>,
         priority: Priority,
     ) -> Result<QueryOutput> {
-        let mut plan = self.optimized_plan(sql)?;
+        let mut plan = self.plan(sql)?;
         stamp_overload(&mut plan, &deadline, priority);
-        let mut stats = QueryStats {
-            plan: plan.explain(),
-            ..Default::default()
-        };
+        let mut stats = QueryStats::default();
         let rows = self.execute(&plan, &mut stats)?;
         if let Some((tracer, pipeline, clock)) = &self.freshness {
             stats.staleness_ms = tracer.note_query(pipeline, clock.now());
@@ -188,28 +200,78 @@ impl SqlEngine {
 
     /// EXPLAIN: the optimized plan without executing it.
     pub fn explain(&self, sql: &str) -> Result<String> {
-        Ok(self.optimized_plan(sql)?.explain())
+        Ok(self.plan(sql)?.explain())
     }
 
-    fn optimized_plan(&self, sql: &str) -> Result<Plan> {
-        let stmt = parse_select(sql)?;
-        let plan = self.resolve_catalogs(plan_select(&stmt)?);
+    /// The optimised plan `sql` runs, its literals bound and its
+    /// partitions derived: from the plan cache when a statement of its
+    /// shape was planned before.
+    pub fn plan(&self, sql: &str) -> Result<Plan> {
+        let mut key = String::with_capacity(2 * sql.len() + 16);
+        key.push(if self.config.enable_pushdown {
+            'P'
+        } else {
+            'N'
+        });
+        let mut params = Vec::new();
+        shape(sql, &mut key, &mut params)?;
+        let cached = self.plans.lock().get(&key).cloned();
+        let template = match cached {
+            Some(template) => template,
+            None => match self.template(sql, params.len()) {
+                Some(template) => {
+                    let template = Arc::new(template);
+                    let mut plans = self.plans.lock();
+                    if plans.len() >= PLAN_CACHE_CAPACITY {
+                        plans.clear();
+                    }
+                    plans.insert(key, Arc::clone(&template));
+                    template
+                }
+                // text a shape cannot stand for plans as itself, uncached
+                None => return Ok(self.finish(self.optimized(&parse_select(sql)?)?)),
+            },
+        };
+        let mut plan = Plan::clone(&template);
+        bind(&mut plan, &params);
+        Ok(self.finish(plan))
+    }
+
+    /// The optimised plan of `sql`'s shape, its `slots` open: `None` when
+    /// it does not parse or plan (the text's own error is then the one
+    /// reported), or when a slot did not land in a `WHERE` clause.
+    fn template(&self, sql: &str, slots: usize) -> Option<Plan> {
+        let stmt = parse_tokens(slotted_tokens(sql).ok()?).ok()?;
+        if slots_in_where(&stmt) != slots {
+            return None;
+        }
+        self.optimized(&stmt).ok()
+    }
+
+    /// Plan and optimise a statement: every step that reads no literal's
+    /// value and no table's current state.
+    fn optimized(&self, stmt: &SelectStmt) -> Result<Plan> {
+        let plan = self.resolve_catalogs(plan_select(stmt)?);
         let caps = |catalog: &Option<String>| {
-            self.connector(catalog)
+            self.connector(catalog.as_deref())
                 .map(|c| c.capabilities())
                 .unwrap_or_default()
         };
-        let parts = |catalog: &Option<String>, table: &str| {
-            self.connector(catalog)
-                .ok()
-                .and_then(|c| c.partition_spec(table))
-        };
-        Ok(optimize_with(
-            plan,
-            &caps,
-            &parts,
-            self.config.enable_pushdown,
-        ))
+        Ok(optimize_with(plan, &caps, self.config.enable_pushdown))
+    }
+
+    /// The steps that read a bound plan's literals and the connectors'
+    /// current partition layouts.
+    fn finish(&self, mut plan: Plan) -> Plan {
+        if self.config.enable_pushdown {
+            let parts = |catalog: &Option<String>, table: &str| {
+                self.connector(catalog.as_deref())
+                    .ok()
+                    .and_then(|c| c.partition_spec(table))
+            };
+            derive_partitions(&mut plan, &parts);
+        }
+        plan
     }
 
     fn execute(&self, plan: &Plan, stats: &mut QueryStats) -> Result<Vec<Row>> {
@@ -220,7 +282,7 @@ impl SqlEngine {
                 binding,
                 pushdown,
             } => {
-                let mut out = self.connector(catalog)?.scan(table, pushdown)?;
+                let mut out = self.connector(catalog.as_deref())?.scan(table, pushdown)?;
                 let rows = out.take_rows()?;
                 stats.absorb(&out);
                 let _ = binding;
@@ -254,7 +316,7 @@ impl SqlEngine {
                 } = &**input
                 {
                     if let Some((shape, rename)) = pushable_aggregation(group_by, aggs) {
-                        let mut out = self.connector(catalog)?.scan(table, pushdown)?;
+                        let mut out = self.connector(catalog.as_deref())?.scan(table, pushdown)?;
                         let rows = match (out.fold(&shape)?, rename) {
                             (Some(rows), Some(items)) => project(rows, &items)?,
                             (Some(rows), None) => rows,
@@ -1153,6 +1215,102 @@ mod tests {
         clock.advance(5_000);
         let out = e.query("SELECT COUNT(*) AS n FROM orders").unwrap();
         assert_eq!(out.stats.staleness_ms, Some(5_000));
+    }
+
+    /// A quoted literal keeps its characters: a non-ASCII city finds its
+    /// rows, through the pushed predicate and through the engine's own
+    /// filter alike.
+    #[test]
+    fn a_non_ascii_literal_finds_its_rows() {
+        use crate::connector::PinotConnector;
+        use rtdi_olap::table::{OlapTable, TableConfig};
+
+        let schema = Schema::of("trips", &[("city", FieldType::Str)]);
+        let cities = ["São Paulo", "Zürich", "sf", "São Paulo"];
+        let rows: Vec<Row> = (cities.iter())
+            .map(|c| Row::new().with("city", *c))
+            .collect();
+        let table = OlapTable::new(TableConfig::new("trips", schema.clone())).unwrap();
+        for row in &rows {
+            table.ingest(0, row.clone()).unwrap();
+        }
+        let pinot = PinotConnector::new();
+        pinot.register(table);
+        let mut mem = MemoryConnector::new();
+        mem.add_table("trips", schema, rows);
+        let mut e = SqlEngine::new(EngineConfig::default());
+        e.register_connector("pinot", Arc::new(pinot));
+        e.register_connector("mem", Arc::new(mem));
+        for catalog in ["pinot", "mem"] {
+            for (city, n) in [("São Paulo", 2), ("Zürich", 1), ("Sao Paulo", 0)] {
+                let sql =
+                    format!("SELECT COUNT(*) AS n FROM {catalog}.trips WHERE city = '{city}'");
+                let out = e.query(&sql).unwrap();
+                assert_eq!(out.rows[0].get_int("n"), Some(n), "{sql}");
+            }
+        }
+    }
+
+    /// Statements of one shape share a cache entry per literal kind, and
+    /// each answers as a fresh engine does, with the same plan text.
+    #[test]
+    fn a_cached_shape_answers_like_a_fresh_plan() {
+        let e = engine();
+        for total in ["10", "95", "-1", "40.5", "99.0"] {
+            let sql =
+                format!("SELECT city, total FROM orders WHERE total >= {total} ORDER BY total");
+            let fresh = engine();
+            let (hit, miss) = (e.query(&sql).unwrap(), fresh.query(&sql).unwrap());
+            assert_eq!(hit.rows, miss.rows, "{sql}");
+            assert_eq!(hit.stats.rows_shipped, miss.stats.rows_shipped, "{sql}");
+            assert_eq!(e.explain(&sql).unwrap(), fresh.explain(&sql).unwrap());
+        }
+        assert_eq!(e.plans.lock().len(), 2, "one shape per literal kind");
+    }
+
+    /// Registering a connector empties the cache: a catalog that changed
+    /// what it is answers as itself.
+    #[test]
+    fn registering_a_connector_drops_every_cached_plan() {
+        let mut e = engine();
+        let sql = "SELECT COUNT(*) AS n FROM orders WHERE total < 50";
+        assert_eq!(e.query(sql).unwrap().rows[0].get_int("n"), Some(50));
+        let mut mem = MemoryConnector::new();
+        let schema = Schema::of("orders", &[("total", FieldType::Double)]);
+        mem.add_table("orders", schema, vec![Row::new().with("total", 1.0)]);
+        e.register_connector("mem", Arc::new(mem));
+        assert!(e.plans.lock().is_empty());
+        assert_eq!(e.query(sql).unwrap().rows[0].get_int("n"), Some(1));
+    }
+
+    /// A statement the cache cannot stand for fails, or answers, exactly
+    /// as its text does: a rejected one with the parser's own error, one
+    /// whose literal a keyword-named alias moves out of `WHERE` uncached.
+    #[test]
+    fn what_the_cache_cannot_shape_runs_as_its_text() {
+        let e = engine();
+        for sql in [
+            "SELECT city FROM orders WHERE total = 1 = 2",
+            "SELECT city FROM orders WHERE -'a' < total",
+            "SELECT city FROM orders WHERE COUNT(*) > 3",
+            "SELECT city FROM orders WHERE total > 'unterminated",
+        ] {
+            let err = e.query(sql).unwrap_err().to_string();
+            let text = parse_select(sql).and_then(|stmt| plan_select(&stmt).map(|_| ()));
+            assert_eq!(err, text.unwrap_err().to_string(), "{sql}");
+        }
+        assert!(e.plans.lock().is_empty());
+        let sql = |alias: &str| {
+            format!(
+                "SELECT city FROM (SELECT city, restaurant_id FROM orders) {alias} \
+                 JOIN restaurants r ON {alias}.restaurant_id = 3"
+            )
+        };
+        let out = e.query(&sql("where")).unwrap();
+        assert!(e.plans.lock().is_empty());
+        // ten orders of restaurant 3, each joined with every restaurant
+        assert_eq!(out.rows.len(), 100);
+        assert_eq!(out.rows, e.query(&sql("s")).unwrap().rows);
     }
 
     #[test]

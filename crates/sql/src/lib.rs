@@ -19,6 +19,8 @@
 //!   splitting each query between the realtime store and archival
 //!   segments, with partition-pruned scatter and a freshness-aware
 //!   result cache;
+//! - [`shape`]: a statement's shape, the key of the engine's plan cache,
+//!   and the binding of its literals into a cached plan;
 //! - [`engine`]: the MPP-style in-memory executor and the federated query
 //!   entry point.
 
@@ -36,6 +38,7 @@ pub mod lexer;
 pub mod optimizer;
 pub mod parser;
 pub mod plan;
+pub mod shape;
 
 pub use connector::PinotConnector;
 pub use engine::{EngineConfig, SqlEngine};

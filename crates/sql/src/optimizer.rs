@@ -15,6 +15,11 @@
 //! 3. projection pushdown: scans ship only referenced columns;
 //! 4. order/limit pushdown: Sort+Limit over a pushable scan ships at most
 //!    `limit` rows.
+//!
+//! None of them reads a literal's value, nor anything of a table's
+//! current state: the engine caches their output per statement shape
+//! ([`crate::shape`]). The one step that does, [`derive_partitions`],
+//! runs on each query's plan once its literals are bound.
 
 use crate::ast::{AggName, BinOp, Expr};
 use crate::connector::{Capabilities, PushedAgg};
@@ -30,36 +35,33 @@ pub type CapsResolver<'a> = &'a dyn Fn(&Option<String>) -> Capabilities;
 /// the connector partitions rows by `hash(column) % count`.
 pub type PartitionResolver<'a> = &'a dyn Fn(&Option<String>, &str) -> Option<(String, usize)>;
 
-/// Optimize a plan. `enable` gates all pushdown (the E14 ablation flag).
-/// After predicate pushdown comes partition derivation: an
-/// equality predicate on a table's partition column pins the scatter to
-/// the single partition `hash(value) % count` (§4.3's partition-aware
-/// routing, derived by the planner instead of declared by the client).
-pub fn optimize_with(
-    plan: Plan,
-    caps: CapsResolver,
-    partitions: PartitionResolver,
-    enable: bool,
-) -> Plan {
+/// Optimize a plan with rules 1–4. `enable` gates all pushdown (the E14
+/// ablation flag).
+pub fn optimize_with(plan: Plan, caps: CapsResolver, enable: bool) -> Plan {
     if !enable {
         return plan;
     }
     let plan = push_filters(plan, caps);
     let plan = push_aggregation(plan, caps);
     let plan = push_order_limit(plan, caps);
-    let plan = push_projection(plan, caps);
-    derive_partitions(plan, partitions)
+    push_projection(plan, caps)
 }
 
-fn derive_partitions(plan: Plan, parts: PartitionResolver) -> Plan {
+/// Partition derivation, after predicate pushdown: an equality predicate
+/// on a table's partition column pins the scatter to the single partition
+/// `hash(value) % count` (§4.3's partition-aware routing, derived by the
+/// planner instead of declared by the client). It reads the literal's
+/// value and the connector's current partition layout, so it runs on every
+/// query's bound plan.
+pub fn derive_partitions(plan: &mut Plan, parts: PartitionResolver) {
     match plan {
         Plan::Scan {
             catalog,
             table,
-            binding,
-            mut pushdown,
+            pushdown,
+            ..
         } => {
-            if let Some((col, n)) = parts(&catalog, &table) {
+            if let Some((col, n)) = parts(catalog, table) {
                 let ids: Vec<usize> = pushdown
                     .predicates
                     .iter()
@@ -73,14 +75,16 @@ fn derive_partitions(plan: Plan, parts: PartitionResolver) -> Plan {
                     pushdown.partitions = Some(Arc::new(ids));
                 }
             }
-            Plan::Scan {
-                catalog,
-                table,
-                binding,
-                pushdown,
-            }
         }
-        other => map_children(other, &mut |p| derive_partitions(p, parts)),
+        Plan::Filter { input, .. }
+        | Plan::Project { input, .. }
+        | Plan::Aggregate { input, .. }
+        | Plan::Sort { input, .. }
+        | Plan::Limit { input, .. } => derive_partitions(input, parts),
+        Plan::Join { left, right, .. } => {
+            derive_partitions(left, parts);
+            derive_partitions(right, parts);
+        }
     }
 }
 
@@ -558,7 +562,7 @@ mod tests {
 
     fn optimized(sql: &str, caps: CapsResolver) -> Plan {
         let plan = plan_select(&parse_select(sql).unwrap()).unwrap();
-        optimize_with(plan, caps, &|_, _| None, true)
+        optimize_with(plan, caps, true)
     }
 
     fn find_scan(p: &Plan) -> &Pushdown {
@@ -577,38 +581,24 @@ mod tests {
     fn partition_hint_derived_from_equality_predicate() {
         let parts =
             |_: &Option<String>, table: &str| (table == "t").then(|| ("city".to_string(), 8usize));
-        let plan = optimize_with(
-            plan_select(
-                &parse_select("SELECT COUNT(*) AS n FROM t WHERE city = 'sf' AND ts > 5").unwrap(),
-            )
-            .unwrap(),
-            &full_caps,
-            &parts,
-            true,
-        );
-        let pd = find_scan(&plan);
+        let derived = |sql: &str| {
+            let mut plan = optimized(sql, &full_caps);
+            assert!(
+                find_scan(&plan).partitions.is_none(),
+                "the rules derive nothing"
+            );
+            derive_partitions(&mut plan, &parts);
+            find_scan(&plan).partitions.clone()
+        };
         let expect = (Value::from("sf").partition_hash() % 8) as usize;
-        assert_eq!(pd.partitions.as_deref(), Some(&vec![expect]));
-
+        assert_eq!(
+            derived("SELECT COUNT(*) AS n FROM t WHERE city = 'sf' AND ts > 5").as_deref(),
+            Some(&vec![expect])
+        );
         // range predicates on the partition column derive nothing
-        let plan = optimize_with(
-            plan_select(&parse_select("SELECT COUNT(*) AS n FROM t WHERE city > 'a'").unwrap())
-                .unwrap(),
-            &full_caps,
-            &parts,
-            true,
-        );
-        assert!(find_scan(&plan).partitions.is_none());
-
+        assert!(derived("SELECT COUNT(*) AS n FROM t WHERE city > 'a'").is_none());
         // unpartitioned tables derive nothing
-        let plan = optimize_with(
-            plan_select(&parse_select("SELECT COUNT(*) AS n FROM u WHERE city = 'sf'").unwrap())
-                .unwrap(),
-            &full_caps,
-            &parts,
-            true,
-        );
-        assert!(find_scan(&plan).partitions.is_none());
+        assert!(derived("SELECT COUNT(*) AS n FROM u WHERE city = 'sf'").is_none());
     }
 
     #[test]
@@ -702,7 +692,7 @@ mod tests {
     fn disable_flag_bypasses_everything() {
         let plan =
             plan_select(&parse_select("SELECT city FROM t WHERE total > 10").unwrap()).unwrap();
-        let same = optimize_with(plan.clone(), &full_caps, &|_, _| None, false);
+        let same = optimize_with(plan.clone(), &full_caps, false);
         assert_eq!(plan, same);
     }
 }

@@ -2,12 +2,23 @@
 
 use crate::ast::*;
 use crate::lexer::{tokenize, Token};
+use crate::shape::slot_value;
 use rtdi_common::{Error, Result, Value};
 
 /// Parse a SELECT statement.
 pub fn parse_select(sql: &str) -> Result<SelectStmt> {
-    let tokens = tokenize(sql)?;
-    let mut p = Parser { tokens, pos: 0 };
+    parse_tokens(tokenize(sql)?)
+}
+
+/// Parse a SELECT statement from its tokens. A [`Token::Param`] is a
+/// literal whose value is bound later: it parses as the slot's marker.
+pub(crate) fn parse_tokens(tokens: Vec<Token<'_>>) -> Result<SelectStmt> {
+    let mut p = Parser {
+        tokens,
+        pos: 0,
+        depth: 0,
+        operators: 0,
+    };
     let stmt = p.select()?;
     if p.pos != p.tokens.len() {
         return Err(Error::Sql(format!(
@@ -18,9 +29,20 @@ pub fn parse_select(sql: &str) -> Result<SelectStmt> {
     Ok(stmt)
 }
 
-struct Parser {
-    tokens: Vec<Token>,
+/// How deep a statement may nest parentheses (expressions, calls,
+/// subqueries), and how many binary operators it may hold. Together they
+/// bound the recursion of the parser and the depth of the tree every later
+/// pass recurses over, so hostile text is an error, not a stack overflow.
+const MAX_NESTING: usize = 64;
+const MAX_OPERATORS: usize = 1024;
+
+struct Parser<'a> {
+    tokens: Vec<Token<'a>>,
     pos: usize,
+    /// Parentheses open around the current position.
+    depth: usize,
+    /// Binary operators built so far.
+    operators: usize,
 }
 
 const RESERVED: &[&str] = &[
@@ -28,12 +50,23 @@ const RESERVED: &[&str] = &[
     "AND", "OR", "ASC", "DESC", "INNER", "DISTINCT",
 ];
 
-impl Parser {
-    fn peek(&self) -> Option<&Token> {
+/// The value of a numeric literal: an integer when it is whole and below
+/// 1e15 in magnitude, a double otherwise. A leading unary minus is applied
+/// before the rule: `-5` is `Int(-5)`.
+pub(crate) fn number_value(n: f64) -> Value {
+    if n.fract() == 0.0 && n.abs() < 1e15 {
+        Value::Int(n as i64)
+    } else {
+        Value::Double(n)
+    }
+}
+
+impl<'a> Parser<'a> {
+    fn peek(&self) -> Option<&Token<'a>> {
         self.tokens.get(self.pos)
     }
 
-    fn bump(&mut self) -> Option<Token> {
+    fn bump(&mut self) -> Option<Token<'a>> {
         let t = self.tokens.get(self.pos).cloned();
         if t.is_some() {
             self.pos += 1;
@@ -61,7 +94,7 @@ impl Parser {
         }
     }
 
-    fn expect(&mut self, t: Token) -> Result<()> {
+    fn expect(&mut self, t: Token<'a>) -> Result<()> {
         if self.peek() == Some(&t) {
             self.pos += 1;
             Ok(())
@@ -75,7 +108,7 @@ impl Parser {
 
     fn ident(&mut self) -> Result<String> {
         match self.bump() {
-            Some(Token::Ident(s)) => Ok(s),
+            Some(Token::Ident(s)) => Ok(s.to_string()),
             other => Err(Error::Sql(format!("expected identifier, found {other:?}"))),
         }
     }
@@ -83,6 +116,33 @@ impl Parser {
     fn peek_is_reserved(&self) -> bool {
         matches!(self.peek(), Some(Token::Ident(s))
             if RESERVED.iter().any(|k| s.eq_ignore_ascii_case(k)))
+    }
+
+    /// `f` one parenthesis deeper.
+    fn nested<T>(&mut self, f: impl FnOnce(&mut Self) -> Result<T>) -> Result<T> {
+        if self.depth == MAX_NESTING {
+            return Err(Error::Sql(format!(
+                "statement nests deeper than {MAX_NESTING} parentheses"
+            )));
+        }
+        self.depth += 1;
+        let out = f(self);
+        self.depth -= 1;
+        out
+    }
+
+    fn binary(&mut self, left: Expr, op: BinOp, right: Expr) -> Result<Expr> {
+        self.operators += 1;
+        if self.operators > MAX_OPERATORS {
+            return Err(Error::Sql(format!(
+                "statement holds more than {MAX_OPERATORS} operators"
+            )));
+        }
+        Ok(Expr::Binary {
+            left: Box::new(left),
+            op,
+            right: Box::new(right),
+        })
     }
 
     fn select(&mut self) -> Result<SelectStmt> {
@@ -193,7 +253,7 @@ impl Parser {
     fn table_ref(&mut self) -> Result<TableRef> {
         if matches!(self.peek(), Some(Token::LParen)) {
             self.pos += 1;
-            let query = self.select()?;
+            let query = self.nested(Self::select)?;
             self.expect(Token::RParen)?;
             self.eat_kw("AS");
             let alias = self.ident()?;
@@ -235,11 +295,7 @@ impl Parser {
         let mut left = self.and_expr()?;
         while self.eat_kw("OR") {
             let right = self.and_expr()?;
-            left = Expr::Binary {
-                left: Box::new(left),
-                op: BinOp::Or,
-                right: Box::new(right),
-            };
+            left = self.binary(left, BinOp::Or, right)?;
         }
         Ok(left)
     }
@@ -248,11 +304,7 @@ impl Parser {
         let mut left = self.cmp_expr()?;
         while self.eat_kw("AND") {
             let right = self.cmp_expr()?;
-            left = Expr::Binary {
-                left: Box::new(left),
-                op: BinOp::And,
-                right: Box::new(right),
-            };
+            left = self.binary(left, BinOp::And, right)?;
         }
         Ok(left)
     }
@@ -270,11 +322,7 @@ impl Parser {
         };
         self.pos += 1;
         let right = self.add_expr()?;
-        Ok(Expr::Binary {
-            left: Box::new(left),
-            op,
-            right: Box::new(right),
-        })
+        self.binary(left, op, right)
     }
 
     fn add_expr(&mut self) -> Result<Expr> {
@@ -287,11 +335,7 @@ impl Parser {
             };
             self.pos += 1;
             let right = self.mul_expr()?;
-            left = Expr::Binary {
-                left: Box::new(left),
-                op,
-                right: Box::new(right),
-            };
+            left = self.binary(left, op, right)?;
         }
         Ok(left)
     }
@@ -306,33 +350,20 @@ impl Parser {
             };
             self.pos += 1;
             let right = self.primary()?;
-            left = Expr::Binary {
-                left: Box::new(left),
-                op,
-                right: Box::new(right),
-            };
+            left = self.binary(left, op, right)?;
         }
         Ok(left)
     }
 
     fn primary(&mut self) -> Result<Expr> {
         match self.bump() {
-            Some(Token::Number(n)) => Ok(Expr::Literal(if n.fract() == 0.0 && n.abs() < 1e15 {
-                Value::Int(n as i64)
-            } else {
-                Value::Double(n)
-            })),
-            Some(Token::Str(s)) => Ok(Expr::Literal(Value::from(s))),
+            Some(Token::Number(n)) => Ok(Expr::Literal(number_value(n))),
+            Some(Token::Str(s)) => Ok(Expr::Literal(Value::from(&*s))),
+            Some(Token::Param(slot)) => Ok(Expr::Literal(slot_value(slot))),
             Some(Token::Minus) => {
                 // unary minus on a numeric literal
                 match self.bump() {
-                    Some(Token::Number(n)) => {
-                        Ok(Expr::Literal(if n.fract() == 0.0 && n.abs() < 1e15 {
-                            Value::Int(-(n as i64))
-                        } else {
-                            Value::Double(-n)
-                        }))
-                    }
+                    Some(Token::Number(n)) => Ok(Expr::Literal(number_value(-n))),
                     other => Err(Error::Sql(format!(
                         "expected number after '-', got {other:?}"
                     ))),
@@ -340,11 +371,12 @@ impl Parser {
             }
             Some(Token::Star) => Ok(Expr::Star),
             Some(Token::LParen) => {
-                let e = self.expr()?;
+                let e = self.nested(Self::expr)?;
                 self.expect(Token::RParen)?;
                 Ok(e)
             }
             Some(Token::Ident(name)) => {
+                let name = name.to_string();
                 // aggregate / function call?
                 if matches!(self.peek(), Some(Token::LParen)) {
                     self.pos += 1;
@@ -363,7 +395,7 @@ impl Parser {
                             self.pos += 1;
                             None
                         } else {
-                            Some(Box::new(self.expr()?))
+                            Some(Box::new(self.nested(Self::expr)?))
                         };
                         self.expect(Token::RParen)?;
                         return Ok(Expr::Agg {
@@ -375,7 +407,7 @@ impl Parser {
                     let mut args = Vec::new();
                     if !matches!(self.peek(), Some(Token::RParen)) {
                         loop {
-                            args.push(self.expr()?);
+                            args.push(self.nested(Self::expr)?);
                             if !matches!(self.peek(), Some(Token::Comma)) {
                                 break;
                             }
@@ -545,6 +577,19 @@ mod tests {
             }
             _ => panic!(),
         }
+    }
+
+    #[test]
+    fn deep_statements_are_errors_not_overflows() {
+        let nested = |n: usize| format!("SELECT {}1{} FROM t", "(".repeat(n), ")".repeat(n));
+        assert!(parse_select(&nested(MAX_NESTING)).is_ok());
+        let err = parse_select(&nested(50_000)).unwrap_err();
+        assert!(err.to_string().contains("parentheses"), "{err}");
+        let chain = |n: usize| format!("SELECT a FROM t WHERE a = 0{}", " OR a = 1".repeat(n));
+        // each alternative is two operators
+        assert!(parse_select(&chain(MAX_OPERATORS / 2 - 1)).is_ok());
+        let err = parse_select(&chain(100_000)).unwrap_err();
+        assert!(err.to_string().contains("operators"), "{err}");
     }
 
     #[test]

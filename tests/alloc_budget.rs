@@ -11,8 +11,9 @@
 //! forwards the log's own handles, and a map leaves the log as appended.
 //! Then the read path's: a query pays for the groups and rows it answers
 //! with and a fixed sum per segment, not for every group of every segment
-//! nor for every document that matched, and a predicate on a sorted column
-//! builds no cell per probe. And the codecs': archiving pays nothing per
+//! nor for every document that matched, a predicate on a sorted column
+//! builds no cell per probe, and a statement whose shape ran before pays
+//! for binding its literals into the cached plan, not for a parse. And the codecs': archiving pays nothing per
 //! record, compaction pays per distinct string, not per record or field,
 //! and a combine stage merges a partial row into a held window without
 //! allocating. And the backfill's: the Kappa+ source's peak live bytes
@@ -501,6 +502,36 @@ fn sql_drilldown_pays_for_its_groups() {
             spent.allocs
         );
     }
+}
+
+/// A statement whose shape was planned before pays for its shape key, its
+/// literal and a copy of the cached plan with the literal bound in, not
+/// for a parse, a plan and an optimisation: `trickle_visible`'s
+/// `COUNT(*) … WHERE ts >= X` front end (normalise, look up, bind, derive
+/// partitions) is exactly 12 allocations on a hit — the key and the
+/// literal list, the plan's copy (a projection over a scan, 7) and the
+/// scan's predicate list the literal is bound into (3) — where the first
+/// run of the shape pays 64. The hit's plan is the one a fresh engine
+/// makes of the text.
+fn a_repeated_shape_skips_the_front_end() {
+    let engine = || {
+        let pinot = PinotConnector::new();
+        pinot.register(OlapTable::new(table("trips")).unwrap());
+        let mut engine = SqlEngine::new(EngineConfig::default());
+        engine.register_connector("pinot", Arc::new(pinot));
+        engine
+    };
+    let sql = |ts: i64| format!("SELECT COUNT(*) AS n FROM trips WHERE ts >= {ts}");
+    let (warm, first, second) = (engine(), sql(1_000), sql(2_000));
+    let (_, missed) = count_allocations(|| warm.plan(&first).unwrap());
+    let (plan, hit) = count_allocations(|| warm.plan(&second).unwrap());
+    assert_eq!(plan, engine().plan(&second).unwrap());
+    assert_eq!(
+        hit.allocs, 12,
+        "{second}: a planned shape's front end allocated {} (its first run {})",
+        hit.allocs, missed.allocs
+    );
+    assert!(missed.allocs > 4 * hit.allocs, "{}", missed.allocs);
 }
 
 /// A query through a `HybridTable` left at its default thread count (one
@@ -1077,6 +1108,8 @@ fn produce_ingest_and_retry_hold_their_allocation_budgets() {
     queries_pay_for_what_they_answer();
 
     sql_drilldown_pays_for_its_groups();
+
+    a_repeated_shape_skips_the_front_end();
 
     one_segment_asks_no_core_count();
 

@@ -13,6 +13,12 @@
 //! file whose checksum holds but whose rows break its sort claim is
 //! `Corruption` too, never a wrong answer.
 //!
+//! The SQL front end gets the same treatment on hostile text: truncated,
+//! byte-flipped and spliced statements, cut anywhere (inside a multi-byte
+//! character too), through the lexer, the parser, the plan cache's shape
+//! normaliser, the engine and the FlinkSQL compiler. None may panic, and a
+//! statement the parser rejects is `Error::Sql` everywhere.
+//!
 //! The corpus derives entirely from a seed (`RTDI_FUZZ_SEED` in ci), so
 //! the printed `DECODER_SUMMARY` lines — one per decoder, with the size
 //! and CRC32 of its undamaged inputs, so a changed encoder shows too —
@@ -612,5 +618,181 @@ fn fuzz_env_seed_prints_summary() {
     assert_eq!(summary, soak(seed), "replay must be byte-identical");
     for line in summary {
         println!("DECODER_SUMMARY {line}");
+    }
+}
+
+/// Statements of every clause the parser knows, with non-ASCII and quoted
+/// text, for [`hostile_sql_text_is_rejected_never_panics`] to damage.
+const SQL_CORPUS: &[&str] = &[
+    "SELECT city, COUNT(*) AS n, SUM(fare) AS revenue FROM trips GROUP BY city ORDER BY n DESC LIMIT 10",
+    "SELECT COUNT(*) AS n FROM trips WHERE city = 'São Paulo'",
+    "SELECT city, COUNT(*) AS n FROM trips WHERE ts >= 10 AND ts < 90 GROUP BY city ORDER BY n DESC LIMIT 10",
+    "SELECT driver, COUNT(*) AS n, SUM(fare) AS revenue FROM trips WHERE city = '東京' GROUP BY driver",
+    "SELECT driver, fare, ts FROM trips WHERE driver = 'd''7' ORDER BY ts DESC LIMIT 20",
+    "SELECT COUNT(*) AS n, SUM(fare) AS revenue FROM trips WHERE fare > -40.25",
+    "SELECT COUNT(*) AS n FROM pinot.trips WHERE 5 < ts -- trailing comment",
+    "SELECT city, TUMBLE(ts, 1000) AS w, COUNT(*) AS trips FROM trips GROUP BY city, TUMBLE(ts, 1000)",
+    "SELECT t.city, s.n FROM trips t JOIN (SELECT city, COUNT(*) AS n FROM trips GROUP BY city) s ON t.city = s.city WHERE s.n >= 2 LIMIT 5",
+    "SELECT \"city\", fare * 2 + 1 AS x FROM trips WHERE (fare <> 3 OR city != 'Zürich') ORDER BY x",
+    "SELECT city, AVG(fare) FROM trips GROUP BY city HAVING COUNT(DISTINCT driver) > 1 ORDER BY city ASC",
+];
+
+/// One hostile statement from the corpus: a truncation, a byte flip or a
+/// splice of two statements, at byte offsets that may split a character
+/// (the damage is read back lossily, as a client's bytes would be).
+fn hostile_sql(rng: &mut StdRng) -> String {
+    let pick = |rng: &mut StdRng| SQL_CORPUS[rng.gen_range(0..SQL_CORPUS.len())].as_bytes();
+    let mut bytes = pick(rng).to_vec();
+    match rng.gen_range(0..3u8) {
+        0 => bytes.truncate(rng.gen_range(0..=bytes.len())),
+        1 => {
+            for _ in 0..rng.gen_range(1..4) {
+                let at = rng.gen_range(0..bytes.len());
+                bytes[at] ^= 1u8 << rng.gen_range(0..8);
+            }
+        }
+        _ => {
+            let other = pick(rng);
+            bytes.truncate(rng.gen_range(0..=bytes.len()));
+            bytes.extend_from_slice(&other[rng.gen_range(0..=other.len())..]);
+        }
+    }
+    String::from_utf8_lossy(&bytes).into_owned()
+}
+
+fn sql_trips() -> Arc<rtdi::olap::table::OlapTable> {
+    use rtdi::olap::table::{OlapTable, TableConfig};
+    let schema = Schema::of(
+        "trips",
+        &[
+            ("city", FieldType::Str),
+            ("driver", FieldType::Str),
+            ("fare", FieldType::Double),
+            ("ts", FieldType::Timestamp),
+        ],
+    );
+    let table = OlapTable::new(TableConfig::new("trips", schema).with_segment_rows(40)).unwrap();
+    let cities = ["São Paulo", "東京", "Zürich", "sf"];
+    for i in 0..120usize {
+        let row = Row::new()
+            .with("city", cities[i % 4])
+            .with("driver", format!("d'{}", i % 9))
+            .with("fare", i as f64 * 0.5 - 20.0)
+            .with("ts", i as i64);
+        table.ingest(0, row).unwrap();
+    }
+    table
+}
+
+/// An answer as comparable text: rows with doubles by their bits, or the
+/// error.
+fn answer(out: Result<rtdi::sql::engine::QueryOutput>) -> String {
+    match out {
+        Ok(out) => {
+            let bits = |v: &Value| match v {
+                Value::Double(x) => format!("d{:x}", x.to_bits()),
+                v => format!("{v:?}"),
+            };
+            let rows = out.rows.iter().map(|r| {
+                let cells: Vec<String> =
+                    r.iter().map(|(n, v)| format!("{n}={}", bits(v))).collect();
+                cells.join(",")
+            });
+            format!("{:?} {:?}", rows.collect::<Vec<_>>(), out.stats)
+        }
+        Err(e) => format!("error {e}"),
+    }
+}
+
+#[test]
+fn hostile_sql_text_is_rejected_never_panics() {
+    use rtdi::compute::CollectSink;
+    use rtdi::flinksql::compiler::{compile_streaming, CompileOptions};
+    use rtdi::sql::connector::PinotConnector;
+    use rtdi::sql::engine::{EngineConfig, SqlEngine};
+    use rtdi::sql::lexer::tokenize;
+    use rtdi::sql::parser::parse_select;
+    use rtdi::sql::shape::shape;
+    use rtdi::stream::topic::{Topic, TopicConfig};
+
+    let pinot = Arc::new(PinotConnector::new());
+    pinot.register(sql_trips());
+    let engine = || {
+        let mut engine = SqlEngine::new(EngineConfig::default());
+        engine.register_connector("pinot", pinot.clone());
+        engine
+    };
+    let cached = engine();
+    let topic = Arc::new(Topic::new("trips", TopicConfig::default()).unwrap());
+    let mut rng = StdRng::seed_from_u64(DEFAULT_SEED ^ 0x5A1);
+    let mut rejected = 0;
+    for case in 0..800 {
+        let sql = hostile_sql(&mut rng);
+        let ctx = format!("case {case}: {sql:?}");
+        let is_sql = |e: &Error| matches!(e, Error::Sql(_));
+        let tokens = tokenize(&sql);
+        let (mut key, mut params) = (String::new(), Vec::new());
+        let shaped = shape(&sql, &mut key, &mut params);
+        match (&tokens, &shaped) {
+            (Ok(_), Ok(())) => {}
+            (Err(a), Err(b)) => {
+                assert!(is_sql(a), "{ctx}: {a:?}");
+                assert_eq!(a.to_string(), b.to_string(), "{ctx}");
+            }
+            (a, b) => panic!("{ctx}: the lexer said {a:?}, the shape {b:?}"),
+        }
+        let parsed = parse_select(&sql);
+        let asked = cached.query(&sql);
+        let compiled = compile_streaming(
+            "hostile",
+            &sql,
+            topic.clone(),
+            Box::new(CollectSink::new()),
+            &CompileOptions::default(),
+        );
+        match &parsed {
+            Err(e) => {
+                rejected += 1;
+                assert!(is_sql(e), "{ctx}: {e:?}");
+                let asked = asked.as_ref().map(|_| ()).unwrap_err();
+                assert_eq!(asked.to_string(), e.to_string(), "{ctx}");
+                assert!(compiled.is_err_and(|e| is_sql(&e)), "{ctx}");
+            }
+            // a statement that parses answers from the cache as from a
+            // fresh engine, whatever the answer
+            Ok(_) => assert_eq!(answer(asked), answer(engine().query(&sql)), "{ctx}"),
+        }
+    }
+    // the corpus exercises both sides
+    assert!((100..700).contains(&rejected), "{rejected} of 800 rejected");
+
+    // the widest and the deepest statements the parser takes run end to
+    // end; one operator or one parenthesis more is rejected, not a stack
+    // overflow
+    let wide = |n: usize| format!("ts = -1{}", " OR ts = 3".repeat(n));
+    let deep = |n: usize| format!("{}ts = 3{}", "(".repeat(n), ")".repeat(n));
+    for (cond, ok) in [
+        (wide(511), true),
+        (wide(512), false),
+        (deep(64), true),
+        (deep(65), false),
+    ] {
+        let compiled = compile_streaming(
+            "hostile",
+            &format!("SELECT city, ts FROM trips WHERE {cond}"),
+            topic.clone(),
+            Box::new(CollectSink::new()),
+            &CompileOptions::default(),
+        );
+        match cached.query(&format!("SELECT COUNT(*) AS n FROM trips WHERE {cond}")) {
+            Ok(out) if ok => {
+                assert_eq!(out.rows[0].get_int("n"), Some(1));
+                assert!(compiled.is_ok());
+            }
+            Err(Error::Sql(_)) if !ok => {
+                assert!(compiled.is_err_and(|e| matches!(e, Error::Sql(_))))
+            }
+            other => panic!("a {}-byte condition: {other:?}", cond.len()),
+        }
     }
 }

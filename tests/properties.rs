@@ -38,6 +38,7 @@ const SEED_BACKFILL: u64 = 0xBAC_CF11;
 const SEED_CURSOR: u64 = 0xC025_0A11;
 const SEED_ROWS: u64 = 0x0520_3A3E;
 const SEED_ENVELOPE: u64 = 0x0E4E_10BE;
+const SEED_PLAN_CACHE: u64 = 0x91A4_CAC4;
 
 fn schema() -> Schema {
     Schema::of(
@@ -3714,5 +3715,266 @@ mod envelope {
                 .observe_hop(record, now);
         }
         model.trace_ts = Some(now);
+    }
+}
+
+/// The plan cache is unobservable: a statement whose shape an engine
+/// planned before binds its literals into the cached plan, and answers,
+/// counts and routes exactly as a fresh engine that plans its text.
+mod plan_cache {
+    use super::*;
+    use rtdi::olap::table::{OlapTable, TableConfig};
+    use rtdi::sql::catalog::{HybridTable, RealtimeSide};
+    use rtdi::sql::connector::PinotConnector;
+    use rtdi::sql::engine::{EngineConfig, QueryOutput, SqlEngine};
+    use rtdi::sql::plan::Plan;
+    use std::sync::Arc;
+
+    const PARTITIONS: usize = 4;
+    const ROWS: usize = 1_200;
+
+    /// Short, inline-limit (22 and 23 bytes), long, non-ASCII, and quoted.
+    const CITIES: [&str; 8] = [
+        "sf",
+        "la",
+        "twenty-two-bytes-city!",
+        "twenty-three-bytes-city",
+        "a city name well past the inline limit",
+        "São Paulo",
+        "東京",
+        "O'Hare",
+    ];
+
+    fn trips_schema() -> Schema {
+        Schema::of(
+            "trips",
+            &[
+                ("city", FieldType::Str),
+                ("driver", FieldType::Str),
+                ("fare", FieldType::Double),
+                ("ts", FieldType::Timestamp),
+            ],
+        )
+    }
+
+    /// Fares in quarter steps from −10, so sums are exact in any order.
+    fn trips() -> Vec<Row> {
+        (0..ROWS)
+            .map(|i| {
+                Row::new()
+                    .with("city", CITIES[i * 7 % 11 % CITIES.len()])
+                    .with("driver", format!("d{}", i * 13 % 37))
+                    .with("fare", (i * 37 % 257) as f64 * 0.25 - 10.0)
+                    .with("ts", (i / 3) as i64)
+            })
+            .collect()
+    }
+
+    fn partition_of(city: &str) -> usize {
+        (Value::from(city).partition_hash() % PARTITIONS as u64) as usize
+    }
+
+    /// `trips`, the dashboard's table (several sealed segments and a
+    /// consuming tail per partition, an inverted index on `city`, a range
+    /// index on `fare`), and `htrips`, its hybrid twin partitioned by city:
+    /// the older half in one segment file per partition, the rest live.
+    fn tables(rows: &[Row]) -> Arc<PinotConnector> {
+        let config = TableConfig::new("trips", trips_schema())
+            .with_time_column("ts")
+            .with_partitions(2)
+            .with_segment_rows(250)
+            .with_query_threads(1)
+            .with_index_spec(
+                IndexSpec::none()
+                    .with_inverted(&["city"])
+                    .with_range(&["fare"]),
+            );
+        let table = OlapTable::new(config).unwrap();
+        for (i, row) in rows.iter().enumerate() {
+            table.ingest(i % 2, row.clone()).unwrap();
+        }
+        let config = TableConfig::new("htrips", trips_schema())
+            .with_time_column("ts")
+            .with_partitions(PARTITIONS)
+            .with_query_threads(1);
+        let live = OlapTable::new(config).unwrap();
+        let half = ROWS / 2;
+        for row in &rows[half..] {
+            live.ingest(partition_of(row.get_str("city").unwrap()), row.clone())
+                .unwrap();
+        }
+        let hybrid = HybridTable::new("htrips", trips_schema(), "ts", RealtimeSide::Direct(live))
+            .with_partition_spec("city", PARTITIONS)
+            .with_query_threads(1);
+        for p in 0..PARTITIONS {
+            let part: Vec<Row> = (rows[..half].iter())
+                .filter(|r| partition_of(r.get_str("city").unwrap()) == p)
+                .cloned()
+                .collect();
+            let segment =
+                Segment::build(format!("off{p}"), &trips_schema(), part, &IndexSpec::none())
+                    .unwrap();
+            let lazy = Segment::load_lazy(segment.persist().unwrap()).unwrap();
+            hybrid
+                .register_offline_segment(Arc::new(lazy), Some(p))
+                .unwrap();
+        }
+        let pinot = Arc::new(PinotConnector::new());
+        pinot.register(table);
+        pinot.register_hybrid(Arc::new(hybrid));
+        pinot
+    }
+
+    fn engine(pinot: &Arc<PinotConnector>) -> SqlEngine {
+        let mut engine = SqlEngine::new(EngineConfig::default());
+        engine.register_connector("pinot", pinot.clone());
+        engine
+    }
+
+    fn quoted(text: &str) -> String {
+        format!("'{}'", text.replace('\'', "''"))
+    }
+
+    /// An integer or a double, negative or not, in the table's ranges.
+    fn number(rng: &mut StdRng, lo: i64, hi: i64) -> String {
+        let whole = rng.gen_range(lo..hi);
+        match rng.gen_range(0..3u8) {
+            0 => whole.to_string(),
+            1 => format!("{whole}.25"),
+            _ => format!("{whole}.0"),
+        }
+    }
+
+    /// Every `dashboard_query` class and the `trickle_visible` shape, with
+    /// drawn literals.
+    fn statements(rng: &mut StdRng) -> Vec<String> {
+        let mut city = || quoted(CITIES[rng.gen_range(0..CITIES.len())]);
+        let (c1, c2) = (city(), city());
+        let driver = quoted(&format!("d{}", rng.gen_range(0..40)));
+        let from = rng.gen_range(-50..420i64);
+        let width = rng.gen_range(1..120i64);
+        let above = number(rng, -12, 60);
+        let since = number(rng, -20, 420);
+        let first = rng.gen_range(-5..420i64);
+        vec![
+            "SELECT city, COUNT(*) AS n, SUM(fare) AS revenue FROM trips \
+             GROUP BY city ORDER BY n DESC LIMIT 10"
+                .into(),
+            format!("SELECT COUNT(*) AS n FROM trips WHERE city = {c1}"),
+            format!(
+                "SELECT city, COUNT(*) AS n FROM trips WHERE ts >= {from} AND ts < {} \
+                 GROUP BY city ORDER BY n DESC LIMIT 10",
+                from + width
+            ),
+            format!(
+                "SELECT driver, COUNT(*) AS n, SUM(fare) AS revenue FROM trips \
+                 WHERE city = {c2} GROUP BY driver"
+            ),
+            format!(
+                "SELECT driver, fare, ts FROM trips WHERE driver = {driver} \
+                 ORDER BY ts DESC LIMIT 20"
+            ),
+            format!("SELECT COUNT(*) AS n, SUM(fare) AS revenue FROM trips WHERE fare > {above}"),
+            format!("SELECT COUNT(*) AS n, SUM(fare) AS revenue FROM htrips WHERE ts >= {since}"),
+            format!("SELECT COUNT(*) AS n FROM htrips WHERE city = {c1} AND fare < {above}"),
+            format!("SELECT COUNT(*) AS n FROM trips WHERE ts >= {first}"),
+        ]
+    }
+
+    /// The answer byte for byte (doubles by their bits) and every counter.
+    fn observed(out: QueryOutput) -> (Vec<Row>, String) {
+        (by_bits(out.rows), format!("{:?}", out.stats))
+    }
+
+    /// Both sides see one sequence of scans over their own copy of the
+    /// tables, so the hybrid table's result cache is in the same state on
+    /// both: `cached` keeps its plans across every case, and each run on
+    /// the other side is a fresh engine's.
+    #[test]
+    fn a_cached_plan_answers_and_counts_like_a_fresh_one() {
+        let rows = trips();
+        let (ours, theirs) = (tables(&rows), tables(&rows));
+        let cached = engine(&ours);
+        for case in 0..24u64 {
+            let mut rng = StdRng::seed_from_u64(SEED_PLAN_CACHE + case);
+            for sql in statements(&mut rng) {
+                for run in ["first", "repeat"] {
+                    let ours_out = observed(cached.query(&sql).unwrap());
+                    let theirs_out = observed(engine(&theirs).query(&sql).unwrap());
+                    assert_eq!(ours_out, theirs_out, "case {case} {run}: {sql}");
+                    let plan: Plan = cached.plan(&sql).unwrap();
+                    let fresh = engine(&theirs).plan(&sql).unwrap();
+                    assert_eq!(plan, fresh, "case {case} {run}: {sql}");
+                }
+            }
+        }
+    }
+
+    /// Two statements that differ only in the partition column's equality
+    /// literal each route to their own partition, the second (a hit) as
+    /// the first (a miss): the segments consulted and the counts are the
+    /// ones of their own city.
+    #[test]
+    fn a_partition_literal_routes_on_a_hit_as_on_a_miss() {
+        let rows = trips();
+        let (ours, theirs) = (tables(&rows), tables(&rows));
+        let cached = engine(&ours);
+        let (a, b) = ("São Paulo", "sf");
+        assert_ne!(partition_of(a), partition_of(b));
+        for city in [a, b, a] {
+            let sql = format!(
+                "SELECT COUNT(*) AS n FROM htrips WHERE city = {}",
+                quoted(city)
+            );
+            let routed = match cached.plan(&sql).unwrap() {
+                Plan::Project { input, .. } => match *input {
+                    Plan::Scan { pushdown, .. } => pushdown.partitions,
+                    other => panic!("{other:?}"),
+                },
+                other => panic!("{other:?}"),
+            };
+            assert_eq!(routed.as_deref(), Some(&vec![partition_of(city)]), "{sql}");
+            let out = cached.query(&sql).unwrap();
+            let expect = rows
+                .iter()
+                .filter(|r| r.get_str("city") == Some(city))
+                .count();
+            assert_eq!(out.rows[0].get_int("n"), Some(expect as i64), "{sql}");
+            let fresh = engine(&theirs).query(&sql).unwrap();
+            assert_eq!(
+                out.stats.segments_queried, fresh.stats.segments_queried,
+                "{sql}"
+            );
+            assert_eq!(
+                out.stats.segments_pruned, fresh.stats.segments_pruned,
+                "{sql}"
+            );
+        }
+    }
+
+    /// A literal in the select list names its column: it is part of the
+    /// shape, not a slot, and each statement keeps its own name.
+    #[test]
+    fn a_select_list_literal_keeps_its_column_name() {
+        let cached = engine(&tables(&trips()));
+        for k in [1, 2, 1] {
+            let sql = format!("SELECT fare + {k} FROM trips WHERE ts < 3 ORDER BY fare");
+            let out = cached.query(&sql).unwrap();
+            let name = format!("fare_Add_{k}");
+            assert!(
+                out.rows
+                    .iter()
+                    .all(|r| r.column_names().eq([name.as_str()])),
+                "{sql}: {:?}",
+                out.rows
+            );
+            let fares = out.rows.iter().map(|r| r.get_double(&name).unwrap());
+            let mut expect: Vec<f64> = (trips().iter())
+                .filter(|r| r.get_int("ts").unwrap() < 3)
+                .map(|r| r.get_double("fare").unwrap() + k as f64)
+                .collect();
+            expect.sort_by(f64::total_cmp);
+            assert_eq!(fares.collect::<Vec<_>>(), expect, "{sql}");
+        }
     }
 }
