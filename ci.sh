@@ -19,8 +19,8 @@
 # two lenses, the default build and one whose functions all start on a
 # 64-byte boundary (`-C llvm-args=-align-all-functions=6`, so a shift that
 # only code placement causes shows in one lens and not the other), runs
-# the two binaries alternately, and prints per metric the change's median,
-# the parent's median and quartiles, and the pairs each side won. Every
+# the two binaries alternately, and prints per metric each side's median
+# and quartiles (change first) and the pairs each side won. Every
 # workload of BENCHMARK.json when none is named. Knobs: PAIR_COUNT (10),
 # PAIR_SECONDS (20), PAIR_SEED (43), PAIR_TRACE (0; 1 prints the per-layer
 # metrics), PAIR_DIR (builds and raw runs, `$TMPDIR/rtdi-pair`). It changes
@@ -144,8 +144,9 @@ case "${1:-}" in
             if ($1 > n) n = $1
           }
           END {
-            printf "   %-36s %14s %14s %14s %14s %6s %6s\n", "metric", "change_median",
-              "parent_median", "parent_q1", "parent_q3", "change", "parent"
+            printf "   %-36s %14s %14s %14s %14s %14s %14s %6s %6s\n", "metric",
+              "change_median", "change_q1", "change_q3", "parent_median", "parent_q1",
+              "parent_q3", "change", "parent"
             for (k = 1; k <= m; k++) {
               x = names[k]
               cnt = 0; live = 0; wc = 0; wp = 0
@@ -161,9 +162,10 @@ case "${1:-}" in
               }
               if (cnt == 0 || (!live && x != "failed")) continue
               sorted(cs, cnt); sorted(ps, cnt)
-              printf "   %-36s %14s %14s %14s %14s %6d %6d\n", x, num(quantile(cs, cnt, 0.5)),
-                num(quantile(ps, cnt, 0.5)), num(quantile(ps, cnt, 0.25)),
-                num(quantile(ps, cnt, 0.75)), wc, wp
+              printf "   %-36s %14s %14s %14s %14s %14s %14s %6d %6d\n", x,
+                num(quantile(cs, cnt, 0.5)), num(quantile(cs, cnt, 0.25)),
+                num(quantile(cs, cnt, 0.75)), num(quantile(ps, cnt, 0.5)),
+                num(quantile(ps, cnt, 0.25)), num(quantile(ps, cnt, 0.75)), wc, wp
             }
             print "   (change/parent: the pairs each side won, by the metric'"'"'s better direction)"
           }' "$root/better" "$runs"

@@ -1525,6 +1525,37 @@ mod tests {
         assert_eq!(out.len(), 2);
     }
 
+    /// The benchmark tumble's cadence: a key's next window opens before
+    /// the watermark flushes its last one, so the key keeps its entry and
+    /// its key text across the flush. Only a key with no window left
+    /// leaves the map, and only such a key is inserted again.
+    #[test]
+    fn a_key_whose_next_window_opened_keeps_its_entry_across_a_flush() {
+        let count = vec![("trips".into(), AggFn::Count)];
+        let tumble = WindowAssigner::tumbling(1000);
+        let mut op = WindowAggregateOp::new("agg", vec!["city".into()], tumble, count, 0);
+        let sf = |ts| rec(ts, Row::new().with("city", "sf"));
+        let entry = |op: &WindowAggregateOp| {
+            assert!(op.state.keys.len() <= 1);
+            let (key, kw) = op.state.keys.iter().next()?;
+            Some((Arc::clone(key), kw.windows.len()))
+        };
+        let mut out = Vec::new();
+        op.process(&sf(500), &mut out).unwrap();
+        let (opened, _) = entry(&op).unwrap();
+        op.process(&sf(1_500), &mut out).unwrap();
+        op.on_watermark(1_000, &mut out);
+        assert_eq!(out.len(), 1, "[0, 1000) flushed");
+        let (kept, held) = entry(&op).unwrap();
+        assert!(
+            Arc::ptr_eq(&opened, &kept),
+            "the key text was not built again"
+        );
+        assert_eq!(held, 1, "[1000, 2000) still open");
+        op.on_watermark(2_000, &mut out);
+        assert_eq!((out.len(), entry(&op)), (2, None), "no window left");
+    }
+
     #[test]
     fn window_aggregate_counts_per_key_per_window() {
         let mut op = WindowAggregateOp::new(

@@ -451,6 +451,19 @@ fn process_fault(chaos: Option<&Chaos>, records: usize) -> Result<()> {
     Ok(())
 }
 
+/// The return path from a job's first plan entry to its pump: the input
+/// batches that entry is done with.
+type Spent = crossbeam::channel::Sender<Vec<Arc<Record>>>;
+
+/// Hand a spent batch back to the pump if the return path has room; a
+/// full path drops it here, as a stage did before there was one, so
+/// giving back never holds a stage up.
+fn give_back(spent: Option<&Spent>, batch: Vec<Arc<Record>>) {
+    if let Some(tx) = spent {
+        let _ = tx.try_send(batch);
+    }
+}
+
 fn flush_buckets(
     buckets: &mut [Vec<(u64, Arc<Record>)>],
     txs: &[crossbeam::channel::Sender<ShardMsg>],
@@ -483,6 +496,7 @@ fn run_parallel_router(
     barrier_tx: crossbeam::channel::Sender<Box<BarrierState>>,
     spec: ShardSpec,
     chaos: Option<Chaos>,
+    spent: Option<Spent>,
 ) -> RouterOutcome {
     let n = shard_txs.len();
     let mut out = RouterOutcome {
@@ -509,16 +523,18 @@ fn run_parallel_router(
     };
     'recv: while let Ok(msg) = rx.recv() {
         match msg {
-            StagedMsg::Batch(batch) => {
+            StagedMsg::Batch(mut batch) => {
                 out.records_in += batch.len() as u64;
                 out.batches_in += 1;
                 if let Err(e) = process_fault(chaos.as_ref(), batch.len()) {
                     out.err = Some(e);
                     break 'recv;
                 }
-                for r in batch {
+                for r in batch.drain(..) {
                     route(r, &mut seq, &mut buckets);
                 }
+                // the records went on to the shards: only the vector is spent
+                give_back(spent.as_ref(), batch);
                 if !flush_buckets(&mut buckets, &shard_txs, &mut out.max_depth) {
                     break 'recv;
                 }
@@ -743,6 +759,7 @@ fn run_serial_stage(
     rx: crossbeam::channel::Receiver<StagedMsg>,
     tx: crossbeam::channel::Sender<StagedMsg>,
     chaos: Option<Chaos>,
+    spent: Option<Spent>,
 ) -> (StageStats, Option<Error>) {
     let mut st = StageStats {
         stage: op.name().to_string(),
@@ -772,6 +789,7 @@ fn run_serial_stage(
                     err = Some(e);
                     break;
                 }
+                give_back(spent.as_ref(), batch);
                 if !emit(&mut buf, &mut st) {
                     break;
                 }
@@ -837,6 +855,11 @@ pub fn run_staged_with(mut job: Job, config: &StagedConfig) -> Result<JobRunStat
         senders.push(tx);
         receivers.push(rx);
     }
+    // the first entry's spent batches back to the pump, whose source
+    // refills the records it alone still holds: what is in flight on the
+    // first hop, at most about (channel_capacity + 2) batches
+    let (spent_tx, spent_rx) = crossbeam::channel::bounded(config.channel_capacity.max(1));
+    let mut spent_tx = Some(spent_tx);
     let records_out = Arc::new(std::sync::atomic::AtomicU64::new(0));
     let checkpoints_taken = Arc::new(std::sync::atomic::AtomicU64::new(0));
 
@@ -873,10 +896,11 @@ pub fn run_staged_with(mut job: Job, config: &StagedConfig) -> Result<JobRunStat
         for (i, (entry, rx)) in stage_inputs.into_iter().enumerate() {
             let tx = senders[i + 1].clone();
             let chaos = (i == 0).then(|| config.chaos.clone());
+            let spent = spent_tx.take();
             match entry {
                 StagePlan::Serial(op) => {
                     handles.push(Spawned::Serial(
-                        scope.spawn(move || run_serial_stage(op, rx, tx, chaos)),
+                        scope.spawn(move || run_serial_stage(op, rx, tx, chaos, spent)),
                     ));
                 }
                 StagePlan::Parallel {
@@ -898,8 +922,9 @@ pub fn run_staged_with(mut job: Job, config: &StagedConfig) -> Result<JobRunStat
                     let (barrier_tx, barrier_rx) =
                         crossbeam::channel::bounded::<Box<BarrierState>>(cap);
                     let key_cols = spec.key_cols.clone();
-                    let router = scope
-                        .spawn(move || run_parallel_router(rx, shard_txs, barrier_tx, spec, chaos));
+                    let router = scope.spawn(move || {
+                        run_parallel_router(rx, shard_txs, barrier_tx, spec, chaos, spent)
+                    });
                     let shard_handles: Vec<_> = shards
                         .into_iter()
                         .zip(shard_rxs)
@@ -979,6 +1004,7 @@ pub fn run_staged_with(mut job: Job, config: &StagedConfig) -> Result<JobRunStat
         let bound = job.max_out_of_orderness;
         let mut since_checkpoint = 0u64;
         let mut pending: Vec<Arc<Record>> = Vec::with_capacity(batch_size);
+        let mut vectors: Vec<Vec<Arc<Record>>> = Vec::new();
         let source = &mut job.source;
         let interval = config.checkpoint_interval;
         let records_in = &mut stats.records_in;
@@ -988,6 +1014,18 @@ pub fn run_staged_with(mut job: Job, config: &StagedConfig) -> Result<JobRunStat
             let mut pump = || -> Result<()> {
                 let send_err = |_| Error::Internal("stage died".into());
                 loop {
+                    // what the first entry is done with: its records to the
+                    // source to refill, its vectors to the next `pending`s
+                    while let Ok(mut spent) = spent_rx.try_recv() {
+                        source.recycle(&mut spent);
+                        spent.clear();
+                        vectors.push(spent);
+                    }
+                    let mut next = || {
+                        vectors
+                            .pop()
+                            .unwrap_or_else(|| Vec::with_capacity(batch_size))
+                    };
                     // cap the poll so a due barrier lands exactly at a poll
                     // boundary: source.position() then describes precisely the
                     // records ahead of the barrier
@@ -1010,15 +1048,13 @@ pub fn run_staged_with(mut job: Job, config: &StagedConfig) -> Result<JobRunStat
                         config.chaos.check(FaultPoint::ComputeChannel)?;
                         pending.push(rec);
                         if pending.len() >= batch_size {
-                            let full =
-                                std::mem::replace(&mut pending, Vec::with_capacity(batch_size));
+                            let full = std::mem::replace(&mut pending, next());
                             tx0.send(StagedMsg::Batch(full)).map_err(send_err)?;
                         }
                     }
                     // linger flush: watermarks/barriers never pass records
                     if !pending.is_empty() {
-                        let partial =
-                            std::mem::replace(&mut pending, Vec::with_capacity(batch_size));
+                        let partial = std::mem::replace(&mut pending, next());
                         tx0.send(StagedMsg::Batch(partial)).map_err(send_err)?;
                     }
                     tx0.send(StagedMsg::Watermark(watermark(source.event_time(), bound)))

@@ -41,6 +41,15 @@ pub trait Source: Send {
     /// exhaustion; from an unbounded source it means "nothing right now".
     fn poll_batch(&mut self, max: usize) -> Result<Vec<Arc<Record>>>;
 
+    /// Take back records the job's first stage is done with, leaving
+    /// `spent` empty. Another stage, a sink or a checkpoint may still hold
+    /// one, so a source writes a record only when it holds the last handle
+    /// ([`Arc::get_mut`]) and otherwise drops it. This default drops them
+    /// all; [`HiveSource`] refills the ones it holds alone.
+    fn recycle(&mut self, spent: &mut Vec<Arc<Record>>) {
+        spent.clear();
+    }
+
     /// Bounded sources report completion.
     fn is_exhausted(&self) -> bool;
 
@@ -418,6 +427,12 @@ impl Source for UnionSource {
 /// A group decodes its `__ts` column and the selected columns when it is
 /// first polled, replays in [`time_order`] and drops what it decoded once
 /// drained. The position is `[group, offset in its order]`.
+///
+/// Records the job hands back ([`Source::recycle`]) are built into again:
+/// a returned record this source holds alone takes the next row's cells
+/// in its own cell slice and is reset to a record of that row alone, so
+/// a backfill at full speed reuses the records in flight instead of
+/// allocating two a row.
 pub struct HiveSource {
     groups: Vec<Vec<SegmentFile>>,
     from: Timestamp,
@@ -434,6 +449,9 @@ pub struct HiveSource {
     /// the Kappa+ throttle that protects downstream operators from
     /// full-speed historic reads.
     throttle_per_poll: usize,
+    /// Records handed back, each refilled if nothing else holds it by the
+    /// time a row needs it: at most the job's records in flight.
+    spent: Vec<Arc<Record>>,
 }
 
 /// One group's replay order and a row reader per part of it.
@@ -466,6 +484,7 @@ impl HiveSource {
             open: None,
             reached: Timestamp::MIN,
             throttle_per_poll: throttle_per_poll.max(1),
+            spent: Vec::new(),
         })
     }
 
@@ -493,6 +512,22 @@ impl HiveSource {
             parts.iter_mut().for_each(SegmentFile::unload);
         }
     }
+
+    /// The record of `doc`: the next spent record refilled when this
+    /// source holds its last handle, else a new one (a spent record
+    /// something else still holds is dropped).
+    fn record_of(&mut self, reader: &RowReader, doc: usize, ts: Timestamp) -> Result<Arc<Record>> {
+        if let Some(mut rec) = self.spent.pop() {
+            if let Some(owned) = Arc::get_mut(&mut rec) {
+                let mut row = std::mem::take(&mut owned.value);
+                reader.fill_row(doc, &mut row)?;
+                // no key, envelope or header outlives the row it came with
+                *owned = Record::new(row, ts);
+                return Ok(rec);
+            }
+        }
+        Ok(Arc::new(Record::new(reader.row(doc)?, ts)))
+    }
 }
 
 impl Source for HiveSource {
@@ -506,9 +541,9 @@ impl Source for HiveSource {
             let end = (self.offset + take).min(open.order.len());
             let mut batch = Vec::with_capacity(end - self.offset);
             for entry in &open.order[self.offset..end] {
-                let row = open.readers[entry.part as usize].row(entry.doc as usize)?;
+                let reader = &open.readers[entry.part as usize];
                 self.reached = self.reached.max(entry.ts);
-                batch.push(Arc::new(Record::new(row, entry.ts)));
+                batch.push(self.record_of(reader, entry.doc as usize, entry.ts)?);
             }
             self.offset = end;
             if end < open.order.len() {
@@ -522,6 +557,10 @@ impl Source for HiveSource {
             }
         }
         Ok(Vec::new())
+    }
+
+    fn recycle(&mut self, spent: &mut Vec<Arc<Record>>) {
+        self.spent.append(spent);
     }
 
     fn is_exhausted(&self) -> bool {
@@ -990,6 +1029,57 @@ mod tests {
             vec![None, None],
             "NULL event times"
         );
+    }
+
+    #[test]
+    fn a_refilled_record_is_its_own_part_s_row_alone() {
+        use rtdi_common::{FieldType, Schema};
+        use rtdi_storage::object::ObjectStore;
+        let store = Arc::new(rtdi_storage::object::InMemoryStore::new());
+        let catalog = rtdi_storage::hive::HiveCatalog::new(store.clone());
+        let shape = |col| {
+            Schema::of(
+                "t",
+                &[(col, FieldType::Int), ("__ts", FieldType::Timestamp)],
+            )
+        };
+        let table = catalog.create_table("t", shape("a")).unwrap();
+        // one group of two parts whose rows interleave in time: two cells
+        // each, under other names
+        for (p, col) in ["a", "b"].into_iter().enumerate() {
+            let rows: Vec<Row> = (0..4i64)
+                .map(|i| Row::new().with(col, i).with("__ts", 2 * i + p as i64))
+                .collect();
+            let data = rtdi_storage::segfile::encode_rows_segment(&shape(col), col, &rows).unwrap();
+            let key = format!("warehouse/t/d000000/part-{p}");
+            store.put(&key, data).unwrap();
+            catalog.register_partition("t", "d000000", &key, 4).unwrap();
+        }
+        let mut source = HiveSource::new(&table, 0, 100, 1, None).unwrap();
+        let mut polled = source.poll_batch(1).unwrap();
+        for ts in 1..7i64 {
+            // whatever a record picked up before it came back
+            let before = Arc::as_ptr(&polled[0]);
+            let owned = Arc::get_mut(&mut polled[0]).unwrap();
+            owned.key = Some("stale".into());
+            owned.set_header("stale", "yes");
+            owned.set_app_ts(Some(-1));
+            source.recycle(&mut polled);
+            polled = source.poll_batch(1).unwrap();
+            let rec = &polled[0];
+            assert_eq!(Arc::as_ptr(rec), before, "ts {ts}: refilled, not rebuilt");
+            let col = ["a", "b"][ts as usize % 2];
+            let want = Row::new().with(col, ts / 2).with("__ts", ts);
+            assert_eq!((rec.timestamp, &rec.value), (ts, &want));
+            assert_eq!(rec.key, None, "ts {ts}");
+            assert_eq!((rec.headers().len(), rec.app_ts()), (0, None), "ts {ts}");
+        }
+        // a record something else still holds is left alone
+        let kept = Arc::clone(&polled[0]);
+        source.recycle(&mut polled);
+        let last = source.poll_batch(1).unwrap();
+        assert!(!Arc::ptr_eq(&last[0], &kept) && last[0].timestamp == 7);
+        assert_eq!(kept.value, Row::new().with("a", 3i64).with("__ts", 6i64));
     }
 
     #[test]

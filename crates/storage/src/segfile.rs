@@ -995,6 +995,24 @@ impl RowReader {
         }
         Ok(Row::on(Arc::clone(&self.names), cells))
     }
+
+    /// [`RowReader::row`] written into a row the caller holds: a row of
+    /// one cell per column takes the document's cells in its own slice,
+    /// under this reader's names, and allocates nothing a cell does not; a
+    /// row of another cell count is replaced by a new one.
+    pub fn fill_row(&self, doc: usize, row: &mut Row) -> Result<()> {
+        if row.len() != self.columns.len() || doc >= self.nrows {
+            // a new row, or the out-of-range error
+            *row = self.row(doc)?;
+            return Ok(());
+        }
+        let mut cells = std::mem::take(row).into_cells();
+        for (cell, (ftype, col)) in cells.iter_mut().zip(&self.columns) {
+            *cell = cell_value(col, *ftype, doc)?;
+        }
+        *row = Row::on(Arc::clone(&self.names), cells);
+        Ok(())
+    }
 }
 
 fn decode_int_block(r: &mut Reader, nrows: usize) -> Result<Vec<i64>> {
@@ -1648,6 +1666,28 @@ mod tests {
         );
         assert!(matches!(
             file.read_rows_where(None, Some(&[40])),
+            Err(Error::Internal(_))
+        ));
+    }
+
+    #[test]
+    fn fill_row_equals_row_in_any_row_it_is_given() {
+        let rows = sample_rows(20);
+        let file =
+            SegmentFile::open(encode_rows_segment(&sample_schema(), "s", &rows).unwrap()).unwrap();
+        let select = ["restaurant".to_string(), "id".to_string()];
+        let reader = file.row_reader(Some(&select)).unwrap();
+        // a row of the same count under other names, one of another count
+        let other = Row::new().with("x", 1i64).with("y", "z");
+        for (doc, start) in [(3, other), (7, Row::new()), (19, rows[0].clone())] {
+            let mut row = start;
+            reader.fill_row(doc, &mut row).unwrap();
+            assert_eq!(row, reader.row(doc).unwrap(), "doc {doc}");
+            assert!(Arc::ptr_eq(row.names(), reader.row(0).unwrap().names()));
+        }
+        let mut row = reader.row(0).unwrap();
+        assert!(matches!(
+            reader.fill_row(20, &mut row),
             Err(Error::Internal(_))
         ));
     }

@@ -4,7 +4,8 @@
 //! the compute runtime and consumer proxy rely on: multi-producer
 //! multi-consumer, cloneable receivers (work-stealing fan-out), and
 //! bounded channels whose full buffer blocks the sender — the
-//! credit-based backpressure the staged runtime models.
+//! credit-based backpressure the staged runtime models — or, through
+//! `try_send`, hands the message back.
 
 pub mod channel {
     use std::collections::VecDeque;
@@ -13,6 +14,15 @@ pub mod channel {
     /// Error returned by [`Sender::send`] when every receiver is gone.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub struct SendError<T>(pub T);
+
+    /// Error returned by [`Sender::try_send`]: the message comes back.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum TrySendError<T> {
+        /// A bounded channel's buffer is full.
+        Full(T),
+        /// Every receiver is gone.
+        Disconnected(T),
+    }
 
     /// Error returned by [`Receiver::recv`] when the channel is empty and
     /// every sender is gone.
@@ -90,6 +100,25 @@ pub mod channel {
                     }
                     _ => break,
                 }
+            }
+            st.queue.push_back(value);
+            drop(st);
+            self.shared.not_empty.notify_one();
+            Ok(())
+        }
+
+        /// Send without blocking: a full buffer gives the message back.
+        pub fn try_send(&self, value: T) -> Result<(), TrySendError<T>> {
+            let mut st = self.shared.state.lock().unwrap();
+            if st.receivers == 0 {
+                return Err(TrySendError::Disconnected(value));
+            }
+            if self
+                .shared
+                .capacity
+                .is_some_and(|cap| st.queue.len() >= cap)
+            {
+                return Err(TrySendError::Full(value));
             }
             st.queue.push_back(value);
             drop(st);
@@ -234,6 +263,16 @@ mod tests {
         assert_eq!(rx.recv(), Ok(2));
         t.join().unwrap();
         assert!(rx.recv().is_err()); // all senders gone
+    }
+
+    #[test]
+    fn try_send_gives_back_what_does_not_fit() {
+        let (tx, rx) = channel::bounded::<u8>(1);
+        assert_eq!(tx.try_send(1), Ok(()));
+        assert_eq!(tx.try_send(2), Err(channel::TrySendError::Full(2)));
+        assert_eq!(rx.try_recv(), Ok(1));
+        drop(rx);
+        assert_eq!(tx.try_send(3), Err(channel::TrySendError::Disconnected(3)));
     }
 
     #[test]

@@ -4,11 +4,13 @@
 //!
 //! - Seeded random chains (filter / map / flat-map / tumbling, sliding and
 //!   session aggregate / dedup, any batch size and parallelism) run once
-//!   over a topic, whose log keeps a handle to every record, and once over
-//!   a source that hands out records nobody else holds: both must equal
-//!   the per-record oracle byte for byte, a stop at a checkpoint barrier
-//!   followed by a restore (at another parallelism) must reproduce the
-//!   same output, and the log must hold what was appended.
+//!   over a topic, whose log keeps a handle to every record, once over a
+//!   source that hands out records nobody else holds, and once over its
+//!   twin that refills in place the records the first stage hands back:
+//!   each must equal the per-record oracle byte for byte, a stop at a
+//!   checkpoint barrier followed by a restore (at another parallelism)
+//!   must reproduce the same output, the refilling twin's sink must keep
+//!   what the plain one's does, and the log must hold what was appended.
 //! - The Kappa+ source decodes only the columns the SQL names: same
 //!   windows as a source that decodes every column, `SELECT *` still
 //!   carries all.
@@ -26,6 +28,7 @@ use rtdi::flinksql::compiler::{compile_batch, CompileOptions};
 use rtdi::storage::hive::HiveCatalog;
 use rtdi::storage::object::InMemoryStore;
 use rtdi::stream::topic::{Topic, TopicConfig};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// The staged pump polls up to 512 records and so does the oracle; a
@@ -33,10 +36,53 @@ use std::sync::Arc;
 const POLL: usize = 512;
 
 /// Hands out every record in a handle of its own: nothing else holds it.
+/// Its recycling twin (`spent` set) also takes back what the first stage
+/// is done with and, as `HiveSource` does, refills a record it holds alone
+/// in place: the next record's cells go into its cell slice, and the
+/// record is reset to the next one's time and key.
 struct UniqueSource {
     records: Vec<Record>,
     cursor: usize,
     reached: Timestamp,
+    spent: Option<Vec<Arc<Record>>>,
+    refilled: Arc<AtomicUsize>,
+}
+
+impl UniqueSource {
+    fn new(records: Vec<Record>, recycling: bool, refilled: &Arc<AtomicUsize>) -> Self {
+        UniqueSource {
+            records,
+            cursor: 0,
+            reached: Timestamp::MIN,
+            spent: recycling.then(Vec::new),
+            refilled: Arc::clone(refilled),
+        }
+    }
+}
+
+/// `next` in a handle: a spent one held alone, refilled, else a new one.
+fn handle(
+    spent: Option<&mut Vec<Arc<Record>>>,
+    refilled: &AtomicUsize,
+    next: &Record,
+) -> Arc<Record> {
+    let Some(mut rec) = spent.and_then(Vec::pop) else {
+        return Arc::new(next.clone());
+    };
+    let Some(owned) = Arc::get_mut(&mut rec) else {
+        return Arc::new(next.clone());
+    };
+    let mut cells = std::mem::take(&mut owned.value).into_cells();
+    let row = if cells.len() == next.value.len() {
+        cells.clone_from_slice(next.value.cells());
+        Row::on(Arc::clone(next.value.names()), cells)
+    } else {
+        next.value.clone()
+    };
+    *owned = Record::new(row, next.timestamp);
+    owned.key = next.key.clone();
+    refilled.fetch_add(1, Ordering::Relaxed);
+    rec
 }
 
 impl Source for UniqueSource {
@@ -45,7 +91,16 @@ impl Source for UniqueSource {
         let batch = &self.records[self.cursor..end];
         self.cursor = end;
         self.reached = (batch.iter().map(|r| r.timestamp)).fold(self.reached, Timestamp::max);
-        Ok(batch.iter().map(|r| Arc::new(r.clone())).collect())
+        let (spent, refilled) = (&mut self.spent, &self.refilled);
+        Ok((batch.iter())
+            .map(|next| handle(spent.as_mut(), refilled, next))
+            .collect())
+    }
+    fn recycle(&mut self, spent: &mut Vec<Arc<Record>>) {
+        match &mut self.spent {
+            Some(held) => held.append(spent),
+            None => spent.clear(),
+        }
     }
     fn is_exhausted(&self) -> bool {
         self.cursor >= self.records.len()
@@ -131,8 +186,18 @@ fn build_op(idx: usize, spec: OpSpec, parallelism: usize) -> Box<dyn Operator> {
     }
 }
 
+/// Who else holds a job's input records: the log, nobody, or nobody and
+/// the source refills what comes back.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Input {
+    Log,
+    Unique,
+    Recycled,
+}
+
 #[test]
 fn shared_and_unique_inputs_agree_with_the_oracle() {
+    let refilled = Arc::new(AtomicUsize::new(0));
     for case in 0..24u64 {
         let seed = 0x0B0220E5 + case;
         let mut rng = StdRng::seed_from_u64(seed);
@@ -150,31 +215,36 @@ fn shared_and_unique_inputs_agree_with_the_oracle() {
         for r in &records {
             topic.append(r.clone(), 0).unwrap();
         }
-        let job = |shared: bool, parallelism: usize, sink: &CollectSink| {
-            let source: Box<dyn Source> = if shared {
-                Box::new(TopicSource::bounded(topic.clone()).unwrap())
-            } else {
-                Box::new(UniqueSource {
-                    records: records.clone(),
-                    cursor: 0,
-                    reached: Timestamp::MIN,
-                })
+        let job = |input: Input, parallelism: usize, sink: &CollectSink| {
+            let source: Box<dyn Source> = match input {
+                Input::Log => Box::new(TopicSource::bounded(topic.clone()).unwrap()),
+                Input::Unique | Input::Recycled => {
+                    let recycling = input == Input::Recycled;
+                    Box::new(UniqueSource::new(records.clone(), recycling, &refilled))
+                }
             };
             let ops = chain.iter().enumerate();
             let ops = ops.map(|(i, spec)| build_op(i, *spec, parallelism));
             Job::new("job", source, ops.collect(), Box::new(sink.clone()))
                 .with_out_of_orderness(250)
         };
-        for shared in [true, false] {
-            let ctx = format!("{ctx} shared {shared}");
+        let mut unique_out = Vec::new();
+        for input in [Input::Log, Input::Unique, Input::Recycled] {
+            let ctx = format!("{ctx} input {input:?}");
             let oracle = CollectSink::new();
-            run_reference(job(shared, 1, &oracle)).unwrap_or_else(|e| panic!("{ctx}: {e}"));
+            run_reference(job(input, 1, &oracle)).unwrap_or_else(|e| panic!("{ctx}: {e}"));
 
             let sink = CollectSink::new();
             let config = StagedConfig::batched(8, batch);
-            run_staged_with(job(shared, wide, &sink), &config)
+            run_staged_with(job(input, wide, &sink), &config)
                 .unwrap_or_else(|e| panic!("{ctx}: {e}"));
             assert_eq!(sink.records(), oracle.records(), "{ctx}: staged run");
+            // what the sink kept is not written over by a later refill
+            match input {
+                Input::Unique => unique_out = sink.records(),
+                Input::Recycled => assert_eq!(sink.records(), unique_out, "{ctx}: refilled"),
+                Input::Log => {}
+            }
 
             // stop at the first barrier, restore at another parallelism
             let stop = RescaleHandle::new();
@@ -186,23 +256,24 @@ fn shared_and_unique_inputs_agree_with_the_oracle() {
                 ..config
             };
             let sink = CollectSink::new();
-            let stats = run_staged_with(job(shared, wide, &sink), &config)
+            let stats = run_staged_with(job(input, wide, &sink), &config)
                 .unwrap_or_else(|e| panic!("{ctx}: {e}"));
             assert_eq!(stats.stopped_at_checkpoint, Some(1), "{ctx}");
             assert_eq!(stats.records_in, POLL as u64, "{ctx}");
             config.rescale = None;
-            let stats = run_staged_with(job(shared, narrow, &sink), &config)
+            let stats = run_staged_with(job(input, narrow, &sink), &config)
                 .unwrap_or_else(|e| panic!("{ctx}: {e}"));
             assert_eq!(stats.restored_from_checkpoint, Some(1), "{ctx}");
             assert_eq!(sink.records(), oracle.records(), "{ctx}: restored run");
         }
-        // six jobs read the log; it holds what was appended
+        // the jobs that read the log left it as appended
         let held = topic.fetch(0, 0, usize::MAX / 2).unwrap().records;
         assert!(
             held.iter().map(|r| &*r.record).eq(&records),
             "{ctx}: the source log changed"
         );
     }
+    assert!(refilled.load(Ordering::Relaxed) > 0, "no record came back");
 }
 
 #[test]
